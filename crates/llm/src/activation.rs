@@ -45,18 +45,25 @@ pub fn softmax_rows(x: &MatF32) -> MatF32 {
 /// attention-score path of the allocation-free decode loop.
 pub fn softmax_rows_in_place(x: &mut MatF32) {
     for r in 0..x.rows() {
-        let row = x.row_mut(r);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            let e = (*v - max).exp();
-            sum += e;
-            *v = e;
-        }
-        let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
+        softmax_in_place(x.row_mut(r));
+    }
+}
+
+/// Numerically stable softmax over one row, in place: each element becomes
+/// `exp(v − max) * inv`. The attention path applies it to a query row's *visible prefix*
+/// of the score tile, so a probability depends only on the scores at or before its own
+/// position.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        let e = (*v - max).exp();
+        sum += e;
+        *v = e;
+    }
+    let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
+    for v in row.iter_mut() {
+        *v *= inv;
     }
 }
 

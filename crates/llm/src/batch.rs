@@ -1,54 +1,57 @@
-//! Batched inference: ragged batches, shared KV storage with row offsets, and the lockstep
-//! scheduler.
+//! Batched inference: ragged batches, per-slot KV storage, and the lockstep scheduler.
 //!
 //! The single-sequence forward path runs every prefill/decode GEMM once *per sequence*, so
 //! ABFT checksum and detection cost scales with the number of sequences. The batched path
 //! stacks all sequences' activations into one `(sum_tokens, hidden)` matrix and runs **one**
 //! fused-checksum GEMM per shared component per layer (`Q`/`K`/`V`/`O` and the MLP), so
 //! detection cost amortises across the batch — the regime the paper's energy-accuracy
-//! tradeoff assumes. Only the attention-internal GEMMs (`QKᵀ`, `SV`) stay per-sequence,
-//! because each sequence has its own cache length and causal mask.
+//! tradeoff assumes. Only the attention-internal GEMMs (`QKᵀ`, `SV`) stay per-sequence —
+//! one rectangular score GEMM and one context GEMM per (sequence, head) over that
+//! sequence's own slot of the cache, because each sequence has its own resident length and
+//! causal mask.
 //!
 //! Everything is bit-exact with the single-sequence path: activations are quantized with one
 //! symmetric scale per row (see
-//! [`quantize_symmetric_rows_into`](crate::quantized::quantize_symmetric_rows_into)), so a
+//! [`quantize_symmetric_rows_into`](crate::quantized::quantize_symmetric_rows_into)) and
+//! cached keys/values keep one scale per token row, so a
 //! batched [`crate::Model::generate_batch`] produces token-identical output to running
 //! [`crate::Model::generate`] once per sequence — the contract `tests/batched_parity.rs`
 //! enforces on every GEMM backend.
 
-use crate::kv_cache::KvCache;
+use crate::kv_cache::{KvCache, LayerCache};
 use crate::model::{argmax_with_margin, GenerationOutput, Model};
 use crate::{GemmHook, LlmError, Result};
 use realm_tensor::{MatF32, RowPartition, Workspace};
 
-/// Shared per-layer KV storage for a whole batch.
+/// Per-layer KV storage for a whole batch: one [`LayerCache`] per sequence slot.
 ///
-/// Keys and values of every sequence live in one matrix per layer, grouped by sequence:
-/// sequence `s` owns the contiguous row block starting at `offset_of(s)` with `seq_len(s)`
-/// rows. Ragged lengths are the normal case — prompts differ, and sequences complete at
-/// different lockstep steps.
-#[derive(Debug, Clone)]
+/// Each slot owns its own head-major INT8 storage, so appending, releasing and loading one
+/// sequence never moves another's rows. Ragged lengths are the normal case — prompts
+/// differ, and sequences complete at different lockstep steps.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchedLayerCache {
     layer: usize,
-    keys: Option<MatF32>,
-    values: Option<MatF32>,
-    lens: Vec<usize>,
+    slots: Vec<LayerCache>,
 }
 
 impl BatchedLayerCache {
-    /// Creates empty shared storage for `batch_size` sequences at `layer`.
-    pub fn new(layer: usize, batch_size: usize) -> Self {
+    /// Creates empty storage for `batch_size` sequences of `num_heads` heads of `head_dim`
+    /// channels at `layer`. Nothing is reserved: a slot grows with its occupant and keeps
+    /// its storage across [`BatchedLayerCache::release_slot`], so it stops allocating once
+    /// it has held a sequence as long as the ones it serves (reserving every slot's full
+    /// context window up front measurably raised the serving process's peak RSS).
+    pub fn new(layer: usize, batch_size: usize, num_heads: usize, head_dim: usize) -> Self {
         Self {
             layer,
-            keys: None,
-            values: None,
-            lens: vec![0; batch_size],
+            slots: (0..batch_size)
+                .map(|_| LayerCache::new(layer, num_heads, head_dim, 0))
+                .collect(),
         }
     }
 
     /// Number of sequences this cache serves.
     pub fn batch_size(&self) -> usize {
-        self.lens.len()
+        self.slots.len()
     }
 
     /// Number of cached token positions for sequence `seq`.
@@ -57,44 +60,33 @@ impl BatchedLayerCache {
     ///
     /// Panics if `seq` is out of range.
     pub fn seq_len(&self, seq: usize) -> usize {
-        self.lens[seq]
+        self.slots[seq].len()
     }
 
-    /// Row offset of sequence `seq` inside the shared storage.
-    fn offset_of(&self, seq: usize) -> usize {
-        self.lens[..seq].iter().sum()
+    /// Sequence `seq`'s store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is out of range.
+    pub fn slot(&self, seq: usize) -> &LayerCache {
+        &self.slots[seq]
     }
 
-    /// Total cached rows across all sequences.
-    pub fn total_rows(&self) -> usize {
-        self.lens.iter().sum()
-    }
-
-    /// Appends each sequence's new key/value rows (grouped by `parts`) at the end of that
-    /// sequence's segment. Sequences with an empty group (completed sequences during
+    /// Appends each sequence's new key/value rows (grouped by `parts`) in place to that
+    /// sequence's slot. Sequences with an empty group (completed sequences during
     /// lockstep decode) are untouched.
     ///
     /// # Errors
     ///
-    /// Returns an error naming this cache's layer index if the shapes of `keys`/`values`
-    /// disagree, the partition does not cover them, or the width changes mid-run.
+    /// Returns an error naming this cache's layer index if the partition does not cover
+    /// `keys`, or the shapes of `keys`/`values` disagree with each other or the slots.
     pub fn append_batch(
         &mut self,
         keys: &MatF32,
         values: &MatF32,
         parts: &RowPartition,
     ) -> Result<()> {
-        if keys.shape() != values.shape() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "batched KV cache at layer {}: key shape {:?} and value shape {:?} differ",
-                    self.layer,
-                    keys.shape(),
-                    values.shape()
-                ),
-            });
-        }
-        if parts.num_groups() != self.lens.len() || parts.total_rows() != keys.rows() {
+        if parts.num_groups() != self.slots.len() || parts.total_rows() != keys.rows() {
             return Err(LlmError::InvalidSequence {
                 detail: format!(
                     "batched KV cache at layer {}: partition ({} groups, {} rows) does not \
@@ -102,245 +94,57 @@ impl BatchedLayerCache {
                     self.layer,
                     parts.num_groups(),
                     parts.total_rows(),
-                    self.lens.len(),
+                    self.slots.len(),
                     keys.rows()
                 ),
             });
         }
-        let width = keys.cols();
-        if let Some(existing) = &self.keys {
-            if existing.cols() != width {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "batched KV cache at layer {}: width changed from {} to {width}",
-                        self.layer,
-                        existing.cols()
-                    ),
-                });
-            }
-        }
-        if keys.rows() == 0 {
-            return Ok(());
-        }
-        // Rebuild the shared storage with each sequence's new rows spliced onto the end of
-        // its segment; per-sequence segments stay contiguous for O(1) slicing.
-        let new_total = self.total_rows() + keys.rows();
-        let mut new_keys = Vec::with_capacity(new_total * width);
-        let mut new_values = Vec::with_capacity(new_total * width);
-        for seq in 0..self.lens.len() {
-            let offset = self.offset_of(seq);
-            for r in 0..self.lens[seq] {
-                new_keys.extend_from_slice(self.keys.as_ref().expect("non-empty").row(offset + r));
-                new_values
-                    .extend_from_slice(self.values.as_ref().expect("non-empty").row(offset + r));
-            }
-            for r in parts.range(seq) {
-                new_keys.extend_from_slice(keys.row(r));
-                new_values.extend_from_slice(values.row(r));
-            }
-        }
-        self.keys = Some(MatF32::from_vec(new_total, width, new_keys)?);
-        self.values = Some(MatF32::from_vec(new_total, width, new_values)?);
-        for seq in 0..self.lens.len() {
-            self.lens[seq] += parts.len(seq);
+        // Every slot has the same geometry, so a shape error surfaces at the first slot,
+        // before any has grown.
+        for (seq, slot) in self.slots.iter_mut().enumerate() {
+            slot.append_rows(keys, values, parts.range(seq))?;
         }
         Ok(())
     }
 
-    /// Frees sequence `seq`'s slot: its cached rows are dropped and its length reset to
-    /// zero, so a new sequence can be loaded into the slot with
+    /// Frees sequence `seq`'s slot: its rows are dropped (the storage stays for the next
+    /// occupant), so a new sequence can be loaded with
     /// [`BatchedLayerCache::load_slot`]. Releasing an already-empty slot is a no-op.
     ///
     /// This is the layer-level mechanism behind continuous batching: a completed sequence
-    /// returns its rows immediately instead of holding the slot until the whole batch
-    /// drains.
+    /// returns its slot immediately instead of holding it until the whole batch drains.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range.
     pub fn release_slot(&mut self, seq: usize) {
-        let len = self.lens[seq];
-        if len == 0 {
-            return;
-        }
-        let offset = self.offset_of(seq);
-        // Drain the slot's rows in place: only the tail rows shift, and the allocation is
-        // reused — this runs on every request retirement in the serving hot loop.
-        let drain = |storage: Option<MatF32>| -> Option<MatF32> {
-            let storage = storage.expect("non-zero slot implies storage");
-            let width = storage.cols();
-            let remaining = storage.rows() - len;
-            if remaining == 0 {
-                return None;
-            }
-            let mut data = storage.into_vec();
-            data.drain(offset * width..(offset + len) * width);
-            Some(MatF32::from_vec(remaining, width, data).expect("retained rows are rectangular"))
-        };
-        self.keys = drain(self.keys.take());
-        self.values = drain(self.values.take());
-        self.lens[seq] = 0;
+        self.slots[seq].clear();
     }
 
-    /// Loads a freshly prefilled sequence into the empty slot `seq`, splicing `keys` and
-    /// `values` (shape `(prompt_len, hidden)`) into the shared storage at the slot's offset.
+    /// Loads a sequence's `keys` and `values` (shape `(prompt_len, hidden)`) into the empty
+    /// slot `seq`, quantizing per token row exactly as an append does.
     ///
     /// # Errors
     ///
     /// Returns an error naming this cache's layer index if the slot is still occupied, the
-    /// shapes of `keys`/`values` disagree, they are empty, or their width does not match the
-    /// shared storage.
+    /// rows are empty, or their shapes disagree with each other or the slot.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range.
     pub fn load_slot(&mut self, seq: usize, keys: &MatF32, values: &MatF32) -> Result<()> {
-        if self.lens[seq] != 0 {
+        let resident = self.slots[seq].len();
+        if resident != 0 || keys.rows() == 0 {
             return Err(LlmError::InvalidSequence {
                 detail: format!(
-                    "batched KV cache at layer {}: slot {seq} still holds {} rows; release it \
-                     before loading a new sequence",
-                    self.layer, self.lens[seq]
-                ),
-            });
-        }
-        if keys.shape() != values.shape() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "batched KV cache at layer {}: key shape {:?} and value shape {:?} differ",
+                    "batched KV cache at layer {}: cannot load {} rows into slot {seq} holding \
+                     {resident} rows (the slot must be released and the sequence non-empty)",
                     self.layer,
-                    keys.shape(),
-                    values.shape()
+                    keys.rows()
                 ),
             });
         }
-        if keys.rows() == 0 {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "batched KV cache at layer {}: cannot load an empty sequence into slot {seq}",
-                    self.layer
-                ),
-            });
-        }
-        if let Some(existing) = &self.keys {
-            if existing.cols() != keys.cols() {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "batched KV cache at layer {}: slot {seq} width {} does not match the \
-                         shared storage width {}",
-                        self.layer,
-                        keys.cols(),
-                        existing.cols()
-                    ),
-                });
-            }
-        }
-        let offset = self.offset_of(seq);
-        // Splice the new rows in place at the slot's offset (storage is row-major, so the
-        // new matrix's backing slice is exactly its rows in order): only the tail shifts,
-        // matching `release_slot` — this runs on every admission in the serving hot loop.
-        let splice = |storage: Option<MatF32>, new: &MatF32| -> MatF32 {
-            let width = new.cols();
-            match storage {
-                None => new.clone(),
-                Some(storage) => {
-                    let rows = storage.rows() + new.rows();
-                    let mut data = storage.into_vec();
-                    let at = offset * width;
-                    data.splice(at..at, new.as_slice().iter().copied());
-                    MatF32::from_vec(rows, width, data).expect("spliced rows are rectangular")
-                }
-            }
-        };
-        self.keys = Some(splice(self.keys.take(), keys));
-        self.values = Some(splice(self.values.take(), values));
-        self.lens[seq] = keys.rows();
-        Ok(())
-    }
-
-    /// All cached keys of sequence `seq`, shape `(seq_len(seq), hidden)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sequence has no cached rows yet.
-    pub fn seq_keys(&self, seq: usize) -> Result<MatF32> {
-        self.seq_rows(&self.keys, seq, "keys")
-    }
-
-    /// All cached values of sequence `seq`, shape `(seq_len(seq), hidden)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sequence has no cached rows yet.
-    pub fn seq_values(&self, seq: usize) -> Result<MatF32> {
-        self.seq_rows(&self.values, seq, "values")
-    }
-
-    /// [`BatchedLayerCache::seq_keys`] into caller-provided storage (reshaped in place) —
-    /// the batched decode loop reuses one workspace buffer per layer instead of copying
-    /// every sequence's keys into a fresh matrix each step.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sequence has no cached rows yet.
-    pub fn seq_keys_into(&self, seq: usize, out: &mut MatF32) -> Result<()> {
-        self.seq_rows_into(&self.keys, seq, "keys", out)
-    }
-
-    /// [`BatchedLayerCache::seq_values`] into caller-provided storage (reshaped in place).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the sequence has no cached rows yet.
-    pub fn seq_values_into(&self, seq: usize, out: &mut MatF32) -> Result<()> {
-        self.seq_rows_into(&self.values, seq, "values", out)
-    }
-
-    fn seq_rows(&self, storage: &Option<MatF32>, seq: usize, what: &str) -> Result<MatF32> {
-        let Some(storage) = storage else {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "batched KV cache at layer {}: no cached {what} for sequence {seq}",
-                    self.layer
-                ),
-            });
-        };
-        Ok(storage.rows_slice(self.offset_of(seq), self.lens[seq])?)
-    }
-
-    fn seq_rows_into(
-        &self,
-        storage: &Option<MatF32>,
-        seq: usize,
-        what: &str,
-        out: &mut MatF32,
-    ) -> Result<()> {
-        let Some(storage) = storage else {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "batched KV cache at layer {}: no cached {what} for sequence {seq}",
-                    self.layer
-                ),
-            });
-        };
-        let offset = self.offset_of(seq);
-        let len = self.lens[seq];
-        if offset + len > storage.rows() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "batched KV cache at layer {}: sequence {seq} rows {offset}..{} exceed the \
-                     shared storage ({} rows)",
-                    self.layer,
-                    offset + len,
-                    storage.rows()
-                ),
-            });
-        }
-        out.resize_overwrite(len, storage.cols());
-        for (i, r) in (offset..offset + len).enumerate() {
-            out.row_mut(i).copy_from_slice(storage.row(r));
-        }
-        Ok(())
+        self.slots[seq].append(keys, values)
     }
 }
 
@@ -348,7 +152,7 @@ impl BatchedLayerCache {
 ///
 /// Each of the `batch_size` *slots* holds one sequence's keys/values across all layers.
 /// Slots are reusable: [`BatchedKvCache::release_slot`] frees a completed sequence's rows
-/// and [`BatchedKvCache::admit`] splices a freshly prefilled sequence into the vacancy —
+/// and [`BatchedKvCache::admit`] copies a freshly prefilled sequence into the vacancy —
 /// the mechanism the continuous-batching serving layer (`realm-serve`) is built on.
 ///
 /// # Example
@@ -370,18 +174,19 @@ impl BatchedLayerCache {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchedKvCache {
     layers: Vec<BatchedLayerCache>,
     batch_size: usize,
 }
 
 impl BatchedKvCache {
-    /// Creates an empty cache for `num_layers` layers serving `batch_size` sequences.
-    pub fn new(num_layers: usize, batch_size: usize) -> Self {
+    /// Creates an empty cache for `num_layers` layers serving `batch_size` sequences of
+    /// `num_heads` heads of `head_dim` channels (see [`BatchedLayerCache::new`]).
+    pub fn new(num_layers: usize, batch_size: usize, num_heads: usize, head_dim: usize) -> Self {
         Self {
             layers: (0..num_layers)
-                .map(|layer| BatchedLayerCache::new(layer, batch_size))
+                .map(|layer| BatchedLayerCache::new(layer, batch_size, num_heads, head_dim))
                 .collect(),
             batch_size,
         }
@@ -402,7 +207,7 @@ impl BatchedKvCache {
         self.layers.first().map_or(0, |l| l.seq_len(seq))
     }
 
-    /// Accesses the shared storage of one layer.
+    /// Accesses the storage of one layer.
     ///
     /// # Panics
     ///
@@ -411,7 +216,7 @@ impl BatchedKvCache {
         &self.layers[layer]
     }
 
-    /// Mutably accesses the shared storage of one layer.
+    /// Mutably accesses the storage of one layer.
     ///
     /// # Panics
     ///
@@ -441,84 +246,34 @@ impl BatchedKvCache {
     }
 
     /// Admits a freshly prefilled sequence into the free slot `seq`, copying the per-layer
-    /// keys and values of `solo` (a cache populated by [`crate::Model::prefill`]) into the
-    /// shared storage.
+    /// codes and scales of `solo` (a cache populated by [`crate::Model::prefill`]) verbatim.
     ///
     /// The copied rows are bit-identical to what a shared [`crate::Model::prefill_batch`]
-    /// would have produced for the same prompt, so decode steps after admission produce the
+    /// would have cached for the same prompt, so decode steps after admission produce the
     /// same tokens a solo [`crate::Model::generate`] run would — the slot-reuse parity
     /// contract of `tests/serve_continuous.rs`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the layer counts disagree, `solo` is empty, or the slot is still
-    /// occupied at any layer. On error the cache is left unchanged (a partial admission is
-    /// rolled back), so a failed admit never leaves the slot inconsistent across layers.
+    /// Returns an error if the layer counts or head geometry disagree, `solo` is empty at
+    /// any layer, or the slot is still occupied. On error the slot is left free (a partial
+    /// admission is rolled back), so a failed admit never leaves it inconsistent across
+    /// layers.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range.
     pub fn admit(&mut self, seq: usize, solo: &KvCache) -> Result<()> {
-        if solo.num_layers() != self.layers.len() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "cannot admit a {}-layer sequence cache into slot {seq} of a {}-layer \
-                     batched cache",
-                    solo.num_layers(),
-                    self.layers.len()
-                ),
-            });
-        }
-        if self.seq_len(seq) != 0 {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "cannot admit a {}-token sequence into slot {seq}: the slot still holds \
-                     {} resident tokens; release it first",
-                    solo.seq_len(),
-                    self.seq_len(seq)
-                ),
-            });
-        }
-        let rollback = |layers: &mut [BatchedLayerCache], upto: usize| {
-            for layer in &mut layers[..upto] {
-                layer.release_slot(seq);
-            }
-        };
-        for layer_idx in 0..self.layers.len() {
-            let solo_layer = solo.layer(layer_idx);
-            let (Some(keys), Some(values)) = (solo_layer.keys(), solo_layer.values()) else {
-                rollback(&mut self.layers, layer_idx);
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "cannot admit an unprefilled sequence into slot {seq}: layer \
-                         {layer_idx} of the solo cache is empty (expected {} resident rows)",
-                        solo.seq_len()
-                    ),
-                });
-            };
-            if let Err(e) = self.layers[layer_idx].load_slot(seq, keys, values) {
-                rollback(&mut self.layers, layer_idx);
-                return Err(e);
-            }
-        }
-        Ok(())
+        self.admit_layers(seq, solo.num_layers(), solo.seq_len(), |l| solo.layer(l))
     }
 
-    /// Admits sequence `source_seq` of another batched cache into the free slot `seq`,
-    /// copying its per-layer keys and values into the shared storage.
-    ///
-    /// This is the batched-admission counterpart of [`BatchedKvCache::admit`]: when the
-    /// serving engine prefills several queued requests in **one**
-    /// [`crate::Model::prefill_batch`] call, each prefilled sequence's rows are spliced
-    /// from the prefill cache into its destination slot. The copied rows are bit-identical
-    /// to what a solo prefill would have cached (the `prefill_batch` parity contract), so
-    /// decode after a batched admission matches solo generation exactly.
+    /// Admits sequence `source_seq` of another batched cache into the free slot `seq` —
+    /// the batched-admission counterpart of [`BatchedKvCache::admit`], with the same
+    /// verbatim copy, parity contract and rollback.
     ///
     /// # Errors
     ///
-    /// Returns an error if the layer counts disagree, the source sequence is empty, or the
-    /// slot is still occupied at any layer. On error the cache is left unchanged (partial
-    /// admissions are rolled back).
+    /// Same conditions as [`BatchedKvCache::admit`], on the source sequence.
     ///
     /// # Panics
     ///
@@ -529,12 +284,24 @@ impl BatchedKvCache {
         source: &BatchedKvCache,
         source_seq: usize,
     ) -> Result<()> {
-        if source.num_layers() != self.layers.len() {
+        self.admit_layers(seq, source.num_layers(), source.seq_len(source_seq), |l| {
+            source.layer(l).slot(source_seq)
+        })
+    }
+
+    /// Copies `source_layers` per-layer stores (`incoming` tokens each) into slot `seq`.
+    fn admit_layers<'a>(
+        &mut self,
+        seq: usize,
+        source_layers: usize,
+        incoming: usize,
+        source: impl Fn(usize) -> &'a LayerCache,
+    ) -> Result<()> {
+        if source_layers != self.layers.len() {
             return Err(LlmError::InvalidSequence {
                 detail: format!(
-                    "cannot admit from a {}-layer batched cache into slot {seq} of a \
-                     {}-layer batched cache",
-                    source.num_layers(),
+                    "cannot admit a {source_layers}-layer cache into slot {seq} of a {}-layer \
+                     batched cache",
                     self.layers.len()
                 ),
             });
@@ -542,26 +309,27 @@ impl BatchedKvCache {
         if self.seq_len(seq) != 0 {
             return Err(LlmError::InvalidSequence {
                 detail: format!(
-                    "cannot admit a {}-token sequence into slot {seq}: the slot still holds \
-                     {} resident tokens; release it first",
-                    source.seq_len(source_seq),
+                    "cannot admit a {incoming}-token sequence into slot {seq}: the slot still \
+                     holds {} resident tokens; release it first",
                     self.seq_len(seq)
                 ),
             });
         }
-        let rollback = |layers: &mut [BatchedLayerCache], upto: usize| {
-            for layer in &mut layers[..upto] {
-                layer.release_slot(seq);
-            }
-        };
         for layer_idx in 0..self.layers.len() {
-            let source_layer = source.layer(layer_idx);
-            let spliced = source_layer
-                .seq_keys(source_seq)
-                .and_then(|keys| Ok((keys, source_layer.seq_values(source_seq)?)))
-                .and_then(|(keys, values)| self.layers[layer_idx].load_slot(seq, &keys, &values));
-            if let Err(e) = spliced {
-                rollback(&mut self.layers, layer_idx);
+            let from = source(layer_idx);
+            let copied = if from.is_empty() {
+                Err(LlmError::InvalidSequence {
+                    detail: format!(
+                        "cannot admit an unprefilled sequence into slot {seq}: layer \
+                         {layer_idx} of the source cache is empty (expected {incoming} \
+                         resident rows)"
+                    ),
+                })
+            } else {
+                self.layers[layer_idx].slots[seq].copy_from(from)
+            };
+            if let Err(e) = copied {
+                self.release_slot(seq);
                 return Err(e);
             }
         }
@@ -857,7 +625,9 @@ impl<'m> BatchScheduler<'m> {
                     let request = &requests[next_request];
                     // Admission caches are copied into the slot and dropped: skip the
                     // full-context-window reservation `new_cache` makes for decode caches.
-                    let mut solo_cache = KvCache::new(self.model.config().num_layers);
+                    let config = self.model.config();
+                    let mut solo_cache =
+                        KvCache::new(config.num_layers, config.num_heads, config.head_dim(), 0);
                     let logits = self.model.prefill_ws_into(
                         &request.prompt,
                         hook,
@@ -909,62 +679,66 @@ mod tests {
     use crate::config::ModelConfig;
     use crate::NoopHook;
 
+    /// A solo store holding rows `rows` of `keys`/`values` — what a batch slot fed the same
+    /// rows must equal.
+    fn solo_rows(layer: usize, keys: &MatF32, values: &MatF32, rows: &[usize]) -> LayerCache {
+        let mut solo = LayerCache::new(layer, 2, 2, 0);
+        for &r in rows {
+            solo.append_rows(keys, values, r..r + 1).unwrap();
+        }
+        solo
+    }
+
     #[test]
-    fn batched_layer_cache_keeps_sequences_contiguous() {
-        let mut cache = BatchedLayerCache::new(1, 3);
+    fn batched_layer_cache_appends_each_group_to_its_own_slot() {
+        let mut cache = BatchedLayerCache::new(1, 3, 2, 2);
         let parts = RowPartition::from_lens(&[2, 1, 2]);
-        let keys = MatF32::from_fn(5, 4, |r, c| (r * 4 + c) as f32);
+        let keys = MatF32::from_fn(5, 4, |r, c| (r * 4 + c) as f32 - 7.5);
         let values = keys.scale(10.0);
         cache.append_batch(&keys, &values, &parts).unwrap();
-        assert_eq!(cache.seq_len(0), 2);
-        assert_eq!(cache.seq_len(1), 1);
-        assert_eq!(cache.seq_len(2), 2);
-        assert_eq!(cache.seq_keys(1).unwrap().row(0), keys.row(2));
+        assert_eq!(cache.slot(0), &solo_rows(1, &keys, &values, &[0, 1]));
+        assert_eq!(cache.slot(1), &solo_rows(1, &keys, &values, &[2]));
+        assert_eq!(cache.slot(2), &solo_rows(1, &keys, &values, &[3, 4]));
 
         // Second append with an empty group for the middle sequence.
         let parts2 = RowPartition::from_lens(&[1, 0, 1]);
         let keys2 = MatF32::from_fn(2, 4, |r, c| 100.0 + (r * 4 + c) as f32);
-        cache
-            .append_batch(&keys2, &keys2.scale(10.0), &parts2)
-            .unwrap();
-        assert_eq!(cache.seq_len(0), 3);
-        assert_eq!(cache.seq_len(1), 1);
-        assert_eq!(cache.seq_keys(0).unwrap().row(2), keys2.row(0));
-        assert_eq!(cache.seq_keys(2).unwrap().row(2), keys2.row(1));
+        let values2 = keys2.scale(10.0);
+        cache.append_batch(&keys2, &values2, &parts2).unwrap();
         assert_eq!(
-            cache.seq_values(2).unwrap().row(2),
-            keys2.scale(10.0).row(1)
+            [cache.seq_len(0), cache.seq_len(1), cache.seq_len(2)],
+            [3, 1, 3]
         );
+        let mut expected = solo_rows(1, &keys, &values, &[3, 4]);
+        expected.append_rows(&keys2, &values2, 1..2).unwrap();
+        assert_eq!(cache.slot(2), &expected);
     }
 
     #[test]
     fn batched_cache_errors_name_the_layer() {
-        let mut cache = BatchedLayerCache::new(5, 2);
+        let mut cache = BatchedLayerCache::new(5, 2, 2, 2);
         let parts = RowPartition::from_lens(&[1, 1]);
-        let err = cache
-            .append_batch(&MatF32::zeros(2, 4), &MatF32::zeros(3, 4), &parts)
-            .unwrap_err();
-        assert!(err.to_string().contains("layer 5"), "{err}");
-        let err = cache
-            .append_batch(
-                &MatF32::zeros(3, 4),
-                &MatF32::zeros(3, 4),
-                &RowPartition::from_lens(&[1, 1]),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("layer 5"), "{err}");
+        for (keys, values) in [
+            (MatF32::zeros(2, 4), MatF32::zeros(3, 4)),
+            (MatF32::zeros(3, 4), MatF32::zeros(3, 4)),
+            (MatF32::zeros(2, 8), MatF32::zeros(2, 8)),
+        ] {
+            let err = cache.append_batch(&keys, &values, &parts).unwrap_err();
+            assert!(err.to_string().contains("layer 5"), "{err}");
+            assert_eq!(
+                cache.seq_len(0) + cache.seq_len(1),
+                0,
+                "a failed append grows nothing"
+            );
+        }
         cache
             .append_batch(&MatF32::zeros(2, 4), &MatF32::zeros(2, 4), &parts)
             .unwrap();
-        let err = cache
-            .append_batch(&MatF32::zeros(2, 8), &MatF32::zeros(2, 8), &parts)
-            .unwrap_err();
-        assert!(err.to_string().contains("layer 5"), "{err}");
     }
 
     #[test]
     fn batched_kv_cache_tracks_all_layers() {
-        let cache = BatchedKvCache::new(3, 2);
+        let cache = BatchedKvCache::new(3, 2, 2, 4);
         assert_eq!(cache.num_layers(), 3);
         assert_eq!(cache.batch_size(), 2);
         assert_eq!(cache.seq_len(0), 0);
@@ -972,29 +746,34 @@ mod tests {
     }
 
     #[test]
-    fn release_slot_frees_rows_and_load_slot_reuses_them() {
-        let mut cache = BatchedLayerCache::new(0, 3);
+    fn a_released_and_reloaded_slot_holds_only_its_new_occupant() {
+        let mut cache = BatchedLayerCache::new(0, 3, 2, 2);
         let parts = RowPartition::from_lens(&[2, 1, 2]);
         let keys = MatF32::from_fn(5, 4, |r, c| (r * 4 + c) as f32);
         cache.append_batch(&keys, &keys.scale(2.0), &parts).unwrap();
+        let neighbours = (cache.slot(0).clone(), cache.slot(2).clone());
 
         cache.release_slot(1);
         assert_eq!(cache.seq_len(1), 0);
-        assert_eq!(cache.total_rows(), 4);
-        // Neighbouring sequences keep their rows.
-        assert_eq!(cache.seq_keys(0).unwrap().row(1), keys.row(1));
-        assert_eq!(cache.seq_keys(2).unwrap().row(0), keys.row(3));
+        cache.release_slot(1); // releasing a free slot is a no-op
 
-        // Loading an occupied slot fails; loading the freed slot splices at its offset.
-        let fresh = MatF32::from_fn(3, 4, |r, c| 100.0 + (r * 4 + c) as f32);
+        // Loading an occupied slot fails; the freed slot takes arbitrary f32 rows, each
+        // quantized with its own token-row scale — and nothing of the previous occupant.
+        let fresh = MatF32::from_fn(3, 4, |r, c| (r as f32 + 1.0) * (c as f32 - 1.5));
         assert!(cache.load_slot(0, &fresh, &fresh).is_err());
         cache.load_slot(1, &fresh, &fresh.scale(2.0)).unwrap();
-        assert_eq!(cache.seq_len(1), 3);
-        assert_eq!(cache.seq_keys(1).unwrap().row(2), fresh.row(2));
-        assert_eq!(cache.seq_keys(2).unwrap().row(1), keys.row(4));
-        assert_eq!(cache.seq_values(1).unwrap().row(0), fresh.scale(2.0).row(0));
+        assert_eq!(
+            cache.slot(1),
+            &solo_rows(0, &fresh, &fresh.scale(2.0), &[0, 1, 2])
+        );
+        let scales = cache.slot(1).key_scales();
+        assert!(scales[0] < scales[1] && scales[1] < scales[2]);
+        assert_eq!(
+            (cache.slot(0), cache.slot(2)),
+            (&neighbours.0, &neighbours.1)
+        );
 
-        // Width mismatches and empty sequences are rejected.
+        // Width mismatches and empty sequences are rejected and leave the slot free.
         cache.release_slot(1);
         assert!(cache
             .load_slot(1, &MatF32::zeros(2, 8), &MatF32::zeros(2, 8))
@@ -1002,16 +781,11 @@ mod tests {
         assert!(cache
             .load_slot(1, &MatF32::zeros(0, 4), &MatF32::zeros(0, 4))
             .is_err());
-        // Releasing everything empties the storage; re-loading works from scratch.
-        cache.release_slot(0);
-        cache.release_slot(2);
-        assert_eq!(cache.total_rows(), 0);
-        cache.load_slot(2, &fresh, &fresh).unwrap();
-        assert_eq!(cache.seq_len(2), 3);
+        assert_eq!(cache.seq_len(1), 0);
     }
 
     #[test]
-    fn admit_copies_a_solo_cache_into_a_free_slot() {
+    fn admit_copies_codes_and_scales_into_a_free_slot() {
         let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
         let prompts = vec![vec![1u32, 2, 3], vec![4, 5]];
         let (_, mut batched) = model.prefill_batch(&prompts, &mut NoopHook).unwrap();
@@ -1025,22 +799,43 @@ mod tests {
         batched.admit(0, &solo).unwrap();
         assert_eq!(batched.seq_len(0), 4);
 
-        // The admitted rows are bit-identical to what a batched prefill would have cached.
+        // The admitted codes and scales are the solo cache's, which are what a shared
+        // prefill would have cached; `admit_from` moves them on unchanged.
         let (_, reference) = model
             .prefill_batch(&[vec![6, 7, 8, 9], vec![4, 5]], &mut NoopHook)
             .unwrap();
+        let mut onward = model.new_batched_cache(3);
+        onward.admit_from(2, &batched, 0).unwrap();
         for layer in 0..batched.num_layers() {
-            assert_eq!(
-                batched.layer(layer).seq_keys(0).unwrap(),
-                reference.layer(layer).seq_keys(0).unwrap(),
-                "layer {layer} keys diverge from a shared prefill"
-            );
+            let admitted = batched.layer(layer).slot(0);
+            assert_eq!(admitted, solo.layer(layer), "layer {layer}");
+            assert_eq!(admitted, reference.layer(layer).slot(0), "layer {layer}");
+            assert_eq!(admitted, onward.layer(layer).slot(2), "layer {layer}");
+
+            // Loading the same rows as f32 (code · scale, what the projections emitted)
+            // reproduces the codes exactly.
+            let (heads, d) = (admitted.num_heads(), admitted.head_dim());
+            let keys = MatF32::from_fn(admitted.len(), heads * d, |t, c| {
+                admitted.key_codes(c / d)[(t, c % d)] as f32 * admitted.key_scales()[t]
+            });
+            let values = MatF32::from_fn(admitted.len(), heads * d, |t, c| {
+                admitted.value_codes(c / d)[(t, c % d)] as f32 * admitted.value_scales()[t]
+            });
+            onward
+                .layer_mut(layer)
+                .load_slot(1, &keys, &values)
+                .unwrap();
+            let loaded = onward.layer(layer).slot(1);
+            for h in 0..admitted.num_heads() {
+                assert_eq!(loaded.key_codes(h), admitted.key_codes(h));
+                assert_eq!(loaded.value_codes(h), admitted.value_codes(h));
+            }
         }
 
         // Admitting an unprefilled cache or a layer-count mismatch is rejected.
         batched.release_slot(0);
         assert!(batched.admit(0, &model.new_cache()).is_err());
-        assert!(batched.admit(0, &KvCache::new(1)).is_err());
+        assert!(batched.admit(0, &KvCache::new(1, 2, 16, 0)).is_err());
 
         // A partially populated solo cache fails *atomically*: earlier layers are rolled
         // back, so the slot stays free and a subsequent valid admission succeeds.
@@ -1077,7 +872,10 @@ mod tests {
 
         // Layer-count mismatch: names the slot.
         batched.release_slot(1);
-        let err = batched.admit(1, &KvCache::new(1)).unwrap_err().to_string();
+        let err = batched
+            .admit(1, &KvCache::new(1, 2, 16, 0))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("slot 1"), "{err}");
 
         // Unprefilled solo cache: names the slot and the empty layer.

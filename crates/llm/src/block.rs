@@ -297,7 +297,7 @@ mod tests {
             let mut r = rng::seeded(6);
             let block = TransformerBlock::new(&config, &mut r);
             let x = rng::gaussian_matrix(&mut r, 4, config.hidden_size, 0.0, 1.0);
-            let mut cache = LayerCache::new();
+            let mut cache = LayerCache::new(0, config.num_heads, config.head_dim(), 0);
             let mut seq = 0;
             let y = block
                 .forward(
@@ -321,7 +321,7 @@ mod tests {
         let mut r = rng::seeded(6);
         let block = TransformerBlock::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 2, config.hidden_size, 0.0, 1.0);
-        let mut cache = LayerCache::new();
+        let mut cache = LayerCache::new(0, config.num_heads, config.head_dim(), 0);
         let mut seq = 0;
         let mut rec = RecordingHook::new();
         block
@@ -348,7 +348,7 @@ mod tests {
         let mut r = rng::seeded(12);
         let block = TransformerBlock::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 3, config.hidden_size, 0.0, 1.0);
-        let mut cache = LayerCache::new();
+        let mut cache = LayerCache::new(0, config.num_heads, config.head_dim(), 0);
         let mut seq = 0;
         let y = block
             .forward(

@@ -4,47 +4,69 @@
 //! keys and values computed during prefill are reused by every later decode step, so an error
 //! injected during prefill contaminates all subsequent token generations, while an error in a
 //! single decode step only perturbs that step's small contribution to the cache.
+//!
+//! # Layout
+//!
+//! A [`LayerCache`] holds one sequence's keys and values at one layer exactly as the `K`/`V`
+//! requantizer produced them — INT8 codes plus one f32 scale per token row — head-major, in
+//! the layout the attention GEMMs consume:
+//!
+//! ```text
+//! keys[h]      : MatI8  T × head_dim   row t = token t's codes for head h
+//! values[h]    : MatI8  T × head_dim   the `SV` GEMM's right operand as stored
+//! key_scales   : [f32; T]              real K[t][h·d + c] = keys[h][t][c] · key_scales[t]
+//! value_scales : [f32; T]              real V[t][h·d + c] = values[h][t][c] · value_scales[t]
+//! ```
+//!
+//! A row leaving a `RequantizedInt8` projection is `code · row_scale` with `|code| ≤ 127`
+//! and at least one code on the ±127 rail (the robust p99 scale saturates everything at or
+//! above the percentile), so the per-row abs-max quantizer run at append recovers the codes
+//! exactly: nothing is quantized twice. Rows are appended in place and never rewritten,
+//! widened or moved afterwards; cache-to-cache transfers ([`LayerCache::copy_from`]) copy
+//! codes and scales verbatim.
 
 use crate::{LlmError, Result};
-use realm_tensor::MatF32;
+use realm_tensor::{MatF32, MatI8, QuantParams};
+use std::ops::Range;
 
-/// Cached keys and values for a single Transformer layer.
+/// One sequence's cached keys and values at one Transformer layer: per-head INT8 codes
+/// plus one scale per token row (see the [module documentation](self) for the layout).
 ///
 /// The cache remembers which layer it belongs to so shape-mismatch errors name the layer —
 /// when a batched shape bug first bites at layer 3, "at layer 3" is the difference between a
 /// one-glance diagnosis and bisecting the whole stack.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerCache {
     layer: usize,
-    keys: Option<MatF32>,
-    values: Option<MatF32>,
-    /// Rows reserved up front at the first append so that steady-state decode appends
-    /// (one row per token) never re-allocate; 0 means no reservation.
-    capacity_rows: usize,
+    head_dim: usize,
+    keys: Vec<MatI8>,
+    values: Vec<MatI8>,
+    key_scales: Vec<f32>,
+    value_scales: Vec<f32>,
 }
 
 impl LayerCache {
-    /// Creates an empty per-layer cache (reporting layer index 0 in errors).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache that reports `layer` in its error messages.
-    pub fn for_layer(layer: usize) -> Self {
+    /// Creates an empty cache for `num_heads` heads of `head_dim` channels that reports
+    /// `layer` in its error messages and reserves (without touching) storage for
+    /// `capacity_rows` token positions — the allocation-free decode loop's way of keeping
+    /// per-token cache growth off the allocator. A capacity of 0 reserves nothing.
+    pub fn new(layer: usize, num_heads: usize, head_dim: usize, capacity_rows: usize) -> Self {
+        let codes = || {
+            (0..num_heads)
+                .map(|_| {
+                    let mut m = MatI8::zeros(0, head_dim);
+                    m.reserve_rows(capacity_rows);
+                    m
+                })
+                .collect()
+        };
         Self {
             layer,
-            ..Self::default()
-        }
-    }
-
-    /// Creates an empty cache that reserves storage for `capacity_rows` token positions at
-    /// its first append — the allocation-free decode loop's way of keeping per-token cache
-    /// growth off the allocator.
-    pub fn with_capacity(layer: usize, capacity_rows: usize) -> Self {
-        Self {
-            layer,
-            capacity_rows,
-            ..Self::default()
+            head_dim,
+            keys: codes(),
+            values: codes(),
+            key_scales: Vec::with_capacity(capacity_rows),
+            value_scales: Vec::with_capacity(capacity_rows),
         }
     }
 
@@ -55,7 +77,7 @@ impl LayerCache {
 
     /// Number of cached token positions.
     pub fn len(&self) -> usize {
-        self.keys.as_ref().map_or(0, |k| k.rows())
+        self.key_scales.len()
     }
 
     /// Returns `true` if nothing has been cached yet.
@@ -63,85 +85,158 @@ impl LayerCache {
         self.len() == 0
     }
 
-    /// Appends new key/value rows (one per new token position).
+    /// Number of attention heads the rows are split over.
+    pub fn num_heads(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Channels per head.
+    pub fn head_dim(&self) -> usize {
+        self.head_dim
+    }
+
+    /// Head `head`'s key codes, shape `(len, head_dim)`.
+    pub fn key_codes(&self, head: usize) -> &MatI8 {
+        &self.keys[head]
+    }
+
+    /// Head `head`'s value codes, shape `(len, head_dim)` — the `SV` GEMM's right operand.
+    pub fn value_codes(&self, head: usize) -> &MatI8 {
+        &self.values[head]
+    }
+
+    /// One key scale per cached token row (shared by every head of that row).
+    pub fn key_scales(&self) -> &[f32] {
+        &self.key_scales
+    }
+
+    /// One value scale per cached token row (shared by every head of that row).
+    pub fn value_scales(&self) -> &[f32] {
+        &self.value_scales
+    }
+
+    /// Appends every row of `keys`/`values` (one per new token position).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`LayerCache::append_rows`].
+    pub fn append(&mut self, keys: &MatF32, values: &MatF32) -> Result<()> {
+        self.append_rows(keys, values, 0..keys.rows())
+    }
+
+    /// Appends rows `rows` of `keys`/`values`, quantizing each token row with its own
+    /// symmetric abs-max scale and scattering the codes head-major. This is the single
+    /// entry every f32 row takes into any KV store: solo appends, batched appends (one
+    /// call per sequence's row group) and prefix loads all come through here.
     ///
     /// # Errors
     ///
     /// Returns an error naming this cache's layer index if `keys` and `values` have
-    /// different shapes, or if their width does not match previously cached entries.
-    pub fn append(&mut self, keys: &MatF32, values: &MatF32) -> Result<()> {
-        if keys.shape() != values.shape() {
+    /// different shapes, their width is not `num_heads · head_dim`, or `rows` exceeds them.
+    pub fn append_rows(
+        &mut self,
+        keys: &MatF32,
+        values: &MatF32,
+        rows: Range<usize>,
+    ) -> Result<()> {
+        let width = self.num_heads() * self.head_dim;
+        if keys.shape() != values.shape() || keys.cols() != width || rows.end > keys.rows() {
             return Err(LlmError::InvalidSequence {
                 detail: format!(
-                    "KV cache at layer {}: key shape {:?} and value shape {:?} differ",
+                    "KV cache at layer {}: cannot append rows {rows:?} of keys {:?} / values \
+                     {:?} to {} heads of width {}",
                     self.layer,
                     keys.shape(),
-                    values.shape()
+                    values.shape(),
+                    self.num_heads(),
+                    self.head_dim
                 ),
             });
         }
-        let layer = self.layer;
-        let capacity_rows = self.capacity_rows;
-        // Rows are appended in place: the first append reserves `capacity_rows` rows, so
-        // the one-row-per-token growth of the decode loop stays off the allocator.
-        let stack = |existing: &mut Option<MatF32>, new: &MatF32, what: &str| -> Result<()> {
-            match existing {
-                None => {
-                    let mut fresh = new.clone();
-                    fresh.reserve_rows(capacity_rows);
-                    *existing = Some(fresh);
-                    Ok(())
-                }
-                Some(existing) => {
-                    existing
-                        .extend_rows(new)
-                        .map_err(|e| LlmError::InvalidSequence {
-                            detail: format!("KV cache at layer {layer}: cannot append {what}: {e}"),
-                        })
-                }
-            }
-        };
-        stack(&mut self.keys, keys, "keys")?;
-        stack(&mut self.values, values, "values")?;
+        append_quantized(&mut self.keys, &mut self.key_scales, keys, rows.clone());
+        append_quantized(&mut self.values, &mut self.value_scales, values, rows);
         Ok(())
     }
 
-    /// All cached keys, shape `(cached_tokens, hidden)`.
-    ///
-    /// Returns `None` if the cache is empty.
-    pub fn keys(&self) -> Option<&MatF32> {
-        self.keys.as_ref()
+    /// Drops every cached row, keeping the storage for the next occupant.
+    pub fn clear(&mut self) {
+        for codes in self.keys.iter_mut().chain(&mut self.values) {
+            codes.resize_overwrite(0, self.head_dim);
+        }
+        self.key_scales.clear();
+        self.value_scales.clear();
     }
 
-    /// All cached values, shape `(cached_tokens, hidden)`.
+    /// Replaces this cache's rows with a verbatim copy of `source`'s codes and scales —
+    /// the cache-to-cache transfer behind slot admission, which never round-trips
+    /// through f32.
     ///
-    /// Returns `None` if the cache is empty.
-    pub fn values(&self) -> Option<&MatF32> {
-        self.values.as_ref()
+    /// # Errors
+    ///
+    /// Returns an error naming this cache's layer index if the head geometry differs.
+    pub fn copy_from(&mut self, source: &LayerCache) -> Result<()> {
+        if source.num_heads() != self.num_heads() || source.head_dim != self.head_dim {
+            return Err(LlmError::InvalidSequence {
+                detail: format!(
+                    "KV cache at layer {}: cannot copy {} heads of width {} into {} heads of \
+                     width {}",
+                    self.layer,
+                    source.num_heads(),
+                    source.head_dim,
+                    self.num_heads(),
+                    self.head_dim
+                ),
+            });
+        }
+        let pairs = self.keys.iter_mut().zip(&source.keys);
+        for (dst, src) in pairs.chain(self.values.iter_mut().zip(&source.values)) {
+            dst.resize_overwrite(src.rows(), src.cols());
+            dst.as_mut_slice().copy_from_slice(src.as_slice());
+        }
+        self.key_scales.clone_from(&source.key_scales);
+        self.value_scales.clone_from(&source.value_scales);
+        Ok(())
+    }
+}
+
+/// Quantizes rows `rows` of `x` per token row and appends the codes to the per-head
+/// matrices `heads` (row-append, in place) and the row scales to `scales`.
+fn append_quantized(heads: &mut [MatI8], scales: &mut Vec<f32>, x: &MatF32, rows: Range<usize>) {
+    let Some(head_dim) = heads.first().map(MatI8::cols) else {
+        return;
+    };
+    let base = scales.len();
+    for codes in heads.iter_mut() {
+        codes.resize_overwrite(base + rows.len(), head_dim);
+    }
+    for (t, r) in (base..).zip(rows) {
+        let row = x.row(r);
+        let params = QuantParams::from_abs_max(row.iter().fold(0.0f32, |m, v| m.max(v.abs())));
+        scales.push(params.scale);
+        for (codes, channels) in heads.iter_mut().zip(row.chunks_exact(head_dim)) {
+            for (q, &v) in codes.row_mut(t).iter_mut().zip(channels) {
+                *q = params.quantize(v);
+            }
+        }
     }
 }
 
 /// KV cache covering every layer of the model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     layers: Vec<LayerCache>,
 }
 
 impl KvCache {
-    /// Creates an empty cache for a model with `num_layers` layers.
-    pub fn new(num_layers: usize) -> Self {
-        Self {
-            layers: (0..num_layers).map(LayerCache::for_layer).collect(),
-        }
-    }
-
-    /// Creates an empty cache whose layers reserve storage for `capacity_rows` token
-    /// positions at their first append (see [`LayerCache::with_capacity`]). The model
-    /// passes its context window here so steady-state decode never re-allocates the cache.
-    pub fn with_capacity(num_layers: usize, capacity_rows: usize) -> Self {
+    /// Creates an empty cache for a model with `num_layers` layers of `num_heads` heads of
+    /// `head_dim` channels, each layer reserving storage for `capacity_rows` token
+    /// positions (see [`LayerCache::new`]). The model passes its context window here so
+    /// steady-state decode never re-allocates the cache; short-lived admission caches
+    /// pass 0.
+    pub fn new(num_layers: usize, num_heads: usize, head_dim: usize, capacity_rows: usize) -> Self {
         Self {
             layers: (0..num_layers)
-                .map(|layer| LayerCache::with_capacity(layer, capacity_rows))
+                .map(|layer| LayerCache::new(layer, num_heads, head_dim, capacity_rows))
                 .collect(),
         }
     }
@@ -181,81 +276,96 @@ mod tests {
 
     #[test]
     fn empty_cache_reports_zero_length() {
-        let cache = KvCache::new(3);
+        let cache = KvCache::new(3, 2, 4, 0);
         assert_eq!(cache.num_layers(), 3);
         assert_eq!(cache.seq_len(), 0);
         assert!(cache.layer(0).is_empty());
-        assert!(cache.layer(0).keys().is_none());
+        assert_eq!(cache.layer(0).key_codes(1).shape(), (0, 4));
     }
 
     #[test]
-    fn append_accumulates_rows() {
-        let mut cache = LayerCache::new();
-        let k1 = MatF32::filled(4, 8, 1.0);
-        let v1 = MatF32::filled(4, 8, 2.0);
-        cache.append(&k1, &v1).unwrap();
-        assert_eq!(cache.len(), 4);
-        let k2 = MatF32::filled(1, 8, 3.0);
-        let v2 = MatF32::filled(1, 8, 4.0);
-        cache.append(&k2, &v2).unwrap();
+    fn append_quantizes_each_token_row_head_major() {
+        let mut cache = LayerCache::new(0, 2, 4, 0);
+        // Row r is (r+1)·CHANNELS: abs-max 9·(r+1) in the last channel, so the scales differ
+        // per row while the codes (127·k/9, never a rounding tie) repeat.
+        const CHANNELS: [f32; 8] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0];
+        let k = MatF32::from_fn(4, 8, |r, c| (r + 1) as f32 * CHANNELS[c]);
+        let v = k.scale(-0.5);
+        cache.append(&k, &v).unwrap();
+        cache
+            .append(&MatF32::filled(1, 8, 3.0), &MatF32::filled(1, 8, 0.0))
+            .unwrap();
         assert_eq!(cache.len(), 5);
-        assert_eq!(cache.keys().unwrap()[(4, 0)], 3.0);
-        assert_eq!(cache.values().unwrap()[(0, 0)], 2.0);
+        for r in 0..4 {
+            let scale = 9.0 * (r + 1) as f32 / 127.0;
+            assert_eq!(cache.key_scales()[r], scale);
+            assert_eq!(cache.value_scales()[r], 0.5 * scale);
+            for h in 0..2 {
+                for c in 0..4 {
+                    let code = (CHANNELS[h * 4 + c] * 127.0 / 9.0).round() as i8;
+                    assert_eq!(cache.key_codes(h)[(r, c)], code, "row {r} head {h} col {c}");
+                    assert_eq!(cache.value_codes(h)[(r, c)], -code);
+                }
+            }
+        }
+        assert_eq!(cache.key_codes(1).row(4), &[127; 4]);
+        // An all-zero row takes the neutral scale and all-zero codes.
+        assert_eq!(cache.value_scales()[4], 1.0);
+        assert_eq!(cache.value_codes(0).row(4), &[0; 4]);
     }
 
     #[test]
-    fn append_rejects_mismatched_shapes() {
-        let mut cache = LayerCache::new();
-        let k = MatF32::zeros(2, 8);
-        let v = MatF32::zeros(3, 8);
-        assert!(cache.append(&k, &v).is_err());
+    fn requantized_rows_are_recovered_code_exactly() {
+        // Rows on an INT8 grid with a saturated code (what a `RequantizedInt8` projection
+        // emits) come back as exactly the codes that produced them.
+        let codes = MatI8::from_fn(3, 8, |r, c| match c {
+            0 => 127,
+            1 => -127,
+            _ => ((r * 37 + c * 11) % 255) as i16 as i8,
+        });
+        let scales = [0.013_7f32, 2.5, 1e-4];
+        let rows = MatF32::from_fn(3, 8, |r, c| codes[(r, c)] as f32 * scales[r]);
+        let mut cache = LayerCache::new(0, 2, 4, 8);
+        cache.append(&rows, &rows).unwrap();
+        for (r, scale) in scales.iter().enumerate() {
+            for h in 0..2 {
+                assert_eq!(cache.key_codes(h).row(r), &codes.row(r)[h * 4..h * 4 + 4]);
+            }
+            assert!((cache.key_scales()[r] / scale - 1.0).abs() < 1e-6);
+        }
     }
 
     #[test]
-    fn append_rejects_width_change() {
-        let mut cache = LayerCache::new();
-        cache
-            .append(&MatF32::zeros(2, 8), &MatF32::zeros(2, 8))
+    fn clear_and_copy_from_keep_codes_and_scales_exact() {
+        let mut a = LayerCache::new(1, 2, 4, 16);
+        let k = MatF32::from_fn(3, 8, |r, c| (r as f32 - 1.0) * 0.3 + c as f32);
+        a.append(&k, &k.scale(2.0)).unwrap();
+        let mut b = LayerCache::new(1, 2, 4, 0);
+        b.append(&MatF32::filled(5, 8, 9.0), &MatF32::filled(5, 8, 9.0))
             .unwrap();
-        assert!(cache
-            .append(&MatF32::zeros(1, 16), &MatF32::zeros(1, 16))
-            .is_err());
+        b.copy_from(&a).unwrap();
+        assert_eq!(a, b);
+        b.clear();
+        assert!(b.is_empty());
+        assert_eq!(b.value_codes(1).shape(), (0, 4));
+        assert!(b.copy_from(&LayerCache::new(1, 4, 2, 0)).is_err());
     }
 
     #[test]
-    fn append_errors_name_the_layer() {
-        let mut cache = KvCache::new(4);
-        let err = cache
-            .layer_mut(3)
-            .append(&MatF32::zeros(2, 8), &MatF32::zeros(3, 8))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("layer 3"),
-            "shape mismatch should name the layer: {err}"
-        );
-        cache
-            .layer_mut(3)
-            .append(&MatF32::zeros(2, 8), &MatF32::zeros(2, 8))
-            .unwrap();
-        let err = cache
-            .layer_mut(3)
-            .append(&MatF32::zeros(1, 16), &MatF32::zeros(1, 16))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("layer 3"),
-            "width change should name the layer: {err}"
-        );
+    fn append_rejects_mismatched_shapes_and_names_the_layer() {
+        let mut cache = KvCache::new(4, 2, 4, 0);
+        for (k, v) in [
+            (MatF32::zeros(2, 8), MatF32::zeros(3, 8)),
+            (MatF32::zeros(1, 16), MatF32::zeros(1, 16)),
+        ] {
+            let err = cache.layer_mut(3).append(&k, &v).unwrap_err();
+            assert!(err.to_string().contains("layer 3"), "{err}");
+        }
+        let rows = MatF32::zeros(2, 8);
+        assert!(cache.layer_mut(3).append_rows(&rows, &rows, 1..3).is_err());
+        cache.layer_mut(3).append(&rows, &rows).unwrap();
         assert_eq!(cache.layer(3).layer(), 3);
-    }
-
-    #[test]
-    fn per_layer_caches_are_independent() {
-        let mut cache = KvCache::new(2);
-        cache
-            .layer_mut(0)
-            .append(&MatF32::zeros(3, 4), &MatF32::zeros(3, 4))
-            .unwrap();
-        assert_eq!(cache.layer(0).len(), 3);
-        assert_eq!(cache.layer(1).len(), 0);
+        assert_eq!(cache.layer(3).len(), 2);
+        assert_eq!(cache.layer(1).len(), 0, "per-layer caches are independent");
     }
 }

@@ -189,12 +189,16 @@ impl Model {
     /// Creates an empty KV cache sized for this model, with per-layer storage reserved for
     /// the full context window so steady-state decode appends never re-allocate.
     pub fn new_cache(&self) -> KvCache {
-        KvCache::with_capacity(self.config.num_layers, self.config.max_seq_len)
+        let c = &self.config;
+        KvCache::new(c.num_layers, c.num_heads, c.head_dim(), c.max_seq_len)
     }
 
-    /// Creates an empty batched KV cache for `batch_size` sequences.
+    /// Creates an empty batched KV cache for `batch_size` sequences. Slots reserve nothing
+    /// up front: a slot grows to its occupants' length and keeps that storage when it is
+    /// released, so a serving loop stops allocating once its slots have warmed up.
     pub fn new_batched_cache(&self, batch_size: usize) -> BatchedKvCache {
-        BatchedKvCache::new(self.config.num_layers, batch_size)
+        let c = &self.config;
+        BatchedKvCache::new(c.num_layers, batch_size, c.num_heads, c.head_dim())
     }
 
     /// Embeds a token sequence into a `(tokens, hidden)` activation matrix.
@@ -356,7 +360,7 @@ impl Model {
     /// [`Model::new_cache`] reserves the full context window per layer — right for a
     /// cache that will live through a decode loop, wasteful for the serving layer's
     /// admission prefills whose cache is copied into a batch slot and dropped. Those
-    /// paths pass an unreserved `KvCache::new(num_layers)` here and pay exactly the
+    /// paths pass a cache built with `capacity_rows = 0` here and pay exactly the
     /// prompt-sized storage.
     ///
     /// # Errors
@@ -404,9 +408,10 @@ impl Model {
     /// The cache must hold exactly `range.start` resident tokens (the previously
     /// prefilled prefix). Chunked prefill is **bit-identical** to the monolithic
     /// [`Model::prefill`] at any chunk granularity on every backend and TP degree:
-    /// activations are quantized per row and every query row's attention GEMMs run
-    /// against exactly its visible prefix of the cache, so no number in the forward pass
-    /// depends on where the chunk boundaries fall (`tests/chunked_parity.rs`).
+    /// activations are quantized per row, cached keys/values keep one scale per token row
+    /// and every query row's scores are masked to its visible prefix of the cache, so no
+    /// number in the forward pass depends on where the chunk boundaries fall
+    /// (`tests/chunked_parity.rs`).
     ///
     /// This is the substrate of the serving layer's budgeted prefill: a long prompt is
     /// advanced a budget-bounded window at a time between decode steps instead of
@@ -551,8 +556,8 @@ impl Model {
     /// keeps the serving layer's budgeted admission as cheap as the old batched admission
     /// prefill: a wave of admissions costs one forward, not one forward per request.
     ///
-    /// Per-row activation quantization and per-query-row visible-prefix attention make
-    /// each chunk's rows independent of its batch neighbours, so every returned logits
+    /// Per-row activation quantization and per-sequence attention over each slot's own
+    /// resident codes make each chunk's rows independent of its batch neighbours, so every returned logits
     /// matrix (one per chunk, in `chunks` order, each an ordinary owned value) is
     /// bit-identical to advancing that slot alone via
     /// [`Model::prefill_chunk_slot_ws`].
@@ -950,22 +955,34 @@ impl Model {
         Ok(GenerationOutput { tokens, margins })
     }
 
-    /// Total number of multiply-accumulate operations for a prefill of `prompt_len` tokens.
+    /// Total number of multiply-accumulate operations the GEMMs of a monolithic prefill of
+    /// `prompt_len` tokens execute — equal to what a [`crate::hooks::RecordingHook`] sums
+    /// over [`Model::prefill`].
     ///
     /// Used by the energy model to translate a workload into systolic-array activity.
     pub fn prefill_macs(&self, prompt_len: usize) -> u64 {
-        let h = self.config.hidden_size as u64;
-        let f = self.config.ffn_size as u64;
-        let t = prompt_len as u64;
-        let heads = self.config.num_heads as u64;
-        let d = self.config.head_dim() as u64;
-        let attn_proj = 4 * t * h * h; // Q, K, V, O
-                                       // QK^T and SV per head: query position p multiplies against its p+1 visible
-                                       // cache rows, so each side sums to d * t(t+1)/2.
-        let attn_scores = heads * d * t * (t + 1);
+        self.forward_macs(prompt_len, prompt_len)
+    }
+
+    /// Total number of multiply-accumulate operations of one decode step that brings the
+    /// resident context to `context_len` tokens (the new token included).
+    pub fn decode_step_macs(&self, context_len: usize) -> u64 {
+        self.forward_macs(1, context_len)
+    }
+
+    /// MACs of one forward pass over `rows` new tokens whose attention spans `resident`
+    /// cached positions (the new ones included).
+    fn forward_macs(&self, rows: usize, resident: usize) -> u64 {
+        let (h, f) = (self.config.hidden_size as u64, self.config.ffn_size as u64);
+        let (m, t) = (rows as u64, resident as u64);
+        let attn_proj = 4 * m * h * h; // Q, K, V, O
+                                       // Per head, QK^T is the full (rows x d) * (d x resident) rectangle — the causal
+                                       // mask is applied after the GEMM — and SV the matching (rows x resident) * (resident
+                                       // x d); over all heads each side is rows * resident * hidden.
+        let attn_scores = 2 * m * t * h;
         let mlp = match self.config.architecture {
-            crate::Architecture::OptStyle => 2 * t * h * f,
-            crate::Architecture::LlamaStyle => 3 * t * h * f,
+            crate::Architecture::OptStyle => 2 * m * h * f,
+            crate::Architecture::LlamaStyle => 3 * m * h * f,
         };
         (attn_proj + attn_scores + mlp) * self.config.num_layers as u64
     }
@@ -1154,13 +1171,7 @@ mod tests {
                 start = end;
             }
             assert_eq!(cache.seq_len(), prompt.len());
-            for layer in 0..cache.num_layers() {
-                assert_eq!(
-                    cache.layer(layer).keys(),
-                    full_cache.layer(layer).keys(),
-                    "chunk size {chunk}, layer {layer} keys"
-                );
-            }
+            assert_eq!(cache, full_cache, "chunk size {chunk}: cache contents");
         }
         // Validation: empty window, misaligned resident prefix, overlong prompt.
         let mut ws = Workspace::new();
@@ -1212,10 +1223,24 @@ mod tests {
     }
 
     #[test]
-    fn prefill_macs_scale_with_sequence_length() {
-        let m = Model::new(&ModelConfig::tiny_opt(), 0).unwrap();
-        assert!(m.prefill_macs(16) > m.prefill_macs(4));
-        assert!(m.prefill_macs(1) > 0);
+    fn mac_models_equal_what_the_hooks_observe() {
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let m = Model::new(&config, 0).unwrap();
+            for len in [1usize, 4, 16] {
+                let prompt: Vec<u32> = (0..len as u32).collect();
+                let mut rec = RecordingHook::new();
+                let (_, mut cache) = m.prefill(&prompt, &mut rec).unwrap();
+                assert_eq!(
+                    m.prefill_macs(len),
+                    rec.total_macs,
+                    "{} len {len}",
+                    config.name
+                );
+                let mut rec = RecordingHook::new();
+                m.decode_step(1, &mut cache, &mut rec).unwrap();
+                assert_eq!(m.decode_step_macs(len + 1), rec.total_macs);
+            }
+        }
     }
 
     #[test]

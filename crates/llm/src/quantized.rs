@@ -1,4 +1,4 @@
-//! Quantized linear layers and activation-by-activation GEMMs.
+//! Quantized linear layers and the hooked INT8 GEMM every component runs through.
 //!
 //! Following the paper's setup (Sec. III-B), every GEMM's inputs are quantized to INT8 and
 //! its results are accumulated in INT32. The INT32 accumulator is the error-injection and
@@ -442,9 +442,14 @@ pub fn convert_accumulator_grouped_into(
 
 /// Converts the accumulator rows `range` into the same rows of `out` under `mode`.
 ///
-/// The elementwise arithmetic matches [`convert_accumulator`] exactly: the requantized
-/// path rounds/clamps to the INT8 code and multiplies back by the output scale, fused into
-/// one pass instead of materialising the intermediate INT8 matrix.
+/// For [`OutputMode::RequantizedInt8`] the INT8 output scale is derived from a *robust*
+/// percentile of the accumulator magnitudes rather than the absolute maximum. This emulates
+/// statically calibrated activation quantization: a single corrupted element cannot inflate
+/// the scale, so it saturates at the ±127 rail instead — the mechanism behind the paper's
+/// observation that high-bit errors on re-quantized components plateau. The path
+/// rounds/clamps to the INT8 code and multiplies back by the output scale in one pass, so
+/// every emitted row is `code · out_scale` with at least one code on the rail — which is
+/// what lets the KV cache recover the codes exactly at append.
 fn convert_rows_into(
     acc: &realm_tensor::MatI32,
     range: std::ops::Range<usize>,
@@ -478,58 +483,6 @@ fn convert_rows_into(
             }
         }
     }
-}
-
-/// Computes `a · b` for two floating-point activation matrices through the quantized datapath
-/// of `engine`.
-///
-/// Used for the attention-internal GEMMs (`QKᵀ` and `SV`) where both operands are activations.
-///
-/// # Errors
-///
-/// Returns an error if `a.cols() != b.rows()`.
-pub fn quant_matmul(
-    a: &MatF32,
-    b: &MatF32,
-    engine: &dyn GemmEngine,
-    ctx: &GemmContext,
-    hook: &mut dyn GemmHook,
-    output_mode: OutputMode,
-) -> Result<MatF32> {
-    let mut ws = Workspace::new();
-    quant_matmul_ws(a, b, engine, ctx, hook, output_mode, &mut ws)
-}
-
-/// [`quant_matmul`] drawing every intermediate from `ws`; the returned matrix is
-/// workspace-pooled and the output is bit-identical to [`quant_matmul`].
-///
-/// # Errors
-///
-/// Returns an error if `a.cols() != b.rows()`.
-#[allow(clippy::too_many_arguments)] // mirrors quant_matmul plus the workspace handle
-pub fn quant_matmul_ws(
-    a: &MatF32,
-    b: &MatF32,
-    engine: &dyn GemmEngine,
-    ctx: &GemmContext,
-    hook: &mut dyn GemmHook,
-    output_mode: OutputMode,
-    ws: &mut Workspace,
-) -> Result<MatF32> {
-    let mut aq = ws.take_mat_i8(a.rows(), a.cols());
-    let a_scale = quant::quantize_symmetric_into(a, &mut aq);
-    let mut bq = ws.take_mat_i8(b.rows(), b.cols());
-    let b_scale = quant::quantize_symmetric_into(b, &mut bq);
-    let acc = run_hooked_gemm_ws(&aq, &bq, engine, ctx, hook, ws);
-    ws.recycle_mat_i8(aq);
-    ws.recycle_mat_i8(bq);
-    let acc = acc?;
-    let mut out = ws.take_mat_f32(acc.rows(), acc.cols());
-    let mut mags = ws.take_vec_f32(mags_len(&acc, output_mode));
-    convert_accumulator_into(&acc, a_scale * b_scale, output_mode, &mut out, &mut mags);
-    ws.recycle_vec_f32(mags);
-    ws.recycle_mat_i32(acc);
-    Ok(out)
 }
 
 /// [`run_hooked_gemm_ws`] for the static-weight layers: routes through the engine's
@@ -600,15 +553,16 @@ fn run_hooked_linear_gemm_ws(
 /// Fault-free baselines, unprotected runs and injection-only campaigns therefore skip the
 /// checksum reductions entirely.
 ///
-/// This is the activation×activation path (attention's `QKᵀ` and `SV` via
-/// [`quant_matmul_ws`]): both operands are produced fresh every step, so there is nothing
-/// to pre-pack — packing here would itself re-stream the operand per GEMM and would need
-/// hot-loop scratch, exactly what [`PackedMatI8`] exists to avoid for static weights.
+/// This is the activation×activation path (attention's `QKᵀ` and `SV`): the operands are
+/// the query/probability codes of the current chunk and the resident KV codes, which grow
+/// every step, so there is nothing to pre-pack — packing here would itself re-stream the
+/// operand per GEMM and would need hot-loop scratch, exactly what [`PackedMatI8`] exists
+/// to avoid for static weights.
 ///
 /// The accumulator, the checksum vectors of the fused pass and the operand-checksum
 /// scratch all come from `ws`; the returned accumulator is workspace-pooled. This is the
 /// innermost allocation-free step of the decode hot loop.
-fn run_hooked_gemm_ws(
+pub(crate) fn run_hooked_gemm_ws(
     wq: &MatI8,
     xq: &MatI8,
     engine: &dyn GemmEngine,
@@ -654,41 +608,6 @@ fn mags_len(acc: &realm_tensor::MatI32, mode: OutputMode) -> usize {
         OutputMode::Float => 0,
         OutputMode::RequantizedInt8 => acc.len(),
     }
-}
-
-/// Converts an INT32 accumulator back to f32 according to the output mode.
-///
-/// For [`OutputMode::RequantizedInt8`] the INT8 output scale is derived from a *robust*
-/// percentile of the accumulator magnitudes rather than the absolute maximum. This emulates
-/// statically calibrated activation quantization: a single corrupted element cannot inflate
-/// the scale, so it saturates at the ±127 rail instead — the mechanism behind the paper's
-/// observation that high-bit errors on re-quantized components plateau.
-pub fn convert_accumulator(
-    acc: &realm_tensor::MatI32,
-    combined_scale: f32,
-    mode: OutputMode,
-) -> MatF32 {
-    let mut out = MatF32::zeros(0, 0);
-    let mut mags = Vec::new();
-    convert_accumulator_into(acc, combined_scale, mode, &mut out, &mut mags);
-    out
-}
-
-/// [`convert_accumulator`] into caller-provided storage.
-///
-/// `out` is reshaped in place; `mags_scratch` holds the robust-requantization magnitudes
-/// (unused for [`OutputMode::Float`]). Bit-identical to the allocating path — the
-/// requantized mode fuses the INT8 round/clamp and the dequantize multiply into one pass
-/// over the same values.
-pub fn convert_accumulator_into(
-    acc: &realm_tensor::MatI32,
-    combined_scale: f32,
-    mode: OutputMode,
-    out: &mut MatF32,
-    mags_scratch: &mut Vec<f32>,
-) {
-    out.resize_reset(acc.rows(), acc.cols());
-    convert_rows_into(acc, 0..acc.rows(), combined_scale, mode, out, mags_scratch);
 }
 
 /// Derives an INT8 output scale from the 99th percentile of accumulator magnitudes (the
@@ -828,23 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_matmul_approximates_f32_product() {
-        let a = MatF32::from_fn(3, 6, |r, c| (r as f32 - c as f32) * 0.2);
-        let b = MatF32::from_fn(6, 4, |r, c| (r as f32 + c as f32) * 0.1);
-        let y = quant_matmul(
-            &a,
-            &b,
-            &ReferenceEngine,
-            &ctx(),
-            &mut NoopHook,
-            OutputMode::Float,
-        )
-        .unwrap();
-        let reference = gemm::gemm_f32(&a, &b).unwrap();
-        assert!(y.distance(&reference).unwrap() < 0.2);
-    }
-
-    #[test]
     fn robust_scale_ignores_single_outlier() {
         let mut acc = MatI32::filled(10, 10, 100);
         let clean_scale = robust_output_scale(&acc, 1.0);
@@ -944,7 +846,10 @@ mod tests {
     #[test]
     fn convert_accumulator_zero_matrix() {
         let acc = Matrix::zeros(2, 2);
-        let y = convert_accumulator(&acc, 0.5, OutputMode::RequantizedInt8);
+        let mut y = MatF32::zeros(0, 0);
+        let mode = OutputMode::RequantizedInt8;
+        convert_accumulator_rows_into(&acc, &[0.5, 0.5], mode, &mut y, &mut Vec::new());
+        assert_eq!(y.shape(), (2, 2));
         assert!(y.iter().all(|&v| v == 0.0));
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! Bit-exactness is what makes batching a pure amortisation: stacking sequences into one
 //! fused-checksum GEMM per component may never change a logit, only how often the detector
-//! has to look. The load-bearing mechanism is per-row-group quantization
-//! (`realm_llm::quantized::quantize_symmetric_grouped`): each sequence keeps the symmetric
-//! scale (and robust requantization percentile) it would have had alone.
+//! has to look. The load-bearing mechanism is per-row quantization
+//! (`realm_llm::quantized::quantize_symmetric_rows_into`) plus one scale per cached token
+//! row: every row keeps the symmetric scale (and robust requantization percentile) it
+//! would have had alone, and each sequence attends over its own slot of the KV cache.
 
 use realm::core::{PipelineConfig, ProtectedPipeline, SchemeProtector, SequenceAttribution};
 use realm::llm::batch::{BatchRequest, BatchScheduler};
@@ -68,7 +69,15 @@ fn batched_prefill_logits_are_bit_exact_per_sequence() {
                 batched_logits[i], solo_logits,
                 "{kind}: prefill logits of sequence {i} diverged"
             );
-            assert_eq!(cache.seq_len(i), solo_cache.seq_len());
+            // Not just the lengths: every slot holds exactly the codes and scales the
+            // solo prefill cached, at every layer.
+            for layer in 0..cache.num_layers() {
+                assert_eq!(
+                    cache.layer(layer).slot(i),
+                    solo_cache.layer(layer),
+                    "{kind}: cached KV of sequence {i} diverged at layer {layer}"
+                );
+            }
         }
     }
 }

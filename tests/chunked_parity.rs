@@ -7,13 +7,18 @@
 //!
 //! * **Logits** — the concatenated per-chunk logits equal the monolithic prefill logits
 //!   bit for bit, at every chunk granularity, on every `GemmEngine` backend and TP
-//!   degree. Per-row activation quantization and per-query-row visible-prefix attention
-//!   are what make this hold: no value in the forward pass depends on where a chunk
-//!   boundary falls.
+//!   degree. Per-row activation quantization, per-token-row KV scales and per-query-row
+//!   causal masking are what make this hold: no value in the forward pass depends on
+//!   where a chunk boundary falls.
 //! * **Fused checksums** — the ABFT operand-side checksum `(eᵀ·X)·W` is linear in the
 //!   activation rows, so the per-component checksum totals of a chunked prefill must
 //!   equal the monolithic totals exactly. If chunking ever perturbed a quantized row,
 //!   the checksum ledger would diverge even where the float logits round the same way.
+//!   The one exception is `QKᵀ`: its hooked GEMM is the full `(chunk × resident)`
+//!   rectangle and the causal mask is applied afterwards, so the *masked* cells a chunk's
+//!   checksum covers depend on where the chunk ends (a monolithic prefill covers the whole
+//!   upper triangle, single-row chunks none of it). The visible cells are pinned by the
+//!   logits and by `SV`'s ledger, whose left operand is built from them.
 //! * **Continuation** — decoding from a chunk-built cache reproduces the tokens *and*
 //!   margins of a solo [`Model::generate`] run.
 //! * **Attribution** — a fault injected into a mid-prompt chunk's GEMMs is detected,
@@ -31,7 +36,7 @@ use std::collections::BTreeMap;
 /// `(layer, component)`. Because the checksum is a column sum over accumulator rows,
 /// the ledger of a chunked prefill must equal the monolithic ledger exactly — per-GEMM
 /// streams differ (one GEMM per chunk instead of one per prompt), but their row-linear
-/// checksums add up to the same totals.
+/// checksums add up to the same totals. `QKᵀ` is left out: see the module documentation.
 #[derive(Default)]
 struct ChecksumLedger {
     totals: BTreeMap<(usize, Component), i64>,
@@ -49,6 +54,9 @@ impl GemmHook for ChecksumLedger {
         _x: &MatI8,
         result: &mut ChecksummedGemm,
     ) {
+        if ctx.component == Component::QkT {
+            return;
+        }
         let sum = result
             .expected()
             .iter()

@@ -35,7 +35,16 @@ fn tiny_model(kind: EngineKind) -> Model {
 }
 
 /// Runs `body` against a freshly-bound loopback server and tears it down afterwards.
-fn with_server<T>(model: &Model, config: NetConfig, body: impl FnOnce(&NetServer) -> T) -> T {
+///
+/// The server gets a short socket read timeout: a drain waits for every idle keep-alive
+/// worker to give up on its client, and with the 10 s default each test spent most of its
+/// time asleep in that wait. Every client here writes its request at once, so no
+/// behaviour depends on the longer default.
+fn with_server<T>(model: &Model, body: impl FnOnce(&NetServer) -> T) -> T {
+    let config = NetConfig {
+        read_timeout: Duration::from_millis(250),
+        ..NetConfig::default()
+    };
     let server = NetServer::bind(config).unwrap();
     let handle = server.handle();
     std::thread::scope(|s| {
@@ -103,7 +112,7 @@ GET /stats HTTP/1.1\r\n\r\nGET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r
 #[test]
 fn protocol_violations_get_the_documented_statuses() {
     let model = tiny_model(EngineKind::Reference);
-    with_server(&model, NetConfig::default(), |server| {
+    with_server(&model, |server| {
         let addr = server.local_addr();
         let cases: &[(&[u8], u16)] = &[
             (b"NONSENSE\r\n\r\n", 400),                   // no request line shape
@@ -141,7 +150,7 @@ fn protocol_violations_get_the_documented_statuses() {
 #[test]
 fn oversized_headers_and_bodies_are_refused() {
     let model = tiny_model(EngineKind::Reference);
-    with_server(&model, NetConfig::default(), |server| {
+    with_server(&model, |server| {
         let addr = server.local_addr();
         // 431: a header block past the 16 KiB cap.
         let mut stream = TcpStream::connect_timeout(&addr, TIMEOUT).unwrap();
@@ -196,7 +205,7 @@ fn header_limit_is_policed_while_buffering() {
 #[test]
 fn pipelined_requests_are_answered_in_order_on_one_connection() {
     let model = tiny_model(EngineKind::Reference);
-    with_server(&model, NetConfig::default(), |server| {
+    with_server(&model, |server| {
         let addr = server.local_addr();
         let mut stream = TcpStream::connect_timeout(&addr, TIMEOUT).unwrap();
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
@@ -230,7 +239,7 @@ fn loopback_streams_are_bit_identical_to_in_process_generation_on_every_engine()
     ];
     for kind in EngineKind::ALL {
         let model = tiny_model(kind);
-        with_server(&model, NetConfig::default(), |server| {
+        with_server(&model, |server| {
             let addr = server.local_addr();
             for (prompt, budget, policy) in &requests {
                 let result = stream_generate(
@@ -284,7 +293,7 @@ fn loopback_streams_are_bit_identical_to_in_process_generation_on_every_engine()
 #[test]
 fn stats_and_healthz_round_trip_over_loopback() {
     let model = tiny_model(EngineKind::Reference);
-    with_server(&model, NetConfig::default(), |server| {
+    with_server(&model, |server| {
         let addr = server.local_addr();
         let health = http_request(addr, "GET", "/healthz", b"", TIMEOUT).unwrap();
         assert_eq!(health.status, 200);
@@ -323,7 +332,7 @@ fn stats_and_healthz_round_trip_over_loopback() {
 #[test]
 fn bad_generate_bodies_are_rejected_with_400_and_a_reason() {
     let model = tiny_model(EngineKind::Reference);
-    with_server(&model, NetConfig::default(), |server| {
+    with_server(&model, |server| {
         let addr = server.local_addr();
         for (body, needle) in [
             ("max_new_tokens=2", "prompt"),

@@ -1,6 +1,8 @@
 //! Proof that the workspace-planned decode hot loop is allocation-free after warmup.
 //!
-//! A counting global allocator wraps the system allocator; after a prefill plus enough
+//! A counting global allocator wraps the system allocator and charges every allocation to
+//! the thread that made it (the tests below run on parallel threads; each reads only its
+//! own counter); after a prefill plus enough
 //! decode steps to warm every workspace pool past the window's power-of-two capacity
 //! ceilings, a measured window of further decode steps must perform **zero** heap
 //! allocations — unprotected and under an always-on statistical-ABFT protector alike (the
@@ -20,32 +22,48 @@
 //! `Model::set_weight_packing(false)`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use realm::core::SchemeProtector;
-use realm::llm::model::argmax_with_margin;
+use realm::llm::model::{argmax_with_margin, PrefillChunk};
 use realm::llm::{config::ModelConfig, model::Model, GemmHook, NoopHook};
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
 use realm::tensor::{EngineKind, Workspace};
 
-/// Counts every allocation and reallocation routed through the global allocator.
+/// Counts every allocation and reallocation routed through the global allocator, per
+/// thread: the tests of this file run on parallel threads, and a measuring thread must
+/// see its own allocations only.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from inside the
+    // allocator neither allocates nor registers a teardown hook.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread may still free or allocate while its locals are torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -94,17 +112,17 @@ fn count_decode_allocations(
     for _ in 0..warmup {
         decode(&mut next, &mut cache, &mut ws);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..steps {
         decode(&mut next, &mut cache, &mut ws);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]
 fn decode_steps_after_warmup_allocate_nothing() {
     let model = reference_model();
-    let sanity = ALLOCATIONS.load(Ordering::Relaxed);
+    let sanity = allocations();
     assert!(sanity > 0, "the counting allocator is installed");
     // Warmup to KV length 4 + 64 = 68: every length-dependent scratch buffer has crossed
     // the 64-element ceiling and sits at a power-of-two capacity ≥ its demand through the
@@ -167,13 +185,13 @@ fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
         .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
         .unwrap();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..32 {
         engine
             .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
             .unwrap();
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(
         allocations, 0,
         "repeated packed checksummed GEMVs must reuse the caller's buffers"
@@ -219,6 +237,94 @@ fn protected_decode_steps_after_warmup_allocate_nothing() {
     );
 }
 
+/// Runs `steps` lockstep decode steps of a full four-slot batch (ragged contexts) through
+/// one long-lived workspace and returns the heap allocations the steps performed.
+fn count_batched_decode_allocations(
+    model: &Model,
+    hook: &mut dyn GemmHook,
+    warmup: usize,
+    steps: usize,
+) -> u64 {
+    let prompts: [&[u32]; 4] = [&[1, 2, 3, 4], &[5, 6], &[7, 8, 9], &[10]];
+    let mut ws = Workspace::new();
+    let mut cache = model.new_batched_cache(prompts.len());
+    let chunks: Vec<PrefillChunk<'_>> = prompts
+        .iter()
+        .enumerate()
+        .map(|(slot, prompt)| PrefillChunk {
+            prompt,
+            range: 0..prompt.len(),
+            slot,
+        })
+        .collect();
+    let logits = model
+        .prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)
+        .unwrap();
+    let mut tokens: Vec<Option<u32>> = logits
+        .iter()
+        .map(|l| Some(argmax_with_margin(l.row(l.rows() - 1)).0))
+        .collect();
+    let mut decode = |tokens: &mut Vec<Option<u32>>, ws: &mut Workspace| {
+        let step_logits = model
+            .decode_step_batch_ws(tokens, &mut cache, hook, ws)
+            .unwrap();
+        for (token, logits) in tokens.iter_mut().zip(step_logits) {
+            let logits = logits.expect("every slot is active");
+            *token = Some(argmax_with_margin(&logits).0);
+            ws.recycle_vec_f32(logits);
+        }
+        ws.reset();
+    };
+    for _ in 0..warmup {
+        decode(&mut tokens, &mut ws);
+    }
+    let before = allocations();
+    for _ in 0..steps {
+        decode(&mut tokens, &mut ws);
+    }
+    allocations() - before
+}
+
+#[test]
+fn batched_decode_forward_pass_allocates_nothing_after_warmup() {
+    // `decode_step_batch_ws` hands back a fresh `Vec` of per-slot logits and builds the
+    // step's token list, length list and `RowPartition` (which a protector clones): a
+    // handful of small vectors per step that its signature fixes. Everything below that
+    // entry point — per-slot KV appends in place, attention scratch, every GEMM — must
+    // allocate nothing, so the per-step count may depend neither on the number of layers
+    // nor on the context length.
+    const ENTRY_POINT_VECTORS: u64 = 5;
+    for engine in [EngineKind::Reference, EngineKind::Simd] {
+        let deep = {
+            let mut config = ModelConfig::tiny_opt();
+            config.engine = engine;
+            config.max_seq_len = 256;
+            config.num_layers = 6;
+            Model::new(&config, 42).unwrap()
+        };
+        for model in [model_on(engine), deep] {
+            let mut protector = SchemeProtector::with_default_regions(
+                ProtectionScheme::StatisticalAbft,
+                SystolicArray::small(Dataflow::WeightStationary),
+            );
+            let hooks: [(&mut dyn GemmHook, u64); 2] = [
+                (&mut NoopHook, ENTRY_POINT_VECTORS - 1),
+                (&mut protector, ENTRY_POINT_VECTORS),
+            ];
+            for (hook, per_step) in hooks {
+                let allocations = count_batched_decode_allocations(&model, hook, 64, 40);
+                assert_eq!(
+                    allocations,
+                    40 * per_step,
+                    "{engine}, {} layers: a warmed batched decode step allocates only its \
+                     entry point's bookkeeping vectors",
+                    model.config().num_layers
+                );
+            }
+        }
+    }
+}
+
 /// A tensor-parallel model on `engine`: every weight GEMM is scattered across `degree`
 /// persistent rank threads and the stripes merged back on the caller's thread.
 fn sharded_model_on(engine: EngineKind, degree: usize) -> Model {
@@ -231,10 +337,10 @@ fn sharded_model_on(engine: EngineKind, degree: usize) -> Model {
 
 #[test]
 fn sharded_decode_steps_after_warmup_allocate_nothing() {
-    // The counting allocator is global, so it also sees the rank threads: the zero budget
-    // covers the whole TP machinery — mailbox dispatch, each rank's resident accumulator
-    // and checksum segments, and the caller-side stripe merge. Everything was sized during
-    // warmup; the steady-state sharded decode loop must not touch the heap anywhere.
+    // The zero budget covers the caller's side of the TP machinery — activation staging,
+    // mailbox dispatch and the stripe and checksum-segment merge. Everything was sized
+    // during warmup; the steady-state sharded decode loop must not touch the heap. (The
+    // counter is per thread, so the rank threads' own resident buffers are outside it.)
     let model = sharded_model_on(EngineKind::Simd, 2);
     let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
     assert_eq!(
