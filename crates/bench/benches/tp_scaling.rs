@@ -54,9 +54,9 @@ fn bench_tp_scaling(c: &mut Criterion) {
         for degree in [1usize, 2, 4] {
             let lin = sharded(degree, &weight);
             let mut dest = ChecksummedGemm::empty();
-            lin.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+            lin.gemm_checksummed_into(&a, &mut dest).unwrap();
             group.bench_function(format!("checksummed_{label}/tp{degree}"), |bencher| {
-                bencher.iter(|| lin.gemm_checksummed_into(&a, true, &mut dest).unwrap());
+                bencher.iter(|| lin.gemm_checksummed_into(&a, &mut dest).unwrap());
             });
         }
     }
@@ -75,14 +75,14 @@ fn bench_failover_cost(c: &mut Criterion) {
     for degree in [2usize, 4] {
         let lin = sharded(degree, &weight);
         let mut dest = ChecksummedGemm::empty();
-        lin.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+        lin.gemm_checksummed_into(&a, &mut dest).unwrap();
         group.bench_function(format!("clean/tp{degree}"), |bencher| {
-            bencher.iter(|| lin.gemm_checksummed_into(&a, true, &mut dest).unwrap());
+            bencher.iter(|| lin.gemm_checksummed_into(&a, &mut dest).unwrap());
         });
         group.bench_function(format!("shard_killed/tp{degree}"), |bencher| {
             bencher.iter(|| {
                 lin.group().inject_shard_fault(0, ShardFault::Kill, 1);
-                lin.gemm_checksummed_into(&a, true, &mut dest).unwrap()
+                lin.gemm_checksummed_into(&a, &mut dest).unwrap()
             });
         });
     }
@@ -99,12 +99,12 @@ fn report_tp_speedup(_c: &mut Criterion) {
         let lin = sharded(degree, &weight);
         let mut dest = ChecksummedGemm::empty();
         for _ in 0..3 {
-            lin.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+            lin.gemm_checksummed_into(&a, &mut dest).unwrap();
         }
         let mut best = f64::INFINITY;
         for _ in 0..15 {
             let start = Instant::now();
-            lin.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+            lin.gemm_checksummed_into(&a, &mut dest).unwrap();
             std::hint::black_box(dest.acc());
             best = best.min(start.elapsed().as_secs_f64());
         }

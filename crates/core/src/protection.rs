@@ -645,7 +645,11 @@ impl GemmHook for SchemeProtector {
     }
 
     fn on_batch_begin(&mut self, partition: &RowPartition) {
-        self.partition = Some(partition.clone());
+        // Announced before every batched forward: refill the kept offsets, don't reallocate.
+        match &mut self.partition {
+            Some(kept) => kept.clone_from(partition),
+            None => self.partition = Some(partition.clone()),
+        }
     }
 }
 

@@ -331,7 +331,11 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
     }
 
     fn on_batch_begin(&mut self, partition: &RowPartition) {
-        self.partition = Some(partition.clone());
+        // Announced before every batched forward: refill the kept offsets, don't reallocate.
+        match &mut self.partition {
+            Some(kept) => kept.clone_from(partition),
+            None => self.partition = Some(partition.clone()),
+        }
     }
 
     fn on_step_begin(&mut self, step: u64) {
@@ -376,7 +380,10 @@ mod tests {
             "prefill GEMMs are not targeted"
         );
         assert!(injector.stats().gemms_observed > 0);
-        model.decode_step(4, &mut cache, &mut injector).unwrap();
+        let mut ws = realm_tensor::Workspace::new();
+        model
+            .decode_step_ws(4, &mut cache, &mut injector, &mut ws)
+            .unwrap();
         assert!(injector.stats().gemms_targeted > 0);
         assert!(injector.stats().errors_injected > 0);
     }

@@ -9,8 +9,9 @@
 //!
 //! # One core, whole-tile GEMMs
 //!
-//! Solo and batched forwards share one per-sequence core (`MultiHeadAttention::attend_ws`).
-//! For a sequence whose cache holds `T` rows after appending this chunk's `n` new ones, each
+//! There is one forward: the [`KvTarget`] says whether the rows belong to one sequence or
+//! to the slots of a batch, and every sequence with rows runs the same per-sequence core
+//! (`MultiHeadAttention::attend`). For a sequence whose cache holds `T` rows after appending this chunk's `n` new ones, each
 //! head runs exactly **one** score GEMM `Qc (n × d) · Kcᵀ (d × T)` and **one** context GEMM
 //! `P'c (n × T) · Vc (T × d)` — the whole tiles the paper's systolic array executes (Fig. 4)
 //! — directly on the INT8 codes the `Q`/`K`/`V` requantizers produced:
@@ -31,48 +32,16 @@
 //! in a masked cell is detected by the checksum but cannot reach the output.
 
 use crate::activation::softmax_in_place;
-use crate::batch::BatchedLayerCache;
-use crate::component::{Component, Stage};
+use crate::component::Component;
 use crate::config::ModelConfig;
-use crate::hooks::{GemmContext, GemmHook};
-use crate::kv_cache::LayerCache;
-use crate::quantized::{quantize_symmetric_rows_into, run_hooked_gemm_ws, OutputMode, QuantLinear};
+use crate::kv_cache::KvTarget;
+use crate::quantized::{
+    quantize_symmetric_rows_into, run_hooked_gemm, ForwardPass, OutputMode, QuantLinear, Rhs,
+};
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{GemmEngine, MatF32, MatI8, QuantParams, RowPartition, Workspace};
-use std::ops::Range;
-
-/// Where a forward pass appends its new K/V rows and which store each query row group
-/// reads: one sequence's cache, or the slots of a batch under a row partition.
-enum KvTarget<'a> {
-    Solo(&'a mut LayerCache),
-    Batch(&'a mut BatchedLayerCache, &'a RowPartition),
-}
-
-impl KvTarget<'_> {
-    fn append(&mut self, keys: &MatF32, values: &MatF32) -> Result<()> {
-        match self {
-            KvTarget::Solo(cache) => cache.append(keys, values),
-            KvTarget::Batch(cache, parts) => cache.append_batch(keys, values, parts),
-        }
-    }
-
-    fn num_groups(&self) -> usize {
-        match self {
-            KvTarget::Solo(_) => 1,
-            KvTarget::Batch(cache, _) => cache.batch_size(),
-        }
-    }
-
-    /// Group `g`'s query rows (of `rows` stacked rows) and the store they attend over.
-    fn group(&self, g: usize, rows: usize) -> (Range<usize>, &LayerCache) {
-        match self {
-            KvTarget::Solo(cache) => (0..rows, cache),
-            KvTarget::Batch(cache, parts) => (parts.range(g), cache.slot(g)),
-        }
-    }
-}
+use realm_tensor::{MatF32, MatI8, QuantParams};
 
 /// Multi-head self-attention for a single Transformer layer.
 #[derive(Debug, Clone)]
@@ -102,16 +71,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Routes this layer's projection GEMMs through the packed (default) or unpacked
-    /// weight path — see [`QuantLinear::set_packing`]. The attention-internal `QKᵀ`/`SV`
-    /// GEMMs multiply two activations and are unaffected.
-    pub fn set_weight_packing(&mut self, enabled: bool) {
-        self.wq.set_packing(enabled);
-        self.wk.set_packing(enabled);
-        self.wv.set_packing(enabled);
-        self.wo.set_packing(enabled);
-    }
-
     /// Shards (or, with `None`, un-shards) the four projection weights over a
     /// tensor-parallel rank group — see [`QuantLinear::set_tensor_parallel`]. The
     /// attention-internal `QKᵀ`/`SV` GEMMs multiply two activations and are unaffected.
@@ -132,34 +91,16 @@ impl MultiHeadAttention {
         self.head_dim
     }
 
-    /// Runs attention over `x` (shape `(new_tokens, hidden)`), reading and updating the
-    /// layer's KV cache.
+    /// Runs attention over `x` (shape `(new_tokens, hidden)`) as layer `layer` of `pass`:
+    /// project, append the new K/V rows to `kv`, attend per sequence, project out. The
+    /// returned matrix is workspace-pooled.
     ///
-    /// During prefill `x` holds the whole prompt (or one chunk of it) and the cache holds
-    /// the chunks before it; during decode `x` holds a single new token and the cache holds
-    /// everything generated so far.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs and cache operations.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        cache: &mut LayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_ws(x, layer, stage, cache, sequence, engine, hook, &mut ws)
-    }
-
-    /// [`MultiHeadAttention::forward`] drawing every intermediate — projections, query and
-    /// probability codes, the transposed key tile and the context matrix — from `ws`. The
-    /// returned matrix is workspace-pooled; output is bit-identical.
+    /// During prefill `x` holds a prompt (or one chunk of it) and the cache the chunks
+    /// before it; during decode `x` holds one new token per sequence. With a
+    /// [`KvTarget::Batch`], `x` stacks every slot's rows in partition order: the
+    /// `Q`/`K`/`V`/`O` projections each run as **one** batch-wide GEMM, the score and
+    /// context GEMMs per sequence and head over that sequence's own slot (each has its own
+    /// resident length), and empty groups are skipped.
     ///
     /// Processing a prompt in chunks of any size is bit-identical to processing it
     /// monolithically (see the [module documentation](self)): prefilling `n` tokens is the
@@ -169,134 +110,29 @@ impl MultiHeadAttention {
     /// # Errors
     ///
     /// Propagates shape errors from the underlying GEMMs and cache operations.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_ws(
+    pub fn forward(
         &self,
         x: &MatF32,
         layer: usize,
-        stage: Stage,
-        cache: &mut LayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
+        kv: &mut KvTarget<'_>,
+        pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
-        let kv = KvTarget::Solo(cache);
-        self.forward_over(x, kv, layer, stage, sequence, engine, hook, ws)
-    }
-
-    /// Runs attention over a batch-stacked `x` (shape `(sum_new_tokens, hidden)`, rows
-    /// grouped by `parts`), reading and updating each sequence's slot of the layer cache.
-    ///
-    /// The `Q`/`K`/`V`/`O` projections each run as **one** batch-wide GEMM (per-row
-    /// quantization keeps them bit-exact with per-sequence execution); the score and
-    /// context GEMMs run per sequence and per head over that sequence's own slot, because
-    /// each sequence has its own resident length. Empty groups (completed sequences in
-    /// lockstep decode) are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs and cache operations.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        cache: &mut BatchedLayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_batch_ws(
-            x, parts, layer, stage, cache, sequence, engine, hook, &mut ws,
-        )
-    }
-
-    /// [`MultiHeadAttention::forward_batch`] drawing every intermediate from `ws`. The
-    /// returned matrix is workspace-pooled; output is bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs and cache operations.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch_ws(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        cache: &mut BatchedLayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let kv = KvTarget::Batch(cache, parts);
-        self.forward_over(x, kv, layer, stage, sequence, engine, hook, ws)
-    }
-
-    /// The one forward pass behind the solo and batched entry points: project, append the
-    /// new K/V rows to `kv`, attend per sequence, project out.
-    #[allow(clippy::too_many_arguments)] // internal splice of the public forwards
-    fn forward_over(
-        &self,
-        x: &MatF32,
-        mut kv: KvTarget<'_>,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let batched = matches!(kv, KvTarget::Batch(..));
-        // The shared projections' rows span the whole batch; attribution comes from the
-        // partition announced through `on_batch_begin`.
-        let shared_ctx = |component: Component, sequence: &mut usize| {
-            let c = next_ctx(component, layer, stage, sequence);
-            if batched {
-                c.batched()
-            } else {
-                c
-            }
-        };
-
-        let q = self
-            .wq
-            .forward_ws(x, engine, &shared_ctx(Component::Q, sequence), hook, ws)?;
+        let q = self.wq.forward(x, Component::Q, layer, pass)?;
         let appended = (|| {
-            let k = self
-                .wk
-                .forward_ws(x, engine, &shared_ctx(Component::K, sequence), hook, ws)?;
-            let v = self
-                .wv
-                .forward_ws(x, engine, &shared_ctx(Component::V, sequence), hook, ws);
-            let appended = match v {
-                Ok(v) => {
-                    let appended = kv.append(&k, &v);
-                    ws.recycle_mat_f32(v);
-                    appended
-                }
-                Err(e) => Err(e),
-            };
-            ws.recycle_mat_f32(k);
+            let k = self.wk.forward(x, Component::K, layer, pass)?;
+            let appended = self.wv.forward(x, Component::V, layer, pass).and_then(|v| {
+                let appended = kv.append(layer, &k, &v);
+                pass.ws.recycle_mat_f32(v);
+                appended
+            });
+            pass.ws.recycle_mat_f32(k);
             appended
         })();
-        let attended = appended
-            .and_then(|()| self.attend_ws(&q, &kv, layer, stage, sequence, engine, hook, ws));
-        ws.recycle_mat_f32(q);
+        let attended = appended.and_then(|()| self.attend(&q, layer, kv, pass));
+        pass.ws.recycle_mat_f32(q);
         let context = attended?;
-        let out = self.wo.forward_ws(
-            &context,
-            engine,
-            &shared_ctx(Component::O, sequence),
-            hook,
-            ws,
-        );
-        ws.recycle_mat_f32(context);
+        let out = self.wo.forward(&context, Component::O, layer, pass);
+        pass.ws.recycle_mat_f32(context);
         out
     }
 
@@ -304,37 +140,32 @@ impl MultiHeadAttention {
     /// projection output, whose K/V rows are already appended) and every head, one
     /// rectangular score GEMM and one context GEMM over the sequence's resident codes —
     /// see the [module documentation](self). Returns the workspace-pooled context matrix.
-    #[allow(clippy::too_many_arguments)] // internal splice of the forward pass
-    fn attend_ws(
+    fn attend(
         &self,
         q: &MatF32,
-        kv: &KvTarget<'_>,
         layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
+        kv: &KvTarget<'_>,
+        pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
         let d = self.head_dim;
-        let groups = || (0..kv.num_groups()).map(|g| kv.group(g, q.rows()));
+        let groups = || (0..kv.num_groups()).map(|g| kv.group(layer, g, q.rows()));
         // Scratch sized once for the largest (chunk, resident length) of the batch and
         // reused across heads and sequences.
         let max_chunk = groups().map(|(rows, _)| rows.len()).max().unwrap_or(0);
         let max_len = groups().map(|(_, cache)| cache.len()).max().unwrap_or(0);
-        let mut q_codes = ws.take_mat_i8(q.rows(), q.cols());
-        let mut q_scales = ws.take_vec_f32(q.rows());
+        let mut q_codes = pass.ws.take_mat_i8(q.rows(), q.cols());
+        let mut q_scales = pass.ws.take_vec_f32(q.rows());
         quantize_symmetric_rows_into(q, &mut q_codes, &mut q_scales);
         let inv_sqrt_d = 1.0 / (d as f32).sqrt();
         for s in q_scales.iter_mut() {
             *s *= inv_sqrt_d;
         }
-        let mut q_h = ws.take_mat_i8(max_chunk, d);
-        let mut k_t = ws.take_mat_i8(d, max_len);
-        let mut p_codes = ws.take_mat_i8(max_chunk, max_len);
-        let mut p_scales = ws.take_vec_f32(max_chunk);
-        let mut probs = ws.take_vec_f32(max_len);
-        let mut context = ws.take_mat_f32(q.rows(), self.num_heads * d);
+        let mut q_h = pass.ws.take_mat_i8(max_chunk, d);
+        let mut k_t = pass.ws.take_mat_i8(d, max_len);
+        let mut p_codes = pass.ws.take_mat_i8(max_chunk, max_len);
+        let mut p_scales = pass.ws.take_vec_f32(max_chunk);
+        let mut probs = pass.ws.take_vec_f32(max_len);
+        let mut context = pass.ws.take_mat_f32(q.rows(), self.num_heads * d);
 
         let ran = (|| -> Result<()> {
             for (g, (rows, cache)) in groups().enumerate() {
@@ -353,8 +184,8 @@ impl MultiHeadAttention {
                             .copy_from_slice(&q_codes.row(r)[cols.clone()]);
                     }
                     transpose_into(cache.key_codes(h), &mut k_t);
-                    let ctx = next_ctx(Component::QkT, layer, stage, sequence).for_sequence(g);
-                    let scores = run_hooked_gemm_ws(&q_h, &k_t, engine, &ctx, hook, ws)?;
+                    let ctx = pass.next_ctx(Component::QkT, layer).for_sequence(g);
+                    let scores = run_hooked_gemm(&q_h, Rhs::Activation(&k_t), &ctx, pass)?;
                     p_codes.resize_overwrite(chunk, len);
                     for (i, r) in rows.clone().enumerate() {
                         p_scales[i] = probability_codes(
@@ -366,22 +197,23 @@ impl MultiHeadAttention {
                             p_codes.row_mut(i),
                         );
                     }
-                    ws.recycle_mat_i32(scores);
+                    pass.ws.recycle_mat_i32(scores);
 
-                    let ctx = next_ctx(Component::Sv, layer, stage, sequence).for_sequence(g);
-                    let values = cache.value_codes(h);
-                    let summed = run_hooked_gemm_ws(&p_codes, values, engine, &ctx, hook, ws)?;
+                    let ctx = pass.next_ctx(Component::Sv, layer).for_sequence(g);
+                    let values = Rhs::Activation(cache.value_codes(h));
+                    let summed = run_hooked_gemm(&p_codes, values, &ctx, pass)?;
                     for (i, r) in rows.clone().enumerate() {
                         let out = &mut context.row_mut(r)[cols.clone()];
                         for (o, &acc) in out.iter_mut().zip(summed.row(i)) {
                             *o = acc as f32 * p_scales[i];
                         }
                     }
-                    ws.recycle_mat_i32(summed);
+                    pass.ws.recycle_mat_i32(summed);
                 }
             }
             Ok(())
         })();
+        let ws = &mut *pass.ws;
         ws.recycle_mat_i8(q_codes);
         ws.recycle_vec_f32(q_scales);
         ws.recycle_mat_i8(q_h);
@@ -397,13 +229,6 @@ impl MultiHeadAttention {
             }
         }
     }
-}
-
-/// The context of the next GEMM of the forward pass, advancing the pass-wide counter.
-fn next_ctx(component: Component, layer: usize, stage: Stage, sequence: &mut usize) -> GemmContext {
-    let ctx = GemmContext::new(component, layer, stage, *sequence);
-    *sequence += 1;
-    ctx
 }
 
 /// `out = codesᵀ`: the one INT8 transpose per (sequence, head, chunk) that turns the
@@ -458,8 +283,14 @@ fn probability_codes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{GemmOrigin, NoopHook, RecordingHook};
-    use realm_tensor::{rng, EngineKind, MatI32, ReferenceEngine, TpGroup};
+    use crate::batch::BatchedKvCache;
+    use crate::component::Stage;
+    use crate::hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook, RecordingHook};
+    use crate::kv_cache::KvCache;
+    use realm_tensor::{
+        rng, EngineKind, GemmEngine, MatI32, ReferenceEngine, RowPartition, TpGroup, Workspace,
+    };
+    use std::ops::Range;
     use std::sync::Arc;
 
     fn attention_and_input() -> (MultiHeadAttention, MatF32, ModelConfig) {
@@ -470,20 +301,34 @@ mod tests {
         (attn, x, config)
     }
 
-    fn empty_cache(attn: &MultiHeadAttention) -> LayerCache {
-        LayerCache::new(0, attn.num_heads(), attn.head_dim(), 0)
+    /// An empty one-layer solo cache: the attention under test is layer 0 of it.
+    fn empty_cache(attn: &MultiHeadAttention) -> KvCache {
+        KvCache::new(1, attn.num_heads(), attn.head_dim(), 0)
     }
 
-    /// Solo forward of `x` on the oracle backend.
+    /// One forward of `x` as layer 0 of a fresh pass over `kv`.
+    fn forward_on(
+        attn: &MultiHeadAttention,
+        x: &MatF32,
+        stage: Stage,
+        mut kv: KvTarget<'_>,
+        engine: &dyn GemmEngine,
+        hook: &mut dyn GemmHook,
+    ) -> MatF32 {
+        let mut ws = Workspace::new();
+        let mut pass = ForwardPass::new(stage, kv.shared_origin(), engine, hook, &mut ws);
+        attn.forward(x, 0, &mut kv, &mut pass).unwrap()
+    }
+
+    /// Solo prefill forward of `x` on the oracle backend.
     fn forward(
         attn: &MultiHeadAttention,
         x: &MatF32,
-        cache: &mut LayerCache,
+        cache: &mut KvCache,
         hook: &mut dyn GemmHook,
     ) -> MatF32 {
-        let stage = Stage::Prefill;
-        attn.forward(x, 0, stage, cache, &mut 0, &ReferenceEngine, hook)
-            .unwrap()
+        let kv = KvTarget::Solo(cache);
+        forward_on(attn, x, Stage::Prefill, kv, &ReferenceEngine, hook)
     }
 
     #[test]
@@ -492,7 +337,7 @@ mod tests {
         let mut cache = empty_cache(&attn);
         let y = forward(&attn, &x, &mut cache, &mut NoopHook);
         assert_eq!(y.shape(), (5, config.hidden_size));
-        assert_eq!(cache.len(), 5);
+        assert_eq!(cache.seq_len(), 5);
         assert!(y.iter().all(|v| v.is_finite()));
     }
 
@@ -501,18 +346,8 @@ mod tests {
         let (attn, x, config) = attention_and_input();
         let (heads, hidden) = (attn.num_heads(), config.hidden_size as u64);
         let mut cache = empty_cache(&attn);
-        let mut seq = 0;
         let mut rec = RecordingHook::new();
-        attn.forward(
-            &x,
-            3,
-            Stage::Prefill,
-            &mut cache,
-            &mut seq,
-            &ReferenceEngine,
-            &mut rec,
-        )
-        .unwrap();
+        forward(&attn, &x, &mut cache, &mut rec);
         // Q, K, V once each; QK^T and SV once per head — whatever the chunk's row count;
         // O once. The attention GEMMs are the full (rows x resident) rectangles.
         for component in [Component::Q, Component::K, Component::V, Component::O] {
@@ -525,9 +360,12 @@ mod tests {
             rec.total_macs,
             4 * rows * hidden * hidden + 2 * rows * rows * hidden
         );
-        assert!(rec.calls.iter().all(|c| c.layer == 3));
-        // Sequence numbers are strictly increasing.
-        assert!(rec.calls.windows(2).all(|w| w[0].sequence < w[1].sequence));
+        // A solo pass tags everything Sequence(0) and numbers the GEMMs in order.
+        assert!(rec
+            .calls
+            .iter()
+            .all(|c| c.origin == GemmOrigin::Sequence(0)));
+        assert!(rec.calls.iter().map(|c| c.sequence).eq(0..4 + 2 * heads));
 
         // A second chunk and a batch: still `heads` pairs per sequence with rows, each
         // tagged with its own sequence; empty groups issue nothing.
@@ -540,20 +378,11 @@ mod tests {
             4 * hidden * hidden + 2 * (rows + 1) * hidden
         );
 
-        let mut batch = BatchedLayerCache::new(0, 3, heads, attn.head_dim());
+        let mut batch = BatchedKvCache::new(1, 3, heads, attn.head_dim());
         let parts = RowPartition::from_lens(&[3, 0, 2]);
         let mut rec = RecordingHook::new();
-        attn.forward_batch(
-            &x,
-            &parts,
-            0,
-            Stage::Prefill,
-            &mut batch,
-            &mut 0,
-            &ReferenceEngine,
-            &mut rec,
-        )
-        .unwrap();
+        let kv = KvTarget::Batch(&mut batch, &parts);
+        forward_on(&attn, &x, Stage::Prefill, kv, &ReferenceEngine, &mut rec);
         for component in [Component::QkT, Component::Sv] {
             for (g, expected) in [(0, heads), (1, 0), (2, heads)] {
                 let seen = rec
@@ -563,7 +392,15 @@ mod tests {
                 assert_eq!(seen.count(), expected, "{component:?} of sequence {g}");
             }
         }
-        assert_eq!(rec.count_for(Component::Q), 1);
+        for component in [Component::Q, Component::K, Component::V, Component::O] {
+            let shared: Vec<_> = rec
+                .calls
+                .iter()
+                .filter(|c| c.component == component)
+                .collect();
+            assert_eq!(shared.len(), 1);
+            assert_eq!(shared[0].origin, GemmOrigin::BatchedRows);
+        }
         assert_eq!(rec.count(), 4 + 4 * heads);
     }
 
@@ -572,22 +409,20 @@ mod tests {
         let (attn, x, config) = attention_and_input();
         let mut cache = empty_cache(&attn);
         forward(&attn, &x, &mut cache, &mut NoopHook);
-        assert_eq!(cache.len(), 5);
+        assert_eq!(cache.seq_len(), 5);
         let mut r = rng::seeded(99);
         let new = rng::gaussian_matrix(&mut r, 1, config.hidden_size, 0.0, 1.0);
-        let y = attn
-            .forward(
-                &new,
-                0,
-                Stage::Decode,
-                &mut cache,
-                &mut 5,
-                &ReferenceEngine,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let kv = KvTarget::Solo(&mut cache);
+        let y = forward_on(
+            &attn,
+            &new,
+            Stage::Decode,
+            kv,
+            &ReferenceEngine,
+            &mut NoopHook,
+        );
         assert_eq!(y.shape(), (1, config.hidden_size));
-        assert_eq!(cache.len(), 6);
+        assert_eq!(cache.seq_len(), 6);
     }
 
     /// Every way to cut `n` rows into 1..=3 consecutive non-empty chunks.
@@ -629,8 +464,7 @@ mod tests {
                 for split in splits(full.rows()) {
                     let label = format!("{kind}/tp{tp}/{split:?}");
                     let mut solo = empty_cache(&attn);
-                    let mut batch = BatchedLayerCache::new(0, 2, attn.num_heads(), attn.head_dim());
-                    let mut seq = 0;
+                    let mut batch = BatchedKvCache::new(1, 2, attn.num_heads(), attn.head_dim());
                     for (step, rows) in split.iter().enumerate() {
                         let chunk = full.rows_slice(rows.start, rows.len()).unwrap();
                         let stage = if chunk.rows() == 1 && step > 0 {
@@ -638,33 +472,23 @@ mod tests {
                         } else {
                             Stage::Prefill
                         };
-                        let y = attn
-                            .forward(
-                                &chunk,
-                                0,
-                                stage,
-                                &mut solo,
-                                &mut seq,
-                                engine.as_ref(),
-                                &mut NoopHook,
-                            )
-                            .unwrap();
+                        let kv = KvTarget::Solo(&mut solo);
+                        let y =
+                            forward_on(&attn, &chunk, stage, kv, engine.as_ref(), &mut NoopHook);
                         // The same chunk in slot 1 of a batch whose slot 0 prefills a
                         // louder neighbour in the first step and idles afterwards.
                         let lead = if step == 0 { neighbour.rows() } else { 0 };
                         let stacked = neighbour.rows_slice(0, lead).unwrap().vstack(&chunk);
-                        let y_batch = attn
-                            .forward_batch(
-                                &stacked.unwrap(),
-                                &RowPartition::from_lens(&[lead, chunk.rows()]),
-                                0,
-                                stage,
-                                &mut batch,
-                                &mut seq,
-                                engine.as_ref(),
-                                &mut NoopHook,
-                            )
-                            .unwrap();
+                        let parts = RowPartition::from_lens(&[lead, chunk.rows()]);
+                        let kv = KvTarget::Batch(&mut batch, &parts);
+                        let y_batch = forward_on(
+                            &attn,
+                            &stacked.unwrap(),
+                            stage,
+                            kv,
+                            engine.as_ref(),
+                            &mut NoopHook,
+                        );
                         for (i, row) in rows.clone().enumerate() {
                             assert_eq!(y_full.row(row), y.row(i), "{label} solo row {row}");
                             assert_eq!(
@@ -675,7 +499,11 @@ mod tests {
                         }
                     }
                     assert_eq!(solo, cache_full, "{label} solo cache");
-                    assert_eq!(batch.slot(1), &cache_full, "{label} batched cache");
+                    assert_eq!(
+                        batch.layer(0).slot(1),
+                        cache_full.layer(0),
+                        "{label} batched cache"
+                    );
                 }
             }
         }
@@ -684,8 +512,8 @@ mod tests {
     #[test]
     fn context_error_against_f32_attention_is_no_larger_than_the_per_prefix_path() {
         // Same Q/K/V (the projections' requantized outputs), f32 causal softmax attention
-        // as the reference, relative Frobenius error of the context matrix. The parent
-        // commit's per-query-row path — which re-quantized the visible K/V prefix and the
+        // as the reference, relative Frobenius error of the context matrix. The per-query-row
+        // path this core replaced — which re-quantized the visible K/V prefix and the
         // q slice per tensor for every row — reads 0.006_02 on this seed; keeping the
         // requantizers' codes and scales as they are reads 0.002_40.
         const PER_PREFIX_PATH_ERROR: f64 = 0.006_02;
@@ -693,28 +521,16 @@ mod tests {
         let mut r = rng::seeded(2025);
         let attn = MultiHeadAttention::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 48, config.hidden_size, 0.0, 1.0);
-        let ctx = GemmContext::new(Component::Q, 0, Stage::Prefill, 0);
-        let project = |w: &QuantLinear| {
-            w.forward(&x, &ReferenceEngine, &ctx, &mut NoopHook)
-                .unwrap()
-        };
+        let mut cache = empty_cache(&attn);
+        let (mut hook, mut ws) = (NoopHook, Workspace::new());
+        let (engine, origin) = (&ReferenceEngine, GemmOrigin::default());
+        let mut pass = ForwardPass::new(Stage::Prefill, origin, engine, &mut hook, &mut ws);
+        let mut project = |w: &QuantLinear| w.forward(&x, Component::Q, 0, &mut pass).unwrap();
         let (q, k, v) = (project(&attn.wq), project(&attn.wk), project(&attn.wv));
 
-        let mut cache = empty_cache(&attn);
-        cache.append(&k, &v).unwrap();
-        let mut ws = Workspace::new();
-        let context = attn
-            .attend_ws(
-                &q,
-                &KvTarget::Solo(&mut cache),
-                0,
-                Stage::Prefill,
-                &mut 0,
-                &ReferenceEngine,
-                &mut NoopHook,
-                &mut ws,
-            )
-            .unwrap();
+        let mut kv = KvTarget::Solo(&mut cache);
+        kv.append(0, &k, &v).unwrap();
+        let context = attn.attend(&q, 0, &kv, &mut pass).unwrap();
 
         let d = attn.head_dim();
         let (mut err, mut norm) = (0.0f64, 0.0f64);

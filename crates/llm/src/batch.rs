@@ -1,16 +1,17 @@
 //! Batched inference: ragged batches, per-slot KV storage, and the lockstep scheduler.
 //!
-//! The single-sequence forward path runs every prefill/decode GEMM once *per sequence*, so
-//! ABFT checksum and detection cost scales with the number of sequences. The batched path
-//! stacks all sequences' activations into one `(sum_tokens, hidden)` matrix and runs **one**
-//! fused-checksum GEMM per shared component per layer (`Q`/`K`/`V`/`O` and the MLP), so
-//! detection cost amortises across the batch — the regime the paper's energy-accuracy
-//! tradeoff assumes. Only the attention-internal GEMMs (`QKᵀ`, `SV`) stay per-sequence —
-//! one rectangular score GEMM and one context GEMM per (sequence, head) over that
-//! sequence's own slot of the cache, because each sequence has its own resident length and
-//! causal mask.
+//! A solo forward ([`KvTarget::Solo`](crate::KvTarget)) runs every prefill/decode GEMM once
+//! *per sequence*, so ABFT checksum and detection cost scales with the number of sequences.
+//! The same forward over a [`KvTarget::Batch`](crate::KvTarget) of this module's
+//! [`BatchedKvCache`] takes all sequences' activations stacked into one `(sum_tokens,
+//! hidden)` matrix and runs **one** fused-checksum GEMM per shared component per layer
+//! (`Q`/`K`/`V`/`O` and the MLP), so detection cost amortises across the batch — the regime
+//! the paper's energy-accuracy tradeoff assumes. Only the attention-internal GEMMs (`QKᵀ`,
+//! `SV`) stay per-sequence — one rectangular score GEMM and one context GEMM per (sequence,
+//! head) over that sequence's own slot of the cache, because each sequence has its own
+//! resident length and causal mask.
 //!
-//! Everything is bit-exact with the single-sequence path: activations are quantized with one
+//! Everything is bit-exact with the solo forward: activations are quantized with one
 //! symmetric scale per row (see
 //! [`quantize_symmetric_rows_into`](crate::quantized::quantize_symmetric_rows_into)) and
 //! cached keys/values keep one scale per token row, so a
@@ -18,8 +19,8 @@
 //! [`crate::Model::generate`] once per sequence — the contract `tests/batched_parity.rs`
 //! enforces on every GEMM backend.
 
-use crate::kv_cache::{KvCache, LayerCache};
-use crate::model::{argmax_with_margin, GenerationOutput, Model};
+use crate::kv_cache::LayerCache;
+use crate::model::{argmax_with_margin, GenerationOutput, Model, PrefillChunk};
 use crate::{GemmHook, LlmError, Result};
 use realm_tensor::{MatF32, RowPartition, Workspace};
 
@@ -152,13 +153,16 @@ impl BatchedLayerCache {
 ///
 /// Each of the `batch_size` *slots* holds one sequence's keys/values across all layers.
 /// Slots are reusable: [`BatchedKvCache::release_slot`] frees a completed sequence's rows
-/// and [`BatchedKvCache::admit`] copies a freshly prefilled sequence into the vacancy —
-/// the mechanism the continuous-batching serving layer (`realm-serve`) is built on.
+/// and the next occupant prefills straight into the vacancy
+/// ([`Model::prefill_chunks_batch_ws`]) — the mechanism the continuous-batching serving
+/// layer (`realm-serve`) is built on.
 ///
 /// # Example
 ///
 /// ```
+/// use realm_llm::model::PrefillChunk;
 /// use realm_llm::{config::ModelConfig, model::Model, NoopHook};
+/// use realm_tensor::Workspace;
 ///
 /// # fn main() -> Result<(), realm_llm::LlmError> {
 /// let model = Model::new(&ModelConfig::tiny_opt(), 42)?;
@@ -168,9 +172,9 @@ impl BatchedLayerCache {
 /// // Sequence 0 completes: recycle its slot for a new request.
 /// cache.release_slot(0);
 /// assert!(cache.is_slot_free(0));
-/// let (_, solo) = model.prefill(&[7, 8, 9, 10], &mut NoopHook)?;
-/// cache.admit(0, &solo)?;
-/// assert_eq!(cache.seq_len(0), 4);
+/// let admitted = [PrefillChunk::whole(&[7, 8, 9, 10], 0)];
+/// model.prefill_chunks_batch_ws(&admitted, &mut cache, &mut NoopHook, &mut Workspace::new())?;
+/// assert_eq!((cache.seq_len(0), cache.seq_len(1)), (4, 2));
 /// # Ok(())
 /// # }
 /// ```
@@ -230,7 +234,7 @@ impl BatchedKvCache {
         self.seq_len(seq) == 0
     }
 
-    /// Frees slot `seq` across every layer so a new sequence can be admitted into it.
+    /// Frees slot `seq` across every layer so a new sequence can prefill into it.
     ///
     /// Releasing an already-free slot is a no-op. This is the primitive continuous batching
     /// is built on: completed sequences return their KV rows between lockstep decode steps
@@ -243,97 +247,6 @@ impl BatchedKvCache {
         for layer in &mut self.layers {
             layer.release_slot(seq);
         }
-    }
-
-    /// Admits a freshly prefilled sequence into the free slot `seq`, copying the per-layer
-    /// codes and scales of `solo` (a cache populated by [`crate::Model::prefill`]) verbatim.
-    ///
-    /// The copied rows are bit-identical to what a shared [`crate::Model::prefill_batch`]
-    /// would have cached for the same prompt, so decode steps after admission produce the
-    /// same tokens a solo [`crate::Model::generate`] run would — the slot-reuse parity
-    /// contract of `tests/serve_continuous.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the layer counts or head geometry disagree, `solo` is empty at
-    /// any layer, or the slot is still occupied. On error the slot is left free (a partial
-    /// admission is rolled back), so a failed admit never leaves it inconsistent across
-    /// layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range.
-    pub fn admit(&mut self, seq: usize, solo: &KvCache) -> Result<()> {
-        self.admit_layers(seq, solo.num_layers(), solo.seq_len(), |l| solo.layer(l))
-    }
-
-    /// Admits sequence `source_seq` of another batched cache into the free slot `seq` —
-    /// the batched-admission counterpart of [`BatchedKvCache::admit`], with the same
-    /// verbatim copy, parity contract and rollback.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchedKvCache::admit`], on the source sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` or `source_seq` is out of range.
-    pub fn admit_from(
-        &mut self,
-        seq: usize,
-        source: &BatchedKvCache,
-        source_seq: usize,
-    ) -> Result<()> {
-        self.admit_layers(seq, source.num_layers(), source.seq_len(source_seq), |l| {
-            source.layer(l).slot(source_seq)
-        })
-    }
-
-    /// Copies `source_layers` per-layer stores (`incoming` tokens each) into slot `seq`.
-    fn admit_layers<'a>(
-        &mut self,
-        seq: usize,
-        source_layers: usize,
-        incoming: usize,
-        source: impl Fn(usize) -> &'a LayerCache,
-    ) -> Result<()> {
-        if source_layers != self.layers.len() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "cannot admit a {source_layers}-layer cache into slot {seq} of a {}-layer \
-                     batched cache",
-                    self.layers.len()
-                ),
-            });
-        }
-        if self.seq_len(seq) != 0 {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "cannot admit a {incoming}-token sequence into slot {seq}: the slot still \
-                     holds {} resident tokens; release it first",
-                    self.seq_len(seq)
-                ),
-            });
-        }
-        for layer_idx in 0..self.layers.len() {
-            let from = source(layer_idx);
-            let copied = if from.is_empty() {
-                Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "cannot admit an unprefilled sequence into slot {seq}: layer \
-                         {layer_idx} of the source cache is empty (expected {incoming} \
-                         resident rows)"
-                    ),
-                })
-            } else {
-                self.layers[layer_idx].slots[seq].copy_from(from)
-            };
-            if let Err(e) = copied {
-                self.release_slot(seq);
-                return Err(e);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -393,8 +306,18 @@ impl<'m> BatchScheduler<'m> {
         Self { model }
     }
 
-    /// Rejects any request whose prompt plus generation budget exceeds the context window.
-    fn validate_requests(&self, requests: &[BatchRequest]) -> Result<()> {
+    /// Runs every request to completion and returns one [`GenerationOutput`] per request,
+    /// in request order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty request list, empty prompts, out-of-range tokens, or
+    /// any request whose prompt plus generation budget exceeds the model's context window.
+    pub fn run(
+        &self,
+        requests: &[BatchRequest],
+        hook: &mut dyn GemmHook,
+    ) -> Result<Vec<GenerationOutput>> {
         let max_seq_len = self.model.config().max_seq_len;
         for (i, request) in requests.iter().enumerate() {
             if request.prompt.len() + request.max_new_tokens > max_seq_len {
@@ -408,27 +331,18 @@ impl<'m> BatchScheduler<'m> {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Runs every request to completion and returns one [`GenerationOutput`] per request,
-    /// in request order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty request list, empty prompts, out-of-range tokens, or
-    /// any request whose prompt plus generation budget exceeds the model's context window.
-    pub fn run(
-        &self,
-        requests: &[BatchRequest],
-        hook: &mut dyn GemmHook,
-    ) -> Result<Vec<GenerationOutput>> {
-        self.validate_requests(requests)?;
         // One workspace for the whole run: the shared prefill warms the pools, every
         // lockstep decode step after that reuses them.
         let mut ws = Workspace::new();
-        let prompts: Vec<Vec<u32>> = requests.iter().map(|r| r.prompt.clone()).collect();
-        let (logits, mut cache) = self.model.prefill_batch_ws(&prompts, hook, &mut ws)?;
+        let mut cache = self.model.new_batched_cache(requests.len());
+        let chunks: Vec<PrefillChunk<'_>> = requests
+            .iter()
+            .enumerate()
+            .map(|(slot, r)| PrefillChunk::whole(&r.prompt, slot))
+            .collect();
+        let logits = self
+            .model
+            .prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)?;
 
         struct SeqState {
             tokens: Vec<u32>,
@@ -488,187 +402,6 @@ impl<'m> BatchScheduler<'m> {
                 tokens: s.tokens,
                 margins: s.margins,
             })
-            .collect())
-    }
-
-    /// Runs every request through a **continuous-batching** window of at most `slots`
-    /// concurrent sequences and returns one [`GenerationOutput`] per request, in request
-    /// order.
-    ///
-    /// Unlike [`BatchScheduler::run`] — which keeps every completed sequence's batch slot
-    /// empty until the whole batch drains — this loop releases a slot the moment its
-    /// sequence reaches its generation budget ([`BatchedKvCache::release_slot`]) and admits
-    /// the next queued request into it ([`BatchedKvCache::admit`]) between decode steps, so
-    /// the batch stays full under sustained load. Admission order is FIFO.
-    ///
-    /// The first `slots` requests share one batched prefill; later admissions are prefilled
-    /// solo and their KV rows copied into the freed slot. Either way every request's tokens
-    /// are bit-identical to a solo [`Model::generate`] run — continuous batching changes
-    /// throughput, never output.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use realm_llm::batch::{BatchRequest, BatchScheduler};
-    /// use realm_llm::{config::ModelConfig, model::Model, NoopHook};
-    ///
-    /// # fn main() -> Result<(), realm_llm::LlmError> {
-    /// let model = Model::new(&ModelConfig::tiny_opt(), 42)?;
-    /// let requests = vec![
-    ///     BatchRequest::new(vec![1, 5, 9], 2),
-    ///     BatchRequest::new(vec![2, 7], 6),
-    ///     BatchRequest::new(vec![3], 4),
-    /// ];
-    /// // A 2-slot window: request 2 is admitted as soon as a slot frees up.
-    /// let outputs = BatchScheduler::new(&model).run_with_slots(&requests, 2, &mut NoopHook)?;
-    /// assert_eq!(outputs[2].tokens.len(), 4);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Hooks and attribution
-    ///
-    /// Every forward — the shared initial prefill, each solo admission prefill and every
-    /// lockstep decode step — runs through the one `hook`. A solo admission prefill is an
-    /// ordinary single-sequence forward: its GEMMs are tagged
-    /// [`GemmOrigin::Sequence`](crate::GemmOrigin)`(0)` and announce no partition, so a
-    /// protector attributes them to index 0 regardless of which request is being admitted
-    /// (and applies an index-0 per-sequence scheme, if one is installed). Callers that
-    /// need per-request protection policies or per-request attribution across admissions
-    /// should use `realm-serve`'s `ServeEngine`, which prefills each admission under its
-    /// own protector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for `slots == 0`, an empty request list, empty prompts,
-    /// out-of-range tokens, or any request whose prompt plus generation budget exceeds the
-    /// model's context window.
-    pub fn run_with_slots(
-        &self,
-        requests: &[BatchRequest],
-        slots: usize,
-        hook: &mut dyn GemmHook,
-    ) -> Result<Vec<GenerationOutput>> {
-        if slots == 0 {
-            return Err(LlmError::InvalidSequence {
-                detail: "continuous batching needs at least one slot".into(),
-            });
-        }
-        if requests.len() <= slots {
-            // The window covers everything; the lockstep path is already optimal.
-            return self.run(requests, hook);
-        }
-        self.validate_requests(requests)?;
-
-        struct SlotState {
-            request: usize,
-            last: u32,
-            tokens: Vec<u32>,
-            margins: Vec<f32>,
-            target: usize,
-        }
-        /// Builds a slot's state from its prefill logits, committing the first token
-        /// immediately (mirroring the solo `generate` loop) unless the budget is zero.
-        fn new_state(request: usize, target: usize, last_logits: &[f32]) -> SlotState {
-            let (next, margin) = argmax_with_margin(last_logits);
-            let mut state = SlotState {
-                request,
-                last: next,
-                tokens: Vec::with_capacity(target),
-                margins: Vec::with_capacity(target),
-                target,
-            };
-            if target > 0 {
-                state.tokens.push(next);
-                state.margins.push(margin);
-            }
-            state
-        }
-        let mut outputs: Vec<Option<GenerationOutput>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut active: Vec<Option<SlotState>> = (0..slots).map(|_| None).collect();
-        let mut next_request = slots;
-
-        // Shared prefill for the initial window; the first token of each sequence is
-        // committed immediately, mirroring the solo `generate` loop. One workspace serves
-        // the whole continuous run: initial prefill, admission prefills, decode steps.
-        let mut ws = Workspace::new();
-        let prompts: Vec<Vec<u32>> = requests[..slots].iter().map(|r| r.prompt.clone()).collect();
-        let (logits, mut cache) = self.model.prefill_batch_ws(&prompts, hook, &mut ws)?;
-        for (slot, (l, request)) in logits.iter().zip(&requests[..slots]).enumerate() {
-            active[slot] = Some(new_state(slot, request.max_new_tokens, l.row(l.rows() - 1)));
-        }
-
-        loop {
-            // Retire completed sequences and refill their slots from the queue. A freshly
-            // admitted request may itself complete at admission (budget 0 or 1), so keep
-            // admitting until the slot genuinely holds an unfinished sequence. The body
-            // mutates `active[slot]`, the shared cache and the queue cursor together, so an
-            // index loop is clearer than fighting iter_mut borrows.
-            #[allow(clippy::needless_range_loop)]
-            for slot in 0..slots {
-                loop {
-                    if let Some(state) = &active[slot] {
-                        if state.tokens.len() < state.target {
-                            break;
-                        }
-                        let state = active[slot].take().expect("checked above");
-                        outputs[state.request] = Some(GenerationOutput {
-                            tokens: state.tokens,
-                            margins: state.margins,
-                        });
-                        cache.release_slot(slot);
-                    }
-                    if next_request >= requests.len() {
-                        break;
-                    }
-                    let request = &requests[next_request];
-                    // Admission caches are copied into the slot and dropped: skip the
-                    // full-context-window reservation `new_cache` makes for decode caches.
-                    let config = self.model.config();
-                    let mut solo_cache =
-                        KvCache::new(config.num_layers, config.num_heads, config.head_dim(), 0);
-                    let logits = self.model.prefill_ws_into(
-                        &request.prompt,
-                        hook,
-                        &mut ws,
-                        &mut solo_cache,
-                    )?;
-                    cache.admit(slot, &solo_cache)?;
-                    active[slot] = Some(new_state(
-                        next_request,
-                        request.max_new_tokens,
-                        logits.row(logits.rows() - 1),
-                    ));
-                    ws.recycle_mat_f32(logits);
-                    next_request += 1;
-                }
-            }
-
-            let step: Vec<Option<u32>> = active
-                .iter()
-                .map(|s| s.as_ref().map(|state| state.last))
-                .collect();
-            if step.iter().all(Option::is_none) {
-                break;
-            }
-            let step_logits = self
-                .model
-                .decode_step_batch_ws(&step, &mut cache, hook, &mut ws)?;
-            for (state, logits) in active.iter_mut().zip(step_logits) {
-                if let (Some(state), Some(logits)) = (state, logits) {
-                    let (next, margin) = argmax_with_margin(&logits);
-                    ws.recycle_vec_f32(logits);
-                    state.last = next;
-                    state.tokens.push(next);
-                    state.margins.push(margin);
-                }
-            }
-            ws.reset();
-        }
-        Ok(outputs
-            .into_iter()
-            .map(|o| o.expect("every request was retired through its slot"))
             .collect())
     }
 }
@@ -785,32 +518,29 @@ mod tests {
     }
 
     #[test]
-    fn admit_copies_codes_and_scales_into_a_free_slot() {
+    fn a_freed_slot_prefills_to_the_rows_a_solo_prefill_caches() {
         let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
         let prompts = vec![vec![1u32, 2, 3], vec![4, 5]];
         let (_, mut batched) = model.prefill_batch(&prompts, &mut NoopHook).unwrap();
-        let (_, solo) = model.prefill(&[6, 7, 8, 9], &mut NoopHook).unwrap();
+        let neighbour = batched.clone();
+        let newcomer = [6u32, 7, 8, 9];
+        let (_, solo) = model.prefill(&newcomer, &mut NoopHook).unwrap();
 
-        // Occupied slots reject admission until released.
-        assert!(batched.admit(0, &solo).is_err());
         assert!(!batched.is_slot_free(0));
         batched.release_slot(0);
         assert!(batched.is_slot_free(0));
-        batched.admit(0, &solo).unwrap();
-        assert_eq!(batched.seq_len(0), 4);
-
-        // The admitted codes and scales are the solo cache's, which are what a shared
-        // prefill would have cached; `admit_from` moves them on unchanged.
-        let (_, reference) = model
-            .prefill_batch(&[vec![6, 7, 8, 9], vec![4, 5]], &mut NoopHook)
+        let chunk = [PrefillChunk::whole(&newcomer, 0)];
+        model
+            .prefill_chunks_batch_ws(&chunk, &mut batched, &mut NoopHook, &mut Workspace::new())
             .unwrap();
-        let mut onward = model.new_batched_cache(3);
-        onward.admit_from(2, &batched, 0).unwrap();
         for layer in 0..batched.num_layers() {
             let admitted = batched.layer(layer).slot(0);
             assert_eq!(admitted, solo.layer(layer), "layer {layer}");
-            assert_eq!(admitted, reference.layer(layer).slot(0), "layer {layer}");
-            assert_eq!(admitted, onward.layer(layer).slot(2), "layer {layer}");
+            assert_eq!(
+                batched.layer(layer).slot(1),
+                neighbour.layer(layer).slot(1),
+                "layer {layer}: the resident neighbour is untouched"
+            );
 
             // Loading the same rows as f32 (code · scale, what the projections emitted)
             // reproduces the codes exactly.
@@ -821,105 +551,13 @@ mod tests {
             let values = MatF32::from_fn(admitted.len(), heads * d, |t, c| {
                 admitted.value_codes(c / d)[(t, c % d)] as f32 * admitted.value_scales()[t]
             });
-            onward
-                .layer_mut(layer)
-                .load_slot(1, &keys, &values)
-                .unwrap();
-            let loaded = onward.layer(layer).slot(1);
-            for h in 0..admitted.num_heads() {
-                assert_eq!(loaded.key_codes(h), admitted.key_codes(h));
-                assert_eq!(loaded.value_codes(h), admitted.value_codes(h));
+            let mut loaded = BatchedLayerCache::new(layer, 1, heads, d);
+            loaded.load_slot(0, &keys, &values).unwrap();
+            for h in 0..heads {
+                assert_eq!(loaded.slot(0).key_codes(h), admitted.key_codes(h));
+                assert_eq!(loaded.slot(0).value_codes(h), admitted.value_codes(h));
             }
         }
-
-        // Admitting an unprefilled cache or a layer-count mismatch is rejected.
-        batched.release_slot(0);
-        assert!(batched.admit(0, &model.new_cache()).is_err());
-        assert!(batched.admit(0, &KvCache::new(1, 2, 16, 0)).is_err());
-
-        // A partially populated solo cache fails *atomically*: earlier layers are rolled
-        // back, so the slot stays free and a subsequent valid admission succeeds.
-        let hidden = model.config().hidden_size;
-        let mut partial = model.new_cache();
-        partial
-            .layer_mut(0)
-            .append(&MatF32::zeros(2, hidden), &MatF32::zeros(2, hidden))
-            .unwrap();
-        assert!(batched.admit(0, &partial).is_err());
-        for layer in 0..batched.num_layers() {
-            assert_eq!(
-                batched.layer(layer).seq_len(0),
-                0,
-                "failed admit must not leave rows behind at layer {layer}"
-            );
-        }
-        batched.admit(0, &solo).unwrap();
-        assert_eq!(batched.seq_len(0), 4);
-    }
-
-    #[test]
-    fn admit_errors_name_the_slot_and_lengths() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
-        let prompts = vec![vec![1u32, 2, 3], vec![4, 5]];
-        let (_, mut batched) = model.prefill_batch(&prompts, &mut NoopHook).unwrap();
-        let (_, solo) = model.prefill(&[6, 7, 8, 9], &mut NoopHook).unwrap();
-
-        // Occupied slot: names the slot and both the resident and incoming lengths.
-        let err = batched.admit(1, &solo).unwrap_err().to_string();
-        assert!(err.contains("slot 1"), "{err}");
-        assert!(err.contains("2 resident tokens"), "{err}");
-        assert!(err.contains("4-token"), "{err}");
-
-        // Layer-count mismatch: names the slot.
-        batched.release_slot(1);
-        let err = batched
-            .admit(1, &KvCache::new(1, 2, 16, 0))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("slot 1"), "{err}");
-
-        // Unprefilled solo cache: names the slot and the empty layer.
-        let err = batched
-            .admit(1, &model.new_cache())
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("slot 1"), "{err}");
-        assert!(err.contains("layer 0"), "{err}");
-
-        // admit_from mirrors the same diagnostics.
-        let (_, source) = model
-            .prefill_batch(&[vec![9u32, 8], vec![7, 6, 5]], &mut NoopHook)
-            .unwrap();
-        let err = batched.admit_from(0, &source, 1).unwrap_err().to_string();
-        assert!(err.contains("slot 0"), "{err}");
-        assert!(err.contains("3 resident tokens"), "{err}");
-        assert!(err.contains("3-token"), "{err}");
-    }
-
-    #[test]
-    fn run_with_slots_matches_lockstep_outputs() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
-        let requests = vec![
-            BatchRequest::new(vec![1, 2, 3], 5),
-            BatchRequest::new(vec![4, 5], 1),
-            BatchRequest::new(vec![6], 3),
-            BatchRequest::new(vec![7, 8, 9, 10], 0),
-            BatchRequest::new(vec![2, 4], 4),
-        ];
-        let scheduler = BatchScheduler::new(&model);
-        let lockstep = scheduler.run(&requests, &mut NoopHook).unwrap();
-        for slots in [1, 2, 3, 5] {
-            let continuous = scheduler
-                .run_with_slots(&requests, slots, &mut NoopHook)
-                .unwrap();
-            assert_eq!(
-                continuous, lockstep,
-                "{slots}-slot continuous run diverged from lockstep"
-            );
-        }
-        assert!(scheduler
-            .run_with_slots(&requests, 0, &mut NoopHook)
-            .is_err());
     }
 
     #[test]

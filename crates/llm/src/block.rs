@@ -14,17 +14,15 @@
 //! channel downstream.
 
 use crate::attention::MultiHeadAttention;
-use crate::batch::BatchedLayerCache;
-use crate::component::Stage;
 use crate::config::{Architecture, ModelConfig};
-use crate::hooks::GemmHook;
-use crate::kv_cache::LayerCache;
+use crate::kv_cache::KvTarget;
 use crate::mlp::Mlp;
 use crate::norm::{LayerNorm, RmsNorm};
+use crate::quantized::ForwardPass;
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{GemmEngine, MatF32, RowPartition, Workspace};
+use realm_tensor::MatF32;
 
 /// Normalization layer variant used by a block.
 #[derive(Debug, Clone)]
@@ -97,13 +95,6 @@ impl TransformerBlock {
         &self.attention
     }
 
-    /// Routes every static-weight GEMM in this block through the packed (default) or
-    /// unpacked weight path — see [`crate::quantized::QuantLinear::set_packing`].
-    pub fn set_weight_packing(&mut self, enabled: bool) {
-        self.attention.set_weight_packing(enabled);
-        self.mlp.set_weight_packing(enabled);
-    }
-
     /// Shards (or, with `None`, un-shards) every static-weight GEMM in this block over a
     /// tensor-parallel rank group — see [`crate::quantized::QuantLinear::set_tensor_parallel`].
     pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
@@ -111,172 +102,48 @@ impl TransformerBlock {
         self.mlp.set_tensor_parallel(group);
     }
 
-    /// Runs the block over `x` of shape `(new_tokens, hidden)`.
+    /// Runs the block as layer `layer` of `pass` over an owned (typically workspace-pooled)
+    /// residual stream `x` of shape `(new_tokens, hidden)`: the attention and MLP outputs
+    /// are added onto `x` in place, every intermediate comes from the pass's workspace, and
+    /// `x` is returned as the block output.
+    ///
+    /// `kv` decides solo or batched (see [`KvTarget`]). Normalization and the residual
+    /// additions are row-wise, so with a batch target — `x` stacking every slot's rows in
+    /// partition order — the result is bit-exact with running the block once per sequence.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the attention and MLP sub-layers.
-    #[allow(clippy::too_many_arguments)] // mirrors the attention-forward plumbing: ctx + engine + hook
     pub fn forward(
         &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        cache: &mut LayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_ws(
-            x.clone(),
-            layer,
-            stage,
-            cache,
-            sequence,
-            engine,
-            hook,
-            &mut ws,
-        )
-    }
-
-    /// [`TransformerBlock::forward`] operating on an owned (typically workspace-pooled)
-    /// residual stream: the attention and MLP outputs are added onto `x` in place, every
-    /// intermediate comes from `ws`, and `x` is returned as the block output. Bit-identical
-    /// to the allocating path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the attention and MLP sub-layers.
-    #[allow(clippy::too_many_arguments)] // mirrors the attention-forward plumbing: ctx + engine + hook
-    pub fn forward_ws(
-        &self,
         mut x: MatF32,
         layer: usize,
-        stage: Stage,
-        cache: &mut LayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
+        kv: &mut KvTarget<'_>,
+        pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
-        let mut run = |x: &mut MatF32, ws: &mut Workspace, sequence: &mut usize| -> Result<()> {
-            let mut attn_in = ws.take_mat_f32(x.rows(), x.cols());
-            self.norm1.forward_into(x, &mut attn_in);
-            let attn_out = self
-                .attention
-                .forward_ws(&attn_in, layer, stage, cache, sequence, engine, hook, ws);
-            ws.recycle_mat_f32(attn_in);
+        let ran = (|| -> Result<()> {
+            let mut normed = pass.ws.take_mat_f32(x.rows(), x.cols());
+            self.norm1.forward_into(&x, &mut normed);
+            let attn_out = self.attention.forward(&normed, layer, kv, pass);
+            pass.ws.recycle_mat_f32(normed);
             let attn_out = attn_out?;
             let added = x.add_assign(&attn_out);
-            ws.recycle_mat_f32(attn_out);
+            pass.ws.recycle_mat_f32(attn_out);
             added?;
 
-            let mut mlp_in = ws.take_mat_f32(x.rows(), x.cols());
-            self.norm2.forward_into(x, &mut mlp_in);
-            let mlp_out = self
-                .mlp
-                .forward_ws(&mlp_in, layer, stage, sequence, engine, hook, ws);
-            ws.recycle_mat_f32(mlp_in);
+            let mut normed = pass.ws.take_mat_f32(x.rows(), x.cols());
+            self.norm2.forward_into(&x, &mut normed);
+            let mlp_out = self.mlp.forward(&normed, layer, pass);
+            pass.ws.recycle_mat_f32(normed);
             let mlp_out = mlp_out?;
             let added = x.add_assign(&mlp_out);
-            ws.recycle_mat_f32(mlp_out);
-            added?;
-            Ok(())
-        };
-        match run(&mut x, ws, sequence) {
+            pass.ws.recycle_mat_f32(mlp_out);
+            Ok(added?)
+        })();
+        match ran {
             Ok(()) => Ok(x),
             Err(e) => {
-                ws.recycle_mat_f32(x);
-                Err(e)
-            }
-        }
-    }
-
-    /// Runs the block over a batch-stacked `x` of shape `(sum_new_tokens, hidden)` whose
-    /// rows are grouped by `parts`.
-    ///
-    /// Normalization and residual additions are row-wise, so only the attention and MLP
-    /// sub-layers need batch awareness; the result is bit-exact with running
-    /// [`TransformerBlock::forward`] once per sequence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the attention and MLP sub-layers.
-    #[allow(clippy::too_many_arguments)] // mirrors the attention-forward plumbing: ctx + engine + hook
-    pub fn forward_batch(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        cache: &mut BatchedLayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_batch_ws(
-            x.clone(),
-            parts,
-            layer,
-            stage,
-            cache,
-            sequence,
-            engine,
-            hook,
-            &mut ws,
-        )
-    }
-
-    /// [`TransformerBlock::forward_batch`] operating on an owned (typically
-    /// workspace-pooled) residual stream with every intermediate drawn from `ws`.
-    /// Bit-identical to the allocating path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the attention and MLP sub-layers.
-    #[allow(clippy::too_many_arguments)] // mirrors the attention-forward plumbing: ctx + engine + hook
-    pub fn forward_batch_ws(
-        &self,
-        mut x: MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        cache: &mut BatchedLayerCache,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let mut run = |x: &mut MatF32, ws: &mut Workspace, sequence: &mut usize| -> Result<()> {
-            let mut attn_in = ws.take_mat_f32(x.rows(), x.cols());
-            self.norm1.forward_into(x, &mut attn_in);
-            let attn_out = self.attention.forward_batch_ws(
-                &attn_in, parts, layer, stage, cache, sequence, engine, hook, ws,
-            );
-            ws.recycle_mat_f32(attn_in);
-            let attn_out = attn_out?;
-            let added = x.add_assign(&attn_out);
-            ws.recycle_mat_f32(attn_out);
-            added?;
-
-            let mut mlp_in = ws.take_mat_f32(x.rows(), x.cols());
-            self.norm2.forward_into(x, &mut mlp_in);
-            let mlp_out = self
-                .mlp
-                .forward_batch_ws(&mlp_in, parts, layer, stage, sequence, engine, hook, ws);
-            ws.recycle_mat_f32(mlp_in);
-            let mlp_out = mlp_out?;
-            let added = x.add_assign(&mlp_out);
-            ws.recycle_mat_f32(mlp_out);
-            added?;
-            Ok(())
-        };
-        match run(&mut x, ws, sequence) {
-            Ok(()) => Ok(x),
-            Err(e) => {
-                ws.recycle_mat_f32(x);
+                pass.ws.recycle_mat_f32(x);
                 Err(e)
             }
         }
@@ -286,10 +153,20 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{NoopHook, RecordingHook};
-    use crate::Component;
-    use realm_tensor::rng;
-    use realm_tensor::ReferenceEngine;
+    use crate::hooks::{GemmHook, NoopHook, RecordingHook};
+    use crate::kv_cache::KvCache;
+    use crate::{Component, Stage};
+    use realm_tensor::{rng, ReferenceEngine, Workspace};
+
+    /// `block(x)` as layer 0 of a fresh solo prefill pass on the oracle backend.
+    fn forward(block: &TransformerBlock, x: &MatF32, hook: &mut dyn GemmHook) -> MatF32 {
+        let attn = block.attention();
+        let mut cache = KvCache::new(1, attn.num_heads(), attn.head_dim(), 0);
+        let mut kv = KvTarget::Solo(&mut cache);
+        let (stage, origin, mut ws) = (Stage::Prefill, kv.shared_origin(), Workspace::new());
+        let mut pass = ForwardPass::new(stage, origin, &ReferenceEngine, hook, &mut ws);
+        block.forward(x.clone(), 0, &mut kv, &mut pass).unwrap()
+    }
 
     #[test]
     fn block_preserves_shape_for_both_architectures() {
@@ -297,19 +174,7 @@ mod tests {
             let mut r = rng::seeded(6);
             let block = TransformerBlock::new(&config, &mut r);
             let x = rng::gaussian_matrix(&mut r, 4, config.hidden_size, 0.0, 1.0);
-            let mut cache = LayerCache::new(0, config.num_heads, config.head_dim(), 0);
-            let mut seq = 0;
-            let y = block
-                .forward(
-                    &x,
-                    0,
-                    Stage::Prefill,
-                    &mut cache,
-                    &mut seq,
-                    &ReferenceEngine,
-                    &mut NoopHook,
-                )
-                .unwrap();
+            let y = forward(&block, &x, &mut NoopHook);
             assert_eq!(y.shape(), x.shape(), "{}", config.name);
             assert!(y.iter().all(|v| v.is_finite()));
         }
@@ -321,20 +186,8 @@ mod tests {
         let mut r = rng::seeded(6);
         let block = TransformerBlock::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 2, config.hidden_size, 0.0, 1.0);
-        let mut cache = LayerCache::new(0, config.num_heads, config.head_dim(), 0);
-        let mut seq = 0;
         let mut rec = RecordingHook::new();
-        block
-            .forward(
-                &x,
-                0,
-                Stage::Prefill,
-                &mut cache,
-                &mut seq,
-                &ReferenceEngine,
-                &mut rec,
-            )
-            .unwrap();
+        forward(&block, &x, &mut rec);
         assert_eq!(rec.count_for(Component::Down), 1);
         assert_eq!(rec.count_for(Component::Fc2), 0);
     }
@@ -348,19 +201,7 @@ mod tests {
         let mut r = rng::seeded(12);
         let block = TransformerBlock::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 3, config.hidden_size, 0.0, 1.0);
-        let mut cache = LayerCache::new(0, config.num_heads, config.head_dim(), 0);
-        let mut seq = 0;
-        let y = block
-            .forward(
-                &x,
-                0,
-                Stage::Prefill,
-                &mut cache,
-                &mut seq,
-                &ReferenceEngine,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let y = forward(&block, &x, &mut NoopHook);
         let relative_change =
             y.distance(&x).unwrap() / x.distance(&MatF32::zeros(3, config.hidden_size)).unwrap();
         assert!(

@@ -22,11 +22,18 @@
 //! and at least one code on the ±127 rail (the robust p99 scale saturates everything at or
 //! above the percentile), so the per-row abs-max quantizer run at append recovers the codes
 //! exactly: nothing is quantized twice. Rows are appended in place and never rewritten,
-//! widened or moved afterwards; cache-to-cache transfers ([`LayerCache::copy_from`]) copy
-//! codes and scales verbatim.
+//! widened or moved afterwards.
+//!
+//! # Solo or batched: the [`KvTarget`]
+//!
+//! A forward pass is told where its new K/V rows go — one sequence's [`KvCache`], or the
+//! slots of a [`BatchedKvCache`] under a [`RowPartition`] — and that one argument is the
+//! whole difference between a solo and a batched forward (see [`KvTarget`]).
 
+use crate::batch::BatchedKvCache;
+use crate::hooks::GemmOrigin;
 use crate::{LlmError, Result};
-use realm_tensor::{MatF32, MatI8, QuantParams};
+use realm_tensor::{MatF32, MatI8, QuantParams, RowPartition};
 use std::ops::Range;
 
 /// One sequence's cached keys and values at one Transformer layer: per-head INT8 codes
@@ -166,37 +173,6 @@ impl LayerCache {
         self.key_scales.clear();
         self.value_scales.clear();
     }
-
-    /// Replaces this cache's rows with a verbatim copy of `source`'s codes and scales —
-    /// the cache-to-cache transfer behind slot admission, which never round-trips
-    /// through f32.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming this cache's layer index if the head geometry differs.
-    pub fn copy_from(&mut self, source: &LayerCache) -> Result<()> {
-        if source.num_heads() != self.num_heads() || source.head_dim != self.head_dim {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "KV cache at layer {}: cannot copy {} heads of width {} into {} heads of \
-                     width {}",
-                    self.layer,
-                    source.num_heads(),
-                    source.head_dim,
-                    self.num_heads(),
-                    self.head_dim
-                ),
-            });
-        }
-        let pairs = self.keys.iter_mut().zip(&source.keys);
-        for (dst, src) in pairs.chain(self.values.iter_mut().zip(&source.values)) {
-            dst.resize_overwrite(src.rows(), src.cols());
-            dst.as_mut_slice().copy_from_slice(src.as_slice());
-        }
-        self.key_scales.clone_from(&source.key_scales);
-        self.value_scales.clone_from(&source.value_scales);
-        Ok(())
-    }
 }
 
 /// Quantizes rows `rows` of `x` per token row and appends the codes to the per-head
@@ -231,8 +207,7 @@ impl KvCache {
     /// Creates an empty cache for a model with `num_layers` layers of `num_heads` heads of
     /// `head_dim` channels, each layer reserving storage for `capacity_rows` token
     /// positions (see [`LayerCache::new`]). The model passes its context window here so
-    /// steady-state decode never re-allocates the cache; short-lived admission caches
-    /// pass 0.
+    /// steady-state decode never re-allocates the cache.
     pub fn new(num_layers: usize, num_heads: usize, head_dim: usize, capacity_rows: usize) -> Self {
         Self {
             layers: (0..num_layers)
@@ -267,6 +242,73 @@ impl KvCache {
     /// Panics if `layer` is out of range.
     pub fn layer_mut(&mut self, layer: usize) -> &mut LayerCache {
         &mut self.layers[layer]
+    }
+}
+
+/// Where a forward pass appends its new K/V rows and which store each query row group
+/// attends over — and thereby whether the pass is a solo or a batched one. This is the only
+/// thing the two differ in:
+///
+/// | target | shared GEMMs (`Q`/`K`/`V`/`O`, MLP) | `QKᵀ` / `SV` | partition |
+/// |---|---|---|---|
+/// | `Solo` | [`GemmOrigin::Sequence`]`(0)` | `Sequence(0)` | none announced |
+/// | `Batch` | [`GemmOrigin::BatchedRows`] | `Sequence(slot)` per non-empty group | one `on_batch_begin` per forward |
+///
+/// Every number is the same either way (per-row quantization, per-token-row KV scales), so
+/// a batch of one is the solo path with a different attribution tag.
+#[derive(Debug)]
+pub enum KvTarget<'a> {
+    /// One sequence's cache: every row of the pass belongs to it.
+    Solo(&'a mut KvCache),
+    /// The slots of a batched cache: group `g` of the partition holds slot `g`'s rows
+    /// (empty groups — idle or completed slots — are untouched).
+    Batch(&'a mut BatchedKvCache, &'a RowPartition),
+}
+
+impl KvTarget<'_> {
+    /// Number of layers the target's cache covers.
+    pub(crate) fn num_layers(&self) -> usize {
+        match self {
+            KvTarget::Solo(cache) => cache.num_layers(),
+            KvTarget::Batch(cache, _) => cache.num_layers(),
+        }
+    }
+
+    /// The origin tag of the pass's shared GEMMs — what [`ForwardPass::new`] is given.
+    ///
+    /// [`ForwardPass::new`]: crate::quantized::ForwardPass::new
+    pub fn shared_origin(&self) -> GemmOrigin {
+        match self {
+            KvTarget::Solo(_) => GemmOrigin::Sequence(0),
+            KvTarget::Batch(..) => GemmOrigin::BatchedRows,
+        }
+    }
+
+    /// Appends the pass's new `keys`/`values` rows at `layer`.
+    pub(crate) fn append(&mut self, layer: usize, keys: &MatF32, values: &MatF32) -> Result<()> {
+        match self {
+            KvTarget::Solo(cache) => cache.layer_mut(layer).append(keys, values),
+            KvTarget::Batch(cache, parts) => {
+                cache.layer_mut(layer).append_batch(keys, values, parts)
+            }
+        }
+    }
+
+    /// Number of query row groups (sequences) of the pass.
+    pub(crate) fn num_groups(&self) -> usize {
+        match self {
+            KvTarget::Solo(_) => 1,
+            KvTarget::Batch(cache, _) => cache.batch_size(),
+        }
+    }
+
+    /// Group `g`'s query rows (of `rows` stacked rows) and the store they attend over at
+    /// `layer`.
+    pub(crate) fn group(&self, layer: usize, g: usize, rows: usize) -> (Range<usize>, &LayerCache) {
+        match self {
+            KvTarget::Solo(cache) => (0..rows, cache.layer(layer)),
+            KvTarget::Batch(cache, parts) => (parts.range(g), cache.layer(layer).slot(g)),
+        }
     }
 }
 
@@ -336,19 +378,47 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_copy_from_keep_codes_and_scales_exact() {
-        let mut a = LayerCache::new(1, 2, 4, 16);
+    fn a_cleared_cache_refills_to_exactly_its_new_rows() {
         let k = MatF32::from_fn(3, 8, |r, c| (r as f32 - 1.0) * 0.3 + c as f32);
-        a.append(&k, &k.scale(2.0)).unwrap();
-        let mut b = LayerCache::new(1, 2, 4, 0);
-        b.append(&MatF32::filled(5, 8, 9.0), &MatF32::filled(5, 8, 9.0))
+        let mut fresh = LayerCache::new(1, 2, 4, 16);
+        fresh.append(&k, &k.scale(2.0)).unwrap();
+        let mut reused = LayerCache::new(1, 2, 4, 0);
+        reused
+            .append(&MatF32::filled(5, 8, 9.0), &MatF32::filled(5, 8, 9.0))
             .unwrap();
-        b.copy_from(&a).unwrap();
-        assert_eq!(a, b);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.value_codes(1).shape(), (0, 4));
-        assert!(b.copy_from(&LayerCache::new(1, 4, 2, 0)).is_err());
+        reused.clear();
+        assert!(reused.is_empty());
+        assert_eq!(reused.value_codes(1).shape(), (0, 4));
+        reused.append(&k, &k.scale(2.0)).unwrap();
+        assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn target_routes_rows_to_the_solo_cache_or_the_partitioned_slots() {
+        let rows = MatF32::from_fn(3, 8, |r, c| (r * 8 + c) as f32 - 11.5);
+        let mut solo = KvCache::new(2, 2, 4, 0);
+        let mut target = KvTarget::Solo(&mut solo);
+        assert_eq!((target.num_layers(), target.num_groups()), (2, 1));
+        assert_eq!(target.shared_origin(), GemmOrigin::Sequence(0));
+        target.append(1, &rows, &rows).unwrap();
+        let (range, store) = target.group(1, 0, 3);
+        assert_eq!((range, store.len()), (0..3, 3));
+        assert_eq!(solo.layer(0).len(), 0, "only the addressed layer grows");
+
+        let mut batch = BatchedKvCache::new(2, 3, 2, 4);
+        let parts = RowPartition::from_lens(&[2, 0, 1]);
+        let mut target = KvTarget::Batch(&mut batch, &parts);
+        assert_eq!((target.num_layers(), target.num_groups()), (2, 3));
+        assert_eq!(target.shared_origin(), GemmOrigin::BatchedRows);
+        target.append(1, &rows, &rows).unwrap();
+        for (g, rows_of_g) in [(0, 0..2), (1, 2..2), (2, 2..3)] {
+            let (range, store) = target.group(1, g, 3);
+            assert_eq!((range.clone(), store.len()), (rows_of_g, range.len()));
+        }
+        assert_eq!(
+            batch.layer(1).slot(2).key_codes(0).row(0),
+            solo.layer(1).key_codes(0).row(2)
+        );
     }
 
     #[test]

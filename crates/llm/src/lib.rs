@@ -17,6 +17,17 @@
 //! (`realm-inject`) and the ABFT protectors (`realm-abft`, via `realm-core`) are both just
 //! hooks.
 //!
+//! There is **one forward path**. Every layer — [`quantized::QuantLinear`], the MLPs,
+//! [`attention::MultiHeadAttention`], [`block::TransformerBlock`] — has a single
+//! workspace-drawing `forward` taking the per-pass [`quantized::ForwardPass`] (stage, engine,
+//! hook, workspace, GEMM counter); [`Model`]'s public `prefill*`/`decode_step*` entry points
+//! each validate their window and call one private routine. Solo versus batched is not a
+//! second copy of anything: it is the [`KvTarget`] handed to that routine — one sequence's
+//! [`kv_cache::KvCache`], or the slots of a [`BatchedKvCache`] under a row partition — which
+//! decides where K/V rows land, how the shared GEMMs are tagged for attribution
+//! ([`GemmOrigin`]) and whether a partition is announced to the hooks. The numbers are the
+//! same either way.
+//!
 //! Model weights are synthetic (see [`weights`]): there is no pretrained checkpoint, but the
 //! generator reproduces the statistical structure — a near-zero bulk plus a few large outlier
 //! channels — that the paper identifies as the root cause of the sensitivity of
@@ -62,6 +73,7 @@ pub use component::{Component, Stage};
 pub use config::{Architecture, ModelConfig};
 pub use error::LlmError;
 pub use hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook};
+pub use kv_cache::KvTarget;
 pub use model::Model;
 
 /// Crate-wide result alias.

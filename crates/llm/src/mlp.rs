@@ -6,14 +6,13 @@
 //! MLP components in the paper's characterization.
 
 use crate::activation::{relu_in_place, silu_in_place};
-use crate::component::{Component, Stage};
+use crate::component::Component;
 use crate::config::ModelConfig;
-use crate::hooks::{GemmContext, GemmHook};
-use crate::quantized::{OutputMode, QuantLinear};
+use crate::quantized::{ForwardPass, OutputMode, QuantLinear};
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{GemmEngine, MatF32, RowPartition, Workspace};
+use realm_tensor::MatF32;
 
 /// OPT-style MLP: `FC2(ReLU(FC1(x)))`.
 #[derive(Debug, Clone)]
@@ -37,13 +36,6 @@ impl OptMlp {
         }
     }
 
-    /// Routes this MLP's projection GEMMs through the packed (default) or unpacked
-    /// weight path — see [`QuantLinear::set_packing`].
-    pub fn set_weight_packing(&mut self, enabled: bool) {
-        self.fc1.set_packing(enabled);
-        self.fc2.set_packing(enabled);
-    }
-
     /// Shards (or, with `None`, un-shards) both projection weights over a tensor-parallel
     /// rank group — see [`QuantLinear::set_tensor_parallel`].
     pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
@@ -51,104 +43,19 @@ impl OptMlp {
         self.fc2.set_tensor_parallel(group);
     }
 
-    /// Runs the MLP over `x` of shape `(tokens, hidden)`.
+    /// Runs the MLP over `x` of shape `(tokens, hidden)` — one sequence's rows or a whole
+    /// batch's, stacked — as layer `layer` of `pass`: one GEMM per component, the hidden
+    /// activations rectified in place and recycled after the second projection. The
+    /// returned matrix is workspace-pooled.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying GEMMs.
-    pub fn forward(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_ws(x, layer, stage, sequence, engine, hook, &mut ws)
-    }
-
-    /// [`OptMlp::forward`] drawing every intermediate from `ws`: the hidden activations
-    /// are rectified in place and recycled after the second projection. The returned
-    /// matrix is workspace-pooled; output is bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_ws(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let ctx1 = GemmContext::new(Component::Fc1, layer, stage, *sequence);
-        *sequence += 1;
-        let mut hidden = self.fc1.forward_ws(x, engine, &ctx1, hook, ws)?;
+    pub fn forward(&self, x: &MatF32, layer: usize, pass: &mut ForwardPass<'_>) -> Result<MatF32> {
+        let mut hidden = self.fc1.forward(x, Component::Fc1, layer, pass)?;
         relu_in_place(&mut hidden);
-        let ctx2 = GemmContext::new(Component::Fc2, layer, stage, *sequence);
-        *sequence += 1;
-        let out = self.fc2.forward_ws(&hidden, engine, &ctx2, hook, ws);
-        ws.recycle_mat_f32(hidden);
-        out
-    }
-
-    /// Runs the MLP over a batch-stacked `x` (rows grouped by `parts`): one shared GEMM per
-    /// component, per-group quantization, ReLU applied elementwise in between.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_batch_ws(x, parts, layer, stage, sequence, engine, hook, &mut ws)
-    }
-
-    /// [`OptMlp::forward_batch`] drawing every intermediate from `ws` (workspace-pooled
-    /// result, bit-identical output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch_ws(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let ctx1 = GemmContext::new(Component::Fc1, layer, stage, *sequence).batched();
-        *sequence += 1;
-        let mut hidden = self
-            .fc1
-            .forward_batched_ws(x, parts, engine, &ctx1, hook, ws)?;
-        relu_in_place(&mut hidden);
-        let ctx2 = GemmContext::new(Component::Fc2, layer, stage, *sequence).batched();
-        *sequence += 1;
-        let out = self
-            .fc2
-            .forward_batched_ws(&hidden, parts, engine, &ctx2, hook, ws);
-        ws.recycle_mat_f32(hidden);
+        let out = self.fc2.forward(&hidden, Component::Fc2, layer, pass);
+        pass.ws.recycle_mat_f32(hidden);
         out
     }
 }
@@ -180,14 +87,6 @@ impl LlamaMlp {
         }
     }
 
-    /// Routes this MLP's projection GEMMs through the packed (default) or unpacked
-    /// weight path — see [`QuantLinear::set_packing`].
-    pub fn set_weight_packing(&mut self, enabled: bool) {
-        self.gate.set_packing(enabled);
-        self.up.set_packing(enabled);
-        self.down.set_packing(enabled);
-    }
-
     /// Shards (or, with `None`, un-shards) the three projection weights over a
     /// tensor-parallel rank group — see [`QuantLinear::set_tensor_parallel`].
     pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
@@ -196,137 +95,27 @@ impl LlamaMlp {
         self.down.set_tensor_parallel(group);
     }
 
-    /// Runs the gated MLP over `x` of shape `(tokens, hidden)`.
+    /// Runs the gated MLP over `x` of shape `(tokens, hidden)` — one sequence's rows or a
+    /// whole batch's, stacked — as layer `layer` of `pass`: one GEMM per component, the gate
+    /// activations SiLU'd and multiplied by the up projection in place. The returned matrix
+    /// is workspace-pooled.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying GEMMs.
-    pub fn forward(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_ws(x, layer, stage, sequence, engine, hook, &mut ws)
-    }
-
-    /// [`LlamaMlp::forward`] drawing every intermediate from `ws`: the gate activations
-    /// are SiLU'd and multiplied by the up projection in place. The returned matrix is
-    /// workspace-pooled; output is bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_ws(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let ctx_gate = GemmContext::new(Component::Gate, layer, stage, *sequence);
-        *sequence += 1;
-        let mut gate_out = self.gate.forward_ws(x, engine, &ctx_gate, hook, ws)?;
-        let ctx_up = GemmContext::new(Component::Up, layer, stage, *sequence);
-        *sequence += 1;
-        let up_out = match self.up.forward_ws(x, engine, &ctx_up, hook, ws) {
-            Ok(up_out) => up_out,
-            Err(e) => {
-                ws.recycle_mat_f32(gate_out);
-                return Err(e);
-            }
-        };
-        silu_in_place(&mut gate_out);
-        let gated = gate_out.hadamard_assign(&up_out);
-        ws.recycle_mat_f32(up_out);
-        if let Err(e) = gated {
-            ws.recycle_mat_f32(gate_out);
-            return Err(e.into());
-        }
-        let ctx_down = GemmContext::new(Component::Down, layer, stage, *sequence);
-        *sequence += 1;
-        let out = self.down.forward_ws(&gate_out, engine, &ctx_down, hook, ws);
-        ws.recycle_mat_f32(gate_out);
-        out
-    }
-
-    /// Runs the gated MLP over a batch-stacked `x` (rows grouped by `parts`): one shared
-    /// GEMM per component, per-group quantization, SiLU gating elementwise in between.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        let mut ws = Workspace::new();
-        self.forward_batch_ws(x, parts, layer, stage, sequence, engine, hook, &mut ws)
-    }
-
-    /// [`LlamaMlp::forward_batch`] drawing every intermediate from `ws` (workspace-pooled
-    /// result, bit-identical output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch_ws(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let ctx_gate = GemmContext::new(Component::Gate, layer, stage, *sequence).batched();
-        *sequence += 1;
-        let mut gate_out = self
-            .gate
-            .forward_batched_ws(x, parts, engine, &ctx_gate, hook, ws)?;
-        let ctx_up = GemmContext::new(Component::Up, layer, stage, *sequence).batched();
-        *sequence += 1;
-        let up_out = match self
+    pub fn forward(&self, x: &MatF32, layer: usize, pass: &mut ForwardPass<'_>) -> Result<MatF32> {
+        let mut gate_out = self.gate.forward(x, Component::Gate, layer, pass)?;
+        let gated = self
             .up
-            .forward_batched_ws(x, parts, engine, &ctx_up, hook, ws)
-        {
-            Ok(up_out) => up_out,
-            Err(e) => {
-                ws.recycle_mat_f32(gate_out);
-                return Err(e);
-            }
-        };
-        silu_in_place(&mut gate_out);
-        let gated = gate_out.hadamard_assign(&up_out);
-        ws.recycle_mat_f32(up_out);
-        if let Err(e) = gated {
-            ws.recycle_mat_f32(gate_out);
-            return Err(e.into());
-        }
-        let ctx_down = GemmContext::new(Component::Down, layer, stage, *sequence).batched();
-        *sequence += 1;
-        let out = self
-            .down
-            .forward_batched_ws(&gate_out, parts, engine, &ctx_down, hook, ws);
-        ws.recycle_mat_f32(gate_out);
+            .forward(x, Component::Up, layer, pass)
+            .and_then(|up_out| {
+                silu_in_place(&mut gate_out);
+                let gated = gate_out.hadamard_assign(&up_out);
+                pass.ws.recycle_mat_f32(up_out);
+                Ok(gated?)
+            });
+        let out = gated.and_then(|()| self.down.forward(&gate_out, Component::Down, layer, pass));
+        pass.ws.recycle_mat_f32(gate_out);
         out
     }
 }
@@ -349,15 +138,6 @@ impl Mlp {
         }
     }
 
-    /// Routes the MLP's projection GEMMs through the packed (default) or unpacked
-    /// weight path — see [`QuantLinear::set_packing`].
-    pub fn set_weight_packing(&mut self, enabled: bool) {
-        match self {
-            Mlp::Opt(m) => m.set_weight_packing(enabled),
-            Mlp::Llama(m) => m.set_weight_packing(enabled),
-        }
-    }
-
     /// Shards (or, with `None`, un-shards) the MLP's projection weights over a
     /// tensor-parallel rank group — see [`QuantLinear::set_tensor_parallel`].
     pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
@@ -367,92 +147,16 @@ impl Mlp {
         }
     }
 
-    /// Runs the MLP over `x` of shape `(tokens, hidden)`.
+    /// Runs the MLP over `x` of shape `(tokens, hidden)` as layer `layer` of `pass`
+    /// (workspace-pooled result).
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying GEMMs.
-    pub fn forward(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
+    pub fn forward(&self, x: &MatF32, layer: usize, pass: &mut ForwardPass<'_>) -> Result<MatF32> {
         match self {
-            Mlp::Opt(m) => m.forward(x, layer, stage, sequence, engine, hook),
-            Mlp::Llama(m) => m.forward(x, layer, stage, sequence, engine, hook),
-        }
-    }
-
-    /// [`Mlp::forward`] drawing every intermediate from `ws` (workspace-pooled result,
-    /// bit-identical output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_ws(
-        &self,
-        x: &MatF32,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        match self {
-            Mlp::Opt(m) => m.forward_ws(x, layer, stage, sequence, engine, hook, ws),
-            Mlp::Llama(m) => m.forward_ws(x, layer, stage, sequence, engine, hook, ws),
-        }
-    }
-
-    /// Runs the MLP over a batch-stacked `x` whose rows are grouped by `parts`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-    ) -> Result<MatF32> {
-        match self {
-            Mlp::Opt(m) => m.forward_batch(x, parts, layer, stage, sequence, engine, hook),
-            Mlp::Llama(m) => m.forward_batch(x, parts, layer, stage, sequence, engine, hook),
-        }
-    }
-
-    /// [`Mlp::forward_batch`] drawing every intermediate from `ws` (workspace-pooled
-    /// result, bit-identical output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying GEMMs.
-    #[allow(clippy::too_many_arguments)] // mirrors the block-forward plumbing: ctx + engine + hook
-    pub fn forward_batch_ws(
-        &self,
-        x: &MatF32,
-        parts: &RowPartition,
-        layer: usize,
-        stage: Stage,
-        sequence: &mut usize,
-        engine: &dyn GemmEngine,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        match self {
-            Mlp::Opt(m) => m.forward_batch_ws(x, parts, layer, stage, sequence, engine, hook, ws),
-            Mlp::Llama(m) => m.forward_batch_ws(x, parts, layer, stage, sequence, engine, hook, ws),
+            Mlp::Opt(m) => m.forward(x, layer, pass),
+            Mlp::Llama(m) => m.forward(x, layer, pass),
         }
     }
 }
@@ -460,9 +164,23 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{NoopHook, RecordingHook};
-    use realm_tensor::rng;
-    use realm_tensor::ReferenceEngine;
+    use crate::component::Stage;
+    use crate::hooks::{GemmHook, GemmOrigin, NoopHook, RecordingHook};
+    use realm_tensor::{rng, ReferenceEngine, Workspace};
+
+    /// `mlp(x)` as layer `layer` of a fresh solo pass in `stage` on the oracle backend.
+    fn run(
+        mlp: impl Fn(&MatF32, usize, &mut ForwardPass<'_>) -> Result<MatF32>,
+        x: &MatF32,
+        layer: usize,
+        stage: Stage,
+        hook: &mut dyn GemmHook,
+    ) -> MatF32 {
+        let mut ws = Workspace::new();
+        let origin = GemmOrigin::default();
+        let mut pass = ForwardPass::new(stage, origin, &ReferenceEngine, hook, &mut ws);
+        mlp(x, layer, &mut pass).unwrap()
+    }
 
     #[test]
     fn opt_mlp_preserves_shape_and_reports_components() {
@@ -470,15 +188,17 @@ mod tests {
         let mut r = rng::seeded(2);
         let mlp = OptMlp::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 3, config.hidden_size, 0.0, 1.0);
-        let mut seq = 10;
         let mut rec = RecordingHook::new();
-        let y = mlp
-            .forward(&x, 1, Stage::Prefill, &mut seq, &ReferenceEngine, &mut rec)
-            .unwrap();
+        let y = run(
+            |x, l, p| mlp.forward(x, l, p),
+            &x,
+            1,
+            Stage::Prefill,
+            &mut rec,
+        );
         assert_eq!(y.shape(), (3, config.hidden_size));
-        assert_eq!(rec.count_for(Component::Fc1), 1);
-        assert_eq!(rec.count_for(Component::Fc2), 1);
-        assert_eq!(seq, 12);
+        let seen: Vec<_> = rec.calls.iter().map(|c| (c.component, c.layer)).collect();
+        assert_eq!(seen, [(Component::Fc1, 1), (Component::Fc2, 1)]);
     }
 
     #[test]
@@ -487,11 +207,14 @@ mod tests {
         let mut r = rng::seeded(2);
         let mlp = LlamaMlp::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 4, config.hidden_size, 0.0, 1.0);
-        let mut seq = 0;
         let mut rec = RecordingHook::new();
-        let y = mlp
-            .forward(&x, 0, Stage::Decode, &mut seq, &ReferenceEngine, &mut rec)
-            .unwrap();
+        let y = run(
+            |x, l, p| mlp.forward(x, l, p),
+            &x,
+            0,
+            Stage::Decode,
+            &mut rec,
+        );
         assert_eq!(y.shape(), (4, config.hidden_size));
         assert_eq!(rec.count_for(Component::Gate), 1);
         assert_eq!(rec.count_for(Component::Up), 1);
@@ -519,17 +242,13 @@ mod tests {
         let mut r = rng::seeded(8);
         let mlp = Mlp::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 2, config.hidden_size, 0.0, 1.0);
-        let mut seq = 0;
-        let y = mlp
-            .forward(
-                &x,
-                0,
-                Stage::Prefill,
-                &mut seq,
-                &ReferenceEngine,
-                &mut NoopHook,
-            )
-            .unwrap();
+        let y = run(
+            |x, l, p| mlp.forward(x, l, p),
+            &x,
+            0,
+            Stage::Prefill,
+            &mut NoopHook,
+        );
         assert!(y.iter().all(|v| v.is_finite()));
         assert!(y.abs_max() < x.abs_max() * 5.0);
     }

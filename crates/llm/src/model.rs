@@ -4,22 +4,40 @@
 //!
 //! * [`Model::prefill`] consumes the whole prompt at once (batched GEMMs on the systolic
 //!   array) and populates the KV cache;
-//! * [`Model::decode_step`] produces one token at a time, reusing the KV cache (mostly GEMV
-//!   work in hardware, but numerically identical here).
+//! * [`Model::decode_step_ws`] produces one token at a time, reusing the KV cache (mostly
+//!   GEMV work in hardware, but numerically identical here).
 //!
-//! Both paths execute every quantized GEMM through the hook interface so that error
-//! injection and ABFT protection see exactly the same computation.
+//! # One forward, seven entry points
+//!
+//! Every entry point validates its window and calls the one private forward routine (embed
+//! → blocks → final norm → LM head) with a [`Stage`] and a [`KvTarget`]; the target alone
+//! decides solo or batched (origin tags, partition announcement — see [`KvTarget`]). Every
+//! quantized GEMM runs through the hook interface, so error injection and ABFT protection
+//! see exactly the same computation whichever entry point issued it.
+//!
+//! | entry point | target | validates |
+//! |---|---|---|
+//! | [`Model::prefill`], [`Model::prefill_ws`] | `Solo`, fresh cache, window `0..len` | as `prefill_chunk_ws` |
+//! | [`Model::prefill_chunk_ws`] | `Solo` | prompt ≤ context, window non-empty and inside the prompt, resident length = window start |
+//! | [`Model::decode_step_ws`] | `Solo` | room for one more token |
+//! | [`Model::prefill_batch`] | `Batch`, fresh cache, one whole-prompt chunk per slot | as `prefill_chunks_batch_ws` |
+//! | [`Model::prefill_chunks_batch_ws`] | `Batch` | non-empty chunk list, slot in range and named once, then each window as above |
+//! | [`Model::decode_step_batch_ws`] | `Batch` | one token slot per cache slot, room in every active slot |
+//!
+//! The forward routine itself checks the cache's layer count and the token ids.
 
 use crate::batch::{BatchRequest, BatchScheduler, BatchedKvCache};
 use crate::block::{Norm, TransformerBlock};
 use crate::component::Stage;
 use crate::config::ModelConfig;
 use crate::hooks::GemmHook;
-use crate::kv_cache::KvCache;
+use crate::kv_cache::{KvCache, KvTarget};
+use crate::quantized::ForwardPass;
 use crate::weights::{self, Embedding, SyntheticLanguage};
 use crate::{LlmError, Result};
 use realm_tensor::rng;
 use realm_tensor::{gemm, GemmEngine, MatF32, RowPartition, TpGroup, TpShardStats, Workspace};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default temperature applied to the synthetic model's logits.
@@ -50,6 +68,17 @@ pub struct PrefillChunk<'a> {
     pub range: std::ops::Range<usize>,
     /// The batched-cache slot the chunk's KV rows append to.
     pub slot: usize,
+}
+
+impl<'a> PrefillChunk<'a> {
+    /// The chunk that prefills all of `prompt` into the (empty) slot `slot`.
+    pub fn whole(prompt: &'a [u32], slot: usize) -> Self {
+        Self {
+            prompt,
+            range: 0..prompt.len(),
+            slot,
+        }
+    }
 }
 
 /// A synthetic quantized LLM.
@@ -151,16 +180,6 @@ impl Model {
         self.tp.as_ref().map_or_else(Vec::new, |g| g.shard_stats())
     }
 
-    /// Routes every static-weight GEMM in the model through the packed (default) or
-    /// unpacked weight path. Both paths are bit-identical on every backend; the switch
-    /// exists for the packed-vs-unpacked decode benchmarks and differential tests (the
-    /// `lm_head` stays in f32 and is unaffected).
-    pub fn set_weight_packing(&mut self, enabled: bool) {
-        for block in &mut self.blocks {
-            block.set_weight_packing(enabled);
-        }
-    }
-
     /// The model configuration.
     pub fn config(&self) -> &ModelConfig {
         &self.config
@@ -208,28 +227,13 @@ impl Model {
     /// Returns [`LlmError::TokenOutOfRange`] if any token exceeds the vocabulary and
     /// [`LlmError::InvalidSequence`] if the sequence is empty.
     pub fn embed(&self, tokens: &[u32]) -> Result<MatF32> {
-        if tokens.is_empty() {
-            return Err(LlmError::InvalidSequence {
-                detail: "cannot embed an empty token sequence".into(),
-            });
-        }
-        for &t in tokens {
-            if t as usize >= self.config.vocab_size {
-                return Err(LlmError::TokenOutOfRange {
-                    token: t,
-                    vocab: self.config.vocab_size,
-                });
-            }
-        }
-        Ok(MatF32::from_fn(
-            tokens.len(),
-            self.config.hidden_size,
-            |r, c| self.embedding.table[(tokens[r] as usize, c)],
-        ))
+        let mut out = MatF32::zeros(0, 0);
+        self.embed_into(tokens, &mut out)?;
+        Ok(out)
     }
 
     /// [`Model::embed`] into caller-provided (typically workspace-pooled) storage,
-    /// reshaped in place with identical values.
+    /// reshaped in place.
     ///
     /// # Errors
     ///
@@ -256,62 +260,47 @@ impl Model {
         Ok(())
     }
 
-    fn run_blocks_ws(
+    /// The one forward pass behind every entry point: embeds `tokens` (one row each), runs
+    /// them through every block against `kv`, and returns one workspace-pooled logits row
+    /// per token (final norm, LM head, temperature).
+    ///
+    /// `kv` alone decides solo or batched: a [`KvTarget::Batch`] announces its partition to
+    /// the hook (once, before any GEMM) and tags the shared GEMMs
+    /// [`BatchedRows`](crate::GemmOrigin::BatchedRows); a [`KvTarget::Solo`] announces
+    /// nothing and tags everything `Sequence(0)`. With a batch target `tokens` stacks each
+    /// slot's tokens in partition order.
+    fn forward(
         &self,
-        mut x: MatF32,
+        tokens: &[u32],
         stage: Stage,
-        cache: &mut KvCache,
+        mut kv: KvTarget<'_>,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
     ) -> Result<MatF32> {
-        let mut sequence = 0usize;
-        for (layer, block) in self.blocks.iter().enumerate() {
-            x = block.forward_ws(
-                x,
-                layer,
-                stage,
-                cache.layer_mut(layer),
-                &mut sequence,
-                self.engine.as_ref(),
-                hook,
-                ws,
-            )?;
+        if kv.num_layers() != self.blocks.len() {
+            return Err(invalid(format!(
+                "the model has {} layers but the KV cache covers {}",
+                self.blocks.len(),
+                kv.num_layers()
+            )));
         }
-        Ok(x)
-    }
-
-    fn run_blocks_batch_ws(
-        &self,
-        mut x: MatF32,
-        parts: &RowPartition,
-        stage: Stage,
-        cache: &mut BatchedKvCache,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let mut sequence = 0usize;
-        for (layer, block) in self.blocks.iter().enumerate() {
-            x = block.forward_batch_ws(
-                x,
-                parts,
-                layer,
-                stage,
-                cache.layer_mut(layer),
-                &mut sequence,
-                self.engine.as_ref(),
-                hook,
-                ws,
-            )?;
+        if let KvTarget::Batch(_, parts) = &kv {
+            hook.on_batch_begin(parts);
         }
-        Ok(x)
-    }
+        let mut x = ws.take_mat_f32(tokens.len(), self.config.hidden_size);
+        if let Err(e) = self.embed_into(tokens, &mut x) {
+            ws.recycle_mat_f32(x);
+            return Err(e);
+        }
+        let engine = self.engine.as_ref();
+        let mut pass = ForwardPass::new(stage, kv.shared_origin(), engine, hook, ws);
+        for (layer, block) in self.blocks.iter().enumerate() {
+            x = block.forward(x, layer, &mut kv, &mut pass)?;
+        }
 
-    /// Final norm, LM head and temperature scaling over an owned (workspace-pooled) hidden
-    /// state; `hidden` is recycled and the returned logits matrix is workspace-pooled.
-    fn logits_from_hidden_ws(&self, hidden: MatF32, ws: &mut Workspace) -> Result<MatF32> {
-        let mut normed = ws.take_mat_f32(hidden.rows(), hidden.cols());
-        self.final_norm.forward_into(&hidden, &mut normed);
-        ws.recycle_mat_f32(hidden);
+        let mut normed = ws.take_mat_f32(x.rows(), x.cols());
+        self.final_norm.forward_into(&x, &mut normed);
+        ws.recycle_mat_f32(x);
         let mut logits = ws.take_mat_f32(normed.rows(), self.lm_head.cols());
         let ran = gemm::gemm_f32_into(&normed, &self.lm_head, &mut logits);
         ws.recycle_mat_f32(normed);
@@ -321,6 +310,39 @@ impl Model {
         }
         logits.scale_in_place(1.0 / self.logit_temperature);
         Ok(logits)
+    }
+
+    /// Checks one prefill window: `prompt` fits the context, `range` is a non-empty window
+    /// of it, and the sequence's `resident` KV rows end exactly where the window starts.
+    fn check_window(&self, prompt: &[u32], range: &Range<usize>, resident: usize) -> Result<()> {
+        let max = self.config.max_seq_len;
+        let (start, end, len) = (range.start, range.end, prompt.len());
+        if len > max {
+            Err(invalid(format!(
+                "prompt of {len} tokens exceeds max_seq_len {max}"
+            )))
+        } else if range.is_empty() || end > len {
+            Err(invalid(format!(
+                "chunk {start}..{end} is empty or exceeds the {len}-token prompt"
+            )))
+        } else if resident != start {
+            Err(invalid(format!(
+                "chunk {start}..{end} needs exactly {start} resident tokens (got {resident})"
+            )))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Checks that a sequence holding `resident` KV rows has room for one more token.
+    fn check_room(&self, resident: usize) -> Result<()> {
+        let max = self.config.max_seq_len;
+        if resident >= max {
+            return Err(invalid(format!(
+                "KV cache already holds {resident} tokens (max_seq_len {max})"
+            )));
+        }
+        Ok(())
     }
 
     /// Runs the prefill stage over a prompt, returning per-position logits and the KV cache.
@@ -333,13 +355,12 @@ impl Model {
     /// Returns an error for empty prompts, out-of-range tokens, prompts longer than the
     /// configured context, or internal shape mismatches.
     pub fn prefill(&self, prompt: &[u32], hook: &mut dyn GemmHook) -> Result<(MatF32, KvCache)> {
-        let mut ws = Workspace::new();
-        self.prefill_ws(prompt, hook, &mut ws)
+        self.prefill_ws(prompt, hook, &mut Workspace::new())
     }
 
-    /// [`Model::prefill`] drawing every intermediate from `ws`. The returned logits matrix
-    /// is workspace-pooled (recycle it once consumed); output is bit-identical to
-    /// [`Model::prefill`].
+    /// [`Model::prefill`] drawing every intermediate from `ws`: the whole prompt as one
+    /// [`Model::prefill_chunk_ws`] window on a fresh [`Model::new_cache`]. The returned
+    /// logits matrix is workspace-pooled (recycle it once consumed).
     ///
     /// # Errors
     ///
@@ -351,59 +372,12 @@ impl Model {
         ws: &mut Workspace,
     ) -> Result<(MatF32, KvCache)> {
         let mut cache = self.new_cache();
-        let logits = self.prefill_ws_into(prompt, hook, ws, &mut cache)?;
+        let logits = self.prefill_chunk_ws(prompt, 0..prompt.len(), hook, ws, &mut cache)?;
         Ok((logits, cache))
     }
 
-    /// [`Model::prefill_ws`] into a caller-provided empty cache.
-    ///
-    /// [`Model::new_cache`] reserves the full context window per layer — right for a
-    /// cache that will live through a decode loop, wasteful for the serving layer's
-    /// admission prefills whose cache is copied into a batch slot and dropped. Those
-    /// paths pass a cache built with `capacity_rows = 0` here and pay exactly the
-    /// prompt-sized storage.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::prefill`], plus an error if `cache` has the wrong
-    /// layer count or already holds rows.
-    pub fn prefill_ws_into(
-        &self,
-        prompt: &[u32],
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-        cache: &mut KvCache,
-    ) -> Result<MatF32> {
-        if prompt.len() > self.config.max_seq_len {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "prompt of {} tokens exceeds max_seq_len {}",
-                    prompt.len(),
-                    self.config.max_seq_len
-                ),
-            });
-        }
-        if cache.num_layers() != self.config.num_layers || cache.seq_len() != 0 {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "prefill needs an empty {}-layer cache (got {} layers, {} cached tokens)",
-                    self.config.num_layers,
-                    cache.num_layers(),
-                    cache.seq_len()
-                ),
-            });
-        }
-        let mut x = ws.take_mat_f32(prompt.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(prompt, &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let hidden = self.run_blocks_ws(x, Stage::Prefill, cache, hook, ws)?;
-        self.logits_from_hidden_ws(hidden, ws)
-    }
-
     /// Runs one prefill **chunk** — the token window `range` of `prompt` — against a
-    /// partially-filled cache, returning the chunk's per-position logits.
+    /// partially-filled cache, returning the chunk's per-position logits (workspace-pooled).
     ///
     /// The cache must hold exactly `range.start` resident tokens (the previously
     /// prefilled prefix). Chunked prefill is **bit-identical** to the monolithic
@@ -413,10 +387,6 @@ impl Model {
     /// number in the forward pass depends on where the chunk boundaries fall
     /// (`tests/chunked_parity.rs`).
     ///
-    /// This is the substrate of the serving layer's budgeted prefill: a long prompt is
-    /// advanced a budget-bounded window at a time between decode steps instead of
-    /// stalling every in-flight request for the whole prompt.
-    ///
     /// # Errors
     ///
     /// Returns an error for an empty or out-of-bounds `range`, out-of-range tokens, a
@@ -425,148 +395,35 @@ impl Model {
     pub fn prefill_chunk_ws(
         &self,
         prompt: &[u32],
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
         cache: &mut KvCache,
     ) -> Result<MatF32> {
-        if prompt.len() > self.config.max_seq_len {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "prompt of {} tokens exceeds max_seq_len {}",
-                    prompt.len(),
-                    self.config.max_seq_len
-                ),
-            });
-        }
-        if range.is_empty() || range.end > prompt.len() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "chunk {}..{} is empty or exceeds the {}-token prompt",
-                    range.start,
-                    range.end,
-                    prompt.len()
-                ),
-            });
-        }
-        if cache.num_layers() != self.config.num_layers || cache.seq_len() != range.start {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "chunk {}..{} needs a {}-layer cache holding exactly {} resident tokens \
-                     (got {} layers, {} tokens)",
-                    range.start,
-                    range.end,
-                    self.config.num_layers,
-                    range.start,
-                    cache.num_layers(),
-                    cache.seq_len()
-                ),
-            });
-        }
-        let mut x = ws.take_mat_f32(range.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(&prompt[range], &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let hidden = self.run_blocks_ws(x, Stage::Prefill, cache, hook, ws)?;
-        self.logits_from_hidden_ws(hidden, ws)
-    }
-
-    /// [`Model::prefill_chunk_ws`] against one **slot** of a batched cache: the chunk's
-    /// rows are announced to the hook as a [`RowPartition`] whose only non-empty group is
-    /// `slot`, so protectors attribute any detection in the chunk's GEMMs to the right
-    /// sequence and apply that sequence's protection scheme — the same machinery the
-    /// lockstep decode step uses, now shared by the serving layer's budgeted admission.
-    ///
-    /// The returned logits matrix (`range.len()` rows) is workspace-pooled; recycle it
-    /// once consumed. Bit-identical to a monolithic solo prefill of the same prompt.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::prefill_chunk_ws`], with the resident length checked
-    /// on `slot` of the batched cache.
-    pub fn prefill_chunk_slot_ws(
-        &self,
-        prompt: &[u32],
-        range: std::ops::Range<usize>,
-        slot: usize,
-        cache: &mut BatchedKvCache,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        if prompt.len() > self.config.max_seq_len {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "prompt of {} tokens exceeds max_seq_len {}",
-                    prompt.len(),
-                    self.config.max_seq_len
-                ),
-            });
-        }
-        if range.is_empty() || range.end > prompt.len() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "chunk {}..{} is empty or exceeds the {}-token prompt",
-                    range.start,
-                    range.end,
-                    prompt.len()
-                ),
-            });
-        }
-        if slot >= cache.batch_size() || cache.num_layers() != self.config.num_layers {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "chunk targets slot {slot} of a {}-slot, {}-layer batched cache \
-                     (model has {} layers)",
-                    cache.batch_size(),
-                    cache.num_layers(),
-                    self.config.num_layers
-                ),
-            });
-        }
-        if cache.seq_len(slot) != range.start {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "chunk {}..{} needs slot {slot} to hold exactly {} resident tokens \
-                     (got {})",
-                    range.start,
-                    range.end,
-                    range.start,
-                    cache.seq_len(slot)
-                ),
-            });
-        }
-        let mut lens = vec![0usize; cache.batch_size()];
-        lens[slot] = range.len();
-        let parts = RowPartition::from_lens(&lens);
-        hook.on_batch_begin(&parts);
-        let mut x = ws.take_mat_f32(range.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(&prompt[range], &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let hidden = self.run_blocks_batch_ws(x, &parts, Stage::Prefill, cache, hook, ws)?;
-        self.logits_from_hidden_ws(hidden, ws)
+        self.check_window(prompt, &range, cache.seq_len())?;
+        let kv = KvTarget::Solo(cache);
+        self.forward(&prompt[range], Stage::Prefill, kv, hook, ws)
     }
 
     /// Advances several slots' chunked prefills in **one** batched forward: every chunk's
     /// rows are stacked into a single activation matrix (announced to the hook as one
     /// [`RowPartition`] with one group per slot), so the shared weight GEMMs — and their
-    /// checksums — run once for the whole step instead of once per slot. This is what
-    /// keeps the serving layer's budgeted admission as cheap as the old batched admission
-    /// prefill: a wave of admissions costs one forward, not one forward per request.
+    /// checksums — run once for the whole step instead of once per slot, and protectors
+    /// attribute any detection in a chunk's rows to the right sequence and apply that
+    /// sequence's protection scheme. This is the substrate of the serving layer's budgeted
+    /// admission: a long prompt is advanced a budget-bounded window at a time between
+    /// decode steps, and a wave of admissions costs one forward, not one per request.
     ///
     /// Per-row activation quantization and per-sequence attention over each slot's own
-    /// resident codes make each chunk's rows independent of its batch neighbours, so every returned logits
-    /// matrix (one per chunk, in `chunks` order, each an ordinary owned value) is
-    /// bit-identical to advancing that slot alone via
-    /// [`Model::prefill_chunk_slot_ws`].
+    /// resident codes make each chunk's rows independent of its batch neighbours, so every
+    /// returned logits matrix (one per chunk, in `chunks` order, each an ordinary owned
+    /// value) is bit-identical to advancing that sequence alone via
+    /// [`Model::prefill_chunk_ws`].
     ///
     /// # Errors
     ///
-    /// Returns an error for an empty chunk list, duplicate slots, or any chunk failing
-    /// the [`Model::prefill_chunk_slot_ws`] validation (window bounds, slot bounds,
-    /// resident-prefix mismatch).
+    /// Returns an error for an empty chunk list, an out-of-range or duplicate slot, or any
+    /// chunk failing the [`Model::prefill_chunk_ws`] validation against its slot.
     pub fn prefill_chunks_batch_ws(
         &self,
         chunks: &[PrefillChunk<'_>],
@@ -575,71 +432,26 @@ impl Model {
         ws: &mut Workspace,
     ) -> Result<Vec<MatF32>> {
         if chunks.is_empty() {
-            return Err(LlmError::InvalidSequence {
-                detail: "cannot advance an empty chunk batch".into(),
-            });
-        }
-        if cache.num_layers() != self.config.num_layers {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "chunk batch needs a {}-layer cache (got {})",
-                    self.config.num_layers,
-                    cache.num_layers()
-                ),
-            });
+            return Err(invalid("cannot advance an empty chunk batch".into()));
         }
         let mut lens = vec![0usize; cache.batch_size()];
         for chunk in chunks {
-            if chunk.prompt.len() > self.config.max_seq_len {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "prompt of {} tokens exceeds max_seq_len {}",
-                        chunk.prompt.len(),
-                        self.config.max_seq_len
-                    ),
-                });
+            let slot = chunk.slot;
+            if slot >= lens.len() {
+                let slots = lens.len();
+                return Err(invalid(format!(
+                    "chunk targets slot {slot} of a {slots}-slot batched cache"
+                )));
             }
-            if chunk.range.is_empty() || chunk.range.end > chunk.prompt.len() {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "chunk {}..{} is empty or exceeds the {}-token prompt",
-                        chunk.range.start,
-                        chunk.range.end,
-                        chunk.prompt.len()
-                    ),
-                });
+            if lens[slot] != 0 {
+                return Err(invalid(format!(
+                    "slot {slot} appears twice in the chunk batch"
+                )));
             }
-            if chunk.slot >= cache.batch_size() {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "chunk targets slot {} of a {}-slot batched cache",
-                        chunk.slot,
-                        cache.batch_size()
-                    ),
-                });
-            }
-            if lens[chunk.slot] != 0 {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!("slot {} appears twice in the chunk batch", chunk.slot),
-                });
-            }
-            if cache.seq_len(chunk.slot) != chunk.range.start {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "chunk {}..{} needs slot {} to hold exactly {} resident tokens \
-                         (got {})",
-                        chunk.range.start,
-                        chunk.range.end,
-                        chunk.slot,
-                        chunk.range.start,
-                        cache.seq_len(chunk.slot)
-                    ),
-                });
-            }
-            lens[chunk.slot] = chunk.range.len();
+            self.check_window(chunk.prompt, &chunk.range, cache.seq_len(slot))?;
+            lens[slot] = chunk.range.len();
         }
         let parts = RowPartition::from_lens(&lens);
-        hook.on_batch_begin(&parts);
         // Activation rows must follow slot order (the partition's group order), not the
         // caller's chunk order.
         let mut by_slot: Vec<&PrefillChunk<'_>> = chunks.iter().collect();
@@ -648,13 +460,8 @@ impl Model {
             .iter()
             .flat_map(|c| c.prompt[c.range.clone()].iter().copied())
             .collect();
-        let mut x = ws.take_mat_f32(stacked.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(&stacked, &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let hidden = self.run_blocks_batch_ws(x, &parts, Stage::Prefill, cache, hook, ws)?;
-        let logits = self.logits_from_hidden_ws(hidden, ws)?;
+        let kv = KvTarget::Batch(cache, &parts);
+        let logits = self.forward(&stacked, Stage::Prefill, kv, hook, ws)?;
         let per_chunk = chunks
             .iter()
             .map(|c| {
@@ -668,68 +475,13 @@ impl Model {
         per_chunk
     }
 
-    /// Runs one decode step for `token`, updating the KV cache, and returns the logits for
-    /// the next token.
+    /// Runs one shared prefill over a ragged batch of prompts — prompt `i` whole, as one
+    /// [`Model::prefill_chunks_batch_ws`] chunk into slot `i` of a fresh
+    /// [`Model::new_batched_cache`] — returning per-sequence logits and the populated cache.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if the token is out of range or the context length is exceeded.
-    pub fn decode_step(
-        &self,
-        token: u32,
-        cache: &mut KvCache,
-        hook: &mut dyn GemmHook,
-    ) -> Result<Vec<f32>> {
-        let mut ws = Workspace::new();
-        self.decode_step_ws(token, cache, hook, &mut ws)
-    }
-
-    /// [`Model::decode_step`] drawing every intermediate from `ws` — with a long-lived
-    /// workspace this is the allocation-free decode hot loop (`tests/zero_alloc.rs` proves
-    /// zero heap allocations per step after warmup on the reference backend). The returned
-    /// logits vector is workspace-pooled; recycle it with
-    /// [`Workspace::recycle_vec_f32`] once consumed. Output is bit-identical to
-    /// [`Model::decode_step`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::decode_step`].
-    pub fn decode_step_ws(
-        &self,
-        token: u32,
-        cache: &mut KvCache,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<Vec<f32>> {
-        if cache.seq_len() >= self.config.max_seq_len {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "KV cache already holds {} tokens (max_seq_len {})",
-                    cache.seq_len(),
-                    self.config.max_seq_len
-                ),
-            });
-        }
-        let mut x = ws.take_mat_f32(1, self.config.hidden_size);
-        if let Err(e) = self.embed_into(&[token], &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let hidden = self.run_blocks_ws(x, Stage::Decode, cache, hook, ws)?;
-        let logits = self.logits_from_hidden_ws(hidden, ws)?;
-        let mut row = ws.take_vec_f32(logits.cols());
-        row.copy_from_slice(logits.row(0));
-        ws.recycle_mat_f32(logits);
-        Ok(row)
-    }
-
-    /// Runs one shared prefill over a ragged batch of prompts, returning per-sequence
-    /// logits and the populated batched KV cache.
-    ///
-    /// All prompts are stacked into one `(sum_tokens, hidden)` activation matrix, so every
-    /// shared component (`Q`/`K`/`V`/`O`, MLP) runs — and is checksummed/inspected — once
-    /// per layer for the whole batch instead of once per sequence. Per-sequence logits are
-    /// bit-identical to running [`Model::prefill`] on each prompt alone.
+    /// Every shared component (`Q`/`K`/`V`/`O`, MLP) runs — and is checksummed/inspected —
+    /// once per layer for the whole batch instead of once per sequence. Per-sequence logits
+    /// are bit-identical to running [`Model::prefill`] on each prompt alone.
     ///
     /// # Errors
     ///
@@ -740,97 +492,56 @@ impl Model {
         prompts: &[Vec<u32>],
         hook: &mut dyn GemmHook,
     ) -> Result<(Vec<MatF32>, BatchedKvCache)> {
+        let mut cache = self.new_batched_cache(prompts.len());
+        let chunks: Vec<PrefillChunk<'_>> = prompts
+            .iter()
+            .enumerate()
+            .map(|(slot, prompt)| PrefillChunk::whole(prompt, slot))
+            .collect();
         let mut ws = Workspace::new();
-        self.prefill_batch_ws(prompts, hook, &mut ws)
+        let logits = self.prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)?;
+        Ok((logits, cache))
     }
 
-    /// [`Model::prefill_batch`] drawing every intermediate from `ws`. The per-sequence
-    /// logits matrices are ordinary owned values (one fresh slice per sequence — admission
-    /// is not the per-token hot path); output is bit-identical to [`Model::prefill_batch`].
+    /// Runs one decode step for `token`, updating the KV cache, and returns the logits for
+    /// the next token.
+    ///
+    /// Every intermediate is drawn from `ws` — with a long-lived workspace this is the
+    /// allocation-free decode hot loop (`tests/zero_alloc.rs` proves zero heap allocations
+    /// per step after warmup). The returned logits vector is workspace-pooled; recycle it
+    /// with [`Workspace::recycle_vec_f32`] once consumed.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Model::prefill_batch`].
-    pub fn prefill_batch_ws(
+    /// Returns an error if the token is out of range or the context length is exceeded.
+    pub fn decode_step_ws(
         &self,
-        prompts: &[Vec<u32>],
+        token: u32,
+        cache: &mut KvCache,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
-    ) -> Result<(Vec<MatF32>, BatchedKvCache)> {
-        if prompts.is_empty() {
-            return Err(LlmError::InvalidSequence {
-                detail: "cannot prefill an empty batch".into(),
-            });
-        }
-        for (i, prompt) in prompts.iter().enumerate() {
-            if prompt.is_empty() {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!("prompt {i} of the batch is empty"),
-                });
-            }
-            if prompt.len() > self.config.max_seq_len {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "prompt {i} of {} tokens exceeds max_seq_len {}",
-                        prompt.len(),
-                        self.config.max_seq_len
-                    ),
-                });
-            }
-        }
-        let lens: Vec<usize> = prompts.iter().map(Vec::len).collect();
-        let parts = RowPartition::from_lens(&lens);
-        hook.on_batch_begin(&parts);
-        let stacked: Vec<u32> = prompts.iter().flatten().copied().collect();
-        let mut x = ws.take_mat_f32(stacked.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(&stacked, &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let mut cache = self.new_batched_cache(prompts.len());
-        let hidden = self.run_blocks_batch_ws(x, &parts, Stage::Prefill, &mut cache, hook, ws)?;
-        let logits = self.logits_from_hidden_ws(hidden, ws)?;
-        let per_seq = (0..parts.num_groups())
-            .map(|g| {
-                let range = parts.range(g);
-                logits
-                    .rows_slice(range.start, range.len())
-                    .map_err(Into::into)
-            })
-            .collect::<Result<Vec<_>>>();
+    ) -> Result<Vec<f32>> {
+        self.check_room(cache.seq_len())?;
+        let logits = self.forward(&[token], Stage::Decode, KvTarget::Solo(cache), hook, ws)?;
+        let mut row = ws.take_vec_f32(logits.cols());
+        row.copy_from_slice(logits.row(0));
         ws.recycle_mat_f32(logits);
-        Ok((per_seq?, cache))
+        Ok(row)
     }
 
-    /// Runs one lockstep decode step for a batch: `tokens[i]` is the pending token of
-    /// sequence `i`, or `None` for sequences that have completed (they contribute no rows).
+    /// Runs one lockstep decode step for a batch — the per-token step of the
+    /// continuous-batching serving loop: `tokens[i]` is the pending token of sequence `i`,
+    /// or `None` for sequences that are idle or have completed (they contribute no rows).
     ///
-    /// Returns the next-token logits per sequence (`None` for inactive sequences). Logits
-    /// are bit-identical to running [`Model::decode_step`] per sequence.
+    /// Returns the next-token logits per sequence (`None` for inactive sequences), each
+    /// bit-identical to running [`Model::decode_step_ws`] on that sequence alone. Every
+    /// activation intermediate is drawn from `ws` and each logits vector is workspace-pooled;
+    /// recycle them with [`Workspace::recycle_vec_f32`] once consumed.
     ///
     /// # Errors
     ///
     /// Returns an error if `tokens` does not match the cache's batch size, a token is out
     /// of range, or an active sequence would exceed the context window.
-    pub fn decode_step_batch(
-        &self,
-        tokens: &[Option<u32>],
-        cache: &mut BatchedKvCache,
-        hook: &mut dyn GemmHook,
-    ) -> Result<Vec<Option<Vec<f32>>>> {
-        let mut ws = Workspace::new();
-        self.decode_step_batch_ws(tokens, cache, hook, &mut ws)
-    }
-
-    /// [`Model::decode_step_batch`] drawing every activation intermediate from `ws` — the
-    /// per-token step of the continuous-batching serving loop. Each returned per-sequence
-    /// logits vector is workspace-pooled; recycle them with
-    /// [`Workspace::recycle_vec_f32`] once consumed. Output is bit-identical to
-    /// [`Model::decode_step_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::decode_step_batch`].
     pub fn decode_step_batch_ws(
         &self,
         tokens: &[Option<u32>],
@@ -839,51 +550,35 @@ impl Model {
         ws: &mut Workspace,
     ) -> Result<Vec<Option<Vec<f32>>>> {
         if tokens.len() != cache.batch_size() {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "decode step has {} token slots but the cache serves {} sequences",
-                    tokens.len(),
-                    cache.batch_size()
-                ),
-            });
+            return Err(invalid(format!(
+                "decode step has {} token slots but the cache serves {} sequences",
+                tokens.len(),
+                cache.batch_size()
+            )));
         }
         let active: Vec<u32> = tokens.iter().filter_map(|t| *t).collect();
         if active.is_empty() {
             return Ok(vec![None; tokens.len()]);
         }
         for (i, token) in tokens.iter().enumerate() {
-            if token.is_some() && cache.seq_len(i) >= self.config.max_seq_len {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "sequence {i}: KV cache already holds {} tokens (max_seq_len {})",
-                        cache.seq_len(i),
-                        self.config.max_seq_len
-                    ),
-                });
+            if token.is_some() {
+                self.check_room(cache.seq_len(i))?;
             }
         }
         let lens: Vec<usize> = tokens.iter().map(|t| usize::from(t.is_some())).collect();
         let parts = RowPartition::from_lens(&lens);
-        hook.on_batch_begin(&parts);
-        let mut x = ws.take_mat_f32(active.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(&active, &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let hidden = self.run_blocks_batch_ws(x, &parts, Stage::Decode, cache, hook, ws)?;
-        let logits = self.logits_from_hidden_ws(hidden, ws)?;
-        let mut out = Vec::with_capacity(tokens.len());
-        let mut row = 0usize;
-        for token in tokens {
-            if token.is_some() {
+        let kv = KvTarget::Batch(cache, &parts);
+        let logits = self.forward(&active, Stage::Decode, kv, hook, ws)?;
+        let mut rows = 0..logits.rows();
+        let out = tokens
+            .iter()
+            .map(|token| {
+                let row = token.and_then(|_| rows.next())?;
                 let mut seq_logits = ws.take_vec_f32(logits.cols());
                 seq_logits.copy_from_slice(logits.row(row));
-                out.push(Some(seq_logits));
-                row += 1;
-            } else {
-                out.push(None);
-            }
-        }
+                Some(seq_logits)
+            })
+            .collect();
         ws.recycle_mat_f32(logits);
         Ok(out)
     }
@@ -896,7 +591,7 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`Model::prefill_batch`] and [`Model::decode_step_batch`].
+    /// Propagates errors from [`Model::prefill_batch`] and [`Model::decode_step_batch_ws`].
     pub fn generate_batch(
         &self,
         prompts: &[Vec<u32>],
@@ -914,7 +609,7 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`Model::prefill`] and [`Model::decode_step`]; also returns
+    /// Propagates errors from [`Model::prefill`] and [`Model::decode_step_ws`]; also returns
     /// [`LlmError::InvalidSequence`] if the total length would exceed the context window.
     pub fn generate(
         &self,
@@ -923,13 +618,11 @@ impl Model {
         hook: &mut dyn GemmHook,
     ) -> Result<GenerationOutput> {
         if prompt.len() + num_tokens > self.config.max_seq_len {
-            return Err(LlmError::InvalidSequence {
-                detail: format!(
-                    "prompt ({}) plus generation ({num_tokens}) exceeds max_seq_len {}",
-                    prompt.len(),
-                    self.config.max_seq_len
-                ),
-            });
+            return Err(invalid(format!(
+                "prompt ({}) plus generation ({num_tokens}) exceeds max_seq_len {}",
+                prompt.len(),
+                self.config.max_seq_len
+            )));
         }
         // One workspace for the whole generation: the prefill warms the pools and every
         // decode step after that reuses them.
@@ -988,6 +681,11 @@ impl Model {
     }
 }
 
+/// An [`LlmError::InvalidSequence`] carrying `detail`.
+fn invalid(detail: String) -> LlmError {
+    LlmError::InvalidSequence { detail }
+}
+
 /// Returns the index of the maximum logit and the margin to the runner-up.
 pub fn argmax_with_margin(logits: &[f32]) -> (u32, f32) {
     let mut best = (0usize, f32::NEG_INFINITY);
@@ -1014,8 +712,9 @@ const MODEL_WEIGHT_STREAM: u64 = 0x004d_4f44_454c;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{NoopHook, RecordingHook};
+    use crate::hooks::{GemmContext, NoopHook, RecordingHook};
     use crate::Component;
+    use realm_tensor::{MatI32, MatI8};
 
     #[test]
     fn model_builds_for_all_presets() {
@@ -1108,7 +807,8 @@ mod tests {
         let m = Model::new(&config, 9).unwrap();
         let (_, mut cache) = m.prefill(&[1, 2], &mut NoopHook).unwrap();
         let mut rec = RecordingHook::new();
-        m.decode_step(5, &mut cache, &mut rec).unwrap();
+        m.decode_step_ws(5, &mut cache, &mut rec, &mut Workspace::new())
+            .unwrap();
         assert!(!rec.calls.is_empty());
         assert!(rec.calls.iter().all(|c| c.stage == Stage::Decode));
         assert_eq!(rec.count_for(Component::O), config.num_layers);
@@ -1190,6 +890,15 @@ mod tests {
 
     #[test]
     fn chunked_slot_prefill_matches_solo_and_announces_the_slot() {
+        /// Records every announced partition's per-slot row counts.
+        #[derive(Default)]
+        struct Announcements(Vec<Vec<usize>>);
+        impl GemmHook for Announcements {
+            fn on_gemm(&mut self, _: &GemmContext, _: &MatI8, _: &MatI8, _: &mut MatI32) {}
+            fn on_batch_begin(&mut self, partition: &RowPartition) {
+                self.0.push(partition.lens());
+            }
+        }
         let config = ModelConfig::tiny_opt();
         let m = Model::new(&config, 23).unwrap();
         let prompts = vec![vec![1u32, 2, 3], vec![4, 5]];
@@ -1197,28 +906,69 @@ mod tests {
         batched.release_slot(1);
 
         let prompt: Vec<u32> = (0..7u32).map(|t| (t * 5 + 2) % 16).collect();
-        let (full, _) = m.prefill(&prompt, &mut NoopHook).unwrap();
+        let mut announced = Announcements::default();
+        let (full, _) = m.prefill(&prompt, &mut announced).unwrap();
+        assert!(announced.0.is_empty(), "a solo forward announces nothing");
         let mut ws = Workspace::new();
+        let mut advance = |range: Range<usize>, slot, hook: &mut dyn GemmHook| {
+            let prompt = &prompt;
+            let chunk = [PrefillChunk {
+                prompt,
+                range,
+                slot,
+            }];
+            m.prefill_chunks_batch_ws(&chunk, &mut batched, hook, &mut ws)
+        };
         let mut row = 0usize;
         for range in [0..3usize, 3..4, 4..7] {
-            let logits = m
-                .prefill_chunk_slot_ws(&prompt, range, 1, &mut batched, &mut NoopHook, &mut ws)
-                .unwrap();
+            let logits = advance(range, 1, &mut announced).unwrap().remove(0);
             for r in 0..logits.rows() {
                 assert_eq!(full.row(row), logits.row(r), "position {row}");
                 row += 1;
             }
-            ws.recycle_mat_f32(logits);
         }
-        assert_eq!(batched.seq_len(1), prompt.len());
-        assert_eq!(batched.seq_len(0), 3, "the resident neighbour is untouched");
+        assert_eq!(
+            announced.0,
+            [[0, 3], [0, 1], [0, 3]],
+            "one partition per forward"
+        );
 
-        // Misaligned chunk and out-of-range slot are rejected.
+        // Misaligned chunk, out-of-range slot, a slot named twice and an empty batch are
+        // rejected.
+        assert!(advance(0..2, 1, &mut NoopHook).is_err());
+        assert!(advance(0..2, 9, &mut NoopHook).is_err());
+        let twice = [
+            PrefillChunk::whole(&prompt, 1),
+            PrefillChunk::whole(&prompt, 1),
+        ];
+        batched.release_slot(1);
         assert!(m
-            .prefill_chunk_slot_ws(&prompt, 0..2, 1, &mut batched, &mut NoopHook, &mut ws)
+            .prefill_chunks_batch_ws(&twice, &mut batched, &mut NoopHook, &mut ws)
             .is_err());
         assert!(m
-            .prefill_chunk_slot_ws(&prompt, 0..2, 9, &mut batched, &mut NoopHook, &mut ws)
+            .prefill_chunks_batch_ws(&[], &mut batched, &mut NoopHook, &mut ws)
+            .is_err());
+        assert_eq!(batched.seq_len(0), 3, "the resident neighbour is untouched");
+    }
+
+    #[test]
+    fn a_cache_of_the_wrong_depth_is_rejected_by_every_entry_point() {
+        let m = Model::new(&ModelConfig::tiny_opt(), 3).unwrap();
+        let (c, mut ws) = (m.config(), Workspace::new());
+        let mut solo = KvCache::new(c.num_layers + 1, c.num_heads, c.head_dim(), 0);
+        assert!(m
+            .prefill_chunk_ws(&[1, 2], 0..2, &mut NoopHook, &mut ws, &mut solo)
+            .is_err());
+        assert!(m
+            .decode_step_ws(1, &mut solo, &mut NoopHook, &mut ws)
+            .is_err());
+        let mut batched = BatchedKvCache::new(c.num_layers - 1, 1, c.num_heads, c.head_dim());
+        let chunk = [PrefillChunk::whole(&[1, 2], 0)];
+        assert!(m
+            .prefill_chunks_batch_ws(&chunk, &mut batched, &mut NoopHook, &mut ws)
+            .is_err());
+        assert!(m
+            .decode_step_batch_ws(&[Some(1)], &mut batched, &mut NoopHook, &mut ws)
             .is_err());
     }
 
@@ -1237,7 +987,8 @@ mod tests {
                     config.name
                 );
                 let mut rec = RecordingHook::new();
-                m.decode_step(1, &mut cache, &mut rec).unwrap();
+                m.decode_step_ws(1, &mut cache, &mut rec, &mut Workspace::new())
+                    .unwrap();
                 assert_eq!(m.decode_step_macs(len + 1), rec.total_macs);
             }
         }

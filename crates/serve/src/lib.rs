@@ -16,8 +16,9 @@
 //!    [`ServeConfig::aging_steps`]);
 //! 2. between decode steps, completed sequences release their KV rows
 //!    ([`realm_llm::BatchedKvCache::release_slot`]) and queued requests are assigned the
-//!    freed slots — assignment is bookkeeping only; the prompt prefills chunk by chunk
-//!    ([`realm_llm::Model::prefill_chunk_slot_ws`]) under the per-step token budget
+//!    freed slots — assignment is bookkeeping only; the prompts prefill chunk by chunk,
+//!    every advancing slot's chunk stacked into one batched forward
+//!    ([`realm_llm::Model::prefill_chunks_batch_ws`]), under the per-step token budget
 //!    ([`ServeConfig::step_token_budget`]), so a long prompt never stalls concurrent
 //!    decode streams for more than one budget-bounded chunk;
 //! 3. tokens stream back to each client over an [`std::sync::mpsc`] channel as

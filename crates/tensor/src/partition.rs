@@ -5,8 +5,9 @@
 //! per network component. A [`RowPartition`] records where each sequence's rows live inside
 //! that stack, which is what lets downstream consumers stay sequence-aware:
 //!
-//! * the quantizer applies one symmetric scale *per row group*, so the stacked GEMM is
-//!   bit-exact with running each sequence alone;
+//! * the quantizer applies one symmetric scale *per row*, so the stacked GEMM is bit-exact
+//!   with running each sequence alone and the partition never touches the numerics — it is
+//!   attribution metadata only;
 //! * ABFT attribution maps a detected checksum deviation back to the originating sequence by
 //!   re-reducing the checksums over one group's row range;
 //! * the error injector can restrict corruption to the rows of a targeted sequence.
@@ -33,10 +34,24 @@ use std::ops::Range;
 /// assert!(parts.range(1).is_empty());
 /// assert_eq!(parts.group_of_row(4), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RowPartition {
     /// Cumulative row offsets; `offsets.len() == num_groups + 1` and `offsets[0] == 0`.
     offsets: Vec<usize>,
+}
+
+impl Clone for RowPartition {
+    fn clone(&self) -> Self {
+        Self {
+            offsets: self.offsets.clone(),
+        }
+    }
+
+    /// Reuses `self`'s offsets buffer: hooks keep the partition announced before every
+    /// batched forward, and a per-forward announcement must not cost an allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.offsets.clone_from(&source.offsets);
+    }
 }
 
 impl RowPartition {
@@ -150,6 +165,16 @@ mod tests {
         assert_eq!(p.num_groups(), 1);
         assert_eq!(p.range(0), 0..7);
         assert_eq!(p.group_of_row(6), Some(0));
+    }
+
+    #[test]
+    fn clone_from_reuses_the_offsets_buffer() {
+        let mut kept = RowPartition::from_lens(&[4, 4, 4, 4]);
+        let buffer = kept.offsets.as_ptr();
+        let next = RowPartition::from_lens(&[1, 0, 2]);
+        kept.clone_from(&next);
+        assert_eq!(kept, next);
+        assert_eq!(kept.offsets.as_ptr(), buffer);
     }
 
     #[test]

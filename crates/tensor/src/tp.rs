@@ -134,7 +134,6 @@ struct Job {
     shard: Arc<PackedMatI8>,
     engine: Arc<dyn GemmEngine>,
     checksummed: bool,
-    use_packed: bool,
 }
 
 /// Mailbox protocol between the dispatcher and one rank thread.
@@ -402,27 +401,15 @@ fn rank_main(shared: &TpShared, me: usize) {
     }
 }
 
-/// Executes one shard's GEMM (fused-checksum or plain, packed or unpacked) into the
+/// Executes one shard's GEMM (fused-checksum or plain) over its packed stripe into the
 /// rank's resident buffers. Also used inline by the dispatcher for failover recompute.
 fn run_shard_job(act: &MatI8, job: &Job, out: &mut RankOutput) -> Result<()> {
     if job.checksummed {
-        if job.use_packed {
-            job.engine
-                .gemm_i8_packed_checksummed_into(act, &job.shard, &mut out.dest, &mut out.etw)
-        } else {
-            job.engine.gemm_i8_checksummed_into(
-                act,
-                job.shard.unpacked(),
-                &mut out.dest,
-                &mut out.etw,
-            )
-        }
-    } else if job.use_packed {
         job.engine
-            .gemm_i8_packed_into(act, &job.shard, &mut out.plain)
+            .gemm_i8_packed_checksummed_into(act, &job.shard, &mut out.dest, &mut out.etw)
     } else {
         job.engine
-            .gemm_i8_into(act, job.shard.unpacked(), &mut out.plain)
+            .gemm_i8_packed_into(act, &job.shard, &mut out.plain)
     }
 }
 
@@ -589,14 +576,9 @@ impl ShardedLinear {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `a.cols()` differs from the weight
     /// rows, or propagates the first rank-side engine error.
-    pub fn gemm_checksummed_into(
-        &self,
-        a: &MatI8,
-        use_packed: bool,
-        dest: &mut ChecksummedGemm,
-    ) -> Result<()> {
+    pub fn gemm_checksummed_into(&self, a: &MatI8, dest: &mut ChecksummedGemm) -> Result<()> {
         self.check("tp_gemm_i8_checksummed", a)?;
-        self.run(a, use_packed, true, dest, None)
+        self.run(a, true, dest, None)
     }
 
     /// Sharded counterpart of [`GemmEngine::gemm_i8_into`] (no checksum reductions):
@@ -608,10 +590,10 @@ impl ShardedLinear {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `a.cols()` differs from the weight
     /// rows, or propagates the first rank-side engine error.
-    pub fn gemm_into(&self, a: &MatI8, use_packed: bool, out: &mut MatI32) -> Result<()> {
+    pub fn gemm_into(&self, a: &MatI8, out: &mut MatI32) -> Result<()> {
         self.check("tp_gemm_i8", a)?;
         let mut dest = ChecksummedGemm::empty();
-        self.run(a, use_packed, false, &mut dest, Some(out))
+        self.run(a, false, &mut dest, Some(out))
     }
 
     /// Shared dispatch/merge engine behind both public entry points. When `checksummed`
@@ -619,7 +601,6 @@ impl ShardedLinear {
     fn run(
         &self,
         a: &MatI8,
-        use_packed: bool,
         checksummed: bool,
         dest: &mut ChecksummedGemm,
         plain_out: Option<&mut MatI32>,
@@ -645,7 +626,6 @@ impl ShardedLinear {
                     shard: Arc::clone(&self.shards[r]),
                     engine: Arc::clone(&engine),
                     checksummed,
-                    use_packed,
                 },
             );
         }
@@ -690,7 +670,6 @@ impl ShardedLinear {
                         shard: Arc::clone(&self.shards[r]),
                         engine: Arc::clone(&engine),
                         checksummed,
-                        use_packed,
                     };
                     run_shard_job(a, &job, &mut out)?;
                     merge_stripe(
@@ -738,7 +717,6 @@ impl ShardedLinear {
                                 shard: Arc::clone(&self.shards[r]),
                                 engine: Arc::clone(&engine),
                                 checksummed,
-                                use_packed,
                             };
                             run_shard_job(a, &job, &mut out)?;
                             merge_stripe(
@@ -827,31 +805,16 @@ mod tests {
                     let group = Arc::new(TpGroup::new(degree, Arc::clone(&engine)));
                     let layer = ShardedLinear::new(group, &w);
                     let mut dest = ChecksummedGemm::empty();
-                    layer.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+                    layer.gemm_checksummed_into(&a, &mut dest).unwrap();
                     let want = reference_fused(&a, &w);
                     assert_eq!(dest, want, "{kind:?} degree {degree} {m}x{k}x{n}");
 
                     let mut plain = MatI32::zeros(0, 0);
-                    layer.gemm_into(&a, true, &mut plain).unwrap();
+                    layer.gemm_into(&a, &mut plain).unwrap();
                     assert_eq!(&plain, want.acc());
                 }
             }
         }
-    }
-
-    #[test]
-    fn unpacked_path_matches_packed_path() {
-        let a = random_mat_i8(5, 3, 29);
-        let w = random_mat_i8(6, 29, 21);
-        let group = Arc::new(TpGroup::new(3, Arc::new(ReferenceEngine)));
-        let layer = ShardedLinear::new(group, &w);
-        let mut packed = ChecksummedGemm::empty();
-        let mut unpacked = ChecksummedGemm::empty();
-        layer.gemm_checksummed_into(&a, true, &mut packed).unwrap();
-        layer
-            .gemm_checksummed_into(&a, false, &mut unpacked)
-            .unwrap();
-        assert_eq!(packed, unpacked);
     }
 
     #[test]
@@ -864,7 +827,7 @@ mod tests {
         let want = reference_fused(&a, &w);
         for step in 0..3 {
             let mut dest = ChecksummedGemm::empty();
-            layer.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+            layer.gemm_checksummed_into(&a, &mut dest).unwrap();
             assert_eq!(dest, want, "step {step}");
         }
         let stats = group.shard_stats();
@@ -887,7 +850,7 @@ mod tests {
         let want = reference_fused(&a, &w);
         group.inject_shard_fault(1, ShardFault::Garble { seed: 0xFEED }, 1);
         let mut dest = ChecksummedGemm::empty();
-        layer.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+        layer.gemm_checksummed_into(&a, &mut dest).unwrap();
         assert_eq!(
             dest, want,
             "corruption must be healed before the caller sees it"
@@ -906,7 +869,7 @@ mod tests {
         let layer = ShardedLinear::new(Arc::clone(&group), &w);
         group.inject_shard_fault(0, ShardFault::Garble { seed: 7 }, 1);
         let mut faulty = MatI32::zeros(0, 0);
-        layer.gemm_into(&a, true, &mut faulty).unwrap();
+        layer.gemm_into(&a, &mut faulty).unwrap();
         let clean = ReferenceEngine.gemm_i8(&a, &w).unwrap();
         assert_ne!(faulty, clean, "no checksums, no detection: fault persists");
         assert_eq!(group.totals().detections, 0);
@@ -920,7 +883,7 @@ mod tests {
         let layer = ShardedLinear::new(Arc::clone(&group), &w);
         group.inject_shard_fault(1, ShardFault::Zero, 1);
         let mut dest = ChecksummedGemm::empty();
-        layer.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+        layer.gemm_checksummed_into(&a, &mut dest).unwrap();
         assert_eq!(dest, reference_fused(&a, &w));
         assert_eq!(group.shard_stats()[1].detections, 1);
     }
@@ -932,7 +895,7 @@ mod tests {
         let group = Arc::new(TpGroup::new(5, Arc::new(ReferenceEngine)));
         let layer = ShardedLinear::new(Arc::clone(&group), &w);
         let mut dest = ChecksummedGemm::empty();
-        layer.gemm_checksummed_into(&a, true, &mut dest).unwrap();
+        layer.gemm_checksummed_into(&a, &mut dest).unwrap();
         assert_eq!(dest, reference_fused(&a, &w));
         let stats = group.shard_stats();
         assert_eq!(stats[3].jobs, 0, "empty shard never works");
@@ -945,7 +908,7 @@ mod tests {
         let layer = ShardedLinear::new(group, &random_mat_i8(30, 8, 8));
         let a = random_mat_i8(31, 2, 9);
         let mut dest = ChecksummedGemm::empty();
-        assert!(layer.gemm_checksummed_into(&a, true, &mut dest).is_err());
+        assert!(layer.gemm_checksummed_into(&a, &mut dest).is_err());
     }
 
     #[test]

@@ -11,11 +11,13 @@
 
 use realm::core::{PipelineConfig, ProtectedPipeline, SchemeProtector, SequenceAttribution};
 use realm::llm::batch::{BatchRequest, BatchScheduler};
+use realm::llm::model::PrefillChunk;
 use realm::llm::{
-    config::ModelConfig, hooks::GemmContext, model::Model, GemmHook, GemmOrigin, NoopHook,
+    config::ModelConfig, hooks::GemmContext, model::Model, Component, GemmHook, GemmOrigin,
+    NoopHook,
 };
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
-use realm::tensor::{ChecksummedGemm, EngineKind, MatI32, MatI8, RowPartition};
+use realm::tensor::{ChecksummedGemm, EngineKind, MatI32, MatI8, RowPartition, Workspace};
 
 /// Ragged prompts exercising length-1 sequences, repeats and unequal lengths.
 fn ragged_prompts() -> Vec<Vec<u32>> {
@@ -82,6 +84,28 @@ fn batched_prefill_logits_are_bit_exact_per_sequence() {
     }
 }
 
+/// Records the hook-visible stream of a run: every GEMM's context and `(m, k, n)` shape,
+/// and every announced partition.
+#[derive(Default)]
+struct StreamRecorder {
+    gemms: Vec<(GemmContext, (usize, usize, usize))>,
+    partitions: Vec<Vec<usize>>,
+}
+
+impl GemmHook for StreamRecorder {
+    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, _acc: &mut MatI32) {
+        self.gemms.push((*ctx, (w.rows(), w.cols(), x.cols())));
+    }
+
+    fn wants_checksums(&self) -> bool {
+        false
+    }
+
+    fn on_batch_begin(&mut self, partition: &RowPartition) {
+        self.partitions.push(partition.lens());
+    }
+}
+
 #[test]
 fn batch_of_one_matches_the_single_sequence_path() {
     let model = model_for(EngineKind::Parallel, ModelConfig::tiny_opt());
@@ -92,6 +116,66 @@ fn batch_of_one_matches_the_single_sequence_path() {
         .unwrap();
     assert_eq!(batched.len(), 1);
     assert_eq!(batched[0], solo);
+
+    // The contract the single forward path rests on: the solo entry points and a one-slot
+    // batch issue the same GEMMs in the same order with the same shapes and produce the
+    // same logits. Only the attribution differs — the shared projections and MLP GEMMs are
+    // tagged `Sequence(0)` solo and `BatchedRows` batched (`QKᵀ`/`SV` are `Sequence(0)` on
+    // both), and only the batched side announces a partition, once per forward.
+    for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+        let model = model_for(EngineKind::Simd, config);
+        let (mut solo, mut one_slot) = (StreamRecorder::default(), StreamRecorder::default());
+        let mut ws = Workspace::new();
+
+        let (solo_prefill, mut solo_cache) = model.prefill(&prompt, &mut solo).unwrap();
+        let mut cache = model.new_batched_cache(1);
+        let chunk = [PrefillChunk::whole(&prompt, 0)];
+        let batch_prefill = model
+            .prefill_chunks_batch_ws(&chunk, &mut cache, &mut one_slot, &mut ws)
+            .unwrap();
+        assert_eq!(batch_prefill, [solo_prefill]);
+
+        for token in [7u32, 2, 11] {
+            let solo_logits = model
+                .decode_step_ws(token, &mut solo_cache, &mut solo, &mut ws)
+                .unwrap();
+            let batch_logits = model
+                .decode_step_batch_ws(&[Some(token)], &mut cache, &mut one_slot, &mut ws)
+                .unwrap();
+            assert_eq!(batch_logits, [Some(solo_logits)]);
+        }
+
+        assert!(
+            solo.partitions.is_empty(),
+            "a solo forward announces nothing"
+        );
+        assert_eq!(one_slot.partitions, [[4], [1], [1], [1]]);
+        assert_eq!(solo.gemms.len(), one_slot.gemms.len());
+        let c = model.config();
+        let attention = solo.gemms.iter().filter(|(g, _)| {
+            use Component::*;
+            matches!(g.component, Q | K | V | O | QkT | Sv)
+        });
+        assert_eq!(
+            attention.count(),
+            4 * c.num_layers * (4 + 2 * c.num_heads),
+            "four forwards of Q/K/V/O plus one QKᵀ and one SV per head per layer"
+        );
+        for ((s, s_shape), (b, b_shape)) in solo.gemms.iter().zip(&one_slot.gemms) {
+            assert_eq!(
+                (s.component, s.layer, s.stage, s.sequence, s_shape),
+                (b.component, b.layer, b.stage, b.sequence, b_shape)
+            );
+            assert_eq!(s.origin, GemmOrigin::Sequence(0));
+            let per_sequence = matches!(s.component, Component::QkT | Component::Sv);
+            let expected = if per_sequence {
+                GemmOrigin::Sequence(0)
+            } else {
+                GemmOrigin::BatchedRows
+            };
+            assert_eq!(b.origin, expected, "{:?}", b.component);
+        }
+    }
 }
 
 #[test]

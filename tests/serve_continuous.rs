@@ -4,14 +4,12 @@
 //!
 //! * **Slot-reuse parity** — a request admitted mid-flight into a recycled batch slot
 //!   produces bit-identical tokens to a solo `Model::generate` run, on every `GemmEngine`
-//!   backend and through both the `BatchScheduler::run_with_slots` window and the full
-//!   `ServeEngine` queue → prefill → continuous-decode path.
+//!   backend, through the full `ServeEngine` queue → prefill → continuous-decode path.
 //! * **No starvation** — under a saturating stream of high-priority arrivals, queue aging
 //!   guarantees low-priority requests still complete within a bounded number of steps.
 
 use realm::core::ProtectionPolicy;
 use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector};
-use realm::llm::batch::{BatchRequest, BatchScheduler};
 use realm::llm::{config::ModelConfig, model::Model, NoopHook};
 use realm::serve::{ServeConfig, ServeEngine, ServeRequest, TokenEvent};
 use realm::tensor::EngineKind;
@@ -82,29 +80,6 @@ fn mid_flight_admission_is_bit_identical_to_solo_runs_on_every_backend() {
                     "{name}/{kind}: stream {i} diverged"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn run_with_slots_matches_solo_generate_on_every_backend() {
-    let requests: Vec<BatchRequest> = ragged_requests()
-        .into_iter()
-        .map(|(prompt, budget)| BatchRequest::new(prompt, budget))
-        .collect();
-    for kind in EngineKind::ALL {
-        let model = model_for(kind, ModelConfig::tiny_llama());
-        let outputs = BatchScheduler::new(&model)
-            .run_with_slots(&requests, 3, &mut NoopHook)
-            .unwrap();
-        for (i, request) in requests.iter().enumerate() {
-            let solo = model
-                .generate(&request.prompt, request.max_new_tokens, &mut NoopHook)
-                .unwrap();
-            assert_eq!(
-                outputs[i], solo,
-                "{kind}: windowed request {i} diverged from solo generate"
-            );
         }
     }
 }

@@ -1,13 +1,15 @@
 //! Differential tests for the workspace-planned (`_into` / `_ws`) execution paths.
 //!
-//! The allocation-free decode loop is only admissible if it is *bit-identical* to the
-//! allocating paths it replaces — on every backend, on ragged batches, on batch-of-1, and
-//! critically when the same destination buffers are **reused** across calls of different
-//! shapes (a stale-scratch bug shows up exactly there, and the workspace's debug poisoning
-//! turns it into loud garbage instead of a silent parity pass).
+//! Every forward draws its intermediates from a caller-provided `Workspace`. The
+//! allocation-free decode loop is only admissible if a **persistent** workspace — warm
+//! pools, buffers reused across calls of different shapes — is *bit-identical* to handing
+//! each call a **fresh** one: on every backend, on ragged batches and on batch-of-1 (a
+//! stale-scratch bug shows up exactly there, and the workspace's debug poisoning turns it
+//! into loud garbage instead of a silent parity pass).
 
 use rand::Rng;
 use realm::llm::batch::{BatchRequest, BatchScheduler};
+use realm::llm::model::{argmax_with_margin, PrefillChunk};
 use realm::llm::{config::ModelConfig, model::Model, NoopHook};
 use realm::tensor::engine::{ChecksummedGemm, EngineKind};
 use realm::tensor::{rng, MatI8, Workspace};
@@ -81,8 +83,9 @@ fn into_paths_reject_shape_mismatch_and_recover() {
     assert_eq!(out, engine.gemm_i8(&a, &b).unwrap());
 }
 
-/// A persistent workspace across a whole generation produces bit-identical tokens, margins
-/// and logits to the allocating entry points, on every backend and both architectures.
+/// A persistent workspace across a whole generation produces bit-identical logits and tokens
+/// to a fresh workspace per call (and to `Model::generate`), on every backend and both
+/// architectures.
 #[test]
 fn persistent_workspace_generation_matches_allocating_path() {
     for config_fn in [ModelConfig::tiny_opt, ModelConfig::tiny_llama] {
@@ -91,40 +94,43 @@ fn persistent_workspace_generation_matches_allocating_path() {
             config.engine = kind;
             let model = Model::new(&config, 11).unwrap();
             let prompt = [1u32, 5, 9, 2];
+            let label = format!("{} on {kind}", config.name);
 
-            let allocating = model.generate(&prompt, 6, &mut NoopHook).unwrap();
-
-            // Hand-rolled generation over the `_ws` entry points with one long-lived
-            // workspace, recycling and resetting per token like the serving engine does.
+            // Oracle: every forward on a workspace of its own.
+            let (fresh_prefill, mut fresh_cache) = model.prefill(&prompt, &mut NoopHook).unwrap();
+            // Hand-rolled generation with one long-lived workspace, recycling and resetting
+            // per token like the serving engine does.
             let mut ws = Workspace::new();
             let (logits, mut cache) = model.prefill_ws(&prompt, &mut NoopHook, &mut ws).unwrap();
-            let (mut next, _) =
-                realm::llm::model::argmax_with_margin(logits.row(logits.rows() - 1));
+            assert_eq!(logits, fresh_prefill, "{label}: prefill");
+            let (mut next, _) = argmax_with_margin(logits.row(logits.rows() - 1));
             ws.recycle_mat_f32(logits);
             let mut tokens = vec![next];
             for _ in 1..6 {
+                let fresh = model
+                    .decode_step_ws(next, &mut fresh_cache, &mut NoopHook, &mut Workspace::new())
+                    .unwrap();
                 let step = model
                     .decode_step_ws(next, &mut cache, &mut NoopHook, &mut ws)
                     .unwrap();
-                let (n, _) = realm::llm::model::argmax_with_margin(&step);
+                assert_eq!(step, fresh, "{label}: decode step {}", tokens.len());
+                next = argmax_with_margin(&step).0;
                 ws.recycle_vec_f32(step);
                 ws.reset();
-                next = n;
                 tokens.push(next);
             }
-            assert_eq!(
-                tokens, allocating.tokens,
-                "{} on {kind}: workspace decode diverged",
-                config.name
-            );
+            assert_eq!(cache, fresh_cache, "{label}: cache contents");
+            let generated = model.generate(&prompt, 6, &mut NoopHook).unwrap();
+            assert_eq!(tokens, generated.tokens, "{label}: tokens");
             assert_eq!(ws.outstanding_buffers(), 0, "every checkout was recycled");
             assert!(ws.high_water_mark_bytes() > 0);
         }
     }
 }
 
-/// Ragged batches (including batch-of-1 and an early-completing sequence) through the
-/// batched `_ws` path are bit-identical to the allocating batched path and to solo runs.
+/// Ragged batches (including batch-of-1 and an early-completing sequence) on a persistent
+/// workspace are bit-identical to the same batched forwards on fresh workspaces and to solo
+/// runs.
 #[test]
 fn batched_workspace_paths_are_bit_identical_on_all_backends() {
     for kind in EngineKind::ALL {
@@ -132,28 +138,62 @@ fn batched_workspace_paths_are_bit_identical_on_all_backends() {
         config.engine = kind;
         let model = Model::new(&config, 23).unwrap();
         let ragged: Vec<Vec<u32>> = vec![vec![1, 2, 3, 4, 5], vec![7], vec![9, 10, 11]];
+        let chunks: Vec<PrefillChunk<'_>> = ragged
+            .iter()
+            .enumerate()
+            .map(|(slot, prompt)| PrefillChunk::whole(prompt, slot))
+            .collect();
 
-        // prefill_batch (wrapper) vs prefill_batch_ws with a reused workspace, twice over
-        // to exercise pool reuse across calls.
-        let (oracle_logits, _) = model.prefill_batch(&ragged, &mut NoopHook).unwrap();
+        // `prefill_batch` runs on a workspace of its own; the same chunk batch on one
+        // reused workspace, twice over to exercise pool reuse across calls, matches it —
+        // and so do two lockstep decode steps, the middle slot idle.
+        let (oracle_logits, mut oracle_cache) =
+            model.prefill_batch(&ragged, &mut NoopHook).unwrap();
         let mut ws = Workspace::new();
+        let mut cache = model.new_batched_cache(ragged.len());
         for round in 0..2 {
-            let (ws_logits, _) = model
-                .prefill_batch_ws(&ragged, &mut NoopHook, &mut ws)
+            (0..ragged.len()).for_each(|slot| cache.release_slot(slot));
+            let ws_logits = model
+                .prefill_chunks_batch_ws(&chunks, &mut cache, &mut NoopHook, &mut ws)
                 .unwrap();
             assert_eq!(ws_logits, oracle_logits, "{kind} round {round}");
             ws.reset();
         }
+        for step in [[Some(3u32), None, Some(8)], [Some(1), None, Some(1)]] {
+            let fresh = model
+                .decode_step_batch_ws(
+                    &step,
+                    &mut oracle_cache,
+                    &mut NoopHook,
+                    &mut Workspace::new(),
+                )
+                .unwrap();
+            let reused = model
+                .decode_step_batch_ws(&step, &mut cache, &mut NoopHook, &mut ws)
+                .unwrap();
+            assert_eq!(reused, fresh, "{kind} decode {step:?}");
+            reused
+                .into_iter()
+                .flatten()
+                .for_each(|l| ws.recycle_vec_f32(l));
+            ws.reset();
+        }
+        assert_eq!(cache, oracle_cache, "{kind} cache contents");
 
-        // Batch-of-1 equals the solo path.
-        let solo_prompt = vec![3u32, 1, 4];
+        // Batch-of-1 on the warm workspace equals the solo path.
+        let solo_prompt = [3u32, 1, 4];
         let (solo_logits, _) = model.prefill(&solo_prompt, &mut NoopHook).unwrap();
-        let (batch1_logits, _) = model
-            .prefill_batch_ws(std::slice::from_ref(&solo_prompt), &mut NoopHook, &mut ws)
+        let batch1_logits = model
+            .prefill_chunks_batch_ws(
+                &[PrefillChunk::whole(&solo_prompt, 0)],
+                &mut model.new_batched_cache(1),
+                &mut NoopHook,
+                &mut ws,
+            )
             .unwrap();
-        assert_eq!(batch1_logits[0], solo_logits, "{kind} batch-of-1");
+        assert_eq!(batch1_logits, [solo_logits], "{kind} batch-of-1");
 
-        // Full scheduler runs (which now thread one workspace per run, with a sequence
+        // Full scheduler runs (which thread one workspace per run, with a sequence
         // completing mid-run) still match per-request solo generation.
         let requests = vec![
             BatchRequest::new(vec![1, 2, 3], 5),

@@ -18,8 +18,7 @@
 //! into a [`realm::tensor::PackedMatI8`] replica at **model load**. That packing is a
 //! one-time construction cost outside the measured window; the decode-path packed kernels
 //! consume the resident tiles read-only, so the steady-state zero-allocation contract below
-//! now covers the packed path by default (and the unpacked path via
-//! `Model::set_weight_packing(false)`).
+//! covers the packed path — the only path static weights take.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -150,20 +149,6 @@ fn simd_decode_steps_after_warmup_allocate_nothing() {
 }
 
 #[test]
-fn simd_unpacked_decode_steps_after_warmup_allocate_nothing() {
-    // `set_weight_packing(false)` reroutes every weight GEMM through the legacy unpacked
-    // kernels without repacking or dropping buffers, so the A/B switch the packed-vs-
-    // unpacked benchmarks rely on preserves the zero-allocation contract on both sides.
-    let mut model = model_on(EngineKind::Simd);
-    model.set_weight_packing(false);
-    let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
-    assert_eq!(
-        allocations, 0,
-        "steady-state unpacked SIMD decode must perform zero heap allocations per step"
-    );
-}
-
-#[test]
 fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
     // Engine-level statement of the same contract: once the packed replica exists and the
     // destination/scratch buffers have been sized by a first call, repeated checksummed
@@ -251,11 +236,7 @@ fn count_batched_decode_allocations(
     let chunks: Vec<PrefillChunk<'_>> = prompts
         .iter()
         .enumerate()
-        .map(|(slot, prompt)| PrefillChunk {
-            prompt,
-            range: 0..prompt.len(),
-            slot,
-        })
+        .map(|(slot, prompt)| PrefillChunk::whole(prompt, slot))
         .collect();
     let logits = model
         .prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)
@@ -288,12 +269,13 @@ fn count_batched_decode_allocations(
 #[test]
 fn batched_decode_forward_pass_allocates_nothing_after_warmup() {
     // `decode_step_batch_ws` hands back a fresh `Vec` of per-slot logits and builds the
-    // step's token list, length list and `RowPartition` (which a protector clones): a
-    // handful of small vectors per step that its signature fixes. Everything below that
-    // entry point — per-slot KV appends in place, attention scratch, every GEMM — must
-    // allocate nothing, so the per-step count may depend neither on the number of layers
-    // nor on the context length.
-    const ENTRY_POINT_VECTORS: u64 = 5;
+    // step's token list, length list and `RowPartition`: four small vectors per step that
+    // its signature fixes. Everything below that entry point — the protector keeping the
+    // announced partition (it refills its own offsets buffer), per-slot KV appends in
+    // place, attention scratch, every GEMM — must allocate nothing, so the per-step count
+    // may depend neither on the hook, nor on the number of layers, nor on the context
+    // length.
+    const ENTRY_POINT_VECTORS: u64 = 4;
     for engine in [EngineKind::Reference, EngineKind::Simd] {
         let deep = {
             let mut config = ModelConfig::tiny_opt();
@@ -307,15 +289,12 @@ fn batched_decode_forward_pass_allocates_nothing_after_warmup() {
                 ProtectionScheme::StatisticalAbft,
                 SystolicArray::small(Dataflow::WeightStationary),
             );
-            let hooks: [(&mut dyn GemmHook, u64); 2] = [
-                (&mut NoopHook, ENTRY_POINT_VECTORS - 1),
-                (&mut protector, ENTRY_POINT_VECTORS),
-            ];
-            for (hook, per_step) in hooks {
+            let hooks: [&mut dyn GemmHook; 2] = [&mut NoopHook, &mut protector];
+            for hook in hooks {
                 let allocations = count_batched_decode_allocations(&model, hook, 64, 40);
                 assert_eq!(
                     allocations,
-                    40 * per_step,
+                    40 * ENTRY_POINT_VECTORS,
                     "{engine}, {} layers: a warmed batched decode step allocates only its \
                      entry point's bookkeeping vectors",
                     model.config().num_layers
