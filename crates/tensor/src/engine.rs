@@ -6,14 +6,14 @@
 //!
 //! * [`ReferenceEngine`] — the original scalar triple loop ([`crate::gemm::gemm_i8`]), kept
 //!   as the bit-exact oracle every other backend is tested against;
-//! * [`BlockedEngine`] — a cache-tiled microkernel: `B` is walked in `kc × nc` panels that
-//!   stay resident in L1/L2, with the inner loop written over slices so the compiler can
-//!   vectorise the i8→i32 widening multiply-accumulate;
-//! * [`ParallelEngine`] — the blocked kernel sharded over contiguous row chunks, one thread
-//!   per available core (scoped threads; small GEMMs fall through to the blocked kernel);
-//! * [`crate::simd::SimdEngine`] / [`crate::simd::SimdParallelEngine`] — the AVX2
-//!   microkernel (runtime-detected, portable fallback) and its work-stealing sharded
-//!   composition, the default on hosts that support it (see [`EngineKind::auto`]).
+//! * [`KernelEngine`] — every other backend: one **row kernel** × one **worker count**.
+//!   The kernel is either the cache-tiled blocked loop (`B` walked in `kc × nc` panels that
+//!   stay resident in L1/L2, inner loop over slices so the compiler can vectorise the
+//!   i8→i32 widening multiply-accumulate) or the [`crate::simd`] microkernel (AVX-512 /
+//!   AVX2 / portable, runtime-detected); the workers are either the calling thread or
+//!   scoped threads stealing contiguous row chunks. The four cells are what
+//!   [`EngineKind`] names `blocked`, `parallel`, `simd` and `simd_parallel`, the last being
+//!   the default on hosts with AVX2 (see [`EngineKind::auto`]).
 //!
 //! All backends produce **bit-identical** accumulators: INT32/i64 additions are associative and
 //! commutative, so re-tiling and re-sharding the reduction cannot change a single bit (the
@@ -33,6 +33,7 @@
 //! detectors consume directly instead of re-reading the matrices.
 
 use crate::packed::PackedMatI8;
+use crate::simd::{SimdKernel, SimdTier, SKINNY_MAX_ROWS};
 use crate::{gemm, MatI32, MatI8, Result, TensorError};
 use std::str::FromStr;
 use std::sync::Arc;
@@ -241,7 +242,7 @@ pub fn accumulate_expected(etw: &[i64], b: &MatI8, expected: &mut [i64]) {
     accumulate_expected_panel(b, etw, expected, (0, etw.len()), (0, b.cols()));
 }
 
-/// Checksum accumulators threaded through a fused [`BlockedEngine::run_rows`] pass.
+/// Checksum accumulators threaded through a fused [`Kernel::run_rows`] pass.
 ///
 /// `etw` is the complete operand checksum `eᵀ·W` (all rows, computed upfront); `expected`
 /// receives the `(eᵀ·W)·X` reduction fused into the cache-hot widened `B` panels — software's
@@ -255,24 +256,23 @@ pub(crate) struct FusedChecksums<'a> {
     pub(crate) observed: &'a mut [i64],
 }
 
-/// A GEMM kernel expressed as a pass over a contiguous band of output rows with
-/// optionally fused checksums — the unit the shared single-thread and work-stealing
-/// orchestration ([`checksummed_into_single`], [`sharded_gemm_i8_into`],
-/// [`sharded_checksummed_into`]) composes over, so the subtle dispatch and
-/// sharded-checksum-merge logic exists once no matter how many kernels plug in.
-pub(crate) trait RowKernel: Sync {
-    /// Accumulates `a[row_start..row_end] × b` into `out_band` — the matching rows of the
-    /// output, band-local and contiguous (`(row_end - row_start) × b.cols()`) — folding
-    /// the checksum reductions into the pass when `fused` is present.
-    fn run_rows(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        fused: Option<FusedChecksums<'_>>,
-    );
+/// The `B` operand of one GEMM as the row kernels see it.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// Row-major `B` (activation × activation GEMMs, recovery recomputation).
+    RowMajor(&'a MatI8),
+    /// A static weight matrix pre-packed into the SIMD kernels' tile order. The pack carries
+    /// its row-major original, which is what a kernel without a packed pass multiplies.
+    Packed(&'a PackedMatI8),
+}
+
+impl<'a> Operand<'a> {
+    fn row_major(self) -> &'a MatI8 {
+        match self {
+            Operand::RowMajor(b) => b,
+            Operand::Packed(pb) => pb.unpacked(),
+        }
+    }
 }
 
 /// One panel's share of the `(eᵀ·W)·X` reduction, over the cache-hot `B` panel
@@ -306,42 +306,33 @@ pub(crate) fn accumulate_expected_panel(
 /// checksums (asserted by the differential tests in `tests/backend_parity.rs`), so any
 /// engine can execute any part of the workspace — including recovery recomputation — without
 /// perturbing a single experiment.
+///
+/// A backend implements [`GemmEngine::name`] and the two `_into` primitives, which write
+/// into caller-provided storage and are what the allocation-free decode loop calls. The
+/// allocating entry points, the two-pass oracle and the packed entry points are provided on
+/// top of them.
 pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     /// Short name used in reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// Multiplies two INT8 matrices producing the INT32 accumulator matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()`.
-    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32>;
-
-    /// [`GemmEngine::gemm_i8`] writing into caller-provided storage.
+    /// Multiplies two INT8 matrices into the caller-provided INT32 accumulator matrix.
     ///
     /// `out` is reshaped in place, reusing its backing allocation when the capacity
     /// suffices — with a [`crate::Workspace`]-pooled accumulator the steady-state decode
-    /// loop never touches the allocator. The default implementation falls back to the
-    /// allocating path (so exotic backends keep working unchanged); the built-in backends
-    /// override it with true in-place kernels. Results are always bit-identical to
-    /// [`GemmEngine::gemm_i8`].
+    /// loop never touches the allocator.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()`.
-    fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
-        *out = self.gemm_i8(a, b)?;
-        Ok(())
-    }
+    fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()>;
 
-    /// [`GemmEngine::gemm_i8_checksummed`] writing into a caller-provided
-    /// [`ChecksummedGemm`] (accumulator and both checksum vectors are reshaped in place).
+    /// Multiplies into a caller-provided [`ChecksummedGemm`]: the accumulator bundled with
+    /// its ABFT column checksums (accumulator and both checksum vectors are reshaped in
+    /// place).
     ///
     /// `etw_scratch` receives the operand checksum `eᵀ·W` (length `a.cols()`); callers on
     /// the hot path hand in a workspace-pooled buffer so the whole fused pass is
-    /// allocation-free. The default implementation falls back to the allocating path;
-    /// built-in backends override it. Results are bit-identical to
-    /// [`GemmEngine::gemm_i8_checksummed`].
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -352,28 +343,34 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
         b: &MatI8,
         dest: &mut ChecksummedGemm,
         etw_scratch: &mut Vec<i64>,
-    ) -> Result<()> {
-        let _ = &etw_scratch;
-        *dest = self.gemm_i8_checksummed(a, b)?;
-        Ok(())
+    ) -> Result<()>;
+
+    /// [`GemmEngine::gemm_i8_into`] into a freshly allocated accumulator.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()`.
+    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32> {
+        let mut out = MatI32::zeros(0, 0);
+        self.gemm_i8_into(a, b, &mut out)?;
+        Ok(out)
     }
 
-    /// Multiplies and returns the result bundled with its ABFT column checksums.
-    ///
-    /// The default implementation runs the plain GEMM followed by separate checksum passes
-    /// (the pre-fusion behaviour); backends with a fused pass override it.
+    /// [`GemmEngine::gemm_i8_checksummed_into`] into a freshly allocated bundle.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()`.
     fn gemm_i8_checksummed(&self, a: &MatI8, b: &MatI8) -> Result<ChecksummedGemm> {
-        self.gemm_i8_checksummed_two_pass(a, b)
+        let mut dest = ChecksummedGemm::empty();
+        let mut etw = Vec::new();
+        self.gemm_i8_checksummed_into(a, b, &mut dest, &mut etw)?;
+        Ok(dest)
     }
 
     /// Multiplies and derives the checksums in separate passes over `a`, `b` and the output.
     ///
-    /// Exposed so benchmarks can compare the fused path against the two-pass path on the
-    /// *same* backend.
+    /// The oracle the fused path is differentially tested against on the *same* backend.
     ///
     /// # Errors
     ///
@@ -392,10 +389,9 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     /// once at load time ([`PackedMatI8`]).
     ///
     /// The default implementation multiplies against the row-major original carried by
-    /// the pack ([`PackedMatI8::unpacked`]), so exotic backends keep working unchanged
-    /// and stay bit-exact; the SIMD engines override it with kernels that stream the
-    /// tiles directly. Results are always bit-identical to [`GemmEngine::gemm_i8_into`]
-    /// on the unpacked matrix.
+    /// the pack ([`PackedMatI8::unpacked`]); the SIMD kernels of [`KernelEngine`] stream
+    /// the tiles directly. Results are always bit-identical to
+    /// [`GemmEngine::gemm_i8_into`] on the unpacked matrix.
     ///
     /// # Errors
     ///
@@ -407,10 +403,11 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     /// [`GemmEngine::gemm_i8_checksummed_into`] with a pre-packed B operand.
     ///
     /// The default implementation falls back to the unpacked fused pass (bit-exact by
-    /// construction); the SIMD engines override it — for skinny `a` (decode shapes) the
-    /// `(eᵀ·W)·X` expected-checksum reduction rides the packed tile stream in-register,
-    /// eliminating the second full pass over the weights that the unpacked fused path
-    /// pays. Checksums and accumulators are always bit-identical to the unpacked path.
+    /// construction); with the SIMD kernels of [`KernelEngine`], for skinny `a` (decode
+    /// shapes) the `(eᵀ·W)·X` expected-checksum reduction rides the packed tile stream
+    /// in-register, eliminating the second full pass over the weights that the unpacked
+    /// fused path pays. Checksums and accumulators are always bit-identical to the
+    /// unpacked path.
     ///
     /// # Errors
     ///
@@ -426,28 +423,6 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     }
 }
 
-pub(crate) fn check_packed_compatible(op: &'static str, a: &MatI8, pb: &PackedMatI8) -> Result<()> {
-    if a.cols() != pb.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: a.shape(),
-            rhs: pb.shape(),
-        });
-    }
-    Ok(())
-}
-
-pub(crate) fn check_compatible(op: &'static str, a: &MatI8, b: &MatI8) -> Result<()> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    Ok(())
-}
-
 /// The original scalar triple loop, kept as the bit-exact oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReferenceEngine;
@@ -455,10 +430,6 @@ pub struct ReferenceEngine;
 impl GemmEngine for ReferenceEngine {
     fn name(&self) -> &'static str {
         "reference"
-    }
-
-    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32> {
-        gemm::gemm_i8(a, b)
     }
 
     fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
@@ -489,54 +460,33 @@ impl GemmEngine for ReferenceEngine {
 /// Default depth (rows of `B`) of a cache panel: `kc × nc` i8 elements ≈ 16 KiB, resident
 /// in L1 on any modern core.
 pub const DEFAULT_KC: usize = 64;
-/// Default width (columns of `B`) of a cache panel.
+/// Default (and maximum) width (columns of `B`) of a cache panel.
 pub const DEFAULT_NC: usize = 256;
 
-/// Cache-tiled i8→i32 microkernel.
+/// Cache-tiled i8→i32 row kernel.
 ///
 /// Loop order is `jc` (column panels) → `pc` (depth panels) → `i` (rows) → `p` → `j`, so each
 /// `kc × nc` panel of `B` and each `nc`-wide accumulator row segment stay cache-resident for
 /// a whole panel's worth of work, and the innermost loop is a slice-to-slice widening
 /// multiply-add the compiler can unroll and vectorise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockedEngine {
+struct BlockedKernel {
     /// Depth of a `B` panel (rows of `B` per tile).
-    pub kc: usize,
-    /// Width of a `B` panel (columns of `B` per tile).
-    pub nc: usize,
+    kc: usize,
+    /// Width of a `B` panel (columns of `B` per tile), at most [`DEFAULT_NC`].
+    nc: usize,
 }
 
-impl Default for BlockedEngine {
-    fn default() -> Self {
-        Self {
-            kc: DEFAULT_KC,
-            nc: DEFAULT_NC,
-        }
-    }
-}
-
-impl BlockedEngine {
-    /// A blocked engine with the default tile sizes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A blocked engine with explicit tile sizes (clamped to at least 1).
-    pub fn with_tiles(kc: usize, nc: usize) -> Self {
-        Self {
-            kc: kc.max(1),
-            nc: nc.max(1),
-        }
-    }
-
+impl BlockedKernel {
     /// Core tiled loop over a contiguous row range `[row_start, row_end)` of `a`, writing
     /// into `out_band` — the matching rows of the output, band-local and contiguous
     /// (`(row_end - row_start) × n`), so parallel shards can own disjoint `split_at_mut`
     /// bands of one output allocation with no copying at join.
     ///
     /// Within each `jc × pc` panel the depth dimension advances four rows of `B` at a time:
-    /// the four rows are widened to `i32` once into a 4-panel scratch (`4 × nc` values,
-    /// cache-resident) and every accumulator row segment folds them in with a pure-`i32`
+    /// the four rows are widened to `i32` once into a 4-panel stack scratch (`4 × nc`
+    /// values, cache-resident; no heap, so the allocation-free decode contract holds on
+    /// this kernel too) and every accumulator row segment folds them in with a pure-`i32`
     /// multiply-add — no per-element sign extension in the hot loop and a quarter of the
     /// accumulator load/store traffic of the scalar reference loop. Measured ~1.5× faster
     /// than [`ReferenceEngine`] at 256³ on a generic x86-64 target (more with wider SIMD).
@@ -557,7 +507,8 @@ impl BlockedEngine {
         let k = a.cols();
         let n = b.cols();
         debug_assert_eq!(out_band.len(), (row_end - row_start) * n);
-        let mut widened = vec![0i32; 4 * self.nc.min(n.max(1))];
+        let mut widened = [0i32; 4 * DEFAULT_NC];
+        let widened = &mut widened[..4 * self.nc.min(n.max(1))];
         let mut jc = 0;
         while jc < n {
             let jc_end = (jc + self.nc).min(n);
@@ -646,65 +597,60 @@ impl BlockedEngine {
     }
 }
 
-impl GemmEngine for BlockedEngine {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
-    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32> {
-        check_compatible("BlockedEngine::gemm_i8", a, b)?;
-        let mut out = MatI32::zeros(a.rows(), b.cols());
-        self.run_rows(a, b, out.as_mut_slice(), 0, a.rows(), None);
-        Ok(out)
-    }
-
-    fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
-        check_compatible("BlockedEngine::gemm_i8", a, b)?;
-        out.resize_reset(a.rows(), b.cols());
-        self.run_rows(a, b, out.as_mut_slice(), 0, a.rows(), None);
-        Ok(())
-    }
-
-    fn gemm_i8_checksummed(&self, a: &MatI8, b: &MatI8) -> Result<ChecksummedGemm> {
-        let mut dest = ChecksummedGemm::empty();
-        let mut etw = Vec::new();
-        self.gemm_i8_checksummed_into(a, b, &mut dest, &mut etw)?;
-        Ok(dest)
-    }
-
-    fn gemm_i8_checksummed_into(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        dest: &mut ChecksummedGemm,
-        etw_scratch: &mut Vec<i64>,
-    ) -> Result<()> {
-        checksummed_into_single(
-            self,
-            "BlockedEngine::gemm_i8_checksummed",
-            a,
-            b,
-            dest,
-            etw_scratch,
-        )
-    }
+/// The row kernel of a [`KernelEngine`]: a GEMM expressed as a pass over a contiguous band
+/// of output rows with optionally fused checksums — the unit [`KernelEngine::run`] composes
+/// over, inline or across stolen chunks, so the dispatch and sharded-checksum-merge logic
+/// exists once no matter which kernel runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Blocked(BlockedKernel),
+    Simd(SimdKernel),
 }
 
-impl RowKernel for BlockedEngine {
+impl Kernel {
+    /// Accumulates `a[row_start..row_end] × b` into `out_band` — the matching rows of the
+    /// output, band-local and contiguous (`(row_end - row_start) × b.cols()`) — folding
+    /// the checksum reductions into the pass when `fused` is present.
     fn run_rows(
         &self,
         a: &MatI8,
-        b: &MatI8,
+        b: Operand<'_>,
         out_band: &mut [i32],
         row_start: usize,
         row_end: usize,
         fused: Option<FusedChecksums<'_>>,
     ) {
-        BlockedEngine::run_rows(self, a, b, out_band, row_start, row_end, fused)
+        match (self, b) {
+            (Kernel::Simd(simd), Operand::RowMajor(b)) => {
+                simd.run_rows(a, b, out_band, row_start, row_end, fused)
+            }
+            (Kernel::Simd(simd), Operand::Packed(pb)) => {
+                // `eᵀ·Y` rides the packed kernel's accumulator registers; `(eᵀ·W)·X` is one
+                // row-major streaming pass over the original the pack carries.
+                let observed = fused.map(|fused| {
+                    if let Some(expected) = fused.expected {
+                        let (k, n) = pb.shape();
+                        accumulate_expected_panel(
+                            pb.unpacked(),
+                            fused.etw,
+                            expected,
+                            (0, k),
+                            (0, n),
+                        );
+                    }
+                    fused.observed
+                });
+                simd.run_rows_packed(a, pb, out_band, row_start, row_end, observed)
+            }
+            // The blocked kernel has no packed pass: it multiplies the row-major original.
+            (Kernel::Blocked(blocked), b) => {
+                blocked.run_rows(a, b.row_major(), out_band, row_start, row_end, fused)
+            }
+        }
     }
 }
 
-/// MAC count below which [`ParallelEngine`] runs the blocked kernel inline: thread spawn and
+/// MAC count below which a pooled [`KernelEngine`] runs its kernel inline: thread spawn and
 /// join overhead would dominate the decode-stage GEMV-like shapes.
 pub const PARALLEL_MIN_MACS: usize = 1 << 18;
 
@@ -712,27 +658,6 @@ pub const PARALLEL_MIN_MACS: usize = 1 << 18;
 /// lands on cheap rows (zero-skip makes row cost data-dependent) claims more chunks instead
 /// of idling while a statically assigned contiguous band finishes elsewhere.
 pub const CHUNKS_PER_WORKER: usize = 4;
-
-/// The blocked kernel sharded over work-stealing row chunks on scoped threads.
-///
-/// The output rows are carved into [`CHUNKS_PER_WORKER`]× more contiguous chunks than there
-/// are workers, and workers claim chunks off a shared atomic counter until none remain. On
-/// uniform operands this costs nothing over static contiguous bands; on skewed operands
-/// (e.g. activation matrices whose top rows are dense and bottom rows mostly zero, where the
-/// kernels' zero-skip makes row cost wildly uneven) it keeps every core busy to the end.
-///
-/// Rows of the output are independent, and the checksum reductions are exact integer sums,
-/// so re-sharding changes nothing: accumulators and checksums are bit-identical to
-/// [`ReferenceEngine`] regardless of which worker claims which chunk. Each worker runs the
-/// fused blocked pass over its claimed rows (partial `eᵀ·Y`); the partials are summed at
-/// join and the shared `(eᵀ·W)·X` reduction is fused into whichever chunk starts at row 0 —
-/// it is row-independent and must run exactly once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParallelEngine {
-    inner: BlockedEngine,
-    /// Explicit worker count; `None` means one per available core.
-    pub threads: Option<usize>,
-}
 
 /// One claimable unit of a sharded GEMM: a contiguous row range plus the matching band of
 /// the output allocation (a disjoint `split_at_mut` view, so workers write in place).
@@ -760,27 +685,15 @@ fn carve_chunks(
     chunks
 }
 
-/// Effective worker count for a row-sharded GEMM: `threads` if pinned, else the
-/// `REALM_NUM_THREADS` environment override if set, else one per available core —
-/// always clamped to the row count. Shared by [`ParallelEngine`] and
-/// [`crate::simd::SimdParallelEngine`].
-///
-/// The environment override exists so TP and parallel-engine benchmarks are reproducible
-/// on shared CI runners whose effective core budget varies run to run; like the hardware
-/// probe it is resolved once per process.
-pub(crate) fn worker_count(threads: Option<usize>, rows: usize) -> usize {
+/// Effective worker count for a row-sharded GEMM: `threads` if pinned, else one per
+/// available core — always clamped to the row count.
+fn worker_count(threads: Option<usize>, rows: usize) -> usize {
     // `available_parallelism` re-reads cgroup limits from the filesystem on every call on
     // Linux — tens of microseconds, i.e. longer than an entire decode-shape GEMM. The
     // process's CPU budget does not change mid-run, so resolve it once.
     static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     let hw = threads.unwrap_or_else(|| {
-        *AVAILABLE.get_or_init(|| {
-            std::env::var("REALM_NUM_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        })
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     });
     hw.max(1).min(rows.max(1))
 }
@@ -789,10 +702,8 @@ pub(crate) fn worker_count(threads: Option<usize>, rows: usize) -> usize {
 /// scoped threads that repeatedly claim the next unclaimed chunk via an atomic counter and
 /// run `shard` on it. Each worker's `T` accumulates across all the chunks it claimed
 /// (built by `init`, folded by `shard`); the per-worker values are returned at join for
-/// the caller to merge. The scheduling layer is kernel-agnostic — [`ParallelEngine`] runs
-/// the blocked kernel inside the chunks, [`crate::simd::SimdParallelEngine`] the SIMD
-/// microkernel.
-pub(crate) fn steal_row_chunks<T: Send>(
+/// the caller to merge. The scheduling layer is kernel-agnostic.
+fn steal_row_chunks<T: Send>(
     out: &mut MatI32,
     workers: usize,
     init: impl Fn() -> T + Sync,
@@ -829,183 +740,216 @@ pub(crate) fn steal_row_chunks<T: Send>(
     })
 }
 
-impl ParallelEngine {
-    /// A parallel engine over the default blocked kernel, one worker per core.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A parallel engine with an explicit worker count (clamped to at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            inner: BlockedEngine::default(),
-            threads: Some(threads.max(1)),
-        }
-    }
+/// Where a [`KernelEngine`] runs its row kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Workers {
+    /// On the calling thread.
+    Inline,
+    /// On scoped threads stealing row chunks: the pinned count, or one per available core.
+    Pool(Option<usize>),
 }
 
-/// Single-thread fused-checksum GEMM into caller storage: the shared body of every
-/// non-sharded `gemm_i8_checksummed_into` (`eᵀ·W` first in one streaming pass over the
-/// small operand, then the `(eᵀ·W)·X` and `eᵀ·Y` reductions ride the kernel pass itself).
-pub(crate) fn checksummed_into_single<K: RowKernel>(
-    kernel: &K,
-    op: &'static str,
-    a: &MatI8,
-    b: &MatI8,
-    dest: &mut ChecksummedGemm,
-    etw_scratch: &mut Vec<i64>,
-) -> Result<()> {
-    check_compatible(op, a, b)?;
-    operand_col_sums_into(a, etw_scratch);
-    dest.prepare(a.rows(), b.cols());
-    let (acc, expected, observed) = dest.fused_parts_mut();
-    kernel.run_rows(
-        a,
-        b,
-        acc.as_mut_slice(),
-        0,
-        a.rows(),
-        Some(FusedChecksums {
+/// Every backend but the oracle: one row kernel × one worker count.
+///
+/// The **kernel** is the cache-tiled blocked loop ([`KernelEngine::blocked`]) or the SIMD
+/// microkernel ([`KernelEngine::simd`], see [`crate::simd`]); its instruction-set tier is
+/// decided once at construction and carried by the engine value, so the per-GEMM hot path
+/// never re-reads the environment or CPUID. The **workers** are the calling thread (the
+/// default) or a work-stealing pool ([`KernelEngine::pooled`],
+/// [`KernelEngine::with_workers`]): the output rows are carved into [`CHUNKS_PER_WORKER`]×
+/// more contiguous chunks than there are workers, and workers claim chunks off a shared
+/// atomic counter until none remain. On uniform operands this costs nothing over static
+/// contiguous bands; on skewed operands (e.g. activation matrices whose top rows are dense
+/// and bottom rows mostly zero, where the kernels' zero-skip makes row cost wildly uneven)
+/// it keeps every core busy to the end. GEMMs below [`PARALLEL_MIN_MACS`] run inline on
+/// the calling thread whatever the worker count, so GEMV-like decode shapes stay on the
+/// allocation-free single-thread path.
+///
+/// Rows of the output are independent, and the checksum reductions are exact integer sums,
+/// so neither the kernel nor the sharding changes anything: accumulators and checksums are
+/// bit-identical to [`ReferenceEngine`] regardless of which worker claims which chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelEngine {
+    kernel: Kernel,
+    workers: Workers,
+}
+
+impl KernelEngine {
+    /// The blocked kernel with the default tile sizes, on the calling thread.
+    pub fn blocked() -> Self {
+        Self::blocked_with_tiles(DEFAULT_KC, DEFAULT_NC)
+    }
+
+    /// The blocked kernel with explicit tile sizes (`kc` clamped to at least 1, `nc` to
+    /// `1..=`[`DEFAULT_NC`], the width of the kernel's stack scratch).
+    pub fn blocked_with_tiles(kc: usize, nc: usize) -> Self {
+        Self {
+            kernel: Kernel::Blocked(BlockedKernel {
+                kc: kc.max(1),
+                nc: nc.clamp(1, DEFAULT_NC),
+            }),
+            workers: Workers::Inline,
+        }
+    }
+
+    /// The SIMD microkernel at the best tier the host supports (runtime detection), on the
+    /// calling thread.
+    pub fn simd() -> Self {
+        Self::simd_with_tier(SimdTier::detect())
+    }
+
+    /// The SIMD microkernel pinned to at most `tier`, clamped to what the host supports — a
+    /// request for [`SimdTier::Avx512`] on an AVX2-only host yields the AVX2 tier, and so
+    /// on down to [`SimdTier::Portable`], which every host grants. This is how the
+    /// differential tests exercise every supported tier explicitly.
+    pub fn simd_with_tier(tier: SimdTier) -> Self {
+        Self {
+            kernel: Kernel::Simd(SimdKernel::with_tier(tier)),
+            workers: Workers::Inline,
+        }
+    }
+
+    /// The same kernel over a work-stealing pool of one worker per available core.
+    pub fn pooled(self) -> Self {
+        Self {
+            workers: Workers::Pool(None),
+            ..self
+        }
+    }
+
+    /// The same kernel over a work-stealing pool of exactly `workers` threads (clamped to
+    /// at least 1).
+    pub fn with_workers(self, workers: usize) -> Self {
+        Self {
+            workers: Workers::Pool(Some(workers.max(1))),
+            ..self
+        }
+    }
+
+    /// The one orchestration routine: runs the kernel over all of `a × b` into `out`
+    /// (already shaped and zeroed), inline or across stolen row chunks, with the checksum
+    /// reductions fused into the pass when `fused` is present.
+    ///
+    /// When sharded, the `(eᵀ·W)·X` reduction is row-independent and is fused into
+    /// whichever claimed chunk starts at row 0 — exactly one chunk does, whoever steals it.
+    /// Every worker accumulates its rows' share of `eᵀ·Y`; the partials are summed at join.
+    /// Per-worker partials allocate inside the scoped threads — caller-provided scratch
+    /// cannot cross the spawn — but that path only runs for GEMMs big enough to shard,
+    /// never the GEMV-like decode shapes the allocation-free loop cares about.
+    fn run(&self, a: &MatI8, b: Operand<'_>, out: &mut MatI32, fused: Option<FusedChecksums<'_>>) {
+        let (m, k) = a.shape();
+        let n = out.cols();
+        let kernel = &self.kernel;
+        let workers = match self.workers {
+            Workers::Pool(threads) if m * k * n >= PARALLEL_MIN_MACS => worker_count(threads, m),
+            _ => 1,
+        };
+        if workers <= 1 {
+            match (kernel, b, fused) {
+                // Decode shapes: the SIMD kernels fold the multiply and BOTH checksum
+                // reductions into a single stream over the packed tiles.
+                (
+                    Kernel::Simd(simd),
+                    Operand::Packed(pb),
+                    Some(FusedChecksums {
+                        etw,
+                        expected: Some(expected),
+                        observed,
+                    }),
+                ) if (1..=SKINNY_MAX_ROWS).contains(&m) => {
+                    simd.run_skinny_packed(a, pb, out.as_mut_slice(), etw, expected, observed)
+                }
+                (_, b, fused) => kernel.run_rows(a, b, out.as_mut_slice(), 0, m, fused),
+            }
+            return;
+        }
+        let etw = fused.as_ref().map(|fused| fused.etw);
+        let shards = steal_row_chunks(
+            out,
+            workers,
+            || {
+                (
+                    None::<Vec<i64>>,
+                    vec![0i64; if etw.is_some() { n } else { 0 }],
+                )
+            },
+            |(shard_expected, shard_observed), s, e, band| {
+                let fused = etw.map(|etw| FusedChecksums {
+                    etw,
+                    expected: (s == 0).then(|| shard_expected.insert(vec![0i64; n]).as_mut_slice()),
+                    observed: shard_observed,
+                });
+                kernel.run_rows(a, b, band, s, e, fused);
+            },
+        );
+        if let Some(FusedChecksums {
+            expected: Some(expected),
+            observed,
+            ..
+        }) = fused
+        {
+            for (shard_expected, shard_observed) in shards {
+                if let Some(shard_expected) = shard_expected {
+                    expected.copy_from_slice(&shard_expected);
+                }
+                for (acc, v) in observed.iter_mut().zip(shard_observed) {
+                    *acc += v;
+                }
+            }
+        }
+    }
+
+    fn gemm_into(
+        &self,
+        op: &'static str,
+        a: &MatI8,
+        b: Operand<'_>,
+        out: &mut MatI32,
+    ) -> Result<()> {
+        let b_shape = b.row_major().shape();
+        gemm::check_compatible(op, a.shape(), b_shape)?;
+        out.resize_reset(a.rows(), b_shape.1);
+        self.run(a, b, out, None);
+        Ok(())
+    }
+
+    /// `eᵀ·W` first in one streaming pass over the small operand, then the `(eᵀ·W)·X` and
+    /// `eᵀ·Y` reductions ride the kernel pass itself.
+    fn checksummed_into(
+        &self,
+        op: &'static str,
+        a: &MatI8,
+        b: Operand<'_>,
+        dest: &mut ChecksummedGemm,
+        etw_scratch: &mut Vec<i64>,
+    ) -> Result<()> {
+        let b_shape = b.row_major().shape();
+        gemm::check_compatible(op, a.shape(), b_shape)?;
+        operand_col_sums_into(a, etw_scratch);
+        dest.prepare(a.rows(), b_shape.1);
+        let (acc, expected, observed) = dest.fused_parts_mut();
+        let fused = FusedChecksums {
             etw: etw_scratch,
             expected: Some(expected),
             observed,
-        }),
-    );
-    Ok(())
+        };
+        self.run(a, b, acc, Some(fused));
+        Ok(())
+    }
 }
 
-/// Work-stealing sharded GEMM over any [`RowKernel`]: the shared orchestration of
-/// [`ParallelEngine`] and [`crate::simd::SimdParallelEngine`]. GEMMs below
-/// [`PARALLEL_MIN_MACS`] run the kernel inline without touching thread metadata —
-/// decode-shape GEMMs never pay dispatch cost.
-pub(crate) fn sharded_gemm_i8_into<K: RowKernel>(
-    kernel: &K,
-    threads: Option<usize>,
-    op: &'static str,
-    a: &MatI8,
-    b: &MatI8,
-    out: &mut MatI32,
-) -> Result<()> {
-    check_compatible(op, a, b)?;
-    let (m, k) = a.shape();
-    let n = b.cols();
-    out.resize_reset(m, n);
-    if m * k * n < PARALLEL_MIN_MACS {
-        kernel.run_rows(a, b, out.as_mut_slice(), 0, m, None);
-        return Ok(());
-    }
-    let workers = worker_count(threads, m);
-    if workers <= 1 {
-        kernel.run_rows(a, b, out.as_mut_slice(), 0, m, None);
-        return Ok(());
-    }
-    // Workers steal disjoint row chunks of the output and write them in place.
-    steal_row_chunks(
-        out,
-        workers,
-        || (),
-        |(), s, e, band| {
-            kernel.run_rows(a, b, band, s, e, None);
-        },
-    );
-    Ok(())
-}
-
-/// Work-stealing sharded fused-checksum GEMM over any [`RowKernel`].
-///
-/// The operand checksum needs every row, so it runs (cheaply) before the shards; the
-/// `(eᵀ·W)·X` reduction is row-independent and is fused into whichever claimed chunk
-/// starts at row 0 — exactly one chunk does, whoever steals it. Every shard accumulates
-/// its rows' share of `eᵀ·Y`; the partials are summed at join. Per-worker partials still
-/// allocate inside the scoped threads — caller-provided scratch cannot cross the spawn —
-/// but this path only runs for GEMMs big enough to shard, never the GEMV-like decode
-/// shapes the allocation-free loop cares about.
-pub(crate) fn sharded_checksummed_into<K: RowKernel>(
-    kernel: &K,
-    threads: Option<usize>,
-    op: &'static str,
-    a: &MatI8,
-    b: &MatI8,
-    dest: &mut ChecksummedGemm,
-    etw_scratch: &mut Vec<i64>,
-) -> Result<()> {
-    check_compatible(op, a, b)?;
-    let (m, k) = a.shape();
-    let n = b.cols();
-    if m * k * n < PARALLEL_MIN_MACS {
-        return checksummed_into_single(kernel, op, a, b, dest, etw_scratch);
-    }
-    let workers = worker_count(threads, m);
-    if workers <= 1 {
-        return checksummed_into_single(kernel, op, a, b, dest, etw_scratch);
-    }
-    operand_col_sums_into(a, etw_scratch);
-    let etw: &[i64] = etw_scratch;
-    dest.prepare(m, n);
-    let (acc, expected, observed) = dest.fused_parts_mut();
-    let shards = steal_row_chunks(
-        acc,
-        workers,
-        || (None::<Vec<i64>>, vec![0i64; n]),
-        |(shard_expected, shard_observed), s, e, band| {
-            let expected_here = if s == 0 {
-                *shard_expected = Some(vec![0i64; n]);
-                shard_expected.as_deref_mut()
-            } else {
-                None
-            };
-            kernel.run_rows(
-                a,
-                b,
-                band,
-                s,
-                e,
-                Some(FusedChecksums {
-                    etw,
-                    expected: expected_here,
-                    observed: shard_observed,
-                }),
-            );
-        },
-    );
-    for (shard_expected, shard_observed) in shards {
-        if let Some(shard_expected) = shard_expected {
-            expected.copy_from_slice(&shard_expected);
-        }
-        for (acc, v) in observed.iter_mut().zip(shard_observed) {
-            *acc += v;
-        }
-    }
-    Ok(())
-}
-
-impl GemmEngine for ParallelEngine {
+impl GemmEngine for KernelEngine {
     fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32> {
-        let mut out = MatI32::zeros(0, 0);
-        self.gemm_i8_into(a, b, &mut out)?;
-        Ok(out)
+        match (self.kernel, self.workers) {
+            (Kernel::Blocked(_), Workers::Inline) => "blocked",
+            (Kernel::Blocked(_), Workers::Pool(_)) => "parallel",
+            (Kernel::Simd(_), Workers::Inline) => "simd",
+            (Kernel::Simd(_), Workers::Pool(_)) => "simd_parallel",
+        }
     }
 
     fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
-        sharded_gemm_i8_into(
-            &self.inner,
-            self.threads,
-            "ParallelEngine::gemm_i8",
-            a,
-            b,
-            out,
-        )
-    }
-
-    fn gemm_i8_checksummed(&self, a: &MatI8, b: &MatI8) -> Result<ChecksummedGemm> {
-        let mut dest = ChecksummedGemm::empty();
-        let mut etw = Vec::new();
-        self.gemm_i8_checksummed_into(a, b, &mut dest, &mut etw)?;
-        Ok(dest)
+        self.gemm_into("gemm_i8", a, Operand::RowMajor(b), out)
     }
 
     fn gemm_i8_checksummed_into(
@@ -1015,15 +959,23 @@ impl GemmEngine for ParallelEngine {
         dest: &mut ChecksummedGemm,
         etw_scratch: &mut Vec<i64>,
     ) -> Result<()> {
-        sharded_checksummed_into(
-            &self.inner,
-            self.threads,
-            "ParallelEngine::gemm_i8_checksummed",
-            a,
-            b,
-            dest,
-            etw_scratch,
-        )
+        let b = Operand::RowMajor(b);
+        self.checksummed_into("gemm_i8_checksummed", a, b, dest, etw_scratch)
+    }
+
+    fn gemm_i8_packed_into(&self, a: &MatI8, pb: &PackedMatI8, out: &mut MatI32) -> Result<()> {
+        self.gemm_into("gemm_i8_packed", a, Operand::Packed(pb), out)
+    }
+
+    fn gemm_i8_packed_checksummed_into(
+        &self,
+        a: &MatI8,
+        pb: &PackedMatI8,
+        dest: &mut ChecksummedGemm,
+        etw_scratch: &mut Vec<i64>,
+    ) -> Result<()> {
+        let b = Operand::Packed(pb);
+        self.checksummed_into("gemm_i8_packed_checksummed", a, b, dest, etw_scratch)
     }
 }
 
@@ -1077,10 +1029,10 @@ impl EngineKind {
     pub fn build(self) -> Arc<dyn GemmEngine> {
         match self {
             EngineKind::Reference => Arc::new(ReferenceEngine),
-            EngineKind::Blocked => Arc::new(BlockedEngine::new()),
-            EngineKind::Parallel => Arc::new(ParallelEngine::new()),
-            EngineKind::Simd => Arc::new(crate::simd::SimdEngine::new()),
-            EngineKind::SimdParallel => Arc::new(crate::simd::SimdParallelEngine::new()),
+            EngineKind::Blocked => Arc::new(KernelEngine::blocked()),
+            EngineKind::Parallel => Arc::new(KernelEngine::blocked().pooled()),
+            EngineKind::Simd => Arc::new(KernelEngine::simd()),
+            EngineKind::SimdParallel => Arc::new(KernelEngine::simd().pooled()),
         }
     }
 
@@ -1152,14 +1104,14 @@ mod tests {
     fn engines() -> Vec<Arc<dyn GemmEngine>> {
         vec![
             Arc::new(ReferenceEngine),
-            Arc::new(BlockedEngine::new()),
-            Arc::new(BlockedEngine::with_tiles(3, 5)),
-            Arc::new(ParallelEngine::new()),
-            Arc::new(ParallelEngine::with_threads(3)),
-            Arc::new(crate::simd::SimdEngine::new()),
-            Arc::new(crate::simd::SimdEngine::portable()),
-            Arc::new(crate::simd::SimdParallelEngine::new()),
-            Arc::new(crate::simd::SimdParallelEngine::with_threads(3)),
+            Arc::new(KernelEngine::blocked()),
+            Arc::new(KernelEngine::blocked_with_tiles(3, 5)),
+            Arc::new(KernelEngine::blocked().pooled()),
+            Arc::new(KernelEngine::blocked().with_workers(3)),
+            Arc::new(KernelEngine::simd()),
+            Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
+            Arc::new(KernelEngine::simd().pooled()),
+            Arc::new(KernelEngine::simd().with_workers(3)),
         ]
     }
 
@@ -1195,10 +1147,57 @@ mod tests {
         }
     }
 
+    /// A backend written against the trait's contract alone: `name` and the two `_into`
+    /// primitives (here borrowed from the blocked kernel), nothing else.
+    #[derive(Debug)]
+    struct PrimitivesOnly;
+
+    impl GemmEngine for PrimitivesOnly {
+        fn name(&self) -> &'static str {
+            "primitives_only"
+        }
+
+        fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
+            KernelEngine::blocked().gemm_i8_into(a, b, out)
+        }
+
+        fn gemm_i8_checksummed_into(
+            &self,
+            a: &MatI8,
+            b: &MatI8,
+            dest: &mut ChecksummedGemm,
+            etw_scratch: &mut Vec<i64>,
+        ) -> Result<()> {
+            KernelEngine::blocked().gemm_i8_checksummed_into(a, b, dest, etw_scratch)
+        }
+    }
+
+    #[test]
+    fn provided_entry_points_follow_from_the_two_into_primitives() {
+        let (a, b) = random_pair(21, 5, 37, 19);
+        let pb = PackedMatI8::pack(&b);
+        let oracle = ReferenceEngine
+            .gemm_i8_checksummed_two_pass(&a, &b)
+            .unwrap();
+        let engine = PrimitivesOnly;
+        assert_eq!(engine.gemm_i8(&a, &b).unwrap(), *oracle.acc());
+        assert_eq!(engine.gemm_i8_checksummed(&a, &b).unwrap(), oracle);
+        assert_eq!(engine.gemm_i8_checksummed_two_pass(&a, &b).unwrap(), oracle);
+        let mut out = MatI32::zeros(0, 0);
+        engine.gemm_i8_packed_into(&a, &pb, &mut out).unwrap();
+        assert_eq!(&out, oracle.acc());
+        let mut dest = ChecksummedGemm::empty();
+        let mut etw = Vec::new();
+        engine
+            .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
+            .unwrap();
+        assert_eq!(dest, oracle);
+    }
+
     #[test]
     fn mutation_marks_observed_stale_and_deviations_track_it() {
         let (a, b) = random_pair(5, 8, 8, 8);
-        let mut result = BlockedEngine::new().gemm_i8_checksummed(&a, &b).unwrap();
+        let mut result = KernelEngine::blocked().gemm_i8_checksummed(&a, &b).unwrap();
         assert!(result.column_deviations().iter().all(|&d| d == 0));
         result.acc_mut()[(2, 3)] = result.acc()[(2, 3)].wrapping_add(1 << 20);
         let dev = result.column_deviations();
@@ -1268,7 +1267,7 @@ mod tests {
             .gemm_i8_checksummed_two_pass(&a, &b)
             .unwrap();
         for threads in [1, 2, 3, 7, 64] {
-            let engine = ParallelEngine::with_threads(threads);
+            let engine = KernelEngine::blocked().with_workers(threads);
             assert_eq!(
                 engine.gemm_i8(&a, &b).unwrap(),
                 *oracle.acc(),

@@ -7,7 +7,11 @@
 
 use crate::{MatF32, MatI32, MatI8, Result, TensorError};
 
-fn check_compatible(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> Result<()> {
+pub(crate) fn check_compatible(
+    op: &'static str,
+    lhs: (usize, usize),
+    rhs: (usize, usize),
+) -> Result<()> {
     if lhs.1 != rhs.0 {
         return Err(TensorError::ShapeMismatch { op, lhs, rhs });
     }
@@ -111,63 +115,9 @@ pub fn gemm_f32_into(a: &MatF32, b: &MatF32, out: &mut MatF32) -> Result<()> {
     Ok(())
 }
 
-/// Multiplies an INT8 matrix by an INT8 vector (GEMV), producing INT32 accumulators.
-///
-/// GEMV dominates the non-batched decode stage; the paper notes such operations typically run
-/// on vector units rather than the systolic array, but the error-injection studies still need
-/// the same numeric behaviour.
-///
-/// Since the decode-shape speed tier landed there is exactly one decode-shape code path:
-/// this legacy convenience routes through [`crate::engine::default_engine`] (the SIMD
-/// backend on hosts that support it), so it hits the same shape-dispatched microkernels
-/// as the serving stack instead of maintaining a private scalar loop. It allocates its
-/// result; hot loops should use the engine `*_into` entry points with workspace-pooled
-/// buffers, and static weights should pre-pack via [`crate::PackedMatI8`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != x.len()`.
-pub fn gemv_i8(a: &MatI8, x: &[i8]) -> Result<Vec<i32>> {
-    if a.cols() != x.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemv_i8",
-            lhs: a.shape(),
-            rhs: (x.len(), 1),
-        });
-    }
-    let xm = MatI8::from_vec(x.len(), 1, x.to_vec())?;
-    let mut out = MatI32::zeros(0, 0);
-    crate::engine::default_engine().gemm_i8_into(a, &xm, &mut out)?;
-    Ok(out.into_vec())
-}
-
-/// Computes `a * b` where `a` is f32 and `b` is f32, adding the result into `acc`.
-///
-/// Used by residual paths where the projection output is accumulated onto the residual
-/// stream without materialising an intermediate.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the product shape does not match `acc`.
-pub fn gemm_f32_acc(a: &MatF32, b: &MatF32, acc: &mut MatF32) -> Result<()> {
-    let y = gemm_f32(a, b)?;
-    if y.shape() != acc.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_f32_acc",
-            lhs: y.shape(),
-            rhs: acc.shape(),
-        });
-    }
-    for (dst, src) in acc.iter_mut().zip(y.iter()) {
-        *dst += *src;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
 
     #[test]
     fn gemm_i8_matches_manual_result() {
@@ -202,33 +152,6 @@ mod tests {
         let identity = MatF32::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         let y = gemm_f32(&a, &identity).unwrap();
         assert_eq!(y, a);
-    }
-
-    #[test]
-    fn gemv_matches_gemm_single_column() {
-        let a = MatI8::from_fn(4, 3, |r, c| (r as i8) - (c as i8));
-        let x = vec![1i8, -2, 3];
-        let xv = Matrix::from_vec(3, 1, x.clone()).unwrap();
-        let via_gemm = gemm_i8(&a, &xv).unwrap();
-        let via_gemv = gemv_i8(&a, &x).unwrap();
-        for i in 0..4 {
-            assert_eq!(via_gemm[(i, 0)], via_gemv[i]);
-        }
-    }
-
-    #[test]
-    fn gemv_rejects_wrong_length() {
-        let a = MatI8::zeros(2, 3);
-        assert!(gemv_i8(&a, &[1, 2]).is_err());
-    }
-
-    #[test]
-    fn gemm_f32_acc_accumulates() {
-        let a = MatF32::filled(2, 2, 1.0);
-        let b = MatF32::filled(2, 2, 2.0);
-        let mut acc = MatF32::filled(2, 2, 10.0);
-        gemm_f32_acc(&a, &b, &mut acc).unwrap();
-        assert_eq!(acc[(0, 0)], 14.0);
     }
 
     #[test]

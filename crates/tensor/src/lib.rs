@@ -9,15 +9,16 @@
 //! * [`gemm`] — general matrix-matrix multiplication kernels. The quantized path follows
 //!   the paper's setup (inputs quantized to INT8, accumulation in INT32); the f32 path is
 //!   used for the non-linear portions of the transformer that stay in floating point.
-//! * [`engine`] — interchangeable execution backends for the quantized GEMM
-//!   ([`engine::ReferenceEngine`], [`engine::BlockedEngine`], [`engine::ParallelEngine`]),
-//!   including the fused-checksum variant that computes the ABFT column checksums inside the
-//!   GEMM pass. Every consumer in the workspace routes its quantized GEMMs through a
-//!   [`GemmEngine`] handle selected by [`EngineKind`].
-//! * [`simd`] — the SIMD i8 microkernel backend ([`SimdEngine`], [`SimdParallelEngine`]):
-//!   an AVX2 tier, an optional AVX-512 tier for the packed kernels, and a portable
-//!   fallback, all behind runtime feature detection; the process-wide default on hosts
-//!   that support it ([`EngineKind::auto`]).
+//! * [`engine`] — interchangeable execution backends for the quantized GEMM: the scalar
+//!   oracle [`ReferenceEngine`] and [`KernelEngine`], one row kernel (blocked or SIMD) ×
+//!   one worker count (inline or work-stealing row chunks), including the fused-checksum
+//!   pass that computes the ABFT column checksums inside the GEMM pass. A backend
+//!   implements the two `_into` primitives of [`GemmEngine`]; every consumer in the
+//!   workspace routes its quantized GEMMs through a handle selected by [`EngineKind`].
+//! * [`simd`] — the SIMD i8 row kernel behind [`KernelEngine::simd`]: an AVX2 tier, an
+//!   optional AVX-512 tier for the packed kernels, and a portable fallback ([`SimdTier`]),
+//!   all behind runtime feature detection; the process-wide default on hosts with AVX2
+//!   ([`EngineKind::auto`]).
 //! * [`packed`] — [`PackedMatI8`], static B-operand (weight) matrices pre-packed at model
 //!   load into the exact interleaved tile order the microkernels consume, with the
 //!   `eᵀ·W` column checksums precomputed at pack time; the decode-shape fast path behind
@@ -79,15 +80,13 @@ pub mod workspace;
 
 mod error;
 
-pub use engine::{
-    BlockedEngine, ChecksummedGemm, EngineKind, GemmEngine, ParallelEngine, ReferenceEngine,
-};
+pub use engine::{ChecksummedGemm, EngineKind, GemmEngine, KernelEngine, ReferenceEngine};
 pub use error::TensorError;
 pub use matrix::{MatF32, MatI32, MatI8, Matrix};
 pub use packed::PackedMatI8;
 pub use partition::RowPartition;
 pub use quant::QuantParams;
-pub use simd::{SimdEngine, SimdParallelEngine, SimdTier};
+pub use simd::SimdTier;
 pub use tp::{ShardFault, ShardedLinear, TpGroup, TpShardStats};
 pub use workspace::Workspace;
 

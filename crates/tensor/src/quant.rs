@@ -70,20 +70,6 @@ pub fn quantize_symmetric(x: &MatF32) -> (MatI8, f32) {
     (q, params.scale)
 }
 
-/// [`quantize_symmetric`] writing into caller-provided storage.
-///
-/// `q` is reshaped in place (reusing its backing allocation when the capacity suffices)
-/// and every element is overwritten; the returned scale is bit-identical to the allocating
-/// path. This is the per-GEMM activation quantization of the allocation-free decode loop.
-pub fn quantize_symmetric_into(x: &MatF32, q: &mut MatI8) -> f32 {
-    let params = QuantParams::from_abs_max(x.abs_max());
-    q.resize_overwrite(x.rows(), x.cols());
-    for (qv, &v) in q.iter_mut().zip(x.iter()) {
-        *qv = params.quantize(v);
-    }
-    params.scale
-}
-
 /// De-quantizes an INT8 matrix given its scale.
 pub fn dequantize(q: &MatI8, scale: f32) -> MatF32 {
     q.map(|v| v as f32 * scale)
@@ -113,41 +99,6 @@ pub fn requantize_accumulator(acc: &MatI32, combined_scale: f32, out_scale: f32)
         let real = v as f32 * combined_scale;
         (real / out_scale).round().clamp(-127.0, 127.0) as i8
     })
-}
-
-/// Quantizes each row with its own scale (per-row / per-token quantization).
-///
-/// Activation tensors in LLMs contain a few very large outlier channels; per-row scales keep
-/// the quantization error of ordinary rows from being dominated by outlier rows. Returns the
-/// quantized matrix and one scale per row.
-pub fn quantize_per_row(x: &MatF32) -> (MatI8, Vec<f32>) {
-    let mut scales = Vec::with_capacity(x.rows());
-    let mut q = MatI8::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let abs_max = x.row(r).iter().fold(0.0_f32, |acc, v| acc.max(v.abs()));
-        let params = QuantParams::from_abs_max(abs_max);
-        scales.push(params.scale);
-        for (c, &v) in x.row(r).iter().enumerate() {
-            q.row_mut(r)[c] = params.quantize(v);
-        }
-    }
-    (q, scales)
-}
-
-/// De-quantizes a per-row-quantized matrix.
-///
-/// # Panics
-///
-/// Panics if `scales.len() != q.rows()`.
-pub fn dequantize_per_row(q: &MatI8, scales: &[f32]) -> MatF32 {
-    assert_eq!(
-        scales.len(),
-        q.rows(),
-        "one scale per row is required ({} scales for {} rows)",
-        scales.len(),
-        q.rows()
-    );
-    MatF32::from_fn(q.rows(), q.cols(), |r, c| q[(r, c)] as f32 * scales[r])
 }
 
 /// Worst-case absolute quantization error for a tensor quantized with the given scale.
@@ -202,28 +153,6 @@ mod tests {
         let acc = MatI32::from_vec(1, 3, vec![10, -20, 0]).unwrap();
         let y = dequantize_accumulator(&acc, 0.5);
         assert_eq!(y.as_slice(), &[5.0, -10.0, 0.0]);
-    }
-
-    #[test]
-    fn per_row_quantization_handles_outlier_rows() {
-        let x = MatF32::from_fn(
-            2,
-            4,
-            |r, c| if r == 0 { c as f32 } else { c as f32 * 100.0 },
-        );
-        let (q, scales) = quantize_per_row(&x);
-        assert_eq!(scales.len(), 2);
-        assert!(scales[1] > scales[0]);
-        let back = dequantize_per_row(&q, &scales);
-        // The small row keeps good precision despite the outlier row.
-        assert!((back[(0, 3)] - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "one scale per row")]
-    fn dequantize_per_row_panics_on_scale_mismatch() {
-        let q = MatI8::zeros(3, 2);
-        let _ = dequantize_per_row(&q, &[1.0, 2.0]);
     }
 
     #[test]

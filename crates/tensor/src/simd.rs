@@ -1,12 +1,12 @@
-//! SIMD i8 GEMM microkernel backend with fused ABFT checksums and runtime dispatch.
+//! SIMD i8 GEMM microkernel with fused ABFT checksums and runtime dispatch.
 //!
-//! [`SimdEngine`] is the fastest single-thread backend in the workspace: an x86-64 AVX2
-//! microkernel built on `core::arch` intrinsics, selected at **runtime** via
-//! `is_x86_feature_detected!` so one binary runs everywhere — hosts without AVX2 (or runs
-//! with the `REALM_FORCE_SCALAR=1` override) fall back to a portable unrolled-chunk kernel
-//! with the identical loop structure. [`SimdParallelEngine`] shards the same microkernel
-//! over [`crate::engine::ParallelEngine`]'s work-stealing row chunks, so batched prefill
-//! and serving-scale GEMMs get the SIMD win on every core.
+//! The SIMD row kernel of [`crate::engine::KernelEngine`] is the fastest kernel in the
+//! workspace where it is accelerated: an x86-64 AVX2 microkernel built on `core::arch`
+//! intrinsics, selected at **runtime** via `is_x86_feature_detected!` so one binary runs
+//! everywhere — hosts without AVX2 (or runs with the `REALM_FORCE_SCALAR=1` override) fall
+//! back to a portable unrolled-chunk kernel with the identical loop structure. The engine
+//! runs it inline (`simd`) or over work-stealing row chunks (`simd_parallel`), so batched
+//! prefill and serving-scale GEMMs get the SIMD win on every core.
 //!
 //! # The microkernel
 //!
@@ -62,13 +62,9 @@
 //! *expected* checksum into the same register stream as the multiply, so a protected
 //! decode step streams the weights exactly once.
 
-use crate::engine::{
-    accumulate_expected_panel, check_compatible, check_packed_compatible, checksummed_into_single,
-    operand_col_sums_into, sharded_checksummed_into, sharded_gemm_i8_into, worker_count,
-    ChecksummedGemm, FusedChecksums, GemmEngine, RowKernel, PARALLEL_MIN_MACS,
-};
+use crate::engine::{accumulate_expected_panel, FusedChecksums};
 use crate::packed::{PackedMatI8, PACK_BLOCK_COLS, PACK_PAIR_BYTES};
-use crate::{MatI32, MatI8, Result};
+use crate::MatI8;
 
 /// Width (output columns) of the SIMD register tile.
 pub const SIMD_TILE_COLS: usize = 16;
@@ -140,10 +136,10 @@ pub fn simd_dispatch_label() -> &'static str {
     }
 }
 
-/// The instruction-set tier a [`SimdEngine`] dispatches, decided once at construction.
+/// The instruction-set tier the SIMD kernel dispatches, decided once at construction.
 ///
 /// Ordered worst-to-best so a requested tier can be clamped to what the host supports
-/// ([`SimdEngine::with_tier`]).
+/// ([`crate::engine::KernelEngine::simd_with_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// The portable unrolled-chunk kernels (every host; pinned by [`FORCE_SCALAR_ENV`]).
@@ -184,59 +180,31 @@ impl SimdTier {
     }
 }
 
-/// The SIMD microkernel backend: the best of AVX-512/AVX2/portable the CPU supports.
+/// The SIMD row kernel behind [`crate::engine::KernelEngine::simd`]: the best of
+/// AVX-512/AVX2/portable the CPU supports.
 ///
-/// Dispatch is decided once at construction ([`SimdEngine::new`]) and carried by the
-/// engine value, so the per-GEMM hot path never re-reads the environment or CPUID.
-/// All tiers are bit-identical to [`crate::engine::ReferenceEngine`] on accumulators and
-/// fused checksums.
+/// Dispatch is decided once at construction and carried by the value, so the per-GEMM hot
+/// path never re-reads the environment or CPUID. The tier is private and only ever a
+/// granted one ([`SimdKernel::with_tier`] clamps), which is what the `unsafe` dispatch
+/// below relies on. All tiers are bit-identical to [`crate::engine::ReferenceEngine`] on
+/// accumulators and fused checksums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimdEngine {
+pub(crate) struct SimdKernel {
     tier: SimdTier,
 }
 
-impl SimdEngine {
-    /// A SIMD engine using the best kernel tier the host supports (runtime detection).
-    pub fn new() -> Self {
-        Self {
-            tier: SimdTier::detect(),
-        }
-    }
-
-    /// A SIMD engine pinned to the portable fallback kernel, regardless of host support.
-    ///
-    /// Used by the differential tests so the fallback path is exercised even on AVX2
-    /// hosts; equivalent to constructing under [`FORCE_SCALAR_ENV`].
-    pub fn portable() -> Self {
-        Self {
-            tier: SimdTier::Portable,
-        }
-    }
-
-    /// A SIMD engine pinned to at most `tier`, clamped to what the host supports — a
-    /// request for [`SimdTier::Avx512`] on an AVX2-only host yields the AVX2 tier, and so
-    /// on down to portable. This is how the differential tests exercise every supported
-    /// tier explicitly (and skip unsupported ones gracefully): construct with the tier,
-    /// then check [`SimdEngine::tier`] for what was actually granted.
-    pub fn with_tier(tier: SimdTier) -> Self {
+impl SimdKernel {
+    /// A kernel pinned to at most `tier`, clamped to what the host supports under the
+    /// current environment ([`SimdTier::detect`]).
+    pub(crate) fn with_tier(tier: SimdTier) -> Self {
         Self {
             tier: tier.min(SimdTier::detect()),
         }
     }
 
-    /// The instruction-set tier this engine dispatches.
-    pub fn tier(&self) -> SimdTier {
-        self.tier
-    }
-
-    /// Whether this engine dispatches an accelerated microkernel (`false` = portable).
-    pub fn is_accelerated(&self) -> bool {
-        self.tier != SimdTier::Portable
-    }
-
     /// Microkernel pass over a contiguous row range `[row_start, row_end)` of `a`,
     /// accumulating into `out_band` (the matching band of the output, see
-    /// [`crate::engine::BlockedEngine::run_rows`] for the band contract). When `fused` is
+    /// `Kernel::run_rows` in [`crate::engine`] for the band contract). When `fused` is
     /// present the checksum reductions ride the pass: `eᵀ·Y` from the accumulator
     /// registers as each tile is finalised, `(eᵀ·W)·X` from the cache-hot `B` stripes.
     pub(crate) fn run_rows(
@@ -262,12 +230,12 @@ impl SimdEngine {
     }
 
     /// Packed-B microkernel pass over rows `[row_start, row_end)` of `a`, accumulating
-    /// into `out_band` (same band contract as [`SimdEngine::run_rows`]). The packed tiles
+    /// into `out_band` (same band contract as [`SimdKernel::run_rows`]). The packed tiles
     /// are streamed in pre-interleaved depth-pair order, so the per-GEMM `vpunpck`
     /// interleaves and the retirement cross-lane permutes of the unpacked kernel vanish.
     /// When `observed` is present the output-side checksum `eᵀ·Y` rides the accumulator
     /// registers; the operand-side expected checksum is the caller's job (see
-    /// [`SimdEngine::run_skinny_packed`] for the shape where it fuses too).
+    /// [`SimdKernel::run_skinny_packed`] for the shape where it fuses too).
     pub(crate) fn run_rows_packed(
         &self,
         a: &MatI8,
@@ -329,301 +297,6 @@ impl SimdEngine {
             }
         }
         packed_portable::run_skinny(a, pb, out_band, etx, expected, observed);
-    }
-}
-
-impl Default for SimdEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GemmEngine for SimdEngine {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32> {
-        let mut out = MatI32::zeros(0, 0);
-        self.gemm_i8_into(a, b, &mut out)?;
-        Ok(out)
-    }
-
-    fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
-        check_compatible("SimdEngine::gemm_i8", a, b)?;
-        out.resize_reset(a.rows(), b.cols());
-        self.run_rows(a, b, out.as_mut_slice(), 0, a.rows(), None);
-        Ok(())
-    }
-
-    fn gemm_i8_checksummed(&self, a: &MatI8, b: &MatI8) -> Result<ChecksummedGemm> {
-        let mut dest = ChecksummedGemm::empty();
-        let mut etw = Vec::new();
-        self.gemm_i8_checksummed_into(a, b, &mut dest, &mut etw)?;
-        Ok(dest)
-    }
-
-    fn gemm_i8_checksummed_into(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        dest: &mut ChecksummedGemm,
-        etw_scratch: &mut Vec<i64>,
-    ) -> Result<()> {
-        checksummed_into_single(
-            self,
-            "SimdEngine::gemm_i8_checksummed",
-            a,
-            b,
-            dest,
-            etw_scratch,
-        )
-    }
-
-    fn gemm_i8_packed_into(&self, a: &MatI8, pb: &PackedMatI8, out: &mut MatI32) -> Result<()> {
-        check_packed_compatible("SimdEngine::gemm_i8_packed", a, pb)?;
-        out.resize_reset(a.rows(), pb.cols());
-        self.run_rows_packed(a, pb, out.as_mut_slice(), 0, a.rows(), None);
-        Ok(())
-    }
-
-    fn gemm_i8_packed_checksummed_into(
-        &self,
-        a: &MatI8,
-        pb: &PackedMatI8,
-        dest: &mut ChecksummedGemm,
-        etw_scratch: &mut Vec<i64>,
-    ) -> Result<()> {
-        check_packed_compatible("SimdEngine::gemm_i8_packed_checksummed", a, pb)?;
-        operand_col_sums_into(a, etw_scratch);
-        dest.prepare(a.rows(), pb.cols());
-        let (acc, expected, observed) = dest.fused_parts_mut();
-        if (1..=SKINNY_MAX_ROWS).contains(&a.rows()) {
-            // Decode shapes: multiply and BOTH checksum reductions ride one stream over
-            // the packed tiles (see `run_skinny_packed` for the overflow argument).
-            self.run_skinny_packed(a, pb, acc.as_mut_slice(), etw_scratch, expected, observed);
-        } else {
-            accumulate_expected_panel(
-                pb.unpacked(),
-                etw_scratch,
-                expected,
-                (0, a.cols()),
-                (0, pb.cols()),
-            );
-            self.run_rows_packed(a, pb, acc.as_mut_slice(), 0, a.rows(), Some(observed));
-        }
-        Ok(())
-    }
-}
-
-impl RowKernel for SimdEngine {
-    fn run_rows(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        fused: Option<FusedChecksums<'_>>,
-    ) {
-        SimdEngine::run_rows(self, a, b, out_band, row_start, row_end, fused)
-    }
-}
-
-/// Adapter that lets the packed kernels ride the work-stealing row-shard orchestration:
-/// the `b` operand the sharding helpers thread through is ignored in favour of the packed
-/// tiles (the caller passes [`PackedMatI8::unpacked`] as `b`, so the shape checks and the
-/// shard-zero expected reduction see the same matrix the tiles were packed from).
-struct PackedRowKernel<'p> {
-    engine: &'p SimdEngine,
-    pb: &'p PackedMatI8,
-}
-
-impl RowKernel for PackedRowKernel<'_> {
-    fn run_rows(
-        &self,
-        a: &MatI8,
-        _b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        fused: Option<FusedChecksums<'_>>,
-    ) {
-        match fused {
-            Some(FusedChecksums {
-                etw,
-                expected,
-                observed,
-            }) => {
-                if let Some(expected) = expected {
-                    accumulate_expected_panel(
-                        self.pb.unpacked(),
-                        etw,
-                        expected,
-                        (0, a.cols()),
-                        (0, self.pb.cols()),
-                    );
-                }
-                self.engine.run_rows_packed(
-                    a,
-                    self.pb,
-                    out_band,
-                    row_start,
-                    row_end,
-                    Some(observed),
-                );
-            }
-            None => self
-                .engine
-                .run_rows_packed(a, self.pb, out_band, row_start, row_end, None),
-        }
-    }
-}
-
-/// The SIMD microkernel sharded over work-stealing row chunks — the composition of
-/// [`SimdEngine`] with [`crate::engine::ParallelEngine`]'s scheduling, and the
-/// process-wide default on AVX2 hosts (see [`crate::engine::EngineKind::auto`]).
-///
-/// Small GEMMs (below [`crate::engine::PARALLEL_MIN_MACS`]) run the microkernel inline on the calling
-/// thread, so GEMV-like decode shapes stay on the allocation-free single-thread path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimdParallelEngine {
-    inner: SimdEngine,
-    /// Explicit worker count; `None` means one per available core.
-    pub threads: Option<usize>,
-}
-
-impl SimdParallelEngine {
-    /// A parallel SIMD engine with runtime kernel detection, one worker per core.
-    pub fn new() -> Self {
-        Self {
-            inner: SimdEngine::new(),
-            threads: None,
-        }
-    }
-
-    /// A parallel SIMD engine with an explicit worker count (clamped to at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            inner: SimdEngine::new(),
-            threads: Some(threads.max(1)),
-        }
-    }
-
-    /// A parallel engine pinned to the portable fallback kernel (for differential tests).
-    pub fn portable() -> Self {
-        Self {
-            inner: SimdEngine::portable(),
-            threads: None,
-        }
-    }
-
-    /// Whether the sharded microkernel is the AVX2 path (`false` = portable fallback).
-    pub fn is_accelerated(&self) -> bool {
-        self.inner.is_accelerated()
-    }
-}
-
-impl Default for SimdParallelEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GemmEngine for SimdParallelEngine {
-    fn name(&self) -> &'static str {
-        "simd_parallel"
-    }
-
-    fn gemm_i8(&self, a: &MatI8, b: &MatI8) -> Result<MatI32> {
-        let mut out = MatI32::zeros(0, 0);
-        self.gemm_i8_into(a, b, &mut out)?;
-        Ok(out)
-    }
-
-    fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
-        sharded_gemm_i8_into(
-            &self.inner,
-            self.threads,
-            "SimdParallelEngine::gemm_i8",
-            a,
-            b,
-            out,
-        )
-    }
-
-    fn gemm_i8_checksummed(&self, a: &MatI8, b: &MatI8) -> Result<ChecksummedGemm> {
-        let mut dest = ChecksummedGemm::empty();
-        let mut etw = Vec::new();
-        self.gemm_i8_checksummed_into(a, b, &mut dest, &mut etw)?;
-        Ok(dest)
-    }
-
-    fn gemm_i8_checksummed_into(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        dest: &mut ChecksummedGemm,
-        etw_scratch: &mut Vec<i64>,
-    ) -> Result<()> {
-        sharded_checksummed_into(
-            &self.inner,
-            self.threads,
-            "SimdParallelEngine::gemm_i8_checksummed",
-            a,
-            b,
-            dest,
-            etw_scratch,
-        )
-    }
-
-    fn gemm_i8_packed_into(&self, a: &MatI8, pb: &PackedMatI8, out: &mut MatI32) -> Result<()> {
-        check_packed_compatible("SimdParallelEngine::gemm_i8_packed", a, pb)?;
-        let (m, k) = a.shape();
-        // Inline delegation below the sharding threshold, so GEMV-like decode shapes hit
-        // the single-thread packed (and skinny) kernels without touching thread metadata.
-        if m * k * pb.cols() < PARALLEL_MIN_MACS || worker_count(self.threads, m) <= 1 {
-            return self.inner.gemm_i8_packed_into(a, pb, out);
-        }
-        sharded_gemm_i8_into(
-            &PackedRowKernel {
-                engine: &self.inner,
-                pb,
-            },
-            self.threads,
-            "SimdParallelEngine::gemm_i8_packed",
-            a,
-            pb.unpacked(),
-            out,
-        )
-    }
-
-    fn gemm_i8_packed_checksummed_into(
-        &self,
-        a: &MatI8,
-        pb: &PackedMatI8,
-        dest: &mut ChecksummedGemm,
-        etw_scratch: &mut Vec<i64>,
-    ) -> Result<()> {
-        check_packed_compatible("SimdParallelEngine::gemm_i8_packed_checksummed", a, pb)?;
-        let (m, k) = a.shape();
-        if m * k * pb.cols() < PARALLEL_MIN_MACS || worker_count(self.threads, m) <= 1 {
-            return self
-                .inner
-                .gemm_i8_packed_checksummed_into(a, pb, dest, etw_scratch);
-        }
-        sharded_checksummed_into(
-            &PackedRowKernel {
-                engine: &self.inner,
-                pb,
-            },
-            self.threads,
-            "SimdParallelEngine::gemm_i8_packed_checksummed",
-            a,
-            pb.unpacked(),
-            dest,
-            etw_scratch,
-        )
     }
 }
 
@@ -709,7 +382,7 @@ mod portable {
 }
 
 /// The AVX2 microkernel. Every function carries `#[target_feature(enable = "avx2")]` and
-/// is only reachable through [`SimdEngine::run_rows`]'s detection-guarded dispatch.
+/// is only reachable through [`SimdKernel::run_rows`]'s detection-guarded dispatch.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
@@ -1225,7 +898,7 @@ mod packed_avx2 {
 
     /// The GEMV/skinny-M packed kernel: all `m ≤ 4` rows in one register tile, with the
     /// expected checksum fused into the same pair stream (see
-    /// [`super::SimdEngine::run_skinny_packed`]) — `i32` `vpmaddwd` partials drained into
+    /// [`super::SimdKernel::run_skinny_packed`]) — `i32` `vpmaddwd` partials drained into
     /// `i64` registers every [`packed_portable::DRAIN_PAIRS`] pairs.
     ///
     /// # Safety
@@ -1754,8 +1427,8 @@ mod packed_avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ReferenceEngine;
-    use crate::rng;
+    use crate::engine::{ChecksummedGemm, GemmEngine, KernelEngine, ReferenceEngine};
+    use crate::{rng, MatI32};
     use rand::Rng;
 
     fn random_pair(seed: u64, m: usize, k: usize, n: usize) -> (MatI8, MatI8) {
@@ -1767,11 +1440,11 @@ mod tests {
 
     fn simd_engines() -> Vec<Box<dyn GemmEngine>> {
         vec![
-            Box::new(SimdEngine::new()),
-            Box::new(SimdEngine::portable()),
-            Box::new(SimdParallelEngine::new()),
-            Box::new(SimdParallelEngine::portable()),
-            Box::new(SimdParallelEngine::with_threads(3)),
+            Box::new(KernelEngine::simd()),
+            Box::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
+            Box::new(KernelEngine::simd().pooled()),
+            Box::new(KernelEngine::simd_with_tier(SimdTier::Portable).pooled()),
+            Box::new(KernelEngine::simd().with_workers(3)),
         ]
     }
 
@@ -1890,22 +1563,21 @@ mod tests {
     #[test]
     fn dispatch_label_is_consistent_with_detection() {
         // Can't mutate the environment safely in-process; just pin the invariants.
-        let engine = SimdEngine::new();
-        assert_eq!(engine.is_accelerated(), simd_accelerated());
-        assert!(!SimdEngine::portable().is_accelerated());
-        assert!(!SimdParallelEngine::portable().is_accelerated());
+        let detected = SimdKernel::with_tier(SimdTier::detect());
+        assert_eq!(detected.tier != SimdTier::Portable, simd_accelerated());
         assert!(!simd_dispatch_label().is_empty());
     }
 
     #[test]
     fn with_tier_clamps_to_host_support() {
-        assert_eq!(SimdEngine::portable().tier(), SimdTier::Portable);
         assert_eq!(
-            SimdEngine::with_tier(SimdTier::Portable).tier(),
+            SimdKernel::with_tier(SimdTier::Portable).tier,
             SimdTier::Portable
         );
-        assert!(SimdEngine::with_tier(SimdTier::Avx512).tier() <= SimdTier::detect());
-        assert_eq!(SimdEngine::new().tier(), SimdTier::detect());
+        assert_eq!(
+            SimdKernel::with_tier(SimdTier::Avx512).tier,
+            SimdTier::detect()
+        );
         assert!(SimdTier::Portable < SimdTier::Avx2 && SimdTier::Avx2 < SimdTier::Avx512);
     }
 
@@ -1913,19 +1585,22 @@ mod tests {
     /// clamps them down to an already-listed tier).
     fn tiered_engines() -> Vec<(String, Box<dyn GemmEngine>)> {
         let mut engines: Vec<(String, Box<dyn GemmEngine>)> = vec![
-            ("simd-portable".into(), Box::new(SimdEngine::portable())),
+            (
+                "simd-portable".into(),
+                Box::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
+            ),
             (
                 "parallel-portable".into(),
-                Box::new(SimdParallelEngine::portable()),
+                Box::new(KernelEngine::simd_with_tier(SimdTier::Portable).pooled()),
             ),
             (
                 "parallel-auto".into(),
-                Box::new(SimdParallelEngine::with_threads(3)),
+                Box::new(KernelEngine::simd().with_workers(3)),
             ),
         ];
         for tier in [SimdTier::Avx2, SimdTier::Avx512] {
-            let engine = SimdEngine::with_tier(tier);
-            if engine.tier() == tier {
+            if SimdKernel::with_tier(tier).tier == tier {
+                let engine = KernelEngine::simd_with_tier(tier);
                 engines.push((format!("simd-{}", tier.label()), Box::new(engine)));
             }
         }

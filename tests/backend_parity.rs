@@ -10,26 +10,24 @@ use rand::Rng;
 use realm::abft::detector::AbftDetector;
 use realm::abft::{checksum, ApproxAbft, ClassicalAbft, StatisticalAbft};
 use realm::llm::{config::ModelConfig, model::Model, NoopHook};
-use realm::tensor::engine::{
-    BlockedEngine, EngineKind, GemmEngine, ParallelEngine, ReferenceEngine,
-};
-use realm::tensor::{rng, MatI8, SimdEngine, SimdParallelEngine};
+use realm::tensor::engine::{EngineKind, GemmEngine, KernelEngine, ReferenceEngine};
+use realm::tensor::{rng, MatI8, SimdTier};
 use std::sync::Arc;
 
 fn all_engines() -> Vec<Arc<dyn GemmEngine>> {
     vec![
         Arc::new(ReferenceEngine),
-        Arc::new(BlockedEngine::new()),
+        Arc::new(KernelEngine::blocked()),
         // Deliberately awkward tile sizes so panel edges land mid-matrix.
-        Arc::new(BlockedEngine::with_tiles(7, 13)),
-        Arc::new(ParallelEngine::new()),
-        Arc::new(ParallelEngine::with_threads(5)),
+        Arc::new(KernelEngine::blocked_with_tiles(7, 13)),
+        Arc::new(KernelEngine::blocked().pooled()),
+        Arc::new(KernelEngine::blocked().with_workers(5)),
         // Host-detected SIMD dispatch plus the pinned portable fallback, so both kernel
         // paths are differentially tested on every machine.
-        Arc::new(SimdEngine::new()),
-        Arc::new(SimdEngine::portable()),
-        Arc::new(SimdParallelEngine::new()),
-        Arc::new(SimdParallelEngine::with_threads(5)),
+        Arc::new(KernelEngine::simd()),
+        Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
+        Arc::new(KernelEngine::simd().pooled()),
+        Arc::new(KernelEngine::simd().with_workers(5)),
     ]
 }
 

@@ -13,20 +13,22 @@
 //! scalar packed kernels.
 
 use rand::Rng;
-use realm::tensor::engine::{ChecksummedGemm, EngineKind, GemmEngine, ReferenceEngine};
-use realm::tensor::{rng, MatI32, MatI8, PackedMatI8, SimdEngine, SimdParallelEngine, SimdTier};
+use realm::tensor::engine::{
+    ChecksummedGemm, EngineKind, GemmEngine, KernelEngine, ReferenceEngine,
+};
+use realm::tensor::{rng, MatI32, MatI8, PackedMatI8, SimdTier};
 use std::sync::Arc;
 
 /// Every backend registered in [`EngineKind::ALL`] plus explicitly-pinned SIMD tiers, so a
 /// host with AVX-512 also differentially tests its clamped AVX2 and portable kernels (and a
-/// host without simply re-tests the granted tier — `with_tier` clamps, never lies).
+/// host without simply re-tests the granted tier — `simd_with_tier` clamps, never lies).
 fn all_engines() -> Vec<Arc<dyn GemmEngine>> {
     let mut engines: Vec<Arc<dyn GemmEngine>> =
         EngineKind::ALL.iter().map(|kind| kind.build()).collect();
     for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
-        engines.push(Arc::new(SimdEngine::with_tier(tier)));
+        engines.push(Arc::new(KernelEngine::simd_with_tier(tier)));
     }
-    engines.push(Arc::new(SimdParallelEngine::with_threads(5)));
+    engines.push(Arc::new(KernelEngine::simd().with_workers(5)));
     engines
 }
 

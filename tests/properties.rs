@@ -10,9 +10,9 @@ use realm::abft::detector::AbftDetector;
 use realm::abft::{checksum, ApproxAbft, ClassicalAbft, CriticalRegion, StatisticalAbft};
 use realm::inject::{error_model::ErrorModel, error_model::MagFreqModel, VoltageBerCurve};
 use realm::systolic::{Dataflow, EnergyModel, SystolicArray};
-use realm::tensor::engine::{GemmEngine, ReferenceEngine};
+use realm::tensor::engine::{GemmEngine, KernelEngine, ReferenceEngine};
 use realm::tensor::rng::SeededRng;
-use realm::tensor::{gemm, quant, rng, MatF32, MatI8, SimdEngine, SimdParallelEngine};
+use realm::tensor::{gemm, quant, rng, MatF32, MatI8, SimdTier};
 
 const CASES: usize = 48;
 
@@ -28,11 +28,11 @@ fn arb_operands(r: &mut SeededRng, max_dim: usize) -> (MatI8, MatI8) {
 /// Every construction of the SIMD microkernel backend, AVX2-dispatched and portable alike.
 fn simd_engines() -> Vec<Box<dyn GemmEngine>> {
     vec![
-        Box::new(SimdEngine::new()),
-        Box::new(SimdEngine::portable()),
-        Box::new(SimdParallelEngine::new()),
-        Box::new(SimdParallelEngine::portable()),
-        Box::new(SimdParallelEngine::with_threads(3)),
+        Box::new(KernelEngine::simd()),
+        Box::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
+        Box::new(KernelEngine::simd().pooled()),
+        Box::new(KernelEngine::simd_with_tier(SimdTier::Portable).pooled()),
+        Box::new(KernelEngine::simd().with_workers(3)),
     ]
 }
 
