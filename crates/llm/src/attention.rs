@@ -36,12 +36,13 @@ use crate::component::Component;
 use crate::config::ModelConfig;
 use crate::kv_cache::KvTarget;
 use crate::quantized::{
-    quantize_symmetric_rows_into, run_hooked_gemm, ForwardPass, OutputMode, QuantLinear, Rhs,
+    quantize_symmetric_rows_into, run_hooked_gemm, ForwardPass, OutputMode, QuantLinear,
+    QuantizedInput, Rhs,
 };
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{MatF32, MatI8, QuantParams};
+use realm_tensor::{MatF32, MatI8, QuantParams, RowKernels};
 
 /// Multi-head self-attention for a single Transformer layer.
 #[derive(Debug, Clone)]
@@ -117,17 +118,25 @@ impl MultiHeadAttention {
         kv: &mut KvTarget<'_>,
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
-        let q = self.wq.forward(x, Component::Q, layer, pass)?;
-        let appended = (|| {
-            let k = self.wk.forward(x, Component::K, layer, pass)?;
-            let appended = self.wv.forward(x, Component::V, layer, pass).and_then(|v| {
-                let appended = kv.append(layer, &k, &v);
-                pass.ws.recycle_mat_f32(v);
+        // `Q`, `K` and `V` read the same rows: quantize them once, for all three.
+        let input = QuantizedInput::quantize(x, pass.ws);
+        let q = self.wq.forward_quantized(&input, Component::Q, layer, pass);
+        let projected = q.map(|q| {
+            let k = self.wk.forward_quantized(&input, Component::K, layer, pass);
+            let appended = k.and_then(|k| {
+                let v = self.wv.forward_quantized(&input, Component::V, layer, pass);
+                let appended = v.and_then(|v| {
+                    let appended = kv.append(layer, &k, &v);
+                    pass.ws.recycle_mat_f32(v);
+                    appended
+                });
+                pass.ws.recycle_mat_f32(k);
                 appended
             });
-            pass.ws.recycle_mat_f32(k);
-            appended
-        })();
+            (q, appended)
+        });
+        input.recycle(pass.ws);
+        let (q, appended) = projected?;
         let attended = appended.and_then(|()| self.attend(&q, layer, kv, pass));
         pass.ws.recycle_mat_f32(q);
         let context = attended?;
@@ -148,6 +157,7 @@ impl MultiHeadAttention {
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
         let d = self.head_dim;
+        let kernels = RowKernels::granted();
         let groups = || (0..kv.num_groups()).map(|g| kv.group(layer, g, q.rows()));
         // Scratch sized once for the largest (chunk, resident length) of the batch and
         // reused across heads and sequences.
@@ -204,9 +214,7 @@ impl MultiHeadAttention {
                     let summed = run_hooked_gemm(&p_codes, values, &ctx, pass)?;
                     for (i, r) in rows.clone().enumerate() {
                         let out = &mut context.row_mut(r)[cols.clone()];
-                        for (o, &acc) in out.iter_mut().zip(summed.row(i)) {
-                            *o = acc as f32 * p_scales[i];
-                        }
+                        kernels.dequantize_row(summed.row(i), p_scales[i], out);
                     }
                     pass.ws.recycle_mat_i32(summed);
                 }
@@ -266,18 +274,16 @@ fn probability_codes(
         *p = acc as f32 * q_scale * k_scale;
     }
     softmax_in_place(probs);
-    let mut abs_max = 0.0f32;
     for (p, &v_scale) in probs.iter_mut().zip(value_scales) {
         *p *= v_scale;
-        abs_max = abs_max.max(*p);
     }
-    let params = QuantParams::from_abs_max(abs_max);
+    let kernels = RowKernels::granted();
+    // Probabilities and value scales are non-negative, so the abs-max is the max.
+    let scale = QuantParams::from_abs_max(kernels.abs_max(probs)).scale;
     let (seen, masked) = codes.split_at_mut(visible);
-    for (code, &p) in seen.iter_mut().zip(probs.iter()) {
-        *code = params.quantize(p);
-    }
+    kernels.quantize_row(probs, scale, seen);
     masked.fill(0);
-    params.scale
+    scale
 }
 
 #[cfg(test)]
@@ -402,6 +408,24 @@ mod tests {
             assert_eq!(shared[0].origin, GemmOrigin::BatchedRows);
         }
         assert_eq!(rec.count(), 4 + 4 * heads);
+    }
+
+    #[test]
+    fn failed_forwards_leave_nothing_checked_out() {
+        let (attn, x, config) = attention_and_input();
+        // A mis-shaped input fails the first projection; a cache of the wrong geometry
+        // fails the append, after all three ran.
+        let narrow = MatF32::zeros(2, config.hidden_size - 1);
+        let mut wrong_heads = KvCache::new(1, attn.num_heads() + 1, attn.head_dim(), 0);
+        for (x, cache) in [(&narrow, &mut empty_cache(&attn)), (&x, &mut wrong_heads)] {
+            let (mut hook, mut ws) = (NoopHook, Workspace::new());
+            let mut kv = KvTarget::Solo(cache);
+            let origin = kv.shared_origin();
+            let mut pass =
+                ForwardPass::new(Stage::Prefill, origin, &ReferenceEngine, &mut hook, &mut ws);
+            assert!(attn.forward(x, 0, &mut kv, &mut pass).is_err());
+            assert_eq!(ws.outstanding_buffers(), 0);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use crate::batch::BatchedKvCache;
 use crate::hooks::GemmOrigin;
 use crate::{LlmError, Result};
-use realm_tensor::{MatF32, MatI8, QuantParams, RowPartition};
+use realm_tensor::{MatF32, MatI8, QuantParams, RowKernels, RowPartition};
 use std::ops::Range;
 
 /// One sequence's cached keys and values at one Transformer layer: per-head INT8 codes
@@ -181,18 +181,17 @@ fn append_quantized(heads: &mut [MatI8], scales: &mut Vec<f32>, x: &MatF32, rows
     let Some(head_dim) = heads.first().map(MatI8::cols) else {
         return;
     };
+    let kernels = RowKernels::granted();
     let base = scales.len();
     for codes in heads.iter_mut() {
         codes.resize_overwrite(base + rows.len(), head_dim);
     }
     for (t, r) in (base..).zip(rows) {
         let row = x.row(r);
-        let params = QuantParams::from_abs_max(row.iter().fold(0.0f32, |m, v| m.max(v.abs())));
-        scales.push(params.scale);
+        let scale = QuantParams::from_abs_max(kernels.abs_max(row)).scale;
+        scales.push(scale);
         for (codes, channels) in heads.iter_mut().zip(row.chunks_exact(head_dim)) {
-            for (q, &v) in codes.row_mut(t).iter_mut().zip(channels) {
-                *q = params.quantize(v);
-            }
+            kernels.quantize_row(channels, scale, codes.row_mut(t));
         }
     }
 }

@@ -8,7 +8,7 @@
 use crate::activation::{relu_in_place, silu_in_place};
 use crate::component::Component;
 use crate::config::ModelConfig;
-use crate::quantized::{ForwardPass, OutputMode, QuantLinear};
+use crate::quantized::{ForwardPass, OutputMode, QuantLinear, QuantizedInput};
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
@@ -104,16 +104,25 @@ impl LlamaMlp {
     ///
     /// Propagates shape errors from the underlying GEMMs.
     pub fn forward(&self, x: &MatF32, layer: usize, pass: &mut ForwardPass<'_>) -> Result<MatF32> {
-        let mut gate_out = self.gate.forward(x, Component::Gate, layer, pass)?;
-        let gated = self
-            .up
-            .forward(x, Component::Up, layer, pass)
-            .and_then(|up_out| {
-                silu_in_place(&mut gate_out);
-                let gated = gate_out.hadamard_assign(&up_out);
-                pass.ws.recycle_mat_f32(up_out);
-                Ok(gated?)
-            });
+        // `Gate` and `Up` read the same rows: quantize them once, for both.
+        let input = QuantizedInput::quantize(x, pass.ws);
+        let gate_out = self
+            .gate
+            .forward_quantized(&input, Component::Gate, layer, pass);
+        let projected = gate_out.map(|gate_out| {
+            let up_out = self
+                .up
+                .forward_quantized(&input, Component::Up, layer, pass);
+            (gate_out, up_out)
+        });
+        input.recycle(pass.ws);
+        let (mut gate_out, up_out) = projected?;
+        let gated = up_out.and_then(|up_out| {
+            silu_in_place(&mut gate_out);
+            let gated = gate_out.hadamard_assign(&up_out);
+            pass.ws.recycle_mat_f32(up_out);
+            Ok(gated?)
+        });
         let out = gated.and_then(|()| self.down.forward(&gate_out, Component::Down, layer, pass));
         pass.ws.recycle_mat_f32(gate_out);
         out
@@ -220,6 +229,18 @@ mod tests {
         assert_eq!(rec.count_for(Component::Up), 1);
         assert_eq!(rec.count_for(Component::Down), 1);
         assert!(rec.calls.iter().all(|c| c.stage == Stage::Decode));
+    }
+
+    #[test]
+    fn a_rejected_input_leaves_nothing_checked_out() {
+        let mut r = rng::seeded(5);
+        let mlp = Mlp::new(&ModelConfig::tiny_llama(), &mut r);
+        let (mut hook, mut ws) = (NoopHook, Workspace::new());
+        let origin = GemmOrigin::default();
+        let mut pass =
+            ForwardPass::new(Stage::Prefill, origin, &ReferenceEngine, &mut hook, &mut ws);
+        assert!(mlp.forward(&MatF32::zeros(2, 7), 0, &mut pass).is_err());
+        assert_eq!(ws.outstanding_buffers(), 0);
     }
 
     #[test]

@@ -10,13 +10,29 @@
 //! * [`OutputMode::RequantizedInt8`] — re-quantize to INT8 and de-quantize again (components
 //!   whose outputs feed another quantized GEMM, e.g. `Q`, `K`, `V`). Re-quantization clips to
 //!   ±127, which is why very-high-bit errors saturate for these components (Q1.2).
+//!
+//! # The envelope
+//!
+//! Around the GEMM sit two per-row passes, both built from [`RowKernels`] — the tiered SIMD
+//! row kernels of `realm-tensor`, which hold the workspace's one definition of INT8
+//! rounding:
+//!
+//! * **in** — [`quantize_symmetric_rows_into`]: abs-max, then quantize, one scale per row.
+//!   A [`QuantizedInput`] carries the result, so an activation that feeds several
+//!   projections (`Q`/`K`/`V`, `Gate`/`Up`) is quantized once and handed to each
+//!   [`QuantLinear::forward_quantized`]; [`QuantLinear::forward`] is the one-consumer form.
+//! * **out** — [`convert_accumulator_rows_into`]: de-quantize, or pick the row's robust
+//!   (99th-percentile) output scale by integer selection and re-quantize.
+//!
+//! Both are functions of a row alone, which is what makes batching and chunked prefill
+//! pure amortisations.
 
 use crate::component::{Component, Stage};
 use crate::hooks::{GemmContext, GemmHook, GemmOrigin};
 use crate::Result;
 use realm_tensor::{
     quant, ChecksummedGemm, GemmEngine, MatF32, MatI32, MatI8, PackedMatI8, QuantParams,
-    ShardedLinear, TpGroup, Workspace,
+    RowKernels, ShardedLinear, TpGroup, Workspace,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -165,20 +181,11 @@ impl QuantLinear {
     }
 
     /// Computes `x · W` as `component` of `layer` through the quantized INT8 → INT32
-    /// datapath of the pass's engine.
+    /// datapath of the pass's engine: [`QuantizedInput::quantize`], then
+    /// [`QuantLinear::forward_quantized`].
     ///
     /// `x` has shape `(rows, in_features)`; the result has shape `(rows, out_features)` and
-    /// is workspace-pooled — recycle it once consumed. Every row of `x` is quantized with
-    /// its *own* symmetric scale and converted back with it (including the per-row robust
-    /// requantization scale), so a row's output depends on that row alone: stacking the
-    /// rows of a whole batch, or cutting a prompt into prefill chunks, shares one (optionally
-    /// fused-checksum) GEMM — where checksum and detection cost amortise — without changing
-    /// a single number.
-    ///
-    /// When a hook in the chain consumes checksums ([`GemmHook::wants_checksums`]) the GEMM
-    /// runs through the engine's fused-checksum pass and the hook observes (and may mutate)
-    /// the checksummed INT32 accumulator before conversion; otherwise the plain GEMM runs
-    /// and the checksum reductions are skipped entirely.
+    /// is workspace-pooled — recycle it once consumed.
     ///
     /// # Errors
     ///
@@ -190,31 +197,78 @@ impl QuantLinear {
         layer: usize,
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
+        let input = QuantizedInput::quantize(x, pass.ws);
+        let out = self.forward_quantized(&input, component, layer, pass);
+        input.recycle(pass.ws);
+        out
+    }
+
+    /// Computes `x · W` from an already quantized `x` — what layers that feed one
+    /// activation to several projections (`Q`/`K`/`V`, `Gate`/`Up`) call directly, so the
+    /// shared input is quantized once. The result is workspace-pooled.
+    ///
+    /// Every row of `x` was quantized with its *own* symmetric scale and is converted back
+    /// with it (including the per-row robust requantization scale), so a row's output
+    /// depends on that row alone: stacking the rows of a whole batch, or cutting a prompt
+    /// into prefill chunks, shares one (optionally fused-checksum) GEMM — where checksum
+    /// and detection cost amortise — without changing a single number.
+    ///
+    /// When a hook in the chain consumes checksums ([`GemmHook::wants_checksums`]) the GEMM
+    /// runs through the engine's fused-checksum pass and the hook observes (and may mutate)
+    /// the checksummed INT32 accumulator before conversion; otherwise the plain GEMM runs
+    /// and the checksum reductions are skipped entirely.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the input's width is not `self.in_features()`.
+    pub fn forward_quantized(
+        &self,
+        input: &QuantizedInput,
+        component: Component,
+        layer: usize,
+        pass: &mut ForwardPass<'_>,
+    ) -> Result<MatF32> {
         let ctx = pass.next_ctx(component, layer);
-        let mut xq = pass.ws.take_mat_i8(x.rows(), x.cols());
-        let mut scales = pass.ws.take_vec_f32(x.rows());
-        quantize_symmetric_rows_into(x, &mut xq, &mut scales);
-        let acc = run_hooked_gemm(&xq, Rhs::Weight(&self.weight, self.tp.as_ref()), &ctx, pass);
+        let rhs = Rhs::Weight(&self.weight, self.tp.as_ref());
+        let acc = run_hooked_gemm(&input.codes, rhs, &ctx, pass)?;
         let ws = &mut *pass.ws;
-        ws.recycle_mat_i8(xq);
-        let acc = match acc {
-            Ok(acc) => acc,
-            Err(e) => {
-                ws.recycle_vec_f32(scales);
-                return Err(e);
-            }
-        };
-        // Reuse the scale buffer in place for the combined (activation × weight) scales.
-        for s in scales.iter_mut() {
-            *s *= self.weight_scale;
+        let mut combined = ws.take_vec_f32(input.scales.len());
+        for (c, &s) in combined.iter_mut().zip(&input.scales) {
+            *c = s * self.weight_scale;
         }
         let mut out = ws.take_mat_f32(acc.rows(), acc.cols());
-        let mut mags = ws.take_vec_f32(mags_len(&acc, self.output_mode));
-        convert_accumulator_rows_into(&acc, &scales, self.output_mode, &mut out, &mut mags);
-        ws.recycle_vec_f32(mags);
-        ws.recycle_vec_f32(scales);
+        convert_accumulator_rows_into(&acc, &combined, self.output_mode, &mut out, &mut Vec::new());
+        ws.recycle_vec_f32(combined);
         ws.recycle_mat_i32(acc);
         Ok(out)
+    }
+}
+
+/// An activation matrix quantized row by row for the INT8 GEMMs: the codes and one scale
+/// per row, both checked out of the pass's workspace.
+///
+/// It exists so that an input shared by several projections is quantized once:
+/// [`QuantizedInput::quantize`] it, hand it to each [`QuantLinear::forward_quantized`],
+/// then [`QuantizedInput::recycle`] it — on the error paths too.
+#[derive(Debug)]
+pub struct QuantizedInput {
+    codes: MatI8,
+    scales: Vec<f32>,
+}
+
+impl QuantizedInput {
+    /// Quantizes `x` with [`quantize_symmetric_rows_into`] into buffers taken from `ws`.
+    pub fn quantize(x: &MatF32, ws: &mut Workspace) -> Self {
+        let mut codes = ws.take_mat_i8(x.rows(), x.cols());
+        let mut scales = ws.take_vec_f32(x.rows());
+        quantize_symmetric_rows_into(x, &mut codes, &mut scales);
+        Self { codes, scales }
+    }
+
+    /// Returns both buffers to `ws`.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.recycle_mat_i8(self.codes);
+        ws.recycle_vec_f32(self.scales);
     }
 }
 
@@ -228,19 +282,14 @@ impl QuantLinear {
 /// rests on. A single-row input degenerates to exactly the former per-tensor scale, so
 /// the decode hot path is unchanged bit for bit.
 pub fn quantize_symmetric_rows_into(x: &MatF32, q: &mut MatI8, scales: &mut Vec<f32>) {
-    q.resize_reset(x.rows(), x.cols());
+    let kernels = RowKernels::granted();
+    q.resize_overwrite(x.rows(), x.cols());
     scales.clear();
-    scales.resize(x.rows(), 1.0);
-    for (r, scale) in scales.iter_mut().enumerate() {
-        let mut abs_max = 0.0f32;
-        for &v in x.row(r) {
-            abs_max = abs_max.max(v.abs());
-        }
-        let params = QuantParams::from_abs_max(abs_max);
-        *scale = params.scale;
-        for (qv, &v) in q.row_mut(r).iter_mut().zip(x.row(r)) {
-            *qv = params.quantize(v);
-        }
+    for r in 0..x.rows() {
+        let row = x.row(r);
+        let scale = QuantParams::from_abs_max(kernels.abs_max(row)).scale;
+        kernels.quantize_row(row, scale, q.row_mut(r));
+        scales.push(scale);
     }
 }
 
@@ -251,6 +300,10 @@ pub fn quantize_symmetric_rows_into(x: &MatF32, q: &mut MatI8, scales: &mut Vec<
 /// Bit-identical to converting each row's accumulator in isolation, so the conversion —
 /// like the per-row quantization it pairs with — is invariant to batching and chunking.
 ///
+/// `_mags_scratch` is unused: the percentile is selected on the integers in place
+/// ([`RowKernels::kth_largest_magnitude`]). The parameter stays because the repo benchmark,
+/// which a change may not edit, calls this signature.
+///
 /// # Panics
 ///
 /// Panics if `combined_scales.len() != acc.rows()`.
@@ -259,48 +312,22 @@ pub fn convert_accumulator_rows_into(
     combined_scales: &[f32],
     mode: OutputMode,
     out: &mut MatF32,
-    mags_scratch: &mut Vec<f32>,
+    _mags_scratch: &mut Vec<f32>,
 ) {
     assert_eq!(
         combined_scales.len(),
         acc.rows(),
         "one combined scale per accumulator row"
     );
-    out.resize_reset(acc.rows(), acc.cols());
+    let kernels = RowKernels::granted();
+    out.resize_overwrite(acc.rows(), acc.cols());
     for (r, &combined) in combined_scales.iter().enumerate() {
-        convert_row_into(acc.row(r), combined, mode, out.row_mut(r), mags_scratch);
-    }
-}
-
-/// Converts one accumulator row into `out` under `mode`.
-///
-/// For [`OutputMode::RequantizedInt8`] the INT8 output scale is derived from a *robust*
-/// percentile of the accumulator magnitudes rather than the absolute maximum. This emulates
-/// statically calibrated activation quantization: a single corrupted element cannot inflate
-/// the scale, so it saturates at the ±127 rail instead — the mechanism behind the paper's
-/// observation that high-bit errors on re-quantized components plateau. The path
-/// rounds/clamps to the INT8 code and multiplies back by the output scale in one pass, so
-/// every emitted row is `code · out_scale` with at least one code on the rail — which is
-/// what lets the KV cache recover the codes exactly at append.
-fn convert_row_into(
-    acc: &[i32],
-    combined_scale: f32,
-    mode: OutputMode,
-    out: &mut [f32],
-    mags_scratch: &mut Vec<f32>,
-) {
-    match mode {
-        OutputMode::Float => {
-            for (o, &v) in out.iter_mut().zip(acc) {
-                *o = v as f32 * combined_scale;
-            }
-        }
-        OutputMode::RequantizedInt8 => {
-            let out_scale = robust_output_scale(acc, combined_scale, mags_scratch);
-            for (o, &v) in out.iter_mut().zip(acc) {
-                let real = v as f32 * combined_scale;
-                let q = (real / out_scale).round().clamp(-127.0, 127.0) as i8;
-                *o = q as f32 * out_scale;
+        let (acc, out) = (acc.row(r), out.row_mut(r));
+        match mode {
+            OutputMode::Float => kernels.dequantize_row(acc, combined, out),
+            OutputMode::RequantizedInt8 => {
+                let out_scale = robust_output_scale(acc, combined);
+                kernels.requantize_row(acc, combined, out_scale, out);
             }
         }
     }
@@ -383,29 +410,31 @@ pub(crate) fn run_hooked_gemm(
     }
 }
 
-/// The requantization-magnitude scratch a conversion of `acc` needs: one slot per element
-/// of a row for [`OutputMode::RequantizedInt8`], nothing for [`OutputMode::Float`].
-fn mags_len(acc: &MatI32, mode: OutputMode) -> usize {
-    match mode {
-        OutputMode::Float => 0,
-        OutputMode::RequantizedInt8 => acc.cols(),
-    }
-}
-
-/// Derives an INT8 output scale from the 99th percentile of the magnitudes of `acc`
-/// (staged in `mags_scratch`); degenerate inputs take the neutral scale 1.0.
-fn robust_output_scale(acc: &[i32], combined_scale: f32, mags_scratch: &mut Vec<f32>) -> f32 {
-    mags_scratch.clear();
-    mags_scratch.extend(acc.iter().map(|&v| (v as f32 * combined_scale).abs()));
-    if mags_scratch.is_empty() {
+/// Derives the INT8 output scale of one [`OutputMode::RequantizedInt8`] row from the 99th
+/// percentile of its magnitudes `|acc[i] as f32 · combined_scale|`; degenerate inputs take
+/// the neutral scale 1.0.
+///
+/// The scale is *robust* rather than the absolute maximum. This emulates statically
+/// calibrated activation quantization: a single corrupted element cannot inflate the scale,
+/// so it saturates at the ±127 rail instead — the mechanism behind the paper's observation
+/// that high-bit errors on re-quantized components plateau. Everything at or above the
+/// percentile saturates too, so every emitted row is `code · out_scale` with at least one
+/// code on the rail — which is what lets the KV cache recover the codes exactly at append.
+///
+/// The percentile is an order statistic, and `v ↦ |v as f32 · combined_scale|` is monotone
+/// non-decreasing in `|v|`, so the `idx`-th smallest magnitude is that expression applied to
+/// the `idx`-th smallest `|v|`: the selection runs on the integers, and only the selected
+/// one is converted — bit-identical to selecting among the converted magnitudes.
+fn robust_output_scale(acc: &[i32], combined_scale: f32) -> f32 {
+    if acc.is_empty() {
         return 1.0;
     }
     // Index of the 99th percentile over the *existing* elements (never the absolute maximum
     // for tensors with more than a handful of entries), so a lone corrupted element cannot
     // inflate the calibration scale.
-    let idx = (((mags_scratch.len() - 1) as f32) * 0.99).floor() as usize;
-    mags_scratch.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("finite magnitudes"));
-    let scale = mags_scratch[idx] / 127.0;
+    let idx = (((acc.len() - 1) as f32) * 0.99).floor() as usize;
+    let selected = RowKernels::granted().kth_largest_magnitude(acc, acc.len() - idx);
+    let scale = (selected as f32 * combined_scale).abs() / 127.0;
     if scale > 0.0 && scale.is_finite() {
         scale
     } else {
@@ -523,10 +552,55 @@ mod tests {
     #[test]
     fn robust_scale_ignores_single_outlier() {
         let mut acc = [100i32; 100];
-        let clean_scale = robust_output_scale(&acc, 1.0, &mut Vec::new());
+        let clean_scale = robust_output_scale(&acc, 1.0);
         acc[0] = 1 << 30;
-        let corrupted_scale = robust_output_scale(&acc, 1.0, &mut Vec::new());
+        let corrupted_scale = robust_output_scale(&acc, 1.0);
         assert!((corrupted_scale - clean_scale).abs() / clean_scale < 0.05);
+    }
+
+    /// The selection this module replaced: stage every magnitude as f32, then order them.
+    fn staged_f32_output_scale(acc: &[i32], combined_scale: f32) -> f32 {
+        let mut mags: Vec<f32> = acc
+            .iter()
+            .map(|&v| (v as f32 * combined_scale).abs())
+            .collect();
+        if mags.is_empty() {
+            return 1.0;
+        }
+        let idx = (((mags.len() - 1) as f32) * 0.99).floor() as usize;
+        mags.sort_by(f32::total_cmp);
+        let scale = mags[idx] / 127.0;
+        if scale > 0.0 && scale.is_finite() {
+            scale
+        } else {
+            1.0
+        }
+    }
+
+    #[test]
+    fn integer_percentile_selects_the_scale_the_f32_staging_did() {
+        use rand::Rng;
+        let mut r = realm_tensor::rng::seeded(99);
+        // The widths in use, the percentile index's small-n corner cases, and a row wide
+        // enough to leave the streaming selection (k = 42 at n = 4096). The tiers of the
+        // selection itself are compared in `realm_tensor::row_kernels`.
+        for len in [0usize, 1, 2, 3, 100, 101, 160, 448, 641, 4096] {
+            for (case, combined) in [1.0f32, 3.1e-5, 7.7e-4, 0.0].into_iter().enumerate() {
+                let mut acc: Vec<i32> = (0..len).map(|_| r.gen_range(-90_000..90_000)).collect();
+                match case {
+                    // One high-bit fault; a row of ties; the extreme accumulators.
+                    1 if len > 0 => acc[len / 2] = 1 << 30,
+                    2 => acc.iter_mut().for_each(|v| *v = (*v % 3) * 1000),
+                    3 if len > 1 => (acc[0], acc[1]) = (i32::MIN, i32::MAX),
+                    _ => {}
+                }
+                assert_eq!(
+                    robust_output_scale(&acc, combined).to_bits(),
+                    staged_f32_output_scale(&acc, combined).to_bits(),
+                    "n {len} case {case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,10 @@
 //! * [`quant`] — symmetric quantization between `f32` and `i8`, including the re-quantization
 //!   of INT32 accumulator outputs back to INT8 that gives rise to the bit-position
 //!   saturation effect studied in the paper (Q1.2).
+//! * [`row_kernels`] — [`RowKernels`], the per-row primitives of the envelope around every
+//!   quantized GEMM (abs-max, quantize, requantize/dequantize, the integer order statistic of
+//!   the robust output scale), portable or AVX2 on the same dispatch as the GEMM kernels,
+//!   and the workspace's one definition of INT8 rounding.
 //! * [`tp`] — simulated tensor-parallel execution: [`TpGroup`], a pool of persistent rank
 //!   threads each holding a packed column stripe of a weight matrix ([`ShardedLinear`]),
 //!   with per-shard fused ABFT checksum segments merged back into the unsharded
@@ -73,6 +77,7 @@ pub mod packed;
 pub mod partition;
 pub mod quant;
 pub mod rng;
+pub mod row_kernels;
 pub mod simd;
 pub mod stats;
 pub mod tp;
@@ -86,6 +91,7 @@ pub use matrix::{MatF32, MatI32, MatI8, Matrix};
 pub use packed::PackedMatI8;
 pub use partition::RowPartition;
 pub use quant::QuantParams;
+pub use row_kernels::RowKernels;
 pub use simd::SimdTier;
 pub use tp::{ShardFault, ShardedLinear, TpGroup, TpShardStats};
 pub use workspace::Workspace;

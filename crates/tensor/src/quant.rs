@@ -5,7 +5,11 @@
 //! attention output projection `O`) or re-quantized to INT8 (for components feeding another
 //! quantized GEMM, such as `K`). The paper's Q1.2 insight — that high-bit errors saturate
 //! because of re-quantization clipping — falls directly out of [`requantize_accumulator`].
+//!
+//! The rounding itself — and its vectorised, per-row forms — is defined once, in
+//! [`crate::row_kernels`]; everything here calls it.
 
+use crate::row_kernels::{round_to_code, RowKernels};
 use crate::{MatF32, MatI32, MatI8};
 use serde::{Deserialize, Serialize};
 
@@ -33,8 +37,7 @@ impl QuantParams {
 
     /// Quantizes a single value to INT8 with saturation.
     pub fn quantize(&self, value: f32) -> i8 {
-        let q = (value / self.scale).round();
-        q.clamp(-127.0, 127.0) as i8
+        round_to_code(value / self.scale)
     }
 
     /// De-quantizes a single INT8 code back to f32.
@@ -65,8 +68,10 @@ impl Default for QuantParams {
 /// # Ok::<(), realm_tensor::TensorError>(())
 /// ```
 pub fn quantize_symmetric(x: &MatF32) -> (MatI8, f32) {
-    let params = QuantParams::from_abs_max(x.abs_max());
-    let q = x.map(|v| params.quantize(v));
+    let kernels = RowKernels::granted();
+    let params = QuantParams::from_abs_max(kernels.abs_max(x.as_slice()));
+    let mut q = MatI8::zeros(x.rows(), x.cols());
+    kernels.quantize_row(x.as_slice(), params.scale, q.as_mut_slice());
     (q, params.scale)
 }
 
@@ -95,10 +100,7 @@ pub fn requantize_accumulator(acc: &MatI32, combined_scale: f32, out_scale: f32)
     } else {
         1.0
     };
-    acc.map(|v| {
-        let real = v as f32 * combined_scale;
-        (real / out_scale).round().clamp(-127.0, 127.0) as i8
-    })
+    acc.map(|v| round_to_code(v as f32 * combined_scale / out_scale))
 }
 
 /// Worst-case absolute quantization error for a tensor quantized with the given scale.

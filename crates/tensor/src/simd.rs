@@ -65,6 +65,7 @@
 use crate::engine::{accumulate_expected_panel, FusedChecksums};
 use crate::packed::{PackedMatI8, PACK_BLOCK_COLS, PACK_PAIR_BYTES};
 use crate::MatI8;
+use std::sync::OnceLock;
 
 /// Width (output columns) of the SIMD register tile.
 pub const SIMD_TILE_COLS: usize = 16;
@@ -157,17 +158,22 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// The best tier the host supports under the current environment.
+    /// The best tier the host grants: CPUID and [`FORCE_SCALAR_ENV`], resolved on first use
+    /// and remembered for the life of the process, so the GEMM and row kernels share one
+    /// answer and dispatching never reads the environment.
     pub fn detect() -> Self {
-        if force_scalar() {
-            SimdTier::Portable
-        } else if avx512_available() {
-            SimdTier::Avx512
-        } else if avx2_available() {
-            SimdTier::Avx2
-        } else {
-            SimdTier::Portable
-        }
+        static GRANTED: OnceLock<SimdTier> = OnceLock::new();
+        *GRANTED.get_or_init(|| {
+            if force_scalar() {
+                SimdTier::Portable
+            } else if avx512_available() {
+                SimdTier::Avx512
+            } else if avx2_available() {
+                SimdTier::Avx2
+            } else {
+                SimdTier::Portable
+            }
+        })
     }
 
     /// Short label for reports (`"portable"`, `"avx2"`, `"avx512"`).
@@ -194,8 +200,8 @@ pub(crate) struct SimdKernel {
 }
 
 impl SimdKernel {
-    /// A kernel pinned to at most `tier`, clamped to what the host supports under the
-    /// current environment ([`SimdTier::detect`]).
+    /// A kernel pinned to at most `tier`, clamped to what the host grants
+    /// ([`SimdTier::detect`]).
     pub(crate) fn with_tier(tier: SimdTier) -> Self {
         Self {
             tier: tier.min(SimdTier::detect()),

@@ -13,8 +13,8 @@ use realm::core::{PipelineConfig, ProtectedPipeline, SchemeProtector, SequenceAt
 use realm::llm::batch::{BatchRequest, BatchScheduler};
 use realm::llm::model::PrefillChunk;
 use realm::llm::{
-    config::ModelConfig, hooks::GemmContext, model::Model, Component, GemmHook, GemmOrigin,
-    NoopHook,
+    config::ModelConfig, hooks::GemmContext, model::Model, Architecture, Component, GemmHook,
+    GemmOrigin, NoopHook,
 };
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
 use realm::tensor::{ChecksummedGemm, EngineKind, MatI32, MatI8, RowPartition, Workspace};
@@ -84,17 +84,44 @@ fn batched_prefill_logits_are_bit_exact_per_sequence() {
     }
 }
 
-/// Records the hook-visible stream of a run: every GEMM's context and `(m, k, n)` shape,
-/// and every announced partition.
+/// Records the hook-visible stream of a run: every GEMM's context, `(m, k, n)` shape and
+/// left-operand codes (as a digest), and every announced partition.
 #[derive(Default)]
 struct StreamRecorder {
     gemms: Vec<(GemmContext, (usize, usize, usize))>,
+    left_operands: Vec<u64>,
     partitions: Vec<Vec<usize>>,
+}
+
+/// FNV-1a over `bytes`, continuing from `state` (a digest that is the same on every
+/// toolchain, unlike `DefaultHasher`).
+fn fnv1a(state: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(state, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+impl StreamRecorder {
+    /// One digest of everything a hook can tell a run by, attribution aside: component,
+    /// layer, GEMM index, shape and left-operand codes of every GEMM, in order.
+    fn digest(&self) -> u64 {
+        let mut state = FNV_OFFSET;
+        for ((ctx, (m, k, n)), codes) in self.gemms.iter().zip(&self.left_operands) {
+            let component = Component::ALL.iter().position(|c| *c == ctx.component);
+            let fields = [component.unwrap(), ctx.layer, ctx.sequence, *m, *k, *n];
+            let fields = fields.iter().flat_map(|v| (*v as u64).to_le_bytes());
+            state = fnv1a(state, fields.chain(codes.to_le_bytes()));
+        }
+        state
+    }
 }
 
 impl GemmHook for StreamRecorder {
     fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, _acc: &mut MatI32) {
         self.gemms.push((*ctx, (w.rows(), w.cols(), x.cols())));
+        let codes = w.as_slice().iter().map(|&c| c as u8);
+        self.left_operands.push(fnv1a(FNV_OFFSET, codes));
     }
 
     fn wants_checksums(&self) -> bool {
@@ -175,8 +202,35 @@ fn batch_of_one_matches_the_single_sequence_path() {
             };
             assert_eq!(b.origin, expected, "{:?}", b.component);
         }
+
+        // Projections that read one activation (`Q`/`K`/`V`; `Gate`/`Up`) quantize it once
+        // and share the codes, which a hook must not be able to tell from quantizing it per
+        // projection: they are issued in the same order with identical left operands, and
+        // the whole stream — contexts, shapes, operand codes — is the one recorded at the
+        // last commit that quantized per projection.
+        assert_eq!(solo.left_operands, one_slot.left_operands);
+        let mut shared = 0;
+        for ((g, _), &codes) in solo.gemms.iter().zip(&solo.left_operands) {
+            match g.component {
+                Component::Q | Component::Gate => shared = codes,
+                Component::K | Component::V | Component::Up => {
+                    assert_eq!(codes, shared, "{:?} at layer {}", g.component, g.layer)
+                }
+                _ => {}
+            }
+        }
+        let recorded = match c.architecture {
+            Architecture::OptStyle => PER_PROJECTION_STREAM_OPT,
+            Architecture::LlamaStyle => PER_PROJECTION_STREAM_LLAMA,
+        };
+        assert_eq!(solo.digest(), recorded, "{}", c.name);
     }
 }
+
+/// [`StreamRecorder::digest`] of the run above at commit 62dcef5, where every projection
+/// quantized its own copy of the input (`tiny_opt` / `tiny_llama`, model seed 7).
+const PER_PROJECTION_STREAM_OPT: u64 = 2_559_610_194_196_489_247;
+const PER_PROJECTION_STREAM_LLAMA: u64 = 17_377_697_708_382_981_865;
 
 #[test]
 fn empty_batch_and_empty_prompts_are_rejected() {
