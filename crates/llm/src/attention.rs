@@ -36,13 +36,13 @@ use crate::component::Component;
 use crate::config::ModelConfig;
 use crate::kv_cache::KvTarget;
 use crate::quantized::{
-    quantize_symmetric_rows_into, run_hooked_gemm, ForwardPass, OutputMode, QuantLinear,
-    QuantizedInput, Rhs,
+    quantize_symmetric_rows_into, run_hooked_gemm_into, ForwardPass, HookedGemmScratch, OutputMode,
+    QuantLinear, QuantizedInput, Rhs,
 };
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{MatF32, MatI8, QuantParams, RowKernels};
+use realm_tensor::{MatF32, QuantParams, RowKernels};
 
 /// Multi-head self-attention for a single Transformer layer.
 #[derive(Debug, Clone)]
@@ -159,10 +159,21 @@ impl MultiHeadAttention {
         let d = self.head_dim;
         let kernels = RowKernels::granted();
         let groups = || (0..kv.num_groups()).map(|g| kv.group(layer, g, q.rows()));
-        // Scratch sized once for the largest (chunk, resident length) of the batch and
-        // reused across heads and sequences.
-        let max_chunk = groups().map(|(rows, _)| rows.len()).max().unwrap_or(0);
-        let max_len = groups().map(|(_, cache)| cache.len()).max().unwrap_or(0);
+        // Scratch sized once by the groups that have rows in this pass — a slot that sits it
+        // out (mid-prefill during a decode pass, or the reverse) sizes nothing — and reused
+        // across heads and sequences.
+        let (max_chunk, max_len, max_cells) = groups().filter(|(rows, _)| !rows.is_empty()).fold(
+            (0, 0, 0),
+            |(chunk, len, cells), (rows, cache)| {
+                // The largest accumulator of a group: its scores, or its context.
+                let group_cells = rows.len() * cache.len().max(d);
+                (
+                    chunk.max(rows.len()),
+                    len.max(cache.len()),
+                    cells.max(group_cells),
+                )
+            },
+        );
         let mut q_codes = pass.ws.take_mat_i8(q.rows(), q.cols());
         let mut q_scales = pass.ws.take_vec_f32(q.rows());
         quantize_symmetric_rows_into(q, &mut q_codes, &mut q_scales);
@@ -172,10 +183,17 @@ impl MultiHeadAttention {
         }
         let mut q_h = pass.ws.take_mat_i8(max_chunk, d);
         let mut k_t = pass.ws.take_mat_i8(d, max_len);
-        let mut p_codes = pass.ws.take_mat_i8(max_chunk, max_len);
+        let mut p_codes = pass.ws.take_mat_i8(1, max_cells);
         let mut p_scales = pass.ws.take_vec_f32(max_chunk);
         let mut probs = pass.ws.take_vec_f32(max_len);
         let mut context = pass.ws.take_mat_f32(q.rows(), self.num_heads * d);
+        // One destination for every score (`chunk × len`, depth `d`) and context
+        // (`chunk × d`, depth `len`) GEMM of the call: as wide as the widest of them and as
+        // many cells as the largest — the longest chunk and the longest cache may belong to
+        // different groups, and their product to no GEMM at all.
+        let widest = max_len.max(d);
+        let shape = (max_cells.div_ceil(widest), widest, widest);
+        let mut gemm = HookedGemmScratch::take(pass.ws, shape, pass.hook.wants_checksums());
 
         let ran = (|| -> Result<()> {
             for (g, (rows, cache)) in groups().enumerate() {
@@ -193,13 +211,16 @@ impl MultiHeadAttention {
                         q_h.row_mut(i)
                             .copy_from_slice(&q_codes.row(r)[cols.clone()]);
                     }
-                    transpose_into(cache.key_codes(h), &mut k_t);
+                    // The one transpose per (sequence, head, chunk): row-appended key codes
+                    // into the score GEMM's dense `(head_dim × T)` right operand.
+                    cache.key_codes(h).transpose_into(&mut k_t);
                     let ctx = pass.next_ctx(Component::QkT, layer).for_sequence(g);
-                    let scores = run_hooked_gemm(&q_h, Rhs::Activation(&k_t), &ctx, pass)?;
+                    let keys = Rhs::Activation(&k_t);
+                    run_hooked_gemm_into(&q_h, keys, &ctx, pass, &mut gemm)?;
                     p_codes.resize_overwrite(chunk, len);
                     for (i, r) in rows.clone().enumerate() {
                         p_scales[i] = probability_codes(
-                            &scores.row(i)[..=prior + i],
+                            &gemm.acc().row(i)[..=prior + i],
                             q_scales[r],
                             cache.key_scales(),
                             cache.value_scales(),
@@ -207,16 +228,14 @@ impl MultiHeadAttention {
                             p_codes.row_mut(i),
                         );
                     }
-                    pass.ws.recycle_mat_i32(scores);
 
                     let ctx = pass.next_ctx(Component::Sv, layer).for_sequence(g);
                     let values = Rhs::Activation(cache.value_codes(h));
-                    let summed = run_hooked_gemm(&p_codes, values, &ctx, pass)?;
+                    run_hooked_gemm_into(&p_codes, values, &ctx, pass, &mut gemm)?;
                     for (i, r) in rows.clone().enumerate() {
                         let out = &mut context.row_mut(r)[cols.clone()];
-                        kernels.dequantize_row(summed.row(i), p_scales[i], out);
+                        kernels.dequantize_row(gemm.acc().row(i), p_scales[i], out);
                     }
-                    pass.ws.recycle_mat_i32(summed);
                 }
             }
             Ok(())
@@ -229,25 +248,13 @@ impl MultiHeadAttention {
         ws.recycle_mat_i8(p_codes);
         ws.recycle_vec_f32(p_scales);
         ws.recycle_vec_f32(probs);
+        gemm.recycle(ws);
         match ran {
             Ok(()) => Ok(context),
             Err(e) => {
                 ws.recycle_mat_f32(context);
                 Err(e)
             }
-        }
-    }
-}
-
-/// `out = codesᵀ`: the one INT8 transpose per (sequence, head, chunk) that turns the
-/// row-appended key codes into the score GEMM's `(head_dim × T)` right operand.
-fn transpose_into(codes: &MatI8, out: &mut MatI8) {
-    let (rows, cols) = codes.shape();
-    out.resize_overwrite(cols, rows);
-    let dst = out.as_mut_slice();
-    for (r, row) in codes.as_slice().chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            dst[c * rows + r] = v;
         }
     }
 }
@@ -294,7 +301,8 @@ mod tests {
     use crate::hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook, RecordingHook};
     use crate::kv_cache::KvCache;
     use realm_tensor::{
-        rng, EngineKind, GemmEngine, MatI32, ReferenceEngine, RowPartition, TpGroup, Workspace,
+        rng, ChecksummedGemm, EngineKind, GemmEngine, MatI32, MatI8, PackedMatI8, ReferenceEngine,
+        Result as TensorResult, RowPartition, TpGroup, Workspace,
     };
     use std::ops::Range;
     use std::sync::Arc;
@@ -426,6 +434,102 @@ mod tests {
             assert!(attn.forward(x, 0, &mut kv, &mut pass).is_err());
             assert_eq!(ws.outstanding_buffers(), 0);
         }
+
+        /// Runs weight GEMMs on the oracle and refuses activation × activation ones, so a
+        /// forward fails inside `attend`, at the first score GEMM.
+        #[derive(Debug)]
+        struct NoActivationGemms;
+        impl GemmEngine for NoActivationGemms {
+            fn name(&self) -> &'static str {
+                "no_activation_gemms"
+            }
+            fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, _: &mut MatI32) -> TensorResult<()> {
+                Err(realm_tensor::TensorError::ShapeMismatch {
+                    op: "refused",
+                    lhs: a.shape(),
+                    rhs: b.shape(),
+                })
+            }
+            fn gemm_i8_checksummed_into(
+                &self,
+                a: &MatI8,
+                b: &MatI8,
+                dest: &mut ChecksummedGemm,
+                _: &mut Vec<i64>,
+            ) -> TensorResult<()> {
+                self.gemm_i8_into(a, b, dest.acc_mut())
+            }
+            fn gemm_i8_packed_into(
+                &self,
+                a: &MatI8,
+                pb: &PackedMatI8,
+                out: &mut MatI32,
+            ) -> TensorResult<()> {
+                ReferenceEngine.gemm_i8_packed_into(a, pb, out)
+            }
+            fn gemm_i8_packed_checksummed_into(
+                &self,
+                a: &MatI8,
+                pb: &PackedMatI8,
+                dest: &mut ChecksummedGemm,
+                etw: &mut Vec<i64>,
+            ) -> TensorResult<()> {
+                ReferenceEngine.gemm_i8_packed_checksummed_into(a, pb, dest, etw)
+            }
+        }
+        // Both forms of the per-call GEMM scratch: plain, and with the checksum vectors.
+        struct ChecksumConsumer;
+        impl GemmHook for ChecksumConsumer {
+            fn on_gemm(&mut self, _: &GemmContext, _: &MatI8, _: &MatI8, _: &mut MatI32) {}
+        }
+        assert!(ChecksumConsumer.wants_checksums() && !NoopHook.wants_checksums());
+        let hooks: [&mut dyn GemmHook; 2] = [&mut NoopHook, &mut ChecksumConsumer];
+        for hook in hooks {
+            let (mut cache, mut ws) = (empty_cache(&attn), Workspace::new());
+            let mut kv = KvTarget::Solo(&mut cache);
+            let origin = kv.shared_origin();
+            let mut pass =
+                ForwardPass::new(Stage::Prefill, origin, &NoActivationGemms, hook, &mut ws);
+            assert!(attn.forward(&x, 0, &mut kv, &mut pass).is_err());
+            assert_eq!(ws.outstanding_buffers(), 0);
+            assert_eq!(cache.seq_len(), x.rows(), "it failed after the append");
+        }
+    }
+
+    #[test]
+    fn a_slot_that_sits_a_pass_out_sizes_none_of_its_scratch() {
+        // Slot 1 decodes one token over a 3-row cache. Whether slot 0 next to it is empty or
+        // holds a long context it contributes no rows to this pass, so the pass checks the
+        // same buffers out of a fresh workspace either way.
+        let (attn, x, config) = attention_and_input();
+        let mut r = rng::seeded(8);
+        let long = rng::gaussian_matrix(&mut r, 200, config.hidden_size, 0.0, 1.0);
+        let high_water_with = |neighbour: &MatF32| {
+            let mut batch = BatchedKvCache::new(1, 2, attn.num_heads(), attn.head_dim());
+            let lead = neighbour.rows();
+            let stacked = neighbour.vstack(&x.rows_slice(0, 3).unwrap()).unwrap();
+            let parts = RowPartition::from_lens(&[lead, 3]);
+            let kv = KvTarget::Batch(&mut batch, &parts);
+            forward_on(
+                &attn,
+                &stacked,
+                Stage::Prefill,
+                kv,
+                &ReferenceEngine,
+                &mut NoopHook,
+            );
+            let parts = RowPartition::from_lens(&[0, 1]);
+            let mut kv = KvTarget::Batch(&mut batch, &parts);
+            let (mut hook, mut ws) = (NoopHook, Workspace::new());
+            let origin = kv.shared_origin();
+            let mut pass =
+                ForwardPass::new(Stage::Decode, origin, &ReferenceEngine, &mut hook, &mut ws);
+            let token = x.rows_slice(3, 1).unwrap();
+            attn.forward(&token, 0, &mut kv, &mut pass).unwrap();
+            ws.high_water_mark_bytes()
+        };
+        let alone = high_water_with(&MatF32::zeros(0, config.hidden_size));
+        assert_eq!(high_water_with(&long), alone);
     }
 
     #[test]

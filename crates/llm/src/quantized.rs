@@ -346,68 +346,138 @@ pub(crate) enum Rhs<'a> {
     Activation(&'a MatI8),
 }
 
-/// Executes one quantized GEMM `a · rhs` through the pass's engine and hook, picking the
-/// fused-checksum pass only when a hook in the chain will consume the checksums
-/// ([`GemmHook::wants_checksums`]). Fault-free baselines, unprotected runs and
-/// injection-only campaigns therefore skip the checksum reductions entirely.
+impl<'a> Rhs<'a> {
+    /// The operand as hooks see it: dense and row-major.
+    fn row_major(&self) -> &'a MatI8 {
+        match self {
+            Rhs::Weight(weight, _) => weight.unpacked(),
+            Rhs::Activation(b) => b,
+        }
+    }
+}
+
+/// The destination of hooked GEMMs — everything [`run_hooked_gemm_into`] writes — in the
+/// form the pass's hook chain asks for ([`GemmHook::wants_checksums`]).
 ///
-/// Hooks always observe the row-major right operand and the *merged* accumulator and
-/// checksums — sharding, like the packed tiles, is an execution detail the detection and
-/// injection layers never see. Bit-identical on every route.
-///
-/// The accumulator, the checksum vectors of the fused pass and the operand-checksum
-/// scratch all come from the pass's workspace; the returned accumulator is workspace-pooled.
-/// This is the innermost allocation-free step of the decode hot loop.
+/// One is checked out of the pass's workspace per GEMM by [`run_hooked_gemm`], or once for a
+/// whole run of GEMMs by a caller that issues many small ones (attention: two per sequence
+/// and head); every GEMM reshapes it in place.
+pub(crate) enum HookedGemmScratch {
+    /// No hook consumes checksums: the plain GEMM's accumulator.
+    Plain(MatI32),
+    /// The fused-checksum pass's bundle and its operand-checksum (`eᵀ·W`) scratch.
+    Checksummed(ChecksummedGemm, Vec<i64>),
+}
+
+impl HookedGemmScratch {
+    /// Checks out storage for GEMMs of up to `rows × depth · depth × cols`.
+    pub(crate) fn take(
+        ws: &mut Workspace,
+        (rows, depth, cols): (usize, usize, usize),
+        checksummed: bool,
+    ) -> Self {
+        let acc = ws.take_mat_i32(rows, cols);
+        if !checksummed {
+            return Self::Plain(acc);
+        }
+        let (expected, observed) = (ws.take_vec_i64(cols), ws.take_vec_i64(cols));
+        let result = ChecksummedGemm::from_parts(acc, expected, observed);
+        Self::Checksummed(result, ws.take_vec_i64(depth))
+    }
+
+    /// The accumulator of the last GEMM run into this scratch, as the hooks left it.
+    pub(crate) fn acc(&self) -> &MatI32 {
+        match self {
+            Self::Plain(acc) => acc,
+            Self::Checksummed(result, _) => result.acc(),
+        }
+    }
+
+    /// Returns everything but the accumulator to `ws`.
+    pub(crate) fn into_acc(self, ws: &mut Workspace) -> MatI32 {
+        match self {
+            Self::Plain(acc) => acc,
+            Self::Checksummed(result, etw) => {
+                let (acc, expected, observed) = result.into_parts();
+                ws.recycle_vec_i64(expected);
+                ws.recycle_vec_i64(observed);
+                ws.recycle_vec_i64(etw);
+                acc
+            }
+        }
+    }
+
+    /// Returns every buffer to `ws`.
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
+        let acc = self.into_acc(ws);
+        ws.recycle_mat_i32(acc);
+    }
+}
+
+/// Executes one quantized GEMM `a · rhs` through the pass's engine and hook into a
+/// workspace-pooled accumulator: [`run_hooked_gemm_into`] on a [`HookedGemmScratch`] checked
+/// out for this GEMM alone — what the linears call.
 pub(crate) fn run_hooked_gemm(
     a: &MatI8,
     rhs: Rhs<'_>,
     ctx: &GemmContext,
     pass: &mut ForwardPass<'_>,
 ) -> Result<MatI32> {
-    let (engine, ws) = (pass.engine, &mut *pass.ws);
-    let b = match rhs {
-        Rhs::Weight(weight, _) => weight.unpacked(),
-        Rhs::Activation(b) => b,
-    };
-    let mut acc = ws.take_mat_i32(a.rows(), b.cols());
-    if !pass.hook.wants_checksums() {
-        let ran = match rhs {
-            Rhs::Weight(_, Some(tp)) => tp.gemm_into(a, &mut acc),
-            Rhs::Weight(weight, None) => engine.gemm_i8_packed_into(a, weight, &mut acc),
-            Rhs::Activation(b) => engine.gemm_i8_into(a, b, &mut acc),
-        };
-        if let Err(e) = ran {
-            ws.recycle_mat_i32(acc);
-            return Err(e.into());
-        }
-        pass.hook.on_gemm(ctx, a, b, &mut acc);
-        return Ok(acc);
-    }
-    let expected = ws.take_vec_i64(b.cols());
-    let observed = ws.take_vec_i64(b.cols());
-    let mut result = ChecksummedGemm::from_parts(acc, expected, observed);
-    let mut etw = ws.take_vec_i64(a.cols());
-    let ran = match rhs {
-        Rhs::Weight(_, Some(tp)) => tp.gemm_checksummed_into(a, &mut result),
-        Rhs::Weight(weight, None) => {
-            engine.gemm_i8_packed_checksummed_into(a, weight, &mut result, &mut etw)
-        }
-        Rhs::Activation(b) => engine.gemm_i8_checksummed_into(a, b, &mut result, &mut etw),
-    };
-    ws.recycle_vec_i64(etw);
-    if ran.is_ok() {
-        pass.hook.on_gemm_checksummed(ctx, a, b, &mut result);
-    }
-    let (acc, expected, observed) = result.into_parts();
-    ws.recycle_vec_i64(expected);
-    ws.recycle_vec_i64(observed);
+    let shape = (a.rows(), a.cols(), rhs.row_major().cols());
+    let mut scratch = HookedGemmScratch::take(pass.ws, shape, pass.hook.wants_checksums());
+    let ran = run_hooked_gemm_into(a, rhs, ctx, pass, &mut scratch);
+    let acc = scratch.into_acc(pass.ws);
     match ran {
         Ok(()) => Ok(acc),
         Err(e) => {
-            ws.recycle_mat_i32(acc);
-            Err(e.into())
+            pass.ws.recycle_mat_i32(acc);
+            Err(e)
         }
     }
+}
+
+/// Executes one quantized GEMM `a · rhs` through the pass's engine and hook into `scratch`,
+/// on the fused-checksum pass only when `scratch` was taken for it, i.e. when a hook in the
+/// chain will consume the checksums ([`GemmHook::wants_checksums`]). Fault-free baselines,
+/// unprotected runs and injection-only campaigns therefore skip the checksum reductions
+/// entirely. The only place hooks are invoked.
+///
+/// Hooks always observe the row-major right operand and the *merged* accumulator and
+/// checksums — sharding, like the packed tiles, is an execution detail the detection and
+/// injection layers never see. Bit-identical on every route.
+///
+/// Nothing is allocated as long as `scratch` was taken at least as large as the GEMM: this
+/// is the innermost step of the decode hot loop.
+pub(crate) fn run_hooked_gemm_into(
+    a: &MatI8,
+    rhs: Rhs<'_>,
+    ctx: &GemmContext,
+    pass: &mut ForwardPass<'_>,
+    scratch: &mut HookedGemmScratch,
+) -> Result<()> {
+    let (engine, hook) = (pass.engine, &mut *pass.hook);
+    let b = rhs.row_major();
+    match scratch {
+        HookedGemmScratch::Plain(acc) => {
+            match rhs {
+                Rhs::Weight(_, Some(tp)) => tp.gemm_into(a, acc)?,
+                Rhs::Weight(weight, None) => engine.gemm_i8_packed_into(a, weight, acc)?,
+                Rhs::Activation(b) => engine.gemm_i8_into(a, b, acc)?,
+            }
+            hook.on_gemm(ctx, a, b, acc);
+        }
+        HookedGemmScratch::Checksummed(result, etw) => {
+            match rhs {
+                Rhs::Weight(_, Some(tp)) => tp.gemm_checksummed_into(a, result)?,
+                Rhs::Weight(weight, None) => {
+                    engine.gemm_i8_packed_checksummed_into(a, weight, result, etw)?
+                }
+                Rhs::Activation(b) => engine.gemm_i8_checksummed_into(a, b, result, etw)?,
+            }
+            hook.on_gemm_checksummed(ctx, a, b, result);
+        }
+    }
+    Ok(())
 }
 
 /// Derives the INT8 output scale of one [`OutputMode::RequantizedInt8`] row from the 99th

@@ -31,6 +31,12 @@
 //! systolic array (Fig. 3), which also computes checksums *during* the array pass rather
 //! than in a separate sweep. The result is a [`ChecksummedGemm`], which downstream ABFT
 //! detectors consume directly instead of re-reading the matrices.
+//!
+//! On the SIMD kernel a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows that runs
+//! inline — every decode-shape GEMM: the linears over packed weights, attention's `QKᵀ` and
+//! `SV` over row-major activations, recovery recomputation — takes the **skinny** pass of
+//! its operand kind, where the checksum row rides the multiply's own registers and `B` is
+//! streamed exactly once (see "The skinny rule" in [`crate::simd`]).
 
 use crate::packed::PackedMatI8;
 use crate::simd::{SimdKernel, SimdTier, SKINNY_MAX_ROWS};
@@ -165,21 +171,36 @@ impl ChecksummedGemm {
         }
     }
 
-    /// Matrix-sum deviation (the sum of all column deviations).
+    /// Matrix-sum deviation (the sum of all column deviations), computed in place.
     pub fn msd(&self) -> i64 {
-        self.column_deviations().iter().sum()
+        let observed: i64 = if self.observed_fresh {
+            self.observed.iter().sum()
+        } else {
+            self.acc.iter().map(|&v| v as i64).sum()
+        };
+        observed - self.expected.iter().sum::<i64>()
     }
 
     /// Reshapes the bundle for an `m × n` fused pass into reused storage: accumulator
     /// zeroed in place, both checksum vectors zeroed to `cols`, observed marked fresh.
     ///
-    /// Every fused `gemm_i8_checksummed_into` kernel goes through here so the
-    /// four-field consistency invariant lives in exactly one place.
+    /// Every fused `gemm_i8_checksummed_into` kernel that accumulates with `+=` goes
+    /// through here ([`ChecksummedGemm::prepare_overwritten`] is for the ones that assign),
+    /// so the four-field consistency invariant lives in one place.
     pub(crate) fn prepare(&mut self, rows: usize, cols: usize) {
         self.acc.resize_reset(rows, cols);
         self.expected.clear();
         self.expected.resize(cols, 0);
         self.observed.clear();
+        self.observed.resize(cols, 0);
+        self.observed_fresh = true;
+    }
+
+    /// [`ChecksummedGemm::prepare`] for a kernel that assigns every accumulator cell and
+    /// every checksum entry: same shapes, contents unspecified, no zero-fill.
+    pub(crate) fn prepare_overwritten(&mut self, rows: usize, cols: usize) {
+        self.acc.resize_overwrite(rows, cols);
+        self.expected.resize(cols, 0);
         self.observed.resize(cols, 0);
         self.observed_fresh = true;
     }
@@ -289,6 +310,8 @@ pub(crate) fn accumulate_expected_panel(
     (pc, pc_end): (usize, usize),
     (jc, jc_end): (usize, usize),
 ) {
+    #[cfg(test)]
+    tests::EXPECTED_PANEL_PASSES.with(|passes| passes.set(passes.get() + 1));
     for (q, &weight) in etw[pc..pc_end].iter().enumerate() {
         if weight == 0 {
             continue;
@@ -826,9 +849,19 @@ impl KernelEngine {
         }
     }
 
+    /// Workers a GEMM of `m × k × n` runs on: 1 (the calling thread) unless the engine is
+    /// pooled and the GEMM is big enough to shard.
+    fn workers_for(&self, m: usize, k: usize, n: usize) -> usize {
+        match self.workers {
+            Workers::Pool(threads) if m * k * n >= PARALLEL_MIN_MACS => worker_count(threads, m),
+            _ => 1,
+        }
+    }
+
     /// The one orchestration routine: runs the kernel over all of `a × b` into `out`
     /// (already shaped and zeroed), inline or across stolen row chunks, with the checksum
-    /// reductions fused into the pass when `fused` is present.
+    /// reductions fused into the pass when `fused` is present. (Checksummed decode shapes
+    /// never get here: see the skinny rule in [`KernelEngine::checksummed_into`].)
     ///
     /// When sharded, the `(eᵀ·W)·X` reduction is row-independent and is fused into
     /// whichever claimed chunk starts at row 0 — exactly one chunk does, whoever steals it.
@@ -840,27 +873,9 @@ impl KernelEngine {
         let (m, k) = a.shape();
         let n = out.cols();
         let kernel = &self.kernel;
-        let workers = match self.workers {
-            Workers::Pool(threads) if m * k * n >= PARALLEL_MIN_MACS => worker_count(threads, m),
-            _ => 1,
-        };
+        let workers = self.workers_for(m, k, n);
         if workers <= 1 {
-            match (kernel, b, fused) {
-                // Decode shapes: the SIMD kernels fold the multiply and BOTH checksum
-                // reductions into a single stream over the packed tiles.
-                (
-                    Kernel::Simd(simd),
-                    Operand::Packed(pb),
-                    Some(FusedChecksums {
-                        etw,
-                        expected: Some(expected),
-                        observed,
-                    }),
-                ) if (1..=SKINNY_MAX_ROWS).contains(&m) => {
-                    simd.run_skinny_packed(a, pb, out.as_mut_slice(), etw, expected, observed)
-                }
-                (_, b, fused) => kernel.run_rows(a, b, out.as_mut_slice(), 0, m, fused),
-            }
+            kernel.run_rows(a, b, out.as_mut_slice(), 0, m, fused);
             return;
         }
         let etw = fused.as_ref().map(|fused| fused.etw);
@@ -926,7 +941,30 @@ impl KernelEngine {
         let b_shape = b.row_major().shape();
         gemm::check_compatible(op, a.shape(), b_shape)?;
         operand_col_sums_into(a, etw_scratch);
-        dest.prepare(a.rows(), b_shape.1);
+        let (m, k, n) = (a.rows(), a.cols(), b_shape.1);
+        // The skinny rule — decode shapes on the SIMD kernel, inline: with at most
+        // `SKINNY_MAX_ROWS` rows `eᵀ·W` fits an `i16` lane, so the multiply and BOTH
+        // checksum reductions are a single stream over `B`, packed or row-major.
+        if let Kernel::Simd(simd) = &self.kernel {
+            if (1..=SKINNY_MAX_ROWS).contains(&m) && self.workers_for(m, k, n) <= 1 {
+                match b {
+                    Operand::Packed(pb) => {
+                        dest.prepare(m, n);
+                        let (acc, expected, observed) = dest.fused_parts_mut();
+                        let out = acc.as_mut_slice();
+                        simd.run_skinny_packed(a, pb, out, etw_scratch, expected, observed);
+                    }
+                    Operand::RowMajor(b) => {
+                        dest.prepare_overwritten(m, n);
+                        let (acc, expected, observed) = dest.fused_parts_mut();
+                        let out = acc.as_mut_slice();
+                        simd.run_skinny_rows(a, b, out, etw_scratch, expected, observed);
+                    }
+                }
+                return Ok(());
+            }
+        }
+        dest.prepare(m, n);
         let (acc, expected, observed) = dest.fused_parts_mut();
         let fused = FusedChecksums {
             etw: etw_scratch,
@@ -1093,6 +1131,13 @@ mod tests {
     use super::*;
     use crate::rng;
     use rand::Rng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`accumulate_expected_panel`] — the separate `i64` pass over `B` —
+        /// made by this thread.
+        pub(super) static EXPECTED_PANEL_PASSES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn random_pair(seed: u64, m: usize, k: usize, n: usize) -> (MatI8, MatI8) {
         let mut r = rng::seeded(seed);
@@ -1192,6 +1237,57 @@ mod tests {
             .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
             .unwrap();
         assert_eq!(dest, oracle);
+    }
+
+    #[test]
+    fn skinny_checksummed_gemms_on_the_simd_kernel_make_no_separate_expected_pass() {
+        let passes = || EXPECTED_PANEL_PASSES.with(Cell::get);
+        for tier in [SimdTier::Portable, SimdTier::detect()] {
+            // Pooled too: a GEMM this small runs inline whatever the worker count.
+            for engine in [
+                KernelEngine::simd_with_tier(tier),
+                KernelEngine::simd_with_tier(tier).pooled(),
+            ] {
+                for m in 1..=SKINNY_MAX_ROWS + 1 {
+                    let (a, b) = random_pair(m as u64, m, 32, 50);
+                    let pb = PackedMatI8::pack(&b);
+                    let (mut dest, mut etw) = (ChecksummedGemm::empty(), Vec::new());
+                    let before = passes();
+                    engine
+                        .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
+                        .unwrap();
+                    engine
+                        .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
+                        .unwrap();
+                    let separate = passes() - before;
+                    if m <= SKINNY_MAX_ROWS {
+                        assert_eq!(separate, 0, "{tier:?}: {m} rows left the skinny pass");
+                    } else {
+                        assert!(separate > 0, "{tier:?}: {m} rows belong to the tile kernel");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn msd_is_the_sum_of_the_column_deviations_fresh_or_stale() {
+        let (a, b) = random_pair(6, 3, 9, 21);
+        let mut result = KernelEngine::simd().gemm_i8_checksummed(&a, &b).unwrap();
+        assert_eq!(result.msd(), 0);
+        result.acc_mut()[(1, 4)] -= 77;
+        result.acc_mut()[(2, 20)] += 1 << 20;
+        assert_eq!(result.msd(), (1 << 20) - 77);
+        assert_eq!(result.msd(), result.column_deviations().iter().sum::<i64>());
+        // A fresh bundle whose observed side disagrees (a faulty checksum unit).
+        let (acc, expected, mut observed) = result.into_parts();
+        observed[0] += 5;
+        let fresh = ChecksummedGemm::from_parts(acc, expected, observed);
+        assert_eq!(
+            fresh.msd(),
+            fresh.column_deviations().iter().sum::<i64>(),
+            "fresh bundles read the stored observed checksum"
+        );
     }
 
     #[test]

@@ -41,6 +41,9 @@
 //!   the normalization-skew study (Fig. 5) and by synthetic-weight generation.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the workspace is
 //!   reproducible from a seed.
+//! * [`transpose`] — the blocked transpose behind [`Matrix::transposed`] and its vectorised
+//!   INT8 form `MatI8::transpose_into`, which turns row-appended key codes into the score
+//!   GEMM's right operand.
 //! * [`workspace`] — [`Workspace`], the typed scratch arena behind the allocation-free
 //!   decode hot loop: quantized operands, accumulators, checksum vectors and activation
 //!   scratch are checked out of reusable pools instead of allocated per GEMM.
@@ -81,6 +84,7 @@ pub mod row_kernels;
 pub mod simd;
 pub mod stats;
 pub mod tp;
+pub mod transpose;
 pub mod workspace;
 
 mod error;

@@ -245,9 +245,16 @@ impl<T: Copy> Matrix<T> {
         self.data
     }
 
-    /// Returns the transposed matrix.
+    /// Returns the transposed matrix (the blocked transpose of [`crate::transpose`]; the hot
+    /// INT8 path is `Matrix::<i8>::transpose_into`).
     pub fn transposed(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |r, c| self.data[c * self.cols + r])
+        let mut data = self.data.clone();
+        crate::transpose::transpose_blocked(&self.data, self.rows, self.cols, &mut data);
+        Self {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
     }
 
     /// Returns a new matrix with `f` applied to every element.

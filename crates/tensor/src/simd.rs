@@ -24,7 +24,8 @@
 //!
 //! An odd depth tail pairs the final `B` row with a zero vector, so `k` need not be a
 //! multiple of the SIMD width; column tails (`n mod 16`) run through the portable kernel,
-//! which is bit-identical (integer accumulation is order-invariant).
+//! which is bit-identical (integer accumulation is order-invariant) — except in the skinny
+//! pass below, which keeps them in the same registers.
 //!
 //! ## Why `vpmaddwd` and not the `vpmaddubsw` offset trick
 //!
@@ -49,6 +50,20 @@
 //! streaming pass over `B` — the layout the scalar i64 multiply-add vectorizes and
 //! prefetches best at, measurably faster than stripe-local walks on tall decode-shape
 //! weights.
+//!
+//! # The skinny rule
+//!
+//! With at most [`SKINNY_MAX_ROWS`] rows the weights of that reduction are no longer `i64`:
+//! `|eᵀ·W| ≤ 4·128` fits an `i16` lane, so the checksum row is one more row of the register
+//! tile — an extra `vpmaddwd` on the depth pairs already widened for the multiply, `i32`
+//! partials drained to `i64` often enough to stay exact — and the whole checksummed GEMM is
+//! **one** stream over `B`. That holds for either operand kind, and decode is made of such
+//! shapes: the linears (`m` = batch rows, packed `B`:
+//! `SimdKernel::run_skinny_packed`) and attention's `QKᵀ`/`SV` (`m` = 1 per sequence and
+//! head, row-major `B`: `SimdKernel::run_skinny_rows`; at `1 × 32 · 32 × 48` the separate
+//! pass, its second call for the `n mod 16` tail columns and the zero-fills around them cost
+//! 4.4× the multiply itself, the fused row 0.5×). The row-major pass has a portable and an
+//! AVX2 tier; AVX-512 hosts run the AVX2 one, as for the unpacked tile.
 //!
 //! # Packed-B decode kernels
 //!
@@ -304,6 +319,49 @@ impl SimdKernel {
         }
         packed_portable::run_skinny(a, pb, out_band, etx, expected, observed);
     }
+
+    /// [`SimdKernel::run_skinny_packed`]'s twin for a row-major `B` — the activation ×
+    /// activation GEMMs of attention (`QKᵀ`, `SV`) and recovery recomputation, whose right
+    /// operand changes every call and so is never packed. One stream over `B`: each depth
+    /// pair is widened and interleaved once and feeds the `m ≤ 4` activation rows **and**
+    /// the checksum row `eᵀ·A` (same `i16` bound, same [`packed_portable::DRAIN_PAIRS`]
+    /// drain), `eᵀ·Y` is reduced from the retiring registers, and the `n mod 16` tail
+    /// columns run through the same registers instead of a second, scalar pass.
+    ///
+    /// Unlike every other kernel here it **overwrites** `out`, `expected` and `observed`
+    /// (each cell is produced exactly once, over the full depth), so the caller shapes the
+    /// destination without zero-filling it.
+    pub(crate) fn run_skinny_rows(
+        &self,
+        a: &MatI8,
+        b: &MatI8,
+        out: &mut [i32],
+        etw: &[i64],
+        expected: &mut [i64],
+        observed: &mut [i64],
+    ) {
+        let (m, n) = (a.rows(), b.cols());
+        assert!(
+            (1..=SKINNY_MAX_ROWS).contains(&m),
+            "skinny pass over {m} rows"
+        );
+        assert_eq!(a.cols(), b.rows(), "operand depths differ");
+        assert_eq!(etw.len(), a.cols(), "one checksum weight per depth step");
+        assert_eq!(out.len(), m * n, "destination is not m x n");
+        assert_eq!(
+            (expected.len(), observed.len()),
+            (n, n),
+            "one checksum per column"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 {
+            // SAFETY: an accelerated tier is only granted when AVX2 was detected; the
+            // shapes the kernel indexes by were asserted above.
+            unsafe { avx2::run_skinny(a, b, out, etw, expected, observed) };
+            return;
+        }
+        portable::run_skinny(a, b, out, etw, expected, observed);
+    }
 }
 
 /// Portable unrolled-chunk fallback: the same 16-column blocks and depth-pair structure as
@@ -312,7 +370,9 @@ impl SimdKernel {
 /// autovectorizer gets clean slice-to-slice loops; even fully scalar the results are
 /// bit-identical (exact integer accumulation is order-invariant).
 mod portable {
-    use super::{accumulate_expected_panel, FusedChecksums, MatI8, SIMD_TILE_COLS};
+    use super::{
+        accumulate_expected_panel, FusedChecksums, MatI8, SIMD_TILE_COLS, SKINNY_MAX_ROWS,
+    };
 
     /// Column-chunked kernel over rows `[row_start, row_end)` and columns
     /// `[col_start, col_end)`; also serves as the column-tail handler of the AVX2 path.
@@ -385,12 +445,63 @@ mod portable {
             jc = jc_end;
         }
     }
+
+    /// The skinny fused pass (see [`super::SimdKernel::run_skinny_rows`]): per 16-column
+    /// block, one walk down `B` feeds the `m ≤ 4` accumulator rows and the checksum row;
+    /// every destination cell is assigned, not accumulated. The expected checksum is
+    /// scalar `i64`, so no drain is needed — same exact value as the SIMD tiers.
+    pub(super) fn run_skinny(
+        a: &MatI8,
+        b: &MatI8,
+        out: &mut [i32],
+        etw: &[i64],
+        expected: &mut [i64],
+        observed: &mut [i64],
+    ) {
+        let m = a.rows();
+        let n = b.cols();
+        let mut jc = 0;
+        while jc < n {
+            let jc_end = (jc + SIMD_TILE_COLS).min(n);
+            let width = jc_end - jc;
+            let mut acc = [[0i32; SIMD_TILE_COLS]; SKINNY_MAX_ROWS];
+            let mut exp = [0i64; SIMD_TILE_COLS];
+            for (p, &weight) in etw.iter().enumerate() {
+                let b_seg = &b.row(p)[jc..jc_end];
+                if weight != 0 {
+                    for (e, &bv) in exp.iter_mut().zip(b_seg) {
+                        *e += weight * bv as i64;
+                    }
+                }
+                for (r, row_acc) in acc.iter_mut().take(m).enumerate() {
+                    let a_rp = a.row(r)[p] as i32;
+                    if a_rp != 0 {
+                        for (t, &bv) in row_acc.iter_mut().zip(b_seg) {
+                            *t += a_rp * bv as i32;
+                        }
+                    }
+                }
+            }
+            expected[jc..jc_end].copy_from_slice(&exp[..width]);
+            let mut obs = [0i64; SIMD_TILE_COLS];
+            for (r, row_acc) in acc.iter().take(m).enumerate() {
+                out[r * n + jc..r * n + jc_end].copy_from_slice(&row_acc[..width]);
+                for (s, &v) in obs.iter_mut().zip(row_acc) {
+                    *s += v as i64;
+                }
+            }
+            observed[jc..jc_end].copy_from_slice(&obs[..width]);
+            jc = jc_end;
+        }
+    }
 }
 
 /// The AVX2 microkernel. Every function carries `#[target_feature(enable = "avx2")]` and
 /// is only reachable through [`SimdKernel::run_rows`]'s detection-guarded dispatch.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::packed_avx2::{drain, pair_weights};
+    use super::packed_portable::DRAIN_PAIRS;
     use super::{
         accumulate_expected_panel, portable, FusedChecksums, MatI8, SIMD_TILE_COLS, SIMD_TILE_ROWS,
     };
@@ -532,7 +643,7 @@ mod avx2 {
             let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
             let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
             for r in 0..R {
-                let w = pair_weights(a_rows[r][p], a_rows[r][p + 1]);
+                let w = pair_weights(a_rows[r][p] as i16, a_rows[r][p + 1] as i16);
                 acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
                 acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
             }
@@ -544,15 +655,13 @@ mod avx2 {
             let pairs_lo = _mm256_unpacklo_epi16(b0, zero);
             let pairs_hi = _mm256_unpackhi_epi16(b0, zero);
             for r in 0..R {
-                let w = pair_weights(a_rows[r][p], 0);
+                let w = pair_weights(a_rows[r][p] as i16, 0);
                 acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
                 acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
             }
         }
         for r in 0..R {
-            // Restore linear column order: acc_lo = {0-3 | 8-11}, acc_hi = {4-7 | 12-15}.
-            let res0 = _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20);
-            let res1 = _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x31);
+            let (res0, res1) = linear_order(acc_lo[r], acc_hi[r]);
             let band_row = (i + r - row_start) * n;
             let out_ptr = out_band.as_mut_ptr().add(band_row + jc);
             let final0 = _mm256_add_epi32(_mm256_loadu_si256(out_ptr as *const __m256i), res0);
@@ -592,16 +701,175 @@ mod avx2 {
         _mm256_cvtepi8_epi16(_mm_loadu_si128(ptr as *const __m128i))
     }
 
-    /// The activation pair `(a0, a1)` broadcast as packed `i16` pairs: one `vpmaddwd`
-    /// against an interleaved B-pair register yields `a0·B[p][j] + a1·B[p+1][j]` per lane.
+    /// The skinny fused pass (see [`super::SimdKernel::run_skinny_rows`]).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports AVX2, `1 <= a.rows() <= 4`,
+    /// `a.cols() == b.rows() == etw.len()`, `out.len() == a.rows() * b.cols()` and
+    /// `expected.len() == observed.len() == b.cols()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_skinny(
+        a: &MatI8,
+        b: &MatI8,
+        out: &mut [i32],
+        etw: &[i64],
+        expected: &mut [i64],
+        observed: &mut [i64],
+    ) {
+        match a.rows() {
+            1 => skinny::<1>(a, b, out, etw, expected, observed),
+            2 => skinny::<2>(a, b, out, etw, expected, observed),
+            3 => skinny::<3>(a, b, out, etw, expected, observed),
+            _ => skinny::<4>(a, b, out, etw, expected, observed),
+        }
+    }
+
+    /// All `R` rows plus the checksum row `eᵀ·A` as one register tile per 16-column block,
+    /// over the full depth. A partial final block runs through the same registers: its
+    /// loads read 16 bytes wherever that stays inside `B` (the lanes past the row's end
+    /// hold the next row's bytes and are never stored) and a zero-padded stack copy for
+    /// the last rows, where it would not.
+    ///
+    /// # Safety
+    ///
+    /// As [`run_skinny`], with `a.rows() == R`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn skinny<const R: usize>(
+        a: &MatI8,
+        b: &MatI8,
+        out: &mut [i32],
+        etw: &[i64],
+        expected: &mut [i64],
+        observed: &mut [i64],
+    ) {
+        let k = a.cols();
+        let n = b.cols();
+        let zero = _mm256_setzero_si256();
+        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(r));
+        let b_all = b.as_slice();
+        let mut jc = 0;
+        while jc < n {
+            let width = (n - jc).min(SIMD_TILE_COLS);
+            let mut acc_lo = [zero; R];
+            let mut acc_hi = [zero; R];
+            let mut exp32_lo = zero;
+            let mut exp32_hi = zero;
+            let mut exp64 = [zero; 4];
+            let mut since_drain = 0usize;
+            let mut p = 0;
+            while p < k {
+                // The same widen-and-interleave as `tile`; an odd depth tail pairs the
+                // last B row (and the last weights) with zeros.
+                let paired = p + 1 < k;
+                let b0 = load_cols(b_all, p * n + jc, width);
+                let b1 = if paired {
+                    load_cols(b_all, (p + 1) * n + jc, width)
+                } else {
+                    zero
+                };
+                let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
+                let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
+                for r in 0..R {
+                    let a1 = if paired { a_rows[r][p + 1] } else { 0 };
+                    let w = pair_weights(a_rows[r][p] as i16, a1 as i16);
+                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
+                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
+                }
+                // The checksum row: with m ≤ 4 the column sums of A fit an i16 lane.
+                let e1 = if paired { etw[p + 1] } else { 0 };
+                let ew = pair_weights(etw[p] as i16, e1 as i16);
+                exp32_lo = _mm256_add_epi32(exp32_lo, _mm256_madd_epi16(pairs_lo, ew));
+                exp32_hi = _mm256_add_epi32(exp32_hi, _mm256_madd_epi16(pairs_hi, ew));
+                since_drain += 1;
+                if since_drain == DRAIN_PAIRS {
+                    drain_linear(&mut exp32_lo, &mut exp32_hi, &mut exp64);
+                    since_drain = 0;
+                }
+                p += 2;
+            }
+            drain_linear(&mut exp32_lo, &mut exp32_hi, &mut exp64);
+            store_i64x4_lanes(&exp64, &mut expected[jc..jc + width]);
+            let mut obs = [zero; 4];
+            for r in 0..R {
+                let (mut res0, mut res1) = linear_order(acc_lo[r], acc_hi[r]);
+                let row = &mut out[r * n + jc..r * n + jc + width];
+                if width == SIMD_TILE_COLS {
+                    _mm256_storeu_si256(row.as_mut_ptr() as *mut __m256i, res0);
+                    _mm256_storeu_si256(row.as_mut_ptr().add(8) as *mut __m256i, res1);
+                } else {
+                    let mut lanes = [0i32; SIMD_TILE_COLS];
+                    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, res0);
+                    _mm256_storeu_si256(lanes.as_mut_ptr().add(8) as *mut __m256i, res1);
+                    row.copy_from_slice(&lanes[..width]);
+                }
+                // eᵀ·Y share of this row, straight from the retiring registers.
+                drain(&mut res0, &mut res1, &mut obs);
+            }
+            store_i64x4_lanes(&obs, &mut observed[jc..jc + width]);
+            jc += width;
+        }
+    }
+
+    /// 16 `i8` of `b_all` starting at `at`, of which the first `width` are wanted,
+    /// sign-extended to `i16` lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and `at + width <= b_all.len()`, `width <= 16`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_cols(b_all: &[i8], at: usize, width: usize) -> __m256i {
+        if at + SIMD_TILE_COLS <= b_all.len() {
+            return load_extend(b_all.as_ptr().add(at));
+        }
+        let mut padded = [0i8; SIMD_TILE_COLS];
+        padded[..width].copy_from_slice(&b_all[at..at + width]);
+        load_extend(padded.as_ptr())
+    }
+
+    /// Restores linear column order from the unpack order of the interleaved tile:
+    /// `lo = {0-3 | 8-11}`, `hi = {4-7 | 12-15}` → `(0-7, 8-15)`.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn pair_weights(a0: i8, a1: i8) -> __m256i {
-        let packed = ((a1 as i16 as u16 as u32) << 16) | (a0 as i16 as u16 as u32);
-        _mm256_set1_epi32(packed as i32)
+    unsafe fn linear_order(lo: __m256i, hi: __m256i) -> (__m256i, __m256i) {
+        (
+            _mm256_permute2x128_si256(lo, hi, 0x20),
+            _mm256_permute2x128_si256(lo, hi, 0x31),
+        )
+    }
+
+    /// [`drain`] for partials held in the interleaved tile's unpack order.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn drain_linear(
+        exp32_lo: &mut __m256i,
+        exp32_hi: &mut __m256i,
+        exp64: &mut [__m256i; 4],
+    ) {
+        let (mut res0, mut res1) = linear_order(*exp32_lo, *exp32_hi);
+        drain(&mut res0, &mut res1, exp64);
+        *exp32_lo = _mm256_setzero_si256();
+        *exp32_hi = _mm256_setzero_si256();
+    }
+
+    /// Stores the first `sums.len()` of four `i64×4` registers' 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and `sums.len() <= 16`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_i64x4_lanes(regs: &[__m256i; 4], sums: &mut [i64]) {
+        let mut lanes = [0i64; SIMD_TILE_COLS];
+        for (q, &vec) in regs.iter().enumerate() {
+            _mm256_storeu_si256(lanes.as_mut_ptr().add(4 * q) as *mut __m256i, vec);
+        }
+        sums.copy_from_slice(&lanes[..sums.len()]);
     }
 }
 
@@ -1010,7 +1278,11 @@ mod packed_avx2 {
     ///
     /// Caller must ensure AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn drain(exp32_lo: &mut __m256i, exp32_hi: &mut __m256i, exp64: &mut [__m256i; 4]) {
+    pub(super) unsafe fn drain(
+        exp32_lo: &mut __m256i,
+        exp32_hi: &mut __m256i,
+        exp64: &mut [__m256i; 4],
+    ) {
         exp64[0] = _mm256_add_epi64(
             exp64[0],
             _mm256_cvtepi32_epi64(_mm256_castsi256_si128(*exp32_lo)),
@@ -1107,7 +1379,7 @@ mod packed_avx2 {
     ///
     /// Caller must ensure AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn pair_weights(v0: i16, v1: i16) -> __m256i {
+    pub(super) unsafe fn pair_weights(v0: i16, v1: i16) -> __m256i {
         let packed = ((v1 as u16 as u32) << 16) | (v0 as u16 as u32);
         _mm256_set1_epi32(packed as i32)
     }
@@ -1648,6 +1920,98 @@ mod tests {
                 assert_eq!(dest.acc(), oracle.acc(), "{name} {m}x{k}x{n}");
                 assert_eq!(dest.expected(), oracle.expected(), "{name} {m}x{k}x{n}");
                 assert_eq!(dest.observed(), oracle.observed(), "{name} {m}x{k}x{n}");
+            }
+        }
+    }
+
+    fn assert_matches_oracle(name: &str, label: &str, a: &MatI8, b: &MatI8, got: &ChecksummedGemm) {
+        let reference = ReferenceEngine.gemm_i8_checksummed(a, b).unwrap();
+        let two_pass = ReferenceEngine.gemm_i8_checksummed_two_pass(a, b).unwrap();
+        for oracle in [&reference, &two_pass] {
+            assert_eq!(got.acc(), oracle.acc(), "{name} {label}");
+            assert_eq!(got.expected(), oracle.expected(), "{name} {label}");
+            assert_eq!(got.observed(), oracle.observed(), "{name} {label}");
+        }
+        assert_eq!(got.msd(), 0, "{name} {label}");
+    }
+
+    #[test]
+    fn skinny_row_major_pass_matches_reference_on_every_tier_and_shape() {
+        // m = 1..=4 is the skinny pass, m = 5 pins the hand-over to the tile kernel; the
+        // depths cover a lone row, one pair, odd/even/odd around the head dimension and a
+        // hidden-sized depth; the widths cover tail-only, one block exactly, block + tail,
+        // and many blocks with and without a tail.
+        let mut seed = 100;
+        for m in 1..=SKINNY_MAX_ROWS + 1 {
+            for k in [1, 2, 31, 32, 33, 640] {
+                for n in [1, 15, 16, 17, 32, 50, 640] {
+                    seed += 1;
+                    let (a, b) = random_pair(seed, m, k, n);
+                    for (name, engine) in tiered_engines() {
+                        let got = engine.gemm_i8_checksummed(&a, &b).unwrap();
+                        assert_matches_oracle(&name, &format!("{m}x{k}x{n}"), &a, &b, &got);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skinny_row_major_pass_is_exact_on_the_rails_zero_rows_and_past_the_drain() {
+        let mut r = rng::seeded(77);
+        let mut cases: Vec<(String, MatI8, MatI8)> = Vec::new();
+        for (m, k, n) in [(1, 33, 17), (3, 32, 50), (4, 64, 16)] {
+            for (fa, fb) in [(-128i8, -128i8), (127, 127), (-128, 127), (127, -128)] {
+                let label = format!("{m}x{k}x{n} filled {fa}/{fb}");
+                cases.push((label, MatI8::filled(m, k, fa), MatI8::filled(k, n, fb)));
+            }
+            // All-zero activation rows (a masked-out query), all-zero B rows, and both.
+            let (mut a, mut b) = random_pair(r.gen(), m, k, n);
+            a.row_mut(m - 1).fill(0);
+            b.row_mut(k / 2).fill(0);
+            cases.push((format!("{m}x{k}x{n} zero rows"), a, b.clone()));
+            cases.push((format!("{m}x{k}x{n} zero a"), MatI8::zeros(m, k), b));
+        }
+        // Deep enough (k / 2 > DRAIN_PAIRS) that the i32 checksum partials drain mid-way,
+        // with every product at the bound the drain period was derived from.
+        cases.push((
+            "4x16500x17 rails".into(),
+            MatI8::filled(4, 16500, -128),
+            MatI8::filled(16500, 17, -128),
+        ));
+        let (a, b) = random_pair(78, 2, 16500, 33);
+        cases.push(("2x16500x33".into(), a, b));
+        for (label, a, b) in &cases {
+            for (name, engine) in tiered_engines() {
+                let got = engine.gemm_i8_checksummed(a, b).unwrap();
+                assert_matches_oracle(&name, label, a, b, &got);
+            }
+        }
+    }
+
+    #[test]
+    fn skinny_row_major_pass_leaves_nothing_stale_in_a_reused_larger_bundle() {
+        // The skinny pass assigns instead of accumulating and is handed an unzeroed
+        // destination: run it into a bundle a larger, differently shaped GEMM just filled.
+        let (big_a, big_b) = random_pair(90, 9, 40, 70);
+        for (name, engine) in tiered_engines() {
+            let mut dest = ChecksummedGemm::empty();
+            let mut etw = Vec::new();
+            for (seed, (m, k, n)) in [(1, 32, 50), (4, 7, 5), (2, 33, 16), (3, 1, 31)]
+                .into_iter()
+                .enumerate()
+            {
+                engine
+                    .gemm_i8_checksummed_into(&big_a, &big_b, &mut dest, &mut etw)
+                    .unwrap();
+                // A mutated (stale) bundle must come back fresh as well.
+                dest.acc_mut()[(0, 0)] ^= 1 << 20;
+                let (a, b) = random_pair(91 + seed as u64, m, k, n);
+                engine
+                    .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
+                    .unwrap();
+                assert_matches_oracle(&name, &format!("{m}x{k}x{n} after 9x40x70"), &a, &b, &dest);
+                assert_eq!(dest.acc().shape(), (m, n));
             }
         }
     }

@@ -85,11 +85,17 @@ fn batched_prefill_logits_are_bit_exact_per_sequence() {
 }
 
 /// Records the hook-visible stream of a run: every GEMM's context, `(m, k, n)` shape and
-/// left-operand codes (as a digest), and every announced partition.
+/// left-operand codes (as a digest), for the attention GEMMs also the right operand and what
+/// the engine produced, and every announced partition.
 #[derive(Default)]
 struct StreamRecorder {
+    /// Ask for the fused-checksum pass, and record the checksums it hands over.
+    checksummed: bool,
     gemms: Vec<(GemmContext, (usize, usize, usize))>,
     left_operands: Vec<u64>,
+    /// Per `QKᵀ`/`SV` GEMM, in order: right-operand codes, accumulator and — when
+    /// `checksummed` — the expected and observed column checksums.
+    attention: Vec<u64>,
     partitions: Vec<Vec<usize>>,
 }
 
@@ -102,30 +108,73 @@ fn fnv1a(state: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+fn is_attention_gemm(ctx: &GemmContext) -> bool {
+    matches!(ctx.component, Component::QkT | Component::Sv)
+}
+
 impl StreamRecorder {
+    fn checksummed() -> Self {
+        Self {
+            checksummed: true,
+            ..Self::default()
+        }
+    }
+
     /// One digest of everything a hook can tell a run by, attribution aside: component,
-    /// layer, GEMM index, shape and left-operand codes of every GEMM, in order.
+    /// layer, GEMM index, shape and left-operand codes of every GEMM, in order, and for
+    /// `QKᵀ`/`SV` the right operand and the engine's results too.
     fn digest(&self) -> u64 {
         let mut state = FNV_OFFSET;
+        let mut attention = self.attention.iter();
         for ((ctx, (m, k, n)), codes) in self.gemms.iter().zip(&self.left_operands) {
             let component = Component::ALL.iter().position(|c| *c == ctx.component);
             let fields = [component.unwrap(), ctx.layer, ctx.sequence, *m, *k, *n];
             let fields = fields.iter().flat_map(|v| (*v as u64).to_le_bytes());
             state = fnv1a(state, fields.chain(codes.to_le_bytes()));
+            if is_attention_gemm(ctx) {
+                let results = attention.next().expect("one entry per attention GEMM");
+                state = fnv1a(state, results.to_le_bytes());
+            }
         }
         state
+    }
+
+    /// Records one GEMM, returning the attention entry's state so far (right operand and
+    /// accumulator) for the checksummed path to continue.
+    fn record(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &MatI32) -> Option<u64> {
+        self.gemms.push((*ctx, (w.rows(), w.cols(), x.cols())));
+        let codes = w.as_slice().iter().map(|&c| c as u8);
+        self.left_operands.push(fnv1a(FNV_OFFSET, codes));
+        is_attention_gemm(ctx).then(|| {
+            let right = fnv1a(FNV_OFFSET, x.as_slice().iter().map(|&c| c as u8));
+            fnv1a(right, acc.as_slice().iter().flat_map(|v| v.to_le_bytes()))
+        })
     }
 }
 
 impl GemmHook for StreamRecorder {
-    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, _acc: &mut MatI32) {
-        self.gemms.push((*ctx, (w.rows(), w.cols(), x.cols())));
-        let codes = w.as_slice().iter().map(|&c| c as u8);
-        self.left_operands.push(fnv1a(FNV_OFFSET, codes));
+    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
+        let results = self.record(ctx, w, x, acc);
+        self.attention.extend(results);
+    }
+
+    fn on_gemm_checksummed(
+        &mut self,
+        ctx: &GemmContext,
+        w: &MatI8,
+        x: &MatI8,
+        result: &mut ChecksummedGemm,
+    ) {
+        if let Some(state) = self.record(ctx, w, x, result.acc()) {
+            let observed = result.observed();
+            let sums = result.expected().iter().chain(&observed).copied();
+            self.attention
+                .push(fnv1a(state, sums.flat_map(|v| v.to_le_bytes())));
+        }
     }
 
     fn wants_checksums(&self) -> bool {
-        false
+        self.checksummed
     }
 
     fn on_batch_begin(&mut self, partition: &RowPartition) {
@@ -219,18 +268,37 @@ fn batch_of_one_matches_the_single_sequence_path() {
                 _ => {}
             }
         }
-        let recorded = match c.architecture {
-            Architecture::OptStyle => PER_PROJECTION_STREAM_OPT,
-            Architecture::LlamaStyle => PER_PROJECTION_STREAM_LLAMA,
+        // The same run through the fused-checksum pass: same GEMMs, same logits, and the
+        // attention GEMMs' checksums are part of the pinned stream too.
+        let mut checked = StreamRecorder::checksummed();
+        let (checked_prefill, mut checked_cache) = model.prefill(&prompt, &mut checked).unwrap();
+        assert_eq!(checked_prefill, batch_prefill[0]);
+        for token in [7u32, 2, 11] {
+            model
+                .decode_step_ws(token, &mut checked_cache, &mut checked, &mut ws)
+                .unwrap();
+        }
+        assert_eq!(checked.gemms, solo.gemms);
+        assert_eq!(checked.left_operands, solo.left_operands);
+
+        let (plain, fused) = match c.architecture {
+            Architecture::OptStyle => (STREAM_OPT, CHECKSUMMED_STREAM_OPT),
+            Architecture::LlamaStyle => (STREAM_LLAMA, CHECKSUMMED_STREAM_LLAMA),
         };
-        assert_eq!(solo.digest(), recorded, "{}", c.name);
+        assert_eq!(solo.digest(), plain, "{}", c.name);
+        assert_eq!(checked.digest(), fused, "{}", c.name);
     }
 }
 
-/// [`StreamRecorder::digest`] of the run above at commit 62dcef5, where every projection
-/// quantized its own copy of the input (`tiny_opt` / `tiny_llama`, model seed 7).
-const PER_PROJECTION_STREAM_OPT: u64 = 2_559_610_194_196_489_247;
-const PER_PROJECTION_STREAM_LLAMA: u64 = 17_377_697_708_382_981_865;
+/// [`StreamRecorder::digest`] of the runs above at commit 462c79e (`tiny_opt` /
+/// `tiny_llama`, model seed 7) — before attention's GEMMs moved to the skinny
+/// fused-checksum pass, the vectorised key transpose and the per-`attend` scratch bundle.
+/// Without the attention entries the plain digests are the ones recorded at 62dcef5, where
+/// every projection still quantized its own copy of the input.
+const STREAM_OPT: u64 = 17_323_780_635_176_672_133;
+const STREAM_LLAMA: u64 = 16_640_406_332_798_412_783;
+const CHECKSUMMED_STREAM_OPT: u64 = 9_825_805_400_050_440_094;
+const CHECKSUMMED_STREAM_LLAMA: u64 = 13_093_890_141_850_396_321;
 
 #[test]
 fn empty_batch_and_empty_prompts_are_rejected() {
