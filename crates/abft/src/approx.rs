@@ -8,10 +8,9 @@
 
 use crate::checksum;
 use crate::detector::{AbftDetector, Detection};
-use serde::{Deserialize, Serialize};
 
 /// MSD-threshold ABFT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproxAbft {
     /// Recovery is triggered when `|MSD|` is strictly greater than this threshold.
     pub msd_threshold: i64,

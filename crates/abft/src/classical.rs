@@ -9,10 +9,9 @@
 use crate::checksum;
 use crate::detector::{AbftDetector, Detection};
 use realm_tensor::{MatI32, MatI8};
-use serde::{Deserialize, Serialize};
 
 /// Classical one-sided column-checksum ABFT.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassicalAbft {
     /// Also verify row-side checksums (two-sided ABFT); improves localisation at the cost of
     /// a second checksum path. Detection behaviour for additive errors is identical because

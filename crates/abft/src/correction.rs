@@ -10,10 +10,9 @@
 
 use crate::checksum;
 use realm_tensor::{MatI32, MatI8};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of attempting checksum-based correction on a GEMM result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrectionOutcome {
     /// No deviation was observed; the accumulator was already correct.
     AlreadyCorrect,

@@ -14,10 +14,8 @@
 //! [`CriticalRegion::fit`] recovers `a`, `b` and `θ_freq` from a grid of characterization
 //! samples, which is how `realm-core` turns an injection campaign into detector parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// One characterization sample: an error pattern and the model degradation it caused.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionSample {
     /// log₂ of the injected error magnitude (accumulator LSBs).
     pub log2_mag: f64,
@@ -29,7 +27,7 @@ pub struct RegionSample {
 }
 
 /// Fitted critical-region parameters for one network component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalRegion {
     /// Slope of the inclined boundary (`a > 1` for resilient components).
     pub a: f64,

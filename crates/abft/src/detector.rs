@@ -12,10 +12,9 @@
 
 use crate::checksum;
 use realm_tensor::{ChecksummedGemm, MatI32, MatI8};
-use serde::{Deserialize, Serialize};
 
 /// Verdict of one ABFT inspection of a GEMM result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Whether the detector requests a recovery (recomputation / replay) of this GEMM.
     pub trigger_recovery: bool,

@@ -8,10 +8,9 @@
 //! price it.
 
 use realm_systolic::protection::ProtectionScheme;
-use serde::{Deserialize, Serialize};
 
 /// How a recovery is carried out when a detector requests one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryPolicy {
     /// Re-execute the whole affected GEMM at the given safe voltage (the paper's assumption:
     /// recomputation at nominal voltage).
@@ -54,7 +53,7 @@ impl RecoveryPolicy {
 }
 
 /// Accumulated recovery work over a protected inference run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Number of GEMMs that were inspected.
     pub gemms_inspected: u64,

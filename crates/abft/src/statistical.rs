@@ -16,10 +16,9 @@
 use crate::checksum;
 use crate::critical_region::CriticalRegion;
 use crate::detector::{AbftDetector, Detection};
-use serde::{Deserialize, Serialize};
 
 /// The ReaLM statistical ABFT detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatisticalAbft {
     region: CriticalRegion,
 }

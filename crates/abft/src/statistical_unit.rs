@@ -19,14 +19,13 @@
 
 use crate::critical_region::CriticalRegion;
 use crate::detector::Detection;
-use serde::{Deserialize, Serialize};
 
 /// Cycle cost of the fixed pipeline stages after the last deviation has streamed in
 /// (accumulator flush, Log2LinearFunction evaluation, countif reduction).
 pub const DECISION_PIPELINE_CYCLES: u64 = 4;
 
 /// Behavioural model of the statistical unit attached to one systolic-array output edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatisticalUnit {
     region: CriticalRegion,
     /// Number of buffer registers (one per output column of the array).
@@ -34,7 +33,7 @@ pub struct StatisticalUnit {
 }
 
 /// Outcome of streaming one GEMM's checksums through the statistical unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitDecision {
     /// The recovery decision and error statistics, as the hardware would report them.
     pub detection: Detection,

@@ -5,8 +5,9 @@
 //! through `Model::prefill_batch` shares one fused-checksum GEMM per shared component per
 //! layer, so the ABFT detector inspects ≥2× fewer GEMMs per generated token than 8
 //! sequential `Model::prefill` calls — while producing bit-identical logits. The inspection
-//! counts are printed (and committed to `BENCH_gemm.json` as the `batched_inference`
-//! section); the wall-clock numbers land in the criterion report. Run with
+//! counts are printed (and asserted ≥2×); the wall-clock numbers land in the criterion
+//! report (the `protected_prefill_b8` / `unprotected_prefill_b8` rows of
+//! `BENCH_gemm.json`). Run with
 //! `REALM_BENCH_JSON=/tmp/bench.json cargo bench --bench gemm_batched` and merge into the
 //! committed baseline.
 

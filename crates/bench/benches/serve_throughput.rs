@@ -3,7 +3,7 @@
 //! This is the perf contract of the serving tentpole. Sixteen requests with ragged
 //! generation budgets are served through a 4-slot window two ways:
 //!
-//! * **lockstep drain** — four batches of four via `BatchScheduler::run`; a slot whose
+//! * **lockstep drain** — four batches of four via `Model::generate_batch`; a slot whose
 //!   sequence finished early sits empty until the whole chunk drains;
 //! * **continuous** — the `ServeEngine` (queue, channels and all) releases a slot the
 //!   moment its sequence completes and prefills the next request into it, so the number of
@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use realm_core::SchemeProtector;
 use realm_inject::{error_model::MagFreqModel, injector::ErrorInjector, targeting::Target};
-use realm_llm::batch::{BatchRequest, BatchScheduler};
+use realm_llm::batch::BatchRequest;
 use realm_llm::{config::ModelConfig, model::Model, Component};
 use realm_serve::{AdaptiveConfig, ProtectionPolicy, ServeConfig, ServeEngine, ServeRequest};
 use realm_systolic::{Dataflow, ProtectionScheme, SystolicArray};
@@ -67,11 +67,10 @@ fn protector() -> SchemeProtector {
 }
 
 fn run_lockstep_drain(model: &Model, requests: &[BatchRequest]) -> usize {
-    let scheduler = BatchScheduler::new(model);
     let mut hook = protector();
     let mut tokens = 0;
     for chunk in requests.chunks(SLOTS) {
-        for output in scheduler.run(chunk, &mut hook).unwrap() {
+        for output in model.generate_batch(chunk, &mut hook).unwrap() {
             tokens += output.tokens.len();
         }
     }

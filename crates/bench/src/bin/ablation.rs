@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in `DESIGN.md`:
+//! Ablation studies for two design choices behind the paper's Fig. 5 and Fig. 6:
 //!
 //! 1. **Per-component adaptivity** — statistical ABFT with per-component critical regions
 //!    (sensitive components get strict regions) versus a single global region applied to every
@@ -149,7 +149,7 @@ fn outlier_ablation() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    banner("design-choice ablations", "DESIGN.md ablation index");
+    banner("design-choice ablations", "Fig. 5, Fig. 6");
     adaptivity_ablation()?;
     outlier_ablation()?;
     Ok(())

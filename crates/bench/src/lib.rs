@@ -1,7 +1,7 @@
 //! Shared plumbing for the figure/table regeneration binaries and the Criterion benches.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper (see
-//! `EXPERIMENTS.md` at the workspace root for the index). They all follow the same pattern:
+//! Every binary in `src/bin/` regenerates one table or figure of the paper (its file name
+//! says which; `ablation` covers two design choices instead). They all follow the same pattern:
 //! build the proxy models, build the tasks, run the relevant `realm-core` study or sweep, and
 //! print the series as aligned text tables. The helpers here keep the setup consistent so the
 //! regenerated numbers are comparable across binaries.

@@ -7,21 +7,19 @@
 //! binaries print them in the paper's layout.
 
 use crate::Result;
-use rayon::prelude::*;
 use realm_eval::task::Task;
 use realm_inject::{
-    campaign::TrialSummary,
-    error_model::{FixedBitModel, MagFreqModel},
+    campaign::{par_map, run_and_summarize, TrialSummary},
+    error_model::{ErrorModel, FixedBitModel, MagFreqModel},
     injector::ErrorInjector,
     targeting::Target,
 };
 use realm_llm::norm::LayerNorm;
-use realm_llm::{Component, Model, Stage};
+use realm_llm::{Component, GemmHook, Model, Stage};
 use realm_tensor::rng;
-use serde::{Deserialize, Serialize};
 
 /// Shared configuration of a characterization study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StudyConfig {
     /// Independent fault-injection trials per sweep point.
     pub trials: usize,
@@ -40,19 +38,10 @@ impl StudyConfig {
             bit: 30,
         }
     }
-
-    /// The configuration used by the benchmark harnesses.
-    pub fn standard(seed: u64) -> Self {
-        Self {
-            trials: 12,
-            seed,
-            bit: 30,
-        }
-    }
 }
 
 /// One sweep point: an x-coordinate (BER, frequency, ...) and the aggregated task metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// The swept quantity (meaning depends on the study: BER, log₂ freq, ...).
     pub x: f64,
@@ -63,7 +52,7 @@ pub struct SweepPoint {
 }
 
 /// A labelled series of sweep points (one curve of a figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (layer index, bit position, component name, ...).
     pub label: String,
@@ -72,7 +61,7 @@ pub struct Series {
 }
 
 /// One magnitude/frequency grid point of the Q1.4 study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MagFreqPoint {
     /// log₂ of the injected error magnitude.
     pub log2_mag: f64,
@@ -84,17 +73,21 @@ pub struct MagFreqPoint {
     pub value: f64,
 }
 
-fn worst_case_value(task: &dyn Task) -> f64 {
-    if task.metric().higher_is_better() {
-        0.0
-    } else {
-        f64::INFINITY
-    }
+/// One trial: evaluates `task` through `injector`; a run the faults broke outright counts as
+/// the metric's worst case.
+fn faulty_value(model: &Model, task: &dyn Task, injector: &mut dyn GemmHook) -> f64 {
+    task.evaluate(model, injector).unwrap_or_else(|_| {
+        if task.metric().higher_is_better() {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    })
 }
 
 /// Runs `trials` fault-injection trials of `task` with the given error model and target and
 /// aggregates the metric.
-pub fn injection_trials<T, M>(
+pub fn injection_trials<T, E, M>(
     model: &Model,
     task: &T,
     make_model: &M,
@@ -103,39 +96,38 @@ pub fn injection_trials<T, M>(
 ) -> TrialSummary
 where
     T: Task + Sync,
-    M: Fn() -> realm_inject::error_model::BitFlipModel + Sync,
+    E: ErrorModel,
+    M: Fn() -> E + Sync,
 {
-    let values: Vec<f64> = (0..config.trials)
-        .into_par_iter()
-        .map(|i| {
-            let seed = rng::derive_seed(config.seed, i as u64);
-            let mut injector = ErrorInjector::new(make_model(), target.clone(), seed);
-            task.evaluate(model, &mut injector)
-                .unwrap_or_else(|_| worst_case_value(task))
-        })
-        .collect();
-    TrialSummary::from_values(&values)
+    run_and_summarize(config.trials, config.seed, |seed| {
+        let mut injector = ErrorInjector::new(make_model(), target.clone(), seed);
+        faulty_value(model, task, &mut injector)
+    })
 }
 
-fn fixed_bit_trials<T: Task + Sync>(
+/// One curve of a BER sweep: `config.bit` flips at each of `bers` into the GEMMs `target`
+/// selects.
+fn ber_series<T: Task + Sync>(
     model: &Model,
     task: &T,
-    ber: f64,
+    label: String,
+    bers: &[f64],
     target: &Target,
     config: &StudyConfig,
-) -> TrialSummary {
-    let bit = config.bit;
-    let values: Vec<f64> = (0..config.trials)
-        .into_par_iter()
-        .map(|i| {
-            let seed = rng::derive_seed(config.seed, i as u64);
-            let mut injector =
-                ErrorInjector::new(FixedBitModel::new(ber, bit), target.clone(), seed);
-            task.evaluate(model, &mut injector)
-                .unwrap_or_else(|_| worst_case_value(task))
+) -> Series {
+    let points = bers
+        .iter()
+        .map(|&ber| {
+            let make_model = || FixedBitModel::new(ber, config.bit);
+            let summary = injection_trials(model, task, &make_model, target, config);
+            SweepPoint {
+                x: ber,
+                value: summary.mean,
+                std: summary.std,
+            }
         })
         .collect();
-    TrialSummary::from_values(&values)
+    Series { label, points }
 }
 
 /// Q1.1 — layer-wise resilience: errors are injected into every component of one layer at a
@@ -151,20 +143,9 @@ pub fn layerwise_study<T: Task + Sync>(
     validate_sweep("bers", bers.len())?;
     Ok(layers
         .iter()
-        .map(|&layer| Series {
-            label: format!("layer{layer}"),
-            points: bers
-                .iter()
-                .map(|&ber| {
-                    let target = Target::new().layer(layer).stage(Stage::Prefill);
-                    let summary = fixed_bit_trials(model, task, ber, &target, config);
-                    SweepPoint {
-                        x: ber,
-                        value: summary.mean,
-                        std: summary.std,
-                    }
-                })
-                .collect(),
+        .map(|&layer| {
+            let target = Target::new().layer(layer).stage(Stage::Prefill);
+            ber_series(model, task, format!("layer{layer}"), bers, &target, config)
         })
         .collect())
 }
@@ -181,23 +162,12 @@ pub fn bitwise_study<T: Task + Sync>(
 ) -> Result<Vec<Series>> {
     validate_sweep("bits", bits.len())?;
     validate_sweep("bers", bers.len())?;
+    let target = Target::new().component(component);
     Ok(bits
         .iter()
-        .map(|&bit| Series {
-            label: format!("bit {bit}"),
-            points: bers
-                .iter()
-                .map(|&ber| {
-                    let target = Target::new().component(component);
-                    let cfg = StudyConfig { bit, ..*config };
-                    let summary = fixed_bit_trials(model, task, ber, &target, &cfg);
-                    SweepPoint {
-                        x: ber,
-                        value: summary.mean,
-                        std: summary.std,
-                    }
-                })
-                .collect(),
+        .map(|&bit| {
+            let config = StudyConfig { bit, ..*config };
+            ber_series(model, task, format!("bit {bit}"), bers, &target, &config)
         })
         .collect())
 }
@@ -217,23 +187,13 @@ pub fn componentwise_study<T: Task + Sync>(
     validate_sweep("bers", bers.len())?;
     Ok(components
         .iter()
-        .map(|&component| Series {
-            label: component.label().to_string(),
-            points: bers
-                .iter()
-                .map(|&ber| {
-                    let mut target = Target::new().component(component);
-                    if let Some(stage) = stage {
-                        target = target.stage(stage);
-                    }
-                    let summary = fixed_bit_trials(model, task, ber, &target, config);
-                    SweepPoint {
-                        x: ber,
-                        value: summary.mean,
-                        std: summary.std,
-                    }
-                })
-                .collect(),
+        .map(|&component| {
+            let mut target = Target::new().component(component);
+            if let Some(stage) = stage {
+                target = target.stage(stage);
+            }
+            let label = component.label().to_string();
+            ber_series(model, task, label, bers, &target, config)
         })
         .collect())
 }
@@ -259,15 +219,13 @@ pub fn magfreq_study<T: Task + Sync>(
             let log2_mag = log2_msd - log2_freq;
             let model_spec = MagFreqModel::new(1i64 << log2_mag, 1usize << log2_freq);
             let target = Target::new().component(component).stage(Stage::Prefill);
-            let values: Vec<f64> = (0..config.trials)
-                .into_par_iter()
-                .map(|i| {
-                    let seed = rng::derive_seed(config.seed, (log2_msd as u64) << 32 | i as u64);
-                    let mut injector = ErrorInjector::new(model_spec, target.clone(), seed);
-                    task.evaluate(model, &mut injector)
-                        .unwrap_or_else(|_| worst_case_value(task))
-                })
-                .collect();
+            // The MSD rides in the seed's high word so grid points of different rows never
+            // share a fault stream.
+            let values = par_map(config.trials, |i| {
+                let seed = rng::derive_seed(config.seed, (log2_msd as u64) << 32 | i as u64);
+                let mut injector = ErrorInjector::new(model_spec, target.clone(), seed);
+                faulty_value(model, task, &mut injector)
+            });
             let summary = TrialSummary::from_values(&values);
             grid.push(MagFreqPoint {
                 log2_mag: log2_mag as f64,
@@ -296,29 +254,18 @@ pub fn stagewise_study<T: Task + Sync>(
     ];
     Ok(scopes
         .iter()
-        .map(|(label, stage)| Series {
-            label: (*label).to_string(),
-            points: bers
-                .iter()
-                .map(|&ber| {
-                    let mut target = Target::new();
-                    if let Some(stage) = stage {
-                        target = target.stage(*stage);
-                    }
-                    let summary = fixed_bit_trials(model, task, ber, &target, config);
-                    SweepPoint {
-                        x: ber,
-                        value: summary.mean,
-                        std: summary.std,
-                    }
-                })
-                .collect(),
+        .map(|&(label, stage)| {
+            let mut target = Target::new();
+            if let Some(stage) = stage {
+                target = target.stage(stage);
+            }
+            ber_series(model, task, label.to_string(), bers, &target, config)
         })
         .collect())
 }
 
 /// Report of the normalization-skew experiment (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormSkewReport {
     /// Mean of the clean pre-norm hidden state.
     pub clean_mean: f32,
@@ -473,6 +420,54 @@ mod tests {
         let report = norm_skew_study(&model, 500.0, 3);
         assert!(report.skewed_std > report.clean_std * 2.0);
         assert!(report.post_norm_disturbed_fraction > 0.5);
+    }
+
+    /// Values recorded at the commit before the studies moved onto `campaign::par_map`
+    /// (debug, release and the portable SIMD tier agree): a study that hands any trial a
+    /// different seed — `derive_seed(config.seed, i)`, or `(log2_msd << 32) | i` as the
+    /// stream for the magnitude/frequency grid — lands on other numbers.
+    #[test]
+    fn every_study_hands_trial_i_the_seed_it_always_did() {
+        use realm_inject::error_model::BitFlipModel;
+        let (model, task) = setup();
+        let config = StudyConfig::quick(3);
+        let target = Target::new().component(Component::O).stage(Stage::Prefill);
+        let summary = injection_trials(
+            &model,
+            &task,
+            &|| BitFlipModel::high_bits(5e-3),
+            &target,
+            &config,
+        );
+        let recorded = TrialSummary {
+            trials: 4,
+            mean: 298.36087195670154,
+            std: 87.266614844153,
+            min: 207.2554812136183,
+            max: 398.8828246397583,
+            median: 293.6525909867148,
+        };
+        assert_eq!(summary, recorded);
+
+        let stage = Some(Stage::Prefill);
+        let series =
+            componentwise_study(&model, &task, &[Component::O], &[5e-3], stage, &config).unwrap();
+        let recorded = SweepPoint {
+            x: 5e-3,
+            value: 50.89898543522851,
+            std: 24.348918796993196,
+        };
+        assert_eq!(series[0].points[0], recorded);
+
+        let grid = magfreq_study(&model, &task, Component::K, &[20, 24], &[0, 2], &config).unwrap();
+        let values: Vec<f64> = grid.iter().map(|p| p.value).collect();
+        let recorded = [
+            18.13744672807202,
+            18.137415939466965,
+            18.13744350267933,
+            18.137658308303887,
+        ];
+        assert_eq!(values, recorded);
     }
 
     #[test]

@@ -14,12 +14,11 @@ use crate::{CoreError, Result};
 use realm_abft::critical_region::{CriticalRegion, RegionSample};
 use realm_eval::task::Task;
 use realm_llm::{Component, Model};
-use serde::{Deserialize, Serialize};
 
 /// Acceptable-degradation budget used when classifying characterization samples.
 ///
 /// The paper's evaluation allows a 0.3 perplexity increase / 0.5% accuracy decrease.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationBudget {
     /// Maximum tolerated increase of a lower-is-better metric (perplexity).
     pub max_metric_increase: f64,
@@ -69,7 +68,7 @@ pub fn grid_to_samples(
 }
 
 /// Result of fitting one component's critical region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentFit {
     /// The component the region applies to.
     pub component: Component,

@@ -14,20 +14,19 @@ use crate::protection::{RegionAssignment, SchemeProtector, SequenceAttribution, 
 use crate::{CoreError, Result};
 use realm_eval::task::Task;
 use realm_inject::{
-    campaign::run_trials_with, error_model::BitFlipModel, injector::ErrorInjector,
-    targeting::Target, VoltageBerCurve,
+    campaign::run_trials, error_model::BitFlipModel, injector::ErrorInjector, targeting::Target,
+    VoltageBerCurve,
 };
 use realm_llm::hooks::HookChain;
 use realm_llm::model::GenerationOutput;
-use realm_llm::{Component, Model};
+use realm_llm::{BatchRequest, Component, Model};
 use realm_systolic::{
     energy::WorkloadSpec, AreaPowerModel, EnergyModel, ProtectionScheme, SystolicArray,
 };
 use realm_tensor::EngineKind;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a protected-inference pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// The systolic array executing the GEMMs.
     pub array: SystolicArray,
@@ -84,7 +83,7 @@ impl PipelineConfig {
 }
 
 /// Outcome of one protected-inference run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
     /// Protection scheme that was active.
     pub scheme: ProtectionScheme,
@@ -165,7 +164,7 @@ impl BatchedGenerationOutcome {
 /// A reusable protected-inference pipeline bound to one model.
 ///
 /// Every run owns a single scratch [`realm_tensor::Workspace`] for its whole generation
-/// loop (threaded through `Model::generate` / `BatchScheduler::run` internally), and the
+/// loop (threaded through `Model::generate` / `Model::generate_batch` internally), and the
 /// [`SchemeProtector`] reuses its detection buffers across inspections — so an injection
 /// campaign of thousands of trials no longer churns the allocator once its pools are warm.
 pub struct ProtectedPipeline<'m> {
@@ -202,6 +201,40 @@ impl<'m> ProtectedPipeline<'m> {
         &self.config
     }
 
+    /// Arms the faulty datapath of one run — the injector emulating the bit-error rate
+    /// `voltage` implies on the configured target, and the protector for `scheme` — and
+    /// returns that rate with the pair.
+    fn arm(
+        &self,
+        scheme: ProtectionScheme,
+        voltage: f64,
+        seed: u64,
+    ) -> Result<(f64, ErrorInjector<BitFlipModel>, SchemeProtector)> {
+        if voltage <= 0.0 {
+            return Err(CoreError::InvalidExperiment {
+                detail: format!("operating voltage must be positive, got {voltage}"),
+            });
+        }
+        let ber = self.config.curve.ber_at(voltage);
+        let target = match self.config.protected_component {
+            Some(component) => Target::new().component(component),
+            None => Target::everything(),
+        };
+        let injector = ErrorInjector::new(
+            BitFlipModel::with_bit_range(ber, self.config.min_error_bit, 32),
+            target,
+            seed,
+        );
+        let mut protector = SchemeProtector::with_engine(
+            scheme,
+            self.config.array,
+            &self.regions,
+            self.config.engine.build(),
+        );
+        protector.set_shard_attribution(self.model.tp_group().map(|g| g.degree()));
+        Ok((ber, injector, protector))
+    }
+
     /// Runs `task` at `voltage` under `scheme` and returns quality plus energy accounting.
     ///
     /// # Errors
@@ -215,28 +248,7 @@ impl<'m> ProtectedPipeline<'m> {
         voltage: f64,
         seed: u64,
     ) -> Result<PipelineOutcome> {
-        if voltage <= 0.0 {
-            return Err(CoreError::InvalidExperiment {
-                detail: format!("operating voltage must be positive, got {voltage}"),
-            });
-        }
-        let ber = self.config.curve.ber_at(voltage);
-        let target = match self.config.protected_component {
-            Some(component) => Target::new().component(component),
-            None => Target::everything(),
-        };
-        let mut injector = ErrorInjector::new(
-            BitFlipModel::with_bit_range(ber, self.config.min_error_bit, 32),
-            target,
-            seed,
-        );
-        let mut protector = SchemeProtector::with_engine(
-            scheme,
-            self.config.array,
-            &self.regions,
-            self.config.engine.build(),
-        );
-        protector.set_shard_attribution(self.model.tp_group().map(|g| g.degree()));
+        let (ber, mut injector, mut protector) = self.arm(scheme, voltage, seed)?;
 
         let task_value = {
             let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
@@ -293,57 +305,31 @@ impl<'m> ProtectedPipeline<'m> {
         voltage: f64,
         seed: u64,
     ) -> Result<BatchedGenerationOutcome> {
-        if voltage <= 0.0 {
-            return Err(CoreError::InvalidExperiment {
-                detail: format!("operating voltage must be positive, got {voltage}"),
-            });
-        }
+        let (ber, mut injector, mut protector) = self.arm(scheme, voltage, seed)?;
         if prompts.is_empty() {
             return Err(CoreError::InvalidExperiment {
                 detail: "batched generation needs at least one prompt".into(),
             });
         }
-        let ber = self.config.curve.ber_at(voltage);
-        let target = match self.config.protected_component {
-            Some(component) => Target::new().component(component),
-            None => Target::everything(),
-        };
-        let mut injector = ErrorInjector::new(
-            BitFlipModel::with_bit_range(ber, self.config.min_error_bit, 32),
-            target,
-            seed,
-        );
-        let mut protector = SchemeProtector::with_engine(
-            scheme,
-            self.config.array,
-            &self.regions,
-            self.config.engine.build(),
-        );
-        let tp_degree = self.model.tp_group().map(|g| g.degree());
-        protector.set_shard_attribution(tp_degree);
+        let requests: Vec<BatchRequest> = prompts
+            .iter()
+            .map(|p| BatchRequest::new(p.clone(), new_tokens))
+            .collect();
         let outputs = {
             let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
             self.model
-                .generate_batch(prompts, new_tokens, &mut chain)
+                .generate_batch(&requests, &mut chain)
                 .map_err(CoreError::from)?
         };
+        let tp_degree = self.model.tp_group().map_or(0, |g| g.degree());
+        // Dense attribution: one entry per sequence / shard, zeroed where nothing fired.
         let per_sequence = (0..prompts.len())
-            .map(|seq| {
-                protector
-                    .sequence_attribution()
-                    .get(&seq)
-                    .copied()
-                    .unwrap_or_default()
-            })
+            .map(|seq| protector.sequence_attribution().get(&seq).copied())
+            .map(Option::unwrap_or_default)
             .collect();
-        let per_shard = (0..tp_degree.unwrap_or(0))
-            .map(|shard| {
-                protector
-                    .shard_attribution()
-                    .get(&shard)
-                    .copied()
-                    .unwrap_or_default()
-            })
+        let per_shard = (0..tp_degree)
+            .map(|shard| protector.shard_attribution().get(&shard).copied())
+            .map(Option::unwrap_or_default)
             .collect();
         Ok(BatchedGenerationOutcome {
             scheme,
@@ -391,7 +377,7 @@ impl<'m> ProtectedPipeline<'m> {
         trials: usize,
         base_seed: u64,
     ) -> Result<Vec<BatchedGenerationOutcome>> {
-        run_trials_with(trials, base_seed, |seed| {
+        run_trials(trials, base_seed, |seed| {
             self.run_batched(scheme, voltage, seed)
         })
         .into_iter()
@@ -534,8 +520,12 @@ mod tests {
         let (model, _) = setup();
         let pipeline = ProtectedPipeline::new(&model, small_config());
         let prompts: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![4, 5], vec![6, 7, 8, 9], vec![2]];
+        let requests: Vec<BatchRequest> = prompts
+            .iter()
+            .map(|p| BatchRequest::new(p.clone(), 4))
+            .collect();
         let clean = model
-            .generate_batch(&prompts, 4, &mut realm_llm::NoopHook)
+            .generate_batch(&requests, &mut realm_llm::NoopHook)
             .unwrap();
 
         let batched = pipeline

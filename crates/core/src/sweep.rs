@@ -5,10 +5,9 @@ use crate::{CoreError, Result};
 use realm_eval::task::Task;
 use realm_llm::Component;
 use realm_systolic::ProtectionScheme;
-use serde::{Deserialize, Serialize};
 
 /// A voltage sweep of one protection scheme (one curve of Fig. 9).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageSweep {
     /// The protection scheme swept.
     pub scheme: ProtectionScheme,
@@ -89,7 +88,7 @@ pub fn scheme_comparison(
 }
 
 /// Table II row: the best operating point found for one network component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentSweetSpot {
     /// The protected component.
     pub component: Component,
@@ -167,7 +166,7 @@ pub fn component_sweet_spots(
 
 /// One point of the Fig. 10 trade-off: an acceptable-degradation budget and the resulting
 /// recovery latency and energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeoffPoint {
     /// Acceptable degradation used to position the detector thresholds / pick the sweet spot.
     pub budget: f64,

@@ -8,7 +8,6 @@
 use rand::Rng;
 use realm_llm::weights::SyntheticLanguage;
 use realm_tensor::rng::{self, SeededRng, ZipfSampler};
-use serde::{Deserialize, Serialize};
 
 /// Default fraction of transitions that follow the successor map.
 pub const DEFAULT_FIDELITY: f64 = 0.75;
@@ -16,7 +15,7 @@ pub const DEFAULT_FIDELITY: f64 = 0.75;
 pub const DEFAULT_ZIPF_EXPONENT: f64 = 1.1;
 
 /// Parameters of a synthetic corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorpusSpec {
     /// Number of independent sequences.
     pub num_sequences: usize,
@@ -51,7 +50,7 @@ impl CorpusSpec {
 }
 
 /// A set of token sequences sampled from a synthetic language.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Corpus {
     sequences: Vec<Vec<u32>>,
 }

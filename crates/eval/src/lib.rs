@@ -48,4 +48,4 @@ pub mod wikitext;
 pub mod xsum;
 
 pub use metrics::Metric;
-pub use task::{Task, TaskResult};
+pub use task::Task;

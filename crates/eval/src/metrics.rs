@@ -1,9 +1,7 @@
 //! Task metrics: perplexity, accuracy and a ROUGE-1 analogue.
 
-use serde::{Deserialize, Serialize};
-
 /// The metric family a task reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Language-modelling perplexity — lower is better.
     Perplexity,

@@ -2,7 +2,6 @@
 
 use crate::metrics::Metric;
 use realm_llm::{GemmHook, Model, Result};
-use serde::{Deserialize, Serialize};
 
 /// A benchmark task that evaluates a model (optionally under fault injection) to one number.
 pub trait Task {
@@ -48,37 +47,6 @@ impl<T: Task + ?Sized> Task for Box<T> {
     }
 }
 
-/// A labelled task outcome, convenient for serialising experiment reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskResult {
-    /// Task name.
-    pub task: String,
-    /// Metric family of the value.
-    pub metric: Metric,
-    /// Measured value.
-    pub value: f64,
-}
-
-impl TaskResult {
-    /// Evaluates `task` on `model` through `hook` and wraps the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the task's evaluation error.
-    pub fn measure(task: &dyn Task, model: &Model, hook: &mut dyn GemmHook) -> Result<Self> {
-        Ok(Self {
-            task: task.name().to_string(),
-            metric: task.metric(),
-            value: task.evaluate(model, hook)?,
-        })
-    }
-
-    /// Degradation of `faulty` relative to this (clean) result, larger-is-worse.
-    pub fn degradation_to(&self, faulty: &TaskResult) -> f64 {
-        self.metric.degradation(self.value, faulty.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,16 +63,6 @@ mod tests {
         fn evaluate(&self, _model: &Model, _hook: &mut dyn GemmHook) -> Result<f64> {
             Ok(self.0)
         }
-    }
-
-    #[test]
-    fn task_result_measures_and_compares() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 1).unwrap();
-        let clean = TaskResult::measure(&ConstantTask(80.0), &model, &mut NoopHook).unwrap();
-        let faulty = TaskResult::measure(&ConstantTask(62.0), &model, &mut NoopHook).unwrap();
-        assert_eq!(clean.task, "constant");
-        assert_eq!(clean.metric, Metric::Accuracy);
-        assert!((clean.degradation_to(&faulty) - 18.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! The paper's characterization is *statistical*: every data point in Fig. 4 is the average
 //! metric over many independent fault-injection trials. [`run_trials`] executes those trials
 //! in parallel (they are completely independent) with deterministic per-trial seeds, and
-//! [`TrialSummary`] aggregates them.
+//! [`TrialSummary`] aggregates them. [`par_map`] is the one parallel primitive underneath:
+//! every campaign and sweep in the workspace fans its trials out through it.
 
-use rayon::prelude::*;
-use realm_tensor::rng;
-use serde::{Deserialize, Serialize};
+use realm_tensor::{engine::available_cores, rng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Aggregate statistics over the metric values produced by a set of trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialSummary {
     /// Number of trials aggregated.
     pub trials: usize,
@@ -64,22 +64,65 @@ impl TrialSummary {
             median,
         }
     }
-
-    /// Standard error of the mean.
-    pub fn standard_error(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.std / (self.trials as f64).sqrt()
-        }
-    }
 }
 
-/// Runs `trials` independent trials in parallel and returns each trial's metric value.
+/// Maps `f` over the indices `0..n` on one scoped thread per available core and returns the
+/// results in index order.
+///
+/// Workers claim the next index off a shared atomic counter, so a run of expensive trials
+/// (recovery-heavy ones, say) is spread over every core instead of pinning whichever worker
+/// a static split would have handed them to. A panic inside `f` is re-raised on the calling
+/// thread once the other workers have drained the counter.
+///
+/// # Example
+///
+/// ```
+/// let squares = realm_inject::campaign::par_map(5, |i| i * i);
+/// assert_eq!(squares, [0, 1, 4, 9, 16]);
+/// ```
+pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = available_cores().min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; results are
+                        // published by the join.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, value)| value).collect()
+}
+
+/// Runs `trials` independent trials in parallel and returns each trial's result — a metric
+/// value, or anything richer (e.g. a batched trial's per-sequence attribution).
 ///
 /// Every trial receives a distinct, deterministic seed derived from `base_seed`, so the whole
-/// campaign is reproducible regardless of thread scheduling. The trial function must be
-/// `Sync` because trials run concurrently.
+/// campaign is reproducible regardless of thread scheduling, and two campaigns with the same
+/// base seed observe the same fault streams whatever they report.
 ///
 /// # Example
 ///
@@ -91,28 +134,12 @@ impl TrialSummary {
 /// let summary = TrialSummary::from_values(&values);
 /// assert!(summary.mean >= 0.0);
 /// ```
-pub fn run_trials<F>(trials: usize, base_seed: u64, trial: F) -> Vec<f64>
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    run_trials_with(trials, base_seed, trial)
-}
-
-/// Runs `trials` independent trials in parallel, returning each trial's full result.
-///
-/// The generic sibling of [`run_trials`] for campaigns whose per-trial outcome is richer
-/// than a single metric value — e.g. batched trials that report per-sequence detection and
-/// recovery attribution. Seeding is identical to [`run_trials`], so a scalar campaign and a
-/// structured campaign with the same base seed observe the same fault streams.
-pub fn run_trials_with<T, F>(trials: usize, base_seed: u64, trial: F) -> Vec<T>
+pub fn run_trials<T, F>(trials: usize, base_seed: u64, trial: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    (0..trials)
-        .into_par_iter()
-        .map(|i| trial(rng::derive_seed(base_seed, i as u64)))
-        .collect()
+    par_map(trials, |i| trial(rng::derive_seed(base_seed, i as u64)))
 }
 
 /// Runs trials and aggregates them in one call.
@@ -126,7 +153,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn par_map_visits_every_index_once_and_keeps_index_order() {
+        let cores = available_cores();
+        for n in [0, 1, 2, cores.saturating_sub(1), cores + 1, 257] {
+            let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map(n, |i| {
+                visits[i].fetch_add(1, Ordering::Relaxed);
+                3 * i
+            });
+            assert_eq!(out, (0..n).map(|i| 3 * i).collect::<Vec<_>>(), "n = {n}");
+            assert!(
+                visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
+                "n = {n}: every index is claimed exactly once"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trial 5 exploded")]
+    fn a_panicking_trial_panics_the_caller() {
+        let _ = par_map(64, |i| {
+            assert_ne!(i, 5, "trial 5 exploded");
+            i
+        });
+    }
 
     #[test]
     fn trials_receive_distinct_deterministic_seeds() {
@@ -142,16 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn all_trials_execute() {
-        let counter = AtomicUsize::new(0);
-        let _ = run_trials(32, 0, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            1.0
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
     fn summary_of_known_values() {
         let s = TrialSummary::from_values(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.trials, 4);
@@ -160,7 +202,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert_eq!(s.median, 2.5);
         assert!((s.std - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!(s.standard_error() > 0.0);
     }
 
     #[test]
@@ -171,7 +212,7 @@ mod tests {
         assert_eq!(s.median, 7.0);
         let e = TrialSummary::from_values(&[]);
         assert_eq!(e.trials, 0);
-        assert_eq!(e.standard_error(), 0.0);
+        assert_eq!((e.mean, e.std), (0.0, 0.0));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use rand::Rng;
 use realm_tensor::rng::SeededRng;
 use realm_tensor::MatI32;
-use serde::{Deserialize, Serialize};
 
 /// Width of the accumulator word errors are injected into.
 pub const ACCUMULATOR_BITS: u8 = 32;
@@ -29,7 +28,7 @@ pub trait ErrorModel {
 }
 
 /// Independent random bit flips at a given bit-error rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitFlipModel {
     /// Probability that any individual bit within the eligible range flips.
     pub ber: f64,
@@ -123,7 +122,7 @@ impl ErrorModel for BitFlipModel {
 }
 
 /// Flips one specific bit position with a per-element probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedBitModel {
     /// Probability that the bit flips in any given accumulator element.
     pub ber: f64,
@@ -175,7 +174,7 @@ impl ErrorModel for FixedBitModel {
 /// This is the controlled model of Sec. III-B: the matrix-sum deviation it produces is
 /// `MSD = freq × mag`, which lets the characterization separate "one huge error" from "many
 /// small errors" at identical MSD (Q1.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MagFreqModel {
     /// Magnitude added to each corrupted accumulator element.
     pub mag: i64,

@@ -5,11 +5,10 @@ use crate::targeting::Target;
 use realm_llm::{Component, GemmContext, GemmHook, GemmOrigin, Stage};
 use realm_tensor::rng::{self, SeededRng};
 use realm_tensor::{ChecksummedGemm, MatI32, MatI8, RowPartition};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Statistics accumulated by an [`ErrorInjector`] over a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InjectionStats {
     /// Number of GEMM invocations observed (targeted or not).
     pub gemms_observed: u64,
@@ -53,7 +52,7 @@ impl InjectionStats {
 /// Real voltage-noise and aging faults cluster in time rather than arriving i.i.d.; the
 /// schedule models that clustering at engine-step granularity, which is the clock an
 /// adaptive protection controller reacts on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstSchedule {
     /// Consecutive engine steps during which injection is active.
     pub burst_steps: u64,

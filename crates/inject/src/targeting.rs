@@ -5,7 +5,6 @@
 //! expresses any combination of those filters; an empty filter means "no restriction".
 
 use realm_llm::{Component, GemmContext, GemmOrigin, Stage};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A filter over [`GemmContext`]s selecting the GEMMs to corrupt.
@@ -30,7 +29,7 @@ use std::collections::BTreeSet;
 /// let ctx = GemmContext::new(Component::O, 3, Stage::Decode, 0);
 /// assert!(!target.matches(&ctx));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Target {
     components: Option<BTreeSet<Component>>,
     layers: Option<BTreeSet<usize>>,

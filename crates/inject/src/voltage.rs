@@ -9,10 +9,8 @@
 //! calibrated so that the BER is negligible at nominal voltage and reaches ~1e-2 around
 //! 0.55–0.6 V, matching the range the paper sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// Log-linear mapping between operating voltage and computation bit-error rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageBerCurve {
     /// Nominal operating voltage in volts (BER is `ber_nominal` here).
     pub nominal_voltage: f64,

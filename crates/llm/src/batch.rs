@@ -1,4 +1,4 @@
-//! Batched inference: ragged batches, per-slot KV storage, and the lockstep scheduler.
+//! Batched inference: ragged batches, per-slot KV storage, and the lockstep request type.
 //!
 //! A solo forward ([`KvTarget::Solo`](crate::KvTarget)) runs every prefill/decode GEMM once
 //! *per sequence*, so ABFT checksum and detection cost scales with the number of sequences.
@@ -20,9 +20,8 @@
 //! enforces on every GEMM backend.
 
 use crate::kv_cache::LayerCache;
-use crate::model::{argmax_with_margin, GenerationOutput, Model, PrefillChunk};
-use crate::{GemmHook, LlmError, Result};
-use realm_tensor::{MatF32, RowPartition, Workspace};
+use crate::{LlmError, Result};
+use realm_tensor::{MatF32, RowPartition};
 
 /// Per-layer KV storage for a whole batch: one [`LayerCache`] per sequence slot.
 ///
@@ -154,7 +153,7 @@ impl BatchedLayerCache {
 /// Each of the `batch_size` *slots* holds one sequence's keys/values across all layers.
 /// Slots are reusable: [`BatchedKvCache::release_slot`] frees a completed sequence's rows
 /// and the next occupant prefills straight into the vacancy
-/// ([`Model::prefill_chunks_batch_ws`]) — the mechanism the continuous-batching serving
+/// ([`crate::Model::prefill_chunks_batch_ws`]) — the mechanism the continuous-batching serving
 /// layer (`realm-serve`) is built on.
 ///
 /// # Example
@@ -250,7 +249,7 @@ impl BatchedKvCache {
     }
 }
 
-/// One generation request handed to the [`BatchScheduler`].
+/// One generation request of a [`crate::Model::generate_batch`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchRequest {
     /// Prompt tokens (must be non-empty).
@@ -269,148 +268,13 @@ impl BatchRequest {
     }
 }
 
-/// Packs ragged prompts into one shared prefill, then drives lockstep decode with
-/// per-sequence completion.
-///
-/// Each lockstep step stacks the pending token of every still-active sequence into one
-/// decode forward; sequences that reach their requested length simply stop contributing rows
-/// (their batch index — and therefore per-sequence attribution — stays stable). Output is
-/// token-identical to running [`Model::generate`] once per request.
-///
-/// # Example
-///
-/// ```
-/// use realm_llm::batch::{BatchRequest, BatchScheduler};
-/// use realm_llm::{config::ModelConfig, model::Model, NoopHook};
-///
-/// # fn main() -> Result<(), realm_llm::LlmError> {
-/// let model = Model::new(&ModelConfig::tiny_opt(), 42)?;
-/// let requests = vec![
-///     BatchRequest::new(vec![1, 5, 9], 4),
-///     BatchRequest::new(vec![2, 7], 6),
-/// ];
-/// let outputs = BatchScheduler::new(&model).run(&requests, &mut NoopHook)?;
-/// assert_eq!(outputs[0].tokens.len(), 4);
-/// assert_eq!(outputs[1].tokens.len(), 6);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct BatchScheduler<'m> {
-    model: &'m Model,
-}
-
-impl<'m> BatchScheduler<'m> {
-    /// Creates a scheduler driving `model`.
-    pub fn new(model: &'m Model) -> Self {
-        Self { model }
-    }
-
-    /// Runs every request to completion and returns one [`GenerationOutput`] per request,
-    /// in request order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty request list, empty prompts, out-of-range tokens, or
-    /// any request whose prompt plus generation budget exceeds the model's context window.
-    pub fn run(
-        &self,
-        requests: &[BatchRequest],
-        hook: &mut dyn GemmHook,
-    ) -> Result<Vec<GenerationOutput>> {
-        let max_seq_len = self.model.config().max_seq_len;
-        for (i, request) in requests.iter().enumerate() {
-            if request.prompt.len() + request.max_new_tokens > max_seq_len {
-                return Err(LlmError::InvalidSequence {
-                    detail: format!(
-                        "request {i}: prompt ({}) plus generation ({}) exceeds max_seq_len \
-                         {max_seq_len}",
-                        request.prompt.len(),
-                        request.max_new_tokens
-                    ),
-                });
-            }
-        }
-        // One workspace for the whole run: the shared prefill warms the pools, every
-        // lockstep decode step after that reuses them.
-        let mut ws = Workspace::new();
-        let mut cache = self.model.new_batched_cache(requests.len());
-        let chunks: Vec<PrefillChunk<'_>> = requests
-            .iter()
-            .enumerate()
-            .map(|(slot, r)| PrefillChunk::whole(&r.prompt, slot))
-            .collect();
-        let logits = self
-            .model
-            .prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)?;
-
-        struct SeqState {
-            tokens: Vec<u32>,
-            margins: Vec<f32>,
-            next: u32,
-            margin: f32,
-            target: usize,
-        }
-        let mut states: Vec<SeqState> = logits
-            .iter()
-            .zip(requests)
-            .map(|(l, request)| {
-                let (next, margin) = argmax_with_margin(l.row(l.rows() - 1));
-                SeqState {
-                    tokens: Vec::with_capacity(request.max_new_tokens),
-                    margins: Vec::with_capacity(request.max_new_tokens),
-                    next,
-                    margin,
-                    target: request.max_new_tokens,
-                }
-            })
-            .collect();
-
-        loop {
-            // Commit the pending token of every sequence still below its target, mirroring
-            // the single-sequence `generate` loop: push first, then decode only if more
-            // tokens are needed.
-            for state in states.iter_mut() {
-                if state.tokens.len() < state.target {
-                    state.tokens.push(state.next);
-                    state.margins.push(state.margin);
-                }
-            }
-            let step: Vec<Option<u32>> = states
-                .iter()
-                .map(|s| (s.tokens.len() < s.target).then_some(s.next))
-                .collect();
-            if step.iter().all(Option::is_none) {
-                break;
-            }
-            let step_logits = self
-                .model
-                .decode_step_batch_ws(&step, &mut cache, hook, &mut ws)?;
-            for (state, logits) in states.iter_mut().zip(step_logits) {
-                if let Some(logits) = logits {
-                    let (next, margin) = argmax_with_margin(&logits);
-                    ws.recycle_vec_f32(logits);
-                    state.next = next;
-                    state.margin = margin;
-                }
-            }
-            ws.reset();
-        }
-        Ok(states
-            .into_iter()
-            .map(|s| GenerationOutput {
-                tokens: s.tokens,
-                margins: s.margins,
-            })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::model::{Model, PrefillChunk};
     use crate::NoopHook;
+    use realm_tensor::Workspace;
 
     /// A solo store holding rows `rows` of `keys`/`values` — what a batch slot fed the same
     /// rows must equal.
@@ -558,31 +422,5 @@ mod tests {
                 assert_eq!(loaded.slot(0).value_codes(h), admitted.value_codes(h));
             }
         }
-    }
-
-    #[test]
-    fn scheduler_respects_per_request_budgets() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
-        let requests = vec![
-            BatchRequest::new(vec![1, 2, 3], 5),
-            BatchRequest::new(vec![4, 5], 2),
-            BatchRequest::new(vec![6], 0),
-        ];
-        let outputs = BatchScheduler::new(&model)
-            .run(&requests, &mut NoopHook)
-            .unwrap();
-        assert_eq!(outputs[0].tokens.len(), 5);
-        assert_eq!(outputs[1].tokens.len(), 2);
-        assert!(outputs[2].tokens.is_empty());
-    }
-
-    #[test]
-    fn scheduler_rejects_over_budget_requests() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
-        let max = model.config().max_seq_len;
-        let requests = vec![BatchRequest::new(vec![0; max], 1)];
-        assert!(BatchScheduler::new(&model)
-            .run(&requests, &mut NoopHook)
-            .is_err());
     }
 }

@@ -5,14 +5,13 @@
 //! (prefill vs decode). These enums are the keys used everywhere in the workspace to target
 //! error injection, attach ABFT protection and report results.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the GEMM-bearing network components of a Transformer block.
 ///
 /// The OPT-style block contains `Q, K, V, QKᵀ, SV, O, FC1, FC2`; the LLaMA-style block
 /// contains `Q, K, V, QKᵀ, SV, O, Gate, Up, Down`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// Query projection.
     Q,
@@ -126,7 +125,7 @@ impl fmt::Display for Component {
 }
 
 /// The generative-inference stage a GEMM executes in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// Prompt processing: the whole prompt is consumed at once and the KV cache is populated.
     Prefill,

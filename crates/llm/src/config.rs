@@ -9,10 +9,9 @@
 
 use crate::{LlmError, Result};
 use realm_tensor::EngineKind;
-use serde::{Deserialize, Serialize};
 
 /// The Transformer block variant (Fig. 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// OPT-style: LayerNorm + ReLU MLP (`FC1`/`FC2`).
     OptStyle,
@@ -30,7 +29,7 @@ impl std::fmt::Display for Architecture {
 }
 
 /// Hyper-parameters of a synthetic quantized LLM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable name used in reports (e.g. `"OPT-1.3B-proxy"`).
     pub name: String,

@@ -16,7 +16,6 @@
 
 use crate::component::{Component, Stage};
 use realm_tensor::{ChecksummedGemm, MatI32, MatI8, RowPartition};
-use serde::{Deserialize, Serialize};
 
 /// Which sequence(s) of a batch the accumulator rows of a GEMM belong to.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// GEMMs (`QKᵀ`, `SV`) stay per-sequence (each sequence has its own cache length and causal
 /// mask). Hooks that attribute work to sequences — injection campaigns, ABFT protectors —
 /// read this tag to know which case they are looking at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmOrigin {
     /// Every accumulator row belongs to the batch sequence with this index. The
     /// single-sequence forward path always reports `Sequence(0)`.
@@ -42,7 +41,7 @@ impl Default for GemmOrigin {
 }
 
 /// Metadata describing a single GEMM invocation inside the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmContext {
     /// Which network component this GEMM implements.
     pub component: Component,

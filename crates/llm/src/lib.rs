@@ -68,7 +68,7 @@ pub mod weights;
 
 mod error;
 
-pub use batch::{BatchRequest, BatchScheduler, BatchedKvCache};
+pub use batch::{BatchRequest, BatchedKvCache};
 pub use component::{Component, Stage};
 pub use config::{Architecture, ModelConfig};
 pub use error::LlmError;

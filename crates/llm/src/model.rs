@@ -26,7 +26,7 @@
 //!
 //! The forward routine itself checks the cache's layer count and the token ids.
 
-use crate::batch::{BatchRequest, BatchScheduler, BatchedKvCache};
+use crate::batch::{BatchRequest, BatchedKvCache};
 use crate::block::{Norm, TransformerBlock};
 use crate::component::Stage;
 use crate::config::ModelConfig;
@@ -583,26 +583,103 @@ impl Model {
         Ok(out)
     }
 
-    /// Batched greedy generation: one shared prefill, then lockstep decode until every
-    /// sequence has produced `num_tokens` tokens.
+    /// Batched greedy generation: ragged prompts share one prefill, then lockstep decode
+    /// runs until every request has produced its own `max_new_tokens`.
     ///
-    /// Token-identical to calling [`Model::generate`] once per prompt; for per-request
-    /// generation budgets use [`BatchScheduler`] directly.
+    /// Each lockstep step stacks the pending token of every still-active sequence into one
+    /// decode forward; a sequence that reaches its budget simply stops contributing rows
+    /// (its batch index — and therefore per-sequence attribution — stays stable). Outputs
+    /// come back in request order, token-identical to calling [`Model::generate`] once per
+    /// request.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use realm_llm::batch::BatchRequest;
+    /// use realm_llm::{config::ModelConfig, model::Model, NoopHook};
+    ///
+    /// # fn main() -> Result<(), realm_llm::LlmError> {
+    /// let model = Model::new(&ModelConfig::tiny_opt(), 42)?;
+    /// let requests = vec![
+    ///     BatchRequest::new(vec![1, 5, 9], 4),
+    ///     BatchRequest::new(vec![2, 7], 6),
+    /// ];
+    /// let outputs = model.generate_batch(&requests, &mut NoopHook)?;
+    /// assert_eq!(outputs[0].tokens.len(), 4);
+    /// assert_eq!(outputs[1].tokens.len(), 6);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`Model::prefill_batch`] and [`Model::decode_step_batch_ws`].
+    /// Returns an error for an empty request list, empty prompts, out-of-range tokens, or
+    /// any request whose prompt plus generation budget exceeds the model's context window.
     pub fn generate_batch(
         &self,
-        prompts: &[Vec<u32>],
-        num_tokens: usize,
+        requests: &[BatchRequest],
         hook: &mut dyn GemmHook,
     ) -> Result<Vec<GenerationOutput>> {
-        let requests: Vec<BatchRequest> = prompts
+        let max_seq_len = self.config.max_seq_len;
+        for (i, request) in requests.iter().enumerate() {
+            if request.prompt.len() + request.max_new_tokens > max_seq_len {
+                return Err(invalid(format!(
+                    "request {i}: prompt ({}) plus generation ({}) exceeds max_seq_len \
+                     {max_seq_len}",
+                    request.prompt.len(),
+                    request.max_new_tokens
+                )));
+            }
+        }
+        // One workspace for the whole run: the shared prefill warms the pools, every
+        // lockstep decode step after that reuses them.
+        let mut ws = Workspace::new();
+        let mut cache = self.new_batched_cache(requests.len());
+        let chunks: Vec<PrefillChunk<'_>> = requests
             .iter()
-            .map(|p| BatchRequest::new(p.clone(), num_tokens))
+            .enumerate()
+            .map(|(slot, r)| PrefillChunk::whole(&r.prompt, slot))
             .collect();
-        BatchScheduler::new(self).run(&requests, hook)
+        let logits = self.prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)?;
+        let mut pending: Vec<(u32, f32)> = logits
+            .iter()
+            .map(|l| argmax_with_margin(l.row(l.rows() - 1)))
+            .collect();
+        let mut outputs: Vec<GenerationOutput> = requests
+            .iter()
+            .map(|r| GenerationOutput {
+                tokens: Vec::with_capacity(r.max_new_tokens),
+                margins: Vec::with_capacity(r.max_new_tokens),
+            })
+            .collect();
+        loop {
+            // Commit the pending token of every sequence still below its budget, mirroring
+            // the single-sequence `generate` loop: push first, then decode only if more
+            // tokens are needed.
+            let step: Vec<Option<u32>> = outputs
+                .iter_mut()
+                .zip(requests)
+                .zip(&pending)
+                .map(|((out, request), &(next, margin))| {
+                    if out.tokens.len() < request.max_new_tokens {
+                        out.tokens.push(next);
+                        out.margins.push(margin);
+                    }
+                    (out.tokens.len() < request.max_new_tokens).then_some(next)
+                })
+                .collect();
+            if step.iter().all(Option::is_none) {
+                return Ok(outputs);
+            }
+            let step_logits = self.decode_step_batch_ws(&step, &mut cache, hook, &mut ws)?;
+            for (slot, logits) in pending.iter_mut().zip(step_logits) {
+                if let Some(logits) = logits {
+                    *slot = argmax_with_margin(&logits);
+                    ws.recycle_vec_f32(logits);
+                }
+            }
+            ws.reset();
+        }
     }
 
     /// Greedy autoregressive generation: prefill the prompt, then generate `num_tokens`.
@@ -992,6 +1069,28 @@ mod tests {
                 assert_eq!(m.decode_step_macs(len + 1), rec.total_macs);
             }
         }
+    }
+
+    #[test]
+    fn generate_batch_respects_per_request_budgets() {
+        let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
+        let requests = vec![
+            BatchRequest::new(vec![1, 2, 3], 5),
+            BatchRequest::new(vec![4, 5], 2),
+            BatchRequest::new(vec![6], 0),
+        ];
+        let outputs = model.generate_batch(&requests, &mut NoopHook).unwrap();
+        assert_eq!(outputs[0].tokens.len(), 5);
+        assert_eq!(outputs[1].tokens.len(), 2);
+        assert!(outputs[2].tokens.is_empty());
+    }
+
+    #[test]
+    fn generate_batch_rejects_over_budget_requests() {
+        let model = Model::new(&ModelConfig::tiny_opt(), 11).unwrap();
+        let max = model.config().max_seq_len;
+        let requests = vec![BatchRequest::new(vec![0; max], 1)];
+        assert!(model.generate_batch(&requests, &mut NoopHook).is_err());
     }
 
     #[test]

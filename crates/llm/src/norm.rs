@@ -7,10 +7,9 @@
 //! the normalized vector — not just the one that was hit.
 
 use realm_tensor::MatF32;
-use serde::{Deserialize, Serialize};
 
 /// Per-token LayerNorm with learned scale and bias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerNorm {
     /// Learned per-channel scale (γ).
     pub gamma: Vec<f32>,
@@ -98,7 +97,7 @@ impl LayerNorm {
 }
 
 /// Per-token RMSNorm with learned scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RmsNorm {
     /// Learned per-channel scale (γ).
     pub gamma: Vec<f32>,

@@ -34,7 +34,6 @@ use realm_tensor::{
     quant, ChecksummedGemm, GemmEngine, MatF32, MatI32, MatI8, PackedMatI8, QuantParams,
     RowKernels, ShardedLinear, TpGroup, Workspace,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What every layer of one forward pass shares: the inference stage, the backend, the hook
@@ -90,7 +89,7 @@ impl<'a> ForwardPass<'a> {
 }
 
 /// How a quantized GEMM's INT32 accumulator is converted back for downstream computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputMode {
     /// De-quantize the accumulator to f32 without clipping.
     Float,
@@ -107,7 +106,7 @@ pub enum OutputMode {
 /// hit the packed kernels without touching the allocator. The row-major weights stay
 /// reachable through [`QuantLinear::weight_q`] for hooks, workload accounting and
 /// the engines that don't override the packed entry points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     weight: PackedMatI8,
     weight_scale: f32,

@@ -21,7 +21,6 @@
 use crate::config::ModelConfig;
 use realm_tensor::rng::{self, SeededRng};
 use realm_tensor::MatF32;
-use serde::{Deserialize, Serialize};
 
 /// Standard deviation of the Gaussian bulk of token embeddings.
 pub const EMBEDDING_STD: f32 = 1.0;
@@ -33,7 +32,7 @@ pub const PROJECTION_STD: f32 = 0.02;
 /// The evaluation crate generates corpora by following the successor map with some noise;
 /// the model head is constructed to predict the successor, so clean perplexity is low and
 /// fault-induced degradation is measurable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyntheticLanguage {
     vocab_size: usize,
     successor: Vec<u32>,

@@ -5,7 +5,7 @@
 //!
 //! # What continuous batching buys
 //!
-//! The lockstep scheduler ([`realm_llm::BatchScheduler::run`]) prefills a fixed batch and
+//! Lockstep generation ([`realm_llm::Model::generate_batch`]) prefills a fixed batch and
 //! decodes until *every* sequence reaches its budget: a slot whose sequence finished early
 //! sits empty while the longest request drains. Under serving load that is exactly
 //! backwards — short and long requests mix freely, so most of the batch is idle most of

@@ -9,10 +9,9 @@
 
 use crate::array::SystolicArray;
 use crate::protection::{ExtraHardware, ProtectionScheme};
-use serde::{Deserialize, Serialize};
 
 /// Relative cost of one hardware block, in units of one baseline INT8 MAC PE.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitCosts {
     /// Area of a baseline INT8 MAC PE (definitionally 1.0).
     pub pe_area: f64,
@@ -73,7 +72,7 @@ impl Default for UnitCosts {
 }
 
 /// Area/power overhead of a protection scheme relative to the unprotected array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overhead {
     /// Scheme the overhead refers to.
     pub scheme: ProtectionScheme,
@@ -88,7 +87,7 @@ pub struct Overhead {
 }
 
 /// Analytical area/power model of a protected systolic array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerModel {
     array: SystolicArray,
     costs: UnitCosts,

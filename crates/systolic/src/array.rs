@@ -1,9 +1,7 @@
 //! Systolic-array geometry, GEMM tiling and cycle counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Dataflow of the systolic array (Sec. V-B, Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Weight-stationary: weights are pinned in the PEs, activations stream horizontally,
     /// partial sums move down the columns.
@@ -22,7 +20,7 @@ impl std::fmt::Display for Dataflow {
 }
 
 /// A rectangular systolic array of INT8 multiply-accumulate processing elements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystolicArray {
     /// Number of PE rows.
     pub rows: usize,
@@ -35,7 +33,7 @@ pub struct SystolicArray {
 }
 
 /// Tiling of a GEMM onto the array, with the resulting cycle estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmSchedule {
     /// Number of tiles along the `m` (output rows) dimension.
     pub tiles_m: usize,

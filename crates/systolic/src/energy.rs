@@ -6,10 +6,8 @@
 //! chosen protection scheme, plus the energy of every recovery the scheme triggers
 //! (re-execution at nominal voltage, per the paper's recovery assumption).
 
-use serde::{Deserialize, Serialize};
-
 /// Dynamic-energy model of the systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Nominal supply voltage in volts.
     pub nominal_voltage: f64,
@@ -72,7 +70,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy breakdown of a protected workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkloadEnergy {
     /// Energy of the main computation at the scaled voltage, in joules.
     pub compute_j: f64,
@@ -100,7 +98,7 @@ impl WorkloadEnergy {
 }
 
 /// Parameters of one protected-workload energy evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// MACs of the main computation.
     pub macs: u64,

@@ -8,10 +8,9 @@
 //! costs.
 
 use crate::array::{Dataflow, SystolicArray};
-use serde::{Deserialize, Serialize};
 
 /// A fault-mitigation scheme applied to the systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtectionScheme {
     /// No protection: errors flow silently into the results.
     None,
@@ -96,7 +95,7 @@ impl std::fmt::Display for ProtectionScheme {
 }
 
 /// Count of extra hardware blocks a protection scheme adds to a given array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtraHardware {
     /// Extra full PE copies (DMR duplicates the whole array).
     pub duplicate_pes: usize,

@@ -15,10 +15,8 @@
 //! this model exposes the underlying circuit quantities (slack, delay) for the overhead and
 //! trade-off analyses.
 
-use serde::{Deserialize, Serialize};
-
 /// Alpha-power-law timing model of the systolic array's critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Nominal supply voltage in volts.
     pub nominal_voltage: f64,

@@ -708,16 +708,18 @@ fn carve_chunks(
     chunks
 }
 
+/// Cores available to this process, resolved once: `available_parallelism` re-reads cgroup
+/// limits from the filesystem on every call on Linux — tens of microseconds, i.e. longer
+/// than an entire decode-shape GEMM — and the process's CPU budget does not change mid-run.
+pub fn available_cores() -> usize {
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Effective worker count for a row-sharded GEMM: `threads` if pinned, else one per
 /// available core — always clamped to the row count.
 fn worker_count(threads: Option<usize>, rows: usize) -> usize {
-    // `available_parallelism` re-reads cgroup limits from the filesystem on every call on
-    // Linux — tens of microseconds, i.e. longer than an entire decode-shape GEMM. The
-    // process's CPU budget does not change mid-run, so resolve it once.
-    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let hw = threads.unwrap_or_else(|| {
-        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    });
+    let hw = threads.unwrap_or_else(available_cores);
     hw.max(1).min(rows.max(1))
 }
 
@@ -1023,7 +1025,7 @@ impl GemmEngine for KernelEngine {
 /// work-stealing chunks when the host CPU supports it, the blocked parallel kernel
 /// otherwise — so configurations that never mention an engine automatically ride the
 /// fastest bit-exact backend available.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The scalar oracle loop.
     Reference,

@@ -1,7 +1,6 @@
 //! Row-major dense matrix used across the ReaLM workspace.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major matrix.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.shape(), (2, 3));
 /// assert_eq!(m[(1, 2)], 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<T> {
     rows: usize,
     cols: usize,

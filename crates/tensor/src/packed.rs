@@ -59,7 +59,7 @@ pub const PACK_PAIR_BYTES: usize = 2 * PACK_BLOCK_COLS;
 
 /// An INT8 matrix pre-packed as the B operand of the SIMD GEMM microkernels, with its
 /// pack-time column checksums. See the module docs for the layout.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedMatI8 {
     unpacked: MatI8,
     tiles: Vec<i8>,

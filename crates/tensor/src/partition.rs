@@ -34,7 +34,7 @@ use std::ops::Range;
 /// assert!(parts.range(1).is_empty());
 /// assert_eq!(parts.group_of_row(4), Some(2));
 /// ```
-#[derive(Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RowPartition {
     /// Cumulative row offsets; `offsets.len() == num_groups + 1` and `offsets[0] == 0`.
     offsets: Vec<usize>,

@@ -11,10 +11,9 @@
 
 use crate::row_kernels::{round_to_code, RowKernels};
 use crate::{MatF32, MatI32, MatI8};
-use serde::{Deserialize, Serialize};
 
 /// Scale describing a symmetric quantization mapping `real = scale * quantized`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Multiplicative step size between adjacent integer codes.
     pub scale: f32,

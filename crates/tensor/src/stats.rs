@@ -7,10 +7,9 @@
 //! the tails are before and after an injected error.
 
 use crate::MatF32;
-use serde::{Deserialize, Serialize};
 
 /// Basic distribution summary of a matrix's elements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Arithmetic mean.
     pub mean: f32,

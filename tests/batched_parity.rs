@@ -10,7 +10,7 @@
 //! would have had alone, and each sequence attends over its own slot of the KV cache.
 
 use realm::core::{PipelineConfig, ProtectedPipeline, SchemeProtector, SequenceAttribution};
-use realm::llm::batch::{BatchRequest, BatchScheduler};
+use realm::llm::batch::BatchRequest;
 use realm::llm::model::PrefillChunk;
 use realm::llm::{
     config::ModelConfig, hooks::GemmContext, model::Model, Architecture, Component, GemmHook,
@@ -30,6 +30,14 @@ fn ragged_prompts() -> Vec<Vec<u32>> {
     ]
 }
 
+/// One request per prompt, every one with the same generation budget.
+fn uniform_requests(prompts: &[Vec<u32>], budget: usize) -> Vec<BatchRequest> {
+    prompts
+        .iter()
+        .map(|p| BatchRequest::new(p.clone(), budget))
+        .collect()
+}
+
 fn model_for(kind: EngineKind, mut config: ModelConfig) -> Model {
     config.engine = kind;
     Model::new(&config, 7).unwrap()
@@ -42,7 +50,9 @@ fn batched_generate_matches_sequential_on_every_backend() {
             let name = config.name.clone();
             let model = model_for(kind, config);
             let prompts = ragged_prompts();
-            let batched = model.generate_batch(&prompts, 6, &mut NoopHook).unwrap();
+            let batched = model
+                .generate_batch(&uniform_requests(&prompts, 6), &mut NoopHook)
+                .unwrap();
             assert_eq!(batched.len(), prompts.len());
             for (i, prompt) in prompts.iter().enumerate() {
                 let solo = model.generate(prompt, 6, &mut NoopHook).unwrap();
@@ -188,7 +198,7 @@ fn batch_of_one_matches_the_single_sequence_path() {
     let prompt = vec![1u32, 5, 9, 3];
     let solo = model.generate(&prompt, 8, &mut NoopHook).unwrap();
     let batched = model
-        .generate_batch(std::slice::from_ref(&prompt), 8, &mut NoopHook)
+        .generate_batch(&[BatchRequest::new(prompt.clone(), 8)], &mut NoopHook)
         .unwrap();
     assert_eq!(batched.len(), 1);
     assert_eq!(batched[0], solo);
@@ -304,7 +314,10 @@ const CHECKSUMMED_STREAM_LLAMA: u64 = 13_093_890_141_850_396_321;
 fn empty_batch_and_empty_prompts_are_rejected() {
     let model = model_for(EngineKind::Reference, ModelConfig::tiny_opt());
     assert!(model.prefill_batch(&[], &mut NoopHook).is_err());
-    assert!(model.generate_batch(&[], 3, &mut NoopHook).is_err());
+    assert!(model.generate_batch(&[], &mut NoopHook).is_err());
+    assert!(model
+        .generate_batch(&[BatchRequest::new(vec![], 3)], &mut NoopHook)
+        .is_err());
     assert!(model
         .prefill_batch(&[vec![1, 2], vec![]], &mut NoopHook)
         .is_err());
@@ -319,9 +332,7 @@ fn scheduler_with_ragged_budgets_matches_per_sequence_generate() {
         BatchRequest::new(vec![9], 5),
         BatchRequest::new(vec![2, 4], 0),
     ];
-    let outputs = BatchScheduler::new(&model)
-        .run(&requests, &mut NoopHook)
-        .unwrap();
+    let outputs = model.generate_batch(&requests, &mut NoopHook).unwrap();
     for (i, request) in requests.iter().enumerate() {
         let solo = model
             .generate(&request.prompt, request.max_new_tokens, &mut NoopHook)
@@ -444,6 +455,8 @@ fn batched_pipeline_outcome_carries_dense_attribution() {
         outcome.recoveries
     );
     // The protected faulty run still produces the clean tokens.
-    let clean = model.generate_batch(&prompts, 4, &mut NoopHook).unwrap();
+    let clean = model
+        .generate_batch(&uniform_requests(&prompts, 4), &mut NoopHook)
+        .unwrap();
     assert_eq!(outcome.outputs, clean);
 }

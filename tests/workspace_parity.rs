@@ -8,7 +8,7 @@
 //! into loud garbage instead of a silent parity pass).
 
 use rand::Rng;
-use realm::llm::batch::{BatchRequest, BatchScheduler};
+use realm::llm::batch::BatchRequest;
 use realm::llm::model::{argmax_with_margin, PrefillChunk};
 use realm::llm::{config::ModelConfig, model::Model, NoopHook};
 use realm::tensor::engine::{ChecksummedGemm, EngineKind};
@@ -193,21 +193,19 @@ fn batched_workspace_paths_are_bit_identical_on_all_backends() {
             .unwrap();
         assert_eq!(batch1_logits, [solo_logits], "{kind} batch-of-1");
 
-        // Full scheduler runs (which thread one workspace per run, with a sequence
+        // Full lockstep runs (which thread one workspace per run, with a sequence
         // completing mid-run) still match per-request solo generation.
         let requests = vec![
             BatchRequest::new(vec![1, 2, 3], 5),
             BatchRequest::new(vec![4, 5], 2),
             BatchRequest::new(vec![6], 4),
         ];
-        let batched = BatchScheduler::new(&model)
-            .run(&requests, &mut NoopHook)
-            .unwrap();
+        let batched = model.generate_batch(&requests, &mut NoopHook).unwrap();
         for (request, output) in requests.iter().zip(&batched) {
             let solo = model
                 .generate(&request.prompt, request.max_new_tokens, &mut NoopHook)
                 .unwrap();
-            assert_eq!(output, &solo, "{kind} scheduler diverged from solo");
+            assert_eq!(output, &solo, "{kind} lockstep run diverged from solo");
         }
     }
 }
