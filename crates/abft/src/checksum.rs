@@ -17,32 +17,17 @@
 
 use realm_tensor::{engine, MatI32, MatI8, PackedMatI8, RowPartition};
 
-/// Column sums of the INT8 left operand: `eᵀ·W`, one entry per inner-dimension index.
-///
-/// Delegates to [`realm_tensor::engine::operand_col_sums`] — the same routine the fused
-/// GEMM backends use, so the checksum definition lives in exactly one place.
-pub fn operand_col_sums(w: &MatI8) -> Vec<i64> {
-    engine::operand_col_sums(w)
-}
-
 /// Expected output column checksum `(eᵀ·W)·X`, one entry per output column.
 ///
 /// # Panics
 ///
 /// Panics if `w.cols() != x.rows()` (the GEMM would have been rejected upstream).
-pub fn expected_col_checksum(w: &MatI8, x: &MatI8) -> Vec<i64> {
+fn expected_col_checksum(w: &MatI8, x: &MatI8) -> Vec<i64> {
     assert_eq!(w.cols(), x.rows(), "checksum shapes disagree with the GEMM");
     let etw = engine::operand_col_sums(w);
     let mut expected = vec![0i64; x.cols()];
     engine::accumulate_expected(&etw, x, &mut expected);
     expected
-}
-
-/// Observed output column checksum `eᵀ·Y`, one entry per output column.
-///
-/// Delegates to [`realm_tensor::engine::observed_col_sums`], shared with the fused backends.
-pub fn observed_col_checksum(acc: &MatI32) -> Vec<i64> {
-    engine::observed_col_sums(acc)
 }
 
 /// Per-column deviations `eᵀ·Y − (eᵀ·W)·X` of a (possibly corrupted) accumulator.
@@ -58,7 +43,7 @@ pub fn column_deviations(w: &MatI8, x: &MatI8, acc: &MatI32) -> Vec<i64> {
     assert_eq!(acc.rows(), w.rows(), "accumulator rows disagree with W");
     assert_eq!(acc.cols(), x.cols(), "accumulator columns disagree with X");
     let expected = expected_col_checksum(w, x);
-    let observed = observed_col_checksum(acc);
+    let observed = engine::observed_col_sums(acc);
     observed
         .into_iter()
         .zip(expected)
@@ -82,27 +67,6 @@ pub fn msd(deviations: &[i64]) -> i64 {
 /// a detection fires — recovers the per-sequence signature. Empty groups yield all-zero
 /// vectors.
 ///
-/// # Panics
-///
-/// Panics if the shapes are inconsistent with `acc = w · x` or `parts` does not cover
-/// exactly the accumulator's rows.
-pub fn group_column_deviations(
-    w: &MatI8,
-    x: &MatI8,
-    acc: &MatI32,
-    parts: &RowPartition,
-) -> Vec<Vec<i64>> {
-    let mut etw = Vec::new();
-    let mut flat = Vec::new();
-    group_column_deviations_into(w, x, acc, parts, &mut etw, &mut flat);
-    let n = x.cols();
-    (0..parts.num_groups())
-        .map(|g| flat[g * n..(g + 1) * n].to_vec())
-        .collect()
-}
-
-/// [`group_column_deviations`] into caller-provided flat buffers.
-///
 /// `etw_scratch` receives the per-group operand checksums (`groups × w.cols()`, row-major)
 /// and `deviations` the per-group deviation vectors (`groups × x.cols()`, row-major); both
 /// are cleared and resized in place, so a protector that owns the two buffers pays no
@@ -111,8 +75,9 @@ pub fn group_column_deviations(
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`group_column_deviations`].
-pub fn group_column_deviations_into(
+/// Panics if the shapes are inconsistent with `acc = w · x` or `parts` does not cover
+/// exactly the accumulator's rows.
+fn group_column_deviations_into(
     w: &MatI8,
     x: &MatI8,
     acc: &MatI32,
@@ -177,29 +142,17 @@ pub fn group_column_deviations_into(
     }
 }
 
-/// Indices of the groups of `parts` whose rows carry a non-zero checksum deviation.
+/// Indices of the groups of `parts` whose rows carry a non-zero checksum deviation, into
+/// `out` (`etw_scratch` and `dev_scratch` are the per-group re-reduction's working buffers).
 ///
-/// The attribution core of batched protection: given a flagged batch-stacked GEMM, returns
+/// The attribution core of batched protection: given a flagged batch-stacked GEMM, yields
 /// the batch sequence indices the deviation traces back to. Like any column-checksum scheme
 /// it cannot see errors that cancel exactly within one group's column sums.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`group_column_deviations`].
-pub fn deviating_groups(w: &MatI8, x: &MatI8, acc: &MatI32, parts: &RowPartition) -> Vec<usize> {
-    let mut etw = Vec::new();
-    let mut dev = Vec::new();
-    let mut out = Vec::new();
-    deviating_groups_into(w, x, acc, parts, &mut etw, &mut dev, &mut out);
-    out
-}
-
-/// [`deviating_groups`] into caller-provided buffers (`etw_scratch` and `dev_scratch` as in
-/// [`group_column_deviations_into`]; `out` receives the deviating group indices).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`group_column_deviations`].
+/// Panics if the shapes are inconsistent with `acc = w · x` or `parts` does not cover
+/// exactly the accumulator's rows.
 #[allow(clippy::too_many_arguments)] // the three scratch buffers are the point of this entry
 pub fn deviating_groups_into(
     w: &MatI8,
@@ -223,55 +176,11 @@ pub fn deviating_groups_into(
     }
 }
 
-/// Per-shard deviation sums of a tensor-parallel column-sharded GEMM: entry `s` is the
-/// sum of the column deviations over shard `s`'s column stripe (its shard-local MSD).
-///
-/// Under column sharding ([`realm_tensor::tp::ShardedLinear`]) every output column is
-/// owned by exactly one shard, so attributing a detection to a shard is a *slice* of the
-/// deviation vector at the shard boundaries — no re-reduction pass at all, unlike the
-/// row-group attribution of batched GEMMs ([`group_column_deviations`]). The boundaries
-/// come from [`realm_tensor::tp::shard_cols`], the same partition the TP dispatch uses,
-/// so attribution and execution can never disagree about stripe ownership.
-///
-/// # Panics
-///
-/// Panics if `degree` is zero.
-pub fn shard_deviation_sums(deviations: &[i64], degree: usize) -> Vec<i64> {
-    let mut out = Vec::new();
-    shard_deviation_sums_into(deviations, degree, &mut out);
-    out
-}
-
-/// [`shard_deviation_sums`] into a caller-provided buffer (cleared and resized in
-/// place), for detectors that attribute on every flagged GEMM without allocating.
-///
-/// # Panics
-///
-/// Panics if `degree` is zero.
-pub fn shard_deviation_sums_into(deviations: &[i64], degree: usize, out: &mut Vec<i64>) {
-    out.clear();
-    out.reserve(degree);
-    for range in realm_tensor::tp::shard_cols(deviations.len(), degree) {
-        out.push(deviations[range].iter().sum());
-    }
-}
-
 /// Indices of the shards of a column-sharded GEMM whose stripes carry a non-zero column
 /// deviation — the fault domains a detection traces back to.
 ///
 /// Checks every column, not just the shard sums, so two errors that cancel in a shard's
 /// MSD but sit in different columns still implicate the shard.
-///
-/// # Panics
-///
-/// Panics if `degree` is zero.
-pub fn deviating_shards(deviations: &[i64], degree: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    deviating_shards_into(deviations, degree, &mut out);
-    out
-}
-
-/// [`deviating_shards`] into a caller-provided buffer (cleared in place).
 ///
 /// # Panics
 ///
@@ -311,33 +220,6 @@ pub fn packed_weight_deviations_into(pb: &PackedMatI8, out: &mut Vec<i64>) {
     }
 }
 
-/// Row-side checksums `W·(X·e)` vs `Y·e`, used by two-sided classical ABFT to localise the
-/// corrupted row in addition to detecting it.
-///
-/// # Panics
-///
-/// Panics if the shapes are inconsistent with `acc = w · x`.
-pub fn row_deviations(w: &MatI8, x: &MatI8, acc: &MatI32) -> Vec<i64> {
-    assert_eq!(acc.rows(), w.rows(), "accumulator rows disagree with W");
-    assert_eq!(acc.cols(), x.cols(), "accumulator columns disagree with X");
-    // X·e: row sums of X.
-    let xe: Vec<i64> = (0..x.rows())
-        .map(|r| x.row(r).iter().map(|&v| v as i64).sum())
-        .collect();
-    (0..w.rows())
-        .map(|i| {
-            let expected: i64 = w
-                .row(i)
-                .iter()
-                .zip(&xe)
-                .map(|(&wv, &xv)| wv as i64 * xv)
-                .sum();
-            let observed: i64 = acc.row(i).iter().map(|&v| v as i64).sum();
-            observed - expected
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,7 +242,6 @@ mod tests {
         assert_eq!(dev.len(), 7);
         assert!(dev.iter().all(|&d| d == 0));
         assert_eq!(msd(&dev), 0);
-        assert!(row_deviations(&w, &x, &acc).iter().all(|&d| d == 0));
     }
 
     #[test]
@@ -371,8 +252,6 @@ mod tests {
         assert_eq!(dev[3], 1 << 18);
         assert!(dev.iter().enumerate().all(|(j, &d)| j == 3 || d == 0));
         assert_eq!(msd(&dev), 1 << 18);
-        let rdev = row_deviations(&w, &x, &acc);
-        assert_eq!(rdev[2], 1 << 18);
     }
 
     #[test]
@@ -409,7 +288,9 @@ mod tests {
         acc[(4, 1)] = acc[(4, 1)].wrapping_add(1 << 16);
         acc[(8, 3)] = acc[(8, 3)].wrapping_add(-(1 << 12));
 
-        let groups = group_column_deviations(&w, &x, &acc, &parts);
+        let (mut etw, mut flat, mut deviating) = (Vec::new(), Vec::new(), Vec::new());
+        group_column_deviations_into(&w, &x, &acc, &parts, &mut etw, &mut flat);
+        let groups: Vec<&[i64]> = flat.chunks_exact(x.cols()).collect();
         assert_eq!(groups.len(), 4);
         assert!(groups[0].iter().all(|&d| d == 0));
         assert!(groups[1].iter().all(|&d| d == 0), "empty group stays clean");
@@ -423,14 +304,14 @@ mod tests {
             assert_eq!(sum, total[j], "column {j}");
         }
 
-        assert_eq!(deviating_groups(&w, &x, &acc, &parts), vec![2, 3]);
-    }
+        deviating_groups_into(&w, &x, &acc, &parts, &mut etw, &mut flat, &mut deviating);
+        assert_eq!(deviating, vec![2, 3]);
 
-    #[test]
-    fn clean_batched_gemm_attributes_to_no_group() {
+        // A clean batched GEMM attributes to no group (the buffers are reused, not appended).
         let (w, x, acc) = random_operands(10, 8, 6, 4);
         let parts = RowPartition::from_lens(&[4, 4]);
-        assert!(deviating_groups(&w, &x, &acc, &parts).is_empty());
+        deviating_groups_into(&w, &x, &acc, &parts, &mut etw, &mut flat, &mut deviating);
+        assert!(deviating.is_empty());
     }
 
     #[test]
@@ -440,43 +321,30 @@ mod tests {
         dev[4] = 1 << 14; // shard 1
         dev[8] = -(1 << 9); // shard 3
         dev[9] = 1 << 9; // shard 3 — cancels shard 3's MSD but not its columns
+        let mut shards = Vec::new();
+        deviating_shards_into(&dev, 4, &mut shards);
         assert_eq!(
-            shard_deviation_sums(&dev, 4),
-            vec![0, 1 << 14, 0, 0],
-            "shard sums slice at the same boundaries the TP dispatch shards on"
-        );
-        assert_eq!(
-            deviating_shards(&dev, 4),
+            shards,
             vec![1, 3],
             "cancelling errors within a stripe still implicate the shard"
         );
-        assert!(deviating_shards(&[0i64; 10], 4).is_empty());
+        deviating_shards_into(&[0i64; 10], 4, &mut shards);
+        assert!(shards.is_empty());
 
-        let mut sums = Vec::new();
-        shard_deviation_sums_into(&dev, 2, &mut sums);
-        assert_eq!(sums, vec![1 << 14, 0]);
-    }
-
-    #[test]
-    fn shard_attribution_agrees_with_an_actual_sharded_corruption() {
+        // An actual corruption of a column owned by shard 2 of 3 (stripes 0..4, 4..8, 8..12).
         let (w, x, mut acc) = random_operands(12, 4, 8, 12);
-        // Corrupt a column owned by shard 2 of 3 (stripes 0..4, 4..8, 8..12).
         acc[(1, 9)] = acc[(1, 9)].wrapping_add(1 << 20);
-        let dev = column_deviations(&w, &x, &acc);
-        assert_eq!(deviating_shards(&dev, 3), vec![2]);
-        assert_eq!(shard_deviation_sums(&dev, 3), vec![0, 0, 1 << 20]);
-    }
-
-    #[test]
-    fn operand_col_sums_match_manual_computation() {
-        let w = MatI8::from_vec(2, 3, vec![1, -2, 3, 4, 5, -6]).unwrap();
-        assert_eq!(operand_col_sums(&w), vec![5, 3, -3]);
+        deviating_shards_into(&column_deviations(&w, &x, &acc), 3, &mut shards);
+        assert_eq!(shards, vec![2]);
     }
 
     #[test]
     fn expected_checksum_equals_observed_for_clean_gemm() {
         let (w, x, acc) = random_operands(5, 10, 12, 9);
-        assert_eq!(expected_col_checksum(&w, &x), observed_col_checksum(&acc));
+        assert_eq!(
+            expected_col_checksum(&w, &x),
+            engine::observed_col_sums(&acc)
+        );
     }
 
     #[test]

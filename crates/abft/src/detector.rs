@@ -2,13 +2,15 @@
 //!
 //! Every policy decides from the same signature — the per-column checksum deviations of one
 //! GEMM — so the trait is built around [`AbftDetector::evaluate`] on a deviation vector.
-//! Two entry points feed it:
+//! Two provided conveniences feed it, differing only in where the deviations come from:
 //!
-//! * [`AbftDetector::inspect`] recomputes the deviations from the raw operands and the
-//!   accumulator (the original two-pass path, kept as the oracle);
-//! * [`AbftDetector::inspect_checksummed`] consumes a [`ChecksummedGemm`] produced by a
-//!   fused-checksum [`realm_tensor::GemmEngine`] pass, skipping the operand re-read entirely
-//!   — this is the path the protected pipelines run.
+//! * [`AbftDetector::inspect`] recomputes them from the raw operands and the accumulator
+//!   (the two-pass oracle);
+//! * [`AbftDetector::inspect_checksummed`] reads them off a [`ChecksummedGemm`] produced by a
+//!   fused-checksum [`realm_tensor::GemmEngine`] pass, skipping the operand re-read.
+//!
+//! A protector that owns a deviation buffer (`realm_core::SchemeProtector`) fills it itself
+//! and calls `evaluate` directly.
 
 use crate::checksum;
 use realm_tensor::{ChecksummedGemm, MatI32, MatI8};
@@ -59,8 +61,8 @@ impl Default for Detection {
 pub trait AbftDetector: Send + Sync {
     /// Decides from a precomputed per-column deviation vector.
     ///
-    /// This is the policy core: both inspection entry points funnel into it, and the
-    /// hardware statistical unit model operates on exactly this signature.
+    /// This is the policy core — checksum deviations in, recovery decision out — and the
+    /// signature the hardware statistical unit ([`crate::statistical_unit`]) operates on.
     fn evaluate(&self, deviations: &[i64]) -> Detection;
 
     /// Inspects one GEMM result, recomputing the checksums from the operands (two-pass).
@@ -77,23 +79,6 @@ pub trait AbftDetector: Send + Sync {
         self.evaluate(&result.column_deviations())
     }
 
-    /// [`AbftDetector::inspect_checksummed`] with a caller-provided deviation buffer.
-    ///
-    /// The deviations are materialised into `scratch`
-    /// ([`ChecksummedGemm::column_deviations_into`]) instead of a fresh `Vec`, so a
-    /// protector that owns the buffer inspects every GEMM of the decode hot loop without
-    /// touching the allocator. The verdict is identical to
-    /// [`AbftDetector::inspect_checksummed`]: both funnel the same deviation vector into
-    /// [`AbftDetector::evaluate`].
-    fn inspect_checksummed_into(
-        &self,
-        result: &ChecksummedGemm,
-        scratch: &mut Vec<i64>,
-    ) -> Detection {
-        result.column_deviations_into(scratch);
-        self.evaluate(scratch)
-    }
-
     /// Short human-readable name used in reports.
     fn name(&self) -> &'static str;
 }
@@ -101,22 +86,6 @@ pub trait AbftDetector: Send + Sync {
 impl<D: AbftDetector + ?Sized> AbftDetector for &D {
     fn evaluate(&self, deviations: &[i64]) -> Detection {
         (**self).evaluate(deviations)
-    }
-
-    fn inspect(&self, w: &MatI8, x: &MatI8, acc: &MatI32) -> Detection {
-        (**self).inspect(w, x, acc)
-    }
-
-    fn inspect_checksummed(&self, result: &ChecksummedGemm) -> Detection {
-        (**self).inspect_checksummed(result)
-    }
-
-    fn inspect_checksummed_into(
-        &self,
-        result: &ChecksummedGemm,
-        scratch: &mut Vec<i64>,
-    ) -> Detection {
-        (**self).inspect_checksummed_into(result, scratch)
     }
 
     fn name(&self) -> &'static str {
@@ -127,22 +96,6 @@ impl<D: AbftDetector + ?Sized> AbftDetector for &D {
 impl<D: AbftDetector + ?Sized> AbftDetector for Box<D> {
     fn evaluate(&self, deviations: &[i64]) -> Detection {
         (**self).evaluate(deviations)
-    }
-
-    fn inspect(&self, w: &MatI8, x: &MatI8, acc: &MatI32) -> Detection {
-        (**self).inspect(w, x, acc)
-    }
-
-    fn inspect_checksummed(&self, result: &ChecksummedGemm) -> Detection {
-        (**self).inspect_checksummed(result)
-    }
-
-    fn inspect_checksummed_into(
-        &self,
-        result: &ChecksummedGemm,
-        scratch: &mut Vec<i64>,
-    ) -> Detection {
-        (**self).inspect_checksummed_into(result, scratch)
     }
 
     fn name(&self) -> &'static str {

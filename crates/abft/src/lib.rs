@@ -50,7 +50,6 @@
 pub mod approx;
 pub mod checksum;
 pub mod classical;
-pub mod correction;
 pub mod critical_region;
 pub mod detector;
 pub mod recovery;

@@ -73,15 +73,6 @@ impl RecoveryStats {
         Self::default()
     }
 
-    /// Fraction of inspected GEMMs that triggered a recovery.
-    pub fn recovery_rate(&self) -> f64 {
-        if self.gemms_inspected == 0 {
-            0.0
-        } else {
-            self.recoveries_triggered as f64 / self.gemms_inspected as f64
-        }
-    }
-
     /// Records one inspected GEMM.
     ///
     /// * `had_errors` — whether the detector saw any deviation;
@@ -115,15 +106,6 @@ impl RecoveryStats {
             }
             RecoveryPolicy::None => {}
         }
-    }
-
-    /// Merges statistics from another run (used when aggregating Monte-Carlo trials).
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.gemms_inspected += other.gemms_inspected;
-        self.gemms_with_errors += other.gemms_with_errors;
-        self.recoveries_triggered += other.recoveries_triggered;
-        self.recovery_macs += other.recovery_macs;
-        self.recovery_cycles += other.recovery_cycles;
     }
 }
 
@@ -179,7 +161,6 @@ mod tests {
         assert_eq!(stats.recovery_macs, 0);
         assert_eq!(stats.gemms_inspected, 2);
         assert_eq!(stats.gemms_with_errors, 1);
-        assert_eq!(stats.recovery_rate(), 0.0);
     }
 
     #[test]
@@ -189,40 +170,5 @@ mod tests {
         assert_eq!(stats.recovery_macs, 0);
         assert_eq!(stats.recovery_cycles, 0);
         assert_eq!(stats.recoveries_triggered, 1);
-    }
-
-    #[test]
-    fn merge_adds_all_counters() {
-        let mut a = RecoveryStats::new();
-        a.record(
-            &RecoveryPolicy::recompute_at_nominal(),
-            true,
-            true,
-            100,
-            5,
-            1,
-        );
-        let mut b = RecoveryStats::new();
-        b.record(
-            &RecoveryPolicy::recompute_at_nominal(),
-            true,
-            true,
-            200,
-            7,
-            1,
-        );
-        b.record(
-            &RecoveryPolicy::recompute_at_nominal(),
-            false,
-            false,
-            200,
-            7,
-            0,
-        );
-        a.merge(&b);
-        assert_eq!(a.gemms_inspected, 3);
-        assert_eq!(a.recovery_macs, 300);
-        assert_eq!(a.recovery_cycles, 12);
-        assert!((a.recovery_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

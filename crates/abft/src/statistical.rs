@@ -38,18 +38,10 @@ impl StatisticalAbft {
     pub fn sensitive() -> Self {
         Self::new(CriticalRegion::sensitive_default())
     }
+}
 
-    /// The critical region driving the decisions.
-    pub fn region(&self) -> &CriticalRegion {
-        &self.region
-    }
-
-    /// Evaluates the detector on a precomputed deviation vector.
-    ///
-    /// Kept as an inherent alias of [`AbftDetector::evaluate`] because the hardware
-    /// statistical unit (and its behavioural model in [`crate::statistical_unit`]) operates
-    /// on exactly this signature: checksum deviations in, recovery decision out.
-    pub fn evaluate_deviations(&self, deviations: &[i64]) -> Detection {
+impl AbftDetector for StatisticalAbft {
+    fn evaluate(&self, deviations: &[i64]) -> Detection {
         let msd = checksum::msd(deviations);
         let errors_detected = deviations.iter().any(|&d| d != 0);
         if !errors_detected {
@@ -68,12 +60,6 @@ impl StatisticalAbft {
             effective_frequency,
             theta_mag_log2: Some(theta_mag),
         }
-    }
-}
-
-impl AbftDetector for StatisticalAbft {
-    fn evaluate(&self, deviations: &[i64]) -> Detection {
-        self.evaluate_deviations(deviations)
     }
 
     fn name(&self) -> &'static str {
@@ -158,18 +144,6 @@ mod tests {
         let region = CriticalRegion::resilient_default();
         let expected = region.theta_mag_log2(verdict.msd);
         assert!((verdict.theta_mag_log2.unwrap() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn evaluate_deviations_matches_full_inspection() {
-        let (w, x, mut acc) = operands(16);
-        acc[(0, 5)] = acc[(0, 5)].wrapping_add(1 << 22);
-        acc[(9, 5)] = acc[(9, 5)].wrapping_add(1 << 22);
-        let detector = StatisticalAbft::resilient();
-        let via_inspect = detector.inspect(&w, &x, &acc);
-        let deviations = checksum::column_deviations(&w, &x, &acc);
-        let via_deviations = detector.evaluate_deviations(&deviations);
-        assert_eq!(via_inspect, via_deviations);
     }
 
     #[test]

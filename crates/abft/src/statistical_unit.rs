@@ -148,7 +148,7 @@ pub fn fixed_point_log2(value: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::statistical::StatisticalAbft;
+    use crate::{detector::AbftDetector, statistical::StatisticalAbft};
 
     #[test]
     fn fixed_point_log2_tracks_exact_log2() {
@@ -213,7 +213,7 @@ mod tests {
                 .process(&observed, &expected)
                 .detection
                 .trigger_recovery;
-            let sw = software.evaluate_deviations(&deviations).trigger_recovery;
+            let sw = software.evaluate(&deviations).trigger_recovery;
             if hw == sw {
                 agreements += 1;
             }

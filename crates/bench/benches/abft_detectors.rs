@@ -55,7 +55,7 @@ fn bench_checksum_math(c: &mut Criterion) {
     let deviations = checksum::column_deviations(&w, &x, &acc);
     group.bench_function("statistical_decision_from_deviations", |b| {
         let detector = StatisticalAbft::resilient();
-        b.iter(|| detector.evaluate_deviations(&deviations));
+        b.iter(|| detector.evaluate(&deviations));
     });
     group.finish();
 }

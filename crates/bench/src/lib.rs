@@ -20,15 +20,10 @@ use realm_systolic::SystolicArray;
 /// Workspace-wide seed used by every harness so regenerated figures are identical run-to-run.
 pub const HARNESS_SEED: u64 = 2025;
 
-/// Returns `true` when the harness should run in quick mode (fewer trials, smaller sweeps).
-///
-/// Quick mode is selected either with the `--quick` command-line flag or by setting the
-/// `REALM_QUICK=1` environment variable; CI and `cargo bench` runs use it to stay fast.
+/// Returns `true` when the harness should run in quick mode (fewer trials, smaller sweeps),
+/// selected with the `--quick` command-line flag.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("REALM_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
 }
 
 /// Number of Monte-Carlo trials per sweep point, honouring quick mode.

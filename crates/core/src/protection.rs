@@ -8,7 +8,7 @@
 
 use realm_abft::{
     approx::ApproxAbft, checksum, classical::ClassicalAbft, critical_region::CriticalRegion,
-    detector::AbftDetector, detector::Detection, recovery::RecoveryPolicy, recovery::RecoveryStats,
+    detector::AbftDetector, recovery::RecoveryPolicy, recovery::RecoveryStats,
     statistical::StatisticalAbft,
 };
 use realm_llm::{Component, GemmContext, GemmHook, GemmOrigin};
@@ -17,36 +17,33 @@ use realm_tensor::{engine, ChecksummedGemm, GemmEngine, MatI32, MatI8, RowPartit
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Per-batch-sequence detection/recovery attribution accumulated by a [`SchemeProtector`].
-///
-/// In a batched forward pass one inspected GEMM carries the rows of every sequence; when
-/// the detector flags it, the protector re-reduces the checksums over each sequence's row
-/// range (see [`realm_abft::checksum::deviating_groups`]) and charges the detection — and
-/// any recovery — to the sequences whose rows actually deviated.
+/// Detections and recoveries a [`SchemeProtector`] charged to one fault domain: a batch
+/// sequence ([`SequenceAttribution`]) or a tensor-parallel shard ([`ShardAttribution`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SequenceAttribution {
-    /// Inspections in which this sequence's rows carried a non-zero deviation.
+pub struct Attribution {
+    /// Inspections in which this domain's rows (or column stripe) carried a non-zero
+    /// deviation.
     pub detections: u64,
-    /// Detections on this sequence's rows that triggered a recovery.
+    /// Detections on this domain that triggered a recovery.
     pub recoveries: u64,
 }
 
-/// Per-tensor-parallel-shard detection/recovery attribution accumulated by a
-/// [`SchemeProtector`].
+/// Per-batch-sequence attribution.
+///
+/// In a batched forward pass one inspected GEMM carries the rows of every sequence; when
+/// the detector flags it, the protector re-reduces the checksums over each sequence's row
+/// range (see [`realm_abft::checksum::deviating_groups_into`]) and charges the detection —
+/// and any recovery — to the sequences whose rows actually deviated.
+pub type SequenceAttribution = Attribution;
+
+/// Per-tensor-parallel-shard attribution.
 ///
 /// When the model's linear layers are column-sharded over a TP rank group
-/// (`realm_tensor::tp`), every fused checksum deviation localizes to the shard stripes
-/// whose columns deviated (see [`realm_abft::checksum::deviating_shards`]); the protector
+/// (`realm_tensor::tp`), every checksum deviation localizes to the shard stripes whose
+/// columns deviated (see [`realm_abft::checksum::deviating_shards_into`]); the protector
 /// charges detections and recoveries to those fault domains. Enabled by
-/// [`SchemeProtector::set_shard_attribution`] and only meaningful on the fused
-/// (checksummed) inspection path — the two-pass path never sees per-column deviations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardAttribution {
-    /// Inspections in which this shard's column stripe carried a non-zero deviation.
-    pub detections: u64,
-    /// Detections on this shard's stripe that triggered a recovery.
-    pub recoveries: u64,
-}
+/// [`SchemeProtector::set_shard_attribution`].
+pub type ShardAttribution = Attribution;
 
 /// Per-request protection policy: which ABFT scheme a request's GEMMs should run under.
 ///
@@ -114,11 +111,6 @@ impl RegionAssignment {
     /// Creates an empty assignment (every component uses its class default).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds an assignment from fitted per-component regions.
-    pub fn from_regions(regions: BTreeMap<Component, CriticalRegion>) -> Self {
-        Self { regions }
     }
 
     /// Sets the region for one component.
@@ -189,13 +181,11 @@ struct DetectionScratch {
 /// A protection scheme attached to the model's GEMM stream.
 pub struct SchemeProtector {
     scheme: ProtectionScheme,
-    policy: RecoveryPolicy,
     array: SystolicArray,
     classical: ClassicalAbft,
     approx: ApproxAbft,
     statistical: BTreeMap<Component, StatisticalAbft>,
     stats: RecoveryStats,
-    correct_on_recovery: bool,
     engine: Arc<dyn GemmEngine>,
     partition: Option<RowPartition>,
     per_sequence: BTreeMap<usize, SequenceAttribution>,
@@ -209,7 +199,9 @@ pub struct SchemeProtector {
 
 impl SchemeProtector {
     /// Creates a protector for `scheme` using per-component `regions` (only consulted by the
-    /// statistical scheme) and the default recovery policy for the scheme. Recovery
+    /// statistical scheme). Every inspected GEMM recovers under the policy conventionally
+    /// paired with the scheme it was inspected under
+    /// ([`RecoveryPolicy::default_for_scheme`]). Recovery
     /// recomputation runs on the process-default GEMM backend; use
     /// [`SchemeProtector::with_engine`] to pin a specific one.
     pub fn new(scheme: ProtectionScheme, array: SystolicArray, regions: &RegionAssignment) -> Self {
@@ -232,13 +224,11 @@ impl SchemeProtector {
             .collect();
         Self {
             scheme,
-            policy: RecoveryPolicy::default_for_scheme(scheme),
             array,
             classical: ClassicalAbft::new(),
             approx: ApproxAbft::paper_default(),
             statistical,
             stats: RecoveryStats::new(),
-            correct_on_recovery: true,
             engine,
             partition: None,
             per_sequence: BTreeMap::new(),
@@ -254,21 +244,6 @@ impl SchemeProtector {
     /// Creates a protector with default regions for every component.
     pub fn with_default_regions(scheme: ProtectionScheme, array: SystolicArray) -> Self {
         Self::new(scheme, array, &RegionAssignment::new())
-    }
-
-    /// The protection scheme this protector implements.
-    pub fn scheme(&self) -> ProtectionScheme {
-        self.scheme
-    }
-
-    /// The recovery policy in use.
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
-    }
-
-    /// Overrides the recovery policy (e.g. to model overvolting instead of recomputation).
-    pub fn set_policy(&mut self, policy: RecoveryPolicy) {
-        self.policy = policy;
     }
 
     /// Accumulated recovery statistics.
@@ -305,16 +280,8 @@ impl SchemeProtector {
         &self.per_sequence
     }
 
-    /// Resets the accumulated statistics (including per-sequence and per-shard
-    /// attribution).
-    pub fn reset_stats(&mut self) {
-        self.stats = RecoveryStats::new();
-        self.per_sequence = BTreeMap::new();
-        self.per_shard = BTreeMap::new();
-    }
-
-    /// Enables (`Some(degree)`) or disables (`None`) per-shard attribution of fused-path
-    /// detections to the stripes of a `degree`-way column-sharded model.
+    /// Enables (`Some(degree)`) or disables (`None`) per-shard attribution of detections
+    /// to the stripes of a `degree`-way column-sharded model.
     ///
     /// The serving and pipeline layers set this from the model's TP degree
     /// (`Model::tp_group`); it never changes detection verdicts or recovery behaviour,
@@ -327,17 +294,9 @@ impl SchemeProtector {
     /// Per-tensor-parallel-shard detection/recovery attribution, keyed by shard index.
     ///
     /// Empty unless [`SchemeProtector::set_shard_attribution`] enabled it and at least
-    /// one fused-path detection deviated inside some shard's column stripe.
+    /// one detection deviated inside some shard's column stripe.
     pub fn shard_attribution(&self) -> &BTreeMap<usize, ShardAttribution> {
         &self.per_shard
-    }
-
-    /// Controls whether a triggered recovery actually restores the correct accumulator.
-    ///
-    /// Always `true` in normal operation; disabling it lets experiments measure "detection
-    /// only" behaviour (e.g. to isolate the quality impact of skipped recoveries).
-    pub fn set_correct_on_recovery(&mut self, correct: bool) {
-        self.correct_on_recovery = correct;
     }
 
     /// Installs per-batch-sequence protection schemes (one entry per batch slot).
@@ -350,8 +309,7 @@ impl SchemeProtector {
     /// whole accumulator. Install one entry per batch sequence; a sequence beyond the list
     /// (a caller bug) falls back to that same strictest-installed scheme, so an
     /// under-length list can never grant a sequence *more* protection on its private GEMMs
-    /// than on the shared ones. An empty list behaves like the construction scheme;
-    /// [`SchemeProtector::clear_sequence_schemes`] restores it properly.
+    /// than on the shared ones. An empty list behaves like the construction scheme.
     ///
     /// This is how the serving layer honours a per-request
     /// [`ProtectionPolicy`]: the slot → scheme list is refreshed whenever
@@ -363,12 +321,6 @@ impl SchemeProtector {
             .max_by_key(|&s| s.strictness())
             .unwrap_or(self.scheme);
         self.sequence_schemes = Some(schemes.to_vec());
-    }
-
-    /// Removes per-sequence schemes; every GEMM reverts to the construction scheme.
-    pub fn clear_sequence_schemes(&mut self) {
-        self.sequence_schemes = None;
-        self.batched_scheme = self.scheme;
     }
 
     /// Installs a *spatial* scheme overlay: every GEMM of an overlaid component — whoever
@@ -391,11 +343,6 @@ impl SchemeProtector {
         self.component_schemes.clear();
     }
 
-    /// The overlay scheme pinned for `component`, if any.
-    pub fn component_scheme(&self, component: Component) -> Option<ProtectionScheme> {
-        self.component_schemes.get(&component).copied()
-    }
-
     /// The scheme that applies to `ctx`: a spatial component overlay wins outright,
     /// otherwise per-sequence policies apply when installed.
     fn effective_scheme(&self, ctx: &GemmContext) -> ProtectionScheme {
@@ -414,9 +361,13 @@ impl SchemeProtector {
         }
     }
 
-    /// The detector the active scheme applies to `ctx`'s component, if any.
-    fn detector_for(&self, ctx: &GemmContext) -> Option<&dyn AbftDetector> {
-        match self.effective_scheme(ctx) {
+    /// The detector `scheme` applies to `component`'s GEMMs, if any.
+    fn detector_for(
+        &self,
+        scheme: ProtectionScheme,
+        component: Component,
+    ) -> Option<&dyn AbftDetector> {
+        match scheme {
             ProtectionScheme::None => None,
             // DMR, Razor and ThunderVolt detect at the circuit level; their detection
             // coverage for additive datapath errors is equivalent to a full checksum
@@ -429,51 +380,78 @@ impl SchemeProtector {
             ProtectionScheme::ApproxAbft => Some(&self.approx),
             ProtectionScheme::StatisticalAbft => Some(
                 self.statistical
-                    .get(&ctx.component)
+                    .get(&component)
                     .expect("every component has a statistical detector"),
             ),
         }
     }
 
-    /// The recovery policy applying to a GEMM inspected under the scheme resolved for
-    /// `ctx`.
+    /// The one inspection routine both hook callbacks enter: resolve the GEMM to
+    /// (scheme, detector, recovery policy), take its deviation vector, evaluate, attribute,
+    /// record, and recompute when the verdict asks for it.
     ///
-    /// Without per-sequence schemes or a component overlay this is the protector-wide
-    /// policy (which [`SchemeProtector::set_policy`] can override); when the scheme is
-    /// picked dynamically — per-sequence policies installed, or this component overlaid —
-    /// the policy follows the effective scheme, so e.g. a classical-ABFT request (or an
-    /// escalated component) recomputes on recovery even when the protector was
-    /// constructed unprotected.
-    fn policy_for(&self, ctx: &GemmContext) -> RecoveryPolicy {
-        if self.sequence_schemes.is_some() || self.component_schemes.contains_key(&ctx.component) {
-            RecoveryPolicy::default_for_scheme(self.effective_scheme(ctx))
-        } else {
-            self.policy
+    /// The scratch is taken around the detector borrow (a couple of pointer moves, no
+    /// allocation), so every inspection of the decode hot loop reuses the same buffers.
+    fn protect(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, mut result: Inspected<'_>) {
+        let scheme = self.effective_scheme(ctx);
+        // The policy follows the scheme the GEMM is inspected under, so e.g. a
+        // classical-ABFT request (or an escalated component) recomputes on recovery even
+        // when the protector was constructed unprotected.
+        let policy = RecoveryPolicy::default_for_scheme(scheme);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Some(detector) = self.detector_for(scheme, ctx.component) else {
+            self.scratch = scratch;
+            return;
+        };
+        match &result {
+            // The fused pass already paid for the operand-side checksum; only the observed
+            // side is (lazily) refreshed if an upstream injector mutated the accumulator.
+            Inspected::Fused(bundle) => bundle.column_deviations_into(&mut scratch.deviations),
+            // No fused checksums to read: re-reduce them from the operands (two-pass).
+            Inspected::Plain(acc) => scratch.deviations = checksum::column_deviations(w, x, acc),
         }
-    }
+        let detection = detector.evaluate(&scratch.deviations);
 
-    /// Charges one inspection to the stats and reports whether recovery should rewrite the
-    /// accumulator.
-    fn record(
-        &mut self,
-        detection: &Detection,
-        policy: &RecoveryPolicy,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> bool {
-        let schedule = self.array.schedule_gemm(m, k, n);
+        // Attribution must read the accumulator before recovery rewrites it; the per-group
+        // re-reduction runs only on flagged GEMMs, so the fault-free fast path stays fast.
+        scratch.affected.clear();
+        scratch.shards.clear();
+        if detection.errors_detected {
+            self.affected_sequences_into(ctx, w, x, result.acc(), &mut scratch);
+            if let Some(degree) = self.tp_degree {
+                checksum::deviating_shards_into(&scratch.deviations, degree, &mut scratch.shards);
+            }
+        }
+
+        let schedule = self.array.schedule_gemm(w.rows(), w.cols(), x.cols());
         self.stats.record(
-            policy,
+            &policy,
             detection.errors_detected,
             detection.trigger_recovery,
             schedule.macs,
             schedule.cycles,
             detection.effective_frequency as u64,
         );
-        detection.trigger_recovery
-            && self.correct_on_recovery
-            && !matches!(policy, RecoveryPolicy::None)
+        // A scheme that has a detector never pairs with `RecoveryPolicy::None`, so a
+        // triggered recovery always rewrites the accumulator.
+        let recover = detection.trigger_recovery;
+        attribute(&mut self.per_sequence, &scratch.affected, recover);
+        attribute(&mut self.per_shard, &scratch.shards, recover);
+
+        if recover {
+            // Operands are fault-free (ECC-protected memory), so re-executing the GEMM at a
+            // safe voltage reproduces the exact result — written back into the existing
+            // accumulator (and checksum) storage rather than a fresh allocation.
+            match &mut result {
+                Inspected::Fused(bundle) => {
+                    self.engine
+                        .gemm_i8_checksummed_into(w, x, bundle, &mut scratch.group_etw)
+                }
+                Inspected::Plain(acc) => self.engine.gemm_i8_into(w, x, acc),
+            }
+            .expect("operand shapes were already validated");
+        }
+        self.scratch = scratch;
     }
 
     /// Resolves which batch sequences a flagged GEMM's deviation traces back to, into
@@ -490,7 +468,6 @@ impl SchemeProtector {
         acc: &MatI32,
         scratch: &mut DetectionScratch,
     ) {
-        scratch.affected.clear();
         match ctx.origin {
             GemmOrigin::Sequence(seq) => scratch.affected.push(seq),
             GemmOrigin::BatchedRows => match &self.partition {
@@ -511,36 +488,31 @@ impl SchemeProtector {
             },
         }
     }
+}
 
-    /// Charges a detection (and, when `recovered`, a recovery) to each affected sequence.
-    fn attribute(&mut self, affected: &[usize], recovered: bool) {
-        for &seq in affected {
-            let entry = self.per_sequence.entry(seq).or_default();
-            entry.detections += 1;
-            if recovered {
-                entry.recoveries += 1;
-            }
+/// What a hook callback handed over for inspection.
+enum Inspected<'a> {
+    /// A bare accumulator: the deviations are re-reduced from the operands.
+    Plain(&'a mut MatI32),
+    /// A fused bundle: the deviations are read off its checksums.
+    Fused(&'a mut ChecksummedGemm),
+}
+
+impl Inspected<'_> {
+    fn acc(&self) -> &MatI32 {
+        match self {
+            Inspected::Plain(acc) => acc,
+            Inspected::Fused(bundle) => bundle.acc(),
         }
     }
+}
 
-    /// Resolves which tensor-parallel shard stripes a flagged fused-path deviation vector
-    /// implicates, into `scratch.shards` (empty when shard attribution is disabled).
-    fn affected_shards_into(&self, scratch: &mut DetectionScratch) {
-        scratch.shards.clear();
-        if let Some(degree) = self.tp_degree {
-            checksum::deviating_shards_into(&scratch.deviations, degree, &mut scratch.shards);
-        }
-    }
-
-    /// Charges a detection (and, when `recovered`, a recovery) to each implicated shard.
-    fn attribute_shards(&mut self, shards: &[usize], recovered: bool) {
-        for &shard in shards {
-            let entry = self.per_shard.entry(shard).or_default();
-            entry.detections += 1;
-            if recovered {
-                entry.recoveries += 1;
-            }
-        }
+/// Charges a detection (and, when `recovered`, a recovery) to each affected fault domain.
+fn attribute(ledger: &mut BTreeMap<usize, Attribution>, affected: &[usize], recovered: bool) {
+    for &index in affected {
+        let entry = ledger.entry(index).or_default();
+        entry.detections += 1;
+        entry.recoveries += u64::from(recovered);
     }
 }
 
@@ -548,7 +520,6 @@ impl std::fmt::Debug for SchemeProtector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchemeProtector")
             .field("scheme", &self.scheme)
-            .field("policy", &self.policy)
             .field("stats", &self.stats)
             .finish()
     }
@@ -556,30 +527,7 @@ impl std::fmt::Debug for SchemeProtector {
 
 impl GemmHook for SchemeProtector {
     fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
-        let policy = self.policy_for(ctx);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Some(detector) = self.detector_for(ctx) else {
-            self.scratch = scratch;
-            return;
-        };
-        let detection = detector.inspect(w, x, acc);
-        // Attribution must read the accumulator before recovery rewrites it.
-        if detection.errors_detected {
-            self.affected_sequences_into(ctx, w, x, acc, &mut scratch);
-        } else {
-            scratch.affected.clear();
-        }
-        let recover = self.record(&detection, &policy, w.rows(), w.cols(), x.cols());
-        self.attribute(&scratch.affected, recover);
-        if recover {
-            // Operands are fault-free (ECC-protected memory), so re-executing the GEMM at a
-            // safe voltage reproduces the exact result — written back into the accumulator's
-            // own storage.
-            self.engine
-                .gemm_i8_into(w, x, acc)
-                .expect("operand shapes were already validated");
-        }
-        self.scratch = scratch;
+        self.protect(ctx, w, x, Inspected::Plain(acc));
     }
 
     fn on_gemm_checksummed(
@@ -589,59 +537,23 @@ impl GemmHook for SchemeProtector {
         x: &MatI8,
         result: &mut ChecksummedGemm,
     ) {
-        let policy = self.policy_for(ctx);
-        // The scratch is taken around the detector borrow (a couple of pointer moves, no
-        // allocation), so every inspection of the decode hot loop reuses the same buffers.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Some(detector) = self.detector_for(ctx) else {
-            self.scratch = scratch;
-            return;
-        };
-        // The fused pass already paid for the operand-side checksum; only the observed side
-        // is (lazily) refreshed if an upstream injector mutated the accumulator. This is the
-        // hot path of every protected pipeline run.
-        let detection = detector.inspect_checksummed_into(result, &mut scratch.deviations);
-        // Attribution must read the accumulator before recovery rewrites it; the per-group
-        // re-reduction runs only on flagged GEMMs, so the fault-free fast path stays fast.
-        if detection.errors_detected {
-            self.affected_sequences_into(ctx, w, x, result.acc(), &mut scratch);
-            self.affected_shards_into(&mut scratch);
-        } else {
-            scratch.affected.clear();
-            scratch.shards.clear();
-        }
-        let recover = self.record(&detection, &policy, w.rows(), w.cols(), x.cols());
-        self.attribute(&scratch.affected, recover);
-        self.attribute_shards(&scratch.shards, recover);
-        if recover {
-            // Recompute into the existing accumulator/checksum buffers instead of swapping
-            // in a fresh allocation (recoveries rewrite the whole bundle anyway).
-            self.engine
-                .gemm_i8_checksummed_into(w, x, result, &mut scratch.group_etw)
-                .expect("operand shapes were already validated");
-        }
-        self.scratch = scratch;
+        self.protect(ctx, w, x, Inspected::Fused(result));
     }
 
     fn wants_checksums(&self) -> bool {
         // `ProtectionScheme::None` never inspects anything, so those runs can skip the
         // fused checksum reductions at the GEMM level entirely. Installed per-sequence
-        // schemes define the batch's protection intent: an all-unprotected batch skips the
-        // reductions even when the construction scheme would inspect. (A sequence beyond
-        // the installed list still falls back to the construction scheme — its detector
-        // then pays the two-pass inspection path instead of reading fused checksums.)
-        // A spatial overlay that inspects *any* component keeps the reductions on too.
-        if self
-            .component_schemes
-            .values()
-            .any(|s| !matches!(s, ProtectionScheme::None))
-        {
-            return true;
-        }
-        match &self.sequence_schemes {
-            Some(schemes) => schemes.iter().any(|s| !matches!(s, ProtectionScheme::None)),
-            None => !matches!(self.scheme, ProtectionScheme::None),
-        }
+        // schemes define the batch's protection intent: `batched_scheme` is the strictest
+        // of them (the construction scheme while none are installed), so when it is `None`
+        // every sequence is unprotected — in the list or beyond it, where
+        // `effective_scheme` falls back to that same strictest installed scheme — even if
+        // the construction scheme would inspect. A spatial overlay that inspects *any*
+        // component keeps the reductions on. Whenever this returns `false` no context
+        // resolves to a detector (unit test
+        // `no_detector_is_reachable_when_checksums_are_declined`), so through the model the
+        // plain `on_gemm` callback never inspects anything.
+        let inspects = |scheme: &ProtectionScheme| !matches!(scheme, ProtectionScheme::None);
+        self.component_schemes.values().any(inspects) || inspects(&self.batched_scheme)
     }
 
     fn on_batch_begin(&mut self, partition: &RowPartition) {
@@ -828,8 +740,6 @@ mod tests {
         let attribution = protector.sequence_attribution();
         assert_eq!(attribution.len(), 1);
         assert!(attribution.get(&0).unwrap().detections > 0);
-        protector.reset_stats();
-        assert!(protector.sequence_attribution().is_empty());
     }
 
     #[test]
@@ -864,10 +774,6 @@ mod tests {
         let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
         assert_eq!(protected_logits, clean_logits);
         assert!(protector.stats().recoveries_triggered > 0);
-
-        // Clearing the schemes reverts to the (unprotected) construction scheme.
-        protector.clear_sequence_schemes();
-        assert!(!protector.wants_checksums());
     }
 
     #[test]
@@ -904,10 +810,6 @@ mod tests {
             .collect();
         protector.set_component_schemes(&overlay);
         assert!(protector.wants_checksums());
-        assert_eq!(
-            protector.component_scheme(Component::O),
-            Some(ProtectionScheme::ClassicalAbft)
-        );
         let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
         let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
         assert_eq!(protected_logits, clean_logits);
@@ -916,7 +818,6 @@ mod tests {
         // Clearing the overlay reverts to the unprotected construction scheme.
         protector.clear_component_schemes();
         assert!(!protector.wants_checksums());
-        assert_eq!(protector.component_scheme(Component::O), None);
 
         // The overlay also *weakens*: pinning one component to None on a classical base
         // leaves that component's faults unrepaired while the rest stay covered.
@@ -933,6 +834,69 @@ mod tests {
         assert!(
             shed.stats().recoveries_triggered > 0,
             "other components are still repaired"
+        );
+    }
+
+    #[test]
+    fn no_detector_is_reachable_when_checksums_are_declined() {
+        use realm_llm::Stage;
+        use ProtectionScheme::{ClassicalAbft, None as Unprotected, StatisticalAbft};
+
+        // Installed lists: absent, empty, all-`None`, mixed, and an all-`None` list shorter
+        // than the sequence indices probed below.
+        let lists: [Option<&[ProtectionScheme]>; 5] = [
+            None,
+            Some(&[]),
+            Some(&[Unprotected, Unprotected, Unprotected]),
+            Some(&[Unprotected, StatisticalAbft]),
+            Some(&[Unprotected]),
+        ];
+        let overlays: [&[(Component, ProtectionScheme)]; 3] = [
+            &[],
+            &[(Component::O, Unprotected)],
+            &[(Component::O, Unprotected), (Component::Fc2, ClassicalAbft)],
+        ];
+        let origins = [
+            GemmOrigin::BatchedRows,
+            GemmOrigin::Sequence(0),
+            GemmOrigin::Sequence(1),
+            GemmOrigin::Sequence(9),
+        ];
+        let (mut declined, mut accepted) = (0, 0);
+        for construction in ProtectionScheme::ALL {
+            for list in lists {
+                for overlay in overlays {
+                    let mut protector =
+                        SchemeProtector::with_default_regions(construction, array());
+                    if let Some(schemes) = list {
+                        protector.set_sequence_schemes(schemes);
+                    }
+                    protector.set_component_schemes(overlay);
+                    if protector.wants_checksums() {
+                        accepted += 1;
+                        continue;
+                    }
+                    declined += 1;
+                    for origin in origins {
+                        for component in Component::ALL {
+                            let ctx = GemmContext {
+                                origin,
+                                ..GemmContext::new(component, 0, Stage::Decode, 0)
+                            };
+                            let scheme = protector.effective_scheme(&ctx);
+                            assert!(
+                                protector.detector_for(scheme, component).is_none(),
+                                "{construction:?} / {list:?} / {overlay:?}: {ctx:?} resolves to \
+                                 {scheme:?} although checksums were declined"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            declined > 0 && accepted > 0,
+            "{declined} declined, {accepted} accepted"
         );
     }
 
@@ -1041,10 +1005,9 @@ mod tests {
             .fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
         assert!(detections >= recoveries && recoveries > 0);
 
-        // Attribution is pure bookkeeping: disabling it changes nothing about repair.
-        protector.reset_stats();
-        assert!(protector.shard_attribution().is_empty());
-        protector.set_shard_attribution(None);
+        // Attribution is pure bookkeeping: a protector without it repairs the same run.
+        let mut protector =
+            SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
         let repaired = model.generate(&[1, 2, 3], 6, &mut chain).unwrap();
@@ -1067,24 +1030,5 @@ mod tests {
             "replay does not recompute whole GEMMs"
         );
         assert!(stats.recovery_cycles > 0);
-    }
-
-    #[test]
-    fn disabling_correction_keeps_detection_statistics() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 2).unwrap();
-        let (clean_logits, _) = model.prefill(&[1, 2, 3], &mut NoopHook).unwrap();
-        let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
-        let mut protector =
-            SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        protector.set_correct_on_recovery(false);
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let (logits, _) = model.prefill(&[1, 2, 3], &mut chain).unwrap();
-        assert_ne!(
-            logits, clean_logits,
-            "errors remain because correction is disabled"
-        );
-        assert!(protector.stats().recoveries_triggered > 0);
-        protector.reset_stats();
-        assert_eq!(protector.stats().recoveries_triggered, 0);
     }
 }

@@ -110,33 +110,6 @@ impl Corpus {
     pub fn is_empty(&self) -> bool {
         self.sequences.is_empty()
     }
-
-    /// Total number of next-token prediction targets in the corpus.
-    pub fn num_targets(&self) -> usize {
-        self.sequences
-            .iter()
-            .map(|s| s.len().saturating_sub(1))
-            .sum()
-    }
-
-    /// Fraction of transitions that follow the successor map (useful for sanity checks).
-    pub fn measured_fidelity(&self, language: &SyntheticLanguage) -> f64 {
-        let mut total = 0usize;
-        let mut followed = 0usize;
-        for seq in &self.sequences {
-            for pair in seq.windows(2) {
-                total += 1;
-                if language.successor(pair[0]) == pair[1] {
-                    followed += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            followed as f64 / total as f64
-        }
-    }
 }
 
 /// Builds a deterministic successor chain of `len` tokens starting after `start`.
@@ -177,6 +150,15 @@ mod tests {
         assert!(!a.is_empty());
     }
 
+    /// Fraction of the corpus's transitions that follow the successor map.
+    fn measured_fidelity(corpus: &Corpus, language: &SyntheticLanguage) -> f64 {
+        let pairs = || corpus.sequences.iter().flat_map(|seq| seq.windows(2));
+        let followed = pairs()
+            .filter(|pair| language.successor(pair[0]) == pair[1])
+            .count();
+        followed as f64 / pairs().count() as f64
+    }
+
     #[test]
     fn measured_fidelity_tracks_spec() {
         let lang = language();
@@ -187,7 +169,7 @@ mod tests {
             zipf_exponent: 1.1,
         };
         let corpus = Corpus::sample(&lang, &spec, 11);
-        let measured = corpus.measured_fidelity(&lang);
+        let measured = measured_fidelity(&corpus, &lang);
         // Noise tokens occasionally coincide with the successor, so measured ≥ spec slightly.
         assert!(
             (measured - 0.8).abs() < 0.08,
@@ -205,14 +187,7 @@ mod tests {
             zipf_exponent: 1.1,
         };
         let corpus = Corpus::sample(&lang, &spec, 2);
-        assert!(corpus.measured_fidelity(&lang) < 0.15);
-    }
-
-    #[test]
-    fn num_targets_counts_predictable_positions() {
-        let lang = language();
-        let corpus = Corpus::sample(&lang, &CorpusSpec::quick(), 1);
-        assert_eq!(corpus.num_targets(), 4 * 11);
+        assert!(measured_fidelity(&corpus, &lang) < 0.15);
     }
 
     #[test]

@@ -16,24 +16,6 @@ impl Metric {
     pub fn higher_is_better(self) -> bool {
         !matches!(self, Metric::Perplexity)
     }
-
-    /// Degradation of `faulty` relative to `clean`, expressed so that larger is always worse:
-    /// perplexity increase for perplexity, score drop for accuracy-like metrics.
-    pub fn degradation(self, clean: f64, faulty: f64) -> f64 {
-        if self.higher_is_better() {
-            clean - faulty
-        } else {
-            faulty - clean
-        }
-    }
-
-    /// Unit suffix used when printing values of this metric.
-    pub fn unit(self) -> &'static str {
-        match self {
-            Metric::Perplexity => "",
-            Metric::Accuracy | Metric::Rouge1 => "%",
-        }
-    }
 }
 
 impl std::fmt::Display for Metric {
@@ -114,13 +96,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metric_direction_and_degradation() {
+    fn metric_direction() {
         assert!(!Metric::Perplexity.higher_is_better());
         assert!(Metric::Accuracy.higher_is_better());
         assert!(Metric::Rouge1.higher_is_better());
-        assert_eq!(Metric::Perplexity.degradation(15.0, 33.5), 18.5);
-        assert!((Metric::Accuracy.degradation(70.0, 62.4) - 7.6).abs() < 1e-9);
-        assert_eq!(Metric::Accuracy.unit(), "%");
         assert_eq!(Metric::Perplexity.to_string(), "perplexity");
     }
 

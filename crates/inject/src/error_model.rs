@@ -188,19 +188,6 @@ impl MagFreqModel {
         Self { mag, freq }
     }
 
-    /// Creates a model from a target MSD and an error frequency (`mag = msd / freq`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq` is zero.
-    pub fn from_msd(msd: i64, freq: usize) -> Self {
-        assert!(freq > 0, "frequency must be positive");
-        Self {
-            mag: msd / freq as i64,
-            freq,
-        }
-    }
-
     /// The matrix-sum deviation this model produces per corrupted tensor.
     pub fn msd(&self) -> i64 {
         self.mag * self.freq as i64
@@ -306,13 +293,6 @@ mod tests {
         assert_eq!(sum, model.msd());
         let touched = acc.iter().filter(|&&v| v != 0).count();
         assert_eq!(touched, 8, "errors must land on distinct elements");
-    }
-
-    #[test]
-    fn magfreq_from_msd_divides_magnitude() {
-        let m = MagFreqModel::from_msd(1 << 24, 1 << 4);
-        assert_eq!(m.mag, 1 << 20);
-        assert_eq!(m.msd(), 1 << 24);
     }
 
     #[test]

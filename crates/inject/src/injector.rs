@@ -34,17 +34,6 @@ pub struct InjectionStats {
     pub per_shard: BTreeMap<usize, u64>,
 }
 
-impl InjectionStats {
-    /// Fraction of targeted GEMMs that actually received at least one error.
-    pub fn corruption_rate(&self) -> f64 {
-        if self.gemms_targeted == 0 {
-            0.0
-        } else {
-            self.gemms_corrupted as f64 / self.gemms_targeted as f64
-        }
-    }
-}
-
 /// A time-correlated burst schedule in engine steps: `burst_steps` of injection, then
 /// `gap_steps` of silence, repeating. Phase 0 of the cycle is the burst, so an armed
 /// schedule starts injecting immediately.
@@ -109,24 +98,9 @@ impl<M: ErrorModel> ErrorInjector<M> {
         Self::new(model, Target::everything(), seed)
     }
 
-    /// The fault model in use.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// The targeting filter in use.
-    pub fn target(&self) -> &Target {
-        &self.target
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &InjectionStats {
         &self.stats
-    }
-
-    /// Resets the accumulated statistics (the RNG stream is left untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = InjectionStats::default();
     }
 
     /// Temporarily enables or disables injection without tearing down the hook chain.
@@ -135,11 +109,6 @@ impl<M: ErrorModel> ErrorInjector<M> {
     /// must be fault-free.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-    }
-
-    /// Whether injection is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Arms a time-correlated burst schedule: inject for `burst_steps` engine steps, stay
@@ -170,12 +139,6 @@ impl<M: ErrorModel> ErrorInjector<M> {
     /// The armed burst schedule, if any.
     pub fn burst(&self) -> Option<BurstSchedule> {
         self.burst
-    }
-
-    /// Whether the current engine step is inside a burst window (always `true` without a
-    /// schedule).
-    pub fn burst_active(&self) -> bool {
-        self.in_burst
     }
 
     /// Arms `fault` for the next `steps` sharded dispatches on every tensor-parallel
@@ -392,7 +355,6 @@ mod tests {
         let model = Model::new(&ModelConfig::tiny_opt(), 1).unwrap();
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(1.0), 5);
         injector.set_enabled(false);
-        assert!(!injector.is_enabled());
         let (faulty_logits, _) = model.prefill(&[1, 2, 3], &mut injector).unwrap();
         let (clean_logits, _) = model.prefill(&[1, 2, 3], &mut realm_llm::NoopHook).unwrap();
         assert_eq!(faulty_logits, clean_logits);
@@ -416,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_rate_reflects_magfreq_model() {
+    fn magfreq_model_corrupts_every_targeted_gemm() {
         let model = Model::new(&ModelConfig::tiny_opt(), 1).unwrap();
         let target = Target::new().component(Component::Fc1);
         let mut injector = ErrorInjector::new(MagFreqModel::new(1 << 20, 4), target, 7);
@@ -424,28 +386,11 @@ mod tests {
         let stats = injector.stats();
         // The controlled model corrupts every targeted GEMM.
         assert_eq!(stats.gemms_corrupted, stats.gemms_targeted);
-        assert!((stats.corruption_rate() - 1.0).abs() < f64::EPSILON);
         assert_eq!(
             stats.errors_injected,
             stats.gemms_targeted * 4,
             "4 errors per targeted GEMM"
         );
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 1).unwrap();
-        let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(1.0), 5);
-        model.prefill(&[1, 2], &mut injector).unwrap();
-        assert!(injector.stats().errors_injected > 0);
-        injector.reset_stats();
-        assert_eq!(injector.stats().errors_injected, 0);
-        assert_eq!(injector.stats().gemms_observed, 0);
-    }
-
-    #[test]
-    fn empty_stats_have_zero_corruption_rate() {
-        assert_eq!(InjectionStats::default().corruption_rate(), 0.0);
     }
 
     #[test]
@@ -489,7 +434,6 @@ mod tests {
         let mut corrupted_steps = Vec::new();
         for step in 0..6u64 {
             injector.on_step_begin(step);
-            assert_eq!(injector.burst_active(), step % 5 < 2, "step {step}");
             let before = injector.stats().errors_injected;
             let (logits, _) = model.prefill(&[1, 2, 3], &mut injector).unwrap();
             let injected = injector.stats().errors_injected > before;
@@ -504,7 +448,6 @@ mod tests {
         // Removing the schedule restores steady injection regardless of the last step.
         injector.on_step_begin(2);
         injector.set_burst(None);
-        assert!(injector.burst_active());
         let before = injector.stats().errors_injected;
         model.prefill(&[1, 2, 3], &mut injector).unwrap();
         assert!(injector.stats().errors_injected > before);

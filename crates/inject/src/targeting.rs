@@ -124,21 +124,6 @@ impl Target {
             })
     }
 
-    /// Returns the configured component filter, if any.
-    pub fn component_filter(&self) -> Option<&BTreeSet<Component>> {
-        self.components.as_ref()
-    }
-
-    /// Returns the configured layer filter, if any.
-    pub fn layer_filter(&self) -> Option<&BTreeSet<usize>> {
-        self.layers.as_ref()
-    }
-
-    /// Returns the configured stage filter, if any.
-    pub fn stage_filter(&self) -> Option<&BTreeSet<Stage>> {
-        self.stages.as_ref()
-    }
-
     /// Returns the configured batch-sequence filter, if any.
     pub fn sequence_filter(&self) -> Option<&BTreeSet<usize>> {
         self.sequences.as_ref()
@@ -147,52 +132,6 @@ impl Target {
     /// Returns the configured tensor-parallel shard filter, if any.
     pub fn shard_filter(&self) -> Option<&BTreeSet<usize>> {
         self.shards.as_ref()
-    }
-
-    /// A one-line description used in experiment reports.
-    pub fn describe(&self) -> String {
-        let fmt_set = |name: &str, items: Option<String>| match items {
-            Some(s) => format!("{name}={{{s}}}"),
-            None => format!("{name}=all"),
-        };
-        let components = self.components.as_ref().map(|s| {
-            s.iter()
-                .map(|c| c.label().to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        });
-        let layers = self.layers.as_ref().map(|s| {
-            s.iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        });
-        let stages = self.stages.as_ref().map(|s| {
-            s.iter()
-                .map(|st| st.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        });
-        let sequences = self.sequences.as_ref().map(|s| {
-            s.iter()
-                .map(|q| q.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        });
-        let shards = self.shards.as_ref().map(|s| {
-            s.iter()
-                .map(|q| q.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        });
-        format!(
-            "{} {} {} {} {}",
-            fmt_set("components", components),
-            fmt_set("layers", layers),
-            fmt_set("stages", stages),
-            fmt_set("sequences", sequences),
-            fmt_set("shards", shards)
-        )
     }
 }
 
@@ -242,16 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn describe_lists_filters() {
-        let t = Target::new().component(Component::O).layer(2);
-        let d = t.describe();
-        assert!(d.contains("O"));
-        assert!(d.contains("2"));
-        assert!(d.contains("stages=all"));
-        assert!(Target::new().describe().contains("components=all"));
-    }
-
-    #[test]
     fn sequence_filter_selects_batch_sequences() {
         let t = Target::new().sequence(2);
         let per_seq = |seq| ctx(Component::Q, 0, Stage::Prefill).for_sequence(seq);
@@ -265,26 +194,15 @@ mod tests {
         // injector narrows corruption to the filtered rows.
         assert!(t.matches(&ctx(Component::Q, 0, Stage::Prefill).batched()));
         assert_eq!(t.sequence_filter().unwrap().len(), 1);
-        assert!(t.describe().contains("sequences={2}"));
     }
 
     #[test]
     fn shard_filter_selects_fault_domains_not_gemms() {
         let t = Target::new().shard(2);
         assert_eq!(t.shard_filter().unwrap().len(), 1);
-        assert!(t.describe().contains("shards={2}"));
-        assert!(Target::new().describe().contains("shards=all"));
         // The shard axis never restricts per-GEMM matching: sharding happens below the
         // hook interface.
         assert!(t.matches(&ctx(Component::Q, 0, Stage::Prefill)));
         assert_eq!(Target::new().shard(1), Target::new().shards([1]));
-    }
-
-    #[test]
-    fn filters_are_accessible() {
-        let t = Target::new().components([Component::Q]).layers([0, 1]);
-        assert_eq!(t.component_filter().unwrap().len(), 1);
-        assert_eq!(t.layer_filter().unwrap().len(), 2);
-        assert!(t.stage_filter().is_none());
     }
 }

@@ -78,22 +78,6 @@ impl VoltageBerCurve {
         let decades = target_ber.log10() - self.ber_nominal.log10();
         (self.nominal_voltage - decades / self.decades_per_volt).max(0.0)
     }
-
-    /// Convenience sweep: `(voltage, BER)` pairs from `v_low` to `v_high` in `steps` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps < 2` or `v_low >= v_high`.
-    pub fn sweep(&self, v_low: f64, v_high: f64, steps: usize) -> Vec<(f64, f64)> {
-        assert!(steps >= 2, "a sweep needs at least two points");
-        assert!(v_low < v_high, "sweep range is empty");
-        (0..steps)
-            .map(|i| {
-                let v = v_low + (v_high - v_low) * i as f64 / (steps - 1) as f64;
-                (v, self.ber_at(v))
-            })
-            .collect()
-    }
 }
 
 impl Default for VoltageBerCurve {
@@ -155,16 +139,6 @@ mod tests {
             );
         }
         assert_eq!(curve.voltage_for_ber(1e-20), curve.nominal_voltage);
-    }
-
-    #[test]
-    fn sweep_covers_requested_range() {
-        let curve = VoltageBerCurve::default_14nm();
-        let points = curve.sweep(0.6, 0.9, 7);
-        assert_eq!(points.len(), 7);
-        assert!((points[0].0 - 0.6).abs() < 1e-12);
-        assert!((points[6].0 - 0.9).abs() < 1e-12);
-        assert!(points[0].1 > points[6].1);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl BatchedLayerCache {
 ///
 /// // Sequence 0 completes: recycle its slot for a new request.
 /// cache.release_slot(0);
-/// assert!(cache.is_slot_free(0));
+/// assert_eq!(cache.seq_len(0), 0);
 /// let admitted = [PrefillChunk::whole(&[7, 8, 9, 10], 0)];
 /// model.prefill_chunks_batch_ws(&admitted, &mut cache, &mut NoopHook, &mut Workspace::new())?;
 /// assert_eq!((cache.seq_len(0), cache.seq_len(1)), (4, 2));
@@ -226,11 +226,6 @@ impl BatchedKvCache {
     /// Panics if `layer` is out of range.
     pub fn layer_mut(&mut self, layer: usize) -> &mut BatchedLayerCache {
         &mut self.layers[layer]
-    }
-
-    /// Returns `true` if slot `seq` holds no cached rows and can accept a new sequence.
-    pub fn is_slot_free(&self, seq: usize) -> bool {
-        self.seq_len(seq) == 0
     }
 
     /// Frees slot `seq` across every layer so a new sequence can prefill into it.
@@ -390,9 +385,9 @@ mod tests {
         let newcomer = [6u32, 7, 8, 9];
         let (_, solo) = model.prefill(&newcomer, &mut NoopHook).unwrap();
 
-        assert!(!batched.is_slot_free(0));
+        assert!(batched.seq_len(0) > 0);
         batched.release_slot(0);
-        assert!(batched.is_slot_free(0));
+        assert_eq!(batched.seq_len(0), 0);
         let chunk = [PrefillChunk::whole(&newcomer, 0)];
         model
             .prefill_chunks_batch_ws(&chunk, &mut batched, &mut NoopHook, &mut Workspace::new())

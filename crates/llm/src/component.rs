@@ -87,19 +87,6 @@ impl Component {
         matches!(self, Component::O | Component::Fc2 | Component::Down)
     }
 
-    /// Whether the component's output passes through a softmax before further use.
-    ///
-    /// Softmax bounds its outputs to `[0, 1]`, which is why `QKᵀ` errors remain confined.
-    pub fn is_softmax_bounded(self) -> bool {
-        matches!(self, Component::QkT)
-    }
-
-    /// Whether this component is an attention-internal activation GEMM (both operands are
-    /// activations rather than static weights).
-    pub fn is_activation_gemm(self) -> bool {
-        matches!(self, Component::QkT | Component::Sv)
-    }
-
     /// Short label used in reports, matching the paper's notation.
     pub fn label(self) -> &'static str {
         match self {
@@ -170,14 +157,6 @@ mod tests {
         assert!(!Component::OPT_BLOCK.contains(&Component::Down));
         assert!(Component::LLAMA_BLOCK.contains(&Component::Gate));
         assert!(!Component::LLAMA_BLOCK.contains(&Component::Fc1));
-    }
-
-    #[test]
-    fn qkt_is_softmax_bounded_and_activation_gemm() {
-        assert!(Component::QkT.is_softmax_bounded());
-        assert!(Component::QkT.is_activation_gemm());
-        assert!(Component::Sv.is_activation_gemm());
-        assert!(!Component::Q.is_activation_gemm());
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl ModelConfig {
         }
     }
 
-    /// Number of GEMM invocations per block per forward pass (one per component).
-    pub fn gemms_per_block(&self) -> usize {
-        self.block_components().len()
-    }
-
     /// Scaled-down proxy of OPT-1.3B (OPT-style block, 24 layers in the original).
     pub fn opt_1_3b_proxy() -> Self {
         Self {
@@ -298,8 +293,8 @@ mod tests {
 
     #[test]
     fn block_components_match_architecture() {
-        assert_eq!(ModelConfig::tiny_opt().gemms_per_block(), 8);
-        assert_eq!(ModelConfig::tiny_llama().gemms_per_block(), 9);
+        assert_eq!(ModelConfig::tiny_opt().block_components().len(), 8);
+        assert_eq!(ModelConfig::tiny_llama().block_components().len(), 9);
     }
 
     #[test]

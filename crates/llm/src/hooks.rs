@@ -337,11 +337,6 @@ impl RecordingHook {
             .filter(|c| c.component == component)
             .count()
     }
-
-    /// Number of GEMMs observed for a specific stage.
-    pub fn count_for_stage(&self, stage: Stage) -> usize {
-        self.calls.iter().filter(|c| c.stage == stage).count()
-    }
 }
 
 impl GemmHook for RecordingHook {
@@ -425,7 +420,6 @@ mod tests {
         assert_eq!(rec.total_macs, 24);
         assert_eq!(rec.count_for(Component::Q), 1);
         assert_eq!(rec.count_for(Component::O), 0);
-        assert_eq!(rec.count_for_stage(Stage::Prefill), 1);
     }
 
     #[test]

@@ -134,17 +134,6 @@ impl Model {
         self.engine.as_ref()
     }
 
-    /// Overrides the GEMM backend (e.g. to pin a characterization sweep to the oracle).
-    ///
-    /// When the model is tensor-parallel sharded, the rank group's resident engine is
-    /// swapped too, so shards and the unsharded layers always run the same backend.
-    pub fn set_engine(&mut self, engine: Arc<dyn GemmEngine>) {
-        self.engine = engine;
-        if let Some(group) = &self.tp {
-            group.set_engine(Arc::clone(&self.engine));
-        }
-    }
-
     /// Re-shards every static-weight GEMM of the model over a fresh group of `degree`
     /// persistent tensor-parallel ranks (`realm_tensor::tp`); `degree <= 1` tears the
     /// rank pool down and restores the unsharded single-device path. Sharding is
@@ -188,11 +177,6 @@ impl Model {
     /// The synthetic language the model was constructed to predict.
     pub fn language(&self) -> &SyntheticLanguage {
         &self.language
-    }
-
-    /// Indices of the outlier channels baked into every token embedding.
-    pub fn outlier_channels(&self) -> &[usize] {
-        &self.embedding.outlier_channels
     }
 
     /// Current logit temperature.
@@ -731,25 +715,13 @@ impl Model {
     ///
     /// Used by the energy model to translate a workload into systolic-array activity.
     pub fn prefill_macs(&self, prompt_len: usize) -> u64 {
-        self.forward_macs(prompt_len, prompt_len)
-    }
-
-    /// Total number of multiply-accumulate operations of one decode step that brings the
-    /// resident context to `context_len` tokens (the new token included).
-    pub fn decode_step_macs(&self, context_len: usize) -> u64 {
-        self.forward_macs(1, context_len)
-    }
-
-    /// MACs of one forward pass over `rows` new tokens whose attention spans `resident`
-    /// cached positions (the new ones included).
-    fn forward_macs(&self, rows: usize, resident: usize) -> u64 {
         let (h, f) = (self.config.hidden_size as u64, self.config.ffn_size as u64);
-        let (m, t) = (rows as u64, resident as u64);
+        let m = prompt_len as u64;
         let attn_proj = 4 * m * h * h; // Q, K, V, O
-                                       // Per head, QK^T is the full (rows x d) * (d x resident) rectangle — the causal
-                                       // mask is applied after the GEMM — and SV the matching (rows x resident) * (resident
-                                       // x d); over all heads each side is rows * resident * hidden.
-        let attn_scores = 2 * m * t * h;
+                                       // Per head, QK^T is the full (m x d) * (d x m) rectangle — the causal mask is applied
+                                       // after the GEMM — and SV the matching (m x m) * (m x d); over all heads each side
+                                       // is m * m * hidden.
+        let attn_scores = 2 * m * m * h;
         let mlp = match self.config.architecture {
             crate::Architecture::OptStyle => 2 * m * h * f,
             crate::Architecture::LlamaStyle => 3 * m * h * f,
@@ -1056,17 +1028,13 @@ mod tests {
             for len in [1usize, 4, 16] {
                 let prompt: Vec<u32> = (0..len as u32).collect();
                 let mut rec = RecordingHook::new();
-                let (_, mut cache) = m.prefill(&prompt, &mut rec).unwrap();
+                m.prefill(&prompt, &mut rec).unwrap();
                 assert_eq!(
                     m.prefill_macs(len),
                     rec.total_macs,
                     "{} len {len}",
                     config.name
                 );
-                let mut rec = RecordingHook::new();
-                m.decode_step_ws(1, &mut cache, &mut rec, &mut Workspace::new())
-                    .unwrap();
-                assert_eq!(m.decode_step_macs(len + 1), rec.total_macs);
             }
         }
     }

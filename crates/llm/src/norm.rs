@@ -153,16 +153,6 @@ impl RmsNorm {
             }
         }
     }
-
-    /// Returns the per-row RMS values the normalization would use.
-    pub fn row_rms(&self, x: &MatF32) -> Vec<f32> {
-        (0..x.rows())
-            .map(|r| {
-                let row = x.row(r);
-                (row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32).sqrt()
-            })
-            .collect()
-    }
 }
 
 fn mean_variance(row: &[f32]) -> (f32, f32) {

@@ -103,9 +103,9 @@ pub enum OutputMode {
 /// The weights are held as a [`PackedMatI8`]: packed once into the SIMD engines'
 /// interleaved tile order at construction (model load), with the `eᵀ·W` pack-time
 /// checksums alongside — the load-time allocation that makes every decode-step GEMM
-/// hit the packed kernels without touching the allocator. The row-major weights stay
-/// reachable through [`QuantLinear::weight_q`] for hooks, workload accounting and
-/// the engines that don't override the packed entry points.
+/// hit the packed kernels without touching the allocator. The pack keeps the row-major
+/// weights too ([`PackedMatI8::unpacked`]): hooks observe them, and the engines that don't
+/// override the packed entry points multiply with them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     weight: PackedMatI8,
@@ -130,37 +130,6 @@ impl QuantLinear {
         }
     }
 
-    /// Input dimension of the layer.
-    pub fn in_features(&self) -> usize {
-        self.weight.rows()
-    }
-
-    /// Output dimension of the layer.
-    pub fn out_features(&self) -> usize {
-        self.weight.cols()
-    }
-
-    /// The quantized weights in row-major order (used by workload accounting and tests).
-    pub fn weight_q(&self) -> &MatI8 {
-        self.weight.unpacked()
-    }
-
-    /// The packed weights, including the pack-time `eᵀ·W` column checksums (used by the
-    /// ABFT audit of the packed replica, see `realm-abft`'s `packed_weight_deviations`).
-    pub fn packed_weight(&self) -> &PackedMatI8 {
-        &self.weight
-    }
-
-    /// Scale of the quantized weights.
-    pub fn weight_scale(&self) -> f32 {
-        self.weight_scale
-    }
-
-    /// Output conversion mode.
-    pub fn output_mode(&self) -> OutputMode {
-        self.output_mode
-    }
-
     /// Shards this layer's weights column-wise over `group`'s persistent ranks
     /// (`Some`), or restores the unsharded single-device path (`None`).
     ///
@@ -174,11 +143,6 @@ impl QuantLinear {
         self.tp = group.map(|group| ShardedLinear::new(Arc::clone(group), self.weight.unpacked()));
     }
 
-    /// The tensor-parallel execution handle, when sharded.
-    pub fn tensor_parallel(&self) -> Option<&ShardedLinear> {
-        self.tp.as_ref()
-    }
-
     /// Computes `x · W` as `component` of `layer` through the quantized INT8 → INT32
     /// datapath of the pass's engine: [`QuantizedInput::quantize`], then
     /// [`QuantLinear::forward_quantized`].
@@ -188,7 +152,7 @@ impl QuantLinear {
     ///
     /// # Errors
     ///
-    /// Returns an error if `x.cols() != self.in_features()`.
+    /// Returns an error if `x.cols()` is not the layer's input dimension.
     pub fn forward(
         &self,
         x: &MatF32,
@@ -219,7 +183,7 @@ impl QuantLinear {
     ///
     /// # Errors
     ///
-    /// Returns an error if the input's width is not `self.in_features()`.
+    /// Returns an error if the input's width is not the layer's input dimension.
     pub fn forward_quantized(
         &self,
         input: &QuantizedInput,
@@ -535,8 +499,7 @@ mod tests {
         // Quantization error per output element is bounded; check a loose relative bound.
         let denom = reference.abs_max().max(1e-6);
         assert!(y.distance(&reference).unwrap() / denom < 0.5);
-        assert_eq!(layer.in_features(), 16);
-        assert_eq!(layer.out_features(), 8);
+        assert_eq!(y.shape(), (4, 8));
     }
 
     #[test]

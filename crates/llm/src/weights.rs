@@ -82,11 +82,6 @@ impl SyntheticLanguage {
     pub fn successor(&self, token: u32) -> u32 {
         self.successor[token as usize]
     }
-
-    /// The full successor table.
-    pub fn successor_table(&self) -> &[u32] {
-        &self.successor
-    }
 }
 
 /// Token embedding table plus the channels designated as outliers.
@@ -198,7 +193,7 @@ mod tests {
             assert!((a.successor(t) as usize) < 64);
         }
         let c = SyntheticLanguage::new(64, 8);
-        assert_ne!(a.successor_table(), c.successor_table());
+        assert!((0..64).any(|t| a.successor(t) != c.successor(t)));
     }
 
     #[test]

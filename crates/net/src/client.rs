@@ -9,7 +9,7 @@
 //!   incrementally, timestamping every event for TTFT/TPOT measurement, optionally
 //!   disconnecting mid-stream to exercise cancel-on-disconnect.
 
-use crate::http::{ChunkDecoder, HttpResponse, ResponseParser};
+use crate::http::{parse_response_head, ChunkDecoder, HttpResponse, ResponseParser};
 use crate::wire::{encode_gen_body, parse_event, GenBody, WireEvent};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -148,7 +148,7 @@ pub fn stream_generate(
     // Read just past the response head, then hand the remainder to the chunk decoder.
     let mut head = Vec::new();
     let mut buf = [0u8; 4096];
-    let (status, retry_after, body_start) = loop {
+    let (response, body_start) = loop {
         match stream.read(&mut buf)? {
             0 => {
                 return Err(ClientError::Protocol(
@@ -157,9 +157,10 @@ pub fn stream_generate(
             }
             n => head.extend_from_slice(&buf[..n]),
         }
-        if let Some(end) = find_double_crlf(&head) {
-            let (status, retry_after) = parse_head(&head[..end])?;
-            break (status, retry_after, end);
+        if let Some(parsed) =
+            parse_response_head(&head).map_err(|e| ClientError::Protocol(e.to_string()))?
+        {
+            break parsed;
         }
         if head.len() > 64 * 1024 {
             return Err(ClientError::Protocol(
@@ -167,10 +168,11 @@ pub fn stream_generate(
             ));
         }
     };
+    let status = response.status;
 
     let mut result = StreamResult {
         status,
-        retry_after_secs: retry_after,
+        retry_after_secs: response.header("retry-after").and_then(|v| v.parse().ok()),
         events: Vec::new(),
         ttft_ns: None,
         tpot_ns: Vec::new(),
@@ -258,28 +260,6 @@ fn nanos_since(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn find_double_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// Parses the status code and `Retry-After` header out of a raw response head.
-fn parse_head(head: &[u8]) -> Result<(u16, Option<u64>), ClientError> {
-    let text = std::str::from_utf8(head)
-        .map_err(|_| ClientError::Protocol("response head is not UTF-8".into()))?;
-    let mut lines = text.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line '{status_line}'")))?;
-    let retry_after = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(name, _)| name.eq_ignore_ascii_case("retry-after"))
-        .and_then(|(_, v)| v.trim().parse().ok());
-    Ok((status, retry_after))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,18 +271,5 @@ mod tests {
         assert_eq!(stats_field(json, "requests_shed"), Some(12));
         assert_eq!(stats_field(json, "disconnects"), Some(1));
         assert_eq!(stats_field(json, "absent"), None);
-    }
-
-    #[test]
-    fn parse_head_reads_status_and_retry_after() {
-        let (status, retry) =
-            parse_head(b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 7\r\n").unwrap();
-        assert_eq!(status, 429);
-        assert_eq!(retry, Some(7));
-        let (status, retry) =
-            parse_head(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n").unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(retry, None);
-        assert!(parse_head(b"garbage").is_err());
     }
 }

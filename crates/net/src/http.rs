@@ -116,11 +116,6 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered but not yet consumed by a complete message.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Extracts one complete request from the front of the buffer.
     ///
     /// Returns `Ok(None)` when the buffered bytes are a valid *prefix* of a request
@@ -234,24 +229,12 @@ impl ResponseParser {
     ///
     /// Returns an [`HttpError`] when the buffered prefix cannot be a valid response.
     pub fn take_response(&mut self) -> Result<Option<HttpResponse>, HttpError> {
-        let Some(header_end) = find_double_crlf(&self.buf) else {
+        let Some((mut response, body_start)) = parse_response_head(&self.buf)? else {
             return Ok(None);
         };
-        let head = std::str::from_utf8(&self.buf[..header_end])
-            .map_err(|_| HttpError::Malformed("header bytes are not UTF-8".into()))?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let (status, reason) = parse_status_line(status_line)?;
-        let headers = parse_header_lines(lines)?;
-        let header_view = |name: &str| {
-            headers
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
-        };
-        let chunked =
-            header_view("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-        let body_start = header_end + 4;
+        let chunked = response
+            .header("transfer-encoding")
+            .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
         if chunked {
             let mut decoder = ChunkDecoder::new();
             decoder.feed(&self.buf[body_start..]);
@@ -264,14 +247,10 @@ impl ResponseParser {
             }
             let consumed = body_start + decoder.consumed();
             self.buf.drain(..consumed);
-            return Ok(Some(HttpResponse {
-                status,
-                reason,
-                headers,
-                body,
-            }));
+            response.body = body;
+            return Ok(Some(response));
         }
-        let body_len = match header_view("content-length") {
+        let body_len = match response.header("content-length") {
             None => 0,
             Some(v) => v
                 .trim()
@@ -282,15 +261,36 @@ impl ResponseParser {
         if self.buf.len() < total {
             return Ok(None);
         }
-        let body = self.buf[body_start..total].to_vec();
+        response.body = self.buf[body_start..total].to_vec();
         self.buf.drain(..total);
-        Ok(Some(HttpResponse {
-            status,
-            reason,
-            headers,
-            body,
-        }))
+        Ok(Some(response))
     }
+}
+
+/// Parses the response head (status line and headers) at the front of `buf`: the response
+/// with an empty body, and the offset at which the body starts. Returns `Ok(None)` until
+/// the blank line that ends the header block has arrived. This is the one response-head
+/// parser: [`ResponseParser::take_response`] fills in the body behind it, the streaming
+/// client hands the bytes behind it to a [`ChunkDecoder`].
+///
+/// # Errors
+///
+/// Returns an [`HttpError`] when the header block cannot be a valid response head.
+pub(crate) fn parse_response_head(buf: &[u8]) -> Result<Option<(HttpResponse, usize)>, HttpError> {
+    let Some(header_end) = find_double_crlf(buf) else {
+        return Ok(None);
+    };
+    let head = std::str::from_utf8(&buf[..header_end])
+        .map_err(|_| HttpError::Malformed("header bytes are not UTF-8".into()))?;
+    let mut lines = head.split("\r\n");
+    let (status, reason) = parse_status_line(lines.next().unwrap_or(""))?;
+    let response = HttpResponse {
+        status,
+        reason,
+        headers: parse_header_lines(lines)?,
+        body: Vec::new(),
+    };
+    Ok(Some((response, header_end + 4)))
 }
 
 /// Incremental decoder for a `Transfer-Encoding: chunked` stream.
@@ -529,7 +529,7 @@ mod tests {
         assert_eq!(r.header("host"), Some("x"));
         assert_eq!(r.header("HOST"), Some("x"), "lookup is case-insensitive");
         assert_eq!(r.body, b"hello");
-        assert_eq!(p.buffered(), 0);
+        assert!(p.buf.is_empty());
         assert!(p.take_request().unwrap().is_none());
     }
 
@@ -634,6 +634,27 @@ mod tests {
         assert_eq!(r.status, 429);
         assert_eq!(r.header("retry-after"), Some("1"));
         assert_eq!(r.body, b"shed");
+    }
+
+    #[test]
+    fn response_head_reads_status_and_retry_after() {
+        let (head, body_start) =
+            parse_response_head(b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 7\r\n\r\nshed")
+                .unwrap()
+                .expect("complete head");
+        assert_eq!(head.status, 429);
+        assert_eq!(head.header("Retry-After"), Some("7"));
+        assert_eq!(body_start, 50);
+        let (head, _) =
+            parse_response_head(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+                .unwrap()
+                .expect("complete head");
+        assert_eq!(head.status, 200);
+        assert_eq!(head.header("retry-after"), None);
+        assert!(parse_response_head(b"HTTP/1.1 200 OK\r\nRetry-")
+            .unwrap()
+            .is_none());
+        assert!(parse_response_head(b"garbage\r\n\r\n").is_err());
     }
 
     #[test]

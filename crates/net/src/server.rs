@@ -120,16 +120,6 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// The bound socket address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// `true` once a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// Begins a graceful drain: stop accepting connections, refuse new requests with
     /// `503`, finish in-flight streams, then return from [`NetServer::serve`].
     ///
@@ -673,14 +663,12 @@ mod tests {
         let addr = server.local_addr();
         assert_ne!(addr.port(), 0);
         let handle = server.handle();
-        assert_eq!(handle.addr(), addr);
-        assert!(!handle.is_draining());
+        assert_eq!(handle.addr, addr);
+        let draining = |h: &ServerHandle| h.draining.load(Ordering::SeqCst);
+        assert!(!draining(&handle));
         handle.drain();
-        assert!(
-            handle.is_draining(),
-            "drain is visible through every handle"
-        );
-        assert!(server.handle().is_draining());
+        assert!(draining(&handle), "drain is visible through every handle");
+        assert!(draining(&server.handle()));
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl AdaptiveController {
         self.config.enabled
     }
 
-    /// The configuration the controller runs.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
-    }
-
     /// Feeds one engine step's observations and advances the policy machine. Returns
     /// `true` when the protection assignment changed and the engine must re-announce
     /// schemes to the protector.
@@ -376,16 +371,6 @@ impl AdaptiveController {
     pub fn shed_steps(&self) -> u64 {
         self.shed_steps
     }
-
-    /// The components the escalation overlay strengthens (most-sensitive split).
-    pub fn sensitive_components(&self) -> &[Component] {
-        &self.sensitive
-    }
-
-    /// The components the shed overlay weakens first.
-    pub fn resilient_components(&self) -> &[Component] {
-        &self.resilient
-    }
 }
 
 #[cfg(test)]
@@ -519,7 +504,7 @@ mod tests {
         );
         feed(&mut c, 1, 2);
         let overlay = c.component_overlay();
-        assert_eq!(overlay.len(), c.sensitive_components().len());
+        assert_eq!(overlay.len(), c.sensitive.len());
         assert!(overlay.iter().all(|&(c, s)| {
             Component::ALL.contains(&c) && s == ProtectionScheme::ClassicalAbft
         }));
@@ -543,7 +528,7 @@ mod tests {
         assert!(c.observe_step(2, &[0, 0], &[true, true], Some(100)));
         assert!(c.shed_active());
         let overlay = c.component_overlay();
-        assert_eq!(overlay.len(), c.resilient_components().len());
+        assert_eq!(overlay.len(), c.resilient.len());
         assert!(overlay
             .iter()
             .all(|&(comp, s)| !comp.is_sensitive() && s == ProtectionScheme::None));

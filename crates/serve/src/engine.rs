@@ -34,7 +34,7 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::queue::{QueuedRequest, RequestQueue};
 use crate::request::{RequestId, RequestSummary, ServeError, ServeRequest, TokenEvent};
 use realm_core::protection::{
-    ProtectionPolicy, RegionAssignment, SchemeProtector, SequenceAttribution, ShardAttribution,
+    ProtectionPolicy, RegionAssignment, SchemeProtector, SequenceAttribution,
 };
 use realm_llm::batch::BatchedKvCache;
 use realm_llm::hooks::HookChain;
@@ -209,15 +209,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Fraction of slots currently occupied (0.0 when the engine has no slots).
-    pub fn slot_occupancy(&self) -> f64 {
-        if self.total_slots == 0 {
-            0.0
-        } else {
-            self.active_slots as f64 / self.total_slots as f64
-        }
-    }
-
     /// Mean detections charged per admitted request (0.0 before the first admission).
     ///
     /// In-flight requests count in both the numerator and the denominator, matching the
@@ -395,11 +386,6 @@ impl<'m> ServeEngine<'m> {
     pub fn with_fault_hook(mut self, hook: Box<dyn GemmHook + Send>) -> Self {
         self.fault_hook = Some(hook);
         self
-    }
-
-    /// The model this engine serves.
-    pub fn model(&self) -> &Model {
-        self.model
     }
 
     /// Validates `request` and enqueues it, returning the assigned id and the channel the
@@ -869,17 +855,6 @@ impl<'m> ServeEngine<'m> {
         self.model.shard_stats()
     }
 
-    /// Shard attribution charged by the shared decode protector: fused-checksum
-    /// detections whose column deviations localise to a shard's output stripe, keyed by
-    /// shard index. Empty when the model is unsharded.
-    ///
-    /// This is the *above*-hook complement of [`ServeEngine::shard_stats`]: corruption
-    /// the sharded layer already repaired never reaches the protector, so entries here
-    /// point at faults injected into the merged accumulator (or real upstream faults).
-    pub fn shard_attribution(&self) -> &std::collections::BTreeMap<usize, ShardAttribution> {
-        self.protector.shard_attribution()
-    }
-
     /// Installs `queued` into `slot` in the [`SlotPhase::Prefilling`] phase. No model
     /// work happens here — the budgeted scheduler prefills the prompt chunk by chunk —
     /// but the slot's protection scheme is announced to the shared protector immediately
@@ -1133,7 +1108,6 @@ mod tests {
         assert_eq!(mid.total_slots, 2);
         assert_eq!(mid.active_slots, 2);
         assert_eq!(mid.queue_depth, 2);
-        assert!(mid.slot_occupancy() > 0.99);
         engine.run_until_idle().unwrap();
         let done = engine.stats();
         assert_eq!(done.requests_completed, 4);
@@ -1337,7 +1311,7 @@ mod tests {
             (0, 0, 0)
         );
         assert!(plain.shard_stats().is_empty());
-        assert!(plain.shard_attribution().is_empty());
+        assert!(plain.protector.shard_attribution().is_empty());
         drop(plain);
 
         let (expected, _) = serve_four(&baseline);
@@ -1390,6 +1364,7 @@ mod tests {
         // Kills are survived below the hook interface, so the decode protector never saw
         // a deviation to attribute.
         assert!(engine
+            .protector
             .shard_attribution()
             .values()
             .all(|a| a.detections == 0 && a.recoveries == 0));

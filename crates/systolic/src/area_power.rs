@@ -102,24 +102,6 @@ impl AreaPowerModel {
         }
     }
 
-    /// Builds the model with custom unit costs.
-    pub fn with_costs(array: &SystolicArray, costs: UnitCosts) -> Self {
-        Self {
-            array: *array,
-            costs,
-        }
-    }
-
-    /// The array the model describes.
-    pub fn array(&self) -> &SystolicArray {
-        &self.array
-    }
-
-    /// The unit costs in use.
-    pub fn costs(&self) -> &UnitCosts {
-        &self.costs
-    }
-
     /// Area of the unprotected array in PE-equivalents.
     pub fn baseline_area(&self) -> f64 {
         self.array.num_pes() as f64 * self.costs.pe_area
@@ -169,14 +151,6 @@ impl AreaPowerModel {
             area_percent: 100.0 * extra_area / base_area,
             power_percent: 100.0 * extra_power / base_power,
         }
-    }
-
-    /// Overhead reports for every scheme, in the evaluation's order.
-    pub fn all_overheads(&self) -> Vec<Overhead> {
-        ProtectionScheme::ALL
-            .iter()
-            .map(|&s| self.overhead(s))
-            .collect()
     }
 
     /// Fraction of the protected array's power spent in the detection hardware while running.
@@ -265,13 +239,6 @@ mod tests {
         let os = model_os().overhead(ProtectionScheme::StatisticalAbft);
         assert!((ws.area_percent - os.area_percent).abs() < 0.2);
         assert!((ws.power_percent - os.power_percent).abs() < 0.2);
-    }
-
-    #[test]
-    fn all_overheads_cover_every_scheme() {
-        let all = model_ws().all_overheads();
-        assert_eq!(all.len(), ProtectionScheme::ALL.len());
-        assert!(all.iter().any(|o| o.scheme == ProtectionScheme::ApproxAbft));
     }
 
     #[test]

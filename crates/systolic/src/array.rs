@@ -48,11 +48,6 @@ pub struct GemmSchedule {
 }
 
 impl GemmSchedule {
-    /// Total number of tiles.
-    pub fn total_tiles(&self) -> usize {
-        self.tiles_m * self.tiles_k * self.tiles_n
-    }
-
     /// Average PE utilization over the run (MACs per PE-cycle).
     pub fn utilization(&self, array: &SystolicArray) -> f64 {
         if self.cycles == 0 {
@@ -96,11 +91,6 @@ impl SystolicArray {
         self.rows * self.cols
     }
 
-    /// Clock frequency in GHz.
-    pub fn frequency_ghz(&self) -> f64 {
-        1000.0 / self.clock_period_ps
-    }
-
     /// Schedules a GEMM of shape `(m, k) × (k, n)` onto the array.
     ///
     /// The model tiles the operand dimensions onto the physical array and charges, per tile,
@@ -142,16 +132,6 @@ impl SystolicArray {
             macs: (m as u64) * (k as u64) * (n as u64),
         }
     }
-
-    /// Cycles needed to execute a GEMM of shape `(m, k) × (k, n)`.
-    pub fn gemm_cycles(&self, m: usize, k: usize, n: usize) -> u64 {
-        self.schedule_gemm(m, k, n).cycles
-    }
-
-    /// Wall-clock time for a GEMM in nanoseconds.
-    pub fn gemm_latency_ns(&self, m: usize, k: usize, n: usize) -> f64 {
-        self.gemm_cycles(m, k, n) as f64 * self.clock_period_ps / 1000.0
-    }
 }
 
 fn div_ceil(a: usize, b: usize) -> usize {
@@ -167,7 +147,6 @@ mod tests {
         let ws = SystolicArray::paper_256x256_ws();
         assert_eq!(ws.num_pes(), 65536);
         assert_eq!(ws.dataflow, Dataflow::WeightStationary);
-        assert!((ws.frequency_ghz() - 2.0).abs() < 1e-9);
         let os = SystolicArray::paper_256x256_os();
         assert_eq!(os.dataflow, Dataflow::OutputStationary);
         assert_eq!(os.rows, 256);
@@ -177,7 +156,7 @@ mod tests {
     fn small_gemm_fits_in_one_tile() {
         let array = SystolicArray::small(Dataflow::WeightStationary);
         let s = array.schedule_gemm(4, 8, 8);
-        assert_eq!(s.total_tiles(), 1);
+        assert_eq!((s.tiles_m, s.tiles_k, s.tiles_n), (1, 1, 1));
         assert_eq!(s.macs, 4 * 8 * 8);
         assert!(s.cycles >= 4);
     }
@@ -188,7 +167,7 @@ mod tests {
         let s = array.schedule_gemm(4, 32, 20);
         assert_eq!(s.tiles_k, 4);
         assert_eq!(s.tiles_n, 3);
-        assert_eq!(s.total_tiles(), 12);
+        assert_eq!(s.tiles_m, 1);
         let one = array.schedule_gemm(4, 8, 8);
         assert!(s.cycles > one.cycles);
     }
@@ -205,9 +184,9 @@ mod tests {
     #[test]
     fn cycles_scale_with_streaming_dimension() {
         let ws = SystolicArray::small(Dataflow::WeightStationary);
-        assert!(ws.gemm_cycles(100, 8, 8) > ws.gemm_cycles(10, 8, 8));
+        assert!(ws.schedule_gemm(100, 8, 8).cycles > ws.schedule_gemm(10, 8, 8).cycles);
         let os = SystolicArray::small(Dataflow::OutputStationary);
-        assert!(os.gemm_cycles(8, 100, 8) > os.gemm_cycles(8, 10, 8));
+        assert!(os.schedule_gemm(8, 100, 8).cycles > os.schedule_gemm(8, 10, 8).cycles);
     }
 
     #[test]
@@ -216,14 +195,6 @@ mod tests {
         let s = array.schedule_gemm(512, 256, 256);
         let u = s.utilization(&array);
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
-    }
-
-    #[test]
-    fn latency_uses_clock_period() {
-        let array = SystolicArray::small(Dataflow::WeightStationary);
-        let cycles = array.gemm_cycles(4, 8, 8);
-        let ns = array.gemm_latency_ns(4, 8, 8);
-        assert!((ns - cycles as f64 * 0.5).abs() < 1e-9);
     }
 
     #[test]

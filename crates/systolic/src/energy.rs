@@ -29,25 +29,6 @@ impl EnergyModel {
         }
     }
 
-    /// Creates a custom energy model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is non-positive or the leakage fraction is negative.
-    pub fn new(nominal_voltage: f64, mac_energy_pj: f64, leakage_fraction: f64) -> Self {
-        assert!(nominal_voltage > 0.0, "nominal voltage must be positive");
-        assert!(mac_energy_pj > 0.0, "MAC energy must be positive");
-        assert!(
-            leakage_fraction >= 0.0,
-            "leakage fraction cannot be negative"
-        );
-        Self {
-            nominal_voltage,
-            mac_energy_pj,
-            leakage_fraction,
-        }
-    }
-
     /// Energy of one MAC at the given supply voltage, in picojoules.
     ///
     /// Dynamic energy scales with V²; the leakage component does not scale.
@@ -84,16 +65,6 @@ impl WorkloadEnergy {
     /// Total energy in joules.
     pub fn total_j(&self) -> f64 {
         self.compute_j + self.detection_j + self.recovery_j
-    }
-
-    /// Fraction of the total spent on recovery.
-    pub fn recovery_fraction(&self) -> f64 {
-        let total = self.total_j();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.recovery_j / total
-        }
     }
 }
 
@@ -167,7 +138,6 @@ mod tests {
         assert!(e.compute_j > 0.0 && e.detection_j > 0.0 && e.recovery_j > 0.0);
         assert!((e.total_j() - (e.compute_j + e.detection_j + e.recovery_j)).abs() < 1e-18);
         assert!(e.detection_j < e.compute_j * 0.02);
-        assert!(e.recovery_fraction() > 0.0 && e.recovery_fraction() < 1.0);
     }
 
     #[test]
@@ -183,7 +153,6 @@ mod tests {
         let e = m.workload_energy(&spec);
         assert_eq!(e.recovery_j, 0.0);
         assert_eq!(e.detection_j, 0.0);
-        assert_eq!(e.recovery_fraction(), 0.0);
     }
 
     #[test]
@@ -202,11 +171,5 @@ mod tests {
         });
         let unprotected_nominal = m.compute_energy_j(macs, 0.9);
         assert!(protected_low_voltage.total_j() > unprotected_nominal);
-    }
-
-    #[test]
-    #[should_panic(expected = "MAC energy must be positive")]
-    fn invalid_energy_is_rejected() {
-        let _ = EnergyModel::new(0.9, 0.0, 0.1);
     }
 }

@@ -15,8 +15,6 @@
 //!   one adds;
 //! * [`area_power`] — area and power accounting per scheme, calibrated so that the statistical
 //!   ABFT overhead lands at the ~1.4% area / ~1.8% power the paper reports (Fig. 8);
-//! * [`timing`] — critical-path delay vs supply voltage and the induced timing-error rate
-//!   (the circuit-level justification for the voltage→BER curve);
 //! * [`energy`] — energy accounting for compute, detection and recovery at scaled voltages
 //!   (the substrate for Fig. 9, Fig. 10 and Table II).
 //!
@@ -38,10 +36,8 @@ pub mod area_power;
 pub mod array;
 pub mod energy;
 pub mod protection;
-pub mod timing;
 
 pub use area_power::{AreaPowerModel, Overhead};
 pub use array::{Dataflow, SystolicArray};
 pub use energy::EnergyModel;
 pub use protection::ProtectionScheme;
-pub use timing::TimingModel;

@@ -40,23 +40,6 @@ impl ProtectionScheme {
         ProtectionScheme::StatisticalAbft,
     ];
 
-    /// The ABFT family (checksum-based detection on top of an unmodified PE array).
-    pub const ABFT_FAMILY: [ProtectionScheme; 3] = [
-        ProtectionScheme::ClassicalAbft,
-        ProtectionScheme::ApproxAbft,
-        ProtectionScheme::StatisticalAbft,
-    ];
-
-    /// Whether this scheme detects errors at all.
-    pub fn detects_errors(self) -> bool {
-        !matches!(self, ProtectionScheme::None)
-    }
-
-    /// Whether the scheme belongs to the checksum (ABFT) family.
-    pub fn is_abft(self) -> bool {
-        Self::ABFT_FAMILY.contains(&self)
-    }
-
     /// Strictness ranking used when several schemes protect one batched GEMM: the
     /// strictest requested scheme wins. Higher is stricter. The order reflects coverage,
     /// not enum declaration order: no protection < thresholded checksums (ApproxABFT) <
@@ -179,15 +162,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 7);
-    }
-
-    #[test]
-    fn abft_family_classification() {
-        assert!(ProtectionScheme::StatisticalAbft.is_abft());
-        assert!(ProtectionScheme::ClassicalAbft.is_abft());
-        assert!(!ProtectionScheme::Dmr.is_abft());
-        assert!(!ProtectionScheme::None.detects_errors());
-        assert!(ProtectionScheme::RazorFfs.detects_errors());
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl ChecksummedGemm {
         }
     }
 
-    /// Consumes the bundle, returning the accumulator.
-    pub fn into_acc(self) -> MatI32 {
-        self.acc
-    }
-
     /// Consumes the bundle, returning `(accumulator, expected, observed)` so callers can
     /// recycle the checksum buffers into a [`crate::Workspace`] after the accumulator moves
     /// on through the conversion path.

@@ -41,9 +41,8 @@
 //!   the normalization-skew study (Fig. 5) and by synthetic-weight generation.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the workspace is
 //!   reproducible from a seed.
-//! * [`transpose`] — the blocked transpose behind [`Matrix::transposed`] and its vectorised
-//!   INT8 form `MatI8::transpose_into`, which turns row-appended key codes into the score
-//!   GEMM's right operand.
+//! * [`transpose`] — `MatI8::transpose_into`, the blocked (and, on AVX2, vectorised) INT8
+//!   transpose that turns row-appended key codes into the score GEMM's right operand.
 //! * [`workspace`] — [`Workspace`], the typed scratch arena behind the allocation-free
 //!   decode hot loop: quantized operands, accumulators, checksum vectors and activation
 //!   scratch are checked out of reusable pools instead of allocated per GEMM.
@@ -62,7 +61,8 @@
 //! let (qa, sa) = quant::quantize_symmetric(&a);
 //! let (qb, sb) = quant::quantize_symmetric(&b);
 //! let acc = gemm::gemm_i8(&qa, &qb)?;
-//! let y = quant::dequantize_accumulator(&acc, sa * sb);
+//! // The accumulator holds `Y / (sa · sb)`.
+//! let y = acc.map(|v| v as f32 * (sa * sb));
 //!
 //! let reference = gemm::gemm_f32(&a, &b)?;
 //! assert_eq!(y.shape(), reference.shape());

@@ -244,18 +244,6 @@ impl<T: Copy> Matrix<T> {
         self.data
     }
 
-    /// Returns the transposed matrix (the blocked transpose of [`crate::transpose`]; the hot
-    /// INT8 path is `Matrix::<i8>::transpose_into`).
-    pub fn transposed(&self) -> Self {
-        let mut data = self.data.clone();
-        crate::transpose::transpose_blocked(&self.data, self.rows, self.cols, &mut data);
-        Self {
-            rows: self.cols,
-            cols: self.rows,
-            data,
-        }
-    }
-
     /// Returns a new matrix with `f` applied to every element.
     pub fn map<U: Copy>(&self, mut f: impl FnMut(T) -> U) -> Matrix<U> {
         Matrix {
@@ -296,31 +284,6 @@ impl<T: Copy> Matrix<T> {
         })
     }
 
-    /// Appends `other`'s rows onto the end of `self` in place.
-    ///
-    /// The growth path of the KV cache: with capacity reserved up front, appending one
-    /// decoded token's keys/values never re-allocates. An empty `self` (0×0) adopts
-    /// `other`'s width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the column counts differ.
-    pub fn extend_rows(&mut self, other: &Self) -> Result<()> {
-        if self.rows == 0 && self.cols == 0 {
-            self.cols = other.cols;
-        }
-        if self.cols != other.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "Matrix::extend_rows",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        self.data.extend_from_slice(&other.data);
-        self.rows += other.rows;
-        Ok(())
-    }
-
     /// Reserves backing capacity for at least `rows` total rows of the current width
     /// (no-op when the width is still unknown).
     pub fn reserve_rows(&mut self, rows: usize) {
@@ -354,23 +317,7 @@ impl<T: Copy> Matrix<T> {
     }
 }
 
-impl<T: Copy + PartialOrd> Matrix<T> {
-    /// Returns the maximum element, or `None` for an empty matrix.
-    pub fn max_element(&self) -> Option<T> {
-        self.data.iter().copied().fold(None, |acc, v| match acc {
-            None => Some(v),
-            Some(a) => Some(if v > a { v } else { a }),
-        })
-    }
-
-    /// Returns the minimum element, or `None` for an empty matrix.
-    pub fn min_element(&self) -> Option<T> {
-        self.data.iter().copied().fold(None, |acc, v| match acc {
-            None => Some(v),
-            Some(a) => Some(if v < a { v } else { a }),
-        })
-    }
-}
+impl<T: Copy + PartialOrd> Matrix<T> {}
 
 impl<T> std::ops::Index<(usize, usize)> for Matrix<T> {
     type Output = T;
@@ -429,34 +376,7 @@ impl MatF32 {
         })
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Self) -> Result<Self> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "MatF32::hadamard",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Ok(Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Elementwise (Hadamard) product in place: `self[i] *= other[i]` (bit-identical to
-    /// [`MatF32::hadamard`]).
+    /// Elementwise (Hadamard) product in place: `self[i] *= other[i]`.
     ///
     /// # Errors
     ///
@@ -582,13 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_is_involution() {
-        let m = MatI32::from_fn(3, 4, |r, c| (r * 10 + c) as i32);
-        assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed()[(2, 1)], m[(1, 2)]);
-    }
-
-    #[test]
     fn rows_slice_extracts_block() {
         let m = MatI32::from_fn(4, 2, |r, c| (r * 2 + c) as i32);
         let block = m.rows_slice(1, 2).unwrap();
@@ -617,22 +530,12 @@ mod tests {
     }
 
     #[test]
-    fn add_and_hadamard_respect_shapes() {
+    fn add_respects_shapes() {
         let a = MatF32::filled(2, 2, 2.0);
         let b = MatF32::filled(2, 2, 3.0);
         assert_eq!(a.add(&b).unwrap()[(0, 0)], 5.0);
-        assert_eq!(a.hadamard(&b).unwrap()[(1, 1)], 6.0);
         let c = MatF32::zeros(3, 2);
         assert!(a.add(&c).is_err());
-    }
-
-    #[test]
-    fn min_max_elements() {
-        let m = MatI32::from_vec(1, 4, vec![-5, 3, 9, 0]).unwrap();
-        assert_eq!(m.max_element(), Some(9));
-        assert_eq!(m.min_element(), Some(-5));
-        let empty = MatI32::zeros(0, 0);
-        assert_eq!(empty.max_element(), None);
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl PackedMatI8 {
         &self.col_sums
     }
 
-    /// Size of the packed replica in bytes (load-time memory accounting).
-    pub fn packed_bytes(&self) -> usize {
-        self.tiles.len()
-    }
-
     /// Recomputes the column sums `eᵀ·W` from the **tiles** (not the row-major original)
     /// into `out`. For an uncorrupted pack this equals [`PackedMatI8::col_sums`] exactly;
     /// any byte flipped in the packed buffer shows up as a deviation in its column.

@@ -32,7 +32,6 @@ use std::ops::Range;
 /// assert_eq!(parts.total_rows(), 5);
 /// assert_eq!(parts.range(2), 3..5);
 /// assert!(parts.range(1).is_empty());
-/// assert_eq!(parts.group_of_row(4), Some(2));
 /// ```
 #[derive(Debug, PartialEq, Eq)]
 pub struct RowPartition {
@@ -65,11 +64,6 @@ impl RowPartition {
             offsets.push(total);
         }
         Self { offsets }
-    }
-
-    /// A partition with a single group covering `rows` rows (the single-sequence case).
-    pub fn single(rows: usize) -> Self {
-        Self::from_lens(&[rows])
     }
 
     /// Number of groups (sequences) in the partition.
@@ -112,17 +106,6 @@ impl RowPartition {
     pub fn lens(&self) -> Vec<usize> {
         (0..self.num_groups()).map(|g| self.len(g)).collect()
     }
-
-    /// The group owning stacked row `row`, or `None` if the row is out of range.
-    ///
-    /// Empty groups never own a row, so the answer is unambiguous.
-    pub fn group_of_row(&self, row: usize) -> Option<usize> {
-        if row >= self.total_rows() {
-            return None;
-        }
-        // partition_point returns the first offset > row; offsets[g] <= row < offsets[g+1].
-        Some(self.offsets.partition_point(|&o| o <= row) - 1)
-    }
 }
 
 #[cfg(test)]
@@ -151,23 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn group_of_row_skips_empty_groups() {
-        let p = RowPartition::from_lens(&[1, 0, 2]);
-        assert_eq!(p.group_of_row(0), Some(0));
-        assert_eq!(p.group_of_row(1), Some(2));
-        assert_eq!(p.group_of_row(2), Some(2));
-        assert_eq!(p.group_of_row(3), None);
-    }
-
-    #[test]
-    fn single_covers_all_rows_in_one_group() {
-        let p = RowPartition::single(7);
-        assert_eq!(p.num_groups(), 1);
-        assert_eq!(p.range(0), 0..7);
-        assert_eq!(p.group_of_row(6), Some(0));
-    }
-
-    #[test]
     fn clone_from_reuses_the_offsets_buffer() {
         let mut kept = RowPartition::from_lens(&[4, 4, 4, 4]);
         let buffer = kept.offsets.as_ptr();
@@ -185,6 +151,5 @@ mod tests {
         let zero = RowPartition::from_lens(&[0, 0]);
         assert!(!zero.is_empty());
         assert_eq!(zero.total_rows(), 0);
-        assert_eq!(zero.group_of_row(0), None);
     }
 }

@@ -4,13 +4,14 @@
 //! either de-quantized back to f32 (for components feeding non-linear functions such as the
 //! attention output projection `O`) or re-quantized to INT8 (for components feeding another
 //! quantized GEMM, such as `K`). The paper's Q1.2 insight — that high-bit errors saturate
-//! because of re-quantization clipping — falls directly out of [`requantize_accumulator`].
+//! because of re-quantization clipping — falls directly out of the ±127 clamp in
+//! [`RowKernels::requantize_row`].
 //!
 //! The rounding itself — and its vectorised, per-row forms — is defined once, in
 //! [`crate::row_kernels`]; everything here calls it.
 
 use crate::row_kernels::{round_to_code, RowKernels};
-use crate::{MatF32, MatI32, MatI8};
+use crate::{MatF32, MatI8};
 
 /// Scale describing a symmetric quantization mapping `real = scale * quantized`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,29 +80,6 @@ pub fn dequantize(q: &MatI8, scale: f32) -> MatF32 {
     q.map(|v| v as f32 * scale)
 }
 
-/// Interprets an INT32 accumulator matrix as real values given the product of operand scales.
-///
-/// For `Y = A·B` with `A ≈ scale_a · Qa` and `B ≈ scale_b · Qb`, the accumulator `Qa·Qb`
-/// represents `Y / (scale_a · scale_b)`.
-pub fn dequantize_accumulator(acc: &MatI32, combined_scale: f32) -> MatF32 {
-    acc.map(|v| v as f32 * combined_scale)
-}
-
-/// Re-quantizes an INT32 accumulator directly to INT8 with saturation.
-///
-/// `combined_scale` converts accumulator units to real values and `out_scale` is the scale of
-/// the INT8 output tensor. Values outside ±127 are clipped, which is precisely why the paper
-/// observes that errors in very high bits of re-quantized components (e.g. `K`) saturate: a
-/// huge corrupted accumulator still only reaches the ±127 rail.
-pub fn requantize_accumulator(acc: &MatI32, combined_scale: f32, out_scale: f32) -> MatI8 {
-    let out_scale = if out_scale > 0.0 && out_scale.is_finite() {
-        out_scale
-    } else {
-        1.0
-    };
-    acc.map(|v| round_to_code(v as f32 * combined_scale / out_scale))
-}
-
 /// Worst-case absolute quantization error for a tensor quantized with the given scale.
 ///
 /// Symmetric rounding quantization has error at most half a step.
@@ -137,23 +115,6 @@ mod tests {
         let x = MatF32::from_vec(1, 2, vec![10.0, -5.0]).unwrap();
         let (q, _) = quantize_symmetric(&x);
         assert_eq!(q[(0, 0)], 127);
-    }
-
-    #[test]
-    fn requantization_saturates_large_accumulators() {
-        // A corrupted accumulator with a flipped bit 30 is astronomically large, but the
-        // re-quantized INT8 output can only reach the rail.
-        let acc = MatI32::from_vec(1, 2, vec![100, 100 + (1 << 30)]).unwrap();
-        let q = requantize_accumulator(&acc, 1e-3, 0.05);
-        assert_eq!(q[(0, 1)], 127);
-        assert!(q[(0, 0)] < 127);
-    }
-
-    #[test]
-    fn dequantize_accumulator_scales_linearly() {
-        let acc = MatI32::from_vec(1, 3, vec![10, -20, 0]).unwrap();
-        let y = dequantize_accumulator(&acc, 0.5);
-        assert_eq!(y.as_slice(), &[5.0, -10.0, 0.0]);
     }
 
     #[test]

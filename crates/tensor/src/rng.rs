@@ -64,55 +64,6 @@ pub fn gaussian_matrix<R: Rng + ?Sized>(
     MatF32::from_fn(rows, cols, |_, _| mean + std * standard_normal(rng))
 }
 
-/// Fills a matrix with Gaussian bulk values plus a sparse set of large outlier columns.
-///
-/// `outlier_fraction` of the columns are designated outlier channels whose entries are scaled
-/// by `outlier_gain`. This mimics the activation/weight statistics reported for LLMs (a few
-/// channels carry magnitudes tens of times larger than the bulk), which is the property that
-/// makes post-normalization components sensitive to injected errors.
-pub fn outlier_matrix<R: Rng + ?Sized>(
-    rng: &mut R,
-    rows: usize,
-    cols: usize,
-    std: f32,
-    outlier_fraction: f32,
-    outlier_gain: f32,
-) -> MatF32 {
-    let outlier_cols: Vec<bool> = (0..cols)
-        .map(|_| rng.gen::<f32>() < outlier_fraction)
-        .collect();
-    MatF32::from_fn(rows, cols, |_, c| {
-        let base = std * standard_normal(rng);
-        if outlier_cols[c] {
-            base * outlier_gain
-        } else {
-            base
-        }
-    })
-}
-
-/// Samples an index from a Zipfian distribution over `[0, n)` with exponent `s`.
-///
-/// Used by the synthetic text-corpus generator: natural-language token frequencies are
-/// approximately Zipfian, and keeping that property makes perplexity behave like it does on
-/// real corpora (a sharp, low-entropy head plus a long tail).
-pub fn zipf_index<R: Rng + ?Sized>(rng: &mut R, n: usize, s: f64) -> usize {
-    debug_assert!(n > 0, "zipf_index requires a non-empty support");
-    // Inverse-CDF sampling over the (finite) normalized Zipf distribution via rejection-free
-    // cumulative search. For the vocabulary sizes used here (<= a few thousand) this is fast
-    // enough and exact.
-    let h: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-    let target = rng.gen::<f64>() * h;
-    let mut acc = 0.0;
-    for k in 1..=n {
-        acc += 1.0 / (k as f64).powf(s);
-        if acc >= target {
-            return k - 1;
-        }
-    }
-    n - 1
-}
-
 /// A reusable Zipfian sampler that precomputes the cumulative distribution.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
@@ -138,11 +89,6 @@ impl ZipfSampler {
             *v /= total;
         }
         Self { cdf }
-    }
-
-    /// Number of distinct values the sampler can produce.
-    pub fn support(&self) -> usize {
-        self.cdf.len()
     }
 }
 
@@ -203,15 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn outlier_matrix_is_heavier_tailed_than_gaussian() {
-        let mut rng = seeded(9);
-        let plain = gaussian_matrix(&mut rng, 32, 256, 0.0, 1.0);
-        let mut rng = seeded(9);
-        let outliers = outlier_matrix(&mut rng, 32, 256, 1.0, 0.02, 20.0);
-        assert!(stats::kurtosis_excess(&outliers) > stats::kurtosis_excess(&plain) + 1.0);
-    }
-
-    #[test]
     fn zipf_head_is_most_frequent() {
         let mut rng = seeded(11);
         let sampler = ZipfSampler::new(50, 1.1);
@@ -227,15 +164,6 @@ mod tests {
             .unwrap();
         assert_eq!(max_idx, 0, "rank-0 token should dominate: {counts:?}");
         assert!(counts[0] > counts[10] && counts[10] >= counts[40]);
-    }
-
-    #[test]
-    fn zipf_index_matches_sampler_support() {
-        let mut rng = seeded(5);
-        for _ in 0..100 {
-            let i = zipf_index(&mut rng, 17, 1.0);
-            assert!(i < 17);
-        }
     }
 
     #[test]

@@ -132,12 +132,6 @@ pub fn simd_accelerated() -> bool {
     !force_scalar() && avx2_available()
 }
 
-/// Returns `true` when the AVX-512 tier of the **packed** kernels will be dispatched:
-/// the host CPU reports AVX-512F + AVX-512BW and [`FORCE_SCALAR_ENV`] is not set.
-pub fn avx512_accelerated() -> bool {
-    !force_scalar() && avx512_available()
-}
-
 /// Human-readable description of what the runtime dispatch selected, for benchmark and
 /// example output (bench numbers are uninterpretable without knowing which path ran).
 pub fn simd_dispatch_label() -> &'static str {

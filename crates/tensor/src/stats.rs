@@ -3,8 +3,8 @@
 //! The paper's central architectural insight (Fig. 5) is that hidden states consist of a
 //! near-zero bulk plus a handful of outliers, so the mean and standard deviation computed by
 //! LayerNorm/RMSNorm are dominated by those outliers. These helpers quantify exactly that:
-//! [`summary`] returns µ/σ, and [`outlier_count`]/[`kurtosis_excess`] characterize how heavy
-//! the tails are before and after an injected error.
+//! [`summary`] returns µ/σ, and [`outlier_count`] characterizes how heavy the tails are before
+//! and after an injected error.
 
 use crate::MatF32;
 
@@ -92,68 +92,6 @@ pub fn outlier_count(x: &MatF32, threshold_sigmas: f32) -> usize {
         .count()
 }
 
-/// Excess kurtosis of the element distribution (0.0 for a Gaussian).
-///
-/// LLM hidden states are strongly leptokurtic (heavy-tailed); this is used in tests to check
-/// that the synthetic activation generator actually produces outlier-dominated tensors.
-pub fn kurtosis_excess(x: &MatF32) -> f32 {
-    let s = summary(x);
-    if s.count < 4 || s.std == 0.0 {
-        return 0.0;
-    }
-    let mut fourth = 0.0f64;
-    for &v in x.iter() {
-        let d = (v - s.mean) as f64 / s.std as f64;
-        fourth += d.powi(4);
-    }
-    (fourth / s.count as f64 - 3.0) as f32
-}
-
-/// Builds a histogram of `log2(|value| + 1)` with `bins` buckets spanning `[0, max_log2)`.
-///
-/// Used to visualise accumulator error-magnitude distributions in the figure harnesses.
-pub fn log2_histogram(
-    values: impl IntoIterator<Item = f64>,
-    bins: usize,
-    max_log2: f64,
-) -> Vec<usize> {
-    let mut hist = vec![0usize; bins.max(1)];
-    if bins == 0 || max_log2 <= 0.0 {
-        return hist;
-    }
-    let width = max_log2 / bins as f64;
-    for v in values {
-        let l = (v.abs() + 1.0).log2();
-        let idx = ((l / width) as usize).min(bins - 1);
-        hist[idx] += 1;
-    }
-    hist
-}
-
-/// Pearson correlation coefficient between two equal-length slices.
-///
-/// Returns 0.0 when either slice has zero variance or the lengths differ.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() != b.len() || a.len() < 2 {
-        return 0.0;
-    }
-    let n = a.len() as f64;
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma).powi(2);
-        vb += (y - mb).powi(2);
-    }
-    if va == 0.0 || vb == 0.0 {
-        return 0.0;
-    }
-    cov / (va.sqrt() * vb.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,49 +121,5 @@ mod tests {
         assert_eq!(outlier_count(&x, 6.0), 0);
         x.set(0, 500, 50.0).unwrap();
         assert!(outlier_count(&x, 6.0) >= 1);
-    }
-
-    #[test]
-    fn kurtosis_of_uniformish_data_is_negative() {
-        let x = MatF32::from_fn(1, 1024, |_, c| (c as f32 / 1024.0) - 0.5);
-        assert!(kurtosis_excess(&x) < 0.0);
-    }
-
-    #[test]
-    fn kurtosis_increases_with_outliers() {
-        let base = MatF32::from_fn(1, 1024, |_, c| ((c % 13) as f32 - 6.0) * 0.05);
-        let mut spiked = base.clone();
-        spiked.set(0, 10, 30.0).unwrap();
-        spiked.set(0, 700, -30.0).unwrap();
-        assert!(kurtosis_excess(&spiked) > kurtosis_excess(&base));
-    }
-
-    #[test]
-    fn log2_histogram_buckets_values() {
-        let hist = log2_histogram(vec![0.0, 1.0, 3.0, 1000.0], 4, 32.0);
-        assert_eq!(hist.iter().sum::<usize>(), 4);
-        assert!(hist[0] >= 3); // small values land in the first bucket
-        assert_eq!(hist[1], 1); // log2(1001) ≈ 10 lands in bucket 1 of width 8
-    }
-
-    #[test]
-    fn log2_histogram_zero_bins_is_empty() {
-        assert_eq!(log2_histogram(vec![1.0], 0, 32.0), vec![0usize; 1]);
-    }
-
-    #[test]
-    fn pearson_of_linear_relationship_is_one() {
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let b = vec![2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c = vec![8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_degenerate_inputs_are_zero() {
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
-        assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
-        assert_eq!(pearson(&[1.0, 2.0], &[2.0]), 0.0);
     }
 }

@@ -260,11 +260,6 @@ impl TpGroup {
         self.degree
     }
 
-    /// Replaces the engine every rank (and the inline failover path) executes with.
-    pub fn set_engine(&self, engine: Arc<dyn GemmEngine>) {
-        self.ctl.lock().expect("TP ctl poisoned").engine = engine;
-    }
-
     /// Arms a whole-shard fault on `shard` for the next `steps` sharded GEMM dispatches
     /// (each linear-layer GEMM of the owning model counts as one dispatch). Replaces any
     /// fault already armed on that shard; `steps == 0` disarms.
@@ -544,16 +539,6 @@ impl ShardedLinear {
     /// The column range owned by shard `i`.
     pub fn range(&self, i: usize) -> Range<usize> {
         self.ranges[i].clone()
-    }
-
-    /// The packed weight stripe resident on shard `i`.
-    pub fn shard(&self, i: usize) -> &PackedMatI8 {
-        &self.shards[i]
-    }
-
-    /// Total bytes of the packed stripe replicas (load-time memory accounting).
-    pub fn packed_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.packed_bytes()).sum()
     }
 
     fn check(&self, op: &'static str, a: &MatI8) -> Result<()> {

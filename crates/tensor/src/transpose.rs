@@ -14,8 +14,7 @@
 //!   written twice with the same bytes), so no scalar tail exists for matrices of at least
 //!   16 × 16.
 //! * **portable** — the same 16 × 16 blocking in scalar code, contiguous on the write side;
-//!   also what the AVX2 tier runs for matrices under 16 rows or columns, and, being generic,
-//!   what [`Matrix::transposed`] runs for every element type.
+//!   also what the AVX2 tier runs for matrices under 16 rows or columns.
 
 use crate::simd::SimdTier;
 use crate::{MatI8, Matrix};
@@ -52,7 +51,7 @@ fn transpose_with(tier: SimdTier, src: &MatI8, out: &mut MatI8) {
 /// # Panics
 ///
 /// Panics if either slice does not hold `rows × cols` elements.
-pub(crate) fn transpose_blocked<T: Copy>(src: &[T], rows: usize, cols: usize, dst: &mut [T]) {
+fn transpose_blocked<T: Copy>(src: &[T], rows: usize, cols: usize, dst: &mut [T]) {
     assert_eq!(src.len(), rows * cols, "source is not rows x cols");
     assert_eq!(dst.len(), rows * cols, "destination is not cols x rows");
     for r0 in (0..rows).step_by(BLOCK) {
@@ -163,7 +162,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{rng, MatI32};
+    use crate::rng;
     use rand::Rng;
 
     fn naive<T: Copy>(m: &Matrix<T>) -> Matrix<T> {
@@ -210,12 +209,5 @@ mod tests {
             src.transpose_into(&mut out);
             assert_eq!(out, expected, "{rows}x{cols} on the granted tier");
         }
-    }
-
-    #[test]
-    fn generic_transposed_runs_the_blocked_transpose() {
-        let m = MatI32::from_fn(19, 35, |r, c| (r * 100 + c) as i32);
-        assert_eq!(m.transposed(), naive(&m));
-        assert_eq!(MatI32::zeros(0, 4).transposed().shape(), (4, 0));
     }
 }

@@ -68,9 +68,6 @@ pub struct Workspace {
     high_water_bytes: usize,
     /// Number of buffers currently checked out (used by `reset`'s leak assertion).
     outstanding: usize,
-    /// When `false` (see [`Workspace::without_reuse`]), recycled buffers are dropped
-    /// instead of pooled — the benchmark baseline that makes every checkout allocate.
-    pooling: bool,
 }
 
 impl Default for Workspace {
@@ -84,7 +81,6 @@ impl Default for Workspace {
             taken_bytes: 0,
             high_water_bytes: 0,
             outstanding: 0,
-            pooling: true,
         }
     }
 }
@@ -244,9 +240,6 @@ macro_rules! pool_impl {
             let bytes = buf.capacity() * std::mem::size_of::<$ty>();
             self.outstanding = self.outstanding.saturating_sub(1);
             self.taken_bytes = self.taken_bytes.saturating_sub(bytes);
-            if !self.pooling {
-                return;
-            }
             poison_buf(&mut buf);
             self.pooled_bytes += bytes;
             self.note_high_water();
@@ -325,30 +318,12 @@ impl Workspace {
         }
     }
 
-    /// A workspace whose `recycle_*` calls drop buffers instead of pooling them, so every
-    /// checkout hits the allocator.
-    ///
-    /// This reproduces the pre-workspace allocation profile (one fresh buffer per GEMM
-    /// intermediate) while running the *identical* code path — the baseline arm of the
-    /// `decode_latency` benchmark. Never use it on a serving hot loop.
-    pub fn without_reuse() -> Self {
-        Self {
-            pooling: false,
-            ..Self::default()
-        }
-    }
-
     /// Highest observed total footprint (pooled + checked out) in bytes.
     ///
     /// Stabilises once the steady-state decode loop has warmed every pool — the no-leak
     /// property `tests/zero_alloc.rs` asserts across slot churn.
     pub fn high_water_mark_bytes(&self) -> usize {
         self.high_water_bytes
-    }
-
-    /// Bytes currently owned by the workspace (pooled plus checked out).
-    pub fn current_bytes(&self) -> usize {
-        self.pooled_bytes + self.taken_bytes
     }
 
     /// Number of buffers currently checked out and not yet recycled.
@@ -415,7 +390,7 @@ mod tests {
         }
         // Monotonic growth settles into one buffer per power-of-two class
         // (1 + 2 + … + 128 elements), never one allocation per length.
-        assert!(ws.current_bytes() <= 256 * 4);
+        assert!(ws.high_water_mark_bytes() <= 256 * 4);
     }
 
     #[test]
@@ -435,16 +410,6 @@ mod tests {
         let big_again = ws.take_vec_i64(70);
         assert_eq!(big_again.capacity(), 128, "class 7 buffer is reused");
         ws.recycle_vec_i64(big_again);
-    }
-
-    #[test]
-    fn without_reuse_drops_recycled_buffers() {
-        let mut ws = Workspace::without_reuse();
-        let v = ws.take_vec_f32(16);
-        ws.recycle_vec_f32(v);
-        assert_eq!(ws.current_bytes(), 0, "nothing is pooled");
-        assert_eq!(ws.outstanding_buffers(), 0);
-        ws.reset();
     }
 
     #[test]

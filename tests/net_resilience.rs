@@ -9,13 +9,16 @@
 //!   still completes: shedding protects the backlog, it never replaces it.
 //! * **Graceful drain** — after `POST /admin/drain`, the in-flight stream runs to
 //!   completion, new work is refused with `503`, and `serve` returns a consistent final
-//!   report.
+//!   report. A gate hook parks the engine inside the stream's first decode step until the
+//!   drain was acknowledged, so the drain lands mid-stream on every run.
 
 use realm::core::ProtectionPolicy;
-use realm::llm::{config::ModelConfig, model::Model};
+use realm::llm::{config::ModelConfig, model::Model, GemmContext, GemmHook, Stage};
 use realm::net::client::stats_field;
 use realm::net::{http_request, stream_generate, GenBody, NetConfig, NetServer, WireEvent};
 use realm::serve::ServeConfig;
+use realm::tensor::{ChecksummedGemm, MatI32, MatI8};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -36,20 +39,68 @@ fn gen(prompt: Vec<u32>, budget: usize, priority: u8) -> GenBody {
     }
 }
 
-/// Polls `/stats` until `predicate` holds or the deadline passes; returns the last JSON.
+/// Polls `/stats` until `predicate` holds and returns that JSON.
+///
+/// # Panics
+///
+/// Panics with `expectation` and the last JSON once ten seconds pass without it holding.
 fn poll_stats(
     addr: std::net::SocketAddr,
-    deadline: Duration,
+    expectation: &str,
     predicate: impl Fn(&str) -> bool,
 ) -> String {
     let start = Instant::now();
     loop {
         let response = http_request(addr, "GET", "/stats", b"", TIMEOUT).unwrap();
         let json = String::from_utf8(response.body).unwrap();
-        if predicate(&json) || start.elapsed() > deadline {
+        if predicate(&json) {
             return json;
         }
+        assert!(
+            start.elapsed() <= Duration::from_secs(10),
+            "{expectation}: {json}"
+        );
         std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A pass-through hook that announces its first decode-stage GEMM on `reached` and then
+/// parks the engine thread until `release` fires (or its sender is dropped, so a failing
+/// test unwinds instead of hanging). Every later GEMM passes straight through.
+struct DecodeGate {
+    reached: Option<mpsc::Sender<()>>,
+    release: mpsc::Receiver<()>,
+}
+
+impl DecodeGate {
+    fn pass(&mut self, ctx: &GemmContext) {
+        if ctx.stage != Stage::Decode {
+            return;
+        }
+        if let Some(reached) = self.reached.take() {
+            let _ = reached.send(());
+            let _ = self.release.recv();
+        }
+    }
+}
+
+impl GemmHook for DecodeGate {
+    fn on_gemm(&mut self, ctx: &GemmContext, _: &MatI8, _: &MatI8, _: &mut MatI32) {
+        self.pass(ctx);
+    }
+
+    fn on_gemm_checksummed(
+        &mut self,
+        ctx: &GemmContext,
+        _: &MatI8,
+        _: &MatI8,
+        _: &mut ChecksummedGemm,
+    ) {
+        self.pass(ctx);
+    }
+
+    fn wants_checksums(&self) -> bool {
+        false
     }
 }
 
@@ -77,22 +128,12 @@ fn mid_stream_disconnect_cancels_the_request_and_frees_the_slot() {
         );
 
         // The engine notices at its next commit: cancelled counted, slot released.
-        let json = poll_stats(addr, Duration::from_secs(10), |j| {
+        poll_stats(addr, "disconnect must surface as a cancellation", |j| {
             stats_field(j, "requests_cancelled") == Some(1)
         });
-        assert_eq!(
-            stats_field(&json, "requests_cancelled"),
-            Some(1),
-            "disconnect must surface as a cancellation: {json}"
-        );
-        let json = poll_stats(addr, Duration::from_secs(10), |j| {
+        let json = poll_stats(addr, "the cancelled request's slot must be freed", |j| {
             stats_field(j, "active_slots") == Some(0)
         });
-        assert_eq!(
-            stats_field(&json, "active_slots"),
-            Some(0),
-            "the cancelled request's slot must be freed: {json}"
-        );
         assert_eq!(stats_field(&json, "requests_completed"), Some(0));
 
         // The freed slot is immediately usable: a follow-up request completes.
@@ -131,7 +172,7 @@ fn shed_returns_429_with_retry_after_and_never_starves_the_queue() {
         let hog = s
             .spawn(move || stream_generate(addr, &gen(vec![1, 2], 200, 0), None, TIMEOUT).unwrap());
         // Wait for it to be admitted, then queue a high-priority request behind it.
-        poll_stats(addr, Duration::from_secs(10), |j| {
+        poll_stats(addr, "the hog must be admitted", |j| {
             stats_field(j, "active_slots") == Some(1)
         });
         let queued = s.spawn(move || {
@@ -140,13 +181,9 @@ fn shed_returns_429_with_retry_after_and_never_starves_the_queue() {
         // Let the queued request age past the SLO (the hog decodes one token per step,
         // so the token clock — and with it the queued request's token age — keeps
         // climbing while it waits).
-        let json = poll_stats(addr, Duration::from_secs(10), |j| {
+        poll_stats(addr, "the queued request must age past the SLO", |j| {
             stats_field(j, "queue_oldest_age_tokens").unwrap_or(0) >= 4
         });
-        assert!(
-            stats_field(&json, "queue_oldest_age_tokens").unwrap_or(0) >= 4,
-            "the queued request must age past the SLO: {json}"
-        );
 
         // New work is now shed before it touches the queue.
         let shed = stream_generate(addr, &gen(vec![3], 2, 0), None, TIMEOUT).unwrap();
@@ -202,18 +239,31 @@ fn graceful_drain_finishes_in_flight_streams_and_refuses_new_work() {
     })
     .unwrap();
     let addr = server.local_addr();
+    let (reached_tx, reached_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let gate = DecodeGate {
+        reached: Some(reached_tx),
+        release: release_rx,
+    };
     let report = std::thread::scope(|s| {
-        let serving = s.spawn(|| server.serve(&model).unwrap());
+        let serving = s.spawn(|| {
+            server
+                .serve_with_hook(&model, Some(Box::new(gate)))
+                .unwrap()
+        });
 
-        // Start a long stream, then trigger the drain while it is mid-flight.
+        // Start a long stream and wait until the engine is parked inside its first decode
+        // step (`/stats` cannot tell: a parked engine thread does not answer it). The drain
+        // is posted and acknowledged while the stream provably has 99 tokens to go.
         let in_flight = s.spawn(move || {
             stream_generate(addr, &gen(vec![1, 2, 3], 100, 0), None, TIMEOUT).unwrap()
         });
-        poll_stats(addr, Duration::from_secs(10), |j| {
-            stats_field(j, "active_slots") == Some(1)
-        });
+        reached_rx
+            .recv_timeout(TIMEOUT)
+            .expect("the stream must reach its first decode step");
         let drain = http_request(addr, "POST", "/admin/drain", b"", TIMEOUT).unwrap();
         assert_eq!(drain.status, 202);
+        assert!(!in_flight.is_finished(), "the drain must land mid-stream");
 
         // While draining: health reports 503 and new generate requests are refused — or,
         // once the accept loop has already stopped, the connection is simply never
@@ -227,7 +277,10 @@ fn graceful_drain_finishes_in_flight_streams_and_refuses_new_work() {
             assert_eq!(refused.status, 503, "draining generate must be 503");
         }
 
-        // The in-flight stream still runs to full completion.
+        // Only now may the engine go on: the in-flight stream still runs to full completion.
+        release_tx
+            .send(())
+            .expect("the engine is parked at the gate");
         let result = in_flight.join().unwrap();
         assert_eq!(result.status, 200);
         assert_eq!(
