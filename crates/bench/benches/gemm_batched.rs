@@ -20,12 +20,12 @@ use realm_tensor::EngineKind;
 const BATCH: usize = 8;
 const PROMPT_LEN: usize = 16;
 
-/// Pinned to the blocked-parallel kernel: this bench contracts the batching layer's
+/// Pinned to the SIMD parallel engine: this bench contracts the batching layer's
 /// amortisation (inspections per token, prefill stacking), which must stay comparable
 /// across kernel changes rather than re-measure whatever the default GEMM backend is.
 fn scheduling_config() -> ModelConfig {
     let mut config = ModelConfig::tiny_opt();
-    config.engine = EngineKind::Parallel;
+    config.engine = EngineKind::SimdParallel;
     config
 }
 

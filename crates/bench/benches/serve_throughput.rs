@@ -23,7 +23,8 @@ use realm_llm::batch::BatchRequest;
 use realm_llm::{config::ModelConfig, model::Model, Component};
 use realm_serve::{AdaptiveConfig, ProtectionPolicy, ServeConfig, ServeEngine, ServeRequest};
 use realm_systolic::{Dataflow, ProtectionScheme, SystolicArray};
-use realm_tensor::EngineKind;
+use realm_tensor::simd::FORCE_SCALAR_ENV;
+use realm_tensor::{EngineKind, SimdTier};
 use std::time::Instant;
 
 const QUEUE_DEPTH: usize = 16;
@@ -32,13 +33,27 @@ const SLOTS: usize = 4;
 const BUDGETS: [usize; 4] = [1, 1, 2, 24];
 
 /// The serving benches measure the *scheduling* layer (slot reuse, admission, queueing),
-/// so the model is pinned to the blocked-parallel kernel the 1.3x contract was calibrated
-/// on: swapping in a faster GEMM kernel (e.g. the SIMD default) shrinks every arm's GEMM
-/// time alike and turns these ratios into a measurement of scheduler overhead instead.
+/// and their ratios were calibrated on the tiled scalar GEMM kernel over a worker pool. A
+/// faster kernel shrinks every arm's GEMM time alike until per-step scheduler overhead
+/// decides the ratios (on the 2-core AVX-512 host continuous batching read 0.69× lockstep
+/// on the AVX-512 tier, 1.23× on the tiled kernel), so the model runs `SimdParallel` with
+/// every tier pinned to portable by [`pin_portable_tier`].
 fn scheduling_config() -> ModelConfig {
     let mut config = ModelConfig::tiny_opt();
-    config.engine = EngineKind::Parallel;
+    config.engine = EngineKind::SimdParallel;
     config
+}
+
+/// Pins every SIMD tier to portable for the rest of the process (see
+/// [`scheduling_config`]). First in the group, so it runs before any engine resolves the
+/// tier, which is then fixed.
+fn pin_portable_tier(_c: &mut Criterion) {
+    std::env::set_var(FORCE_SCALAR_ENV, "1");
+    assert_eq!(
+        SimdTier::detect(),
+        SimdTier::Portable,
+        "tier resolved too early"
+    );
 }
 
 fn requests() -> Vec<BatchRequest> {
@@ -463,6 +478,7 @@ fn report_adaptive_protection(_c: &mut Criterion) {
 // is wall-clock sensitive.
 criterion_group!(
     benches,
+    pin_portable_tier,
     bench_serving,
     bench_chunked_prefill,
     report_chunked_prefill,

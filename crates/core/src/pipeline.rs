@@ -43,8 +43,7 @@ pub struct PipelineConfig {
     pub min_error_bit: u8,
     /// GEMM execution backend for the protector's recovery recomputation. All backends are
     /// bit-exact, so this only changes how fast the sweeps run; it defaults to
-    /// [`EngineKind::auto`] (the SIMD parallel backend on AVX2 hosts) like the models
-    /// themselves.
+    /// [`EngineKind::auto`] (the SIMD parallel backend) like the models themselves.
     pub engine: EngineKind,
     /// Number of sequences batched trials run together (see
     /// [`ProtectedPipeline::run_batched`]). `1` reproduces the sequential behaviour; larger

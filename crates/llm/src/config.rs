@@ -53,7 +53,7 @@ pub struct ModelConfig {
     pub outlier_gain: f32,
     /// GEMM execution backend the model's quantized datapath runs on. All backends are
     /// bit-exact (see `realm_tensor::engine`), so this only changes wall-clock speed; the
-    /// presets default to [`EngineKind::auto`] (the SIMD parallel backend on AVX2 hosts).
+    /// presets default to [`EngineKind::auto`] (the SIMD parallel backend).
     pub engine: EngineKind,
     /// Tensor-parallel degree: the number of persistent simulated ranks every linear
     /// layer's weights are column-sharded over (`realm_tensor::tp`). `1` (the presets'

@@ -6,14 +6,11 @@
 //!
 //! * [`ReferenceEngine`] — the original scalar triple loop ([`crate::gemm::gemm_i8`]), kept
 //!   as the bit-exact oracle every other backend is tested against;
-//! * [`KernelEngine`] — every other backend: one **row kernel** × one **worker count**.
-//!   The kernel is either the cache-tiled blocked loop (`B` walked in `kc × nc` panels that
-//!   stay resident in L1/L2, inner loop over slices so the compiler can vectorise the
-//!   i8→i32 widening multiply-accumulate) or the [`crate::simd`] microkernel (AVX-512 /
-//!   AVX2 / portable, runtime-detected); the workers are either the calling thread or
-//!   scoped threads stealing contiguous row chunks. The four cells are what
-//!   [`EngineKind`] names `blocked`, `parallel`, `simd` and `simd_parallel`, the last being
-//!   the default on hosts with AVX2 (see [`EngineKind::auto`]).
+//! * [`KernelEngine`] — every other backend: the [`crate::simd`] row kernel (AVX-512 /
+//!   AVX2 microkernels, runtime-detected, over a portable tier that is a cache-tiled scalar
+//!   loop) × one **worker count**, the calling thread or scoped threads stealing contiguous
+//!   row chunks. The two cells are what [`EngineKind`] names `simd` and `simd_parallel`,
+//!   the latter being the default on every host (see [`EngineKind::auto`]).
 //!
 //! All backends produce **bit-identical** accumulators: INT32/i64 additions are associative and
 //! commutative, so re-tiling and re-sharding the reduction cannot change a single bit (the
@@ -32,11 +29,11 @@
 //! than in a separate sweep. The result is a [`ChecksummedGemm`], which downstream ABFT
 //! detectors consume directly instead of re-reading the matrices.
 //!
-//! On the SIMD kernel a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows that runs
-//! inline — every decode-shape GEMM: the linears over packed weights, attention's `QKᵀ` and
-//! `SV` over row-major activations, recovery recomputation — takes the **skinny** pass of
-//! its operand kind, where the checksum row rides the multiply's own registers and `B` is
-//! streamed exactly once (see "The skinny rule" in [`crate::simd`]).
+//! At an accelerated SIMD tier a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows that
+//! runs inline — every decode-shape GEMM: the linears over packed weights, attention's `QKᵀ`
+//! and `SV` over row-major activations, recovery recomputation — takes the **skinny** pass
+//! of its operand kind, where the checksum row rides the multiply's own registers and `B`
+//! is streamed exactly once (see "The skinny rule" in [`crate::simd`]).
 
 use crate::packed::PackedMatI8;
 use crate::simd::{SimdKernel, SimdTier, SKINNY_MAX_ROWS};
@@ -258,7 +255,7 @@ pub fn accumulate_expected(etw: &[i64], b: &MatI8, expected: &mut [i64]) {
     accumulate_expected_panel(b, etw, expected, (0, etw.len()), (0, b.cols()));
 }
 
-/// Checksum accumulators threaded through a fused [`Kernel::run_rows`] pass.
+/// Checksum accumulators threaded through a fused [`SimdKernel::run_rows`] pass.
 ///
 /// `etw` is the complete operand checksum `eᵀ·W` (all rows, computed upfront); `expected`
 /// receives the `(eᵀ·W)·X` reduction fused into the cache-hot widened `B` panels — software's
@@ -272,18 +269,18 @@ pub(crate) struct FusedChecksums<'a> {
     pub(crate) observed: &'a mut [i64],
 }
 
-/// The `B` operand of one GEMM as the row kernels see it.
+/// The `B` operand of one GEMM as the row kernel sees it.
 #[derive(Clone, Copy)]
-enum Operand<'a> {
+pub(crate) enum Operand<'a> {
     /// Row-major `B` (activation × activation GEMMs, recovery recomputation).
     RowMajor(&'a MatI8),
     /// A static weight matrix pre-packed into the SIMD kernels' tile order. The pack carries
-    /// its row-major original, which is what a kernel without a packed pass multiplies.
+    /// its row-major original, which is what the portable tier multiplies.
     Packed(&'a PackedMatI8),
 }
 
 impl<'a> Operand<'a> {
-    fn row_major(self) -> &'a MatI8 {
+    pub(crate) fn row_major(self) -> &'a MatI8 {
         match self {
             Operand::RowMajor(b) => b,
             Operand::Packed(pb) => pb.unpacked(),
@@ -475,199 +472,6 @@ impl GemmEngine for ReferenceEngine {
     }
 }
 
-/// Default depth (rows of `B`) of a cache panel: `kc × nc` i8 elements ≈ 16 KiB, resident
-/// in L1 on any modern core.
-pub const DEFAULT_KC: usize = 64;
-/// Default (and maximum) width (columns of `B`) of a cache panel.
-pub const DEFAULT_NC: usize = 256;
-
-/// Cache-tiled i8→i32 row kernel.
-///
-/// Loop order is `jc` (column panels) → `pc` (depth panels) → `i` (rows) → `p` → `j`, so each
-/// `kc × nc` panel of `B` and each `nc`-wide accumulator row segment stay cache-resident for
-/// a whole panel's worth of work, and the innermost loop is a slice-to-slice widening
-/// multiply-add the compiler can unroll and vectorise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockedKernel {
-    /// Depth of a `B` panel (rows of `B` per tile).
-    kc: usize,
-    /// Width of a `B` panel (columns of `B` per tile), at most [`DEFAULT_NC`].
-    nc: usize,
-}
-
-impl BlockedKernel {
-    /// Core tiled loop over a contiguous row range `[row_start, row_end)` of `a`, writing
-    /// into `out_band` — the matching rows of the output, band-local and contiguous
-    /// (`(row_end - row_start) × n`), so parallel shards can own disjoint `split_at_mut`
-    /// bands of one output allocation with no copying at join.
-    ///
-    /// Within each `jc × pc` panel the depth dimension advances four rows of `B` at a time:
-    /// the four rows are widened to `i32` once into a 4-panel stack scratch (`4 × nc`
-    /// values, cache-resident; no heap, so the allocation-free decode contract holds on
-    /// this kernel too) and every accumulator row segment folds them in with a pure-`i32`
-    /// multiply-add — no per-element sign extension in the hot loop and a quarter of the
-    /// accumulator load/store traffic of the scalar reference loop. Measured ~1.5× faster
-    /// than [`ReferenceEngine`] at 256³ on a generic x86-64 target (more with wider SIMD).
-    ///
-    /// When `fused` is `Some`, the pass additionally folds the checksum reductions into the
-    /// cache-hot data: `(eᵀ·W)·X` accumulates from the freshly widened `B` panels and `eᵀ·Y`
-    /// from each finalised output panel, instead of separate sweeps re-reading both matrices
-    /// afterwards.
-    fn run_rows(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        mut fused: Option<FusedChecksums<'_>>,
-    ) {
-        let k = a.cols();
-        let n = b.cols();
-        debug_assert_eq!(out_band.len(), (row_end - row_start) * n);
-        let mut widened = [0i32; 4 * DEFAULT_NC];
-        let widened = &mut widened[..4 * self.nc.min(n.max(1))];
-        let mut jc = 0;
-        while jc < n {
-            let jc_end = (jc + self.nc).min(n);
-            let width = jc_end - jc;
-            let mut pc = 0;
-            while pc < k {
-                let pc_end = (pc + self.kc).min(k);
-                let mut p = pc;
-                // Quad depth steps over widened B rows.
-                while p + 4 <= pc_end {
-                    {
-                        let (w0, rest) = widened.split_at_mut(width);
-                        let (w1, rest) = rest.split_at_mut(width);
-                        let (w2, w3) = rest.split_at_mut(width);
-                        for (q, wq) in [w0, w1, w2, w3].into_iter().enumerate() {
-                            for (wv, &bv) in wq.iter_mut().zip(&b.row(p + q)[jc..jc_end]) {
-                                *wv = bv as i32;
-                            }
-                        }
-                    }
-                    let (w0, rest) = widened.split_at(width);
-                    let (w1, rest) = rest.split_at(width);
-                    let (w2, rest) = rest.split_at(width);
-                    let w3 = &rest[..width];
-                    for i in row_start..row_end {
-                        let a_row = a.row(i);
-                        let a0 = a_row[p] as i32;
-                        let a1 = a_row[p + 1] as i32;
-                        let a2 = a_row[p + 2] as i32;
-                        let a3 = a_row[p + 3] as i32;
-                        if a0 | a1 | a2 | a3 == 0 {
-                            continue;
-                        }
-                        let band_row = (i - row_start) * n;
-                        let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
-                        for ((((o, &v0), &v1), &v2), &v3) in
-                            out_seg.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3)
-                        {
-                            *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                        }
-                    }
-                    p += 4;
-                }
-                // Depth remainder (panel depth not a multiple of 4).
-                while p < pc_end {
-                    let b_seg = &b.row(p)[jc..jc_end];
-                    for i in row_start..row_end {
-                        let a_ip = a.row(i)[p] as i32;
-                        if a_ip == 0 {
-                            continue;
-                        }
-                        let band_row = (i - row_start) * n;
-                        let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
-                        for (o, &bv) in out_seg.iter_mut().zip(b_seg) {
-                            *o += a_ip * bv as i32;
-                        }
-                    }
-                    p += 1;
-                }
-                // The checksum row of the augmented GEMM: fold this panel's share of
-                // `(eᵀ·W)·X` in while the `B` panel is still cache-hot from the multiply,
-                // instead of re-streaming the whole matrix afterwards.
-                if let Some(FusedChecksums {
-                    etw,
-                    expected: Some(expected),
-                    ..
-                }) = fused.as_mut()
-                {
-                    accumulate_expected_panel(b, etw, expected, (pc, pc_end), (jc, jc_end));
-                }
-                pc = pc_end;
-            }
-            // All depth panels done: the output segment [row_start..row_end) × [jc..jc_end)
-            // is final, so fold it into eᵀ·Y while it is still warm.
-            if let Some(FusedChecksums { observed, .. }) = fused.as_mut() {
-                for i in row_start..row_end {
-                    let band_row = (i - row_start) * n;
-                    let out_seg = &out_band[band_row + jc..band_row + jc_end];
-                    for (s, &v) in observed[jc..jc_end].iter_mut().zip(out_seg) {
-                        *s += v as i64;
-                    }
-                }
-            }
-            jc = jc_end;
-        }
-    }
-}
-
-/// The row kernel of a [`KernelEngine`]: a GEMM expressed as a pass over a contiguous band
-/// of output rows with optionally fused checksums — the unit [`KernelEngine::run`] composes
-/// over, inline or across stolen chunks, so the dispatch and sharded-checksum-merge logic
-/// exists once no matter which kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Blocked(BlockedKernel),
-    Simd(SimdKernel),
-}
-
-impl Kernel {
-    /// Accumulates `a[row_start..row_end] × b` into `out_band` — the matching rows of the
-    /// output, band-local and contiguous (`(row_end - row_start) × b.cols()`) — folding
-    /// the checksum reductions into the pass when `fused` is present.
-    fn run_rows(
-        &self,
-        a: &MatI8,
-        b: Operand<'_>,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        fused: Option<FusedChecksums<'_>>,
-    ) {
-        match (self, b) {
-            (Kernel::Simd(simd), Operand::RowMajor(b)) => {
-                simd.run_rows(a, b, out_band, row_start, row_end, fused)
-            }
-            (Kernel::Simd(simd), Operand::Packed(pb)) => {
-                // `eᵀ·Y` rides the packed kernel's accumulator registers; `(eᵀ·W)·X` is one
-                // row-major streaming pass over the original the pack carries.
-                let observed = fused.map(|fused| {
-                    if let Some(expected) = fused.expected {
-                        let (k, n) = pb.shape();
-                        accumulate_expected_panel(
-                            pb.unpacked(),
-                            fused.etw,
-                            expected,
-                            (0, k),
-                            (0, n),
-                        );
-                    }
-                    fused.observed
-                });
-                simd.run_rows_packed(a, pb, out_band, row_start, row_end, observed)
-            }
-            // The blocked kernel has no packed pass: it multiplies the row-major original.
-            (Kernel::Blocked(blocked), b) => {
-                blocked.run_rows(a, b.row_major(), out_band, row_start, row_end, fused)
-            }
-        }
-    }
-}
-
 /// MAC count below which a pooled [`KernelEngine`] runs its kernel inline: thread spawn and
 /// join overhead would dominate the decode-stage GEMV-like shapes.
 pub const PARALLEL_MIN_MACS: usize = 1 << 18;
@@ -769,12 +573,12 @@ enum Workers {
     Pool(Option<usize>),
 }
 
-/// Every backend but the oracle: one row kernel × one worker count.
+/// Every backend but the oracle: the SIMD row kernel × one worker count.
 ///
-/// The **kernel** is the cache-tiled blocked loop ([`KernelEngine::blocked`]) or the SIMD
-/// microkernel ([`KernelEngine::simd`], see [`crate::simd`]); its instruction-set tier is
-/// decided once at construction and carried by the engine value, so the per-GEMM hot path
-/// never re-reads the environment or CPUID. The **workers** are the calling thread (the
+/// The **kernel** is the [`crate::simd`] microkernel ([`KernelEngine::simd`]) — on hosts
+/// without AVX2, and under `REALM_FORCE_SCALAR`, its portable tier, the cache-tiled scalar
+/// loop; its instruction-set tier is decided once at construction and carried by the engine
+/// value, so the per-GEMM hot path never re-reads the environment or CPUID. The **workers** are the calling thread (the
 /// default) or a work-stealing pool ([`KernelEngine::pooled`],
 /// [`KernelEngine::with_workers`]): the output rows are carved into [`CHUNKS_PER_WORKER`]×
 /// more contiguous chunks than there are workers, and workers claim chunks off a shared
@@ -790,28 +594,11 @@ enum Workers {
 /// bit-identical to [`ReferenceEngine`] regardless of which worker claims which chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelEngine {
-    kernel: Kernel,
+    kernel: SimdKernel,
     workers: Workers,
 }
 
 impl KernelEngine {
-    /// The blocked kernel with the default tile sizes, on the calling thread.
-    pub fn blocked() -> Self {
-        Self::blocked_with_tiles(DEFAULT_KC, DEFAULT_NC)
-    }
-
-    /// The blocked kernel with explicit tile sizes (`kc` clamped to at least 1, `nc` to
-    /// `1..=`[`DEFAULT_NC`], the width of the kernel's stack scratch).
-    pub fn blocked_with_tiles(kc: usize, nc: usize) -> Self {
-        Self {
-            kernel: Kernel::Blocked(BlockedKernel {
-                kc: kc.max(1),
-                nc: nc.clamp(1, DEFAULT_NC),
-            }),
-            workers: Workers::Inline,
-        }
-    }
-
     /// The SIMD microkernel at the best tier the host supports (runtime detection), on the
     /// calling thread.
     pub fn simd() -> Self {
@@ -824,7 +611,7 @@ impl KernelEngine {
     /// differential tests exercise every supported tier explicitly.
     pub fn simd_with_tier(tier: SimdTier) -> Self {
         Self {
-            kernel: Kernel::Simd(SimdKernel::with_tier(tier)),
+            kernel: SimdKernel::with_tier(tier),
             workers: Workers::Inline,
         }
     }
@@ -857,8 +644,9 @@ impl KernelEngine {
 
     /// The one orchestration routine: runs the kernel over all of `a × b` into `out`
     /// (already shaped and zeroed), inline or across stolen row chunks, with the checksum
-    /// reductions fused into the pass when `fused` is present. (Checksummed decode shapes
-    /// never get here: see the skinny rule in [`KernelEngine::checksummed_into`].)
+    /// reductions fused into the pass when `fused` is present. (At an accelerated tier,
+    /// checksummed decode shapes never get here: see the skinny rule in
+    /// [`KernelEngine::checksummed_into`].)
     ///
     /// When sharded, the `(eᵀ·W)·X` reduction is row-independent and is fused into
     /// whichever claimed chunk starts at row 0 — exactly one chunk does, whoever steals it.
@@ -939,27 +727,29 @@ impl KernelEngine {
         gemm::check_compatible(op, a.shape(), b_shape)?;
         operand_col_sums_into(a, etw_scratch);
         let (m, k, n) = (a.rows(), a.cols(), b_shape.1);
-        // The skinny rule — decode shapes on the SIMD kernel, inline: with at most
+        // The skinny rule — decode shapes at an accelerated tier, inline: with at most
         // `SKINNY_MAX_ROWS` rows `eᵀ·W` fits an `i16` lane, so the multiply and BOTH
         // checksum reductions are a single stream over `B`, packed or row-major.
-        if let Kernel::Simd(simd) = &self.kernel {
-            if (1..=SKINNY_MAX_ROWS).contains(&m) && self.workers_for(m, k, n) <= 1 {
-                match b {
-                    Operand::Packed(pb) => {
-                        dest.prepare(m, n);
-                        let (acc, expected, observed) = dest.fused_parts_mut();
-                        let out = acc.as_mut_slice();
-                        simd.run_skinny_packed(a, pb, out, etw_scratch, expected, observed);
-                    }
-                    Operand::RowMajor(b) => {
-                        dest.prepare_overwritten(m, n);
-                        let (acc, expected, observed) = dest.fused_parts_mut();
-                        let out = acc.as_mut_slice();
-                        simd.run_skinny_rows(a, b, out, etw_scratch, expected, observed);
-                    }
+        let simd = &self.kernel;
+        if simd.has_skinny_passes()
+            && (1..=SKINNY_MAX_ROWS).contains(&m)
+            && self.workers_for(m, k, n) <= 1
+        {
+            match b {
+                Operand::Packed(pb) => {
+                    dest.prepare(m, n);
+                    let (acc, expected, observed) = dest.fused_parts_mut();
+                    let out = acc.as_mut_slice();
+                    simd.run_skinny_packed(a, pb, out, etw_scratch, expected, observed);
                 }
-                return Ok(());
+                Operand::RowMajor(b) => {
+                    dest.prepare_overwritten(m, n);
+                    let (acc, expected, observed) = dest.fused_parts_mut();
+                    let out = acc.as_mut_slice();
+                    simd.run_skinny_rows(a, b, out, etw_scratch, expected, observed);
+                }
             }
+            return Ok(());
         }
         dest.prepare(m, n);
         let (acc, expected, observed) = dest.fused_parts_mut();
@@ -975,11 +765,9 @@ impl KernelEngine {
 
 impl GemmEngine for KernelEngine {
     fn name(&self) -> &'static str {
-        match (self.kernel, self.workers) {
-            (Kernel::Blocked(_), Workers::Inline) => "blocked",
-            (Kernel::Blocked(_), Workers::Pool(_)) => "parallel",
-            (Kernel::Simd(_), Workers::Inline) => "simd",
-            (Kernel::Simd(_), Workers::Pool(_)) => "simd_parallel",
+        match self.workers {
+            Workers::Inline => "simd",
+            Workers::Pool(_) => "simd_parallel",
         }
     }
 
@@ -1016,56 +804,44 @@ impl GemmEngine for KernelEngine {
 
 /// Selector for a GEMM backend, carried by model and pipeline configurations.
 ///
-/// `Default` resolves to [`EngineKind::auto`]: the SIMD microkernel sharded over
-/// work-stealing chunks when the host CPU supports it, the blocked parallel kernel
-/// otherwise — so configurations that never mention an engine automatically ride the
-/// fastest bit-exact backend available.
+/// `Default` resolves to [`EngineKind::auto`], the SIMD kernel sharded over work-stealing
+/// chunks — so configurations that never mention an engine ride the fastest bit-exact
+/// backend available.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The scalar oracle loop.
     Reference,
-    /// The cache-tiled single-thread kernel.
-    Blocked,
-    /// The blocked kernel sharded over work-stealing row chunks.
-    Parallel,
-    /// The SIMD microkernel (AVX2 with runtime detection, portable fallback otherwise).
+    /// The SIMD kernel on the calling thread: the best tier the host grants (AVX-512 /
+    /// AVX2 microkernels, else the portable tier's cache-tiled scalar loop).
     Simd,
-    /// The SIMD microkernel sharded over work-stealing row chunks (the workspace default
-    /// on hosts with AVX2, see [`EngineKind::auto`]).
+    /// The SIMD kernel sharded over work-stealing row chunks (the workspace default, see
+    /// [`EngineKind::auto`]).
     SimdParallel,
 }
 
 impl EngineKind {
     /// All selectable backends, in oracle → fastest order.
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Reference,
-        EngineKind::Blocked,
-        EngineKind::Parallel,
         EngineKind::Simd,
         EngineKind::SimdParallel,
     ];
 
     /// Accepted names for [`EngineKind::from_str`], quoted in its error message.
-    pub const NAMES: &'static str = "reference (alias: ref), blocked, parallel, simd, \
-                                     simd_parallel (alias: simd-parallel)";
+    pub const NAMES: &'static str =
+        "reference (alias: ref), simd, simd_parallel (alias: simd-parallel)";
 
-    /// The best backend the host supports: [`EngineKind::SimdParallel`] when the AVX2
-    /// microkernel will be dispatched (see [`crate::simd::simd_accelerated`]), otherwise
-    /// [`EngineKind::Parallel`]. This is what every default configuration resolves to.
+    /// The best backend for the host: [`EngineKind::SimdParallel`] on every host — without
+    /// AVX2 its kernel is the portable tier, the cache-tiled scalar loop. This is what every
+    /// default configuration resolves to.
     pub fn auto() -> EngineKind {
-        if crate::simd::simd_accelerated() {
-            EngineKind::SimdParallel
-        } else {
-            EngineKind::Parallel
-        }
+        EngineKind::SimdParallel
     }
 
     /// Instantiates the backend with its default parameters.
     pub fn build(self) -> Arc<dyn GemmEngine> {
         match self {
             EngineKind::Reference => Arc::new(ReferenceEngine),
-            EngineKind::Blocked => Arc::new(KernelEngine::blocked()),
-            EngineKind::Parallel => Arc::new(KernelEngine::blocked().pooled()),
             EngineKind::Simd => Arc::new(KernelEngine::simd()),
             EngineKind::SimdParallel => Arc::new(KernelEngine::simd().pooled()),
         }
@@ -1075,8 +851,6 @@ impl EngineKind {
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Blocked => "blocked",
-            EngineKind::Parallel => "parallel",
             EngineKind::Simd => "simd",
             EngineKind::SimdParallel => "simd_parallel",
         }
@@ -1101,8 +875,6 @@ impl FromStr for EngineKind {
     fn from_str(s: &str) -> Result<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "reference" | "ref" => Ok(EngineKind::Reference),
-            "blocked" => Ok(EngineKind::Blocked),
-            "parallel" => Ok(EngineKind::Parallel),
             "simd" => Ok(EngineKind::Simd),
             "simd_parallel" | "simd-parallel" => Ok(EngineKind::SimdParallel),
             other => Err(TensorError::InvalidDimension {
@@ -1117,7 +889,7 @@ impl FromStr for EngineKind {
 }
 
 /// The process-wide default engine — [`EngineKind::auto`], i.e. the SIMD parallel backend
-/// on AVX2 hosts — shared so that hot paths do not rebuild thread metadata per call.
+/// — shared so that hot paths do not rebuild thread metadata per call.
 pub fn default_engine() -> Arc<dyn GemmEngine> {
     static DEFAULT: std::sync::OnceLock<Arc<dyn GemmEngine>> = std::sync::OnceLock::new();
     DEFAULT.get_or_init(|| EngineKind::auto().build()).clone()
@@ -1144,14 +916,13 @@ mod tests {
     }
 
     fn engines() -> Vec<Arc<dyn GemmEngine>> {
+        let portable = KernelEngine::simd_with_tier(SimdTier::Portable);
         vec![
             Arc::new(ReferenceEngine),
-            Arc::new(KernelEngine::blocked()),
-            Arc::new(KernelEngine::blocked_with_tiles(3, 5)),
-            Arc::new(KernelEngine::blocked().pooled()),
-            Arc::new(KernelEngine::blocked().with_workers(3)),
+            Arc::new(portable),
+            Arc::new(portable.pooled()),
+            Arc::new(portable.with_workers(3)),
             Arc::new(KernelEngine::simd()),
-            Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
             Arc::new(KernelEngine::simd().pooled()),
             Arc::new(KernelEngine::simd().with_workers(3)),
         ]
@@ -1190,7 +961,7 @@ mod tests {
     }
 
     /// A backend written against the trait's contract alone: `name` and the two `_into`
-    /// primitives (here borrowed from the blocked kernel), nothing else.
+    /// primitives (here borrowed from the portable tier), nothing else.
     #[derive(Debug)]
     struct PrimitivesOnly;
 
@@ -1200,7 +971,7 @@ mod tests {
         }
 
         fn gemm_i8_into(&self, a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
-            KernelEngine::blocked().gemm_i8_into(a, b, out)
+            KernelEngine::simd_with_tier(SimdTier::Portable).gemm_i8_into(a, b, out)
         }
 
         fn gemm_i8_checksummed_into(
@@ -1210,7 +981,12 @@ mod tests {
             dest: &mut ChecksummedGemm,
             etw_scratch: &mut Vec<i64>,
         ) -> Result<()> {
-            KernelEngine::blocked().gemm_i8_checksummed_into(a, b, dest, etw_scratch)
+            KernelEngine::simd_with_tier(SimdTier::Portable).gemm_i8_checksummed_into(
+                a,
+                b,
+                dest,
+                etw_scratch,
+            )
         }
     }
 
@@ -1237,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn skinny_checksummed_gemms_on_the_simd_kernel_make_no_separate_expected_pass() {
+    fn skinny_checksummed_gemms_on_accelerated_tiers_make_no_separate_expected_pass() {
         let passes = || EXPECTED_PANEL_PASSES.with(Cell::get);
         for tier in [SimdTier::Portable, SimdTier::detect()] {
             // Pooled too: a GEMM this small runs inline whatever the worker count.
@@ -1246,21 +1022,25 @@ mod tests {
                 KernelEngine::simd_with_tier(tier).pooled(),
             ] {
                 for m in 1..=SKINNY_MAX_ROWS + 1 {
+                    // The row-major pass keeps its `n mod 16` tail in registers; a packed
+                    // partial block goes to the tiled routine and its panel pass, so the
+                    // packed weight here is whole blocks.
                     let (a, b) = random_pair(m as u64, m, 32, 50);
-                    let pb = PackedMatI8::pack(&b);
+                    let pw = PackedMatI8::pack(&random_pair(m as u64, 1, 32, 48).1);
                     let (mut dest, mut etw) = (ChecksummedGemm::empty(), Vec::new());
                     let before = passes();
                     engine
                         .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
                         .unwrap();
                     engine
-                        .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
+                        .gemm_i8_packed_checksummed_into(&a, &pw, &mut dest, &mut etw)
                         .unwrap();
                     let separate = passes() - before;
-                    if m <= SKINNY_MAX_ROWS {
+                    let skinny = tier >= SimdTier::Avx2 && m <= SKINNY_MAX_ROWS;
+                    if skinny {
                         assert_eq!(separate, 0, "{tier:?}: {m} rows left the skinny pass");
                     } else {
-                        assert!(separate > 0, "{tier:?}: {m} rows belong to the tile kernel");
+                        assert!(separate > 0, "{tier:?}: {m} rows belong to the panel pass");
                     }
                 }
             }
@@ -1290,7 +1070,9 @@ mod tests {
     #[test]
     fn mutation_marks_observed_stale_and_deviations_track_it() {
         let (a, b) = random_pair(5, 8, 8, 8);
-        let mut result = KernelEngine::blocked().gemm_i8_checksummed(&a, &b).unwrap();
+        let mut result = KernelEngine::simd_with_tier(SimdTier::Portable)
+            .gemm_i8_checksummed(&a, &b)
+            .unwrap();
         assert!(result.column_deviations().iter().all(|&d| d == 0));
         result.acc_mut()[(2, 3)] = result.acc()[(2, 3)].wrapping_add(1 << 20);
         let dev = result.column_deviations();
@@ -1360,7 +1142,7 @@ mod tests {
             .gemm_i8_checksummed_two_pass(&a, &b)
             .unwrap();
         for threads in [1, 2, 3, 7, 64] {
-            let engine = KernelEngine::blocked().with_workers(threads);
+            let engine = KernelEngine::simd_with_tier(SimdTier::Portable).with_workers(threads);
             assert_eq!(
                 engine.gemm_i8(&a, &b).unwrap(),
                 *oracle.acc(),
@@ -1386,18 +1168,10 @@ mod tests {
             EngineKind::SimdParallel
         );
         let err = "systolic".parse::<EngineKind>().unwrap_err().to_string();
-        for name in ["reference", "blocked", "parallel", "simd", "simd_parallel"] {
+        for name in ["reference", "simd", "simd_parallel"] {
             assert!(err.contains(name), "error must list '{name}': {err}");
         }
-        // The default is host-dependent: the SIMD parallel backend when the AVX2
-        // microkernel dispatches, the blocked parallel backend otherwise.
-        assert_eq!(EngineKind::default(), EngineKind::auto());
-        let expected = if crate::simd::simd_accelerated() {
-            EngineKind::SimdParallel
-        } else {
-            EngineKind::Parallel
-        };
-        assert_eq!(EngineKind::auto(), expected);
+        assert_eq!(EngineKind::default(), EngineKind::SimdParallel);
         assert_eq!(default_engine().name(), EngineKind::auto().label());
     }
 }

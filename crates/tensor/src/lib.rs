@@ -10,15 +10,15 @@
 //!   the paper's setup (inputs quantized to INT8, accumulation in INT32); the f32 path is
 //!   used for the non-linear portions of the transformer that stay in floating point.
 //! * [`engine`] — interchangeable execution backends for the quantized GEMM: the scalar
-//!   oracle [`ReferenceEngine`] and [`KernelEngine`], one row kernel (blocked or SIMD) ×
-//!   one worker count (inline or work-stealing row chunks), including the fused-checksum
-//!   pass that computes the ABFT column checksums inside the GEMM pass. A backend
-//!   implements the two `_into` primitives of [`GemmEngine`]; every consumer in the
-//!   workspace routes its quantized GEMMs through a handle selected by [`EngineKind`].
-//! * [`simd`] — the SIMD i8 row kernel behind [`KernelEngine::simd`]: an AVX2 tier, an
-//!   optional AVX-512 tier for the packed kernels, and a portable fallback ([`SimdTier`]),
-//!   all behind runtime feature detection; the process-wide default on hosts with AVX2
-//!   ([`EngineKind::auto`]).
+//!   oracle [`ReferenceEngine`] and [`KernelEngine`], the SIMD row kernel × one worker
+//!   count (inline or work-stealing row chunks), including the fused-checksum pass that
+//!   computes the ABFT column checksums inside the GEMM pass. A backend implements the two
+//!   `_into` primitives of [`GemmEngine`]; every consumer in the workspace routes its
+//!   quantized GEMMs through a handle selected by [`EngineKind`].
+//! * [`simd`] — the i8 row kernel behind [`KernelEngine::simd`]: an AVX2 tier, an optional
+//!   AVX-512 tier for the packed kernels, and a portable tier — the crate's one scalar
+//!   GEMM loop besides the [`gemm`] oracle, cache-tiled, which also takes every vector
+//!   tier's column tail ([`SimdTier`]) — all behind runtime feature detection.
 //! * [`packed`] — [`PackedMatI8`], static B-operand (weight) matrices pre-packed at model
 //!   load into the exact interleaved tile order the microkernels consume, with the
 //!   `eᵀ·W` column checksums precomputed at pack time; the decode-shape fast path behind

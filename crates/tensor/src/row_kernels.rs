@@ -112,10 +112,10 @@ impl RowKernels {
             // SAFETY: an accelerated tier is only granted when AVX2 was detected.
             unsafe { avx2::abs_max_bits(row) }
         } else {
-            portable::abs_max_bits(row)
+            scalar::abs_max_bits(row)
         };
         #[cfg(not(target_arch = "x86_64"))]
-        let bits = portable::abs_max_bits(row);
+        let bits = scalar::abs_max_bits(row);
         // With the sign bit cleared, IEEE order is integer order — except that NaN patterns
         // sort above infinity. Only then is the NaN-ignoring fold needed.
         if bits > f32::INFINITY.to_bits() {
@@ -139,7 +139,7 @@ impl RowKernels {
             unsafe { avx2::quantize_row(row, scale, codes) };
             return;
         }
-        portable::quantize_row(row, scale, codes);
+        scalar::quantize_row(row, scale, codes);
     }
 
     /// Re-quantizes one accumulator row and de-quantizes it again in a single pass:
@@ -157,7 +157,7 @@ impl RowKernels {
             unsafe { avx2::requantize_row(acc, combined_scale, out_scale, out) };
             return;
         }
-        portable::requantize_row(acc, combined_scale, out_scale, out);
+        scalar::requantize_row(acc, combined_scale, out_scale, out);
     }
 
     /// De-quantizes one accumulator row without clipping: `out[i] = acc[i] as f32 · scale`.
@@ -173,7 +173,7 @@ impl RowKernels {
             unsafe { avx2::dequantize_row(acc, scale, out) };
             return;
         }
-        portable::dequantize_row(acc, scale, out);
+        scalar::dequantize_row(acc, scale, out);
     }
 
     /// The `k`-th largest of `|acc[i]|` (as `u32`, so `i32::MIN` is `2³¹`); `k = 1` is the
@@ -208,7 +208,7 @@ impl RowKernels {
             unsafe { avx2::stream_top_k(acc, top) };
             return top[0];
         }
-        portable::stream_top_k(acc, top);
+        scalar::stream_top_k(acc, top);
         top[0]
     }
 }
@@ -229,7 +229,7 @@ fn offer(top: &mut [u32], m: u32) {
 }
 
 /// The scalar tier: [`round_to_code`] in a loop. Also the tail of every vector loop.
-mod portable {
+mod scalar {
     use super::{offer, round_to_code};
 
     pub(super) fn abs_max_bits(row: &[f32]) -> u32 {
@@ -266,7 +266,7 @@ mod portable {
 /// must only be called once AVX2 was detected.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{portable, CODE_CLAMP, HALF_BELOW};
+    use super::{scalar, CODE_CLAMP, HALF_BELOW};
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
@@ -304,7 +304,7 @@ mod avx2 {
         }
         let mut lanes = [0u32; LANES];
         _mm256_storeu_si256(lanes.as_mut_ptr().cast(), max);
-        let tail = portable::abs_max_bits(&row[body..]);
+        let tail = scalar::abs_max_bits(&row[body..]);
         lanes.iter().fold(tail, |m, &v| m.max(v))
     }
 
@@ -325,7 +325,7 @@ mod avx2 {
             let bytes = _mm_packs_epi16(words, words);
             _mm_storel_epi64(codes.as_mut_ptr().add(i).cast(), bytes);
         }
-        portable::quantize_row(&row[body..], scale, &mut codes[body..]);
+        scalar::quantize_row(&row[body..], scale, &mut codes[body..]);
     }
 
     /// # Safety
@@ -348,7 +348,7 @@ mod avx2 {
             let y = _mm256_mul_ps(_mm256_cvtepi32_ps(q), out_v);
             _mm256_storeu_ps(out.as_mut_ptr().add(i), y);
         }
-        portable::requantize_row(&acc[body..], combined, out_scale, &mut out[body..]);
+        scalar::requantize_row(&acc[body..], combined, out_scale, &mut out[body..]);
     }
 
     /// # Safety
@@ -364,7 +364,7 @@ mod avx2 {
             let y = _mm256_mul_ps(_mm256_cvtepi32_ps(v), scale_v);
             _mm256_storeu_ps(out.as_mut_ptr().add(i), y);
         }
-        portable::dequantize_row(&acc[body..], scale, &mut out[body..]);
+        scalar::dequantize_row(&acc[body..], scale, &mut out[body..]);
     }
 
     /// # Safety
@@ -381,10 +381,10 @@ mod avx2 {
             let threshold = _mm256_set1_epi32(top[0] as i32);
             let below = _mm256_cmpeq_epi32(_mm256_max_epu32(mags, threshold), threshold);
             if _mm256_movemask_epi8(below) != -1 {
-                portable::stream_top_k(&acc[i..i + LANES], top);
+                scalar::stream_top_k(&acc[i..i + LANES], top);
             }
         }
-        portable::stream_top_k(&acc[body..], top);
+        scalar::stream_top_k(&acc[body..], top);
     }
 }
 

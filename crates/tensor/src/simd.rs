@@ -1,12 +1,24 @@
 //! SIMD i8 GEMM microkernel with fused ABFT checksums and runtime dispatch.
 //!
-//! The SIMD row kernel of [`crate::engine::KernelEngine`] is the fastest kernel in the
-//! workspace where it is accelerated: an x86-64 AVX2 microkernel built on `core::arch`
-//! intrinsics, selected at **runtime** via `is_x86_feature_detected!` so one binary runs
-//! everywhere — hosts without AVX2 (or runs with the `REALM_FORCE_SCALAR=1` override) fall
-//! back to a portable unrolled-chunk kernel with the identical loop structure. The engine
-//! runs it inline (`simd`) or over work-stealing row chunks (`simd_parallel`), so batched
-//! prefill and serving-scale GEMMs get the SIMD win on every core.
+//! The row kernel of [`crate::engine::KernelEngine`]: an x86-64 AVX2 microkernel built on
+//! `core::arch` intrinsics, selected at **runtime** via `is_x86_feature_detected!` so one
+//! binary runs everywhere — hosts without AVX2 (or runs with the `REALM_FORCE_SCALAR=1`
+//! override) run the portable tier, which is the workspace's one scalar i8 GEMM routine
+//! besides the [`crate::gemm`] oracle: a cache-tiled loop over `64 × 256` panels of `B`
+//! (`tiled`, below). The engine runs the kernel inline (`simd`) or over work-stealing row
+//! chunks (`simd_parallel`), so batched prefill and serving-scale GEMMs use every core.
+//!
+//! # The tiled routine
+//!
+//! Loop order is column panel → depth panel → row → depth → column, so each `64 × 256`
+//! panel of `B` (16 KiB of `i8`) and each accumulator row segment stay cache-resident for a
+//! whole panel's worth of work. Depth advances four rows of `B` at a time: the four rows are
+//! widened to `i32` once into a stack scratch and every accumulator row folds them in with a
+//! pure-`i32` multiply-add the compiler unrolls and vectorises. Fused checksums fold in while
+//! the data is hot: `(eᵀ·W)·X` from each widened `B` panel, `eᵀ·Y` from each finalised
+//! output segment. Besides being the portable tier, it takes every column range the vector
+//! tiers leave over — the `n mod 16` tail of the row-major tile, of the packed tile and of
+//! the packed skinny pass.
 //!
 //! # The microkernel
 //!
@@ -23,9 +35,9 @@
 //!    product is at most `128² = 16384` and the pair sum at most `2¹⁵`, far inside `i32`.
 //!
 //! An odd depth tail pairs the final `B` row with a zero vector, so `k` need not be a
-//! multiple of the SIMD width; column tails (`n mod 16`) run through the portable kernel,
-//! which is bit-identical (integer accumulation is order-invariant) — except in the skinny
-//! pass below, which keeps them in the same registers.
+//! multiple of the SIMD width; column tails (`n mod 16`) run through the tiled routine,
+//! which is bit-identical (integer accumulation is order-invariant) — except in the
+//! row-major skinny pass below, which keeps them in the same registers.
 //!
 //! ## Why `vpmaddwd` and not the `vpmaddubsw` offset trick
 //!
@@ -62,8 +74,10 @@
 //! `SimdKernel::run_skinny_packed`) and attention's `QKᵀ`/`SV` (`m` = 1 per sequence and
 //! head, row-major `B`: `SimdKernel::run_skinny_rows`; at `1 × 32 · 32 × 48` the separate
 //! pass, its second call for the `n mod 16` tail columns and the zero-fills around them cost
-//! 4.4× the multiply itself, the fused row 0.5×). The row-major pass has a portable and an
-//! AVX2 tier; AVX-512 hosts run the AVX2 one, as for the unpacked tile.
+//! 4.4× the multiply itself, the fused row 0.5×). The skinny passes exist at the AVX2 tier
+//! (AVX-512 hosts run the AVX2 row-major one, as for the unpacked tile, and an AVX-512
+//! packed one); the portable tier has none and runs these shapes through the tiled routine,
+//! whose panel pass computes the expected checksum.
 //!
 //! # Packed-B decode kernels
 //!
@@ -71,15 +85,17 @@
 //! points: the depth-pair interleaving above is done **once at pack time**, so the packed
 //! kernels replace load + 2×widen + 2×unpack (+ a retirement permute) per pair with one
 //! 32-byte load + 2×widen, already in linear column order. Three tiers dispatch at
-//! construction ([`SimdTier`]): portable, AVX2, and AVX-512 (which widens the whole
-//! 32-byte pair row into one zmm register — see [`SimdTier::Avx512`]). For checksummed
-//! GEMV/skinny-M shapes (`m ≤` [`SKINNY_MAX_ROWS`]) a dedicated kernel fuses the
-//! *expected* checksum into the same register stream as the multiply, so a protected
-//! decode step streams the weights exactly once.
+//! construction ([`SimdTier`]): portable (the tiled routine over the row-major original the
+//! pack carries), AVX2, and AVX-512 (which widens the whole 32-byte pair row into one zmm
+//! register — see [`SimdTier::Avx512`]). For checksummed GEMV/skinny-M shapes (`m ≤`
+//! [`SKINNY_MAX_ROWS`]) a dedicated kernel fuses the *expected* checksum into the same
+//! register stream as the multiply, so a protected decode step streams the weights exactly
+//! once.
 
-use crate::engine::{accumulate_expected_panel, FusedChecksums};
-use crate::packed::{PackedMatI8, PACK_BLOCK_COLS, PACK_PAIR_BYTES};
+use crate::engine::{accumulate_expected_panel, FusedChecksums, Operand};
+use crate::packed::{PackedMatI8, PACK_BLOCK_COLS};
 use crate::MatI8;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Width (output columns) of the SIMD register tile.
@@ -96,9 +112,21 @@ pub const SKINNY_MAX_ROWS: usize = 4;
 // kernels' consumption order.
 const _: () = assert!(SIMD_TILE_COLS == PACK_BLOCK_COLS);
 
-/// Environment variable that forces the portable fallback kernel even when the CPU
-/// supports the AVX2 microkernel. Any non-empty value other than `0` counts as set; CI
-/// uses it to keep both dispatch paths green on AVX2 runners.
+/// Depth (rows of `B`) of a panel of the tiled routine: `64 × 256` i8 elements = 16 KiB,
+/// resident in L1 on any modern core.
+const PANEL_DEPTH: usize = 64;
+/// Width (columns of `B`) of a panel of the tiled routine.
+const PANEL_WIDTH: usize = 256;
+
+/// Pairs accumulated in `i32` before the fused expected checksum of the skinny kernels
+/// drains to `i64`: each pair partial is bounded by `2·512·128 = 2¹⁷`, so
+/// `8192 · 2¹⁷ = 2³⁰` keeps the `i32` partials exact.
+#[cfg(target_arch = "x86_64")]
+const DRAIN_PAIRS: usize = 8192;
+
+/// Environment variable that forces the portable tier even when the CPU supports the AVX2
+/// microkernel. Any non-empty value other than `0` counts as set; CI uses it to keep both
+/// dispatch paths green on AVX2 runners.
 pub const FORCE_SCALAR_ENV: &str = "REALM_FORCE_SCALAR";
 
 fn force_scalar() -> bool {
@@ -126,23 +154,16 @@ fn avx512_available() -> bool {
     false
 }
 
-/// Returns `true` when an accelerated microkernel will be dispatched: the host CPU
-/// reports AVX2 and [`FORCE_SCALAR_ENV`] is not set.
-pub fn simd_accelerated() -> bool {
-    !force_scalar() && avx2_available()
-}
-
-/// Human-readable description of what the runtime dispatch selected, for benchmark and
-/// example output (bench numbers are uninterpretable without knowing which path ran).
+/// Human-readable description of the tier the runtime dispatch granted
+/// ([`SimdTier::detect`]), for benchmark and example output (bench numbers are
+/// uninterpretable without knowing which path ran).
 pub fn simd_dispatch_label() -> &'static str {
-    if force_scalar() {
-        "portable (REALM_FORCE_SCALAR set)"
-    } else if avx512_available() {
-        "avx512 (packed kernels; avx2 unpacked)"
-    } else if avx2_available() {
-        "avx2"
-    } else {
-        "portable (no AVX2 on this host)"
+    match SimdTier::detect() {
+        SimdTier::Avx512 => "avx512 (packed kernels; avx2 unpacked)",
+        SimdTier::Avx2 => "avx2",
+        // A host with AVX2 runs the portable tier only when it was forced to.
+        SimdTier::Portable if avx2_available() => "portable (REALM_FORCE_SCALAR set)",
+        SimdTier::Portable => "portable (no AVX2 on this host)",
     }
 }
 
@@ -152,7 +173,7 @@ pub fn simd_dispatch_label() -> &'static str {
 /// ([`crate::engine::KernelEngine::simd_with_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
-    /// The portable unrolled-chunk kernels (every host; pinned by [`FORCE_SCALAR_ENV`]).
+    /// The tiled scalar routine (every host; pinned by [`FORCE_SCALAR_ENV`]).
     Portable,
     /// The AVX2 microkernels (16-wide i16 pair tiles).
     Avx2,
@@ -217,64 +238,88 @@ impl SimdKernel {
         }
     }
 
-    /// Microkernel pass over a contiguous row range `[row_start, row_end)` of `a`,
-    /// accumulating into `out_band` (the matching band of the output, see
-    /// `Kernel::run_rows` in [`crate::engine`] for the band contract). When `fused` is
-    /// present the checksum reductions ride the pass: `eᵀ·Y` from the accumulator
-    /// registers as each tile is finalised, `(eᵀ·W)·X` from the cache-hot `B` stripes.
+    /// Whether this tier has the skinny single-stream passes
+    /// ([`SimdKernel::run_skinny_packed`], [`SimdKernel::run_skinny_rows`]): AVX2 and up.
+    /// The portable tier runs those shapes through the tiled routine like any other.
+    pub(crate) fn has_skinny_passes(&self) -> bool {
+        self.tier >= SimdTier::Avx2
+    }
+
+    /// Kernel pass over a contiguous row range `[row_start, row_end)` of `a`, accumulating
+    /// into `out_band` — the matching rows of the output, band-local and contiguous
+    /// (`(row_end - row_start) × n`), so parallel shards can own disjoint `split_at_mut`
+    /// bands of one output allocation. When `fused` is present the checksum reductions ride
+    /// the pass: on the vector tiers `eᵀ·Y` from the accumulator registers as each tile is
+    /// finalised and `(eᵀ·W)·X` as one row-major streaming pass over `B`; on the portable
+    /// tier both from the cache-hot panels of the tiled routine.
+    ///
+    /// A packed `B` is streamed in its pre-interleaved depth-pair order on the vector tiers
+    /// (no per-GEMM `vpunpck` interleaves, no retirement permutes); the portable tier
+    /// multiplies the row-major original the pack carries.
     pub(crate) fn run_rows(
         &self,
         a: &MatI8,
-        b: &MatI8,
+        b: Operand<'_>,
         out_band: &mut [i32],
         row_start: usize,
         row_end: usize,
         fused: Option<FusedChecksums<'_>>,
     ) {
-        let mut fused = fused;
+        let n = b.row_major().cols();
         #[cfg(target_arch = "x86_64")]
         if self.tier >= SimdTier::Avx2 {
-            // SAFETY: an accelerated tier is only granted when AVX2 was detected at
-            // construction (the AVX-512 tier implies AVX2; see `SimdTier::detect`). The
-            // unpacked kernel stays on the AVX2 tile at every accelerated tier — see
-            // [`SimdTier::Avx512`] for why.
-            unsafe { avx2::run_rows(a, b, out_band, row_start, row_end, &mut fused) };
+            let blocks_end = n - n % SIMD_TILE_COLS;
+            let tail = match b {
+                Operand::RowMajor(b) => {
+                    let mut fused = fused;
+                    // SAFETY: an accelerated tier is only granted when AVX2 was detected at
+                    // construction (the AVX-512 tier implies AVX2; see `SimdTier::detect`).
+                    // The unpacked kernel stays on the AVX2 tile at every accelerated tier
+                    // — see [`SimdTier::Avx512`] for why.
+                    unsafe { avx2::run_rows(a, b, out_band, row_start, row_end, fused.as_mut()) };
+                    fused
+                }
+                Operand::Packed(pb) => {
+                    // `eᵀ·Y` rides the packed kernel's accumulator registers; `(eᵀ·W)·X` is
+                    // one row-major streaming pass over the original the pack carries, so
+                    // the tail below has only `eᵀ·Y` left to fold.
+                    let mut observed = fused.map(|fused| {
+                        if let Some(expected) = fused.expected {
+                            accumulate_expected_panel(
+                                pb.unpacked(),
+                                fused.etw,
+                                expected,
+                                (0, pb.rows()),
+                                (0, n),
+                            );
+                        }
+                        fused.observed
+                    });
+                    let obs = observed.as_deref_mut();
+                    if self.tier >= SimdTier::Avx512 {
+                        // SAFETY: the AVX-512 tier is only granted when AVX-512F/BW (and
+                        // AVX2) were detected at construction.
+                        unsafe {
+                            packed_avx512::run_rows(a, pb, out_band, row_start, row_end, obs)
+                        };
+                    } else {
+                        // SAFETY: the AVX2 tier is only granted when AVX2 was detected.
+                        unsafe { packed_avx2::run_rows(a, pb, out_band, row_start, row_end, obs) };
+                    }
+                    observed.map(|observed| FusedChecksums {
+                        etw: &[],
+                        expected: None,
+                        observed,
+                    })
+                }
+            };
+            if blocks_end < n {
+                let b = b.row_major();
+                tiled(a, b, out_band, row_start, row_end, blocks_end..n, tail);
+            }
             return;
         }
-        portable::run_cols(a, b, out_band, row_start, row_end, 0, b.cols(), &mut fused);
-    }
-
-    /// Packed-B microkernel pass over rows `[row_start, row_end)` of `a`, accumulating
-    /// into `out_band` (same band contract as [`SimdKernel::run_rows`]). The packed tiles
-    /// are streamed in pre-interleaved depth-pair order, so the per-GEMM `vpunpck`
-    /// interleaves and the retirement cross-lane permutes of the unpacked kernel vanish.
-    /// When `observed` is present the output-side checksum `eᵀ·Y` rides the accumulator
-    /// registers; the operand-side expected checksum is the caller's job (see
-    /// [`SimdKernel::run_skinny_packed`] for the shape where it fuses too).
-    pub(crate) fn run_rows_packed(
-        &self,
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        observed: Option<&mut [i64]>,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if self.tier >= SimdTier::Avx512 {
-                // SAFETY: the AVX-512 tier is only granted when AVX-512F/BW (and AVX2)
-                // were detected at construction.
-                unsafe { packed_avx512::run_rows(a, pb, out_band, row_start, row_end, observed) };
-                return;
-            }
-            if self.tier >= SimdTier::Avx2 {
-                // SAFETY: the AVX2 tier is only granted when AVX2 was detected.
-                unsafe { packed_avx2::run_rows(a, pb, out_band, row_start, row_end, observed) };
-                return;
-            }
-        }
-        packed_portable::run_rows(a, pb, out_band, row_start, row_end, observed);
+        tiled(a, b.row_major(), out_band, row_start, row_end, 0..n, fused);
     }
 
     /// The GEMV/skinny-M decode kernel: for `m ≤ SKINNY_MAX_ROWS` checksummed GEMMs, the
@@ -283,11 +328,19 @@ impl SimdKernel {
     /// the packed-B registers already loaded for the multiply feed one extra `vpmaddwd`
     /// per pair. That halves the memory traffic of a checksummed decode step: the unpacked
     /// path streams `W` twice (once for the multiply, once for the expected reduction),
-    /// the skinny packed path streams it exactly once.
+    /// the skinny packed path streams it exactly once. A partial final block (`n mod 16`
+    /// columns) runs through the tiled routine, expected checksum included.
     ///
     /// Overflow bound: each fused partial is `|eᵀ·X[pair]| · |W| ≤ 2·512·128 = 2¹⁷`; the
-    /// `i32` partials drain into `i64` every [`packed_portable::DRAIN_PAIRS`] pairs, and
+    /// `i32` partials drain into `i64` every `DRAIN_PAIRS` pairs, and
     /// `8192 · 2¹⁷ = 2³⁰ < i32::MAX` — exact on every input, like everything else here.
+    ///
+    /// Accumulates into `out_band`, `expected` and `observed`, which the caller zeroes.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the portable tier ([`SimdKernel::has_skinny_passes`]) or on shapes that
+    /// disagree.
     pub(crate) fn run_skinny_packed(
         &self,
         a: &MatI8,
@@ -297,34 +350,48 @@ impl SimdKernel {
         expected: &mut [i64],
         observed: &mut [i64],
     ) {
-        debug_assert!(a.rows() <= SKINNY_MAX_ROWS);
+        assert_skinny_shapes(a, pb.shape(), out_band, etx, expected, observed);
         #[cfg(target_arch = "x86_64")]
-        {
+        if self.tier >= SimdTier::Avx2 {
             if self.tier >= SimdTier::Avx512 {
-                // SAFETY: tier granted only with AVX-512F/BW + AVX2 detected.
+                // SAFETY: tier granted only with AVX-512F/BW + AVX2 detected; shapes
+                // asserted above.
                 unsafe { packed_avx512::run_skinny(a, pb, out_band, etx, expected, observed) };
-                return;
-            }
-            if self.tier >= SimdTier::Avx2 {
-                // SAFETY: tier granted only with AVX2 detected.
+            } else {
+                // SAFETY: tier granted only with AVX2 detected; shapes asserted above.
                 unsafe { packed_avx2::run_skinny(a, pb, out_band, etx, expected, observed) };
-                return;
             }
+            let n = pb.cols();
+            let tail = n - n % PACK_BLOCK_COLS..n;
+            if !tail.is_empty() {
+                let fused = FusedChecksums {
+                    etw: etx,
+                    expected: Some(expected),
+                    observed,
+                };
+                tiled(a, pb.unpacked(), out_band, 0, a.rows(), tail, Some(fused));
+            }
+            return;
         }
-        packed_portable::run_skinny(a, pb, out_band, etx, expected, observed);
+        unreachable!("no skinny pass at the {} tier", self.tier.label());
     }
 
     /// [`SimdKernel::run_skinny_packed`]'s twin for a row-major `B` — the activation ×
     /// activation GEMMs of attention (`QKᵀ`, `SV`) and recovery recomputation, whose right
     /// operand changes every call and so is never packed. One stream over `B`: each depth
     /// pair is widened and interleaved once and feeds the `m ≤ 4` activation rows **and**
-    /// the checksum row `eᵀ·A` (same `i16` bound, same [`packed_portable::DRAIN_PAIRS`]
-    /// drain), `eᵀ·Y` is reduced from the retiring registers, and the `n mod 16` tail
-    /// columns run through the same registers instead of a second, scalar pass.
+    /// the checksum row `eᵀ·A` (same `i16` bound, same `DRAIN_PAIRS` drain), `eᵀ·Y` is
+    /// reduced from the retiring registers, and the `n mod 16` tail columns run through the
+    /// same registers instead of a second, scalar pass.
     ///
     /// Unlike every other kernel here it **overwrites** `out`, `expected` and `observed`
     /// (each cell is produced exactly once, over the full depth), so the caller shapes the
     /// destination without zero-filling it.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the portable tier ([`SimdKernel::has_skinny_passes`]) or on shapes that
+    /// disagree.
     pub(crate) fn run_skinny_rows(
         &self,
         a: &MatI8,
@@ -334,19 +401,7 @@ impl SimdKernel {
         expected: &mut [i64],
         observed: &mut [i64],
     ) {
-        let (m, n) = (a.rows(), b.cols());
-        assert!(
-            (1..=SKINNY_MAX_ROWS).contains(&m),
-            "skinny pass over {m} rows"
-        );
-        assert_eq!(a.cols(), b.rows(), "operand depths differ");
-        assert_eq!(etw.len(), a.cols(), "one checksum weight per depth step");
-        assert_eq!(out.len(), m * n, "destination is not m x n");
-        assert_eq!(
-            (expected.len(), observed.len()),
-            (n, n),
-            "one checksum per column"
-        );
+        assert_skinny_shapes(a, b.shape(), out, etw, expected, observed);
         #[cfg(target_arch = "x86_64")]
         if self.tier >= SimdTier::Avx2 {
             // SAFETY: an accelerated tier is only granted when AVX2 was detected; the
@@ -354,139 +409,141 @@ impl SimdKernel {
             unsafe { avx2::run_skinny(a, b, out, etw, expected, observed) };
             return;
         }
-        portable::run_skinny(a, b, out, etw, expected, observed);
+        unreachable!("no skinny pass at the {} tier", self.tier.label());
     }
 }
 
-/// Portable unrolled-chunk fallback: the same 16-column blocks and depth-pair structure as
-/// the AVX2 microkernel, in scalar `i32` arithmetic over a stack tile — no heap scratch,
-/// so the zero-allocation decode contract holds on every host. The compiler's
-/// autovectorizer gets clean slice-to-slice loops; even fully scalar the results are
-/// bit-identical (exact integer accumulation is order-invariant).
-mod portable {
-    use super::{
-        accumulate_expected_panel, FusedChecksums, MatI8, SIMD_TILE_COLS, SKINNY_MAX_ROWS,
-    };
+/// The preconditions of both skinny passes (`(k, n)` is the shape of `B`), which the vector
+/// kernels index by without bounds checks.
+fn assert_skinny_shapes(
+    a: &MatI8,
+    (k, n): (usize, usize),
+    out: &[i32],
+    etw: &[i64],
+    expected: &[i64],
+    observed: &[i64],
+) {
+    let m = a.rows();
+    assert!(
+        (1..=SKINNY_MAX_ROWS).contains(&m),
+        "skinny pass over {m} rows"
+    );
+    assert_eq!(a.cols(), k, "operand depths differ");
+    assert_eq!(etw.len(), k, "one checksum weight per depth step");
+    assert_eq!(out.len(), m * n, "destination is not m x n");
+    assert_eq!(
+        (expected.len(), observed.len()),
+        (n, n),
+        "one checksum per column"
+    );
+}
 
-    /// Column-chunked kernel over rows `[row_start, row_end)` and columns
-    /// `[col_start, col_end)`; also serves as the column-tail handler of the AVX2 path.
-    #[allow(clippy::too_many_arguments)] // mirrors the band contract of `run_rows` kernels
-    pub(super) fn run_cols(
-        a: &MatI8,
-        b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        col_start: usize,
-        col_end: usize,
-        fused: &mut Option<FusedChecksums<'_>>,
-    ) {
-        let k = a.cols();
-        let n = b.cols();
-        // Operand-side checksum over the whole column range in one row-major pass (see the
-        // AVX2 kernel for why stripe-local walks are cache-hostile here).
-        if let Some(FusedChecksums {
-            etw,
-            expected: Some(expected),
-            ..
-        }) = fused
-        {
-            accumulate_expected_panel(b, etw, expected, (0, k), (col_start, col_end));
-        }
-        let mut jc = col_start;
-        while jc < col_end {
-            let jc_end = (jc + SIMD_TILE_COLS).min(col_end);
-            let width = jc_end - jc;
-            for i in row_start..row_end {
-                let a_row = a.row(i);
-                let mut tile = [0i32; SIMD_TILE_COLS];
-                let tile = &mut tile[..width];
-                let mut p = 0;
-                // Depth pairs, mirroring the `vpmaddwd` pairing of the AVX2 kernel.
-                while p + 2 <= k {
+/// The tiled routine (see the module documentation): `a[row_start..row_end] × b[.., cols]`
+/// accumulated into `out_band` (band contract of [`SimdKernel::run_rows`]) — the portable
+/// tier, and the column tail of every vector tier. The widening scratch is a stack array,
+/// so the allocation-free decode contract holds here too, and a depth quad whose four
+/// activations are all zero is skipped per row.
+///
+/// When `fused` is present, the checksum reductions cover `cols` only: `(eᵀ·W)·X` (if
+/// `fused.expected` is present) from each widened `B` panel and `eᵀ·Y` from each finalised
+/// output panel.
+fn tiled(
+    a: &MatI8,
+    b: &MatI8,
+    out_band: &mut [i32],
+    row_start: usize,
+    row_end: usize,
+    cols: Range<usize>,
+    mut fused: Option<FusedChecksums<'_>>,
+) {
+    let k = a.cols();
+    let n = b.cols();
+    debug_assert_eq!(out_band.len(), (row_end - row_start) * n);
+    let mut widened = [0i32; 4 * PANEL_WIDTH];
+    let mut jc = cols.start;
+    while jc < cols.end {
+        let jc_end = (jc + PANEL_WIDTH).min(cols.end);
+        let width = jc_end - jc;
+        let mut pc = 0;
+        while pc < k {
+            let pc_end = (pc + PANEL_DEPTH).min(k);
+            let mut p = pc;
+            // Quad depth steps over widened B rows.
+            while p + 4 <= pc_end {
+                {
+                    let (w0, rest) = widened.split_at_mut(width);
+                    let (w1, rest) = rest.split_at_mut(width);
+                    let (w2, w3) = rest.split_at_mut(width);
+                    for (q, wq) in [w0, w1, w2, w3].into_iter().enumerate() {
+                        for (wv, &bv) in wq.iter_mut().zip(&b.row(p + q)[jc..jc_end]) {
+                            *wv = bv as i32;
+                        }
+                    }
+                }
+                let (w0, rest) = widened.split_at(width);
+                let (w1, rest) = rest.split_at(width);
+                let (w2, rest) = rest.split_at(width);
+                let w3 = &rest[..width];
+                for i in row_start..row_end {
+                    let a_row = a.row(i);
                     let a0 = a_row[p] as i32;
                     let a1 = a_row[p + 1] as i32;
-                    if (a0 | a1) != 0 {
-                        let b0 = &b.row(p)[jc..jc_end];
-                        let b1 = &b.row(p + 1)[jc..jc_end];
-                        for ((t, &v0), &v1) in tile.iter_mut().zip(b0).zip(b1) {
-                            *t += a0 * v0 as i32 + a1 * v1 as i32;
-                        }
+                    let a2 = a_row[p + 2] as i32;
+                    let a3 = a_row[p + 3] as i32;
+                    if a0 | a1 | a2 | a3 == 0 {
+                        continue;
                     }
-                    p += 2;
-                }
-                // Odd depth tail (the AVX2 kernel pairs it with a zero vector).
-                if p < k {
-                    let a0 = a_row[p] as i32;
-                    if a0 != 0 {
-                        for (t, &v0) in tile.iter_mut().zip(&b.row(p)[jc..jc_end]) {
-                            *t += a0 * v0 as i32;
-                        }
+                    let band_row = (i - row_start) * n;
+                    let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
+                    for ((((o, &v0), &v1), &v2), &v3) in
+                        out_seg.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3)
+                    {
+                        *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
                     }
                 }
-                let band_row = (i - row_start) * n;
-                let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
-                for (o, &t) in out_seg.iter_mut().zip(tile.iter()) {
-                    *o += t;
-                }
-                // Output-side checksum from the freshly finalised tile values.
-                if let Some(FusedChecksums { observed, .. }) = fused {
-                    for (s, &v) in observed[jc..jc_end].iter_mut().zip(out_seg.iter()) {
-                        *s += v as i64;
-                    }
-                }
+                p += 4;
             }
-            jc = jc_end;
-        }
-    }
-
-    /// The skinny fused pass (see [`super::SimdKernel::run_skinny_rows`]): per 16-column
-    /// block, one walk down `B` feeds the `m ≤ 4` accumulator rows and the checksum row;
-    /// every destination cell is assigned, not accumulated. The expected checksum is
-    /// scalar `i64`, so no drain is needed — same exact value as the SIMD tiers.
-    pub(super) fn run_skinny(
-        a: &MatI8,
-        b: &MatI8,
-        out: &mut [i32],
-        etw: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        let m = a.rows();
-        let n = b.cols();
-        let mut jc = 0;
-        while jc < n {
-            let jc_end = (jc + SIMD_TILE_COLS).min(n);
-            let width = jc_end - jc;
-            let mut acc = [[0i32; SIMD_TILE_COLS]; SKINNY_MAX_ROWS];
-            let mut exp = [0i64; SIMD_TILE_COLS];
-            for (p, &weight) in etw.iter().enumerate() {
+            // Depth remainder (panel depth not a multiple of 4).
+            while p < pc_end {
                 let b_seg = &b.row(p)[jc..jc_end];
-                if weight != 0 {
-                    for (e, &bv) in exp.iter_mut().zip(b_seg) {
-                        *e += weight * bv as i64;
+                for i in row_start..row_end {
+                    let a_ip = a.row(i)[p] as i32;
+                    if a_ip == 0 {
+                        continue;
+                    }
+                    let band_row = (i - row_start) * n;
+                    let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
+                    for (o, &bv) in out_seg.iter_mut().zip(b_seg) {
+                        *o += a_ip * bv as i32;
                     }
                 }
-                for (r, row_acc) in acc.iter_mut().take(m).enumerate() {
-                    let a_rp = a.row(r)[p] as i32;
-                    if a_rp != 0 {
-                        for (t, &bv) in row_acc.iter_mut().zip(b_seg) {
-                            *t += a_rp * bv as i32;
-                        }
-                    }
-                }
+                p += 1;
             }
-            expected[jc..jc_end].copy_from_slice(&exp[..width]);
-            let mut obs = [0i64; SIMD_TILE_COLS];
-            for (r, row_acc) in acc.iter().take(m).enumerate() {
-                out[r * n + jc..r * n + jc_end].copy_from_slice(&row_acc[..width]);
-                for (s, &v) in obs.iter_mut().zip(row_acc) {
+            // The checksum row of the augmented GEMM: fold this panel's share of
+            // `(eᵀ·W)·X` in while the `B` panel is still cache-hot from the multiply,
+            // instead of re-streaming the whole matrix afterwards.
+            if let Some(FusedChecksums {
+                etw,
+                expected: Some(expected),
+                ..
+            }) = fused.as_mut()
+            {
+                accumulate_expected_panel(b, etw, expected, (pc, pc_end), (jc, jc_end));
+            }
+            pc = pc_end;
+        }
+        // All depth panels done: the output segment [row_start..row_end) × [jc..jc_end)
+        // is final, so fold it into eᵀ·Y while it is still warm.
+        if let Some(FusedChecksums { observed, .. }) = fused.as_mut() {
+            for i in row_start..row_end {
+                let band_row = (i - row_start) * n;
+                let out_seg = &out_band[band_row + jc..band_row + jc_end];
+                for (s, &v) in observed[jc..jc_end].iter_mut().zip(out_seg) {
                     *s += v as i64;
                 }
             }
-            observed[jc..jc_end].copy_from_slice(&obs[..width]);
-            jc = jc_end;
         }
+        jc = jc_end;
     }
 }
 
@@ -495,14 +552,14 @@ mod portable {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::packed_avx2::{drain, pair_weights};
-    use super::packed_portable::DRAIN_PAIRS;
     use super::{
-        accumulate_expected_panel, portable, FusedChecksums, MatI8, SIMD_TILE_COLS, SIMD_TILE_ROWS,
+        accumulate_expected_panel, FusedChecksums, MatI8, DRAIN_PAIRS, SIMD_TILE_COLS,
+        SIMD_TILE_ROWS,
     };
     use std::arch::x86_64::*;
 
-    /// SIMD-width microkernel over full 16-column blocks; the `n mod 16` column tail and
-    /// its checksum shares run through the bit-identical portable kernel.
+    /// SIMD-width microkernel over the full 16-column blocks; the caller hands the
+    /// `n mod 16` column tail and its checksum shares to the tiled routine.
     ///
     /// # Safety
     ///
@@ -514,7 +571,7 @@ mod avx2 {
         out_band: &mut [i32],
         row_start: usize,
         row_end: usize,
-        fused: &mut Option<FusedChecksums<'_>>,
+        mut fused: Option<&mut FusedChecksums<'_>>,
     ) {
         let k = a.cols();
         let n = b.cols();
@@ -529,20 +586,17 @@ mod avx2 {
             etw,
             expected: Some(expected),
             ..
-        }) = fused
+        }) = fused.as_deref_mut()
         {
             accumulate_expected_panel(b, etw, expected, (0, k), (0, n_simd));
         }
         let mut jc = 0;
         while jc < n_simd {
             let observed = fused
-                .as_mut()
+                .as_deref_mut()
                 .map(|f| &mut f.observed[jc..jc + SIMD_TILE_COLS]);
             col_block(a, b, out_band, row_start, row_end, jc, observed);
             jc += SIMD_TILE_COLS;
-        }
-        if n_simd < n {
-            portable::run_cols(a, b, out_band, row_start, row_end, n_simd, n, fused);
         }
     }
 
@@ -867,169 +921,18 @@ mod avx2 {
     }
 }
 
-/// Portable packed-B kernels: the same pre-interleaved depth-pair walk as the SIMD packed
-/// kernels, in scalar arithmetic over a stack tile. Also the partial-final-block handler
-/// for the SIMD tiers — the packed buffer pads every block to 16 columns (the padded
-/// lanes multiply against zero bytes), but the output matrix does not, so the scalar
-/// kernel writes exactly the `n mod 16` live columns.
-mod packed_portable {
-    use super::{MatI8, PackedMatI8, PACK_BLOCK_COLS, PACK_PAIR_BYTES, SKINNY_MAX_ROWS};
-
-    /// Pairs accumulated in `i32` before the fused expected checksum of the SIMD skinny
-    /// kernels drains to `i64`: each pair partial is bounded by `2·512·128 = 2¹⁷`, so
-    /// `8192 · 2¹⁷ = 2³⁰` keeps the `i32` partials exact.
-    pub(super) const DRAIN_PAIRS: usize = 8192;
-
-    pub(super) fn run_rows(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        mut observed: Option<&mut [i64]>,
-    ) {
-        for blk in 0..pb.blocks() {
-            run_block(a, pb, out_band, row_start, row_end, blk, &mut observed);
-        }
-    }
-
-    /// One (possibly partial) 16-column block over the row band.
-    pub(super) fn run_block(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        blk: usize,
-        observed: &mut Option<&mut [i64]>,
-    ) {
-        let k = a.cols();
-        let n = pb.cols();
-        let jc = blk * PACK_BLOCK_COLS;
-        let jc_end = (jc + PACK_BLOCK_COLS).min(n);
-        let width = jc_end - jc;
-        let pairs = pb.padded_k() / 2;
-        let tiles = &pb.tiles()[blk * pb.block_stride()..];
-        for i in row_start..row_end {
-            let a_row = a.row(i);
-            let mut tile = [0i32; PACK_BLOCK_COLS];
-            let tile = &mut tile[..width];
-            for p in 0..pairs {
-                let a0 = a_row[2 * p] as i32;
-                let a1 = if 2 * p + 1 < k {
-                    a_row[2 * p + 1] as i32
-                } else {
-                    0
-                };
-                if (a0 | a1) == 0 {
-                    continue;
-                }
-                let chunk = &tiles[p * PACK_PAIR_BYTES..(p + 1) * PACK_PAIR_BYTES];
-                for (lane, t) in tile.iter_mut().enumerate() {
-                    *t += a0 * chunk[2 * lane] as i32 + a1 * chunk[2 * lane + 1] as i32;
-                }
-            }
-            let band_row = (i - row_start) * n;
-            let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
-            for (o, &t) in out_seg.iter_mut().zip(tile.iter()) {
-                *o += t;
-            }
-            if let Some(observed) = observed.as_deref_mut() {
-                for (s, &v) in observed[jc..jc_end].iter_mut().zip(out_seg.iter()) {
-                    *s += v as i64;
-                }
-            }
-        }
-    }
-
-    pub(super) fn run_skinny(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        for blk in 0..pb.blocks() {
-            run_skinny_block(a, pb, out_band, blk, etx, expected, observed);
-        }
-    }
-
-    /// One (possibly partial) block of the skinny kernel: multiply, expected and observed
-    /// checksums all accumulated in the same walk over the packed pairs — the portable
-    /// mirror of the single-stream contract of the SIMD skinny kernels (scalar `i64`
-    /// expected, so no drain is needed; same exact value either way).
-    pub(super) fn run_skinny_block(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        blk: usize,
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        let m = a.rows();
-        debug_assert!(m <= SKINNY_MAX_ROWS);
-        let k = a.cols();
-        let n = pb.cols();
-        let jc = blk * PACK_BLOCK_COLS;
-        let jc_end = (jc + PACK_BLOCK_COLS).min(n);
-        let width = jc_end - jc;
-        let pairs = pb.padded_k() / 2;
-        let tiles = &pb.tiles()[blk * pb.block_stride()..];
-        let mut acc = [[0i32; PACK_BLOCK_COLS]; SKINNY_MAX_ROWS];
-        let mut exp = [0i64; PACK_BLOCK_COLS];
-        for p in 0..pairs {
-            let chunk = &tiles[p * PACK_PAIR_BYTES..(p + 1) * PACK_PAIR_BYTES];
-            let odd_tail = 2 * p + 1 >= k;
-            let e0 = etx[2 * p];
-            let e1 = if odd_tail { 0 } else { etx[2 * p + 1] };
-            if (e0 | e1) != 0 {
-                for (lane, e) in exp[..width].iter_mut().enumerate() {
-                    *e += e0 * chunk[2 * lane] as i64 + e1 * chunk[2 * lane + 1] as i64;
-                }
-            }
-            for (r, row_acc) in acc.iter_mut().take(m).enumerate() {
-                let a_row = a.row(r);
-                let a0 = a_row[2 * p] as i32;
-                let a1 = if odd_tail { 0 } else { a_row[2 * p + 1] as i32 };
-                if (a0 | a1) == 0 {
-                    continue;
-                }
-                for (lane, t) in row_acc[..width].iter_mut().enumerate() {
-                    *t += a0 * chunk[2 * lane] as i32 + a1 * chunk[2 * lane + 1] as i32;
-                }
-            }
-        }
-        for (e, &v) in expected[jc..jc_end].iter_mut().zip(exp.iter()) {
-            *e += v;
-        }
-        for (r, row_acc) in acc.iter().take(m).enumerate() {
-            let band_row = r * n;
-            let out_seg = &mut out_band[band_row + jc..band_row + jc_end];
-            for (o, &t) in out_seg.iter_mut().zip(row_acc[..width].iter()) {
-                *o += t;
-            }
-            for (s, &v) in observed[jc..jc_end].iter_mut().zip(out_seg.iter()) {
-                *s += v as i64;
-            }
-        }
-    }
-}
-
 /// The AVX2 tier of the packed kernels. The pack-time interleaving turns each depth
 /// pair's inner step into one 32-byte load plus two `vpmovsxbw` widenings — the
 /// `vpunpck` interleaves and the retirement cross-lane permutes of the unpacked kernel
 /// are gone, and the accumulator registers hold columns in linear order throughout.
 #[cfg(target_arch = "x86_64")]
 mod packed_avx2 {
-    use super::{
-        packed_portable, MatI8, PackedMatI8, PACK_BLOCK_COLS, PACK_PAIR_BYTES, SIMD_TILE_ROWS,
-    };
+    use super::{MatI8, PackedMatI8, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
+    use crate::packed::PACK_PAIR_BYTES;
     use std::arch::x86_64::*;
 
-    /// Packed-B microkernel over full 16-column blocks; a partial final block runs
-    /// through the bit-identical portable packed kernel.
+    /// Packed-B microkernel over the full 16-column blocks; the caller hands a partial
+    /// final block to the tiled routine.
     ///
     /// # Safety
     ///
@@ -1043,25 +946,12 @@ mod packed_avx2 {
         row_end: usize,
         mut observed: Option<&mut [i64]>,
     ) {
-        let n = pb.cols();
-        let full_blocks = n / PACK_BLOCK_COLS;
-        for blk in 0..full_blocks {
+        for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             let jc = blk * PACK_BLOCK_COLS;
             let obs = observed
                 .as_deref_mut()
                 .map(|o| &mut o[jc..jc + PACK_BLOCK_COLS]);
             col_block(a, pb, out_band, row_start, row_end, blk, obs);
-        }
-        if full_blocks < pb.blocks() {
-            packed_portable::run_block(
-                a,
-                pb,
-                out_band,
-                row_start,
-                row_end,
-                full_blocks,
-                &mut observed,
-            );
         }
     }
 
@@ -1167,7 +1057,8 @@ mod packed_avx2 {
     /// The GEMV/skinny-M packed kernel: all `m ≤ 4` rows in one register tile, with the
     /// expected checksum fused into the same pair stream (see
     /// [`super::SimdKernel::run_skinny_packed`]) — `i32` `vpmaddwd` partials drained into
-    /// `i64` registers every [`packed_portable::DRAIN_PAIRS`] pairs.
+    /// `i64` registers every `DRAIN_PAIRS` pairs. Full 16-column blocks only; the caller
+    /// hands a partial final block to the tiled routine.
     ///
     /// # Safety
     ///
@@ -1181,25 +1072,13 @@ mod packed_avx2 {
         expected: &mut [i64],
         observed: &mut [i64],
     ) {
-        let full_blocks = pb.cols() / PACK_BLOCK_COLS;
-        for blk in 0..full_blocks {
+        for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             match a.rows() {
                 1 => skinny_block::<1>(a, pb, out_band, blk, etx, expected, observed),
                 2 => skinny_block::<2>(a, pb, out_band, blk, etx, expected, observed),
                 3 => skinny_block::<3>(a, pb, out_band, blk, etx, expected, observed),
                 _ => skinny_block::<4>(a, pb, out_band, blk, etx, expected, observed),
             }
-        }
-        if full_blocks < pb.blocks() {
-            packed_portable::run_skinny_block(
-                a,
-                pb,
-                out_band,
-                full_blocks,
-                etx,
-                expected,
-                observed,
-            );
         }
     }
 
@@ -1250,7 +1129,7 @@ mod packed_avx2 {
             exp32_lo = _mm256_add_epi32(exp32_lo, _mm256_madd_epi16(pairs_lo, ew));
             exp32_hi = _mm256_add_epi32(exp32_hi, _mm256_madd_epi16(pairs_hi, ew));
             since_drain += 1;
-            if since_drain == packed_portable::DRAIN_PAIRS {
+            if since_drain == DRAIN_PAIRS {
                 drain(&mut exp32_lo, &mut exp32_hi, &mut exp64);
                 since_drain = 0;
             }
@@ -1390,13 +1269,12 @@ mod packed_avx2 {
 /// (and its unsigned×signed form needs a `128·colsum` correction besides).
 #[cfg(target_arch = "x86_64")]
 mod packed_avx512 {
-    use super::{
-        packed_portable, MatI8, PackedMatI8, PACK_BLOCK_COLS, PACK_PAIR_BYTES, SIMD_TILE_ROWS,
-    };
+    use super::{MatI8, PackedMatI8, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
+    use crate::packed::PACK_PAIR_BYTES;
     use std::arch::x86_64::*;
 
-    /// Packed-B microkernel over full 16-column blocks; a partial final block runs
-    /// through the bit-identical portable packed kernel.
+    /// Packed-B microkernel over the full 16-column blocks; the caller hands a partial
+    /// final block to the tiled routine.
     ///
     /// # Safety
     ///
@@ -1410,25 +1288,12 @@ mod packed_avx512 {
         row_end: usize,
         mut observed: Option<&mut [i64]>,
     ) {
-        let n = pb.cols();
-        let full_blocks = n / PACK_BLOCK_COLS;
-        for blk in 0..full_blocks {
+        for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             let jc = blk * PACK_BLOCK_COLS;
             let obs = observed
                 .as_deref_mut()
                 .map(|o| &mut o[jc..jc + PACK_BLOCK_COLS]);
             col_block(a, pb, out_band, row_start, row_end, blk, obs);
-        }
-        if full_blocks < pb.blocks() {
-            packed_portable::run_block(
-                a,
-                pb,
-                out_band,
-                row_start,
-                row_end,
-                full_blocks,
-                &mut observed,
-            );
         }
     }
 
@@ -1538,25 +1403,13 @@ mod packed_avx512 {
         expected: &mut [i64],
         observed: &mut [i64],
     ) {
-        let full_blocks = pb.cols() / PACK_BLOCK_COLS;
-        for blk in 0..full_blocks {
+        for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             match a.rows() {
                 1 => skinny_block::<1>(a, pb, out_band, blk, etx, expected, observed),
                 2 => skinny_block::<2>(a, pb, out_band, blk, etx, expected, observed),
                 3 => skinny_block::<3>(a, pb, out_band, blk, etx, expected, observed),
                 _ => skinny_block::<4>(a, pb, out_band, blk, etx, expected, observed),
             }
-        }
-        if full_blocks < pb.blocks() {
-            packed_portable::run_skinny_block(
-                a,
-                pb,
-                out_band,
-                full_blocks,
-                etx,
-                expected,
-                observed,
-            );
         }
     }
 
@@ -1599,7 +1452,7 @@ mod packed_avx512 {
             let e1 = if odd_tail { 0 } else { etx[2 * p + 1] as i16 };
             exp32 = _mm512_add_epi32(exp32, _mm512_madd_epi16(pair_row, pair_weights(e0, e1)));
             since_drain += 1;
-            if since_drain == packed_portable::DRAIN_PAIRS {
+            if since_drain == DRAIN_PAIRS {
                 drain(&mut exp32, &mut exp64);
                 since_drain = 0;
             }
@@ -1723,7 +1576,8 @@ mod tests {
     #[test]
     fn simd_matches_reference_across_ragged_shapes() {
         // Shapes chosen to hit every dispatch edge: depth tails (odd k), column tails
-        // (n mod 16), row tails (m mod 4), degenerate vectors, and a parallel-size GEMM.
+        // (n mod 16), row tails (m mod 4), degenerate vectors, a parallel-size GEMM, and
+        // ragged depth and width panels of the tiled routine (k > 64, n > 256).
         for (seed, (m, k, n)) in [
             (1, (1, 1, 1)),
             (2, (4, 2, 16)),
@@ -1732,6 +1586,7 @@ mod tests {
             (5, (3, 16, 48)),
             (6, (1, 301, 1)),
             (7, (130, 64, 96)),
+            (8, (6, 133, 275)),
         ]
         .into_iter()
         {
@@ -1835,9 +1690,17 @@ mod tests {
     #[test]
     fn dispatch_label_is_consistent_with_detection() {
         // Can't mutate the environment safely in-process; just pin the invariants.
-        let detected = SimdKernel::with_tier(SimdTier::detect());
-        assert_eq!(detected.tier != SimdTier::Portable, simd_accelerated());
-        assert!(!simd_dispatch_label().is_empty());
+        let detected = SimdTier::detect();
+        assert!(
+            simd_dispatch_label().starts_with(detected.label()),
+            "{} names another tier than {detected:?}",
+            simd_dispatch_label()
+        );
+        assert_eq!(SimdKernel::with_tier(detected).tier, detected);
+        assert_eq!(
+            SimdKernel::with_tier(detected).has_skinny_passes(),
+            detected >= SimdTier::Avx2
+        );
     }
 
     #[test]
@@ -1882,8 +1745,8 @@ mod tests {
     #[test]
     fn packed_paths_match_reference_across_tiers_and_shapes() {
         // Skinny shapes (m ≤ 4) exercise the fused-expected GEMV kernel, m ≥ 5 the
-        // generic packed kernel, odd k the zero-padded final pair, ragged n the
-        // portable partial-block handler, and the deep shape the i32→i64 expected
+        // generic packed kernel, odd k the zero-padded final pair, ragged n the hand-over
+        // of the partial block to the tiled routine, and the deep shape the i32→i64 expected
         // drain (k/2 > DRAIN_PAIRS needs k > 16384).
         for (seed, (m, k, n)) in [
             (11, (1, 1, 1)),

@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart
-//! # optionally pin the GEMM backend (reference | blocked | parallel | simd | simd_parallel):
-//! cargo run --release --example quickstart -- blocked
+//! # optionally pin the GEMM backend (reference | simd | simd_parallel):
+//! cargo run --release --example quickstart -- reference
 //! ```
 
 use realm::core::pipeline::{PipelineConfig, ProtectedPipeline};
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nStatistical ABFT recovers most of the quality lost at this operating point while \
          triggering a fraction of classical ABFT's recoveries (and energy) — the paper's \
-         headline trade-off. Re-run with a backend argument (reference|blocked|parallel|simd|simd_parallel) to \
+         headline trade-off. Re-run with a backend argument (reference|simd|simd_parallel) to \
          see that the numbers are bit-identical on every GEMM engine."
     );
     Ok(())

@@ -2,9 +2,10 @@
 //! reference — on accumulators *and* on fused ABFT checksums — across ragged shapes,
 //! saturated INT8 inputs and corrupted accumulators.
 //!
-//! These are the guarantees that make the backend pluggable: because `Blocked` and
-//! `Parallel` reproduce `Reference` to the bit, swapping the engine of a model, pipeline or
-//! recovery path can never change an experiment's numbers, only its wall-clock time.
+//! These are the guarantees that make the backend pluggable: because every SIMD tier,
+//! inline or pooled, reproduces `Reference` to the bit, swapping the engine of a model,
+//! pipeline or recovery path can never change an experiment's numbers, only its wall-clock
+//! time.
 
 use rand::Rng;
 use realm::abft::detector::AbftDetector;
@@ -15,17 +16,15 @@ use realm::tensor::{rng, MatI8, SimdTier};
 use std::sync::Arc;
 
 fn all_engines() -> Vec<Arc<dyn GemmEngine>> {
+    // The pinned portable tier plus the host-detected dispatch, so both kernel paths are
+    // differentially tested on every machine.
+    let portable = KernelEngine::simd_with_tier(SimdTier::Portable);
     vec![
         Arc::new(ReferenceEngine),
-        Arc::new(KernelEngine::blocked()),
-        // Deliberately awkward tile sizes so panel edges land mid-matrix.
-        Arc::new(KernelEngine::blocked_with_tiles(7, 13)),
-        Arc::new(KernelEngine::blocked().pooled()),
-        Arc::new(KernelEngine::blocked().with_workers(5)),
-        // Host-detected SIMD dispatch plus the pinned portable fallback, so both kernel
-        // paths are differentially tested on every machine.
+        Arc::new(portable),
+        Arc::new(portable.pooled()),
+        Arc::new(portable.with_workers(5)),
         Arc::new(KernelEngine::simd()),
-        Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
         Arc::new(KernelEngine::simd().pooled()),
         Arc::new(KernelEngine::simd().with_workers(5)),
     ]

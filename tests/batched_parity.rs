@@ -194,7 +194,7 @@ impl GemmHook for StreamRecorder {
 
 #[test]
 fn batch_of_one_matches_the_single_sequence_path() {
-    let model = model_for(EngineKind::Parallel, ModelConfig::tiny_opt());
+    let model = model_for(EngineKind::SimdParallel, ModelConfig::tiny_opt());
     let prompt = vec![1u32, 5, 9, 3];
     let solo = model.generate(&prompt, 8, &mut NoopHook).unwrap();
     let batched = model
@@ -325,7 +325,7 @@ fn empty_batch_and_empty_prompts_are_rejected() {
 
 #[test]
 fn scheduler_with_ragged_budgets_matches_per_sequence_generate() {
-    let model = model_for(EngineKind::Blocked, ModelConfig::tiny_llama());
+    let model = model_for(EngineKind::Simd, ModelConfig::tiny_llama());
     let requests = vec![
         BatchRequest::new(vec![1, 2, 3], 7),
         BatchRequest::new(vec![4, 5, 6, 7, 8], 2),
@@ -436,7 +436,7 @@ fn batched_campaign_attributes_detections_to_the_correct_sequence() {
 
 #[test]
 fn batched_pipeline_outcome_carries_dense_attribution() {
-    let model = model_for(EngineKind::Parallel, ModelConfig::tiny_opt());
+    let model = model_for(EngineKind::SimdParallel, ModelConfig::tiny_opt());
     let config = PipelineConfig {
         array: SystolicArray::small(Dataflow::WeightStationary),
         ..PipelineConfig::default()

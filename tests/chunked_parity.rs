@@ -182,11 +182,11 @@ fn chunked_prefill_parity_holds_for_the_opt_architecture() {
     // The cross product above runs on the Llama-style block; one dense spot check keeps
     // the OPT-style block (different MLP and norm placement) honest too.
     let mut config = ModelConfig::tiny_opt();
-    config.engine = EngineKind::Parallel;
+    config.engine = EngineKind::SimdParallel;
     config.max_seq_len = 96;
     let mut model = Model::new(&config, 13).unwrap();
     model.set_tensor_parallel(3);
-    assert_chunk_parity(&model, "tiny_opt/parallel/tp3");
+    assert_chunk_parity(&model, "tiny_opt/simd_parallel/tp3");
 }
 
 /// Corrupts one accumulator row of the *second* prefill chunk the target slot runs — a
@@ -252,7 +252,7 @@ impl GemmHook for CorruptSecondChunk {
 #[test]
 fn fault_in_a_mid_prompt_chunk_is_charged_to_the_owning_request() {
     let mut config = ModelConfig::tiny_opt();
-    config.engine = EngineKind::Parallel;
+    config.engine = EngineKind::SimdParallel;
     config.max_seq_len = 96;
     let model = Model::new(&config, 17).unwrap();
 

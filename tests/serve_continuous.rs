@@ -86,7 +86,7 @@ fn mid_flight_admission_is_bit_identical_to_solo_runs_on_every_backend() {
 
 #[test]
 fn saturated_engine_does_not_starve_low_priority_requests() {
-    let model = model_for(EngineKind::Parallel, ModelConfig::tiny_opt());
+    let model = model_for(EngineKind::SimdParallel, ModelConfig::tiny_opt());
     let mut engine = ServeEngine::new(
         &model,
         ServeConfig {
@@ -155,7 +155,7 @@ fn saturated_engine_does_not_starve_low_priority_requests() {
 
 #[test]
 fn protected_serving_repairs_faults_and_attributes_them_per_request() {
-    let model = model_for(EngineKind::Parallel, ModelConfig::tiny_opt());
+    let model = model_for(EngineKind::SimdParallel, ModelConfig::tiny_opt());
     let injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.02), 41);
     let mut engine =
         ServeEngine::new(&model, ServeConfig::with_slots(2)).with_fault_hook(Box::new(injector));

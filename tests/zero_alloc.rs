@@ -8,14 +8,15 @@
 //! allocations — unprotected and under an always-on statistical-ABFT protector alike (the
 //! fault-free detection path reuses the protector's scratch buffers).
 //!
-//! The test pins three backends: `Reference` (its `_into` kernels are the oracle every other
-//! backend is differentially tested against), `Simd` (the microkernel keeps its tile in
-//! stack registers and must not allocate packing scratch per call) and `Blocked` (what
-//! `EngineKind::auto()` runs inline at decode shapes on hosts without AVX2; its widening
-//! scratch is a stack tile). None spawns worker threads whose stacks would muddy the count,
-//! and the engine-level GEMV test adds the pooled default to pin that decode shapes stay
-//! inline below the sharding threshold. Under `REALM_FORCE_SCALAR=1` the Simd tests prove
-//! the same contract for the portable fallback kernel.
+//! The model-level tests pin two backends: `Reference` (its `_into` kernels are the oracle
+//! every other backend is differentially tested against) and `Simd` (the microkernel keeps
+//! its tile in stack registers and must not allocate packing scratch per call). Neither
+//! spawns worker threads whose stacks would muddy the count. The engine-level GEMV test adds
+//! the pooled default, to pin that decode shapes stay inline below the sharding threshold,
+//! and the portable tier — the tiled scalar loop, which is also what `EngineKind::auto()`
+//! runs on hosts without AVX2 and what takes every vector tier's column tail; its widening
+//! scratch is a stack tile. Under `REALM_FORCE_SCALAR=1` the model-level Simd tests prove
+//! the same contract for the portable tier.
 //!
 //! Since the decode-shape speed tier landed, `QuantLinear` pre-packs every weight matrix
 //! into a [`realm::tensor::PackedMatI8`] replica at **model load**. That packing is a
@@ -123,19 +124,17 @@ fn count_decode_allocations(
 
 #[test]
 fn decode_steps_after_warmup_allocate_nothing() {
-    for engine in [EngineKind::Reference, EngineKind::Blocked] {
-        let model = model_on(engine);
-        let sanity = allocations();
-        assert!(sanity > 0, "the counting allocator is installed");
-        // Warmup to KV length 4 + 64 = 68: every length-dependent scratch buffer has crossed
-        // the 64-element ceiling and sits at a power-of-two capacity ≥ its demand through the
-        // whole 40-step window (length ≤ 108 < 128).
-        let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
-        assert_eq!(
-            allocations, 0,
-            "{engine}: steady-state decode must perform zero heap allocations per step"
-        );
-    }
+    let model = reference_model();
+    let sanity = allocations();
+    assert!(sanity > 0, "the counting allocator is installed");
+    // Warmup to KV length 4 + 64 = 68: every length-dependent scratch buffer has crossed
+    // the 64-element ceiling and sits at a power-of-two capacity ≥ its demand through the
+    // whole 40-step window (length ≤ 108 < 128).
+    let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
+    assert_eq!(
+        allocations, 0,
+        "steady-state decode must perform zero heap allocations per step"
+    );
 }
 
 #[test]
@@ -143,7 +142,7 @@ fn simd_decode_steps_after_warmup_allocate_nothing() {
     // The SIMD backend's `_into` kernels keep their register tile on the stack; the packed
     // weight replicas they stream were allocated once at `Model::new` and are read-only
     // here, so the allocation-free contract extends to the packed decode path verbatim —
-    // on every dispatch tier (AVX-512 or AVX2 here; the portable fallback under the CI leg
+    // on every dispatch tier (AVX-512 or AVX2 here; the portable tier under the CI leg
     // that sets REALM_FORCE_SCALAR=1).
     let model = model_on(EngineKind::Simd);
     let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
@@ -157,19 +156,31 @@ fn simd_decode_steps_after_warmup_allocate_nothing() {
 fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
     // Engine-level statement of the same contract: once the packed replica exists and the
     // destination/scratch buffers have been sized by a first call, repeated checksummed
-    // packed GEMVs (the per-layer decode workload) perform zero heap allocations.
-    use realm::tensor::engine::{ChecksummedGemm, GemmEngine, ReferenceEngine};
-    use realm::tensor::{rng, MatI32, MatI8, PackedMatI8};
+    // packed GEMVs (the per-layer decode workload) and row-major ones (attention, recovery)
+    // perform zero heap allocations.
+    use realm::tensor::engine::{ChecksummedGemm, GemmEngine, KernelEngine, ReferenceEngine};
+    use realm::tensor::{rng, MatI32, MatI8, PackedMatI8, SimdTier};
+    use std::sync::Arc;
 
     let mut r = rng::seeded(7);
     use rand::Rng;
-    let w = MatI8::from_fn(96, 80, |_, _| r.gen_range(-128i16..=127) as i8);
+    // 83 columns: five full 16-column blocks and a 3-column tail, so on every tier the
+    // tiled routine runs under the counting allocator too.
+    let w = MatI8::from_fn(96, 83, |_, _| r.gen_range(-128i16..=127) as i8);
     let pb = PackedMatI8::from_mat(w);
     let a = MatI8::from_fn(1, 96, |_, _| r.gen_range(-128i16..=127) as i8);
-    // `SimdParallel` is the default engine on AVX2 hosts: a decode-shape GEMM is below its
-    // sharding threshold, so it must run inline and spawn (hence allocate) nothing.
-    for kind in [EngineKind::Simd, EngineKind::SimdParallel] {
-        let engine = kind.build();
+    // `SimdParallel` is the default engine: a decode-shape GEMM is below its sharding
+    // threshold, so it must run inline and spawn (hence allocate) nothing. The portable
+    // tier is pinned explicitly so it is covered on hosts with AVX2 as well.
+    let engines: [(&str, Arc<dyn GemmEngine>); 3] = [
+        ("simd", EngineKind::Simd.build()),
+        ("simd_parallel", EngineKind::SimdParallel.build()),
+        (
+            "simd, portable tier",
+            Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
+        ),
+    ];
+    for (kind, engine) in engines {
         let mut dest = ChecksummedGemm::from_parts(MatI32::zeros(0, 0), Vec::new(), Vec::new());
         let mut etw = Vec::new();
         // Warmup sizes the accumulator and the three checksum buffers.
@@ -180,13 +191,16 @@ fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
         let before = allocations();
         for _ in 0..32 {
             engine
+                .gemm_i8_checksummed_into(&a, pb.unpacked(), &mut dest, &mut etw)
+                .unwrap();
+            engine
                 .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
                 .unwrap();
         }
         let allocations = allocations() - before;
         assert_eq!(
             allocations, 0,
-            "{kind}: repeated packed checksummed GEMVs must reuse the caller's buffers"
+            "{kind}: repeated checksummed GEMVs must reuse the caller's buffers"
         );
 
         // The loop above really did compute the decode GEMM: cross-check the last result.
