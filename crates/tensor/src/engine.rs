@@ -23,21 +23,25 @@
 //! `(eᵀ·W)·X` derived from the operands. Computed naively (as `realm-abft`'s
 //! `checksum` free functions do) that is three extra full passes over `W`, `X` and `Y` after
 //! the GEMM. [`GemmEngine::gemm_i8_checksummed`] instead accumulates `eᵀ·W` and `eᵀ·Y` while
-//! the GEMM pass already has the data in registers/L1, and folds the `(eᵀ·W)·X` reduction
-//! into the cache-hot `B` panels — mirroring the checksum row/column the paper adds to the
+//! the GEMM pass already has the data in registers/L1, and multiplies `eᵀ·W` against `B` as
+//! one more row of the pass — mirroring the checksum row/column the paper adds to the
 //! systolic array (Fig. 3), which also computes checksums *during* the array pass rather
-//! than in a separate sweep. The result is a [`ChecksummedGemm`], which downstream ABFT
+//! than in a separate sweep. On the vector tiers that checksum row rides the multiply's own
+//! `vpmaddwd` pair stream, so `B` is streamed once whatever the row count (see "Fused
+//! checksums, in-register" in [`crate::simd`]); the portable tier folds it into its
+//! cache-hot `B` panels. The result is a [`ChecksummedGemm`], which downstream ABFT
 //! detectors consume directly instead of re-reading the matrices.
 //!
-//! At an accelerated SIMD tier a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows that
-//! runs inline — every decode-shape GEMM: the linears over packed weights, attention's `QKᵀ`
-//! and `SV` over row-major activations, recovery recomputation — takes the **skinny** pass
-//! of its operand kind, where the checksum row rides the multiply's own registers and `B`
-//! is streamed exactly once (see "The skinny rule" in [`crate::simd`]).
+//! At an accelerated SIMD tier a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows over a
+//! row-major `B` that runs inline — attention's decode-shape `QKᵀ` and `SV`, recovery
+//! recomputation — takes the **skinny** pass, which also keeps the `n mod 16` tail columns
+//! in registers and assigns every destination cell (see "The skinny rule" in
+//! [`crate::simd`]).
 
 use crate::packed::PackedMatI8;
 use crate::simd::{SimdKernel, SimdTier, SKINNY_MAX_ROWS};
 use crate::{gemm, MatI32, MatI8, Result, TensorError};
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -247,6 +251,16 @@ pub fn operand_col_sums_into(a: &MatI8, sums: &mut Vec<i64>) {
     }
 }
 
+/// Adds the column sums of rows `rows` of `a` onto `sums` (`a.cols()` long): a row pass's
+/// share of `eᵀ·W`, for the portable tier, whose tiled routine weights its panels by it.
+pub(crate) fn add_operand_col_sums(a: &MatI8, rows: Range<usize>, sums: &mut [i64]) {
+    for r in rows {
+        for (s, &v) in sums.iter_mut().zip(a.row(r)) {
+            *s += v as i64;
+        }
+    }
+}
+
 /// Weighted row combination `expected += Σ_p etw[p] · b[p, :]`, i.e. `(eᵀ·W)·X`.
 ///
 /// Shared with `realm-abft`'s two-pass `checksum` functions so the checksum definition
@@ -257,15 +271,15 @@ pub fn accumulate_expected(etw: &[i64], b: &MatI8, expected: &mut [i64]) {
 
 /// Checksum accumulators threaded through a fused [`SimdKernel::run_rows`] pass.
 ///
-/// `etw` is the complete operand checksum `eᵀ·W` (all rows, computed upfront); `expected`
-/// receives the `(eᵀ·W)·X` reduction fused into the cache-hot widened `B` panels — software's
-/// version of the extra checksum row the paper's systolic array appends to `W` — and
-/// `observed` receives `eᵀ·Y` folded in as each output panel is finalised. In a row-sharded
-/// run only one shard carries `expected` (the reduction is row-independent and must run
-/// exactly once), while every shard accumulates its rows' share of `observed`.
+/// Each receives the pass's rows' share of one checksum: `etw` (`a.cols()` entries, zeroed
+/// on entry) the operand checksum `eᵀ·W`, computed on the way; `expected` the `(eᵀ·W)·X`
+/// reduction — software's version of the extra checksum row the paper's systolic array
+/// appends to `W`; `observed` `eᵀ·Y`, folded in as each output tile or panel is finalised.
+/// All three are linear in the rows, so a row-sharded run gives every shard zeroed partials
+/// and sums them at join.
 pub(crate) struct FusedChecksums<'a> {
-    pub(crate) etw: &'a [i64],
-    pub(crate) expected: Option<&'a mut [i64]>,
+    pub(crate) etw: &'a mut [i64],
+    pub(crate) expected: &'a mut [i64],
     pub(crate) observed: &'a mut [i64],
 }
 
@@ -289,11 +303,14 @@ impl<'a> Operand<'a> {
 }
 
 /// One panel's share of the `(eᵀ·W)·X` reduction, over the cache-hot `B` panel
-/// `[pc, pc_end) × [jc, jc_end)`.
+/// `[pc, pc_end) × [jc, jc_end)`, in scalar `i64` against the full-height column sums
+/// `etw`.
 ///
-/// The splat-weight multiply vectorises well even in `i64`; the function is kept
-/// out-of-line so the checksum arithmetic cannot perturb register allocation in the
-/// multiply kernel itself.
+/// It runs where no checksum row does: the portable tier's tiled routine, the `n mod 16`
+/// column tails the vector tiers hand to it, and the two-pass oracle
+/// ([`accumulate_expected`]); the vector tiers ride the checksum row on their `vpmaddwd`
+/// pair stream instead (see [`crate::simd`]). Kept out-of-line so the checksum arithmetic
+/// cannot perturb register allocation in the tiled multiply.
 #[inline(never)]
 pub(crate) fn accumulate_expected_panel(
     b: &MatI8,
@@ -418,11 +435,10 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     /// [`GemmEngine::gemm_i8_checksummed_into`] with a pre-packed B operand.
     ///
     /// The default implementation falls back to the unpacked fused pass (bit-exact by
-    /// construction); with the SIMD kernels of [`KernelEngine`], for skinny `a` (decode
-    /// shapes) the `(eᵀ·W)·X` expected-checksum reduction rides the packed tile stream
-    /// in-register, eliminating the second full pass over the weights that the unpacked
-    /// fused path pays. Checksums and accumulators are always bit-identical to the
-    /// unpacked path.
+    /// construction); with the vector kernels of [`KernelEngine`] the `(eᵀ·W)·X`
+    /// expected-checksum reduction rides the packed tile stream in-register as a checksum
+    /// row, so a checksummed GEMM streams the weights once. Checksums and accumulators are
+    /// always bit-identical to the unpacked path.
     ///
     /// # Errors
     ///
@@ -645,13 +661,14 @@ impl KernelEngine {
     /// The one orchestration routine: runs the kernel over all of `a × b` into `out`
     /// (already shaped and zeroed), inline or across stolen row chunks, with the checksum
     /// reductions fused into the pass when `fused` is present. (At an accelerated tier,
-    /// checksummed decode shapes never get here: see the skinny rule in
+    /// checksummed decode shapes over a row-major `B` never get here: see the skinny rule in
     /// [`KernelEngine::checksummed_into`].)
     ///
-    /// When sharded, the `(eᵀ·W)·X` reduction is row-independent and is fused into
-    /// whichever claimed chunk starts at row 0 — exactly one chunk does, whoever steals it.
-    /// Every worker accumulates its rows' share of `eᵀ·Y`; the partials are summed at join.
-    /// Per-worker partials allocate inside the scoped threads — caller-provided scratch
+    /// When sharded, every claimed chunk reduces its rows' share of all three checksums into
+    /// zeroed partials of its own — the chunk's `eᵀ·W` must be its rows' alone, since the
+    /// tiled routine weights `B` by it — and the partials are summed at join (integer sums:
+    /// bit-identical to one inline pass, whoever steals which chunk).
+    /// The partials allocate inside the scoped threads — caller-provided scratch
     /// cannot cross the spawn — but that path only runs for GEMMs big enough to shard,
     /// never the GEMV-like decode shapes the allocation-free loop cares about.
     fn run(&self, a: &MatI8, b: Operand<'_>, out: &mut MatI32, fused: Option<FusedChecksums<'_>>) {
@@ -663,37 +680,38 @@ impl KernelEngine {
             kernel.run_rows(a, b, out.as_mut_slice(), 0, m, fused);
             return;
         }
-        let etw = fused.as_ref().map(|fused| fused.etw);
+        let checksummed = fused.is_some();
         let shards = steal_row_chunks(
             out,
             workers,
-            || {
-                (
-                    None::<Vec<i64>>,
-                    vec![0i64; if etw.is_some() { n } else { 0 }],
-                )
-            },
-            |(shard_expected, shard_observed), s, e, band| {
-                let fused = etw.map(|etw| FusedChecksums {
-                    etw,
-                    expected: (s == 0).then(|| shard_expected.insert(vec![0i64; n]).as_mut_slice()),
-                    observed: shard_observed,
+            Vec::new,
+            |partials: &mut Vec<[Vec<i64>; 3]>, s, e, band| {
+                let fused = checksummed.then(|| {
+                    partials.push([vec![0; k], vec![0; n], vec![0; n]]);
+                    let [etw, expected, observed] = partials.last_mut().expect("just pushed");
+                    FusedChecksums {
+                        etw,
+                        expected,
+                        observed,
+                    }
                 });
                 kernel.run_rows(a, b, band, s, e, fused);
             },
         );
         if let Some(FusedChecksums {
-            expected: Some(expected),
+            etw,
+            expected,
             observed,
-            ..
         }) = fused
         {
-            for (shard_expected, shard_observed) in shards {
-                if let Some(shard_expected) = shard_expected {
-                    expected.copy_from_slice(&shard_expected);
-                }
-                for (acc, v) in observed.iter_mut().zip(shard_observed) {
-                    *acc += v;
+            for partials in shards.into_iter().flatten() {
+                for (sums, partial) in [&mut *etw, &mut *expected, &mut *observed]
+                    .into_iter()
+                    .zip(partials)
+                {
+                    for (acc, v) in sums.iter_mut().zip(partial) {
+                        *acc += v;
+                    }
                 }
             }
         }
@@ -713,8 +731,8 @@ impl KernelEngine {
         Ok(())
     }
 
-    /// `eᵀ·W` first in one streaming pass over the small operand, then the `(eᵀ·W)·X` and
-    /// `eᵀ·Y` reductions ride the kernel pass itself.
+    /// The checksummed GEMM: all three reductions — `eᵀ·W` into `etw_scratch`, `(eᵀ·W)·X`
+    /// and `eᵀ·Y` — ride the kernel pass itself.
     fn checksummed_into(
         &self,
         op: &'static str,
@@ -725,37 +743,31 @@ impl KernelEngine {
     ) -> Result<()> {
         let b_shape = b.row_major().shape();
         gemm::check_compatible(op, a.shape(), b_shape)?;
-        operand_col_sums_into(a, etw_scratch);
         let (m, k, n) = (a.rows(), a.cols(), b_shape.1);
-        // The skinny rule — decode shapes at an accelerated tier, inline: with at most
-        // `SKINNY_MAX_ROWS` rows `eᵀ·W` fits an `i16` lane, so the multiply and BOTH
-        // checksum reductions are a single stream over `B`, packed or row-major.
+        etw_scratch.clear();
+        etw_scratch.resize(k, 0);
+        // The skinny rule for a row-major `B` — attention's decode shapes at an accelerated
+        // tier, inline: one register tile whose rows and checksum row stream `B` once, tail
+        // columns included, assigning every destination cell. (A packed `B` needs no rule:
+        // the kernel pass itself is that one stream at these shapes.)
         let simd = &self.kernel;
-        if simd.has_skinny_passes()
-            && (1..=SKINNY_MAX_ROWS).contains(&m)
-            && self.workers_for(m, k, n) <= 1
-        {
-            match b {
-                Operand::Packed(pb) => {
-                    dest.prepare(m, n);
-                    let (acc, expected, observed) = dest.fused_parts_mut();
-                    let out = acc.as_mut_slice();
-                    simd.run_skinny_packed(a, pb, out, etw_scratch, expected, observed);
-                }
-                Operand::RowMajor(b) => {
-                    dest.prepare_overwritten(m, n);
-                    let (acc, expected, observed) = dest.fused_parts_mut();
-                    let out = acc.as_mut_slice();
-                    simd.run_skinny_rows(a, b, out, etw_scratch, expected, observed);
-                }
+        if let Operand::RowMajor(b) = b {
+            if simd.has_skinny_passes()
+                && (1..=SKINNY_MAX_ROWS).contains(&m)
+                && self.workers_for(m, k, n) <= 1
+            {
+                dest.prepare_overwritten(m, n);
+                let (acc, expected, observed) = dest.fused_parts_mut();
+                let out = acc.as_mut_slice();
+                simd.run_skinny_rows(a, b, out, etw_scratch, expected, observed);
+                return Ok(());
             }
-            return Ok(());
         }
         dest.prepare(m, n);
         let (acc, expected, observed) = dest.fused_parts_mut();
         let fused = FusedChecksums {
             etw: etw_scratch,
-            expected: Some(expected),
+            expected,
             observed,
         };
         self.run(a, b, acc, Some(fused));
@@ -1013,34 +1025,46 @@ mod tests {
     }
 
     #[test]
-    fn skinny_checksummed_gemms_on_accelerated_tiers_make_no_separate_expected_pass() {
+    fn checksum_row_leaves_no_separate_expected_pass_at_accelerated_tiers() {
         let passes = || EXPECTED_PANEL_PASSES.with(Cell::get);
-        for tier in [SimdTier::Portable, SimdTier::detect()] {
-            // Pooled too: a GEMM this small runs inline whatever the worker count.
-            for engine in [
-                KernelEngine::simd_with_tier(tier),
-                KernelEngine::simd_with_tier(tier).pooled(),
-            ] {
-                for m in 1..=SKINNY_MAX_ROWS + 1 {
-                    // The row-major pass keeps its `n mod 16` tail in registers; a packed
-                    // partial block goes to the tiled routine and its panel pass, so the
-                    // packed weight here is whole blocks.
-                    let (a, b) = random_pair(m as u64, m, 32, 50);
-                    let pw = PackedMatI8::pack(&random_pair(m as u64, 1, 32, 48).1);
-                    let (mut dest, mut etw) = (ChecksummedGemm::empty(), Vec::new());
-                    let before = passes();
-                    engine
-                        .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
-                        .unwrap();
-                    engine
-                        .gemm_i8_packed_checksummed_into(&a, &pw, &mut dest, &mut etw)
-                        .unwrap();
-                    let separate = passes() - before;
-                    let skinny = tier >= SimdTier::Avx2 && m <= SKINNY_MAX_ROWS;
-                    if skinny {
-                        assert_eq!(separate, 0, "{tier:?}: {m} rows left the skinny pass");
-                    } else {
-                        assert!(separate > 0, "{tier:?}: {m} rows belong to the panel pass");
+        for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::detect()] {
+            let engine = KernelEngine::simd_with_tier(tier);
+            // The counter is per thread, so every GEMM here runs inline: pooled engines
+            // only below the sharding threshold.
+            let pooled = engine.pooled();
+            for m in [1, 2, 3, 4, 5, 12, 128, 256, 257, 300] {
+                for k in [32, 33] {
+                    // Whole blocks (n mod 16 = 0): a tail is the tiled routine's, and so is
+                    // its panel pass — except in the row-major skinny pass, which keeps its
+                    // tail columns in registers, so m <= 4 also runs a ragged row-major `B`.
+                    let seed = (m * 100 + k) as u64;
+                    let (a, b) = random_pair(seed, m, k, 48);
+                    let pb = PackedMatI8::pack(&b);
+                    let ragged = (m <= SKINNY_MAX_ROWS).then(|| random_pair(seed, m, k, 50).1);
+                    let mut engines = vec![engine];
+                    if m * k * b.cols() < PARALLEL_MIN_MACS {
+                        engines.push(pooled);
+                    }
+                    for engine in engines {
+                        let (mut dest, mut etw) = (ChecksummedGemm::empty(), Vec::new());
+                        let before = passes();
+                        engine
+                            .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
+                            .unwrap();
+                        engine
+                            .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
+                            .unwrap();
+                        if let Some(ragged) = &ragged {
+                            engine
+                                .gemm_i8_checksummed_into(&a, ragged, &mut dest, &mut etw)
+                                .unwrap();
+                        }
+                        let separate = passes() - before;
+                        if engine.kernel.has_skinny_passes() {
+                            assert_eq!(separate, 0, "{tier:?}: {m}x{k} left the checksum row");
+                        } else {
+                            assert!(separate > 0, "{tier:?}: {m}x{k} is the panel pass's");
+                        }
                     }
                 }
             }

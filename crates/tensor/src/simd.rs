@@ -17,27 +17,32 @@
 //! pure-`i32` multiply-add the compiler unrolls and vectorises. Fused checksums fold in while
 //! the data is hot: `(eᵀ·W)·X` from each widened `B` panel, `eᵀ·Y` from each finalised
 //! output segment. Besides being the portable tier, it takes every column range the vector
-//! tiers leave over — the `n mod 16` tail of the row-major tile, of the packed tile and of
-//! the packed skinny pass.
+//! tiers leave over — the `n mod 16` tail of the row-major and the packed tiles.
 //!
 //! # The microkernel
 //!
-//! The register tile is **4 rows × 16 columns**, accumulated in eight `i32×8` vector
-//! registers across the full depth `k`. The depth dimension advances two rows of `B` at a
-//! time (a *dot-product pair*):
+//! The register tile is **4 rows × 16 columns**, accumulated in `i32` vector registers. The
+//! depth dimension advances two rows of `B` at a time (a *dot-product pair*):
 //!
-//! 1. 16 `i8` of `B[p]` and `B[p+1]` are widened to `i16` (`vpmovsxbw`) and interleaved
-//!    (`vpunpcklwd`/`vpunpckhwd`) into column pairs `(B[p][j], B[p+1][j])`;
-//! 2. the matching activation pair `(A[i][p], A[i][p+1])` is broadcast as a packed `i16`
-//!    pair;
+//! 1. the pair's 16 column pairs `(B[p][j], B[p+1][j])` become `i16` lanes — one packed
+//!    32-byte load widened by `vpmovsxbw`, or two row-major loads widened and interleaved
+//!    (`vpunpcklwd`/`vpunpckhwd`);
+//! 2. the activation pair `(A[i][p], A[i][p+1])` is **one `i32` lane in memory**, broadcast
+//!    by a single `vpbroadcastd`: before its tiles run, a *row panel* of `A` is widened to
+//!    `i16` once into a stack buffer (`WIDE_LANES` lanes, 32 KiB — no heap, no
+//!    thread-local), each row zero-padded to an even depth, so an odd depth needs no branch:
+//!    its missing partner multiplies as zero;
 //! 3. `vpmaddwd` multiplies the `i16` pairs and adds each pair in `i32`:
 //!    `A[i][p]·B[p][j] + A[i][p+1]·B[p+1][j]` — **exact** for every `i8` input, since each
 //!    product is at most `128² = 16384` and the pair sum at most `2¹⁵`, far inside `i32`.
 //!
-//! An odd depth tail pairs the final `B` row with a zero vector, so `k` need not be a
-//! multiple of the SIMD width; column tails (`n mod 16`) run through the tiled routine,
-//! which is bit-identical (integer accumulation is order-invariant) — except in the
-//! row-major skinny pass below, which keeps them in the same registers.
+//! A panel is as many whole tiles as fit the buffer beside its checksum row, and at most one
+//! checksum band (`BAND_ROWS`); the tiles of a panel sweep every full 16-column block of
+//! `B` before the next panel is widened. A depth longer than a panel row holds
+//! (`CHUNK_PAIRS` pairs) is cut into chunks whose tiles add onto the output. Column tails
+//! (`n mod 16`) run through the tiled routine, which is bit-identical (integer accumulation
+//! is order-invariant) — except in the row-major skinny pass below, which keeps them in the
+//! same registers.
 //!
 //! ## Why `vpmaddwd` and not the `vpmaddubsw` offset trick
 //!
@@ -55,31 +60,37 @@
 //!
 //! The observed ABFT checksum `eᵀ·Y` is reduced **from the same registers that produced
 //! `Y`**: as each row's final 16-column tile leaves its accumulator registers, its `i32`
-//! lanes are widened (`vpmovsxdq`) and added onto four `i64×4` column-sum registers that
-//! persist across the whole row loop of the column block — no second pass over the output.
-//! The operand-side checksum `(eᵀ·W)·X` cannot ride the accumulator registers (its `i64`
-//! weights exceed what AVX2 can multiply lane-wise), so it runs as a single row-major
-//! streaming pass over `B` — the layout the scalar i64 multiply-add vectorizes and
-//! prefetches best at, measurably faster than stripe-local walks on tall decode-shape
-//! weights.
+//! lanes are widened (`vpmovsxdq`) and added onto `i64` column-sum registers that persist
+//! across the panel's row loop of the column block — no second pass over the output.
+//!
+//! The operand-side checksum `(eᵀ·W)·X` rides the **same pair stream** as a *checksum row*.
+//! The column sums of at most `BAND_ROWS` rows fit an `i16` lane (`|Σ| ≤ 256·128 = 2¹⁵`),
+//! so the widening pass writes the panel's sums `eᵀ·A` after its rows as one more row of
+//! `i16` pairs, and the panel's first tile multiplies it against the pair registers its
+//! activation rows already use: one more `vpmaddwd` per pair, `i32` partials drained to
+//! `i64` every `DRAIN_PAIRS` pairs. Every panel of every pass carries its checksum row —
+//! a row chunk of a sharded GEMM over its own rows, its partial sums added at join. The
+//! operand checksum `eᵀ·W` itself falls out of the widening pass: the checksum rows, added
+//! up. Only the portable tier and the `n mod 16` tails reduce `(eᵀ·W)·X` in scalar `i64`
+//! (`accumulate_expected_panel`) — the tails from the `eᵀ·W` the panels just produced, the
+//! portable tier from its rows' column sums, reduced first.
 //!
 //! # The skinny rule
 //!
-//! With at most [`SKINNY_MAX_ROWS`] rows the weights of that reduction are no longer `i64`:
-//! `|eᵀ·W| ≤ 4·128` fits an `i16` lane, so the checksum row is one more row of the register
-//! tile — an extra `vpmaddwd` on the depth pairs already widened for the multiply, `i32`
-//! partials drained to `i64` often enough to stay exact — and the whole checksummed GEMM is
-//! **one** stream over `B`. That holds for either operand kind, and decode is made of such
-//! shapes: the linears (`m` = batch rows, packed `B`:
-//! `SimdKernel::run_skinny_packed`) and attention's `QKᵀ`/`SV` (`m` = 1 per sequence and
-//! head, row-major `B`: `SimdKernel::run_skinny_rows`; at `1 × 32 · 32 × 48` the separate
-//! pass, its second call for the `n mod 16` tail columns and the zero-fills around them cost
-//! 4.4× the multiply itself, the fused row 0.5×). The skinny passes exist at the AVX2 tier
-//! (AVX-512 hosts run the AVX2 row-major one, as for the unpacked tile, and an AVX-512
-//! packed one); the portable tier has none and runs these shapes through the tiled routine,
-//! whose panel pass computes the expected checksum.
+//! The checksum row works for any band of at most `BAND_ROWS` rows. With at most
+//! [`SKINNY_MAX_ROWS`] rows a whole GEMM is **one** register tile, so its rows and its
+//! checksum row make the checksummed GEMM one stream over `B`. Decode is made of such
+//! shapes: the linears (`m` = batch rows, packed `B`) take the ordinary packed pass, whose
+//! single panel is that tile; attention's `QKᵀ`/`SV` (`m` = 1 per sequence and head,
+//! row-major `B`) take `SimdKernel::run_skinny_rows`, which also runs the `n mod 16` tail
+//! columns through the same registers and assigns every destination cell (at
+//! `1 × 32 · 32 × 48` a separate expected pass, its second call for the tail columns and the
+//! zero-fills around them cost 4.4× the multiply itself, the fused row 0.5×). The skinny
+//! pass exists at the AVX2 tier (AVX-512 hosts run it too, as for the unpacked tile); the
+//! portable tier has none and runs these shapes through the tiled routine, whose panel
+//! pass computes the expected checksum.
 //!
-//! # Packed-B decode kernels
+//! # Packed-B kernels
 //!
 //! Static weights go through [`crate::PackedMatI8`] and the `gemm_i8_packed*` entry
 //! points: the depth-pair interleaving above is done **once at pack time**, so the packed
@@ -87,14 +98,13 @@
 //! 32-byte load + 2×widen, already in linear column order. Three tiers dispatch at
 //! construction ([`SimdTier`]): portable (the tiled routine over the row-major original the
 //! pack carries), AVX2, and AVX-512 (which widens the whole 32-byte pair row into one zmm
-//! register — see [`SimdTier::Avx512`]). For checksummed GEMV/skinny-M shapes (`m ≤`
-//! [`SKINNY_MAX_ROWS`]) a dedicated kernel fuses the *expected* checksum into the same
-//! register stream as the multiply, so a protected decode step streams the weights exactly
-//! once.
+//! register — see [`SimdTier::Avx512`]).
 
-use crate::engine::{accumulate_expected_panel, FusedChecksums, Operand};
-use crate::packed::{PackedMatI8, PACK_BLOCK_COLS};
+use crate::engine::{accumulate_expected_panel, add_operand_col_sums, FusedChecksums, Operand};
+use crate::packed::PACK_BLOCK_COLS;
 use crate::MatI8;
+#[cfg(target_arch = "x86_64")]
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -102,11 +112,9 @@ use std::sync::OnceLock;
 pub const SIMD_TILE_COLS: usize = 16;
 /// Height (output rows) of the SIMD register tile.
 pub const SIMD_TILE_ROWS: usize = 4;
-/// Maximum `m` handled by the dedicated GEMV/skinny-M packed kernel: the largest row
-/// count whose activation column sums `eᵀ·X` are guaranteed to fit an `i16` lane
-/// (`4·128 = 512`), which is what lets the expected checksum ride the multiply's
-/// `vpmaddwd` stream.
-pub const SKINNY_MAX_ROWS: usize = 4;
+/// Maximum `m` of the row-major skinny pass (`SimdKernel::run_skinny_rows`): one register
+/// tile, whose rows and checksum row stream `B` once, tail columns included.
+pub const SKINNY_MAX_ROWS: usize = SIMD_TILE_ROWS;
 
 // The packed block width and the SIMD tile width must agree — the packed layout IS the
 // kernels' consumption order.
@@ -118,11 +126,27 @@ const PANEL_DEPTH: usize = 64;
 /// Width (columns of `B`) of a panel of the tiled routine.
 const PANEL_WIDTH: usize = 256;
 
-/// Pairs accumulated in `i32` before the fused expected checksum of the skinny kernels
-/// drains to `i64`: each pair partial is bounded by `2·512·128 = 2¹⁷`, so
-/// `8192 · 2¹⁷ = 2³⁰` keeps the `i32` partials exact.
+/// Rows of `A` whose column sums are guaranteed to fit an `i16` lane
+/// (`256 · 128 = 2¹⁵`): the height of one checksum band.
 #[cfg(target_arch = "x86_64")]
-const DRAIN_PAIRS: usize = 8192;
+const BAND_ROWS: usize = 256;
+
+/// `i16` lanes of the stack buffer a row panel is widened into (32 KiB). Taller panels carry
+/// fewer checksum rows: at the serving model's prefill shapes (128 rows, depth 160–448) the
+/// checksummed packed GEMM cost 10%, 7% and 5% over the plain one with 8, 16 and 32 KiB on
+/// the 2-core AVX-512 host, at equal plain throughput.
+#[cfg(target_arch = "x86_64")]
+const WIDE_LANES: usize = 16384;
+
+/// Depth pairs of one widened chunk: enough lanes remain for a full register tile plus the
+/// checksum row at any depth, so a panel always holds at least one tile.
+#[cfg(target_arch = "x86_64")]
+const CHUNK_PAIRS: usize = WIDE_LANES / 2 / (SIMD_TILE_ROWS + 1);
+
+/// Pairs accumulated in `i32` before a checksum row drains to `i64`: one pair's partial is
+/// at most `2 · 2¹⁵ · 2⁷ = 2²³`, so `128 · 2²³ = 2³⁰` keeps the `i32` partials exact.
+#[cfg(target_arch = "x86_64")]
+const DRAIN_PAIRS: usize = 128;
 
 /// Environment variable that forces the portable tier even when the CPU supports the AVX2
 /// microkernel. Any non-empty value other than `0` counts as set; CI uses it to keep both
@@ -238,9 +262,9 @@ impl SimdKernel {
         }
     }
 
-    /// Whether this tier has the skinny single-stream passes
-    /// ([`SimdKernel::run_skinny_packed`], [`SimdKernel::run_skinny_rows`]): AVX2 and up.
-    /// The portable tier runs those shapes through the tiled routine like any other.
+    /// Whether this tier has the row-major skinny pass ([`SimdKernel::run_skinny_rows`]):
+    /// AVX2 and up. The portable tier runs those shapes through the tiled routine like any
+    /// other.
     pub(crate) fn has_skinny_passes(&self) -> bool {
         self.tier >= SimdTier::Avx2
     }
@@ -250,8 +274,9 @@ impl SimdKernel {
     /// (`(row_end - row_start) × n`), so parallel shards can own disjoint `split_at_mut`
     /// bands of one output allocation. When `fused` is present the checksum reductions ride
     /// the pass: on the vector tiers `eᵀ·Y` from the accumulator registers as each tile is
-    /// finalised and `(eᵀ·W)·X` as one row-major streaming pass over `B`; on the portable
-    /// tier both from the cache-hot panels of the tiled routine.
+    /// finalised and `(eᵀ·W)·X` as the checksum row of the pair stream (see the module
+    /// documentation); on the portable tier both from the cache-hot panels of the tiled
+    /// routine.
     ///
     /// A packed `B` is streamed in its pre-interleaved depth-pair order on the vector tiers
     /// (no per-GEMM `vpunpck` interleaves, no retirement permutes); the portable tier
@@ -266,127 +291,106 @@ impl SimdKernel {
         fused: Option<FusedChecksums<'_>>,
     ) {
         let n = b.row_major().cols();
+        let mut fused = fused;
         #[cfg(target_arch = "x86_64")]
         if self.tier >= SimdTier::Avx2 {
+            // SAFETY: an accelerated tier is only granted when AVX2 was detected at
+            // construction (the AVX-512 tier implies AVX2; see `SimdTier::detect`).
+            unsafe { self.run_blocks(a, b, out_band, row_start..row_end, fused.as_mut()) };
             let blocks_end = n - n % SIMD_TILE_COLS;
-            let tail = match b {
-                Operand::RowMajor(b) => {
-                    let mut fused = fused;
-                    // SAFETY: an accelerated tier is only granted when AVX2 was detected at
-                    // construction (the AVX-512 tier implies AVX2; see `SimdTier::detect`).
-                    // The unpacked kernel stays on the AVX2 tile at every accelerated tier
-                    // — see [`SimdTier::Avx512`] for why.
-                    unsafe { avx2::run_rows(a, b, out_band, row_start, row_end, fused.as_mut()) };
-                    fused
-                }
-                Operand::Packed(pb) => {
-                    // `eᵀ·Y` rides the packed kernel's accumulator registers; `(eᵀ·W)·X` is
-                    // one row-major streaming pass over the original the pack carries, so
-                    // the tail below has only `eᵀ·Y` left to fold.
-                    let mut observed = fused.map(|fused| {
-                        if let Some(expected) = fused.expected {
-                            accumulate_expected_panel(
-                                pb.unpacked(),
-                                fused.etw,
-                                expected,
-                                (0, pb.rows()),
-                                (0, n),
-                            );
-                        }
-                        fused.observed
-                    });
-                    let obs = observed.as_deref_mut();
-                    if self.tier >= SimdTier::Avx512 {
-                        // SAFETY: the AVX-512 tier is only granted when AVX-512F/BW (and
-                        // AVX2) were detected at construction.
-                        unsafe {
-                            packed_avx512::run_rows(a, pb, out_band, row_start, row_end, obs)
-                        };
-                    } else {
-                        // SAFETY: the AVX2 tier is only granted when AVX2 was detected.
-                        unsafe { packed_avx2::run_rows(a, pb, out_band, row_start, row_end, obs) };
-                    }
-                    observed.map(|observed| FusedChecksums {
-                        etw: &[],
-                        expected: None,
-                        observed,
-                    })
-                }
-            };
             if blocks_end < n {
                 let b = b.row_major();
-                tiled(a, b, out_band, row_start, row_end, blocks_end..n, tail);
+                tiled(a, b, out_band, row_start, row_end, blocks_end..n, fused);
             }
             return;
+        }
+        // The tiled routine weights its panels by the rows' `eᵀ·W`, so it is reduced first.
+        if let Some(FusedChecksums { etw, .. }) = fused.as_mut() {
+            add_operand_col_sums(a, row_start..row_end, etw);
         }
         tiled(a, b.row_major(), out_band, row_start, row_end, 0..n, fused);
     }
 
-    /// The GEMV/skinny-M decode kernel: for `m ≤ SKINNY_MAX_ROWS` checksummed GEMMs, the
-    /// operand-side expected checksum `(eᵀ·X)·W` fuses into the **same** streaming pass as
-    /// the multiply — with so few rows, `eᵀ·X` fits an `i16` lane (`|Σ xᵢ| ≤ 4·128`), so
-    /// the packed-B registers already loaded for the multiply feed one extra `vpmaddwd`
-    /// per pair. That halves the memory traffic of a checksummed decode step: the unpacked
-    /// path streams `W` twice (once for the multiply, once for the expected reduction),
-    /// the skinny packed path streams it exactly once. A partial final block (`n mod 16`
-    /// columns) runs through the tiled routine, expected checksum included.
+    /// The vector tiers' share of [`SimdKernel::run_rows`]: every full 16-column block of
+    /// rows `rows`, panel by panel and depth chunk by depth chunk. With `fused`, every panel
+    /// carries its checksum row: the widening adds the rows' `eᵀ·W` onto `fused.etw`, the
+    /// checksum rows their `(eᵀ·W)·X` over those blocks onto `fused.expected`, and the
+    /// retiring tiles their `eᵀ·Y` onto `fused.observed`.
     ///
-    /// Overflow bound: each fused partial is `|eᵀ·X[pair]| · |W| ≤ 2·512·128 = 2¹⁷`; the
-    /// `i32` partials drain into `i64` every `DRAIN_PAIRS` pairs, and
-    /// `8192 · 2¹⁷ = 2³⁰ < i32::MAX` — exact on every input, like everything else here.
+    /// # Safety
     ///
-    /// Accumulates into `out_band`, `expected` and `observed`, which the caller zeroes.
-    ///
-    /// # Panics
-    ///
-    /// Panics at the portable tier ([`SimdKernel::has_skinny_passes`]) or on shapes that
-    /// disagree.
-    pub(crate) fn run_skinny_packed(
+    /// `self.tier` must be at least [`SimdTier::Avx2`].
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn run_blocks(
         &self,
         a: &MatI8,
-        pb: &PackedMatI8,
+        b: Operand<'_>,
         out_band: &mut [i32],
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
+        rows: Range<usize>,
+        fused: Option<&mut FusedChecksums<'_>>,
     ) {
-        assert_skinny_shapes(a, pb.shape(), out_band, etx, expected, observed);
-        #[cfg(target_arch = "x86_64")]
-        if self.tier >= SimdTier::Avx2 {
-            if self.tier >= SimdTier::Avx512 {
-                // SAFETY: tier granted only with AVX-512F/BW + AVX2 detected; shapes
-                // asserted above.
-                unsafe { packed_avx512::run_skinny(a, pb, out_band, etx, expected, observed) };
-            } else {
-                // SAFETY: tier granted only with AVX2 detected; shapes asserted above.
-                unsafe { packed_avx2::run_skinny(a, pb, out_band, etx, expected, observed) };
+        let k = a.cols();
+        let n = b.row_major().cols();
+        let pairs = k.div_ceil(2);
+        let (mut etw, mut expected, mut observed) = match fused {
+            Some(f) => (
+                Some(&mut *f.etw),
+                Some(&mut *f.expected),
+                Some(&mut *f.observed),
+            ),
+            None => (None, None, None),
+        };
+        let mut wide = WideLanes::new();
+        for chunk in depth_chunks(k) {
+            let last = chunk.end == pairs;
+            let height = panel_height(chunk.len());
+            for start in rows.clone().step_by(height) {
+                let panel_rows = start..(start + height).min(rows.end);
+                let out = &mut out_band
+                    [(panel_rows.start - rows.start) * n..(panel_rows.end - rows.start) * n];
+                let panel = widen(a, panel_rows, chunk.clone(), etw.as_deref_mut(), &mut wide);
+                let observed = observed.as_deref_mut().filter(|_| last);
+                self.panel_pass(&panel, b, out, observed, expected.as_deref_mut());
             }
-            let n = pb.cols();
-            let tail = n - n % PACK_BLOCK_COLS..n;
-            if !tail.is_empty() {
-                let fused = FusedChecksums {
-                    etw: etx,
-                    expected: Some(expected),
-                    observed,
-                };
-                tiled(a, pb.unpacked(), out_band, 0, a.rows(), tail, Some(fused));
-            }
-            return;
         }
-        unreachable!("no skinny pass at the {} tier", self.tier.label());
     }
 
-    /// [`SimdKernel::run_skinny_packed`]'s twin for a row-major `B` — the activation ×
-    /// activation GEMMs of attention (`QKᵀ`, `SV`) and recovery recomputation, whose right
-    /// operand changes every call and so is never packed. One stream over `B`: each depth
-    /// pair is widened and interleaved once and feeds the `m ≤ 4` activation rows **and**
-    /// the checksum row `eᵀ·A` (same `i16` bound, same `DRAIN_PAIRS` drain), `eᵀ·Y` is
+    /// One widened panel against every full block of `b` (see the kernels' `panel`).
+    ///
+    /// # Safety
+    ///
+    /// `self.tier` must be at least [`SimdTier::Avx2`].
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn panel_pass(
+        &self,
+        panel: &Panel<'_>,
+        b: Operand<'_>,
+        out: &mut [i32],
+        observed: Option<&mut [i64]>,
+        expected: Option<&mut [i64]>,
+    ) {
+        match b {
+            // The unpacked kernel stays on the AVX2 tile at every accelerated tier — see
+            // [`SimdTier::Avx512`] for why.
+            Operand::RowMajor(b) => avx2::panel(panel, b, out, observed, expected),
+            Operand::Packed(pb) if self.tier >= SimdTier::Avx512 => {
+                packed_avx512::panel(panel, pb, out, observed, expected)
+            }
+            Operand::Packed(pb) => packed_avx2::panel(panel, pb, out, observed, expected),
+        }
+    }
+
+    /// The skinny pass for a row-major `B` — the activation × activation GEMMs of attention
+    /// (`QKᵀ`, `SV`) and recovery recomputation, whose right operand changes every call and
+    /// so is never packed. One stream over `B`: each depth pair is widened and interleaved
+    /// once and feeds the `m ≤ 4` activation rows **and** the checksum row `eᵀ·A`, `eᵀ·Y` is
     /// reduced from the retiring registers, and the `n mod 16` tail columns run through the
-    /// same registers instead of a second, scalar pass.
+    /// same registers instead of a second, scalar pass. `etw` (zeroed) receives `eᵀ·A` from
+    /// the widening pass.
     ///
     /// Unlike every other kernel here it **overwrites** `out`, `expected` and `observed`
-    /// (each cell is produced exactly once, over the full depth), so the caller shapes the
-    /// destination without zero-filling it.
+    /// (the first depth chunk assigns, later ones add), so the caller shapes the destination
+    /// without zero-filling it.
     ///
     /// # Panics
     ///
@@ -397,24 +401,31 @@ impl SimdKernel {
         a: &MatI8,
         b: &MatI8,
         out: &mut [i32],
-        etw: &[i64],
+        etw: &mut [i64],
         expected: &mut [i64],
         observed: &mut [i64],
     ) {
         assert_skinny_shapes(a, b.shape(), out, etw, expected, observed);
         #[cfg(target_arch = "x86_64")]
         if self.tier >= SimdTier::Avx2 {
-            // SAFETY: an accelerated tier is only granted when AVX2 was detected; the
-            // shapes the kernel indexes by were asserted above.
-            unsafe { avx2::run_skinny(a, b, out, etw, expected, observed) };
+            let (m, k) = a.shape();
+            let pairs = k.div_ceil(2);
+            let mut wide = WideLanes::new();
+            for chunk in depth_chunks(k) {
+                let (first, last) = (chunk.start == 0, chunk.end == pairs);
+                let panel = widen(a, 0..m, chunk, Some(&mut *etw), &mut wide);
+                // SAFETY: an accelerated tier is only granted when AVX2 was detected; the
+                // shapes the kernel indexes by were asserted above.
+                unsafe { avx2::run_skinny(&panel, b, out, expected, observed, first, last) };
+            }
             return;
         }
         unreachable!("no skinny pass at the {} tier", self.tier.label());
     }
 }
 
-/// The preconditions of both skinny passes (`(k, n)` is the shape of `B`), which the vector
-/// kernels index by without bounds checks.
+/// The preconditions of the skinny pass (`(k, n)` is the shape of `B`), which the vector
+/// kernel indexes by without bounds checks.
 fn assert_skinny_shapes(
     a: &MatI8,
     (k, n): (usize, usize),
@@ -438,14 +449,142 @@ fn assert_skinny_shapes(
     );
 }
 
+/// The stack buffer a row panel is widened into, cache-line aligned so that no pair lane
+/// straddles a line. Left uninitialised: [`widen`] writes every lane a kernel reads.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct WideLanes([MaybeUninit<i16>; WIDE_LANES]);
+
+#[cfg(target_arch = "x86_64")]
+impl WideLanes {
+    fn new() -> Self {
+        Self([const { MaybeUninit::uninit() }; WIDE_LANES])
+    }
+}
+
+/// One depth chunk of a row panel of `A`, widened for the vector kernels: `rows` activation
+/// rows of `2·pairs.len()` `i16` lanes each, then — when `sums` — the panel's checksum row.
+/// Depth pair `q` of a row is the `i32` lane `q` of [`Panel::pair_lanes`], which the
+/// kernels broadcast straight from memory.
+#[cfg(target_arch = "x86_64")]
+struct Panel<'w> {
+    lanes: &'w [MaybeUninit<i16>],
+    rows: usize,
+    sums: bool,
+    /// The chunk's depth pairs, as pair indices into `A`'s columns (and `B`'s rows).
+    pairs: Range<usize>,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Panel<'_> {
+    /// Row `r`'s depth pairs as `i32` lanes; `r == self.rows` is the checksum row.
+    fn pair_lanes(&self, r: usize) -> *const i32 {
+        let width = 2 * self.pairs.len();
+        self.lanes.as_ptr().wrapping_add(r * width).cast()
+    }
+}
+
+/// The depth pairs of a `k`-deep GEMM in chunks of at most `CHUNK_PAIRS` — one empty
+/// chunk when `k == 0`, so every pass still runs once.
+#[cfg(target_arch = "x86_64")]
+fn depth_chunks(k: usize) -> impl Iterator<Item = Range<usize>> {
+    let pairs = k.div_ceil(2);
+    (0..pairs.max(1))
+        .step_by(CHUNK_PAIRS)
+        .map(move |start| start..(start + CHUNK_PAIRS).min(pairs))
+}
+
+/// Activation rows of a panel `pairs` depth pairs deep: as many whole register tiles as fit
+/// the buffer beside the checksum row, within one checksum band.
+#[cfg(target_arch = "x86_64")]
+fn panel_height(pairs: usize) -> usize {
+    let fit = WIDE_LANES / (2 * pairs).max(1) - 1;
+    (fit - fit % SIMD_TILE_ROWS).min(BAND_ROWS)
+}
+
+/// Widens rows `rows` of `a` (at most `BAND_ROWS`) over the depth pairs `pairs` into
+/// `wide`, each row zero-padded to `2·pairs.len()` lanes. With `etw`, the rows' column sums
+/// follow them as the checksum row, accumulated while the rows are copied, and are added
+/// onto `etw` — the operand checksum `eᵀ·W` falls out of the widening pass.
+#[cfg(target_arch = "x86_64")]
+fn widen<'w>(
+    a: &MatI8,
+    rows: Range<usize>,
+    pairs: Range<usize>,
+    etw: Option<&mut [i64]>,
+    wide: &'w mut WideLanes,
+) -> Panel<'w> {
+    debug_assert!(rows.len() <= BAND_ROWS, "a checksum row sums one band");
+    let width = 2 * pairs.len();
+    let depth = 2 * pairs.start..(2 * pairs.end).min(a.cols());
+    let (act, rest) = wide.0.split_at_mut(rows.len() * width);
+    let mut total = etw.is_some().then(|| init_lanes(&mut rest[..width], &[]));
+    for (dst, i) in act.chunks_exact_mut(width.max(1)).zip(rows.clone()) {
+        let row = init_lanes(dst, &a.row(i)[depth.clone()]);
+        if let Some(total) = total.as_deref_mut() {
+            for (s, &v) in total.iter_mut().zip(row.iter()) {
+                *s += v;
+            }
+        }
+    }
+    let sums = total.is_some();
+    if let (Some(etw), Some(total)) = (etw, total) {
+        // An odd depth's padding lane falls off the end.
+        for (e, &s) in etw[depth.start..].iter_mut().zip(total.iter()) {
+            *e += i64::from(s);
+        }
+    }
+    Panel {
+        lanes: &wide.0,
+        rows: rows.len(),
+        sums,
+        pairs,
+    }
+}
+
+/// Writes `src` widened to `i16` into the head of `dst` and zeros into the rest, returning
+/// `dst` as plain lanes.
+#[cfg(target_arch = "x86_64")]
+fn init_lanes<'d>(dst: &'d mut [MaybeUninit<i16>], src: &[i8]) -> &'d mut [i16] {
+    let (head, pad) = dst.split_at_mut(src.len());
+    for (d, &v) in head.iter_mut().zip(src) {
+        d.write(i16::from(v));
+    }
+    for d in pad {
+        d.write(0);
+    }
+    // SAFETY: every lane of `dst` was written above, and `MaybeUninit<i16>` has the layout
+    // of `i16`.
+    unsafe { &mut *(dst as *mut [MaybeUninit<i16>] as *mut [i16]) }
+}
+
+/// Calls `$tile::<R, CHECK>(args…)` for a runtime row count `$rows` and checksum flag
+/// `$check`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! dispatch_tile {
+    ($rows:expr, $check:expr, $tile:ident($($arg:expr),* $(,)?)) => {
+        match ($rows, $check) {
+            (4, false) => $tile::<4, false>($($arg),*),
+            (4, true) => $tile::<4, true>($($arg),*),
+            (3, false) => $tile::<3, false>($($arg),*),
+            (3, true) => $tile::<3, true>($($arg),*),
+            (2, false) => $tile::<2, false>($($arg),*),
+            (2, true) => $tile::<2, true>($($arg),*),
+            (1, false) => $tile::<1, false>($($arg),*),
+            (1, true) => $tile::<1, true>($($arg),*),
+            _ => unreachable!("a tile has 1..=4 rows"),
+        }
+    };
+}
+
 /// The tiled routine (see the module documentation): `a[row_start..row_end] × b[.., cols]`
 /// accumulated into `out_band` (band contract of [`SimdKernel::run_rows`]) — the portable
 /// tier, and the column tail of every vector tier. The widening scratch is a stack array,
 /// so the allocation-free decode contract holds here too, and a depth quad whose four
 /// activations are all zero is skipped per row.
 ///
-/// When `fused` is present, the checksum reductions cover `cols` only: `(eᵀ·W)·X` (if
-/// `fused.expected` is present) from each widened `B` panel and `eᵀ·Y` from each finalised
+/// When `fused` is present (its `etw` already the rows' `eᵀ·W`), the checksum reductions
+/// cover `cols` only: `(eᵀ·W)·X` from each widened `B` panel and `eᵀ·Y` from each finalised
 /// output panel.
 fn tiled(
     a: &MatI8,
@@ -522,12 +661,7 @@ fn tiled(
             // The checksum row of the augmented GEMM: fold this panel's share of
             // `(eᵀ·W)·X` in while the `B` panel is still cache-hot from the multiply,
             // instead of re-streaming the whole matrix afterwards.
-            if let Some(FusedChecksums {
-                etw,
-                expected: Some(expected),
-                ..
-            }) = fused.as_mut()
-            {
+            if let Some(FusedChecksums { etw, expected, .. }) = fused.as_mut() {
                 accumulate_expected_panel(b, etw, expected, (pc, pc_end), (jc, jc_end));
             }
             pc = pc_end;
@@ -547,195 +681,115 @@ fn tiled(
     }
 }
 
-/// The AVX2 microkernel. Every function carries `#[target_feature(enable = "avx2")]` and
-/// is only reachable through [`SimdKernel::run_rows`]'s detection-guarded dispatch.
+/// The AVX2 row-major microkernel. Every function carries `#[target_feature(enable =
+/// "avx2")]` and is only reachable through [`SimdKernel`]'s detection-guarded dispatch.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::packed_avx2::{drain, pair_weights};
-    use super::{
-        accumulate_expected_panel, FusedChecksums, MatI8, DRAIN_PAIRS, SIMD_TILE_COLS,
-        SIMD_TILE_ROWS,
-    };
+    use super::packed_avx2::{drain, retire_row, store_i64x4_lanes};
+    use super::{MatI8, Panel, DRAIN_PAIRS, SIMD_TILE_COLS, SIMD_TILE_ROWS};
     use std::arch::x86_64::*;
 
-    /// SIMD-width microkernel over the full 16-column blocks; the caller hands the
-    /// `n mod 16` column tail and its checksum shares to the tiled routine.
+    /// One widened panel against every full 16-column block of `b`: its tiles (the first
+    /// carrying the checksum row when the panel has one) retire onto `out`, the panel-local
+    /// rows of the output, folding `eᵀ·Y` into `observed` when present; the checksum row's
+    /// share lands in `expected`. The caller hands the `n mod 16` tail to the tiled routine.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports AVX2.
+    /// Caller must ensure AVX2, `panel.pairs` within `b`'s row pairs, `out` holding
+    /// `panel.rows` rows of `b.cols()`, and `expected` present when `panel.sums`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_rows(
-        a: &MatI8,
+    pub(super) unsafe fn panel(
+        panel: &Panel<'_>,
         b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        mut fused: Option<&mut FusedChecksums<'_>>,
+        out: &mut [i32],
+        mut observed: Option<&mut [i64]>,
+        mut expected: Option<&mut [i64]>,
     ) {
-        let k = a.cols();
+        let zero = _mm256_setzero_si256();
         let n = b.cols();
-        let n_simd = n - n % SIMD_TILE_COLS;
-        // Operand-side checksum `(eᵀ·W)·X` over the SIMD-width columns, as one row-major
-        // streaming pass over `B`. Unlike the output side this reduction cannot ride the
-        // accumulator registers (AVX2 has no 64-bit lane multiply and `eᵀ·W` weights
-        // exceed i32), and walking it in 16-column stripes re-streams `B` with a
-        // cache-hostile access pattern — full contiguous rows are what the i64
-        // multiply-add vectorizes and prefetches best at.
-        if let Some(FusedChecksums {
-            etw,
-            expected: Some(expected),
-            ..
-        }) = fused.as_deref_mut()
-        {
-            accumulate_expected_panel(b, etw, expected, (0, k), (0, n_simd));
-        }
-        let mut jc = 0;
-        while jc < n_simd {
-            let observed = fused
-                .as_deref_mut()
-                .map(|f| &mut f.observed[jc..jc + SIMD_TILE_COLS]);
-            col_block(a, b, out_band, row_start, row_end, jc, observed);
-            jc += SIMD_TILE_COLS;
-        }
-    }
-
-    /// One 16-column block over all rows of the band. The observed-checksum column sums
-    /// live in four `i64×4` registers across the entire row loop and are added onto
-    /// `observed` exactly once at the end — the output-side checksum never re-reads `Y`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 and `jc + 16 <= b.cols()`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)] // mirrors the band contract of `run_rows` kernels
-    unsafe fn col_block(
-        a: &MatI8,
-        b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        jc: usize,
-        observed: Option<&mut [i64]>,
-    ) {
-        let mut obs = [_mm256_setzero_si256(); 4];
-        let track = observed.is_some();
-        let mut i = row_start;
-        while i + SIMD_TILE_ROWS <= row_end {
-            if track {
-                tile::<SIMD_TILE_ROWS, true>(a, b, out_band, row_start, i, jc, &mut obs);
-            } else {
-                tile::<SIMD_TILE_ROWS, false>(a, b, out_band, row_start, i, jc, &mut obs);
+        for jc in (0..n - n % SIMD_TILE_COLS).step_by(SIMD_TILE_COLS) {
+            let mut obs = observed.is_some().then_some([zero; 4]);
+            let mut exp = [zero; 4];
+            for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
+                let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
+                let sinks = (&mut *out, obs.as_mut(), &mut exp);
+                let check = panel.sums && i == 0;
+                dispatch_tile!(rows, check, tile(panel, i, b, jc, sinks));
             }
-            i += SIMD_TILE_ROWS;
-        }
-        macro_rules! row_tail {
-            ($r:literal) => {
-                if track {
-                    tile::<$r, true>(a, b, out_band, row_start, i, jc, &mut obs)
-                } else {
-                    tile::<$r, false>(a, b, out_band, row_start, i, jc, &mut obs)
-                }
-            };
-        }
-        match row_end - i {
-            1 => row_tail!(1),
-            2 => row_tail!(2),
-            3 => row_tail!(3),
-            _ => {}
-        }
-        if let Some(observed) = observed {
-            let mut lanes = [0i64; SIMD_TILE_COLS];
-            for (q, &vec) in obs.iter().enumerate() {
-                _mm256_storeu_si256(lanes.as_mut_ptr().add(4 * q) as *mut __m256i, vec);
+            if let (Some(observed), Some(obs)) = (observed.as_deref_mut(), &obs) {
+                store_i64x4_lanes(obs, &mut observed[jc..jc + SIMD_TILE_COLS], false);
             }
-            for (s, &v) in observed.iter_mut().zip(&lanes) {
-                *s += v;
+            if let (true, Some(expected)) = (panel.sums, expected.as_deref_mut()) {
+                store_i64x4_lanes(&exp, &mut expected[jc..jc + SIMD_TILE_COLS], false);
             }
         }
     }
 
-    /// An `R × 16` register tile accumulated over the full depth in eight (at `R = 4`)
-    /// `i32×8` registers, two depth steps per `vpmaddwd`. When `FUSED`, each row's final
-    /// tile is widened lane-wise (`vpmovsxdq`) into the block's observed-checksum
-    /// registers before the accumulators are retired — the "reduce from the same
-    /// registers" half of the fused-checksum contract.
+    /// An `R × 16` register tile over the panel's depth chunk, accumulated in `2R` `i32×8`
+    /// registers, two depth steps per `vpmaddwd`; with `CHECK`, the checksum row rides the
+    /// same pair registers into `exp64`. Each row's final tile is added onto `out` and, with
+    /// `obs` present, widened lane-wise (`vpmovsxdq`) into the block's observed-checksum
+    /// registers — the "reduce from the same registers" half of the fused-checksum contract.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2, `i + R <= a.rows()` and `jc + 16 <= b.cols()`.
+    /// As [`panel`], with rows `i..i + R` of the panel and `jc + 16 <= b.cols()`.
     #[target_feature(enable = "avx2")]
-    unsafe fn tile<const R: usize, const FUSED: bool>(
-        a: &MatI8,
-        b: &MatI8,
-        out_band: &mut [i32],
-        row_start: usize,
+    unsafe fn tile<const R: usize, const CHECK: bool>(
+        panel: &Panel<'_>,
         i: usize,
+        b: &MatI8,
         jc: usize,
-        obs: &mut [__m256i; 4],
+        (out, mut obs, exp64): (&mut [i32], Option<&mut [__m256i; 4]>, &mut [__m256i; 4]),
     ) {
-        let k = a.cols();
-        let n = b.cols();
+        let (k, n) = b.shape();
+        let base = b.as_slice().as_ptr().add(jc);
+        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(i + r));
+        let sums = panel.pair_lanes(panel.rows);
         let zero = _mm256_setzero_si256();
         let mut acc_lo = [zero; R];
         let mut acc_hi = [zero; R];
-        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(i + r));
-        let mut p = 0;
-        while p + 2 <= k {
-            // Widen two B rows to i16 and interleave into (B[p][j], B[p+1][j]) pairs.
-            // The unpacks stay within 128-bit lanes, so the accumulator lanes carry the
-            // columns in the fixed order {0-3, 8-11} / {4-7, 12-15}; one cross-lane
-            // permute at retirement restores linear order.
-            let b0 = load_extend(b.row(p).as_ptr().add(jc));
-            let b1 = load_extend(b.row(p + 1).as_ptr().add(jc));
-            let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
-            let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
-            for r in 0..R {
-                let w = pair_weights(a_rows[r][p] as i16, a_rows[r][p + 1] as i16);
-                acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
-                acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
+        let pairs = panel.pairs.len();
+        let mut q = 0;
+        while q < pairs {
+            let end = if CHECK {
+                (q + DRAIN_PAIRS).min(pairs)
+            } else {
+                pairs
+            };
+            let (mut exp_lo, mut exp_hi) = (zero, zero);
+            for pair in q..end {
+                // Widen two B rows to i16 and interleave into (B[p][j], B[p+1][j]) pairs. The
+                // unpacks stay within 128-bit lanes, so the accumulator lanes carry the
+                // columns in the fixed order {0-3, 8-11} / {4-7, 12-15}; one cross-lane
+                // permute at retirement restores linear order. An odd depth's padding pair
+                // repeats the last B row against a zero activation.
+                let p = 2 * (panel.pairs.start + pair);
+                let b0 = load_extend(base.add(p * n));
+                let b1 = load_extend(base.add((p + 1).min(k - 1) * n));
+                let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
+                let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
+                for r in 0..R {
+                    let x = _mm256_set1_epi32(rows[r].add(pair).read());
+                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, x));
+                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, x));
+                }
+                if CHECK {
+                    let e = _mm256_set1_epi32(sums.add(pair).read());
+                    exp_lo = _mm256_add_epi32(exp_lo, _mm256_madd_epi16(pairs_lo, e));
+                    exp_hi = _mm256_add_epi32(exp_hi, _mm256_madd_epi16(pairs_hi, e));
+                }
             }
-            p += 2;
-        }
-        if p < k {
-            // Odd depth tail: pair the last B row with zeros so the same madd runs.
-            let b0 = load_extend(b.row(p).as_ptr().add(jc));
-            let pairs_lo = _mm256_unpacklo_epi16(b0, zero);
-            let pairs_hi = _mm256_unpackhi_epi16(b0, zero);
-            for r in 0..R {
-                let w = pair_weights(a_rows[r][p] as i16, 0);
-                acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
-                acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
+            if CHECK {
+                drain_linear(&mut exp_lo, &mut exp_hi, exp64);
             }
+            q = end;
         }
         for r in 0..R {
             let (res0, res1) = linear_order(acc_lo[r], acc_hi[r]);
-            let band_row = (i + r - row_start) * n;
-            let out_ptr = out_band.as_mut_ptr().add(band_row + jc);
-            let final0 = _mm256_add_epi32(_mm256_loadu_si256(out_ptr as *const __m256i), res0);
-            let final1 =
-                _mm256_add_epi32(_mm256_loadu_si256(out_ptr.add(8) as *const __m256i), res1);
-            _mm256_storeu_si256(out_ptr as *mut __m256i, final0);
-            _mm256_storeu_si256(out_ptr.add(8) as *mut __m256i, final1);
-            if FUSED {
-                // eᵀ·Y share of this row, straight from the retiring registers.
-                obs[0] = _mm256_add_epi64(
-                    obs[0],
-                    _mm256_cvtepi32_epi64(_mm256_castsi256_si128(final0)),
-                );
-                obs[1] = _mm256_add_epi64(
-                    obs[1],
-                    _mm256_cvtepi32_epi64(_mm256_extracti128_si256(final0, 1)),
-                );
-                obs[2] = _mm256_add_epi64(
-                    obs[2],
-                    _mm256_cvtepi32_epi64(_mm256_castsi256_si128(final1)),
-                );
-                obs[3] = _mm256_add_epi64(
-                    obs[3],
-                    _mm256_cvtepi32_epi64(_mm256_extracti128_si256(final1, 1)),
-                );
-            }
+            let row = &mut out[(i + r) * n + jc..][..SIMD_TILE_COLS];
+            retire_row(row, res0, res1, obs.as_deref_mut());
         }
     }
 
@@ -749,114 +803,135 @@ mod avx2 {
         _mm256_cvtepi8_epi16(_mm_loadu_si128(ptr as *const __m128i))
     }
 
-    /// The skinny fused pass (see [`super::SimdKernel::run_skinny_rows`]).
+    /// The skinny fused pass over one depth chunk (see
+    /// [`super::SimdKernel::run_skinny_rows`]): the first chunk assigns `out` and
+    /// `expected`, later ones add; the last assigns `observed` from the final outputs.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports AVX2, `1 <= a.rows() <= 4`,
-    /// `a.cols() == b.rows() == etw.len()`, `out.len() == a.rows() * b.cols()` and
+    /// Caller must ensure the CPU supports AVX2, a panel of `1..=4` rows plus its checksum
+    /// row over pairs of `b`'s rows, `out.len() == panel.rows * b.cols()` and
     /// `expected.len() == observed.len() == b.cols()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_skinny(
-        a: &MatI8,
+        panel: &Panel<'_>,
         b: &MatI8,
         out: &mut [i32],
-        etw: &[i64],
         expected: &mut [i64],
         observed: &mut [i64],
+        first: bool,
+        last: bool,
     ) {
-        match a.rows() {
-            1 => skinny::<1>(a, b, out, etw, expected, observed),
-            2 => skinny::<2>(a, b, out, etw, expected, observed),
-            3 => skinny::<3>(a, b, out, etw, expected, observed),
-            _ => skinny::<4>(a, b, out, etw, expected, observed),
+        let sinks = (out, expected, observed);
+        match panel.rows {
+            1 => skinny::<1>(panel, b, sinks, first, last),
+            2 => skinny::<2>(panel, b, sinks, first, last),
+            3 => skinny::<3>(panel, b, sinks, first, last),
+            _ => skinny::<4>(panel, b, sinks, first, last),
         }
     }
 
-    /// All `R` rows plus the checksum row `eᵀ·A` as one register tile per 16-column block,
-    /// over the full depth. A partial final block runs through the same registers: its
-    /// loads read 16 bytes wherever that stays inside `B` (the lanes past the row's end
-    /// hold the next row's bytes and are never stored) and a zero-padded stack copy for
-    /// the last rows, where it would not.
+    /// All `R` rows plus the checksum row as one register tile per 16-column block. A
+    /// partial final block runs through the same registers: its loads read 16 bytes wherever
+    /// that stays inside `B` (the lanes past the row's end hold the next row's bytes and are
+    /// never stored) and a zero-padded stack copy for the last rows, where it would not.
     ///
     /// # Safety
     ///
-    /// As [`run_skinny`], with `a.rows() == R`.
+    /// As [`run_skinny`], with `panel.rows == R`.
     #[target_feature(enable = "avx2")]
     unsafe fn skinny<const R: usize>(
-        a: &MatI8,
+        panel: &Panel<'_>,
         b: &MatI8,
-        out: &mut [i32],
-        etw: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
+        (out, expected, observed): (&mut [i32], &mut [i64], &mut [i64]),
+        first: bool,
+        last: bool,
     ) {
-        let k = a.cols();
-        let n = b.cols();
+        let (k, n) = b.shape();
         let zero = _mm256_setzero_si256();
-        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(r));
+        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(r));
+        let sums = panel.pair_lanes(R);
         let b_all = b.as_slice();
+        let pairs = panel.pairs.len();
         let mut jc = 0;
         while jc < n {
             let width = (n - jc).min(SIMD_TILE_COLS);
             let mut acc_lo = [zero; R];
             let mut acc_hi = [zero; R];
-            let mut exp32_lo = zero;
-            let mut exp32_hi = zero;
             let mut exp64 = [zero; 4];
-            let mut since_drain = 0usize;
-            let mut p = 0;
-            while p < k {
-                // The same widen-and-interleave as `tile`; an odd depth tail pairs the
-                // last B row (and the last weights) with zeros.
-                let paired = p + 1 < k;
-                let b0 = load_cols(b_all, p * n + jc, width);
-                let b1 = if paired {
-                    load_cols(b_all, (p + 1) * n + jc, width)
-                } else {
-                    zero
-                };
-                let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
-                let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
-                for r in 0..R {
-                    let a1 = if paired { a_rows[r][p + 1] } else { 0 };
-                    let w = pair_weights(a_rows[r][p] as i16, a1 as i16);
-                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
-                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
+            let mut q = 0;
+            while q < pairs {
+                let end = (q + DRAIN_PAIRS).min(pairs);
+                let (mut exp_lo, mut exp_hi) = (zero, zero);
+                for pair in q..end {
+                    // The same widen-and-interleave (and odd-depth padding) as `tile`.
+                    let p = 2 * (panel.pairs.start + pair);
+                    let b0 = load_cols(b_all, p * n + jc, width);
+                    let b1 = load_cols(b_all, (p + 1).min(k - 1) * n + jc, width);
+                    let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
+                    let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
+                    for r in 0..R {
+                        let x = _mm256_set1_epi32(rows[r].add(pair).read());
+                        acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, x));
+                        acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, x));
+                    }
+                    let e = _mm256_set1_epi32(sums.add(pair).read());
+                    exp_lo = _mm256_add_epi32(exp_lo, _mm256_madd_epi16(pairs_lo, e));
+                    exp_hi = _mm256_add_epi32(exp_hi, _mm256_madd_epi16(pairs_hi, e));
                 }
-                // The checksum row: with m ≤ 4 the column sums of A fit an i16 lane.
-                let e1 = if paired { etw[p + 1] } else { 0 };
-                let ew = pair_weights(etw[p] as i16, e1 as i16);
-                exp32_lo = _mm256_add_epi32(exp32_lo, _mm256_madd_epi16(pairs_lo, ew));
-                exp32_hi = _mm256_add_epi32(exp32_hi, _mm256_madd_epi16(pairs_hi, ew));
-                since_drain += 1;
-                if since_drain == DRAIN_PAIRS {
-                    drain_linear(&mut exp32_lo, &mut exp32_hi, &mut exp64);
-                    since_drain = 0;
-                }
-                p += 2;
+                drain_linear(&mut exp_lo, &mut exp_hi, &mut exp64);
+                q = end;
             }
-            drain_linear(&mut exp32_lo, &mut exp32_hi, &mut exp64);
-            store_i64x4_lanes(&exp64, &mut expected[jc..jc + width]);
+            store_i64x4_lanes(&exp64, &mut expected[jc..jc + width], first);
             let mut obs = [zero; 4];
             for r in 0..R {
-                let (mut res0, mut res1) = linear_order(acc_lo[r], acc_hi[r]);
+                let (res0, res1) = linear_order(acc_lo[r], acc_hi[r]);
                 let row = &mut out[r * n + jc..r * n + jc + width];
-                if width == SIMD_TILE_COLS {
-                    _mm256_storeu_si256(row.as_mut_ptr() as *mut __m256i, res0);
-                    _mm256_storeu_si256(row.as_mut_ptr().add(8) as *mut __m256i, res1);
-                } else {
-                    let mut lanes = [0i32; SIMD_TILE_COLS];
-                    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, res0);
-                    _mm256_storeu_si256(lanes.as_mut_ptr().add(8) as *mut __m256i, res1);
-                    row.copy_from_slice(&lanes[..width]);
-                }
+                let (mut final0, mut final1) = retire_lanes(row, res0, res1, first);
                 // eᵀ·Y share of this row, straight from the retiring registers.
-                drain(&mut res0, &mut res1, &mut obs);
+                drain(&mut final0, &mut final1, &mut obs);
             }
-            store_i64x4_lanes(&obs, &mut observed[jc..jc + width]);
+            if last {
+                store_i64x4_lanes(&obs, &mut observed[jc..jc + width], true);
+            }
             jc += width;
         }
+    }
+
+    /// Writes (`assign`) or adds a retiring row's 16 lanes in linear order onto the first
+    /// `row.len()` of them, returning the row's final 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and `row.len() <= 16`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn retire_lanes(
+        row: &mut [i32],
+        res0: __m256i,
+        res1: __m256i,
+        assign: bool,
+    ) -> (__m256i, __m256i) {
+        let mut lanes = [0i32; SIMD_TILE_COLS];
+        let whole = row.len() == SIMD_TILE_COLS;
+        if !whole {
+            lanes[..row.len()].copy_from_slice(row);
+        }
+        let dst = if whole {
+            row.as_mut_ptr()
+        } else {
+            lanes.as_mut_ptr()
+        };
+        let (mut final0, mut final1) = (res0, res1);
+        if !assign {
+            final0 = _mm256_add_epi32(final0, _mm256_loadu_si256(dst as *const __m256i));
+            final1 = _mm256_add_epi32(final1, _mm256_loadu_si256(dst.add(8) as *const __m256i));
+        }
+        _mm256_storeu_si256(dst as *mut __m256i, final0);
+        _mm256_storeu_si256(dst.add(8) as *mut __m256i, final1);
+        if !whole {
+            row.copy_from_slice(&lanes[..row.len()]);
+        }
+        (final0, final1)
     }
 
     /// 16 `i8` of `b_all` starting at `at`, of which the first `width` are wanted,
@@ -905,20 +980,6 @@ mod avx2 {
         *exp32_lo = _mm256_setzero_si256();
         *exp32_hi = _mm256_setzero_si256();
     }
-
-    /// Stores the first `sums.len()` of four `i64×4` registers' 16 lanes.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 and `sums.len() <= 16`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_i64x4_lanes(regs: &[__m256i; 4], sums: &mut [i64]) {
-        let mut lanes = [0i64; SIMD_TILE_COLS];
-        for (q, &vec) in regs.iter().enumerate() {
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(4 * q) as *mut __m256i, vec);
-        }
-        sums.copy_from_slice(&lanes[..sums.len()]);
-    }
 }
 
 /// The AVX2 tier of the packed kernels. The pack-time interleaving turns each depth
@@ -927,225 +988,109 @@ mod avx2 {
 /// are gone, and the accumulator registers hold columns in linear order throughout.
 #[cfg(target_arch = "x86_64")]
 mod packed_avx2 {
-    use super::{MatI8, PackedMatI8, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
-    use crate::packed::PACK_PAIR_BYTES;
+    use super::{Panel, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
+    use crate::packed::{PackedMatI8, PACK_PAIR_BYTES};
     use std::arch::x86_64::*;
 
-    /// Packed-B microkernel over the full 16-column blocks; the caller hands a partial
-    /// final block to the tiled routine.
+    /// One widened panel against every full 16-column block of `pb` — the packed twin of
+    /// the row-major `panel`, with the same sinks. The caller hands a partial final block to
+    /// the tiled routine.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports AVX2.
+    /// Caller must ensure AVX2, `panel.pairs` within `pb`'s pairs, `out` holding
+    /// `panel.rows` rows of `pb.cols()`, and `expected` present when `panel.sums`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_rows(
-        a: &MatI8,
+    pub(super) unsafe fn panel(
+        panel: &Panel<'_>,
         pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
+        out: &mut [i32],
         mut observed: Option<&mut [i64]>,
+        mut expected: Option<&mut [i64]>,
     ) {
+        let zero = _mm256_setzero_si256();
         for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             let jc = blk * PACK_BLOCK_COLS;
-            let obs = observed
-                .as_deref_mut()
-                .map(|o| &mut o[jc..jc + PACK_BLOCK_COLS]);
-            col_block(a, pb, out_band, row_start, row_end, blk, obs);
-        }
-    }
-
-    /// One full 16-column block over all rows of the band; same observed-checksum
-    /// register discipline as the unpacked `col_block`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 and that block `blk` is full-width.
-    #[target_feature(enable = "avx2")]
-    unsafe fn col_block(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        blk: usize,
-        observed: Option<&mut [i64]>,
-    ) {
-        let mut obs = [_mm256_setzero_si256(); 4];
-        let track = observed.is_some();
-        let mut i = row_start;
-        while i + SIMD_TILE_ROWS <= row_end {
-            if track {
-                tile::<SIMD_TILE_ROWS, true>(a, pb, out_band, row_start, i, blk, &mut obs);
-            } else {
-                tile::<SIMD_TILE_ROWS, false>(a, pb, out_band, row_start, i, blk, &mut obs);
+            let tiles = pb
+                .tiles()
+                .as_ptr()
+                .add(blk * pb.block_stride() + panel.pairs.start * PACK_PAIR_BYTES);
+            let mut obs = observed.is_some().then_some([zero; 4]);
+            let mut exp = [zero; 4];
+            for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
+                let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
+                let sinks = (&mut *out, obs.as_mut(), &mut exp);
+                let check = panel.sums && i == 0;
+                dispatch_tile!(rows, check, tile(panel, i, tiles, pb.cols(), jc, sinks));
             }
-            i += SIMD_TILE_ROWS;
-        }
-        macro_rules! row_tail {
-            ($r:literal) => {
-                if track {
-                    tile::<$r, true>(a, pb, out_band, row_start, i, blk, &mut obs)
-                } else {
-                    tile::<$r, false>(a, pb, out_band, row_start, i, blk, &mut obs)
-                }
-            };
-        }
-        match row_end - i {
-            1 => row_tail!(1),
-            2 => row_tail!(2),
-            3 => row_tail!(3),
-            _ => {}
-        }
-        if let Some(observed) = observed {
-            add_i64x4_lanes(&obs, observed);
+            if let (Some(observed), Some(obs)) = (observed.as_deref_mut(), &obs) {
+                store_i64x4_lanes(obs, &mut observed[jc..jc + PACK_BLOCK_COLS], false);
+            }
+            if let (true, Some(expected)) = (panel.sums, expected.as_deref_mut()) {
+                store_i64x4_lanes(&exp, &mut expected[jc..jc + PACK_BLOCK_COLS], false);
+            }
         }
     }
 
-    /// An `R × 16` register tile over the packed pairs of block `blk`: the pair registers
-    /// come out of `load_pair` already in linear column order, so retirement stores the
-    /// accumulators directly — no permutes.
+    /// An `R × 16` register tile over the packed pairs at `tiles`: the pair registers come
+    /// out of `load_pair` already in linear column order, so retirement stores the
+    /// accumulators directly — no permutes. With `CHECK` the checksum row rides the same
+    /// pair registers into `exp64`.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2, `i + R <= a.rows()` and block `blk` full-width.
+    /// As [`panel`], with rows `i..i + R` of the panel and `tiles` at the chunk's first pair
+    /// of a full block.
     #[target_feature(enable = "avx2")]
-    unsafe fn tile<const R: usize, const FUSED: bool>(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
+    unsafe fn tile<const R: usize, const CHECK: bool>(
+        panel: &Panel<'_>,
         i: usize,
-        blk: usize,
-        obs: &mut [__m256i; 4],
+        tiles: *const i8,
+        n: usize,
+        jc: usize,
+        (out, mut obs, exp64): (&mut [i32], Option<&mut [__m256i; 4]>, &mut [__m256i; 4]),
     ) {
-        let k = a.cols();
-        let n = pb.cols();
-        let pairs = pb.padded_k() / 2;
-        let tiles = pb.tiles().as_ptr().add(blk * pb.block_stride());
+        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(i + r));
+        let sums = panel.pair_lanes(panel.rows);
         let zero = _mm256_setzero_si256();
         let mut acc_lo = [zero; R];
         let mut acc_hi = [zero; R];
-        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(i + r));
-        for p in 0..pairs {
-            let (pairs_lo, pairs_hi) = load_pair(tiles.add(p * PACK_PAIR_BYTES));
-            let odd_tail = 2 * p + 1 >= k;
-            for r in 0..R {
-                let a0 = a_rows[r][2 * p] as i16;
-                let a1 = if odd_tail {
-                    0
-                } else {
-                    a_rows[r][2 * p + 1] as i16
-                };
-                let w = pair_weights(a0, a1);
-                acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
-                acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
+        let pairs = panel.pairs.len();
+        let mut q = 0;
+        while q < pairs {
+            let end = if CHECK {
+                (q + DRAIN_PAIRS).min(pairs)
+            } else {
+                pairs
+            };
+            let (mut exp_lo, mut exp_hi) = (zero, zero);
+            for pair in q..end {
+                let (pairs_lo, pairs_hi) = load_pair(tiles.add(pair * PACK_PAIR_BYTES));
+                for r in 0..R {
+                    let x = _mm256_set1_epi32(rows[r].add(pair).read());
+                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, x));
+                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, x));
+                }
+                if CHECK {
+                    let e = _mm256_set1_epi32(sums.add(pair).read());
+                    exp_lo = _mm256_add_epi32(exp_lo, _mm256_madd_epi16(pairs_lo, e));
+                    exp_hi = _mm256_add_epi32(exp_hi, _mm256_madd_epi16(pairs_hi, e));
+                }
             }
+            if CHECK {
+                drain(&mut exp_lo, &mut exp_hi, exp64);
+            }
+            q = end;
         }
-        let jc = blk * PACK_BLOCK_COLS;
         for r in 0..R {
-            let band_row = (i + r - row_start) * n;
-            retire_row::<FUSED>(
-                out_band.as_mut_ptr().add(band_row + jc),
-                acc_lo[r],
-                acc_hi[r],
-                obs,
-            );
+            let row = &mut out[(i + r) * n + jc..][..PACK_BLOCK_COLS];
+            retire_row(row, acc_lo[r], acc_hi[r], obs.as_deref_mut());
         }
     }
 
-    /// The GEMV/skinny-M packed kernel: all `m ≤ 4` rows in one register tile, with the
-    /// expected checksum fused into the same pair stream (see
-    /// [`super::SimdKernel::run_skinny_packed`]) — `i32` `vpmaddwd` partials drained into
-    /// `i64` registers every `DRAIN_PAIRS` pairs. Full 16-column blocks only; the caller
-    /// hands a partial final block to the tiled routine.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and `1 <= a.rows() <= 4`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_skinny(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        for blk in 0..pb.cols() / PACK_BLOCK_COLS {
-            match a.rows() {
-                1 => skinny_block::<1>(a, pb, out_band, blk, etx, expected, observed),
-                2 => skinny_block::<2>(a, pb, out_band, blk, etx, expected, observed),
-                3 => skinny_block::<3>(a, pb, out_band, blk, etx, expected, observed),
-                _ => skinny_block::<4>(a, pb, out_band, blk, etx, expected, observed),
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2, `a.rows() == R` and block `blk` full-width.
-    #[target_feature(enable = "avx2")]
-    unsafe fn skinny_block<const R: usize>(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        blk: usize,
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        let k = a.cols();
-        let n = pb.cols();
-        let pairs = pb.padded_k() / 2;
-        let tiles = pb.tiles().as_ptr().add(blk * pb.block_stride());
-        let zero = _mm256_setzero_si256();
-        let mut acc_lo = [zero; R];
-        let mut acc_hi = [zero; R];
-        let mut exp32_lo = zero;
-        let mut exp32_hi = zero;
-        let mut exp64 = [zero; 4];
-        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(r));
-        let mut since_drain = 0usize;
-        for p in 0..pairs {
-            let (pairs_lo, pairs_hi) = load_pair(tiles.add(p * PACK_PAIR_BYTES));
-            let odd_tail = 2 * p + 1 >= k;
-            for r in 0..R {
-                let a0 = a_rows[r][2 * p] as i16;
-                let a1 = if odd_tail {
-                    0
-                } else {
-                    a_rows[r][2 * p + 1] as i16
-                };
-                let w = pair_weights(a0, a1);
-                acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, w));
-                acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, w));
-            }
-            // Fused expected share: with m ≤ 4 the activation column sums eᵀ·X fit an
-            // i16 lane, so the already-loaded pair registers feed one extra vpmaddwd.
-            let e0 = etx[2 * p] as i16;
-            let e1 = if odd_tail { 0 } else { etx[2 * p + 1] as i16 };
-            let ew = pair_weights(e0, e1);
-            exp32_lo = _mm256_add_epi32(exp32_lo, _mm256_madd_epi16(pairs_lo, ew));
-            exp32_hi = _mm256_add_epi32(exp32_hi, _mm256_madd_epi16(pairs_hi, ew));
-            since_drain += 1;
-            if since_drain == DRAIN_PAIRS {
-                drain(&mut exp32_lo, &mut exp32_hi, &mut exp64);
-                since_drain = 0;
-            }
-        }
-        drain(&mut exp32_lo, &mut exp32_hi, &mut exp64);
-        let jc = blk * PACK_BLOCK_COLS;
-        add_i64x4_lanes(&exp64, &mut expected[jc..jc + PACK_BLOCK_COLS]);
-        let mut obs = [zero; 4];
-        for (r, (&lo, &hi)) in acc_lo.iter().zip(acc_hi.iter()).enumerate() {
-            retire_row::<true>(out_band.as_mut_ptr().add(r * n + jc), lo, hi, &mut obs);
-        }
-        add_i64x4_lanes(&obs, &mut observed[jc..jc + PACK_BLOCK_COLS]);
-    }
-
-    /// Widens the `i32` expected partials into the `i64` accumulator registers and
-    /// resets them — the drain that keeps the fused expected exact at any depth.
+    /// Widens the `i32` partials of a 16-column row (linear order) into the `i64`
+    /// accumulator registers and resets them — the drain that keeps a checksum row exact at
+    /// any depth, and the fold of a finalised row into `eᵀ·Y`.
     ///
     /// # Safety
     ///
@@ -1191,70 +1136,44 @@ mod packed_avx2 {
         )
     }
 
-    /// Adds `acc_lo`/`acc_hi` (linear column order) onto 16 output columns at `out_ptr`
-    /// and, when `FUSED`, folds the finalised values into the observed-checksum
-    /// registers.
+    /// Adds `acc_lo`/`acc_hi` (linear column order) onto the 16 columns of `row` and, when
+    /// `obs` is present, folds the finalised values into the observed-checksum registers.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 and `out_ptr..out_ptr+16` in bounds.
+    /// Caller must ensure AVX2 and `row.len() == 16`.
     #[target_feature(enable = "avx2")]
-    unsafe fn retire_row<const FUSED: bool>(
-        out_ptr: *mut i32,
+    pub(super) unsafe fn retire_row(
+        row: &mut [i32],
         acc_lo: __m256i,
         acc_hi: __m256i,
-        obs: &mut [__m256i; 4],
+        obs: Option<&mut [__m256i; 4]>,
     ) {
-        let final0 = _mm256_add_epi32(_mm256_loadu_si256(out_ptr as *const __m256i), acc_lo);
-        let final1 = _mm256_add_epi32(_mm256_loadu_si256(out_ptr.add(8) as *const __m256i), acc_hi);
+        let out_ptr = row.as_mut_ptr();
+        let mut final0 = _mm256_add_epi32(_mm256_loadu_si256(out_ptr as *const __m256i), acc_lo);
+        let mut final1 =
+            _mm256_add_epi32(_mm256_loadu_si256(out_ptr.add(8) as *const __m256i), acc_hi);
         _mm256_storeu_si256(out_ptr as *mut __m256i, final0);
         _mm256_storeu_si256(out_ptr.add(8) as *mut __m256i, final1);
-        if FUSED {
-            obs[0] = _mm256_add_epi64(
-                obs[0],
-                _mm256_cvtepi32_epi64(_mm256_castsi256_si128(final0)),
-            );
-            obs[1] = _mm256_add_epi64(
-                obs[1],
-                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(final0, 1)),
-            );
-            obs[2] = _mm256_add_epi64(
-                obs[2],
-                _mm256_cvtepi32_epi64(_mm256_castsi256_si128(final1)),
-            );
-            obs[3] = _mm256_add_epi64(
-                obs[3],
-                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(final1, 1)),
-            );
+        if let Some(obs) = obs {
+            drain(&mut final0, &mut final1, obs);
         }
     }
 
-    /// Stores four `i64×4` registers and adds their lanes onto a 16-entry slice.
+    /// Stores (`assign`) or adds the first `sums.len()` of four `i64×4` registers' 16 lanes.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 and `sums.len() == 16`.
+    /// Caller must ensure AVX2 and `sums.len() <= 16`.
     #[target_feature(enable = "avx2")]
-    unsafe fn add_i64x4_lanes(regs: &[__m256i; 4], sums: &mut [i64]) {
+    pub(super) unsafe fn store_i64x4_lanes(regs: &[__m256i; 4], sums: &mut [i64], assign: bool) {
         let mut lanes = [0i64; PACK_BLOCK_COLS];
         for (q, &vec) in regs.iter().enumerate() {
             _mm256_storeu_si256(lanes.as_mut_ptr().add(4 * q) as *mut __m256i, vec);
         }
         for (s, &v) in sums.iter_mut().zip(&lanes) {
-            *s += v;
+            *s = if assign { v } else { *s + v };
         }
-    }
-
-    /// A value pair broadcast as packed `i16` pairs for `vpmaddwd` (activations, or the
-    /// `eᵀ·X` sums of the skinny kernel — both fit `i16` by construction).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pair_weights(v0: i16, v1: i16) -> __m256i {
-        let packed = ((v1 as u16 as u32) << 16) | (v0 as u16 as u32);
-        _mm256_set1_epi32(packed as i32)
     }
 }
 
@@ -1263,226 +1182,128 @@ mod packed_avx2 {
 /// depth pair for all 16 columns — half the multiply count of the AVX2 tile, fed by plain
 /// loads thanks to the pack-time interleaving. Requires AVX-512F (arithmetic/converts) +
 /// AVX-512BW (`vpmaddwd` on zmm); only reachable when [`super::SimdTier::Avx512`] was
-/// granted at construction. VNNI's `vpdpbusd` was considered and rejected: it consumes
-/// depth **quads**, which conflicts with the pair interleaving the AVX2 tier shares —
-/// reconstructing quads would reintroduce the per-GEMM shuffles packing exists to remove
-/// (and its unsigned×signed form needs a `128·colsum` correction besides).
+/// granted at construction.
+///
+/// VNNI was considered twice and rejected. `vpdpbusd` consumes depth **quads**, which
+/// conflicts with the pair interleaving the AVX2 tier shares — reconstructing quads would
+/// reintroduce the per-GEMM shuffles packing exists to remove (and its unsigned×signed form
+/// needs a `128·colsum` correction besides). `vpdpwssd` keeps the pairs and fuses the
+/// multiply with the accumulate, but at this 4-row tile it measured *slower* — 57–69 vs
+/// 69–76 GMAC/s over the serving model's seven block shapes at 4, 12 and 128 rows, in the
+/// same probe on the 2-core AVX-512 host — because each row's single accumulator then
+/// serialises on the fused instruction's latency, where `vpmaddwd` + `vpaddd` leaves the
+/// multiplies independent.
 #[cfg(target_arch = "x86_64")]
 mod packed_avx512 {
-    use super::{MatI8, PackedMatI8, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
-    use crate::packed::PACK_PAIR_BYTES;
+    use super::{Panel, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
+    use crate::packed::{PackedMatI8, PACK_PAIR_BYTES};
     use std::arch::x86_64::*;
 
-    /// Packed-B microkernel over the full 16-column blocks; the caller hands a partial
-    /// final block to the tiled routine.
+    /// The AVX-512 twin of the AVX2 packed `panel`: the observed and expected column sums
+    /// of a block live in two `i64×8` zmm registers each.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the CPU supports AVX-512F, AVX-512BW and AVX2.
+    /// Caller must ensure AVX-512F/BW + AVX2, `panel.pairs` within `pb`'s pairs, `out`
+    /// holding `panel.rows` rows of `pb.cols()`, and `expected` present when `panel.sums`.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    pub(super) unsafe fn run_rows(
-        a: &MatI8,
+    pub(super) unsafe fn panel(
+        panel: &Panel<'_>,
         pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
+        out: &mut [i32],
         mut observed: Option<&mut [i64]>,
+        mut expected: Option<&mut [i64]>,
     ) {
+        let zero = _mm512_setzero_si512();
         for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             let jc = blk * PACK_BLOCK_COLS;
-            let obs = observed
-                .as_deref_mut()
-                .map(|o| &mut o[jc..jc + PACK_BLOCK_COLS]);
-            col_block(a, pb, out_band, row_start, row_end, blk, obs);
-        }
-    }
-
-    /// One full 16-column block over all rows of the band; the observed column sums live
-    /// in two `i64×8` zmm registers across the entire row loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F/BW + AVX2 and that block `blk` is full-width.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn col_block(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
-        row_end: usize,
-        blk: usize,
-        observed: Option<&mut [i64]>,
-    ) {
-        let mut obs = [_mm512_setzero_si512(); 2];
-        let track = observed.is_some();
-        let mut i = row_start;
-        while i + SIMD_TILE_ROWS <= row_end {
-            if track {
-                tile::<SIMD_TILE_ROWS, true>(a, pb, out_band, row_start, i, blk, &mut obs);
-            } else {
-                tile::<SIMD_TILE_ROWS, false>(a, pb, out_band, row_start, i, blk, &mut obs);
+            let tiles = pb
+                .tiles()
+                .as_ptr()
+                .add(blk * pb.block_stride() + panel.pairs.start * PACK_PAIR_BYTES);
+            let mut obs = observed.is_some().then_some([zero; 2]);
+            let mut exp = [zero; 2];
+            for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
+                let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
+                let sinks = (&mut *out, obs.as_mut(), &mut exp);
+                let check = panel.sums && i == 0;
+                dispatch_tile!(rows, check, tile(panel, i, tiles, pb.cols(), jc, sinks));
             }
-            i += SIMD_TILE_ROWS;
-        }
-        macro_rules! row_tail {
-            ($r:literal) => {
-                if track {
-                    tile::<$r, true>(a, pb, out_band, row_start, i, blk, &mut obs)
-                } else {
-                    tile::<$r, false>(a, pb, out_band, row_start, i, blk, &mut obs)
-                }
-            };
-        }
-        match row_end - i {
-            1 => row_tail!(1),
-            2 => row_tail!(2),
-            3 => row_tail!(3),
-            _ => {}
-        }
-        if let Some(observed) = observed {
-            add_i64x8_lanes(&obs, observed);
+            if let (Some(observed), Some(obs)) = (observed.as_deref_mut(), &obs) {
+                add_i64x8_lanes(obs, &mut observed[jc..jc + PACK_BLOCK_COLS]);
+            }
+            if let (true, Some(expected)) = (panel.sums, expected.as_deref_mut()) {
+                add_i64x8_lanes(&exp, &mut expected[jc..jc + PACK_BLOCK_COLS]);
+            }
         }
     }
 
     /// An `R × 16` register tile: one `i32×16` zmm accumulator per row, one `vpmaddwd`
-    /// per row per depth pair.
+    /// per row per depth pair — and, with `CHECK`, one more for the checksum row.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX-512F/BW + AVX2, `i + R <= a.rows()` and block `blk`
-    /// full-width.
+    /// As [`panel`], with rows `i..i + R` of the panel and `tiles` at the chunk's first pair
+    /// of a full block.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn tile<const R: usize, const FUSED: bool>(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        row_start: usize,
+    unsafe fn tile<const R: usize, const CHECK: bool>(
+        panel: &Panel<'_>,
         i: usize,
-        blk: usize,
-        obs: &mut [__m512i; 2],
+        tiles: *const i8,
+        n: usize,
+        jc: usize,
+        (out, mut obs, exp64): (&mut [i32], Option<&mut [__m512i; 2]>, &mut [__m512i; 2]),
     ) {
-        let k = a.cols();
-        let n = pb.cols();
-        let pairs = pb.padded_k() / 2;
-        let tiles = pb.tiles().as_ptr().add(blk * pb.block_stride());
+        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(i + r));
+        let sums = panel.pair_lanes(panel.rows);
         let mut acc = [_mm512_setzero_si512(); R];
-        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(i + r));
-        for p in 0..pairs {
-            let pair_row = load_pair(tiles.add(p * PACK_PAIR_BYTES));
-            let odd_tail = 2 * p + 1 >= k;
-            for r in 0..R {
-                let a0 = a_rows[r][2 * p] as i16;
-                let a1 = if odd_tail {
-                    0
-                } else {
-                    a_rows[r][2 * p + 1] as i16
-                };
-                acc[r] =
-                    _mm512_add_epi32(acc[r], _mm512_madd_epi16(pair_row, pair_weights(a0, a1)));
+        let pairs = panel.pairs.len();
+        let mut q = 0;
+        while q < pairs {
+            let end = if CHECK {
+                (q + DRAIN_PAIRS).min(pairs)
+            } else {
+                pairs
+            };
+            let mut exp32 = _mm512_setzero_si512();
+            for pair in q..end {
+                let pair_row = load_pair(tiles.add(pair * PACK_PAIR_BYTES));
+                for r in 0..R {
+                    let x = _mm512_set1_epi32(rows[r].add(pair).read());
+                    acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(pair_row, x));
+                }
+                if CHECK {
+                    let e = _mm512_set1_epi32(sums.add(pair).read());
+                    exp32 = _mm512_add_epi32(exp32, _mm512_madd_epi16(pair_row, e));
+                }
             }
+            if CHECK {
+                drain(exp32, exp64);
+            }
+            q = end;
         }
-        let jc = blk * PACK_BLOCK_COLS;
         for (r, &row_acc) in acc.iter().enumerate() {
-            let band_row = (i + r - row_start) * n;
-            retire_row::<FUSED>(out_band.as_mut_ptr().add(band_row + jc), row_acc, obs);
+            let row = &mut out[(i + r) * n + jc..][..PACK_BLOCK_COLS];
+            retire_row(row, row_acc, obs.as_deref_mut());
         }
     }
 
-    /// The GEMV/skinny-M packed kernel at the AVX-512 tier; same structure and drain
-    /// bound as the AVX2 version, with the expected partials in one `i32×16` zmm.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F/BW + AVX2 and `1 <= a.rows() <= 4`.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    pub(super) unsafe fn run_skinny(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        for blk in 0..pb.cols() / PACK_BLOCK_COLS {
-            match a.rows() {
-                1 => skinny_block::<1>(a, pb, out_band, blk, etx, expected, observed),
-                2 => skinny_block::<2>(a, pb, out_band, blk, etx, expected, observed),
-                3 => skinny_block::<3>(a, pb, out_band, blk, etx, expected, observed),
-                _ => skinny_block::<4>(a, pb, out_band, blk, etx, expected, observed),
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F/BW + AVX2, `a.rows() == R` and block `blk` full-width.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn skinny_block<const R: usize>(
-        a: &MatI8,
-        pb: &PackedMatI8,
-        out_band: &mut [i32],
-        blk: usize,
-        etx: &[i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        let k = a.cols();
-        let n = pb.cols();
-        let pairs = pb.padded_k() / 2;
-        let tiles = pb.tiles().as_ptr().add(blk * pb.block_stride());
-        let mut acc = [_mm512_setzero_si512(); R];
-        let mut exp32 = _mm512_setzero_si512();
-        let mut exp64 = [_mm512_setzero_si512(); 2];
-        let a_rows: [&[i8]; R] = std::array::from_fn(|r| a.row(r));
-        let mut since_drain = 0usize;
-        for p in 0..pairs {
-            let pair_row = load_pair(tiles.add(p * PACK_PAIR_BYTES));
-            let odd_tail = 2 * p + 1 >= k;
-            for r in 0..R {
-                let a0 = a_rows[r][2 * p] as i16;
-                let a1 = if odd_tail {
-                    0
-                } else {
-                    a_rows[r][2 * p + 1] as i16
-                };
-                acc[r] =
-                    _mm512_add_epi32(acc[r], _mm512_madd_epi16(pair_row, pair_weights(a0, a1)));
-            }
-            let e0 = etx[2 * p] as i16;
-            let e1 = if odd_tail { 0 } else { etx[2 * p + 1] as i16 };
-            exp32 = _mm512_add_epi32(exp32, _mm512_madd_epi16(pair_row, pair_weights(e0, e1)));
-            since_drain += 1;
-            if since_drain == DRAIN_PAIRS {
-                drain(&mut exp32, &mut exp64);
-                since_drain = 0;
-            }
-        }
-        drain(&mut exp32, &mut exp64);
-        let jc = blk * PACK_BLOCK_COLS;
-        add_i64x8_lanes(&exp64, &mut expected[jc..jc + PACK_BLOCK_COLS]);
-        let mut obs = [_mm512_setzero_si512(); 2];
-        for (r, &row_acc) in acc.iter().enumerate() {
-            retire_row::<true>(out_band.as_mut_ptr().add(r * n + jc), row_acc, &mut obs);
-        }
-        add_i64x8_lanes(&obs, &mut observed[jc..jc + PACK_BLOCK_COLS]);
-    }
-
-    /// Widens the `i32` expected partials into the `i64` accumulators and resets them.
+    /// Widens 16 `i32` lanes into the two `i64×8` accumulators — the checksum row's drain
+    /// and the fold of a finalised row into `eᵀ·Y`.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX-512F.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn drain(exp32: &mut __m512i, exp64: &mut [__m512i; 2]) {
-        exp64[0] = _mm512_add_epi64(
-            exp64[0],
-            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(*exp32)),
+    unsafe fn drain(lanes: __m512i, sums: &mut [__m512i; 2]) {
+        sums[0] = _mm512_add_epi64(
+            sums[0],
+            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(lanes)),
         );
-        exp64[1] = _mm512_add_epi64(
-            exp64[1],
-            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(*exp32, 1)),
+        sums[1] = _mm512_add_epi64(
+            sums[1],
+            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(lanes, 1)),
         );
-        *exp32 = _mm512_setzero_si512();
     }
 
     /// One 32-byte packed pair row → 32 `i16` lanes in one zmm register, in linear
@@ -1496,29 +1317,19 @@ mod packed_avx512 {
         _mm512_cvtepi8_epi16(_mm256_loadu_si256(ptr as *const __m256i))
     }
 
-    /// Adds a finalised `i32×16` accumulator onto 16 output columns at `out_ptr` and,
-    /// when `FUSED`, folds the stored values into the observed-checksum registers.
+    /// Adds a finalised `i32×16` accumulator onto the 16 columns of `row` and, when `obs`
+    /// is present, folds the stored values into the observed-checksum registers.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX-512F and `out_ptr..out_ptr+16` in bounds.
+    /// Caller must ensure AVX-512F and `row.len() == 16`.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn retire_row<const FUSED: bool>(
-        out_ptr: *mut i32,
-        acc: __m512i,
-        obs: &mut [__m512i; 2],
-    ) {
+    unsafe fn retire_row(row: &mut [i32], acc: __m512i, obs: Option<&mut [__m512i; 2]>) {
+        let out_ptr = row.as_mut_ptr();
         let finalv = _mm512_add_epi32(_mm512_loadu_epi32(out_ptr), acc);
         _mm512_storeu_epi32(out_ptr, finalv);
-        if FUSED {
-            obs[0] = _mm512_add_epi64(
-                obs[0],
-                _mm512_cvtepi32_epi64(_mm512_castsi512_si256(finalv)),
-            );
-            obs[1] = _mm512_add_epi64(
-                obs[1],
-                _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(finalv, 1)),
-            );
+        if let Some(obs) = obs {
+            drain(finalv, obs);
         }
     }
 
@@ -1536,24 +1347,13 @@ mod packed_avx512 {
             *s += v;
         }
     }
-
-    /// A value pair broadcast as packed `i16` pairs across all 16 `i32` lanes.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn pair_weights(v0: i16, v1: i16) -> __m512i {
-        let packed = ((v1 as u16 as u32) << 16) | (v0 as u16 as u32);
-        _mm512_set1_epi32(packed as i32)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{ChecksummedGemm, GemmEngine, KernelEngine, ReferenceEngine};
-    use crate::{rng, MatI32};
+    use crate::{rng, MatI32, PackedMatI8};
     use rand::Rng;
 
     fn random_pair(seed: u64, m: usize, k: usize, n: usize) -> (MatI8, MatI8) {
@@ -1744,10 +1544,10 @@ mod tests {
 
     #[test]
     fn packed_paths_match_reference_across_tiers_and_shapes() {
-        // Skinny shapes (m ≤ 4) exercise the fused-expected GEMV kernel, m ≥ 5 the
-        // generic packed kernel, odd k the zero-padded final pair, ragged n the hand-over
-        // of the partial block to the tiled routine, and the deep shape the i32→i64 expected
-        // drain (k/2 > DRAIN_PAIRS needs k > 16384).
+        // Skinny shapes (m ≤ 4) make one tile carrying the checksum row, m ≥ 5 several, odd
+        // k the zero-padded final pair, ragged n the hand-over of the partial block to the
+        // tiled routine, and the deep shape the i32→i64 checksum drains and several depth
+        // chunks (k > 2·CHUNK_PAIRS).
         for (seed, (m, k, n)) in [
             (11, (1, 1, 1)),
             (12, (1, 64, 48)),
@@ -1829,8 +1629,8 @@ mod tests {
             cases.push((format!("{m}x{k}x{n} zero rows"), a, b.clone()));
             cases.push((format!("{m}x{k}x{n} zero a"), MatI8::zeros(m, k), b));
         }
-        // Deep enough (k / 2 > DRAIN_PAIRS) that the i32 checksum partials drain mid-way,
-        // with every product at the bound the drain period was derived from.
+        // Deep enough that the i32 checksum partials drain many times and the depth runs in
+        // several widened chunks (later ones add onto what the first assigned).
         cases.push((
             "4x16500x17 rails".into(),
             MatI8::filled(4, 16500, -128),
@@ -1891,6 +1691,86 @@ mod tests {
                     .is_err(),
                 "{name}"
             );
+        }
+    }
+
+    /// Asserts every tier-pinned engine matches the oracle on `a × b`, row-major and packed,
+    /// plain and checksummed.
+    fn assert_checksum_row_matches_oracle(label: &str, a: &MatI8, b: &MatI8) {
+        let oracle = ReferenceEngine.gemm_i8_checksummed_two_pass(a, b).unwrap();
+        let pb = PackedMatI8::pack(b);
+        for (name, engine) in tiered_engines() {
+            assert_eq!(
+                engine.gemm_i8(a, b).unwrap(),
+                *oracle.acc(),
+                "{name} {label}"
+            );
+            let mut out = MatI32::zeros(0, 0);
+            engine.gemm_i8_packed_into(a, &pb, &mut out).unwrap();
+            assert_eq!(&out, oracle.acc(), "{name} packed {label}");
+            let row_major = engine.gemm_i8_checksummed(a, b).unwrap();
+            let mut packed = ChecksummedGemm::empty();
+            let mut etw = Vec::new();
+            engine
+                .gemm_i8_packed_checksummed_into(a, &pb, &mut packed, &mut etw)
+                .unwrap();
+            assert_eq!(
+                etw,
+                crate::engine::operand_col_sums(a),
+                "{name} eᵀ·W {label}"
+            );
+            for (kind, got) in [("row-major", &row_major), ("packed", &packed)] {
+                assert_eq!(got.acc(), oracle.acc(), "{name} {kind} {label}");
+                assert_eq!(got.expected(), oracle.expected(), "{name} {kind} {label}");
+                assert_eq!(got.observed(), oracle.observed(), "{name} {kind} {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_row_matches_reference_across_bands_depth_chunks_and_odd_depths() {
+        // m = 5 is the smallest GEMM of several tiles; 128 splits into panels; 256 is one
+        // full checksum band; 257 and 300 need two (and the pooled engines split the larger
+        // shapes into row chunks whose partial checksums add up at join). The depths are odd
+        // (the zero-padded final pair), past `CHUNK_PAIRS` (several widened chunks, later
+        // ones adding onto the first) or both; the widths run whole blocks only, which the
+        // checksum row covers alone, or leave a tail.
+        let past_cap = 2 * CHUNK_PAIRS + 3;
+        for (seed, (m, k, n)) in [
+            (300, (5, 33, 48)),
+            (301, (5, past_cap, 32)),
+            (302, (128, 161, 64)),
+            (303, (128, 96, 35)),
+            (304, (256, 62, 48)),
+            (305, (257, 47, 33)),
+            (306, (300, 21, 16)),
+            (307, (12, past_cap, 17)),
+            (308, (260, past_cap, 16)),
+        ] {
+            let (a, b) = random_pair(seed, m, k, n);
+            assert_checksum_row_matches_oracle(&format!("{m}x{k}x{n}"), &a, &b);
+        }
+    }
+
+    #[test]
+    fn checksum_row_is_exact_on_an_i8_min_band() {
+        // A full band of i8::MIN activations makes every lane of its checksum row exactly
+        // i16::MIN; against i8::MIN / i8::MAX weights each pair partial sits at the bound the
+        // drain period was derived from. Shallow enough (k ≤ 62) for one 256-row panel —
+        // the inline pass rides it — and deep enough (k = 601, and past `CHUNK_PAIRS`) for
+        // drains and several depth chunks.
+        let past_cap = 2 * CHUNK_PAIRS + 1;
+        for (m, k, n) in [
+            (256, 62, 48),
+            (256, 601, 32),
+            (257, 61, 17),
+            (256, past_cap, 16),
+        ] {
+            for fill in [i8::MIN, i8::MAX] {
+                let a = MatI8::filled(m, k, i8::MIN);
+                let b = MatI8::filled(k, n, fill);
+                assert_checksum_row_matches_oracle(&format!("{m}x{k}x{n} B = {fill}"), &a, &b);
+            }
         }
     }
 }

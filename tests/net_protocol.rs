@@ -26,6 +26,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+mod common;
+use common::DrainOnDrop;
+
 const TIMEOUT: Duration = Duration::from_secs(20);
 
 fn tiny_model(kind: EngineKind) -> Model {
@@ -46,11 +49,11 @@ fn with_server<T>(model: &Model, body: impl FnOnce(&NetServer) -> T) -> T {
         ..NetConfig::default()
     };
     let server = NetServer::bind(config).unwrap();
-    let handle = server.handle();
     std::thread::scope(|s| {
         let serving = s.spawn(|| server.serve(model).unwrap());
+        let drain = DrainOnDrop::new(&server);
         let result = body(&server);
-        handle.drain();
+        drop(drain);
         serving.join().unwrap();
         result
     })

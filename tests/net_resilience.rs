@@ -6,11 +6,16 @@
 //! * **Shed without starvation** — once the oldest queued request has been passed over
 //!   for more budgeted tokens than the SLO allows, new submissions are refused with
 //!   `429` + `Retry-After` *before* entering the queue, and the already-queued request
-//!   still completes: shedding protects the backlog, it never replaces it.
+//!   still completes: shedding protects the backlog, it never replaces it. A step gate
+//!   lets the engine decode only as the test grants steps, so the long request holding the
+//!   slot outlives every observation whatever the host's load.
 //! * **Graceful drain** — after `POST /admin/drain`, the in-flight stream runs to
 //!   completion, new work is refused with `503`, and `serve` returns a consistent final
-//!   report. A gate hook parks the engine inside the stream's first decode step until the
+//!   report. The step gate parks the engine inside the stream's first decode step until the
 //!   drain was acknowledged, so the drain lands mid-stream on every run.
+//!
+//! Every server is drained by a [`common::DrainOnDrop`] guard, so a failing assertion
+//! fails the test instead of hanging the suite.
 
 use realm::core::ProtectionPolicy;
 use realm::llm::{config::ModelConfig, model::Model, GemmContext, GemmHook, Stage};
@@ -18,10 +23,17 @@ use realm::net::client::stats_field;
 use realm::net::{http_request, stream_generate, GenBody, NetConfig, NetServer, WireEvent};
 use realm::serve::ServeConfig;
 use realm::tensor::{ChecksummedGemm, MatI32, MatI8};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::DrainOnDrop;
+
 const TIMEOUT: Duration = Duration::from_secs(20);
+
+/// How long [`Stepper::step_until`] waits for an answer before it grants the engine one
+/// more decode step.
+const PACE: Duration = Duration::from_millis(25);
 
 /// `tiny_opt` with a context window large enough for deliberately long-running requests.
 fn long_context_model() -> Model {
@@ -39,6 +51,12 @@ fn gen(prompt: Vec<u32>, budget: usize, priority: u8) -> GenBody {
     }
 }
 
+/// One `GET /stats` JSON snapshot.
+fn stats(addr: std::net::SocketAddr) -> String {
+    let response = http_request(addr, "GET", "/stats", b"", TIMEOUT).unwrap();
+    String::from_utf8(response.body).unwrap()
+}
+
 /// Polls `/stats` until `predicate` holds and returns that JSON.
 ///
 /// # Panics
@@ -51,8 +69,7 @@ fn poll_stats(
 ) -> String {
     let start = Instant::now();
     loop {
-        let response = http_request(addr, "GET", "/stats", b"", TIMEOUT).unwrap();
-        let json = String::from_utf8(response.body).unwrap();
+        let json = stats(addr);
         if predicate(&json) {
             return json;
         }
@@ -64,27 +81,28 @@ fn poll_stats(
     }
 }
 
-/// A pass-through hook that announces its first decode-stage GEMM on `reached` and then
-/// parks the engine thread until `release` fires (or its sender is dropped, so a failing
-/// test unwinds instead of hanging). Every later GEMM passes straight through.
-struct DecodeGate {
-    reached: Option<mpsc::Sender<()>>,
-    release: mpsc::Receiver<()>,
+/// A pass-through hook that parks the engine thread at the start of every decode step —
+/// announced on `parked` — until the test grants the step on `permits`. Once the permit
+/// sender is gone (the test opened the gate, or is unwinding) every step passes straight
+/// through.
+struct StepGate {
+    parked: mpsc::Sender<()>,
+    permits: mpsc::Receiver<()>,
+    open: bool,
 }
 
-impl DecodeGate {
+impl StepGate {
     fn pass(&mut self, ctx: &GemmContext) {
-        if ctx.stage != Stage::Decode {
+        // GEMM 0 of a decode-stage forward pass: the engine is starting a decode step.
+        if self.open || ctx.stage != Stage::Decode || ctx.sequence != 0 {
             return;
         }
-        if let Some(reached) = self.reached.take() {
-            let _ = reached.send(());
-            let _ = self.release.recv();
-        }
+        let _ = self.parked.send(());
+        self.open = self.permits.recv().is_err();
     }
 }
 
-impl GemmHook for DecodeGate {
+impl GemmHook for StepGate {
     fn on_gemm(&mut self, ctx: &GemmContext, _: &MatI8, _: &MatI8, _: &mut MatI32) {
         self.pass(ctx);
     }
@@ -104,6 +122,55 @@ impl GemmHook for DecodeGate {
     }
 }
 
+/// The test's end of a [`StepGate`]. Dropping it opens the gate for good.
+struct Stepper {
+    parked: mpsc::Receiver<()>,
+    permits: mpsc::Sender<()>,
+}
+
+/// A closed step gate for `serve_with_hook` and the stepper that drives it.
+fn step_gate() -> (Box<dyn GemmHook + Send>, Stepper) {
+    let (parked_tx, parked) = mpsc::channel();
+    let (permits, permits_rx) = mpsc::channel();
+    let gate = StepGate {
+        parked: parked_tx,
+        permits: permits_rx,
+        open: false,
+    };
+    (Box::new(gate), Stepper { parked, permits })
+}
+
+impl Stepper {
+    /// Waits until the engine is parked at the start of a decode step.
+    fn wait_parked(&self) {
+        self.parked
+            .recv_timeout(TIMEOUT)
+            .expect("the engine must reach a decode step");
+    }
+
+    /// Runs `request` on a thread of its own and, while it waits for an answer, grants the
+    /// engine one decode step per [`PACE`]. The engine reads commands (`/stats`,
+    /// submissions) only between steps, so every answer costs at least one step — and a
+    /// request on a decode-only engine advances it one token per grant, never per
+    /// wall-clock tick.
+    fn step_until<T: Send>(&self, request: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| {
+            let (done, answer) = mpsc::channel();
+            s.spawn(move || done.send(request()));
+            loop {
+                match answer.recv_timeout(PACE) {
+                    Ok(value) => return value,
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.permits.send(()).expect("the gate is live");
+                        self.wait_parked();
+                    }
+                    Err(RecvTimeoutError::Disconnected) => panic!("the request panicked"),
+                }
+            }
+        })
+    }
+}
+
 #[test]
 fn mid_stream_disconnect_cancels_the_request_and_frees_the_slot() {
     let model = long_context_model();
@@ -113,9 +180,9 @@ fn mid_stream_disconnect_cancels_the_request_and_frees_the_slot() {
     })
     .unwrap();
     let addr = server.local_addr();
-    let handle = server.handle();
     let report = std::thread::scope(|s| {
         let serving = s.spawn(|| server.serve(&model).unwrap());
+        let drain = DrainOnDrop::new(&server);
 
         // A request with a 200-token budget, abandoned after 2 events: the hang-up lands
         // far from completion, so only cancellation can explain the freed slot.
@@ -141,7 +208,7 @@ fn mid_stream_disconnect_cancels_the_request_and_frees_the_slot() {
         assert_eq!(follow_up.status, 200);
         assert_eq!(follow_up.tokens.len(), 3);
 
-        handle.drain();
+        drop(drain);
         serving.join().unwrap()
     });
     assert_eq!(report.engine.requests_cancelled, 1);
@@ -164,29 +231,38 @@ fn shed_returns_429_with_retry_after_and_never_starves_the_queue() {
     })
     .unwrap();
     let addr = server.local_addr();
-    let handle = server.handle();
+    let (gate, stepper) = step_gate();
     let report = std::thread::scope(|s| {
-        let serving = s.spawn(|| server.serve(&model).unwrap());
+        let serving = s.spawn(|| server.serve_with_hook(&model, Some(gate)).unwrap());
+        let drain = DrainOnDrop::new(&server);
+        let stepper = stepper;
 
-        // Occupy the only slot with a long-running request.
+        // Occupy the only slot with a long-running request. The engine parks at its first
+        // decode step, so it is admitted, and from here on it decodes one token per step the
+        // test grants — far fewer than its 200 before the gate opens.
         let hog = s
             .spawn(move || stream_generate(addr, &gen(vec![1, 2], 200, 0), None, TIMEOUT).unwrap());
-        // Wait for it to be admitted, then queue a high-priority request behind it.
-        poll_stats(addr, "the hog must be admitted", |j| {
-            stats_field(j, "active_slots") == Some(1)
-        });
+        stepper.wait_parked();
+
+        // Queue a high-priority request behind it and step the engine until the request has
+        // been passed over for the SLO's worth of tokens (the hog's one token per step
+        // drives the token clock, and with it the queued request's token age).
         let queued = s.spawn(move || {
             stream_generate(addr, &gen(vec![7, 8, 9], 4, 7), None, TIMEOUT).unwrap()
         });
-        // Let the queued request age past the SLO (the hog decodes one token per step,
-        // so the token clock — and with it the queued request's token age — keeps
-        // climbing while it waits).
-        poll_stats(addr, "the queued request must age past the SLO", |j| {
-            stats_field(j, "queue_oldest_age_tokens").unwrap_or(0) >= 4
+        let aged = (0..100).any(|_| {
+            let json = stepper.step_until(|| stats(addr));
+            stats_field(&json, "queue_oldest_age_tokens").unwrap_or(0) >= 4
         });
+        assert!(
+            aged,
+            "the queued request must age past the SLO behind the hog"
+        );
 
-        // New work is now shed before it touches the queue.
-        let shed = stream_generate(addr, &gen(vec![3], 2, 0), None, TIMEOUT).unwrap();
+        // New work is now shed before it touches the queue: the hog still holds the slot,
+        // so the queued request has only aged further.
+        let shed = stepper
+            .step_until(|| stream_generate(addr, &gen(vec![3], 2, 0), None, TIMEOUT).unwrap());
         assert_eq!(
             shed.status, 429,
             "aged queue must shed new work: {:?}",
@@ -203,7 +279,9 @@ fn shed_returns_429_with_retry_after_and_never_starves_the_queue() {
             shed.error_body
         );
 
-        // Shedding refused the NEW request only: the queued one still completes in full.
+        // Open the gate. Shedding refused the NEW request only: the queued one still
+        // completes in full.
+        drop(stepper);
         let queued_result = queued.join().unwrap();
         assert_eq!(queued_result.status, 200);
         assert_eq!(
@@ -215,7 +293,7 @@ fn shed_returns_429_with_retry_after_and_never_starves_the_queue() {
         assert_eq!(hog_result.status, 200);
         assert_eq!(hog_result.tokens.len(), 200);
 
-        handle.drain();
+        drop(drain);
         serving.join().unwrap()
     });
     assert_eq!(
@@ -239,18 +317,11 @@ fn graceful_drain_finishes_in_flight_streams_and_refuses_new_work() {
     })
     .unwrap();
     let addr = server.local_addr();
-    let (reached_tx, reached_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
-    let gate = DecodeGate {
-        reached: Some(reached_tx),
-        release: release_rx,
-    };
+    let (gate, stepper) = step_gate();
     let report = std::thread::scope(|s| {
-        let serving = s.spawn(|| {
-            server
-                .serve_with_hook(&model, Some(Box::new(gate)))
-                .unwrap()
-        });
+        let serving = s.spawn(|| server.serve_with_hook(&model, Some(gate)).unwrap());
+        let _drain = DrainOnDrop::new(&server);
+        let stepper = stepper;
 
         // Start a long stream and wait until the engine is parked inside its first decode
         // step (`/stats` cannot tell: a parked engine thread does not answer it). The drain
@@ -258,9 +329,7 @@ fn graceful_drain_finishes_in_flight_streams_and_refuses_new_work() {
         let in_flight = s.spawn(move || {
             stream_generate(addr, &gen(vec![1, 2, 3], 100, 0), None, TIMEOUT).unwrap()
         });
-        reached_rx
-            .recv_timeout(TIMEOUT)
-            .expect("the stream must reach its first decode step");
+        stepper.wait_parked();
         let drain = http_request(addr, "POST", "/admin/drain", b"", TIMEOUT).unwrap();
         assert_eq!(drain.status, 202);
         assert!(!in_flight.is_finished(), "the drain must land mid-stream");
@@ -278,9 +347,7 @@ fn graceful_drain_finishes_in_flight_streams_and_refuses_new_work() {
         }
 
         // Only now may the engine go on: the in-flight stream still runs to full completion.
-        release_tx
-            .send(())
-            .expect("the engine is parked at the gate");
+        drop(stepper);
         let result = in_flight.join().unwrap();
         assert_eq!(result.status, 200);
         assert_eq!(

@@ -8,9 +8,9 @@
 //!
 //! This is the guarantee that makes pre-packing a pure optimisation: `PackedMatI8` is a
 //! relayout of the same integer operand, integer accumulation is order-invariant, and the
-//! skinny-M kernels fuse the expected-checksum reduction without changing a single bit of
-//! it. Under `REALM_FORCE_SCALAR=1` (the portable CI leg) the same assertions pin the
-//! scalar packed kernels.
+//! checksum row that carries the expected checksum on the packed pair stream changes not a
+//! single bit of it. Under `REALM_FORCE_SCALAR=1` (the portable CI leg) the same
+//! assertions pin the portable tier.
 
 use rand::Rng;
 use realm::tensor::engine::{
@@ -139,9 +139,9 @@ fn packed_path_matches_unpacked_path_exactly() {
 
 #[test]
 fn saturated_int8_inputs_stay_bit_exact_on_the_packed_path() {
-    // Every element at an INT8 rail: the skinny kernel's i16 `eᵀ·X` weights hit their
-    // extreme (±4·128) and per-pair i32 partials approach the drain bound, so this pins
-    // the widening arithmetic at its specified limits.
+    // Every element at an INT8 rail: the checksum row's i16 weights hit their extreme for
+    // the row count (±m·128) and per-pair i32 partials approach the drain bound, so this
+    // pins the widening arithmetic at its specified limits.
     for &(m, k, n) in &[(1, 511, 3), (2, 64, 64), (4, 257, 65), (33, 64, 48)] {
         for fill in [(127i8, 127i8), (-128, -128), (127, -128), (-128, 127)] {
             let a = MatI8::filled(m, k, fill.0);
@@ -160,6 +160,74 @@ fn saturated_int8_inputs_stay_bit_exact_on_the_packed_path() {
                 assert_eq!(dest.expected(), oracle.expected(), "{}", engine.name());
                 assert_eq!(dest.observed(), oracle.observed(), "{}", engine.name());
             }
+        }
+    }
+}
+
+/// Asserts every engine's packed checksummed GEMM of `a × b` matches the oracle, and that its
+/// plain packed GEMM does too.
+fn assert_packed_matches_oracle(label: &str, a: &MatI8, pb: &PackedMatI8) {
+    let oracle = ReferenceEngine
+        .gemm_i8_checksummed_two_pass(a, pb.unpacked())
+        .unwrap();
+    for engine in all_engines() {
+        let mut out = MatI32::zeros(0, 0);
+        engine.gemm_i8_packed_into(a, pb, &mut out).unwrap();
+        assert_eq!(&out, oracle.acc(), "{} plain {label}", engine.name());
+        let mut dest = ChecksummedGemm::empty();
+        let mut etw = Vec::new();
+        engine
+            .gemm_i8_packed_checksummed_into(a, pb, &mut dest, &mut etw)
+            .unwrap();
+        assert_eq!(dest.acc(), oracle.acc(), "{} acc {label}", engine.name());
+        assert_eq!(
+            dest.expected(),
+            oracle.expected(),
+            "{} {label}",
+            engine.name()
+        );
+        assert_eq!(
+            dest.observed(),
+            oracle.observed(),
+            "{} {label}",
+            engine.name()
+        );
+    }
+}
+
+#[test]
+fn packed_checksum_row_bit_exact_across_bands_and_depth_chunks() {
+    // The expected checksum of a packed GEMM is a checksum row on the pair stream, one per
+    // panel of at most 256 rows (on a sharded engine, per panel of each row chunk, the
+    // partials summed at join). Row counts that split panels and bands (128, 256, 257,
+    // 300), odd depths (the zero-padded final pair) and depths past the widening buffer's
+    // capacity (4001: several chunks) must all leave it bit-exact.
+    for (i, &(m, k, n)) in [
+        (5, 33, 48),
+        (12, 4001, 32),
+        (128, 161, 64),
+        (256, 62, 48),
+        (257, 47, 33),
+        (300, 21, 16),
+        (260, 4001, 16),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let (a, pb) = random_operands(9000 + i as u64, m, k, n);
+        assert_packed_matches_oracle(&format!("{m}x{k}x{n}"), &a, &pb);
+    }
+}
+
+#[test]
+fn packed_checksum_row_is_exact_on_an_i8_min_band() {
+    // 256 rows of i8::MIN put every lane of the band's checksum row at exactly i16::MIN,
+    // shallow (one panel rides it) and deep (drains and depth chunks).
+    for &(m, k, n) in &[(256, 62, 48), (256, 601, 32), (256, 4001, 16)] {
+        for fill in [i8::MIN, i8::MAX] {
+            let a = MatI8::filled(m, k, i8::MIN);
+            let pb = PackedMatI8::from_mat(MatI8::filled(k, n, fill));
+            assert_packed_matches_oracle(&format!("{m}x{k}x{n} B = {fill}"), &a, &pb);
         }
     }
 }

@@ -10,9 +10,9 @@ use realm::abft::detector::AbftDetector;
 use realm::abft::{checksum, ApproxAbft, ClassicalAbft, CriticalRegion, StatisticalAbft};
 use realm::inject::{error_model::ErrorModel, error_model::MagFreqModel, VoltageBerCurve};
 use realm::systolic::{Dataflow, EnergyModel, SystolicArray};
-use realm::tensor::engine::{GemmEngine, KernelEngine, ReferenceEngine};
+use realm::tensor::engine::{ChecksummedGemm, GemmEngine, KernelEngine, ReferenceEngine};
 use realm::tensor::rng::SeededRng;
-use realm::tensor::{gemm, quant, rng, MatF32, MatI8, SimdTier};
+use realm::tensor::{gemm, quant, rng, MatF32, MatI8, PackedMatI8, SimdTier};
 
 const CASES: usize = 48;
 
@@ -164,6 +164,53 @@ fn simd_backend_handles_degenerate_vector_shapes() {
         let a = MatI8::from_fn(m, k, |_, _| r.gen_range(-128i16..=127) as i8);
         let b = MatI8::from_fn(k, n, |_, _| r.gen_range(-128i16..=127) as i8);
         assert_simd_matches_reference(&a, &b, &format!("{m}x{k}x{n}"));
+    }
+}
+
+/// The checksum row on the vector tiers' pair stream is bit-exact on every tier the host
+/// grants, inline and pooled, over row-major and packed `B`, on random shapes drawn across
+/// its edges: row counts that split widened panels and 256-row checksum bands, odd depths
+/// (the zero-padded final pair) and depths past the widening buffer's capacity.
+#[test]
+fn checksum_row_matches_reference_on_every_tier_packed_and_row_major() {
+    let mut engines: Vec<Box<dyn GemmEngine>> = Vec::new();
+    for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+        engines.push(Box::new(KernelEngine::simd_with_tier(tier)));
+        engines.push(Box::new(KernelEngine::simd_with_tier(tier).with_workers(3)));
+    }
+    let mut r = rng::seeded(0xB4);
+    for case in 0..12 {
+        let m = [5, 128, 256, 257, 300][case % 5];
+        let k = if case % 4 == 3 {
+            r.gen_range(3300usize..3400)
+        } else {
+            2 * r.gen_range(1usize..40) + r.gen_range(0..2)
+        };
+        let n = if k > 3000 {
+            r.gen_range(1usize..20)
+        } else {
+            r.gen_range(1usize..70)
+        };
+        let a = MatI8::from_fn(m, k, |_, _| r.gen_range(-128i16..=127) as i8);
+        let b = MatI8::from_fn(k, n, |_, _| r.gen_range(-128i16..=127) as i8);
+        let pb = PackedMatI8::pack(&b);
+        let oracle = ReferenceEngine
+            .gemm_i8_checksummed_two_pass(&a, &b)
+            .unwrap();
+        for engine in &engines {
+            let row_major = engine.gemm_i8_checksummed(&a, &b).unwrap();
+            let mut packed = ChecksummedGemm::empty();
+            let mut etw = Vec::new();
+            engine
+                .gemm_i8_packed_checksummed_into(&a, &pb, &mut packed, &mut etw)
+                .unwrap();
+            for (kind, got) in [("row-major", &row_major), ("packed", &packed)] {
+                let context = format!("{} {kind}, case {case}: {m}x{k}x{n}", engine.name());
+                assert_eq!(got.acc(), oracle.acc(), "{context}");
+                assert_eq!(got.expected(), oracle.expected(), "{context}");
+                assert_eq!(got.observed(), oracle.observed(), "{context}");
+            }
+        }
     }
 }
 

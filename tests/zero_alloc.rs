@@ -11,12 +11,14 @@
 //! The model-level tests pin two backends: `Reference` (its `_into` kernels are the oracle
 //! every other backend is differentially tested against) and `Simd` (the microkernel keeps
 //! its tile in stack registers and must not allocate packing scratch per call). Neither
-//! spawns worker threads whose stacks would muddy the count. The engine-level GEMV test adds
-//! the pooled default, to pin that decode shapes stay inline below the sharding threshold,
-//! and the portable tier — the tiled scalar loop, which is also what `EngineKind::auto()`
-//! runs on hosts without AVX2 and what takes every vector tier's column tail; its widening
-//! scratch is a stack tile. Under `REALM_FORCE_SCALAR=1` the model-level Simd tests prove
-//! the same contract for the portable tier.
+//! spawns worker threads whose stacks would muddy the count. The engine-level test (a
+//! decode row and a 12-row prefill chunk) adds the pooled default, to pin that such shapes
+//! stay inline below the sharding threshold, the AVX2 tier, whose kernels widen each row
+//! panel into a stack buffer just as the best tier's do, and the portable tier — the tiled
+//! scalar loop, which is also what `EngineKind::auto()` runs on hosts without AVX2 and what
+//! takes every vector tier's column tail; its widening scratch is a stack tile. Under
+//! `REALM_FORCE_SCALAR=1` the model-level Simd tests prove the same contract for the
+//! portable tier.
 //!
 //! Since the decode-shape speed tier landed, `QuantLinear` pre-packs every weight matrix
 //! into a [`realm::tensor::PackedMatI8`] replica at **model load**. That packing is a
@@ -156,8 +158,10 @@ fn simd_decode_steps_after_warmup_allocate_nothing() {
 fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
     // Engine-level statement of the same contract: once the packed replica exists and the
     // destination/scratch buffers have been sized by a first call, repeated checksummed
-    // packed GEMVs (the per-layer decode workload) and row-major ones (attention, recovery)
-    // perform zero heap allocations.
+    // packed GEMMs (the per-layer decode workload, and a 12-row short prefill chunk) and
+    // row-major ones (attention, recovery) perform zero heap allocations. The vector
+    // kernels widen each row panel into a stack buffer — no heap, no thread-local — on the
+    // AVX2 tier as on the best one.
     use realm::tensor::engine::{ChecksummedGemm, GemmEngine, KernelEngine, ReferenceEngine};
     use realm::tensor::{rng, MatI32, MatI8, PackedMatI8, SimdTier};
     use std::sync::Arc;
@@ -168,48 +172,54 @@ fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
     // tiled routine runs under the counting allocator too.
     let w = MatI8::from_fn(96, 83, |_, _| r.gen_range(-128i16..=127) as i8);
     let pb = PackedMatI8::from_mat(w);
-    let a = MatI8::from_fn(1, 96, |_, _| r.gen_range(-128i16..=127) as i8);
-    // `SimdParallel` is the default engine: a decode-shape GEMM is below its sharding
-    // threshold, so it must run inline and spawn (hence allocate) nothing. The portable
-    // tier is pinned explicitly so it is covered on hosts with AVX2 as well.
-    let engines: [(&str, Arc<dyn GemmEngine>); 3] = [
+    // `SimdParallel` is the default engine: GEMMs this small are below its sharding
+    // threshold, so they must run inline and spawn (hence allocate) nothing. The AVX2 and
+    // portable tiers are pinned explicitly so they are covered on hosts with a better one.
+    let engines: [(&str, Arc<dyn GemmEngine>); 4] = [
         ("simd", EngineKind::Simd.build()),
         ("simd_parallel", EngineKind::SimdParallel.build()),
+        (
+            "simd, avx2 tier",
+            Arc::new(KernelEngine::simd_with_tier(SimdTier::Avx2)),
+        ),
         (
             "simd, portable tier",
             Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
         ),
     ];
-    for (kind, engine) in engines {
-        let mut dest = ChecksummedGemm::from_parts(MatI32::zeros(0, 0), Vec::new(), Vec::new());
-        let mut etw = Vec::new();
-        // Warmup sizes the accumulator and the three checksum buffers.
-        engine
-            .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
-            .unwrap();
-
-        let before = allocations();
-        for _ in 0..32 {
-            engine
-                .gemm_i8_checksummed_into(&a, pb.unpacked(), &mut dest, &mut etw)
-                .unwrap();
+    for rows in [1, 12] {
+        let a = MatI8::from_fn(rows, 96, |_, _| r.gen_range(-128i16..=127) as i8);
+        for (kind, engine) in &engines {
+            let mut dest = ChecksummedGemm::from_parts(MatI32::zeros(0, 0), Vec::new(), Vec::new());
+            let mut etw = Vec::new();
+            // Warmup sizes the accumulator and the three checksum buffers.
             engine
                 .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
                 .unwrap();
-        }
-        let allocations = allocations() - before;
-        assert_eq!(
-            allocations, 0,
-            "{kind}: repeated checksummed GEMVs must reuse the caller's buffers"
-        );
 
-        // The loop above really did compute the decode GEMM: cross-check the last result.
-        let oracle = ReferenceEngine
-            .gemm_i8_checksummed_two_pass(&a, pb.unpacked())
-            .unwrap();
-        assert_eq!(dest.acc(), oracle.acc());
-        assert_eq!(dest.expected(), oracle.expected());
-        assert_eq!(dest.observed(), oracle.observed());
+            let before = allocations();
+            for _ in 0..32 {
+                engine
+                    .gemm_i8_checksummed_into(&a, pb.unpacked(), &mut dest, &mut etw)
+                    .unwrap();
+                engine
+                    .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
+                    .unwrap();
+            }
+            let allocations = allocations() - before;
+            assert_eq!(
+                allocations, 0,
+                "{kind}, {rows} rows: repeated checksummed GEMMs must reuse the caller's buffers"
+            );
+
+            // The loop above really did compute the GEMM: cross-check the last result.
+            let oracle = ReferenceEngine
+                .gemm_i8_checksummed_two_pass(&a, pb.unpacked())
+                .unwrap();
+            assert_eq!(dest.acc(), oracle.acc(), "{kind}, {rows} rows");
+            assert_eq!(dest.expected(), oracle.expected(), "{kind}, {rows} rows");
+            assert_eq!(dest.observed(), oracle.observed(), "{kind}, {rows} rows");
+        }
     }
 }
 
