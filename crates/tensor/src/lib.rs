@@ -31,8 +31,9 @@
 //!   saturation effect studied in the paper (Q1.2).
 //! * [`row_kernels`] — [`RowKernels`], the per-row primitives of the envelope around every
 //!   quantized GEMM (abs-max, quantize, requantize/dequantize, the integer order statistic of
-//!   the robust output scale), portable or AVX2 on the same dispatch as the GEMM kernels,
-//!   and the workspace's one definition of INT8 rounding.
+//!   the robust output scale) and of softmax and SiLU, portable or AVX2 on the same
+//!   dispatch as the GEMM kernels; the workspace's one definition of INT8 rounding and its
+//!   one `exp`.
 //! * [`tp`] — simulated tensor-parallel execution: [`TpGroup`], a pool of persistent rank
 //!   threads each holding a packed column stripe of a weight matrix ([`ShardedLinear`]),
 //!   with per-shard fused ABFT checksum segments merged back into the unsharded

@@ -1,4 +1,5 @@
-//! The row kernels of the linear envelope: the **one** definition of INT8 rounding.
+//! The row kernels of the linear envelope: the **one** definition of INT8 rounding, and
+//! the **one** `exp`.
 //!
 //! Every quantized GEMM is wrapped in an envelope the paper's datapath gets for free in
 //! hardware (Sec. III-B): f32 activations are quantized to INT8 codes per row, and the INT32
@@ -13,10 +14,14 @@
 //! * [`RowKernels::requantize_row`] (and [`RowKernels::dequantize_row`] for components
 //!   that stay in floating point) — accumulator → `code · out_scale`;
 //! * [`RowKernels::kth_largest_magnitude`] — the order statistic behind the robust
-//!   (99th-percentile) requantization scale, selected on the integers themselves.
+//!   (99th-percentile) requantization scale, selected on the integers themselves;
+//! * [`RowKernels::max`] and [`RowKernels::exp_row`] (`exp(v − shift)`) — the two passes of
+//!   a numerically stable softmax, and [`RowKernels::silu_row`] — `v · sigmoid(v)`: the
+//!   nonlinearities the paper keeps in floating point, outside the protected array.
 //!
 //! Everything else that rounds to INT8 — [`crate::quant`], `realm-llm`'s per-row
-//! quantizer, its KV cache and its attention probabilities — calls these.
+//! quantizer, its KV cache and its attention probabilities — calls these, and so does
+//! everything that exponentiates: `realm-llm`'s softmax and SiLU.
 //!
 //! # The rounding, without libm
 //!
@@ -46,6 +51,40 @@
 //! patterns, on every tier, by this module's `#[ignore]`d release test. The quotient `t`
 //! itself is always a true IEEE division (`vdivps`), never a reciprocal multiply.
 //!
+//! # The exp, without libm
+//!
+//! [`exp`] is the workspace's exponential. libm's `expf` costs a call per element and is
+//! not one function: glibc picks an FMA or a non-FMA variant by CPU, so logits computed
+//! with it could differ between hosts. [`exp`] uses neither libm nor `mul_add`, and Rust
+//! never fuses `a · b + c` by itself, so every tier rounds every step the same way. It is
+//! the Cephes `expf` scheme:
+//!
+//! ```text
+//! c = min(x, 89)                                  clamp: keeps k ≤ 128
+//! k = round(c · log₂e)                            c · log₂e + 1.5·2²³ − 1.5·2²³ (ties to even)
+//! r = (c − k · 0.693359375) − k · (−2.12194440e−4)  Cody–Waite: ln 2 = hi + lo, k · hi exact
+//! p = ((((( 1.9875691500e−4 · r + 1.3981999507e−3) · r + 8.3334519073e−3) · r
+//!          + 4.1665795894e−2) · r + 1.6666665459e−1) · r + 0.5) · r² + r + 1
+//! exp(x) = p · 2^⌊k/2⌋ · 2^(k − ⌊k/2⌋)             each factor built from exponent bits
+//! ```
+//!
+//! * The integer `k` is read off the magic sum's low mantissa bits, so no conversion
+//!   instruction is needed. `hi` has nine significant bits, so `k · hi` and `c − k · hi`
+//!   are exact for every `|k| ≤ 128`.
+//! * `k` ranges over `[−126, 128]` for every input that is not flushed, and both halves of
+//!   `2ᵏ` are normal floats. The first product is exact, and the second rounds once.
+//! * **Flush:** inputs below `ln 2⁻¹²⁶` (`x < −87.33654`, the float just above it) return
+//!   `+0`, so no result is subnormal.
+//! * **Clamp:** every input above `ln f32::MAX` (≈ 88.72284, including `+∞`) returns `+∞`.
+//!   At the clamp the last product overflows by itself.
+//! * **Specials:** `exp(±0) = 1` exactly (so a softmax row's maximum weighs exactly 1),
+//!   `exp(−∞) = +0`, `exp(+∞) = +∞`, and a NaN returns that NaN, quietened.
+//! * **Accuracy:** at most 0.991 ulp from the exact exponential (0.9903 at `x = 70.4031`),
+//!   and within half an ulp on 99.2% of inputs. This is measured over every input that is
+//!   not flushed by this module's `#[ignore]`d release test. The same test checks that every
+//!   tier equals [`exp`] bit for bit on all 2³² bit patterns. Being a polynomial, [`exp`]
+//!   is not correctly rounded, so it can differ from libm's `expf` in the last bit.
+//!
 //! # Tiers
 //!
 //! Two: the portable tier is the scalar definition in a loop, the AVX2 tier hand-written
@@ -53,8 +92,9 @@
 //! and on whole models by the CI backend canary). An AVX-512 host runs the AVX2 row
 //! kernels: 16 lanes bought 4–14% per element in cache and nothing measurable end to end
 //! (at serving shapes the envelope is memory-bound), so a third tier waits for a measured
-//! `tokens_per_s` gain. The tier is resolved once per process ([`SimdTier::detect`]), so
-//! dispatching a row never reads the environment.
+//! `tokens_per_s` gain. That was measured on the rounding kernels; the compute-bound exp
+//! kernels have not been tried at 16 lanes. The tier is resolved once per process
+//! ([`SimdTier::detect`]), so dispatching a row never reads the environment.
 
 use crate::simd::SimdTier;
 
@@ -66,6 +106,26 @@ const CODE_CLAMP: f32 = 127.25;
 /// keeps on the stack; beyond it the row is copied and partitioned.
 const STREAM_K: usize = 16;
 
+/// [`exp`]'s clamp: above `ln f32::MAX` every result is `+∞`, and at 89 `k` is still 128.
+const EXP_CLAMP: f32 = 89.0;
+/// [`exp`]'s flush: the smallest float above `ln 2⁻¹²⁶`; below it the result is `+0`.
+const EXP_FLUSH: f32 = -87.336_54;
+/// `1.5 · 2²³`: adding it rounds to an integer, which lands in the sum's low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// The high half of the Cody–Waite split of ln 2 (0.693359375, nine significant bits).
+const LN2_HI: f32 = 355.0 / 512.0;
+/// The low half: `ln 2 − LN2_HI`.
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf`'s coefficients, highest degree first: `exp(r) ≈ 1 + r + r² · P(r)`.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    0.166_666_66,
+    0.5,
+];
+
 /// Rounds a quotient `t = value / scale` to its INT8 code: half away from zero, saturated
 /// at ±127, NaN to 0 — equal to `t.round().clamp(-127.0, 127.0) as i8` on every input.
 ///
@@ -76,6 +136,45 @@ pub fn round_to_code(t: f32) -> i8 {
     let c = t.clamp(-CODE_CLAMP, CODE_CLAMP);
     // NaN survives the clamp and the addition, and a NaN → integer cast is 0.
     (c + HALF_BELOW.copysign(c)) as i32 as i8
+}
+
+/// The exponential `eˣ` in f32, without libm: within 0.991 ulp of the exact value, `+0`
+/// below `ln 2⁻¹²⁶`, `+∞` above `ln f32::MAX`, NaN to NaN (see the
+/// [module documentation](self)).
+///
+/// This is the workspace's definition of `exp`; [`RowKernels::exp_row`] and
+/// [`RowKernels::silu_row`] are its vectorisations.
+#[inline]
+pub fn exp(x: f32) -> f32 {
+    // NaN fails the comparison and flows through every step below.
+    let c = if x > EXP_CLAMP { EXP_CLAMP } else { x };
+    let t = c * std::f32::consts::LOG2_E + ROUND_MAGIC;
+    // Wrapping: a NaN or flushed input yields a garbage `k`, whose result is discarded.
+    let k = (t.to_bits() as i32).wrapping_sub(ROUND_MAGIC.to_bits() as i32);
+    let kf = t - ROUND_MAGIC;
+    let r = c - kf * LN2_HI - kf * LN2_LO;
+    let p = EXP_POLY[1..]
+        .iter()
+        .fold(EXP_POLY[0], |p, &coeff| p * r + coeff);
+    let p = p * (r * r) + r + 1.0;
+    let y = p * pow2(k >> 1) * pow2(k - (k >> 1));
+    if x < EXP_FLUSH {
+        0.0
+    } else {
+        y
+    }
+}
+
+/// The logistic sigmoid `1 / (1 + exp(−v))`, on [`exp`].
+#[inline]
+pub fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + exp(-v))
+}
+
+/// `2ᵏ` from its exponent bits, for `−126 ≤ k ≤ 127`.
+#[inline]
+fn pow2(k: i32) -> f32 {
+    f32::from_bits((k.wrapping_add(127) as u32) << 23)
 }
 
 /// Handle on the row kernels of one instruction-set tier.
@@ -176,6 +275,45 @@ impl RowKernels {
         scalar::dequantize_row(acc, scale, out);
     }
 
+    /// Largest value of `row`, ignoring NaNs (`−∞` for an empty or all-NaN row; a zero
+    /// maximum is `+0.0`) — `row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v))`.
+    pub fn max(self, row: &[f32]) -> f32 {
+        #[cfg(target_arch = "x86_64")]
+        let max = if self.tier >= SimdTier::Avx2 {
+            // SAFETY: an accelerated tier is only granted when AVX2 was detected.
+            unsafe { avx2::max(row) }
+        } else {
+            scalar::max(row)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let max = scalar::max(row);
+        // Which zero wins a max depends on the order of the comparisons; `−0 + 0` is `+0`.
+        max + 0.0
+    }
+
+    /// `row[i] = exp(row[i] − shift)`, with [`exp`].
+    pub fn exp_row(self, row: &mut [f32], shift: f32) {
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 {
+            // SAFETY: an accelerated tier is only granted when AVX2 was detected.
+            unsafe { avx2::exp_row(row, shift) };
+            return;
+        }
+        scalar::exp_row(row, shift);
+    }
+
+    /// `row[i] = row[i] · sigmoid(row[i])` (SiLU), with [`sigmoid`]: the same two roundings
+    /// — a division, then a multiplication — on every tier.
+    pub fn silu_row(self, row: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 {
+            // SAFETY: an accelerated tier is only granted when AVX2 was detected.
+            unsafe { avx2::silu_row(row) };
+            return;
+        }
+        scalar::silu_row(row);
+    }
+
     /// The `k`-th largest of `|acc[i]|` (as `u32`, so `i32::MIN` is `2³¹`); `k = 1` is the
     /// maximum, `k = acc.len()` the minimum.
     ///
@@ -228,9 +366,26 @@ fn offer(top: &mut [u32], m: u32) {
     top[i] = m;
 }
 
-/// The scalar tier: [`round_to_code`] in a loop. Also the tail of every vector loop.
+/// The scalar tier: [`round_to_code`], [`exp`] and [`sigmoid`] in a loop. Also the tail of
+/// every vector loop.
 mod scalar {
-    use super::{offer, round_to_code};
+    use super::{exp, offer, round_to_code, sigmoid};
+
+    pub(super) fn max(row: &[f32]) -> f32 {
+        row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v))
+    }
+
+    pub(super) fn exp_row(row: &mut [f32], shift: f32) {
+        for v in row {
+            *v = exp(*v - shift);
+        }
+    }
+
+    pub(super) fn silu_row(row: &mut [f32]) {
+        for v in row {
+            *v *= sigmoid(*v);
+        }
+    }
 
     pub(super) fn abs_max_bits(row: &[f32]) -> u32 {
         row.iter().fold(0, |m, v| m.max(v.to_bits() & 0x7fff_ffff))
@@ -266,10 +421,48 @@ mod scalar {
 /// must only be called once AVX2 was detected.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, CODE_CLAMP, HALF_BELOW};
+    use super::{
+        scalar, CODE_CLAMP, EXP_CLAMP, EXP_FLUSH, EXP_POLY, HALF_BELOW, LN2_HI, LN2_LO, ROUND_MAGIC,
+    };
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
+
+    /// [`super::exp`] on 8 lanes, step for step.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        // `vminps` returns its second operand unless the first is smaller: `x` when NaN.
+        let c = _mm256_min_ps(_mm256_set1_ps(EXP_CLAMP), x);
+        let magic = _mm256_set1_ps(ROUND_MAGIC);
+        let log2e = _mm256_set1_ps(std::f32::consts::LOG2_E);
+        let t = _mm256_add_ps(_mm256_mul_ps(c, log2e), magic);
+        let k = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_castps_si256(magic));
+        let kf = _mm256_sub_ps(t, magic);
+        let r = _mm256_sub_ps(c, _mm256_mul_ps(kf, _mm256_set1_ps(LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(kf, _mm256_set1_ps(LN2_LO)));
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &coeff in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(coeff));
+        }
+        let p = _mm256_mul_ps(p, _mm256_mul_ps(r, r));
+        let p = _mm256_add_ps(_mm256_add_ps(p, r), _mm256_set1_ps(1.0));
+        let half = _mm256_srai_epi32::<1>(k);
+        let y = _mm256_mul_ps(
+            _mm256_mul_ps(p, pow2(half)),
+            pow2(_mm256_sub_epi32(k, half)),
+        );
+        let flushed = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_FLUSH));
+        _mm256_andnot_ps(flushed, y)
+    }
+
+    /// [`super::pow2`] on 8 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pow2(k: __m256i) -> __m256 {
+        let biased = _mm256_add_epi32(k, _mm256_set1_epi32(127));
+        _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased))
+    }
 
     /// [`super::round_to_code`] on 8 quotients; the codes come back as `i32` lanes.
     #[inline]
@@ -365,6 +558,57 @@ mod avx2 {
             _mm256_storeu_ps(out.as_mut_ptr().add(i), y);
         }
         scalar::dequantize_row(&acc[body..], scale, &mut out[body..]);
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn max(row: &[f32]) -> f32 {
+        let body = row.len() - row.len() % LANES;
+        let mut max = _mm256_set1_ps(f32::NEG_INFINITY);
+        for i in (0..body).step_by(LANES) {
+            // SAFETY: `i + LANES <= body <= row.len()`. `vmaxps` keeps its second operand
+            // unless the first is larger, so a NaN element leaves the running max alone.
+            max = _mm256_max_ps(_mm256_loadu_ps(row.as_ptr().add(i)), max);
+        }
+        let mut lanes = [0.0f32; LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), max);
+        let tail = scalar::max(&row[body..]);
+        lanes.iter().fold(tail, |m, &v| m.max(v))
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn exp_row(row: &mut [f32], shift: f32) {
+        let body = row.len() - row.len() % LANES;
+        let shift_v = _mm256_set1_ps(shift);
+        for i in (0..body).step_by(LANES) {
+            // SAFETY: `i + LANES <= body <= row.len()`.
+            let p = row.as_mut_ptr().add(i);
+            _mm256_storeu_ps(p, exp8(_mm256_sub_ps(_mm256_loadu_ps(p), shift_v)));
+        }
+        scalar::exp_row(&mut row[body..], shift);
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn silu_row(row: &mut [f32]) {
+        let body = row.len() - row.len() % LANES;
+        let (one, sign) = (_mm256_set1_ps(1.0), _mm256_set1_ps(-0.0));
+        for i in (0..body).step_by(LANES) {
+            // SAFETY: `i + LANES <= body <= row.len()`.
+            let p = row.as_mut_ptr().add(i);
+            let v = _mm256_loadu_ps(p);
+            let e = exp8(_mm256_xor_ps(v, sign));
+            let sigmoid = _mm256_div_ps(one, _mm256_add_ps(one, e));
+            _mm256_storeu_ps(p, _mm256_mul_ps(v, sigmoid));
+        }
+        scalar::silu_row(&mut row[body..]);
     }
 
     /// # Safety
@@ -471,6 +715,188 @@ mod tests {
             }
             assert_rounds_like_the_oracle(&values);
         }
+    }
+
+    /// Bits of `v`, with every NaN collapsed to one pattern: where a NaN meets another NaN
+    /// (`v · sigmoid(v)` of a NaN) the payload that survives depends on operand order.
+    fn bits_modulo_nan(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// `|y − exact|` in units of the last place of `exact`'s binade (normal range).
+    fn ulps(y: f32, exact: f64) -> f64 {
+        let binade = ((exact.to_bits() >> 52) & 0x7ff) as i32 - 1023;
+        (y as f64 - exact).abs() / 2f64.powi(binade.max(-126) - 23)
+    }
+
+    /// Every tier's `exp_row` at shift 0 (`x − 0 = x` for every input) against [`exp`], bit
+    /// for bit; then [`exp`] against the exact exponential: flushed inputs give `+0`,
+    /// overflowing ones `+∞`, the rest a finite value. Returns the largest ulp error.
+    fn assert_exp_is_its_definition(values: &[f32]) -> f64 {
+        let expected: Vec<f32> = values.iter().map(|&x| exp(x)).collect();
+        let mut row = values.to_vec();
+        for kernels in granted_tiers() {
+            row.copy_from_slice(values);
+            kernels.exp_row(&mut row, 0.0);
+            if let Some(at) = (0..row.len()).find(|&i| row[i].to_bits() != expected[i].to_bits()) {
+                panic!(
+                    "{:?}: exp({:e}) (bits {:#010x}) is {:e}, the definition says {:e}",
+                    kernels.tier,
+                    values[at],
+                    values[at].to_bits(),
+                    row[at],
+                    expected[at]
+                );
+            }
+        }
+        let mut worst = 0.0f64;
+        for (&x, &y) in values.iter().zip(&expected) {
+            let exact = (x as f64).exp();
+            if x.is_nan() {
+                assert!(y.is_nan(), "exp(NaN) = {y:e}");
+            } else if x < EXP_FLUSH {
+                assert_eq!(y.to_bits(), 0, "exp({x:e}) is flushed to +0");
+            } else if exact as f32 == f32::INFINITY {
+                assert_eq!(y, f32::INFINITY, "exp({x:e}) overflows");
+            } else {
+                assert!(
+                    y.is_finite() && y >= f32::MIN_POSITIVE,
+                    "exp({x:e}) = {y:e}"
+                );
+                worst = worst.max(ulps(y, exact));
+            }
+        }
+        worst
+    }
+
+    /// The measured accuracy of [`exp`] over every input that is not flushed.
+    const EXP_MAX_ULPS: f64 = 0.991;
+
+    #[test]
+    fn exp_matches_its_definition_on_every_edge() {
+        let mut values = Vec::new();
+        // Every exponent (zero, subnormals, every binade, inf/NaN) x the mantissa edges,
+        // both signs.
+        const MANTISSAS: [u32; 7] = [0, 1, 2, 0x40_0000, 0x40_0001, 0x7f_fffe, 0x7f_ffff];
+        for sign in [0u32, 1 << 31] {
+            for exponent in 0..=255u32 {
+                for mantissa in MANTISSAS {
+                    values.push(f32::from_bits(sign | exponent << 23 | mantissa));
+                }
+            }
+        }
+        // Both sides of the flush, the overflow and the clamp, and of every switch of `k`
+        // (`x · log₂e` on a half-integer) from the flush to the clamp.
+        let neighbours = |v: f32| (v.to_bits() - 3..=v.to_bits() + 3).map(f32::from_bits);
+        for edge in [EXP_FLUSH, 88.722_83, EXP_CLAMP] {
+            values.extend(neighbours(edge));
+            values.extend(neighbours(-edge));
+        }
+        for k in -127..=128 {
+            let switch = (k as f64 + 0.5) * std::f64::consts::LN_2;
+            values.extend(neighbours(switch as f32));
+        }
+        values.extend([f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        values.extend([0.0, -0.0, 1.0, -1.0, f32::MIN_POSITIVE, f32::MAX, f32::MIN]);
+        assert!(assert_exp_is_its_definition(&values) <= EXP_MAX_ULPS);
+
+        // The documented specials and thresholds, by value.
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+        let nan = f32::from_bits(0xffa0_0001);
+        assert_eq!(exp(nan).to_bits(), 0xffe0_0001, "the input NaN, quietened");
+        let below_flush = f32::from_bits(EXP_FLUSH.to_bits() + 1);
+        assert!((below_flush as f64) < -126.0 * std::f64::consts::LN_2);
+        assert!((EXP_FLUSH as f64) > -126.0 * std::f64::consts::LN_2);
+        assert_eq!(exp(below_flush).to_bits(), 0);
+        assert!(exp(EXP_FLUSH) >= f32::MIN_POSITIVE);
+        assert!(exp(88.722_83).is_finite());
+        assert_eq!(exp(88.722_84), f32::INFINITY);
+
+        // Ragged rows: every body/tail split of the vector loop, on every tier.
+        let mut r = rng::seeded(29);
+        let pool: Vec<f32> = (0..33)
+            .map(|i| match i % 5 {
+                0 => values[r.gen_range(0..values.len())],
+                _ => r.gen_range(-90.0f32..90.0),
+            })
+            .collect();
+        for len in 0..=33 {
+            assert_exp_is_its_definition(&pool[..len]);
+            assert_exp_is_its_definition(&pool[33 - len..]);
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 bit patterns: cargo test --release -p realm-tensor -- --ignored"]
+    fn exp_matches_its_definition_on_all_bit_patterns() {
+        const CHUNK: u32 = 1 << 16;
+        let mut values = vec![0.0f32; CHUNK as usize];
+        let mut worst = 0.0f64;
+        for base in (0..=u32::MAX).step_by(CHUNK as usize) {
+            for (v, bits) in values.iter_mut().zip(base..) {
+                *v = f32::from_bits(bits);
+            }
+            worst = worst.max(assert_exp_is_its_definition(&values));
+        }
+        println!("exp: at most {worst:.4} ulp over every input that is not flushed");
+        assert!(worst <= EXP_MAX_ULPS, "{worst} ulp");
+    }
+
+    #[test]
+    fn max_and_silu_match_the_portable_tier_bit_for_bit() {
+        let tiers = granted_tiers();
+        let portable = tiers[0];
+        let mut r = rng::seeded(31);
+        for len in 0..=33 {
+            let mut rows = vec![
+                (0..len)
+                    .map(|_| r.gen_range(-12.0f32..12.0))
+                    .collect::<Vec<_>>(),
+                f32_row(len as u64, len, true),
+                vec![f32::NEG_INFINITY; len],
+                vec![f32::NAN; len],
+                (0..len).map(|i| [0.0, -0.0][i % 2]).collect(),
+            ];
+            // A huge score, and the extremes of SiLU's input.
+            for (i, v) in [1e30, -1e30, 89.5, -89.5, 1e-41].into_iter().enumerate() {
+                if i < len {
+                    rows[0][len - 1 - i] = v;
+                }
+            }
+            for row in &rows {
+                let reference = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)) + 0.0;
+                let mut want = row.clone();
+                portable.silu_row(&mut want);
+                let definition: Vec<f32> = row.iter().map(|&v| v * sigmoid(v)).collect();
+                assert_eq!(bits_modulo_nan(&want), bits_modulo_nan(&definition));
+                for kernels in &tiers {
+                    let label = format!("{:?} len {len}", kernels.tier);
+                    let max = kernels.max(row);
+                    assert_eq!(max.to_bits(), reference.to_bits(), "{label} max of {row:?}");
+                    let mut got = row.clone();
+                    kernels.silu_row(&mut got);
+                    assert_eq!(
+                        bits_modulo_nan(&got),
+                        bits_modulo_nan(&want),
+                        "{label} silu"
+                    );
+                }
+            }
+        }
+        // SiLU keeps its definition's roundings at the extremes.
+        let mut row = [0.0, -0.0, 100.0, -100.0, f32::INFINITY, f32::NEG_INFINITY];
+        portable.silu_row(&mut row);
+        assert_eq!(
+            bits_modulo_nan(&row[..4]),
+            bits_modulo_nan(&[0.0, -0.0, 100.0, -0.0])
+        );
+        assert_eq!(row[4], f32::INFINITY);
+        assert!(row[5].is_nan(), "−∞ · 0");
     }
 
     /// Adversarial f32 rows: gaussian bulk, exact rail and tie values, signed zeros,
