@@ -72,16 +72,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Shards (or, with `None`, un-shards) the four projection weights over a
-    /// tensor-parallel rank group — see [`QuantLinear::set_tensor_parallel`]. The
-    /// attention-internal `QKᵀ`/`SV` GEMMs multiply two activations and are unaffected.
-    pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
-        self.wq.set_tensor_parallel(group);
-        self.wk.set_tensor_parallel(group);
-        self.wv.set_tensor_parallel(group);
-        self.wo.set_tensor_parallel(group);
-    }
-
     /// Number of attention heads.
     pub fn num_heads(&self) -> usize {
         self.num_heads
@@ -585,14 +575,14 @@ mod tests {
             EngineKind::SimdParallel,
         ] {
             for tp in [1usize, 2] {
-                let engine = kind.build();
-                let mut attn = base.clone();
-                let group = (tp > 1).then(|| Arc::new(TpGroup::new(tp, Arc::clone(&engine))));
-                attn.set_tensor_parallel(group.as_ref());
+                let engine: Arc<dyn GemmEngine> = match tp {
+                    1 => kind.build(),
+                    _ => Arc::new(TpGroup::new(tp, kind.build())),
+                };
                 for split in splits(full.rows()) {
                     let label = format!("{kind}/tp{tp}/{split:?}");
-                    let mut solo = empty_cache(&attn);
-                    let mut batch = BatchedKvCache::new(1, 2, attn.num_heads(), attn.head_dim());
+                    let mut solo = empty_cache(&base);
+                    let mut batch = BatchedKvCache::new(1, 2, base.num_heads(), base.head_dim());
                     for (step, rows) in split.iter().enumerate() {
                         let chunk = full.rows_slice(rows.start, rows.len()).unwrap();
                         let stage = if chunk.rows() == 1 && step > 0 {
@@ -602,7 +592,7 @@ mod tests {
                         };
                         let kv = KvTarget::Solo(&mut solo);
                         let y =
-                            forward_on(&attn, &chunk, stage, kv, engine.as_ref(), &mut NoopHook);
+                            forward_on(&base, &chunk, stage, kv, engine.as_ref(), &mut NoopHook);
                         // The same chunk in slot 1 of a batch whose slot 0 prefills a
                         // louder neighbour in the first step and idles afterwards.
                         let lead = if step == 0 { neighbour.rows() } else { 0 };
@@ -610,7 +600,7 @@ mod tests {
                         let parts = RowPartition::from_lens(&[lead, chunk.rows()]);
                         let kv = KvTarget::Batch(&mut batch, &parts);
                         let y_batch = forward_on(
-                            &attn,
+                            &base,
                             &stacked.unwrap(),
                             stage,
                             kv,

@@ -95,13 +95,6 @@ impl TransformerBlock {
         &self.attention
     }
 
-    /// Shards (or, with `None`, un-shards) every static-weight GEMM in this block over a
-    /// tensor-parallel rank group — see [`crate::quantized::QuantLinear::set_tensor_parallel`].
-    pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
-        self.attention.set_tensor_parallel(group);
-        self.mlp.set_tensor_parallel(group);
-    }
-
     /// Runs the block as layer `layer` of `pass` over an owned (typically workspace-pooled)
     /// residual stream `x` of shape `(new_tokens, hidden)`: the attention and MLP outputs
     /// are added onto `x` in place, every intermediate comes from the pass's workspace, and

@@ -55,9 +55,10 @@ pub struct ModelConfig {
     /// bit-exact (see `realm_tensor::engine`), so this only changes wall-clock speed; the
     /// presets default to [`EngineKind::auto`] (the SIMD parallel backend).
     pub engine: EngineKind,
-    /// Tensor-parallel degree: the number of persistent simulated ranks every linear
-    /// layer's weights are column-sharded over (`realm_tensor::tp`). `1` (the presets'
-    /// default) runs the unsharded single-device path; any degree is bit-exact with it.
+    /// Tensor-parallel degree: the number of column-stripe fault domains every
+    /// static-weight GEMM is split into (`realm_tensor::tp`), each with its own checksum
+    /// segment, shard faults and failover. `1` (the presets' default) runs the unsharded
+    /// engine; any degree is bit-exact with it.
     pub tp_degree: usize,
 }
 

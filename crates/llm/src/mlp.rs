@@ -36,13 +36,6 @@ impl OptMlp {
         }
     }
 
-    /// Shards (or, with `None`, un-shards) both projection weights over a tensor-parallel
-    /// rank group — see [`QuantLinear::set_tensor_parallel`].
-    pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
-        self.fc1.set_tensor_parallel(group);
-        self.fc2.set_tensor_parallel(group);
-    }
-
     /// Runs the MLP over `x` of shape `(tokens, hidden)` — one sequence's rows or a whole
     /// batch's, stacked — as layer `layer` of `pass`: one GEMM per component, the hidden
     /// activations rectified in place and recycled after the second projection. The
@@ -85,14 +78,6 @@ impl LlamaMlp {
                 OutputMode::Float,
             ),
         }
-    }
-
-    /// Shards (or, with `None`, un-shards) the three projection weights over a
-    /// tensor-parallel rank group — see [`QuantLinear::set_tensor_parallel`].
-    pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
-        self.gate.set_tensor_parallel(group);
-        self.up.set_tensor_parallel(group);
-        self.down.set_tensor_parallel(group);
     }
 
     /// Runs the gated MLP over `x` of shape `(tokens, hidden)` — one sequence's rows or a
@@ -144,15 +129,6 @@ impl Mlp {
         match config.architecture {
             crate::Architecture::OptStyle => Mlp::Opt(OptMlp::new(config, rng)),
             crate::Architecture::LlamaStyle => Mlp::Llama(LlamaMlp::new(config, rng)),
-        }
-    }
-
-    /// Shards (or, with `None`, un-shards) the MLP's projection weights over a
-    /// tensor-parallel rank group — see [`QuantLinear::set_tensor_parallel`].
-    pub fn set_tensor_parallel(&mut self, group: Option<&std::sync::Arc<realm_tensor::TpGroup>>) {
-        match self {
-            Mlp::Opt(m) => m.set_tensor_parallel(group),
-            Mlp::Llama(m) => m.set_tensor_parallel(group),
         }
     }
 

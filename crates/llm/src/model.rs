@@ -81,6 +81,17 @@ impl<'a> PrefillChunk<'a> {
     }
 }
 
+/// The engine a model of `config` runs on: [`ModelConfig::engine`], built fresh and — for
+/// `tp_degree > 1` — wrapped in a [`TpGroup`], which is returned a second time, typed.
+fn build_engine(config: &ModelConfig) -> (Arc<dyn GemmEngine>, Option<Arc<TpGroup>>) {
+    let engine = config.engine.build();
+    if config.tp_degree <= 1 {
+        return (engine, None);
+    }
+    let group = Arc::new(TpGroup::new(config.tp_degree, engine));
+    (Arc::clone(&group) as Arc<dyn GemmEngine>, Some(group))
+}
+
 /// A synthetic quantized LLM.
 #[derive(Debug, Clone)]
 pub struct Model {
@@ -111,7 +122,8 @@ impl Model {
             .collect();
         let final_norm = Norm::new(config, &mut r);
         let lm_head = weights::lm_head(&embedding, &language);
-        let mut model = Self {
+        let (engine, tp) = build_engine(config);
+        Ok(Self {
             config: config.clone(),
             embedding,
             language,
@@ -119,51 +131,39 @@ impl Model {
             final_norm,
             lm_head,
             logit_temperature: DEFAULT_LOGIT_TEMPERATURE,
-            engine: config.engine.build(),
-            tp: None,
-        };
-        model.set_tensor_parallel(config.tp_degree);
-        Ok(model)
+            engine,
+            tp,
+        })
     }
 
     /// The GEMM execution backend every quantized GEMM of this model runs on.
     ///
     /// Selected by [`ModelConfig::engine`] at construction; all backends are bit-exact, so
-    /// swapping it changes wall-clock speed, never a single logit.
+    /// swapping it changes wall-clock speed, never a single logit. On a tensor-parallel
+    /// model it is the [`TpGroup`] wrapping that backend, and reports the backend's name.
     pub fn engine(&self) -> &dyn GemmEngine {
         self.engine.as_ref()
     }
 
-    /// Re-shards every static-weight GEMM of the model over a fresh group of `degree`
-    /// persistent tensor-parallel ranks (`realm_tensor::tp`); `degree <= 1` tears the
-    /// rank pool down and restores the unsharded single-device path. Sharding is
-    /// bit-exact: tokens, logits and ABFT checksum deviations are unchanged at any
-    /// degree. `config().tp_degree` is updated to match (degree 0 is stored as 1).
+    /// Rebuilds the model's engine ([`ModelConfig::engine`]) and, for `degree > 1`, wraps
+    /// it in a fresh [`TpGroup`] of `degree` shards, so every static-weight GEMM becomes a
+    /// shard dispatch (`realm_tensor::tp`); `degree <= 1` restores the unsharded engine.
+    /// Sharding is bit-exact: tokens, logits and ABFT checksum deviations are unchanged at
+    /// any degree. `config().tp_degree` is updated to match (degree 0 is stored as 1).
     pub fn set_tensor_parallel(&mut self, degree: usize) {
         self.config.tp_degree = degree.max(1);
-        self.tp = if self.config.tp_degree > 1 {
-            Some(Arc::new(TpGroup::new(
-                self.config.tp_degree,
-                Arc::clone(&self.engine),
-            )))
-        } else {
-            None
-        };
-        for block in &mut self.blocks {
-            block.set_tensor_parallel(self.tp.as_ref());
-        }
+        (self.engine, self.tp) = build_engine(&self.config);
     }
 
-    /// The tensor-parallel rank group every linear layer is sharded over, or `None` on
-    /// the unsharded path. Exposes per-shard reliability stats
-    /// ([`TpGroup::shard_stats`]) and the whole-shard fault hooks used by the
-    /// injection and serving layers.
+    /// The tensor-parallel group the model's engine is, or `None` on the unsharded path.
+    /// Exposes per-shard reliability stats ([`TpGroup::shard_stats`]) and the whole-shard
+    /// fault hooks used by the injection and serving layers.
     pub fn tp_group(&self) -> Option<&Arc<TpGroup>> {
         self.tp.as_ref()
     }
 
-    /// Per-shard reliability counters summed over every sharded layer of the model
-    /// (empty slice semantics: unsharded models report no shards). Convenience for
+    /// Per-shard reliability counters over every static-weight GEMM of the model (empty
+    /// slice semantics: unsharded models report no shards). Convenience for
     /// [`TpGroup::shard_stats`].
     pub fn shard_stats(&self) -> Vec<TpShardStats> {
         self.tp.as_ref().map_or_else(Vec::new, |g| g.shard_stats())

@@ -32,9 +32,8 @@ use crate::hooks::{GemmContext, GemmHook, GemmOrigin};
 use crate::Result;
 use realm_tensor::{
     quant, ChecksummedGemm, GemmEngine, MatF32, MatI32, MatI8, PackedMatI8, QuantParams,
-    RowKernels, ShardedLinear, TpGroup, Workspace,
+    RowKernels, Workspace,
 };
-use std::sync::Arc;
 
 /// What every layer of one forward pass shares: the inference stage, the backend, the hook
 /// chain, the workspace every intermediate is drawn from, and the pass-wide GEMM counter
@@ -106,15 +105,14 @@ pub enum OutputMode {
 /// hit the packed kernels without touching the allocator. The pack keeps the row-major
 /// weights too ([`PackedMatI8::unpacked`]): hooks observe them, and the engines that don't
 /// override the packed entry points multiply with them.
+///
+/// A layer knows nothing of tensor parallelism: a sharded model's engine is a
+/// `realm_tensor::TpGroup`, and each of the layer's GEMMs is one of its dispatches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     weight: PackedMatI8,
     weight_scale: f32,
     output_mode: OutputMode,
-    /// Tensor-parallel execution handle: when present, forwards run the weight's packed
-    /// column stripes on the group's persistent ranks instead of the local engine (see
-    /// [`QuantLinear::set_tensor_parallel`]). Execution state, not layer identity.
-    tp: Option<ShardedLinear>,
 }
 
 impl QuantLinear {
@@ -126,21 +124,7 @@ impl QuantLinear {
             weight: PackedMatI8::from_mat(weight_q),
             weight_scale,
             output_mode,
-            tp: None,
         }
-    }
-
-    /// Shards this layer's weights column-wise over `group`'s persistent ranks
-    /// (`Some`), or restores the unsharded single-device path (`None`).
-    ///
-    /// Sharding packs one column stripe per rank at call time — a load-time allocation,
-    /// exactly like the original [`PackedMatI8`] pack — after which every forward
-    /// scatters the activation once, runs the per-rank fused-checksum GEMMs in parallel
-    /// and merges stripes and checksum segments back into the layout hooks already
-    /// consume. Outputs, checksums and hook observations are bit-identical to the
-    /// unsharded path (`tests/tp_parity.rs`).
-    pub fn set_tensor_parallel(&mut self, group: Option<&Arc<TpGroup>>) {
-        self.tp = group.map(|group| ShardedLinear::new(Arc::clone(group), self.weight.unpacked()));
     }
 
     /// Computes `x · W` as `component` of `layer` through the quantized INT8 → INT32
@@ -192,7 +176,7 @@ impl QuantLinear {
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
         let ctx = pass.next_ctx(component, layer);
-        let rhs = Rhs::Weight(&self.weight, self.tp.as_ref());
+        let rhs = Rhs::Weight(&self.weight);
         let acc = run_hooked_gemm(&input.codes, rhs, &ctx, pass)?;
         let ws = &mut *pass.ws;
         let mut combined = ws.take_vec_f32(input.scales.len());
@@ -299,9 +283,8 @@ pub fn convert_accumulator_rows_into(
 /// The right operand of a hooked GEMM, which decides the engine entry point it runs on.
 pub(crate) enum Rhs<'a> {
     /// A layer's static weights: the engine's `gemm_i8_packed*` entry points over the
-    /// resident tiles, or — when the layer is tensor-parallel sharded — the group's
-    /// persistent ranks, whose merged result lands in the same destination.
-    Weight(&'a PackedMatI8, Option<&'a ShardedLinear>),
+    /// resident tiles — on a tensor-parallel model, one shard dispatch each.
+    Weight(&'a PackedMatI8),
     /// Another activation (attention's `QKᵀ` and `SV`): the query/probability codes of the
     /// current chunk against the resident KV codes, which grow every step, so there is
     /// nothing to pre-pack — packing here would itself re-stream the operand per GEMM and
@@ -313,7 +296,7 @@ impl<'a> Rhs<'a> {
     /// The operand as hooks see it: dense and row-major.
     fn row_major(&self) -> &'a MatI8 {
         match self {
-            Rhs::Weight(weight, _) => weight.unpacked(),
+            Rhs::Weight(weight) => weight.unpacked(),
             Rhs::Activation(b) => b,
         }
     }
@@ -405,9 +388,10 @@ pub(crate) fn run_hooked_gemm(
 /// unprotected runs and injection-only campaigns therefore skip the checksum reductions
 /// entirely. The only place hooks are invoked.
 ///
-/// Hooks always observe the row-major right operand and the *merged* accumulator and
-/// checksums — sharding, like the packed tiles, is an execution detail the detection and
-/// injection layers never see. Bit-identical on every route.
+/// Hooks always observe the row-major right operand and the accumulator and checksums as
+/// the engine delivered them — shard faults already failed over, since sharding, like the
+/// packed tiles, is an execution detail the detection and injection layers never see.
+/// Bit-identical on every route.
 ///
 /// Nothing is allocated as long as `scratch` was taken at least as large as the GEMM: this
 /// is the innermost step of the decode hot loop.
@@ -423,16 +407,14 @@ pub(crate) fn run_hooked_gemm_into(
     match scratch {
         HookedGemmScratch::Plain(acc) => {
             match rhs {
-                Rhs::Weight(_, Some(tp)) => tp.gemm_into(a, acc)?,
-                Rhs::Weight(weight, None) => engine.gemm_i8_packed_into(a, weight, acc)?,
+                Rhs::Weight(weight) => engine.gemm_i8_packed_into(a, weight, acc)?,
                 Rhs::Activation(b) => engine.gemm_i8_into(a, b, acc)?,
             }
             hook.on_gemm(ctx, a, b, acc);
         }
         HookedGemmScratch::Checksummed(result, etw) => {
             match rhs {
-                Rhs::Weight(_, Some(tp)) => tp.gemm_checksummed_into(a, result)?,
-                Rhs::Weight(weight, None) => {
+                Rhs::Weight(weight) => {
                     engine.gemm_i8_packed_checksummed_into(a, weight, result, etw)?
                 }
                 Rhs::Activation(b) => engine.gemm_i8_checksummed_into(a, b, result, etw)?,

@@ -34,10 +34,10 @@
 //!   the robust output scale) and of softmax and SiLU, portable or AVX2 on the same
 //!   dispatch as the GEMM kernels; the workspace's one definition of INT8 rounding and its
 //!   one `exp`.
-//! * [`tp`] — simulated tensor-parallel execution: [`TpGroup`], a pool of persistent rank
-//!   threads each holding a packed column stripe of a weight matrix ([`ShardedLinear`]),
-//!   with per-shard fused ABFT checksum segments merged back into the unsharded
-//!   [`ChecksummedGemm`] layout bit-exactly, and whole-shard fault injection + failover.
+//! * [`tp`] — tensor parallelism as fault domains: [`TpGroup`], a [`GemmEngine`] wrapping
+//!   the model's engine that treats each column stripe of a static-weight GEMM as a shard
+//!   with its own ABFT checksum segment, for whole-shard fault injection, per-shard
+//!   attribution and failover on the one GEMM path.
 //! * [`stats`] — summary statistics (mean, standard deviation, outlier counts) used both by
 //!   the normalization-skew study (Fig. 5) and by synthetic-weight generation.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the workspace is
@@ -98,7 +98,7 @@ pub use partition::RowPartition;
 pub use quant::QuantParams;
 pub use row_kernels::RowKernels;
 pub use simd::SimdTier;
-pub use tp::{ShardFault, ShardedLinear, TpGroup, TpShardStats};
+pub use tp::{ShardFault, TpGroup, TpShardStats};
 pub use workspace::Workspace;
 
 /// Crate-wide result alias.

@@ -14,8 +14,8 @@
 //! ```
 //!
 //! Tensor parallelism is env-driven so CI can exercise the sharded datapath without a
-//! separate binary: `REALM_TP_DEGREE=4` shards every weight matrix column-wise across 4
-//! persistent ranks, and `REALM_SHARD_KILL=<shard>[:<steps>]` arms a whole-shard kill
+//! separate binary: `REALM_TP_DEGREE=4` splits every weight GEMM into 4 column-stripe
+//! fault domains, and `REALM_SHARD_KILL=<shard>[:<steps>]` arms a whole-shard kill
 //! (default 16 dispatches) that the engine must survive bit-exactly mid-service:
 //!
 //! ```text
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut injector = ErrorInjector::new(FixedBitModel::bit30(0.005), target, 7);
     // Optionally kill a whole rank mid-service: its next `steps` sharded GEMM dispatches
-    // go unanswered and the engine must recompute the dead shard's column stripes inline.
+    // deliver nothing, and each fails over by recomputing the layer's GEMM.
     if let Some((shard, steps)) = shard_kill {
         let group = model
             .tp_group()
@@ -267,7 +267,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             assert!(stats.shard_kills > 0, "the armed shard kill fired");
             assert_eq!(
                 stats.shard_failovers, stats.shard_kills,
-                "every kill was survived by an inline stripe recompute"
+                "every kill was survived by a failover recompute"
             );
         }
     }

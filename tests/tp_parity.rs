@@ -1,18 +1,20 @@
 //! Differential proof that tensor-parallel sharding never changes model output.
 //!
 //! Column-wise sharding is bit-exact *by construction*: every output column is a
-//! full-depth dot product computed by exactly one shard with the same kernel and the same
-//! accumulation order as the unsharded GEMM, and the per-shard checksum segments
-//! concatenate in column order into exactly the vectors the unsharded fused kernel
-//! produces. These tests pin that construction against drift, on every GEMM backend:
+//! full-depth dot product, and the per-shard checksum segments concatenate in column
+//! order into exactly the vectors the unsharded fused kernel produces — so a sharded
+//! model's engine (`TpGroup`) runs each static-weight GEMM once on the inner engine and
+//! treats its column stripes as fault domains. These tests pin that construction against
+//! drift, on every GEMM backend:
 //!
 //! - sharded generation (tokens **and** logit margins) equals unsharded generation for
 //!   tp ∈ {1, 2, 4} on all of [`EngineKind::ALL`];
 //! - ragged column counts (shards differing by one column) stay bit-exact and the shard
 //!   ranges partition the columns exactly;
 //! - prefill logits match element-for-element, not just post-argmax;
-//! - a shard killed mid-generation is survived by inline stripe recomputes with no output
+//! - a shard killed mid-generation is survived by failover recomputes with no output
 //!   change, and the kills are charged to the dead shard;
+//! - a dispatch is a static-weight GEMM: attention's activation GEMMs are never charged;
 //! - a garbled shard output under a checksumming protector is caught by the *per-shard*
 //!   checksum segments below the hook interface and repaired before the protector ever
 //!   sees a deviation.
@@ -144,7 +146,7 @@ fn shard_killed_mid_generation_recovers_bit_exact() {
         let sharded = model_with(&ModelConfig::tiny_opt(), engine, 2);
         let group = sharded.tp_group().expect("model is sharded");
         // The rank dies for its next 6 dispatches — mid-prefill and into decode — and
-        // every one of its output stripes is recomputed inline by the caller.
+        // every one of its output stripes is zeroed, then restored by failover.
         group.inject_shard_fault(0, ShardFault::Kill, 6);
         assert_eq!(
             generate(&sharded, &mut NoopHook),
@@ -192,4 +194,20 @@ fn garbled_shard_is_repaired_below_the_protector() {
         0,
         "shard-level repair is invisible to the model-level detector"
     );
+}
+
+#[test]
+fn only_static_weight_gemms_are_shard_dispatches() {
+    // One prefill runs every layer's projections once: Q, K, V, O and the MLP's two
+    // (OPT) or three (LLaMA) linears. Attention's QKᵀ and SV multiply two activations, so
+    // they pass through the group uncharged, however many heads there are.
+    for (config, per_layer) in [(ModelConfig::tiny_opt(), 6), (ModelConfig::tiny_llama(), 7)] {
+        let sharded = model_with(&config, EngineKind::Simd, 2);
+        let mut ws = realm::tensor::Workspace::new();
+        sharded.prefill_ws(&PROMPT, &mut NoopHook, &mut ws).unwrap();
+        let jobs = (config.num_layers * per_layer) as u64;
+        for (shard, stats) in sharded.shard_stats().iter().enumerate() {
+            assert_eq!(stats.jobs, jobs, "{} shard {shard}", config.name);
+        }
+    }
 }

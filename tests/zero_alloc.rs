@@ -336,8 +336,9 @@ fn batched_decode_forward_pass_allocates_nothing_after_warmup() {
     }
 }
 
-/// A tensor-parallel model on `engine`: every weight GEMM is scattered across `degree`
-/// persistent rank threads and the stripes merged back on the caller's thread.
+/// A tensor-parallel model on `engine`: its engine is a `TpGroup` of `degree` shards, so
+/// every weight GEMM is a dispatch — computed on `engine`, then overlaid with shard faults
+/// and failed over — all on the calling thread.
 fn sharded_model_on(engine: EngineKind, degree: usize) -> Model {
     let mut config = ModelConfig::tiny_opt();
     config.engine = engine;
@@ -348,10 +349,10 @@ fn sharded_model_on(engine: EngineKind, degree: usize) -> Model {
 
 #[test]
 fn sharded_decode_steps_after_warmup_allocate_nothing() {
-    // The zero budget covers the caller's side of the TP machinery — activation staging,
-    // mailbox dispatch and the stripe and checksum-segment merge. Everything was sized
-    // during warmup; the steady-state sharded decode loop must not touch the heap. (The
-    // counter is per thread, so the rank threads' own resident buffers are outside it.)
+    // The zero budget covers the whole sharded GEMM: the inner engine's product and the
+    // per-stripe dispatch bookkeeping both run on the calling thread, which is the thread
+    // the counter charges — there are no rank threads outside it. Everything was sized
+    // during warmup; the steady-state sharded decode loop must not touch the heap.
     let model = sharded_model_on(EngineKind::Simd, 2);
     let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
     assert_eq!(
@@ -362,9 +363,10 @@ fn sharded_decode_steps_after_warmup_allocate_nothing() {
 
 #[test]
 fn sharded_protected_decode_steps_after_warmup_allocate_nothing() {
-    // The checksummed sharded path adds the per-shard expected/observed segment merge and
-    // the protector's fused inspection on top — still zero allocations after warmup, with
-    // a ragged shard count (3 does not divide tiny-opt's projection widths).
+    // The checksummed sharded path adds the per-shard checksum segments and the
+    // protector's fused inspection on top — still zero allocations after warmup, counted
+    // on the one thread that runs all of it, with a ragged shard count (3 does not divide
+    // tiny-opt's projection widths).
     let model = sharded_model_on(EngineKind::Simd, 3);
     let mut protector = SchemeProtector::with_default_regions(
         ProtectionScheme::StatisticalAbft,
@@ -375,4 +377,31 @@ fn sharded_protected_decode_steps_after_warmup_allocate_nothing() {
         allocations, 0,
         "fault-free protected sharded decode must perform zero heap allocations per step"
     );
+}
+
+#[test]
+fn sharded_failover_after_warmup_allocates_nothing() {
+    // Every dispatch fails shard 1 over: a kill, then a garble its checksum segment
+    // catches. The failover recompute lands in the group's resident scratch, which the
+    // warmup sized, so a failing-over decode step allocates no more than a clean one.
+    use realm::tensor::ShardFault;
+    let model = sharded_model_on(EngineKind::Simd, 3);
+    let group = model.tp_group().expect("model is sharded");
+    for fault in [ShardFault::Kill, ShardFault::Garble { seed: 0x5EED }] {
+        let before = group.shard_stats()[1].failovers;
+        group.inject_shard_fault(1, fault, usize::MAX);
+        let mut protector = SchemeProtector::with_default_regions(
+            ProtectionScheme::StatisticalAbft,
+            SystolicArray::small(Dataflow::WeightStationary),
+        );
+        let allocations = count_decode_allocations(&model, &mut protector, 64, 40);
+        assert!(
+            group.shard_stats()[1].failovers > before,
+            "{fault:?} failed over"
+        );
+        assert_eq!(
+            allocations, 0,
+            "{fault:?}: a warmed failover must perform zero heap allocations per step"
+        );
+    }
 }
