@@ -45,7 +45,8 @@ pub struct UnitDecision {
 }
 
 impl StatisticalUnit {
-    /// Creates a statistical unit with `buffer_depth` deviation buffers.
+    /// Creates a statistical unit with `buffer_depth` deviation buffers (the paper's
+    /// platform has 256: one per column of its 256-wide array).
     ///
     /// # Panics
     ///
@@ -59,11 +60,6 @@ impl StatisticalUnit {
             region,
             buffer_depth,
         }
-    }
-
-    /// The unit used in the paper's platform: one buffer per column of the 256-wide array.
-    pub fn paper_256(region: CriticalRegion) -> Self {
-        Self::new(region, 256)
     }
 
     /// The critical region programmed into the unit.
@@ -175,7 +171,7 @@ mod tests {
 
     #[test]
     fn clean_stream_produces_clean_decision() {
-        let unit = StatisticalUnit::paper_256(CriticalRegion::resilient_default());
+        let unit = StatisticalUnit::new(CriticalRegion::resilient_default(), 256);
         let checksums = vec![100i64, -50, 0, 7];
         let decision = unit.process(&checksums, &checksums);
         assert!(!decision.detection.trigger_recovery);
@@ -190,7 +186,7 @@ mod tests {
         use rand::Rng;
         let mut rng = realm_tensor::rng::seeded(31);
         let region = CriticalRegion::resilient_default();
-        let unit = StatisticalUnit::paper_256(region);
+        let unit = StatisticalUnit::new(region, 256);
         let software = StatisticalAbft::new(region);
         let mut agreements = 0;
         let trials = 300;
@@ -234,7 +230,7 @@ mod tests {
 
     #[test]
     fn cycles_scale_with_stream_length() {
-        let unit = StatisticalUnit::paper_256(CriticalRegion::resilient_default());
+        let unit = StatisticalUnit::new(CriticalRegion::resilient_default(), 256);
         let short = unit.process(&[0; 16], &[0; 16]).cycles;
         let long = unit.process(&vec![0; 256], &vec![0; 256]).cycles;
         assert_eq!(long - short, 240);
@@ -243,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal length")]
     fn mismatched_streams_are_rejected() {
-        let unit = StatisticalUnit::paper_256(CriticalRegion::resilient_default());
+        let unit = StatisticalUnit::new(CriticalRegion::resilient_default(), 256);
         let _ = unit.process(&[1, 2, 3], &[1, 2]);
     }
 

@@ -1,4 +1,4 @@
-//! Shared plumbing for the figure/table regeneration binaries and the Criterion benches.
+//! Shared plumbing for the figure/table regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper (its file name
 //! says which; `ablation` covers two design choices instead). They all follow the same pattern:

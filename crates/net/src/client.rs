@@ -1,5 +1,5 @@
-//! A minimal blocking HTTP client for the front end — used by the load generator, the
-//! conformance tests and the CI smoke harness.
+//! A minimal blocking HTTP client for the front end — used by the conformance and
+//! resilience tests and by the repo benchmark's loopback workload.
 //!
 //! Two entry points:
 //!

@@ -1,5 +1,5 @@
 //! `realm-net`: a dependency-free network front end for the ReaLM serving engine, plus
-//! the trace-driven load generator that benchmarks it.
+//! the seeded load traces that drive it.
 //!
 //! Everything is built on `std::net` — no async runtime, no HTTP library:
 //!
@@ -13,11 +13,9 @@
 //!   cancel-on-disconnect via [`realm_serve::TokenEvent`] channel teardown, and graceful
 //!   drain.
 //! * [`client`] — a blocking client ([`stream_generate`], [`http_request`]) used by the
-//!   tests and the load harness.
+//!   tests and the repo benchmark.
 //! * [`trace`] — seeded bounded-Pareto arrival schedules over mixed
 //!   prompt/budget/priority/policy workloads ([`generate_trace`]).
-//! * [`loadgen`] — open-loop trace replay with TTFT/TPOT/shed-rate accounting
-//!   ([`run_trace`]).
 //!
 //! # Example
 //!
@@ -53,13 +51,11 @@
 
 pub mod client;
 pub mod http;
-pub mod loadgen;
 pub mod server;
 pub mod trace;
 pub mod wire;
 
 pub use client::{http_request, stream_generate, ClientError, StreamResult};
-pub use loadgen::{run_trace, LoadOptions, LoadReport, RequestOutcome};
 pub use server::{NetConfig, NetReport, NetServer, ServerHandle};
 pub use trace::{generate_trace, BoundedPareto, TraceConfig, TraceRequest};
 pub use wire::{encode_gen_body, parse_event, parse_gen_body, GenBody, WireEvent};

@@ -1,9 +1,10 @@
-//! Deterministic trace generation for the load harness: seeded bounded-Pareto
-//! interarrival times and a mixed prompt/budget/priority/policy workload.
+//! Deterministic load traces: seeded bounded-Pareto interarrival times and a mixed
+//! prompt/budget/priority/policy workload.
 //!
 //! Everything is a pure function of [`TraceConfig`] — the same config (same seed)
-//! reproduces the identical trace on every run and platform, which is what lets the
-//! load-harness numbers in `BENCH_gemm.json` be compared across commits.
+//! reproduces the identical trace on every run and platform, which is what lets the repo
+//! benchmark's open-loop workload and the loopback accounting test in
+//! `tests/net_resilience.rs` replay the same requests on every commit.
 
 use crate::wire::GenBody;
 use rand::{Rng, SeedableRng};
@@ -118,8 +119,7 @@ pub struct TraceRequest {
 /// # Panics
 ///
 /// Panics when the config is degenerate (empty ranges, no weighted choices, a Pareto
-/// shape of exactly 1.0) — load-harness configs are written by hand and should fail
-/// loudly.
+/// shape of exactly 1.0) — trace configs are written by hand and should fail loudly.
 pub fn generate_trace(config: &TraceConfig) -> Vec<TraceRequest> {
     assert!(config.prompt_len.0 >= 1 && config.prompt_len.0 <= config.prompt_len.1);
     assert!(config.long_prompt_permille <= 1000);

@@ -1,12 +1,15 @@
 //! End-to-end contracts for the adaptive protection controller.
 //!
-//! Five behaviours are pinned down here, all deterministic (seeded injectors, fixed
+//! Six behaviours are pinned down here, all deterministic (seeded injectors, fixed
 //! schedules):
 //!
 //! * **Escalation repairs** — a detection burst escalates a slot from statistical to
 //!   classical ABFT, after which faults on a *resilient* component (tolerated, and
 //!   therefore corrupting, under statistical) are repaired bit-exactly; the same fault
 //!   schedule with adaptation disabled corrupts the stream.
+//! * **Recovery under recurring bursts** — across a many-request round, adaptive serving
+//!   recovers nearly as often as static classical ABFT and strictly more often than static
+//!   statistical ABFT.
 //! * **De-escalation** — a clean window steps protection back down, one stage at a time.
 //! * **Hysteresis** — an alternating fault pattern cannot make the policy flap: total
 //!   transitions are bounded by one per hysteresis window.
@@ -15,11 +18,16 @@
 //! * **Clean-traffic parity** — on fault-free traffic the adaptive engine is
 //!   bit-identical to the static one on every GEMM backend.
 
-use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector, targeting::Target};
+use realm::inject::{
+    error_model::{FixedBitModel, MagFreqModel},
+    injector::ErrorInjector,
+    targeting::Target,
+};
 use realm::llm::hooks::GemmContext;
 use realm::llm::{config::ModelConfig, model::Model, Component, GemmHook, NoopHook};
 use realm::serve::{
-    AdaptiveConfig, ProtectionStage, ServeConfig, ServeEngine, ServeRequest, TokenEvent,
+    AdaptiveConfig, EngineStats, ProtectionPolicy, ProtectionStage, ServeConfig, ServeEngine,
+    ServeRequest, TokenEvent,
 };
 use realm::tensor::{ChecksummedGemm, EngineKind, MatI32, MatI8, RowPartition};
 
@@ -168,6 +176,98 @@ fn detection_burst_escalates_and_recovers_bit_exact() {
     assert_ne!(
         static_summary.tokens, clean.tokens,
         "without escalation the tolerated resilient-component faults corrupt the stream"
+    );
+}
+
+/// Sixteen requests with budgets cycling 1, 1, 2, 24: in every group of four, one long
+/// request outlives its neighbours.
+fn ragged_requests() -> Vec<ServeRequest> {
+    (0..16)
+        .map(|i| {
+            let prompt = (0..3 + i % 5)
+                .map(|t| ((i * 7 + t * 3) % 60) as u32)
+                .collect();
+            ServeRequest::new(prompt, [1, 1, 2, 24][i % 4])
+        })
+        .collect()
+}
+
+/// One round of [`ragged_requests`] through 4 slots, every request pinned to `policy`,
+/// under bursts of 16 faulty steps then 16 clean ones. A burst step puts one `+2³⁰` error
+/// into every GEMM of `O` (sensitive: repaired under every scheme, it fills the detection
+/// window) and of `Fc1` (resilient: statistical ABFT tolerates it, classical repairs it).
+fn burst_round(model: &Model, policy: ProtectionPolicy, adaptive: AdaptiveConfig) -> EngineStats {
+    let injector = ErrorInjector::new(
+        MagFreqModel::new(1 << 30, 1),
+        Target::new().components([Component::O, Component::Fc1]),
+        11,
+    )
+    .with_burst(16, 16);
+    let config = ServeConfig::with_slots(4).with_adaptive(adaptive);
+    let mut engine = ServeEngine::new(model, config).with_fault_hook(Box::new(injector));
+    let receivers: Vec<_> = ragged_requests()
+        .into_iter()
+        .map(|r| engine.submit(r.with_policy(policy)).unwrap().1)
+        .collect();
+    engine.run_until_idle().unwrap();
+    drop(receivers);
+    engine.stats()
+}
+
+/// Static statistical, static classical and adaptive serving of the same round under the
+/// same bursts. The static arms' recovery rates differ by the tolerated `Fc1` faults;
+/// adaptive closes most of that gap by escalating to classical while a burst is hot (rates
+/// 0.500 / 1.000 / 0.913 and 8 escalations when recorded). What adaptation costs in
+/// throughput is deliberately not asserted: a wall-clock ratio between the arms is too
+/// noisy on a shared host to gate on.
+#[test]
+fn adaptive_recovers_like_classical_under_recurring_bursts() {
+    let model = Model::new(&ModelConfig::tiny_opt(), 5).unwrap();
+    let budget: usize = ragged_requests().iter().map(|r| r.max_new_tokens).sum();
+    let statistical = burst_round(
+        &model,
+        ProtectionPolicy::statistical(),
+        AdaptiveConfig::default(),
+    );
+    let classical = burst_round(
+        &model,
+        ProtectionPolicy::classical(),
+        AdaptiveConfig::default(),
+    );
+    let adaptive = burst_round(
+        &model,
+        ProtectionPolicy::statistical(),
+        AdaptiveConfig {
+            window_steps: 4,
+            elevate_detections: 1,
+            escalate_detections: 2,
+            clean_window_steps: 4,
+            hysteresis_steps: 1,
+            ..AdaptiveConfig::enabled()
+        },
+    );
+    for stats in [&statistical, &classical, &adaptive] {
+        assert_eq!(
+            stats.tokens_generated as usize, budget,
+            "every arm generates its full budget"
+        );
+    }
+    let rate = |s: &EngineStats| s.recoveries as f64 / s.detections.max(1) as f64;
+    let (statistical_rate, classical_rate, adaptive_rate) =
+        (rate(&statistical), rate(&classical), rate(&adaptive));
+    assert!(
+        adaptive.policy_escalations >= 2,
+        "the bursts drive repeated escalations ({})",
+        adaptive.policy_escalations
+    );
+    assert!(
+        adaptive_rate >= 0.9 * classical_rate,
+        "adaptive recovers within 10% of classical ({adaptive_rate:.3} vs {classical_rate:.3})"
+    );
+    assert!(
+        statistical_rate < adaptive_rate,
+        "static statistical recovers strictly less than adaptive \
+         ({statistical_rate:.3} vs {adaptive_rate:.3})"
     );
 }
 

@@ -366,7 +366,7 @@ fn bad_generate_bodies_are_rejected_with_400_and_a_reason() {
 }
 
 // ---------------------------------------------------------------------------
-// Trace determinism (load-harness satellite)
+// Trace determinism
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -13,14 +13,21 @@
 //!   completion, new work is refused with `503`, and `serve` returns a consistent final
 //!   report. The step gate parks the engine inside the stream's first decode step until the
 //!   drain was acknowledged, so the drain lands mid-stream on every run.
+//! * **Books balance under load** — a seeded trace sent all at once, with an armed
+//!   injector, a long chunked prompt and one client hanging up, ends in a clean drain
+//!   whose server, engine and client counts agree.
 //!
 //! Every server is drained by a [`common::DrainOnDrop`] guard, so a failing assertion
 //! fails the test instead of hanging the suite.
 
 use realm::core::ProtectionPolicy;
+use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector};
 use realm::llm::{config::ModelConfig, model::Model, GemmContext, GemmHook, Stage};
 use realm::net::client::stats_field;
-use realm::net::{http_request, stream_generate, GenBody, NetConfig, NetServer, WireEvent};
+use realm::net::trace::TraceConfig;
+use realm::net::{
+    generate_trace, http_request, stream_generate, GenBody, NetConfig, NetServer, WireEvent,
+};
 use realm::serve::ServeConfig;
 use realm::tensor::{ChecksummedGemm, MatI32, MatI8};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -367,4 +374,99 @@ fn graceful_drain_finishes_in_flight_streams_and_refuses_new_work() {
     assert_eq!(report.engine.active_slots, 0);
     assert_eq!(report.engine.queue_depth, 0);
     assert_eq!(report.streams_completed, 1);
+}
+
+#[test]
+fn concurrent_trace_balances_the_books_through_disconnect_and_drain() {
+    let model = long_context_model();
+    // 30 mixed-policy requests, about 10% with a 64–96-token prompt. Request 1 carries a
+    // 96-token prompt that the 32-token step budget must split into chunks; request 7
+    // gets a budget long enough that its client's hang-up after 3 events lands
+    // mid-generation, so only a cancellation can end it.
+    let mut trace = generate_trace(&TraceConfig {
+        seed: 2025,
+        requests: 30,
+        long_prompt_permille: 100,
+        long_prompt_len: (64, 96),
+        ..TraceConfig::default()
+    });
+    trace[1].body.prompt = (0..96).map(|t| t % 64).collect();
+    let hangs_up = 7;
+    trace[hangs_up].body.max_new_tokens = 150;
+    let server = NetServer::bind(NetConfig {
+        workers: trace.len(),
+        shed_queue_age_tokens: Some(512),
+        serve: ServeConfig::with_slots(2).with_step_token_budget(32),
+        ..NetConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let injector: Box<dyn GemmHook + Send> =
+        Box::new(ErrorInjector::everywhere(FixedBitModel::bit30(0.002), 2025));
+    let (results, report) = std::thread::scope(|s| {
+        let serving = s.spawn(|| server.serve_with_hook(&model, Some(injector)).unwrap());
+        let drain = DrainOnDrop::new(&server);
+        let clients: Vec<_> = trace
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
+                let disconnect_after = (i == hangs_up).then_some(3);
+                s.spawn(move || {
+                    stream_generate(addr, &request.body, disconnect_after, TIMEOUT).unwrap()
+                })
+            })
+            .collect();
+        let results: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        drop(drain);
+        (results, serving.join().unwrap())
+    });
+
+    let shed = results.iter().filter(|r| r.status == 429).count();
+    let disconnected = results.iter().filter(|r| r.disconnected).count();
+    let completed = results
+        .iter()
+        .zip(&trace)
+        .filter(|(r, request)| {
+            r.status == 200
+                && !r.disconnected
+                && r.done().is_some()
+                && r.tokens.len() == request.body.max_new_tokens
+        })
+        .count();
+    assert_eq!(
+        completed + shed + disconnected,
+        trace.len(),
+        "every request completed in full, was shed, or hung up: {:?}",
+        results
+            .iter()
+            .map(|r| (r.status, r.tokens.len(), &r.error_body))
+            .collect::<Vec<_>>()
+    );
+    assert!(results[hangs_up].disconnected, "the hang-up happened");
+    let engine = &report.engine;
+    assert_eq!(
+        engine.requests_shed, shed as u64,
+        "engine and clients agree on sheds"
+    );
+    assert!(
+        engine.requests_cancelled >= 1,
+        "the hang-up cancelled its request"
+    );
+    assert_eq!(report.disconnects, 1, "the server saw exactly one hang-up");
+    assert_eq!(
+        report.streams_completed, completed as u64,
+        "every completed stream got its terminal chunk"
+    );
+    assert_eq!(engine.active_slots, 0, "clean drain: no active slot");
+    assert_eq!(engine.queue_depth, 0, "clean drain: empty queue");
+    assert!(
+        engine.prefill_chunks >= (trace.len() - shed) as u64 + 2,
+        "every admitted prompt ran at least one chunk, the 96-token one at least three ({})",
+        engine.prefill_chunks
+    );
+    assert!(
+        engine.step_budget_utilization > 0.0 && engine.step_budget_utilization <= 1.0,
+        "the step budget was used and never overrun ({})",
+        engine.step_budget_utilization
+    );
 }

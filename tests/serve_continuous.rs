@@ -1,16 +1,20 @@
 //! Differential and scheduling tests for the continuous-batching serving layer.
 //!
-//! Two contracts are pinned down here:
+//! Three contracts are pinned down here:
 //!
 //! * **Slot-reuse parity** — a request admitted mid-flight into a recycled batch slot
 //!   produces bit-identical tokens to a solo `Model::generate` run, on every `GemmEngine`
 //!   backend, through the full `ServeEngine` queue → prefill → continuous-decode path.
+//! * **Fewer forwards than lockstep** — releasing a slot the moment its request completes
+//!   serves a ragged queue in fewer decode forwards than draining it in lockstep batches.
 //! * **No starvation** — under a saturating stream of high-priority arrivals, queue aging
 //!   guarantees low-priority requests still complete within a bounded number of steps.
 
 use realm::core::ProtectionPolicy;
 use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector};
-use realm::llm::{config::ModelConfig, model::Model, NoopHook};
+use realm::llm::batch::BatchRequest;
+use realm::llm::hooks::RecordingHook;
+use realm::llm::{config::ModelConfig, model::Model, NoopHook, Stage};
 use realm::serve::{ServeConfig, ServeEngine, ServeRequest, TokenEvent};
 use realm::tensor::EngineKind;
 
@@ -82,6 +86,66 @@ fn mid_flight_admission_is_bit_identical_to_solo_runs_on_every_backend() {
             }
         }
     }
+}
+
+/// Sixteen requests through a 4-slot window, served twice: by the `ServeEngine`, and as
+/// four lockstep `generate_batch` chunks. Budgets cycle 1, 1, 2, 24, so every lockstep
+/// chunk decodes 23 forwards for its one long request while three slots sit finished; the
+/// engine refills a slot as soon as it frees. Same tokens, strictly fewer forwards.
+#[test]
+fn continuous_batching_needs_fewer_decode_forwards_than_a_lockstep_drain() {
+    let model = model_for(EngineKind::auto(), ModelConfig::tiny_opt());
+    let requests: Vec<BatchRequest> = (0..16)
+        .map(|i| {
+            let prompt = (0..3 + i % 5)
+                .map(|t| ((i * 7 + t * 3) % 60) as u32)
+                .collect();
+            BatchRequest::new(prompt, [1, 1, 2, 24][i % 4])
+        })
+        .collect();
+
+    let mut recorder = RecordingHook::new();
+    let lockstep: Vec<Vec<u32>> = requests
+        .chunks(4)
+        .flat_map(|chunk| model.generate_batch(chunk, &mut recorder).unwrap())
+        .map(|output| output.tokens)
+        .collect();
+    // GEMM 0 of a decode-stage pass opens one lockstep decode forward.
+    let lockstep_forwards = recorder
+        .calls
+        .iter()
+        .filter(|ctx| ctx.stage == Stage::Decode && ctx.sequence == 0)
+        .count() as u64;
+
+    let mut engine = ServeEngine::new(&model, ServeConfig::with_slots(4));
+    let receivers: Vec<_> = requests
+        .iter()
+        .map(|r| {
+            engine
+                .submit(ServeRequest::new(r.prompt.clone(), r.max_new_tokens))
+                .unwrap()
+                .1
+        })
+        .collect();
+    engine.run_until_idle().unwrap();
+    let continuous: Vec<Vec<u32>> = receivers
+        .iter()
+        .map(|rx| {
+            rx.try_iter()
+                .find_map(|e| match e {
+                    TokenEvent::Done(summary) => Some(summary.tokens),
+                    TokenEvent::Token { .. } => None,
+                })
+                .expect("request completes")
+        })
+        .collect();
+    assert_eq!(continuous, lockstep, "scheduling moved a token");
+    let steps = engine.stats().steps;
+    assert!(
+        steps < lockstep_forwards,
+        "continuous batching took {steps} steps, the lockstep drain {lockstep_forwards} \
+         decode forwards"
+    );
 }
 
 #[test]
