@@ -3,8 +3,8 @@
 //! Every study follows the same recipe: pick an error model and a target (which layers /
 //! components / stages receive errors), run many independent Monte-Carlo trials of a task
 //! evaluation with that injector attached, and report the mean task metric per sweep point.
-//! The functions here produce the data series behind Fig. 4 and Fig. 5; the `realm-bench`
-//! binaries print them in the paper's layout.
+//! The functions here produce the data series behind Fig. 4 and Fig. 5; [`crate::report`]
+//! prints them in the paper's layout.
 
 use crate::Result;
 use realm_eval::task::Task;

@@ -213,7 +213,7 @@ impl ModelConfig {
         }
     }
 
-    /// Returns a copy with the outlier channels disabled (used by the ablation benches).
+    /// Returns a copy with the outlier channels disabled (used by the reproduction's ablation).
     pub fn without_outliers(&self) -> Self {
         Self {
             outlier_fraction: 0.0,
