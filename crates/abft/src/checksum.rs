@@ -200,7 +200,7 @@ pub fn deviating_shards_into(deviations: &[i64], degree: usize, out: &mut Vec<us
 /// Per-column deviations of a packed weight replica against its pack-time checksums.
 ///
 /// [`PackedMatI8`] snapshots `eᵀ·W` when the weight matrix is packed at model load. Re-reducing
-/// the interleaved tile buffer and subtracting those stored sums audits the *resident* packed
+/// the quad-tiled buffer and subtracting those stored sums audits the *resident* packed
 /// bytes — the copy the decode microkernels actually stream — so a bit flip that lands in the
 /// packed replica after load shows up as a non-zero entry in the affected column. A clean
 /// replica yields all zeros. Note this is a storage-integrity scrub, not a GEMM check: the
@@ -368,19 +368,19 @@ mod tests {
         assert_eq!(clean.len(), 21);
         assert!(clean.iter().all(|&d| d == 0));
 
-        // Flip a byte of the packed replica in place. The first tile byte is element
-        // (row 0, col 0) of block 0 in the interleaved layout, so the deviation must land
-        // in column 0 with exactly the injected delta.
-        let before = pb.tiles()[0];
-        pb.tiles_mut()[0] = before.wrapping_add(17);
-        let delta = pb.tiles_mut()[0] as i64 - before as i64;
+        // Flip the packed replica's byte of element (row 0, col 0) in place: the deviation
+        // must land in column 0 with exactly the injected delta.
+        let at = pb.tile_offset(0, 0);
+        let before = pb.tiles()[at];
+        pb.tiles_mut()[at] = before.wrapping_add(17);
+        let delta = pb.tiles_mut()[at] as i64 - before as i64;
         let mut dev = Vec::new();
         packed_weight_deviations_into(&pb, &mut dev);
         assert_eq!(dev[0], delta);
         assert!(dev.iter().skip(1).all(|&d| d == 0));
 
         // Restoring the byte clears the deviation again.
-        pb.tiles_mut()[0] = before;
+        pb.tiles_mut()[at] = before;
         packed_weight_deviations_into(&pb, &mut dev);
         assert!(dev.iter().all(|&d| d == 0));
     }

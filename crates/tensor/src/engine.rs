@@ -27,9 +27,10 @@
 //! one more row of the pass — mirroring the checksum row/column the paper adds to the
 //! systolic array (Fig. 3), which also computes checksums *during* the array pass rather
 //! than in a separate sweep. On the vector tiers that checksum row rides the multiply's own
-//! `vpmaddwd` pair stream, so `B` is streamed once whatever the row count (see "Fused
-//! checksums, in-register" in [`crate::simd`]); the portable tier folds it into its
-//! cache-hot `B` panels. The result is a [`ChecksummedGemm`], which downstream ABFT
+//! `vpmaddwd` pair stream, and on the AMX tier its digit rows ride the tile multiply, so `B`
+//! is streamed once whatever the row count (see "Fused checksums, in-register" and
+//! "Packed-B kernels" in [`crate::simd`]); the portable tier folds it into its cache-hot
+//! `B` panels. The result is a [`ChecksummedGemm`], which downstream ABFT
 //! detectors consume directly instead of re-reading the matrices.
 //!
 //! At an accelerated SIMD tier a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows over a
@@ -308,8 +309,8 @@ impl<'a> Operand<'a> {
 ///
 /// It runs where no checksum row does: the portable tier's tiled routine, the `n mod 16`
 /// column tails the vector tiers hand to it, and the two-pass oracle
-/// ([`accumulate_expected`]); the vector tiers ride the checksum row on their `vpmaddwd`
-/// pair stream instead (see [`crate::simd`]). Kept out-of-line so the checksum arithmetic
+/// ([`accumulate_expected`]); the vector and AMX tiers ride the checksum row on their
+/// multiply instead (see [`crate::simd`]). Kept out-of-line so the checksum arithmetic
 /// cannot perturb register allocation in the tiled multiply.
 #[inline(never)]
 pub(crate) fn accumulate_expected_panel(
@@ -1027,7 +1028,7 @@ mod tests {
     #[test]
     fn checksum_row_leaves_no_separate_expected_pass_at_accelerated_tiers() {
         let passes = || EXPECTED_PANEL_PASSES.with(Cell::get);
-        for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::detect()] {
+        for tier in SimdTier::ALL {
             let engine = KernelEngine::simd_with_tier(tier);
             // The counter is per thread, so every GEMM here runs inline: pooled engines
             // only below the sharding threshold.

@@ -1,33 +1,32 @@
-//! Pre-packed B-operand (weight) tiles for the decode-shape GEMM fast path.
+//! Pre-packed B-operand (weight) tiles for the packed GEMM fast path.
 //!
-//! Every decode-step GEMM multiplies a skinny activation matrix against the same static
-//! weight matrix, token after token. The unpacked SIMD microkernel re-derives its
-//! interleaved register layout from the row-major weights on **every** call: two
-//! `vpmovsxbw` widenings plus two `vpunpck` interleaves per 16-column depth pair, and a
-//! cross-lane permute per tile retirement. [`PackedMatI8`] performs that data
-//! rearrangement exactly once, at model load, storing the weight tiles in the byte order
-//! the microkernel consumes:
+//! Every decode-step and prefill GEMM multiplies an activation matrix against the same static
+//! weight matrix, token after token. [`PackedMatI8`] rearranges the weights exactly once, at
+//! model load, into the byte order every vector kernel consumes — the B-tile row format of
+//! the AMX `tdpbssd` instruction, a *depth quad* per column:
 //!
 //! ```text
-//! block 0 (output columns 0..16)                 block 1 (columns 16..32)   ...
-//! ┌────────────────────────────────────────────┐
-//! │ pair 0:  b[0][0] b[1][0] b[0][1] b[1][1] … │  32 bytes: depth pair (0,1),
-//! │          b[0][15] b[1][15]                 │  columns interleaved in order
-//! │ pair 1:  b[2][0] b[3][0] …                 │  32 bytes: depth pair (2,3)
-//! │ ⋮                                          │
-//! │ pair K/2−1                                 │
-//! └────────────────────────────────────────────┘
+//! block 0 (output columns 0..16)                                   block 1 (16..32)  ...
+//! ┌─────────────────────────────────────────────────────────────┐
+//! │ quad 0:  b[0][0] b[1][0] b[2][0] b[3][0]  b[0][1] … b[3][15]  │  64 bytes: depths 0..4,
+//! │                                                               │  4 per column, columns
+//! │ quad 1:  b[4][0] b[5][0] b[6][0] b[7][0]  b[4][1] …           │  in linear order
+//! │ ⋮                                                             │
+//! │ quad K/4−1                                                    │
+//! └─────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! One 32-byte load of a pair row plus two `vpmovsxbw` widenings yields the two
-//! `(b[p][j], b[p+1][j])` i16-pair registers with the columns already in **linear** order
-//! — the per-GEMM unpacks *and* the retirement permute disappear, at the same memory
-//! bandwidth as the unpacked walk (the tiles stay i8; widening to i16 at pack time would
-//! double the bytes streamed per GEMM, a loss for memory-bound GEMV shapes).
+//! Sixteen consecutive quad rows of a block are one AMX B tile (16 depth quads × 16 columns,
+//! loaded at stride 64), so the AMX tier streams a block with one `tileloadd` per 64 depths.
+//! The AVX-512 and AVX2 tiers read the same rows: a quad row widened by `vpmovsxbw` holds
+//! four depths per column as two `i16` pairs, so one broadcast activation quad feeds
+//! `vpmaddwd` for two depth pairs at once, and the two `i32` lanes of a column are added at
+//! retirement. One layout, one buffer: the tiles stay `i8`, at the bandwidth of the
+//! row-major matrix.
 //!
-//! The depth is zero-padded to an even count and the columns to a multiple of
-//! [`PACK_BLOCK_COLS`], so kernels run whole blocks unconditionally; the padding lanes
-//! multiply against zeros and the partial final block is retired through a stack tile.
+//! The depth is zero-padded to a multiple of 4 and the columns to a multiple of
+//! [`PACK_BLOCK_COLS`], so kernels run whole quads and blocks unconditionally; the padding
+//! lanes multiply against zeros and a partial final block is left to the tiled routine.
 //!
 //! # Pack-time checksums
 //!
@@ -50,19 +49,53 @@
 use crate::MatI8;
 
 /// Output columns per packed block — matches the SIMD register tile width
-/// ([`crate::simd::SIMD_TILE_COLS`]).
+/// ([`crate::simd::SIMD_TILE_COLS`]) and the column count of an AMX B tile.
 pub const PACK_BLOCK_COLS: usize = 16;
 
-/// Bytes per depth pair within one packed block: two interleaved i8 rows of
-/// [`PACK_BLOCK_COLS`] columns.
-pub const PACK_PAIR_BYTES: usize = 2 * PACK_BLOCK_COLS;
+/// Depth steps per quad: the four `i8` of one column that one `i32` lane of `tdpbssd`
+/// (or two lanes of `vpmaddwd`) reduces.
+pub const PACK_QUAD_DEPTH: usize = 4;
 
-/// An INT8 matrix pre-packed as the B operand of the SIMD GEMM microkernels, with its
-/// pack-time column checksums. See the module docs for the layout.
+/// Bytes per depth quad within one packed block: [`PACK_BLOCK_COLS`] columns of
+/// [`PACK_QUAD_DEPTH`] depths — one 64-byte row of an AMX B tile.
+pub const PACK_QUAD_BYTES: usize = PACK_QUAD_DEPTH * PACK_BLOCK_COLS;
+
+/// One quad row of a packed block, aligned to a cache line: a `tileloadd` row or a pair of
+/// 32-byte vector loads never straddles two lines.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(64))]
+struct QuadRow([i8; PACK_QUAD_BYTES]);
+
+/// The bytes of `rows`, in order.
+fn row_bytes(rows: &[QuadRow]) -> &[i8] {
+    // SAFETY: `QuadRow` is `repr(C)` over `[i8; 64]` with no padding (its size equals its
+    // alignment), so the rows are `64 · len` contiguous, initialised `i8`.
+    unsafe { std::slice::from_raw_parts(rows.as_ptr().cast(), rows.len() * PACK_QUAD_BYTES) }
+}
+
+/// [`row_bytes`], mutably.
+fn row_bytes_mut(rows: &mut [QuadRow]) -> &mut [i8] {
+    // SAFETY: as in `row_bytes`; the borrow of `rows` is unique.
+    unsafe {
+        std::slice::from_raw_parts_mut(rows.as_mut_ptr().cast(), rows.len() * PACK_QUAD_BYTES)
+    }
+}
+
+/// Offset of element `(p, j)` in the tile bytes of a pack whose blocks start
+/// `block_stride` bytes apart: the one statement of the layout.
+fn offset_in(block_stride: usize, p: usize, j: usize) -> usize {
+    (j / PACK_BLOCK_COLS) * block_stride
+        + (p / PACK_QUAD_DEPTH) * PACK_QUAD_BYTES
+        + (j % PACK_BLOCK_COLS) * PACK_QUAD_DEPTH
+        + p % PACK_QUAD_DEPTH
+}
+
+/// An INT8 matrix pre-packed as the B operand of the SIMD GEMM kernels, with its pack-time
+/// column checksums. See the module docs for the layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMatI8 {
     unpacked: MatI8,
-    tiles: Vec<i8>,
+    tiles: Vec<QuadRow>,
     padded_k: usize,
     col_sums: Vec<i64>,
 }
@@ -72,34 +105,25 @@ impl PackedMatI8 {
     /// tiles for fallback paths and hook callbacks).
     pub fn from_mat(unpacked: MatI8) -> Self {
         let (k, n) = unpacked.shape();
-        let padded_k = k + (k & 1);
-        let blocks = n.div_ceil(PACK_BLOCK_COLS);
-        let pairs = padded_k / 2;
-        let mut tiles = vec![0i8; blocks * pairs * PACK_PAIR_BYTES];
-        for blk in 0..blocks {
-            let base = blk * pairs * PACK_PAIR_BYTES;
-            for pair in 0..pairs {
-                let p = 2 * pair;
-                let row0 = unpacked.row(p);
-                let row1 = (p + 1 < k).then(|| unpacked.row(p + 1));
-                let chunk =
-                    &mut tiles[base + pair * PACK_PAIR_BYTES..base + (pair + 1) * PACK_PAIR_BYTES];
-                for lane in 0..PACK_BLOCK_COLS {
-                    let j = blk * PACK_BLOCK_COLS + lane;
-                    if j >= n {
-                        break;
-                    }
-                    chunk[2 * lane] = row0[j];
-                    chunk[2 * lane + 1] = row1.map_or(0, |r| r[j]);
+        let padded_k = k.next_multiple_of(PACK_QUAD_DEPTH);
+        let quads = padded_k / PACK_QUAD_DEPTH;
+        let mut tiles = vec![QuadRow([0; PACK_QUAD_BYTES]); n.div_ceil(PACK_BLOCK_COLS) * quads];
+        let bytes = row_bytes_mut(&mut tiles);
+        for p in 0..k {
+            for (blk, cols) in unpacked.row(p).chunks(PACK_BLOCK_COLS).enumerate() {
+                // Within a block, consecutive columns sit a quad's depth apart.
+                let first = offset_in(quads * PACK_QUAD_BYTES, p, blk * PACK_BLOCK_COLS);
+                let lanes = bytes[first..].iter_mut().step_by(PACK_QUAD_DEPTH);
+                for (dst, &v) in lanes.zip(cols) {
+                    *dst = v;
                 }
             }
         }
-        let col_sums = crate::engine::operand_col_sums(&unpacked);
         Self {
+            col_sums: crate::engine::operand_col_sums(&unpacked),
             unpacked,
             tiles,
             padded_k,
-            col_sums,
         }
     }
 
@@ -128,7 +152,7 @@ impl PackedMatI8 {
         self.unpacked.shape()
     }
 
-    /// The depth rounded up to an even pair count (odd `k` is padded with a zero row).
+    /// The depth rounded up to whole quads (a ragged `k` is padded with zero rows).
     pub fn padded_k(&self) -> usize {
         self.padded_k
     }
@@ -140,12 +164,19 @@ impl PackedMatI8 {
 
     /// Bytes from the start of one block to the start of the next.
     pub fn block_stride(&self) -> usize {
-        (self.padded_k / 2) * PACK_PAIR_BYTES
+        (self.padded_k / PACK_QUAD_DEPTH) * PACK_QUAD_BYTES
     }
 
-    /// The interleaved tile buffer (see the module docs for the layout).
+    /// Offset in [`PackedMatI8::tiles`] of element `(p, j)` of the logical matrix (depth
+    /// `p < padded_k`, column `j < 16 · blocks`), for code that audits or corrupts single
+    /// tile bytes.
+    pub fn tile_offset(&self, p: usize, j: usize) -> usize {
+        offset_in(self.block_stride(), p, j)
+    }
+
+    /// The quad-tiled buffer (see the module docs for the layout), 64-byte aligned.
     pub fn tiles(&self) -> &[i8] {
-        &self.tiles
+        row_bytes(&self.tiles)
     }
 
     /// Mutable access to the tile buffer, for fault-injection studies that corrupt the
@@ -153,7 +184,7 @@ impl PackedMatI8 {
     /// and from the pack-time [`PackedMatI8::col_sums`] — which is exactly what
     /// `realm-abft`'s packed-weight audit detects.
     pub fn tiles_mut(&mut self) -> &mut [i8] {
-        &mut self.tiles
+        row_bytes_mut(&mut self.tiles)
     }
 
     /// Pack-time column checksums `eᵀ·W` of the logical matrix, one entry per column.
@@ -169,16 +200,14 @@ impl PackedMatI8 {
         out.clear();
         out.resize(n, 0);
         let stride = self.block_stride();
-        let pairs = self.padded_k / 2;
         for blk in 0..self.blocks() {
             let jc = blk * PACK_BLOCK_COLS;
             let width = PACK_BLOCK_COLS.min(n - jc);
             let sums = &mut out[jc..jc + width];
-            for pair in 0..pairs {
-                let base = blk * stride + pair * PACK_PAIR_BYTES;
-                let chunk = &self.tiles[base..base + PACK_PAIR_BYTES];
-                for (s, lane) in sums.iter_mut().zip(chunk.chunks_exact(2)) {
-                    *s += lane[0] as i64 + lane[1] as i64;
+            let block = &self.tiles()[blk * stride..(blk + 1) * stride];
+            for quad in block.chunks_exact(PACK_QUAD_BYTES) {
+                for (s, lane) in sums.iter_mut().zip(quad.chunks_exact(PACK_QUAD_DEPTH)) {
+                    *s += lane.iter().map(|&v| i64::from(v)).sum::<i64>();
                 }
             }
         }
@@ -209,38 +238,44 @@ mod tests {
     }
 
     #[test]
-    fn layout_interleaves_depth_pairs_in_linear_column_order() {
-        let b = random_mat(7, 6, 37);
+    fn layout_is_the_amx_b_tile_row_of_depth_quads_in_linear_column_order() {
+        let b = random_mat(7, 10, 37);
         let pb = PackedMatI8::pack(&b);
-        assert_eq!(pb.padded_k(), 6);
+        assert_eq!(pb.padded_k(), 12);
         assert_eq!(pb.blocks(), 3);
-        assert_eq!(pb.block_stride(), 3 * PACK_PAIR_BYTES);
+        assert_eq!(pb.block_stride(), 3 * PACK_QUAD_BYTES);
         for blk in 0..pb.blocks() {
-            for pair in 0..pb.padded_k() / 2 {
-                let base = blk * pb.block_stride() + pair * PACK_PAIR_BYTES;
+            for quad in 0..pb.padded_k() / PACK_QUAD_DEPTH {
+                let row = blk * pb.block_stride() + quad * PACK_QUAD_BYTES;
                 for lane in 0..PACK_BLOCK_COLS {
-                    let j = blk * PACK_BLOCK_COLS + lane;
-                    let (want0, want1) = if j < b.cols() {
-                        (b[(2 * pair, j)], b[(2 * pair + 1, j)])
-                    } else {
-                        (0, 0)
-                    };
-                    assert_eq!(pb.tiles()[base + 2 * lane], want0, "blk {blk} pair {pair}");
-                    assert_eq!(pb.tiles()[base + 2 * lane + 1], want1);
+                    for depth in 0..PACK_QUAD_DEPTH {
+                        let (p, j) = (quad * PACK_QUAD_DEPTH + depth, blk * PACK_BLOCK_COLS + lane);
+                        let want = if p < b.rows() && j < b.cols() {
+                            b[(p, j)]
+                        } else {
+                            0
+                        };
+                        let at = row + lane * PACK_QUAD_DEPTH + depth;
+                        assert_eq!(pb.tiles()[at], want, "blk {blk} quad {quad} lane {lane}");
+                        assert_eq!(pb.tile_offset(p, j), at);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn odd_depth_pads_the_final_pair_with_zeros() {
+    fn ragged_depth_pads_the_final_quad_with_zeros() {
         let b = random_mat(8, 5, 16);
         let pb = PackedMatI8::pack(&b);
-        assert_eq!(pb.padded_k(), 6);
-        let last_pair = &pb.tiles()[2 * PACK_PAIR_BYTES..3 * PACK_PAIR_BYTES];
-        for lane in 0..PACK_BLOCK_COLS {
-            assert_eq!(last_pair[2 * lane], b[(4, lane)]);
-            assert_eq!(last_pair[2 * lane + 1], 0, "padded depth row must be zero");
+        assert_eq!(pb.padded_k(), 8);
+        let last_quad = &pb.tiles()[PACK_QUAD_BYTES..2 * PACK_QUAD_BYTES];
+        for (lane, column) in last_quad.chunks_exact(PACK_QUAD_DEPTH).enumerate() {
+            assert_eq!(
+                column,
+                [b[(4, lane)], 0, 0, 0],
+                "padded depth rows must be zero"
+            );
         }
     }
 
@@ -262,7 +297,7 @@ mod tests {
         let b = random_mat(10, 8, 20);
         let mut pb = PackedMatI8::pack(&b);
         // Flip one byte in the second block (columns 16..20): exactly one column deviates.
-        let victim = pb.block_stride() + 2; // block 1, pair 0, lane 1, depth row 0 => column 17
+        let victim = pb.tile_offset(5, 17);
         pb.tiles_mut()[victim] = pb.tiles()[victim].wrapping_add(3);
         let mut from_tiles = Vec::new();
         pb.tile_col_sums_into(&mut from_tiles);
@@ -277,11 +312,22 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_pack_without_panicking() {
-        for (k, n) in [(0, 0), (0, 5), (5, 0), (1, 1), (1, 16), (2, 17)] {
+        for (k, n) in [
+            (0, 0),
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (1, 16),
+            (2, 17),
+            (3, 15),
+            (4, 33),
+        ] {
             let b = random_mat((k * 100 + n) as u64, k, n);
             let pb = PackedMatI8::pack(&b);
             assert_eq!(pb.shape(), (k, n));
+            assert_eq!(pb.padded_k() % PACK_QUAD_DEPTH, 0);
             assert_eq!(pb.tiles().len(), pb.blocks() * pb.block_stride());
+            assert_eq!(pb.tiles().as_ptr().align_offset(PACK_QUAD_BYTES), 0);
             assert_eq!(pb.col_sums().len(), n);
         }
     }

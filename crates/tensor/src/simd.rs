@@ -1,12 +1,13 @@
 //! SIMD i8 GEMM microkernel with fused ABFT checksums and runtime dispatch.
 //!
-//! The row kernel of [`crate::engine::KernelEngine`]: an x86-64 AVX2 microkernel built on
-//! `core::arch` intrinsics, selected at **runtime** via `is_x86_feature_detected!` so one
-//! binary runs everywhere — hosts without AVX2 (or runs with the `REALM_FORCE_SCALAR=1`
-//! override) run the portable tier, which is the workspace's one scalar i8 GEMM routine
-//! besides the [`crate::gemm`] oracle: a cache-tiled loop over `64 × 256` panels of `B`
-//! (`tiled`, below). The engine runs the kernel inline (`simd`) or over work-stealing row
-//! chunks (`simd_parallel`), so batched prefill and serving-scale GEMMs use every core.
+//! The row kernel of [`crate::engine::KernelEngine`]: x86-64 AVX2 and AVX-512 microkernels
+//! built on `core::arch` intrinsics and an AMX-INT8 tile kernel in inline `asm!`, selected
+//! at **runtime** ([`SimdTier::detect`]) so one binary runs everywhere — hosts without AVX2
+//! (or runs with the `REALM_FORCE_SCALAR=1` override) run the portable tier, which is the
+//! workspace's one scalar i8 GEMM routine besides the [`crate::gemm`] oracle: a cache-tiled
+//! loop over `64 × 256` panels of `B` (`tiled`, below). The engine runs the kernel inline
+//! (`simd`) or over work-stealing row chunks (`simd_parallel`), so batched prefill and
+//! serving-scale GEMMs use every core.
 //!
 //! # The tiled routine
 //!
@@ -24,14 +25,13 @@
 //! The register tile is **4 rows × 16 columns**, accumulated in `i32` vector registers. The
 //! depth dimension advances two rows of `B` at a time (a *dot-product pair*):
 //!
-//! 1. the pair's 16 column pairs `(B[p][j], B[p+1][j])` become `i16` lanes — one packed
-//!    32-byte load widened by `vpmovsxbw`, or two row-major loads widened and interleaved
-//!    (`vpunpcklwd`/`vpunpckhwd`);
+//! 1. the pair's 16 column pairs `(B[p][j], B[p+1][j])` become `i16` lanes — two row-major
+//!    loads widened and interleaved (`vpunpcklwd`/`vpunpckhwd`);
 //! 2. the activation pair `(A[i][p], A[i][p+1])` is **one `i32` lane in memory**, broadcast
 //!    by a single `vpbroadcastd`: before its tiles run, a *row panel* of `A` is widened to
 //!    `i16` once into a stack buffer (`WIDE_LANES` lanes, 32 KiB — no heap, no
-//!    thread-local), each row zero-padded to an even depth, so an odd depth needs no branch:
-//!    its missing partner multiplies as zero;
+//!    thread-local), each row zero-padded to whole depth quads, so a ragged depth needs no
+//!    branch: its missing partners multiply as zero;
 //! 3. `vpmaddwd` multiplies the `i16` pairs and adds each pair in `i32`:
 //!    `A[i][p]·B[p][j] + A[i][p+1]·B[p+1][j]` — **exact** for every `i8` input, since each
 //!    product is at most `128² = 16384` and the pair sum at most `2¹⁵`, far inside `i32`.
@@ -93,12 +93,22 @@
 //! # Packed-B kernels
 //!
 //! Static weights go through [`crate::PackedMatI8`] and the `gemm_i8_packed*` entry
-//! points: the depth-pair interleaving above is done **once at pack time**, so the packed
-//! kernels replace load + 2×widen + 2×unpack (+ a retirement permute) per pair with one
-//! 32-byte load + 2×widen, already in linear column order. Three tiers dispatch at
-//! construction ([`SimdTier`]): portable (the tiled routine over the row-major original the
-//! pack carries), AVX2, and AVX-512 (which widens the whole 32-byte pair row into one zmm
-//! register — see [`SimdTier::Avx512`]).
+//! points. The pack stores each 16-column block as 64-byte rows of **depth quads** (16
+//! columns × 4 depths), the B-tile row of the AMX `tdpbssd` instruction, and every tier
+//! reads that one layout ([`SimdTier`], decided at construction):
+//!
+//! - **portable** multiplies the row-major original the pack carries (the tiled routine);
+//! - **AVX2** and **AVX-512** widen a quad row (`vpmovsxbw`, no shuffles) into `i16`
+//!   registers holding four depths per column, broadcast the activation *quad* — one `i64`
+//!   lane of the widened panel — and `vpmaddwd` them: each column's two `i32` lanes (depth
+//!   pairs `0,1` and `2,3`) are added once, when the tile retires. The checksum row rides
+//!   the quads the same way, drained every `DRAIN_QUADS` quads;
+//! - **AMX** loads 16 quad rows of a block in place as one B tile and multiplies it on the
+//!   tile unit against 16-row tiles of activations laid out in a stack panel, for every
+//!   GEMM of at least `AMX_MIN_ROWS` rows (thinner ones run the AVX-512 kernel). The expected
+//!   checksum rides as two *digit rows* under each 128-row band — its column sums split
+//!   exactly into base-128 `i8` digits — and `eᵀ·Y` is reduced from each stored C tile (see
+//!   the `amx` module).
 
 use crate::engine::{accumulate_expected_panel, add_operand_col_sums, FusedChecksums, Operand};
 use crate::packed::PACK_BLOCK_COLS;
@@ -139,14 +149,30 @@ const BAND_ROWS: usize = 256;
 const WIDE_LANES: usize = 16384;
 
 /// Depth pairs of one widened chunk: enough lanes remain for a full register tile plus the
-/// checksum row at any depth, so a panel always holds at least one tile.
+/// checksum row at any depth, so a panel always holds at least one tile. Even, so that every
+/// chunk but the last covers whole depth quads of a packed `B`.
 #[cfg(target_arch = "x86_64")]
-const CHUNK_PAIRS: usize = WIDE_LANES / 2 / (SIMD_TILE_ROWS + 1);
+const CHUNK_PAIRS: usize = (WIDE_LANES / 2 / (SIMD_TILE_ROWS + 1)) & !1;
 
 /// Pairs accumulated in `i32` before a checksum row drains to `i64`: one pair's partial is
 /// at most `2 · 2¹⁵ · 2⁷ = 2²³`, so `128 · 2²³ = 2³⁰` keeps the `i32` partials exact.
 #[cfg(target_arch = "x86_64")]
 const DRAIN_PAIRS: usize = 128;
+
+/// Quads accumulated before a packed kernel's checksum row drains: each `i32` lane takes
+/// one pair partial per quad, so `64 · 2²³ = 2²⁹`, and the two lanes of a column still add
+/// up exactly (`2³⁰`) when they are folded at the drain.
+#[cfg(target_arch = "x86_64")]
+const DRAIN_QUADS: usize = 64;
+
+/// Rows (`m`) from which the AMX tier takes a packed GEMM; thinner ones stay on the AVX-512
+/// packed kernel. Below it the tile unit has too little to multiply per byte of weights it
+/// loads: over one decode step's 57 checksummed packed GEMMs of the serving model (weights
+/// cycling through the caches as in serving), the 2-core AMX host took 222 and 198 µs at
+/// `m` = 1 and 2 on AMX against 183 and 184 µs on AVX-512, and 206, 210 and 255 µs at
+/// `m` = 3, 4 and 8 against 218, 259 and 467 µs.
+#[cfg(target_arch = "x86_64")]
+const AMX_MIN_ROWS: usize = 3;
 
 /// Environment variable that forces the portable tier even when the CPU supports the AVX2
 /// microkernel. Any non-empty value other than `0` counts as set; CI uses it to keep both
@@ -178,11 +204,81 @@ fn avx512_available() -> bool {
     false
 }
 
+/// What the CPU and the kernel say about the AMX-INT8 tile unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AmxGrant {
+    /// CPUID reports no AMX-TILE/AMX-INT8, or the OS does not manage tile state.
+    Absent,
+    /// CPUID offered AMX but `arch_prctl(ARCH_REQ_XCOMP_PERM)` refused the tile data.
+    Refused,
+    /// The process may use the tile registers.
+    Granted,
+}
+
+/// Asks once per process whether the tile unit may be used: CPUID leaf 7 (EDX bit 24
+/// AMX-TILE, bit 25 AMX-INT8), the OS's tile state in XCR0 (bits 17 and 18), then Linux's
+/// permission request for the tile data, which is process-wide, so every thread the
+/// engines spawn inherits it. (`is_x86_feature_detected!("amx-int8")` is unstable.)
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn amx_grant() -> AmxGrant {
+    static GRANT: OnceLock<AmxGrant> = OnceLock::new();
+    *GRANT.get_or_init(|| {
+        use std::arch::x86_64::__cpuid_count;
+        const TILE_STATE: u64 = (1 << 17) | (1 << 18);
+        const SYS_ARCH_PRCTL: i64 = 158;
+        const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
+        const XFEATURE_XTILEDATA: u64 = 18;
+        let offered = __cpuid_count(0, 0).eax >= 7
+            && __cpuid_count(7, 0).edx & (0b11 << 24) == 0b11 << 24
+            && __cpuid_count(1, 0).ecx & (1 << 27) != 0
+            && {
+                let (lo, hi): (u32, u32);
+                // SAFETY: CPUID.1:ECX.OSXSAVE (checked just above) makes XGETBV available;
+                // reading XCR0 has no side effects.
+                unsafe {
+                    std::arch::asm!("xgetbv", in("ecx") 0, out("eax") lo, out("edx") hi,
+                        options(nomem, nostack, preserves_flags));
+                }
+                ((u64::from(hi) << 32) | u64::from(lo)) & TILE_STATE == TILE_STATE
+            };
+        if !offered {
+            return AmxGrant::Absent;
+        }
+        let ret: i64;
+        // SAFETY: `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` only extends this
+        // process's permitted xsave state; it reads and writes no user memory. The syscall
+        // instruction clobbers rcx and r11, declared below.
+        unsafe {
+            std::arch::asm!("syscall",
+                inlateout("rax") SYS_ARCH_PRCTL => ret,
+                in("rdi") ARCH_REQ_XCOMP_PERM,
+                in("rsi") XFEATURE_XTILEDATA,
+                lateout("rcx") _, lateout("r11") _,
+                options(nostack));
+        }
+        if ret == 0 {
+            AmxGrant::Granted
+        } else {
+            AmxGrant::Refused
+        }
+    })
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+fn amx_grant() -> AmxGrant {
+    AmxGrant::Absent
+}
+
 /// Human-readable description of the tier the runtime dispatch granted
 /// ([`SimdTier::detect`]), for benchmark and example output (bench numbers are
 /// uninterpretable without knowing which path ran).
 pub fn simd_dispatch_label() -> &'static str {
     match SimdTier::detect() {
+        SimdTier::Amx => "amx (packed kernels; avx2 unpacked)",
+        // `detect` asked for the tile data before it settled on AVX-512.
+        SimdTier::Avx512 if amx_grant() == AmxGrant::Refused => {
+            "avx512 (packed kernels; avx2 unpacked; amx offered, arch_prctl refused)"
+        }
         SimdTier::Avx512 => "avx512 (packed kernels; avx2 unpacked)",
         SimdTier::Avx2 => "avx2",
         // A host with AVX2 runs the portable tier only when it was forced to.
@@ -202,24 +298,41 @@ pub enum SimdTier {
     /// The AVX2 microkernels (16-wide i16 pair tiles).
     Avx2,
     /// AVX2 for the unpacked kernel plus AVX-512F/BW for the **packed** kernels, which
-    /// widen a whole 32-byte packed pair row into one 32-lane i16 zmm register
-    /// (`vpmovsxbw`) and retire two depth pairs per `vpmaddwd`. The unpacked kernel
-    /// deliberately stays on the AVX2 tile: without pre-packing, feeding 512-bit
-    /// registers needs extra cross-lane shuffles that eat the wider multiply, while the
-    /// packed layout feeds them with plain loads — AVX-512 is applied exactly where the
+    /// widen a whole 64-byte packed quad row into two 32-lane i16 zmm registers
+    /// (`vpmovsxbw`) and retire two depth pairs of 16 columns per pair of `vpmaddwd`. The
+    /// unpacked kernel deliberately stays on the AVX2 tile: without pre-packing, feeding
+    /// 512-bit registers needs extra cross-lane shuffles that eat the wider multiply, while
+    /// the packed layout feeds them with plain loads — AVX-512 is applied exactly where the
     /// data layout lets it pay.
     Avx512,
+    /// AVX-512 plus the AMX-INT8 tile unit for the **packed** kernels of at least three rows
+    /// (thinner ones stay on the AVX-512 kernel): `tdpbssd` multiplies 16-row tiles of
+    /// activations against 16 × 64 tiles of the packed weights, which are stored in its
+    /// B-tile order. Granted when CPUID reports AMX-TILE and AMX-INT8, the OS
+    /// manages tile state, and the kernel grants the process the tile data.
+    Amx,
 }
 
 impl SimdTier {
-    /// The best tier the host grants: CPUID and [`FORCE_SCALAR_ENV`], resolved on first use
-    /// and remembered for the life of the process, so the GEMM and row kernels share one
-    /// answer and dispatching never reads the environment.
+    /// Every tier, worst to best — the list the parity suites pin one by one.
+    pub const ALL: [SimdTier; 4] = [
+        SimdTier::Portable,
+        SimdTier::Avx2,
+        SimdTier::Avx512,
+        SimdTier::Amx,
+    ];
+
+    /// The best tier the host grants: CPUID, the AMX permission request and
+    /// [`FORCE_SCALAR_ENV`], resolved on first use and remembered for the life of the
+    /// process, so the GEMM and row kernels share one answer and dispatching never reads
+    /// the environment.
     pub fn detect() -> Self {
         static GRANTED: OnceLock<SimdTier> = OnceLock::new();
         *GRANTED.get_or_init(|| {
             if force_scalar() {
                 SimdTier::Portable
+            } else if avx512_available() && amx_grant() == AmxGrant::Granted {
+                SimdTier::Amx
             } else if avx512_available() {
                 SimdTier::Avx512
             } else if avx2_available() {
@@ -230,18 +343,19 @@ impl SimdTier {
         })
     }
 
-    /// Short label for reports (`"portable"`, `"avx2"`, `"avx512"`).
+    /// Short label for reports (`"portable"`, `"avx2"`, `"avx512"`, `"amx"`).
     pub fn label(self) -> &'static str {
         match self {
             SimdTier::Portable => "portable",
             SimdTier::Avx2 => "avx2",
             SimdTier::Avx512 => "avx512",
+            SimdTier::Amx => "amx",
         }
     }
 }
 
 /// The SIMD row kernel behind [`crate::engine::KernelEngine::simd`]: the best of
-/// AVX-512/AVX2/portable the CPU supports.
+/// AMX/AVX-512/AVX2/portable the CPU supports.
 ///
 /// Dispatch is decided once at construction and carried by the value, so the per-GEMM hot
 /// path never re-reads the environment or CPUID. The tier is private and only ever a
@@ -278,9 +392,9 @@ impl SimdKernel {
     /// documentation); on the portable tier both from the cache-hot panels of the tiled
     /// routine.
     ///
-    /// A packed `B` is streamed in its pre-interleaved depth-pair order on the vector tiers
-    /// (no per-GEMM `vpunpck` interleaves, no retirement permutes); the portable tier
-    /// multiplies the row-major original the pack carries.
+    /// A packed `B` is streamed in its depth-quad order — as widened quad rows on the vector
+    /// tiers, as B tiles on the AMX tier; the portable tier multiplies the row-major
+    /// original the pack carries.
     pub(crate) fn run_rows(
         &self,
         a: &MatI8,
@@ -294,9 +408,24 @@ impl SimdKernel {
         let mut fused = fused;
         #[cfg(target_arch = "x86_64")]
         if self.tier >= SimdTier::Avx2 {
-            // SAFETY: an accelerated tier is only granted when AVX2 was detected at
-            // construction (the AVX-512 tier implies AVX2; see `SimdTier::detect`).
-            unsafe { self.run_blocks(a, b, out_band, row_start..row_end, fused.as_mut()) };
+            let rows = row_start..row_end;
+            let sinks = match fused.as_mut() {
+                Some(f) => (
+                    Some(&mut *f.etw),
+                    Some(&mut *f.expected),
+                    Some(&mut *f.observed),
+                ),
+                None => (None, None, None),
+            };
+            let amx = self.tier >= SimdTier::Amx && a.rows() >= AMX_MIN_ROWS;
+            match b {
+                // SAFETY: the AMX tier is only granted with AVX-512 and the tile-data
+                // permission (`SimdTier::detect`); `KernelEngine` checked the shapes.
+                Operand::Packed(pb) if amx => unsafe { amx::run(a, pb, out_band, rows, sinks) },
+                // SAFETY: an accelerated tier is only granted when AVX2 was detected at
+                // construction (the better tiers imply AVX2; see `SimdTier::detect`).
+                _ => unsafe { self.run_blocks(a, b, out_band, rows, sinks) },
+            }
             let blocks_end = n - n % SIMD_TILE_COLS;
             if blocks_end < n {
                 let b = b.row_major();
@@ -327,19 +456,11 @@ impl SimdKernel {
         b: Operand<'_>,
         out_band: &mut [i32],
         rows: Range<usize>,
-        fused: Option<&mut FusedChecksums<'_>>,
+        (mut etw, mut expected, mut observed): Sinks<'_>,
     ) {
         let k = a.cols();
         let n = b.row_major().cols();
         let pairs = k.div_ceil(2);
-        let (mut etw, mut expected, mut observed) = match fused {
-            Some(f) => (
-                Some(&mut *f.etw),
-                Some(&mut *f.expected),
-                Some(&mut *f.observed),
-            ),
-            None => (None, None, None),
-        };
         let mut wide = WideLanes::new();
         for chunk in depth_chunks(k) {
             let last = chunk.end == pairs;
@@ -424,6 +545,15 @@ impl SimdKernel {
     }
 }
 
+/// The fused-checksum sinks of one kernel pass, split out of [`FusedChecksums`]: `etw`,
+/// `expected`, `observed`.
+#[cfg(target_arch = "x86_64")]
+type Sinks<'s> = (
+    Option<&'s mut [i64]>,
+    Option<&'s mut [i64]>,
+    Option<&'s mut [i64]>,
+);
+
 /// The preconditions of the skinny pass (`(k, n)` is the shape of `B`), which the vector
 /// kernel indexes by without bounds checks.
 fn assert_skinny_shapes(
@@ -463,9 +593,10 @@ impl WideLanes {
 }
 
 /// One depth chunk of a row panel of `A`, widened for the vector kernels: `rows` activation
-/// rows of `2·pairs.len()` `i16` lanes each, then — when `sums` — the panel's checksum row.
-/// Depth pair `q` of a row is the `i32` lane `q` of [`Panel::pair_lanes`], which the
-/// kernels broadcast straight from memory.
+/// rows of [`Panel::width`] `i16` lanes each, then — when `sums` — the panel's checksum row.
+/// Depth pair `q` of a row is the `i32` lane `q` of [`Panel::pair_lanes`] and depth quad
+/// `q` the `i64` lane `q` of [`Panel::quad_lanes`], which the kernels broadcast straight
+/// from memory.
 #[cfg(target_arch = "x86_64")]
 struct Panel<'w> {
     lanes: &'w [MaybeUninit<i16>],
@@ -477,10 +608,26 @@ struct Panel<'w> {
 
 #[cfg(target_arch = "x86_64")]
 impl Panel<'_> {
+    /// Lanes per row: the chunk's pairs rounded up to whole quads, zero-padded.
+    fn width(&self) -> usize {
+        2 * self.pairs.len().next_multiple_of(2)
+    }
+
     /// Row `r`'s depth pairs as `i32` lanes; `r == self.rows` is the checksum row.
     fn pair_lanes(&self, r: usize) -> *const i32 {
-        let width = 2 * self.pairs.len();
-        self.lanes.as_ptr().wrapping_add(r * width).cast()
+        self.lanes.as_ptr().wrapping_add(r * self.width()).cast()
+    }
+
+    /// Row `r`'s depth quads as `i64` lanes (8-byte aligned: the buffer is, and so is every
+    /// row, being whole quads wide).
+    fn quad_lanes(&self, r: usize) -> *const i64 {
+        self.pair_lanes(r).cast()
+    }
+
+    /// The chunk's depth quads, as quad indices into a packed `B` (a chunk starts on a
+    /// quad: [`CHUNK_PAIRS`] is even).
+    fn quads(&self) -> Range<usize> {
+        self.pairs.start / 2..self.pairs.end.div_ceil(2)
     }
 }
 
@@ -498,14 +645,14 @@ fn depth_chunks(k: usize) -> impl Iterator<Item = Range<usize>> {
 /// the buffer beside the checksum row, within one checksum band.
 #[cfg(target_arch = "x86_64")]
 fn panel_height(pairs: usize) -> usize {
-    let fit = WIDE_LANES / (2 * pairs).max(1) - 1;
+    let fit = WIDE_LANES / (2 * pairs.next_multiple_of(2)).max(1) - 1;
     (fit - fit % SIMD_TILE_ROWS).min(BAND_ROWS)
 }
 
 /// Widens rows `rows` of `a` (at most `BAND_ROWS`) over the depth pairs `pairs` into
-/// `wide`, each row zero-padded to `2·pairs.len()` lanes. With `etw`, the rows' column sums
-/// follow them as the checksum row, accumulated while the rows are copied, and are added
-/// onto `etw` — the operand checksum `eᵀ·W` falls out of the widening pass.
+/// `wide`, each row zero-padded to whole quads ([`Panel::width`]). With `etw`, the rows'
+/// column sums follow them as the checksum row, accumulated while the rows are copied, and
+/// are added onto `etw` — the operand checksum `eᵀ·W` falls out of the widening pass.
 #[cfg(target_arch = "x86_64")]
 fn widen<'w>(
     a: &MatI8,
@@ -515,7 +662,7 @@ fn widen<'w>(
     wide: &'w mut WideLanes,
 ) -> Panel<'w> {
     debug_assert!(rows.len() <= BAND_ROWS, "a checksum row sums one band");
-    let width = 2 * pairs.len();
+    let width = 2 * pairs.len().next_multiple_of(2);
     let depth = 2 * pairs.start..(2 * pairs.end).min(a.cols());
     let (act, rest) = wide.0.split_at_mut(rows.len() * width);
     let mut total = etw.is_some().then(|| init_lanes(&mut rest[..width], &[]));
@@ -542,20 +689,20 @@ fn widen<'w>(
     }
 }
 
-/// Writes `src` widened to `i16` into the head of `dst` and zeros into the rest, returning
-/// `dst` as plain lanes.
+/// Writes `src` converted to `T` (`i16` widening, or an `i8` copy) into the head of `dst`
+/// and zeros into the rest, returning `dst` as plain lanes.
 #[cfg(target_arch = "x86_64")]
-fn init_lanes<'d>(dst: &'d mut [MaybeUninit<i16>], src: &[i8]) -> &'d mut [i16] {
+fn init_lanes<'d, T: From<i8> + Default>(dst: &'d mut [MaybeUninit<T>], src: &[i8]) -> &'d mut [T] {
     let (head, pad) = dst.split_at_mut(src.len());
     for (d, &v) in head.iter_mut().zip(src) {
-        d.write(i16::from(v));
+        d.write(T::from(v));
     }
     for d in pad {
-        d.write(0);
+        d.write(T::default());
     }
-    // SAFETY: every lane of `dst` was written above, and `MaybeUninit<i16>` has the layout
-    // of `i16`.
-    unsafe { &mut *(dst as *mut [MaybeUninit<i16>] as *mut [i16]) }
+    // SAFETY: every lane of `dst` was written above, and `MaybeUninit<T>` has the layout
+    // of `T`.
+    unsafe { &mut *(dst as *mut [MaybeUninit<T>] as *mut [T]) }
 }
 
 /// Calls `$tile::<R, CHECK>(args…)` for a runtime row count `$rows` and checksum flag
@@ -982,15 +1129,21 @@ mod avx2 {
     }
 }
 
-/// The AVX2 tier of the packed kernels. The pack-time interleaving turns each depth
-/// pair's inner step into one 32-byte load plus two `vpmovsxbw` widenings — the
-/// `vpunpck` interleaves and the retirement cross-lane permutes of the unpacked kernel
-/// are gone, and the accumulator registers hold columns in linear order throughout.
+/// The AVX2 tier of the packed kernels. A 16-column block runs as two 8-column halves, one
+/// after the other, so that the tile's accumulators, the checksum row's and the loaded
+/// quads fit the 16 ymm registers: each quad step loads the half's 32 bytes of the 64-byte
+/// quad row, widens them into two `i16` registers (columns `0–3` and `4–7` of the half, four
+/// depths each) and multiplies both against one broadcast activation quad. A column's two
+/// `i32` lanes (depth pairs `0,1` and `2,3` of every quad) are folded at retirement — no
+/// shuffles in the loop.
 #[cfg(target_arch = "x86_64")]
 mod packed_avx2 {
-    use super::{Panel, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
-    use crate::packed::{PackedMatI8, PACK_PAIR_BYTES};
+    use super::{Panel, DRAIN_QUADS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
+    use crate::packed::{PackedMatI8, PACK_QUAD_BYTES};
     use std::arch::x86_64::*;
+
+    /// Columns of one half block.
+    const HALF_COLS: usize = PACK_BLOCK_COLS / 2;
 
     /// One widened panel against every full 16-column block of `pb` — the packed twin of
     /// the row-major `panel`, with the same sinks. The caller hands a partial final block to
@@ -998,7 +1151,7 @@ mod packed_avx2 {
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2, `panel.pairs` within `pb`'s pairs, `out` holding
+    /// Caller must ensure AVX2, `panel.quads()` within `pb`'s quads, `out` holding
     /// `panel.rows` rows of `pb.cols()`, and `expected` present when `panel.sums`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn panel(
@@ -1011,17 +1164,17 @@ mod packed_avx2 {
         let zero = _mm256_setzero_si256();
         for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             let jc = blk * PACK_BLOCK_COLS;
-            let tiles = pb
+            let quads = pb
                 .tiles()
                 .as_ptr()
-                .add(blk * pb.block_stride() + panel.pairs.start * PACK_PAIR_BYTES);
+                .add(blk * pb.block_stride() + panel.quads().start * PACK_QUAD_BYTES);
             let mut obs = observed.is_some().then_some([zero; 4]);
             let mut exp = [zero; 4];
             for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
                 let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
                 let sinks = (&mut *out, obs.as_mut(), &mut exp);
                 let check = panel.sums && i == 0;
-                dispatch_tile!(rows, check, tile(panel, i, tiles, pb.cols(), jc, sinks));
+                dispatch_tile!(rows, check, tile(panel, i, quads, pb.cols(), jc, sinks));
             }
             if let (Some(observed), Some(obs)) = (observed.as_deref_mut(), &obs) {
                 store_i64x4_lanes(obs, &mut observed[jc..jc + PACK_BLOCK_COLS], false);
@@ -1032,65 +1185,135 @@ mod packed_avx2 {
         }
     }
 
-    /// An `R × 16` register tile over the packed pairs at `tiles`: the pair registers come
-    /// out of `load_pair` already in linear column order, so retirement stores the
-    /// accumulators directly — no permutes. With `CHECK` the checksum row rides the same
-    /// pair registers into `exp64`.
+    /// An `R × 16` register tile over the quad rows at `quads`, one 8-column half after the
+    /// other: per half, two `i32×8` accumulators per row, each lane one column's depth pair
+    /// sum, folded into linear column order at retirement. With `CHECK` the checksum row
+    /// rides the same quad registers into `exp64`.
     ///
     /// # Safety
     ///
-    /// As [`panel`], with rows `i..i + R` of the panel and `tiles` at the chunk's first pair
+    /// As [`panel`], with rows `i..i + R` of the panel and `quads` at the chunk's first quad
     /// of a full block.
     #[target_feature(enable = "avx2")]
     unsafe fn tile<const R: usize, const CHECK: bool>(
         panel: &Panel<'_>,
         i: usize,
-        tiles: *const i8,
+        quads: *const i8,
         n: usize,
         jc: usize,
-        (out, mut obs, exp64): (&mut [i32], Option<&mut [__m256i; 4]>, &mut [__m256i; 4]),
+        (out, obs, exp64): (&mut [i32], Option<&mut [__m256i; 4]>, &mut [__m256i; 4]),
     ) {
-        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(i + r));
-        let sums = panel.pair_lanes(panel.rows);
+        let rows: [*const i64; R] = std::array::from_fn(|r| panel.quad_lanes(i + r));
+        let sums = panel.quad_lanes(panel.rows);
+        let count = panel.quads().len();
+        let (exp_lo, exp_hi) = exp64.split_at_mut(2);
+        let (obs_lo, obs_hi) = match obs {
+            Some(obs) => {
+                let (lo, hi) = obs.split_at_mut(2);
+                (Some(lo), Some(hi))
+            }
+            None => (None, None),
+        };
+        let out = &mut out[i * n + jc..];
+        half::<R, CHECK>(rows, sums, count, quads, n, (out, obs_lo, exp_lo));
+        let quads = quads.add(PACK_QUAD_BYTES / 2);
+        half::<R, CHECK>(
+            rows,
+            sums,
+            count,
+            quads,
+            n,
+            (&mut out[HALF_COLS..], obs_hi, exp_hi),
+        );
+    }
+
+    /// One 8-column half of [`tile`]: `out` at the half's first column of the tile's
+    /// first row, the sinks the half's two registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn half<const R: usize, const CHECK: bool>(
+        rows: [*const i64; R],
+        sums: *const i64,
+        count: usize,
+        quads: *const i8,
+        n: usize,
+        (out, obs, exp64): (&mut [i32], Option<&mut [__m256i]>, &mut [__m256i]),
+    ) {
         let zero = _mm256_setzero_si256();
-        let mut acc_lo = [zero; R];
-        let mut acc_hi = [zero; R];
-        let pairs = panel.pairs.len();
+        let mut acc = [[zero; 2]; R];
         let mut q = 0;
-        while q < pairs {
+        while q < count {
             let end = if CHECK {
-                (q + DRAIN_PAIRS).min(pairs)
+                (q + DRAIN_QUADS).min(count)
             } else {
-                pairs
+                count
             };
-            let (mut exp_lo, mut exp_hi) = (zero, zero);
-            for pair in q..end {
-                let (pairs_lo, pairs_hi) = load_pair(tiles.add(pair * PACK_PAIR_BYTES));
+            let mut exp32 = [zero; 2];
+            for quad in q..end {
+                let raw = _mm256_loadu_si256(quads.add(quad * PACK_QUAD_BYTES) as *const __m256i);
+                let lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(raw));
+                let hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(raw, 1));
                 for r in 0..R {
-                    let x = _mm256_set1_epi32(rows[r].add(pair).read());
-                    acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, x));
-                    acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, x));
+                    let x = _mm256_set1_epi64x(rows[r].add(quad).read());
+                    acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(lo, x));
+                    acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(hi, x));
                 }
                 if CHECK {
-                    let e = _mm256_set1_epi32(sums.add(pair).read());
-                    exp_lo = _mm256_add_epi32(exp_lo, _mm256_madd_epi16(pairs_lo, e));
-                    exp_hi = _mm256_add_epi32(exp_hi, _mm256_madd_epi16(pairs_hi, e));
+                    let e = _mm256_set1_epi64x(sums.add(quad).read());
+                    exp32[0] = _mm256_add_epi32(exp32[0], _mm256_madd_epi16(lo, e));
+                    exp32[1] = _mm256_add_epi32(exp32[1], _mm256_madd_epi16(hi, e));
                 }
             }
             if CHECK {
-                drain(&mut exp_lo, &mut exp_hi, exp64);
+                widen8(fold(exp32[0], exp32[1]), exp64);
             }
             q = end;
         }
-        for r in 0..R {
-            let row = &mut out[(i + r) * n + jc..][..PACK_BLOCK_COLS];
-            retire_row(row, acc_lo[r], acc_hi[r], obs.as_deref_mut());
+        // The tile's share of `eᵀ·Y` is gathered in registers and added once.
+        let mut sums = obs.is_some().then_some([zero; 2]);
+        for (r, [lo, hi]) in acc.into_iter().enumerate() {
+            let sums = sums.as_mut().map(|s| &mut s[..]);
+            retire8(&mut out[r * n..][..HALF_COLS], fold(lo, hi), sums);
+        }
+        if let (Some(obs), Some(sums)) = (obs, sums) {
+            obs[0] = _mm256_add_epi64(obs[0], sums[0]);
+            obs[1] = _mm256_add_epi64(obs[1], sums[1]);
         }
     }
 
-    /// Widens the `i32` partials of a 16-column row (linear order) into the `i64`
-    /// accumulator registers and resets them — the drain that keeps a checksum row exact at
-    /// any depth, and the fold of a finalised row into `eᵀ·Y`.
+    /// Adds the two `i32` lanes of each column: `a` holds columns `0–3` and `b` columns
+    /// `4–7` of a half block as lane pairs; the result is the 8 columns in linear order.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold(a: __m256i, b: __m256i) -> __m256i {
+        // hadd works within 128-bit lanes: {c0 c1 c4 c5 | c2 c3 c6 c7}.
+        _mm256_permute4x64_epi64(_mm256_hadd_epi32(a, b), 0b11_01_10_00)
+    }
+
+    /// Widens 8 `i32` lanes (linear column order) and adds them onto the two `i64×4`
+    /// registers `sums[0..2]` — the drain that keeps a checksum row exact at any depth, and
+    /// the fold of a finalised row into `eᵀ·Y`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and `sums.len() >= 2`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn widen8(v: __m256i, sums: &mut [__m256i]) {
+        let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
+        let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
+        sums[0] = _mm256_add_epi64(sums[0], lo);
+        sums[1] = _mm256_add_epi64(sums[1], hi);
+    }
+
+    /// [`widen8`] for a 16-column row held as two registers (linear order) onto four
+    /// `i64×4` registers, resetting the partials.
     ///
     /// # Safety
     ///
@@ -1101,39 +1324,26 @@ mod packed_avx2 {
         exp32_hi: &mut __m256i,
         exp64: &mut [__m256i; 4],
     ) {
-        exp64[0] = _mm256_add_epi64(
-            exp64[0],
-            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(*exp32_lo)),
-        );
-        exp64[1] = _mm256_add_epi64(
-            exp64[1],
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(*exp32_lo, 1)),
-        );
-        exp64[2] = _mm256_add_epi64(
-            exp64[2],
-            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(*exp32_hi)),
-        );
-        exp64[3] = _mm256_add_epi64(
-            exp64[3],
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(*exp32_hi, 1)),
-        );
+        widen8(*exp32_lo, &mut exp64[..2]);
+        widen8(*exp32_hi, &mut exp64[2..]);
         *exp32_lo = _mm256_setzero_si256();
         *exp32_hi = _mm256_setzero_si256();
     }
 
-    /// One 32-byte packed pair row → two `i16` pair registers in linear column order
-    /// (lanes `(B[p][j], B[p+1][j])` for `j = 0..8` and `8..16`).
+    /// Adds `v` onto the 8 columns of `row` and, when `obs` is present, folds the finalised
+    /// values into its two observed-checksum registers.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 and `ptr..ptr+32` in bounds.
+    /// Caller must ensure AVX2, `row.len() == 8` and `obs` at least two registers long.
     #[target_feature(enable = "avx2")]
-    unsafe fn load_pair(ptr: *const i8) -> (__m256i, __m256i) {
-        let raw = _mm256_loadu_si256(ptr as *const __m256i);
-        (
-            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(raw)),
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(raw, 1)),
-        )
+    unsafe fn retire8(row: &mut [i32], v: __m256i, obs: Option<&mut [__m256i]>) {
+        let out_ptr = row.as_mut_ptr() as *mut __m256i;
+        let finalv = _mm256_add_epi32(_mm256_loadu_si256(out_ptr), v);
+        _mm256_storeu_si256(out_ptr, finalv);
+        if let Some(obs) = obs {
+            widen8(finalv, obs);
+        }
     }
 
     /// Adds `acc_lo`/`acc_hi` (linear column order) onto the 16 columns of `row` and, when
@@ -1149,24 +1359,25 @@ mod packed_avx2 {
         acc_hi: __m256i,
         obs: Option<&mut [__m256i; 4]>,
     ) {
-        let out_ptr = row.as_mut_ptr();
-        let mut final0 = _mm256_add_epi32(_mm256_loadu_si256(out_ptr as *const __m256i), acc_lo);
-        let mut final1 =
-            _mm256_add_epi32(_mm256_loadu_si256(out_ptr.add(8) as *const __m256i), acc_hi);
-        _mm256_storeu_si256(out_ptr as *mut __m256i, final0);
-        _mm256_storeu_si256(out_ptr.add(8) as *mut __m256i, final1);
-        if let Some(obs) = obs {
-            drain(&mut final0, &mut final1, obs);
-        }
+        let (row_lo, row_hi) = row.split_at_mut(PACK_BLOCK_COLS / 2);
+        let (obs_lo, obs_hi) = match obs {
+            Some(obs) => {
+                let (lo, hi) = obs.split_at_mut(2);
+                (Some(lo), Some(hi))
+            }
+            None => (None, None),
+        };
+        retire8(row_lo, acc_lo, obs_lo);
+        retire8(row_hi, acc_hi, obs_hi);
     }
 
-    /// Stores (`assign`) or adds the first `sums.len()` of four `i64×4` registers' 16 lanes.
+    /// Stores (`assign`) or adds the first `sums.len()` of the `i64×4` registers' lanes.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 and `sums.len() <= 16`.
+    /// Caller must ensure AVX2 and `sums.len() <= 4 * regs.len() <= 16`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn store_i64x4_lanes(regs: &[__m256i; 4], sums: &mut [i64], assign: bool) {
+    pub(super) unsafe fn store_i64x4_lanes(regs: &[__m256i], sums: &mut [i64], assign: bool) {
         let mut lanes = [0i64; PACK_BLOCK_COLS];
         for (q, &vec) in regs.iter().enumerate() {
             _mm256_storeu_si256(lanes.as_mut_ptr().add(4 * q) as *mut __m256i, vec);
@@ -1177,34 +1388,34 @@ mod packed_avx2 {
     }
 }
 
-/// The AVX-512 tier of the packed kernels: one 32-byte packed pair row widens into a full
-/// 32-lane `i16` zmm register (`vpmovsxbw`), so a single `vpmaddwd` retires an entire
-/// depth pair for all 16 columns — half the multiply count of the AVX2 tile, fed by plain
-/// loads thanks to the pack-time interleaving. Requires AVX-512F (arithmetic/converts) +
-/// AVX-512BW (`vpmaddwd` on zmm); only reachable when [`super::SimdTier::Avx512`] was
-/// granted at construction.
+/// The AVX-512 tier of the packed kernels: one 64-byte quad row widens into two 32-lane
+/// `i16` zmm registers (`vpmovsxbw` from memory, columns `0–7` and `8–15` with four depths
+/// each), and one broadcast activation quad multiplies both — two `vpmaddwd` retire four
+/// depth steps of all 16 columns, fed by plain loads thanks to the pack-time layout. A
+/// column's two `i32` lanes are folded at retirement. Requires AVX-512F (arithmetic,
+/// converts, `vpermt2d`) + AVX-512BW (`vpmaddwd` on zmm); only reachable when
+/// [`super::SimdTier::Avx512`] or better was granted at construction.
 ///
-/// VNNI was considered twice and rejected. `vpdpbusd` consumes depth **quads**, which
-/// conflicts with the pair interleaving the AVX2 tier shares — reconstructing quads would
-/// reintroduce the per-GEMM shuffles packing exists to remove (and its unsigned×signed form
-/// needs a `128·colsum` correction besides). `vpdpwssd` keeps the pairs and fuses the
-/// multiply with the accumulate, but at this 4-row tile it measured *slower* — 57–69 vs
-/// 69–76 GMAC/s over the serving model's seven block shapes at 4, 12 and 128 rows, in the
-/// same probe on the 2-core AVX-512 host — because each row's single accumulator then
-/// serialises on the fused instruction's latency, where `vpmaddwd` + `vpaddd` leaves the
-/// multiplies independent.
+/// VNNI was considered and rejected. `vpdpbusd` is unsigned × signed and needs a
+/// `128·colsum` correction besides (the saturation hazard of the `vpmaddubsw` idiom, in
+/// another guise). `vpdpwssd` fuses the multiply with the accumulate, but at this 4-row tile
+/// it measured *slower* — 57–69 vs 69–76 GMAC/s over the serving model's seven block shapes
+/// at 4, 12 and 128 rows, in the same probe on the 2-core AVX-512 host — because each row's
+/// accumulator then serialises on the fused instruction's latency, where `vpmaddwd` +
+/// `vpaddd` leaves the multiplies independent. Hosts with AMX multiply the same quads on
+/// the tile unit instead ([`super::amx`]).
 #[cfg(target_arch = "x86_64")]
 mod packed_avx512 {
-    use super::{Panel, DRAIN_PAIRS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
-    use crate::packed::{PackedMatI8, PACK_PAIR_BYTES};
+    use super::{Panel, DRAIN_QUADS, PACK_BLOCK_COLS, SIMD_TILE_ROWS};
+    use crate::packed::{PackedMatI8, PACK_QUAD_BYTES};
     use std::arch::x86_64::*;
 
-    /// The AVX-512 twin of the AVX2 packed `panel`: the observed and expected column sums
-    /// of a block live in two `i64×8` zmm registers each.
+    /// The AVX-512 twin of the AVX2 packed `panel`, over whole 16-column blocks: the
+    /// observed and expected column sums of a block live in two `i64×8` zmm registers each.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX-512F/BW + AVX2, `panel.pairs` within `pb`'s pairs, `out`
+    /// Caller must ensure AVX-512F/BW + AVX2, `panel.quads()` within `pb`'s quads, `out`
     /// holding `panel.rows` rows of `pb.cols()`, and `expected` present when `panel.sums`.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
     pub(super) unsafe fn panel(
@@ -1217,17 +1428,17 @@ mod packed_avx512 {
         let zero = _mm512_setzero_si512();
         for blk in 0..pb.cols() / PACK_BLOCK_COLS {
             let jc = blk * PACK_BLOCK_COLS;
-            let tiles = pb
+            let quads = pb
                 .tiles()
                 .as_ptr()
-                .add(blk * pb.block_stride() + panel.pairs.start * PACK_PAIR_BYTES);
+                .add(blk * pb.block_stride() + panel.quads().start * PACK_QUAD_BYTES);
             let mut obs = observed.is_some().then_some([zero; 2]);
             let mut exp = [zero; 2];
             for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
                 let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
                 let sinks = (&mut *out, obs.as_mut(), &mut exp);
                 let check = panel.sums && i == 0;
-                dispatch_tile!(rows, check, tile(panel, i, tiles, pb.cols(), jc, sinks));
+                dispatch_tile!(rows, check, tile(panel, i, quads, pb.cols(), jc, sinks));
             }
             if let (Some(observed), Some(obs)) = (observed.as_deref_mut(), &obs) {
                 add_i64x8_lanes(obs, &mut observed[jc..jc + PACK_BLOCK_COLS]);
@@ -1238,54 +1449,77 @@ mod packed_avx512 {
         }
     }
 
-    /// An `R × 16` register tile: one `i32×16` zmm accumulator per row, one `vpmaddwd`
-    /// per row per depth pair — and, with `CHECK`, one more for the checksum row.
+    /// An `R × 16` register tile: two `i32×16` zmm accumulators per row (columns `0–7` and
+    /// `8–15`, one lane per column and depth pair), two `vpmaddwd` per row per quad — and,
+    /// with `CHECK`, two more for the checksum row.
     ///
     /// # Safety
     ///
-    /// As [`panel`], with rows `i..i + R` of the panel and `tiles` at the chunk's first pair
+    /// As [`panel`], with rows `i..i + R` of the panel and `quads` at the chunk's first quad
     /// of a full block.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
     unsafe fn tile<const R: usize, const CHECK: bool>(
         panel: &Panel<'_>,
         i: usize,
-        tiles: *const i8,
+        quads: *const i8,
         n: usize,
         jc: usize,
         (out, mut obs, exp64): (&mut [i32], Option<&mut [__m512i; 2]>, &mut [__m512i; 2]),
     ) {
-        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(i + r));
-        let sums = panel.pair_lanes(panel.rows);
-        let mut acc = [_mm512_setzero_si512(); R];
-        let pairs = panel.pairs.len();
+        let rows: [*const i64; R] = std::array::from_fn(|r| panel.quad_lanes(i + r));
+        let sums = panel.quad_lanes(panel.rows);
+        let zero = _mm512_setzero_si512();
+        let mut acc = [[zero; 2]; R];
+        let count = panel.quads().len();
         let mut q = 0;
-        while q < pairs {
+        while q < count {
             let end = if CHECK {
-                (q + DRAIN_PAIRS).min(pairs)
+                (q + DRAIN_QUADS).min(count)
             } else {
-                pairs
+                count
             };
-            let mut exp32 = _mm512_setzero_si512();
-            for pair in q..end {
-                let pair_row = load_pair(tiles.add(pair * PACK_PAIR_BYTES));
+            let mut exp32 = [zero; 2];
+            for quad in q..end {
+                let row = quads.add(quad * PACK_QUAD_BYTES);
+                let lo = _mm512_cvtepi8_epi16(_mm256_loadu_si256(row as *const __m256i));
+                let hi = _mm512_cvtepi8_epi16(_mm256_loadu_si256(row.add(32) as *const __m256i));
                 for r in 0..R {
-                    let x = _mm512_set1_epi32(rows[r].add(pair).read());
-                    acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(pair_row, x));
+                    let x = _mm512_set1_epi64(rows[r].add(quad).read());
+                    acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(lo, x));
+                    acc[r][1] = _mm512_add_epi32(acc[r][1], _mm512_madd_epi16(hi, x));
                 }
                 if CHECK {
-                    let e = _mm512_set1_epi32(sums.add(pair).read());
-                    exp32 = _mm512_add_epi32(exp32, _mm512_madd_epi16(pair_row, e));
+                    let e = _mm512_set1_epi64(sums.add(quad).read());
+                    exp32[0] = _mm512_add_epi32(exp32[0], _mm512_madd_epi16(lo, e));
+                    exp32[1] = _mm512_add_epi32(exp32[1], _mm512_madd_epi16(hi, e));
                 }
             }
             if CHECK {
-                drain(exp32, exp64);
+                drain(fold(exp32[0], exp32[1]), exp64);
             }
             q = end;
         }
-        for (r, &row_acc) in acc.iter().enumerate() {
+        for (r, [lo, hi]) in acc.into_iter().enumerate() {
             let row = &mut out[(i + r) * n + jc..][..PACK_BLOCK_COLS];
-            retire_row(row, row_acc, obs.as_deref_mut());
+            retire_row(row, fold(lo, hi), obs.as_deref_mut());
         }
+    }
+
+    /// Adds the two `i32` lanes of each column: `a` holds columns `0–7` and `b` columns
+    /// `8–15` as lane pairs; the result is the 16 columns in linear order.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    unsafe fn fold(a: __m512i, b: __m512i) -> __m512i {
+        // Lane j of the pair (a, b) is index j of the concatenation a ++ b.
+        let even = _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+        let odd = _mm512_set_epi32(31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1);
+        _mm512_add_epi32(
+            _mm512_permutex2var_epi32(a, even, b),
+            _mm512_permutex2var_epi32(a, odd, b),
+        )
     }
 
     /// Widens 16 `i32` lanes into the two `i64×8` accumulators — the checksum row's drain
@@ -1306,19 +1540,8 @@ mod packed_avx512 {
         );
     }
 
-    /// One 32-byte packed pair row → 32 `i16` lanes in one zmm register, in linear
-    /// column-pair order.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F/BW + AVX2 and `ptr..ptr+32` in bounds.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn load_pair(ptr: *const i8) -> __m512i {
-        _mm512_cvtepi8_epi16(_mm256_loadu_si256(ptr as *const __m256i))
-    }
-
-    /// Adds a finalised `i32×16` accumulator onto the 16 columns of `row` and, when `obs`
-    /// is present, folds the stored values into the observed-checksum registers.
+    /// Adds a finalised `i32×16` row onto the 16 columns of `row` and, when `obs` is
+    /// present, folds the stored values into the observed-checksum registers.
     ///
     /// # Safety
     ///
@@ -1349,6 +1572,488 @@ mod packed_avx512 {
     }
 }
 
+/// The AMX tier of the packed kernels: the CPU's own systolic array. `tdpbssd` multiplies a
+/// 16 × 64 `i8` tile of activations against a 16 × 64 tile of weights — 16 depth quads of
+/// 16 columns, which is exactly 16 consecutive quad rows of a packed block, loaded in place
+/// at stride 64 — into a 16 × 16 `i32` tile. The activations of a band of at most 128 rows
+/// (`BAND_ROWS`) are laid out once per depth chunk in a 64 KiB stack panel, rows
+/// zero-padded to whole 64-depth steps and the band to whole 16-row tiles; the output is
+/// swept in groups of two row tiles × two column blocks (four C tiles, two A and two B
+/// tiles: the eight tile registers).
+///
+/// The fused checksums stay exact and in the pass. The band's column sums `eᵀ·X` lie in
+/// `128 · [−128, 127]`, so each splits exactly into two `i8` digits, `s = 128·hi + lo`;
+/// the two digit rows follow the band's activations in the panel, and
+/// `(eᵀ·X)·W = 128·(hi·W) + lo·W` falls out of the same `tdpbssd`s — free when the band's
+/// last row tile has two rows to spare (a band of up to 14 rows: every decode shape), one
+/// more row tile per band otherwise. `eᵀ·Y` is reduced from each stored C tile while it is in L1, and
+/// `eᵀ·W` is the band's column sums, added up.
+///
+/// Every call configures the tiles on entry (`ldtilecfg`) and releases them on exit
+/// (`tilerelease`), so no tile state crosses a call or a worker thread.
+#[cfg(target_arch = "x86_64")]
+mod amx {
+    use super::init_lanes;
+    use crate::packed::{PackedMatI8, PACK_BLOCK_COLS, PACK_QUAD_BYTES, PACK_QUAD_DEPTH};
+    use crate::MatI8;
+    use std::arch::asm;
+    use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+    use std::ops::Range;
+
+    /// Rows of every tile, and columns of a C tile.
+    const TILE_ROWS: usize = 16;
+    /// Bytes of one tile row: 64 activation depths of A, one quad row of B, 16 `i32` of C.
+    const TILE_ROW_BYTES: usize = 64;
+    /// Bytes of one tile.
+    const TILE_BYTES: usize = TILE_ROWS * TILE_ROW_BYTES;
+    /// Depth one `tdpbssd` reduces: an A row of 64 `i8` against 16 quad rows of B.
+    const STEP_DEPTH: usize = TILE_ROW_BYTES;
+    /// Activation rows of one checksum band: their column sums lie in `128 · [−128, 127]`,
+    /// the range of two base-128 `i8` digits.
+    const BAND_ROWS: usize = 128;
+    /// The digit rows (`hi`, then `lo`) that follow a band's activations.
+    const DIGIT_ROWS: usize = 2;
+    /// The `hi` digit row's weight, `128 = 2^DIGIT_SHIFT`.
+    const DIGIT_SHIFT: u32 = 7;
+    /// Bytes of the stack panel the activations are laid out in: a full band with its digit
+    /// rows (nine row tiles) at the serving model's widest depth, 448, in one chunk.
+    const PANEL_BYTES: usize = 1 << 16;
+    /// Depth of the deepest chunk (a panel of one row tile).
+    const MAX_CHUNK_DEPTH: usize = PANEL_BYTES / TILE_ROWS;
+
+    // A B tile is 16 quad rows of one packed block.
+    const _: () = assert!(TILE_ROW_BYTES == PACK_QUAD_BYTES && TILE_ROWS == PACK_BLOCK_COLS);
+    const _: () = assert!(STEP_DEPTH == TILE_ROWS * PACK_QUAD_DEPTH);
+
+    /// The `ldtilecfg` operand: palette 1, then per tile register its bytes per row and rows.
+    #[repr(C, align(64))]
+    struct TileConfig {
+        palette: u8,
+        start_row: u8,
+        reserved: [u8; 14],
+        colsb: [u16; 16],
+        rows: [u8; 16],
+    }
+
+    /// The activation panel, uninitialised: [`lay_out`] writes every byte a tile reads.
+    #[repr(C, align(64))]
+    struct PanelBytes([MaybeUninit<i8>; PANEL_BYTES]);
+
+    /// A C tile stored for retirement: 16 rows of 16 `i32`.
+    #[repr(C, align(64))]
+    struct CTile([[i32; TILE_ROWS]; TILE_ROWS]);
+
+    /// A B tile copied out of the packed buffer, zero-padded, where loading it in place
+    /// would read past the buffer's end. Uninitialised until [`b_tile`] fills it.
+    #[repr(C, align(64))]
+    struct BTile([MaybeUninit<i8>; TILE_BYTES]);
+
+    /// The stack scratch of one call besides the panel: the stored C tiles of a group
+    /// (`tmm` register `i` in slot `i`, written by `tilestored` before they are read) and
+    /// one B spill per block of a group.
+    struct Scratch {
+        c: [MaybeUninit<CTile>; 4],
+        spill: [BTile; 2],
+    }
+
+    /// A band laid out in the panel: `height` rows (whole row tiles) of `width` bytes
+    /// (whole 64-depth steps), the first `band_rows` of them activations.
+    struct Laid<'p> {
+        lanes: &'p [i8],
+        width: usize,
+        height: usize,
+        band_rows: usize,
+    }
+
+    /// `a[rows] × pb` onto `out_band` (band contract of `SimdKernel::run_rows`), every full
+    /// 16-column block; with the sinks, the rows' `eᵀ·W` onto `etw`, their `(eᵀ·W)·X` over
+    /// those blocks onto `expected` and their `eᵀ·Y` onto `observed`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the AMX tier was granted (AVX-512F/BW, AMX-TILE/INT8 and the
+    /// tile-data permission), `a.cols() == pb.rows()`, `rows` within `a`, `out_band` holding
+    /// `rows.len()` rows of `pb.cols()`, and the sinks `a.cols()`, `pb.cols()` and
+    /// `pb.cols()` long, `expected` present when `etw` is.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    pub(super) unsafe fn run(
+        a: &MatI8,
+        pb: &PackedMatI8,
+        out_band: &mut [i32],
+        rows: Range<usize>,
+        (mut etw, mut expected, mut observed): super::Sinks<'_>,
+    ) {
+        let (k, n) = (a.cols(), pb.cols());
+        let digits = if etw.is_some() { DIGIT_ROWS } else { 0 };
+        let tiles_used = n >= PACK_BLOCK_COLS && !rows.is_empty();
+        if tiles_used {
+            configure();
+        }
+        let mut panel = PanelBytes([const { MaybeUninit::uninit() }; PANEL_BYTES]);
+        let mut scratch = Scratch {
+            c: [const { MaybeUninit::uninit() }; 4],
+            spill: [const { BTile([MaybeUninit::uninit(); TILE_BYTES]) }; 2],
+        };
+        let mut sums = [const { MaybeUninit::uninit() }; MAX_CHUNK_DEPTH];
+        for start in rows.clone().step_by(BAND_ROWS) {
+            let band = start..(start + BAND_ROWS).min(rows.end);
+            let height = (band.len() + digits).next_multiple_of(TILE_ROWS);
+            let chunk = PANEL_BYTES / height / STEP_DEPTH * STEP_DEPTH;
+            for d0 in (0..k.max(1)).step_by(chunk) {
+                let depth = d0..(d0 + chunk).min(k);
+                let width = depth.len().next_multiple_of(STEP_DEPTH).max(STEP_DEPTH);
+                let etw = etw.as_deref_mut();
+                let laid = lay_out(
+                    a,
+                    &band,
+                    depth.clone(),
+                    (width, height),
+                    etw,
+                    &mut panel,
+                    &mut sums,
+                );
+                if tiles_used {
+                    let out =
+                        &mut out_band[(band.start - rows.start) * n..(band.end - rows.start) * n];
+                    let sinks = (
+                        observed.as_deref_mut().filter(|_| depth.end == k),
+                        expected.as_deref_mut().filter(|_| digits > 0),
+                    );
+                    multiply(&laid, pb, d0, out, sinks, &mut scratch);
+                }
+            }
+        }
+        if tiles_used {
+            release();
+        }
+    }
+
+    /// Lays out rows `band` of `a` over `depth` in `panel`: `height` rows of `width` bytes,
+    /// the activations zero-padded, then — with `etw` — the band's `hi` and `lo` digit rows,
+    /// then zero rows. The band's column sums are added onto `etw`.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    fn lay_out<'p>(
+        a: &MatI8,
+        band: &Range<usize>,
+        depth: Range<usize>,
+        (width, height): (usize, usize),
+        etw: Option<&mut [i64]>,
+        panel: &'p mut PanelBytes,
+        sums: &mut [MaybeUninit<i16>; MAX_CHUNK_DEPTH],
+    ) -> Laid<'p> {
+        let bytes = &mut panel.0[..height * width];
+        let mut rows = bytes.chunks_exact_mut(width);
+        let mut total = etw.is_some().then(|| init_lanes(&mut sums[..width], &[]));
+        // The band first: `zip` must not draw a row it will not use.
+        for (i, dst) in band.clone().zip(rows.by_ref()) {
+            let row = init_lanes(dst, &a.row(i)[depth.clone()]);
+            if let Some(total) = total.as_deref_mut() {
+                for (s, &v) in total.iter_mut().zip(row.iter()) {
+                    *s += i16::from(v);
+                }
+            }
+        }
+        if let (Some(etw), Some(total)) = (etw, total) {
+            // s = 128·hi + lo with hi = s >> 7 in [−128, 127] and lo = s & 127 in [0, 127].
+            let hi = init_lanes::<i8>(rows.next().expect("a band's tiles hold its digits"), &[]);
+            for (d, &s) in hi.iter_mut().zip(total.iter()) {
+                *d = (s >> DIGIT_SHIFT) as i8;
+            }
+            let lo = init_lanes::<i8>(rows.next().expect("a band's tiles hold its digits"), &[]);
+            for (d, &s) in lo.iter_mut().zip(total.iter()) {
+                *d = (s & 127) as i8;
+            }
+            for (e, &s) in etw[depth].iter_mut().zip(total.iter()) {
+                *e += i64::from(s);
+            }
+        }
+        for dst in rows {
+            init_lanes::<i8>(dst, &[]);
+        }
+        Laid {
+            // SAFETY: every byte of `bytes` was written above, and `MaybeUninit<i8>` has
+            // the layout of `i8`.
+            lanes: unsafe { &*(bytes as *const [MaybeUninit<i8>] as *const [i8]) },
+            width,
+            height,
+            band_rows: band.len(),
+        }
+    }
+
+    /// The panel's tiles against every full block of `pb` from depth `d0` on, added onto
+    /// `out` (the band's rows); the C tile rows past the band carry its digit rows into
+    /// `expected`, and `observed` (present on a band's last chunk) takes the final rows.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the tiles are configured, `lanes` is `height × width` with both
+    /// whole tiles, `out` holds `band_rows` rows of `pb.cols()`, and the sinks are
+    /// `pb.cols()` long.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    unsafe fn multiply(
+        &Laid {
+            lanes,
+            width,
+            height,
+            band_rows,
+        }: &Laid<'_>,
+        pb: &PackedMatI8,
+        d0: usize,
+        out: &mut [i32],
+        (mut observed, mut expected): (Option<&mut [i64]>, Option<&mut [i64]>),
+        Scratch { c, spill }: &mut Scratch,
+    ) {
+        let blocks = pb.cols() / PACK_BLOCK_COLS;
+        let row_tiles = height / TILE_ROWS;
+        let steps = width / STEP_DEPTH;
+        let a_tile =
+            |t: usize, step: usize| lanes[t * TILE_ROWS * width + step * STEP_DEPTH..].as_ptr();
+        for blk in (0..blocks).step_by(2) {
+            let cols = (blocks - blk).min(2);
+            for t in (0..row_tiles).step_by(2) {
+                let tiles = (row_tiles - t).min(2);
+                zero_c();
+                // A lone last block is multiplied into both columns of the group; the
+                // second copy is never retired.
+                for step in 0..steps {
+                    let depth = d0 + step * STEP_DEPTH;
+                    let [s0, s1] = spill;
+                    let b0 = b_tile(pb, blk, depth, s0);
+                    let b1 = b_tile(pb, blk + cols - 1, depth, s1);
+                    match tiles {
+                        2 => step_2x2(a_tile(t, step), a_tile(t + 1, step), width, b0, b1),
+                        _ => step_1x2(a_tile(t, step), width, b0, b1),
+                    }
+                }
+                store_c(c, tiles);
+                for (slot, tile) in c[..2 * tiles].iter().enumerate() {
+                    let (dt, dc) = (slot / 2, slot % 2);
+                    if dc < cols {
+                        // SAFETY: `store_c` just stored the group's slots.
+                        let tile = unsafe { tile.assume_init_ref() };
+                        let cols = (blk + dc) * PACK_BLOCK_COLS..pb.cols();
+                        let sinks = (observed.as_deref_mut(), expected.as_deref_mut());
+                        retire(tile, (t + dt) * TILE_ROWS, band_rows, cols, out, sinks);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds C tile rows `first..first + 16` of the panel onto the 16 columns from
+    /// `cols.start` of rows `cols.end` wide: band rows onto `out` (and, finalised, onto
+    /// `observed`), the digit rows onto `expected`.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    fn retire(
+        tile: &CTile,
+        first: usize,
+        band_rows: usize,
+        Range { start: jc, end: n }: Range<usize>,
+        out: &mut [i32],
+        (observed, expected): (Option<&mut [i64]>, Option<&mut [i64]>),
+    ) {
+        let live = band_rows.saturating_sub(first).min(TILE_ROWS);
+        let rows = out[first.min(band_rows) * n..].chunks_exact_mut(n);
+        let mut sums = [_mm512_setzero_si512(); 2];
+        for (lanes, row) in tile.0[..live].iter().zip(rows) {
+            let row = &mut row[jc..jc + PACK_BLOCK_COLS];
+            // SAFETY: `row` and `lanes` are 16 `i32` each.
+            let y = unsafe {
+                let y = _mm512_add_epi32(
+                    _mm512_loadu_epi32(row.as_ptr()),
+                    _mm512_loadu_epi32(lanes.as_ptr()),
+                );
+                _mm512_storeu_epi32(row.as_mut_ptr(), y);
+                y
+            };
+            let [lo, hi] = widen(y);
+            sums = [_mm512_add_epi64(sums[0], lo), _mm512_add_epi64(sums[1], hi)];
+        }
+        if let Some(observed) = observed {
+            add_i64x16(&mut observed[jc..jc + PACK_BLOCK_COLS], sums);
+        }
+        let Some(expected) = expected else { return };
+        let digits = (first + live).max(band_rows)..band_rows + DIGIT_ROWS;
+        for r in digits.start..digits.end.min(first + TILE_ROWS) {
+            // SAFETY: a C tile row is 16 `i32`.
+            let [lo, hi] = widen(unsafe { _mm512_loadu_epi32(tile.0[r - first].as_ptr()) });
+            let [lo, hi] = if r == band_rows {
+                [
+                    _mm512_slli_epi64::<DIGIT_SHIFT>(lo),
+                    _mm512_slli_epi64::<DIGIT_SHIFT>(hi),
+                ]
+            } else {
+                [lo, hi]
+            };
+            add_i64x16(&mut expected[jc..jc + PACK_BLOCK_COLS], [lo, hi]);
+        }
+    }
+
+    /// The 16 `i32` lanes of `v` sign-extended to two `i64×8` registers.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    fn widen(v: __m512i) -> [__m512i; 2] {
+        [
+            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(v)),
+            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(v)),
+        ]
+    }
+
+    /// Adds two `i64×8` registers onto the 16 entries of `sums`.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    fn add_i64x16(sums: &mut [i64], [lo, hi]: [__m512i; 2]) {
+        let sums = &mut sums[..PACK_BLOCK_COLS];
+        // SAFETY: `sums` is 16 `i64`, two registers' worth.
+        unsafe {
+            let at = sums.as_mut_ptr();
+            _mm512_storeu_epi64(at, _mm512_add_epi64(_mm512_loadu_epi64(at), lo));
+            _mm512_storeu_epi64(
+                at.add(8),
+                _mm512_add_epi64(_mm512_loadu_epi64(at.add(8)), hi),
+            );
+        }
+    }
+
+    /// The B tile of block `blk` at depth `depth`: 16 quad rows in place, or — where they
+    /// would run past the packed buffer — the rows that exist, copied into `spill` and
+    /// zero-padded. (Rows past a block's last quad belong to the next block; they meet the
+    /// panel's zero padding.)
+    fn b_tile(pb: &PackedMatI8, blk: usize, depth: usize, spill: &mut BTile) -> *const i8 {
+        let tiles = pb.tiles();
+        let at =
+            (blk * pb.block_stride() + depth / PACK_QUAD_DEPTH * PACK_QUAD_BYTES).min(tiles.len());
+        if tiles.len() - at >= TILE_BYTES {
+            return tiles[at..].as_ptr();
+        }
+        init_lanes(&mut spill.0, &tiles[at..]).as_ptr()
+    }
+
+    /// Loads the tile configuration: eight tiles of 16 rows × 64 bytes — the C tiles of a
+    /// group of row tiles × blocks in `tmm0..=3`, row-major over the group (a 2 × 2 group
+    /// is (0,0), (0,1), (1,0), (1,1)); A in `tmm4`/`tmm5`; B in `tmm6`/`tmm7`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the AMX tier was granted.
+    unsafe fn configure() {
+        let mut config = TileConfig {
+            palette: 1,
+            start_row: 0,
+            reserved: [0; 14],
+            colsb: [0; 16],
+            rows: [0; 16],
+        };
+        config.colsb[..8].fill(TILE_ROW_BYTES as u16);
+        config.rows[..8].fill(TILE_ROWS as u8);
+        // SAFETY: the caller guarantees AMX; `config` is a valid 64-byte palette-1
+        // configuration, read by the instruction and not kept.
+        unsafe { asm!("ldtilecfg [{}]", in(reg) &config, options(nostack, preserves_flags)) };
+    }
+
+    /// Returns the tile registers to their initial state.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the AMX tier was granted.
+    unsafe fn release() {
+        // SAFETY: the caller guarantees AMX; `tilerelease` touches no memory.
+        unsafe { asm!("tilerelease", options(nostack, preserves_flags)) };
+    }
+
+    /// Zeroes the four C tiles.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the tiles are configured.
+    unsafe fn zero_c() {
+        // SAFETY: the caller guarantees configured tiles; `tilezero` touches no memory.
+        unsafe {
+            asm!(
+                "tilezero tmm0",
+                "tilezero tmm1",
+                "tilezero tmm2",
+                "tilezero tmm3",
+                options(nostack, preserves_flags)
+            )
+        };
+    }
+
+    /// Stores the C tiles of a group of `tiles` row tiles, `tmm0..2·tiles`, into the slots
+    /// of `c` with the same index.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the tiles are configured.
+    unsafe fn store_c(c: &mut [MaybeUninit<CTile>; 4], tiles: usize) {
+        let s = TILE_ROW_BYTES;
+        let [c0, c1, c2, c3] = c.each_mut().map(|c| c.as_mut_ptr());
+        // SAFETY: the caller guarantees configured tiles; each store writes 16 rows of 64
+        // bytes at stride 64, exactly one `CTile`, borrowed mutably here.
+        unsafe {
+            asm!(
+                "tilestored [{c0} + {s}*1], tmm0",
+                "tilestored [{c1} + {s}*1], tmm1",
+                c0 = in(reg) c0, c1 = in(reg) c1, s = in(reg) s,
+                options(nostack, preserves_flags)
+            );
+            if tiles == 2 {
+                asm!(
+                    "tilestored [{c2} + {s}*1], tmm2",
+                    "tilestored [{c3} + {s}*1], tmm3",
+                    c2 = in(reg) c2, c3 = in(reg) c3, s = in(reg) s,
+                    options(nostack, preserves_flags)
+                );
+            }
+        }
+    }
+
+    /// One 64-depth step of a 2 × 2 group: `tmm0..=3 += [a0; a1] · [b0, b1]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the tiles are configured, 16 rows of 64 bytes readable at `a0`
+    /// and `a1` (stride `sa`) and at `b0` and `b1` (stride 64).
+    unsafe fn step_2x2(a0: *const i8, a1: *const i8, sa: usize, b0: *const i8, b1: *const i8) {
+        // SAFETY: as the caller guarantees; the loads read only the tiles described.
+        unsafe {
+            asm!(
+                "tileloadd tmm4, [{a0} + {sa}*1]",
+                "tileloadd tmm5, [{a1} + {sa}*1]",
+                "tileloadd tmm6, [{b0} + {sb}*1]",
+                "tileloadd tmm7, [{b1} + {sb}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                "tdpbssd tmm1, tmm4, tmm7",
+                "tdpbssd tmm2, tmm5, tmm6",
+                "tdpbssd tmm3, tmm5, tmm7",
+                a0 = in(reg) a0, a1 = in(reg) a1, b0 = in(reg) b0, b1 = in(reg) b1,
+                sa = in(reg) sa, sb = in(reg) PACK_QUAD_BYTES,
+                options(nostack, preserves_flags)
+            )
+        };
+    }
+
+    /// [`step_2x2`] for a group of one row tile and two blocks (`tmm0`, `tmm1`).
+    ///
+    /// # Safety
+    ///
+    /// As [`step_2x2`], without `a1`.
+    unsafe fn step_1x2(a0: *const i8, sa: usize, b0: *const i8, b1: *const i8) {
+        // SAFETY: as the caller guarantees; the loads read only the tiles described.
+        unsafe {
+            asm!(
+                "tileloadd tmm4, [{a0} + {sa}*1]",
+                "tileloadd tmm6, [{b0} + {sb}*1]",
+                "tileloadd tmm7, [{b1} + {sb}*1]",
+                "tdpbssd tmm0, tmm4, tmm6",
+                "tdpbssd tmm1, tmm4, tmm7",
+                a0 = in(reg) a0, b0 = in(reg) b0, b1 = in(reg) b1,
+                sa = in(reg) sa, sb = in(reg) PACK_QUAD_BYTES,
+                options(nostack, preserves_flags)
+            )
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1363,14 +2068,15 @@ mod tests {
         (a, b)
     }
 
+    /// Every tier, inline and pooled, and the detected tier over three workers.
     fn simd_engines() -> Vec<Box<dyn GemmEngine>> {
-        vec![
-            Box::new(KernelEngine::simd()),
-            Box::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
-            Box::new(KernelEngine::simd().pooled()),
-            Box::new(KernelEngine::simd_with_tier(SimdTier::Portable).pooled()),
-            Box::new(KernelEngine::simd().with_workers(3)),
-        ]
+        let mut engines: Vec<Box<dyn GemmEngine>> = Vec::new();
+        for tier in SimdTier::ALL {
+            engines.push(Box::new(KernelEngine::simd_with_tier(tier)));
+            engines.push(Box::new(KernelEngine::simd_with_tier(tier).pooled()));
+        }
+        engines.push(Box::new(KernelEngine::simd().with_workers(3)));
+        engines
     }
 
     #[test]
@@ -1509,21 +2215,18 @@ mod tests {
             SimdKernel::with_tier(SimdTier::Portable).tier,
             SimdTier::Portable
         );
-        assert_eq!(
-            SimdKernel::with_tier(SimdTier::Avx512).tier,
-            SimdTier::detect()
+        let best = SimdTier::ALL[SimdTier::ALL.len() - 1];
+        assert_eq!(SimdKernel::with_tier(best).tier, SimdTier::detect());
+        assert!(
+            SimdTier::ALL.windows(2).all(|w| w[0] < w[1]),
+            "ALL runs worst to best"
         );
-        assert!(SimdTier::Portable < SimdTier::Avx2 && SimdTier::Avx2 < SimdTier::Avx512);
     }
 
     /// Every tier the host grants, by name; unsupported tiers are skipped (the engine
     /// clamps them down to an already-listed tier).
     fn tiered_engines() -> Vec<(String, Box<dyn GemmEngine>)> {
         let mut engines: Vec<(String, Box<dyn GemmEngine>)> = vec![
-            (
-                "simd-portable".into(),
-                Box::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
-            ),
             (
                 "parallel-portable".into(),
                 Box::new(KernelEngine::simd_with_tier(SimdTier::Portable).pooled()),
@@ -1533,7 +2236,7 @@ mod tests {
                 Box::new(KernelEngine::simd().with_workers(3)),
             ),
         ];
-        for tier in [SimdTier::Avx2, SimdTier::Avx512] {
+        for tier in SimdTier::ALL {
             if SimdKernel::with_tier(tier).tier == tier {
                 let engine = KernelEngine::simd_with_tier(tier);
                 engines.push((format!("simd-{}", tier.label()), Box::new(engine)));

@@ -31,8 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.engine = engine;
     let model = Model::new(&config, 2025)?;
     println!(
-        "model: {} ({} layers, hidden {}, vocab {})  gemm backend: {engine}",
-        config.name, config.num_layers, config.hidden_size, config.vocab_size
+        "model: {} ({} layers, hidden {}, vocab {})  gemm backend: {engine} (simd dispatch: {})",
+        config.name,
+        config.num_layers,
+        config.hidden_size,
+        config.vocab_size,
+        realm::tensor::simd::simd_dispatch_label()
     );
 
     // A synthetic WikiText-style perplexity task over the model's own language.

@@ -19,13 +19,14 @@ use realm::tensor::engine::{
 use realm::tensor::{rng, MatI32, MatI8, PackedMatI8, SimdTier};
 use std::sync::Arc;
 
-/// Every backend registered in [`EngineKind::ALL`] plus explicitly-pinned SIMD tiers, so a
-/// host with AVX-512 also differentially tests its clamped AVX2 and portable kernels (and a
-/// host without simply re-tests the granted tier — `simd_with_tier` clamps, never lies).
+/// Every backend registered in [`EngineKind::ALL`] plus every SIMD tier pinned explicitly,
+/// so a host with AMX also differentially tests its clamped AVX-512, AVX2 and portable
+/// kernels (and a host without simply re-tests the granted tier — `simd_with_tier` clamps,
+/// never lies).
 fn all_engines() -> Vec<Arc<dyn GemmEngine>> {
     let mut engines: Vec<Arc<dyn GemmEngine>> =
         EngineKind::ALL.iter().map(|kind| kind.build()).collect();
-    for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+    for tier in SimdTier::ALL {
         engines.push(Arc::new(KernelEngine::simd_with_tier(tier)));
     }
     engines.push(Arc::new(KernelEngine::simd().with_workers(5)));
@@ -40,11 +41,24 @@ fn random_operands(seed: u64, m: usize, k: usize, n: usize) -> (MatI8, PackedMat
 }
 
 /// Shapes chosen to land on every packed-kernel edge: each skinny row count (M = 1..=4),
-/// the first non-skinny count (5) and larger M, depths that are odd (the zero-padded last
-/// pair), column counts off the 16-wide tile (partial final block via the portable
+/// the first non-skinny count (5) and larger M, depths off a whole quad (the zero-padded
+/// last quad), column counts off the 16-wide tile (partial final block via the portable
 /// delegate), 1×N / N×1 degenerates, and one shape past the parallel-dispatch threshold.
-const SHAPES: [(usize, usize, usize); 16] = [
+/// The AMX tier's edges: depths around its 64-deep step (3, 4, 63, 64, 65, and the
+/// serving model's 160 and 448), widths around one and two blocks (15–17, 31, 33), and
+/// row counts around a row tile (14 rows and the two digit rows fill one, 15–17 spill into
+/// a second) and a 128-row checksum band (128, 129, 300).
+const SHAPES: [(usize, usize, usize); 25] = [
     (1, 1, 1),
+    (1, 3, 15),
+    (4, 4, 16),
+    (14, 63, 17),
+    (15, 64, 31),
+    (16, 65, 33),
+    (17, 160, 16),
+    (128, 448, 33),
+    (129, 160, 17),
+    (300, 65, 16),
     (1, 64, 48),
     (1, 37, 1),
     (1, 200, 300),
@@ -222,8 +236,14 @@ fn packed_checksum_row_bit_exact_across_bands_and_depth_chunks() {
 #[test]
 fn packed_checksum_row_is_exact_on_an_i8_min_band() {
     // 256 rows of i8::MIN put every lane of the band's checksum row at exactly i16::MIN,
-    // shallow (one panel rides it) and deep (drains and depth chunks).
-    for &(m, k, n) in &[(256, 62, 48), (256, 601, 32), (256, 4001, 16)] {
+    // shallow (one panel rides it) and deep (drains and depth chunks). On the AMX tier each
+    // 128-row band's column sums sit at −16384, the lowest its two digits split.
+    for &(m, k, n) in &[
+        (256, 62, 48),
+        (256, 601, 32),
+        (256, 4001, 16),
+        (128, 448, 33),
+    ] {
         for fill in [i8::MIN, i8::MAX] {
             let a = MatI8::filled(m, k, i8::MIN);
             let pb = PackedMatI8::from_mat(MatI8::filled(k, n, fill));

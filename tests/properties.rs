@@ -174,7 +174,7 @@ fn simd_backend_handles_degenerate_vector_shapes() {
 #[test]
 fn checksum_row_matches_reference_on_every_tier_packed_and_row_major() {
     let mut engines: Vec<Box<dyn GemmEngine>> = Vec::new();
-    for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+    for tier in SimdTier::ALL {
         engines.push(Box::new(KernelEngine::simd_with_tier(tier)));
         engines.push(Box::new(KernelEngine::simd_with_tier(tier).with_workers(3)));
     }

@@ -160,8 +160,8 @@ fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
     // destination/scratch buffers have been sized by a first call, repeated checksummed
     // packed GEMMs (the per-layer decode workload, and a 12-row short prefill chunk) and
     // row-major ones (attention, recovery) perform zero heap allocations. The vector
-    // kernels widen each row panel into a stack buffer — no heap, no thread-local — on the
-    // AVX2 tier as on the best one.
+    // kernels widen each row panel into a stack buffer, and the AMX kernel lays its
+    // activations out in one — no heap, no thread-local — on every tier.
     use realm::tensor::engine::{ChecksummedGemm, GemmEngine, KernelEngine, ReferenceEngine};
     use realm::tensor::{rng, MatI32, MatI8, PackedMatI8, SimdTier};
     use std::sync::Arc;
@@ -173,20 +173,16 @@ fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
     let w = MatI8::from_fn(96, 83, |_, _| r.gen_range(-128i16..=127) as i8);
     let pb = PackedMatI8::from_mat(w);
     // `SimdParallel` is the default engine: GEMMs this small are below its sharding
-    // threshold, so they must run inline and spawn (hence allocate) nothing. The AVX2 and
-    // portable tiers are pinned explicitly so they are covered on hosts with a better one.
-    let engines: [(&str, Arc<dyn GemmEngine>); 4] = [
-        ("simd", EngineKind::Simd.build()),
-        ("simd_parallel", EngineKind::SimdParallel.build()),
-        (
-            "simd, avx2 tier",
-            Arc::new(KernelEngine::simd_with_tier(SimdTier::Avx2)),
-        ),
-        (
-            "simd, portable tier",
-            Arc::new(KernelEngine::simd_with_tier(SimdTier::Portable)),
-        ),
+    // threshold, so they must run inline and spawn (hence allocate) nothing. Every tier is
+    // pinned explicitly so each is covered on hosts with a better one.
+    let mut engines: Vec<(String, Arc<dyn GemmEngine>)> = vec![
+        ("simd".into(), EngineKind::Simd.build()),
+        ("simd_parallel".into(), EngineKind::SimdParallel.build()),
     ];
+    for tier in SimdTier::ALL {
+        let engine = Arc::new(KernelEngine::simd_with_tier(tier));
+        engines.push((format!("simd, {} tier", tier.label()), engine));
+    }
     for rows in [1, 12] {
         let a = MatI8::from_fn(rows, 96, |_, _| r.gen_range(-128i16..=127) as i8);
         for (kind, engine) in &engines {
