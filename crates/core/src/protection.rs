@@ -302,8 +302,8 @@ impl SchemeProtector {
     /// Installs per-batch-sequence protection schemes (one entry per batch slot).
     ///
     /// Once set, the list defines the whole batch's protection: a GEMM tagged
-    /// [`GemmOrigin::Sequence`]`(i)` — the per-sequence attention GEMMs of a batched
-    /// forward, or any solo forward — is inspected under `schemes[i]`, while batch-stacked
+    /// [`GemmOrigin::Sequence`]`(i)` — the per-sequence attention GEMMs of any forward,
+    /// solo or batched — is inspected under `schemes[i]`, while batch-stacked
     /// GEMMs ([`GemmOrigin::BatchedRows`]) are inspected under the **strictest** scheme in
     /// the list, because their rows mix every active sequence and a recovery rewrites the
     /// whole accumulator. Install one entry per batch sequence; a sequence beyond the list

@@ -2,9 +2,9 @@
 
 use crate::error_model::ErrorModel;
 use crate::targeting::Target;
-use realm_llm::{Component, GemmContext, GemmHook, GemmOrigin, Stage};
+use realm_llm::{Component, GemmContext, GemmHook, Stage};
 use realm_tensor::rng::{self, SeededRng};
-use realm_tensor::{ChecksummedGemm, MatI32, MatI8, RowPartition};
+use realm_tensor::{ChecksummedGemm, MatI32, MatI8};
 use std::collections::BTreeMap;
 
 /// Statistics accumulated by an [`ErrorInjector`] over a run.
@@ -22,12 +22,6 @@ pub struct InjectionStats {
     pub per_component: BTreeMap<Component, u64>,
     /// Injected-error count per inference stage.
     pub per_stage: BTreeMap<Stage, u64>,
-    /// Injected-error count per batch sequence, where attribution is possible: GEMMs that
-    /// belong wholly to one sequence, and batch-stacked GEMMs injected under a
-    /// sequence-filtered target (the injector then corrupts only that sequence's rows).
-    /// Unrestricted injection into a batch-stacked GEMM is not attributable a priori and is
-    /// left to the protector's checksum-based attribution.
-    pub per_sequence: BTreeMap<usize, u64>,
     /// Number of whole-shard fault scenarios armed ([`ErrorInjector::arm_shard_faults`]).
     pub shard_faults_armed: u64,
     /// Armed whole-shard fault count per tensor-parallel shard index.
@@ -71,7 +65,6 @@ pub struct ErrorInjector<M> {
     rng: SeededRng,
     stats: InjectionStats,
     enabled: bool,
-    partition: Option<RowPartition>,
     burst: Option<BurstSchedule>,
     /// Whether the current engine step falls inside a burst window. `true` when no burst
     /// schedule is armed (steady injection) and re-evaluated on every `on_step_begin`.
@@ -87,7 +80,6 @@ impl<M: ErrorModel> ErrorInjector<M> {
             rng: rng::seeded(rng::derive_seed(seed, 0x1_11EC7)),
             stats: InjectionStats::default(),
             enabled: true,
-            partition: None,
             burst: None,
             in_burst: true,
         }
@@ -177,83 +169,18 @@ impl<M: ErrorModel> ErrorInjector<M> {
 }
 
 impl<M: ErrorModel> ErrorInjector<M> {
-    /// Books the statistics for `injected` errors from one targeted GEMM, attributing them
-    /// to `sequence` when the originating sequence is known.
-    fn book(&mut self, ctx: &GemmContext, injected: usize, sequence: Option<usize>) {
-        if injected == 0 {
-            return;
-        }
-        self.stats.errors_injected += injected as u64;
-        *self.stats.per_component.entry(ctx.component).or_insert(0) += injected as u64;
-        *self.stats.per_stage.entry(ctx.stage).or_insert(0) += injected as u64;
-        if let Some(seq) = sequence {
-            *self.stats.per_sequence.entry(seq).or_insert(0) += injected as u64;
-        }
-    }
-
     /// Applies the fault model to a targeted accumulator and books the statistics.
     /// Returns the number of injected errors.
     fn corrupt_targeted(&mut self, ctx: &GemmContext, acc: &mut MatI32) -> usize {
         self.stats.gemms_targeted += 1;
-        let injected = self.corrupt_rows(ctx, acc);
+        let injected = self.model.corrupt(&mut self.rng, acc);
         if injected > 0 {
             self.stats.gemms_corrupted += 1;
+            self.stats.errors_injected += injected as u64;
+            *self.stats.per_component.entry(ctx.component).or_insert(0) += injected as u64;
+            *self.stats.per_stage.entry(ctx.stage).or_insert(0) += injected as u64;
         }
         injected
-    }
-
-    /// Applies the fault model to the (possibly sequence-restricted) rows of a targeted
-    /// accumulator. Returns the number of injected errors.
-    fn corrupt_rows(&mut self, ctx: &GemmContext, acc: &mut MatI32) -> usize {
-        match (ctx.origin, self.target.sequence_filter()) {
-            // A batch-stacked GEMM under a sequence-filtered target: corrupt only the rows
-            // of the targeted sequences (known from the announced row partition), so a
-            // batched campaign injects into exactly the sequences a per-sequence campaign
-            // would have.
-            (GemmOrigin::BatchedRows, Some(filter)) => {
-                let filter: Vec<usize> = filter.iter().copied().collect();
-                let Some(parts) = self.partition.clone() else {
-                    return 0; // No partition announced: nothing safely attributable.
-                };
-                // A stale partition (e.g. a hand-driven batched GEMM after a differently
-                // shaped batch) would map rows to the wrong sequences; refuse rather than
-                // misattribute.
-                if parts.total_rows() != acc.rows() {
-                    return 0;
-                }
-                let mut total = 0usize;
-                for seq in filter {
-                    if seq >= parts.num_groups() {
-                        continue;
-                    }
-                    let range = parts.range(seq);
-                    if range.is_empty() {
-                        continue;
-                    }
-                    let mut sub = acc
-                        .rows_slice(range.start, range.len())
-                        .expect("partition rows verified against the accumulator");
-                    let injected = self.model.corrupt(&mut self.rng, &mut sub);
-                    if injected > 0 {
-                        for (i, r) in range.enumerate() {
-                            acc.row_mut(r).copy_from_slice(sub.row(i));
-                        }
-                        self.book(ctx, injected, Some(seq));
-                        total += injected;
-                    }
-                }
-                total
-            }
-            _ => {
-                let injected = self.model.corrupt(&mut self.rng, acc);
-                let sequence = match ctx.origin {
-                    GemmOrigin::Sequence(seq) => Some(seq),
-                    GemmOrigin::BatchedRows => None,
-                };
-                self.book(ctx, injected, sequence);
-                injected
-            }
-        }
     }
 }
 
@@ -290,14 +217,6 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
         // The injector only mutates the accumulator; it never reads the checksums. A
         // downstream protector in the same chain is what opts the chain in.
         false
-    }
-
-    fn on_batch_begin(&mut self, partition: &RowPartition) {
-        // Announced before every batched forward: refill the kept offsets, don't reallocate.
-        match &mut self.partition {
-            Some(kept) => kept.clone_from(partition),
-            None => self.partition = Some(partition.clone()),
-        }
     }
 
     fn on_step_begin(&mut self, step: u64) {

@@ -4,18 +4,13 @@
 //! Q2.2), individual layers (Q1.1) and individual inference stages (Q2.1). A [`Target`]
 //! expresses any combination of those filters; an empty filter means "no restriction".
 
-use realm_llm::{Component, GemmContext, GemmOrigin, Stage};
+use realm_llm::{Component, GemmContext, Stage};
 use std::collections::BTreeSet;
 
 /// A filter over [`GemmContext`]s selecting the GEMMs to corrupt.
 ///
 /// All configured dimensions must match for a GEMM to be targeted; unset dimensions match
 /// everything. The default target matches every GEMM in the model.
-///
-/// The sequence filter selects batch sequence indices in batched trials. A batch-stacked
-/// GEMM ([`GemmOrigin::BatchedRows`]) carries rows of *every* sequence, so it still matches
-/// a sequence-filtered target; the injector is responsible for restricting corruption to the
-/// targeted sequences' rows (see `ErrorInjector`).
 ///
 /// # Example
 ///
@@ -34,7 +29,6 @@ pub struct Target {
     components: Option<BTreeSet<Component>>,
     layers: Option<BTreeSet<usize>>,
     stages: Option<BTreeSet<Stage>>,
-    sequences: Option<BTreeSet<usize>>,
     shards: Option<BTreeSet<usize>>,
 }
 
@@ -82,17 +76,6 @@ impl Target {
         self.stages([stage])
     }
 
-    /// Restricts the target to the given batch sequence indices.
-    pub fn sequences(mut self, sequences: impl IntoIterator<Item = usize>) -> Self {
-        self.sequences = Some(sequences.into_iter().collect());
-        self
-    }
-
-    /// Restricts the target to a single batch sequence (convenience wrapper).
-    pub fn sequence(self, sequence: usize) -> Self {
-        self.sequences([sequence])
-    }
-
     /// Restricts the target to the given tensor-parallel shard indices.
     ///
     /// The shard axis selects whole fault domains for the whole-shard scenarios
@@ -116,17 +99,6 @@ impl Target {
             .is_none_or(|s| s.contains(&ctx.component))
             && self.layers.as_ref().is_none_or(|s| s.contains(&ctx.layer))
             && self.stages.as_ref().is_none_or(|s| s.contains(&ctx.stage))
-            && self.sequences.as_ref().is_none_or(|s| match ctx.origin {
-                GemmOrigin::Sequence(seq) => s.contains(&seq),
-                // Batch-stacked GEMMs carry every sequence's rows; the injector narrows
-                // corruption to the targeted rows.
-                GemmOrigin::BatchedRows => true,
-            })
-    }
-
-    /// Returns the configured batch-sequence filter, if any.
-    pub fn sequence_filter(&self) -> Option<&BTreeSet<usize>> {
-        self.sequences.as_ref()
     }
 
     /// Returns the configured tensor-parallel shard filter, if any.
@@ -178,22 +150,6 @@ mod tests {
             Target::new().stage(Stage::Prefill),
             Target::new().stages([Stage::Prefill])
         );
-    }
-
-    #[test]
-    fn sequence_filter_selects_batch_sequences() {
-        let t = Target::new().sequence(2);
-        let per_seq = |seq| ctx(Component::Q, 0, Stage::Prefill).for_sequence(seq);
-        assert!(t.matches(&per_seq(2)));
-        assert!(!t.matches(&per_seq(0)));
-        // Single-sequence runs report Sequence(0); a sequence-0 filter matches them.
-        assert!(Target::new()
-            .sequence(0)
-            .matches(&ctx(Component::Q, 0, Stage::Prefill)));
-        // Batch-stacked GEMMs carry every sequence's rows, so they stay targeted; the
-        // injector narrows corruption to the filtered rows.
-        assert!(t.matches(&ctx(Component::Q, 0, Stage::Prefill).batched()));
-        assert_eq!(t.sequence_filter().unwrap().len(), 1);
     }
 
     #[test]

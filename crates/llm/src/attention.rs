@@ -9,9 +9,10 @@
 //!
 //! # One core, whole-tile GEMMs
 //!
-//! There is one forward: the [`KvTarget`] says whether the rows belong to one sequence or
-//! to the slots of a batch, and every sequence with rows runs the same per-sequence core
-//! (`MultiHeadAttention::attend`). For a sequence whose cache holds `T` rows after appending this chunk's `n` new ones, each
+//! There is one forward: a [`RowPartition`] groups the rows of the pass by the slots of a
+//! [`BatchedKvCache`] (a solo sequence is the one group of a one-slot cache), and every
+//! sequence with rows runs the same per-sequence core (`MultiHeadAttention::attend`). For a
+//! sequence whose cache holds `T` rows after appending this chunk's `n` new ones, each
 //! head runs exactly **one** score GEMM `Qc (n × d) · Kcᵀ (d × T)` and **one** context GEMM
 //! `P'c (n × T) · Vc (T × d)` — the whole tiles the paper's systolic array executes (Fig. 4)
 //! — directly on the INT8 codes the `Q`/`K`/`V` requantizers produced:
@@ -32,9 +33,9 @@
 //! in a masked cell is detected by the checksum but cannot reach the output.
 
 use crate::activation::softmax_in_place;
+use crate::batch::{BatchedKvCache, BatchedLayerCache};
 use crate::component::Component;
 use crate::config::ModelConfig;
-use crate::kv_cache::KvTarget;
 use crate::quantized::{
     quantize_symmetric_rows_into, run_hooked_gemm_into, ForwardPass, HookedGemmScratch, OutputMode,
     QuantLinear, QuantizedInput, Rhs,
@@ -42,7 +43,7 @@ use crate::quantized::{
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{MatF32, QuantParams, RowKernels};
+use realm_tensor::{MatF32, QuantParams, RowKernels, RowPartition};
 
 /// Multi-head self-attention for a single Transformer layer.
 #[derive(Debug, Clone)]
@@ -83,15 +84,15 @@ impl MultiHeadAttention {
     }
 
     /// Runs attention over `x` (shape `(new_tokens, hidden)`) as layer `layer` of `pass`:
-    /// project, append the new K/V rows to `kv`, attend per sequence, project out. The
-    /// returned matrix is workspace-pooled.
+    /// project, append each group of `parts` to its slot of `cache`, attend per sequence,
+    /// project out. The returned matrix is workspace-pooled.
     ///
     /// During prefill `x` holds a prompt (or one chunk of it) and the cache the chunks
-    /// before it; during decode `x` holds one new token per sequence. With a
-    /// [`KvTarget::Batch`], `x` stacks every slot's rows in partition order: the
-    /// `Q`/`K`/`V`/`O` projections each run as **one** batch-wide GEMM, the score and
-    /// context GEMMs per sequence and head over that sequence's own slot (each has its own
-    /// resident length), and empty groups are skipped.
+    /// before it; during decode `x` holds one new token per sequence. `x` stacks every
+    /// slot's rows in partition order: the `Q`/`K`/`V`/`O` projections each run as **one**
+    /// GEMM over all of them, the score and context GEMMs per sequence and head over that
+    /// sequence's own slot (each has its own resident length), and empty groups are
+    /// skipped.
     ///
     /// Processing a prompt in chunks of any size is bit-identical to processing it
     /// monolithically (see the [module documentation](self)): prefilling `n` tokens is the
@@ -105,7 +106,8 @@ impl MultiHeadAttention {
         &self,
         x: &MatF32,
         layer: usize,
-        kv: &mut KvTarget<'_>,
+        cache: &mut BatchedKvCache,
+        parts: &RowPartition,
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
         // `Q`, `K` and `V` read the same rows: quantize them once, for all three.
@@ -116,7 +118,7 @@ impl MultiHeadAttention {
             let appended = k.and_then(|k| {
                 let v = self.wv.forward_quantized(&input, Component::V, layer, pass);
                 let appended = v.and_then(|v| {
-                    let appended = kv.append(layer, &k, &v);
+                    let appended = cache.layer_mut(layer).append_batch(&k, &v, parts);
                     pass.ws.recycle_mat_f32(v);
                     appended
                 });
@@ -127,7 +129,8 @@ impl MultiHeadAttention {
         });
         input.recycle(pass.ws);
         let (q, appended) = projected?;
-        let attended = appended.and_then(|()| self.attend(&q, layer, kv, pass));
+        let slots = cache.layer(layer);
+        let attended = appended.and_then(|()| self.attend(&q, layer, slots, parts, pass));
         pass.ws.recycle_mat_f32(q);
         let context = attended?;
         let out = self.wo.forward(&context, Component::O, layer, pass);
@@ -135,20 +138,21 @@ impl MultiHeadAttention {
         out
     }
 
-    /// The attention core: for every sequence of `kv` with query rows in `q` (the `Q`
-    /// projection output, whose K/V rows are already appended) and every head, one
-    /// rectangular score GEMM and one context GEMM over the sequence's resident codes —
-    /// see the [module documentation](self). Returns the workspace-pooled context matrix.
+    /// The attention core: for every group `g` of `parts` with query rows in `q` (the `Q`
+    /// projection output, whose K/V rows are already appended to `slots`) and every head,
+    /// one rectangular score GEMM and one context GEMM over slot `g`'s resident codes — see
+    /// the [module documentation](self). Returns the workspace-pooled context matrix.
     fn attend(
         &self,
         q: &MatF32,
         layer: usize,
-        kv: &KvTarget<'_>,
+        slots: &BatchedLayerCache,
+        parts: &RowPartition,
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
         let d = self.head_dim;
         let kernels = RowKernels::granted();
-        let groups = || (0..kv.num_groups()).map(|g| kv.group(layer, g, q.rows()));
+        let groups = || (0..parts.num_groups()).map(|g| (parts.range(g), slots.slot(g)));
         // Scratch sized once by the groups that have rows in this pass — a slot that sits it
         // out (mid-prefill during a decode pass, or the reverse) sizes nothing — and reused
         // across heads and sequences.
@@ -286,13 +290,11 @@ fn probability_codes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchedKvCache;
     use crate::component::Stage;
     use crate::hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook, RecordingHook};
-    use crate::kv_cache::KvCache;
     use realm_tensor::{
         rng, ChecksummedGemm, EngineKind, GemmEngine, MatI32, MatI8, PackedMatI8, ReferenceEngine,
-        Result as TensorResult, RowPartition, TpGroup, Workspace,
+        Result as TensorResult, TpGroup, Workspace,
     };
     use std::ops::Range;
     use std::sync::Arc;
@@ -305,43 +307,52 @@ mod tests {
         (attn, x, config)
     }
 
-    /// An empty one-layer solo cache: the attention under test is layer 0 of it.
-    fn empty_cache(attn: &MultiHeadAttention) -> KvCache {
-        KvCache::new(1, attn.num_heads(), attn.head_dim(), 0)
+    /// An empty one-layer cache of `slots` slots: the attention under test is layer 0 of it.
+    fn empty_cache(attn: &MultiHeadAttention, slots: usize) -> BatchedKvCache {
+        BatchedKvCache::new(1, slots, attn.num_heads(), attn.head_dim())
     }
 
-    /// One forward of `x` as layer 0 of a fresh pass over `kv`.
+    /// One forward of `x` as layer 0 of a fresh pass, slot `g` of `cache` taking the next
+    /// `lens[g]` rows.
     fn forward_on(
         attn: &MultiHeadAttention,
         x: &MatF32,
         stage: Stage,
-        mut kv: KvTarget<'_>,
+        cache: &mut BatchedKvCache,
+        lens: &[usize],
         engine: &dyn GemmEngine,
         hook: &mut dyn GemmHook,
     ) -> MatF32 {
-        let mut ws = Workspace::new();
-        let mut pass = ForwardPass::new(stage, kv.shared_origin(), engine, hook, &mut ws);
-        attn.forward(x, 0, &mut kv, &mut pass).unwrap()
+        let (parts, mut ws) = (RowPartition::from_lens(lens), Workspace::new());
+        let mut pass = ForwardPass::new(stage, engine, hook, &mut ws);
+        attn.forward(x, 0, cache, &parts, &mut pass).unwrap()
     }
 
-    /// Solo prefill forward of `x` on the oracle backend.
+    /// Solo prefill forward of `x` into slot 0 of the one-slot `cache` on the oracle backend.
     fn forward(
         attn: &MultiHeadAttention,
         x: &MatF32,
-        cache: &mut KvCache,
+        cache: &mut BatchedKvCache,
         hook: &mut dyn GemmHook,
     ) -> MatF32 {
-        let kv = KvTarget::Solo(cache);
-        forward_on(attn, x, Stage::Prefill, kv, &ReferenceEngine, hook)
+        forward_on(
+            attn,
+            x,
+            Stage::Prefill,
+            cache,
+            &[x.rows()],
+            &ReferenceEngine,
+            hook,
+        )
     }
 
     #[test]
     fn forward_produces_hidden_sized_output() {
         let (attn, x, config) = attention_and_input();
-        let mut cache = empty_cache(&attn);
+        let mut cache = empty_cache(&attn, 1);
         let y = forward(&attn, &x, &mut cache, &mut NoopHook);
         assert_eq!(y.shape(), (5, config.hidden_size));
-        assert_eq!(cache.seq_len(), 5);
+        assert_eq!(cache.seq_len(0), 5);
         assert!(y.iter().all(|v| v.is_finite()));
     }
 
@@ -349,7 +360,7 @@ mod tests {
     fn one_score_and_one_context_gemm_per_head_per_sequence_per_chunk() {
         let (attn, x, config) = attention_and_input();
         let (heads, hidden) = (attn.num_heads(), config.hidden_size as u64);
-        let mut cache = empty_cache(&attn);
+        let mut cache = empty_cache(&attn, 1);
         let mut rec = RecordingHook::new();
         forward(&attn, &x, &mut cache, &mut rec);
         // Q, K, V once each; QK^T and SV once per head — whatever the chunk's row count;
@@ -364,11 +375,16 @@ mod tests {
             rec.total_macs,
             4 * rows * hidden * hidden + 2 * rows * rows * hidden
         );
-        // A solo pass tags everything Sequence(0) and numbers the GEMMs in order.
-        assert!(rec
-            .calls
-            .iter()
-            .all(|c| c.origin == GemmOrigin::Sequence(0)));
+        // One rule for every pass, solo included: the shared GEMMs are tagged
+        // `BatchedRows`, each sequence's score and context GEMMs `Sequence(slot)`, and the
+        // GEMMs are numbered in order.
+        for c in &rec.calls {
+            let expected = match c.component {
+                Component::QkT | Component::Sv => GemmOrigin::Sequence(0),
+                _ => GemmOrigin::BatchedRows,
+            };
+            assert_eq!(c.origin, expected, "{:?}", c.component);
+        }
         assert!(rec.calls.iter().map(|c| c.sequence).eq(0..4 + 2 * heads));
 
         // A second chunk and a batch: still `heads` pairs per sequence with rows, each
@@ -382,11 +398,17 @@ mod tests {
             4 * hidden * hidden + 2 * (rows + 1) * hidden
         );
 
-        let mut batch = BatchedKvCache::new(1, 3, heads, attn.head_dim());
-        let parts = RowPartition::from_lens(&[3, 0, 2]);
+        let mut batch = empty_cache(&attn, 3);
         let mut rec = RecordingHook::new();
-        let kv = KvTarget::Batch(&mut batch, &parts);
-        forward_on(&attn, &x, Stage::Prefill, kv, &ReferenceEngine, &mut rec);
+        forward_on(
+            &attn,
+            &x,
+            Stage::Prefill,
+            &mut batch,
+            &[3, 0, 2],
+            &ReferenceEngine,
+            &mut rec,
+        );
         for component in [Component::QkT, Component::Sv] {
             for (g, expected) in [(0, heads), (1, 0), (2, heads)] {
                 let seen = rec
@@ -414,14 +436,15 @@ mod tests {
         // A mis-shaped input fails the first projection; a cache of the wrong geometry
         // fails the append, after all three ran.
         let narrow = MatF32::zeros(2, config.hidden_size - 1);
-        let mut wrong_heads = KvCache::new(1, attn.num_heads() + 1, attn.head_dim(), 0);
-        for (x, cache) in [(&narrow, &mut empty_cache(&attn)), (&x, &mut wrong_heads)] {
+        let mut wrong_heads = BatchedKvCache::new(1, 1, attn.num_heads() + 1, attn.head_dim());
+        for (x, cache) in [
+            (&narrow, &mut empty_cache(&attn, 1)),
+            (&x, &mut wrong_heads),
+        ] {
             let (mut hook, mut ws) = (NoopHook, Workspace::new());
-            let mut kv = KvTarget::Solo(cache);
-            let origin = kv.shared_origin();
-            let mut pass =
-                ForwardPass::new(Stage::Prefill, origin, &ReferenceEngine, &mut hook, &mut ws);
-            assert!(attn.forward(x, 0, &mut kv, &mut pass).is_err());
+            let parts = RowPartition::from_lens(&[x.rows()]);
+            let mut pass = ForwardPass::new(Stage::Prefill, &ReferenceEngine, &mut hook, &mut ws);
+            assert!(attn.forward(x, 0, cache, &parts, &mut pass).is_err());
             assert_eq!(ws.outstanding_buffers(), 0);
         }
 
@@ -475,14 +498,12 @@ mod tests {
         assert!(ChecksumConsumer.wants_checksums() && !NoopHook.wants_checksums());
         let hooks: [&mut dyn GemmHook; 2] = [&mut NoopHook, &mut ChecksumConsumer];
         for hook in hooks {
-            let (mut cache, mut ws) = (empty_cache(&attn), Workspace::new());
-            let mut kv = KvTarget::Solo(&mut cache);
-            let origin = kv.shared_origin();
-            let mut pass =
-                ForwardPass::new(Stage::Prefill, origin, &NoActivationGemms, hook, &mut ws);
-            assert!(attn.forward(&x, 0, &mut kv, &mut pass).is_err());
+            let (mut cache, mut ws) = (empty_cache(&attn, 1), Workspace::new());
+            let parts = RowPartition::from_lens(&[x.rows()]);
+            let mut pass = ForwardPass::new(Stage::Prefill, &NoActivationGemms, hook, &mut ws);
+            assert!(attn.forward(&x, 0, &mut cache, &parts, &mut pass).is_err());
             assert_eq!(ws.outstanding_buffers(), 0);
-            assert_eq!(cache.seq_len(), x.rows(), "it failed after the append");
+            assert_eq!(cache.seq_len(0), x.rows(), "it failed after the append");
         }
     }
 
@@ -495,27 +516,24 @@ mod tests {
         let mut r = rng::seeded(8);
         let long = rng::gaussian_matrix(&mut r, 200, config.hidden_size, 0.0, 1.0);
         let high_water_with = |neighbour: &MatF32| {
-            let mut batch = BatchedKvCache::new(1, 2, attn.num_heads(), attn.head_dim());
+            let mut batch = empty_cache(&attn, 2);
             let lead = neighbour.rows();
             let stacked = neighbour.vstack(&x.rows_slice(0, 3).unwrap()).unwrap();
-            let parts = RowPartition::from_lens(&[lead, 3]);
-            let kv = KvTarget::Batch(&mut batch, &parts);
             forward_on(
                 &attn,
                 &stacked,
                 Stage::Prefill,
-                kv,
+                &mut batch,
+                &[lead, 3],
                 &ReferenceEngine,
                 &mut NoopHook,
             );
             let parts = RowPartition::from_lens(&[0, 1]);
-            let mut kv = KvTarget::Batch(&mut batch, &parts);
             let (mut hook, mut ws) = (NoopHook, Workspace::new());
-            let origin = kv.shared_origin();
-            let mut pass =
-                ForwardPass::new(Stage::Decode, origin, &ReferenceEngine, &mut hook, &mut ws);
+            let mut pass = ForwardPass::new(Stage::Decode, &ReferenceEngine, &mut hook, &mut ws);
             let token = x.rows_slice(3, 1).unwrap();
-            attn.forward(&token, 0, &mut kv, &mut pass).unwrap();
+            attn.forward(&token, 0, &mut batch, &parts, &mut pass)
+                .unwrap();
             ws.high_water_mark_bytes()
         };
         let alone = high_water_with(&MatF32::zeros(0, config.hidden_size));
@@ -525,22 +543,22 @@ mod tests {
     #[test]
     fn decode_step_attends_to_cached_prefix() {
         let (attn, x, config) = attention_and_input();
-        let mut cache = empty_cache(&attn);
+        let mut cache = empty_cache(&attn, 1);
         forward(&attn, &x, &mut cache, &mut NoopHook);
-        assert_eq!(cache.seq_len(), 5);
+        assert_eq!(cache.seq_len(0), 5);
         let mut r = rng::seeded(99);
         let new = rng::gaussian_matrix(&mut r, 1, config.hidden_size, 0.0, 1.0);
-        let kv = KvTarget::Solo(&mut cache);
         let y = forward_on(
             &attn,
             &new,
             Stage::Decode,
-            kv,
+            &mut cache,
+            &[1],
             &ReferenceEngine,
             &mut NoopHook,
         );
         assert_eq!(y.shape(), (1, config.hidden_size));
-        assert_eq!(cache.seq_len(), 6);
+        assert_eq!(cache.seq_len(0), 6);
     }
 
     /// Every way to cut `n` rows into 1..=3 consecutive non-empty chunks.
@@ -566,7 +584,7 @@ mod tests {
         let base = MultiHeadAttention::new(&config, &mut r);
         let full = rng::gaussian_matrix(&mut r, 6, config.hidden_size, 0.0, 1.0);
         let neighbour = rng::gaussian_matrix(&mut r, 4, config.hidden_size, 0.0, 3.0);
-        let mut cache_full = empty_cache(&base);
+        let mut cache_full = empty_cache(&base, 1);
         let y_full = forward(&base, &full, &mut cache_full, &mut NoopHook);
 
         for kind in [
@@ -581,8 +599,8 @@ mod tests {
                 };
                 for split in splits(full.rows()) {
                     let label = format!("{kind}/tp{tp}/{split:?}");
-                    let mut solo = empty_cache(&base);
-                    let mut batch = BatchedKvCache::new(1, 2, base.num_heads(), base.head_dim());
+                    let mut solo = empty_cache(&base, 1);
+                    let mut batch = empty_cache(&base, 2);
                     for (step, rows) in split.iter().enumerate() {
                         let chunk = full.rows_slice(rows.start, rows.len()).unwrap();
                         let stage = if chunk.rows() == 1 && step > 0 {
@@ -590,20 +608,25 @@ mod tests {
                         } else {
                             Stage::Prefill
                         };
-                        let kv = KvTarget::Solo(&mut solo);
-                        let y =
-                            forward_on(&base, &chunk, stage, kv, engine.as_ref(), &mut NoopHook);
+                        let y = forward_on(
+                            &base,
+                            &chunk,
+                            stage,
+                            &mut solo,
+                            &[chunk.rows()],
+                            engine.as_ref(),
+                            &mut NoopHook,
+                        );
                         // The same chunk in slot 1 of a batch whose slot 0 prefills a
                         // louder neighbour in the first step and idles afterwards.
                         let lead = if step == 0 { neighbour.rows() } else { 0 };
                         let stacked = neighbour.rows_slice(0, lead).unwrap().vstack(&chunk);
-                        let parts = RowPartition::from_lens(&[lead, chunk.rows()]);
-                        let kv = KvTarget::Batch(&mut batch, &parts);
                         let y_batch = forward_on(
                             &base,
                             &stacked.unwrap(),
                             stage,
-                            kv,
+                            &mut batch,
+                            &[lead, chunk.rows()],
                             engine.as_ref(),
                             &mut NoopHook,
                         );
@@ -619,7 +642,7 @@ mod tests {
                     assert_eq!(solo, cache_full, "{label} solo cache");
                     assert_eq!(
                         batch.layer(0).slot(1),
-                        cache_full.layer(0),
+                        cache_full.layer(0).slot(0),
                         "{label} batched cache"
                     );
                 }
@@ -639,16 +662,16 @@ mod tests {
         let mut r = rng::seeded(2025);
         let attn = MultiHeadAttention::new(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 48, config.hidden_size, 0.0, 1.0);
-        let mut cache = empty_cache(&attn);
+        let (mut cache, parts) = (empty_cache(&attn, 1), RowPartition::from_lens(&[x.rows()]));
         let (mut hook, mut ws) = (NoopHook, Workspace::new());
-        let (engine, origin) = (&ReferenceEngine, GemmOrigin::default());
-        let mut pass = ForwardPass::new(Stage::Prefill, origin, engine, &mut hook, &mut ws);
+        let mut pass = ForwardPass::new(Stage::Prefill, &ReferenceEngine, &mut hook, &mut ws);
         let mut project = |w: &QuantLinear| w.forward(&x, Component::Q, 0, &mut pass).unwrap();
         let (q, k, v) = (project(&attn.wq), project(&attn.wk), project(&attn.wv));
 
-        let mut kv = KvTarget::Solo(&mut cache);
-        kv.append(0, &k, &v).unwrap();
-        let context = attn.attend(&q, 0, &kv, &mut pass).unwrap();
+        cache.layer_mut(0).append_batch(&k, &v, &parts).unwrap();
+        let context = attn
+            .attend(&q, 0, cache.layer(0), &parts, &mut pass)
+            .unwrap();
 
         let d = attn.head_dim();
         let (mut err, mut norm) = (0.0f64, 0.0f64);
@@ -701,7 +724,7 @@ mod tests {
             }
         }
         let (attn, x, _) = attention_and_input();
-        let run = |hook: &mut dyn GemmHook| forward(&attn, &x, &mut empty_cache(&attn), hook);
+        let run = |hook: &mut dyn GemmHook| forward(&attn, &x, &mut empty_cache(&attn, 1), hook);
         let clean = run(&mut NoopHook);
         // Row 1 sees positions 0..=1: cell (1, 4) is masked, cell (1, 0) is not.
         assert_eq!(run(&mut FlipScore(1, 4)), clean);

@@ -1,18 +1,18 @@
 //! Batched inference: ragged batches, per-slot KV storage, and the lockstep request type.
 //!
-//! A solo forward ([`KvTarget::Solo`](crate::KvTarget)) runs every prefill/decode GEMM once
-//! *per sequence*, so ABFT checksum and detection cost scales with the number of sequences.
-//! The same forward over a [`KvTarget::Batch`](crate::KvTarget) of this module's
-//! [`BatchedKvCache`] takes all sequences' activations stacked into one `(sum_tokens,
-//! hidden)` matrix and runs **one** fused-checksum GEMM per shared component per layer
-//! (`Q`/`K`/`V`/`O` and the MLP), so detection cost amortises across the batch — the regime
-//! the paper's energy-accuracy tradeoff assumes. Only the attention-internal GEMMs (`QKᵀ`,
-//! `SV`) stay per-sequence — one rectangular score GEMM and one context GEMM per (sequence,
-//! head) over that sequence's own slot of the cache, because each sequence has its own
-//! resident length and causal mask.
+//! [`BatchedKvCache`] is the model's one KV store. A solo sequence is slot 0 of a one-slot
+//! cache, and run that way, one sequence at a time, every prefill/decode GEMM runs once *per
+//! sequence*, so ABFT checksum and detection cost scales with the number of sequences. The
+//! same forward over several slots takes all sequences' activations stacked into one
+//! `(sum_tokens, hidden)` matrix and runs **one** fused-checksum GEMM per shared component
+//! per layer (`Q`/`K`/`V`/`O` and the MLP), so detection cost amortises across the batch —
+//! the regime the paper's energy-accuracy tradeoff assumes. Only the attention-internal GEMMs
+//! (`QKᵀ`, `SV`) stay per-sequence — one rectangular score GEMM and one context GEMM per
+//! (sequence, head) over that sequence's own slot of the cache, because each sequence has
+//! its own resident length and causal mask.
 //!
-//! Everything is bit-exact with the solo forward: activations are quantized with one
-//! symmetric scale per row (see
+//! Everything is bit-exact with running each sequence alone: activations are quantized with
+//! one symmetric scale per row (see
 //! [`quantize_symmetric_rows_into`](crate::quantized::quantize_symmetric_rows_into)) and
 //! cached keys/values keep one scale per token row, so a
 //! batched [`crate::Model::generate_batch`] produces token-identical output to running
@@ -44,7 +44,7 @@ impl BatchedLayerCache {
         Self {
             layer,
             slots: (0..batch_size)
-                .map(|_| LayerCache::new(layer, num_heads, head_dim, 0))
+                .map(|_| LayerCache::new(layer, num_heads, head_dim))
                 .collect(),
         }
     }
@@ -148,9 +148,11 @@ impl BatchedLayerCache {
     }
 }
 
-/// Batched KV cache covering every layer of the model.
+/// The model's KV cache, covering every layer: one slot per sequence.
 ///
-/// Each of the `batch_size` *slots* holds one sequence's keys/values across all layers.
+/// Each of the `batch_size` *slots* holds one sequence's keys/values across all layers; a
+/// solo sequence ([`crate::Model::prefill`], [`crate::Model::decode_step_ws`]) is slot 0 of
+/// a one-slot cache.
 /// Slots are reusable: [`BatchedKvCache::release_slot`] frees a completed sequence's rows
 /// and the next occupant prefills straight into the vacancy
 /// ([`crate::Model::prefill_chunks_batch_ws`]) — the mechanism the continuous-batching serving
@@ -177,10 +179,19 @@ impl BatchedLayerCache {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BatchedKvCache {
     layers: Vec<BatchedLayerCache>,
     batch_size: usize,
+    /// The row partition of the latest decode step, which the next step refills in place
+    /// so a warmed decode step allocates none. Scratch, not contents: equality ignores it.
+    pub(crate) step: Option<RowPartition>,
+}
+
+impl PartialEq for BatchedKvCache {
+    fn eq(&self, other: &Self) -> bool {
+        (self.batch_size, &self.layers) == (other.batch_size, &other.layers)
+    }
 }
 
 impl BatchedKvCache {
@@ -192,6 +203,7 @@ impl BatchedKvCache {
                 .map(|layer| BatchedLayerCache::new(layer, batch_size, num_heads, head_dim))
                 .collect(),
             batch_size,
+            step: None,
         }
     }
 
@@ -274,7 +286,7 @@ mod tests {
     /// A solo store holding rows `rows` of `keys`/`values` — what a batch slot fed the same
     /// rows must equal.
     fn solo_rows(layer: usize, keys: &MatF32, values: &MatF32, rows: &[usize]) -> LayerCache {
-        let mut solo = LayerCache::new(layer, 2, 2, 0);
+        let mut solo = LayerCache::new(layer, 2, 2);
         for &r in rows {
             solo.append_rows(keys, values, r..r + 1).unwrap();
         }
@@ -394,7 +406,7 @@ mod tests {
             .unwrap();
         for layer in 0..batched.num_layers() {
             let admitted = batched.layer(layer).slot(0);
-            assert_eq!(admitted, solo.layer(layer), "layer {layer}");
+            assert_eq!(admitted, solo.layer(layer).slot(0), "layer {layer}");
             assert_eq!(
                 batched.layer(layer).slot(1),
                 neighbour.layer(layer).slot(1),

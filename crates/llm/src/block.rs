@@ -14,15 +14,15 @@
 //! channel downstream.
 
 use crate::attention::MultiHeadAttention;
+use crate::batch::BatchedKvCache;
 use crate::config::{Architecture, ModelConfig};
-use crate::kv_cache::KvTarget;
 use crate::mlp::Mlp;
 use crate::norm::{LayerNorm, RmsNorm};
 use crate::quantized::ForwardPass;
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::MatF32;
+use realm_tensor::{MatF32, RowPartition};
 
 /// Normalization layer variant used by a block.
 #[derive(Debug, Clone)]
@@ -100,9 +100,10 @@ impl TransformerBlock {
     /// are added onto `x` in place, every intermediate comes from the pass's workspace, and
     /// `x` is returned as the block output.
     ///
-    /// `kv` decides solo or batched (see [`KvTarget`]). Normalization and the residual
-    /// additions are row-wise, so with a batch target — `x` stacking every slot's rows in
-    /// partition order — the result is bit-exact with running the block once per sequence.
+    /// `x` stacks the rows of every slot of `cache` in `parts` order (group `g` is slot
+    /// `g`'s rows; a solo sequence is the one group of a one-slot cache). Normalization and
+    /// the residual additions are row-wise, so the result is bit-exact with running the
+    /// block once per sequence.
     ///
     /// # Errors
     ///
@@ -111,13 +112,14 @@ impl TransformerBlock {
         &self,
         mut x: MatF32,
         layer: usize,
-        kv: &mut KvTarget<'_>,
+        cache: &mut BatchedKvCache,
+        parts: &RowPartition,
         pass: &mut ForwardPass<'_>,
     ) -> Result<MatF32> {
         let ran = (|| -> Result<()> {
             let mut normed = pass.ws.take_mat_f32(x.rows(), x.cols());
             self.norm1.forward_into(&x, &mut normed);
-            let attn_out = self.attention.forward(&normed, layer, kv, pass);
+            let attn_out = self.attention.forward(&normed, layer, cache, parts, pass);
             pass.ws.recycle_mat_f32(normed);
             let attn_out = attn_out?;
             let added = x.add_assign(&attn_out);
@@ -147,18 +149,19 @@ impl TransformerBlock {
 mod tests {
     use super::*;
     use crate::hooks::{GemmHook, NoopHook, RecordingHook};
-    use crate::kv_cache::KvCache;
     use crate::{Component, Stage};
     use realm_tensor::{rng, ReferenceEngine, Workspace};
 
     /// `block(x)` as layer 0 of a fresh solo prefill pass on the oracle backend.
     fn forward(block: &TransformerBlock, x: &MatF32, hook: &mut dyn GemmHook) -> MatF32 {
         let attn = block.attention();
-        let mut cache = KvCache::new(1, attn.num_heads(), attn.head_dim(), 0);
-        let mut kv = KvTarget::Solo(&mut cache);
-        let (stage, origin, mut ws) = (Stage::Prefill, kv.shared_origin(), Workspace::new());
-        let mut pass = ForwardPass::new(stage, origin, &ReferenceEngine, hook, &mut ws);
-        block.forward(x.clone(), 0, &mut kv, &mut pass).unwrap()
+        let mut cache = BatchedKvCache::new(1, 1, attn.num_heads(), attn.head_dim());
+        let parts = RowPartition::from_lens(&[x.rows()]);
+        let mut ws = Workspace::new();
+        let mut pass = ForwardPass::new(Stage::Prefill, &ReferenceEngine, hook, &mut ws);
+        block
+            .forward(x.clone(), 0, &mut cache, &parts, &mut pass)
+            .unwrap()
     }
 
     #[test]

@@ -19,18 +19,21 @@ use realm_tensor::{ChecksummedGemm, MatI32, MatI8, RowPartition};
 
 /// Which sequence(s) of a batch the accumulator rows of a GEMM belong to.
 ///
-/// The batched forward path stacks every sequence's activations into one matrix for the
-/// shared projections (`Q`/`K`/`V`/`O` and the MLP components) while the attention-internal
-/// GEMMs (`QKᵀ`, `SV`) stay per-sequence (each sequence has its own cache length and causal
-/// mask). Hooks that attribute work to sequences — injection campaigns, ABFT protectors —
-/// read this tag to know which case they are looking at.
+/// Every forward pass stacks the activations of each of its sequences into one matrix for
+/// the shared projections (`Q`/`K`/`V`/`O` and the MLP components) while the
+/// attention-internal GEMMs (`QKᵀ`, `SV`) stay per-sequence (each sequence has its own
+/// cache length and causal mask). A solo sequence is slot 0 of a one-slot batch, so the
+/// rule is the same for every pass: shared GEMMs are [`GemmOrigin::BatchedRows`], attention
+/// GEMMs `Sequence(slot)`. Hooks that attribute work to sequences — injection campaigns,
+/// ABFT protectors — read this tag to know which case they are looking at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GemmOrigin {
-    /// Every accumulator row belongs to the batch sequence with this index. The
-    /// single-sequence forward path always reports `Sequence(0)`.
+    /// Every accumulator row belongs to the batch sequence (cache slot) with this index:
+    /// the `QKᵀ`/`SV` GEMMs of that sequence.
     Sequence(usize),
-    /// Accumulator rows are stacked across the whole batch; the row → sequence map is the
-    /// [`RowPartition`] most recently announced through [`GemmHook::on_batch_begin`].
+    /// Accumulator rows are stacked across every sequence of the pass; the row → sequence
+    /// map is the [`RowPartition`] most recently announced through
+    /// [`GemmHook::on_batch_begin`].
     BatchedRows,
 }
 
@@ -67,14 +70,15 @@ impl GemmContext {
         }
     }
 
-    /// Tags the context as belonging entirely to batch sequence `seq` (per-sequence
-    /// attention GEMMs inside a batched forward).
+    /// Tags the context as belonging entirely to batch sequence `seq` (the per-sequence
+    /// attention GEMMs of a forward).
     pub fn for_sequence(mut self, seq: usize) -> Self {
         self.origin = GemmOrigin::Sequence(seq);
         self
     }
 
-    /// Tags the context as a batch-stacked GEMM whose rows span every sequence.
+    /// Tags the context as a batch-stacked GEMM whose rows span every sequence of the pass
+    /// (the shared GEMMs of a forward).
     pub fn batched(mut self) -> Self {
         self.origin = GemmOrigin::BatchedRows;
         self
@@ -121,12 +125,13 @@ pub trait GemmHook {
         true
     }
 
-    /// Announces the row partition of an upcoming batched forward pass.
+    /// Announces the row partition of an upcoming forward pass.
     ///
-    /// The model calls this once before each batched prefill and before every lockstep
-    /// decode step, handing hooks the map from stacked accumulator rows to batch sequence
-    /// indices. GEMMs tagged [`GemmOrigin::BatchedRows`] until the next announcement use
-    /// this partition. Hooks that do not care (the default) ignore it.
+    /// The model calls this once before every forward pass — every prefill (chunk) and every
+    /// decode step, solo ones included, whose partition has one group — handing hooks the
+    /// map from stacked accumulator rows to batch sequence indices. GEMMs tagged
+    /// [`GemmOrigin::BatchedRows`] until the next announcement use this partition. Hooks
+    /// that do not care (the default) ignore it.
     fn on_batch_begin(&mut self, partition: &RowPartition) {
         let _ = partition;
     }
@@ -134,8 +139,8 @@ pub trait GemmHook {
     /// Announces the start of engine step `step` (a serving engine's monotone step
     /// counter).
     ///
-    /// Unlike [`GemmHook::on_batch_begin`] — which fires before *every* batched forward
-    /// pass, up to twice per step (prefill pass, then decode pass) — this is a true step
+    /// Unlike [`GemmHook::on_batch_begin`] — which fires before *every* forward pass, up
+    /// to twice per step (prefill pass, then decode pass) — this is a true step
     /// clock: the serving layer calls it exactly once per scheduler step, before any
     /// forward of that step runs. Time-correlated hooks (e.g. a burst-mode error
     /// injector) key their schedules off it. Hooks that do not care (the default) ignore

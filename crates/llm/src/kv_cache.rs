@@ -24,16 +24,16 @@
 //! exactly: nothing is quantized twice. Rows are appended in place and never rewritten,
 //! widened or moved afterwards.
 //!
-//! # Solo or batched: the [`KvTarget`]
+//! # Solo or batched: one store
 //!
-//! A forward pass is told where its new K/V rows go — one sequence's [`KvCache`], or the
-//! slots of a [`BatchedKvCache`] under a [`RowPartition`] — and that one argument is the
-//! whole difference between a solo and a batched forward (see [`KvTarget`]).
+//! Every KV row of the model lives in a [`LayerCache`]: the stores are the slots of a
+//! [`BatchedKvCache`](crate::BatchedKvCache), and a solo sequence is slot 0 of a one-slot
+//! cache. A forward pass appends each row group of its
+//! [`RowPartition`](realm_tensor::RowPartition) to that group's slot, so a solo and a
+//! batched forward differ in nothing but the partition.
 
-use crate::batch::BatchedKvCache;
-use crate::hooks::GemmOrigin;
 use crate::{LlmError, Result};
-use realm_tensor::{MatF32, MatI8, QuantParams, RowKernels, RowPartition};
+use realm_tensor::{MatF32, MatI8, QuantParams, RowKernels};
 use std::ops::Range;
 
 /// One sequence's cached keys and values at one Transformer layer: per-head INT8 codes
@@ -54,26 +54,16 @@ pub struct LayerCache {
 
 impl LayerCache {
     /// Creates an empty cache for `num_heads` heads of `head_dim` channels that reports
-    /// `layer` in its error messages and reserves (without touching) storage for
-    /// `capacity_rows` token positions — the allocation-free decode loop's way of keeping
-    /// per-token cache growth off the allocator. A capacity of 0 reserves nothing.
-    pub fn new(layer: usize, num_heads: usize, head_dim: usize, capacity_rows: usize) -> Self {
-        let codes = || {
-            (0..num_heads)
-                .map(|_| {
-                    let mut m = MatI8::zeros(0, head_dim);
-                    m.reserve_rows(capacity_rows);
-                    m
-                })
-                .collect()
-        };
+    /// `layer` in its error messages. Nothing is reserved: the cache grows with its rows.
+    pub fn new(layer: usize, num_heads: usize, head_dim: usize) -> Self {
+        let codes = || vec![MatI8::zeros(0, head_dim); num_heads];
         Self {
             layer,
             head_dim,
             keys: codes(),
             values: codes(),
-            key_scales: Vec::with_capacity(capacity_rows),
-            value_scales: Vec::with_capacity(capacity_rows),
+            key_scales: Vec::new(),
+            value_scales: Vec::new(),
         }
     }
 
@@ -196,137 +186,24 @@ fn append_quantized(heads: &mut [MatI8], scales: &mut Vec<f32>, x: &MatF32, rows
     }
 }
 
-/// KV cache covering every layer of the model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KvCache {
-    layers: Vec<LayerCache>,
-}
-
-impl KvCache {
-    /// Creates an empty cache for a model with `num_layers` layers of `num_heads` heads of
-    /// `head_dim` channels, each layer reserving storage for `capacity_rows` token
-    /// positions (see [`LayerCache::new`]). The model passes its context window here so
-    /// steady-state decode never re-allocates the cache.
-    pub fn new(num_layers: usize, num_heads: usize, head_dim: usize, capacity_rows: usize) -> Self {
-        Self {
-            layers: (0..num_layers)
-                .map(|layer| LayerCache::new(layer, num_heads, head_dim, capacity_rows))
-                .collect(),
-        }
-    }
-
-    /// Number of layers the cache covers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Number of cached token positions (identical across layers once populated).
-    pub fn seq_len(&self) -> usize {
-        self.layers.first().map_or(0, LayerCache::len)
-    }
-
-    /// Accesses the cache of one layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer(&self, layer: usize) -> &LayerCache {
-        &self.layers[layer]
-    }
-
-    /// Mutably accesses the cache of one layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer_mut(&mut self, layer: usize) -> &mut LayerCache {
-        &mut self.layers[layer]
-    }
-}
-
-/// Where a forward pass appends its new K/V rows and which store each query row group
-/// attends over — and thereby whether the pass is a solo or a batched one. This is the only
-/// thing the two differ in:
-///
-/// | target | shared GEMMs (`Q`/`K`/`V`/`O`, MLP) | `QKᵀ` / `SV` | partition |
-/// |---|---|---|---|
-/// | `Solo` | [`GemmOrigin::Sequence`]`(0)` | `Sequence(0)` | none announced |
-/// | `Batch` | [`GemmOrigin::BatchedRows`] | `Sequence(slot)` per non-empty group | one `on_batch_begin` per forward |
-///
-/// Every number is the same either way (per-row quantization, per-token-row KV scales), so
-/// a batch of one is the solo path with a different attribution tag.
-#[derive(Debug)]
-pub enum KvTarget<'a> {
-    /// One sequence's cache: every row of the pass belongs to it.
-    Solo(&'a mut KvCache),
-    /// The slots of a batched cache: group `g` of the partition holds slot `g`'s rows
-    /// (empty groups — idle or completed slots — are untouched).
-    Batch(&'a mut BatchedKvCache, &'a RowPartition),
-}
-
-impl KvTarget<'_> {
-    /// Number of layers the target's cache covers.
-    pub(crate) fn num_layers(&self) -> usize {
-        match self {
-            KvTarget::Solo(cache) => cache.num_layers(),
-            KvTarget::Batch(cache, _) => cache.num_layers(),
-        }
-    }
-
-    /// The origin tag of the pass's shared GEMMs — what [`ForwardPass::new`] is given.
-    ///
-    /// [`ForwardPass::new`]: crate::quantized::ForwardPass::new
-    pub fn shared_origin(&self) -> GemmOrigin {
-        match self {
-            KvTarget::Solo(_) => GemmOrigin::Sequence(0),
-            KvTarget::Batch(..) => GemmOrigin::BatchedRows,
-        }
-    }
-
-    /// Appends the pass's new `keys`/`values` rows at `layer`.
-    pub(crate) fn append(&mut self, layer: usize, keys: &MatF32, values: &MatF32) -> Result<()> {
-        match self {
-            KvTarget::Solo(cache) => cache.layer_mut(layer).append(keys, values),
-            KvTarget::Batch(cache, parts) => {
-                cache.layer_mut(layer).append_batch(keys, values, parts)
-            }
-        }
-    }
-
-    /// Number of query row groups (sequences) of the pass.
-    pub(crate) fn num_groups(&self) -> usize {
-        match self {
-            KvTarget::Solo(_) => 1,
-            KvTarget::Batch(cache, _) => cache.batch_size(),
-        }
-    }
-
-    /// Group `g`'s query rows (of `rows` stacked rows) and the store they attend over at
-    /// `layer`.
-    pub(crate) fn group(&self, layer: usize, g: usize, rows: usize) -> (Range<usize>, &LayerCache) {
-        match self {
-            KvTarget::Solo(cache) => (0..rows, cache.layer(layer)),
-            KvTarget::Batch(cache, parts) => (parts.range(g), cache.layer(layer).slot(g)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_cache_reports_zero_length() {
-        let cache = KvCache::new(3, 2, 4, 0);
-        assert_eq!(cache.num_layers(), 3);
-        assert_eq!(cache.seq_len(), 0);
-        assert!(cache.layer(0).is_empty());
-        assert_eq!(cache.layer(0).key_codes(1).shape(), (0, 4));
+        let cache = LayerCache::new(2, 2, 4);
+        assert_eq!(
+            (cache.layer(), cache.num_heads(), cache.head_dim()),
+            (2, 2, 4)
+        );
+        assert!(cache.is_empty());
+        assert_eq!(cache.key_codes(1).shape(), (0, 4));
     }
 
     #[test]
     fn append_quantizes_each_token_row_head_major() {
-        let mut cache = LayerCache::new(0, 2, 4, 0);
+        let mut cache = LayerCache::new(0, 2, 4);
         // Row r is (r+1)·CHANNELS: abs-max 9·(r+1) in the last channel, so the scales differ
         // per row while the codes (127·k/9, never a rounding tie) repeat.
         const CHANNELS: [f32; 8] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0];
@@ -366,7 +243,7 @@ mod tests {
         });
         let scales = [0.013_7f32, 2.5, 1e-4];
         let rows = MatF32::from_fn(3, 8, |r, c| codes[(r, c)] as f32 * scales[r]);
-        let mut cache = LayerCache::new(0, 2, 4, 8);
+        let mut cache = LayerCache::new(0, 2, 4);
         cache.append(&rows, &rows).unwrap();
         for (r, scale) in scales.iter().enumerate() {
             for h in 0..2 {
@@ -379,9 +256,9 @@ mod tests {
     #[test]
     fn a_cleared_cache_refills_to_exactly_its_new_rows() {
         let k = MatF32::from_fn(3, 8, |r, c| (r as f32 - 1.0) * 0.3 + c as f32);
-        let mut fresh = LayerCache::new(1, 2, 4, 16);
+        let mut fresh = LayerCache::new(1, 2, 4);
         fresh.append(&k, &k.scale(2.0)).unwrap();
-        let mut reused = LayerCache::new(1, 2, 4, 0);
+        let mut reused = LayerCache::new(1, 2, 4);
         reused
             .append(&MatF32::filled(5, 8, 9.0), &MatF32::filled(5, 8, 9.0))
             .unwrap();
@@ -393,48 +270,19 @@ mod tests {
     }
 
     #[test]
-    fn target_routes_rows_to_the_solo_cache_or_the_partitioned_slots() {
-        let rows = MatF32::from_fn(3, 8, |r, c| (r * 8 + c) as f32 - 11.5);
-        let mut solo = KvCache::new(2, 2, 4, 0);
-        let mut target = KvTarget::Solo(&mut solo);
-        assert_eq!((target.num_layers(), target.num_groups()), (2, 1));
-        assert_eq!(target.shared_origin(), GemmOrigin::Sequence(0));
-        target.append(1, &rows, &rows).unwrap();
-        let (range, store) = target.group(1, 0, 3);
-        assert_eq!((range, store.len()), (0..3, 3));
-        assert_eq!(solo.layer(0).len(), 0, "only the addressed layer grows");
-
-        let mut batch = BatchedKvCache::new(2, 3, 2, 4);
-        let parts = RowPartition::from_lens(&[2, 0, 1]);
-        let mut target = KvTarget::Batch(&mut batch, &parts);
-        assert_eq!((target.num_layers(), target.num_groups()), (2, 3));
-        assert_eq!(target.shared_origin(), GemmOrigin::BatchedRows);
-        target.append(1, &rows, &rows).unwrap();
-        for (g, rows_of_g) in [(0, 0..2), (1, 2..2), (2, 2..3)] {
-            let (range, store) = target.group(1, g, 3);
-            assert_eq!((range.clone(), store.len()), (rows_of_g, range.len()));
-        }
-        assert_eq!(
-            batch.layer(1).slot(2).key_codes(0).row(0),
-            solo.layer(1).key_codes(0).row(2)
-        );
-    }
-
-    #[test]
     fn append_rejects_mismatched_shapes_and_names_the_layer() {
-        let mut cache = KvCache::new(4, 2, 4, 0);
+        let mut cache = LayerCache::new(3, 2, 4);
         for (k, v) in [
             (MatF32::zeros(2, 8), MatF32::zeros(3, 8)),
             (MatF32::zeros(1, 16), MatF32::zeros(1, 16)),
         ] {
-            let err = cache.layer_mut(3).append(&k, &v).unwrap_err();
+            let err = cache.append(&k, &v).unwrap_err();
             assert!(err.to_string().contains("layer 3"), "{err}");
         }
         let rows = MatF32::zeros(2, 8);
-        assert!(cache.layer_mut(3).append_rows(&rows, &rows, 1..3).is_err());
-        cache.layer_mut(3).append(&rows, &rows).unwrap();
-        assert_eq!(cache.layer(3).layer(), 3);
-        assert_eq!(cache.layer(3).len(), 2);
-        assert_eq!(cache.layer(1).len(), 0, "per-layer caches are independent");
+        assert!(cache.append_rows(&rows, &rows, 1..3).is_err());
+        assert!(cache.is_empty(), "a rejected append grows nothing");
+        cache.append(&rows, &rows).unwrap();
+        assert_eq!(cache.len(), 2);
     }
 }

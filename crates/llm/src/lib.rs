@@ -21,12 +21,12 @@
 //! [`attention::MultiHeadAttention`], [`block::TransformerBlock`] — has a single
 //! workspace-drawing `forward` taking the per-pass [`quantized::ForwardPass`] (stage, engine,
 //! hook, workspace, GEMM counter); [`Model`]'s public `prefill*`/`decode_step*` entry points
-//! each validate their window and call one private routine. Solo versus batched is not a
-//! second copy of anything: it is the [`KvTarget`] handed to that routine — one sequence's
-//! [`kv_cache::KvCache`], or the slots of a [`BatchedKvCache`] under a row partition — which
-//! decides where K/V rows land, how the shared GEMMs are tagged for attribution
-//! ([`GemmOrigin`]) and whether a partition is announced to the hooks. The numbers are the
-//! same either way.
+//! each validate their window and call one private routine. There is **one KV cache**, the
+//! [`BatchedKvCache`], and a solo sequence is slot 0 of a one-slot one, so solo versus
+//! batched is not a second copy of anything: it is the row partition handed to that routine
+//! with the cache. Every forward announces that partition to the hooks, tags its shared
+//! GEMMs [`GemmOrigin::BatchedRows`] and each sequence's attention GEMMs
+//! [`GemmOrigin::Sequence`], whatever the number of slots.
 //!
 //! Model weights are synthetic (see [`weights`]): there is no pretrained checkpoint, but the
 //! generator reproduces the statistical structure — a near-zero bulk plus a few large outlier
@@ -73,7 +73,6 @@ pub use component::{Component, Stage};
 pub use config::{Architecture, ModelConfig};
 pub use error::LlmError;
 pub use hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook};
-pub use kv_cache::KvTarget;
 pub use model::Model;
 
 /// Crate-wide result alias.

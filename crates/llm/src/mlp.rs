@@ -150,10 +150,10 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::component::Stage;
-    use crate::hooks::{GemmHook, GemmOrigin, NoopHook, RecordingHook};
+    use crate::hooks::{GemmHook, NoopHook, RecordingHook};
     use realm_tensor::{rng, ReferenceEngine, Workspace};
 
-    /// `mlp(x)` as layer `layer` of a fresh solo pass in `stage` on the oracle backend.
+    /// `mlp(x)` as layer `layer` of a fresh pass in `stage` on the oracle backend.
     fn run(
         mlp: impl Fn(&MatF32, usize, &mut ForwardPass<'_>) -> Result<MatF32>,
         x: &MatF32,
@@ -162,8 +162,7 @@ mod tests {
         hook: &mut dyn GemmHook,
     ) -> MatF32 {
         let mut ws = Workspace::new();
-        let origin = GemmOrigin::default();
-        let mut pass = ForwardPass::new(stage, origin, &ReferenceEngine, hook, &mut ws);
+        let mut pass = ForwardPass::new(stage, &ReferenceEngine, hook, &mut ws);
         mlp(x, layer, &mut pass).unwrap()
     }
 
@@ -212,9 +211,7 @@ mod tests {
         let mut r = rng::seeded(5);
         let mlp = Mlp::new(&ModelConfig::tiny_llama(), &mut r);
         let (mut hook, mut ws) = (NoopHook, Workspace::new());
-        let origin = GemmOrigin::default();
-        let mut pass =
-            ForwardPass::new(Stage::Prefill, origin, &ReferenceEngine, &mut hook, &mut ws);
+        let mut pass = ForwardPass::new(Stage::Prefill, &ReferenceEngine, &mut hook, &mut ws);
         assert!(mlp.forward(&MatF32::zeros(2, 7), 0, &mut pass).is_err());
         assert_eq!(ws.outstanding_buffers(), 0);
     }

@@ -7,31 +7,35 @@
 //! * [`Model::decode_step_ws`] produces one token at a time, reusing the KV cache (mostly
 //!   GEMV work in hardware, but numerically identical here).
 //!
-//! # One forward, seven entry points
+//! # One forward, six entry points
 //!
 //! Every entry point validates its window and calls the one private forward routine (embed
-//! → blocks → final norm → LM head) with a [`Stage`] and a [`KvTarget`]; the target alone
-//! decides solo or batched (origin tags, partition announcement — see [`KvTarget`]). Every
-//! quantized GEMM runs through the hook interface, so error injection and ABFT protection
-//! see exactly the same computation whichever entry point issued it.
+//! → blocks → final norm → LM head) with a [`Stage`], a [`BatchedKvCache`] and the
+//! [`RowPartition`] of the pass's rows over the cache's slots. A solo sequence is slot 0 of
+//! a one-slot cache, so hooks see one rule for every pass: the forward announces its
+//! partition ([`GemmHook::on_batch_begin`]) before any GEMM, every shared GEMM (`Q`/`K`/`V`/
+//! `O`, MLP) is tagged [`GemmOrigin::BatchedRows`], and each sequence's `QKᵀ`/`SV` GEMMs are
+//! tagged `Sequence(slot)`. Every quantized GEMM runs through the hook interface, so error
+//! injection and ABFT protection see exactly the same computation whichever entry point
+//! issued it.
 //!
-//! | entry point | target | validates |
+//! | entry point | cache | validates |
 //! |---|---|---|
-//! | [`Model::prefill`], [`Model::prefill_ws`] | `Solo`, fresh cache, window `0..len` | as `prefill_chunk_ws` |
-//! | [`Model::prefill_chunk_ws`] | `Solo` | prompt ≤ context, window non-empty and inside the prompt, resident length = window start |
-//! | [`Model::decode_step_ws`] | `Solo` | room for one more token |
-//! | [`Model::prefill_batch`] | `Batch`, fresh cache, one whole-prompt chunk per slot | as `prefill_chunks_batch_ws` |
-//! | [`Model::prefill_chunks_batch_ws`] | `Batch` | non-empty chunk list, slot in range and named once, then each window as above |
-//! | [`Model::decode_step_batch_ws`] | `Batch` | one token slot per cache slot, room in every active slot |
+//! | [`Model::prefill`], [`Model::prefill_ws`] | fresh, one slot, one whole-prompt chunk | as `prefill_chunks_batch_ws` |
+//! | [`Model::decode_step_ws`] | one slot | one slot, room for one more token |
+//! | [`Model::prefill_batch`] | fresh, one whole-prompt chunk per slot | as `prefill_chunks_batch_ws` |
+//! | [`Model::prefill_chunks_batch_ws`] | any | non-empty chunk list, slot in range and named once; per chunk: prompt ≤ context, window non-empty and inside the prompt, resident length = window start |
+//! | [`Model::decode_step_batch_ws`] | any | one token slot per cache slot, room in every active slot |
 //!
 //! The forward routine itself checks the cache's layer count and the token ids.
+//!
+//! [`GemmOrigin::BatchedRows`]: crate::GemmOrigin::BatchedRows
 
 use crate::batch::{BatchRequest, BatchedKvCache};
 use crate::block::{Norm, TransformerBlock};
 use crate::component::Stage;
 use crate::config::ModelConfig;
 use crate::hooks::GemmHook;
-use crate::kv_cache::{KvCache, KvTarget};
 use crate::quantized::ForwardPass;
 use crate::weights::{self, Embedding, SyntheticLanguage};
 use crate::{LlmError, Result};
@@ -189,14 +193,7 @@ impl Model {
         self.logit_temperature = temperature.max(1e-3);
     }
 
-    /// Creates an empty KV cache sized for this model, with per-layer storage reserved for
-    /// the full context window so steady-state decode appends never re-allocate.
-    pub fn new_cache(&self) -> KvCache {
-        let c = &self.config;
-        KvCache::new(c.num_layers, c.num_heads, c.head_dim(), c.max_seq_len)
-    }
-
-    /// Creates an empty batched KV cache for `batch_size` sequences. Slots reserve nothing
+    /// Creates an empty KV cache for `batch_size` sequences. Slots reserve nothing
     /// up front: a slot grows to its occupants' length and keeps that storage when it is
     /// released, so a serving loop stops allocating once its slots have warmed up.
     pub fn new_batched_cache(&self, batch_size: usize) -> BatchedKvCache {
@@ -244,42 +241,35 @@ impl Model {
         Ok(())
     }
 
-    /// The one forward pass behind every entry point: embeds `tokens` (one row each), runs
-    /// them through every block against `kv`, and returns one workspace-pooled logits row
-    /// per token (final norm, LM head, temperature).
-    ///
-    /// `kv` alone decides solo or batched: a [`KvTarget::Batch`] announces its partition to
-    /// the hook (once, before any GEMM) and tags the shared GEMMs
-    /// [`BatchedRows`](crate::GemmOrigin::BatchedRows); a [`KvTarget::Solo`] announces
-    /// nothing and tags everything `Sequence(0)`. With a batch target `tokens` stacks each
-    /// slot's tokens in partition order.
+    /// The one forward pass behind every entry point: announces `parts` to the hook, embeds
+    /// `tokens` (one row each, stacking each slot's tokens in partition order), runs them
+    /// through every block against `cache`, and returns one workspace-pooled logits row per
+    /// token (final norm, LM head, temperature).
     fn forward(
         &self,
         tokens: &[u32],
         stage: Stage,
-        mut kv: KvTarget<'_>,
+        cache: &mut BatchedKvCache,
+        parts: &RowPartition,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
     ) -> Result<MatF32> {
-        if kv.num_layers() != self.blocks.len() {
+        if cache.num_layers() != self.blocks.len() {
             return Err(invalid(format!(
                 "the model has {} layers but the KV cache covers {}",
                 self.blocks.len(),
-                kv.num_layers()
+                cache.num_layers()
             )));
         }
-        if let KvTarget::Batch(_, parts) = &kv {
-            hook.on_batch_begin(parts);
-        }
+        hook.on_batch_begin(parts);
         let mut x = ws.take_mat_f32(tokens.len(), self.config.hidden_size);
         if let Err(e) = self.embed_into(tokens, &mut x) {
             ws.recycle_mat_f32(x);
             return Err(e);
         }
-        let engine = self.engine.as_ref();
-        let mut pass = ForwardPass::new(stage, kv.shared_origin(), engine, hook, ws);
+        let mut pass = ForwardPass::new(stage, self.engine.as_ref(), hook, ws);
         for (layer, block) in self.blocks.iter().enumerate() {
-            x = block.forward(x, layer, &mut kv, &mut pass)?;
+            x = block.forward(x, layer, cache, parts, &mut pass)?;
         }
 
         let mut normed = ws.take_mat_f32(x.rows(), x.cols());
@@ -329,7 +319,8 @@ impl Model {
         Ok(())
     }
 
-    /// Runs the prefill stage over a prompt, returning per-position logits and the KV cache.
+    /// Runs the prefill stage over a prompt, returning per-position logits and the KV cache:
+    /// slot 0 of a one-slot [`BatchedKvCache`].
     ///
     /// Row `i` of the returned logits predicts the token at position `i + 1`, which is what
     /// perplexity evaluation needs.
@@ -338,12 +329,16 @@ impl Model {
     ///
     /// Returns an error for empty prompts, out-of-range tokens, prompts longer than the
     /// configured context, or internal shape mismatches.
-    pub fn prefill(&self, prompt: &[u32], hook: &mut dyn GemmHook) -> Result<(MatF32, KvCache)> {
+    pub fn prefill(
+        &self,
+        prompt: &[u32],
+        hook: &mut dyn GemmHook,
+    ) -> Result<(MatF32, BatchedKvCache)> {
         self.prefill_ws(prompt, hook, &mut Workspace::new())
     }
 
     /// [`Model::prefill`] drawing every intermediate from `ws`: the whole prompt as one
-    /// [`Model::prefill_chunk_ws`] window on a fresh [`Model::new_cache`]. The returned
+    /// [`Model::prefill_chunks_batch_ws`] chunk into a fresh one-slot cache. The returned
     /// logits matrix is workspace-pooled (recycle it once consumed).
     ///
     /// # Errors
@@ -354,39 +349,11 @@ impl Model {
         prompt: &[u32],
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
-    ) -> Result<(MatF32, KvCache)> {
-        let mut cache = self.new_cache();
-        let logits = self.prefill_chunk_ws(prompt, 0..prompt.len(), hook, ws, &mut cache)?;
+    ) -> Result<(MatF32, BatchedKvCache)> {
+        let mut cache = self.new_batched_cache(1);
+        let chunk = [PrefillChunk::whole(prompt, 0)];
+        let (logits, _) = self.prefill_stacked(&chunk, &mut cache, hook, ws)?;
         Ok((logits, cache))
-    }
-
-    /// Runs one prefill **chunk** — the token window `range` of `prompt` — against a
-    /// partially-filled cache, returning the chunk's per-position logits (workspace-pooled).
-    ///
-    /// The cache must hold exactly `range.start` resident tokens (the previously
-    /// prefilled prefix). Chunked prefill is **bit-identical** to the monolithic
-    /// [`Model::prefill`] at any chunk granularity on every backend and TP degree:
-    /// activations are quantized per row, cached keys/values keep one scale per token row
-    /// and every query row's scores are masked to its visible prefix of the cache, so no
-    /// number in the forward pass depends on where the chunk boundaries fall
-    /// (`tests/chunked_parity.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty or out-of-bounds `range`, out-of-range tokens, a
-    /// prompt longer than the configured context, or a cache whose layer count or
-    /// resident length does not match `range.start`.
-    pub fn prefill_chunk_ws(
-        &self,
-        prompt: &[u32],
-        range: Range<usize>,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-        cache: &mut KvCache,
-    ) -> Result<MatF32> {
-        self.check_window(prompt, &range, cache.seq_len())?;
-        let kv = KvTarget::Solo(cache);
-        self.forward(&prompt[range], Stage::Prefill, kv, hook, ws)
     }
 
     /// Advances several slots' chunked prefills in **one** batched forward: every chunk's
@@ -401,13 +368,20 @@ impl Model {
     /// Per-row activation quantization and per-sequence attention over each slot's own
     /// resident codes make each chunk's rows independent of its batch neighbours, so every
     /// returned logits matrix (one per chunk, in `chunks` order, each an ordinary owned
-    /// value) is bit-identical to advancing that sequence alone via
-    /// [`Model::prefill_chunk_ws`].
+    /// value) is bit-identical to advancing that sequence alone in a one-slot cache.
+    ///
+    /// Chunked prefill is **bit-identical** to the monolithic [`Model::prefill`] at any
+    /// chunk granularity on every backend and TP degree: activations are quantized per row,
+    /// cached keys/values keep one scale per token row and every query row's scores are
+    /// masked to its visible prefix of the cache, so no number in the forward pass depends
+    /// on where the chunk boundaries fall (`tests/chunked_parity.rs`).
     ///
     /// # Errors
     ///
-    /// Returns an error for an empty chunk list, an out-of-range or duplicate slot, or any
-    /// chunk failing the [`Model::prefill_chunk_ws`] validation against its slot.
+    /// Returns an error for an empty chunk list, an out-of-range or duplicate slot, or a
+    /// chunk whose prompt exceeds the configured context, whose window is empty or outside
+    /// its prompt, or whose slot's resident length is not the window start; also for
+    /// out-of-range tokens or a cache whose layer count does not match the model.
     pub fn prefill_chunks_batch_ws(
         &self,
         chunks: &[PrefillChunk<'_>],
@@ -415,6 +389,30 @@ impl Model {
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
     ) -> Result<Vec<MatF32>> {
+        let (logits, parts) = self.prefill_stacked(chunks, cache, hook, ws)?;
+        let per_chunk = chunks
+            .iter()
+            .map(|c| {
+                let range = parts.range(c.slot);
+                logits
+                    .rows_slice(range.start, range.len())
+                    .map_err(Into::into)
+            })
+            .collect::<Result<Vec<_>>>();
+        ws.recycle_mat_f32(logits);
+        per_chunk
+    }
+
+    /// Validates `chunks` against `cache` and runs them as one prefill forward, returning
+    /// the workspace-pooled logits of their rows stacked in slot order, and the partition
+    /// of those rows over the slots.
+    fn prefill_stacked(
+        &self,
+        chunks: &[PrefillChunk<'_>],
+        cache: &mut BatchedKvCache,
+        hook: &mut dyn GemmHook,
+        ws: &mut Workspace,
+    ) -> Result<(MatF32, RowPartition)> {
         if chunks.is_empty() {
             return Err(invalid("cannot advance an empty chunk batch".into()));
         }
@@ -444,19 +442,8 @@ impl Model {
             .iter()
             .flat_map(|c| c.prompt[c.range.clone()].iter().copied())
             .collect();
-        let kv = KvTarget::Batch(cache, &parts);
-        let logits = self.forward(&stacked, Stage::Prefill, kv, hook, ws)?;
-        let per_chunk = chunks
-            .iter()
-            .map(|c| {
-                let range = parts.range(c.slot);
-                logits
-                    .rows_slice(range.start, range.len())
-                    .map_err(Into::into)
-            })
-            .collect::<Result<Vec<_>>>();
-        ws.recycle_mat_f32(logits);
-        per_chunk
+        let logits = self.forward(&stacked, Stage::Prefill, cache, &parts, hook, ws)?;
+        Ok((logits, parts))
     }
 
     /// Runs one shared prefill over a ragged batch of prompts — prompt `i` whole, as one
@@ -487,8 +474,8 @@ impl Model {
         Ok((logits, cache))
     }
 
-    /// Runs one decode step for `token`, updating the KV cache, and returns the logits for
-    /// the next token.
+    /// Runs one decode step for `token` on a one-slot cache (what [`Model::prefill`]
+    /// returns), updating it, and returns the logits for the next token.
     ///
     /// Every intermediate is drawn from `ws` — with a long-lived workspace this is the
     /// allocation-free decode hot loop (`tests/zero_alloc.rs` proves zero heap allocations
@@ -497,16 +484,23 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Returns an error if the token is out of range or the context length is exceeded.
+    /// Returns an error if the cache does not have exactly one slot, the token is out of
+    /// range or the context length is exceeded.
     pub fn decode_step_ws(
         &self,
         token: u32,
-        cache: &mut KvCache,
+        cache: &mut BatchedKvCache,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
     ) -> Result<Vec<f32>> {
-        self.check_room(cache.seq_len())?;
-        let logits = self.forward(&[token], Stage::Decode, KvTarget::Solo(cache), hook, ws)?;
+        if cache.batch_size() != 1 {
+            return Err(invalid(format!(
+                "a solo decode step needs a one-slot cache, not {} slots",
+                cache.batch_size()
+            )));
+        }
+        self.check_room(cache.seq_len(0))?;
+        let logits = self.decode_forward(&[token], [1], cache, hook, ws)?;
         let mut row = ws.take_vec_f32(logits.cols());
         row.copy_from_slice(logits.row(0));
         ws.recycle_mat_f32(logits);
@@ -549,10 +543,8 @@ impl Model {
                 self.check_room(cache.seq_len(i))?;
             }
         }
-        let lens: Vec<usize> = tokens.iter().map(|t| usize::from(t.is_some())).collect();
-        let parts = RowPartition::from_lens(&lens);
-        let kv = KvTarget::Batch(cache, &parts);
-        let logits = self.forward(&active, Stage::Decode, kv, hook, ws)?;
+        let lens = tokens.iter().map(|t| usize::from(t.is_some()));
+        let logits = self.decode_forward(&active, lens, cache, hook, ws)?;
         let mut rows = 0..logits.rows();
         let out = tokens
             .iter()
@@ -565,6 +557,27 @@ impl Model {
             .collect();
         ws.recycle_mat_f32(logits);
         Ok(out)
+    }
+
+    /// The forward of both decode entry points: slot `g` of `cache` contributes `lens[g]`
+    /// (0 or 1) of the stacked `tokens`. The step's partition is refilled in place in the
+    /// one the cache kept from its previous step, so a warmed step allocates nothing.
+    fn decode_forward(
+        &self,
+        tokens: &[u32],
+        lens: impl IntoIterator<Item = usize>,
+        cache: &mut BatchedKvCache,
+        hook: &mut dyn GemmHook,
+        ws: &mut Workspace,
+    ) -> Result<MatF32> {
+        let mut parts = cache
+            .step
+            .take()
+            .unwrap_or_else(|| RowPartition::from_lens(&[]));
+        parts.refill(lens);
+        let logits = self.forward(tokens, Stage::Decode, cache, &parts, hook, ws);
+        cache.step = Some(parts);
+        logits
     }
 
     /// Batched greedy generation: ragged prompts share one prefill, then lockstep decode
@@ -637,9 +650,8 @@ impl Model {
             })
             .collect();
         loop {
-            // Commit the pending token of every sequence still below its budget, mirroring
-            // the single-sequence `generate` loop: push first, then decode only if more
-            // tokens are needed.
+            // Commit the pending token of every sequence still below its budget: push
+            // first, then decode only if more tokens are needed.
             let step: Vec<Option<u32>> = outputs
                 .iter_mut()
                 .zip(requests)
@@ -666,47 +678,20 @@ impl Model {
         }
     }
 
-    /// Greedy autoregressive generation: prefill the prompt, then generate `num_tokens`.
+    /// Greedy autoregressive generation: prefill the prompt, then generate `num_tokens` — a
+    /// one-request [`Model::generate_batch`].
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`Model::prefill`] and [`Model::decode_step_ws`]; also returns
-    /// [`LlmError::InvalidSequence`] if the total length would exceed the context window.
+    /// Same conditions as [`Model::generate_batch`] for the one request.
     pub fn generate(
         &self,
         prompt: &[u32],
         num_tokens: usize,
         hook: &mut dyn GemmHook,
     ) -> Result<GenerationOutput> {
-        if prompt.len() + num_tokens > self.config.max_seq_len {
-            return Err(invalid(format!(
-                "prompt ({}) plus generation ({num_tokens}) exceeds max_seq_len {}",
-                prompt.len(),
-                self.config.max_seq_len
-            )));
-        }
-        // One workspace for the whole generation: the prefill warms the pools and every
-        // decode step after that reuses them.
-        let mut ws = Workspace::new();
-        let (logits, mut cache) = self.prefill_ws(prompt, hook, &mut ws)?;
-        let (mut next, mut margin) = argmax_with_margin(logits.row(logits.rows() - 1));
-        ws.recycle_mat_f32(logits);
-        let mut tokens = Vec::with_capacity(num_tokens);
-        let mut margins = Vec::with_capacity(num_tokens);
-        for _ in 0..num_tokens {
-            tokens.push(next);
-            margins.push(margin);
-            if tokens.len() == num_tokens {
-                break;
-            }
-            let step_logits = self.decode_step_ws(next, &mut cache, hook, &mut ws)?;
-            let (n, m) = argmax_with_margin(&step_logits);
-            ws.recycle_vec_f32(step_logits);
-            ws.reset();
-            next = n;
-            margin = m;
-        }
-        Ok(GenerationOutput { tokens, margins })
+        let request = BatchRequest::new(prompt.to_vec(), num_tokens);
+        Ok(self.generate_batch(&[request], hook)?.remove(0))
     }
 
     /// Total number of multiply-accumulate operations the GEMMs of a monolithic prefill of
@@ -801,7 +786,7 @@ mod tests {
         let m = Model::new(&config, 3).unwrap();
         let (logits, cache) = m.prefill(&[1, 2, 3, 4, 5], &mut NoopHook).unwrap();
         assert_eq!(logits.shape(), (5, config.vocab_size));
-        assert_eq!(cache.seq_len(), 5);
+        assert_eq!((cache.batch_size(), cache.seq_len(0)), (1, 5));
         assert!(logits.iter().all(|v| v.is_finite()));
     }
 
@@ -898,16 +883,22 @@ mod tests {
         let m = Model::new(&config, 21).unwrap();
         let prompt: Vec<u32> = (0..9u32).map(|t| (t * 3 + 1) % 16).collect();
         let (full, full_cache) = m.prefill(&prompt, &mut NoopHook).unwrap();
+        let mut ws = Workspace::new();
+        let mut advance = |prompt, range, cache: &mut BatchedKvCache| {
+            let chunk = [PrefillChunk {
+                prompt,
+                range,
+                slot: 0,
+            }];
+            m.prefill_chunks_batch_ws(&chunk, cache, &mut NoopHook, &mut ws)
+        };
         for chunk in [1usize, 2, 4, 9] {
-            let mut ws = Workspace::new();
-            let mut cache = m.new_cache();
+            let mut cache = m.new_batched_cache(1);
             let mut row = 0usize;
             let mut start = 0usize;
             while start < prompt.len() {
                 let end = (start + chunk).min(prompt.len());
-                let logits = m
-                    .prefill_chunk_ws(&prompt, start..end, &mut NoopHook, &mut ws, &mut cache)
-                    .unwrap();
+                let logits = advance(&prompt, start..end, &mut cache).unwrap().remove(0);
                 for r in 0..logits.rows() {
                     assert_eq!(
                         full.row(row),
@@ -916,25 +907,17 @@ mod tests {
                     );
                     row += 1;
                 }
-                ws.recycle_mat_f32(logits);
                 start = end;
             }
-            assert_eq!(cache.seq_len(), prompt.len());
+            assert_eq!(cache.seq_len(0), prompt.len());
             assert_eq!(cache, full_cache, "chunk size {chunk}: cache contents");
         }
         // Validation: empty window, misaligned resident prefix, overlong prompt.
-        let mut ws = Workspace::new();
-        let mut cache = m.new_cache();
-        assert!(m
-            .prefill_chunk_ws(&prompt, 3..3, &mut NoopHook, &mut ws, &mut cache)
-            .is_err());
-        assert!(m
-            .prefill_chunk_ws(&prompt, 2..4, &mut NoopHook, &mut ws, &mut cache)
-            .is_err());
+        let mut cache = m.new_batched_cache(1);
+        assert!(advance(&prompt, 3..3, &mut cache).is_err());
+        assert!(advance(&prompt, 2..4, &mut cache).is_err());
         let long = vec![0u32; config.max_seq_len + 1];
-        assert!(m
-            .prefill_chunk_ws(&long, 0..2, &mut NoopHook, &mut ws, &mut cache)
-            .is_err());
+        assert!(advance(&long, 0..2, &mut cache).is_err());
     }
 
     #[test]
@@ -957,7 +940,7 @@ mod tests {
         let prompt: Vec<u32> = (0..7u32).map(|t| (t * 5 + 2) % 16).collect();
         let mut announced = Announcements::default();
         let (full, _) = m.prefill(&prompt, &mut announced).unwrap();
-        assert!(announced.0.is_empty(), "a solo forward announces nothing");
+        assert_eq!(announced.0, [[7]], "a solo forward is a batch of one");
         let mut ws = Workspace::new();
         let mut advance = |range: Range<usize>, slot, hook: &mut dyn GemmHook| {
             let prompt = &prompt;
@@ -977,7 +960,7 @@ mod tests {
             }
         }
         assert_eq!(
-            announced.0,
+            announced.0[1..],
             [[0, 3], [0, 1], [0, 3]],
             "one partition per forward"
         );
@@ -1004,21 +987,30 @@ mod tests {
     fn a_cache_of_the_wrong_depth_is_rejected_by_every_entry_point() {
         let m = Model::new(&ModelConfig::tiny_opt(), 3).unwrap();
         let (c, mut ws) = (m.config(), Workspace::new());
-        let mut solo = KvCache::new(c.num_layers + 1, c.num_heads, c.head_dim(), 0);
-        assert!(m
-            .prefill_chunk_ws(&[1, 2], 0..2, &mut NoopHook, &mut ws, &mut solo)
-            .is_err());
-        assert!(m
-            .decode_step_ws(1, &mut solo, &mut NoopHook, &mut ws)
-            .is_err());
-        let mut batched = BatchedKvCache::new(c.num_layers - 1, 1, c.num_heads, c.head_dim());
         let chunk = [PrefillChunk::whole(&[1, 2], 0)];
-        assert!(m
-            .prefill_chunks_batch_ws(&chunk, &mut batched, &mut NoopHook, &mut ws)
-            .is_err());
-        assert!(m
-            .decode_step_batch_ws(&[Some(1)], &mut batched, &mut NoopHook, &mut ws)
-            .is_err());
+        for depth in [c.num_layers + 1, c.num_layers - 1] {
+            let mut cache = BatchedKvCache::new(depth, 1, c.num_heads, c.head_dim());
+            assert!(m
+                .prefill_chunks_batch_ws(&chunk, &mut cache, &mut NoopHook, &mut ws)
+                .is_err());
+            assert!(m
+                .decode_step_ws(1, &mut cache, &mut NoopHook, &mut ws)
+                .is_err());
+            assert!(m
+                .decode_step_batch_ws(&[Some(1)], &mut cache, &mut NoopHook, &mut ws)
+                .is_err());
+        }
+        // The solo decode step takes a one-slot cache only, and turns a wider one away
+        // before any GEMM runs.
+        let (_, mut two) = m
+            .prefill_batch(&[vec![1, 2], vec![3]], &mut NoopHook)
+            .unwrap();
+        let mut rec = RecordingHook::new();
+        let err = m
+            .decode_step_ws(1, &mut two, &mut rec, &mut ws)
+            .unwrap_err();
+        assert!(err.to_string().contains("2 slots"), "{err}");
+        assert!(rec.calls.is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! pure amortisations.
 
 use crate::component::{Component, Stage};
-use crate::hooks::{GemmContext, GemmHook, GemmOrigin};
+use crate::hooks::{GemmContext, GemmHook};
 use crate::Result;
 use realm_tensor::{
     quant, ChecksummedGemm, GemmEngine, MatF32, MatI32, MatI8, PackedMatI8, QuantParams,
@@ -36,16 +36,13 @@ use realm_tensor::{
 };
 
 /// What every layer of one forward pass shares: the inference stage, the backend, the hook
-/// chain, the workspace every intermediate is drawn from, and the pass-wide GEMM counter
-/// with the origin tag of the shared (batch-stacked) GEMMs.
+/// chain, the workspace every intermediate is drawn from, and the pass-wide GEMM counter.
 ///
-/// The model creates one per forward (see [`crate::kv_cache::KvTarget`] for the rule that
-/// picks `shared_origin`) and threads it through every block; each hooked GEMM takes its
-/// [`GemmContext`] from [`ForwardPass::next_ctx`], so GEMM indices are assigned in
+/// The model creates one per forward and threads it through every block; each hooked GEMM
+/// takes its [`GemmContext`] from [`ForwardPass::next_ctx`], so GEMM indices are assigned in
 /// execution order by construction.
 pub struct ForwardPass<'a> {
     stage: Stage,
-    shared_origin: GemmOrigin,
     gemms: usize,
     /// The GEMM backend.
     pub engine: &'a dyn GemmEngine,
@@ -57,19 +54,15 @@ pub struct ForwardPass<'a> {
 }
 
 impl<'a> ForwardPass<'a> {
-    /// Starts a pass at GEMM index 0. `shared_origin` tags the GEMMs whose rows span
-    /// everything the pass processes (`Q`/`K`/`V`/`O` and the MLP): `Sequence(0)` for a
-    /// solo forward, `BatchedRows` for a batched one.
+    /// Starts a pass at GEMM index 0.
     pub fn new(
         stage: Stage,
-        shared_origin: GemmOrigin,
         engine: &'a dyn GemmEngine,
         hook: &'a mut dyn GemmHook,
         ws: &'a mut Workspace,
     ) -> Self {
         Self {
             stage,
-            shared_origin,
             gemms: 0,
             engine,
             hook,
@@ -77,11 +70,12 @@ impl<'a> ForwardPass<'a> {
         }
     }
 
-    /// The context of the pass's next GEMM — a shared one; per-sequence GEMMs retag it with
-    /// [`GemmContext::for_sequence`] — advancing the counter.
+    /// The context of the pass's next GEMM, advancing the counter. It is tagged
+    /// [`GemmOrigin::BatchedRows`](crate::GemmOrigin::BatchedRows): the shared GEMMs
+    /// (`Q`/`K`/`V`/`O` and the MLP) read every row of the pass, and the per-sequence
+    /// attention GEMMs retag it with [`GemmContext::for_sequence`].
     pub fn next_ctx(&mut self, component: Component, layer: usize) -> GemmContext {
-        let mut ctx = GemmContext::new(component, layer, self.stage, self.gemms);
-        ctx.origin = self.shared_origin;
+        let ctx = GemmContext::new(component, layer, self.stage, self.gemms).batched();
         self.gemms += 1;
         ctx
     }
@@ -463,11 +457,10 @@ mod tests {
     use crate::hooks::NoopHook;
     use realm_tensor::{gemm, Matrix, ReferenceEngine};
 
-    /// `layer · x` as component `Q` of a fresh solo prefill pass on the oracle backend.
+    /// `layer · x` as component `Q` of a fresh prefill pass on the oracle backend.
     fn forward(layer: &QuantLinear, x: &MatF32, hook: &mut dyn GemmHook) -> Result<MatF32> {
         let mut ws = Workspace::new();
-        let origin = GemmOrigin::default();
-        let mut pass = ForwardPass::new(Stage::Prefill, origin, &ReferenceEngine, hook, &mut ws);
+        let mut pass = ForwardPass::new(Stage::Prefill, &ReferenceEngine, hook, &mut ws);
         layer.forward(x, Component::Q, 0, &mut pass)
     }
 
@@ -491,12 +484,11 @@ mod tests {
     }
 
     #[test]
-    fn pass_numbers_gemms_in_order_and_tags_them_with_its_origin() {
+    fn pass_numbers_gemms_in_order_and_tags_them_batched_rows() {
         let layer = QuantLinear::from_f32(&MatF32::zeros(4, 4), OutputMode::Float);
         let x = MatF32::zeros(2, 4);
         let (mut rec, mut ws) = (crate::hooks::RecordingHook::new(), Workspace::new());
-        let origin = GemmOrigin::BatchedRows;
-        let mut pass = ForwardPass::new(Stage::Decode, origin, &ReferenceEngine, &mut rec, &mut ws);
+        let mut pass = ForwardPass::new(Stage::Decode, &ReferenceEngine, &mut rec, &mut ws);
         for component in [Component::Q, Component::O] {
             let y = layer.forward(&x, component, 3, &mut pass).unwrap();
             pass.ws.recycle_mat_f32(y);
@@ -507,7 +499,7 @@ mod tests {
             layer: 3,
             stage: Stage::Decode,
             sequence,
-            origin,
+            origin: crate::GemmOrigin::BatchedRows,
         };
         assert_eq!(
             rec.calls,

@@ -284,15 +284,6 @@ impl<T: Copy> Matrix<T> {
         })
     }
 
-    /// Reserves backing capacity for at least `rows` total rows of the current width
-    /// (no-op when the width is still unknown).
-    pub fn reserve_rows(&mut self, rows: usize) {
-        let want = rows * self.cols;
-        if want > self.data.capacity() {
-            self.data.reserve_exact(want - self.data.len());
-        }
-    }
-
     /// Vertically stacks `self` on top of `other`.
     ///
     /// # Errors

@@ -56,14 +56,24 @@ impl Clone for RowPartition {
 impl RowPartition {
     /// Builds a partition from per-group row counts (empty groups are allowed).
     pub fn from_lens(lens: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(lens.len() + 1);
+        let mut parts = Self {
+            offsets: Vec::with_capacity(lens.len() + 1),
+        };
+        parts.refill(lens.iter().copied());
+        parts
+    }
+
+    /// Rebuilds the partition in place from per-group row counts, reusing its offsets
+    /// buffer: a decode loop that keeps one partition and refills it every step allocates
+    /// nothing once the buffer holds its widest batch.
+    pub fn refill(&mut self, lens: impl IntoIterator<Item = usize>) {
+        self.offsets.clear();
+        self.offsets.push(0);
         let mut total = 0usize;
-        offsets.push(0);
-        for &len in lens {
+        for len in lens {
             total += len;
-            offsets.push(total);
+            self.offsets.push(total);
         }
-        Self { offsets }
     }
 
     /// Number of groups (sequences) in the partition.
@@ -140,6 +150,9 @@ mod tests {
         let next = RowPartition::from_lens(&[1, 0, 2]);
         kept.clone_from(&next);
         assert_eq!(kept, next);
+        assert_eq!(kept.offsets.as_ptr(), buffer);
+        kept.refill([2, 2]);
+        assert_eq!(kept, RowPartition::from_lens(&[2, 2]));
         assert_eq!(kept.offsets.as_ptr(), buffer);
     }
 

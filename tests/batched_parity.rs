@@ -86,7 +86,7 @@ fn batched_prefill_logits_are_bit_exact_per_sequence() {
             for layer in 0..cache.num_layers() {
                 assert_eq!(
                     cache.layer(layer).slot(i),
-                    solo_cache.layer(layer),
+                    solo_cache.layer(layer).slot(0),
                     "{kind}: cached KV of sequence {i} diverged at layer {layer}"
                 );
             }
@@ -239,11 +239,12 @@ fn batch_of_one_matches_the_single_sequence_path() {
     assert_eq!(batched.len(), 1);
     assert_eq!(batched[0], solo);
 
-    // The contract the single forward path rests on: the solo entry points and a one-slot
-    // batch issue the same GEMMs in the same order with the same shapes and produce the
-    // same logits. Only the attribution differs — the shared projections and MLP GEMMs are
-    // tagged `Sequence(0)` solo and `BatchedRows` batched (`QKᵀ`/`SV` are `Sequence(0)` on
-    // both), and only the batched side announces a partition, once per forward.
+    // The contract the single forward path rests on: a solo sequence is slot 0 of a one-slot
+    // cache, so the solo entry points and a one-slot batch issue the same GEMMs in the same
+    // order with the same shapes, the same attribution and the same announced partitions,
+    // and produce the same logits. One rule tags both: the shared projections and MLP GEMMs
+    // are `BatchedRows`, `QKᵀ`/`SV` are `Sequence(0)`, and every forward announces its
+    // partition once.
     for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
         let model = model_for(EngineKind::Simd, config);
         let (mut solo, mut one_slot) = (StreamRecorder::default(), StreamRecorder::default());
@@ -267,12 +268,9 @@ fn batch_of_one_matches_the_single_sequence_path() {
             assert_eq!(batch_logits, [Some(solo_logits)]);
         }
 
-        assert!(
-            solo.partitions.is_empty(),
-            "a solo forward announces nothing"
-        );
-        assert_eq!(one_slot.partitions, [[4], [1], [1], [1]]);
-        assert_eq!(solo.gemms.len(), one_slot.gemms.len());
+        assert_eq!(solo.partitions, [[4], [1], [1], [1]]);
+        assert_eq!(one_slot.partitions, solo.partitions);
+        assert_eq!(solo.gemms, one_slot.gemms);
         let c = model.config();
         let attention = solo.gemms.iter().filter(|(g, _)| {
             use Component::*;
@@ -283,19 +281,12 @@ fn batch_of_one_matches_the_single_sequence_path() {
             4 * c.num_layers * (4 + 2 * c.num_heads),
             "four forwards of Q/K/V/O plus one QKᵀ and one SV per head per layer"
         );
-        for ((s, s_shape), (b, b_shape)) in solo.gemms.iter().zip(&one_slot.gemms) {
-            assert_eq!(
-                (s.component, s.layer, s.stage, s.sequence, s_shape),
-                (b.component, b.layer, b.stage, b.sequence, b_shape)
-            );
-            assert_eq!(s.origin, GemmOrigin::Sequence(0));
-            let per_sequence = matches!(s.component, Component::QkT | Component::Sv);
-            let expected = if per_sequence {
-                GemmOrigin::Sequence(0)
-            } else {
-                GemmOrigin::BatchedRows
+        for (g, _) in &solo.gemms {
+            let expected = match g.component {
+                Component::QkT | Component::Sv => GemmOrigin::Sequence(0),
+                _ => GemmOrigin::BatchedRows,
             };
-            assert_eq!(b.origin, expected, "{:?}", b.component);
+            assert_eq!(g.origin, expected, "{:?}", g.component);
         }
 
         // Projections that read one activation (`Q`/`K`/`V`; `Gate`/`Up`) quantize it once

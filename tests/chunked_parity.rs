@@ -26,7 +26,7 @@
 
 use realm::core::ProtectionPolicy;
 use realm::llm::hooks::GemmContext;
-use realm::llm::model::argmax_with_margin;
+use realm::llm::model::{argmax_with_margin, PrefillChunk};
 use realm::llm::{config::ModelConfig, model::Model, Component, GemmHook, GemmOrigin, NoopHook};
 use realm::serve::{ServeConfig, ServeEngine, ServeRequest, TokenEvent};
 use realm::tensor::{ChecksummedGemm, EngineKind, MatI32, MatI8, RowPartition, Workspace};
@@ -76,7 +76,7 @@ fn long_prompt(vocab: u32) -> Vec<u32> {
     (0..70u32).map(|t| (t * 7 + 3) % vocab).collect()
 }
 
-/// Prefills `prompt` in `chunk`-sized windows, returning the concatenated logits rows,
+/// Prefills `prompt` in `chunk`-sized windows into a one-slot cache, returning the concatenated logits rows,
 /// the checksum ledger, and the continuation tokens/margins decoded from the chunk-built
 /// cache.
 fn chunked_run(
@@ -87,18 +87,23 @@ fn chunked_run(
 ) -> (Vec<Vec<f32>>, ChecksumLedger, Vec<u32>, Vec<f32>) {
     let mut ledger = ChecksumLedger::default();
     let mut ws = Workspace::new();
-    let mut cache = model.new_cache();
+    let mut cache = model.new_batched_cache(1);
     let mut rows: Vec<Vec<f32>> = Vec::new();
     let mut start = 0;
     while start < prompt.len() {
         let end = (start + chunk).min(prompt.len());
+        let window = [PrefillChunk {
+            prompt,
+            range: start..end,
+            slot: 0,
+        }];
         let logits = model
-            .prefill_chunk_ws(prompt, start..end, &mut ledger, &mut ws, &mut cache)
-            .unwrap();
+            .prefill_chunks_batch_ws(&window, &mut cache, &mut ledger, &mut ws)
+            .unwrap()
+            .remove(0);
         for r in 0..logits.rows() {
             rows.push(logits.row(r).to_vec());
         }
-        ws.recycle_mat_f32(logits);
         start = end;
     }
     // Continue decoding exactly the way `Model::generate` does, from the chunk-built

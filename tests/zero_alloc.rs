@@ -297,13 +297,13 @@ fn count_batched_decode_allocations(
 #[test]
 fn batched_decode_forward_pass_allocates_nothing_after_warmup() {
     // `decode_step_batch_ws` hands back a fresh `Vec` of per-slot logits and builds the
-    // step's token list, length list and `RowPartition`: four small vectors per step that
-    // its signature fixes. Everything below that entry point — the protector keeping the
-    // announced partition (it refills its own offsets buffer), per-slot KV appends in
-    // place, attention scratch, every GEMM — must allocate nothing, so the per-step count
-    // may depend neither on the hook, nor on the number of layers, nor on the context
-    // length.
-    const ENTRY_POINT_VECTORS: u64 = 4;
+    // step's token list: two small vectors per step that its signature fixes. Everything
+    // below that entry point — the step's `RowPartition` (refilled in the one the cache
+    // keeps), the protector keeping the announced partition (it refills its own offsets
+    // buffer), per-slot KV appends in place, attention scratch, every GEMM — must allocate
+    // nothing, so the per-step count may depend neither on the hook, nor on the number of
+    // layers, nor on the context length.
+    const ENTRY_POINT_VECTORS: u64 = 2;
     for engine in [EngineKind::Reference, EngineKind::Simd] {
         let deep = {
             let mut config = ModelConfig::tiny_opt();
