@@ -9,13 +9,14 @@
 use crate::Result;
 use realm_eval::task::Task;
 use realm_inject::{
-    campaign::{par_map, run_and_summarize, TrialSummary},
+    campaign::{run_and_summarize, TrialSummary},
     error_model::{ErrorModel, FixedBitModel, MagFreqModel},
     injector::ErrorInjector,
     targeting::Target,
 };
 use realm_llm::norm::LayerNorm;
 use realm_llm::{Component, GemmHook, Model, Stage};
+use realm_tensor::engine::{available_cores, par_map};
 use realm_tensor::rng;
 
 /// Shared configuration of a characterization study.
@@ -221,7 +222,7 @@ pub fn magfreq_study<T: Task + Sync>(
             let target = Target::new().component(component).stage(Stage::Prefill);
             // The MSD rides in the seed's high word so grid points of different rows never
             // share a fault stream.
-            let values = par_map(config.trials, |i| {
+            let values = par_map(available_cores(), config.trials, |i| {
                 let seed = rng::derive_seed(config.seed, (log2_msd as u64) << 32 | i as u64);
                 let mut injector = ErrorInjector::new(model_spec, target.clone(), seed);
                 faulty_value(model, task, &mut injector)

@@ -3,11 +3,12 @@
 //! The paper's characterization is *statistical*: every data point in Fig. 4 is the average
 //! metric over many independent fault-injection trials. [`run_trials`] executes those trials
 //! in parallel (they are completely independent) with deterministic per-trial seeds, and
-//! [`TrialSummary`] aggregates them. [`par_map`] is the one parallel primitive underneath:
-//! every campaign and sweep in the workspace fans its trials out through it.
+//! [`TrialSummary`] aggregates them. [`realm_tensor::engine::par_map`] over one worker per
+//! available core is the one parallel primitive underneath: every campaign and sweep in the
+//! workspace fans its trials out through it, as the pooled GEMM does its row chunks.
 
-use realm_tensor::{engine::available_cores, rng};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use realm_tensor::engine::{available_cores, par_map};
+use realm_tensor::rng;
 
 /// Aggregate statistics over the metric values produced by a set of trials.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,57 +67,6 @@ impl TrialSummary {
     }
 }
 
-/// Maps `f` over the indices `0..n` on one scoped thread per available core and returns the
-/// results in index order.
-///
-/// Workers claim the next index off a shared atomic counter, so a run of expensive trials
-/// (recovery-heavy ones, say) is spread over every core instead of pinning whichever worker
-/// a static split would have handed them to. A panic inside `f` is re-raised on the calling
-/// thread once the other workers have drained the counter.
-///
-/// # Example
-///
-/// ```
-/// let squares = realm_inject::campaign::par_map(5, |i| i * i);
-/// assert_eq!(squares, [0, 1, 4, 9, 16]);
-/// ```
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = available_cores().min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (next, f) = (&next, &f);
-    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        // Relaxed: the counter only hands out indices; results are
-                        // published by the join.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break mine;
-                        }
-                        mine.push((i, f(i)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    claimed.sort_unstable_by_key(|&(i, _)| i);
-    claimed.into_iter().map(|(_, value)| value).collect()
-}
-
 /// Runs `trials` independent trials in parallel and returns each trial's result — a metric
 /// value, or anything richer (e.g. a batched trial's per-sequence attribution).
 ///
@@ -139,7 +89,9 @@ where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    par_map(trials, |i| trial(rng::derive_seed(base_seed, i as u64)))
+    par_map(available_cores(), trials, |i| {
+        trial(rng::derive_seed(base_seed, i as u64))
+    })
 }
 
 /// Runs trials and aggregates them in one call.
@@ -153,32 +105,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_visits_every_index_once_and_keeps_index_order() {
-        let cores = available_cores();
-        for n in [0, 1, 2, cores.saturating_sub(1), cores + 1, 257] {
-            let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let out = par_map(n, |i| {
-                visits[i].fetch_add(1, Ordering::Relaxed);
-                3 * i
-            });
-            assert_eq!(out, (0..n).map(|i| 3 * i).collect::<Vec<_>>(), "n = {n}");
-            assert!(
-                visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
-                "n = {n}: every index is claimed exactly once"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "trial 5 exploded")]
-    fn a_panicking_trial_panics_the_caller() {
-        let _ = par_map(64, |i| {
-            assert_ne!(i, 5, "trial 5 exploded");
-            i
-        });
-    }
 
     #[test]
     fn trials_receive_distinct_deterministic_seeds() {

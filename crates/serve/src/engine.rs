@@ -64,12 +64,16 @@ pub struct ServeConfig {
     pub aging_steps: u64,
     /// Per-step token budget for the chunked-prefill scheduler; `0` means unlimited.
     ///
-    /// Each step first decodes one token per occupied decoding slot (decode is never
-    /// budgeted away), then advances at most one in-progress prefill by a chunk of at most
-    /// `step_token_budget − decode_rows` tokens. A budget at or below the decode width
-    /// stalls prefill for that step only — decoding sequences retire and free budget, so
-    /// prefill always makes progress eventually, and when no slot is decoding the whole
-    /// budget (at least one token) goes to the prefill chunk.
+    /// Each step reserves one token per slot already decoding (decode is never budgeted
+    /// away) and runs the prefill pass first: the remaining `step_token_budget −
+    /// decode_rows` tokens are split FIFO by admission over every in-progress prefill — the
+    /// oldest takes as much as it needs, the next what is left — and all their chunks run
+    /// in one batched forward. The decode pass follows: one token per slot that was
+    /// already decoding, plus as many prompts completed this step as the budget still
+    /// admits (the rest join the next step). A budget at or below the decode width stalls
+    /// prefill for that step only — decoding sequences retire and free budget, so prefill
+    /// always makes progress eventually, and when no slot is decoding the whole budget (at
+    /// least one token) goes to the prefill chunks.
     pub step_token_budget: usize,
     /// Runtime-adaptive protection (escalation, hysteresis, protection-first shedding).
     /// Disabled by default: the engine then behaves bit-identically to a build without
@@ -341,7 +345,13 @@ impl<'m> ServeEngine<'m> {
     /// clamped to at least 1).
     pub fn new(model: &'m Model, config: ServeConfig) -> Self {
         let slots = config.slots.max(1);
-        let mut protector = SchemeProtector::with_default_regions(config.base_scheme, config.array);
+        // Recovery recomputes on the backend the model serves on, not the process default.
+        let mut protector = SchemeProtector::with_engine(
+            config.base_scheme,
+            config.array,
+            &RegionAssignment::new(),
+            model.config().engine.build(),
+        );
         // On a sharded model the shared decode protector also localises fused-checksum
         // deviations to shard column stripes, so operator telemetry can name the suspect
         // fault domain even for corruption injected above the sharded layer.

@@ -6,11 +6,12 @@
 //!
 //! * [`ReferenceEngine`] — the original scalar triple loop ([`crate::gemm::gemm_i8`]), kept
 //!   as the bit-exact oracle every other backend is tested against;
-//! * [`KernelEngine`] — every other backend: the [`crate::simd`] row kernel (AVX-512 /
-//!   AVX2 microkernels, runtime-detected, over a portable tier that is a cache-tiled scalar
-//!   loop) × one **worker count**, the calling thread or scoped threads stealing contiguous
-//!   row chunks. The two cells are what [`EngineKind`] names `simd` and `simd_parallel`,
-//!   the latter being the default on every host (see [`EngineKind::auto`]).
+//! * [`KernelEngine`] — every other backend: the [`crate::simd`] row kernel (AMX / AVX-512
+//!   / AVX2 microkernels, runtime-detected, over a portable tier that is a cache-tiled
+//!   scalar loop) × one **worker count**, the calling thread or scoped threads stealing
+//!   contiguous row chunks through [`par_map`]. The two cells are what [`EngineKind`] names
+//!   `simd` and `simd_parallel`, the latter being the default on every host (see
+//!   [`EngineKind::auto`]).
 //!
 //! All backends produce **bit-identical** accumulators: INT32/i64 additions are associative and
 //! commutative, so re-tiling and re-sharding the reduction cannot change a single bit (the
@@ -33,18 +34,18 @@
 //! `B` panels. The result is a [`ChecksummedGemm`], which downstream ABFT
 //! detectors consume directly instead of re-reading the matrices.
 //!
-//! At an accelerated SIMD tier a checksummed GEMM of at most [`SKINNY_MAX_ROWS`] rows over a
-//! row-major `B` that runs inline — attention's decode-shape `QKᵀ` and `SV`, recovery
-//! recomputation — takes the **skinny** pass, which also keeps the `n mod 16` tail columns
-//! in registers and assigns every destination cell (see "The skinny rule" in
-//! [`crate::simd`]).
+//! Every GEMM of a [`KernelEngine`], whatever its shape, `B` operand or worker count, takes
+//! one route into the [`crate::simd`] row kernel: a row-major `B` — attention's `QKᵀ` and
+//! `SV`, recovery recomputation — runs the one AVX2 register tile at every accelerated tier
+//! and row count, its `n mod 16` tail columns in the same registers.
 
 use crate::packed::PackedMatI8;
-use crate::simd::{SimdKernel, SimdTier, SKINNY_MAX_ROWS};
+use crate::simd::{SimdKernel, SimdTier};
 use crate::{gemm, MatI32, MatI8, Result, TensorError};
 use std::ops::Range;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A GEMM result bundled with the ABFT column checksums of the pass that produced it.
 ///
@@ -181,23 +182,13 @@ impl ChecksummedGemm {
     /// Reshapes the bundle for an `m × n` fused pass into reused storage: accumulator
     /// zeroed in place, both checksum vectors zeroed to `cols`, observed marked fresh.
     ///
-    /// Every fused `gemm_i8_checksummed_into` kernel that accumulates with `+=` goes
-    /// through here ([`ChecksummedGemm::prepare_overwritten`] is for the ones that assign),
-    /// so the four-field consistency invariant lives in one place.
+    /// Every fused `gemm_i8_checksummed_into` kernel accumulates with `+=` and goes through
+    /// here, so the four-field consistency invariant lives in one place.
     pub(crate) fn prepare(&mut self, rows: usize, cols: usize) {
         self.acc.resize_reset(rows, cols);
         self.expected.clear();
         self.expected.resize(cols, 0);
         self.observed.clear();
-        self.observed.resize(cols, 0);
-        self.observed_fresh = true;
-    }
-
-    /// [`ChecksummedGemm::prepare`] for a kernel that assigns every accumulator cell and
-    /// every checksum entry: same shapes, contents unspecified, no zero-fill.
-    pub(crate) fn prepare_overwritten(&mut self, rows: usize, cols: usize) {
-        self.acc.resize_overwrite(rows, cols);
-        self.expected.resize(cols, 0);
         self.observed.resize(cols, 0);
         self.observed_fresh = true;
     }
@@ -308,7 +299,7 @@ impl<'a> Operand<'a> {
 /// `etw`.
 ///
 /// It runs where no checksum row does: the portable tier's tiled routine, the `n mod 16`
-/// column tails the vector tiers hand to it, and the two-pass oracle
+/// column tails the packed kernels hand to it, and the two-pass oracle
 /// ([`accumulate_expected`]); the vector and AMX tiers ride the checksum row on their
 /// multiply instead (see [`crate::simd`]). Kept out-of-line so the checksum arithmetic
 /// cannot perturb register allocation in the tiled multiply.
@@ -498,32 +489,6 @@ pub const PARALLEL_MIN_MACS: usize = 1 << 18;
 /// of idling while a statically assigned contiguous band finishes elsewhere.
 pub const CHUNKS_PER_WORKER: usize = 4;
 
-/// One claimable unit of a sharded GEMM: a contiguous row range plus the matching band of
-/// the output allocation (a disjoint `split_at_mut` view, so workers write in place).
-type RowChunk<'a> = (usize, usize, &'a mut [i32]);
-
-/// Splits `out` into contiguous chunks of at most `chunk_rows` rows, each behind a `Mutex`
-/// slot so that whichever worker claims a chunk's index can take ownership of its band.
-/// Every slot is locked exactly once (uncontended) by the claiming worker.
-fn carve_chunks(
-    out: &mut MatI32,
-    chunk_rows: usize,
-) -> Vec<std::sync::Mutex<Option<RowChunk<'_>>>> {
-    let rows = out.rows();
-    let n = out.cols();
-    let mut chunks = Vec::with_capacity(rows.div_ceil(chunk_rows.max(1)));
-    let mut rest = out.as_mut_slice();
-    let mut start = 0;
-    while start < rows {
-        let end = (start + chunk_rows).min(rows);
-        let (band, tail) = rest.split_at_mut((end - start) * n);
-        chunks.push(std::sync::Mutex::new(Some((start, end, band))));
-        rest = tail;
-        start = end;
-    }
-    chunks
-}
-
 /// Cores available to this process, resolved once: `available_parallelism` re-reads cgroup
 /// limits from the filesystem on every call on Linux — tens of microseconds, i.e. longer
 /// than an entire decode-shape GEMM — and the process's CPU budget does not change mid-run.
@@ -539,46 +504,57 @@ fn worker_count(threads: Option<usize>, rows: usize) -> usize {
     hw.max(1).min(rows.max(1))
 }
 
-/// Work-stealing dispatch: carves `out` into fine-grained row chunks and spawns `workers`
-/// scoped threads that repeatedly claim the next unclaimed chunk via an atomic counter and
-/// run `shard` on it. Each worker's `T` accumulates across all the chunks it claimed
-/// (built by `init`, folded by `shard`); the per-worker values are returned at join for
-/// the caller to merge. The scheduling layer is kernel-agnostic.
-fn steal_row_chunks<T: Send>(
-    out: &mut MatI32,
-    workers: usize,
-    init: impl Fn() -> T + Sync,
-    shard: impl Fn(&mut T, usize, usize, &mut [i32]) + Sync,
-) -> Vec<T> {
-    let rows = out.rows();
-    let chunk_rows = rows.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    let chunks = carve_chunks(out, chunk_rows);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (chunks, next, init, shard) = (&chunks, &next, &init, &shard);
-    std::thread::scope(|scope| {
+/// Maps `f` over the indices `0..n` on at most `workers` scoped threads and returns the
+/// results in index order — the workspace's one work-stealing loop, under the sharded GEMM
+/// and every Monte-Carlo campaign alike.
+///
+/// Workers claim the next index off a shared atomic counter, so a run of expensive items
+/// (recovery-heavy trials, dense row chunks under zero-skip) is spread over every worker
+/// instead of pinning whichever one a static split would have handed them to. With one
+/// worker (or at most one item) `f` runs on the calling thread. A panic inside `f` is
+/// re-raised on the calling thread once the other workers have drained the counter.
+///
+/// # Example
+///
+/// ```
+/// let squares = realm_tensor::engine::par_map(3, 5, |i| i * i);
+/// assert_eq!(squares, [0, 1, 4, 9, 16]);
+/// ```
+pub fn par_map<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut carry = init();
+                    let mut mine = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(slot) = chunks.get(i) else { break };
-                        let (s, e, band) = slot
-                            .lock()
-                            .expect("chunk slot poisoned")
-                            .take()
-                            .expect("each chunk index is claimed exactly once");
-                        shard(&mut carry, s, e, band);
+                        // Relaxed: the counter only hands out indices; results are
+                        // published by the join.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(i)));
                     }
-                    carry
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("GEMM shard panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
-    })
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Where a [`KernelEngine`] runs its row kernel.
@@ -598,8 +574,8 @@ enum Workers {
 /// value, so the per-GEMM hot path never re-reads the environment or CPUID. The **workers** are the calling thread (the
 /// default) or a work-stealing pool ([`KernelEngine::pooled`],
 /// [`KernelEngine::with_workers`]): the output rows are carved into [`CHUNKS_PER_WORKER`]×
-/// more contiguous chunks than there are workers, and workers claim chunks off a shared
-/// atomic counter until none remain. On uniform operands this costs nothing over static
+/// more contiguous chunks than there are workers, and workers claim them through
+/// [`par_map`] until none remain. On uniform operands this costs nothing over static
 /// contiguous bands; on skewed operands (e.g. activation matrices whose top rows are dense
 /// and bottom rows mostly zero, where the kernels' zero-skip makes row cost wildly uneven)
 /// it keeps every core busy to the end. GEMMs below [`PARALLEL_MIN_MACS`] run inline on
@@ -661,17 +637,17 @@ impl KernelEngine {
 
     /// The one orchestration routine: runs the kernel over all of `a × b` into `out`
     /// (already shaped and zeroed), inline or across stolen row chunks, with the checksum
-    /// reductions fused into the pass when `fused` is present. (At an accelerated tier,
-    /// checksummed decode shapes over a row-major `B` never get here: see the skinny rule in
-    /// [`KernelEngine::checksummed_into`].)
+    /// reductions fused into the pass when `fused` is present. Every GEMM of the engine,
+    /// whatever its shape or `B` operand, goes through here.
     ///
-    /// When sharded, every claimed chunk reduces its rows' share of all three checksums into
-    /// zeroed partials of its own — the chunk's `eᵀ·W` must be its rows' alone, since the
-    /// tiled routine weights `B` by it — and the partials are summed at join (integer sums:
-    /// bit-identical to one inline pass, whoever steals which chunk).
-    /// The partials allocate inside the scoped threads — caller-provided scratch
-    /// cannot cross the spawn — but that path only runs for GEMMs big enough to shard,
-    /// never the GEMV-like decode shapes the allocation-free loop cares about.
+    /// When sharded, the rows are carved into [`CHUNKS_PER_WORKER`]× more contiguous chunks
+    /// than there are workers and claimed through [`par_map`]. Every chunk reduces its rows'
+    /// share of all three checksums into zeroed partials of its own — the chunk's `eᵀ·W`
+    /// must be its rows' alone, since the tiled routine weights `B` by it — and the partials
+    /// are summed at join (integer sums: bit-identical to one inline pass, whoever claims
+    /// which chunk). The partials allocate inside the scoped threads — caller-provided
+    /// scratch cannot cross the spawn — but that path only runs for GEMMs big enough to
+    /// shard, never the GEMV-like decode shapes the allocation-free loop cares about.
     fn run(&self, a: &MatI8, b: Operand<'_>, out: &mut MatI32, fused: Option<FusedChecksums<'_>>) {
         let (m, k) = a.shape();
         let n = out.cols();
@@ -681,34 +657,43 @@ impl KernelEngine {
             kernel.run_rows(a, b, out.as_mut_slice(), 0, m, fused);
             return;
         }
+        let chunk_rows = m.div_ceil(workers * CHUNKS_PER_WORKER);
+        // Each chunk's band of the output behind a `Mutex` slot, so that whichever worker
+        // claims the chunk's index takes ownership of it (once, uncontended).
+        let bands: Vec<_> = out
+            .as_mut_slice()
+            .chunks_mut(chunk_rows * n)
+            .map(|band| Mutex::new(Some(band)))
+            .collect();
         let checksummed = fused.is_some();
-        let shards = steal_row_chunks(
-            out,
-            workers,
-            Vec::new,
-            |partials: &mut Vec<[Vec<i64>; 3]>, s, e, band| {
-                let fused = checksummed.then(|| {
-                    partials.push([vec![0; k], vec![0; n], vec![0; n]]);
-                    let [etw, expected, observed] = partials.last_mut().expect("just pushed");
-                    FusedChecksums {
-                        etw,
-                        expected,
-                        observed,
-                    }
+        let partials = par_map(workers, bands.len(), |i| {
+            let band = bands[i]
+                .lock()
+                .expect("band slot poisoned")
+                .take()
+                .expect("each chunk index is claimed exactly once");
+            let mut partial = checksummed.then(|| [vec![0; k], vec![0; n], vec![0; n]]);
+            let fused = partial
+                .as_mut()
+                .map(|[etw, expected, observed]| FusedChecksums {
+                    etw,
+                    expected,
+                    observed,
                 });
-                kernel.run_rows(a, b, band, s, e, fused);
-            },
-        );
+            let start = i * chunk_rows;
+            kernel.run_rows(a, b, band, start, (start + chunk_rows).min(m), fused);
+            partial
+        });
         if let Some(FusedChecksums {
             etw,
             expected,
             observed,
         }) = fused
         {
-            for partials in shards.into_iter().flatten() {
+            for partial in partials.into_iter().flatten() {
                 for (sums, partial) in [&mut *etw, &mut *expected, &mut *observed]
                     .into_iter()
-                    .zip(partials)
+                    .zip(partial)
                 {
                     for (acc, v) in sums.iter_mut().zip(partial) {
                         *acc += v;
@@ -744,27 +729,9 @@ impl KernelEngine {
     ) -> Result<()> {
         let b_shape = b.row_major().shape();
         gemm::check_compatible(op, a.shape(), b_shape)?;
-        let (m, k, n) = (a.rows(), a.cols(), b_shape.1);
         etw_scratch.clear();
-        etw_scratch.resize(k, 0);
-        // The skinny rule for a row-major `B` — attention's decode shapes at an accelerated
-        // tier, inline: one register tile whose rows and checksum row stream `B` once, tail
-        // columns included, assigning every destination cell. (A packed `B` needs no rule:
-        // the kernel pass itself is that one stream at these shapes.)
-        let simd = &self.kernel;
-        if let Operand::RowMajor(b) = b {
-            if simd.has_skinny_passes()
-                && (1..=SKINNY_MAX_ROWS).contains(&m)
-                && self.workers_for(m, k, n) <= 1
-            {
-                dest.prepare_overwritten(m, n);
-                let (acc, expected, observed) = dest.fused_parts_mut();
-                let out = acc.as_mut_slice();
-                simd.run_skinny_rows(a, b, out, etw_scratch, expected, observed);
-                return Ok(());
-            }
-        }
-        dest.prepare(m, n);
+        etw_scratch.resize(a.cols(), 0);
+        dest.prepare(a.rows(), b_shape.1);
         let (acc, expected, observed) = dest.fused_parts_mut();
         let fused = FusedChecksums {
             etw: etw_scratch,
@@ -1027,27 +994,33 @@ mod tests {
 
     #[test]
     fn checksum_row_leaves_no_separate_expected_pass_at_accelerated_tiers() {
-        let passes = || EXPECTED_PANEL_PASSES.with(Cell::get);
+        // This thread's calls of the scalar expected pass and of the tiled routine.
+        let passes = || {
+            let expected = EXPECTED_PANEL_PASSES.with(Cell::get);
+            (expected, crate::simd::TILED_PASSES.with(Cell::get))
+        };
         for tier in SimdTier::ALL {
+            let accelerated = tier.min(SimdTier::detect()) >= SimdTier::Avx2;
             let engine = KernelEngine::simd_with_tier(tier);
-            // The counter is per thread, so every GEMM here runs inline: pooled engines
+            // The counters are per thread, so every GEMM here runs inline: pooled engines
             // only below the sharding threshold.
             let pooled = engine.pooled();
             for m in [1, 2, 3, 4, 5, 12, 128, 256, 257, 300] {
                 for k in [32, 33] {
-                    // Whole blocks (n mod 16 = 0): a tail is the tiled routine's, and so is
-                    // its panel pass — except in the row-major skinny pass, which keeps its
-                    // tail columns in registers, so m <= 4 also runs a ragged row-major `B`.
+                    // Whole blocks (n mod 16 = 0) for both operands, and a ragged row-major
+                    // `B`, whose tail columns the row-major tile keeps in its registers. (A
+                    // packed tail is the tiled routine's, and so is its panel pass.)
                     let seed = (m * 100 + k) as u64;
                     let (a, b) = random_pair(seed, m, k, 48);
                     let pb = PackedMatI8::pack(&b);
-                    let ragged = (m <= SKINNY_MAX_ROWS).then(|| random_pair(seed, m, k, 50).1);
+                    let ragged = random_pair(seed, m, k, 50).1;
                     let mut engines = vec![engine];
-                    if m * k * b.cols() < PARALLEL_MIN_MACS {
+                    if m * k * ragged.cols() < PARALLEL_MIN_MACS {
                         engines.push(pooled);
                     }
                     for engine in engines {
                         let (mut dest, mut etw) = (ChecksummedGemm::empty(), Vec::new());
+                        let mut out = MatI32::zeros(0, 0);
                         let before = passes();
                         engine
                             .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
@@ -1055,16 +1028,16 @@ mod tests {
                         engine
                             .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
                             .unwrap();
-                        if let Some(ragged) = &ragged {
-                            engine
-                                .gemm_i8_checksummed_into(&a, ragged, &mut dest, &mut etw)
-                                .unwrap();
-                        }
-                        let separate = passes() - before;
-                        if engine.kernel.has_skinny_passes() {
-                            assert_eq!(separate, 0, "{tier:?}: {m}x{k} left the checksum row");
+                        engine
+                            .gemm_i8_checksummed_into(&a, &ragged, &mut dest, &mut etw)
+                            .unwrap();
+                        engine.gemm_i8_into(&a, &ragged, &mut out).unwrap();
+                        let (expected, tiled) = passes();
+                        let separate = (expected - before.0, tiled - before.1);
+                        if accelerated {
+                            assert_eq!(separate, (0, 0), "{tier:?}: {m}x{k} left the tile");
                         } else {
-                            assert!(separate > 0, "{tier:?}: {m}x{k} is the panel pass's");
+                            assert!(separate.0 > 0, "{tier:?}: {m}x{k} is the panel pass's");
                         }
                     }
                 }
@@ -1178,6 +1151,35 @@ mod tests {
             assert_eq!(fused.expected(), oracle.expected(), "{threads} threads");
             assert_eq!(fused.observed(), oracle.observed(), "{threads} threads");
         }
+    }
+
+    #[test]
+    fn par_map_visits_every_index_once_and_keeps_index_order() {
+        for (workers, n) in [(1, 5), (3, 0), (3, 1), (3, 2), (3, 4), (4, 257)] {
+            let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map(workers, n, |i| {
+                visits[i].fetch_add(1, Ordering::Relaxed);
+                3 * i
+            });
+            assert_eq!(
+                out,
+                (0..n).map(|i| 3 * i).collect::<Vec<_>>(),
+                "{workers} workers, n = {n}"
+            );
+            assert!(
+                visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
+                "{workers} workers, n = {n}: every index is claimed exactly once"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 exploded")]
+    fn a_panicking_item_panics_the_caller() {
+        let _ = par_map(3, 64, |i| {
+            assert_ne!(i, 5, "item 5 exploded");
+            i
+        });
     }
 
     #[test]

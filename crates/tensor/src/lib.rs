@@ -17,8 +17,8 @@
 //!   quantized GEMMs through a handle selected by [`EngineKind`].
 //! * [`simd`] — the i8 row kernel behind [`KernelEngine::simd`]: an AVX2 tier, an optional
 //!   AVX-512 tier for the packed kernels, and a portable tier — the crate's one scalar
-//!   GEMM loop besides the [`gemm`] oracle, cache-tiled, which also takes every vector
-//!   tier's column tail ([`SimdTier`]) — all behind runtime feature detection.
+//!   GEMM loop besides the [`gemm`] oracle, cache-tiled, which also takes the packed
+//!   kernels' column tail ([`SimdTier`]) — all behind runtime feature detection.
 //! * [`packed`] — [`PackedMatI8`], static B-operand (weight) matrices pre-packed at model
 //!   load into the exact interleaved tile order the microkernels consume, with the
 //!   `eᵀ·W` column checksums precomputed at pack time; the decode-shape fast path behind

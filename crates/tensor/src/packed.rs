@@ -41,7 +41,7 @@
 //!
 //! A `PackedMatI8` owns both representations: the row-major [`MatI8`]
 //! ([`PackedMatI8::unpacked`], used by default-engine fallbacks, hook callbacks, the
-//! portable tier and the vector tiers' `n mod 16` column tails) and the tile buffer. Both
+//! portable tier and the packed kernels' `n mod 16` column tails) and the tile buffer. Both
 //! are **load-time** allocations owned by the layer that packs its weights — never
 //! [`crate::Workspace`] scratch — so the steady-state decode loop stays allocation-free
 //! exactly as before (proven by `tests/zero_alloc.rs`).

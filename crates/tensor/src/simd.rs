@@ -17,8 +17,8 @@
 //! widened to `i32` once into a stack scratch and every accumulator row folds them in with a
 //! pure-`i32` multiply-add the compiler unrolls and vectorises. Fused checksums fold in while
 //! the data is hot: `(eᵀ·W)·X` from each widened `B` panel, `eᵀ·Y` from each finalised
-//! output segment. Besides being the portable tier, it takes every column range the vector
-//! tiers leave over — the `n mod 16` tail of the row-major and the packed tiles.
+//! output segment. Besides being the portable tier, it takes the `n mod 16` column tail of
+//! the packed kernels, which no model shape has: every hidden and ffn size is a multiple of 16.
 //!
 //! # The microkernel
 //!
@@ -37,12 +37,16 @@
 //!    product is at most `128² = 16384` and the pair sum at most `2¹⁵`, far inside `i32`.
 //!
 //! A panel is as many whole tiles as fit the buffer beside its checksum row, and at most one
-//! checksum band (`BAND_ROWS`); the tiles of a panel sweep every full 16-column block of
-//! `B` before the next panel is widened. A depth longer than a panel row holds
-//! (`CHUNK_PAIRS` pairs) is cut into chunks whose tiles add onto the output. Column tails
-//! (`n mod 16`) run through the tiled routine, which is bit-identical (integer accumulation
-//! is order-invariant) — except in the row-major skinny pass below, which keeps them in the
-//! same registers.
+//! checksum band (`BAND_ROWS`); the tiles of a panel sweep every 16-column block of `B`
+//! before the next panel is widened. A depth longer than a panel row holds (`CHUNK_PAIRS`
+//! pairs) is cut into chunks whose tiles add onto the output. At decode shapes (`m ≤ 4`) a
+//! panel is one tile, so its rows and its checksum row stream `B` once.
+//!
+//! This one tile is the only row-major kernel at every accelerated tier and row count. A
+//! partial final block (`n mod 16` columns) runs through the same registers: its loads read
+//! 16 bytes wherever that stays inside `B` (the lanes past the row's end hold the next row's
+//! bytes and are never stored) and a zero-padded stack copy for the last rows, where it
+//! would not, and its rows retire through a stack copy.
 //!
 //! ## Why `vpmaddwd` and not the `vpmaddubsw` offset trick
 //!
@@ -71,24 +75,9 @@
 //! `i64` every `DRAIN_PAIRS` pairs. Every panel of every pass carries its checksum row —
 //! a row chunk of a sharded GEMM over its own rows, its partial sums added at join. The
 //! operand checksum `eᵀ·W` itself falls out of the widening pass: the checksum rows, added
-//! up. Only the portable tier and the `n mod 16` tails reduce `(eᵀ·W)·X` in scalar `i64`
-//! (`accumulate_expected_panel`) — the tails from the `eᵀ·W` the panels just produced, the
-//! portable tier from its rows' column sums, reduced first.
-//!
-//! # The skinny rule
-//!
-//! The checksum row works for any band of at most `BAND_ROWS` rows. With at most
-//! [`SKINNY_MAX_ROWS`] rows a whole GEMM is **one** register tile, so its rows and its
-//! checksum row make the checksummed GEMM one stream over `B`. Decode is made of such
-//! shapes: the linears (`m` = batch rows, packed `B`) take the ordinary packed pass, whose
-//! single panel is that tile; attention's `QKᵀ`/`SV` (`m` = 1 per sequence and head,
-//! row-major `B`) take `SimdKernel::run_skinny_rows`, which also runs the `n mod 16` tail
-//! columns through the same registers and assigns every destination cell (at
-//! `1 × 32 · 32 × 48` a separate expected pass, its second call for the tail columns and the
-//! zero-fills around them cost 4.4× the multiply itself, the fused row 0.5×). The skinny
-//! pass exists at the AVX2 tier (AVX-512 hosts run it too, as for the unpacked tile); the
-//! portable tier has none and runs these shapes through the tiled routine, whose panel
-//! pass computes the expected checksum.
+//! up. Only the portable tier and the packed kernels' `n mod 16` tails reduce `(eᵀ·W)·X` in
+//! scalar `i64` (`accumulate_expected_panel`) — the tails from the `eᵀ·W` the panels just
+//! produced, the portable tier from its rows' column sums, reduced first.
 //!
 //! # Packed-B kernels
 //!
@@ -122,9 +111,6 @@ use std::sync::OnceLock;
 pub const SIMD_TILE_COLS: usize = 16;
 /// Height (output rows) of the SIMD register tile.
 pub const SIMD_TILE_ROWS: usize = 4;
-/// Maximum `m` of the row-major skinny pass (`SimdKernel::run_skinny_rows`): one register
-/// tile, whose rows and checksum row stream `B` once, tail columns included.
-pub const SKINNY_MAX_ROWS: usize = SIMD_TILE_ROWS;
 
 // The packed block width and the SIMD tile width must agree — the packed layout IS the
 // kernels' consumption order.
@@ -297,19 +283,20 @@ pub enum SimdTier {
     Portable,
     /// The AVX2 microkernels (16-wide i16 pair tiles).
     Avx2,
-    /// AVX2 for the unpacked kernel plus AVX-512F/BW for the **packed** kernels, which
-    /// widen a whole 64-byte packed quad row into two 32-lane i16 zmm registers
-    /// (`vpmovsxbw`) and retire two depth pairs of 16 columns per pair of `vpmaddwd`. The
-    /// unpacked kernel deliberately stays on the AVX2 tile: without pre-packing, feeding
-    /// 512-bit registers needs extra cross-lane shuffles that eat the wider multiply, while
-    /// the packed layout feeds them with plain loads — AVX-512 is applied exactly where the
-    /// data layout lets it pay.
+    /// The AVX2 tile for a row-major `B` (every row count, tail columns included) plus
+    /// AVX-512F/BW for the **packed** kernels, which widen a whole 64-byte packed quad row
+    /// into two 32-lane i16 zmm registers (`vpmovsxbw`) and retire two depth pairs of 16
+    /// columns per pair of `vpmaddwd`. The row-major kernel deliberately stays on the AVX2
+    /// tile: without pre-packing, feeding 512-bit registers needs extra cross-lane shuffles
+    /// that eat the wider multiply, while the packed layout feeds them with plain loads —
+    /// AVX-512 is applied exactly where the data layout lets it pay.
     Avx512,
-    /// AVX-512 plus the AMX-INT8 tile unit for the **packed** kernels of at least three rows
-    /// (thinner ones stay on the AVX-512 kernel): `tdpbssd` multiplies 16-row tiles of
-    /// activations against 16 × 64 tiles of the packed weights, which are stored in its
-    /// B-tile order. Granted when CPUID reports AMX-TILE and AMX-INT8, the OS
-    /// manages tile state, and the kernel grants the process the tile data.
+    /// AVX-512 (the AVX2 tile for a row-major `B`) plus the AMX-INT8 tile unit for the
+    /// **packed** kernels of at least three rows (thinner ones stay on the AVX-512 kernel):
+    /// `tdpbssd` multiplies 16-row tiles of activations against 16 × 64 tiles of the packed
+    /// weights, which are stored in its B-tile order. Granted when CPUID reports AMX-TILE
+    /// and AMX-INT8, the OS manages tile state, and the kernel grants the process the tile
+    /// data.
     Amx,
 }
 
@@ -376,13 +363,6 @@ impl SimdKernel {
         }
     }
 
-    /// Whether this tier has the row-major skinny pass ([`SimdKernel::run_skinny_rows`]):
-    /// AVX2 and up. The portable tier runs those shapes through the tiled routine like any
-    /// other.
-    pub(crate) fn has_skinny_passes(&self) -> bool {
-        self.tier >= SimdTier::Avx2
-    }
-
     /// Kernel pass over a contiguous row range `[row_start, row_end)` of `a`, accumulating
     /// into `out_band` — the matching rows of the output, band-local and contiguous
     /// (`(row_end - row_start) × n`), so parallel shards can own disjoint `split_at_mut`
@@ -392,9 +372,10 @@ impl SimdKernel {
     /// documentation); on the portable tier both from the cache-hot panels of the tiled
     /// routine.
     ///
+    /// A row-major `B` runs the AVX2 tile at every accelerated tier, every column included.
     /// A packed `B` is streamed in its depth-quad order — as widened quad rows on the vector
-    /// tiers, as B tiles on the AMX tier; the portable tier multiplies the row-major
-    /// original the pack carries.
+    /// tiers, as B tiles on the AMX tier — and hands its `n mod 16` tail to the tiled
+    /// routine; the portable tier multiplies the row-major original the pack carries.
     pub(crate) fn run_rows(
         &self,
         a: &MatI8,
@@ -427,8 +408,8 @@ impl SimdKernel {
                 _ => unsafe { self.run_blocks(a, b, out_band, rows, sinks) },
             }
             let blocks_end = n - n % SIMD_TILE_COLS;
-            if blocks_end < n {
-                let b = b.row_major();
+            if let (Operand::Packed(pb), true) = (b, blocks_end < n) {
+                let b = pb.unpacked();
                 tiled(a, b, out_band, row_start, row_end, blocks_end..n, fused);
             }
             return;
@@ -440,11 +421,11 @@ impl SimdKernel {
         tiled(a, b.row_major(), out_band, row_start, row_end, 0..n, fused);
     }
 
-    /// The vector tiers' share of [`SimdKernel::run_rows`]: every full 16-column block of
-    /// rows `rows`, panel by panel and depth chunk by depth chunk. With `fused`, every panel
-    /// carries its checksum row: the widening adds the rows' `eᵀ·W` onto `fused.etw`, the
-    /// checksum rows their `(eᵀ·W)·X` over those blocks onto `fused.expected`, and the
-    /// retiring tiles their `eᵀ·Y` onto `fused.observed`.
+    /// The vector tiers' share of [`SimdKernel::run_rows`]: every 16-column block of rows
+    /// `rows` (a packed `B`'s full blocks only), panel by panel and depth chunk by depth
+    /// chunk. With `fused`, every panel carries its checksum row: the widening adds the
+    /// rows' `eᵀ·W` onto `fused.etw`, the checksum rows their `(eᵀ·W)·X` over those blocks
+    /// onto `fused.expected`, and the retiring tiles their `eᵀ·Y` onto `fused.observed`.
     ///
     /// # Safety
     ///
@@ -476,7 +457,7 @@ impl SimdKernel {
         }
     }
 
-    /// One widened panel against every full block of `b` (see the kernels' `panel`).
+    /// One widened panel against the blocks of `b` (see the kernels' `panel`).
     ///
     /// # Safety
     ///
@@ -491,7 +472,7 @@ impl SimdKernel {
         expected: Option<&mut [i64]>,
     ) {
         match b {
-            // The unpacked kernel stays on the AVX2 tile at every accelerated tier — see
+            // The row-major kernel stays on the AVX2 tile at every accelerated tier — see
             // [`SimdTier::Avx512`] for why.
             Operand::RowMajor(b) => avx2::panel(panel, b, out, observed, expected),
             Operand::Packed(pb) if self.tier >= SimdTier::Avx512 => {
@@ -499,49 +480,6 @@ impl SimdKernel {
             }
             Operand::Packed(pb) => packed_avx2::panel(panel, pb, out, observed, expected),
         }
-    }
-
-    /// The skinny pass for a row-major `B` — the activation × activation GEMMs of attention
-    /// (`QKᵀ`, `SV`) and recovery recomputation, whose right operand changes every call and
-    /// so is never packed. One stream over `B`: each depth pair is widened and interleaved
-    /// once and feeds the `m ≤ 4` activation rows **and** the checksum row `eᵀ·A`, `eᵀ·Y` is
-    /// reduced from the retiring registers, and the `n mod 16` tail columns run through the
-    /// same registers instead of a second, scalar pass. `etw` (zeroed) receives `eᵀ·A` from
-    /// the widening pass.
-    ///
-    /// Unlike every other kernel here it **overwrites** `out`, `expected` and `observed`
-    /// (the first depth chunk assigns, later ones add), so the caller shapes the destination
-    /// without zero-filling it.
-    ///
-    /// # Panics
-    ///
-    /// Panics at the portable tier ([`SimdKernel::has_skinny_passes`]) or on shapes that
-    /// disagree.
-    pub(crate) fn run_skinny_rows(
-        &self,
-        a: &MatI8,
-        b: &MatI8,
-        out: &mut [i32],
-        etw: &mut [i64],
-        expected: &mut [i64],
-        observed: &mut [i64],
-    ) {
-        assert_skinny_shapes(a, b.shape(), out, etw, expected, observed);
-        #[cfg(target_arch = "x86_64")]
-        if self.tier >= SimdTier::Avx2 {
-            let (m, k) = a.shape();
-            let pairs = k.div_ceil(2);
-            let mut wide = WideLanes::new();
-            for chunk in depth_chunks(k) {
-                let (first, last) = (chunk.start == 0, chunk.end == pairs);
-                let panel = widen(a, 0..m, chunk, Some(&mut *etw), &mut wide);
-                // SAFETY: an accelerated tier is only granted when AVX2 was detected; the
-                // shapes the kernel indexes by were asserted above.
-                unsafe { avx2::run_skinny(&panel, b, out, expected, observed, first, last) };
-            }
-            return;
-        }
-        unreachable!("no skinny pass at the {} tier", self.tier.label());
     }
 }
 
@@ -553,31 +491,6 @@ type Sinks<'s> = (
     Option<&'s mut [i64]>,
     Option<&'s mut [i64]>,
 );
-
-/// The preconditions of the skinny pass (`(k, n)` is the shape of `B`), which the vector
-/// kernel indexes by without bounds checks.
-fn assert_skinny_shapes(
-    a: &MatI8,
-    (k, n): (usize, usize),
-    out: &[i32],
-    etw: &[i64],
-    expected: &[i64],
-    observed: &[i64],
-) {
-    let m = a.rows();
-    assert!(
-        (1..=SKINNY_MAX_ROWS).contains(&m),
-        "skinny pass over {m} rows"
-    );
-    assert_eq!(a.cols(), k, "operand depths differ");
-    assert_eq!(etw.len(), k, "one checksum weight per depth step");
-    assert_eq!(out.len(), m * n, "destination is not m x n");
-    assert_eq!(
-        (expected.len(), observed.len()),
-        (n, n),
-        "one checksum per column"
-    );
-}
 
 /// The stack buffer a row panel is widened into, cache-line aligned so that no pair lane
 /// straddles a line. Left uninitialised: [`widen`] writes every lane a kernel reads.
@@ -705,20 +618,26 @@ fn init_lanes<'d, T: From<i8> + Default>(dst: &'d mut [MaybeUninit<T>], src: &[i
     unsafe { &mut *(dst as *mut [MaybeUninit<T>] as *mut [T]) }
 }
 
-/// Calls `$tile::<R, CHECK>(args…)` for a runtime row count `$rows` and checksum flag
-/// `$check`.
+#[cfg(test)]
+thread_local! {
+    /// Calls of the tiled routine made by this thread.
+    pub(crate) static TILED_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Calls `$tile::<R, CHECK>(args…)` — or `$tile::<R, CHECK, $more>(args…)` — for a runtime
+/// row count `$rows` and checksum flag `$check`.
 #[cfg(target_arch = "x86_64")]
 macro_rules! dispatch_tile {
-    ($rows:expr, $check:expr, $tile:ident($($arg:expr),* $(,)?)) => {
+    ($rows:expr, $check:expr, $tile:ident $(<$more:tt>)? ($($arg:expr),* $(,)?)) => {
         match ($rows, $check) {
-            (4, false) => $tile::<4, false>($($arg),*),
-            (4, true) => $tile::<4, true>($($arg),*),
-            (3, false) => $tile::<3, false>($($arg),*),
-            (3, true) => $tile::<3, true>($($arg),*),
-            (2, false) => $tile::<2, false>($($arg),*),
-            (2, true) => $tile::<2, true>($($arg),*),
-            (1, false) => $tile::<1, false>($($arg),*),
-            (1, true) => $tile::<1, true>($($arg),*),
+            (4, false) => $tile::<4, false $(, $more)?>($($arg),*),
+            (4, true) => $tile::<4, true $(, $more)?>($($arg),*),
+            (3, false) => $tile::<3, false $(, $more)?>($($arg),*),
+            (3, true) => $tile::<3, true $(, $more)?>($($arg),*),
+            (2, false) => $tile::<2, false $(, $more)?>($($arg),*),
+            (2, true) => $tile::<2, true $(, $more)?>($($arg),*),
+            (1, false) => $tile::<1, false $(, $more)?>($($arg),*),
+            (1, true) => $tile::<1, true $(, $more)?>($($arg),*),
             _ => unreachable!("a tile has 1..=4 rows"),
         }
     };
@@ -726,7 +645,7 @@ macro_rules! dispatch_tile {
 
 /// The tiled routine (see the module documentation): `a[row_start..row_end] × b[.., cols]`
 /// accumulated into `out_band` (band contract of [`SimdKernel::run_rows`]) — the portable
-/// tier, and the column tail of every vector tier. The widening scratch is a stack array,
+/// tier, and the packed kernels' column tail. The widening scratch is a stack array,
 /// so the allocation-free decode contract holds here too, and a depth quad whose four
 /// activations are all zero is skipped per row.
 ///
@@ -742,6 +661,8 @@ fn tiled(
     cols: Range<usize>,
     mut fused: Option<FusedChecksums<'_>>,
 ) {
+    #[cfg(test)]
+    TILED_PASSES.with(|passes| passes.set(passes.get() + 1));
     let k = a.cols();
     let n = b.cols();
     debug_assert_eq!(out_band.len(), (row_end - row_start) * n);
@@ -835,11 +756,10 @@ mod avx2 {
     use super::packed_avx2::{drain, retire_row, store_i64x4_lanes};
     use super::{MatI8, Panel, DRAIN_PAIRS, SIMD_TILE_COLS, SIMD_TILE_ROWS};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
-    /// One widened panel against every full 16-column block of `b`: its tiles (the first
-    /// carrying the checksum row when the panel has one) retire onto `out`, the panel-local
-    /// rows of the output, folding `eᵀ·Y` into `observed` when present; the checksum row's
-    /// share lands in `expected`. The caller hands the `n mod 16` tail to the tiled routine.
+    /// One widened panel against every 16-column block of `b`, a partial final block
+    /// included (see [`block`]).
     ///
     /// # Safety
     ///
@@ -853,51 +773,83 @@ mod avx2 {
         mut observed: Option<&mut [i64]>,
         mut expected: Option<&mut [i64]>,
     ) {
-        let zero = _mm256_setzero_si256();
         let n = b.cols();
-        for jc in (0..n - n % SIMD_TILE_COLS).step_by(SIMD_TILE_COLS) {
-            let mut obs = observed.is_some().then_some([zero; 4]);
-            let mut exp = [zero; 4];
-            for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
-                let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
-                let sinks = (&mut *out, obs.as_mut(), &mut exp);
-                let check = panel.sums && i == 0;
-                dispatch_tile!(rows, check, tile(panel, i, b, jc, sinks));
-            }
-            if let (Some(observed), Some(obs)) = (observed.as_deref_mut(), &obs) {
-                store_i64x4_lanes(obs, &mut observed[jc..jc + SIMD_TILE_COLS], false);
-            }
-            if let (true, Some(expected)) = (panel.sums, expected.as_deref_mut()) {
-                store_i64x4_lanes(&exp, &mut expected[jc..jc + SIMD_TILE_COLS], false);
-            }
+        let blocks_end = n - n % SIMD_TILE_COLS;
+        for jc in (0..blocks_end).step_by(SIMD_TILE_COLS) {
+            let sinks = (observed.as_deref_mut(), expected.as_deref_mut());
+            block::<true>(panel, b, jc..jc + SIMD_TILE_COLS, out, sinks);
+        }
+        if blocks_end < n {
+            block::<false>(panel, b, blocks_end..n, out, (observed, expected));
         }
     }
 
-    /// An `R × 16` register tile over the panel's depth chunk, accumulated in `2R` `i32×8`
-    /// registers, two depth steps per `vpmaddwd`; with `CHECK`, the checksum row rides the
-    /// same pair registers into `exp64`. Each row's final tile is added onto `out` and, with
-    /// `obs` present, widened lane-wise (`vpmovsxdq`) into the block's observed-checksum
-    /// registers — the "reduce from the same registers" half of the fused-checksum contract.
+    /// The panel's tiles over the columns `cols` — a whole block (`FULL`) or the partial
+    /// final one — the first carrying the checksum row when the panel has one. They retire
+    /// onto `out`, the panel-local rows of the output, folding `eᵀ·Y` into `observed` when
+    /// present; the checksum row's share lands in `expected`. Whole and partial blocks are
+    /// separate instances, so the whole blocks' loop carries none of the partial one's
+    /// branches.
     ///
     /// # Safety
     ///
-    /// As [`panel`], with rows `i..i + R` of the panel and `jc + 16 <= b.cols()`.
+    /// As [`panel`], with `cols` one block of `b`'s columns.
     #[target_feature(enable = "avx2")]
-    unsafe fn tile<const R: usize, const CHECK: bool>(
+    unsafe fn block<const FULL: bool>(
+        panel: &Panel<'_>,
+        b: &MatI8,
+        cols: Range<usize>,
+        out: &mut [i32],
+        (observed, expected): (Option<&mut [i64]>, Option<&mut [i64]>),
+    ) {
+        let zero = _mm256_setzero_si256();
+        let mut obs = observed.is_some().then_some([zero; 4]);
+        let mut exp = [zero; 4];
+        for i in (0..panel.rows).step_by(SIMD_TILE_ROWS) {
+            let rows = (panel.rows - i).min(SIMD_TILE_ROWS);
+            let sinks = (&mut *out, obs.as_mut(), &mut exp);
+            let check = panel.sums && i == 0;
+            dispatch_tile!(rows, check, tile<FULL>(panel, i, b, cols.clone(), sinks));
+        }
+        if let (Some(observed), Some(obs)) = (observed, &obs) {
+            store_i64x4_lanes(obs, &mut observed[cols.clone()], false);
+        }
+        if let (true, Some(expected)) = (panel.sums, expected) {
+            store_i64x4_lanes(&exp, &mut expected[cols], false);
+        }
+    }
+
+    /// An `R × 16` register tile over the panel's depth chunk and the columns `cols` (at
+    /// most 16), accumulated in `2R` `i32×8` registers, two depth steps per `vpmaddwd`; with
+    /// `CHECK`, the checksum row rides the same pair registers into `exp64`. Each row's
+    /// final tile is added onto `out` and, with `obs` present, widened lane-wise
+    /// (`vpmovsxdq`) into the block's observed-checksum registers — the "reduce from the
+    /// same registers" half of the fused-checksum contract. A whole block (`FULL`) loads
+    /// and retires in place; a partial one loads through [`load_cols`] and retires through
+    /// a stack copy, and its lanes past the last column, which carry products of bytes past
+    /// it, are never stored.
+    ///
+    /// # Safety
+    ///
+    /// As [`panel`], with rows `i..i + R` of the panel and `cols` within `b.cols()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile<const R: usize, const CHECK: bool, const FULL: bool>(
         panel: &Panel<'_>,
         i: usize,
         b: &MatI8,
-        jc: usize,
+        cols: Range<usize>,
         (out, mut obs, exp64): (&mut [i32], Option<&mut [__m256i; 4]>, &mut [__m256i; 4]),
     ) {
         let (k, n) = b.shape();
-        let base = b.as_slice().as_ptr().add(jc);
+        let b_all = b.as_slice();
+        let base = b_all.as_ptr();
         let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(i + r));
         let sums = panel.pair_lanes(panel.rows);
         let zero = _mm256_setzero_si256();
         let mut acc_lo = [zero; R];
         let mut acc_hi = [zero; R];
         let pairs = panel.pairs.len();
+        let width = if FULL { SIMD_TILE_COLS } else { cols.len() };
         let mut q = 0;
         while q < pairs {
             let end = if CHECK {
@@ -913,8 +865,12 @@ mod avx2 {
                 // permute at retirement restores linear order. An odd depth's padding pair
                 // repeats the last B row against a zero activation.
                 let p = 2 * (panel.pairs.start + pair);
-                let b0 = load_extend(base.add(p * n));
-                let b1 = load_extend(base.add((p + 1).min(k - 1) * n));
+                let (at0, at1) = (p * n + cols.start, (p + 1).min(k - 1) * n + cols.start);
+                let (b0, b1) = if FULL {
+                    (load_extend(base.add(at0)), load_extend(base.add(at1)))
+                } else {
+                    (load_cols(b_all, at0, width), load_cols(b_all, at1, width))
+                };
                 let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
                 let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
                 for r in 0..R {
@@ -935,9 +891,33 @@ mod avx2 {
         }
         for r in 0..R {
             let (res0, res1) = linear_order(acc_lo[r], acc_hi[r]);
-            let row = &mut out[(i + r) * n + jc..][..SIMD_TILE_COLS];
-            retire_row(row, res0, res1, obs.as_deref_mut());
+            let row = &mut out[(i + r) * n + cols.start..][..width];
+            if FULL {
+                retire_row(row, res0, res1, obs.as_deref_mut());
+            } else {
+                retire_partial(row, res0, res1, obs.as_deref_mut());
+            }
         }
+    }
+
+    /// [`retire_row`] onto the first `row.len()` (fewer than 16) columns, through a stack
+    /// copy.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 and `row.len() <= 16`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn retire_partial(
+        row: &mut [i32],
+        res0: __m256i,
+        res1: __m256i,
+        obs: Option<&mut [__m256i; 4]>,
+    ) {
+        let width = row.len();
+        let mut lanes = [0i32; SIMD_TILE_COLS];
+        lanes[..width].copy_from_slice(row);
+        retire_row(&mut lanes, res0, res1, obs);
+        row.copy_from_slice(&lanes[..width]);
     }
 
     /// 16 `i8` loaded and sign-extended to 16 `i16` lanes.
@@ -950,139 +930,9 @@ mod avx2 {
         _mm256_cvtepi8_epi16(_mm_loadu_si128(ptr as *const __m128i))
     }
 
-    /// The skinny fused pass over one depth chunk (see
-    /// [`super::SimdKernel::run_skinny_rows`]): the first chunk assigns `out` and
-    /// `expected`, later ones add; the last assigns `observed` from the final outputs.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2, a panel of `1..=4` rows plus its checksum
-    /// row over pairs of `b`'s rows, `out.len() == panel.rows * b.cols()` and
-    /// `expected.len() == observed.len() == b.cols()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_skinny(
-        panel: &Panel<'_>,
-        b: &MatI8,
-        out: &mut [i32],
-        expected: &mut [i64],
-        observed: &mut [i64],
-        first: bool,
-        last: bool,
-    ) {
-        let sinks = (out, expected, observed);
-        match panel.rows {
-            1 => skinny::<1>(panel, b, sinks, first, last),
-            2 => skinny::<2>(panel, b, sinks, first, last),
-            3 => skinny::<3>(panel, b, sinks, first, last),
-            _ => skinny::<4>(panel, b, sinks, first, last),
-        }
-    }
-
-    /// All `R` rows plus the checksum row as one register tile per 16-column block. A
-    /// partial final block runs through the same registers: its loads read 16 bytes wherever
-    /// that stays inside `B` (the lanes past the row's end hold the next row's bytes and are
-    /// never stored) and a zero-padded stack copy for the last rows, where it would not.
-    ///
-    /// # Safety
-    ///
-    /// As [`run_skinny`], with `panel.rows == R`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn skinny<const R: usize>(
-        panel: &Panel<'_>,
-        b: &MatI8,
-        (out, expected, observed): (&mut [i32], &mut [i64], &mut [i64]),
-        first: bool,
-        last: bool,
-    ) {
-        let (k, n) = b.shape();
-        let zero = _mm256_setzero_si256();
-        let rows: [*const i32; R] = std::array::from_fn(|r| panel.pair_lanes(r));
-        let sums = panel.pair_lanes(R);
-        let b_all = b.as_slice();
-        let pairs = panel.pairs.len();
-        let mut jc = 0;
-        while jc < n {
-            let width = (n - jc).min(SIMD_TILE_COLS);
-            let mut acc_lo = [zero; R];
-            let mut acc_hi = [zero; R];
-            let mut exp64 = [zero; 4];
-            let mut q = 0;
-            while q < pairs {
-                let end = (q + DRAIN_PAIRS).min(pairs);
-                let (mut exp_lo, mut exp_hi) = (zero, zero);
-                for pair in q..end {
-                    // The same widen-and-interleave (and odd-depth padding) as `tile`.
-                    let p = 2 * (panel.pairs.start + pair);
-                    let b0 = load_cols(b_all, p * n + jc, width);
-                    let b1 = load_cols(b_all, (p + 1).min(k - 1) * n + jc, width);
-                    let pairs_lo = _mm256_unpacklo_epi16(b0, b1);
-                    let pairs_hi = _mm256_unpackhi_epi16(b0, b1);
-                    for r in 0..R {
-                        let x = _mm256_set1_epi32(rows[r].add(pair).read());
-                        acc_lo[r] = _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(pairs_lo, x));
-                        acc_hi[r] = _mm256_add_epi32(acc_hi[r], _mm256_madd_epi16(pairs_hi, x));
-                    }
-                    let e = _mm256_set1_epi32(sums.add(pair).read());
-                    exp_lo = _mm256_add_epi32(exp_lo, _mm256_madd_epi16(pairs_lo, e));
-                    exp_hi = _mm256_add_epi32(exp_hi, _mm256_madd_epi16(pairs_hi, e));
-                }
-                drain_linear(&mut exp_lo, &mut exp_hi, &mut exp64);
-                q = end;
-            }
-            store_i64x4_lanes(&exp64, &mut expected[jc..jc + width], first);
-            let mut obs = [zero; 4];
-            for r in 0..R {
-                let (res0, res1) = linear_order(acc_lo[r], acc_hi[r]);
-                let row = &mut out[r * n + jc..r * n + jc + width];
-                let (mut final0, mut final1) = retire_lanes(row, res0, res1, first);
-                // eᵀ·Y share of this row, straight from the retiring registers.
-                drain(&mut final0, &mut final1, &mut obs);
-            }
-            if last {
-                store_i64x4_lanes(&obs, &mut observed[jc..jc + width], true);
-            }
-            jc += width;
-        }
-    }
-
-    /// Writes (`assign`) or adds a retiring row's 16 lanes in linear order onto the first
-    /// `row.len()` of them, returning the row's final 16 lanes.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 and `row.len() <= 16`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn retire_lanes(
-        row: &mut [i32],
-        res0: __m256i,
-        res1: __m256i,
-        assign: bool,
-    ) -> (__m256i, __m256i) {
-        let mut lanes = [0i32; SIMD_TILE_COLS];
-        let whole = row.len() == SIMD_TILE_COLS;
-        if !whole {
-            lanes[..row.len()].copy_from_slice(row);
-        }
-        let dst = if whole {
-            row.as_mut_ptr()
-        } else {
-            lanes.as_mut_ptr()
-        };
-        let (mut final0, mut final1) = (res0, res1);
-        if !assign {
-            final0 = _mm256_add_epi32(final0, _mm256_loadu_si256(dst as *const __m256i));
-            final1 = _mm256_add_epi32(final1, _mm256_loadu_si256(dst.add(8) as *const __m256i));
-        }
-        _mm256_storeu_si256(dst as *mut __m256i, final0);
-        _mm256_storeu_si256(dst.add(8) as *mut __m256i, final1);
-        if !whole {
-            row.copy_from_slice(&lanes[..row.len()]);
-        }
-        (final0, final1)
-    }
-
     /// 16 `i8` of `b_all` starting at `at`, of which the first `width` are wanted,
-    /// sign-extended to `i16` lanes.
+    /// sign-extended to `i16` lanes: loaded in place wherever 16 bytes stay inside `b_all`,
+    /// else from a zero-padded stack copy (the last rows of a partial block).
     ///
     /// # Safety
     ///
@@ -1092,6 +942,19 @@ mod avx2 {
         if at + SIMD_TILE_COLS <= b_all.len() {
             return load_extend(b_all.as_ptr().add(at));
         }
+        load_padded(b_all, at, width)
+    }
+
+    /// [`load_cols`]'s zero-padded copy, out of line so that the loop around it keeps its
+    /// registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`load_cols`].
+    #[target_feature(enable = "avx2")]
+    #[cold]
+    #[inline(never)]
+    unsafe fn load_padded(b_all: &[i8], at: usize, width: usize) -> __m256i {
         let mut padded = [0i8; SIMD_TILE_COLS];
         padded[..width].copy_from_slice(&b_all[at..at + width]);
         load_extend(padded.as_ptr())
@@ -2203,10 +2066,6 @@ mod tests {
             simd_dispatch_label()
         );
         assert_eq!(SimdKernel::with_tier(detected).tier, detected);
-        assert_eq!(
-            SimdKernel::with_tier(detected).has_skinny_passes(),
-            detected >= SimdTier::Avx2
-        );
     }
 
     #[test]
@@ -2223,23 +2082,16 @@ mod tests {
         );
     }
 
-    /// Every tier the host grants, by name; unsupported tiers are skipped (the engine
-    /// clamps them down to an already-listed tier).
+    /// Every tier the host grants, inline and over three workers, by name; unsupported
+    /// tiers are skipped (the engine clamps them down to an already-listed tier).
     fn tiered_engines() -> Vec<(String, Box<dyn GemmEngine>)> {
-        let mut engines: Vec<(String, Box<dyn GemmEngine>)> = vec![
-            (
-                "parallel-portable".into(),
-                Box::new(KernelEngine::simd_with_tier(SimdTier::Portable).pooled()),
-            ),
-            (
-                "parallel-auto".into(),
-                Box::new(KernelEngine::simd().with_workers(3)),
-            ),
-        ];
+        let mut engines: Vec<(String, Box<dyn GemmEngine>)> = Vec::new();
         for tier in SimdTier::ALL {
             if SimdKernel::with_tier(tier).tier == tier {
                 let engine = KernelEngine::simd_with_tier(tier);
                 engines.push((format!("simd-{}", tier.label()), Box::new(engine)));
+                let pooled = engine.with_workers(3);
+                engines.push((format!("parallel-{}", tier.label()), Box::new(pooled)));
             }
         }
         engines
@@ -2284,48 +2136,38 @@ mod tests {
         }
     }
 
-    fn assert_matches_oracle(name: &str, label: &str, a: &MatI8, b: &MatI8, got: &ChecksummedGemm) {
-        let reference = ReferenceEngine.gemm_i8_checksummed(a, b).unwrap();
-        let two_pass = ReferenceEngine.gemm_i8_checksummed_two_pass(a, b).unwrap();
-        for oracle in [&reference, &two_pass] {
-            assert_eq!(got.acc(), oracle.acc(), "{name} {label}");
-            assert_eq!(got.expected(), oracle.expected(), "{name} {label}");
-            assert_eq!(got.observed(), oracle.observed(), "{name} {label}");
-        }
-        assert_eq!(got.msd(), 0, "{name} {label}");
-    }
-
     #[test]
-    fn skinny_row_major_pass_matches_reference_on_every_tier_and_shape() {
-        // m = 1..=4 is the skinny pass, m = 5 pins the hand-over to the tile kernel; the
-        // depths cover a lone row, one pair, odd/even/odd around the head dimension and a
-        // hidden-sized depth; the widths cover tail-only, one block exactly, block + tail,
-        // and many blocks with and without a tail.
+    fn row_major_tile_matches_reference_on_every_tier_shape_and_destination() {
+        // The one row-major kernel's parity table. m = 1..=4 is one register tile, 5 and 8
+        // add a second, 63..=65 straddle a whole number of tiles, 128 is one panel and 257
+        // crosses a checksum band. The depths cover a lone row, one pair, odd/even/odd
+        // around the head dimension and a hidden-sized depth; the widths cover tail-only, one
+        // block exactly, block + tail, and many blocks with and without a tail.
+        let mut cases: Vec<(String, MatI8, MatI8)> = Vec::new();
         let mut seed = 100;
-        for m in 1..=SKINNY_MAX_ROWS + 1 {
+        for m in [1, 2, 3, 4, 5, 8, 63, 64, 65, 128, 257] {
             for k in [1, 2, 31, 32, 33, 640] {
                 for n in [1, 15, 16, 17, 32, 50, 640] {
                     seed += 1;
                     let (a, b) = random_pair(seed, m, k, n);
-                    for (name, engine) in tiered_engines() {
-                        let got = engine.gemm_i8_checksummed(&a, &b).unwrap();
-                        assert_matches_oracle(&name, &format!("{m}x{k}x{n}"), &a, &b, &got);
-                    }
+                    cases.push((format!("{m}x{k}x{n}"), a, b));
                 }
             }
         }
-    }
-
-    #[test]
-    fn skinny_row_major_pass_is_exact_on_the_rails_zero_rows_and_past_the_drain() {
+        // The INT8 rails (a band of i8::MIN rows makes its checksum row i16::MIN), all-zero
+        // activation rows (a masked-out query), all-zero B rows, and both.
         let mut r = rng::seeded(77);
-        let mut cases: Vec<(String, MatI8, MatI8)> = Vec::new();
-        for (m, k, n) in [(1, 33, 17), (3, 32, 50), (4, 64, 16)] {
+        for (m, k, n) in [
+            (1, 33, 17),
+            (3, 32, 50),
+            (4, 64, 16),
+            (65, 33, 17),
+            (257, 32, 50),
+        ] {
             for (fa, fb) in [(-128i8, -128i8), (127, 127), (-128, 127), (127, -128)] {
                 let label = format!("{m}x{k}x{n} filled {fa}/{fb}");
                 cases.push((label, MatI8::filled(m, k, fa), MatI8::filled(k, n, fb)));
             }
-            // All-zero activation rows (a masked-out query), all-zero B rows, and both.
             let (mut a, mut b) = random_pair(r.gen(), m, k, n);
             a.row_mut(m - 1).fill(0);
             b.row_mut(k / 2).fill(0);
@@ -2333,7 +2175,7 @@ mod tests {
             cases.push((format!("{m}x{k}x{n} zero a"), MatI8::zeros(m, k), b));
         }
         // Deep enough that the i32 checksum partials drain many times and the depth runs in
-        // several widened chunks (later ones add onto what the first assigned).
+        // several widened chunks (later ones add onto the first).
         cases.push((
             "4x16500x17 rails".into(),
             MatI8::filled(4, 16500, -128),
@@ -2342,36 +2184,48 @@ mod tests {
         let (a, b) = random_pair(78, 2, 16500, 33);
         cases.push(("2x16500x33".into(), a, b));
         for (label, a, b) in &cases {
+            let ((m, k), n) = (a.shape(), b.cols());
+            let reference = ReferenceEngine.gemm_i8_checksummed(a, b).unwrap();
+            let two_pass = ReferenceEngine.gemm_i8_checksummed_two_pass(a, b).unwrap();
+            assert_eq!(reference, two_pass, "{label}");
             for (name, engine) in tiered_engines() {
-                let got = engine.gemm_i8_checksummed(a, b).unwrap();
-                assert_matches_oracle(&name, label, a, b, &got);
-            }
-        }
-    }
-
-    #[test]
-    fn skinny_row_major_pass_leaves_nothing_stale_in_a_reused_larger_bundle() {
-        // The skinny pass assigns instead of accumulating and is handed an unzeroed
-        // destination: run it into a bundle a larger, differently shaped GEMM just filled.
-        let (big_a, big_b) = random_pair(90, 9, 40, 70);
-        for (name, engine) in tiered_engines() {
-            let mut dest = ChecksummedGemm::empty();
-            let mut etw = Vec::new();
-            for (seed, (m, k, n)) in [(1, 32, 50), (4, 7, 5), (2, 33, 16), (3, 1, 31)]
-                .into_iter()
-                .enumerate()
-            {
-                engine
-                    .gemm_i8_checksummed_into(&big_a, &big_b, &mut dest, &mut etw)
-                    .unwrap();
-                // A mutated (stale) bundle must come back fresh as well.
-                dest.acc_mut()[(0, 0)] ^= 1 << 20;
-                let (a, b) = random_pair(91 + seed as u64, m, k, n);
-                engine
-                    .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
-                    .unwrap();
-                assert_matches_oracle(&name, &format!("{m}x{k}x{n} after 9x40x70"), &a, &b, &dest);
-                assert_eq!(dest.acc().shape(), (m, n));
+                // A fresh destination, then a larger one holding stale values (its observed
+                // checksum marked stale too): both must come back exactly the oracle.
+                let mut stale = ChecksummedGemm::from_parts(
+                    MatI32::filled(m + 3, n + 5, 0x5a5a),
+                    vec![7; n + 5],
+                    vec![-3; n + 5],
+                );
+                stale.acc_mut()[(0, 0)] ^= 1 << 20;
+                let destinations = [
+                    (
+                        "fresh",
+                        MatI32::zeros(0, 0),
+                        ChecksummedGemm::empty(),
+                        Vec::new(),
+                    ),
+                    (
+                        "stale",
+                        MatI32::filled(m + 3, n + 5, -9),
+                        stale,
+                        vec![11; k + 2],
+                    ),
+                ];
+                for (dest_label, mut out, mut dest, mut etw) in destinations {
+                    let label = format!("{label} into a {dest_label} destination");
+                    engine.gemm_i8_into(a, b, &mut out).unwrap();
+                    assert_eq!(&out, reference.acc(), "{name} plain {label}");
+                    engine
+                        .gemm_i8_checksummed_into(a, b, &mut dest, &mut etw)
+                        .unwrap();
+                    assert_eq!(dest, reference, "{name} {label}");
+                    assert_eq!(dest.msd(), 0, "{name} {label}");
+                    assert_eq!(
+                        etw,
+                        crate::engine::operand_col_sums(a),
+                        "{name} eᵀ·W {label}"
+                    );
+                }
             }
         }
     }

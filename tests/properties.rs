@@ -134,7 +134,7 @@ fn simd_backend_is_exact_on_saturating_rail_patterns() {
 }
 
 /// Depths that are not a multiple of the SIMD pair width (and widths not a multiple of the
-/// 16-column tile) exercise the zero-padded depth tail and the portable column tail.
+/// 16-column tile) exercise the zero-padded depth tail and the partial final block.
 #[test]
 fn simd_backend_handles_non_multiple_simd_widths() {
     let mut r = rng::seeded(0xB2);

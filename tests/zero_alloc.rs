@@ -16,7 +16,7 @@
 //! stay inline below the sharding threshold, the AVX2 tier, whose kernels widen each row
 //! panel into a stack buffer just as the best tier's do, and the portable tier — the tiled
 //! scalar loop, which is also what `EngineKind::auto()` runs on hosts without AVX2 and what
-//! takes every vector tier's column tail; its widening scratch is a stack tile. Under
+//! takes the packed kernels' column tail; its widening scratch is a stack tile. Under
 //! `REALM_FORCE_SCALAR=1` the model-level Simd tests prove the same contract for the
 //! portable tier.
 //!
