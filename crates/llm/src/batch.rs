@@ -174,8 +174,13 @@ impl BatchedLayerCache {
 /// cache.release_slot(0);
 /// assert_eq!(cache.seq_len(0), 0);
 /// let admitted = [PrefillChunk::whole(&[7, 8, 9, 10], 0)];
-/// model.prefill_chunks_batch_ws(&admitted, &mut cache, &mut NoopHook, &mut Workspace::new())?;
+/// let mut ws = Workspace::new();
+/// let rows = model.prefill_chunks_batch_ws(&admitted, &mut cache, &mut NoopHook, &mut ws)?;
 /// assert_eq!((cache.seq_len(0), cache.seq_len(1)), (4, 2));
+///
+/// // One logits row per chunk: the one that predicts the token after its window.
+/// assert_eq!(rows[0].len(), model.config().vocab_size);
+/// rows.into_iter().for_each(|row| ws.recycle_vec_f32(row));
 /// # Ok(())
 /// # }
 /// ```
@@ -400,10 +405,12 @@ mod tests {
         assert!(batched.seq_len(0) > 0);
         batched.release_slot(0);
         assert_eq!(batched.seq_len(0), 0);
+        let (solo_logits, _) = model.prefill(&newcomer, &mut NoopHook).unwrap();
         let chunk = [PrefillChunk::whole(&newcomer, 0)];
-        model
+        let rows = model
             .prefill_chunks_batch_ws(&chunk, &mut batched, &mut NoopHook, &mut Workspace::new())
             .unwrap();
+        assert_eq!(rows, [solo_logits.row(newcomer.len() - 1)]);
         for layer in 0..batched.num_layers() {
             let admitted = batched.layer(layer).slot(0);
             assert_eq!(admitted, solo.layer(layer).slot(0), "layer {layer}");

@@ -10,24 +10,28 @@
 //! # One forward, six entry points
 //!
 //! Every entry point validates its window and calls the one private forward routine (embed
-//! → blocks → final norm → LM head) with a [`Stage`], a [`BatchedKvCache`] and the
-//! [`RowPartition`] of the pass's rows over the cache's slots. A solo sequence is slot 0 of
-//! a one-slot cache, so hooks see one rule for every pass: the forward announces its
-//! partition ([`GemmHook::on_batch_begin`]) before any GEMM, every shared GEMM (`Q`/`K`/`V`/
-//! `O`, MLP) is tagged [`GemmOrigin::BatchedRows`], and each sequence's `QKᵀ`/`SV` GEMMs are
-//! tagged `Sequence(slot)`. Every quantized GEMM runs through the hook interface, so error
+//! → blocks) with a [`Stage`], a [`BatchedKvCache`] and the [`RowPartition`] of the pass's
+//! rows over the cache's slots, then the final norm and LM head on the rows whose logits it
+//! returns (the table's last column). A solo sequence is slot 0 of a one-slot cache, so
+//! hooks see one rule for every pass: the forward announces its partition
+//! ([`GemmHook::on_batch_begin`]) before any GEMM, every shared GEMM (`Q`/`K`/`V`/`O`, MLP)
+//! is tagged [`GemmOrigin::BatchedRows`], and each sequence's `QKᵀ`/`SV` GEMMs are tagged
+//! `Sequence(slot)`. Every quantized GEMM runs through the hook interface, so error
 //! injection and ABFT protection see exactly the same computation whichever entry point
 //! issued it.
 //!
-//! | entry point | cache | validates |
-//! |---|---|---|
-//! | [`Model::prefill`], [`Model::prefill_ws`] | fresh, one slot, one whole-prompt chunk | as `prefill_chunks_batch_ws` |
-//! | [`Model::decode_step_ws`] | one slot | one slot, room for one more token |
-//! | [`Model::prefill_batch`] | fresh, one whole-prompt chunk per slot | as `prefill_chunks_batch_ws` |
-//! | [`Model::prefill_chunks_batch_ws`] | any | non-empty chunk list, slot in range and named once; per chunk: prompt ≤ context, window non-empty and inside the prompt, resident length = window start |
-//! | [`Model::decode_step_batch_ws`] | any | one token slot per cache slot, room in every active slot |
+//! | entry point | cache | validates | logits |
+//! |---|---|---|---|
+//! | [`Model::prefill`], [`Model::prefill_ws`] | fresh, one slot, one whole-prompt chunk | as `prefill_chunks_batch_ws` | every row |
+//! | [`Model::decode_step_ws`] | one slot | one slot, room for one more token | one row |
+//! | [`Model::prefill_batch`] | fresh, one whole-prompt chunk per slot | as `prefill_chunks_batch_ws` | every row, per sequence |
+//! | [`Model::prefill_chunks_batch_ws`] | any | non-empty chunk list, slot in range and named once; per chunk: prompt ≤ context, window non-empty and inside the prompt, resident length = window start | one row per chunk, its window's last |
+//! | [`Model::decode_step_batch_ws`] | any | one token slot per cache slot, room in every active slot | one row per active sequence |
 //!
-//! The forward routine itself checks the cache's layer count and the token ids.
+//! The forward routine itself checks the cache's layer count and the token ids. The final
+//! norm, LM head and temperature run on every row for the evaluation entry points, where
+//! perplexity scores every position, and on the last row of each sequence otherwise. Both
+//! work row by row, so a returned row is the same whichever other rows are computed.
 //!
 //! [`GemmOrigin::BatchedRows`]: crate::GemmOrigin::BatchedRows
 
@@ -40,7 +44,9 @@ use crate::quantized::ForwardPass;
 use crate::weights::{self, Embedding, SyntheticLanguage};
 use crate::{LlmError, Result};
 use realm_tensor::rng;
-use realm_tensor::{gemm, GemmEngine, MatF32, RowPartition, TpGroup, TpShardStats, Workspace};
+use realm_tensor::{
+    GemmEngine, MatF32, RowKernels, RowPartition, TpGroup, TpShardStats, Workspace,
+};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -83,6 +89,18 @@ impl<'a> PrefillChunk<'a> {
             slot,
         }
     }
+}
+
+/// The rows of a forward's final hidden state that the final norm, LM head and
+/// temperature run on: the rows whose logits a caller reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HeadRows {
+    /// Every row, one logits row per token: the evaluation entry points, where perplexity
+    /// scores every position.
+    Every,
+    /// The last row of each non-empty partition group, in group order: the row that
+    /// predicts the token after a chunk's window, and every row of a decode step.
+    LastOfEachGroup,
 }
 
 /// The engine a model of `config` runs on: [`ModelConfig::engine`], built fresh and — for
@@ -243,8 +261,8 @@ impl Model {
 
     /// The one forward pass behind every entry point: announces `parts` to the hook, embeds
     /// `tokens` (one row each, stacking each slot's tokens in partition order), runs them
-    /// through every block against `cache`, and returns one workspace-pooled logits row per
-    /// token (final norm, LM head, temperature).
+    /// through every block against `cache`, and returns the workspace-pooled final hidden
+    /// state, one row per token, for [`Model::head`].
     fn forward(
         &self,
         tokens: &[u32],
@@ -271,19 +289,44 @@ impl Model {
         for (layer, block) in self.blocks.iter().enumerate() {
             x = block.forward(x, layer, cache, parts, &mut pass)?;
         }
+        Ok(x)
+    }
 
+    /// Final norm, LM head and temperature on the rows of the final hidden state `x` that
+    /// `rows` selects (`parts` partitions `x`'s rows): workspace-pooled logits, one row per
+    /// selected row, in row order. Both the norm and the head work row by row, so a row's
+    /// logits do not depend on which other rows are selected.
+    fn head(
+        &self,
+        mut x: MatF32,
+        parts: &RowPartition,
+        rows: HeadRows,
+        ws: &mut Workspace,
+    ) -> MatF32 {
+        if rows == HeadRows::LastOfEachGroup {
+            let groups = (0..parts.num_groups()).filter(|&g| parts.len(g) > 0);
+            let selected = groups.clone().count();
+            // A decode step selects every row as it is; only multi-row groups need a copy.
+            if selected < x.rows() {
+                let mut last = ws.take_mat_f32(selected, x.cols());
+                for (row, g) in groups.enumerate() {
+                    last.row_mut(row)
+                        .copy_from_slice(x.row(parts.range(g).end - 1));
+                }
+                ws.recycle_mat_f32(std::mem::replace(&mut x, last));
+            }
+        }
         let mut normed = ws.take_mat_f32(x.rows(), x.cols());
         self.final_norm.forward_into(&x, &mut normed);
         ws.recycle_mat_f32(x);
         let mut logits = ws.take_mat_f32(normed.rows(), self.lm_head.cols());
-        let ran = gemm::gemm_f32_into(&normed, &self.lm_head, &mut logits);
-        ws.recycle_mat_f32(normed);
-        if let Err(e) = ran {
-            ws.recycle_mat_f32(logits);
-            return Err(e.into());
+        let kernels = RowKernels::granted();
+        for row in 0..normed.rows() {
+            kernels.project_row(normed.row(row), &self.lm_head, logits.row_mut(row));
         }
+        ws.recycle_mat_f32(normed);
         logits.scale_in_place(1.0 / self.logit_temperature);
-        Ok(logits)
+        logits
     }
 
     /// Checks one prefill window: `prompt` fits the context, `range` is a non-empty window
@@ -352,7 +395,7 @@ impl Model {
     ) -> Result<(MatF32, BatchedKvCache)> {
         let mut cache = self.new_batched_cache(1);
         let chunk = [PrefillChunk::whole(prompt, 0)];
-        let (logits, _) = self.prefill_stacked(&chunk, &mut cache, hook, ws)?;
+        let (logits, _) = self.prefill_stacked(&chunk, &mut cache, HeadRows::Every, hook, ws)?;
         Ok((logits, cache))
     }
 
@@ -365,16 +408,21 @@ impl Model {
     /// admission: a long prompt is advanced a budget-bounded window at a time between
     /// decode steps, and a wave of admissions costs one forward, not one per request.
     ///
-    /// Per-row activation quantization and per-sequence attention over each slot's own
-    /// resident codes make each chunk's rows independent of its batch neighbours, so every
-    /// returned logits matrix (one per chunk, in `chunks` order, each an ordinary owned
-    /// value) is bit-identical to advancing that sequence alone in a one-slot cache.
+    /// Returns one workspace-pooled logits row per chunk, in `chunks` order (recycle each
+    /// with [`Workspace::recycle_vec_f32`] once consumed): the row at the window's last
+    /// position, which predicts the token after the window — for a prompt's final chunk,
+    /// the request's first generated token. The final norm and LM head run on those rows
+    /// only, as in [`Model::decode_step_batch_ws`]. Per-row activation quantization and
+    /// per-sequence attention over each slot's own resident codes make each chunk's rows
+    /// independent of its batch neighbours, so every returned row is bit-identical to
+    /// advancing that sequence alone in a one-slot cache.
     ///
     /// Chunked prefill is **bit-identical** to the monolithic [`Model::prefill`] at any
     /// chunk granularity on every backend and TP degree: activations are quantized per row,
     /// cached keys/values keep one scale per token row and every query row's scores are
     /// masked to its visible prefix of the cache, so no number in the forward pass depends
-    /// on where the chunk boundaries fall (`tests/chunked_parity.rs`).
+    /// on where the chunk boundaries fall (`tests/chunked_parity.rs`): each returned row
+    /// is the monolithic prefill's row at the window's last position.
     ///
     /// # Errors
     ///
@@ -388,28 +436,31 @@ impl Model {
         cache: &mut BatchedKvCache,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
-    ) -> Result<Vec<MatF32>> {
-        let (logits, parts) = self.prefill_stacked(chunks, cache, hook, ws)?;
+    ) -> Result<Vec<Vec<f32>>> {
+        let rows = HeadRows::LastOfEachGroup;
+        let (logits, _) = self.prefill_stacked(chunks, cache, rows, hook, ws)?;
+        // One row per chunk, in slot order.
         let per_chunk = chunks
             .iter()
             .map(|c| {
-                let range = parts.range(c.slot);
-                logits
-                    .rows_slice(range.start, range.len())
-                    .map_err(Into::into)
+                let row = chunks.iter().filter(|other| other.slot < c.slot).count();
+                let mut out = ws.take_vec_f32(logits.cols());
+                out.copy_from_slice(logits.row(row));
+                out
             })
-            .collect::<Result<Vec<_>>>();
+            .collect();
         ws.recycle_mat_f32(logits);
-        per_chunk
+        Ok(per_chunk)
     }
 
     /// Validates `chunks` against `cache` and runs them as one prefill forward, returning
-    /// the workspace-pooled logits of their rows stacked in slot order, and the partition
-    /// of those rows over the slots.
+    /// the workspace-pooled logits of the rows `rows` selects, stacked in slot order, and
+    /// the partition of the chunks' rows over the slots.
     fn prefill_stacked(
         &self,
         chunks: &[PrefillChunk<'_>],
         cache: &mut BatchedKvCache,
+        rows: HeadRows,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
     ) -> Result<(MatF32, RowPartition)> {
@@ -442,13 +493,14 @@ impl Model {
             .iter()
             .flat_map(|c| c.prompt[c.range.clone()].iter().copied())
             .collect();
-        let logits = self.forward(&stacked, Stage::Prefill, cache, &parts, hook, ws)?;
-        Ok((logits, parts))
+        let x = self.forward(&stacked, Stage::Prefill, cache, &parts, hook, ws)?;
+        Ok((self.head(x, &parts, rows, ws), parts))
     }
 
     /// Runs one shared prefill over a ragged batch of prompts — prompt `i` whole, as one
     /// [`Model::prefill_chunks_batch_ws`] chunk into slot `i` of a fresh
-    /// [`Model::new_batched_cache`] — returning per-sequence logits and the populated cache.
+    /// [`Model::new_batched_cache`] — returning per-sequence logits (one row per position,
+    /// as [`Model::prefill`] returns) and the populated cache.
     ///
     /// Every shared component (`Q`/`K`/`V`/`O`, MLP) runs — and is checksummed/inspected —
     /// once per layer for the whole batch instead of once per sequence. Per-sequence logits
@@ -469,9 +521,18 @@ impl Model {
             .enumerate()
             .map(|(slot, prompt)| PrefillChunk::whole(prompt, slot))
             .collect();
-        let mut ws = Workspace::new();
-        let logits = self.prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)?;
-        Ok((logits, cache))
+        let rows = HeadRows::Every;
+        let (logits, parts) =
+            self.prefill_stacked(&chunks, &mut cache, rows, hook, &mut Workspace::new())?;
+        let per_sequence = (0..prompts.len())
+            .map(|slot| {
+                let range = parts.range(slot);
+                logits
+                    .rows_slice(range.start, range.len())
+                    .map_err(Into::into)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok((per_sequence, cache))
     }
 
     /// Runs one decode step for `token` on a one-slot cache (what [`Model::prefill`]
@@ -575,7 +636,9 @@ impl Model {
             .take()
             .unwrap_or_else(|| RowPartition::from_lens(&[]));
         parts.refill(lens);
-        let logits = self.forward(tokens, Stage::Decode, cache, &parts, hook, ws);
+        let logits = self
+            .forward(tokens, Stage::Decode, cache, &parts, hook, ws)
+            .map(|x| self.head(x, &parts, HeadRows::LastOfEachGroup, ws));
         cache.step = Some(parts);
         logits
     }
@@ -639,8 +702,12 @@ impl Model {
             .collect();
         let logits = self.prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)?;
         let mut pending: Vec<(u32, f32)> = logits
-            .iter()
-            .map(|l| argmax_with_margin(l.row(l.rows() - 1)))
+            .into_iter()
+            .map(|row| {
+                let next = argmax_with_margin(&row);
+                ws.recycle_vec_f32(row);
+                next
+            })
             .collect();
         let mut outputs: Vec<GenerationOutput> = requests
             .iter()
@@ -892,21 +959,20 @@ mod tests {
             }];
             m.prefill_chunks_batch_ws(&chunk, cache, &mut NoopHook, &mut ws)
         };
+        // Each chunk's row is the monolithic row at its window's last position; at chunk
+        // size 1 that is every position.
         for chunk in [1usize, 2, 4, 9] {
             let mut cache = m.new_batched_cache(1);
-            let mut row = 0usize;
             let mut start = 0usize;
             while start < prompt.len() {
                 let end = (start + chunk).min(prompt.len());
                 let logits = advance(&prompt, start..end, &mut cache).unwrap().remove(0);
-                for r in 0..logits.rows() {
-                    assert_eq!(
-                        full.row(row),
-                        logits.row(r),
-                        "chunk size {chunk}, position {row}"
-                    );
-                    row += 1;
-                }
+                let last = end - 1;
+                assert_eq!(
+                    full.row(last),
+                    logits,
+                    "chunk size {chunk}, position {last}"
+                );
                 start = end;
             }
             assert_eq!(cache.seq_len(0), prompt.len());
@@ -951,13 +1017,10 @@ mod tests {
             }];
             m.prefill_chunks_batch_ws(&chunk, &mut batched, hook, &mut ws)
         };
-        let mut row = 0usize;
         for range in [0..3usize, 3..4, 4..7] {
+            let last = range.end - 1;
             let logits = advance(range, 1, &mut announced).unwrap().remove(0);
-            for r in 0..logits.rows() {
-                assert_eq!(full.row(row), logits.row(r), "position {row}");
-                row += 1;
-            }
+            assert_eq!(full.row(last), logits, "position {last}");
         }
         assert_eq!(
             announced.0[1..],

@@ -11,12 +11,13 @@
 //! the decoding phase — decode always has priority — and spends
 //! the rest of [`ServeConfig::step_token_budget`] advancing in-progress prefills, oldest
 //! admission first, with every chunk stacked into one batched forward
-//! ([`Model::prefill_chunks_batch_ws`]); the decode pass then runs, joined by any prompt
-//! that completed within the budget. A long prompt therefore never stalls concurrent
-//! decode streams for more than one budget-bounded chunk round — the head-of-line
-//! blocking a monolithic admission prefill causes is gone — while a wave of short
-//! admissions still costs a single forward and starts decoding the same step, exactly
-//! like the old batched admission prefill.
+//! ([`Model::prefill_chunks_batch_ws`], whose LM head projects only each chunk's last row,
+//! the one a prompt's final chunk commits its first token from); the decode pass then
+//! runs, joined by any prompt that completed within the budget. A long prompt therefore
+//! never stalls concurrent decode streams for more than one budget-bounded chunk round —
+//! the head-of-line blocking a monolithic admission prefill causes is gone — while a wave
+//! of short admissions still costs a single forward and starts decoding the same step,
+//! exactly like the old batched admission prefill.
 //!
 //! Both chunk and decode GEMMs run under the one shared [`SchemeProtector`] whose per-slot
 //! schemes are refreshed on every admission and retirement, so each request keeps the
@@ -695,14 +696,16 @@ impl<'m> ServeEngine<'m> {
         let mut fresh = Vec::new();
         for ((slot, range), logits) in plan.into_iter().zip(per_chunk) {
             rows += range.len();
+            // A chunk's row is its window's last position; for the final chunk that is the
+            // prompt's last, so its argmax is the request's first token — bit-identical to
+            // a monolithic prefill's commit.
+            let (first, margin) = argmax_with_margin(&logits);
+            self.ws.recycle_vec_f32(logits);
             let active = self.slots[slot].as_mut().expect("slot stays occupied");
             if range.end < active.prompt.len() {
                 active.phase = SlotPhase::Prefilling { done: range.end };
                 continue;
             }
-            // Final chunk: its last row is the prompt's last position, so its argmax is
-            // the request's first token — bit-identical to a monolithic prefill's commit.
-            let (first, margin) = argmax_with_margin(logits.row(logits.rows() - 1));
             active.phase = SlotPhase::Decoding;
             active.last = first;
             active.last_decode_at = Some(Instant::now());

@@ -18,9 +18,10 @@
 //!    ([`realm_llm::BatchedKvCache::release_slot`]) and queued requests are assigned the
 //!    freed slots — assignment is bookkeeping only; the prompts prefill chunk by chunk,
 //!    every advancing slot's chunk stacked into one batched forward
-//!    ([`realm_llm::Model::prefill_chunks_batch_ws`]), under the per-step token budget
-//!    ([`ServeConfig::step_token_budget`]), so a long prompt never stalls concurrent
-//!    decode streams for more than one budget-bounded chunk;
+//!    ([`realm_llm::Model::prefill_chunks_batch_ws`], which projects one logits row per
+//!    chunk; a prompt's final chunk commits its first token from it), under the per-step
+//!    token budget ([`ServeConfig::step_token_budget`]), so a long prompt never stalls
+//!    concurrent decode streams for more than one budget-bounded chunk;
 //! 3. tokens stream back to each client over an [`std::sync::mpsc`] channel as
 //!    [`TokenEvent`]s, ending with a [`RequestSummary`] that carries the ABFT
 //!    detection/recovery attribution charged to that request.

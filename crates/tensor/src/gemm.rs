@@ -1,9 +1,11 @@
 //! GEMM kernels: the INT8×INT8→INT32 datapath the paper protects, plus f32 reference paths.
 //!
 //! The paper injects transient errors into the **INT32 accumulation results** of quantized
-//! GEMMs ([`gemm_i8`]); the floating-point path ([`gemm_f32`]) models the non-quantized
-//! portions of the transformer (normalization statistics, softmax) and provides a reference
-//! for quantization-accuracy tests.
+//! GEMMs ([`gemm_i8`]). The floating-point path ([`gemm_f32`]) is the scalar oracle of the
+//! LM head, the one projection that stays in f32 outside the array: `realm-llm` projects
+//! each logits row with [`crate::RowKernels::project_row`], which reproduces
+//! [`gemm_f32_into`]'s row bit for bit on every tier. It is also the reference for
+//! quantization-accuracy tests.
 
 use crate::{MatF32, MatI32, MatI8, Result, TensorError};
 
@@ -88,8 +90,9 @@ pub fn gemm_f32(a: &MatF32, b: &MatF32) -> Result<MatF32> {
 }
 
 /// [`gemm_f32`] writing into caller-provided storage (reshaped in place, reusing its
-/// backing allocation). Bit-identical to [`gemm_f32`]; used by the allocation-free logits
-/// path of the decode hot loop.
+/// backing allocation). Bit-identical to [`gemm_f32`]. Each output starts from `+0.0` and
+/// adds `a[i][p] · b[p][j]` for `p` ascending, skipping `a[i][p] == 0.0` — the sequence
+/// [`crate::RowKernels::project_row`] vectorises.
 ///
 /// # Errors
 ///

@@ -17,7 +17,9 @@
 //!   (99th-percentile) requantization scale, selected on the integers themselves;
 //! * [`RowKernels::max`] and [`RowKernels::exp_row`] (`exp(v − shift)`) — the two passes of
 //!   a numerically stable softmax, and [`RowKernels::silu_row`] — `v · sigmoid(v)`: the
-//!   nonlinearities the paper keeps in floating point, outside the protected array.
+//!   nonlinearities the paper keeps in floating point, outside the protected array;
+//! * [`RowKernels::project_row`] — `x · W` in f32, the LM head: the one projection that
+//!   stays outside the array, bit for bit the row [`crate::gemm::gemm_f32_into`] computes.
 //!
 //! Everything else that rounds to INT8 — [`crate::quant`], `realm-llm`'s per-row
 //! quantizer, its KV cache and its attention probabilities — calls these, and so does
@@ -97,6 +99,7 @@
 //! ([`SimdTier::detect`]), so dispatching a row never reads the environment.
 
 use crate::simd::SimdTier;
+use crate::MatF32;
 
 /// `0.5 − 2⁻²⁵`, the largest f32 below one half (see the [module documentation](self)).
 const HALF_BELOW: f32 = 0.499_999_97;
@@ -314,6 +317,29 @@ impl RowKernels {
         scalar::silu_row(row);
     }
 
+    /// `out = x · W` for one row `x`: each `out[j]` starts from `+0.0` and adds
+    /// `x[p] · W[p][j]` for `p` ascending, skipping every `x[p] == 0.0`, rounding the product
+    /// and the sum separately (never a fused multiply-add) — bit for bit the row
+    /// [`crate::gemm::gemm_f32_into`] computes, on every tier. The AVX2 tier holds 64
+    /// columns in registers while `p` streams, then 8 at a time; the last `n mod 8` columns
+    /// take the scalar loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.len() == w.rows()` and `out.len() == w.cols()`.
+    pub fn project_row(self, x: &[f32], w: &MatF32, out: &mut [f32]) {
+        assert_eq!(x.len(), w.rows(), "one input per weight row");
+        assert_eq!(out.len(), w.cols(), "one output per weight column");
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 {
+            // SAFETY: AVX2 detected for every accelerated tier; `w` holds `x.len()` rows of
+            // `out.len()` columns (asserted above).
+            unsafe { avx2::project_row(x, w.as_slice(), out) };
+            return;
+        }
+        scalar::project_cols(x, w.as_slice(), out, 0);
+    }
+
     /// The `k`-th largest of `|acc[i]|` (as `u32`, so `i32::MIN` is `2³¹`); `k = 1` is the
     /// maximum, `k = acc.len()` the minimum.
     ///
@@ -413,6 +439,22 @@ mod scalar {
     pub(super) fn stream_top_k(acc: &[i32], top: &mut [u32]) {
         for &v in acc {
             offer(top, v.unsigned_abs());
+        }
+    }
+
+    /// Columns `from..` of `x · W`, where `W` is `w` read as `x.len()` rows of
+    /// `out.len()` columns.
+    pub(super) fn project_cols(x: &[f32], w: &[f32], out: &mut [f32], from: usize) {
+        let n = out.len();
+        let out = &mut out[from..];
+        out.fill(0.0);
+        for (p, &xp) in x.iter().enumerate() {
+            if xp == 0.0 {
+                continue;
+            }
+            for (o, &wv) in out.iter_mut().zip(&w[p * n + from..(p + 1) * n]) {
+                *o += xp * wv;
+            }
         }
     }
 }
@@ -609,6 +651,55 @@ mod avx2 {
             _mm256_storeu_ps(p, _mm256_mul_ps(v, sigmoid));
         }
         scalar::silu_row(&mut row[body..]);
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available and `w` must hold `x.len()` rows of `out.len()` columns.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn project_row(x: &[f32], w: &[f32], out: &mut [f32]) {
+        const BLOCK: usize = 8 * LANES;
+        let n = out.len();
+        let mut col = 0;
+        while col + BLOCK <= n {
+            project_block::<8>(x, w, out, col);
+            col += BLOCK;
+        }
+        while col + LANES <= n {
+            project_block::<1>(x, w, out, col);
+            col += LANES;
+        }
+        scalar::project_cols(x, w, out, col);
+    }
+
+    /// Columns `col..col + V · 8` of `x · W`, accumulated in `V` registers while `p`
+    /// streams.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `w` must hold `x.len()` rows of `out.len()` columns and
+    /// `col + V · 8 <= out.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn project_block<const V: usize>(x: &[f32], w: &[f32], out: &mut [f32], col: usize) {
+        let n = out.len();
+        let mut acc = [_mm256_setzero_ps(); V];
+        for (p, &xp) in x.iter().enumerate() {
+            if xp == 0.0 {
+                continue;
+            }
+            let xv = _mm256_set1_ps(xp);
+            // SAFETY: row `p < x.len()` of `w` holds `n >= col + V · LANES` columns.
+            let row = w.as_ptr().add(p * n + col);
+            for (v, a) in acc.iter_mut().enumerate() {
+                let prod = _mm256_mul_ps(xv, _mm256_loadu_ps(row.add(v * LANES)));
+                *a = _mm256_add_ps(*a, prod);
+            }
+        }
+        for (v, a) in acc.iter().enumerate() {
+            // SAFETY: `col + V · LANES <= n == out.len()`.
+            _mm256_storeu_ps(out.as_mut_ptr().add(col + v * LANES), *a);
+        }
     }
 
     /// # Safety
@@ -976,6 +1067,50 @@ mod tests {
                                 kernels.kth_largest_magnitude(acc, k),
                                 portable.kth_largest_magnitude(acc, k),
                                 "{label} k {k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn project_row_matches_gemm_f32_bit_for_bit() {
+        // Whole 64-column blocks (the LM head's 640), a ragged block with a scalar tail
+        // (300 = 4 · 64 + 5 · 8 + 4) and less than one block (17 = 2 · 8 + 1), at 1, 4 and
+        // 128 rows; a depth that is not a power of two.
+        const K: usize = 99;
+        let mut r = rng::seeded(37);
+        for m in [1usize, 4, 128] {
+            // Activations: zeros of both signs (skipped), subnormals, large magnitudes.
+            let x = MatF32::from_fn(m, K, |i, p| match (i * K + p) % 9 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e-41,
+                3 => -3e-39,
+                4 => 3e18,
+                5 => -7.5e17,
+                _ => r.gen_range(-4.0f32..4.0),
+            });
+            for n in [640usize, 300, 17] {
+                let w = MatF32::from_fn(K, n, |p, j| match (p * n + j) % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 1e-39,
+                    _ => r.gen_range(-2.0f32..2.0),
+                });
+                let mut oracle = MatF32::zeros(0, 0);
+                crate::gemm::gemm_f32_into(&x, &w, &mut oracle).unwrap();
+                for kernels in granted_tiers() {
+                    let mut out = vec![f32::NAN; n];
+                    for i in 0..m {
+                        kernels.project_row(x.row(i), &w, &mut out);
+                        let want = oracle.row(i);
+                        if let Some(j) = (0..n).find(|&j| out[j].to_bits() != want[j].to_bits()) {
+                            panic!(
+                                "{:?} m {m} n {n}: ({i}, {j}) is {:e}, gemm_f32_into says {:e}",
+                                kernels.tier, out[j], want[j]
                             );
                         }
                     }

@@ -256,7 +256,7 @@ fn batch_of_one_matches_the_single_sequence_path() {
         let batch_prefill = model
             .prefill_chunks_batch_ws(&chunk, &mut cache, &mut one_slot, &mut ws)
             .unwrap();
-        assert_eq!(batch_prefill, [solo_prefill]);
+        assert_eq!(batch_prefill, [solo_prefill.row(prompt.len() - 1)]);
 
         for token in [7u32, 2, 11] {
             let solo_logits = model
@@ -309,7 +309,7 @@ fn batch_of_one_matches_the_single_sequence_path() {
         // attention GEMMs' checksums are part of the pinned stream too.
         let mut checked = StreamRecorder::checksummed();
         let (checked_prefill, mut checked_cache) = model.prefill(&prompt, &mut checked).unwrap();
-        assert_eq!(checked_prefill, batch_prefill[0]);
+        assert_eq!(checked_prefill, solo_prefill);
         for token in [7u32, 2, 11] {
             model
                 .decode_step_ws(token, &mut checked_cache, &mut checked, &mut ws)

@@ -5,11 +5,12 @@
 //! in-flight decode stream for one monolithic forward. The whole design rests on the
 //! chunking being **invisible to the numbers**:
 //!
-//! * **Logits** — the concatenated per-chunk logits equal the monolithic prefill logits
-//!   bit for bit, at every chunk granularity, on every `GemmEngine` backend and TP
-//!   degree. Per-row activation quantization, per-token-row KV scales and per-query-row
-//!   causal masking are what make this hold: no value in the forward pass depends on
-//!   where a chunk boundary falls.
+//! * **Logits** — each chunk's logits row (the one at its window's last position) equals
+//!   the monolithic prefill's row at that position bit for bit, at every chunk
+//!   granularity, on every `GemmEngine` backend and TP degree; at chunk size 1 that is
+//!   every position of the prompt. Per-row activation quantization, per-token-row KV
+//!   scales and per-query-row causal masking are what make this hold: no value in the
+//!   forward pass depends on where a chunk boundary falls.
 //! * **Fused checksums** — the ABFT operand-side checksum `(eᵀ·X)·W` is linear in the
 //!   activation rows, so the per-component checksum totals of a chunked prefill must
 //!   equal the monolithic totals exactly. If chunking ever perturbed a quantized row,
@@ -76,19 +77,22 @@ fn long_prompt(vocab: u32) -> Vec<u32> {
     (0..70u32).map(|t| (t * 7 + 3) % vocab).collect()
 }
 
-/// Prefills `prompt` in `chunk`-sized windows into a one-slot cache, returning the concatenated logits rows,
-/// the checksum ledger, and the continuation tokens/margins decoded from the chunk-built
-/// cache.
+/// Logits rows, each with the prompt position it belongs to.
+type PositionedRows = Vec<(usize, Vec<f32>)>;
+
+/// Prefills `prompt` in `chunk`-sized windows into a one-slot cache, returning each
+/// chunk's logits row with the prompt position it belongs to (the window's last), the
+/// checksum ledger, and the continuation tokens/margins decoded from the chunk-built cache.
 fn chunked_run(
     model: &Model,
     prompt: &[u32],
     chunk: usize,
     decode_tokens: usize,
-) -> (Vec<Vec<f32>>, ChecksumLedger, Vec<u32>, Vec<f32>) {
+) -> (PositionedRows, ChecksumLedger, Vec<u32>, Vec<f32>) {
     let mut ledger = ChecksumLedger::default();
     let mut ws = Workspace::new();
     let mut cache = model.new_batched_cache(1);
-    let mut rows: Vec<Vec<f32>> = Vec::new();
+    let mut rows = Vec::new();
     let mut start = 0;
     while start < prompt.len() {
         let end = (start + chunk).min(prompt.len());
@@ -97,18 +101,18 @@ fn chunked_run(
             range: start..end,
             slot: 0,
         }];
-        let logits = model
+        let row = model
             .prefill_chunks_batch_ws(&window, &mut cache, &mut ledger, &mut ws)
             .unwrap()
             .remove(0);
-        for r in 0..logits.rows() {
-            rows.push(logits.row(r).to_vec());
-        }
+        rows.push((end - 1, row.clone()));
+        ws.recycle_vec_f32(row);
         start = end;
     }
     // Continue decoding exactly the way `Model::generate` does, from the chunk-built
-    // cache: the last prefill row's argmax is the first generated token.
-    let (mut next, mut margin) = argmax_with_margin(rows.last().expect("non-empty prompt"));
+    // cache: the final chunk's row is the prompt's last position, whose argmax is the
+    // first generated token.
+    let (mut next, mut margin) = argmax_with_margin(&rows.last().expect("non-empty prompt").1);
     let mut tokens = Vec::new();
     let mut margins = Vec::new();
     for _ in 0..decode_tokens {
@@ -141,16 +145,19 @@ fn assert_chunk_parity(model: &Model, label: &str) {
 
     for chunk in [1usize, 7, 64, prompt.len()] {
         let (rows, ledger, tokens, margins) = chunked_run(model, &prompt, chunk, decode_tokens);
+        let positions: Vec<usize> = rows.iter().map(|(at, _)| *at).collect();
+        let window_ends: Vec<usize> = (1..=prompt.len().div_ceil(chunk))
+            .map(|c| (c * chunk).min(prompt.len()) - 1)
+            .collect();
         assert_eq!(
-            rows.len(),
-            mono_logits.rows(),
-            "{label}/chunk={chunk}: row count"
+            positions, window_ends,
+            "{label}/chunk={chunk}: one row per chunk"
         );
-        for (i, row) in rows.iter().enumerate() {
+        for (at, row) in &rows {
             assert_eq!(
                 row.as_slice(),
-                mono_logits.row(i),
-                "{label}/chunk={chunk}: prefill logits row {i} diverged"
+                mono_logits.row(*at),
+                "{label}/chunk={chunk}: prefill logits row {at} diverged"
             );
         }
         assert_eq!(

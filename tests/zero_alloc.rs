@@ -270,8 +270,12 @@ fn count_batched_decode_allocations(
         .prefill_chunks_batch_ws(&chunks, &mut cache, hook, &mut ws)
         .unwrap();
     let mut tokens: Vec<Option<u32>> = logits
-        .iter()
-        .map(|l| Some(argmax_with_margin(l.row(l.rows() - 1)).0))
+        .into_iter()
+        .map(|row| {
+            let token = argmax_with_margin(&row).0;
+            ws.recycle_vec_f32(row);
+            Some(token)
+        })
         .collect();
     let mut decode = |tokens: &mut Vec<Option<u32>>, ws: &mut Workspace| {
         let step_logits = model
@@ -328,6 +332,67 @@ fn batched_decode_forward_pass_allocates_nothing_after_warmup() {
                     model.config().num_layers
                 );
             }
+        }
+    }
+}
+
+/// Runs `warmup` four-slot prefill steps and then one measured step through one
+/// long-lived workspace and cache — every slot released, then its whole (ragged) prompt
+/// advanced as one chunk, all four chunks in one `prefill_chunks_batch_ws` forward — and
+/// returns the heap allocations of the measured step.
+fn count_prefill_step_allocations(model: &Model, hook: &mut dyn GemmHook, warmup: usize) -> u64 {
+    let prompts: [&[u32]; 4] = [
+        &[1, 2, 3, 4, 5, 6, 7, 8],
+        &[5, 6],
+        &[7, 8, 9, 10, 11],
+        &[10],
+    ];
+    let chunks: Vec<PrefillChunk<'_>> = prompts
+        .iter()
+        .enumerate()
+        .map(|(slot, prompt)| PrefillChunk::whole(prompt, slot))
+        .collect();
+    let mut ws = Workspace::new();
+    let mut cache = model.new_batched_cache(prompts.len());
+    let mut step = |ws: &mut Workspace| {
+        (0..prompts.len()).for_each(|slot| cache.release_slot(slot));
+        let rows = model
+            .prefill_chunks_batch_ws(&chunks, &mut cache, hook, ws)
+            .unwrap();
+        rows.into_iter().for_each(|row| ws.recycle_vec_f32(row));
+        ws.reset();
+    };
+    for _ in 0..warmup {
+        step(&mut ws);
+    }
+    let before = allocations();
+    step(&mut ws);
+    allocations() - before
+}
+
+#[test]
+fn batched_prefill_step_allocates_only_its_bookkeeping_after_warmup() {
+    // `prefill_chunks_batch_ws` validates and stacks its chunks into four small vectors —
+    // the per-slot lengths, their partition, the chunks in slot order and the stacked
+    // tokens, which grows once — and returns the per-chunk rows in a fifth. The rows
+    // themselves are workspace-pooled: the final norm and LM head run on one row per
+    // chunk, so no vocab-wide logits matrix is built per chunk (that cost four more, one
+    // per chunk). Everything else — the forward, attention over each slot's prefix, every
+    // GEMM, the protector's inspection — allocates nothing once warm.
+    const ENTRY_POINT_ALLOCATIONS: u64 = 6;
+    for engine in [EngineKind::Reference, EngineKind::Simd] {
+        let model = model_on(engine);
+        let mut protector = SchemeProtector::with_default_regions(
+            ProtectionScheme::StatisticalAbft,
+            SystolicArray::small(Dataflow::WeightStationary),
+        );
+        let hooks: [&mut dyn GemmHook; 2] = [&mut NoopHook, &mut protector];
+        for hook in hooks {
+            assert_eq!(
+                count_prefill_step_allocations(&model, hook, 8),
+                ENTRY_POINT_ALLOCATIONS,
+                "{engine}: a warmed four-slot prefill step allocates only its bookkeeping"
+            );
         }
     }
 }
