@@ -137,4 +137,27 @@ mod tests {
         softmax_in_place(&mut row);
         assert!(row.iter().all(|v| v.is_nan()));
     }
+
+    #[test]
+    fn attention_probabilities_are_this_softmax_bit_for_bit() {
+        // At unit scales (scores below 2²⁴ convert exactly) the probability-codes kernel
+        // leaves the softmax of the scores in its scratch row, on every tier.
+        let tiers = [
+            RowKernels::with_tier(SimdTier::Portable),
+            RowKernels::granted(),
+        ];
+        let mut r = rng::seeded(59);
+        let ones = [1.0f32; 40];
+        for len in 0..=40 {
+            let scores: Vec<i32> = (0..len).map(|_| r.gen_range(-40..40)).collect();
+            let mut want: Vec<f32> = scores.iter().map(|&s| s as f32).collect();
+            softmax_in_place(&mut want);
+            for kernels in tiers {
+                let (mut probs, mut codes) = ([f32::NAN; 40], [0i8; 40]);
+                kernels.probability_codes(&scores, 1.0, &ones, &ones, &mut probs, &mut codes);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&probs[..len]), bits(&want), "{kernels:?} len {len}");
+            }
+        }
+    }
 }

@@ -31,8 +31,18 @@
 //! into chunks or which batch neighbours it rode with. The hooked `QKᵀ` GEMM is the full
 //! rectangle; the causal mask is applied to the accumulator afterwards, so a fault landing
 //! in a masked cell is detected by the checksum but cannot reach the output.
+//!
+//! # The probability path
+//!
+//! Between the two GEMMs, each query row's visible accumulators become `P'` codes in one
+//! call, [`RowKernels::probability_codes`]: `(acc · q_scale) · k_scale`, the softmax of
+//! [`crate::activation::softmax_in_place`] step for step (NaN-ignoring maximum, `exp(p −
+//! max)`, a left fold from `+0.0`, one multiply by its inverse), `· v_scale`, then the row's
+//! abs-max scale and its codes, the masked cells zeroed. Folding `v_scale[t]` into the
+//! probability keeps the `SV` GEMM a plain integer product over the stored codes. The AVX2
+//! tier runs that sequence in four vector passes over the row, its last partial vector
+//! masked rather than scalar, with the same roundings as the portable tier.
 
-use crate::activation::softmax_in_place;
 use crate::batch::{BatchedKvCache, BatchedLayerCache};
 use crate::component::Component;
 use crate::config::ModelConfig;
@@ -43,7 +53,7 @@ use crate::quantized::{
 use crate::weights;
 use crate::Result;
 use realm_tensor::rng::SeededRng;
-use realm_tensor::{MatF32, QuantParams, RowKernels, RowPartition};
+use realm_tensor::{MatF32, RowKernels, RowPartition};
 
 /// Multi-head self-attention for a single Transformer layer.
 #[derive(Debug, Clone)]
@@ -213,7 +223,7 @@ impl MultiHeadAttention {
                     run_hooked_gemm_into(&q_h, keys, &ctx, pass, &mut gemm)?;
                     p_codes.resize_overwrite(chunk, len);
                     for (i, r) in rows.clone().enumerate() {
-                        p_scales[i] = probability_codes(
+                        p_scales[i] = kernels.probability_codes(
                             &gemm.acc().row(i)[..=prior + i],
                             q_scales[r],
                             cache.key_scales(),
@@ -251,40 +261,6 @@ impl MultiHeadAttention {
             }
         }
     }
-}
-
-/// Turns one query row's visible score accumulators into the probability codes the `SV`
-/// GEMM consumes, returning the row's dequantization scale.
-///
-/// `scores` holds the accumulators of the visible prefix only (cells beyond it are masked:
-/// their codes are exact zeros). Each is dequantized with the query row's scale (already
-/// divided by `√d`) and its key row's scale, soft-maxed over the prefix, multiplied by its
-/// value row's scale — folding `v_scale[t]` into the probability keeps the `SV` GEMM a
-/// plain integer product over the stored codes — and quantized with the row's own abs-max.
-fn probability_codes(
-    scores: &[i32],
-    q_scale: f32,
-    key_scales: &[f32],
-    value_scales: &[f32],
-    probs: &mut [f32],
-    codes: &mut [i8],
-) -> f32 {
-    let visible = scores.len();
-    let probs = &mut probs[..visible];
-    for ((p, &acc), &k_scale) in probs.iter_mut().zip(scores).zip(key_scales) {
-        *p = acc as f32 * q_scale * k_scale;
-    }
-    softmax_in_place(probs);
-    for (p, &v_scale) in probs.iter_mut().zip(value_scales) {
-        *p *= v_scale;
-    }
-    let kernels = RowKernels::granted();
-    // Probabilities and value scales are non-negative, so the abs-max is the max.
-    let scale = QuantParams::from_abs_max(kernels.abs_max(probs)).scale;
-    let (seen, masked) = codes.split_at_mut(visible);
-    kernels.quantize_row(probs, scale, seen);
-    masked.fill(0);
-    scale
 }
 
 #[cfg(test)]

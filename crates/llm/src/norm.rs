@@ -5,8 +5,17 @@
 //! per token are dominated by a handful of outlier channels, so a single large injected error
 //! becomes an artificial outlier that skews the statistics and corrupts *every* element of
 //! the normalized vector — not just the one that was hit.
+//!
+//! The statistics are sums along each row, which [`RowKernels::row_sums`] computes for
+//! blocks of up to eight rows, one per vector lane, each row's sum a left fold from `−0.0`
+//! in column order on every tier. The elementwise output pass then reads each row once.
 
-use realm_tensor::MatF32;
+use realm_tensor::{MatF32, RowKernels, RowSum};
+use std::ops::Range;
+
+/// Rows whose statistics are taken per [`RowKernels::row_sums`] call: one per lane of the
+/// 8-lane tier, so the statistics live on the stack.
+const BLOCK: usize = 8;
 
 /// Per-token LayerNorm with learned scale and bias.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,27 +81,28 @@ impl LayerNorm {
     pub fn forward_into(&self, x: &MatF32, out: &mut MatF32) {
         assert_eq!(x.cols(), self.dim(), "LayerNorm dimension mismatch");
         out.resize_overwrite(x.rows(), x.cols());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let (mean, var) = mean_variance(row);
-            let inv = 1.0 / (var + self.eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                out.row_mut(r)[c] = (v - mean) * inv * self.gamma[c] + self.beta[c];
+        for_each_block_statistics(x, |rows, means, vars| {
+            for ((r, &mean), &var) in rows.zip(means).zip(vars) {
+                let inv = 1.0 / (var + self.eps).sqrt();
+                let params = self.gamma.iter().zip(&self.beta);
+                for ((o, &v), (&g, &b)) in out.row_mut(r).iter_mut().zip(x.row(r)).zip(params) {
+                    *o = (v - mean) * inv * g + b;
+                }
             }
-        }
+        });
     }
 
-    /// Returns the per-row `(mean, std)` statistics the normalization would use.
+    /// Returns the per-row `(mean, std)` statistics the normalization would use — the same
+    /// kernel calls as [`LayerNorm::forward_into`], so the two cannot drift apart.
     ///
     /// Exposed so the characterization study (Fig. 5) can report how much an injected error
     /// skews µ and σ without re-deriving the internals.
     pub fn row_statistics(&self, x: &MatF32) -> Vec<(f32, f32)> {
-        (0..x.rows())
-            .map(|r| {
-                let (m, v) = mean_variance(x.row(r));
-                (m, v.sqrt())
-            })
-            .collect()
+        let mut stats = Vec::with_capacity(x.rows());
+        for_each_block_statistics(x, |_, means, vars| {
+            stats.extend(means.iter().zip(vars).map(|(&m, &v)| (m, v.sqrt())));
+        });
+        stats
     }
 }
 
@@ -144,22 +154,43 @@ impl RmsNorm {
     pub fn forward_into(&self, x: &MatF32, out: &mut MatF32) {
         assert_eq!(x.cols(), self.dim(), "RMSNorm dimension mismatch");
         out.resize_overwrite(x.rows(), x.cols());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-            let inv = 1.0 / (ms + self.eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                out.row_mut(r)[c] = v * inv * self.gamma[c];
+        let (kernels, cols) = (RowKernels::granted(), x.cols());
+        let mut squares = [0.0f32; BLOCK];
+        for rows in blocks(x.rows()) {
+            let squares = &mut squares[..rows.len()];
+            let block = &x.as_slice()[rows.start * cols..rows.end * cols];
+            kernels.row_sums(block, cols, RowSum::Squares, squares);
+            for (r, &sum) in rows.zip(squares.iter()) {
+                let inv = 1.0 / (sum / cols as f32 + self.eps).sqrt();
+                for ((o, &v), &g) in out.row_mut(r).iter_mut().zip(x.row(r)).zip(&self.gamma) {
+                    *o = v * inv * g;
+                }
             }
         }
     }
 }
 
-fn mean_variance(row: &[f32]) -> (f32, f32) {
-    let n = row.len() as f32;
-    let mean = row.iter().sum::<f32>() / n;
-    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    (mean, var)
+/// The rows of an `n`-row matrix in consecutive blocks of at most [`BLOCK`].
+fn blocks(n: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n).step_by(BLOCK).map(move |r| r..n.min(r + BLOCK))
+}
+
+/// Calls `f(rows, means, variances)` for each block of `x`'s rows with LayerNorm's
+/// statistics of those rows: the mean `Σ v / n`, then the variance `Σ (v − mean)² / n`,
+/// each sum a [`RowKernels::row_sums`].
+fn for_each_block_statistics(x: &MatF32, mut f: impl FnMut(Range<usize>, &[f32], &[f32])) {
+    let (kernels, cols) = (RowKernels::granted(), x.cols());
+    let n = cols as f32;
+    let (mut means, mut vars) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
+    for rows in blocks(x.rows()) {
+        let (means, vars) = (&mut means[..rows.len()], &mut vars[..rows.len()]);
+        let block = &x.as_slice()[rows.start * cols..rows.end * cols];
+        kernels.row_sums(block, cols, RowSum::Values, means);
+        means.iter_mut().for_each(|m| *m /= n);
+        kernels.row_sums(block, cols, RowSum::SquaresAbout(means), vars);
+        vars.iter_mut().for_each(|v| *v /= n);
+        f(rows, means, vars);
+    }
 }
 
 #[cfg(test)]

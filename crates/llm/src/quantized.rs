@@ -22,10 +22,15 @@
 //!   projections (`Q`/`K`/`V`, `Gate`/`Up`) is quantized once and handed to each
 //!   [`QuantLinear::forward_quantized`]; [`QuantLinear::forward`] is the one-consumer form.
 //! * **out** — [`convert_accumulator_rows_into`]: de-quantize, or pick the row's robust
-//!   (99th-percentile) output scale by integer selection and re-quantize.
+//!   (99th-percentile) output scale by integer selection and re-quantize. The selection is
+//!   [`RowKernels::kth_largest_magnitude`], a lane-wise top-k network on the AVX2 tier: the
+//!   `Q`/`K`/`V` rows carry outlier channels, which a stream that branches on "beats the
+//!   running k-th largest" pays for on most loads.
 //!
 //! Both are functions of a row alone, which is what makes batching and chunked prefill
-//! pure amortisations.
+//! pure amortisations. The other f32 passes around the GEMMs are row kernels too: the
+//! norms' statistics ([`RowKernels::row_sums`], eight rows per vector) and attention's
+//! probability codes ([`RowKernels::probability_codes`]).
 
 use crate::component::{Component, Stage};
 use crate::hooks::{GemmContext, GemmHook};

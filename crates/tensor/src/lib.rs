@@ -31,7 +31,8 @@
 //!   saturation effect studied in the paper (Q1.2).
 //! * [`row_kernels`] — [`RowKernels`], the per-row primitives of the envelope around every
 //!   quantized GEMM (abs-max, quantize, requantize/dequantize, the integer order statistic of
-//!   the robust output scale) and of softmax and SiLU, portable or AVX2 on the same
+//!   the robust output scale), of the norms' row statistics, of softmax and SiLU and of
+//!   attention's probability codes, portable or AVX2 on the same
 //!   dispatch as the GEMM kernels; the workspace's one definition of INT8 rounding and its
 //!   one `exp`.
 //! * [`tp`] — tensor parallelism as fault domains: [`TpGroup`], a [`GemmEngine`] wrapping
@@ -96,7 +97,7 @@ pub use matrix::{MatF32, MatI32, MatI8, Matrix};
 pub use packed::PackedMatI8;
 pub use partition::RowPartition;
 pub use quant::QuantParams;
-pub use row_kernels::RowKernels;
+pub use row_kernels::{RowKernels, RowSum};
 pub use simd::SimdTier;
 pub use tp::{ShardFault, TpGroup, TpShardStats};
 pub use workspace::Workspace;

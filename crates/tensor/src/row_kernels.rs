@@ -18,12 +18,22 @@
 //! * [`RowKernels::max`] and [`RowKernels::exp_row`] (`exp(v − shift)`) — the two passes of
 //!   a numerically stable softmax, and [`RowKernels::silu_row`] — `v · sigmoid(v)`: the
 //!   nonlinearities the paper keeps in floating point, outside the protected array;
+//! * [`RowKernels::probability_codes`] — attention's score accumulators → softmax → value
+//!   scales → INT8 codes, one query row's whole path between its two GEMMs;
+//! * [`RowKernels::row_sums`] — the per-row sums behind LayerNorm's mean and variance and
+//!   RMSNorm's mean square, eight rows per vector;
 //! * [`RowKernels::project_row`] — `x · W` in f32, the LM head: the one projection that
 //!   stays outside the array, bit for bit the row [`crate::gemm::gemm_f32_into`] computes.
 //!
 //! Everything else that rounds to INT8 — [`crate::quant`], `realm-llm`'s per-row
 //! quantizer, its KV cache and its attention probabilities — calls these, and so does
 //! everything that exponentiates: `realm-llm`'s softmax and SiLU.
+//!
+//! Every kernel that adds floats fixes the order of its additions and the start value of
+//! each sum as part of its definition (a left fold from `−0.0` for the norms, from `+0.0`
+//! for the softmax), and no tier fuses a multiply into an add. The vector tiers reorder
+//! *which* sums run side by side — eight rows in eight lanes — never the additions inside
+//! one sum.
 //!
 //! # The rounding, without libm
 //!
@@ -218,13 +228,7 @@ impl RowKernels {
         };
         #[cfg(not(target_arch = "x86_64"))]
         let bits = scalar::abs_max_bits(row);
-        // With the sign bit cleared, IEEE order is integer order — except that NaN patterns
-        // sort above infinity. Only then is the NaN-ignoring fold needed.
-        if bits > f32::INFINITY.to_bits() {
-            row.iter().fold(0.0f32, |m, v| m.max(v.abs()))
-        } else {
-            f32::from_bits(bits)
-        }
+        abs_max_from_bits(bits, row)
     }
 
     /// `codes[i] = round_to_code(row[i] / scale)`.
@@ -343,11 +347,16 @@ impl RowKernels {
     /// The `k`-th largest of `|acc[i]|` (as `u32`, so `i32::MIN` is `2³¹`); `k = 1` is the
     /// maximum, `k = acc.len()` the minimum.
     ///
-    /// Small `k` — the robust requantization scale asks for the 2nd to 6th largest of a
-    /// few hundred — streams the row once against the running `k`-th largest and only
-    /// leaves the vector compare for the rare element that beats it, with no scratch.
-    /// Larger `k` (rows wider than any the models here produce) copies the magnitudes and
-    /// partitions them.
+    /// Small `k` — the robust requantization scale asks for the 2nd or 3rd largest of the
+    /// models' 32- to 160-wide rows — needs no scratch. The portable tier streams the row
+    /// through a sorted list of the `k` largest seen so far. The AVX2 tier keeps such a list
+    /// per lane instead, as `K` vectors sorted by level (`k` rounded up to a power of two):
+    /// each 8-element load sinks through the levels by an unsigned max/min pair per level,
+    /// with no branch on the data. The `Q`, `K` and `V` projections' rows carry outlier
+    /// channels, so a stream that branches on "beats the running `k`-th largest" takes that
+    /// branch on most loads. The `k` largest of the row are among the `8·K` lane candidates,
+    /// which the sorted list then takes in. Larger `k` (rows wider than any the models here
+    /// produce) copies the magnitudes and partitions them.
     ///
     /// # Panics
     ///
@@ -369,11 +378,122 @@ impl RowKernels {
         #[cfg(target_arch = "x86_64")]
         if self.tier >= SimdTier::Avx2 {
             // SAFETY: AVX2 detected for every accelerated tier.
-            unsafe { avx2::stream_top_k(acc, top) };
+            unsafe { avx2::network_top_k(acc, top) };
             return top[0];
         }
         scalar::stream_top_k(acc, top);
         top[0]
+    }
+
+    /// Sums along each row of `x`, read as `sums.len()` rows of `cols` floats: `sums[r]` is
+    /// the left fold from `−0.0` of `term(x[r][c])` for `c` ascending, each term and each
+    /// addition rounded separately (never a fused multiply-add) — the statistics of
+    /// LayerNorm and RMSNorm.
+    ///
+    /// The AVX2 tier sums eight rows at once, lane `j` holding row `j`: it transposes
+    /// 8 × 8 blocks so that each vector addition adds the next column of eight rows, and
+    /// loads the last `cols mod 8` columns masked. Lane `j` therefore performs row `j`'s
+    /// additions in the portable order; a block of fewer than eight rows fills its spare
+    /// lanes with a copy of a real row and discards them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.len() == sums.len() · cols`, and, for
+    /// [`RowSum::SquaresAbout`], one centre per row.
+    pub fn row_sums(self, x: &[f32], cols: usize, term: RowSum<'_>, sums: &mut [f32]) {
+        assert_eq!(
+            x.len(),
+            sums.len() * cols,
+            "x holds sums.len() rows of cols"
+        );
+        if let RowSum::SquaresAbout(centres) = term {
+            assert_eq!(centres.len(), sums.len(), "one centre per row");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 {
+            // SAFETY: AVX2 detected for every accelerated tier; shapes asserted above.
+            unsafe { avx2::row_sums(x, cols, term, sums) };
+            return;
+        }
+        scalar::row_sums(x, cols, term, sums);
+    }
+
+    /// Turns one query row's visible attention-score accumulators into the INT8
+    /// probability codes the context GEMM consumes, and returns their scale. In order:
+    ///
+    /// 1. `p[t] = (scores[t] as f32 · q_scale) · key_scales[t]`;
+    /// 2. the softmax of `p`: `m` = the NaN-ignoring maximum (`+0.0` for a zero maximum,
+    ///    `−∞` for an empty row), `e[t] = exp(p[t] − m)` with [`exp`], `sum` = the left fold
+    ///    of `e` from `+0.0`, `inv = 1 / sum` (0 unless `sum > 0`);
+    /// 3. `p[t] = (e[t] · inv) · value_scales[t]`;
+    /// 4. `scale` = the symmetric scale of the row's abs-max ([`crate::QuantParams`]),
+    ///    `codes[t] = round_to_code(p[t] / scale)` for `t < scores.len()`, and every code
+    ///    beyond — the masked cells — zero.
+    ///
+    /// `probs` is scratch, left holding step 3's values. The portable tier runs the steps
+    /// as a sequence of row passes; the AVX2 tier fuses them into four passes (scores and
+    /// maximum; exponentials and sum; scaling and abs-max; codes), and the row's last
+    /// partial vector is loaded masked once and kept in a register through all four.
+    /// Every tier rounds every step the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key_scales`, `value_scales`, `probs` or `codes` is shorter than `scores`.
+    pub fn probability_codes(
+        self,
+        scores: &[i32],
+        q_scale: f32,
+        key_scales: &[f32],
+        value_scales: &[f32],
+        probs: &mut [f32],
+        codes: &mut [i8],
+    ) -> f32 {
+        let visible = scores.len();
+        assert!(
+            key_scales.len() >= visible && value_scales.len() >= visible,
+            "one key and one value scale per visible score"
+        );
+        assert!(
+            probs.len() >= visible && codes.len() >= visible,
+            "scratch and codes hold every visible score"
+        );
+        let (key_scales, value_scales) = (&key_scales[..visible], &value_scales[..visible]);
+        let probs = &mut probs[..visible];
+        let (seen, masked) = codes.split_at_mut(visible);
+        masked.fill(0);
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 {
+            // SAFETY: AVX2 detected for every accelerated tier; every slice holds exactly
+            // `visible` elements.
+            return unsafe {
+                avx2::probability_codes(scores, q_scale, key_scales, value_scales, probs, seen)
+            };
+        }
+        scalar::probability_codes(scores, q_scale, key_scales, value_scales, probs, seen)
+    }
+}
+
+/// The term [`RowKernels::row_sums`] adds up along each row.
+#[derive(Debug, Clone, Copy)]
+pub enum RowSum<'a> {
+    /// `x[r][c]`: LayerNorm's mean, times the width.
+    Values,
+    /// `x[r][c] · x[r][c]`: RMSNorm's mean square, times the width.
+    Squares,
+    /// `(x[r][c] − centres[r]) · (x[r][c] − centres[r])`: LayerNorm's variance about its
+    /// mean, times the width.
+    SquaresAbout(&'a [f32]),
+}
+
+/// The abs-max of `row` from the largest of its elements' bits with the sign cleared: with
+/// the sign bit cleared, IEEE order is integer order — except that NaN patterns sort above
+/// infinity. Only then is the NaN-ignoring fold needed.
+#[inline]
+fn abs_max_from_bits(bits: u32, row: &[f32]) -> f32 {
+    if bits > f32::INFINITY.to_bits() {
+        row.iter().fold(0.0f32, |m, v| m.max(v.abs()))
+    } else {
+        f32::from_bits(bits)
     }
 }
 
@@ -393,9 +513,50 @@ fn offer(top: &mut [u32], m: u32) {
 }
 
 /// The scalar tier: [`round_to_code`], [`exp`] and [`sigmoid`] in a loop. Also the tail of
-/// every vector loop.
+/// the vector loops that do not mask their last partial vector.
 mod scalar {
-    use super::{exp, offer, round_to_code, sigmoid};
+    use super::{abs_max_from_bits, exp, offer, round_to_code, sigmoid, RowSum};
+    use crate::QuantParams;
+
+    pub(super) fn row_sums(x: &[f32], cols: usize, term: RowSum<'_>, sums: &mut [f32]) {
+        for (r, sum) in sums.iter_mut().enumerate() {
+            let row = &x[r * cols..(r + 1) * cols];
+            *sum = match term {
+                RowSum::Values => row.iter().fold(-0.0, |s, &v| s + v),
+                RowSum::Squares => row.iter().fold(-0.0, |s, &v| s + v * v),
+                RowSum::SquaresAbout(centres) => {
+                    let c = centres[r];
+                    row.iter().fold(-0.0, |s, &v| s + (v - c) * (v - c))
+                }
+            };
+        }
+    }
+
+    /// [`super::RowKernels::probability_codes`] on one visible prefix: every slice holds
+    /// `scores.len()` elements.
+    pub(super) fn probability_codes(
+        scores: &[i32],
+        q_scale: f32,
+        key_scales: &[f32],
+        value_scales: &[f32],
+        probs: &mut [f32],
+        codes: &mut [i8],
+    ) -> f32 {
+        for ((p, &acc), &k_scale) in probs.iter_mut().zip(scores).zip(key_scales) {
+            *p = acc as f32 * q_scale * k_scale;
+        }
+        // Which zero wins a max depends on the order of the comparisons; `−0 + 0` is `+0`.
+        let shift = max(probs) + 0.0;
+        exp_row(probs, shift);
+        let sum = probs.iter().fold(0.0f32, |sum, &e| sum + e);
+        let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
+        for (p, &v_scale) in probs.iter_mut().zip(value_scales) {
+            *p = *p * inv * v_scale;
+        }
+        let scale = QuantParams::from_abs_max(abs_max_from_bits(abs_max_bits(probs), probs)).scale;
+        quantize_row(probs, scale, codes);
+        scale
+    }
 
     pub(super) fn max(row: &[f32]) -> f32 {
         row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v))
@@ -464,11 +625,257 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        scalar, CODE_CLAMP, EXP_CLAMP, EXP_FLUSH, EXP_POLY, HALF_BELOW, LN2_HI, LN2_LO, ROUND_MAGIC,
+        abs_max_from_bits, offer, scalar, RowSum, CODE_CLAMP, EXP_CLAMP, EXP_FLUSH, EXP_POLY,
+        HALF_BELOW, LN2_HI, LN2_LO, ROUND_MAGIC,
     };
+    use crate::QuantParams;
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
+
+    /// The lanes below `n` set, for masked loads and stores of a partial vector.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_below(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// Row `j` of the eight in, column `j` of the eight out.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: [__m256; LANES]) -> [__m256; LANES] {
+        // Pairs of rows interleaved: (a0 b0 a1 b1 | a4 b4 a5 b5), (a2 b2 a3 b3 | a6 b6 a7 b7).
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        // Quads of rows: (a0 b0 c0 d0 | a4 b4 c4 d4) and so on.
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available, `x.len() == sums.len() · cols`, and a
+    /// [`RowSum::SquaresAbout`] must hold one centre per row.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn row_sums(x: &[f32], cols: usize, term: RowSum<'_>, sums: &mut [f32]) {
+        for (block, out) in sums.chunks_mut(LANES).enumerate() {
+            let first = block * LANES;
+            let mut lanes = [0.0f32; LANES];
+            // Spare lanes of a short block repeat its last row: real memory, discarded sums.
+            let rows: [*const f32; LANES] = std::array::from_fn(|j| {
+                // SAFETY: row `first + min(j, out.len() - 1)` is one of the `sums.len()` rows.
+                x.as_ptr().add((first + j.min(out.len() - 1)) * cols)
+            });
+            match term {
+                RowSum::Values => block_sums::<false>(rows, cols, _mm256_setzero_ps(), &mut lanes),
+                RowSum::Squares => block_sums::<true>(rows, cols, _mm256_setzero_ps(), &mut lanes),
+                RowSum::SquaresAbout(centres) => {
+                    let mut c = [0.0f32; LANES];
+                    c[..out.len()].copy_from_slice(&centres[first..first + out.len()]);
+                    block_sums::<true>(rows, cols, _mm256_loadu_ps(c.as_ptr()), &mut lanes);
+                }
+            }
+            out.copy_from_slice(&lanes[..out.len()]);
+        }
+    }
+
+    /// Lane `j` of `sums` = the left fold from `−0.0` over the `cols` floats at `rows[j]`
+    /// of the value or, if `SQUARE`, of `(value − centre[j])²` — `value − 0` is `value`
+    /// exactly, so a zero centre gives the plain squares.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and every `rows[j]` must point at `cols` readable floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_sums<const SQUARE: bool>(
+        rows: [*const f32; LANES],
+        cols: usize,
+        centre: __m256,
+        sums: &mut [f32; LANES],
+    ) {
+        let body = cols - cols % LANES;
+        let mut acc = _mm256_set1_ps(-0.0);
+        let mut block = [_mm256_setzero_ps(); LANES];
+        for c in (0..body).step_by(LANES) {
+            for (v, row) in block.iter_mut().zip(rows) {
+                // SAFETY: `c + LANES <= body <= cols`.
+                *v = _mm256_loadu_ps(row.add(c));
+            }
+            acc = add_columns::<SQUARE>(acc, &transpose8(block), centre);
+        }
+        let tail = cols - body;
+        if tail > 0 {
+            let mask = lanes_below(tail);
+            for (v, row) in block.iter_mut().zip(rows) {
+                // SAFETY: the masked load reads columns `body..cols` only.
+                *v = _mm256_maskload_ps(row.add(body), mask);
+            }
+            acc = add_columns::<SQUARE>(acc, &transpose8(block)[..tail], centre);
+        }
+        _mm256_storeu_ps(sums.as_mut_ptr(), acc);
+    }
+
+    /// `acc` plus each of `columns` in turn, or its square about `centre` if `SQUARE`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_columns<const SQUARE: bool>(
+        mut acc: __m256,
+        columns: &[__m256],
+        centre: __m256,
+    ) -> __m256 {
+        for &v in columns {
+            let term = if SQUARE {
+                let d = _mm256_sub_ps(v, centre);
+                _mm256_mul_ps(d, d)
+            } else {
+                v
+            };
+            acc = _mm256_add_ps(acc, term);
+        }
+        acc
+    }
+
+    /// [`super::RowKernels::probability_codes`] in four passes over the full vectors. The
+    /// last `n mod 8` elements are one masked vector that stays in a register from pass to
+    /// pass and is written once, so no pass reloads a masked store.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and every slice must hold `scores.len()` elements.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn probability_codes(
+        scores: &[i32],
+        q_scale: f32,
+        key_scales: &[f32],
+        value_scales: &[f32],
+        probs: &mut [f32],
+        codes: &mut [i8],
+    ) -> f32 {
+        let n = scores.len();
+        let body = n - n % LANES;
+        let tail = n - body;
+        let mask = lanes_below(tail);
+        let (acc_p, key_p, value_p) = (scores.as_ptr(), key_scales.as_ptr(), value_scales.as_ptr());
+        let probs_p = probs.as_mut_ptr();
+        // SAFETY (every access below): full vectors start at `i + LANES <= body <= n`, the
+        // masked ones at `body` with only the lanes below `tail = n − body` enabled.
+
+        // Scores, and their NaN-ignoring maximum: `vmaxps` keeps its second operand unless
+        // the first is larger, so neither a NaN nor a disabled (−∞) lane moves it.
+        let q = _mm256_set1_ps(q_scale);
+        let mut max = _mm256_set1_ps(f32::NEG_INFINITY);
+        for i in (0..body).step_by(LANES) {
+            let acc = _mm256_cvtepi32_ps(_mm256_loadu_si256(acc_p.add(i).cast()));
+            let p = _mm256_mul_ps(_mm256_mul_ps(acc, q), _mm256_loadu_ps(key_p.add(i)));
+            _mm256_storeu_ps(probs_p.add(i), p);
+            max = _mm256_max_ps(p, max);
+        }
+        let acc = _mm256_cvtepi32_ps(_mm256_maskload_epi32(acc_p.add(body), mask));
+        let tail_p = _mm256_mul_ps(
+            _mm256_mul_ps(acc, q),
+            _mm256_maskload_ps(key_p.add(body), mask),
+        );
+        let enabled = _mm256_blendv_ps(max, tail_p, _mm256_castsi256_ps(mask));
+        max = _mm256_max_ps(enabled, max);
+        // Which zero wins a max depends on the order of the comparisons; `−0 + 0` is `+0`.
+        let shift = _mm256_set1_ps(_mm256_cvtss_f32(horizontal_max(max)) + 0.0);
+
+        // Exponentials, summed left to right: the fold's order is part of the definition.
+        let mut lanes = [0.0f32; LANES];
+        let mut sum = 0.0f32;
+        for i in (0..body).step_by(LANES) {
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(probs_p.add(i)), shift));
+            _mm256_storeu_ps(probs_p.add(i), e);
+            _mm256_storeu_ps(lanes.as_mut_ptr(), e);
+            sum = lanes.iter().fold(sum, |s, &e| s + e);
+        }
+        let tail_e = exp8(_mm256_sub_ps(tail_p, shift));
+        _mm256_storeu_ps(lanes.as_mut_ptr(), tail_e);
+        sum = lanes[..tail].iter().fold(sum, |s, &e| s + e);
+        let inv = _mm256_set1_ps(if sum > 0.0 { 1.0 / sum } else { 0.0 });
+
+        // Probabilities times value scales, and the bits of their abs-max.
+        let abs = _mm256_set1_epi32(0x7fff_ffff);
+        let mut bits = _mm256_setzero_si256();
+        for i in (0..body).step_by(LANES) {
+            let p = _mm256_mul_ps(_mm256_loadu_ps(probs_p.add(i)), inv);
+            let p = _mm256_mul_ps(p, _mm256_loadu_ps(value_p.add(i)));
+            _mm256_storeu_ps(probs_p.add(i), p);
+            bits = _mm256_max_epu32(bits, _mm256_and_si256(_mm256_castps_si256(p), abs));
+        }
+        let tail_p = _mm256_mul_ps(
+            _mm256_mul_ps(tail_e, inv),
+            _mm256_maskload_ps(value_p.add(body), mask),
+        );
+        _mm256_maskstore_ps(probs_p.add(body), mask, tail_p);
+        let tail_bits = _mm256_and_si256(_mm256_castps_si256(tail_p), _mm256_and_si256(abs, mask));
+        bits = _mm256_max_epu32(bits, tail_bits);
+        let bits = _mm256_max_epu32(bits, _mm256_permute2x128_si256::<0x01>(bits, bits));
+        let bits = _mm256_max_epu32(bits, _mm256_shuffle_epi32::<0x4e>(bits));
+        let bits = _mm256_max_epu32(bits, _mm256_shuffle_epi32::<0xb1>(bits));
+        let abs_max = abs_max_from_bits(_mm256_cvtsi256_si32(bits) as u32, probs);
+        let scale = QuantParams::from_abs_max(abs_max).scale;
+
+        // Codes.
+        let scale_v = _mm256_set1_ps(scale);
+        for i in (0..body).step_by(LANES) {
+            let q = codes8(_mm256_div_ps(_mm256_loadu_ps(probs_p.add(i)), scale_v));
+            _mm_storel_epi64(codes.as_mut_ptr().add(i).cast(), q);
+        }
+        let mut bytes = [0i8; LANES];
+        _mm_storel_epi64(
+            bytes.as_mut_ptr().cast(),
+            codes8(_mm256_div_ps(tail_p, scale_v)),
+        );
+        codes[body..].copy_from_slice(&bytes[..tail]);
+        scale
+    }
+
+    /// The largest lane of `v` in every lane, for a `v` without NaNs (which zero wins is
+    /// unspecified).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn horizontal_max(v: __m256) -> __m256 {
+        let v = _mm256_max_ps(v, _mm256_permute2f128_ps::<0x01>(v, v));
+        let v = _mm256_max_ps(v, _mm256_permute_ps::<0x4e>(v));
+        _mm256_max_ps(v, _mm256_permute_ps::<0xb1>(v))
+    }
+
+    /// [`round_codes`] narrowed to eight `i8` codes in the low 8 bytes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn codes8(t: __m256) -> __m128i {
+        let q = round_codes(t);
+        // |code| <= 127, so both saturating packs are plain narrowings.
+        let words = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        _mm_packs_epi16(words, words)
+    }
 
     /// [`super::exp`] on 8 lanes, step for step.
     #[inline]
@@ -553,11 +960,7 @@ mod avx2 {
         for i in (0..body).step_by(LANES) {
             // SAFETY: `i + LANES <= body <= row.len() == codes.len()`, so the 32-byte load
             // and the 8-byte store below stay inside their slices.
-            let q = round_codes(_mm256_div_ps(_mm256_loadu_ps(row.as_ptr().add(i)), scale_v));
-            // |code| <= 127, so both saturating packs are plain narrowings.
-            let words =
-                _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
-            let bytes = _mm_packs_epi16(words, words);
+            let bytes = codes8(_mm256_div_ps(_mm256_loadu_ps(row.as_ptr().add(i)), scale_v));
             _mm_storel_epi64(codes.as_mut_ptr().add(i).cast(), bytes);
         }
         scalar::quantize_row(&row[body..], scale, &mut codes[body..]);
@@ -702,21 +1105,53 @@ mod avx2 {
         }
     }
 
+    /// Fills `top` (ascending, zeros to start) with the `top.len() <= STREAM_K` largest
+    /// magnitudes of `acc`: per-lane top lists of a power of two at least `top.len()` long,
+    /// then their candidates and the `acc.len() mod 8` tail offered to `top`.
+    ///
     /// # Safety
     ///
     /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stream_top_k(acc: &[i32], top: &mut [u32]) {
+    pub(super) unsafe fn network_top_k(acc: &[i32], top: &mut [u32]) {
+        match top.len() {
+            1 => network::<1>(acc, top),
+            2 => network::<2>(acc, top),
+            3..=4 => network::<4>(acc, top),
+            5..=8 => network::<8>(acc, top),
+            _ => network::<16>(acc, top),
+        }
+    }
+
+    /// `K` levels of 8 lanes: after every load, `levels[l]` holds each lane's `(l + 1)`-th
+    /// largest magnitude so far (unsigned; `vpabsd` leaves `i32::MIN` as `2³¹`). A load
+    /// sinks through the levels, each keeping the max and passing the min down, so the
+    /// levels are a multiset of the lane's elements and never lose one of its `K` largest.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and `top.len() <= K`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn network<const K: usize>(acc: &[i32], top: &mut [u32]) {
         let body = acc.len() - acc.len() % LANES;
+        let mut levels = [_mm256_setzero_si256(); K];
         for i in (0..body).step_by(LANES) {
             // SAFETY: `i + LANES <= body <= acc.len()`.
-            let mags = _mm256_abs_epi32(_mm256_loadu_si256(acc.as_ptr().add(i).cast()));
-            // Unsigned `mags <= threshold` in every lane <=> max(mags, threshold) == threshold
-            // (`vpabsd` leaves i32::MIN as 0x8000_0000, which is 2^31 unsigned).
-            let threshold = _mm256_set1_epi32(top[0] as i32);
-            let below = _mm256_cmpeq_epi32(_mm256_max_epu32(mags, threshold), threshold);
-            if _mm256_movemask_epi8(below) != -1 {
-                scalar::stream_top_k(&acc[i..i + LANES], top);
+            let mut m = _mm256_abs_epi32(_mm256_loadu_si256(acc.as_ptr().add(i).cast()));
+            for level in &mut levels {
+                let kept = _mm256_max_epu32(*level, m);
+                m = _mm256_min_epu32(*level, m);
+                *level = kept;
+            }
+        }
+        // Each of the row's `top.len()` largest is among its lane's `K` largest. The largest
+        // level goes first, so `top` fills early and the rest mostly fail one compare.
+        let mut lanes = [0u32; LANES];
+        for level in levels {
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), level);
+            for &m in &lanes {
+                offer(top, m);
             }
         }
         scalar::stream_top_k(&acc[body..], top);
@@ -1167,6 +1602,241 @@ mod tests {
                         sorted[k - 1],
                         "{:?} n {n} k {k}",
                         kernels.tier
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kth_largest_magnitude_network_matches_a_sort_at_every_small_rank() {
+        // Rows like the Q/K/V projections': a bulk with outlier channels at fixed
+        // positions, and rows of ties and of the extreme accumulators.
+        const OUTLIERS: [usize; 6] = [3, 17, 42, 77, 130, 401];
+        let mut r = rng::seeded(43);
+        let mut rows: Vec<Vec<i32>> = Vec::new();
+        for len in [1usize, 7, 8, 9, 16, 17, 31, 33, 160, 448, 640] {
+            let mut row: Vec<i32> = (0..len).map(|_| r.gen_range(-40_000..40_000)).collect();
+            for (n, &at) in OUTLIERS.iter().enumerate().filter(|(_, &at)| at < len) {
+                row[at] = [900_000, -2_000_000, 1 << 29, -(1 << 30), 750_000, -900_000][n];
+            }
+            rows.push(row);
+            rows.push((0..len).map(|i| [12, -12, 7, 12][i % 4]).collect());
+            // Every large value in one lane (positions 8 apart), so a lane's list must hold
+            // all `k` of them; once distinct and rising, once tied.
+            let mut lane = |tie: bool| -> Vec<i32> {
+                (0..len)
+                    .map(|i| match i % 8 {
+                        5 if tie => 70_000,
+                        5 => 70_000 + i as i32,
+                        _ => r.gen_range(-9..9),
+                    })
+                    .collect()
+            };
+            rows.push(lane(false));
+            rows.push(lane(true));
+            rows.push(
+                (0..len)
+                    .map(|i| match i % 9 {
+                        0 => i32::MIN,
+                        4 => i32::MAX,
+                        5 => -i32::MAX,
+                        _ => r.gen_range(-3..3),
+                    })
+                    .collect(),
+            );
+        }
+        for row in &rows {
+            let mut sorted: Vec<u32> = row.iter().map(|v| v.unsigned_abs()).collect();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            for kernels in granted_tiers() {
+                for k in (1..=STREAM_K).filter(|&k| k <= row.len()) {
+                    assert_eq!(
+                        kernels.kth_largest_magnitude(row, k),
+                        sorted[k - 1],
+                        "{:?} n {} k {k}",
+                        kernels.tier,
+                        row.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The statistics kernel's definition: one left fold from `−0.0` per row.
+    fn fold_sums(x: &[f32], cols: usize, term: RowSum<'_>, rows: usize) -> Vec<f32> {
+        (0..rows)
+            .map(|r| {
+                let row = &x[r * cols..(r + 1) * cols];
+                match term {
+                    RowSum::Values => row.iter().fold(-0.0, |s, &v| s + v),
+                    RowSum::Squares => row.iter().fold(-0.0, |s, &v| s + v * v),
+                    RowSum::SquaresAbout(c) => {
+                        row.iter().fold(-0.0, |s, &v| s + (v - c[r]) * (v - c[r]))
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_sums_match_their_folds_bit_for_bit() {
+        let mut r = rng::seeded(47);
+        let widths = (1..=17).chain([160, 448, 640]);
+        for cols in widths {
+            for rows in (1..=17).chain([128]) {
+                let n = rows * cols;
+                let bulk: Vec<f32> = (0..n).map(|_| r.gen_range(-6.0f32..6.0)).collect();
+                // Signed zeros, subnormals and huge values among finite ones; then the
+                // infinities and NaNs; and rows of −0.0 alone, whose sum keeps its sign.
+                let finite: Vec<f32> = (0..n)
+                    .map(|i| match (i * 7 + cols) % 13 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1e-41,
+                        3 => -3e-39,
+                        4 => 3e18,
+                        5 => -3e18,
+                        _ => bulk[i],
+                    })
+                    .collect();
+                let special: Vec<f32> = (0..n)
+                    .map(|i| match (i * 5 + rows) % 29 {
+                        0 => f32::INFINITY,
+                        1 => f32::NEG_INFINITY,
+                        2 => f32::NAN,
+                        _ => finite[i],
+                    })
+                    .collect();
+                let zeros = vec![-0.0f32; n];
+                for x in [&bulk, &finite, &special, &zeros] {
+                    let means = fold_sums(x, cols, RowSum::Values, rows);
+                    let centres: Vec<f32> = means.iter().map(|m| m / cols as f32).collect();
+                    for term in [
+                        RowSum::Values,
+                        RowSum::Squares,
+                        RowSum::SquaresAbout(&centres),
+                    ] {
+                        let want = bits_modulo_nan(&fold_sums(x, cols, term, rows));
+                        for kernels in granted_tiers() {
+                            let mut got = vec![f32::NAN; rows];
+                            kernels.row_sums(x, cols, term, &mut got);
+                            assert_eq!(
+                                bits_modulo_nan(&got),
+                                want,
+                                "{:?} {rows} x {cols} {term:?}",
+                                kernels.tier
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // An all −0.0 row sums to −0.0, its squares to +0.0.
+        let mut sums = [1.0f32; 2];
+        RowKernels::granted().row_sums(&[-0.0; 6], 3, RowSum::Values, &mut sums);
+        assert_eq!(sums.map(f32::to_bits), [(-0.0f32).to_bits(); 2]);
+    }
+
+    /// The probability codes as attention computed them before they were one kernel: the
+    /// dequantized scores, a softmax (maximum, `exp_row`, a left fold from `+0.0`, one
+    /// multiply), the value scales, then abs-max and quantize.
+    fn probability_codes_oracle(
+        kernels: RowKernels,
+        scores: &[i32],
+        q_scale: f32,
+        key_scales: &[f32],
+        value_scales: &[f32],
+        codes: &mut [i8],
+    ) -> (f32, Vec<f32>) {
+        let visible = scores.len();
+        let mut probs = vec![0.0f32; visible];
+        for ((p, &acc), &k_scale) in probs.iter_mut().zip(scores).zip(key_scales) {
+            *p = acc as f32 * q_scale * k_scale;
+        }
+        let max = kernels.max(&probs);
+        kernels.exp_row(&mut probs, max);
+        let sum = probs.iter().fold(0.0f32, |sum, &e| sum + e);
+        let inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
+        for v in probs.iter_mut() {
+            *v *= inv;
+        }
+        for (p, &v_scale) in probs.iter_mut().zip(value_scales) {
+            *p *= v_scale;
+        }
+        let scale = crate::QuantParams::from_abs_max(kernels.abs_max(&probs)).scale;
+        let (seen, masked) = codes.split_at_mut(visible);
+        kernels.quantize_row(&probs, scale, seen);
+        masked.fill(0);
+        (scale, probs)
+    }
+
+    #[test]
+    fn probability_codes_match_the_softmax_sequence_bit_for_bit() {
+        const LEN: usize = 70;
+        const MASKED: usize = 5;
+        let mut r = rng::seeded(53);
+        let portable = RowKernels::with_tier(SimdTier::Portable);
+        for visible in 0..=LEN {
+            let key_scales: Vec<f32> = (0..LEN).map(|_| r.gen_range(1e-3f32..4e-2)).collect();
+            let value_scales: Vec<f32> = (0..LEN).map(|_| r.gen_range(1e-3f32..4e-2)).collect();
+            let mut cases: Vec<(Vec<i32>, f32, Vec<f32>)> = vec![
+                // Ordinary scores; then one huge score that takes all the mass.
+                (
+                    (0..visible).map(|_| r.gen_range(-30_000..30_000)).collect(),
+                    2.1e-4,
+                    key_scales.clone(),
+                ),
+                (
+                    (0..visible)
+                        .map(|t| {
+                            if t == visible / 2 {
+                                i32::MAX
+                            } else {
+                                r.gen_range(-99..99)
+                            }
+                        })
+                        .collect(),
+                    1e30,
+                    key_scales.clone(),
+                ),
+                // Equal scores, zeros of both signs as the maximum.
+                (vec![0; visible], 0.5, key_scales.clone()),
+                (vec![-7; visible], -0.0, key_scales.clone()),
+            ];
+            // A NaN and an infinite key scale among ordinary ones.
+            let mut odd = key_scales.clone();
+            odd[visible.min(LEN - 1)] = f32::NAN;
+            odd[(visible * 3 / 4).min(LEN - 1)] = f32::INFINITY;
+            let scores = (0..visible).map(|_| r.gen_range(-300..300)).collect();
+            cases.push((scores, 3e-3, odd));
+            for (scores, q_scale, keys) in &cases {
+                let mut want = vec![9i8; visible + MASKED];
+                let (want_scale, want_probs) = probability_codes_oracle(
+                    portable,
+                    scores,
+                    *q_scale,
+                    keys,
+                    &value_scales,
+                    &mut want,
+                );
+                for kernels in granted_tiers() {
+                    let (mut got, mut probs) = (vec![9i8; visible + MASKED], vec![f32::NAN; LEN]);
+                    let scale = kernels.probability_codes(
+                        scores,
+                        *q_scale,
+                        keys,
+                        &value_scales,
+                        &mut probs,
+                        &mut got,
+                    );
+                    let label = format!("{:?} visible {visible} q_scale {q_scale}", kernels.tier);
+                    assert_eq!(scale.to_bits(), want_scale.to_bits(), "{label} scale");
+                    assert_eq!(got, want, "{label} codes");
+                    assert_eq!(
+                        bits_modulo_nan(&probs[..visible]),
+                        bits_modulo_nan(&want_probs),
+                        "{label} probabilities"
                     );
                 }
             }
