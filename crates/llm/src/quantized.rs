@@ -285,9 +285,11 @@ pub(crate) enum Rhs<'a> {
     /// resident tiles — on a tensor-parallel model, one shard dispatch each.
     Weight(&'a PackedMatI8),
     /// Another activation (attention's `QKᵀ` and `SV`): the query/probability codes of the
-    /// current chunk against the resident KV codes, which grow every step, so there is
-    /// nothing to pre-pack — packing here would itself re-stream the operand per GEMM and
-    /// would need hot-loop scratch, exactly what [`PackedMatI8`] exists to avoid.
+    /// current chunk against the resident KV codes, which grow every step, so nothing is
+    /// pre-packed here and hooks see the row-major operand. The engine's row-major entry
+    /// points take it as it is: on the AMX tier a GEMM past the crossover (a prefill chunk's)
+    /// packs the operand's B tiles inside the kernel, into stack scratch, and smaller ones
+    /// (decode's one-row GEMMs) run the AVX2 tile on it directly.
     Activation(&'a MatI8),
 }
 

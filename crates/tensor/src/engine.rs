@@ -30,14 +30,15 @@
 //! than in a separate sweep. On the vector tiers that checksum row rides the multiply's own
 //! `vpmaddwd` pair stream, and on the AMX tier its digit rows ride the tile multiply, so `B`
 //! is streamed once whatever the row count (see "Fused checksums, in-register" and
-//! "Packed-B kernels" in [`crate::simd`]); the portable tier folds it into its cache-hot
-//! `B` panels. The result is a [`ChecksummedGemm`], which downstream ABFT
+//! "Packed-B kernels and the tile unit" in [`crate::simd`]); the portable tier folds it into
+//! its cache-hot `B` panels. The result is a [`ChecksummedGemm`], which downstream ABFT
 //! detectors consume directly instead of re-reading the matrices.
 //!
 //! Every GEMM of a [`KernelEngine`], whatever its shape, `B` operand or worker count, takes
 //! one route into the [`crate::simd`] row kernel: a row-major `B` — attention's `QKᵀ` and
-//! `SV`, recovery recomputation — runs the one AVX2 register tile at every accelerated tier
-//! and row count, its `n mod 16` tail columns in the same registers.
+//! `SV`, recovery recomputation — runs the AVX2 register tile at every accelerated tier and
+//! row count, its `n mod 16` tail columns in the same registers, except that the AMX tier
+//! takes a GEMM past its crossover onto the tile unit, packed or row-major alike.
 
 use crate::packed::PackedMatI8;
 use crate::simd::{SimdKernel, SimdTier};
@@ -1008,8 +1009,9 @@ mod tests {
             for m in [1, 2, 3, 4, 5, 12, 128, 256, 257, 300] {
                 for k in [32, 33] {
                     // Whole blocks (n mod 16 = 0) for both operands, and a ragged row-major
-                    // `B`, whose tail columns the row-major tile keeps in its registers. (A
-                    // packed tail is the tiled routine's, and so is its panel pass.)
+                    // `B`, whose tail columns the row-major tile (or the tile unit) keeps in
+                    // its registers. (A packed tail off the AMX route is the tiled routine's,
+                    // and so is its panel pass.)
                     let seed = (m * 100 + k) as u64;
                     let (a, b) = random_pair(seed, m, k, 48);
                     let pb = PackedMatI8::pack(&b);
@@ -1042,6 +1044,82 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn amx_route_starts_at_the_crossover_and_hands_no_column_to_tiled() {
+        if SimdTier::detect() < SimdTier::Amx {
+            return; // no tile unit on this host
+        }
+        // This thread's calls of the AMX kernel and of the tiled routine.
+        let passes = || {
+            let amx = crate::simd::AMX_PASSES.with(Cell::get);
+            (amx, crate::simd::TILED_PASSES.with(Cell::get))
+        };
+        let engine = KernelEngine::simd_with_tier(SimdTier::Amx);
+        // (m, k, n, on the tile unit): the crossover 32 × 32 × 32 and one row below it, a
+        // decode-sized GEMM, then partial final blocks and a 128-row prefill chunk's score
+        // and context shapes over a resident length that leaves a tail.
+        for (m, k, n, amx) in [
+            (32, 32, 32, true),
+            (31, 32, 32, false),
+            (3, 32, 16, false),
+            (33, 65, 17, true),
+            (128, 32, 130, true),
+            (128, 130, 32, true),
+            (130, 224, 33, true),
+        ] {
+            let (a, b) = random_pair((m * k + n) as u64, m, k, n);
+            let pb = PackedMatI8::pack(&b);
+            for (kind, packed) in [("row-major", false), ("packed", true)] {
+                let (mut out, mut dest, mut etw) =
+                    (MatI32::zeros(0, 0), ChecksummedGemm::empty(), Vec::new());
+                let before = passes();
+                if packed {
+                    engine.gemm_i8_packed_into(&a, &pb, &mut out).unwrap();
+                    engine
+                        .gemm_i8_packed_checksummed_into(&a, &pb, &mut dest, &mut etw)
+                        .unwrap();
+                } else {
+                    engine.gemm_i8_into(&a, &b, &mut out).unwrap();
+                    engine
+                        .gemm_i8_checksummed_into(&a, &b, &mut dest, &mut etw)
+                        .unwrap();
+                }
+                let (amx_calls, tiled) = (passes().0 - before.0, passes().1 - before.1);
+                let label = format!("{kind} {m}x{k}x{n}");
+                assert_eq!(
+                    amx_calls,
+                    if amx { 2 } else { 0 },
+                    "{label} took the tile unit"
+                );
+                // Below the crossover a row-major `B` runs the AVX2 tile, every column in its
+                // registers; on the tile unit no operand leaves a column to `tiled`.
+                if amx || !packed {
+                    assert_eq!(tiled, 0, "{label} called the tiled routine");
+                }
+                let oracle = ReferenceEngine.gemm_i8_checksummed(&a, &b).unwrap();
+                assert_eq!(&out, oracle.acc(), "{label}");
+                assert_eq!(dest, oracle, "{label}");
+            }
+        }
+        // The rule reads a pass's own rows: a pooled engine's thin row chunk of a GEMM past
+        // the crossover stays off the tile unit (and repacks no `B`).
+        let (a, b) = random_pair(7, 32, 32, 32);
+        let kernel = SimdKernel::with_tier(SimdTier::Amx);
+        for (chunk, amx) in [(0..2, 0), (0..32, 1)] {
+            let mut band = vec![0; chunk.len() * 32];
+            let before = passes();
+            kernel.run_rows(
+                &a,
+                Operand::RowMajor(&b),
+                &mut band,
+                chunk.start,
+                chunk.end,
+                None,
+            );
+            assert_eq!(passes().0 - before.0, amx, "rows {chunk:?} of 32x32x32");
         }
     }
 

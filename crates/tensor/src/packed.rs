@@ -26,7 +26,10 @@
 //!
 //! The depth is zero-padded to a multiple of 4 and the columns to a multiple of
 //! [`PACK_BLOCK_COLS`], so kernels run whole quads and blocks unconditionally; the padding
-//! lanes multiply against zeros and a partial final block is left to the tiled routine.
+//! lanes multiply against zeros. The AMX kernel multiplies a partial final block like any
+//! other and stores only its live columns; the vector kernels leave it to the tiled routine.
+//! A row-major operand the AMX kernel takes (attention's `Kᵀ` and `V`) is packed into this
+//! same layout on the fly, a block pair at a time (`pack_pair_into`).
 //!
 //! # Pack-time checksums
 //!
@@ -41,8 +44,8 @@
 //!
 //! A `PackedMatI8` owns both representations: the row-major [`MatI8`]
 //! ([`PackedMatI8::unpacked`], used by default-engine fallbacks, hook callbacks, the
-//! portable tier and the packed kernels' `n mod 16` column tails) and the tile buffer. Both
-//! are **load-time** allocations owned by the layer that packs its weights — never
+//! portable tier and the vector packed kernels' `n mod 16` column tails) and the tile
+//! buffer. Both are **load-time** allocations owned by the layer that packs its weights — never
 //! [`crate::Workspace`] scratch — so the steady-state decode loop stays allocation-free
 //! exactly as before (proven by `tests/zero_alloc.rs`).
 
@@ -88,6 +91,81 @@ fn offset_in(block_stride: usize, p: usize, j: usize) -> usize {
         + (p / PACK_QUAD_DEPTH) * PACK_QUAD_BYTES
         + (j % PACK_BLOCK_COLS) * PACK_QUAD_DEPTH
         + p % PACK_QUAD_DEPTH
+}
+
+/// Packs blocks `blk` and `blk + 1` of the row-major `b` over the `quads` depth quads from
+/// depth `d0` (a multiple of 4) into `dst` and returns those bytes: the layout of
+/// [`PackedMatI8::tiles`] with the blocks `quads · PACK_QUAD_BYTES` bytes apart, block
+/// `blk + 1`'s quad rows after block `blk`'s, zero past `b`'s last row and last column (a
+/// block past them is all zeros). This is how the AMX kernel packs a row-major operand, a
+/// block pair at a time, into its stack scratch.
+///
+/// # Panics
+///
+/// If `dst` is shorter than `2 · quads · PACK_QUAD_BYTES`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx2")]
+pub(crate) fn pack_pair_into<'d>(
+    b: &MatI8,
+    blk: usize,
+    d0: usize,
+    quads: usize,
+    dst: &'d mut [std::mem::MaybeUninit<i8>],
+) -> &'d [i8] {
+    use std::arch::x86_64::*;
+    let bytes = &mut dst[..2 * quads * PACK_QUAD_BYTES];
+    let (first, second) = bytes.split_at_mut(quads * PACK_QUAD_BYTES);
+    let rows = first.chunks_exact_mut(PACK_QUAD_BYTES);
+    for (q, (row0, row1)) in rows
+        .zip(second.chunks_exact_mut(PACK_QUAD_BYTES))
+        .enumerate()
+    {
+        let p = d0 + q * PACK_QUAD_DEPTH;
+        let (r0, r1, r2, r3) = (
+            pair_row(b, p, blk),
+            pair_row(b, p + 1, blk),
+            pair_row(b, p + 2, blk),
+            pair_row(b, p + 3, blk),
+        );
+        let (t0, t1) = (_mm512_unpacklo_epi8(r0, r1), _mm512_unpackhi_epi8(r0, r1));
+        let (t2, t3) = (_mm512_unpacklo_epi8(r2, r3), _mm512_unpackhi_epi8(r2, r3));
+        // Per 128-bit lane (lane 0 block `blk`, lane 1 block `blk + 1`): the quads of
+        // columns 0–3, 4–7, 8–11 and 12–15.
+        let (q0, q1) = (_mm512_unpacklo_epi16(t0, t2), _mm512_unpackhi_epi16(t0, t2));
+        let (q2, q3) = (_mm512_unpacklo_epi16(t1, t3), _mm512_unpackhi_epi16(t1, t3));
+        // Block L's quad row is lane L of q0, q1, q2 and q3, in that order.
+        let low = _mm512_shuffle_i64x2::<0x44>(q0, q1);
+        let high = _mm512_shuffle_i64x2::<0x44>(q2, q3);
+        // SAFETY: each destination row is 64 bytes.
+        unsafe {
+            let block0 = _mm512_shuffle_i64x2::<0x88>(low, high);
+            _mm512_storeu_si512(row0.as_mut_ptr().cast(), block0);
+            let block1 = _mm512_shuffle_i64x2::<0xDD>(low, high);
+            _mm512_storeu_si512(row1.as_mut_ptr().cast(), block1);
+        }
+    }
+    // SAFETY: every byte of `bytes` was written above, and `MaybeUninit<i8>` has the layout
+    // of `i8`.
+    unsafe { &*(bytes as *const [std::mem::MaybeUninit<i8>] as *const [i8]) }
+}
+
+/// Row `p` of `b` over the 32 columns of blocks `blk` and `blk + 1`, in the low two 128-bit
+/// lanes; zero past the last row and column.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx2")]
+fn pair_row(b: &MatI8, p: usize, blk: usize) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    if p >= b.rows() {
+        return _mm512_setzero_si512();
+    }
+    let cols = &b.row(p)[blk * PACK_BLOCK_COLS..];
+    if cols.len() >= 2 * PACK_BLOCK_COLS {
+        // SAFETY: `cols` holds the 32 bytes loaded.
+        return _mm512_zextsi256_si512(unsafe { _mm256_loadu_si256(cols.as_ptr().cast()) });
+    }
+    let mask = (1u64 << cols.len()) - 1;
+    // SAFETY: `mask` selects bytes of `cols` only; the rest are neither read nor faulted.
+    unsafe { _mm512_maskz_loadu_epi8(mask, cols.as_ptr()) }
 }
 
 /// An INT8 matrix pre-packed as the B operand of the SIMD GEMM kernels, with its pack-time
@@ -306,6 +384,40 @@ mod tests {
                 assert_eq!(t - s, 3);
             } else {
                 assert_eq!(t, s, "column {j} must be untouched");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pair_pack_writes_the_bytes_of_the_pack() {
+        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")) {
+            return;
+        }
+        let zeros = [0i8; PACK_QUAD_BYTES];
+        let mut dst = vec![std::mem::MaybeUninit::uninit(); 2 * 33 * PACK_QUAD_BYTES];
+        // Ragged and whole depths and widths, a lone final block, depths from 0 and from a
+        // chunk boundary, runs of quads ending short of, at and past the depth.
+        for (seed, (k, n)) in (40..).zip([(1, 1), (5, 15), (64, 16), (65, 17), (67, 33), (130, 50)])
+        {
+            let b = random_mat(seed, k, n);
+            let pb = PackedMatI8::pack(&b);
+            let stride = pb.block_stride();
+            for (d0, quads) in [(0, 1), (0, 16), (0, 33), (64, 16), (128, 1)] {
+                for blk in (0..pb.blocks()).step_by(2) {
+                    // SAFETY: the host has AVX-512F/BW (checked above).
+                    let got = unsafe { pack_pair_into(&b, blk, d0, quads, &mut dst) };
+                    let rows = got.chunks_exact(PACK_QUAD_BYTES);
+                    for (i, row) in rows.enumerate() {
+                        let (blk, quad) = (blk + i / quads, d0 / PACK_QUAD_DEPTH + i % quads);
+                        let want = if blk < pb.blocks() && quad < pb.padded_k() / PACK_QUAD_DEPTH {
+                            &pb.tiles()[blk * stride + quad * PACK_QUAD_BYTES..][..PACK_QUAD_BYTES]
+                        } else {
+                            &zeros
+                        };
+                        assert_eq!(row, want, "{k}x{n}: block {blk}, quad {quad}");
+                    }
+                }
             }
         }
     }

@@ -18,7 +18,8 @@
 //! pure-`i32` multiply-add the compiler unrolls and vectorises. Fused checksums fold in while
 //! the data is hot: `(eᵀ·W)·X` from each widened `B` panel, `eᵀ·Y` from each finalised
 //! output segment. Besides being the portable tier, it takes the `n mod 16` column tail of
-//! the packed kernels, which no model shape has: every hidden and ffn size is a multiple of 16.
+//! the vector packed kernels, which no model shape has: every hidden and ffn size is a
+//! multiple of 16 (the AMX kernel retires a partial block itself).
 //!
 //! # The microkernel
 //!
@@ -42,7 +43,8 @@
 //! pairs) is cut into chunks whose tiles add onto the output. At decode shapes (`m ≤ 4`) a
 //! panel is one tile, so its rows and its checksum row stream `B` once.
 //!
-//! This one tile is the only row-major kernel at every accelerated tier and row count. A
+//! This tile is the row-major kernel at every accelerated tier and row count, except for the
+//! GEMMs the AMX tier takes from its crossover on (see below). A
 //! partial final block (`n mod 16` columns) runs through the same registers: its loads read
 //! 16 bytes wherever that stays inside `B` (the lanes past the row's end hold the next row's
 //! bytes and are never stored) and a zero-padded stack copy for the last rows, where it
@@ -75,11 +77,11 @@
 //! `i64` every `DRAIN_PAIRS` pairs. Every panel of every pass carries its checksum row —
 //! a row chunk of a sharded GEMM over its own rows, its partial sums added at join. The
 //! operand checksum `eᵀ·W` itself falls out of the widening pass: the checksum rows, added
-//! up. Only the portable tier and the packed kernels' `n mod 16` tails reduce `(eᵀ·W)·X` in
-//! scalar `i64` (`accumulate_expected_panel`) — the tails from the `eᵀ·W` the panels just
-//! produced, the portable tier from its rows' column sums, reduced first.
+//! up. Only the portable tier and the vector packed kernels' `n mod 16` tails reduce
+//! `(eᵀ·W)·X` in scalar `i64` (`accumulate_expected_panel`) — the tails from the `eᵀ·W` the
+//! panels just produced, the portable tier from its rows' column sums, reduced first.
 //!
-//! # Packed-B kernels
+//! # Packed-B kernels and the tile unit
 //!
 //! Static weights go through [`crate::PackedMatI8`] and the `gemm_i8_packed*` entry
 //! points. The pack stores each 16-column block as 64-byte rows of **depth quads** (16
@@ -93,11 +95,17 @@
 //!   pairs `0,1` and `2,3`) are added once, when the tile retires. The checksum row rides
 //!   the quads the same way, drained every `DRAIN_QUADS` quads;
 //! - **AMX** loads 16 quad rows of a block in place as one B tile and multiplies it on the
-//!   tile unit against 16-row tiles of activations laid out in a stack panel, for every
-//!   GEMM of at least `AMX_MIN_ROWS` rows (thinner ones run the AVX-512 kernel). The expected
-//!   checksum rides as two *digit rows* under each 128-row band — its column sums split
-//!   exactly into base-128 `i8` digits — and `eᵀ·Y` is reduced from each stored C tile (see
-//!   the `amx` module).
+//!   tile unit against 16-row tiles of activations laid out in a stack panel, every column
+//!   included, for every GEMM past the crossover (`amx_takes`: at least `AMX_MIN_ROWS`
+//!   rows and `AMX_MIN_MACS` multiply-accumulates; smaller ones run the AVX-512 kernel).
+//!   The expected checksum rides as two *digit rows* under each 128-row band — its column
+//!   sums split exactly into base-128 `i8` digits — and `eᵀ·Y` is reduced from each stored
+//!   C tile (see the `amx` module).
+//!
+//! The AMX tier takes a row-major `B` (attention's `Kᵀ` and `V`, recovery) by the same rule:
+//! the kernel packs each block pair's depth quads itself, once per depth chunk, into a
+//! bounded stack scratch before the row tiles run, so hooks and the KV cache keep the
+//! row-major operand. Below the crossover a row-major `B` stays on the AVX2 tile.
 
 use crate::engine::{accumulate_expected_panel, add_operand_col_sums, FusedChecksums, Operand};
 use crate::packed::PACK_BLOCK_COLS;
@@ -151,14 +159,44 @@ const DRAIN_PAIRS: usize = 128;
 #[cfg(target_arch = "x86_64")]
 const DRAIN_QUADS: usize = 64;
 
-/// Rows (`m`) from which the AMX tier takes a packed GEMM; thinner ones stay on the AVX-512
-/// packed kernel. Below it the tile unit has too little to multiply per byte of weights it
-/// loads: over one decode step's 57 checksummed packed GEMMs of the serving model (weights
-/// cycling through the caches as in serving), the 2-core AMX host took 222 and 198 µs at
-/// `m` = 1 and 2 on AMX against 183 and 184 µs on AVX-512, and 206, 210 and 255 µs at
-/// `m` = 3, 4 and 8 against 218, 259 and 467 µs.
+/// Rows (`m`) from which the AMX tier takes a GEMM (with [`AMX_MIN_MACS`]); thinner ones
+/// stay on the AVX-512 packed kernel or the AVX2 tile. Below it the tile unit has too little
+/// to multiply per byte of weights it loads: over one decode step's 57 checksummed packed
+/// GEMMs of the serving model (weights cycling through the caches as in serving), the
+/// 2-core AMX host took 222 and 198 µs at `m` = 1 and 2 on AMX against 183 and 184 µs on
+/// AVX-512, and 206, 210 and 255 µs at `m` = 3, 4 and 8 against 218, 259 and 467 µs.
 #[cfg(target_arch = "x86_64")]
 const AMX_MIN_ROWS: usize = 3;
+
+/// Multiply-accumulates (`m·k·n`) from which the AMX tier takes a GEMM, packed or row-major:
+/// below it the tile unit's fixed cost per call (tile configuration, laying out the panel,
+/// packing a row-major `B`) outweighs its multiply. A row-major `B`, plain, the AVX2 tile
+/// against the tile unit, best of 30 × 200 calls on one core of the 2-core AMX host (ranges
+/// over repeated runs on a shared machine):
+///
+/// | `m × k × n`     | AVX2 tile      | AMX           |
+/// |-----------------|----------------|---------------|
+/// | 3 × 32 × 16     | 0.12–0.22 µs   | 0.72–0.98 µs  |
+/// | 16 × 32 × 32    | 0.60–1.03 µs   | 0.82–1.18 µs  |
+/// | 24 × 32 × 32    | 0.95–1.52 µs   | 1.00–1.35 µs  |
+/// | 32 × 32 × 32    | 1.20–2.06 µs   | 1.03–1.43 µs  |
+/// | 128 × 32 × 128  | 17.4–24.9 µs   | 6.4–9.3 µs    |
+///
+/// Packed GEMMs cross over no earlier (3 × 32 × 16: 0.10–0.16 µs on the AVX-512 kernel,
+/// 0.35–1.3 µs on AMX). The row-major pack is paid per call, so a few rows against a wide
+/// operand still lose on the tile unit past the crossover (4 × 32 × 256: 1.6–1.9 µs against
+/// 2.7–2.8 µs) — a prefill's last short chunk, by at most about a microsecond.
+#[cfg(target_arch = "x86_64")]
+const AMX_MIN_MACS: usize = 32 * 32 * 32;
+
+/// Whether the AMX tier runs an `m × k × n` kernel pass on the tile unit: one rule for a
+/// packed and a row-major `B`. `m` is the pass's rows — a pooled engine's row chunk, not
+/// the whole GEMM — since the tile unit's fixed cost, a row-major pack included, is paid
+/// per pass.
+#[cfg(target_arch = "x86_64")]
+fn amx_takes(m: usize, k: usize, n: usize) -> bool {
+    m >= AMX_MIN_ROWS && m * k * n >= AMX_MIN_MACS
+}
 
 /// Environment variable that forces the portable tier even when the CPU supports the AVX2
 /// microkernel. Any non-empty value other than `0` counts as set; CI uses it to keep both
@@ -260,7 +298,7 @@ fn amx_grant() -> AmxGrant {
 /// uninterpretable without knowing which path ran).
 pub fn simd_dispatch_label() -> &'static str {
     match SimdTier::detect() {
-        SimdTier::Amx => "amx (packed kernels; avx2 unpacked)",
+        SimdTier::Amx => "amx (from the crossover; avx512 packed, avx2 unpacked below)",
         // `detect` asked for the tile data before it settled on AVX-512.
         SimdTier::Avx512 if amx_grant() == AmxGrant::Refused => {
             "avx512 (packed kernels; avx2 unpacked; amx offered, arch_prctl refused)"
@@ -291,10 +329,12 @@ pub enum SimdTier {
     /// that eat the wider multiply, while the packed layout feeds them with plain loads —
     /// AVX-512 is applied exactly where the data layout lets it pay.
     Avx512,
-    /// AVX-512 (the AVX2 tile for a row-major `B`) plus the AMX-INT8 tile unit for the
-    /// **packed** kernels of at least three rows (thinner ones stay on the AVX-512 kernel):
-    /// `tdpbssd` multiplies 16-row tiles of activations against 16 × 64 tiles of the packed
-    /// weights, which are stored in its B-tile order. Granted when CPUID reports AMX-TILE
+    /// AVX-512 plus the AMX-INT8 tile unit for every GEMM past the crossover (at least three
+    /// rows and `32 · 32 · 32` multiply-accumulates), packed or row-major, every column
+    /// included; smaller ones stay on the AVX-512 packed kernel and the AVX2 tile. `tdpbssd`
+    /// multiplies 16-row tiles of activations against 16 × 64 tiles of `B`: the packed
+    /// weights are stored in its B-tile order, and a row-major `B` is packed into it on the
+    /// fly, per block pair, in a 32 KiB stack scratch. Granted when CPUID reports AMX-TILE
     /// and AMX-INT8, the OS manages tile state, and the kernel grants the process the tile
     /// data.
     Amx,
@@ -372,9 +412,10 @@ impl SimdKernel {
     /// documentation); on the portable tier both from the cache-hot panels of the tiled
     /// routine.
     ///
-    /// A row-major `B` runs the AVX2 tile at every accelerated tier, every column included.
-    /// A packed `B` is streamed in its depth-quad order — as widened quad rows on the vector
-    /// tiers, as B tiles on the AMX tier — and hands its `n mod 16` tail to the tiled
+    /// On the AMX tier a pass the tile unit takes ([`amx_takes`], by the pass's own rows)
+    /// runs there whole, packed or row-major, every column included. Otherwise a row-major
+    /// `B` runs the AVX2 tile at every accelerated tier, every column included, and a packed
+    /// `B` is streamed as widened quad rows and hands its `n mod 16` tail to the tiled
     /// routine; the portable tier multiplies the row-major original the pack carries.
     pub(crate) fn run_rows(
         &self,
@@ -398,15 +439,18 @@ impl SimdKernel {
                 ),
                 None => (None, None, None),
             };
-            let amx = self.tier >= SimdTier::Amx && a.rows() >= AMX_MIN_ROWS;
-            match b {
+            // The rows of this pass, not of the GEMM: a pooled engine's row chunk that is
+            // too thin for the tile unit would pay its fixed cost (and repack a row-major
+            // `B`) once per chunk.
+            if self.tier >= SimdTier::Amx && amx_takes(rows.len(), a.cols(), n) {
                 // SAFETY: the AMX tier is only granted with AVX-512 and the tile-data
                 // permission (`SimdTier::detect`); `KernelEngine` checked the shapes.
-                Operand::Packed(pb) if amx => unsafe { amx::run(a, pb, out_band, rows, sinks) },
-                // SAFETY: an accelerated tier is only granted when AVX2 was detected at
-                // construction (the better tiers imply AVX2; see `SimdTier::detect`).
-                _ => unsafe { self.run_blocks(a, b, out_band, rows, sinks) },
+                unsafe { amx::run(a, b, out_band, rows, sinks) };
+                return;
             }
+            // SAFETY: an accelerated tier is only granted when AVX2 was detected at
+            // construction (the better tiers imply AVX2; see `SimdTier::detect`).
+            unsafe { self.run_blocks(a, b, out_band, rows, sinks) };
             let blocks_end = n - n % SIMD_TILE_COLS;
             if let (Operand::Packed(pb), true) = (b, blocks_end < n) {
                 let b = pb.unpacked();
@@ -472,7 +516,7 @@ impl SimdKernel {
         expected: Option<&mut [i64]>,
     ) {
         match b {
-            // The row-major kernel stays on the AVX2 tile at every accelerated tier — see
+            // Off the AMX route the row-major kernel stays on the AVX2 tile — see
             // [`SimdTier::Avx512`] for why.
             Operand::RowMajor(b) => avx2::panel(panel, b, out, observed, expected),
             Operand::Packed(pb) if self.tier >= SimdTier::Avx512 => {
@@ -622,6 +666,8 @@ fn init_lanes<'d, T: From<i8> + Default>(dst: &'d mut [MaybeUninit<T>], src: &[i
 thread_local! {
     /// Calls of the tiled routine made by this thread.
     pub(crate) static TILED_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Calls of the AMX kernel made by this thread.
+    pub(crate) static AMX_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Calls `$tile::<R, CHECK>(args…)` — or `$tile::<R, CHECK, $more>(args…)` — for a runtime
@@ -1435,14 +1481,20 @@ mod packed_avx512 {
     }
 }
 
-/// The AMX tier of the packed kernels: the CPU's own systolic array. `tdpbssd` multiplies a
-/// 16 × 64 `i8` tile of activations against a 16 × 64 tile of weights — 16 depth quads of
-/// 16 columns, which is exactly 16 consecutive quad rows of a packed block, loaded in place
-/// at stride 64 — into a 16 × 16 `i32` tile. The activations of a band of at most 128 rows
-/// (`BAND_ROWS`) are laid out once per depth chunk in a 64 KiB stack panel, rows
-/// zero-padded to whole 64-depth steps and the band to whole 16-row tiles; the output is
-/// swept in groups of two row tiles × two column blocks (four C tiles, two A and two B
-/// tiles: the eight tile registers).
+/// The AMX tier: the CPU's own systolic array, for a packed `B` and a row-major one alike.
+/// `tdpbssd` multiplies a 16 × 64 `i8` tile of activations against a 16 × 64 tile of `B` —
+/// 16 depth quads of 16 columns — into a 16 × 16 `i32` tile. A packed block's quad rows are
+/// that B tile already, loaded in place at stride 64; a row-major `B` (attention's `Kᵀ` and
+/// `V`) is packed on the fly: before the row tiles of a block pair run, the pair's depth
+/// quads are interleaved four rows at a time into a 32 KiB stack scratch (`PairTiles`) by
+/// [`crate::packed::pack_pair_into`], in the pack's own layout, zero-padded past the last
+/// depth and the last column, and every row tile of the band reuses them. The activations
+/// of a band of at most 128 rows (`BAND_ROWS`) are laid out once per depth chunk in a
+/// 64 KiB stack panel, rows zero-padded to whole 64-depth steps and the band to whole
+/// 16-row tiles; the output is swept in groups of two row tiles × two column blocks (four C
+/// tiles, two A and two B tiles: the eight tile registers). Every
+/// block is multiplied on the tile unit, a partial final one (`n mod 16` columns) against
+/// zero-padded columns: its C tiles retire only their live columns, through masked stores.
 ///
 /// The fused checksums stay exact and in the pass. The band's column sums `eᵀ·X` lie in
 /// `128 · [−128, 127]`, so each splits exactly into two `i8` digits, `s = 128·hi + lo`;
@@ -1456,8 +1508,11 @@ mod packed_avx512 {
 /// (`tilerelease`), so no tile state crosses a call or a worker thread.
 #[cfg(target_arch = "x86_64")]
 mod amx {
-    use super::init_lanes;
-    use crate::packed::{PackedMatI8, PACK_BLOCK_COLS, PACK_QUAD_BYTES, PACK_QUAD_DEPTH};
+    use super::{init_lanes, Sinks};
+    use crate::engine::Operand;
+    use crate::packed::{
+        pack_pair_into, PackedMatI8, PACK_BLOCK_COLS, PACK_QUAD_BYTES, PACK_QUAD_DEPTH,
+    };
     use crate::MatI8;
     use std::arch::asm;
     use std::arch::x86_64::*;
@@ -1484,6 +1539,10 @@ mod amx {
     const PANEL_BYTES: usize = 1 << 16;
     /// Depth of the deepest chunk (a panel of one row tile).
     const MAX_CHUNK_DEPTH: usize = PANEL_BYTES / TILE_ROWS;
+    /// 64-depth steps of a row-major `B`'s depth chunk, whose block pair is packed into
+    /// [`PairTiles`]: 1024 depths (32 KiB of scratch), past the serving model's 640-token
+    /// context, so there the panel's own limit sets the chunks. Deeper operands take several.
+    const PAIR_STEPS: usize = 16;
 
     // A B tile is 16 quad rows of one packed block.
     const _: () = assert!(TILE_ROW_BYTES == PACK_QUAD_BYTES && TILE_ROWS == PACK_BLOCK_COLS);
@@ -1512,12 +1571,35 @@ mod amx {
     #[repr(C, align(64))]
     struct BTile([MaybeUninit<i8>; TILE_BYTES]);
 
+    /// The B tiles of a row-major block pair over one depth chunk, block after block.
+    /// Uninitialised until [`pack_pair_into`] fills them.
+    #[repr(C, align(64))]
+    struct PairTiles([MaybeUninit<i8>; 2 * PAIR_STEPS * TILE_BYTES]);
+
     /// The stack scratch of one call besides the panel: the stored C tiles of a group
     /// (`tmm` register `i` in slot `i`, written by `tilestored` before they are read) and
     /// one B spill per block of a group.
     struct Scratch {
         c: [MaybeUninit<CTile>; 4],
         spill: [BTile; 2],
+    }
+
+    /// Where a GEMM's B tiles come from: a packed `B`, or a row-major one whose block pairs
+    /// are packed into [`PairTiles`] before their row tiles run.
+    enum Source<'b> {
+        Packed(&'b PackedMatI8),
+        RowMajor(&'b MatI8, &'b mut PairTiles),
+    }
+
+    /// The B tiles of blocks `blocks` of a `B` `n` columns wide over one depth chunk, in
+    /// [`PackedMatI8`] order: `bytes` starts at block `blocks.start`'s quad row at the
+    /// chunk's first depth, and each block lies `stride` bytes after the one before. A whole
+    /// pack, or one packed pair of a row-major `B`.
+    struct BlockTiles<'q> {
+        bytes: &'q [i8],
+        stride: usize,
+        blocks: Range<usize>,
+        n: usize,
     }
 
     /// A band laid out in the panel: `height` rows (whole row tiles) of `width` bytes
@@ -1529,27 +1611,80 @@ mod amx {
         band_rows: usize,
     }
 
-    /// `a[rows] × pb` onto `out_band` (band contract of `SimdKernel::run_rows`), every full
-    /// 16-column block; with the sinks, the rows' `eᵀ·W` onto `etw`, their `(eᵀ·W)·X` over
-    /// those blocks onto `expected` and their `eᵀ·Y` onto `observed`.
+    /// `a[rows] × b` onto `out_band` (band contract of `SimdKernel::run_rows`), every
+    /// column; with the sinks, the rows' `eᵀ·W` onto `etw`, their `(eᵀ·W)·X` onto `expected`
+    /// and their `eᵀ·Y` onto `observed`.
     ///
     /// # Safety
     ///
     /// Caller must ensure the AMX tier was granted (AVX-512F/BW, AMX-TILE/INT8 and the
-    /// tile-data permission), `a.cols() == pb.rows()`, `rows` within `a`, `out_band` holding
-    /// `rows.len()` rows of `pb.cols()`, and the sinks `a.cols()`, `pb.cols()` and
-    /// `pb.cols()` long, `expected` present when `etw` is.
+    /// tile-data permission), `a.cols() == b.rows()`, `rows` within `a`, `out_band` holding
+    /// `rows.len()` rows of `b.cols()`, and the sinks `a.cols()`, `b.cols()` and `b.cols()`
+    /// long, `expected` present when `etw` is.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
     pub(super) unsafe fn run(
         a: &MatI8,
-        pb: &PackedMatI8,
+        b: Operand<'_>,
         out_band: &mut [i32],
         rows: Range<usize>,
-        (mut etw, mut expected, mut observed): super::Sinks<'_>,
+        sinks: Sinks<'_>,
     ) {
-        let (k, n) = (a.cols(), pb.cols());
+        #[cfg(test)]
+        super::AMX_PASSES.with(|passes| passes.set(passes.get() + 1));
+        match b {
+            Operand::Packed(pb) => run_with(a, Source::Packed(pb), out_band, rows, sinks),
+            Operand::RowMajor(b) => run_row_major(a, b, out_band, rows, sinks),
+        }
+    }
+
+    /// [`run`] for a row-major `b`, in a frame of its own: a packed GEMM's stack never holds
+    /// the pair scratch.
+    ///
+    /// # Safety
+    ///
+    /// As [`run`].
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    #[inline(never)]
+    unsafe fn run_row_major(
+        a: &MatI8,
+        b: &MatI8,
+        out_band: &mut [i32],
+        rows: Range<usize>,
+        sinks: Sinks<'_>,
+    ) {
+        let mut pair = PairTiles([MaybeUninit::uninit(); 2 * PAIR_STEPS * TILE_BYTES]);
+        run_with(a, Source::RowMajor(b, &mut pair), out_band, rows, sinks);
+    }
+
+    /// [`run`] over the B tiles of `source`: one body for both operand forms, so that its
+    /// helpers keep a single call site each and inline.
+    ///
+    /// # Safety
+    ///
+    /// As [`run`].
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    #[inline(never)]
+    unsafe fn run_with(
+        a: &MatI8,
+        mut source: Source<'_>,
+        out_band: &mut [i32],
+        rows: Range<usize>,
+        (mut etw, mut expected, mut observed): Sinks<'_>,
+    ) {
+        let k = a.cols();
+        let n = match source {
+            Source::Packed(pb) => pb.cols(),
+            Source::RowMajor(b, _) => b.cols(),
+        };
+        let blocks = n.div_ceil(PACK_BLOCK_COLS);
+        // A packed `B` is multiplied whole, a row-major one a pair of blocks at a time, each
+        // packed into the pair scratch, whose size bounds its depth chunks.
+        let (group, max_steps) = match source {
+            Source::Packed(_) => (blocks.max(1), usize::MAX),
+            Source::RowMajor(..) => (2, PAIR_STEPS),
+        };
         let digits = if etw.is_some() { DIGIT_ROWS } else { 0 };
-        let tiles_used = n >= PACK_BLOCK_COLS && !rows.is_empty();
+        let tiles_used = n > 0 && !rows.is_empty();
         if tiles_used {
             configure();
         }
@@ -1562,7 +1697,7 @@ mod amx {
         for start in rows.clone().step_by(BAND_ROWS) {
             let band = start..(start + BAND_ROWS).min(rows.end);
             let height = (band.len() + digits).next_multiple_of(TILE_ROWS);
-            let chunk = PANEL_BYTES / height / STEP_DEPTH * STEP_DEPTH;
+            let chunk = (PANEL_BYTES / height / STEP_DEPTH).min(max_steps) * STEP_DEPTH;
             for d0 in (0..k.max(1)).step_by(chunk) {
                 let depth = d0..(d0 + chunk).min(k);
                 let width = depth.len().next_multiple_of(STEP_DEPTH).max(STEP_DEPTH);
@@ -1579,11 +1714,29 @@ mod amx {
                 if tiles_used {
                     let out =
                         &mut out_band[(band.start - rows.start) * n..(band.end - rows.start) * n];
-                    let sinks = (
-                        observed.as_deref_mut().filter(|_| depth.end == k),
-                        expected.as_deref_mut().filter(|_| digits > 0),
-                    );
-                    multiply(&laid, pb, d0, out, sinks, &mut scratch);
+                    let mut observed = observed.as_deref_mut().filter(|_| depth.end == k);
+                    let mut expected = expected.as_deref_mut().filter(|_| digits > 0);
+                    for blk in (0..blocks).step_by(group) {
+                        let tiles = match &mut source {
+                            Source::Packed(pb) => BlockTiles {
+                                bytes: &pb.tiles()[pb.tile_offset(d0, 0)..],
+                                stride: pb.block_stride(),
+                                blocks: 0..blocks,
+                                n,
+                            },
+                            Source::RowMajor(b, pair) => {
+                                let quads = width / PACK_QUAD_DEPTH;
+                                BlockTiles {
+                                    bytes: pack_pair_into(b, blk, d0, quads, &mut pair.0),
+                                    stride: quads * PACK_QUAD_BYTES,
+                                    blocks: blk..(blk + 2).min(blocks),
+                                    n,
+                                }
+                            }
+                        };
+                        let sinks = (observed.as_deref_mut(), expected.as_deref_mut());
+                        multiply(&laid, tiles, out, sinks, &mut scratch);
+                    }
                 }
             }
         }
@@ -1644,15 +1797,14 @@ mod amx {
         }
     }
 
-    /// The panel's tiles against every full block of `pb` from depth `d0` on, added onto
-    /// `out` (the band's rows); the C tile rows past the band carry its digit rows into
+    /// The panel's tiles against the blocks of `tiles` (over the panel's depth chunk), added
+    /// onto `out` (the band's rows); the C tile rows past the band carry its digit rows into
     /// `expected`, and `observed` (present on a band's last chunk) takes the final rows.
     ///
     /// # Safety
     ///
     /// Caller must ensure the tiles are configured, `lanes` is `height × width` with both
-    /// whole tiles, `out` holds `band_rows` rows of `pb.cols()`, and the sinks are
-    /// `pb.cols()` long.
+    /// whole tiles, `out` holds `band_rows` rows of `n`, and the sinks are `n` long.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
     unsafe fn multiply(
         &Laid {
@@ -1661,29 +1813,33 @@ mod amx {
             height,
             band_rows,
         }: &Laid<'_>,
-        pb: &PackedMatI8,
-        d0: usize,
+        BlockTiles {
+            bytes,
+            stride,
+            blocks,
+            n,
+        }: BlockTiles<'_>,
         out: &mut [i32],
         (mut observed, mut expected): (Option<&mut [i64]>, Option<&mut [i64]>),
         Scratch { c, spill }: &mut Scratch,
     ) {
-        let blocks = pb.cols() / PACK_BLOCK_COLS;
         let row_tiles = height / TILE_ROWS;
         let steps = width / STEP_DEPTH;
         let a_tile =
             |t: usize, step: usize| lanes[t * TILE_ROWS * width + step * STEP_DEPTH..].as_ptr();
-        for blk in (0..blocks).step_by(2) {
-            let cols = (blocks - blk).min(2);
+        for blk in blocks.clone().step_by(2) {
+            let cols = (blocks.end - blk).min(2);
+            let at = (blk - blocks.start) * stride;
             for t in (0..row_tiles).step_by(2) {
                 let tiles = (row_tiles - t).min(2);
                 zero_c();
                 // A lone last block is multiplied into both columns of the group; the
                 // second copy is never retired.
                 for step in 0..steps {
-                    let depth = d0 + step * STEP_DEPTH;
+                    let at = at + step * TILE_BYTES;
                     let [s0, s1] = spill;
-                    let b0 = b_tile(pb, blk, depth, s0);
-                    let b1 = b_tile(pb, blk + cols - 1, depth, s1);
+                    let b0 = b_tile(bytes, at, s0);
+                    let b1 = b_tile(bytes, at + (cols - 1) * stride, s1);
                     match tiles {
                         2 => step_2x2(a_tile(t, step), a_tile(t + 1, step), width, b0, b1),
                         _ => step_1x2(a_tile(t, step), width, b0, b1),
@@ -1695,20 +1851,28 @@ mod amx {
                     if dc < cols {
                         // SAFETY: `store_c` just stored the group's slots.
                         let tile = unsafe { tile.assume_init_ref() };
-                        let cols = (blk + dc) * PACK_BLOCK_COLS..pb.cols();
+                        let cols = (blk + dc) * PACK_BLOCK_COLS..n;
                         let sinks = (observed.as_deref_mut(), expected.as_deref_mut());
-                        retire(tile, (t + dt) * TILE_ROWS, band_rows, cols, out, sinks);
+                        let first = (t + dt) * TILE_ROWS;
+                        if cols.len() >= PACK_BLOCK_COLS {
+                            retire::<true>(tile, first, band_rows, cols, out, sinks);
+                        } else {
+                            retire_partial(tile, first, band_rows, cols, out, sinks);
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Adds C tile rows `first..first + 16` of the panel onto the 16 columns from
-    /// `cols.start` of rows `cols.end` wide: band rows onto `out` (and, finalised, onto
-    /// `observed`), the digit rows onto `expected`.
+    /// Adds C tile rows `first..first + 16` of the panel onto rows `cols.end` wide, at the 16
+    /// columns from `cols.start` (for a partial final block, not `WHOLE`, those before
+    /// `cols.end`): band rows onto `out` (and, finalised, onto `observed`), the digit rows
+    /// onto `expected`. A partial block's lanes past `cols.end`, products of zero padding,
+    /// are neither loaded nor stored; a whole block takes no masks, which measured a few
+    /// percent on a 4-row GEMM.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    fn retire(
+    fn retire<const WHOLE: bool>(
         tile: &CTile,
         first: usize,
         band_rows: usize,
@@ -1717,24 +1881,31 @@ mod amx {
         (observed, expected): (Option<&mut [i64]>, Option<&mut [i64]>),
     ) {
         let live = band_rows.saturating_sub(first).min(TILE_ROWS);
+        let cols = jc..if WHOLE { jc + PACK_BLOCK_COLS } else { n };
+        let mask = lane_mask(cols.len()) as __mmask16;
         let rows = out[first.min(band_rows) * n..].chunks_exact_mut(n);
         let mut sums = [_mm512_setzero_si512(); 2];
         for (lanes, row) in tile.0[..live].iter().zip(rows) {
-            let row = &mut row[jc..jc + PACK_BLOCK_COLS];
-            // SAFETY: `row` and `lanes` are 16 `i32` each.
+            let row = &mut row[cols.clone()];
+            // SAFETY: `lanes` is 16 `i32`, and so is a whole block's `row`; a partial one's
+            // lanes are the ones `mask` selects.
             let y = unsafe {
-                let y = _mm512_add_epi32(
-                    _mm512_loadu_epi32(row.as_ptr()),
-                    _mm512_loadu_epi32(lanes.as_ptr()),
-                );
-                _mm512_storeu_epi32(row.as_mut_ptr(), y);
-                y
+                let c = _mm512_loadu_epi32(lanes.as_ptr());
+                if WHOLE {
+                    let y = _mm512_add_epi32(_mm512_loadu_epi32(row.as_ptr()), c);
+                    _mm512_storeu_epi32(row.as_mut_ptr(), y);
+                    y
+                } else {
+                    let y = _mm512_add_epi32(_mm512_maskz_loadu_epi32(mask, row.as_ptr()), c);
+                    _mm512_mask_storeu_epi32(row.as_mut_ptr(), mask, y);
+                    y
+                }
             };
             let [lo, hi] = widen(y);
             sums = [_mm512_add_epi64(sums[0], lo), _mm512_add_epi64(sums[1], hi)];
         }
         if let Some(observed) = observed {
-            add_i64x16(&mut observed[jc..jc + PACK_BLOCK_COLS], sums);
+            add_i64x16::<WHOLE>(&mut observed[cols.clone()], sums);
         }
         let Some(expected) = expected else { return };
         let digits = (first + live).max(band_rows)..band_rows + DIGIT_ROWS;
@@ -1749,8 +1920,23 @@ mod amx {
             } else {
                 [lo, hi]
             };
-            add_i64x16(&mut expected[jc..jc + PACK_BLOCK_COLS], [lo, hi]);
+            add_i64x16::<WHOLE>(&mut expected[cols.clone()], [lo, hi]);
         }
+    }
+
+    /// [`retire`] for a partial final block, out of line: inlined beside the whole blocks'
+    /// retirement, it measured a few percent on a 4-row GEMM.
+    #[target_feature(enable = "avx512f,avx512bw,avx2")]
+    #[inline(never)]
+    fn retire_partial(
+        tile: &CTile,
+        first: usize,
+        band_rows: usize,
+        cols: Range<usize>,
+        out: &mut [i32],
+        sinks: (Option<&mut [i64]>, Option<&mut [i64]>),
+    ) {
+        retire::<false>(tile, first, band_rows, cols, out, sinks);
     }
 
     /// The 16 `i32` lanes of `v` sign-extended to two `i64×8` registers.
@@ -1762,33 +1948,46 @@ mod amx {
         ]
     }
 
-    /// Adds two `i64×8` registers onto the 16 entries of `sums`.
+    /// Adds the first `sums.len()` lanes of two `i64×8` registers onto `sums`: all 16 when
+    /// `WHOLE`, through masks otherwise.
     #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    fn add_i64x16(sums: &mut [i64], [lo, hi]: [__m512i; 2]) {
-        let sums = &mut sums[..PACK_BLOCK_COLS];
-        // SAFETY: `sums` is 16 `i64`, two registers' worth.
-        unsafe {
-            let at = sums.as_mut_ptr();
-            _mm512_storeu_epi64(at, _mm512_add_epi64(_mm512_loadu_epi64(at), lo));
-            _mm512_storeu_epi64(
-                at.add(8),
-                _mm512_add_epi64(_mm512_loadu_epi64(at.add(8)), hi),
-            );
+    fn add_i64x16<const WHOLE: bool>(sums: &mut [i64], [lo, hi]: [__m512i; 2]) {
+        if WHOLE {
+            let sums = &mut sums[..PACK_BLOCK_COLS];
+            // SAFETY: `sums` is 16 `i64`, two registers' worth.
+            unsafe {
+                let at = sums.as_mut_ptr();
+                _mm512_storeu_epi64(at, _mm512_add_epi64(_mm512_loadu_epi64(at), lo));
+                let at = at.add(8);
+                _mm512_storeu_epi64(at, _mm512_add_epi64(_mm512_loadu_epi64(at), hi));
+            }
+            return;
+        }
+        for (half, reg) in sums.chunks_mut(8).zip([lo, hi]) {
+            let mask = lane_mask(half.len()) as __mmask8;
+            // SAFETY: `mask` selects the lanes of `half`.
+            unsafe {
+                let at = half.as_mut_ptr();
+                let sum = _mm512_add_epi64(_mm512_maskz_loadu_epi64(mask, at), reg);
+                _mm512_mask_storeu_epi64(at, mask, sum);
+            }
         }
     }
 
-    /// The B tile of block `blk` at depth `depth`: 16 quad rows in place, or — where they
-    /// would run past the packed buffer — the rows that exist, copied into `spill` and
-    /// zero-padded. (Rows past a block's last quad belong to the next block; they meet the
-    /// panel's zero padding.)
-    fn b_tile(pb: &PackedMatI8, blk: usize, depth: usize, spill: &mut BTile) -> *const i8 {
-        let tiles = pb.tiles();
-        let at =
-            (blk * pb.block_stride() + depth / PACK_QUAD_DEPTH * PACK_QUAD_BYTES).min(tiles.len());
-        if tiles.len() - at >= TILE_BYTES {
-            return tiles[at..].as_ptr();
+    /// A mask of the first `lanes` (at most 32) lanes.
+    fn lane_mask(lanes: usize) -> u32 {
+        ((1u64 << lanes) - 1) as u32
+    }
+
+    /// The B tile `at` bytes into `bytes`: 16 quad rows in place, or — where they would run
+    /// past the buffer — the rows that exist, copied into `spill` and zero-padded. (Rows past
+    /// a block's last quad belong to the next block; they meet the panel's zero padding.)
+    fn b_tile(bytes: &[i8], at: usize, spill: &mut BTile) -> *const i8 {
+        let at = at.min(bytes.len());
+        if bytes.len() - at >= TILE_BYTES {
+            return bytes[at..].as_ptr();
         }
-        init_lanes(&mut spill.0, &tiles[at..]).as_ptr()
+        init_lanes(&mut spill.0, &bytes[at..]).as_ptr()
     }
 
     /// Loads the tile configuration: eight tiles of 16 rows × 64 bytes — the C tiles of a
@@ -2101,8 +2300,9 @@ mod tests {
     fn packed_paths_match_reference_across_tiers_and_shapes() {
         // Skinny shapes (m ≤ 4) make one tile carrying the checksum row, m ≥ 5 several, odd
         // k the zero-padded final pair, ragged n the hand-over of the partial block to the
-        // tiled routine, and the deep shape the i32→i64 checksum drains and several depth
-        // chunks (k > 2·CHUNK_PAIRS).
+        // tiled routine — or, on the AMX route (the last shape), its masked retirement — and
+        // the deep shape the i32→i64 checksum drains and several depth chunks
+        // (k > 2·CHUNK_PAIRS).
         for (seed, (m, k, n)) in [
             (11, (1, 1, 1)),
             (12, (1, 64, 48)),
@@ -2112,6 +2312,7 @@ mod tests {
             (16, (9, 7, 130)),
             (17, (130, 64, 96)),
             (18, (2, 16500, 16)),
+            (19, (130, 65, 97)),
         ]
         .into_iter()
         {
@@ -2138,20 +2339,46 @@ mod tests {
 
     #[test]
     fn row_major_tile_matches_reference_on_every_tier_shape_and_destination() {
-        // The one row-major kernel's parity table. m = 1..=4 is one register tile, 5 and 8
-        // add a second, 63..=65 straddle a whole number of tiles, 128 is one panel and 257
-        // crosses a checksum band. The depths cover a lone row, one pair, odd/even/odd
-        // around the head dimension and a hidden-sized depth; the widths cover tail-only, one
-        // block exactly, block + tail, and many blocks with and without a tail.
+        // The row-major kernels' parity table: the AVX2 tile and, from the AMX crossover
+        // (`amx_takes`), the tile unit with its on-the-fly pack. m = 1..=4 is one register
+        // tile, 5 and 8 add a second, 16 and 17 fill and spill an AMX row tile, 31..=33 and
+        // the depth and width around 32 straddle the crossover (32 × 32 × 32), 63..=65
+        // straddle a whole number of tiles, 127..=130 the edge of a 128-row AMX band, and 257
+        // crosses a checksum band. The depths cover a lone row, one pair, odd/even/odd around
+        // the head dimension and one AMX step, a resident length, and one depth past a
+        // row-major AMX chunk (`PAIR_STEPS`); the widths cover tail-only, one block exactly,
+        // block ± 1, two blocks ± 1, block + tail, and many blocks. The serving model's full
+        // context, 640, runs as the depth of `SV` and the width of `QKᵀ`: as a width it
+        // crosses the tiled routine's column panel (`PANEL_WIDTH`) and packs 20 block pairs
+        // per depth chunk on the tile unit, as a depth it takes a full band two depth chunks
+        // (448 + 192).
         let mut cases: Vec<(String, MatI8, MatI8)> = Vec::new();
         let mut seed = 100;
-        for m in [1, 2, 3, 4, 5, 8, 63, 64, 65, 128, 257] {
-            for k in [1, 2, 31, 32, 33, 640] {
-                for n in [1, 15, 16, 17, 32, 50, 640] {
-                    seed += 1;
-                    let (a, b) = random_pair(seed, m, k, n);
-                    cases.push((format!("{m}x{k}x{n}"), a, b));
-                }
+        let past_pair_chunk = 1025;
+        let rows = [
+            1, 2, 3, 4, 5, 8, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 130, 257,
+        ];
+        let depths = [1, 2, 31, 32, 33, 63, 64, 65, 224];
+        let widths = [1, 15, 16, 17, 31, 32, 33, 50, 224];
+        let shapes = depths.iter().flat_map(|&k| widths.map(|n| (k, n)));
+        // The deep depth against a partial block, with and without a whole one before it,
+        // and the full context.
+        let shapes = shapes.chain([(past_pair_chunk, 15), (past_pair_chunk, 33)]);
+        let context = 640;
+        let shapes = shapes.chain([
+            (context, 1),
+            (context, 17),
+            (context, 32),
+            (context, 224),
+            (1, context),
+            (32, context),
+            (224, context),
+        ]);
+        for (k, n) in shapes {
+            for m in rows {
+                seed += 1;
+                let (a, b) = random_pair(seed, m, k, n);
+                cases.push((format!("{m}x{k}x{n}"), a, b));
             }
         }
         // The INT8 rails (a band of i8::MIN rows makes its checksum row i16::MIN), all-zero
@@ -2161,7 +2388,12 @@ mod tests {
             (1, 33, 17),
             (3, 32, 50),
             (4, 64, 16),
+            (31, 32, 32),
+            (32, 32, 32),
+            (17, 65, 33),
             (65, 33, 17),
+            (130, 224, 31),
+            (129, past_pair_chunk, 15),
             (257, 32, 50),
         ] {
             for (fa, fb) in [(-128i8, -128i8), (127, 127), (-128, 127), (127, -128)] {
@@ -2306,6 +2538,23 @@ mod tests {
         ] {
             let (a, b) = random_pair(seed, m, k, n);
             assert_checksum_row_matches_oracle(&format!("{m}x{k}x{n}"), &a, &b);
+        }
+        // The AMX route: rows around the crossover (32 × 32 × 32), a row tile and a 128-row
+        // band; depths around one 64-depth step, a resident length, the full context and one
+        // past a row-major chunk (`PAIR_STEPS`); widths leaving a partial block, which a
+        // packed `B` now retires in registers too, and the full context past a column panel.
+        // Random, then at the INT8 rails.
+        let rows = [3, 31, 32, 33, 16, 17, 127, 128, 129, 130, 128, 129];
+        let depths = [224, 32, 32, 31, 1025, 63, 65, 33, 1, 64, 640, 32];
+        let widths = [33, 32, 32, 17, 15, 224, 1, 224, 31, 16, 32, 641];
+        for (seed, ((m, k), n)) in (309..).zip(rows.into_iter().zip(depths).zip(widths)) {
+            let (a, b) = random_pair(seed, m, k, n);
+            assert_checksum_row_matches_oracle(&format!("{m}x{k}x{n}"), &a, &b);
+            for fill in [i8::MIN, i8::MAX] {
+                let (a, b) = (MatI8::filled(m, k, fill), MatI8::filled(k, n, i8::MIN));
+                let label = format!("{m}x{k}x{n} A = {fill}, B = {}", i8::MIN);
+                assert_checksum_row_matches_oracle(&label, &a, &b);
+            }
         }
     }
 

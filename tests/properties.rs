@@ -167,10 +167,14 @@ fn simd_backend_handles_degenerate_vector_shapes() {
     }
 }
 
-/// The checksum row on the vector tiers' pair stream is bit-exact on every tier the host
-/// grants, inline and pooled, over row-major and packed `B`, on random shapes drawn across
-/// its edges: row counts that split widened panels and 256-row checksum bands, odd depths
-/// (the zero-padded final pair) and depths past the widening buffer's capacity.
+/// The checksum row on the vector tiers' pair stream, and the digit rows on the AMX tile
+/// unit, are bit-exact on every tier the host grants, inline and pooled, over row-major and
+/// packed `B`, on random shapes drawn across their edges: row counts around the AMX
+/// crossover (32 × 32 × 32) and a 16-row tile, that split widened panels, 128-row AMX bands
+/// and 256-row checksum bands; odd depths (the zero-padded final pair), depths around one
+/// 64-depth AMX step, past a row-major AMX chunk (1024) and past the widening buffer's
+/// capacity; widths that leave a partial block, one past the tiled routine's 256-column
+/// panel; random codes and the INT8 rails.
 #[test]
 fn checksum_row_matches_reference_on_every_tier_packed_and_row_major() {
     let mut engines: Vec<Box<dyn GemmEngine>> = Vec::new();
@@ -179,25 +183,43 @@ fn checksum_row_matches_reference_on_every_tier_packed_and_row_major() {
         engines.push(Box::new(KernelEngine::simd_with_tier(tier).with_workers(3)));
     }
     let mut r = rng::seeded(0xB4);
-    for case in 0..12 {
-        let m = [5, 128, 256, 257, 300][case % 5];
-        let k = if case % 4 == 3 {
-            r.gen_range(3300usize..3400)
-        } else {
-            2 * r.gen_range(1usize..40) + r.gen_range(0..2)
+    let rows = [3, 5, 16, 17, 31, 32, 33, 127, 128, 129, 130, 256, 257, 300];
+    let depths = [1, 31, 32, 33, 63, 64, 65, 224];
+    // Each width once, on the cases ≡ 1 (mod 4); 641 on a 129-row one.
+    let widths = [1, 15, 641, 16, 17, 31, 33, 224];
+    for case in 0..32 {
+        let m = rows[case % rows.len()];
+        let k = match case % 4 {
+            3 => r.gen_range(3300usize..3400),
+            2 => r.gen_range(1025usize..1100),
+            1 => depths[r.gen_range(0..depths.len())],
+            _ => 2 * r.gen_range(1usize..40) + r.gen_range(0..2),
         };
         let n = if k > 3000 {
             r.gen_range(1usize..20)
+        } else if case % 4 == 1 {
+            widths[case / 4]
         } else {
             r.gen_range(1usize..70)
         };
-        let a = MatI8::from_fn(m, k, |_, _| r.gen_range(-128i16..=127) as i8);
-        let b = MatI8::from_fn(k, n, |_, _| r.gen_range(-128i16..=127) as i8);
+        let (a, b) = match case % 7 {
+            2 => (MatI8::filled(m, k, i8::MIN), MatI8::filled(k, n, i8::MIN)),
+            3 => (MatI8::filled(m, k, i8::MAX), MatI8::filled(k, n, i8::MIN)),
+            _ => (
+                MatI8::from_fn(m, k, |_, _| r.gen_range(-128i16..=127) as i8),
+                MatI8::from_fn(k, n, |_, _| r.gen_range(-128i16..=127) as i8),
+            ),
+        };
         let pb = PackedMatI8::pack(&b);
         let oracle = ReferenceEngine
             .gemm_i8_checksummed_two_pass(&a, &b)
             .unwrap();
         for engine in &engines {
+            let context = format!("{} plain, case {case}: {m}x{k}x{n}", engine.name());
+            assert_eq!(engine.gemm_i8(&a, &b).unwrap(), *oracle.acc(), "{context}");
+            let mut out = realm::tensor::MatI32::zeros(0, 0);
+            engine.gemm_i8_packed_into(&a, &pb, &mut out).unwrap();
+            assert_eq!(&out, oracle.acc(), "packed {context}");
             let row_major = engine.gemm_i8_checksummed(&a, &b).unwrap();
             let mut packed = ChecksummedGemm::empty();
             let mut etw = Vec::new();
