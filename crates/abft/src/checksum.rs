@@ -15,6 +15,7 @@
 //! All checksum arithmetic is carried out in `i64`: operands are INT8 and accumulators INT32,
 //! so exact sums fit comfortably and cannot themselves overflow.
 
+use realm_tensor::partition::shard_range;
 use realm_tensor::{engine, MatI32, MatI8, PackedMatI8, RowPartition};
 
 /// Expected output column checksum `(eᵀ·W)·X`, one entry per output column.
@@ -176,8 +177,9 @@ pub fn deviating_groups_into(
     }
 }
 
-/// Indices of the shards of a column-sharded GEMM whose stripes carry a non-zero column
-/// deviation — the fault domains a detection traces back to.
+/// Indices of the `degree` column stripes ([`realm_tensor::partition::shard_range`]) of a
+/// GEMM that carry a non-zero column deviation — the shard fault domains a detection traces
+/// back to. Walks the stripes in place: nothing is allocated once `out` has room.
 ///
 /// Checks every column, not just the shard sums, so two errors that cancel in a shard's
 /// MSD but sit in different columns still implicate the shard.
@@ -186,15 +188,14 @@ pub fn deviating_groups_into(
 ///
 /// Panics if `degree` is zero.
 pub fn deviating_shards_into(deviations: &[i64], degree: usize, out: &mut Vec<usize>) {
+    assert!(degree >= 1, "shard attribution needs at least one shard");
     out.clear();
-    for (s, range) in realm_tensor::tp::shard_cols(deviations.len(), degree)
-        .into_iter()
-        .enumerate()
-    {
-        if deviations[range].iter().any(|&d| d != 0) {
-            out.push(s);
-        }
-    }
+    let cols = deviations.len();
+    out.extend((0..degree).filter(|&s| {
+        deviations[shard_range(cols, degree, s)]
+            .iter()
+            .any(|&d| d != 0)
+    }));
 }
 
 /// Per-column deviations of a packed weight replica against its pack-time checksums.

@@ -135,9 +135,9 @@ pub struct BatchedGenerationOutcome {
     pub errors_injected: u64,
     /// Detection/recovery attribution per batch sequence index (dense, one per sequence).
     pub per_sequence: Vec<SequenceAttribution>,
-    /// Detection/recovery attribution per tensor-parallel shard (dense, one per shard;
-    /// empty when the model is unsharded). Sharding is bit-exact, so the *verdicts* are
-    /// identical to an unsharded run — this only localizes them to fault domains.
+    /// Detection/recovery attribution per shard (dense, one per column stripe of the
+    /// model's `tp_degree`; empty at degree 1). The stripes never change a verdict — this
+    /// only localizes them to fault domains.
     pub per_shard: Vec<ShardAttribution>,
 }
 
@@ -206,7 +206,7 @@ impl<'m> ProtectedPipeline<'m> {
             &self.regions,
             self.config.engine.build(),
         );
-        protector.set_shard_attribution(self.model.tp_group().map(|g| g.degree()));
+        protector.set_shard_attribution(self.model.config().tp_degree);
         Ok((ber, injector, protector))
     }
 
@@ -296,13 +296,14 @@ impl<'m> ProtectedPipeline<'m> {
                 .generate_batch(&requests, &mut chain)
                 .map_err(CoreError::from)?
         };
-        let tp_degree = self.model.tp_group().map_or(0, |g| g.degree());
+        let degree = self.model.config().tp_degree;
+        let shards = if degree > 1 { degree } else { 0 };
         // Dense attribution: one entry per sequence / shard, zeroed where nothing fired.
         let per_sequence = (0..prompts.len())
             .map(|seq| protector.sequence_attribution().get(&seq).copied())
             .map(Option::unwrap_or_default)
             .collect();
-        let per_shard = (0..tp_degree)
+        let per_shard = (0..shards)
             .map(|shard| protector.shard_attribution().get(&shard).copied())
             .map(Option::unwrap_or_default)
             .collect();
@@ -580,8 +581,8 @@ mod tests {
             "low-voltage faults must localize to shard stripes"
         );
 
-        // The unsharded model reports no shard axis at all — and, sharding being
-        // bit-exact, produces the same tokens under the same faults.
+        // A one-stripe model reports no shard axis at all — and, the stripes being
+        // bookkeeping only, produces the same tokens under the same faults.
         let unsharded = Model::new(&ModelConfig::tiny_opt(), 3).unwrap();
         let pipeline = ProtectedPipeline::new(&unsharded, small_config());
         let baseline = pipeline

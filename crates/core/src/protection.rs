@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Detections and recoveries a [`SchemeProtector`] charged to one fault domain: a batch
-/// sequence ([`SequenceAttribution`]) or a tensor-parallel shard ([`ShardAttribution`]).
+/// sequence ([`SequenceAttribution`]) or a column-stripe shard ([`ShardAttribution`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Attribution {
     /// Inspections in which this domain's rows (or column stripe) carried a non-zero
@@ -36,13 +36,13 @@ pub struct Attribution {
 /// and any recovery — to the sequences whose rows actually deviated.
 pub type SequenceAttribution = Attribution;
 
-/// Per-tensor-parallel-shard attribution.
+/// Per-shard attribution.
 ///
-/// When the model's linear layers are column-sharded over a TP rank group
-/// (`realm_tensor::tp`), every checksum deviation localizes to the shard stripes whose
-/// columns deviated (see [`realm_abft::checksum::deviating_shards_into`]); the protector
-/// charges detections and recoveries to those fault domains. Enabled by
-/// [`SchemeProtector::set_shard_attribution`].
+/// A shard is a column stripe of every static-weight GEMM
+/// ([`realm_tensor::partition::shard_range`]), the fault domain whole-shard faults hit.
+/// Every checksum deviation localizes to the stripes whose columns deviated (see
+/// [`realm_abft::checksum::deviating_shards_into`]); the protector charges detections and
+/// recoveries to those shards. Enabled by [`SchemeProtector::set_shard_attribution`].
 pub type ShardAttribution = Attribution;
 
 /// Per-request protection policy: which ABFT scheme a request's GEMMs should run under.
@@ -280,18 +280,17 @@ impl SchemeProtector {
         &self.per_sequence
     }
 
-    /// Enables (`Some(degree)`) or disables (`None`) per-shard attribution of detections
-    /// to the stripes of a `degree`-way column-sharded model.
+    /// Attributes detections to `degree` column stripes; degrees `0` and `1` disable
+    /// per-shard attribution (one stripe is the whole GEMM).
     ///
-    /// The serving and pipeline layers set this from the model's TP degree
-    /// (`Model::tp_group`); it never changes detection verdicts or recovery behaviour,
-    /// only the bookkeeping surfaced by [`SchemeProtector::shard_attribution`]. Degrees
-    /// `0` and `1` both disable attribution (there is no sharding to attribute to).
-    pub fn set_shard_attribution(&mut self, degree: Option<usize>) {
-        self.tp_degree = degree.filter(|&d| d > 1);
+    /// The serving and pipeline layers set this from the model's
+    /// `ModelConfig::tp_degree`; it never changes detection verdicts or recovery
+    /// behaviour, only the bookkeeping surfaced by [`SchemeProtector::shard_attribution`].
+    pub fn set_shard_attribution(&mut self, degree: usize) {
+        self.tp_degree = (degree > 1).then_some(degree);
     }
 
-    /// Per-tensor-parallel-shard detection/recovery attribution, keyed by shard index.
+    /// Per-shard detection/recovery attribution, keyed by shard index.
     ///
     /// Empty unless [`SchemeProtector::set_shard_attribution`] enabled it and at least
     /// one detection deviated inside some shard's column stripe.
@@ -961,35 +960,35 @@ mod tests {
 
     #[test]
     fn fused_detections_attribute_to_the_corrupted_shard() {
-        let mut config = ModelConfig::tiny_opt();
-        config.tp_degree = 3;
-        let model = Model::new(&config, 2).unwrap();
-        let clean = Model::new(&ModelConfig::tiny_opt(), 2)
-            .unwrap()
-            .generate(&[1, 2, 3], 6, &mut NoopHook)
-            .unwrap();
+        let model = Model::new(&ModelConfig::tiny_opt(), 2).unwrap();
+        let clean = model.generate(&[1, 2, 3], 6, &mut NoopHook).unwrap();
 
-        // Arm a garble on shard 1 only; the protector (which wants checksums, keeping the
-        // fused sharded path on) must localize every detection to that shard's stripe and
-        // repair the run bit-exactly.
-        let group = std::sync::Arc::clone(model.tp_group().unwrap());
-        group.inject_shard_fault(1, realm_tensor::ShardFault::Garble { seed: 21 }, 2);
+        // Arm a garble on shard 1 only: the classical protector must detect every one,
+        // localize it to that shard's stripe and repair the run bit-exactly.
+        let mut injector = ErrorInjector::new(
+            realm_inject::BitFlipModel::uniform(0.0),
+            realm_inject::Target::new().shard(1),
+            9,
+        );
+        injector.arm_shard_faults(3, realm_inject::ShardFault::Garble { seed: 21 }, 2);
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        protector.set_shard_attribution(Some(group.degree()));
-        let out = model.generate(&[1, 2, 3], 6, &mut protector).unwrap();
-        assert_eq!(out, clean, "the sharded layer itself recovers the garble");
+        protector.set_shard_attribution(3);
+        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
+        let out = model.generate(&[1, 2, 3], 6, &mut chain).unwrap();
+        assert_eq!(out, clean, "the protector recovers the garble");
+        let attribution = protector.shard_attribution();
+        assert_eq!(attribution.keys().copied().collect::<Vec<_>>(), [1]);
+        assert_eq!(
+            (attribution[&1].detections, attribution[&1].recoveries),
+            (2, 2)
+        );
 
-        // The shard's own checksum segment recovered the corruption *below* the hook, so
-        // the protector saw clean merged results: the shard-level stats carry the event.
-        let totals = group.totals();
-        assert_eq!(totals.detections, 2);
-        assert_eq!(totals.failovers, 2);
-        assert!(protector.shard_attribution().is_empty());
-
-        // Now corrupt *above* the sharded layer (the injector mutates the merged
-        // accumulator): the protector detects, recovers, and attributes the deviation to
-        // the shard stripes the deviating columns fall in.
+        // Bit flips anywhere in the accumulator localize to the stripes the deviating
+        // columns fall in.
+        let mut protector =
+            SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
+        protector.set_shard_attribution(3);
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
         let repaired = model.generate(&[1, 2, 3], 6, &mut chain).unwrap();
@@ -997,7 +996,7 @@ mod tests {
         let attribution = protector.shard_attribution();
         assert!(
             !attribution.is_empty(),
-            "merged-accumulator corruptions localize to shard stripes"
+            "accumulator corruptions localize to shard stripes"
         );
         assert!(attribution.keys().all(|&s| s < 3));
         let (detections, recoveries) = attribution

@@ -1,11 +1,14 @@
-//! The error injector: a [`GemmHook`] that applies a fault model to targeted GEMMs.
+//! The error injector: a [`GemmHook`] that applies a fault model to targeted GEMMs, and
+//! whole-shard faults to the column stripes of static-weight GEMMs.
 
 use crate::error_model::ErrorModel;
 use crate::targeting::Target;
 use realm_llm::{Component, GemmContext, GemmHook, Stage};
+use realm_tensor::partition::shard_range;
 use realm_tensor::rng::{self, SeededRng};
-use realm_tensor::{ChecksummedGemm, MatI32, MatI8};
+use realm_tensor::{gemm, ChecksummedGemm, MatI32, MatI8};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Statistics accumulated by an [`ErrorInjector`] over a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -22,10 +25,35 @@ pub struct InjectionStats {
     pub per_component: BTreeMap<Component, u64>,
     /// Injected-error count per inference stage.
     pub per_stage: BTreeMap<Stage, u64>,
-    /// Number of whole-shard fault scenarios armed ([`ErrorInjector::arm_shard_faults`]).
-    pub shard_faults_armed: u64,
-    /// Armed whole-shard fault count per tensor-parallel shard index.
-    pub per_shard: BTreeMap<usize, u64>,
+    /// What the armed shard faults did, one entry per shard of the largest armed degree.
+    pub per_shard: Vec<ShardFaultStats>,
+}
+
+/// A whole-shard fault: what one column stripe of every static-weight GEMM suffers while
+/// it is armed ([`ErrorInjector::arm_shard_faults`]) — FailSafe's failure model (PAPERS.md)
+/// of a device that dies mid-step or silently corrupts its stripe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardFault {
+    /// The rank is down and the device reports it (fail-stop): its stripe is rebuilt from
+    /// the GEMM's operands in the same call, bit-exact under every protection scheme.
+    Kill,
+    /// The stripe comes back all zeros, silently.
+    Zero,
+    /// One element of the stripe gets a high bit flipped, silently; the victim follows
+    /// from `seed` and the injector's count of static-weight GEMMs.
+    Garble {
+        /// Seed for the deterministic choice of victim element and bit.
+        seed: u64,
+    },
+}
+
+/// What the armed shard faults did to one shard, in static-weight GEMMs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardFaultStats {
+    /// GEMMs the shard was dead for, each stripe rebuilt in the same call.
+    pub kills: u64,
+    /// GEMMs whose stripe was silently zeroed or garbled, left for the protector.
+    pub corruptions: u64,
 }
 
 /// A time-correlated burst schedule in engine steps: `burst_steps` of injection, then
@@ -69,6 +97,11 @@ pub struct ErrorInjector<M> {
     /// Whether the current engine step falls inside a burst window. `true` when no burst
     /// schedule is armed (steady injection) and re-evaluated on every `on_step_begin`.
     in_burst: bool,
+    /// Per shard of the armed degree, its fault and the static-weight GEMMs it has left;
+    /// emptied once all expired, so an injector without one pays a length check per GEMM.
+    shard_faults: Vec<Option<(ShardFault, usize)>>,
+    /// Static-weight GEMMs seen while a shard fault was armed: the garble's victim key.
+    dispatches: u64,
 }
 
 impl<M: ErrorModel> ErrorInjector<M> {
@@ -82,6 +115,8 @@ impl<M: ErrorModel> ErrorInjector<M> {
             enabled: true,
             burst: None,
             in_burst: true,
+            shard_faults: Vec::new(),
+            dispatches: 0,
         }
     }
 
@@ -133,39 +168,101 @@ impl<M: ErrorModel> ErrorInjector<M> {
         self.burst
     }
 
-    /// Arms `fault` for the next `steps` sharded dispatches on every tensor-parallel
-    /// shard of `group` selected by the target's shard filter (every shard when the
-    /// filter is unset). Returns the number of shards armed.
+    /// Arms `fault` for the next `steps` static-weight GEMMs (never attention's `QKᵀ`/`SV`)
+    /// on the shards of a `degree`-way column partition
+    /// ([`realm_tensor::partition::shard_range`]) that [`Target::shards`] selects, all of
+    /// them when unset; a different degree drops the faults armed before. A fault applies
+    /// ahead of the error model and counts down once per such GEMM, whatever the burst
+    /// window, the per-GEMM target or [`ErrorInjector::set_enabled`] say; its effects are
+    /// counted in [`InjectionStats::per_shard`]. Returns the number of shards armed: none
+    /// by a disabled injector or for `steps == 0`.
     ///
-    /// Whole-shard faults live below the GEMM hook interface — the rank group applies
-    /// them at dispatch time and the sharded layer detects and recovers from them
-    /// (`realm_tensor::tp`) — so this is a side channel next to the per-GEMM `corrupt`
-    /// path, with its own per-shard accounting in [`InjectionStats`]. A disabled
-    /// injector arms nothing.
-    pub fn arm_shard_faults(
-        &mut self,
-        group: &realm_tensor::TpGroup,
-        fault: realm_tensor::ShardFault,
-        steps: usize,
-    ) -> usize {
+    /// # Panics
+    ///
+    /// Panics if `degree` is zero.
+    pub fn arm_shard_faults(&mut self, degree: usize, fault: ShardFault, steps: usize) -> usize {
+        assert!(degree >= 1, "shard faults need at least one shard");
         if !self.enabled || steps == 0 {
             return 0;
         }
+        if self.shard_faults.len() != degree {
+            self.shard_faults = vec![None; degree];
+        }
+        let shards = self.stats.per_shard.len().max(degree);
+        self.stats
+            .per_shard
+            .resize(shards, ShardFaultStats::default());
+        let filter = self.target.shard_filter();
         let mut armed = 0;
-        for shard in 0..group.degree() {
-            if self
-                .target
-                .shard_filter()
-                .is_none_or(|filter| filter.contains(&shard))
-            {
-                group.inject_shard_fault(shard, fault, steps);
-                self.stats.shard_faults_armed += 1;
-                *self.stats.per_shard.entry(shard).or_insert(0) += 1;
+        for (shard, slot) in self.shard_faults.iter_mut().enumerate() {
+            if filter.is_none_or(|f| f.contains(&shard)) {
+                *slot = Some((fault, steps));
                 armed += 1;
             }
         }
         armed
     }
+
+    /// Applies the armed shard faults to the static-weight GEMM `acc = w · x`, counting
+    /// each down. Returns whether a stripe was left corrupted (a killed one is rebuilt).
+    fn apply_shard_faults(&mut self, w: &MatI8, x: &MatI8, acc: &mut MatI32) -> bool {
+        self.dispatches += 1;
+        let degree = self.shard_faults.len();
+        let mut corrupted = false;
+        for (shard, slot) in self.shard_faults.iter_mut().enumerate() {
+            let Some((fault, steps_left)) = *slot else {
+                continue;
+            };
+            *slot = (steps_left > 1).then_some((fault, steps_left - 1));
+            let cols = shard_range(acc.cols(), degree, shard);
+            if cols.is_empty() {
+                continue;
+            }
+            let stats = &mut self.stats.per_shard[shard];
+            match fault {
+                ShardFault::Kill => {
+                    // The dead rank delivered nothing and the device says so: rebuild it.
+                    gemm::gemm_i8_cols_into(w, x, cols, acc).expect("the hook's operands made acc");
+                    stats.kills += 1;
+                    continue;
+                }
+                ShardFault::Zero => {
+                    (0..acc.rows()).for_each(|r| acc.row_mut(r)[cols.clone()].fill(0))
+                }
+                ShardFault::Garble { seed } => garble(acc, cols, seed, self.dispatches),
+            }
+            stats.corruptions += 1;
+            corrupted = true;
+        }
+        if self.shard_faults.iter().all(Option::is_none) {
+            self.shard_faults.clear();
+        }
+        corrupted
+    }
+}
+
+/// Whether `component` multiplies by a layer's static weights (every component but
+/// attention's activation × activation `QKᵀ` and `SV`).
+fn has_static_weights(component: Component) -> bool {
+    !matches!(component, Component::QkT | Component::Sv)
+}
+
+/// Flips one high bit of one element in the stripe `cols` of `acc`: the first draws of a
+/// splitmix64 stream started at `seed ^ dispatch·γ`, deterministic and dependency-free.
+fn garble(acc: &mut MatI32, cols: Range<usize>, seed: u64, dispatch: u64) {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let (rows, width) = (acc.rows() as u64, cols.len() as u64);
+    if rows == 0 {
+        return;
+    }
+    let start = seed ^ dispatch.wrapping_mul(GAMMA);
+    let draw = |k: u64| rng::derive_seed(start.wrapping_add(k.wrapping_mul(GAMMA)), 0);
+    let (r, c) = (
+        (draw(1) % rows) as usize,
+        cols.start + (draw(2) % width) as usize,
+    );
+    let bit = 16 + (draw(3) % 14) as u32; // high enough to matter, never the sign bit
+    acc.row_mut(r)[c] ^= 1 << bit;
 }
 
 impl<M: ErrorModel> ErrorInjector<M> {
@@ -185,8 +282,11 @@ impl<M: ErrorModel> ErrorInjector<M> {
 }
 
 impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
-    fn on_gemm(&mut self, ctx: &GemmContext, _w: &MatI8, _x: &MatI8, acc: &mut MatI32) {
+    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
         self.stats.gemms_observed += 1;
+        if !self.shard_faults.is_empty() && has_static_weights(ctx.component) {
+            self.apply_shard_faults(w, x, acc);
+        }
         if !self.enabled || !self.in_burst || !self.target.matches(ctx) {
             return;
         }
@@ -196,19 +296,25 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
     fn on_gemm_checksummed(
         &mut self,
         ctx: &GemmContext,
-        _w: &MatI8,
-        _x: &MatI8,
+        w: &MatI8,
+        x: &MatI8,
         result: &mut ChecksummedGemm,
     ) {
         self.stats.gemms_observed += 1;
-        // Untargeted (and fault-free) GEMMs must not touch the accumulator at all: taking
-        // `acc_mut` would mark the fused observed checksum stale and force a downstream
-        // protector into a full recompute — at low BER that is almost every GEMM. The
-        // same applies to steps between bursts.
-        if !self.enabled || !self.in_burst || !self.target.matches(ctx) {
+        // Untouched (and fault-free) GEMMs must leave the fused observed checksum fresh:
+        // taking `acc_mut` marks it stale and forces a downstream protector into a full
+        // recompute — at low BER that is almost every GEMM. The same applies to steps
+        // between bursts, and to a killed stripe, which is rebuilt exactly.
+        let sharded = !self.shard_faults.is_empty() && has_static_weights(ctx.component);
+        let targeted = self.enabled && self.in_burst && self.target.matches(ctx);
+        if !sharded && !targeted {
             return;
         }
-        if self.corrupt_targeted(ctx, result.acc_mut()) == 0 {
+        let mut corrupted = sharded && self.apply_shard_faults(w, x, result.acc_mut());
+        if targeted {
+            corrupted |= self.corrupt_targeted(ctx, result.acc_mut()) > 0;
+        }
+        if !corrupted {
             result.assume_observed_fresh();
         }
     }
@@ -391,11 +497,8 @@ mod tests {
 
     #[test]
     fn shard_kill_is_survived_bit_exact_and_charged_to_the_shard() {
-        let mut config = ModelConfig::tiny_opt();
-        config.tp_degree = 3;
-        let model = Model::new(&config, 1).unwrap();
-        let clean = Model::new(&ModelConfig::tiny_opt(), 1)
-            .unwrap()
+        let model = Model::new(&ModelConfig::tiny_opt(), 1).unwrap();
+        let clean = model
             .generate(&[1, 2, 3], 6, &mut realm_llm::NoopHook)
             .unwrap();
         let mut injector = ErrorInjector::new(
@@ -403,68 +506,145 @@ mod tests {
             Target::new().shard(1),
             9,
         );
-        let group = std::sync::Arc::clone(model.tp_group().unwrap());
-        let armed = injector.arm_shard_faults(&group, realm_tensor::ShardFault::Kill, 4);
+        let armed = injector.arm_shard_faults(3, ShardFault::Kill, 4);
         assert_eq!(armed, 1, "only the targeted shard is armed");
         let out = model.generate(&[1, 2, 3], 6, &mut injector).unwrap();
         assert_eq!(
             out, clean,
-            "killed shard fails over without corrupting output"
+            "a killed stripe is rebuilt without changing output"
         );
-        assert_eq!(injector.stats().shard_faults_armed, 1);
-        assert_eq!(injector.stats().per_shard.get(&1), Some(&1));
-        let stats = model.shard_stats();
+        let per_shard = &injector.stats().per_shard;
+        assert_eq!(per_shard.len(), 3);
         assert_eq!(
-            stats[1].kills, 4,
-            "the shard was down for exactly 4 dispatches"
+            per_shard[1].kills, 4,
+            "down for exactly 4 static-weight GEMMs"
         );
-        assert_eq!(stats[1].failovers, 4);
-        assert_eq!(stats[0].kills + stats[2].kills, 0);
+        assert_eq!(per_shard[1].corruptions, 0);
+        assert_eq!(per_shard[0].kills + per_shard[2].kills, 0);
     }
 
     #[test]
     fn unfiltered_target_arms_every_shard_and_disabled_arms_none() {
-        let mut config = ModelConfig::tiny_opt();
-        config.tp_degree = 2;
-        let model = Model::new(&config, 1).unwrap();
-        let group = std::sync::Arc::clone(model.tp_group().unwrap());
         let mut injector = ErrorInjector::everywhere(BitFlipModel::uniform(0.0), 9);
+        let garble = ShardFault::Garble { seed: 7 };
+        assert_eq!(injector.arm_shard_faults(2, garble, 1), 2);
         assert_eq!(
-            injector.arm_shard_faults(&group, realm_tensor::ShardFault::Garble { seed: 7 }, 1),
-            2
+            injector.arm_shard_faults(2, garble, 0),
+            0,
+            "zero steps arm nothing"
         );
-        group.clear_shard_faults();
         injector.set_enabled(false);
+        assert_eq!(injector.arm_shard_faults(2, ShardFault::Kill, 1), 0);
+        let mut filtered =
+            ErrorInjector::new(BitFlipModel::uniform(0.0), Target::new().shard(5), 9);
         assert_eq!(
-            injector.arm_shard_faults(&group, realm_tensor::ShardFault::Kill, 1),
-            0
+            filtered.arm_shard_faults(4, ShardFault::Kill, 1),
+            0,
+            "no shard 5 of 4"
         );
-        assert_eq!(injector.stats().shard_faults_armed, 2);
+    }
+
+    /// Runs one static-weight GEMM `w · x` (component O) through `injector`, on the fused
+    /// path, and returns the bundle it left.
+    fn fused_through(
+        injector: &mut ErrorInjector<BitFlipModel>,
+        w: &MatI8,
+        x: &MatI8,
+    ) -> ChecksummedGemm {
+        use realm_tensor::{GemmEngine, ReferenceEngine};
+        let mut result = ReferenceEngine.gemm_i8_checksummed(w, x).unwrap();
+        let ctx = GemmContext::new(Component::O, 0, Stage::Decode, 0).batched();
+        injector.on_gemm_checksummed(&ctx, w, x, &mut result);
+        result
     }
 
     #[test]
-    fn armed_garble_reaches_the_unprotected_sharded_datapath() {
-        // The injector itself declines checksums, so generation under it runs the *plain*
-        // sharded path: an armed garble must land in the output (nothing can detect it
-        // here — that is the protector's job), and clearing the faults must restore
-        // bit-exactness with the unsharded model.
-        let mut config = ModelConfig::tiny_llama();
-        config.tp_degree = 2;
-        let model = Model::new(&config, 3).unwrap();
-        let clean = Model::new(&ModelConfig::tiny_llama(), 3)
-            .unwrap()
+    fn silent_shard_faults_stay_in_their_stripe_and_kills_keep_the_checksums_fresh() {
+        let w = MatI8::from_fn(3, 8, |r, c| (r as i8 * 3) - c as i8 + 1);
+        let x = MatI8::from_fn(8, 10, |r, c| ((r * 10 + c) % 13) as i8 - 5);
+        let clean = realm_tensor::gemm::gemm_i8(&w, &x).unwrap();
+        // 10 columns over 3 shards: stripes 0..4, 4..7, 7..10.
+        for fault in [
+            ShardFault::Kill,
+            ShardFault::Zero,
+            ShardFault::Garble { seed: 3 },
+        ] {
+            let mut injector =
+                ErrorInjector::new(BitFlipModel::uniform(0.0), Target::new().shard(1), 1);
+            injector.arm_shard_faults(3, fault, 2);
+            for step in 0..3 {
+                let result = fused_through(&mut injector, &w, &x);
+                let deviating: Vec<usize> = result
+                    .column_deviations()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, &d)| (d != 0).then_some(j))
+                    .collect();
+                if fault == ShardFault::Kill || step == 2 {
+                    assert_eq!(result.acc(), &clean, "{fault:?} step {step}");
+                    assert!(deviating.is_empty(), "{fault:?} step {step}");
+                } else {
+                    assert_ne!(result.acc(), &clean, "{fault:?} step {step}");
+                    assert!(!deviating.is_empty() && deviating.iter().all(|j| (4..7).contains(j)));
+                }
+            }
+            let stats = injector.stats().per_shard[1];
+            let want = if fault == ShardFault::Kill {
+                (2, 0)
+            } else {
+                (0, 2)
+            };
+            assert_eq!((stats.kills, stats.corruptions), want, "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn shard_faults_skip_attention_gemms_and_empty_stripes() {
+        let w = MatI8::filled(2, 4, 1);
+        let x = MatI8::filled(4, 2, 1);
+        let mut injector = ErrorInjector::everywhere(BitFlipModel::uniform(0.0), 1);
+        // Degree 3 over 2 columns: shard 2's stripe is empty and never charged.
+        injector.arm_shard_faults(3, ShardFault::Zero, 1);
+        let mut acc = realm_tensor::gemm::gemm_i8(&w, &x).unwrap();
+        let attention = GemmContext::new(Component::QkT, 0, Stage::Prefill, 0);
+        injector.on_gemm(&attention, &w, &x, &mut acc);
+        assert_eq!(
+            acc,
+            MatI32::filled(2, 2, 4),
+            "QKᵀ multiplies activations: untouched"
+        );
+        let projection = GemmContext::new(Component::Q, 0, Stage::Prefill, 0);
+        injector.on_gemm(&projection, &w, &x, &mut acc);
+        assert_eq!(acc, MatI32::zeros(2, 2), "both non-empty stripes zeroed");
+        let per_shard = &injector.stats().per_shard;
+        assert_eq!(
+            per_shard.iter().map(|s| s.corruptions).collect::<Vec<_>>(),
+            [1, 1, 0]
+        );
+        let mut again = MatI32::filled(2, 2, 4);
+        injector.on_gemm(&projection, &w, &x, &mut again);
+        assert_eq!(
+            again,
+            MatI32::filled(2, 2, 4),
+            "the one-step faults expired"
+        );
+    }
+
+    #[test]
+    fn armed_garble_persists_on_the_unprotected_datapath() {
+        // The injector declines checksums, so under it alone nothing can detect an armed
+        // garble (that is the protector's job): it lands in the output, and once its steps
+        // ran out generation is clean again.
+        let model = Model::new(&ModelConfig::tiny_llama(), 3).unwrap();
+        let clean = model
             .generate(&[2, 3, 4], 5, &mut realm_llm::NoopHook)
             .unwrap();
         let mut injector =
             ErrorInjector::new(BitFlipModel::uniform(0.0), Target::new().shard(0), 5);
-        let group = std::sync::Arc::clone(model.tp_group().unwrap());
-        injector.arm_shard_faults(&group, realm_tensor::ShardFault::Garble { seed: 11 }, 3);
+        injector.arm_shard_faults(2, ShardFault::Garble { seed: 11 }, 3);
         let corrupted = model.generate(&[2, 3, 4], 5, &mut injector).unwrap();
         assert_ne!(corrupted, clean, "the garble must reach the datapath");
-        let totals = group.totals();
-        assert!(totals.jobs > 0);
-        assert_eq!(totals.detections, 0, "the plain path cannot detect");
-        group.clear_shard_faults();
+        assert_eq!(injector.stats().per_shard[0].corruptions, 3);
         let recovered = model.generate(&[2, 3, 4], 5, &mut injector).unwrap();
         assert_eq!(recovered, clean);
     }

@@ -13,6 +13,7 @@
 //! * [`targeting`] — filters selecting which GEMMs receive errors (network component, layer,
 //!   inference stage), matching the paper's per-component / per-layer / per-stage studies.
 //! * [`injector`] — a [`realm_llm::GemmHook`] that applies an error model to targeted GEMMs
+//!   and whole-shard faults ([`ShardFault`]) to the column stripes of static-weight GEMMs,
 //!   and records statistics about what was injected.
 //! * [`voltage`] — the operating-voltage ↔ BER relationship (shape of Fig. 1(a)).
 //! * [`campaign`] — embarrassingly parallel Monte-Carlo trial runner used by every
@@ -45,6 +46,6 @@ pub mod targeting;
 pub mod voltage;
 
 pub use error_model::{BitFlipModel, ErrorModel, FixedBitModel, MagFreqModel};
-pub use injector::{BurstSchedule, ErrorInjector, InjectionStats};
+pub use injector::{BurstSchedule, ErrorInjector, InjectionStats, ShardFault, ShardFaultStats};
 pub use targeting::Target;
 pub use voltage::VoltageBerCurve;

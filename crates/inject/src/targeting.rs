@@ -76,18 +76,17 @@ impl Target {
         self.stages([stage])
     }
 
-    /// Restricts the target to the given tensor-parallel shard indices.
+    /// Restricts the target to the given shard indices: the column stripes
+    /// `ErrorInjector::arm_shard_faults` arms its whole-shard faults on.
     ///
-    /// The shard axis selects whole fault domains for the whole-shard scenarios
-    /// (`ErrorInjector::arm_shard_faults`), not individual GEMMs: sharding happens below
-    /// the hook interface, so [`Target::matches`] — which filters per-GEMM contexts — is
-    /// unaffected by this axis.
+    /// The shard axis selects fault domains, not individual GEMMs, so [`Target::matches`]
+    /// — which filters per-GEMM contexts for the error model — is unaffected by it.
     pub fn shards(mut self, shards: impl IntoIterator<Item = usize>) -> Self {
         self.shards = Some(shards.into_iter().collect());
         self
     }
 
-    /// Restricts the target to a single tensor-parallel shard (convenience wrapper).
+    /// Restricts the target to a single shard (convenience wrapper).
     pub fn shard(self, shard: usize) -> Self {
         self.shards([shard])
     }
@@ -101,7 +100,7 @@ impl Target {
             && self.stages.as_ref().is_none_or(|s| s.contains(&ctx.stage))
     }
 
-    /// Returns the configured tensor-parallel shard filter, if any.
+    /// Returns the configured shard filter, if any.
     pub fn shard_filter(&self) -> Option<&BTreeSet<usize>> {
         self.shards.as_ref()
     }
@@ -156,8 +155,8 @@ mod tests {
     fn shard_filter_selects_fault_domains_not_gemms() {
         let t = Target::new().shard(2);
         assert_eq!(t.shard_filter().unwrap().len(), 1);
-        // The shard axis never restricts per-GEMM matching: sharding happens below the
-        // hook interface.
+        // The shard axis never restricts per-GEMM matching: it picks the stripes shard
+        // faults are armed on, not the GEMMs the error model corrupts.
         assert!(t.matches(&ctx(Component::Q, 0, Stage::Prefill)));
         assert_eq!(Target::new().shard(1), Target::new().shards([1]));
     }

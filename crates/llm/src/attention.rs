@@ -270,10 +270,9 @@ mod tests {
     use crate::hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook, RecordingHook};
     use realm_tensor::{
         rng, ChecksummedGemm, EngineKind, GemmEngine, MatI32, MatI8, PackedMatI8, ReferenceEngine,
-        Result as TensorResult, TpGroup, Workspace,
+        Result as TensorResult, Workspace,
     };
     use std::ops::Range;
-    use std::sync::Arc;
 
     fn attention_and_input() -> (MultiHeadAttention, MatF32, ModelConfig) {
         let config = ModelConfig::tiny_opt();
@@ -553,8 +552,8 @@ mod tests {
     fn every_chunking_solo_or_batched_on_every_backend_is_bit_identical() {
         // Every projection row is quantized with its own scale, every cached row keeps its
         // own scale and every query row is masked to its own visible prefix, so neither the
-        // outputs nor the cache contents depend on chunk boundaries, batch neighbours,
-        // the GEMM backend or the tensor-parallel degree of the projections.
+        // outputs nor the cache contents depend on chunk boundaries, batch neighbours or
+        // the GEMM backend.
         let config = ModelConfig::tiny_opt();
         let mut r = rng::seeded(4);
         let base = MultiHeadAttention::new(&config, &mut r);
@@ -568,60 +567,55 @@ mod tests {
             EngineKind::Simd,
             EngineKind::SimdParallel,
         ] {
-            for tp in [1usize, 2] {
-                let engine: Arc<dyn GemmEngine> = match tp {
-                    1 => kind.build(),
-                    _ => Arc::new(TpGroup::new(tp, kind.build())),
-                };
-                for split in splits(full.rows()) {
-                    let label = format!("{kind}/tp{tp}/{split:?}");
-                    let mut solo = empty_cache(&base, 1);
-                    let mut batch = empty_cache(&base, 2);
-                    for (step, rows) in split.iter().enumerate() {
-                        let chunk = full.rows_slice(rows.start, rows.len()).unwrap();
-                        let stage = if chunk.rows() == 1 && step > 0 {
-                            Stage::Decode
-                        } else {
-                            Stage::Prefill
-                        };
-                        let y = forward_on(
-                            &base,
-                            &chunk,
-                            stage,
-                            &mut solo,
-                            &[chunk.rows()],
-                            engine.as_ref(),
-                            &mut NoopHook,
-                        );
-                        // The same chunk in slot 1 of a batch whose slot 0 prefills a
-                        // louder neighbour in the first step and idles afterwards.
-                        let lead = if step == 0 { neighbour.rows() } else { 0 };
-                        let stacked = neighbour.rows_slice(0, lead).unwrap().vstack(&chunk);
-                        let y_batch = forward_on(
-                            &base,
-                            &stacked.unwrap(),
-                            stage,
-                            &mut batch,
-                            &[lead, chunk.rows()],
-                            engine.as_ref(),
-                            &mut NoopHook,
-                        );
-                        for (i, row) in rows.clone().enumerate() {
-                            assert_eq!(y_full.row(row), y.row(i), "{label} solo row {row}");
-                            assert_eq!(
-                                y_full.row(row),
-                                y_batch.row(lead + i),
-                                "{label} batched row {row}"
-                            );
-                        }
-                    }
-                    assert_eq!(solo, cache_full, "{label} solo cache");
-                    assert_eq!(
-                        batch.layer(0).slot(1),
-                        cache_full.layer(0).slot(0),
-                        "{label} batched cache"
+            let engine = kind.build();
+            for split in splits(full.rows()) {
+                let label = format!("{kind}/{split:?}");
+                let mut solo = empty_cache(&base, 1);
+                let mut batch = empty_cache(&base, 2);
+                for (step, rows) in split.iter().enumerate() {
+                    let chunk = full.rows_slice(rows.start, rows.len()).unwrap();
+                    let stage = if chunk.rows() == 1 && step > 0 {
+                        Stage::Decode
+                    } else {
+                        Stage::Prefill
+                    };
+                    let y = forward_on(
+                        &base,
+                        &chunk,
+                        stage,
+                        &mut solo,
+                        &[chunk.rows()],
+                        engine.as_ref(),
+                        &mut NoopHook,
                     );
+                    // The same chunk in slot 1 of a batch whose slot 0 prefills a
+                    // louder neighbour in the first step and idles afterwards.
+                    let lead = if step == 0 { neighbour.rows() } else { 0 };
+                    let stacked = neighbour.rows_slice(0, lead).unwrap().vstack(&chunk);
+                    let y_batch = forward_on(
+                        &base,
+                        &stacked.unwrap(),
+                        stage,
+                        &mut batch,
+                        &[lead, chunk.rows()],
+                        engine.as_ref(),
+                        &mut NoopHook,
+                    );
+                    for (i, row) in rows.clone().enumerate() {
+                        assert_eq!(y_full.row(row), y.row(i), "{label} solo row {row}");
+                        assert_eq!(
+                            y_full.row(row),
+                            y_batch.row(lead + i),
+                            "{label} batched row {row}"
+                        );
+                    }
                 }
+                assert_eq!(solo, cache_full, "{label} solo cache");
+                assert_eq!(
+                    batch.layer(0).slot(1),
+                    cache_full.layer(0).slot(0),
+                    "{label} batched cache"
+                );
             }
         }
     }

@@ -55,10 +55,11 @@ pub struct ModelConfig {
     /// bit-exact (see `realm_tensor::engine`), so this only changes wall-clock speed; the
     /// presets default to [`EngineKind::auto`] (the SIMD parallel backend).
     pub engine: EngineKind,
-    /// Tensor-parallel degree: the number of column-stripe fault domains every
-    /// static-weight GEMM is split into (`realm_tensor::tp`), each with its own checksum
-    /// segment, shard faults and failover. `1` (the presets' default) runs the unsharded
-    /// engine; any degree is bit-exact with it.
+    /// The number of shard fault domains: the column stripes
+    /// (`realm_tensor::partition::shard_cols`) of every static-weight GEMM that whole-shard
+    /// faults hit (`realm_inject`'s `ErrorInjector::arm_shard_faults`) and protectors
+    /// attribute detections to. It never changes how a GEMM runs; `1` (the presets'
+    /// default) is one domain, which disables shard attribution.
     pub tp_degree: usize,
 }
 
@@ -104,7 +105,7 @@ impl ModelConfig {
         }
         if self.tp_degree == 0 {
             return Err(LlmError::InvalidConfig {
-                detail: "tp_degree must be >= 1 (1 disables tensor parallelism)".into(),
+                detail: "tp_degree must be >= 1 (1 is one shard fault domain)".into(),
             });
         }
         Ok(())
@@ -279,7 +280,7 @@ mod tests {
     #[test]
     fn zero_tp_degree_is_rejected() {
         let mut cfg = ModelConfig::tiny_opt();
-        assert_eq!(cfg.tp_degree, 1, "presets default to the unsharded path");
+        assert_eq!(cfg.tp_degree, 1, "presets default to one fault domain");
         cfg.tp_degree = 0;
         assert!(cfg.validate().is_err());
         cfg.tp_degree = 4;

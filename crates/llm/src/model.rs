@@ -44,9 +44,7 @@ use crate::quantized::ForwardPass;
 use crate::weights::{self, Embedding, SyntheticLanguage};
 use crate::{LlmError, Result};
 use realm_tensor::rng;
-use realm_tensor::{
-    GemmEngine, MatF32, RowKernels, RowPartition, TpGroup, TpShardStats, Workspace,
-};
+use realm_tensor::{GemmEngine, MatF32, RowKernels, RowPartition, Workspace};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -103,17 +101,6 @@ enum HeadRows {
     LastOfEachGroup,
 }
 
-/// The engine a model of `config` runs on: [`ModelConfig::engine`], built fresh and — for
-/// `tp_degree > 1` — wrapped in a [`TpGroup`], which is returned a second time, typed.
-fn build_engine(config: &ModelConfig) -> (Arc<dyn GemmEngine>, Option<Arc<TpGroup>>) {
-    let engine = config.engine.build();
-    if config.tp_degree <= 1 {
-        return (engine, None);
-    }
-    let group = Arc::new(TpGroup::new(config.tp_degree, engine));
-    (Arc::clone(&group) as Arc<dyn GemmEngine>, Some(group))
-}
-
 /// A synthetic quantized LLM.
 #[derive(Debug, Clone)]
 pub struct Model {
@@ -125,7 +112,6 @@ pub struct Model {
     lm_head: MatF32,
     logit_temperature: f32,
     engine: Arc<dyn GemmEngine>,
-    tp: Option<Arc<TpGroup>>,
 }
 
 impl Model {
@@ -144,7 +130,6 @@ impl Model {
             .collect();
         let final_norm = Norm::new(config, &mut r);
         let lm_head = weights::lm_head(&embedding, &language);
-        let (engine, tp) = build_engine(config);
         Ok(Self {
             config: config.clone(),
             embedding,
@@ -153,42 +138,16 @@ impl Model {
             final_norm,
             lm_head,
             logit_temperature: DEFAULT_LOGIT_TEMPERATURE,
-            engine,
-            tp,
+            engine: config.engine.build(),
         })
     }
 
     /// The GEMM execution backend every quantized GEMM of this model runs on.
     ///
     /// Selected by [`ModelConfig::engine`] at construction; all backends are bit-exact, so
-    /// swapping it changes wall-clock speed, never a single logit. On a tensor-parallel
-    /// model it is the [`TpGroup`] wrapping that backend, and reports the backend's name.
+    /// swapping it changes wall-clock speed, never a single logit.
     pub fn engine(&self) -> &dyn GemmEngine {
         self.engine.as_ref()
-    }
-
-    /// Rebuilds the model's engine ([`ModelConfig::engine`]) and, for `degree > 1`, wraps
-    /// it in a fresh [`TpGroup`] of `degree` shards, so every static-weight GEMM becomes a
-    /// shard dispatch (`realm_tensor::tp`); `degree <= 1` restores the unsharded engine.
-    /// Sharding is bit-exact: tokens, logits and ABFT checksum deviations are unchanged at
-    /// any degree. `config().tp_degree` is updated to match (degree 0 is stored as 1).
-    pub fn set_tensor_parallel(&mut self, degree: usize) {
-        self.config.tp_degree = degree.max(1);
-        (self.engine, self.tp) = build_engine(&self.config);
-    }
-
-    /// The tensor-parallel group the model's engine is, or `None` on the unsharded path.
-    /// Exposes per-shard reliability stats ([`TpGroup::shard_stats`]) and the whole-shard
-    /// fault hooks used by the injection and serving layers.
-    pub fn tp_group(&self) -> Option<&Arc<TpGroup>> {
-        self.tp.as_ref()
-    }
-
-    /// Per-shard reliability counters over every static-weight GEMM of the model (empty
-    /// slice semantics: unsharded models report no shards). Convenience for
-    /// [`TpGroup::shard_stats`].
-    pub fn shard_stats(&self) -> Vec<TpShardStats> {
-        self.tp.as_ref().map_or_else(Vec::new, |g| g.shard_stats())
     }
 
     /// The model configuration.
@@ -913,35 +872,6 @@ mod tests {
         assert!(!rec.calls.is_empty());
         assert!(rec.calls.iter().all(|c| c.stage == Stage::Decode));
         assert_eq!(rec.count_for(Component::O), config.num_layers);
-    }
-
-    #[test]
-    fn sharded_model_is_bit_exact_with_unsharded() {
-        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
-            let base = Model::new(&config, 11).unwrap();
-            let mut sharded_cfg = config.clone();
-            sharded_cfg.tp_degree = 3;
-            let sharded = Model::new(&sharded_cfg, 11).unwrap();
-            assert!(sharded.tp_group().is_some());
-            let a = base.generate(&[1, 2, 3], 8, &mut NoopHook).unwrap();
-            let b = sharded.generate(&[1, 2, 3], 8, &mut NoopHook).unwrap();
-            assert_eq!(a, b, "{}", config.name);
-        }
-    }
-
-    #[test]
-    fn set_tensor_parallel_reshards_and_restores_in_place() {
-        let config = ModelConfig::tiny_opt();
-        let mut m = Model::new(&config, 4).unwrap();
-        let clean = m.generate(&[2, 3], 6, &mut NoopHook).unwrap();
-        m.set_tensor_parallel(4);
-        assert_eq!(m.config().tp_degree, 4);
-        assert_eq!(m.shard_stats().len(), 4);
-        assert_eq!(m.generate(&[2, 3], 6, &mut NoopHook).unwrap(), clean);
-        m.set_tensor_parallel(0);
-        assert_eq!(m.config().tp_degree, 1);
-        assert!(m.tp_group().is_none() && m.shard_stats().is_empty());
-        assert_eq!(m.generate(&[2, 3], 6, &mut NoopHook).unwrap(), clean);
     }
 
     #[test]

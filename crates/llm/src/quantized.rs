@@ -105,8 +105,8 @@ pub enum OutputMode {
 /// weights too ([`PackedMatI8::unpacked`]): hooks observe them, and the engines that don't
 /// override the packed entry points multiply with them.
 ///
-/// A layer knows nothing of tensor parallelism: a sharded model's engine is a
-/// `realm_tensor::TpGroup`, and each of the layer's GEMMs is one of its dispatches.
+/// A layer knows nothing of shards: a shard is a column stripe of its output, which only
+/// the hooks see (`realm_inject`'s shard faults, a protector's shard attribution).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     weight: PackedMatI8,
@@ -282,7 +282,7 @@ pub fn convert_accumulator_rows_into(
 /// The right operand of a hooked GEMM, which decides the engine entry point it runs on.
 pub(crate) enum Rhs<'a> {
     /// A layer's static weights: the engine's `gemm_i8_packed*` entry points over the
-    /// resident tiles — on a tensor-parallel model, one shard dispatch each.
+    /// resident tiles.
     Weight(&'a PackedMatI8),
     /// Another activation (attention's `QKᵀ` and `SV`): the query/probability codes of the
     /// current chunk against the resident KV codes, which grow every step, so nothing is
@@ -390,9 +390,8 @@ pub(crate) fn run_hooked_gemm(
 /// entirely. The only place hooks are invoked.
 ///
 /// Hooks always observe the row-major right operand and the accumulator and checksums as
-/// the engine delivered them — shard faults already failed over, since sharding, like the
-/// packed tiles, is an execution detail the detection and injection layers never see.
-/// Bit-identical on every route.
+/// the engine delivered them: the packed tiles are an execution detail the detection and
+/// injection layers never see. Bit-identical on every route.
 ///
 /// Nothing is allocated as long as `scratch` was taken at least as large as the GEMM: this
 /// is the innermost step of the decode hot loop.

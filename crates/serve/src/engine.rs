@@ -185,17 +185,16 @@ pub struct EngineStats {
     /// steady-state memory footprint of the allocation-free decode loop. Stabilises after
     /// warmup; growth here indicates a scratch leak.
     pub workspace_high_water_bytes: usize,
-    /// Tensor-parallel degree of the served model (1 when unsharded).
+    /// Shard fault domains of the served model (`ModelConfig::tp_degree`): the column
+    /// stripes the decode protector attributes detections to.
     pub tp_degree: usize,
-    /// Whole-shard kill events survived by the sharded datapath (the owning rank was
-    /// unresponsive and its output stripe was recomputed inline). 0 when unsharded.
-    pub shard_kills: u64,
-    /// Corrupted shard outputs caught by the per-shard fused checksums, below the hook
-    /// interface. 0 when unsharded.
+    /// Detections the protector charged to shard stripes, summed over the shards (a
+    /// detection that spans stripes counts once per stripe). 0 at degree 1.
     pub shard_detections: u64,
-    /// Shard output stripes recomputed after a kill or a per-shard checksum detection —
-    /// every failover kept the engine serving bit-exact output. 0 when unsharded.
-    pub shard_failovers: u64,
+    /// Recoveries the protector charged to shard stripes, summed like
+    /// [`EngineStats::shard_detections`]. Killed shards are not here: the fault hook
+    /// rebuilds their stripes in the same call, and counts them itself.
+    pub shard_recoveries: u64,
     /// Adaptive-controller stage-up transitions (Calm → Elevated, Elevated → Escalated)
     /// across all slots. 0 while adaptation is disabled.
     pub policy_escalations: u64,
@@ -224,11 +223,6 @@ impl EngineStats {
         } else {
             self.detections as f64 / self.requests_admitted as f64
         }
-    }
-
-    /// `true` when the served model is tensor-parallel sharded.
-    pub fn is_sharded(&self) -> bool {
-        self.tp_degree > 1
     }
 }
 
@@ -310,7 +304,7 @@ pub struct ServeEngine<'m> {
     adaptive_occupied: Vec<bool>,
     /// Steps charged per scheme strictness rank (see [`EngineStats::steps_at_scheme`]).
     steps_at_scheme: [u64; 7],
-    fault_hook: Option<Box<dyn GemmHook + Send>>,
+    fault_hook: Option<Box<dyn GemmHook + Send + 'm>>,
     /// Long-lived scratch arena shared by every admission prefill and decode step: after
     /// the first few steps warm its pools, the steady-state loop stops allocating.
     ws: Workspace,
@@ -353,10 +347,10 @@ impl<'m> ServeEngine<'m> {
             &RegionAssignment::new(),
             model.config().engine.build(),
         );
-        // On a sharded model the shared decode protector also localises fused-checksum
-        // deviations to shard column stripes, so operator telemetry can name the suspect
-        // fault domain even for corruption injected above the sharded layer.
-        protector.set_shard_attribution(model.tp_group().map(|g| g.degree()));
+        // With more than one shard fault domain the shared decode protector also localises
+        // checksum deviations to shard column stripes, so operator telemetry can name the
+        // suspect fault domain.
+        protector.set_shard_attribution(model.config().tp_degree);
         Self {
             model,
             config,
@@ -393,8 +387,9 @@ impl<'m> ServeEngine<'m> {
 
     /// Installs a fault hook (typically a `realm-inject` `ErrorInjector`) that runs ahead
     /// of the protector on every GEMM — the serving equivalent of operating the array at a
-    /// scaled voltage.
-    pub fn with_fault_hook(mut self, hook: Box<dyn GemmHook + Send>) -> Self {
+    /// scaled voltage. The box may hold a borrow (`Box::new(&mut injector)`), so a caller
+    /// can read the hook's own statistics once the engine is gone.
+    pub fn with_fault_hook(mut self, hook: Box<dyn GemmHook + Send + 'm>) -> Self {
         self.fault_hook = Some(hook);
         self
     }
@@ -803,11 +798,9 @@ impl<'m> ServeEngine<'m> {
         sorted_us.sort_unstable();
         let mut sorted_stall_us = self.stall_us.clone();
         sorted_stall_us.sort_unstable();
-        let shard_totals = self
-            .model
-            .tp_group()
-            .map(|g| g.totals())
-            .unwrap_or_default();
+        let shards = self.protector.shard_attribution().values();
+        let (shard_detections, shard_recoveries) =
+            shards.fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
         EngineStats {
             queue_depth: self.queue.len(),
             active_slots: self.slots.iter().filter(|s| s.is_some()).count(),
@@ -840,10 +833,9 @@ impl<'m> ServeEngine<'m> {
             decode_p50_us: percentile_us(&sorted_us, 0.50),
             decode_p99_us: percentile_us(&sorted_us, 0.99),
             workspace_high_water_bytes: self.ws.high_water_mark_bytes(),
-            tp_degree: self.model.tp_group().map_or(1, |g| g.degree()),
-            shard_kills: shard_totals.kills,
-            shard_detections: shard_totals.detections,
-            shard_failovers: shard_totals.failovers,
+            tp_degree: self.model.config().tp_degree,
+            shard_detections,
+            shard_recoveries,
             policy_escalations: self.adaptive.escalations(),
             policy_deescalations: self.adaptive.deescalations(),
             protection_shed_steps: self.adaptive.shed_steps(),
@@ -855,17 +847,6 @@ impl<'m> ServeEngine<'m> {
     /// transition counters. A disabled controller reports every slot Calm forever.
     pub fn adaptive(&self) -> &AdaptiveController {
         &self.adaptive
-    }
-
-    /// Per-shard reliability counters of the served model's tensor-parallel group, one
-    /// entry per shard in shard order (empty when the model is unsharded).
-    ///
-    /// These count events handled *below* the hook interface by the sharded datapath
-    /// itself — rank kills survived, per-shard checksum detections, stripe recomputes —
-    /// and are cumulative over the `TpGroup`'s lifetime. The aggregate is surfaced in
-    /// [`EngineStats::shard_kills`] and friends.
-    pub fn shard_stats(&self) -> Vec<realm_tensor::TpShardStats> {
-        self.model.shard_stats()
     }
 
     /// Installs `queued` into `slot` in the [`SlotPhase::Prefilling`] phase. No model
@@ -1021,7 +1002,10 @@ impl std::fmt::Debug for ServeEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realm_inject::{BitFlipModel, ShardFault, Target};
     use realm_llm::config::ModelConfig;
+
+    type Injector = realm_inject::ErrorInjector<BitFlipModel>;
 
     fn engine(model: &Model, slots: usize) -> ServeEngine<'_> {
         ServeEngine::new(model, ServeConfig::with_slots(slots))
@@ -1288,15 +1272,18 @@ mod tests {
         assert_eq!(engine.stats().requests_completed, 2);
     }
 
-    /// Serves the same four requests and returns their token streams plus final stats.
-    fn serve_four(model: &Model) -> (Vec<Vec<u32>>, EngineStats) {
+    /// Serves the same four classical-ABFT requests, with `hook` (if any) as the fault
+    /// hook, and returns their token streams plus final stats.
+    fn serve_four(model: &Model, hook: Option<&mut Injector>) -> (Vec<Vec<u32>>, EngineStats) {
         let mut engine = engine(model, 2);
+        if let Some(hook) = hook {
+            engine = engine.with_fault_hook(Box::new(hook));
+        }
         let mut receivers = Vec::new();
         for i in 0..4u32 {
-            let (_, rx) = engine
-                .submit(ServeRequest::new(vec![1 + i, 2, 7], 6))
-                .unwrap();
-            receivers.push(rx);
+            let request = ServeRequest::new(vec![1 + i, 2, 7], 6)
+                .with_policy(crate::ProtectionPolicy::classical());
+            receivers.push(engine.submit(request).unwrap().1);
         }
         engine.run_until_idle().unwrap();
         let stats = engine.stats();
@@ -1307,79 +1294,46 @@ mod tests {
         (tokens, stats)
     }
 
-    #[test]
-    fn sharded_engine_is_bit_exact_and_surfaces_shard_telemetry() {
-        let config = ModelConfig::tiny_opt();
-        let baseline = Model::new(&config, 11).unwrap();
-        let mut sharded = Model::new(&config, 11).unwrap();
-        sharded.set_tensor_parallel(3);
-
-        // The shard axis is inert on an unsharded model.
-        let plain = engine(&baseline, 2);
-        let s = plain.stats();
-        assert_eq!(s.tp_degree, 1);
-        assert!(!s.is_sharded());
-        assert_eq!(
-            (s.shard_kills, s.shard_detections, s.shard_failovers),
-            (0, 0, 0)
-        );
-        assert!(plain.shard_stats().is_empty());
-        assert!(plain.protector.shard_attribution().is_empty());
-        drop(plain);
-
-        let (expected, _) = serve_four(&baseline);
-        let (got, stats) = serve_four(&sharded);
-        assert_eq!(got, expected, "sharding never changes served tokens");
-        assert_eq!(stats.tp_degree, 3);
-        assert!(stats.is_sharded());
-        assert_eq!(stats.shard_kills, 0, "no faults were armed");
-        assert_eq!(stats.shard_failovers, 0);
+    /// A model of `tp_degree` shard fault domains and an injector whose error model is
+    /// silent, with `fault` armed on shard 1 for `steps` static-weight GEMMs.
+    fn striped(tp_degree: usize, fault: ShardFault, steps: usize) -> (Model, Injector) {
+        let mut config = ModelConfig::tiny_opt();
+        config.tp_degree = tp_degree;
+        let model = Model::new(&config, 23).unwrap();
+        let mut injector = Injector::new(BitFlipModel::uniform(0.0), Target::new().shard(1), 5);
+        assert_eq!(injector.arm_shard_faults(tp_degree, fault, steps), 1);
+        (model, injector)
     }
 
     #[test]
     fn killed_shard_keeps_the_engine_serving_bit_exact() {
-        let config = ModelConfig::tiny_opt();
-        let baseline = Model::new(&config, 23).unwrap();
-        let mut sharded = Model::new(&config, 23).unwrap();
-        sharded.set_tensor_parallel(2);
-        let (expected, _) = serve_four(&baseline);
+        let (expected, plain) =
+            serve_four(&Model::new(&ModelConfig::tiny_opt(), 23).unwrap(), None);
+        assert_eq!(plain.tp_degree, 1);
 
-        // Kill shard 1 for its next 3 sharded GEMM dispatches mid-service: the rank is
-        // unresponsive, so the engine recomputes its column stripe inline and keeps going.
-        sharded
-            .tp_group()
-            .unwrap()
-            .inject_shard_fault(1, realm_tensor::ShardFault::Kill, 3);
-        let mut engine = engine(&sharded, 2);
-        let mut receivers = Vec::new();
-        for i in 0..4u32 {
-            let (_, rx) = engine
-                .submit(ServeRequest::new(vec![1 + i, 2, 7], 6))
-                .unwrap();
-            receivers.push(rx);
-        }
-        engine.run_until_idle().unwrap();
-        let got: Vec<Vec<u32>> = receivers
-            .iter()
-            .map(|rx| collect_done(rx).unwrap().tokens)
-            .collect();
-        assert_eq!(got, expected, "failover preserves bit-exact output");
-
-        let stats = engine.stats();
-        assert_eq!(stats.shard_kills, 3);
-        assert_eq!(stats.shard_failovers, 3, "every kill was recovered");
-        let per_shard = engine.shard_stats();
-        assert_eq!(per_shard.len(), 2);
+        // Shard 1 of 2 dies for 3 static-weight GEMMs mid-service; the device reports it,
+        // so the injector rebuilds the stripe in the same call and serving goes on.
+        let (model, mut injector) = striped(2, ShardFault::Kill, 3);
+        let (got, stats) = serve_four(&model, Some(&mut injector));
+        assert_eq!(got, expected, "a rebuilt stripe preserves bit-exact output");
+        assert_eq!(stats.tp_degree, 2);
+        let per_shard = &injector.stats().per_shard;
         assert_eq!(per_shard[1].kills, 3, "kills are charged to the dead shard");
         assert_eq!(per_shard[0].kills, 0);
-        let totals: u64 = per_shard.iter().map(|s| s.kills).sum();
-        assert_eq!(totals, stats.shard_kills, "aggregate matches per-shard sum");
-        // Kills are survived below the hook interface, so the decode protector never saw
-        // a deviation to attribute.
-        assert!(engine
-            .protector
-            .shard_attribution()
-            .values()
-            .all(|a| a.detections == 0 && a.recoveries == 0));
+        assert_eq!(
+            (stats.shard_detections, stats.shard_recoveries),
+            (0, 0),
+            "a kill never reaches the protector"
+        );
+    }
+
+    #[test]
+    fn garbled_shard_is_detected_attributed_and_recovered_by_the_protector() {
+        let (expected, _) = serve_four(&Model::new(&ModelConfig::tiny_opt(), 23).unwrap(), None);
+        let (model, mut injector) = striped(3, ShardFault::Garble { seed: 0xBEEF }, 4);
+        let (got, stats) = serve_four(&model, Some(&mut injector));
+        assert_eq!(got, expected, "classical ABFT repairs every garble");
+        assert_eq!(injector.stats().per_shard[1].corruptions, 4);
+        assert_eq!((stats.shard_detections, stats.shard_recoveries), (4, 4));
     }
 }

@@ -25,7 +25,8 @@
 //!   [`GemmEngine::gemm_i8_packed_into`].
 //! * [`partition`] — [`RowPartition`], the row-range → sequence map that batched inference
 //!   uses to stack many sequences into one GEMM while keeping quantization scales and ABFT
-//!   attribution per-sequence.
+//!   attribution per-sequence, and [`partition::shard_cols`], the column stripes that are
+//!   the fault domains of whole-shard faults.
 //! * [`quant`] — symmetric quantization between `f32` and `i8`, including the re-quantization
 //!   of INT32 accumulator outputs back to INT8 that gives rise to the bit-position
 //!   saturation effect studied in the paper (Q1.2).
@@ -35,10 +36,6 @@
 //!   attention's probability codes, portable or AVX2 on the same
 //!   dispatch as the GEMM kernels; the workspace's one definition of INT8 rounding and its
 //!   one `exp`.
-//! * [`tp`] — tensor parallelism as fault domains: [`TpGroup`], a [`GemmEngine`] wrapping
-//!   the model's engine that treats each column stripe of a static-weight GEMM as a shard
-//!   with its own ABFT checksum segment, for whole-shard fault injection, per-shard
-//!   attribution and failover on the one GEMM path.
 //! * [`stats`] — summary statistics (mean, standard deviation, outlier counts) used both by
 //!   the normalization-skew study (Fig. 5) and by synthetic-weight generation.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the workspace is
@@ -85,7 +82,6 @@ pub mod rng;
 pub mod row_kernels;
 pub mod simd;
 pub mod stats;
-pub mod tp;
 pub mod transpose;
 pub mod workspace;
 
@@ -99,7 +95,6 @@ pub use partition::RowPartition;
 pub use quant::QuantParams;
 pub use row_kernels::{RowKernels, RowSum};
 pub use simd::SimdTier;
-pub use tp::{ShardFault, TpGroup, TpShardStats};
 pub use workspace::Workspace;
 
 /// Crate-wide result alias.

@@ -15,6 +15,9 @@
 //! Groups may be empty: a sequence that has completed generation contributes zero rows to a
 //! lockstep decode step but keeps its batch index, so attribution stays stable for the whole
 //! run.
+//!
+//! Beside it, [`shard_cols`] cuts a GEMM's output columns into the contiguous stripes that
+//! shard faults hit and ABFT attribution charges detections to.
 
 use std::ops::Range;
 
@@ -118,9 +121,41 @@ impl RowPartition {
     }
 }
 
+/// Balanced contiguous column partition of `cols` output columns over `degree` shards.
+///
+/// The first `cols % degree` shards receive one extra column, so ragged widths (not
+/// divisible by the degree) are supported with a worst-case imbalance of one column.
+/// Shards beyond `cols` (degree larger than the width) receive empty ranges.
+///
+/// # Panics
+///
+/// Panics if `degree` is zero.
+pub fn shard_cols(cols: usize, degree: usize) -> Vec<Range<usize>> {
+    assert!(degree >= 1, "a column partition needs at least one shard");
+    (0..degree).map(|r| shard_range(cols, degree, r)).collect()
+}
+
+/// Shard `r`'s entry of [`shard_cols`], without building the partition.
+pub fn shard_range(cols: usize, degree: usize, r: usize) -> Range<usize> {
+    let (base, extra) = (cols / degree, cols % degree);
+    let start = r * base + r.min(extra);
+    start..start + base + usize::from(r < extra)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_cols_balances_ragged_widths() {
+        assert_eq!(shard_cols(10, 4), vec![0..3, 3..6, 6..8, 8..10]);
+        assert_eq!(shard_cols(8, 4), vec![0..2, 2..4, 4..6, 6..8]);
+        assert_eq!(shard_cols(3, 4), vec![0..1, 1..2, 2..3, 3..3]);
+        assert_eq!(shard_cols(0, 2), vec![0..0, 0..0]);
+        let ranges = shard_cols(257, 4);
+        assert_eq!(ranges.last().unwrap().end, 257);
+        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+    }
 
     #[test]
     fn from_lens_builds_contiguous_ranges() {

@@ -13,10 +13,11 @@
 //! cargo run --release --example serve_demo
 //! ```
 //!
-//! Tensor parallelism is env-driven so CI can exercise the sharded datapath without a
-//! separate binary: `REALM_TP_DEGREE=4` splits every weight GEMM into 4 column-stripe
-//! fault domains, and `REALM_SHARD_KILL=<shard>[:<steps>]` arms a whole-shard kill
-//! (default 16 dispatches) that the engine must survive bit-exactly mid-service:
+//! Shard faults are env-driven so CI can exercise them without a separate binary:
+//! `REALM_TP_DEGREE=4` cuts every weight GEMM into 4 column-stripe fault domains, and
+//! `REALM_SHARD_KILL=<shard>[:<steps>]` has the injector kill one of them for its next
+//! `steps` static-weight GEMMs (default 16), rebuilding each dead stripe in place, so the
+//! engine serves on bit-exactly mid-service:
 //!
 //! ```text
 //! REALM_TP_DEGREE=4 REALM_SHARD_KILL=2:24 cargo run --release --example serve_demo
@@ -34,14 +35,15 @@
 //! ```
 
 use realm::core::ProtectionPolicy;
-use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector, targeting::Target};
+use realm::inject::{
+    error_model::FixedBitModel, injector::ErrorInjector, targeting::Target, ShardFault,
+};
 use realm::llm::{config::ModelConfig, model::Model};
 use realm::net::{NetConfig, NetServer};
 use realm::serve::{AdaptiveConfig, ServeConfig, ServeEngine, ServeRequest, TokenEvent};
 use realm::systolic::ProtectionScheme;
-use realm::tensor::ShardFault;
 
-/// Parses `REALM_SHARD_KILL=<shard>[:<steps>]` (steps defaults to 16 GEMM dispatches).
+/// Parses `REALM_SHARD_KILL=<shard>[:<steps>]` (steps defaults to 16 static-weight GEMMs).
 fn shard_kill_from_env() -> Option<(usize, usize)> {
     let spec = std::env::var("REALM_SHARD_KILL").ok()?;
     let (shard, steps) = match spec.split_once(':') {
@@ -60,9 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|v| v.parse().ok())
         .filter(|&d| d > 0)
         .unwrap_or(1);
-    let mut model = Model::new(&ModelConfig::tiny_opt(), 2025)?;
-    model.set_tensor_parallel(tp_degree);
-    let model = model;
+    let model = Model::new(
+        &ModelConfig {
+            tp_degree,
+            ..ModelConfig::tiny_opt()
+        },
+        2025,
+    )?;
     let config = ServeConfig {
         slots: 4,
         aging_steps: 8,
@@ -87,10 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model.engine().name(),
         realm::tensor::simd::simd_dispatch_label()
     );
-    match model.tp_group() {
-        Some(group) => println!("tensor parallel: degree {}\n", group.degree()),
-        None => println!("tensor parallel: off\n"),
-    }
+    println!("shard fault domains: {tp_degree}\n");
 
     // A faulty datapath: transient bit-30 flips on ~0.5% of GEMMs. Protected requests
     // detect and repair these; the unprotected request takes its chances.
@@ -100,19 +103,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => Target::everything(),
     };
     let mut injector = ErrorInjector::new(FixedBitModel::bit30(0.005), target, 7);
-    // Optionally kill a whole rank mid-service: its next `steps` sharded GEMM dispatches
-    // deliver nothing, and each fails over by recomputing the layer's GEMM.
+    // Optionally kill a whole shard mid-service: its stripe of the next `steps`
+    // static-weight GEMMs is lost, and the injector rebuilds each from the operands.
     if let Some((shard, steps)) = shard_kill {
-        let group = model
-            .tp_group()
-            .expect("REALM_SHARD_KILL requires REALM_TP_DEGREE > 1");
-        assert!(
-            shard < group.degree(),
-            "REALM_SHARD_KILL shard out of range"
-        );
-        let armed = injector.arm_shard_faults(group, ShardFault::Kill, steps);
+        assert!(shard < tp_degree, "REALM_SHARD_KILL shard out of range");
+        let armed = injector.arm_shard_faults(tp_degree, ShardFault::Kill, steps);
         println!(
-            "armed shard-kill: shard {shard} for {steps} dispatches ({armed} shard(s) armed)\n"
+            "armed shard-kill: shard {shard} for {steps} static-weight GEMMs \
+             ({armed} shard(s) armed)\n"
         );
     }
     // Network mode: hand the same engine configuration to the HTTP front end and serve
@@ -145,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    let mut engine = ServeEngine::new(&model, config).with_fault_hook(Box::new(injector));
+    let mut engine = ServeEngine::new(&model, config).with_fault_hook(Box::new(&mut injector));
 
     // The arrival schedule: (arrival step, priority, budget, policy). More requests than
     // slots, arriving in waves, so admissions happen mid-flight into recycled slots.
@@ -251,23 +249,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.step_budget_utilization,
         stats.decode_stall_p99_us
     );
-    if stats.is_sharded() {
+    drop(engine);
+    if stats.tp_degree > 1 {
         println!(
-            "tensor parallel: {} shard kills survived, {} shard checksum detections, \
-             {} stripe failovers",
-            stats.shard_kills, stats.shard_detections, stats.shard_failovers
+            "shard stripes: {} protector detections, {} recoveries",
+            stats.shard_detections, stats.shard_recoveries
         );
-        for (shard, s) in engine.shard_stats().iter().enumerate() {
+        let per_shard = &injector.stats().per_shard;
+        for (shard, s) in per_shard.iter().enumerate() {
             println!(
-                "  shard {shard}: jobs {:>6}  kills {:>3}  detections {:>3}  failovers {:>3}",
-                s.jobs, s.kills, s.detections, s.failovers
+                "  shard {shard}: kills {:>3} (each rebuilt in place)  corruptions {:>3}",
+                s.kills, s.corruptions
             );
         }
-        if shard_kill.is_some() {
-            assert!(stats.shard_kills > 0, "the armed shard kill fired");
+        if let Some((shard, steps)) = shard_kill {
             assert_eq!(
-                stats.shard_failovers, stats.shard_kills,
-                "every kill was survived by a failover recompute"
+                per_shard[shard].kills, steps as u64,
+                "every armed kill fired, and each dead stripe was rebuilt"
             );
         }
     }

@@ -7,7 +7,7 @@
 //!
 //! * **Logits** — each chunk's logits row (the one at its window's last position) equals
 //!   the monolithic prefill's row at that position bit for bit, at every chunk
-//!   granularity, on every `GemmEngine` backend and TP degree; at chunk size 1 that is
+//!   granularity, on every `GemmEngine` backend; at chunk size 1 that is
 //!   every position of the prompt. Per-row activation quantization, per-token-row KV
 //!   scales and per-query-row causal masking are what make this hold: no value in the
 //!   forward pass depends on where a chunk boundary falls.
@@ -176,16 +176,13 @@ fn assert_chunk_parity(model: &Model, label: &str) {
 }
 
 #[test]
-fn chunked_prefill_is_bit_identical_on_every_backend_and_tp_degree() {
+fn chunked_prefill_is_bit_identical_on_every_backend() {
     for kind in EngineKind::ALL {
-        for tp in [1usize, 3] {
-            let mut config = ModelConfig::tiny_llama();
-            config.engine = kind;
-            config.max_seq_len = 96;
-            let mut model = Model::new(&config, 11).unwrap();
-            model.set_tensor_parallel(tp);
-            assert_chunk_parity(&model, &format!("tiny_llama/{kind}/tp{tp}"));
-        }
+        let mut config = ModelConfig::tiny_llama();
+        config.engine = kind;
+        config.max_seq_len = 96;
+        let model = Model::new(&config, 11).unwrap();
+        assert_chunk_parity(&model, &format!("tiny_llama/{kind}"));
     }
 }
 
@@ -196,9 +193,8 @@ fn chunked_prefill_parity_holds_for_the_opt_architecture() {
     let mut config = ModelConfig::tiny_opt();
     config.engine = EngineKind::SimdParallel;
     config.max_seq_len = 96;
-    let mut model = Model::new(&config, 13).unwrap();
-    model.set_tensor_parallel(3);
-    assert_chunk_parity(&model, "tiny_opt/simd_parallel/tp3");
+    let model = Model::new(&config, 13).unwrap();
+    assert_chunk_parity(&model, "tiny_opt/simd_parallel");
 }
 
 /// Corrupts one accumulator row of the *second* prefill chunk the target slot runs — a

@@ -397,72 +397,51 @@ fn batched_prefill_step_allocates_only_its_bookkeeping_after_warmup() {
     }
 }
 
-/// A tensor-parallel model on `engine`: its engine is a `TpGroup` of `degree` shards, so
-/// every weight GEMM is a dispatch — computed on `engine`, then overlaid with shard faults
-/// and failed over — all on the calling thread.
-fn sharded_model_on(engine: EngineKind, degree: usize) -> Model {
+/// Decodes under a statistical protector with `fault` armed on shard 1 of 3 (a ragged
+/// degree for tiny-opt's widths) for every static-weight GEMM, and returns the heap
+/// allocations of the warmed window.
+fn count_shard_fault_allocations(fault: realm::inject::ShardFault) -> u64 {
+    use realm::inject::{BitFlipModel, ErrorInjector, Target};
+    use realm::llm::hooks::HookChain;
     let mut config = ModelConfig::tiny_opt();
-    config.engine = engine;
+    config.engine = EngineKind::Simd;
     config.max_seq_len = 256;
-    config.tp_degree = degree;
-    Model::new(&config, 42).unwrap()
-}
-
-#[test]
-fn sharded_decode_steps_after_warmup_allocate_nothing() {
-    // The zero budget covers the whole sharded GEMM: the inner engine's product and the
-    // per-stripe dispatch bookkeeping both run on the calling thread, which is the thread
-    // the counter charges — there are no rank threads outside it. Everything was sized
-    // during warmup; the steady-state sharded decode loop must not touch the heap.
-    let model = sharded_model_on(EngineKind::Simd, 2);
-    let allocations = count_decode_allocations(&model, &mut NoopHook, 64, 40);
-    assert_eq!(
-        allocations, 0,
-        "steady-state sharded decode must perform zero heap allocations per step"
-    );
-}
-
-#[test]
-fn sharded_protected_decode_steps_after_warmup_allocate_nothing() {
-    // The checksummed sharded path adds the per-shard checksum segments and the
-    // protector's fused inspection on top — still zero allocations after warmup, counted
-    // on the one thread that runs all of it, with a ragged shard count (3 does not divide
-    // tiny-opt's projection widths).
-    let model = sharded_model_on(EngineKind::Simd, 3);
+    config.tp_degree = 3;
+    let model = Model::new(&config, 42).unwrap();
+    let mut injector = ErrorInjector::new(BitFlipModel::uniform(0.0), Target::new().shard(1), 3);
+    injector.arm_shard_faults(config.tp_degree, fault, usize::MAX);
     let mut protector = SchemeProtector::with_default_regions(
         ProtectionScheme::StatisticalAbft,
         SystolicArray::small(Dataflow::WeightStationary),
     );
-    let allocations = count_decode_allocations(&model, &mut protector, 64, 40);
-    assert_eq!(
-        allocations, 0,
-        "fault-free protected sharded decode must perform zero heap allocations per step"
-    );
+    protector.set_shard_attribution(config.tp_degree);
+    let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
+    let allocations = count_decode_allocations(&model, &mut chain, 64, 40);
+    drop(chain);
+    let hits = injector.stats().per_shard[1];
+    assert!(hits.kills + hits.corruptions > 64, "{fault:?} fired");
+    allocations
 }
 
 #[test]
 fn sharded_failover_after_warmup_allocates_nothing() {
-    // Every dispatch fails shard 1 over: a kill, then a garble its checksum segment
-    // catches. The failover recompute lands in the group's resident scratch, which the
-    // warmup sized, so a failing-over decode step allocates no more than a clean one.
-    use realm::tensor::ShardFault;
-    let model = sharded_model_on(EngineKind::Simd, 3);
-    let group = model.tp_group().expect("model is sharded");
-    for fault in [ShardFault::Kill, ShardFault::Garble { seed: 0x5EED }] {
-        let before = group.shard_stats()[1].failovers;
-        group.inject_shard_fault(1, fault, usize::MAX);
-        let mut protector = SchemeProtector::with_default_regions(
-            ProtectionScheme::StatisticalAbft,
-            SystolicArray::small(Dataflow::WeightStationary),
-        );
-        let allocations = count_decode_allocations(&model, &mut protector, 64, 40);
-        assert!(
-            group.shard_stats()[1].failovers > before,
-            "{fault:?} failed over"
-        );
-        assert_eq!(
-            allocations, 0,
-            "{fault:?}: a warmed failover must perform zero heap allocations per step"
-        );
-    }
+    // A killed stripe is rebuilt by the injector from the operands, in place.
+    let fault = realm::inject::ShardFault::Kill;
+    assert_eq!(
+        count_shard_fault_allocations(fault),
+        0,
+        "a warmed decode step with a shard killed must not allocate"
+    );
+}
+
+#[test]
+fn garbled_shard_after_warmup_allocates_nothing() {
+    // A garbled stripe is inspected by the protector, attributed to its shard and, when the
+    // detector flags it, recomputed into the storage the protector was handed.
+    let fault = realm::inject::ShardFault::Garble { seed: 0x5EED };
+    assert_eq!(
+        count_shard_fault_allocations(fault),
+        0,
+        "a warmed decode step with a shard garbled must not allocate"
+    );
 }
