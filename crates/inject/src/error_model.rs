@@ -11,12 +11,26 @@
 //!   (`MSD = freq × mag`), the controlled model of Sec. III-B used to separate the effects of
 //!   error magnitude and error frequency (Q1.4).
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use realm_tensor::rng::SeededRng;
 use realm_tensor::MatI32;
 
 /// Width of the accumulator word errors are injected into.
 pub const ACCUMULATOR_BITS: u8 = 32;
+
+/// The integer form of the Bernoulli draw `rng.gen::<f64>() < p`: that draw is
+/// `(next_u64() >> 11)·2⁻⁵³`, an exact scaling of a 53-bit integer, so it falls below `p`
+/// exactly when the integer falls below `ceil(p·2⁵³)` (itself exact for `p` in `[0, 1]`).
+/// Compare a `next_u64` draw against it with [`below`]; the draw order is the float form's.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Whether the `next_u64` draw `draw` falls below a [`threshold`].
+#[inline]
+fn below(draw: u64, threshold: u64) -> bool {
+    draw >> 11 < threshold
+}
 
 /// A fault model that corrupts INT32 accumulator tensors in place.
 pub trait ErrorModel {
@@ -89,24 +103,27 @@ impl ErrorModel for BitFlipModel {
         // Expected flips per element = ber * bits; for the small BERs used in practice, sample
         // the number of flipped bits per element from the exact Bernoulli process only when a
         // first coarse filter passes, to keep the fault-free fast path cheap.
-        let p_any = 1.0 - (1.0 - self.ber).powi(bits as i32);
+        let p_any = threshold(1.0 - (1.0 - self.ber).powi(bits as i32));
+        let p_bit = threshold(self.ber);
         for v in acc.iter_mut() {
-            if rng.gen::<f64>() >= p_any {
+            if !below(rng.next_u64(), p_any) {
                 continue;
             }
             // At least one flip happens in this element; walk the bits with the conditional
             // distribution (simple rejection: re-draw until at least one bit flips).
-            let mut mask = 0u32;
-            loop {
-                for b in self.min_bit..self.max_bit {
-                    if rng.gen::<f64>() < self.ber {
-                        mask |= 1u32 << b;
-                    }
-                }
-                if mask != 0 {
-                    break;
+            // Each attempt's `bits` draws come in one `fill_bytes`, which hands out the same
+            // `next_u64` draws in the same order, with no cursor update between them.
+            let mut draws = [0u8; 8 * ACCUMULATOR_BITS as usize];
+            let draws = &mut draws[..8 * bits as usize];
+            let mut hits = 0u32;
+            while hits == 0 {
+                rng.fill_bytes(draws);
+                for (i, draw) in draws.chunks_exact(8).enumerate() {
+                    let draw = u64::from_le_bytes(draw.try_into().expect("8-byte draw"));
+                    hits |= u32::from(below(draw, p_bit)) << i;
                 }
             }
+            let mask = hits << self.min_bit;
             injected += mask.count_ones() as usize;
             *v = (*v as u32 ^ mask) as i32;
         }
@@ -155,8 +172,9 @@ impl ErrorModel for FixedBitModel {
         }
         let mut injected = 0usize;
         let mask = 1u32 << self.bit;
+        let p = threshold(self.ber);
         for v in acc.iter_mut() {
-            if rng.gen::<f64>() < self.ber {
+            if below(rng.next_u64(), p) {
                 *v = (*v as u32 ^ mask) as i32;
                 injected += 1;
             }
@@ -309,6 +327,120 @@ mod tests {
         assert!(BitFlipModel::uniform(1e-4).describe().contains("1.00e-4"));
         assert!(FixedBitModel::bit30(0.5).describe().contains("bit 30"));
         assert!(MagFreqModel::new(1 << 10, 4).describe().contains("freq 4"));
+    }
+
+    /// `BitFlipModel::corrupt` as it was written with float draws, kept as the oracle of
+    /// the integer-threshold form.
+    fn float_bit_flip(model: &BitFlipModel, rng: &mut SeededRng, acc: &mut MatI32) -> usize {
+        if model.ber <= 0.0 || acc.is_empty() {
+            return 0;
+        }
+        let bits = model.eligible_bits();
+        let mut injected = 0usize;
+        let p_any = 1.0 - (1.0 - model.ber).powi(bits as i32);
+        for v in acc.iter_mut() {
+            if rng.gen::<f64>() >= p_any {
+                continue;
+            }
+            let mut mask = 0u32;
+            loop {
+                for b in model.min_bit..model.max_bit {
+                    if rng.gen::<f64>() < model.ber {
+                        mask |= 1u32 << b;
+                    }
+                }
+                if mask != 0 {
+                    break;
+                }
+            }
+            injected += mask.count_ones() as usize;
+            *v = (*v as u32 ^ mask) as i32;
+        }
+        injected
+    }
+
+    /// `FixedBitModel::corrupt` as it was written with float draws.
+    fn float_fixed_bit(model: &FixedBitModel, rng: &mut SeededRng, acc: &mut MatI32) -> usize {
+        if model.ber <= 0.0 {
+            return 0;
+        }
+        let mut injected = 0usize;
+        let mask = 1u32 << model.bit;
+        for v in acc.iter_mut() {
+            if rng.gen::<f64>() < model.ber {
+                *v = (*v as u32 ^ mask) as i32;
+                injected += 1;
+            }
+        }
+        injected
+    }
+
+    #[test]
+    fn threshold_draws_match_the_float_oracle() {
+        let curve = crate::VoltageBerCurve::default_14nm();
+        let scale = (1u64 << 53) as f64;
+        let bers = [
+            curve.ber_at(0.66),
+            curve.ber_at(0.70),
+            curve.ber_at(0.74),
+            0.5,
+            1.0,
+            // p·2⁵³ an integer: the draw equal to it must not count as below.
+            (0.3 * scale).round() / scale,
+        ];
+        for &p in &bers {
+            // At the threshold itself, one above and one below it, the integer compare
+            // says what the float draw says (a draw's low 11 bits never matter).
+            let t = threshold(p);
+            for x in [t.saturating_sub(1), t, t + 1] {
+                if x < 1 << 53 {
+                    let float = (x as f64) * (1.0 / scale) < p;
+                    assert_eq!(below(x << 11, t), float, "p {p} draw {x}");
+                    assert_eq!(below(x << 11 | 0x7ff, t), float, "p {p} draw {x}");
+                }
+            }
+        }
+        let shapes = [(1, 1), (3, 17), (16, 64), (64, 129)];
+        let fixed = |ber| [FixedBitModel::bit30(ber), FixedBitModel::new(ber, 0)];
+        let flips = |ber| {
+            [
+                BitFlipModel::uniform(ber),
+                BitFlipModel::high_bits(ber),
+                BitFlipModel::with_bit_range(ber, 3, 9),
+            ]
+        };
+        for seed in [0, 1, 7, 2025, u64::MAX] {
+            for (rows, cols) in shapes {
+                for &ber in &bers {
+                    let start = MatI32::from_fn(rows, cols, |r, c| (r * 131 + c * 7) as i32 - 500);
+                    let check = |label: String,
+                                 new: &dyn Fn(&mut SeededRng, &mut MatI32) -> usize,
+                                 old: &dyn Fn(&mut SeededRng, &mut MatI32) -> usize| {
+                        let (mut rng_new, mut rng_old) = (seeded(seed), seeded(seed));
+                        let (mut acc_new, mut acc_old) = (start.clone(), start.clone());
+                        let n = new(&mut rng_new, &mut acc_new);
+                        let o = old(&mut rng_old, &mut acc_old);
+                        assert_eq!(n, o, "{label}: count");
+                        assert_eq!(acc_new, acc_old, "{label}: matrix");
+                        assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "{label}: next draw");
+                    };
+                    for model in flips(ber) {
+                        check(
+                            format!("{model:?} seed {seed} {rows}x{cols}"),
+                            &|rng, acc| model.corrupt(rng, acc),
+                            &|rng, acc| float_bit_flip(&model, rng, acc),
+                        );
+                    }
+                    for model in fixed(ber) {
+                        check(
+                            format!("{model:?} seed {seed} {rows}x{cols}"),
+                            &|rng, acc| model.corrupt(rng, acc),
+                            &|rng, acc| float_fixed_bit(&model, rng, acc),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

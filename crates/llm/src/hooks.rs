@@ -234,6 +234,78 @@ impl<H: GemmHook + ?Sized> GemmHook for Box<H> {
     }
 }
 
+/// An absent hook does nothing, like [`NoopHook`]: an optional stage of a fixed pair.
+impl<H: GemmHook> GemmHook for Option<H> {
+    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
+        if let Some(hook) = self {
+            hook.on_gemm(ctx, w, x, acc);
+        }
+    }
+
+    fn on_gemm_checksummed(
+        &mut self,
+        ctx: &GemmContext,
+        w: &MatI8,
+        x: &MatI8,
+        result: &mut ChecksummedGemm,
+    ) {
+        // `None` must not reach the default body, which would mark the checksum stale.
+        if let Some(hook) = self {
+            hook.on_gemm_checksummed(ctx, w, x, result);
+        }
+    }
+
+    fn wants_checksums(&self) -> bool {
+        self.as_ref().is_some_and(|h| h.wants_checksums())
+    }
+
+    fn on_batch_begin(&mut self, partition: &RowPartition) {
+        if let Some(hook) = self {
+            hook.on_batch_begin(partition);
+        }
+    }
+
+    fn on_step_begin(&mut self, step: u64) {
+        if let Some(hook) = self {
+            hook.on_step_begin(step);
+        }
+    }
+}
+
+/// Two hooks in order, first then second: a [`HookChain`] of two that needs no heap (the
+/// serving engine's fault hook and protector, once per forward).
+impl<A: GemmHook, B: GemmHook> GemmHook for (A, B) {
+    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
+        self.0.on_gemm(ctx, w, x, acc);
+        self.1.on_gemm(ctx, w, x, acc);
+    }
+
+    fn on_gemm_checksummed(
+        &mut self,
+        ctx: &GemmContext,
+        w: &MatI8,
+        x: &MatI8,
+        result: &mut ChecksummedGemm,
+    ) {
+        self.0.on_gemm_checksummed(ctx, w, x, result);
+        self.1.on_gemm_checksummed(ctx, w, x, result);
+    }
+
+    fn wants_checksums(&self) -> bool {
+        self.0.wants_checksums() || self.1.wants_checksums()
+    }
+
+    fn on_batch_begin(&mut self, partition: &RowPartition) {
+        self.0.on_batch_begin(partition);
+        self.1.on_batch_begin(partition);
+    }
+
+    fn on_step_begin(&mut self, step: u64) {
+        self.0.on_step_begin(step);
+        self.1.on_step_begin(step);
+    }
+}
+
 /// Applies a sequence of hooks in order (typically: injector first, protector second).
 #[derive(Default)]
 pub struct HookChain<'a> {
@@ -250,11 +322,6 @@ impl<'a> HookChain<'a> {
     pub fn with(mut self, hook: &'a mut dyn GemmHook) -> Self {
         self.hooks.push(hook);
         self
-    }
-
-    /// Appends a hook to the end of the chain.
-    pub fn push(&mut self, hook: &'a mut dyn GemmHook) {
-        self.hooks.push(hook);
     }
 
     /// Number of hooks in the chain.
@@ -412,6 +479,33 @@ mod tests {
         assert_eq!(acc[(0, 0)], 8);
         assert_eq!(chain.len(), 2);
         assert!(!chain.is_empty());
+    }
+
+    #[test]
+    fn pair_applies_hooks_in_order_and_an_absent_hook_does_nothing() {
+        let mut acc = MatI32::filled(1, 1, 3);
+        let mut pair = (Some(AddOne), Double);
+        pair.on_gemm(&ctx(), &MatI8::zeros(1, 1), &MatI8::zeros(1, 1), &mut acc);
+        assert_eq!(acc[(0, 0)], 8, "first, then second, as in a chain");
+        assert!(pair.wants_checksums(), "either hook opts the pair in");
+
+        let mut absent = (None::<AddOne>, None::<Double>);
+        assert!(!absent.wants_checksums());
+        // A stored observed checksum that the accumulator does not sum to: it survives only
+        // if nothing took the accumulator mutably (which would mark it stale).
+        let mut result =
+            ChecksummedGemm::from_parts(MatI32::filled(1, 2, 5), vec![0; 2], vec![-1; 2]);
+        absent.on_gemm_checksummed(
+            &ctx(),
+            &MatI8::zeros(1, 1),
+            &MatI8::zeros(1, 2),
+            &mut result,
+        );
+        assert_eq!(
+            result.observed(),
+            vec![-1, -1],
+            "an absent hook left the checksum fresh"
+        );
     }
 
     #[test]

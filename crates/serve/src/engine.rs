@@ -38,7 +38,6 @@ use realm_core::protection::{
     ProtectionPolicy, RegionAssignment, SchemeProtector, SequenceAttribution,
 };
 use realm_llm::batch::BatchedKvCache;
-use realm_llm::hooks::HookChain;
 use realm_llm::model::{argmax_with_margin, PrefillChunk};
 use realm_llm::{GemmHook, Model};
 use realm_systolic::{Dataflow, ProtectionScheme, SystolicArray};
@@ -550,12 +549,8 @@ impl<'m> ServeEngine<'m> {
                     step_tokens,
                     ..
                 } = self;
-                let mut chain = HookChain::new();
-                if let Some(hook) = fault_hook {
-                    chain.push(hook.as_mut());
-                }
-                chain.push(protector);
-                model.decode_step_batch_ws(step_tokens, cache, &mut chain, ws)?
+                let mut hooks = (fault_hook.as_deref_mut(), protector);
+                model.decode_step_batch_ws(step_tokens, cache, &mut hooks, ws)?
             };
             self.note_decode_latency(decode_started);
             for (slot, logits) in step_logits.into_iter().enumerate() {
@@ -679,12 +674,8 @@ impl<'m> ServeEngine<'m> {
                     slot: *slot,
                 })
                 .collect();
-            let mut chain = HookChain::new();
-            if let Some(hook) = fault_hook {
-                chain.push(hook.as_mut());
-            }
-            chain.push(protector);
-            model.prefill_chunks_batch_ws(&chunks, cache, &mut chain, ws)?
+            let mut hooks = (fault_hook.as_deref_mut(), protector);
+            model.prefill_chunks_batch_ws(&chunks, cache, &mut hooks, ws)?
         };
         self.prefill_chunks += plan.len() as u64;
         let mut rows = 0;
