@@ -50,7 +50,6 @@ impl AbftDetector for ApproxAbft {
             errors_detected: nonzero > 0,
             msd,
             effective_frequency: nonzero,
-            theta_mag_log2: Some((self.msd_threshold.max(1) as f64).log2()),
         }
     }
 

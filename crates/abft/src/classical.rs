@@ -29,7 +29,6 @@ impl AbftDetector for ClassicalAbft {
             errors_detected: nonzero > 0,
             msd: checksum::msd(deviations),
             effective_frequency: nonzero,
-            theta_mag_log2: None,
         }
     }
 

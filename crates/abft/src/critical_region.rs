@@ -83,27 +83,6 @@ impl CriticalRegion {
         self.theta_freq_log2.exp2()
     }
 
-    /// The run-time magnitude threshold `θ_mag = b − (a−1)·log₂(MSD)` (log₂ domain).
-    ///
-    /// A zero MSD means no deviation at all; the threshold is then irrelevant and returned as
-    /// `b` (its maximum).
-    pub fn theta_mag_log2(&self, msd: i64) -> f64 {
-        let magnitude = msd.unsigned_abs();
-        if magnitude == 0 {
-            return self.b;
-        }
-        self.b - (self.a - 1.0) * (magnitude as f64).log2()
-    }
-
-    /// Whether an error pattern summarised by `(effective_frequency, msd)` falls inside the
-    /// critical region, i.e. whether recovery must be triggered.
-    pub fn requires_recovery(&self, effective_frequency: usize, msd: i64) -> bool {
-        if effective_frequency == 0 || msd == 0 {
-            return false;
-        }
-        (effective_frequency as f64) > self.theta_freq()
-    }
-
     /// A scalar sensitivity score: *higher means more sensitive*. The score is
     /// `−θ_freq_log2` — the horizontal boundary dominates the region's reach, because it
     /// alone decides whether a component tolerates sporadic errors at all (a sensitive
@@ -238,6 +217,8 @@ pub fn rank_by_sensitivity<K: Copy>(regions: &[(K, CriticalRegion)]) -> Vec<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::AbftDetector;
+    use crate::statistical::StatisticalAbft;
 
     /// Synthetic characterization surface: degradation is high only when both the frequency
     /// exceeds 2^3 and the magnitude exceeds the diagonal boundary mag_thr = 24 − 0.8·log2(MSD).
@@ -256,33 +237,6 @@ mod tests {
             }
         }
         samples
-    }
-
-    #[test]
-    fn theta_mag_decreases_with_msd() {
-        let region = CriticalRegion::resilient_default();
-        let small = region.theta_mag_log2(1 << 16);
-        let large = region.theta_mag_log2(1 << 28);
-        assert!(
-            large < small,
-            "larger MSD must lower the magnitude threshold"
-        );
-        assert_eq!(region.theta_mag_log2(0), region.b);
-    }
-
-    #[test]
-    fn recovery_requires_exceeding_frequency_threshold() {
-        let region = CriticalRegion::resilient_default(); // θ_freq = 2^1.6 ≈ 3
-        assert!(!region.requires_recovery(0, 0));
-        assert!(!region.requires_recovery(2, 1 << 24));
-        assert!(region.requires_recovery(9, 1 << 24));
-    }
-
-    #[test]
-    fn sensitive_default_triggers_on_any_counted_error() {
-        let region = CriticalRegion::sensitive_default(); // θ_freq = 2^-1 = 0.5
-        assert!(region.requires_recovery(1, 1 << 22));
-        assert!(!region.requires_recovery(0, 0));
     }
 
     #[test]
@@ -308,8 +262,9 @@ mod tests {
         assert!((region.b - 24.0).abs() < 7.0, "b {}", region.b);
         // Functionally, the fitted region must tolerate a sporadic large error but flag a
         // burst of significant errors, like the synthetic ground truth does.
-        assert!(!region.requires_recovery(1, 1 << 28));
-        assert!(region.requires_recovery(64, 64 << 24));
+        let detector = StatisticalAbft::new(region);
+        assert!(!detector.evaluate(&[1 << 28]).trigger_recovery);
+        assert!(detector.evaluate(&[1 << 24; 64]).trigger_recovery);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct Detection {
     /// threshold (`freq_eff` in the paper); equals the number of non-zero deviations for the
     /// classical detector.
     pub effective_frequency: usize,
-    /// Magnitude threshold `θmag` applied (log₂ domain), when the detector uses one.
-    pub theta_mag_log2: Option<f64>,
 }
 
 impl Detection {
@@ -41,7 +39,6 @@ impl Detection {
             errors_detected: false,
             msd: 0,
             effective_frequency: 0,
-            theta_mag_log2: None,
         }
     }
 }
@@ -62,7 +59,10 @@ pub trait AbftDetector: Send + Sync {
     /// Decides from a precomputed per-column deviation vector.
     ///
     /// This is the policy core — checksum deviations in, recovery decision out — and the
-    /// signature the hardware statistical unit ([`crate::statistical_unit`]) operates on.
+    /// signature of the paper's statistical unit (Fig. 7(c)), whose integer arithmetic
+    /// [`crate::statistical::StatisticalAbft`] computes: the leading-one `log₂` in Q.6 and
+    /// `θ_mag` in Q.12. A deviation is counted differently from the real-valued rule only
+    /// within `0.102·(1 + s) + |a−1−s|·log₂|MSD| + 2⁻¹³` of `θ_mag` (`s` the Q.6 slope).
     fn evaluate(&self, deviations: &[i64]) -> Detection;
 
     /// Inspects one GEMM result, recomputing the checksums from the operands (two-pass).
@@ -115,7 +115,6 @@ mod tests {
         assert!(!d.errors_detected);
         assert_eq!(d.msd, 0);
         assert_eq!(d.effective_frequency, 0);
-        assert!(d.theta_mag_log2.is_none());
         assert_eq!(d, Detection::clean());
     }
 
@@ -169,7 +168,6 @@ mod tests {
                     errors_detected: nonzero > 0,
                     msd: deviations.iter().sum(),
                     effective_frequency: nonzero,
-                    theta_mag_log2: None,
                 }
             }
             fn name(&self) -> &'static str {

@@ -16,11 +16,12 @@
 //! * [`approx`] — ApproxABFT: recovery only when |MSD| exceeds a threshold;
 //! * [`statistical`] — the ReaLM detector: per-column error statistics (magnitude and
 //!   frequency) are compared against a fitted [`critical_region::CriticalRegion`], so
-//!   recovery fires only when the error pattern actually endangers model quality;
+//!   recovery fires only when the error pattern actually endangers model quality. It
+//!   computes in the integer arithmetic of the paper's statistical unit (Fig. 7(c)): a
+//!   leading-one `log₂` in Q.6, the slope `a−1` in Q.6, `b` and `θmag` in Q.12, and the
+//!   whole count `⌊2^θfreq⌋`;
 //! * [`critical_region`] — the `θmag = b − (a−1)·log₂(MSD)` boundary, the `θfreq` cap and a
 //!   least-squares fitting procedure from characterization data;
-//! * [`statistical_unit`] — a behavioural model of the hardware statistical unit (Fig. 7(c)),
-//!   including its fixed-point `log₂` approximation and cycle counts;
 //! * [`recovery`] — recovery policies (recomputation at nominal voltage, per-error replay,
 //!   DMR re-execution) and their cost accounting.
 //!
@@ -54,7 +55,6 @@ pub mod critical_region;
 pub mod detector;
 pub mod recovery;
 pub mod statistical;
-pub mod statistical_unit;
 
 pub use approx::ApproxAbft;
 pub use classical::ClassicalAbft;

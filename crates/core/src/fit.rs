@@ -146,6 +146,7 @@ pub fn fit_all_components<T: Task + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realm_abft::{AbftDetector, StatisticalAbft};
     use realm_eval::wikitext::WikitextTask;
     use realm_llm::config::ModelConfig;
 
@@ -191,7 +192,8 @@ mod tests {
         .unwrap();
         assert_eq!(fit.component, Component::K);
         // Whether fitted or defaulted, a resilient component must tolerate a single error.
-        assert!(!fit.region.requires_recovery(1, 1 << 22));
+        let detector = StatisticalAbft::new(fit.region);
+        assert!(!detector.evaluate(&[1 << 22]).trigger_recovery);
     }
 
     #[test]

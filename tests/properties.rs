@@ -333,8 +333,9 @@ fn quantization_roundtrip_error_is_bounded() {
     }
 }
 
-/// The statistical detector is monotone in its frequency threshold: raising θ_freq can only
-/// remove recoveries, never add them.
+/// The statistical detector is monotone in its region, after quantization to the unit's
+/// fixed-point formats too: raising θ_freq or the intercept `b` can only remove recoveries,
+/// raising the slope `a` can only add them.
 #[test]
 fn statistical_detector_is_monotone_in_theta_freq() {
     let mut r = rng::seeded(0xA6);
@@ -356,6 +357,26 @@ fn statistical_detector_is_monotone_in_theta_freq() {
         assert!(
             !relaxed_verdict.trigger_recovery || strict_verdict.trigger_recovery,
             "relaxing θ_freq must never introduce a recovery"
+        );
+
+        // Gaps down to a fraction of the Q.12 / Q.6 steps the region is rounded to.
+        let a = r.gen_range(1.01f64..2.5);
+        let b = r.gen_range(8.0f64..30.0);
+        let b_gap = r.gen_range(0.0f64..2.0).powi(4);
+        let a_gap = r.gen_range(0.0f64..1.0).powi(4);
+        let inspect =
+            |a, b| StatisticalAbft::new(CriticalRegion::new(a, b, theta_low)).inspect(&w, &x, &acc);
+        let (base, higher_b, higher_a) =
+            (inspect(a, b), inspect(a, b + b_gap), inspect(a + a_gap, b));
+        assert!(
+            higher_b.effective_frequency <= base.effective_frequency
+                && (!higher_b.trigger_recovery || base.trigger_recovery),
+            "raising b ({b} + {b_gap}) must never count a deviation or add a recovery"
+        );
+        assert!(
+            higher_a.effective_frequency >= base.effective_frequency
+                && (higher_a.trigger_recovery || !base.trigger_recovery),
+            "raising a ({a} + {a_gap}) must never drop a deviation or a recovery"
         );
     }
 }
