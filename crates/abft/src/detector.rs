@@ -83,26 +83,6 @@ pub trait AbftDetector: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-impl<D: AbftDetector + ?Sized> AbftDetector for &D {
-    fn evaluate(&self, deviations: &[i64]) -> Detection {
-        (**self).evaluate(deviations)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-impl<D: AbftDetector + ?Sized> AbftDetector for Box<D> {
-    fn evaluate(&self, deviations: &[i64]) -> Detection {
-        (**self).evaluate(deviations)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

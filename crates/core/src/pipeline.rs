@@ -17,7 +17,6 @@ use realm_inject::{
     campaign::run_trials, error_model::BitFlipModel, injector::ErrorInjector, targeting::Target,
     VoltageBerCurve,
 };
-use realm_llm::hooks::HookChain;
 use realm_llm::model::GenerationOutput;
 use realm_llm::{BatchRequest, Component, Model};
 use realm_systolic::{
@@ -226,8 +225,8 @@ impl<'m> ProtectedPipeline<'m> {
         let (ber, mut injector, mut protector) = self.arm(scheme, voltage, seed)?;
 
         let task_value = {
-            let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-            task.evaluate(self.model, &mut chain)
+            let mut hooks = (&mut injector, &mut protector);
+            task.evaluate(self.model, &mut hooks)
                 .map_err(CoreError::from)?
         };
 
@@ -291,9 +290,9 @@ impl<'m> ProtectedPipeline<'m> {
             .map(|p| BatchRequest::new(p.clone(), new_tokens))
             .collect();
         let outputs = {
-            let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
+            let mut hooks = (&mut injector, &mut protector);
             self.model
-                .generate_batch(&requests, &mut chain)
+                .generate_batch(&requests, &mut hooks)
                 .map_err(CoreError::from)?
         };
         let degree = self.model.config().tp_degree;

@@ -1,10 +1,11 @@
 //! Scheme protectors: GEMM hooks that detect errors and trigger recovery during inference.
 //!
-//! A [`SchemeProtector`] is the runtime embodiment of a protection scheme: attached after the
-//! error injector in the hook chain, it sees the (possibly corrupted) INT32 accumulator of
-//! every quantized GEMM, runs the scheme's detector, restores the correct result when a
-//! recovery is triggered (the operands are fault-free, so recomputation is exact — exactly
-//! the paper's "recompute at nominal voltage" assumption) and charges the recovery cost.
+//! A [`SchemeProtector`] is the runtime embodiment of a protection scheme: stacked after the
+//! error injector as the hook pair `(injector, protector)`, it sees the (possibly corrupted)
+//! INT32 accumulator of every quantized GEMM, runs the scheme's detector, restores the
+//! correct result when a recovery is triggered (the operands are fault-free, so
+//! recomputation is exact — exactly the paper's "recompute at nominal voltage" assumption)
+//! and charges the recovery cost.
 
 use realm_abft::{
     approx::ApproxAbft, checksum, classical::ClassicalAbft, critical_region::CriticalRegion,
@@ -191,7 +192,7 @@ pub struct SchemeProtector {
     per_sequence: BTreeMap<usize, SequenceAttribution>,
     tp_degree: Option<usize>,
     per_shard: BTreeMap<usize, ShardAttribution>,
-    sequence_schemes: Option<Vec<ProtectionScheme>>,
+    sequence_schemes: Vec<ProtectionScheme>,
     batched_scheme: ProtectionScheme,
     component_schemes: BTreeMap<Component, ProtectionScheme>,
     scratch: DetectionScratch,
@@ -234,7 +235,7 @@ impl SchemeProtector {
             per_sequence: BTreeMap::new(),
             tp_degree: None,
             per_shard: BTreeMap::new(),
-            sequence_schemes: None,
+            sequence_schemes: Vec::new(),
             batched_scheme: scheme,
             component_schemes: BTreeMap::new(),
             scratch: DetectionScratch::default(),
@@ -271,7 +272,7 @@ impl SchemeProtector {
     /// );
     /// let prompts = vec![vec![1, 2, 3], vec![4, 5]];
     /// model.prefill_batch(&prompts, &mut protector)?;
-    /// // No injector in the chain: nothing deviates, nothing is charged.
+    /// // No injector in front of it: nothing deviates, nothing is charged.
     /// assert!(protector.sequence_attribution().is_empty());
     /// # Ok(())
     /// # }
@@ -319,7 +320,15 @@ impl SchemeProtector {
             .copied()
             .max_by_key(|&s| s.strictness())
             .unwrap_or(self.scheme);
-        self.sequence_schemes = Some(schemes.to_vec());
+        self.sequence_schemes.clear();
+        self.sequence_schemes.extend_from_slice(schemes);
+    }
+
+    /// The scheme batch-stacked GEMMs are inspected under (before any component overlay):
+    /// the strictest scheme [`SchemeProtector::set_sequence_schemes`] installed, or the
+    /// construction scheme while the list is empty.
+    pub fn batched_scheme(&self) -> ProtectionScheme {
+        self.batched_scheme
     }
 
     /// Installs a *spatial* scheme overlay: every GEMM of an overlaid component — whoever
@@ -348,14 +357,15 @@ impl SchemeProtector {
         if let Some(&scheme) = self.component_schemes.get(&ctx.component) {
             return scheme;
         }
-        let Some(schemes) = &self.sequence_schemes else {
-            return self.scheme;
-        };
         match ctx.origin {
             // Out-of-range sequences (an under-length list) fall back to the strictest
             // installed scheme, keeping private and shared GEMMs consistent — see
-            // `set_sequence_schemes`.
-            GemmOrigin::Sequence(seq) => schemes.get(seq).copied().unwrap_or(self.batched_scheme),
+            // `set_sequence_schemes`. An empty list falls back to the construction scheme.
+            GemmOrigin::Sequence(seq) => self
+                .sequence_schemes
+                .get(seq)
+                .copied()
+                .unwrap_or(self.batched_scheme),
             GemmOrigin::BatchedRows => self.batched_scheme,
         }
     }
@@ -568,7 +578,6 @@ impl GemmHook for SchemeProtector {
 mod tests {
     use super::*;
     use realm_inject::{error_model::FixedBitModel, injector::ErrorInjector};
-    use realm_llm::hooks::HookChain;
     use realm_llm::{config::ModelConfig, model::Model, NoopHook};
     use realm_systolic::Dataflow;
 
@@ -597,8 +606,8 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
 
         assert_eq!(
             protected_logits, clean_logits,
@@ -614,8 +623,8 @@ mod tests {
         let (clean_logits, _) = model.prefill(&[1, 2, 3, 4], &mut NoopHook).unwrap();
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut protector = SchemeProtector::with_default_regions(ProtectionScheme::None, array());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let (faulty_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let (faulty_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         assert_ne!(faulty_logits, clean_logits);
         assert_eq!(protector.stats().gemms_inspected, 0);
     }
@@ -628,8 +637,8 @@ mod tests {
         let run = |scheme: ProtectionScheme| {
             let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.002), 77);
             let mut protector = SchemeProtector::with_default_regions(scheme, array());
-            let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-            model.prefill(&prompt, &mut chain).unwrap();
+            let mut hooks = (&mut injector, &mut protector);
+            model.prefill(&prompt, &mut hooks).unwrap();
             (
                 protector.stats().recoveries_triggered,
                 protector.stats().gemms_with_errors,
@@ -706,8 +715,8 @@ mod tests {
         };
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        let mut chain = HookChain::new().with(&mut corruptor).with(&mut protector);
-        let (protected_logits, _) = model.prefill_batch(&prompts, &mut chain).unwrap();
+        let mut hooks = (&mut corruptor, &mut protector);
+        let (protected_logits, _) = model.prefill_batch(&prompts, &mut hooks).unwrap();
 
         let attribution = protector.sequence_attribution();
         assert_eq!(
@@ -734,8 +743,8 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         let attribution = protector.sequence_attribution();
         assert_eq!(attribution.len(), 1);
         assert!(attribution.get(&0).unwrap().detections > 0);
@@ -769,8 +778,8 @@ mod tests {
         let mut protector = SchemeProtector::with_default_regions(ProtectionScheme::None, array());
         protector.set_sequence_schemes(&[ProtectionScheme::ClassicalAbft]);
         assert!(protector.wants_checksums());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         assert_eq!(protected_logits, clean_logits);
         assert!(protector.stats().recoveries_triggered > 0);
     }
@@ -809,8 +818,8 @@ mod tests {
             .collect();
         protector.set_component_schemes(&overlay);
         assert!(protector.wants_checksums());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         assert_eq!(protected_logits, clean_logits);
         assert!(protector.stats().recoveries_triggered > 0);
 
@@ -824,8 +833,8 @@ mod tests {
         let mut shed =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
         shed.set_component_schemes(&[(Component::Fc1, ProtectionScheme::None)]);
-        let mut chain = HookChain::new().with(&mut injector).with(&mut shed);
-        let (shed_logits, _) = model.prefill(&[1, 2, 3, 4], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut shed);
+        let (shed_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         assert_ne!(
             shed_logits, clean_logits,
             "faults on the shed component flow through"
@@ -911,8 +920,8 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.05), 13);
         let mut protector = SchemeProtector::with_default_regions(ProtectionScheme::None, array());
         protector.set_sequence_schemes(&[ProtectionScheme::None, ProtectionScheme::ClassicalAbft]);
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let (protected_logits, _) = model.prefill_batch(&prompts, &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let (protected_logits, _) = model.prefill_batch(&prompts, &mut hooks).unwrap();
         assert!(protector.stats().gemms_inspected > 0);
         // The protected request comes out bit-clean: its private attention GEMMs run under
         // its own classical scheme and the shared projections are escalated to it. The
@@ -929,8 +938,8 @@ mod tests {
             SchemeProtector::with_default_regions(ProtectionScheme::None, array());
         unprotected.set_sequence_schemes(&[ProtectionScheme::None, ProtectionScheme::None]);
         assert!(!unprotected.wants_checksums());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut unprotected);
-        let (faulty_logits, _) = model.prefill_batch(&prompts, &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut unprotected);
+        let (faulty_logits, _) = model.prefill_batch(&prompts, &mut hooks).unwrap();
         assert_eq!(unprotected.stats().gemms_inspected, 0);
         assert_ne!(faulty_logits, clean_logits);
 
@@ -949,8 +958,8 @@ mod tests {
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
         short_list.set_sequence_schemes(&[ProtectionScheme::None]);
         assert!(!short_list.wants_checksums());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut short_list);
-        model.prefill_batch(&prompts, &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut short_list);
+        model.prefill_batch(&prompts, &mut hooks).unwrap();
         assert_eq!(
             short_list.stats().gemms_inspected,
             0,
@@ -974,8 +983,8 @@ mod tests {
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
         protector.set_shard_attribution(3);
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let out = model.generate(&[1, 2, 3], 6, &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let out = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
         assert_eq!(out, clean, "the protector recovers the garble");
         let attribution = protector.shard_attribution();
         assert_eq!(attribution.keys().copied().collect::<Vec<_>>(), [1]);
@@ -990,8 +999,8 @@ mod tests {
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
         protector.set_shard_attribution(3);
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let repaired = model.generate(&[1, 2, 3], 6, &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let repaired = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
         assert_eq!(repaired, clean);
         let attribution = protector.shard_attribution();
         assert!(
@@ -1008,8 +1017,8 @@ mod tests {
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        let repaired = model.generate(&[1, 2, 3], 6, &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        let repaired = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
         assert_eq!(repaired, clean);
         assert!(protector.shard_attribution().is_empty());
     }
@@ -1020,8 +1029,8 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.05), 5);
         let mut protector =
             SchemeProtector::with_default_regions(ProtectionScheme::ThunderVolt, array());
-        let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-        model.prefill(&[3, 4, 5, 6], &mut chain).unwrap();
+        let mut hooks = (&mut injector, &mut protector);
+        model.prefill(&[3, 4, 5, 6], &mut hooks).unwrap();
         let stats = protector.stats();
         assert!(stats.recoveries_triggered > 0);
         assert_eq!(

@@ -11,8 +11,10 @@
 //!   compares them with checksums of the possibly-corrupted accumulator, and may trigger a
 //!   recovery that restores the accumulator.
 //!
-//! Hooks compose with [`HookChain`], which applies them in order — injection first, then
-//! protection, matching the physical order of fault and detection.
+//! Hooks stack as pairs: `(A, B)` is a hook that applies `A`, then `B` — injection first,
+//! then protection, matching the physical order of fault and detection. A third hook nests,
+//! `(a, (b, c))`. `&mut H` and `Option<H>` are hooks too, so `(&mut injector, &mut
+//! protector)` stacks hooks the caller keeps, and an absent stage is `None`.
 
 use crate::component::{Component, Stage};
 use realm_tensor::{ChecksummedGemm, MatI32, MatI8, RowPartition};
@@ -117,7 +119,7 @@ pub trait GemmHook {
 
     /// Whether this hook consumes the fused ABFT checksums.
     ///
-    /// The model queries this before each GEMM: when no hook in the chain wants checksums
+    /// The model queries this before each GEMM: when no hook in the stack wants checksums
     /// (fault-free baselines, unprotected runs), the plain GEMM runs and the checksum
     /// reductions are skipped entirely. Defaults to `true` so custom hooks are safe; pure
     /// observers and mutators (recorders, injectors) override it to `false`.
@@ -206,34 +208,6 @@ impl<H: GemmHook + ?Sized> GemmHook for &mut H {
     }
 }
 
-impl<H: GemmHook + ?Sized> GemmHook for Box<H> {
-    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
-        (**self).on_gemm(ctx, w, x, acc);
-    }
-
-    fn on_gemm_checksummed(
-        &mut self,
-        ctx: &GemmContext,
-        w: &MatI8,
-        x: &MatI8,
-        result: &mut ChecksummedGemm,
-    ) {
-        (**self).on_gemm_checksummed(ctx, w, x, result);
-    }
-
-    fn wants_checksums(&self) -> bool {
-        (**self).wants_checksums()
-    }
-
-    fn on_batch_begin(&mut self, partition: &RowPartition) {
-        (**self).on_batch_begin(partition);
-    }
-
-    fn on_step_begin(&mut self, step: u64) {
-        (**self).on_step_begin(step);
-    }
-}
-
 /// An absent hook does nothing, like [`NoopHook`]: an optional stage of a fixed pair.
 impl<H: GemmHook> GemmHook for Option<H> {
     fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
@@ -272,8 +246,8 @@ impl<H: GemmHook> GemmHook for Option<H> {
     }
 }
 
-/// Two hooks in order, first then second: a [`HookChain`] of two that needs no heap (the
-/// serving engine's fault hook and protector, once per forward).
+/// Two hooks in order, first then second: the one way to stack hooks (injector, then
+/// protector). Nest a pair to stack three, `(a, (b, c))`; nothing is allocated.
 impl<A: GemmHook, B: GemmHook> GemmHook for (A, B) {
     fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
         self.0.on_gemm(ctx, w, x, acc);
@@ -287,6 +261,8 @@ impl<A: GemmHook, B: GemmHook> GemmHook for (A, B) {
         x: &MatI8,
         result: &mut ChecksummedGemm,
     ) {
+        // The second sees what the first left: an injector's write marks the observed
+        // checksum stale, so a protector behind it inspects exactly the faulty result.
         self.0.on_gemm_checksummed(ctx, w, x, result);
         self.1.on_gemm_checksummed(ctx, w, x, result);
     }
@@ -303,82 +279,6 @@ impl<A: GemmHook, B: GemmHook> GemmHook for (A, B) {
     fn on_step_begin(&mut self, step: u64) {
         self.0.on_step_begin(step);
         self.1.on_step_begin(step);
-    }
-}
-
-/// Applies a sequence of hooks in order (typically: injector first, protector second).
-#[derive(Default)]
-pub struct HookChain<'a> {
-    hooks: Vec<&'a mut dyn GemmHook>,
-}
-
-impl<'a> HookChain<'a> {
-    /// Creates an empty chain.
-    pub fn new() -> Self {
-        Self { hooks: Vec::new() }
-    }
-
-    /// Appends a hook to the end of the chain and returns the chain for chaining calls.
-    pub fn with(mut self, hook: &'a mut dyn GemmHook) -> Self {
-        self.hooks.push(hook);
-        self
-    }
-
-    /// Number of hooks in the chain.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    /// Returns `true` if the chain contains no hooks.
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
-    }
-}
-
-impl std::fmt::Debug for HookChain<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookChain")
-            .field("len", &self.hooks.len())
-            .finish()
-    }
-}
-
-impl GemmHook for HookChain<'_> {
-    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
-        for hook in &mut self.hooks {
-            hook.on_gemm(ctx, w, x, acc);
-        }
-    }
-
-    fn on_gemm_checksummed(
-        &mut self,
-        ctx: &GemmContext,
-        w: &MatI8,
-        x: &MatI8,
-        result: &mut ChecksummedGemm,
-    ) {
-        // Each hook sees the checksummed result in turn: an injector mutates the accumulator
-        // (marking the observed checksum stale), a downstream protector then inspects the
-        // deviations of exactly what the injector left behind.
-        for hook in &mut self.hooks {
-            hook.on_gemm_checksummed(ctx, w, x, result);
-        }
-    }
-
-    fn wants_checksums(&self) -> bool {
-        self.hooks.iter().any(|h| h.wants_checksums())
-    }
-
-    fn on_batch_begin(&mut self, partition: &RowPartition) {
-        for hook in &mut self.hooks {
-            hook.on_batch_begin(partition);
-        }
-    }
-
-    fn on_step_begin(&mut self, step: u64) {
-        for hook in &mut self.hooks {
-            hook.on_step_begin(step);
-        }
     }
 }
 
@@ -425,7 +325,7 @@ impl GemmHook for RecordingHook {
         _result: &mut ChecksummedGemm,
     ) {
         // Pure observer: avoid the default's `acc_mut` so the fused observed checksum stays
-        // fresh for hooks later in the chain.
+        // fresh for hooks later in the stack.
         self.calls.push(*ctx);
         self.total_macs += (w.rows() * w.cols() * x.cols()) as u64;
     }
@@ -439,21 +339,33 @@ impl GemmHook for RecordingHook {
 mod tests {
     use super::*;
 
-    struct AddOne;
-    impl GemmHook for AddOne {
-        fn on_gemm(&mut self, _ctx: &GemmContext, _w: &MatI8, _x: &MatI8, acc: &mut MatI32) {
-            for v in acc.iter_mut() {
-                *v += 1;
-            }
-        }
+    /// Applies `acc = acc * mul + add`, opts into checksums as told and logs the clocks.
+    #[derive(Default)]
+    struct Probe {
+        mul: i32,
+        add: i32,
+        wants: bool,
+        batches: usize,
+        steps: Vec<u64>,
     }
 
-    struct Double;
-    impl GemmHook for Double {
+    impl GemmHook for Probe {
         fn on_gemm(&mut self, _ctx: &GemmContext, _w: &MatI8, _x: &MatI8, acc: &mut MatI32) {
             for v in acc.iter_mut() {
-                *v *= 2;
+                *v = *v * self.mul + self.add;
             }
+        }
+
+        fn wants_checksums(&self) -> bool {
+            self.wants
+        }
+
+        fn on_batch_begin(&mut self, _partition: &RowPartition) {
+            self.batches += 1;
+        }
+
+        fn on_step_begin(&mut self, step: u64) {
+            self.steps.push(step);
         }
     }
 
@@ -469,28 +381,40 @@ mod tests {
     }
 
     #[test]
-    fn chain_applies_hooks_in_order() {
-        let mut add = AddOne;
-        let mut double = Double;
-        let mut chain = HookChain::new().with(&mut add).with(&mut double);
-        let mut acc = MatI32::filled(1, 1, 3);
-        chain.on_gemm(&ctx(), &MatI8::zeros(1, 1), &MatI8::zeros(1, 1), &mut acc);
-        // (3 + 1) * 2 = 8, not 3 * 2 + 1 = 7.
-        assert_eq!(acc[(0, 0)], 8);
-        assert_eq!(chain.len(), 2);
-        assert!(!chain.is_empty());
-    }
-
-    #[test]
     fn pair_applies_hooks_in_order_and_an_absent_hook_does_nothing() {
+        let mut add = Probe {
+            mul: 1,
+            add: 1,
+            ..Probe::default()
+        };
+        let mut double = Probe {
+            mul: 2,
+            ..Probe::default()
+        };
+        for (first, last) in [(false, false), (true, false), (false, true)] {
+            add.wants = first;
+            double.wants = last;
+            let stack = (&mut add, (None::<&mut Probe>, &mut double));
+            assert_eq!(
+                stack.wants_checksums(),
+                first || last,
+                "an OR at every depth"
+            );
+        }
         let mut acc = MatI32::filled(1, 1, 3);
-        let mut pair = (Some(AddOne), Double);
-        pair.on_gemm(&ctx(), &MatI8::zeros(1, 1), &MatI8::zeros(1, 1), &mut acc);
-        assert_eq!(acc[(0, 0)], 8, "first, then second, as in a chain");
-        assert!(pair.wants_checksums(), "either hook opts the pair in");
+        let mut stack = (&mut add, (None::<&mut Probe>, &mut double));
+        stack.on_gemm(&ctx(), &MatI8::zeros(1, 1), &MatI8::zeros(1, 1), &mut acc);
+        stack.on_batch_begin(&RowPartition::from_lens(&[1]));
+        stack.on_step_begin(3);
+        stack.on_step_begin(4);
+        assert_eq!(acc[(0, 0)], 8, "(3 + 1) * 2: first, then second");
+        for member in [&add, &double] {
+            assert_eq!(member.batches, 1);
+            assert_eq!(member.steps, [3, 4]);
+        }
 
-        let mut absent = (None::<AddOne>, None::<Double>);
-        assert!(!absent.wants_checksums());
+        let mut recorder = RecordingHook::new();
+        let mut absent = (None::<Probe>, (None::<Probe>, &mut recorder));
         // A stored observed checksum that the accumulator does not sum to: it survives only
         // if nothing took the accumulator mutably (which would mark it stale).
         let mut result =
@@ -501,10 +425,11 @@ mod tests {
             &MatI8::zeros(1, 2),
             &mut result,
         );
+        assert_eq!(recorder.count(), 1, "the present member saw the GEMM");
         assert_eq!(
             result.observed(),
             vec![-1, -1],
-            "an absent hook left the checksum fresh"
+            "absent members left the checksum fresh"
         );
     }
 
@@ -519,30 +444,6 @@ mod tests {
         assert_eq!(rec.total_macs, 24);
         assert_eq!(rec.count_for(Component::Q), 1);
         assert_eq!(rec.count_for(Component::O), 0);
-    }
-
-    #[test]
-    fn step_clock_forwards_through_chain_and_box() {
-        #[derive(Default)]
-        struct StepRecorder {
-            steps: Vec<u64>,
-        }
-        impl GemmHook for StepRecorder {
-            fn on_gemm(&mut self, _: &GemmContext, _: &MatI8, _: &MatI8, _: &mut MatI32) {}
-            fn on_step_begin(&mut self, step: u64) {
-                self.steps.push(step);
-            }
-        }
-
-        let mut a = StepRecorder::default();
-        let mut boxed: Box<dyn GemmHook> = Box::new(StepRecorder::default());
-        let mut chain = HookChain::new().with(&mut a).with(&mut boxed);
-        chain.on_step_begin(3);
-        chain.on_step_begin(4);
-        drop(chain);
-        assert_eq!(a.steps, vec![3, 4]);
-        // The default implementation is a no-op, so arbitrary hooks stay valid.
-        NoopHook.on_step_begin(9);
     }
 
     #[test]

@@ -40,8 +40,8 @@ use realm_tensor::{
     RowKernels, Workspace,
 };
 
-/// What every layer of one forward pass shares: the inference stage, the backend, the hook
-/// chain, the workspace every intermediate is drawn from, and the pass-wide GEMM counter.
+/// What every layer of one forward pass shares: the inference stage, the backend, the hook,
+/// the workspace every intermediate is drawn from, and the pass-wide GEMM counter.
 ///
 /// The model creates one per forward and threads it through every block; each hooked GEMM
 /// takes its [`GemmContext`] from [`ForwardPass::next_ctx`], so GEMM indices are assigned in
@@ -51,7 +51,8 @@ pub struct ForwardPass<'a> {
     gemms: usize,
     /// The GEMM backend.
     pub engine: &'a dyn GemmEngine,
-    /// The hook chain observing (and possibly mutating) every accumulator.
+    /// The hook observing (and possibly mutating) every accumulator: one hook, or a stack of
+    /// them as an `(A, B)` pair, nested for a third (see [`crate::hooks`]).
     pub hook: &'a mut dyn GemmHook,
     /// The pool every intermediate is checked out of; matrices the layers return are
     /// pooled here too — recycle them once consumed.
@@ -159,7 +160,7 @@ impl QuantLinear {
     /// into prefill chunks, shares one (optionally fused-checksum) GEMM — where checksum
     /// and detection cost amortise — without changing a single number.
     ///
-    /// When a hook in the chain consumes checksums ([`GemmHook::wants_checksums`]) the GEMM
+    /// When a hook in the stack consumes checksums ([`GemmHook::wants_checksums`]) the GEMM
     /// runs through the engine's fused-checksum pass and the hook observes (and may mutate)
     /// the checksummed INT32 accumulator before conversion; otherwise the plain GEMM runs
     /// and the checksum reductions are skipped entirely.
@@ -304,7 +305,7 @@ impl<'a> Rhs<'a> {
 }
 
 /// The destination of hooked GEMMs — everything [`run_hooked_gemm_into`] writes — in the
-/// form the pass's hook chain asks for ([`GemmHook::wants_checksums`]).
+/// form the pass's hook asks for ([`GemmHook::wants_checksums`]).
 ///
 /// One is checked out of the pass's workspace per GEMM by [`run_hooked_gemm`], or once for a
 /// whole run of GEMMs by a caller that issues many small ones (attention: two per sequence
@@ -385,7 +386,7 @@ pub(crate) fn run_hooked_gemm(
 
 /// Executes one quantized GEMM `a · rhs` through the pass's engine and hook into `scratch`,
 /// on the fused-checksum pass only when `scratch` was taken for it, i.e. when a hook in the
-/// chain will consume the checksums ([`GemmHook::wants_checksums`]). Fault-free baselines,
+/// stack will consume the checksums ([`GemmHook::wants_checksums`]). Fault-free baselines,
 /// unprotected runs and injection-only campaigns therefore skip the checksum reductions
 /// entirely. The only place hooks are invoked.
 ///

@@ -477,18 +477,9 @@ impl<'m> ServeEngine<'m> {
         if let Some(hook) = self.fault_hook.as_mut() {
             hook.on_step_begin(self.steps);
         }
-        // Charge the step to the strictest sequence scheme any occupied slot announces —
-        // the scheme this step's batch-stacked GEMMs run under.
-        let step_scheme = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, s)| {
-                s.as_ref()
-                    .map(|a| self.adaptive.slot_scheme(slot, a.policy.scheme))
-            })
-            .max_by_key(|s| s.strictness())
-            .unwrap_or(ProtectionScheme::None);
+        // Charge the step to the scheme its batch-stacked GEMMs run under: the strictest one
+        // the occupied slots announced at the last `refresh_schemes`.
+        let step_scheme = self.protector.batched_scheme();
         self.steps_at_scheme[step_scheme.strictness() as usize] += 1;
 
         // Prefill pass first: the token budget minus the width reserved for the decoding

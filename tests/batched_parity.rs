@@ -434,10 +434,8 @@ fn batched_campaign_attributes_detections_to_the_correct_sequence() {
                 ProtectionScheme::ClassicalAbft,
                 SystolicArray::small(Dataflow::WeightStationary),
             );
-            let mut chain = realm::llm::hooks::HookChain::new()
-                .with(&mut corruptor)
-                .with(&mut protector);
-            let (logits, _) = model.prefill_batch(&prompts, &mut chain).unwrap();
+            let mut hooks = (&mut corruptor, &mut protector);
+            let (logits, _) = model.prefill_batch(&prompts, &mut hooks).unwrap();
 
             let attribution = protector.sequence_attribution();
             assert_eq!(

@@ -7,7 +7,6 @@ use realm::core::protection::SchemeProtector;
 use realm::core::sweep::{component_sweet_spots, voltage_sweep};
 use realm::eval::{lambada::LambadaTask, wikitext::WikitextTask};
 use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector};
-use realm::llm::hooks::HookChain;
 use realm::llm::{config::ModelConfig, model::Model, Component, NoopHook, Stage};
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
 
@@ -139,8 +138,8 @@ fn hook_chain_composes_injection_and_protection_across_crates() {
         ProtectionScheme::ClassicalAbft,
         SystolicArray::small(Dataflow::OutputStationary),
     );
-    let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-    let (logits, _) = model.prefill(&[1, 2, 3, 4, 5], &mut chain).unwrap();
+    let mut hooks = (&mut injector, &mut protector);
+    let (logits, _) = model.prefill(&[1, 2, 3, 4, 5], &mut hooks).unwrap();
 
     assert!(injector.stats().errors_injected > 0, "faults were injected");
     assert!(

@@ -20,7 +20,6 @@
 
 use realm::core::SchemeProtector;
 use realm::inject::{BitFlipModel, ErrorInjector, ShardFault, Target};
-use realm::llm::hooks::HookChain;
 use realm::llm::{config::ModelConfig, model::Model, GemmHook, NoopHook};
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
 use realm::tensor::EngineKind;
@@ -92,8 +91,8 @@ fn assert_kill_is_survived(model: &Model, expected: &(Vec<u32>, Vec<f32>), label
 
     let mut injector = armed(model, 0, ShardFault::Kill, 6);
     let mut guard = protector(ProtectionScheme::ClassicalAbft, model);
-    let mut chain = HookChain::new().with(&mut injector).with(&mut guard);
-    assert_eq!(generate(model, &mut chain), *expected, "{label}: protected");
+    let mut hooks = (&mut injector, &mut guard);
+    assert_eq!(generate(model, &mut hooks), *expected, "{label}: protected");
     assert_eq!(
         guard.stats().gemms_with_errors,
         0,
@@ -153,9 +152,9 @@ fn garbled_shard_is_detected_and_repaired_by_a_classical_protector() {
     let expected = generate(&model, &mut NoopHook);
     let mut injector = armed(&model, 1, ShardFault::Garble { seed: 0xBEEF }, 4);
     let mut guard = protector(ProtectionScheme::ClassicalAbft, &model);
-    let mut chain = HookChain::new().with(&mut injector).with(&mut guard);
+    let mut hooks = (&mut injector, &mut guard);
     assert_eq!(
-        generate(&model, &mut chain),
+        generate(&model, &mut hooks),
         expected,
         "every garble is recomputed"
     );
@@ -180,8 +179,8 @@ fn garbled_shard_persists_without_protection() {
     let expected = generate(&model, &mut NoopHook);
     let mut injector = armed(&model, 1, ShardFault::Garble { seed: 0xBEEF }, 4);
     let mut guard = protector(ProtectionScheme::None, &model);
-    let mut chain = HookChain::new().with(&mut injector).with(&mut guard);
-    assert_ne!(generate(&model, &mut chain), expected);
+    let mut hooks = (&mut injector, &mut guard);
+    assert_ne!(generate(&model, &mut hooks), expected);
     assert_eq!(injector.stats().per_shard[1].corruptions, 4);
     assert!(
         guard.shard_attribution().is_empty(),
@@ -198,8 +197,8 @@ fn garbled_shard_under_the_statistical_protector() {
     let expected = generate(&model, &mut NoopHook);
     let mut injector = armed(&model, 1, ShardFault::Garble { seed: 0xBEEF }, 4);
     let mut guard = protector(ProtectionScheme::StatisticalAbft, &model);
-    let mut chain = HookChain::new().with(&mut injector).with(&mut guard);
-    let (tokens, margins) = generate(&model, &mut chain);
+    let mut hooks = (&mut injector, &mut guard);
+    let (tokens, margins) = generate(&model, &mut hooks);
     assert_eq!(tokens, expected.0);
     assert_ne!(margins, expected.1);
     let attribution = guard.shard_attribution();

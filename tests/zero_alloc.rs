@@ -402,7 +402,6 @@ fn batched_prefill_step_allocates_only_its_bookkeeping_after_warmup() {
 /// allocations of the warmed window.
 fn count_shard_fault_allocations(fault: realm::inject::ShardFault) -> u64 {
     use realm::inject::{BitFlipModel, ErrorInjector, Target};
-    use realm::llm::hooks::HookChain;
     let mut config = ModelConfig::tiny_opt();
     config.engine = EngineKind::Simd;
     config.max_seq_len = 256;
@@ -415,9 +414,8 @@ fn count_shard_fault_allocations(fault: realm::inject::ShardFault) -> u64 {
         SystolicArray::small(Dataflow::WeightStationary),
     );
     protector.set_shard_attribution(config.tp_degree);
-    let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
-    let allocations = count_decode_allocations(&model, &mut chain, 64, 40);
-    drop(chain);
+    let allocations =
+        count_decode_allocations(&model, &mut (&mut injector, &mut protector), 64, 40);
     let hits = injector.stats().per_shard[1];
     assert!(hits.kills + hits.corruptions > 64, "{fault:?} fired");
     allocations
