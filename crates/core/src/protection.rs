@@ -314,14 +314,15 @@ impl SchemeProtector {
     /// This is how the serving layer honours a per-request
     /// [`ProtectionPolicy`]: the slot → scheme list is refreshed whenever
     /// continuous batching admits or retires a request.
-    pub fn set_sequence_schemes(&mut self, schemes: &[ProtectionScheme]) {
-        self.batched_scheme = schemes
+    pub fn set_sequence_schemes(&mut self, schemes: impl IntoIterator<Item = ProtectionScheme>) {
+        self.sequence_schemes.clear();
+        self.sequence_schemes.extend(schemes);
+        self.batched_scheme = self
+            .sequence_schemes
             .iter()
             .copied()
             .max_by_key(|&s| s.strictness())
             .unwrap_or(self.scheme);
-        self.sequence_schemes.clear();
-        self.sequence_schemes.extend_from_slice(schemes);
     }
 
     /// The scheme batch-stacked GEMMs are inspected under (before any component overlay):
@@ -340,15 +341,11 @@ impl SchemeProtector {
     /// sensitive component up to classical ABFT (or a resilient one down under load
     /// pressure) is inherently a batch-global, per-component decision. The overlay
     /// deliberately *replaces* rather than escalates — shedding protection under load
-    /// needs to be able to select a scheme weaker than what the requests asked for.
+    /// needs to be able to select a scheme weaker than what the requests asked for. An empty
+    /// `schemes` removes the overlay: per-sequence policies (or the construction scheme)
+    /// decide again for every component.
     pub fn set_component_schemes(&mut self, schemes: &[(Component, ProtectionScheme)]) {
         self.component_schemes = schemes.iter().copied().collect();
-    }
-
-    /// Removes the spatial overlay; per-sequence policies (or the construction scheme)
-    /// decide again for every component.
-    pub fn clear_component_schemes(&mut self) {
-        self.component_schemes.clear();
     }
 
     /// The scheme that applies to `ctx`: a spatial component overlay wins outright,
@@ -776,7 +773,7 @@ mod tests {
         // solo sequence (index 0) restores full protection.
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut protector = SchemeProtector::with_default_regions(ProtectionScheme::None, array());
-        protector.set_sequence_schemes(&[ProtectionScheme::ClassicalAbft]);
+        protector.set_sequence_schemes([ProtectionScheme::ClassicalAbft]);
         assert!(protector.wants_checksums());
         let mut hooks = (&mut injector, &mut protector);
         let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
@@ -824,7 +821,7 @@ mod tests {
         assert!(protector.stats().recoveries_triggered > 0);
 
         // Clearing the overlay reverts to the unprotected construction scheme.
-        protector.clear_component_schemes();
+        protector.set_component_schemes(&[]);
         assert!(!protector.wants_checksums());
 
         // The overlay also *weakens*: pinning one component to None on a classical base
@@ -877,7 +874,7 @@ mod tests {
                     let mut protector =
                         SchemeProtector::with_default_regions(construction, array());
                     if let Some(schemes) = list {
-                        protector.set_sequence_schemes(schemes);
+                        protector.set_sequence_schemes(schemes.iter().copied());
                     }
                     protector.set_component_schemes(overlay);
                     if protector.wants_checksums() {
@@ -919,7 +916,7 @@ mod tests {
         // repaired) under the strictest request's scheme.
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.05), 13);
         let mut protector = SchemeProtector::with_default_regions(ProtectionScheme::None, array());
-        protector.set_sequence_schemes(&[ProtectionScheme::None, ProtectionScheme::ClassicalAbft]);
+        protector.set_sequence_schemes([ProtectionScheme::None, ProtectionScheme::ClassicalAbft]);
         let mut hooks = (&mut injector, &mut protector);
         let (protected_logits, _) = model.prefill_batch(&prompts, &mut hooks).unwrap();
         assert!(protector.stats().gemms_inspected > 0);
@@ -936,7 +933,7 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.05), 13);
         let mut unprotected =
             SchemeProtector::with_default_regions(ProtectionScheme::None, array());
-        unprotected.set_sequence_schemes(&[ProtectionScheme::None, ProtectionScheme::None]);
+        unprotected.set_sequence_schemes([ProtectionScheme::None, ProtectionScheme::None]);
         assert!(!unprotected.wants_checksums());
         let mut hooks = (&mut injector, &mut unprotected);
         let (faulty_logits, _) = model.prefill_batch(&prompts, &mut hooks).unwrap();
@@ -947,7 +944,7 @@ mod tests {
         // checksum reductions even when the construction scheme would inspect.
         let mut statistical_base =
             SchemeProtector::with_default_regions(ProtectionScheme::StatisticalAbft, array());
-        statistical_base.set_sequence_schemes(&[ProtectionScheme::None, ProtectionScheme::None]);
+        statistical_base.set_sequence_schemes([ProtectionScheme::None, ProtectionScheme::None]);
         assert!(!statistical_base.wants_checksums());
 
         // An under-length list (caller bug) stays self-consistent: the out-of-range
@@ -956,7 +953,7 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.05), 13);
         let mut short_list =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        short_list.set_sequence_schemes(&[ProtectionScheme::None]);
+        short_list.set_sequence_schemes([ProtectionScheme::None]);
         assert!(!short_list.wants_checksums());
         let mut hooks = (&mut injector, &mut short_list);
         model.prefill_batch(&prompts, &mut hooks).unwrap();

@@ -15,7 +15,8 @@
 //! sequence whose cache holds `T` rows after appending this chunk's `n` new ones, each
 //! head runs exactly **one** score GEMM `Qc (n × d) · Kcᵀ (d × T)` and **one** context GEMM
 //! `P'c (n × T) · Vc (T × d)` — the whole tiles the paper's systolic array executes (Fig. 4)
-//! — directly on the INT8 codes the `Q`/`K`/`V` requantizers produced:
+//! — directly on the INT8 codes the `Q`/`K`/`V` requantizers produced, with `Kcᵀ` and `Vc`
+//! read as the cache stores them:
 //!
 //! ```text
 //! score[i][t] = acc[i][t] · q_scale[i]/√d · k_scale[t]     t ≤ prior + i, else masked
@@ -186,7 +187,6 @@ impl MultiHeadAttention {
             *s *= inv_sqrt_d;
         }
         let mut q_h = pass.ws.take_mat_i8(max_chunk, d);
-        let mut k_t = pass.ws.take_mat_i8(d, max_len);
         let mut p_codes = pass.ws.take_mat_i8(1, max_cells);
         let mut p_scales = pass.ws.take_vec_f32(max_chunk);
         let mut probs = pass.ws.take_vec_f32(max_len);
@@ -215,11 +215,8 @@ impl MultiHeadAttention {
                         q_h.row_mut(i)
                             .copy_from_slice(&q_codes.row(r)[cols.clone()]);
                     }
-                    // The one transpose per (sequence, head, chunk): row-appended key codes
-                    // into the score GEMM's dense `(head_dim × T)` right operand.
-                    cache.key_codes(h).transpose_into(&mut k_t);
                     let ctx = pass.next_ctx(Component::QkT, layer).for_sequence(g);
-                    let keys = Rhs::Activation(&k_t);
+                    let keys = Rhs::Activation(cache.key_codes(h));
                     run_hooked_gemm_into(&q_h, keys, &ctx, pass, &mut gemm)?;
                     p_codes.resize_overwrite(chunk, len);
                     for (i, r) in rows.clone().enumerate() {
@@ -248,7 +245,6 @@ impl MultiHeadAttention {
         ws.recycle_mat_i8(q_codes);
         ws.recycle_vec_f32(q_scales);
         ws.recycle_mat_i8(q_h);
-        ws.recycle_mat_i8(k_t);
         ws.recycle_mat_i8(p_codes);
         ws.recycle_vec_f32(p_scales);
         ws.recycle_vec_f32(probs);

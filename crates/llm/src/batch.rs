@@ -424,7 +424,7 @@ mod tests {
             // reproduces the codes exactly.
             let (heads, d) = (admitted.num_heads(), admitted.head_dim());
             let keys = MatF32::from_fn(admitted.len(), heads * d, |t, c| {
-                admitted.key_codes(c / d)[(t, c % d)] as f32 * admitted.key_scales()[t]
+                admitted.key_codes(c / d)[(c % d, t)] as f32 * admitted.key_scales()[t]
             });
             let values = MatF32::from_fn(admitted.len(), heads * d, |t, c| {
                 admitted.value_codes(c / d)[(t, c % d)] as f32 * admitted.value_scales()[t]

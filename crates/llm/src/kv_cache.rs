@@ -12,17 +12,21 @@
 //! the layout the attention GEMMs consume:
 //!
 //! ```text
-//! keys[h]      : MatI8  T × head_dim   row t = token t's codes for head h
+//! keys[h]      : MatI8  head_dim × T   column t = token t's codes for head h: the `QKᵀ`
+//!                                      GEMM's right operand `Kᵀ` as stored
 //! values[h]    : MatI8  T × head_dim   the `SV` GEMM's right operand as stored
-//! key_scales   : [f32; T]              real K[t][h·d + c] = keys[h][t][c] · key_scales[t]
+//! key_scales   : [f32; T]              real K[t][h·d + c] = keys[h][c][t] · key_scales[t]
 //! value_scales : [f32; T]              real V[t][h·d + c] = values[h][t][c] · value_scales[t]
 //! ```
 //!
 //! A row leaving a `RequantizedInt8` projection is `code · row_scale` with `|code| ≤ 127`
 //! and at least one code on the ±127 rail (the robust p99 scale saturates everything at or
 //! above the percentile), so the per-row abs-max quantizer run at append recovers the codes
-//! exactly: nothing is quantized twice. Rows are appended in place and never rewritten,
-//! widened or moved afterwards.
+//! exactly: nothing is quantized twice. Values are appended as rows, in place; keys widen
+//! in place — each of a head's `head_dim` rows moves right to its new width (last row
+//! first, so nothing unread is overwritten) and the new tokens' codes fill the new columns.
+//! A widened store holds exactly the bytes a row-appended one would, and attention reads
+//! both operands as they lie.
 //!
 //! # Solo or batched: one store
 //!
@@ -56,12 +60,11 @@ impl LayerCache {
     /// Creates an empty cache for `num_heads` heads of `head_dim` channels that reports
     /// `layer` in its error messages. Nothing is reserved: the cache grows with its rows.
     pub fn new(layer: usize, num_heads: usize, head_dim: usize) -> Self {
-        let codes = || vec![MatI8::zeros(0, head_dim); num_heads];
         Self {
             layer,
             head_dim,
-            keys: codes(),
-            values: codes(),
+            keys: vec![MatI8::zeros(head_dim, 0); num_heads],
+            values: vec![MatI8::zeros(0, head_dim); num_heads],
             key_scales: Vec::new(),
             value_scales: Vec::new(),
         }
@@ -92,7 +95,8 @@ impl LayerCache {
         self.head_dim
     }
 
-    /// Head `head`'s key codes, shape `(len, head_dim)`.
+    /// Head `head`'s key codes transposed, shape `(head_dim, len)` — the `QKᵀ` GEMM's right
+    /// operand.
     pub fn key_codes(&self, head: usize) -> &MatI8 {
         &self.keys[head]
     }
@@ -122,9 +126,10 @@ impl LayerCache {
     }
 
     /// Appends rows `rows` of `keys`/`values`, quantizing each token row with its own
-    /// symmetric abs-max scale and scattering the codes head-major. This is the single
-    /// entry every f32 row takes into any KV store: solo appends, batched appends (one
-    /// call per sequence's row group) and prefix loads all come through here.
+    /// symmetric abs-max scale and scattering the codes head-major: keys as new columns,
+    /// values as new rows. This is the single entry every f32 row takes into any KV store:
+    /// solo appends, batched appends (one call per sequence's row group) and prefix loads
+    /// all come through here.
     ///
     /// # Errors
     ///
@@ -150,14 +155,48 @@ impl LayerCache {
                 ),
             });
         }
-        append_quantized(&mut self.keys, &mut self.key_scales, keys, rows.clone());
-        append_quantized(&mut self.values, &mut self.value_scales, values, rows);
+        let kernels = RowKernels::granted();
+        let (d, base) = (self.head_dim, self.len());
+        for codes in &mut self.keys {
+            widen(codes, base + rows.len());
+        }
+        for codes in &mut self.values {
+            codes.resize_overwrite(base + rows.len(), d);
+        }
+        let scale_of = |row: &[f32]| QuantParams::from_abs_max(kernels.abs_max(row)).scale;
+        // A key column is not contiguous, so its codes are quantized into `piece` a piece at
+        // a time: the quantizer works element by element, so the pieces give the row's codes.
+        let mut piece = [0i8; 64];
+        for (t, r) in (base..).zip(rows) {
+            let (k, v) = (keys.row(r), values.row(r));
+            let (k_scale, v_scale) = (scale_of(k), scale_of(v));
+            self.key_scales.push(k_scale);
+            self.value_scales.push(v_scale);
+            for (codes, channels) in self.values.iter_mut().zip(v.chunks_exact(d)) {
+                kernels.quantize_row(channels, v_scale, codes.row_mut(t));
+            }
+            for (codes, channels) in self.keys.iter_mut().zip(k.chunks_exact(d)) {
+                let width = codes.cols();
+                let mut column = codes.as_mut_slice()[t..].iter_mut().step_by(width);
+                for part in channels.chunks(piece.len()) {
+                    let piece = &mut piece[..part.len()];
+                    kernels.quantize_row(part, k_scale, piece);
+                    // `piece` leads the zip, so its end never consumes a column cell.
+                    for (&code, cell) in piece.iter().zip(&mut column) {
+                        *cell = code;
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
     /// Drops every cached row, keeping the storage for the next occupant.
     pub fn clear(&mut self) {
-        for codes in self.keys.iter_mut().chain(&mut self.values) {
+        for codes in &mut self.keys {
+            codes.resize_overwrite(self.head_dim, 0);
+        }
+        for codes in &mut self.values {
             codes.resize_overwrite(0, self.head_dim);
         }
         self.key_scales.clear();
@@ -165,24 +204,15 @@ impl LayerCache {
     }
 }
 
-/// Quantizes rows `rows` of `x` per token row and appends the codes to the per-head
-/// matrices `heads` (row-append, in place) and the row scales to `scales`.
-fn append_quantized(heads: &mut [MatI8], scales: &mut Vec<f32>, x: &MatF32, rows: Range<usize>) {
-    let Some(head_dim) = heads.first().map(MatI8::cols) else {
-        return;
-    };
-    let kernels = RowKernels::granted();
-    let base = scales.len();
-    for codes in heads.iter_mut() {
-        codes.resize_overwrite(base + rows.len(), head_dim);
-    }
-    for (t, r) in (base..).zip(rows) {
-        let row = x.row(r);
-        let scale = QuantParams::from_abs_max(kernels.abs_max(row)).scale;
-        scales.push(scale);
-        for (codes, channels) in heads.iter_mut().zip(row.chunks_exact(head_dim)) {
-            kernels.quantize_row(channels, scale, codes.row_mut(t));
-        }
+/// Widens `codes` to `cols` columns in place, keeping every row's old codes at its start.
+/// The new columns hold stale bytes until the caller writes them.
+fn widen(codes: &mut MatI8, cols: usize) {
+    let (rows, old) = codes.shape();
+    codes.resize_overwrite(rows, cols);
+    let data = codes.as_mut_slice();
+    // Last row first: row `c` moves right, onto bytes already moved or never used.
+    for c in (1..rows).rev() {
+        data.copy_within(c * old..(c + 1) * old, c * cols);
     }
 }
 
@@ -198,7 +228,7 @@ mod tests {
             (2, 2, 4)
         );
         assert!(cache.is_empty());
-        assert_eq!(cache.key_codes(1).shape(), (0, 4));
+        assert_eq!(cache.key_codes(1).shape(), (4, 0));
     }
 
     #[test]
@@ -221,15 +251,40 @@ mod tests {
             for h in 0..2 {
                 for c in 0..4 {
                     let code = (CHANNELS[h * 4 + c] * 127.0 / 9.0).round() as i8;
-                    assert_eq!(cache.key_codes(h)[(r, c)], code, "row {r} head {h} col {c}");
+                    assert_eq!(cache.key_codes(h)[(c, r)], code, "row {r} head {h} col {c}");
                     assert_eq!(cache.value_codes(h)[(r, c)], -code);
                 }
             }
         }
-        assert_eq!(cache.key_codes(1).row(4), &[127; 4]);
+        assert_eq!(key_column(&cache, 1, 4), [127; 4]);
         // An all-zero row takes the neutral scale and all-zero codes.
         assert_eq!(cache.value_scales()[4], 1.0);
         assert_eq!(cache.value_codes(0).row(4), &[0; 4]);
+
+        // Appending in pieces widens the keys to the store one append builds, at a head width
+        // that is not a power of two and spans more than one quantizer piece; each key
+        // column holds the codes its value row got from one whole-row quantize.
+        let (heads, d, t) = (3, 70, 7);
+        let x = MatF32::from_fn(t, heads * d, |r, c| ((r * 31 + c * 17) % 97) as f32 - 48.5);
+        let mut whole = LayerCache::new(0, heads, d);
+        whole.append(&x, &x).unwrap();
+        let mut pieces = LayerCache::new(0, heads, d);
+        for rows in [0..1, 1..3, 3..t] {
+            pieces.append_rows(&x, &x, rows).unwrap();
+        }
+        assert_eq!(pieces, whole);
+        for h in 0..heads {
+            assert_eq!(whole.key_codes(h).shape(), (d, t));
+            for r in 0..t {
+                assert_eq!(key_column(&whole, h, r), whole.value_codes(h).row(r));
+            }
+        }
+    }
+
+    /// Token `t`'s key codes for head `h`: column `t` of the stored `Kᵀ`.
+    fn key_column(cache: &LayerCache, h: usize, t: usize) -> Vec<i8> {
+        let keys = cache.key_codes(h);
+        (0..keys.rows()).map(|c| keys[(c, t)]).collect()
     }
 
     #[test]
@@ -247,7 +302,7 @@ mod tests {
         cache.append(&rows, &rows).unwrap();
         for (r, scale) in scales.iter().enumerate() {
             for h in 0..2 {
-                assert_eq!(cache.key_codes(h).row(r), &codes.row(r)[h * 4..h * 4 + 4]);
+                assert_eq!(key_column(&cache, h, r), &codes.row(r)[h * 4..h * 4 + 4]);
             }
             assert!((cache.key_scales()[r] / scale - 1.0).abs() < 1e-6);
         }

@@ -56,8 +56,6 @@ pub struct ServeConfig {
     pub slots: usize,
     /// Systolic array used to account detection/recovery cost in the protector's stats.
     pub array: SystolicArray,
-    /// Fallback protection scheme for anything not covered by a per-request policy.
-    pub base_scheme: ProtectionScheme,
     /// Queue-aging interval: a waiting request gains one priority level per this many
     /// engine steps, so low-priority requests cannot starve behind a sustained
     /// high-priority stream. `0` disables aging (strict priority).
@@ -86,7 +84,6 @@ impl Default for ServeConfig {
         Self {
             slots: 4,
             array: SystolicArray::small(Dataflow::WeightStationary),
-            base_scheme: ProtectionScheme::StatisticalAbft,
             aging_steps: 32,
             step_token_budget: 0,
             adaptive: AdaptiveConfig::default(),
@@ -340,8 +337,11 @@ impl<'m> ServeEngine<'m> {
     pub fn new(model: &'m Model, config: ServeConfig) -> Self {
         let slots = config.slots.max(1);
         // Recovery recomputes on the backend the model serves on, not the process default.
+        // Built unprotected: `refresh_schemes` installs one scheme per slot (a free slot's is
+        // `None`) at every admission, before any GEMM runs, so the construction scheme never
+        // decides one.
         let mut protector = SchemeProtector::with_engine(
-            config.base_scheme,
+            ProtectionScheme::None,
             config.array,
             &RegionAssignment::new(),
             model.config().engine.build(),
@@ -932,7 +932,8 @@ impl<'m> ServeEngine<'m> {
     /// Re-announces the slot → scheme map to the shared decode protector (free slots count
     /// as unprotected and never weaken an occupied slot's scheme), with adaptive
     /// escalation applied per slot, and installs the controller's per-component overlay
-    /// (escalated sensitive components, shed resilient components) when adaptation is on.
+    /// (escalated sensitive components, shed resilient components; empty while adaptation
+    /// is off).
     fn refresh_schemes(&mut self) {
         let Self {
             slots,
@@ -940,24 +941,12 @@ impl<'m> ServeEngine<'m> {
             protector,
             ..
         } = self;
-        let schemes: Vec<ProtectionScheme> = slots
-            .iter()
-            .enumerate()
-            .map(|(slot, s)| {
-                s.as_ref().map_or(ProtectionScheme::None, |a| {
-                    adaptive.slot_scheme(slot, a.policy.scheme)
-                })
+        protector.set_sequence_schemes(slots.iter().enumerate().map(|(slot, s)| {
+            s.as_ref().map_or(ProtectionScheme::None, |a| {
+                adaptive.slot_scheme(slot, a.policy.scheme)
             })
-            .collect();
-        protector.set_sequence_schemes(&schemes);
-        if adaptive.is_enabled() {
-            let overlay = adaptive.component_overlay();
-            if overlay.is_empty() {
-                protector.clear_component_schemes();
-            } else {
-                protector.set_component_schemes(&overlay);
-            }
-        }
+        }));
+        protector.set_component_schemes(&adaptive.component_overlay());
     }
 }
 

@@ -40,8 +40,6 @@
 //!   the normalization-skew study (Fig. 5) and by synthetic-weight generation.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the workspace is
 //!   reproducible from a seed.
-//! * [`transpose`] — `MatI8::transpose_into`, the blocked (and, on AVX2, vectorised) INT8
-//!   transpose that turns row-appended key codes into the score GEMM's right operand.
 //! * [`workspace`] — [`Workspace`], the typed scratch arena behind the allocation-free
 //!   decode hot loop: quantized operands, accumulators, checksum vectors and activation
 //!   scratch are checked out of reusable pools instead of allocated per GEMM.
@@ -82,7 +80,6 @@ pub mod rng;
 pub mod row_kernels;
 pub mod simd;
 pub mod stats;
-pub mod transpose;
 pub mod workspace;
 
 mod error;

@@ -308,8 +308,6 @@ impl<T: Copy> Matrix<T> {
     }
 }
 
-impl<T: Copy + PartialOrd> Matrix<T> {}
-
 impl<T> std::ops::Index<(usize, usize)> for Matrix<T> {
     type Output = T;
 
