@@ -295,17 +295,9 @@ impl<'m> ProtectedPipeline<'m> {
                 .generate_batch(&requests, &mut hooks)
                 .map_err(CoreError::from)?
         };
-        let degree = self.model.config().tp_degree;
-        let shards = if degree > 1 { degree } else { 0 };
         // Dense attribution: one entry per sequence / shard, zeroed where nothing fired.
-        let per_sequence = (0..prompts.len())
-            .map(|seq| protector.sequence_attribution().get(&seq).copied())
-            .map(Option::unwrap_or_default)
-            .collect();
-        let per_shard = (0..shards)
-            .map(|shard| protector.shard_attribution().get(&shard).copied())
-            .map(Option::unwrap_or_default)
-            .collect();
+        let mut per_sequence = protector.sequence_attribution().to_vec();
+        per_sequence.resize(prompts.len(), SequenceAttribution::default());
         Ok(BatchedGenerationOutcome {
             scheme,
             voltage,
@@ -315,7 +307,7 @@ impl<'m> ProtectedPipeline<'m> {
             recoveries: protector.stats().recoveries_triggered,
             errors_injected: injector.stats().errors_injected,
             per_sequence,
-            per_shard,
+            per_shard: protector.shard_attribution().to_vec(),
         })
     }
 

@@ -15,7 +15,6 @@ use realm_abft::{
 use realm_llm::{Component, GemmContext, GemmHook, GemmOrigin};
 use realm_systolic::{ProtectionScheme, SystolicArray};
 use realm_tensor::{engine, ChecksummedGemm, GemmEngine, MatI32, MatI8, RowPartition};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Detections and recoveries a [`SchemeProtector`] charged to one fault domain: a batch
@@ -27,6 +26,13 @@ pub struct Attribution {
     pub detections: u64,
     /// Detections on this domain that triggered a recovery.
     pub recoveries: u64,
+}
+
+impl std::ops::AddAssign for Attribution {
+    fn add_assign(&mut self, other: Self) {
+        self.detections += other.detections;
+        self.recoveries += other.recoveries;
+    }
 }
 
 /// Per-batch-sequence attribution.
@@ -105,7 +111,8 @@ impl Default for ProtectionPolicy {
 /// default for `O`/`FC2`/`Down` and the resilient default for everything else.
 #[derive(Debug, Clone, Default)]
 pub struct RegionAssignment {
-    regions: BTreeMap<Component, CriticalRegion>,
+    /// Explicit regions, indexed by [`Component::index`].
+    regions: [Option<CriticalRegion>; Component::ALL.len()],
 }
 
 impl RegionAssignment {
@@ -116,12 +123,12 @@ impl RegionAssignment {
 
     /// Sets the region for one component.
     pub fn set(&mut self, component: Component, region: CriticalRegion) {
-        self.regions.insert(component, region);
+        self.regions[component.index()] = Some(region);
     }
 
     /// The region that will be used for a component.
     pub fn region_for(&self, component: Component) -> CriticalRegion {
-        self.regions.get(&component).copied().unwrap_or_else(|| {
+        self.regions[component.index()].unwrap_or_else(|| {
             if component.is_sensitive() {
                 CriticalRegion::sensitive_default()
             } else {
@@ -156,20 +163,19 @@ impl RegionAssignment {
 
     /// Number of explicitly assigned components.
     pub fn len(&self) -> usize {
-        self.regions.len()
+        self.regions.iter().flatten().count()
     }
 
     /// Returns `true` if no component has an explicit region.
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+        self.len() == 0
     }
 }
 
 /// Reusable buffers for the protector's per-inspection work: the deviation vector every
 /// detector evaluates, the per-group re-reduction buffers of batched attribution, and the
-/// affected-sequence list. Owned by the protector so the detection path of the decode hot
-/// loop never touches the allocator (the buffers are `std::mem::take`n around the borrow
-/// of the detector, which costs nothing — `Vec::default` does not allocate).
+/// affected-sequence and affected-shard lists. Owned by the protector so the detection
+/// path of the decode hot loop never touches the allocator.
 #[derive(Debug, Default)]
 struct DetectionScratch {
     deviations: Vec<i64>,
@@ -179,22 +185,87 @@ struct DetectionScratch {
     shards: Vec<usize>,
 }
 
+impl DetectionScratch {
+    /// Resolves which batch sequences a flagged GEMM's deviation traces back to, into
+    /// `self.affected`.
+    ///
+    /// GEMMs owned wholly by one sequence attribute directly; batch-stacked GEMMs
+    /// re-reduce the checksums per row group of `partition` (one extra pass, paid only on
+    /// detections).
+    fn affected_sequences(
+        &mut self,
+        origin: GemmOrigin,
+        partition: Option<&RowPartition>,
+        w: &MatI8,
+        x: &MatI8,
+        acc: &MatI32,
+    ) {
+        match origin {
+            GemmOrigin::Sequence(seq) => self.affected.push(seq),
+            // `w` is the stacked activation operand of `Y = W·X`, so its rows — and the
+            // accumulator's — are partitioned by sequence.
+            GemmOrigin::BatchedRows => {
+                if let Some(parts) = partition.filter(|p| p.total_rows() == acc.rows()) {
+                    checksum::deviating_groups_into(
+                        w,
+                        x,
+                        acc,
+                        parts,
+                        &mut self.group_etw,
+                        &mut self.group_dev,
+                        &mut self.affected,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The protector's detectors: classical ABFT (which also stands in for the circuit-level
+/// schemes), approximate ABFT, and one statistical detector per component, indexed by
+/// [`Component::index`].
+struct Detectors {
+    classical: ClassicalAbft,
+    approx: ApproxAbft,
+    statistical: [StatisticalAbft; Component::ALL.len()],
+}
+
+impl Detectors {
+    /// The detector `scheme` applies to `component`'s GEMMs, if any.
+    fn get(&self, scheme: ProtectionScheme, component: Component) -> Option<&dyn AbftDetector> {
+        match scheme {
+            ProtectionScheme::None => None,
+            // DMR, Razor and ThunderVolt detect at the circuit level; their detection
+            // coverage for additive datapath errors is equivalent to a full checksum
+            // comparison, so the classical detector stands in for them. Their costs differ
+            // through the recovery policy and the area/power model, not the detector.
+            ProtectionScheme::Dmr
+            | ProtectionScheme::RazorFfs
+            | ProtectionScheme::ThunderVolt
+            | ProtectionScheme::ClassicalAbft => Some(&self.classical),
+            ProtectionScheme::ApproxAbft => Some(&self.approx),
+            ProtectionScheme::StatisticalAbft => Some(&self.statistical[component.index()]),
+        }
+    }
+}
+
 /// A protection scheme attached to the model's GEMM stream.
 pub struct SchemeProtector {
     scheme: ProtectionScheme,
     array: SystolicArray,
-    classical: ClassicalAbft,
-    approx: ApproxAbft,
-    statistical: BTreeMap<Component, StatisticalAbft>,
+    detectors: Detectors,
     stats: RecoveryStats,
     engine: Arc<dyn GemmEngine>,
     partition: Option<RowPartition>,
-    per_sequence: BTreeMap<usize, SequenceAttribution>,
-    tp_degree: Option<usize>,
-    per_shard: BTreeMap<usize, ShardAttribution>,
+    /// Charges per batch sequence not yet taken, indexed by sequence (cache slot); grows
+    /// to the highest sequence charged.
+    per_sequence: Vec<SequenceAttribution>,
+    /// Charges per shard stripe, one entry per shard while shard attribution is on.
+    per_shard: Vec<ShardAttribution>,
     sequence_schemes: Vec<ProtectionScheme>,
     batched_scheme: ProtectionScheme,
-    component_schemes: BTreeMap<Component, ProtectionScheme>,
+    /// The spatial overlay, indexed by [`Component::index`].
+    component_schemes: [Option<ProtectionScheme>; Component::ALL.len()],
     scratch: DetectionScratch,
 }
 
@@ -219,25 +290,22 @@ impl SchemeProtector {
         regions: &RegionAssignment,
         engine: Arc<dyn GemmEngine>,
     ) -> Self {
-        let statistical = Component::ALL
-            .iter()
-            .map(|&c| (c, StatisticalAbft::new(regions.region_for(c))))
-            .collect();
         Self {
             scheme,
             array,
-            classical: ClassicalAbft::new(),
-            approx: ApproxAbft::paper_default(),
-            statistical,
+            detectors: Detectors {
+                classical: ClassicalAbft::new(),
+                approx: ApproxAbft::paper_default(),
+                statistical: Component::ALL.map(|c| StatisticalAbft::new(regions.region_for(c))),
+            },
             stats: RecoveryStats::new(),
             engine,
             partition: None,
-            per_sequence: BTreeMap::new(),
-            tp_degree: None,
-            per_shard: BTreeMap::new(),
+            per_sequence: Vec::new(),
+            per_shard: Vec::new(),
             sequence_schemes: Vec::new(),
             batched_scheme: scheme,
-            component_schemes: BTreeMap::new(),
+            component_schemes: [None; Component::ALL.len()],
             scratch: DetectionScratch::default(),
         }
     }
@@ -252,10 +320,12 @@ impl SchemeProtector {
         &self.stats
     }
 
-    /// Per-batch-sequence detection/recovery attribution, keyed by batch sequence index.
+    /// Per-batch-sequence detection/recovery charges not yet taken by
+    /// [`SchemeProtector::take_sequence_attribution`], indexed by batch sequence.
     ///
-    /// Single-sequence runs attribute everything to index 0. Sequences whose rows never
-    /// deviated have no entry — a fault-free run returns an empty map.
+    /// Single-sequence runs charge index 0. The ledger reaches as far as the highest
+    /// sequence ever charged, so a sequence at or beyond its length was never charged and
+    /// a fault-free run returns an empty slice.
     ///
     /// # Example
     ///
@@ -277,25 +347,36 @@ impl SchemeProtector {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn sequence_attribution(&self) -> &BTreeMap<usize, SequenceAttribution> {
+    pub fn sequence_attribution(&self) -> &[SequenceAttribution] {
         &self.per_sequence
     }
 
+    /// Returns the charges batch sequence `seq` accrued since the last take and zeroes
+    /// them. A serving loop that reuses a cache slot across requests settles each
+    /// occupant's charges this way, so the next occupant starts from zero.
+    pub fn take_sequence_attribution(&mut self, seq: usize) -> SequenceAttribution {
+        self.per_sequence
+            .get_mut(seq)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
     /// Attributes detections to `degree` column stripes; degrees `0` and `1` disable
-    /// per-shard attribution (one stripe is the whole GEMM).
+    /// per-shard attribution (one stripe is the whole GEMM). Resets the shard ledger.
     ///
     /// The serving and pipeline layers set this from the model's
     /// `ModelConfig::tp_degree`; it never changes detection verdicts or recovery
     /// behaviour, only the bookkeeping surfaced by [`SchemeProtector::shard_attribution`].
     pub fn set_shard_attribution(&mut self, degree: usize) {
-        self.tp_degree = (degree > 1).then_some(degree);
+        self.per_shard.clear();
+        if degree > 1 {
+            self.per_shard.resize(degree, ShardAttribution::default());
+        }
     }
 
-    /// Per-shard detection/recovery attribution, keyed by shard index.
-    ///
-    /// Empty unless [`SchemeProtector::set_shard_attribution`] enabled it and at least
-    /// one detection deviated inside some shard's column stripe.
-    pub fn shard_attribution(&self) -> &BTreeMap<usize, ShardAttribution> {
+    /// Per-shard detection/recovery attribution, indexed by shard: one entry per shard
+    /// while [`SchemeProtector::set_shard_attribution`] enables it, empty otherwise.
+    pub fn shard_attribution(&self) -> &[ShardAttribution] {
         &self.per_shard
     }
 
@@ -334,7 +415,7 @@ impl SchemeProtector {
 
     /// Installs a *spatial* scheme overlay: every GEMM of an overlaid component — whoever
     /// owns its rows — is inspected under the overlay scheme instead of whatever the
-    /// per-sequence policies would pick. Replaces any previous overlay wholesale.
+    /// per-sequence policies would pick. Replaces any previous overlay wholesale, in place.
     ///
     /// The overlay is how an adaptive controller protects components, not requests: the
     /// batch-stacked projections mix every active sequence's rows, so stepping a
@@ -344,14 +425,20 @@ impl SchemeProtector {
     /// needs to be able to select a scheme weaker than what the requests asked for. An empty
     /// `schemes` removes the overlay: per-sequence policies (or the construction scheme)
     /// decide again for every component.
-    pub fn set_component_schemes(&mut self, schemes: &[(Component, ProtectionScheme)]) {
-        self.component_schemes = schemes.iter().copied().collect();
+    pub fn set_component_schemes(
+        &mut self,
+        schemes: impl IntoIterator<Item = (Component, ProtectionScheme)>,
+    ) {
+        self.component_schemes = [None; Component::ALL.len()];
+        for (component, scheme) in schemes {
+            self.component_schemes[component.index()] = Some(scheme);
+        }
     }
 
     /// The scheme that applies to `ctx`: a spatial component overlay wins outright,
     /// otherwise per-sequence policies apply when installed.
     fn effective_scheme(&self, ctx: &GemmContext) -> ProtectionScheme {
-        if let Some(&scheme) = self.component_schemes.get(&ctx.component) {
+        if let Some(scheme) = self.component_schemes[ctx.component.index()] {
             return scheme;
         }
         match ctx.origin {
@@ -367,55 +454,22 @@ impl SchemeProtector {
         }
     }
 
-    /// The detector `scheme` applies to `component`'s GEMMs, if any.
-    fn detector_for(
-        &self,
-        scheme: ProtectionScheme,
-        component: Component,
-    ) -> Option<&dyn AbftDetector> {
-        match scheme {
-            ProtectionScheme::None => None,
-            // DMR, Razor and ThunderVolt detect at the circuit level; their detection
-            // coverage for additive datapath errors is equivalent to a full checksum
-            // comparison, so the classical detector stands in for them. Their costs differ
-            // through the recovery policy and the area/power model, not the detector.
-            ProtectionScheme::Dmr
-            | ProtectionScheme::RazorFfs
-            | ProtectionScheme::ThunderVolt
-            | ProtectionScheme::ClassicalAbft => Some(&self.classical),
-            ProtectionScheme::ApproxAbft => Some(&self.approx),
-            ProtectionScheme::StatisticalAbft => Some(
-                self.statistical
-                    .get(&component)
-                    .expect("every component has a statistical detector"),
-            ),
-        }
-    }
-
-    /// The one inspection routine both hook callbacks enter: resolve the GEMM to
-    /// (scheme, detector, recovery policy), take its deviation vector, evaluate, attribute,
+    /// The one inspection routine: resolve the GEMM to (scheme, detector, recovery
+    /// policy), read its deviation vector off the fused checksums, evaluate, attribute,
     /// record, and recompute when the verdict asks for it.
-    ///
-    /// The scratch is taken around the detector borrow (a couple of pointer moves, no
-    /// allocation), so every inspection of the decode hot loop reuses the same buffers.
-    fn protect(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, mut result: Inspected<'_>) {
+    fn protect(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, result: &mut ChecksummedGemm) {
         let scheme = self.effective_scheme(ctx);
         // The policy follows the scheme the GEMM is inspected under, so e.g. a
         // classical-ABFT request (or an escalated component) recomputes on recovery even
         // when the protector was constructed unprotected.
         let policy = RecoveryPolicy::default_for_scheme(scheme);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Some(detector) = self.detector_for(scheme, ctx.component) else {
-            self.scratch = scratch;
+        let Some(detector) = self.detectors.get(scheme, ctx.component) else {
             return;
         };
-        match &result {
-            // The fused pass already paid for the operand-side checksum; only the observed
-            // side is (lazily) refreshed if an upstream injector mutated the accumulator.
-            Inspected::Fused(bundle) => bundle.column_deviations_into(&mut scratch.deviations),
-            // No fused checksums to read: re-reduce them from the operands (two-pass).
-            Inspected::Plain(acc) => scratch.deviations = checksum::column_deviations(w, x, acc),
-        }
+        let scratch = &mut self.scratch;
+        // The fused pass already paid for the operand-side checksum; only the observed
+        // side is (lazily) refreshed if an upstream injector mutated the accumulator.
+        result.column_deviations_into(&mut scratch.deviations);
         let detection = detector.evaluate(&scratch.deviations);
 
         // Attribution must read the accumulator before recovery rewrites it; the per-group
@@ -423,8 +477,9 @@ impl SchemeProtector {
         scratch.affected.clear();
         scratch.shards.clear();
         if detection.errors_detected {
-            self.affected_sequences_into(ctx, w, x, result.acc(), &mut scratch);
-            if let Some(degree) = self.tp_degree {
+            scratch.affected_sequences(ctx.origin, self.partition.as_ref(), w, x, result.acc());
+            if !self.per_shard.is_empty() {
+                let degree = self.per_shard.len();
                 checksum::deviating_shards_into(&scratch.deviations, degree, &mut scratch.shards);
             }
         }
@@ -447,78 +502,25 @@ impl SchemeProtector {
         if recover {
             // Operands are fault-free (ECC-protected memory), so re-executing the GEMM at a
             // safe voltage reproduces the exact result — written back into the existing
-            // accumulator (and checksum) storage rather than a fresh allocation.
-            match &mut result {
-                Inspected::Fused(bundle) => {
-                    self.engine
-                        .gemm_i8_checksummed_into(w, x, bundle, &mut scratch.group_etw)
-                }
-                Inspected::Plain(acc) => self.engine.gemm_i8_into(w, x, acc),
-            }
-            .expect("operand shapes were already validated");
-        }
-        self.scratch = scratch;
-    }
-
-    /// Resolves which batch sequences a flagged GEMM's deviation traces back to, into
-    /// `scratch.affected`.
-    ///
-    /// GEMMs owned wholly by one sequence attribute directly; batch-stacked GEMMs
-    /// re-reduce the checksums per row group into the scratch's borrowed group buffers
-    /// (one extra pass, paid only on detections).
-    fn affected_sequences_into(
-        &self,
-        ctx: &GemmContext,
-        w: &MatI8,
-        x: &MatI8,
-        acc: &MatI32,
-        scratch: &mut DetectionScratch,
-    ) {
-        match ctx.origin {
-            GemmOrigin::Sequence(seq) => scratch.affected.push(seq),
-            GemmOrigin::BatchedRows => match &self.partition {
-                // `w` is the stacked activation operand of `Y = W·X`, so its rows — and the
-                // accumulator's — are partitioned by sequence.
-                Some(parts) if parts.total_rows() == acc.rows() => {
-                    checksum::deviating_groups_into(
-                        w,
-                        x,
-                        acc,
-                        parts,
-                        &mut scratch.group_etw,
-                        &mut scratch.group_dev,
-                        &mut scratch.affected,
-                    );
-                }
-                _ => {}
-            },
+            // accumulator and checksum storage rather than a fresh allocation.
+            self.engine
+                .gemm_i8_checksummed_into(w, x, result, &mut scratch.group_etw)
+                .expect("operand shapes were already validated");
         }
     }
 }
 
-/// What a hook callback handed over for inspection.
-enum Inspected<'a> {
-    /// A bare accumulator: the deviations are re-reduced from the operands.
-    Plain(&'a mut MatI32),
-    /// A fused bundle: the deviations are read off its checksums.
-    Fused(&'a mut ChecksummedGemm),
-}
-
-impl Inspected<'_> {
-    fn acc(&self) -> &MatI32 {
-        match self {
-            Inspected::Plain(acc) => acc,
-            Inspected::Fused(bundle) => bundle.acc(),
-        }
-    }
-}
-
-/// Charges a detection (and, when `recovered`, a recovery) to each affected fault domain.
-fn attribute(ledger: &mut BTreeMap<usize, Attribution>, affected: &[usize], recovered: bool) {
+/// Charges a detection (and, when `recovered`, a recovery) to each affected fault domain,
+/// growing the ledger to the highest index charged.
+fn attribute(ledger: &mut Vec<Attribution>, affected: &[usize], recovered: bool) {
     for &index in affected {
-        let entry = ledger.entry(index).or_default();
-        entry.detections += 1;
-        entry.recoveries += u64::from(recovered);
+        if index >= ledger.len() {
+            ledger.resize(index + 1, Attribution::default());
+        }
+        ledger[index] += Attribution {
+            detections: 1,
+            recoveries: u64::from(recovered),
+        };
     }
 }
 
@@ -532,8 +534,10 @@ impl std::fmt::Debug for SchemeProtector {
 }
 
 impl GemmHook for SchemeProtector {
-    fn on_gemm(&mut self, ctx: &GemmContext, w: &MatI8, x: &MatI8, acc: &mut MatI32) {
-        self.protect(ctx, w, x, Inspected::Plain(acc));
+    fn on_gemm(&mut self, _: &GemmContext, _: &MatI8, _: &MatI8, _: &mut MatI32) {
+        // The model calls the plain callback only when every hook of the stack declines
+        // the fused checksums, and this protector declines them only when no GEMM resolves
+        // to a detector (see `wants_checksums`): there is nothing to inspect.
     }
 
     fn on_gemm_checksummed(
@@ -543,7 +547,7 @@ impl GemmHook for SchemeProtector {
         x: &MatI8,
         result: &mut ChecksummedGemm,
     ) {
-        self.protect(ctx, w, x, Inspected::Fused(result));
+        self.protect(ctx, w, x, result);
     }
 
     fn wants_checksums(&self) -> bool {
@@ -556,10 +560,10 @@ impl GemmHook for SchemeProtector {
         // the construction scheme would inspect. A spatial overlay that inspects *any*
         // component keeps the reductions on. Whenever this returns `false` no context
         // resolves to a detector (unit test
-        // `no_detector_is_reachable_when_checksums_are_declined`), so through the model the
-        // plain `on_gemm` callback never inspects anything.
+        // `no_detector_is_reachable_when_checksums_are_declined`), which is why `on_gemm`
+        // inspects nothing.
         let inspects = |scheme: &ProtectionScheme| !matches!(scheme, ProtectionScheme::None);
-        self.component_schemes.values().any(inspects) || inspects(&self.batched_scheme)
+        self.component_schemes.iter().flatten().any(inspects) || inspects(&self.batched_scheme)
     }
 
     fn on_batch_begin(&mut self, partition: &RowPartition) {
@@ -717,16 +721,16 @@ mod tests {
 
         let attribution = protector.sequence_attribution();
         assert_eq!(
-            attribution.get(&2),
-            Some(&SequenceAttribution {
-                detections: 1,
-                recoveries: 1
-            }),
-            "the corrupted sequence is charged: {attribution:?}"
-        );
-        assert!(
-            !attribution.contains_key(&0) && !attribution.contains_key(&1),
-            "untouched sequences are not charged: {attribution:?}"
+            attribution,
+            [
+                SequenceAttribution::default(),
+                SequenceAttribution::default(),
+                SequenceAttribution {
+                    detections: 1,
+                    recoveries: 1
+                }
+            ],
+            "only the corrupted sequence is charged"
         );
         assert_eq!(
             protected_logits, clean_logits,
@@ -744,7 +748,20 @@ mod tests {
         model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         let attribution = protector.sequence_attribution();
         assert_eq!(attribution.len(), 1);
-        assert!(attribution.get(&0).unwrap().detections > 0);
+        let charged = attribution[0];
+        assert!(charged.detections > 0);
+
+        // Taking the charges hands them over once and zeroes the slot.
+        assert_eq!(protector.take_sequence_attribution(0), charged);
+        assert_eq!(protector.sequence_attribution(), [Attribution::default()]);
+        assert_eq!(
+            protector.take_sequence_attribution(0),
+            Attribution::default()
+        );
+        assert_eq!(
+            protector.take_sequence_attribution(7),
+            Attribution::default()
+        );
     }
 
     #[test]
@@ -809,11 +826,8 @@ mod tests {
         // policies (here: none installed, so the construction scheme) would pick.
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut protector = SchemeProtector::with_default_regions(ProtectionScheme::None, array());
-        let overlay: Vec<(Component, ProtectionScheme)> = Component::ALL
-            .iter()
-            .map(|&c| (c, ProtectionScheme::ClassicalAbft))
-            .collect();
-        protector.set_component_schemes(&overlay);
+        protector
+            .set_component_schemes(Component::ALL.map(|c| (c, ProtectionScheme::ClassicalAbft)));
         assert!(protector.wants_checksums());
         let mut hooks = (&mut injector, &mut protector);
         let (protected_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
@@ -821,7 +835,7 @@ mod tests {
         assert!(protector.stats().recoveries_triggered > 0);
 
         // Clearing the overlay reverts to the unprotected construction scheme.
-        protector.set_component_schemes(&[]);
+        protector.set_component_schemes([]);
         assert!(!protector.wants_checksums());
 
         // The overlay also *weakens*: pinning one component to None on a classical base
@@ -829,7 +843,7 @@ mod tests {
         let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
         let mut shed =
             SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        shed.set_component_schemes(&[(Component::Fc1, ProtectionScheme::None)]);
+        shed.set_component_schemes([(Component::Fc1, ProtectionScheme::None)]);
         let mut hooks = (&mut injector, &mut shed);
         let (shed_logits, _) = model.prefill(&[1, 2, 3, 4], &mut hooks).unwrap();
         assert_ne!(
@@ -876,7 +890,7 @@ mod tests {
                     if let Some(schemes) = list {
                         protector.set_sequence_schemes(schemes.iter().copied());
                     }
-                    protector.set_component_schemes(overlay);
+                    protector.set_component_schemes(overlay.iter().copied());
                     if protector.wants_checksums() {
                         accepted += 1;
                         continue;
@@ -890,7 +904,7 @@ mod tests {
                             };
                             let scheme = protector.effective_scheme(&ctx);
                             assert!(
-                                protector.detector_for(scheme, component).is_none(),
+                                protector.detectors.get(scheme, component).is_none(),
                                 "{construction:?} / {list:?} / {overlay:?}: {ctx:?} resolves to \
                                  {scheme:?} although checksums were declined"
                             );
@@ -983,11 +997,13 @@ mod tests {
         let mut hooks = (&mut injector, &mut protector);
         let out = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
         assert_eq!(out, clean, "the protector recovers the garble");
-        let attribution = protector.shard_attribution();
-        assert_eq!(attribution.keys().copied().collect::<Vec<_>>(), [1]);
+        let charged = Attribution {
+            detections: 2,
+            recoveries: 2,
+        };
         assert_eq!(
-            (attribution[&1].detections, attribution[&1].recoveries),
-            (2, 2)
+            protector.shard_attribution(),
+            [Attribution::default(), charged, Attribution::default()]
         );
 
         // Bit flips anywhere in the accumulator localize to the stripes the deviating
@@ -1000,15 +1016,14 @@ mod tests {
         let repaired = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
         assert_eq!(repaired, clean);
         let attribution = protector.shard_attribution();
+        assert_eq!(attribution.len(), 3, "one entry per shard stripe");
+        let (detections, recoveries) = attribution
+            .iter()
+            .fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
         assert!(
-            !attribution.is_empty(),
+            detections >= recoveries && recoveries > 0,
             "accumulator corruptions localize to shard stripes"
         );
-        assert!(attribution.keys().all(|&s| s < 3));
-        let (detections, recoveries) = attribution
-            .values()
-            .fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
-        assert!(detections >= recoveries && recoveries > 0);
 
         // Attribution is pure bookkeeping: a protector without it repairs the same run.
         let mut protector =

@@ -3,11 +3,10 @@
 
 use crate::error_model::ErrorModel;
 use crate::targeting::Target;
-use realm_llm::{Component, GemmContext, GemmHook, Stage};
+use realm_llm::{Component, GemmContext, GemmHook};
 use realm_tensor::partition::shard_range;
 use realm_tensor::rng::{self, SeededRng};
 use realm_tensor::{gemm, ChecksummedGemm, MatI32, MatI8};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Statistics accumulated by an [`ErrorInjector`] over a run.
@@ -21,10 +20,8 @@ pub struct InjectionStats {
     pub gemms_corrupted: u64,
     /// Total number of injected errors (bit flips or magnitude additions).
     pub errors_injected: u64,
-    /// Injected-error count per network component.
-    pub per_component: BTreeMap<Component, u64>,
-    /// Injected-error count per inference stage.
-    pub per_stage: BTreeMap<Stage, u64>,
+    /// Injected-error count per network component, indexed by [`Component::index`].
+    pub per_component: [u64; Component::ALL.len()],
     /// What the armed shard faults did, one entry per shard of the largest armed degree.
     pub per_shard: Vec<ShardFaultStats>,
 }
@@ -92,7 +89,6 @@ pub struct ErrorInjector<M> {
     target: Target,
     rng: SeededRng,
     stats: InjectionStats,
-    enabled: bool,
     burst: Option<BurstSchedule>,
     /// Whether the current engine step falls inside a burst window. `true` when no burst
     /// schedule is armed (steady injection) and re-evaluated on every `on_step_begin`.
@@ -112,7 +108,6 @@ impl<M: ErrorModel> ErrorInjector<M> {
             target,
             rng: rng::seeded(rng::derive_seed(seed, 0x1_11EC7)),
             stats: InjectionStats::default(),
-            enabled: true,
             burst: None,
             in_burst: true,
             shard_faults: Vec::new(),
@@ -128,14 +123,6 @@ impl<M: ErrorModel> ErrorInjector<M> {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &InjectionStats {
         &self.stats
-    }
-
-    /// Temporarily enables or disables injection without tearing down the hook chain.
-    ///
-    /// Used by recovery policies that re-execute a GEMM at nominal voltage: the re-execution
-    /// must be fault-free.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Arms a time-correlated burst schedule: inject for `burst_steps` engine steps, stay
@@ -173,16 +160,16 @@ impl<M: ErrorModel> ErrorInjector<M> {
     /// ([`realm_tensor::partition::shard_range`]) that [`Target::shards`] selects, all of
     /// them when unset; a different degree drops the faults armed before. A fault applies
     /// ahead of the error model and counts down once per such GEMM, whatever the burst
-    /// window, the per-GEMM target or [`ErrorInjector::set_enabled`] say; its effects are
-    /// counted in [`InjectionStats::per_shard`]. Returns the number of shards armed: none
-    /// by a disabled injector or for `steps == 0`.
+    /// window or the per-GEMM target say; its effects are counted in
+    /// [`InjectionStats::per_shard`]. Returns the number of shards armed: none for
+    /// `steps == 0`.
     ///
     /// # Panics
     ///
     /// Panics if `degree` is zero.
     pub fn arm_shard_faults(&mut self, degree: usize, fault: ShardFault, steps: usize) -> usize {
         assert!(degree >= 1, "shard faults need at least one shard");
-        if !self.enabled || steps == 0 {
+        if steps == 0 {
             return 0;
         }
         if self.shard_faults.len() != degree {
@@ -274,8 +261,7 @@ impl<M: ErrorModel> ErrorInjector<M> {
         if injected > 0 {
             self.stats.gemms_corrupted += 1;
             self.stats.errors_injected += injected as u64;
-            *self.stats.per_component.entry(ctx.component).or_insert(0) += injected as u64;
-            *self.stats.per_stage.entry(ctx.stage).or_insert(0) += injected as u64;
+            self.stats.per_component[ctx.component.index()] += injected as u64;
         }
         injected
     }
@@ -287,7 +273,7 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
         if !self.shard_faults.is_empty() && has_static_weights(ctx.component) {
             self.apply_shard_faults(w, x, acc);
         }
-        if !self.enabled || !self.in_burst || !self.target.matches(ctx) {
+        if !self.in_burst || !self.target.matches(ctx) {
             return;
         }
         self.corrupt_targeted(ctx, acc);
@@ -306,7 +292,7 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
         // recompute — at low BER that is almost every GEMM. The same applies to steps
         // between bursts, and to a killed stripe, which is rebuilt exactly.
         let sharded = !self.shard_faults.is_empty() && has_static_weights(ctx.component);
-        let targeted = self.enabled && self.in_burst && self.target.matches(ctx);
+        let targeted = self.in_burst && self.target.matches(ctx);
         if !sharded && !targeted {
             return;
         }
@@ -336,7 +322,7 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
 mod tests {
     use super::*;
     use crate::error_model::{BitFlipModel, FixedBitModel, MagFreqModel};
-    use realm_llm::{config::ModelConfig, model::Model};
+    use realm_llm::{config::ModelConfig, model::Model, Stage};
 
     #[test]
     fn injector_only_touches_targeted_component() {
@@ -346,8 +332,9 @@ mod tests {
         model.prefill(&[1, 2, 3, 4], &mut injector).unwrap();
         let stats = injector.stats();
         assert!(stats.errors_injected > 0);
-        assert!(stats.per_component.contains_key(&Component::O));
-        assert_eq!(stats.per_component.len(), 1);
+        let mut only_o = [0; Component::ALL.len()];
+        only_o[Component::O.index()] = stats.errors_injected;
+        assert_eq!(stats.per_component, only_o);
         assert_eq!(
             stats.gemms_targeted,
             ModelConfig::tiny_opt().num_layers as u64,
@@ -373,17 +360,6 @@ mod tests {
             .unwrap();
         assert!(injector.stats().gemms_targeted > 0);
         assert!(injector.stats().errors_injected > 0);
-    }
-
-    #[test]
-    fn disabled_injector_is_a_noop() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 1).unwrap();
-        let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(1.0), 5);
-        injector.set_enabled(false);
-        let (faulty_logits, _) = model.prefill(&[1, 2, 3], &mut injector).unwrap();
-        let (clean_logits, _) = model.prefill(&[1, 2, 3], &mut realm_llm::NoopHook).unwrap();
-        assert_eq!(faulty_logits, clean_logits);
-        assert_eq!(injector.stats().errors_injected, 0);
     }
 
     #[test]
@@ -524,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn unfiltered_target_arms_every_shard_and_disabled_arms_none() {
+    fn unfiltered_target_arms_every_shard_and_zero_steps_arm_none() {
         let mut injector = ErrorInjector::everywhere(BitFlipModel::uniform(0.0), 9);
         let garble = ShardFault::Garble { seed: 7 };
         assert_eq!(injector.arm_shard_faults(2, garble, 1), 2);
@@ -533,8 +509,6 @@ mod tests {
             0,
             "zero steps arm nothing"
         );
-        injector.set_enabled(false);
-        assert_eq!(injector.arm_shard_faults(2, ShardFault::Kill, 1), 0);
         let mut filtered =
             ErrorInjector::new(BitFlipModel::uniform(0.0), Target::new().shard(5), 9);
         assert_eq!(

@@ -78,6 +78,12 @@ impl Component {
         Component::Down,
     ];
 
+    /// This component's position in [`Component::ALL`]: the index of its entry in every
+    /// per-component array (`[T; Component::ALL.len()]`).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the paper classifies this component as *sensitive*.
     ///
     /// Sensitive components are the ones whose outputs feed a normalization layer through the
@@ -157,6 +163,13 @@ mod tests {
         assert!(!Component::OPT_BLOCK.contains(&Component::Down));
         assert!(Component::LLAMA_BLOCK.contains(&Component::Gate));
         assert!(!Component::LLAMA_BLOCK.contains(&Component::Fc1));
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c}");
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! GEMM interception hooks: the seam between the model, the error injector and ABFT.
 //!
-//! Every quantized GEMM executed by the model calls [`GemmHook::on_gemm`] with the INT8
+//! Every quantized GEMM executed by the model calls [`GemmHook::on_gemm`] (or, when a hook
+//! of the stack wants the fused checksums, [`GemmHook::on_gemm_checksummed`]) with the INT8
 //! operands and a mutable reference to the INT32 accumulator result, together with a
 //! [`GemmContext`] describing *which* GEMM this is (component, layer, stage). This mirrors
 //! the hardware picture in the paper:
 //!
 //! * the **error injector** mutates the accumulator in place, emulating timing errors in the
 //!   systolic array's datapath;
-//! * the **ABFT protector** recomputes checksums from the (assumed-correct) operands,
-//!   compares them with checksums of the possibly-corrupted accumulator, and may trigger a
-//!   recovery that restores the accumulator.
+//! * the **ABFT protector** reads the fused checksums of [`GemmHook::on_gemm_checksummed`]
+//!   (the expected side computed from the assumed-correct operands, the observed side
+//!   refreshed from the possibly-corrupted accumulator), compares them, and may trigger a
+//!   recovery, which alone recomputes the GEMM and restores the accumulator.
 //!
 //! Hooks stack as pairs: `(A, B)` is a hook that applies `A`, then `B` — injection first,
 //! then protection, matching the physical order of fault and detection. A third hook nests,

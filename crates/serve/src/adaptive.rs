@@ -199,9 +199,9 @@ impl AdaptiveController {
     /// schemes to the protector.
     ///
     /// `detections[slot]` is the number of detections the protector charged to the slot
-    /// *this step* (the attribution delta), `occupied[slot]` whether a sequence currently
-    /// holds it, and `queue_pressure_tokens` the token-age of the oldest queued request
-    /// (`None` when the queue is empty).
+    /// *this step* (what the engine took from it at the step's end), `occupied[slot]`
+    /// whether a sequence currently holds it, and `queue_pressure_tokens` the token-age of
+    /// the oldest queued request (`None` when the queue is empty).
     pub fn observe_step(
         &mut self,
         step: u64,
@@ -310,27 +310,22 @@ impl AdaptiveController {
     /// The per-component overlay the engine should install on the shared protector:
     /// the escalation overlay on the sensitive components while any slot is at least
     /// Elevated, plus the shed overlay on the resilient components while shedding is
-    /// active. The two sets are disjoint, so the overlays never conflict.
-    pub fn component_overlay(&self) -> Vec<(Component, ProtectionScheme)> {
-        let mut overlay = Vec::new();
-        if !self.config.enabled {
-            return overlay;
-        }
-        if self
+    /// active. The two sets are disjoint, so the overlays never conflict. Empty while the
+    /// controller is disabled: it then never leaves Calm nor sheds.
+    pub fn component_overlay(&self) -> impl Iterator<Item = (Component, ProtectionScheme)> + '_ {
+        let escalated = self
             .slots
             .iter()
-            .any(|s| s.stage >= ProtectionStage::Elevated)
-        {
-            overlay.extend(
-                self.sensitive
-                    .iter()
-                    .map(|&c| (c, self.config.escalation_scheme)),
-            );
-        }
-        if self.shed_active {
-            overlay.extend(self.resilient.iter().map(|&c| (c, self.config.shed_floor)));
-        }
-        overlay
+            .any(|s| s.stage >= ProtectionStage::Elevated);
+        let sensitive: &[Component] = if escalated { &self.sensitive } else { &[] };
+        let resilient: &[Component] = if self.shed_active {
+            &self.resilient
+        } else {
+            &[]
+        };
+        let (escalation, floor) = (self.config.escalation_scheme, self.config.shed_floor);
+        let sensitive = sensitive.iter().map(move |&c| (c, escalation));
+        sensitive.chain(resilient.iter().map(move |&c| (c, floor)))
     }
 
     /// Retires `slot`'s occupant: returns the escalations charged to it (for its
@@ -406,7 +401,7 @@ mod tests {
             assert!(!feed(&mut c, step, 5), "disabled controller never reacts");
         }
         assert_eq!(c.stage(0), ProtectionStage::Calm);
-        assert!(c.component_overlay().is_empty());
+        assert!(c.component_overlay().next().is_none());
         assert_eq!(
             c.slot_scheme(0, ProtectionScheme::None),
             ProtectionScheme::None
@@ -499,11 +494,11 @@ mod tests {
     fn overlay_strengthens_sensitive_components_while_any_slot_is_elevated() {
         let mut c = controller(fast_config());
         assert!(
-            c.component_overlay().is_empty(),
+            c.component_overlay().next().is_none(),
             "calm batch has no overlay"
         );
         feed(&mut c, 1, 2);
-        let overlay = c.component_overlay();
+        let overlay: Vec<_> = c.component_overlay().collect();
         assert_eq!(overlay.len(), c.sensitive.len());
         assert!(overlay.iter().all(|&(c, s)| {
             Component::ALL.contains(&c) && s == ProtectionScheme::ClassicalAbft
@@ -514,7 +509,7 @@ mod tests {
         assert!(!components.contains(&Component::Fc1), "resilient stays put");
         // Retiring the only elevated occupant clears the overlay without a de-escalation.
         assert_eq!(c.retire_slot(0), 1);
-        assert!(c.component_overlay().is_empty());
+        assert!(c.component_overlay().next().is_none());
         assert_eq!(c.deescalations(), 0);
         assert_eq!(c.retire_slot(0), 0, "charges are per occupant");
     }
@@ -527,7 +522,7 @@ mod tests {
         assert!(!c.shed_active(), "below the pressure threshold");
         assert!(c.observe_step(2, &[0, 0], &[true, true], Some(100)));
         assert!(c.shed_active());
-        let overlay = c.component_overlay();
+        let overlay: Vec<_> = c.component_overlay().collect();
         assert_eq!(overlay.len(), c.resilient.len());
         assert!(overlay
             .iter()
@@ -541,7 +536,7 @@ mod tests {
         // Pressure clears (queue drained): the overlay lifts immediately.
         assert!(c.observe_step(5, &[0, 0], &[true, true], None));
         assert!(!c.shed_active());
-        assert!(c.component_overlay().is_empty());
+        assert!(c.component_overlay().next().is_none());
         assert_eq!(c.shed_steps(), 3);
     }
 
@@ -555,7 +550,7 @@ mod tests {
         c.observe_step(1, &[2, 0], &[true, true], Some(50));
         assert_eq!(c.stage(0), ProtectionStage::Elevated);
         assert!(c.shed_active());
-        let overlay = c.component_overlay();
+        let overlay: Vec<_> = c.component_overlay().collect();
         assert_eq!(
             overlay.len(),
             Component::ALL.len(),

@@ -268,9 +268,9 @@ struct ActiveSeq {
     /// Instant of this slot's most recent token commit, once the first token exists;
     /// consecutive-commit gaps feed [`EngineStats::decode_stall_p99_us`].
     last_decode_at: Option<Instant>,
-    /// The shared protector's attribution for this slot at admission time; the request is
-    /// charged the delta (slots are reused across requests).
-    baseline: SequenceAttribution,
+    /// The detections and recoveries settled to this request so far: the shared
+    /// protector's charges to its slot, taken at the end of every step and at retirement.
+    attribution: SequenceAttribution,
 }
 
 /// The continuous-batching serving engine.
@@ -292,11 +292,8 @@ pub struct ServeEngine<'m> {
     /// The runtime policy machine driving escalation/de-escalation and protection
     /// shedding; a transparent no-op unless [`ServeConfig::adaptive`] enables it.
     adaptive: AdaptiveController,
-    /// Absolute per-slot detection counts last seen by the adaptive controller, so each
-    /// step feeds it the attribution delta (slots are reused across requests).
-    adaptive_seen: Vec<u64>,
     /// Reused per-step buffers for the controller's observations.
-    adaptive_deltas: Vec<u64>,
+    step_detections: Vec<u64>,
     adaptive_occupied: Vec<bool>,
     /// Steps charged per scheme strictness rank (see [`EngineStats::steps_at_scheme`]).
     steps_at_scheme: [u64; 7],
@@ -327,8 +324,8 @@ pub struct ServeEngine<'m> {
     completed: u64,
     cancelled: u64,
     shed: u64,
-    completed_detections: u64,
-    completed_recoveries: u64,
+    /// Charges of every retired request, completed or cancelled.
+    retired_attribution: SequenceAttribution,
 }
 
 impl<'m> ServeEngine<'m> {
@@ -358,8 +355,7 @@ impl<'m> ServeEngine<'m> {
             cache: model.new_batched_cache(slots),
             protector,
             adaptive: AdaptiveController::new(slots, config.adaptive, &RegionAssignment::new()),
-            adaptive_seen: vec![0; slots],
-            adaptive_deltas: vec![0; slots],
+            step_detections: vec![0; slots],
             adaptive_occupied: vec![false; slots],
             steps_at_scheme: [0; 7],
             fault_hook: None,
@@ -379,8 +375,7 @@ impl<'m> ServeEngine<'m> {
             completed: 0,
             cancelled: 0,
             shed: 0,
-            completed_detections: 0,
-            completed_recoveries: 0,
+            retired_attribution: SequenceAttribution::default(),
         }
     }
 
@@ -572,33 +567,35 @@ impl<'m> ServeEngine<'m> {
             self.budget_available += budget as u64;
             self.budget_used += (decode_rows + chunk_rows) as u64;
         }
-        if self.adaptive.is_enabled() {
-            self.update_adaptive();
-        }
+        self.settle_step();
         self.ws.reset();
         Ok(self.has_work())
     }
 
-    /// Feeds this step's per-slot detection deltas and queue pressure to the adaptive
-    /// controller and re-announces schemes when the policy machine moved. Runs at the end
-    /// of every step, after the step's GEMMs charged their attribution, so a transition
-    /// takes effect from the *next* step's first GEMM — the controller never changes
-    /// protection mid-forward.
-    fn update_adaptive(&mut self) {
-        for slot in 0..self.slots.len() {
-            let current = self
-                .protector
-                .sequence_attribution()
-                .get(&slot)
-                .map_or(0, |a| a.detections);
-            self.adaptive_deltas[slot] = current.saturating_sub(self.adaptive_seen[slot]);
-            self.adaptive_seen[slot] = current;
-            self.adaptive_occupied[slot] = self.slots[slot].is_some();
+    /// Settles the step's protection charges and advances the adaptive controller: every
+    /// occupied slot takes what the shared protector charged it this step into its
+    /// request's attribution, and the taken detections, with the queue pressure, feed the
+    /// controller, whose moves re-announce the schemes. Runs at the end of every step,
+    /// after the step's GEMMs charged their attribution, so a transition takes effect from
+    /// the *next* step's first GEMM — the controller never changes protection mid-forward.
+    fn settle_step(&mut self) {
+        for (slot, active) in self.slots.iter_mut().enumerate() {
+            let mut detections = 0;
+            if let Some(active) = active {
+                let charged = self.protector.take_sequence_attribution(slot);
+                active.attribution += charged;
+                detections = charged.detections;
+            }
+            self.step_detections[slot] = detections;
+            self.adaptive_occupied[slot] = active.is_some();
+        }
+        if !self.adaptive.is_enabled() {
+            return;
         }
         let pressure = self.queue.oldest_token_age(self.token_clock);
         let changed = self.adaptive.observe_step(
             self.steps,
-            &self.adaptive_deltas,
+            &self.step_detections,
             &self.adaptive_occupied,
             pressure,
         );
@@ -767,20 +764,16 @@ impl<'m> ServeEngine<'m> {
 
     /// A snapshot of queue depth, slot occupancy, throughput and reliability counters.
     pub fn stats(&self) -> EngineStats {
-        let mut detections = self.completed_detections;
-        let mut recoveries = self.completed_recoveries;
-        for (slot, active) in self.slots.iter().enumerate() {
-            let Some(active) = active else { continue };
-            let attr = self.slot_attribution(slot, active);
-            detections += attr.detections;
-            recoveries += attr.recoveries;
+        let mut charged = self.retired_attribution;
+        for active in self.slots.iter().flatten() {
+            charged += active.attribution;
         }
         let elapsed_seconds = self.started.elapsed().as_secs_f64();
         let mut sorted_us = self.decode_us.clone();
         sorted_us.sort_unstable();
         let mut sorted_stall_us = self.stall_us.clone();
         sorted_stall_us.sort_unstable();
-        let shards = self.protector.shard_attribution().values();
+        let shards = self.protector.shard_attribution().iter();
         let (shard_detections, shard_recoveries) =
             shards.fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
         EngineStats {
@@ -804,8 +797,8 @@ impl<'m> ServeEngine<'m> {
             } else {
                 self.budget_used as f64 / self.budget_available as f64
             },
-            detections,
-            recoveries,
+            detections: charged.detections,
+            recoveries: charged.recoveries,
             elapsed_seconds,
             tokens_per_second: if elapsed_seconds > 0.0 {
                 self.tokens_generated as f64 / elapsed_seconds
@@ -836,12 +829,6 @@ impl<'m> ServeEngine<'m> {
     /// but the slot's protection scheme is announced to the shared protector immediately
     /// so the very first chunk GEMMs already run under the request's policy.
     fn install(&mut self, slot: usize, queued: QueuedRequest) {
-        let baseline = self
-            .protector
-            .sequence_attribution()
-            .get(&slot)
-            .copied()
-            .unwrap_or_default();
         self.slots[slot] = Some(ActiveSeq {
             id: queued.id,
             sender: queued.sender,
@@ -855,7 +842,7 @@ impl<'m> ServeEngine<'m> {
             enqueue_step: queued.enqueue_step,
             admit_step: self.steps,
             last_decode_at: None,
-            baseline,
+            attribution: SequenceAttribution::default(),
         });
         self.admitted += 1;
         self.refresh_schemes();
@@ -878,27 +865,6 @@ impl<'m> ServeEngine<'m> {
         !delivered || active.tokens.len() >= active.target
     }
 
-    /// Total attribution charged to the request in `slot`: the shared protector's delta
-    /// since admission. Prefill chunks and decode steps both run under the shared
-    /// protector (chunks announce a row partition whose only non-empty group is this
-    /// slot), so one delta covers the request's whole lifetime.
-    fn slot_attribution(&self, slot: usize, active: &ActiveSeq) -> SequenceAttribution {
-        let current = self
-            .protector
-            .sequence_attribution()
-            .get(&slot)
-            .copied()
-            .unwrap_or_default();
-        SequenceAttribution {
-            detections: current
-                .detections
-                .saturating_sub(active.baseline.detections),
-            recoveries: current
-                .recoveries
-                .saturating_sub(active.baseline.recoveries),
-        }
-    }
-
     /// Retires the request in `slot`: releases the KV rows, delivers the summary and
     /// refreshes the per-slot protection schemes.
     fn finalize(&mut self, slot: usize) {
@@ -906,9 +872,12 @@ impl<'m> ServeEngine<'m> {
             .take()
             .expect("finalizing an occupied slot");
         self.cache.release_slot(slot);
-        let attribution = self.slot_attribution(slot, &active);
-        self.completed_detections += attribution.detections;
-        self.completed_recoveries += attribution.recoveries;
+        // Prefill chunks and decode steps both run under the shared protector (a chunk
+        // announces a row partition whose only non-empty group is its slot), so the
+        // charges settled per step plus this step's cover the request's whole lifetime.
+        let mut attribution = active.attribution;
+        attribution += self.protector.take_sequence_attribution(slot);
+        self.retired_attribution += attribution;
         let escalations = self.adaptive.retire_slot(slot);
         let summary = RequestSummary {
             id: active.id,
@@ -946,7 +915,7 @@ impl<'m> ServeEngine<'m> {
                 adaptive.slot_scheme(slot, a.policy.scheme)
             })
         }));
-        protector.set_component_schemes(&adaptive.component_overlay());
+        protector.set_component_schemes(adaptive.component_overlay());
     }
 }
 

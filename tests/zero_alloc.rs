@@ -443,3 +443,49 @@ fn garbled_shard_after_warmup_allocates_nothing() {
         "a warmed decode step with a shard garbled must not allocate"
     );
 }
+
+#[test]
+fn adaptive_scheme_refresh_allocates_nothing() {
+    use realm::core::protection::RegionAssignment;
+    use realm::serve::{AdaptiveConfig, AdaptiveController, ProtectionStage};
+    // An enabled controller driven into both overlays at once: slot 0's detections elevate
+    // it (the first transition is free), and the backlog crosses the shed threshold.
+    let config = AdaptiveConfig::enabled().with_shed(8, ProtectionScheme::None);
+    let mut controller = AdaptiveController::new(2, config, &RegionAssignment::new());
+    assert!(controller.observe_step(1, &[8, 0], &[true, true], Some(8)));
+    assert_eq!(controller.stage(0), ProtectionStage::Elevated);
+    assert!(controller.shed_active());
+    assert_eq!(
+        controller.component_overlay().count(),
+        realm::llm::Component::ALL.len(),
+        "escalation and shed overlays together cover every component"
+    );
+
+    // The serving engine's refresh, on a protector warmed by one refill: the overlay
+    // refills the protector's per-component array in place and the sequence list reuses
+    // its capacity.
+    let requested = [
+        ProtectionScheme::StatisticalAbft,
+        ProtectionScheme::ClassicalAbft,
+    ];
+    let mut protector = SchemeProtector::with_default_regions(
+        ProtectionScheme::None,
+        SystolicArray::small(Dataflow::WeightStationary),
+    );
+    let refresh = |protector: &mut SchemeProtector| {
+        let schemes = (0..2).map(|slot| controller.slot_scheme(slot, requested[slot]));
+        protector.set_sequence_schemes(schemes);
+        protector.set_component_schemes(controller.component_overlay());
+    };
+    refresh(&mut protector);
+    let before = allocations();
+    for _ in 0..16 {
+        refresh(&mut protector);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "an adaptive scheme refresh must not allocate"
+    );
+    assert!(protector.wants_checksums());
+}
