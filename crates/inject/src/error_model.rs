@@ -4,7 +4,9 @@
 //!
 //! * [`BitFlipModel`] — every bit of every accumulator element flips independently with
 //!   probability `ber`, optionally restricted to the high bits (timing errors predominantly
-//!   affect the more significant bits, Sec. III-A).
+//!   affect the more significant bits, Sec. III-A). It costs one draw per element: only an
+//!   element that fires draws its mask, straight from the law of the mask given at least
+//!   one flip, so the result is exact in distribution with no attempt ever rejected.
 //! * [`FixedBitModel`] — flips a *specific* bit position with per-element probability `ber`;
 //!   the paper's Q1.1/Q1.3/Q2.x protocols use the 30th bit.
 //! * [`MagFreqModel`] — injects exactly `freq` identical errors of magnitude `mag`
@@ -42,6 +44,14 @@ pub trait ErrorModel {
 }
 
 /// Independent random bit flips at a given bit-error rate.
+///
+/// [`ErrorModel::corrupt`] draws one uniform per element against P(any of the eligible
+/// bits flips) = `1 − (1 − ber)^bits`. An element that fires then takes its lowest flipped
+/// bit from one more draw, by inverse CDF over a table of integer thresholds built on the
+/// call's first firing element, and each bit above that one from its own Bernoulli(`ber`) draw. That is exactly the
+/// law of `bits` independent flips given at least one, so the flips are those of the plain
+/// per-bit process; what a seed draws is not the same as re-drawing every bit until one
+/// hits, which the module's tests keep as the oracle of the distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitFlipModel {
     /// Probability that any individual bit within the eligible range flips.
@@ -98,30 +108,39 @@ impl ErrorModel for BitFlipModel {
         if self.ber <= 0.0 || acc.is_empty() {
             return 0;
         }
-        let bits = self.eligible_bits();
-        let mut injected = 0usize;
-        // Expected flips per element = ber * bits; for the small BERs used in practice, sample
-        // the number of flipped bits per element from the exact Bernoulli process only when a
-        // first coarse filter passes, to keep the fault-free fast path cheap.
-        let p_any = threshold(1.0 - (1.0 - self.ber).powi(bits as i32));
+        let bits = self.eligible_bits() as usize;
+        // `1 − qⁿ` (q = 1 − ber) as `−expm1(n·ln q)`: at the sweep's BERs (~1e-6) the
+        // direct `1 − q.powi(n)` cancels most of its digits.
+        let ln_q = (-self.ber).ln_1p();
+        let any_of = |n: usize| -(n as f64 * ln_q).exp_m1();
+        let p_any = any_of(bits);
+        let fires = threshold(p_any);
         let p_bit = threshold(self.ber);
+        // `lowest[i]` = threshold of P(F ≤ i | any flip) = (1 − q^(i+1)) / p_any, F the
+        // lowest flipped bit (counted from `min_bit`). Built on the first firing element:
+        // most GEMMs at the sweep's BERs have none. The last eligible entry (and every one
+        // past it) is pinned to 2⁵³, so every draw finds its F.
+        let mut lowest: Option<[u64; ACCUMULATOR_BITS as usize]> = None;
+        let mut injected = 0usize;
         for v in acc.iter_mut() {
-            if !below(rng.next_u64(), p_any) {
+            if !below(rng.next_u64(), fires) {
                 continue;
             }
-            // At least one flip happens in this element; walk the bits with the conditional
-            // distribution (simple rejection: re-draw until at least one bit flips).
-            // Each attempt's `bits` draws come in one `fill_bytes`, which hands out the same
-            // `next_u64` draws in the same order, with no cursor update between them.
-            let mut draws = [0u8; 8 * ACCUMULATOR_BITS as usize];
-            let draws = &mut draws[..8 * bits as usize];
-            let mut hits = 0u32;
-            while hits == 0 {
-                rng.fill_bytes(draws);
-                for (i, draw) in draws.chunks_exact(8).enumerate() {
-                    let draw = u64::from_le_bytes(draw.try_into().expect("8-byte draw"));
-                    hits |= u32::from(below(draw, p_bit)) << i;
+            let lowest = lowest.get_or_insert_with(|| {
+                let mut table = [1u64 << 53; ACCUMULATOR_BITS as usize];
+                for (i, entry) in table[..bits - 1].iter_mut().enumerate() {
+                    *entry = threshold(any_of(i + 1) / p_any);
                 }
+                table
+            });
+            // Given at least one flip: F by inverse CDF from one draw, then every bit
+            // above it independently with probability `ber` — the exact conditional law
+            // of `bits` independent flips.
+            let draw = rng.next_u64();
+            let first = lowest.partition_point(|&t| !below(draw, t));
+            let mut hits = 1u32 << first;
+            for i in first + 1..bits {
+                hits |= u32::from(below(rng.next_u64(), p_bit)) << i;
             }
             let mask = hits << self.min_bit;
             injected += mask.count_ones() as usize;
@@ -219,16 +238,20 @@ impl ErrorModel for MagFreqModel {
         }
         let n = acc.len();
         let count = self.freq.min(n);
-        // Sample `count` distinct positions (Floyd's algorithm keeps this O(count)).
-        let mut chosen = std::collections::HashSet::with_capacity(count);
+        // Sample `count` distinct positions by Floyd's algorithm (O(count) draws): step `j`
+        // takes its draw `t` unless `t` is taken, else `j` itself, which no earlier step
+        // can have taken. One bit per element marks the positions taken, and each takes
+        // its error as it is chosen (the additions land on distinct elements, so commute).
+        let slice = acc.as_mut_slice();
+        let mut taken = vec![0u64; n.div_ceil(64)];
         for j in (n - count)..n {
             let t = rng.gen_range(0..=j);
-            if !chosen.insert(t) {
-                chosen.insert(j);
-            }
-        }
-        let slice = acc.as_mut_slice();
-        for &idx in &chosen {
+            let idx = if taken[t / 64] >> (t % 64) & 1 == 0 {
+                t
+            } else {
+                j
+            };
+            taken[idx / 64] |= 1 << (idx % 64);
             slice[idx] = slice[idx].wrapping_add(self.mag as i32);
         }
         count
@@ -329,30 +352,39 @@ mod tests {
         assert!(MagFreqModel::new(1 << 10, 4).describe().contains("freq 4"));
     }
 
-    /// `BitFlipModel::corrupt` as it was written with float draws, kept as the oracle of
-    /// the integer-threshold form.
-    fn float_bit_flip(model: &BitFlipModel, rng: &mut SeededRng, acc: &mut MatI32) -> usize {
+    /// `BitFlipModel::corrupt` as it was before the mask was drawn directly: a firing
+    /// element re-draws all its bits until at least one hits. Exact by construction, so it
+    /// is the oracle of the direct sampler's distribution (not of its stream).
+    fn rejection_bit_flip(model: &BitFlipModel, rng: &mut SeededRng, acc: &mut MatI32) -> usize {
         if model.ber <= 0.0 || acc.is_empty() {
             return 0;
         }
         let bits = model.eligible_bits();
         let mut injected = 0usize;
-        let p_any = 1.0 - (1.0 - model.ber).powi(bits as i32);
+        // Expected flips per element = ber * bits; for the small BERs used in practice, sample
+        // the number of flipped bits per element from the exact Bernoulli process only when a
+        // first coarse filter passes, to keep the fault-free fast path cheap.
+        let p_any = threshold(1.0 - (1.0 - model.ber).powi(bits as i32));
+        let p_bit = threshold(model.ber);
         for v in acc.iter_mut() {
-            if rng.gen::<f64>() >= p_any {
+            if !below(rng.next_u64(), p_any) {
                 continue;
             }
-            let mut mask = 0u32;
-            loop {
-                for b in model.min_bit..model.max_bit {
-                    if rng.gen::<f64>() < model.ber {
-                        mask |= 1u32 << b;
-                    }
-                }
-                if mask != 0 {
-                    break;
+            // At least one flip happens in this element; walk the bits with the conditional
+            // distribution (simple rejection: re-draw until at least one bit flips).
+            // Each attempt's `bits` draws come in one `fill_bytes`, which hands out the same
+            // `next_u64` draws in the same order, with no cursor update between them.
+            let mut draws = [0u8; 8 * ACCUMULATOR_BITS as usize];
+            let draws = &mut draws[..8 * bits as usize];
+            let mut hits = 0u32;
+            while hits == 0 {
+                rng.fill_bytes(draws);
+                for (i, draw) in draws.chunks_exact(8).enumerate() {
+                    let draw = u64::from_le_bytes(draw.try_into().expect("8-byte draw"));
+                    hits |= u32::from(below(draw, p_bit)) << i;
                 }
             }
+            let mask = hits << model.min_bit;
             injected += mask.count_ones() as usize;
             *v = (*v as u32 ^ mask) as i32;
         }
@@ -402,13 +434,6 @@ mod tests {
         }
         let shapes = [(1, 1), (3, 17), (16, 64), (64, 129)];
         let fixed = |ber| [FixedBitModel::bit30(ber), FixedBitModel::new(ber, 0)];
-        let flips = |ber| {
-            [
-                BitFlipModel::uniform(ber),
-                BitFlipModel::high_bits(ber),
-                BitFlipModel::with_bit_range(ber, 3, 9),
-            ]
-        };
         for seed in [0, 1, 7, 2025, u64::MAX] {
             for (rows, cols) in shapes {
                 for &ber in &bers {
@@ -424,13 +449,6 @@ mod tests {
                         assert_eq!(acc_new, acc_old, "{label}: matrix");
                         assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "{label}: next draw");
                     };
-                    for model in flips(ber) {
-                        check(
-                            format!("{model:?} seed {seed} {rows}x{cols}"),
-                            &|rng, acc| model.corrupt(rng, acc),
-                            &|rng, acc| float_bit_flip(&model, rng, acc),
-                        );
-                    }
                     for model in fixed(ber) {
                         check(
                             format!("{model:?} seed {seed} {rows}x{cols}"),
@@ -439,6 +457,148 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    type Sampler = fn(&BitFlipModel, &mut SeededRng, &mut MatI32) -> usize;
+
+    /// Runs `sampler` over zeroed `rows × cols` matrices from one seeded stream until at
+    /// least `firing` elements have fired, and returns each firing element's mask shifted
+    /// down to bit 0 of the model's range.
+    fn firing_masks(
+        sampler: Sampler,
+        model: &BitFlipModel,
+        seed: u64,
+        (rows, cols): (usize, usize),
+        firing: usize,
+    ) -> Vec<u32> {
+        let bits = model.eligible_bits();
+        let mut rng = seeded(seed);
+        let mut acc = MatI32::zeros(rows, cols);
+        let mut masks = Vec::with_capacity(firing + rows * cols);
+        while masks.len() < firing {
+            acc.as_mut_slice().fill(0);
+            let injected = sampler(model, &mut rng, &mut acc);
+            let before = masks.len();
+            masks.extend(
+                acc.iter()
+                    .filter(|&&v| v != 0)
+                    .map(|&v| v as u32 >> model.min_bit),
+            );
+            let fired = &masks[before..];
+            assert!(fired.iter().all(|&m| bits == 32 || m >> bits == 0));
+            let flips: u32 = fired.iter().map(|m| m.count_ones()).sum();
+            assert_eq!(flips as usize, injected, "the count is the flips applied");
+        }
+        masks
+    }
+
+    /// P(any of `bits` flips) = 1 − (1 − p)^bits, without cancellation at small `p`.
+    fn p_any(p: f64, bits: u32) -> f64 {
+        -(f64::from(bits) * (-p).ln_1p()).exp_m1()
+    }
+
+    /// P(a given set of `k` of `bits` bits is exactly the set that flips | any flips).
+    fn p_mask(p: f64, k: u32, bits: u32) -> f64 {
+        p.powi(k as i32) * (1.0 - p).powi((bits - k) as i32) / p_any(p, bits)
+    }
+
+    /// Asserts that each `observed[i]` of `n` trials lies within 5σ of its expectation
+    /// `n·probs[i]`, σ = √(n·pᵢ·(1 − pᵢ)) the binomial deviation of that one count (taken
+    /// as at least 1). For a partition (`pooled`), bins expecting fewer than 25 are first
+    /// merged into one tail bin, where the normal bound would mean nothing for a count of 0
+    /// or 1.
+    fn assert_within_5_sigma(label: &str, observed: &[u64], probs: &[f64], n: u64, pooled: bool) {
+        let n = n as f64;
+        let mut bins: Vec<(String, u64, f64)> = Vec::new();
+        let mut tail = (String::from("tail"), 0u64, 0.0f64);
+        for (i, (&o, &p)) in observed.iter().zip(probs).enumerate() {
+            if pooled && n * p < 25.0 {
+                tail.1 += o;
+                tail.2 += p;
+            } else {
+                bins.push((i.to_string(), o, p));
+            }
+        }
+        if tail.2 > 0.0 {
+            bins.push(tail);
+        }
+        for (bin, o, p) in bins {
+            let (expected, sigma) = (n * p, (n * p * (1.0 - p)).sqrt());
+            assert!(
+                (o as f64 - expected).abs() <= 5.0 * sigma.max(1.0),
+                "{label} bin {bin}: observed {o}, expected {expected:.1} ± {sigma:.1}"
+            );
+        }
+    }
+
+    #[test]
+    fn direct_masks_follow_the_rejection_oracles_law() {
+        // (a) The whole mask law on a 4-bit range: each of the 15 nonzero masks at its
+        // exact frequency pᵏ(1 − p)^(4−k) / p_any, over 10⁶ firing elements per sampler.
+        // The oracle passing the same bound shows the bound is not too tight.
+        let bits = 4u32;
+        for p in [0.5, 0.3, 0.05] {
+            let model = BitFlipModel::with_bit_range(p, 3, 7);
+            let probs: Vec<f64> = (1..1u32 << bits)
+                .map(|m| p_mask(p, m.count_ones(), bits))
+                .collect();
+            let samplers: [(&str, Sampler); 2] = [
+                ("direct", BitFlipModel::corrupt),
+                ("rejection", rejection_bit_flip),
+            ];
+            for (name, sampler) in samplers {
+                let masks = firing_masks(sampler, &model, 0xD15, (32, 32), 1_000_000);
+                let mut counts = vec![0u64; 1 << bits];
+                masks.iter().for_each(|&m| counts[m as usize] += 1);
+                assert_eq!(counts[0], 0, "a firing element flips at least one bit");
+                let label = format!("{name} p {p} masks");
+                assert_within_5_sigma(&label, &counts[1..], &probs, masks.len() as u64, true);
+            }
+        }
+        // (b) On the high bits, the per-bit flip counts (P(bit flips | any) = p / p_any,
+        // each its own binomial) and the flips-per-firing-element histogram
+        // (C(16, k)·pᵏ(1 − p)^(16−k) / p_any, a partition with its thin tail pooled). At
+        // the sweep's BER a firing element is rare, so large matrices; the oracle, which
+        // spends ~1/p draws per firing element there, runs only at the two high BERs.
+        let curve = crate::VoltageBerCurve::default_14nm();
+        let bits = 16u32;
+        let cases = [
+            (0.5, (32, 32), 200_000, true),
+            (0.05, (32, 32), 200_000, true),
+            (curve.ber_at(0.66), (256, 1024), 20_000, false),
+        ];
+        for (p, shape, firing, with_oracle) in cases {
+            let model = BitFlipModel::high_bits(p);
+            let per_bit = vec![p / p_any(p, bits); bits as usize];
+            let mut choose = 1.0;
+            let per_count: Vec<f64> = (1..=bits)
+                .map(|k| {
+                    choose = choose * f64::from(bits - k + 1) / f64::from(k);
+                    choose * p_mask(p, k, bits)
+                })
+                .collect();
+            let samplers: &[(&str, Sampler)] = if with_oracle {
+                &[
+                    ("direct", BitFlipModel::corrupt),
+                    ("rejection", rejection_bit_flip),
+                ]
+            } else {
+                &[("direct", BitFlipModel::corrupt)]
+            };
+            for &(name, sampler) in samplers {
+                let masks = firing_masks(sampler, &model, 0x5EED, shape, firing);
+                let n = masks.len() as u64;
+                let mut bit_counts = vec![0u64; bits as usize];
+                let mut flip_counts = vec![0u64; bits as usize];
+                for &m in &masks {
+                    (0..bits).for_each(|b| bit_counts[b as usize] += u64::from(m >> b & 1));
+                    flip_counts[m.count_ones() as usize - 1] += 1;
+                }
+                let label = format!("{name} p {p:e}");
+                assert_within_5_sigma(&format!("{label} bits"), &bit_counts, &per_bit, n, false);
+                assert_within_5_sigma(&format!("{label} flips"), &flip_counts, &per_count, n, true);
             }
         }
     }

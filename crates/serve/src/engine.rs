@@ -42,6 +42,7 @@ use realm_llm::model::{argmax_with_margin, PrefillChunk};
 use realm_llm::{GemmHook, Model};
 use realm_systolic::{Dataflow, ProtectionScheme, SystolicArray};
 use realm_tensor::Workspace;
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver};
 use std::time::Instant;
 
@@ -303,6 +304,14 @@ pub struct ServeEngine<'m> {
     ws: Workspace,
     /// Reused per-step buffer of pending tokens (one slot per batch slot).
     step_tokens: Vec<Option<u32>>,
+    /// Reused per-step buffers of the prefill pass ([`ServeEngine::advance_prefills`]):
+    /// the prefilling slots by admission, the planned `(slot, prompt range)` chunks, the
+    /// chunks handed to the model (stored empty, so they borrow nothing between steps) and
+    /// the slots whose prompt completed this step.
+    prefill_order: Vec<(u64, RequestId, usize)>,
+    prefill_plan: Vec<(usize, Range<usize>)>,
+    prefill_chunks_scratch: Vec<PrefillChunk<'static>>,
+    fresh: Vec<usize>,
     /// Recent per-step decode latencies in microseconds (bounded window).
     decode_us: Vec<u64>,
     /// Recent decode-to-decode commit gaps per slot in microseconds (bounded window).
@@ -361,6 +370,10 @@ impl<'m> ServeEngine<'m> {
             fault_hook: None,
             ws: Workspace::new(),
             step_tokens: Vec::new(),
+            prefill_order: Vec::new(),
+            prefill_plan: Vec::new(),
+            prefill_chunks_scratch: Vec::new(),
+            fresh: Vec::new(),
             decode_us: Vec::new(),
             stall_us: Vec::new(),
             started: Instant::now(),
@@ -495,10 +508,11 @@ impl<'m> ServeEngine<'m> {
         } else {
             budget.saturating_sub(decoding_now)
         };
-        let (chunk_rows, fresh) = if chunk_allow > 0 {
+        self.fresh.clear();
+        let chunk_rows = if chunk_allow > 0 {
             self.advance_prefills(chunk_allow)?
         } else {
-            (0, Vec::new())
+            0
         };
 
         // Decode pass: one token for every pre-step decoding slot, plus as many freshly
@@ -506,15 +520,18 @@ impl<'m> ServeEngine<'m> {
         // the rest join next step). With no decoding slots the whole budget was available
         // to chunks, so a chunk of at least one token always fits and prefill can never
         // livelock.
+        let Self {
+            slots,
+            step_tokens,
+            fresh,
+            ..
+        } = self;
         let blocked = &fresh[if budget == 0 {
             fresh.len()
         } else {
             budget.saturating_sub(decoding_now + chunk_rows)
         }
         .min(fresh.len())..];
-        let Self {
-            slots, step_tokens, ..
-        } = self;
         step_tokens.clear();
         step_tokens.extend(slots.iter().enumerate().map(|(slot, s)| {
             s.as_ref().and_then(|a| match a.phase {
@@ -606,37 +623,42 @@ impl<'m> ServeEngine<'m> {
 
     /// Spends up to `budget_tokens` prompt tokens advancing every in-progress prefill,
     /// oldest admission first, in **one** batched forward under the shared protector
-    /// ([`Model::prefill_chunks_batch_ws`]); returns the number of tokens processed plus
-    /// the slots that completed their prompt this step and are still active (FIFO order)
-    /// — candidates for joining the same step's decode pass. The budget is split FIFO by
-    /// admission order — the oldest prefill takes as much as it needs, the next takes
-    /// what is left — so chunked admissions complete in order while a wave of admissions
-    /// still costs one forward, not one per request. A slot's final chunk commits the
-    /// request's first token (budget-0 requests finalize with empty output); earlier
-    /// chunks only extend the slot's resident KV rows.
-    fn advance_prefills(
-        &mut self,
-        budget_tokens: usize,
-    ) -> Result<(usize, Vec<usize>), ServeError> {
-        let mut order: Vec<(u64, RequestId, usize)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, s)| s.as_ref().map(|a| (a, slot)))
-            .filter(|(a, _)| matches!(a.phase, SlotPhase::Prefilling { .. }))
-            .map(|(a, slot)| (a.admit_step, a.id, slot))
-            .collect();
+    /// ([`Model::prefill_chunks_batch_ws`]); returns the number of tokens processed and
+    /// pushes onto `self.fresh` (which `step` clears) the slots that completed their prompt
+    /// this step and are still active (FIFO order) — candidates for joining the same step's decode pass. The budget
+    /// is split FIFO by admission order — the oldest prefill takes as much as it needs, the
+    /// next takes what is left — so chunked admissions complete in order while a wave of
+    /// admissions still costs one forward, not one per request. A slot's final chunk
+    /// commits the request's first token (budget-0 requests finalize with empty output);
+    /// earlier chunks only extend the slot's resident KV rows. The step's bookkeeping
+    /// refills the engine's own buffers, so a warmed step allocates none of it.
+    fn advance_prefills(&mut self, budget_tokens: usize) -> Result<usize, ServeError> {
+        let Self {
+            slots,
+            prefill_order: order,
+            prefill_plan: plan,
+            ..
+        } = self;
+        order.clear();
+        order.extend(
+            slots
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, s)| s.as_ref().map(|a| (a, slot)))
+                .filter(|(a, _)| matches!(a.phase, SlotPhase::Prefilling { .. }))
+                .map(|(a, slot)| (a.admit_step, a.id, slot)),
+        );
         if order.is_empty() {
-            return Ok((0, Vec::new()));
+            return Ok(0);
         }
         order.sort_unstable();
         let mut left = budget_tokens;
-        let mut plan: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        for (_, _, slot) in order {
+        plan.clear();
+        for &(_, _, slot) in order.iter() {
             if left == 0 {
                 break;
             }
-            let active = self.slots[slot].as_ref().expect("slot is occupied");
+            let active = slots[slot].as_ref().expect("slot is occupied");
             let SlotPhase::Prefilling { done } = active.phase else {
                 unreachable!("the plan only holds prefilling slots")
             };
@@ -652,23 +674,25 @@ impl<'m> ServeEngine<'m> {
                 protector,
                 fault_hook,
                 ws,
+                prefill_plan: plan,
+                prefill_chunks_scratch: scratch,
                 ..
             } = self;
-            let chunks: Vec<PrefillChunk<'_>> = plan
-                .iter()
-                .map(|(slot, range)| PrefillChunk {
-                    prompt: &slots[*slot].as_ref().expect("slot is occupied").prompt,
-                    range: range.clone(),
-                    slot: *slot,
-                })
-                .collect();
+            let mut chunks = relend(std::mem::take(scratch));
+            chunks.extend(plan.iter().map(|(slot, range)| PrefillChunk {
+                prompt: &slots[*slot].as_ref().expect("slot is occupied").prompt,
+                range: range.clone(),
+                slot: *slot,
+            }));
             let mut hooks = (fault_hook.as_deref_mut(), protector);
-            model.prefill_chunks_batch_ws(&chunks, cache, &mut hooks, ws)?
+            let per_chunk = model.prefill_chunks_batch_ws(&chunks, cache, &mut hooks, ws);
+            *scratch = relend(chunks);
+            per_chunk?
         };
-        self.prefill_chunks += plan.len() as u64;
+        self.prefill_chunks += self.prefill_plan.len() as u64;
         let mut rows = 0;
-        let mut fresh = Vec::new();
-        for ((slot, range), logits) in plan.into_iter().zip(per_chunk) {
+        for (i, logits) in per_chunk.into_iter().enumerate() {
+            let (slot, range) = self.prefill_plan[i].clone();
             rows += range.len();
             // A chunk's row is its window's last position; for the final chunk that is the
             // prompt's last, so its argmax is the request's first token — bit-identical to
@@ -692,10 +716,10 @@ impl<'m> ServeEngine<'m> {
             if finished {
                 self.finalize(slot);
             } else {
-                fresh.push(slot);
+                self.fresh.push(slot);
             }
         }
-        Ok((rows, fresh))
+        Ok(rows)
     }
 
     /// Records one decode step's wall-clock latency in the bounded sample window.
@@ -917,6 +941,18 @@ impl<'m> ServeEngine<'m> {
         }));
         protector.set_component_schemes(adaptive.component_overlay());
     }
+}
+
+/// Empties `chunks` and returns its buffer typed for another borrow, so the engine keeps
+/// one allocation for every step's chunks without holding a borrow between steps. A
+/// by-value `map` + `collect` into a `Vec` of the same layout reuses the buffer (std's
+/// in-place collect); the map never runs, since the vector is empty.
+fn relend<'b>(mut chunks: Vec<PrefillChunk<'_>>) -> Vec<PrefillChunk<'b>> {
+    chunks.clear();
+    chunks
+        .into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// Nearest-rank percentile of an ascending-sorted microsecond sample (0.0 when empty).

@@ -489,3 +489,43 @@ fn adaptive_scheme_refresh_allocates_nothing() {
     );
     assert!(protector.wants_checksums());
 }
+
+#[test]
+fn serving_prefill_chunk_step_allocates_only_the_models_bookkeeping() {
+    use realm::serve::{ServeConfig, ServeEngine, ServeRequest};
+    // One slot and a 4-token budget: every step runs one prefill chunk of a 220-token
+    // prompt under the engine's statistical protector, and nothing decodes. Past 34 steps
+    // (136 resident rows) every length-dependent pool sits at its 256-row capacity, so the
+    // window (up to 216 rows) sees only what a step allocates every time. The engine's
+    // own bookkeeping — the prefilling slots by age, the plan, the chunks, the completed
+    // slots — refills buffers it keeps; what is left is `prefill_chunks_batch_ws`'s
+    // (see `batched_prefill_step_allocates_only_its_bookkeeping_after_warmup`).
+    const STEP_ALLOCATIONS: u64 = 5;
+    let model = model_on(EngineKind::Simd);
+    let config = ServeConfig {
+        slots: 1,
+        step_token_budget: 4,
+        ..ServeConfig::default()
+    };
+    let vocab = model.config().vocab_size as u32;
+    let mut engine = ServeEngine::new(&model, config);
+    let prompt: Vec<u32> = (0..220).map(|t| t % vocab).collect();
+    let (_, _events) = engine.submit(ServeRequest::new(prompt, 1)).unwrap();
+    for _ in 0..34 {
+        assert!(engine.step().unwrap());
+    }
+    for step in 34..54 {
+        let before = allocations();
+        assert!(engine.step().unwrap());
+        let allocations = allocations() - before;
+        assert!(
+            allocations <= STEP_ALLOCATIONS,
+            "step {step}: a warmed prefill-chunk step made {allocations} allocations"
+        );
+    }
+    assert_eq!(
+        engine.stats().prefill_chunks,
+        54,
+        "every step ran one chunk"
+    );
+}
