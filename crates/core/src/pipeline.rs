@@ -14,8 +14,7 @@ use crate::protection::{RegionAssignment, SchemeProtector, SequenceAttribution, 
 use crate::{CoreError, Result};
 use realm_eval::task::Task;
 use realm_inject::{
-    campaign::run_trials, error_model::BitFlipModel, injector::ErrorInjector, targeting::Target,
-    VoltageBerCurve,
+    error_model::BitFlipModel, injector::ErrorInjector, targeting::Target, VoltageBerCurve,
 };
 use realm_llm::model::GenerationOutput;
 use realm_llm::{BatchRequest, Component, Model};
@@ -44,10 +43,6 @@ pub struct PipelineConfig {
     /// bit-exact, so this only changes how fast the sweeps run; it defaults to
     /// [`EngineKind::auto`] (the SIMD parallel backend) like the models themselves.
     pub engine: EngineKind,
-    /// Number of sequences batched trials run together (see
-    /// [`ProtectedPipeline::run_batched`]). `1` reproduces the sequential behaviour; larger
-    /// batches amortise checksum and detection cost across the batch.
-    pub batch_size: usize,
 }
 
 impl Default for PipelineConfig {
@@ -59,7 +54,6 @@ impl Default for PipelineConfig {
             protected_component: None,
             min_error_bit: 16,
             engine: EngineKind::auto(),
-            batch_size: 1,
         }
     }
 }
@@ -311,64 +305,6 @@ impl<'m> ProtectedPipeline<'m> {
         })
     }
 
-    /// Runs one batched trial on [`PipelineConfig::batch_size`] synthetic ragged prompts
-    /// drawn deterministically from the model's language and `seed`.
-    ///
-    /// This is the entry point sweeps use to run batched trials without hand-building
-    /// prompt sets; [`ProtectedPipeline::run_batched_campaign`] fans it out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`ProtectedPipeline::run_generation_batch`].
-    pub fn run_batched(
-        &self,
-        scheme: ProtectionScheme,
-        voltage: f64,
-        seed: u64,
-    ) -> Result<BatchedGenerationOutcome> {
-        let prompts = self.synthetic_batch_prompts(seed);
-        let new_tokens = (self.model.config().max_seq_len / 4).max(1);
-        self.run_generation_batch(&prompts, new_tokens, scheme, voltage, seed)
-    }
-
-    /// Runs `trials` independent batched trials in parallel with deterministic per-trial
-    /// seeds and returns every outcome (per-sequence attribution included).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first trial error encountered.
-    pub fn run_batched_campaign(
-        &self,
-        scheme: ProtectionScheme,
-        voltage: f64,
-        trials: usize,
-        base_seed: u64,
-    ) -> Result<Vec<BatchedGenerationOutcome>> {
-        run_trials(trials, base_seed, |seed| {
-            self.run_batched(scheme, voltage, seed)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Deterministic ragged prompts for batched trials: `batch_size` chains of the model's
-    /// synthetic language with lengths cycling between 4 and 11 tokens.
-    fn synthetic_batch_prompts(&self, seed: u64) -> Vec<Vec<u32>> {
-        let language = self.model.language();
-        let vocab = self.model.config().vocab_size as u64;
-        let max_prompt = (self.model.config().max_seq_len / 2).max(2);
-        (0..self.config.batch_size.max(1))
-            .map(|i| {
-                let len = (4 + (seed as usize + 3 * i) % 8).min(max_prompt);
-                let mut prompt = vec![((seed + i as u64 * 17) % vocab) as u32];
-                while prompt.len() < len {
-                    prompt.push(language.successor(*prompt.last().expect("non-empty")));
-                }
-                prompt
-            })
-            .collect()
-    }
-
     /// Clean-reference value of a task (no injection, no protection).
     ///
     /// # Errors
@@ -527,28 +463,6 @@ mod tests {
             "batching amortises inspections ({} vs {sequential_inspected})",
             batched.gemms_inspected
         );
-    }
-
-    #[test]
-    fn batched_campaign_runs_deterministic_trials() {
-        let (model, _) = setup();
-        let config = PipelineConfig {
-            batch_size: 3,
-            ..small_config()
-        };
-        let pipeline = ProtectedPipeline::new(&model, config);
-        let a = pipeline
-            .run_batched_campaign(ProtectionScheme::StatisticalAbft, 0.62, 4, 11)
-            .unwrap();
-        let b = pipeline
-            .run_batched_campaign(ProtectionScheme::StatisticalAbft, 0.62, 4, 11)
-            .unwrap();
-        assert_eq!(a.len(), 4);
-        assert_eq!(a, b, "same base seed reproduces the whole campaign");
-        for outcome in &a {
-            assert_eq!(outcome.outputs.len(), 3);
-            assert_eq!(outcome.per_sequence.len(), 3);
-        }
         assert!(pipeline
             .run_generation_batch(&[], 4, ProtectionScheme::None, 0.9, 1)
             .is_err());

@@ -46,14 +46,11 @@
 
 use crate::batch::{BatchedKvCache, BatchedLayerCache};
 use crate::component::Component;
-use crate::config::ModelConfig;
 use crate::quantized::{
     quantize_symmetric_rows_into, run_hooked_gemm_into, ForwardPass, HookedGemmScratch, OutputMode,
     QuantLinear, QuantizedInput, Rhs,
 };
-use crate::weights;
 use crate::Result;
-use realm_tensor::rng::SeededRng;
 use realm_tensor::{MatF32, RowKernels, RowPartition};
 
 /// Multi-head self-attention for a single Transformer layer.
@@ -68,19 +65,38 @@ pub struct MultiHeadAttention {
 }
 
 impl MultiHeadAttention {
-    /// Creates an attention layer with synthetic weights drawn from `rng`.
-    pub fn new(config: &ModelConfig, rng: &mut SeededRng) -> Self {
-        let h = config.hidden_size;
-        let make = |rng: &mut SeededRng, mode| {
-            QuantLinear::from_f32(&weights::projection(rng, h, h), mode)
+    /// An attention layer of `num_heads` heads, quantized from its f32 projections `Q`,
+    /// `K`, `V`, `O` in that order, each `(hidden, hidden)`. Each projection is quantized
+    /// before the next is taken, so an iterator that draws lazily keeps one f32 matrix alive
+    /// at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `projections` does not yield exactly four matrices, or if `num_heads` does
+    /// not divide the projections' width.
+    pub fn from_f32(num_heads: usize, projections: impl IntoIterator<Item = MatF32>) -> Self {
+        let mut projections = projections.into_iter();
+        let mut hidden = 0;
+        let mut next = |mode| {
+            let weight = projections.next().expect("too few attention projections");
+            hidden = weight.cols();
+            QuantLinear::from_f32(&weight, mode)
         };
+        let int8 = OutputMode::RequantizedInt8;
+        let (wq, wk, wv, wo) = (next(int8), next(int8), next(int8), next(OutputMode::Float));
+        let extra = projections.next();
+        assert!(extra.is_none(), "too many attention projections");
+        assert!(
+            hidden % num_heads == 0,
+            "{num_heads} heads do not divide {hidden}"
+        );
         Self {
-            wq: make(rng, OutputMode::RequantizedInt8),
-            wk: make(rng, OutputMode::RequantizedInt8),
-            wv: make(rng, OutputMode::RequantizedInt8),
-            wo: make(rng, OutputMode::Float),
-            num_heads: config.num_heads,
-            head_dim: config.head_dim(),
+            wq,
+            wk,
+            wv,
+            wo,
+            num_heads,
+            head_dim: hidden / num_heads,
         }
     }
 
@@ -263,17 +279,27 @@ impl MultiHeadAttention {
 mod tests {
     use super::*;
     use crate::component::Stage;
+    use crate::config::ModelConfig;
     use crate::hooks::{GemmContext, GemmHook, GemmOrigin, NoopHook, RecordingHook};
+    use realm_tensor::rng::SeededRng;
     use realm_tensor::{
         rng, ChecksummedGemm, EngineKind, GemmEngine, MatI32, MatI8, PackedMatI8, ReferenceEngine,
         Result as TensorResult, Workspace,
     };
     use std::ops::Range;
 
+    /// The attention of `config` with `Q`/`K`/`V`/`O` drawn as the synthetic recipe draws
+    /// them.
+    fn drawn(config: &ModelConfig, r: &mut SeededRng) -> MultiHeadAttention {
+        let h = config.hidden_size;
+        let projections = (0..4).map(|_| rng::gaussian_matrix(r, h, h, 0.0, 0.02));
+        MultiHeadAttention::from_f32(config.num_heads, projections)
+    }
+
     fn attention_and_input() -> (MultiHeadAttention, MatF32, ModelConfig) {
         let config = ModelConfig::tiny_opt();
         let mut r = rng::seeded(17);
-        let attn = MultiHeadAttention::new(&config, &mut r);
+        let attn = drawn(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 5, config.hidden_size, 0.0, 1.0);
         (attn, x, config)
     }
@@ -315,6 +341,18 @@ mod tests {
             &ReferenceEngine,
             hook,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "3 heads do not divide 8")]
+    fn a_head_count_that_does_not_divide_the_width_is_rejected() {
+        let _ = MultiHeadAttention::from_f32(3, (0..4).map(|_| MatF32::zeros(8, 8)));
+    }
+
+    #[test]
+    #[should_panic(expected = "too few attention projections")]
+    fn a_missing_projection_is_rejected() {
+        let _ = MultiHeadAttention::from_f32(2, (0..3).map(|_| MatF32::zeros(8, 8)));
     }
 
     #[test]
@@ -552,7 +590,7 @@ mod tests {
         // the GEMM backend.
         let config = ModelConfig::tiny_opt();
         let mut r = rng::seeded(4);
-        let base = MultiHeadAttention::new(&config, &mut r);
+        let base = drawn(&config, &mut r);
         let full = rng::gaussian_matrix(&mut r, 6, config.hidden_size, 0.0, 1.0);
         let neighbour = rng::gaussian_matrix(&mut r, 4, config.hidden_size, 0.0, 3.0);
         let mut cache_full = empty_cache(&base, 1);
@@ -626,7 +664,7 @@ mod tests {
         const PER_PREFIX_PATH_ERROR: f64 = 0.006_02;
         let config = ModelConfig::llama_3_8b_proxy();
         let mut r = rng::seeded(2025);
-        let attn = MultiHeadAttention::new(&config, &mut r);
+        let attn = drawn(&config, &mut r);
         let x = rng::gaussian_matrix(&mut r, 48, config.hidden_size, 0.0, 1.0);
         let (mut cache, parts) = (empty_cache(&attn, 1), RowPartition::from_lens(&[x.rows()]));
         let (mut hook, mut ws) = (NoopHook, Workspace::new());

@@ -188,8 +188,8 @@ impl BatchedLayerCache {
 pub struct BatchedKvCache {
     layers: Vec<BatchedLayerCache>,
     batch_size: usize,
-    /// The row partition of the latest decode step, which the next step refills in place
-    /// so a warmed decode step allocates none. Scratch, not contents: equality ignores it.
+    /// The row partition of the latest forward, which the next one refills in place so a
+    /// warmed step allocates none. Scratch, not contents: equality ignores it.
     pub(crate) step: Option<RowPartition>,
 }
 

@@ -15,84 +15,30 @@
 
 use crate::attention::MultiHeadAttention;
 use crate::batch::BatchedKvCache;
-use crate::config::{Architecture, ModelConfig};
 use crate::mlp::Mlp;
-use crate::norm::{LayerNorm, RmsNorm};
+use crate::norm::Norm;
 use crate::quantized::ForwardPass;
-use crate::weights;
 use crate::Result;
-use realm_tensor::rng::SeededRng;
 use realm_tensor::{MatF32, RowPartition};
-
-/// Normalization layer variant used by a block.
-#[derive(Debug, Clone)]
-pub enum Norm {
-    /// LayerNorm (OPT-style blocks).
-    Layer(LayerNorm),
-    /// RMSNorm (LLaMA-style blocks).
-    Rms(RmsNorm),
-}
-
-impl Norm {
-    /// Creates the normalization variant matching the architecture.
-    pub fn new(config: &ModelConfig, rng: &mut SeededRng) -> Self {
-        let gamma = weights::norm_gamma(rng, config.hidden_size);
-        match config.architecture {
-            Architecture::OptStyle => {
-                Norm::Layer(LayerNorm::new(gamma, vec![0.0; config.hidden_size]))
-            }
-            Architecture::LlamaStyle => Norm::Rms(RmsNorm::new(gamma)),
-        }
-    }
-
-    /// Applies the normalization to every row of `x`.
-    pub fn forward(&self, x: &MatF32) -> MatF32 {
-        match self {
-            Norm::Layer(n) => n.forward(x),
-            Norm::Rms(n) => n.forward(x),
-        }
-    }
-
-    /// [`Norm::forward`] into caller-provided storage (reshaped in place, bit-identical).
-    pub fn forward_into(&self, x: &MatF32, out: &mut MatF32) {
-        match self {
-            Norm::Layer(n) => n.forward_into(x, out),
-            Norm::Rms(n) => n.forward_into(x, out),
-        }
-    }
-
-    /// Number of channels the normalization expects.
-    pub fn dim(&self) -> usize {
-        match self {
-            Norm::Layer(n) => n.dim(),
-            Norm::Rms(n) => n.dim(),
-        }
-    }
-}
 
 /// A single pre-normalization Transformer block.
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
     norm1: Norm,
-    norm2: Norm,
     attention: MultiHeadAttention,
+    norm2: Norm,
     mlp: Mlp,
 }
 
 impl TransformerBlock {
-    /// Creates a block with synthetic weights drawn from `rng`.
-    pub fn new(config: &ModelConfig, rng: &mut SeededRng) -> Self {
+    /// The block `x + Attention(Norm1(x))`, then `x + Mlp(Norm2(x))`, from its sub-layers.
+    pub fn from_parts(norm1: Norm, attention: MultiHeadAttention, norm2: Norm, mlp: Mlp) -> Self {
         Self {
-            norm1: Norm::new(config, rng),
-            norm2: Norm::new(config, rng),
-            attention: MultiHeadAttention::new(config, rng),
-            mlp: Mlp::new(config, rng),
+            norm1,
+            attention,
+            norm2,
+            mlp,
         }
-    }
-
-    /// Accesses the attention sub-layer (used by tests and workload accounting).
-    pub fn attention(&self) -> &MultiHeadAttention {
-        &self.attention
     }
 
     /// Runs the block as layer `layer` of `pass` over an owned (typically workspace-pooled)
@@ -148,14 +94,55 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Architecture, ModelConfig};
     use crate::hooks::{GemmHook, NoopHook, RecordingHook};
     use crate::{Component, Stage};
-    use realm_tensor::{rng, ReferenceEngine, Workspace};
+    use realm_tensor::rng::{self, SeededRng};
+    use realm_tensor::{ReferenceEngine, Workspace};
+
+    /// One block's weights in the synthetic recipe's draw order: the two norm scales, then
+    /// `Q`, `K`, `V`, `O` and the MLP's projections (`FC1`, `FC2` or `Gate`, `Up`, `Down`).
+    fn draw(config: &ModelConfig, r: &mut SeededRng) -> ([Vec<f32>; 2], Vec<MatF32>) {
+        let (h, f) = (config.hidden_size, config.ffn_size);
+        let mut gamma = || {
+            (0..h)
+                .map(|_| 1.0 + 0.1 * rng::standard_normal(r))
+                .collect()
+        };
+        let gammas = [gamma(), gamma()];
+        let mut shapes = vec![(h, h); 4];
+        if config.architecture == Architecture::LlamaStyle {
+            shapes.push((h, f));
+        }
+        shapes.extend([(h, f), (f, h)]);
+        let projections = shapes.into_iter();
+        let projections = projections.map(|(i, o)| rng::gaussian_matrix(r, i, o, 0.0, 0.02));
+        (gammas, projections.collect())
+    }
+
+    /// The block of `config` built from weights in [`draw`]'s order.
+    fn build(
+        config: &ModelConfig,
+        [gamma1, gamma2]: [Vec<f32>; 2],
+        mut projections: Vec<MatF32>,
+    ) -> TransformerBlock {
+        let (arch, mlp) = (config.architecture, projections.split_off(4));
+        TransformerBlock::from_parts(
+            Norm::new(arch, gamma1),
+            MultiHeadAttention::from_f32(config.num_heads, projections),
+            Norm::new(arch, gamma2),
+            Mlp::from_f32(arch, mlp),
+        )
+    }
 
     /// `block(x)` as layer 0 of a fresh solo prefill pass on the oracle backend.
-    fn forward(block: &TransformerBlock, x: &MatF32, hook: &mut dyn GemmHook) -> MatF32 {
-        let attn = block.attention();
-        let mut cache = BatchedKvCache::new(1, 1, attn.num_heads(), attn.head_dim());
+    fn forward(
+        config: &ModelConfig,
+        block: &TransformerBlock,
+        x: &MatF32,
+        hook: &mut dyn GemmHook,
+    ) -> MatF32 {
+        let mut cache = BatchedKvCache::new(1, 1, config.num_heads, config.head_dim());
         let parts = RowPartition::from_lens(&[x.rows()]);
         let mut ws = Workspace::new();
         let mut pass = ForwardPass::new(Stage::Prefill, &ReferenceEngine, hook, &mut ws);
@@ -168,9 +155,10 @@ mod tests {
     fn block_preserves_shape_for_both_architectures() {
         for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
             let mut r = rng::seeded(6);
-            let block = TransformerBlock::new(&config, &mut r);
+            let (gammas, projections) = draw(&config, &mut r);
+            let block = build(&config, gammas, projections);
             let x = rng::gaussian_matrix(&mut r, 4, config.hidden_size, 0.0, 1.0);
-            let y = forward(&block, &x, &mut NoopHook);
+            let y = forward(&config, &block, &x, &mut NoopHook);
             assert_eq!(y.shape(), x.shape(), "{}", config.name);
             assert!(y.iter().all(|v| v.is_finite()));
         }
@@ -180,10 +168,11 @@ mod tests {
     fn block_reports_architecture_specific_components() {
         let config = ModelConfig::tiny_llama();
         let mut r = rng::seeded(6);
-        let block = TransformerBlock::new(&config, &mut r);
+        let (gammas, projections) = draw(&config, &mut r);
+        let block = build(&config, gammas, projections);
         let x = rng::gaussian_matrix(&mut r, 2, config.hidden_size, 0.0, 1.0);
         let mut rec = RecordingHook::new();
-        forward(&block, &x, &mut rec);
+        forward(&config, &block, &x, &mut rec);
         assert_eq!(rec.count_for(Component::Down), 1);
         assert_eq!(rec.count_for(Component::Fc2), 0);
     }
@@ -195,9 +184,10 @@ mod tests {
         // that lets the synthetic lm-head predict successors from the final hidden state.
         let config = ModelConfig::tiny_opt();
         let mut r = rng::seeded(12);
-        let block = TransformerBlock::new(&config, &mut r);
+        let (gammas, projections) = draw(&config, &mut r);
+        let block = build(&config, gammas, projections);
         let x = rng::gaussian_matrix(&mut r, 3, config.hidden_size, 0.0, 1.0);
-        let y = forward(&block, &x, &mut NoopHook);
+        let y = forward(&config, &block, &x, &mut NoopHook);
         let relative_change =
             y.distance(&x).unwrap() / x.distance(&MatF32::zeros(3, config.hidden_size)).unwrap();
         assert!(
@@ -207,17 +197,50 @@ mod tests {
     }
 
     #[test]
-    fn norm_variant_matches_architecture() {
-        let mut r = rng::seeded(1);
-        assert!(matches!(
-            Norm::new(&ModelConfig::tiny_opt(), &mut r),
-            Norm::Layer(_)
-        ));
-        assert!(matches!(
-            Norm::new(&ModelConfig::tiny_llama(), &mut r),
-            Norm::Rms(_)
-        ));
-        let n = Norm::new(&ModelConfig::tiny_opt(), &mut r);
-        assert_eq!(n.dim(), ModelConfig::tiny_opt().hidden_size);
+    fn a_zeroed_output_projection_hides_the_projections_that_feed_it() {
+        // With every `O` weight zero the attention adds nothing to the residual stream, so
+        // the block's output cannot depend on `Q`/`K`/`V`; with `FC2`/`Down` zero the same
+        // holds for `FC1` or `Gate`/`Up`. The edited block still runs every GEMM of the
+        // unedited one.
+        for config in [ModelConfig::tiny_opt(), ModelConfig::tiny_llama()] {
+            let mut r = rng::seeded(31);
+            let (gammas, base) = draw(&config, &mut r);
+            let (_, other) = draw(&config, &mut r);
+            let x = rng::gaussian_matrix(&mut r, 5, config.hidden_size, 0.0, 1.0);
+            let run = |projections: Vec<MatF32>| {
+                let mut rec = RecordingHook::new();
+                let block = build(&config, gammas.clone(), projections);
+                let y = forward(&config, &block, &x, &mut rec);
+                (y, rec.calls, rec.total_macs)
+            };
+            let (_, unedited_calls, unedited_macs) = run(base.clone());
+            let down = base.len() - 1;
+            // (the projections taken from the other draw, the one zeroed after them)
+            for (redrawn, zeroed) in [(0..3, 3), (4..down, down)] {
+                let label = format!("{}: {redrawn:?} redrawn, {zeroed} zeroed", config.name);
+                let ablate = |zero: bool| {
+                    [&base, &other].map(|source| {
+                        let mut projections = base.clone();
+                        for i in redrawn.clone() {
+                            projections[i] = source[i].clone();
+                        }
+                        if zero {
+                            let (rows, cols) = projections[zeroed].shape();
+                            projections[zeroed] = MatF32::zeros(rows, cols);
+                        }
+                        let (y, calls, macs) = run(projections);
+                        assert_eq!((calls, macs), (unedited_calls.clone(), unedited_macs));
+                        y
+                    })
+                };
+                let [a, b] = ablate(true);
+                assert_eq!(
+                    a, b,
+                    "{label}: the output must not see the redrawn projections"
+                );
+                let [a, b] = ablate(false);
+                assert_ne!(a, b, "{label}: unzeroed, the redraw must show");
+            }
+        }
     }
 }

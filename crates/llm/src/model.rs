@@ -10,9 +10,10 @@
 //! # One forward, six entry points
 //!
 //! Every entry point validates its window and calls the one private forward routine (embed
-//! → blocks) with a [`Stage`], a [`BatchedKvCache`] and the [`RowPartition`] of the pass's
-//! rows over the cache's slots, then the final norm and LM head on the rows whose logits it
-//! returns (the table's last column). A solo sequence is slot 0 of a one-slot cache, so
+//! → blocks → final norm and LM head) with a [`Stage`], a [`BatchedKvCache`] and each
+//! slot's tokens; the routine refills the cache's [`RowPartition`] of the pass's rows over
+//! the slots and returns the logits of the rows the entry point reads (the table's last
+//! column). A solo sequence is slot 0 of a one-slot cache, so
 //! hooks see one rule for every pass: the forward announces its partition
 //! ([`GemmHook::on_batch_begin`]) before any GEMM, every shared GEMM (`Q`/`K`/`V`/`O`, MLP)
 //! is tagged [`GemmOrigin::BatchedRows`], and each sequence's `QKᵀ`/`SV` GEMMs are tagged
@@ -36,14 +37,12 @@
 //! [`GemmOrigin::BatchedRows`]: crate::GemmOrigin::BatchedRows
 
 use crate::batch::{BatchRequest, BatchedKvCache};
-use crate::block::{Norm, TransformerBlock};
 use crate::component::Stage;
 use crate::config::ModelConfig;
 use crate::hooks::GemmHook;
 use crate::quantized::ForwardPass;
-use crate::weights::{self, Embedding, SyntheticLanguage};
+use crate::weights::{self, ModelWeights, SyntheticLanguage};
 use crate::{LlmError, Result};
-use realm_tensor::rng;
 use realm_tensor::{GemmEngine, MatF32, RowKernels, RowPartition, Workspace};
 use std::ops::Range;
 use std::sync::Arc;
@@ -105,38 +104,23 @@ enum HeadRows {
 #[derive(Debug, Clone)]
 pub struct Model {
     config: ModelConfig,
-    embedding: Embedding,
-    language: SyntheticLanguage,
-    blocks: Vec<TransformerBlock>,
-    final_norm: Norm,
-    lm_head: MatF32,
+    weights: ModelWeights,
     logit_temperature: f32,
     engine: Arc<dyn GemmEngine>,
 }
 
 impl Model {
-    /// Builds a model with synthetic weights derived deterministically from `seed`.
+    /// Builds a model with synthetic weights derived deterministically from `seed` (see
+    /// [`weights`] for the recipe).
     ///
     /// # Errors
     ///
     /// Returns [`LlmError::InvalidConfig`] if the configuration fails validation.
     pub fn new(config: &ModelConfig, seed: u64) -> Result<Self> {
         config.validate()?;
-        let mut r = rng::seeded(rng::derive_seed(seed, MODEL_WEIGHT_STREAM));
-        let language = SyntheticLanguage::new(config.vocab_size, seed);
-        let embedding = weights::embedding(config, &mut r);
-        let blocks = (0..config.num_layers)
-            .map(|_| TransformerBlock::new(config, &mut r))
-            .collect();
-        let final_norm = Norm::new(config, &mut r);
-        let lm_head = weights::lm_head(&embedding, &language);
         Ok(Self {
             config: config.clone(),
-            embedding,
-            language,
-            blocks,
-            final_norm,
-            lm_head,
+            weights: weights::synthetic(config, seed),
             logit_temperature: DEFAULT_LOGIT_TEMPERATURE,
             engine: config.engine.build(),
         })
@@ -157,7 +141,7 @@ impl Model {
 
     /// The synthetic language the model was constructed to predict.
     pub fn language(&self) -> &SyntheticLanguage {
-        &self.language
+        &self.weights.language
     }
 
     /// Current logit temperature.
@@ -185,70 +169,74 @@ impl Model {
     /// Returns [`LlmError::TokenOutOfRange`] if any token exceeds the vocabulary and
     /// [`LlmError::InvalidSequence`] if the sequence is empty.
     pub fn embed(&self, tokens: &[u32]) -> Result<MatF32> {
-        let mut out = MatF32::zeros(0, 0);
-        self.embed_into(tokens, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Model::embed`] into caller-provided (typically workspace-pooled) storage,
-    /// reshaped in place.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::embed`].
-    pub fn embed_into(&self, tokens: &[u32], out: &mut MatF32) -> Result<()> {
         if tokens.is_empty() {
             return Err(LlmError::InvalidSequence {
                 detail: "cannot embed an empty token sequence".into(),
             });
         }
-        for &t in tokens {
-            if t as usize >= self.config.vocab_size {
-                return Err(LlmError::TokenOutOfRange {
-                    token: t,
-                    vocab: self.config.vocab_size,
-                });
+        let mut out = MatF32::zeros(tokens.len(), self.config.hidden_size);
+        self.embed_rows(tokens.iter().copied(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Copies the embedding of the `i`-th of `tokens` into row `i` of `x`.
+    fn embed_rows(&self, tokens: impl IntoIterator<Item = u32>, x: &mut MatF32) -> Result<()> {
+        let vocab = self.config.vocab_size;
+        for (row, token) in tokens.into_iter().enumerate() {
+            if token as usize >= vocab {
+                return Err(LlmError::TokenOutOfRange { token, vocab });
             }
-        }
-        out.resize_overwrite(tokens.len(), self.config.hidden_size);
-        for (r, &t) in tokens.iter().enumerate() {
-            out.row_mut(r)
-                .copy_from_slice(self.embedding.table.row(t as usize));
+            x.row_mut(row)
+                .copy_from_slice(self.weights.embedding.row(token as usize));
         }
         Ok(())
     }
 
-    /// The one forward pass behind every entry point: announces `parts` to the hook, embeds
-    /// `tokens` (one row each, stacking each slot's tokens in partition order), runs them
-    /// through every block against `cache`, and returns the workspace-pooled final hidden
-    /// state, one row per token, for [`Model::head`].
-    fn forward(
+    /// The one forward pass behind every entry point: `slots` yields the tokens of each
+    /// slot of `cache` in slot order, empty for a slot that sits the pass out. Refills the
+    /// partition the cache kept from its previous pass, announces it to the hook, embeds
+    /// the tokens into a workspace matrix, runs it through every block against `cache` and
+    /// returns the workspace-pooled logits of the rows `rows` selects ([`Model::head`]). A
+    /// warmed pass allocates nothing.
+    fn forward<'t>(
         &self,
-        tokens: &[u32],
+        slots: impl Iterator<Item = &'t [u32]> + Clone,
         stage: Stage,
+        rows: HeadRows,
         cache: &mut BatchedKvCache,
-        parts: &RowPartition,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
     ) -> Result<MatF32> {
-        if cache.num_layers() != self.blocks.len() {
+        if cache.num_layers() != self.weights.blocks.len() {
             return Err(invalid(format!(
                 "the model has {} layers but the KV cache covers {}",
-                self.blocks.len(),
+                self.weights.blocks.len(),
                 cache.num_layers()
             )));
         }
-        hook.on_batch_begin(parts);
-        let mut x = ws.take_mat_f32(tokens.len(), self.config.hidden_size);
-        if let Err(e) = self.embed_into(tokens, &mut x) {
-            ws.recycle_mat_f32(x);
-            return Err(e);
-        }
-        let mut pass = ForwardPass::new(stage, self.engine.as_ref(), hook, ws);
-        for (layer, block) in self.blocks.iter().enumerate() {
-            x = block.forward(x, layer, cache, parts, &mut pass)?;
-        }
-        Ok(x)
+        let mut parts = cache
+            .step
+            .take()
+            .unwrap_or_else(|| RowPartition::from_lens(&[]));
+        parts.refill(slots.clone().map(<[u32]>::len));
+        let mut x = ws.take_mat_f32(parts.total_rows(), self.config.hidden_size);
+        let logits = match self.embed_rows(slots.flatten().copied(), &mut x) {
+            Ok(()) => {
+                hook.on_batch_begin(&parts);
+                let mut pass = ForwardPass::new(stage, self.engine.as_ref(), hook, ws);
+                let mut layers = self.weights.blocks.iter().enumerate();
+                let hidden = layers.try_fold(x, |x, (layer, block)| {
+                    block.forward(x, layer, cache, &parts, &mut pass)
+                });
+                hidden.map(|x| self.head(x, &parts, rows, ws))
+            }
+            Err(e) => {
+                ws.recycle_mat_f32(x);
+                Err(e)
+            }
+        };
+        cache.step = Some(parts);
+        logits
     }
 
     /// Final norm, LM head and temperature on the rows of the final hidden state `x` that
@@ -276,12 +264,12 @@ impl Model {
             }
         }
         let mut normed = ws.take_mat_f32(x.rows(), x.cols());
-        self.final_norm.forward_into(&x, &mut normed);
+        self.weights.final_norm.forward_into(&x, &mut normed);
         ws.recycle_mat_f32(x);
-        let mut logits = ws.take_mat_f32(normed.rows(), self.lm_head.cols());
+        let mut logits = ws.take_mat_f32(normed.rows(), self.weights.lm_head.cols());
         let kernels = RowKernels::granted();
         for row in 0..normed.rows() {
-            kernels.project_row(normed.row(row), &self.lm_head, logits.row_mut(row));
+            kernels.project_row(normed.row(row), &self.weights.lm_head, logits.row_mut(row));
         }
         ws.recycle_mat_f32(normed);
         logits.scale_in_place(1.0 / self.logit_temperature);
@@ -354,7 +342,7 @@ impl Model {
     ) -> Result<(MatF32, BatchedKvCache)> {
         let mut cache = self.new_batched_cache(1);
         let chunk = [PrefillChunk::whole(prompt, 0)];
-        let (logits, _) = self.prefill_stacked(&chunk, &mut cache, HeadRows::Every, hook, ws)?;
+        let logits = self.prefill_stacked(&chunk, &mut cache, HeadRows::Every, hook, ws)?;
         Ok((logits, cache))
     }
 
@@ -397,7 +385,7 @@ impl Model {
         ws: &mut Workspace,
     ) -> Result<Vec<Vec<f32>>> {
         let rows = HeadRows::LastOfEachGroup;
-        let (logits, _) = self.prefill_stacked(chunks, cache, rows, hook, ws)?;
+        let logits = self.prefill_stacked(chunks, cache, rows, hook, ws)?;
         // One row per chunk, in slot order.
         let per_chunk = chunks
             .iter()
@@ -413,8 +401,7 @@ impl Model {
     }
 
     /// Validates `chunks` against `cache` and runs them as one prefill forward, returning
-    /// the workspace-pooled logits of the rows `rows` selects, stacked in slot order, and
-    /// the partition of the chunks' rows over the slots.
+    /// the workspace-pooled logits of the rows `rows` selects, stacked in slot order.
     fn prefill_stacked(
         &self,
         chunks: &[PrefillChunk<'_>],
@@ -422,38 +409,33 @@ impl Model {
         rows: HeadRows,
         hook: &mut dyn GemmHook,
         ws: &mut Workspace,
-    ) -> Result<(MatF32, RowPartition)> {
+    ) -> Result<MatF32> {
         if chunks.is_empty() {
             return Err(invalid("cannot advance an empty chunk batch".into()));
         }
-        let mut lens = vec![0usize; cache.batch_size()];
-        for chunk in chunks {
+        let slots = cache.batch_size();
+        for (i, chunk) in chunks.iter().enumerate() {
             let slot = chunk.slot;
-            if slot >= lens.len() {
-                let slots = lens.len();
+            if slot >= slots {
                 return Err(invalid(format!(
                     "chunk targets slot {slot} of a {slots}-slot batched cache"
                 )));
             }
-            if lens[slot] != 0 {
+            if chunks[..i].iter().any(|other| other.slot == slot) {
                 return Err(invalid(format!(
                     "slot {slot} appears twice in the chunk batch"
                 )));
             }
             self.check_window(chunk.prompt, &chunk.range, cache.seq_len(slot))?;
-            lens[slot] = chunk.range.len();
         }
-        let parts = RowPartition::from_lens(&lens);
-        // Activation rows must follow slot order (the partition's group order), not the
+        // Activation rows follow slot order (the partition's group order), not the
         // caller's chunk order.
-        let mut by_slot: Vec<&PrefillChunk<'_>> = chunks.iter().collect();
-        by_slot.sort_unstable_by_key(|c| c.slot);
-        let stacked: Vec<u32> = by_slot
-            .iter()
-            .flat_map(|c| c.prompt[c.range.clone()].iter().copied())
-            .collect();
-        let x = self.forward(&stacked, Stage::Prefill, cache, &parts, hook, ws)?;
-        Ok((self.head(x, &parts, rows, ws), parts))
+        let window = |slot| match chunks.iter().find(|c| c.slot == slot) {
+            Some(chunk) => &chunk.prompt[chunk.range.clone()],
+            None => &[],
+        };
+        let windows = (0..slots).map(window);
+        self.forward(windows, Stage::Prefill, rows, cache, hook, ws)
     }
 
     /// Runs one shared prefill over a ragged batch of prompts — prompt `i` whole, as one
@@ -481,14 +463,15 @@ impl Model {
             .map(|(slot, prompt)| PrefillChunk::whole(prompt, slot))
             .collect();
         let rows = HeadRows::Every;
-        let (logits, parts) =
+        let logits =
             self.prefill_stacked(&chunks, &mut cache, rows, hook, &mut Workspace::new())?;
-        let per_sequence = (0..prompts.len())
-            .map(|slot| {
-                let range = parts.range(slot);
-                logits
-                    .rows_slice(range.start, range.len())
-                    .map_err(Into::into)
+        let mut start = 0;
+        let per_sequence = prompts
+            .iter()
+            .map(|prompt| {
+                let sequence = logits.rows_slice(start, prompt.len());
+                start += prompt.len();
+                sequence.map_err(Into::into)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok((per_sequence, cache))
@@ -520,7 +503,9 @@ impl Model {
             )));
         }
         self.check_room(cache.seq_len(0))?;
-        let logits = self.decode_forward(&[token], [1], cache, hook, ws)?;
+        let rows = HeadRows::LastOfEachGroup;
+        let slot = std::iter::once(std::slice::from_ref(&token));
+        let logits = self.forward(slot, Stage::Decode, rows, cache, hook, ws)?;
         let mut row = ws.take_vec_f32(logits.cols());
         row.copy_from_slice(logits.row(0));
         ws.recycle_mat_f32(logits);
@@ -554,8 +539,7 @@ impl Model {
                 cache.batch_size()
             )));
         }
-        let active: Vec<u32> = tokens.iter().filter_map(|t| *t).collect();
-        if active.is_empty() {
+        if tokens.iter().all(Option::is_none) {
             return Ok(vec![None; tokens.len()]);
         }
         for (i, token) in tokens.iter().enumerate() {
@@ -563,8 +547,9 @@ impl Model {
                 self.check_room(cache.seq_len(i))?;
             }
         }
-        let lens = tokens.iter().map(|t| usize::from(t.is_some()));
-        let logits = self.decode_forward(&active, lens, cache, hook, ws)?;
+        let slots = tokens.iter().map(Option::as_slice);
+        let rows = HeadRows::LastOfEachGroup;
+        let logits = self.forward(slots, Stage::Decode, rows, cache, hook, ws)?;
         let mut rows = 0..logits.rows();
         let out = tokens
             .iter()
@@ -577,29 +562,6 @@ impl Model {
             .collect();
         ws.recycle_mat_f32(logits);
         Ok(out)
-    }
-
-    /// The forward of both decode entry points: slot `g` of `cache` contributes `lens[g]`
-    /// (0 or 1) of the stacked `tokens`. The step's partition is refilled in place in the
-    /// one the cache kept from its previous step, so a warmed step allocates nothing.
-    fn decode_forward(
-        &self,
-        tokens: &[u32],
-        lens: impl IntoIterator<Item = usize>,
-        cache: &mut BatchedKvCache,
-        hook: &mut dyn GemmHook,
-        ws: &mut Workspace,
-    ) -> Result<MatF32> {
-        let mut parts = cache
-            .step
-            .take()
-            .unwrap_or_else(|| RowPartition::from_lens(&[]));
-        parts.refill(lens);
-        let logits = self
-            .forward(tokens, Stage::Decode, cache, &parts, hook, ws)
-            .map(|x| self.head(x, &parts, HeadRows::LastOfEachGroup, ws));
-        cache.step = Some(parts);
-        logits
     }
 
     /// Batched greedy generation: ragged prompts share one prefill, then lockstep decode
@@ -765,9 +727,6 @@ pub fn argmax_with_margin(logits: &[f32]) -> (u32, f32) {
     };
     (best.0 as u32, margin)
 }
-
-/// Internal stream label separating weight generation from other seed-derived streams.
-const MODEL_WEIGHT_STREAM: u64 = 0x004d_4f44_454c;
 
 #[cfg(test)]
 mod tests {

@@ -10,6 +10,7 @@
 //! blocks of up to eight rows, one per vector lane, each row's sum a left fold from `−0.0`
 //! in column order on every tier. The elementwise output pass then reads each row once.
 
+use crate::config::Architecture;
 use realm_tensor::{MatF32, RowKernels, RowSum};
 use std::ops::Range;
 
@@ -170,6 +171,38 @@ impl RmsNorm {
     }
 }
 
+/// The normalization of a block or of the model's output: LayerNorm in OPT-style models,
+/// RMSNorm in LLaMA-style ones.
+#[derive(Debug, Clone)]
+pub enum Norm {
+    /// LayerNorm (OPT-style blocks).
+    Layer(LayerNorm),
+    /// RMSNorm (LLaMA-style blocks).
+    Rms(RmsNorm),
+}
+
+impl Norm {
+    /// The normalization `architecture` uses, with per-channel scale `gamma` (and, for
+    /// LayerNorm, zero bias).
+    pub fn new(architecture: Architecture, gamma: Vec<f32>) -> Self {
+        match architecture {
+            Architecture::OptStyle => {
+                let beta = vec![0.0; gamma.len()];
+                Norm::Layer(LayerNorm::new(gamma, beta))
+            }
+            Architecture::LlamaStyle => Norm::Rms(RmsNorm::new(gamma)),
+        }
+    }
+
+    /// Normalizes every row of `x` into `out` (reshaped in place).
+    pub fn forward_into(&self, x: &MatF32, out: &mut MatF32) {
+        match self {
+            Norm::Layer(n) => n.forward_into(x, out),
+            Norm::Rms(n) => n.forward_into(x, out),
+        }
+    }
+}
+
 /// The rows of an `n`-row matrix in consecutive blocks of at most [`BLOCK`].
 fn blocks(n: usize) -> impl Iterator<Item = Range<usize>> {
     (0..n).step_by(BLOCK).map(move |r| r..n.min(r + BLOCK))
@@ -279,6 +312,15 @@ mod tests {
         let s_corr = ln.row_statistics(&corrupted)[0];
         assert!(s_corr.0 > s_clean.0, "mean should increase");
         assert!(s_corr.1 > s_clean.1 * 2.0, "std should blow up");
+    }
+
+    #[test]
+    fn norm_variant_matches_architecture() {
+        let gamma = vec![1.5; 4];
+        let opt = Norm::new(Architecture::OptStyle, gamma.clone());
+        assert!(matches!(opt, Norm::Layer(ref n) if n.gamma == gamma && n.beta == [0.0; 4]));
+        let llama = Norm::new(Architecture::LlamaStyle, gamma.clone());
+        assert!(matches!(llama, Norm::Rms(ref n) if n.gamma == gamma));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Synthetic weight generation with LLM-like activation statistics.
+//! The synthetic weight recipe: every weight of a [`Model`], and the order in
+//! which it is drawn.
 //!
 //! No pretrained checkpoints are available in this reproduction, so model weights are
 //! generated. Two properties of real LLMs are deliberately preserved because the paper's
@@ -17,15 +18,39 @@
 //!    residual stream only mildly, so the clean model performs well; injected faults corrupt
 //!    the residual stream and destroy that structure, degrading the task metrics exactly as
 //!    hardware faults degrade a real LLM.
+//!
+//! # One recipe
+//!
+//! This module is the only place a weight is drawn. The layers take explicit f32 weights
+//! ([`MultiHeadAttention::from_f32`], [`Mlp::from_f32`], [`Norm::new`],
+//! [`TransformerBlock::from_parts`]) and know nothing of random numbers; [`Model::new`]
+//! asks the recipe for everything it computes with. The draw order — the embedding, then
+//! per block the two norm scales, `Q`, `K`, `V`, `O` and the MLP's projections, then the
+//! final norm — is what every golden pins: `REPRO.md`, the quickstart output, the
+//! `faulty_sweep` hook-stream canary and the `batched_parity` digests all move if one draw
+//! moves.
+//!
+//! Each projection is drawn when its layer's constructor asks for it and quantized before
+//! the next one is drawn, so one f32 matrix is alive at a time. Keep it that way: building
+//! the serving model (the LLaMA-3 proxy at a 640-token context) reads about 9.1 MB VmHWM
+//! on x86-64 Linux, and holding every f32 weight at once read 18.7 MB.
+//!
+//! [`Model`]: crate::Model
+//! [`Model::new`]: crate::Model::new
 
-use crate::config::ModelConfig;
+use crate::attention::MultiHeadAttention;
+use crate::block::TransformerBlock;
+use crate::config::{Architecture, ModelConfig};
+use crate::mlp::Mlp;
+use crate::norm::Norm;
 use realm_tensor::rng::{self, SeededRng};
 use realm_tensor::MatF32;
+use std::iter;
 
 /// Standard deviation of the Gaussian bulk of token embeddings.
-pub const EMBEDDING_STD: f32 = 1.0;
+const EMBEDDING_STD: f32 = 1.0;
 /// Standard deviation of projection weights (kept small so residual connections dominate).
-pub const PROJECTION_STD: f32 = 0.02;
+const PROJECTION_STD: f32 = 0.02;
 
 /// A synthetic "language": a deterministic preferred-successor map over the vocabulary.
 ///
@@ -84,13 +109,66 @@ impl SyntheticLanguage {
     }
 }
 
-/// Token embedding table plus the channels designated as outliers.
+/// Everything a model computes with, as a recipe builds it.
 #[derive(Debug, Clone)]
-pub struct Embedding {
+pub(crate) struct ModelWeights {
+    /// The language the head predicts.
+    pub(crate) language: SyntheticLanguage,
     /// Embedding table of shape `(vocab, hidden)`.
-    pub table: MatF32,
+    pub(crate) embedding: MatF32,
+    /// The Transformer blocks, first to last.
+    pub(crate) blocks: Vec<TransformerBlock>,
+    /// The normalization before the head.
+    pub(crate) final_norm: Norm,
+    /// The LM head, `(hidden, vocab)`.
+    pub(crate) lm_head: MatF32,
+}
+
+/// The synthetic recipe: the model of `config` derived deterministically from `seed`.
+pub(crate) fn synthetic(config: &ModelConfig, seed: u64) -> ModelWeights {
+    let mut r = rng::seeded(rng::derive_seed(seed, MODEL_WEIGHT_STREAM));
+    let language = SyntheticLanguage::new(config.vocab_size, seed);
+    let embedding = embedding(config, &mut r);
+    let blocks = (0..config.num_layers)
+        .map(|_| block(config, &mut r))
+        .collect();
+    let final_norm = Norm::new(config.architecture, norm_gamma(&mut r, config.hidden_size));
+    let lm_head = lm_head(&embedding, &language);
+    ModelWeights {
+        language,
+        embedding: embedding.table,
+        blocks,
+        final_norm,
+        lm_head,
+    }
+}
+
+/// Internal stream label separating weight generation from other seed-derived streams.
+const MODEL_WEIGHT_STREAM: u64 = 0x004d_4f44_454c;
+
+/// One block: the two norm scales, `Q`, `K`, `V`, `O`, then the MLP's projections (`FC1`,
+/// `FC2` or `Gate`, `Up`, `Down`), each matrix drawn as the constructor takes it.
+fn block(config: &ModelConfig, r: &mut SeededRng) -> TransformerBlock {
+    let (arch, h, f) = (config.architecture, config.hidden_size, config.ffn_size);
+    let norm1 = Norm::new(arch, norm_gamma(r, h));
+    let norm2 = Norm::new(arch, norm_gamma(r, h));
+    let projections = (0..4).map(|_| projection(r, h, h));
+    let attention = MultiHeadAttention::from_f32(config.num_heads, projections);
+    let inputs = match arch {
+        Architecture::OptStyle => 1,
+        Architecture::LlamaStyle => 2,
+    };
+    let shapes = iter::repeat_n((h, f), inputs).chain([(f, h)]);
+    let mlp = Mlp::from_f32(arch, shapes.map(|(i, o)| projection(r, i, o)));
+    TransformerBlock::from_parts(norm1, attention, norm2, mlp)
+}
+
+/// Token embedding table plus the channels designated as outliers.
+struct Embedding {
+    /// Embedding table of shape `(vocab, hidden)`.
+    table: MatF32,
     /// Indices of the outlier channels shared by all tokens.
-    pub outlier_channels: Vec<usize>,
+    outlier_channels: Vec<usize>,
 }
 
 /// Generates the token-embedding table.
@@ -99,7 +177,7 @@ pub struct Embedding {
 /// non-zero only on `outlier_fraction` of the channels, scaled by `outlier_gain`. The shared
 /// vector gives hidden states the strongly non-Gaussian, outlier-dominated per-token
 /// distribution reported for real LLMs.
-pub fn embedding(config: &ModelConfig, rng_: &mut SeededRng) -> Embedding {
+fn embedding(config: &ModelConfig, rng_: &mut SeededRng) -> Embedding {
     use rand::Rng;
     let hidden = config.hidden_size;
     let outlier_channels: Vec<usize> = (0..hidden)
@@ -131,7 +209,7 @@ pub fn embedding(config: &ModelConfig, rng_: &mut SeededRng) -> Embedding {
 /// The scale is kept small relative to the embeddings so that the residual stream carries the
 /// token identity through the network (real pretrained transformers behave the same way:
 /// block outputs are small updates to the residual stream).
-pub fn projection(rng_: &mut SeededRng, in_features: usize, out_features: usize) -> MatF32 {
+fn projection(rng_: &mut SeededRng, in_features: usize, out_features: usize) -> MatF32 {
     let scale = PROJECTION_STD / (in_features as f32).sqrt().max(1.0);
     rng::gaussian_matrix(
         rng_,
@@ -149,7 +227,7 @@ pub fn projection(rng_: &mut SeededRng, in_features: usize, out_features: usize)
 /// tokens whose successor is `j`. Excluding the outlier channels keeps the shared outlier
 /// vector from leaking a constant bias into every logit, preserving the separation between
 /// the correct successor's logit and the rest.
-pub fn lm_head(embedding: &Embedding, language: &SyntheticLanguage) -> MatF32 {
+fn lm_head(embedding: &Embedding, language: &SyntheticLanguage) -> MatF32 {
     let (vocab, hidden) = embedding.table.shape();
     debug_assert_eq!(vocab, language.vocab_size());
     let mut head = MatF32::zeros(hidden, vocab);
@@ -168,7 +246,7 @@ pub fn lm_head(embedding: &Embedding, language: &SyntheticLanguage) -> MatF32 {
 }
 
 /// Per-channel normalization scale with mild variation, as found in trained models.
-pub fn norm_gamma(rng_: &mut SeededRng, dim: usize) -> Vec<f32> {
+fn norm_gamma(rng_: &mut SeededRng, dim: usize) -> Vec<f32> {
     (0..dim)
         .map(|_| 1.0 + 0.1 * rng::standard_normal(rng_))
         .collect()
