@@ -12,12 +12,10 @@ use realm_systolic::protection::ProtectionScheme;
 /// How a recovery is carried out when a detector requests one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryPolicy {
-    /// Re-execute the whole affected GEMM at the given safe voltage (the paper's assumption:
-    /// recomputation at nominal voltage).
-    RecomputeAtVoltage {
-        /// Supply voltage used for the re-execution, in volts.
-        voltage: f64,
-    },
+    /// Re-execute the whole affected GEMM at nominal voltage (the paper's assumption), where
+    /// the BER is negligible. The energy model prices the re-execution at its own
+    /// `nominal_voltage`.
+    RecomputeAtNominal,
     /// Replay only the pipeline stages that captured a timing error (Razor / ThunderVolt):
     /// cost is a fixed number of cycles per detected error rather than a full GEMM.
     PerErrorReplay {
@@ -29,11 +27,6 @@ pub enum RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// The paper's default: recompute at the nominal 0.9 V.
-    pub fn recompute_at_nominal() -> Self {
-        RecoveryPolicy::RecomputeAtVoltage { voltage: 0.9 }
-    }
-
     /// The recovery policy conventionally paired with each protection scheme in the
     /// evaluation's comparison (Fig. 9).
     pub fn default_for_scheme(scheme: ProtectionScheme) -> Self {
@@ -47,7 +40,7 @@ impl RecoveryPolicy {
             ProtectionScheme::Dmr
             | ProtectionScheme::ClassicalAbft
             | ProtectionScheme::ApproxAbft
-            | ProtectionScheme::StatisticalAbft => RecoveryPolicy::recompute_at_nominal(),
+            | ProtectionScheme::StatisticalAbft => RecoveryPolicy::RecomputeAtNominal,
         }
     }
 }
@@ -97,7 +90,7 @@ impl RecoveryStats {
         }
         self.recoveries_triggered += 1;
         match policy {
-            RecoveryPolicy::RecomputeAtVoltage { .. } => {
+            RecoveryPolicy::RecomputeAtNominal => {
                 self.recovery_macs += gemm_macs;
                 self.recovery_cycles += gemm_cycles;
             }
@@ -123,16 +116,16 @@ mod tests {
             RecoveryPolicy::default_for_scheme(ProtectionScheme::ThunderVolt),
             RecoveryPolicy::PerErrorReplay { .. }
         ));
-        assert!(matches!(
+        assert_eq!(
             RecoveryPolicy::default_for_scheme(ProtectionScheme::StatisticalAbft),
-            RecoveryPolicy::RecomputeAtVoltage { voltage } if (voltage - 0.9).abs() < 1e-9
-        ));
+            RecoveryPolicy::RecomputeAtNominal
+        );
     }
 
     #[test]
     fn recompute_policy_charges_full_gemm() {
         let mut stats = RecoveryStats::new();
-        let policy = RecoveryPolicy::recompute_at_nominal();
+        let policy = RecoveryPolicy::RecomputeAtNominal;
         stats.record(&policy, true, true, 1_000_000, 5_000, 3);
         assert_eq!(stats.recovery_macs, 1_000_000);
         assert_eq!(stats.recovery_cycles, 5_000);
@@ -154,7 +147,7 @@ mod tests {
     #[test]
     fn untriggered_inspections_cost_nothing() {
         let mut stats = RecoveryStats::new();
-        let policy = RecoveryPolicy::recompute_at_nominal();
+        let policy = RecoveryPolicy::RecomputeAtNominal;
         stats.record(&policy, true, false, 1_000, 10, 1);
         stats.record(&policy, false, false, 1_000, 10, 0);
         assert_eq!(stats.recoveries_triggered, 0);

@@ -330,7 +330,7 @@ fn validate_sweep(name: &str, len: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use realm_eval::lambada::LambadaTask;
+    use realm_eval::continuation::{ContinuationTask, LAMBADA};
     use realm_eval::wikitext::WikitextTask;
     use realm_llm::config::ModelConfig;
 
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn stagewise_study_reports_three_scopes() {
         let model = Model::new(&ModelConfig::tiny_opt(), 9).unwrap();
-        let task = LambadaTask::quick(model.language(), 9);
+        let task = ContinuationTask::new(LAMBADA, model.language(), 12, 8, 1, 9);
         let config = StudyConfig::quick(2);
         let series = stagewise_study(&model, &task, &[1e-3], &config).unwrap();
         assert_eq!(series.len(), 3);

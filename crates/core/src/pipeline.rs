@@ -23,22 +23,21 @@ use realm_systolic::{
 };
 use realm_tensor::EngineKind;
 
-/// Configuration of a protected-inference pipeline.
+/// The lowest accumulator bit the faulty datapath flips: timing errors favour the high bits,
+/// and 16 matches the high-bit model of the characterization.
+const MIN_ERROR_BIT: u8 = 16;
+
+/// Configuration of a protected-inference pipeline. The datapath's voltage → BER curve and
+/// the array's energy model are the 14 nm defaults ([`VoltageBerCurve::default_14nm`],
+/// [`EnergyModel::default_14nm`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// The systolic array executing the GEMMs.
     pub array: SystolicArray,
-    /// Voltage → BER relationship of the datapath.
-    pub curve: VoltageBerCurve,
-    /// Dynamic-energy model of the array.
-    pub energy: EnergyModel,
     /// Which components receive injected errors (and therefore need protection). The paper's
     /// evaluation protects one component at a time (e.g. `K` in OPT-1.3B); `None` means
     /// errors are injected everywhere.
     pub protected_component: Option<Component>,
-    /// Number of lower accumulator bits excluded from injection (timing errors favour the
-    /// high bits); 16 matches the high-bit model used in the characterization.
-    pub min_error_bit: u8,
     /// GEMM execution backend for the protector's recovery recomputation. All backends are
     /// bit-exact, so this only changes how fast the sweeps run; it defaults to
     /// [`EngineKind::auto`] (the SIMD parallel backend) like the models themselves.
@@ -49,10 +48,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             array: SystolicArray::paper_256x256_ws(),
-            curve: VoltageBerCurve::default_14nm(),
-            energy: EnergyModel::default_14nm(),
             protected_component: None,
-            min_error_bit: 16,
             engine: EngineKind::auto(),
         }
     }
@@ -183,13 +179,13 @@ impl<'m> ProtectedPipeline<'m> {
                 detail: format!("operating voltage must be positive, got {voltage}"),
             });
         }
-        let ber = self.config.curve.ber_at(voltage);
+        let ber = VoltageBerCurve::default_14nm().ber_at(voltage);
         let target = match self.config.protected_component {
             Some(component) => Target::new().component(component),
             None => Target::everything(),
         };
         let injector = ErrorInjector::new(
-            BitFlipModel::with_bit_range(ber, self.config.min_error_bit, 32),
+            BitFlipModel::with_bit_range(ber, MIN_ERROR_BIT, 32),
             target,
             seed,
         );
@@ -230,14 +226,15 @@ impl<'m> ProtectedPipeline<'m> {
         // not it was targeted, runs on the array at the scaled voltage.
         let compute_macs = self.workload_macs();
         let area_power = AreaPowerModel::default_14nm(&self.config.array);
+        let energy_model = EnergyModel::default_14nm();
         let spec = WorkloadSpec {
             macs: compute_macs,
             voltage,
             detection_power_fraction: area_power.detection_power_fraction(scheme),
             recovery_macs: recovery_stats.recovery_macs,
-            recovery_voltage: self.config.energy.nominal_voltage,
+            recovery_voltage: energy_model.nominal_voltage,
         };
-        let energy = self.config.energy.workload_energy(&spec);
+        let energy = energy_model.workload_energy(&spec);
         Ok(PipelineOutcome {
             scheme,
             voltage,

@@ -20,8 +20,8 @@ use crate::protection::RegionAssignment;
 use crate::sweep::{component_sweet_spots, degradation_tradeoff, scheme_comparison};
 use crate::Result;
 use realm_abft::CriticalRegion;
-use realm_eval::{gsm8k::Gsm8kTask, hellaswag::HellaswagTask, lambada::LambadaTask};
-use realm_eval::{task::Task, wikitext::WikitextTask, xsum::XsumTask};
+use realm_eval::continuation::{ContinuationTask, GSM8K, LAMBADA, XSUM};
+use realm_eval::{hellaswag::HellaswagTask, task::Task, wikitext::WikitextTask};
 use realm_inject::VoltageBerCurve;
 use realm_llm::{config::ModelConfig, Component as C, Model, NoopHook, Stage};
 use realm_systolic::{AreaPowerModel, ProtectionScheme as Scheme, SystolicArray};
@@ -191,7 +191,7 @@ fn fig1() -> Result<Section> {
 
 fn fig4() -> Result<Section> {
     let opt = model(ModelConfig::opt_1_3b_proxy())?;
-    let opt_lambada = LambadaTask::quick(opt.language(), SEED);
+    let opt_lambada = ContinuationTask::new(LAMBADA, opt.language(), 12, 8, 1, SEED);
     let llama = model(ModelConfig::llama_2_7b_proxy())?;
     let llama_wikitext = WikitextTask::quick(llama.language(), SEED);
     let panels: [(&str, &Model, &(dyn Task + Sync), &[C]); 2] = [
@@ -243,12 +243,12 @@ fn fig4() -> Result<Section> {
     }
 
     body += "-- Q2.1 prefill vs decode sensitivity (Fig. 4(i)(j)) --\n\n";
-    let task = XsumTask::standard(llama.language(), SEED);
+    let task = ContinuationTask::new(XSUM, llama.language(), 16, 10, 8, SEED);
     let stages = stagewise_study(&llama, &task, &BERS, &config)?;
     body += &series_panel("LLaMA-2 proxy, X-Sum-style ROUGE-1", &stages);
 
     body += "-- Q2.2 component-wise resilience, decode stage (Fig. 4(k)(l)) --\n\n";
-    let task = Gsm8kTask::standard(llama.language(), SEED);
+    let task = ContinuationTask::new(GSM8K, llama.language(), 20, 8, 6, SEED);
     let components = [C::Q, C::K, C::V, C::Sv, C::O, C::Up, C::Down];
     let decode = Some(Stage::Decode);
     let series = componentwise_study(&llama, &task, &components, &BERS, decode, &config)?;

@@ -112,20 +112,6 @@ impl Corpus {
     }
 }
 
-/// Builds a deterministic successor chain of `len` tokens starting after `start`.
-///
-/// Used as the ground-truth continuation ("reference summary" / "reasoning chain") by the
-/// generation tasks.
-pub fn successor_chain(language: &SyntheticLanguage, start: u32, len: usize) -> Vec<u32> {
-    let mut chain = Vec::with_capacity(len);
-    let mut current = start;
-    for _ in 0..len {
-        current = language.successor(current);
-        chain.push(current);
-    }
-    chain
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +174,6 @@ mod tests {
         };
         let corpus = Corpus::sample(&lang, &spec, 2);
         assert!(measured_fidelity(&corpus, &lang) < 0.15);
-    }
-
-    #[test]
-    fn successor_chain_follows_language_exactly() {
-        let lang = language();
-        let chain = successor_chain(&lang, 7, 5);
-        assert_eq!(chain.len(), 5);
-        assert_eq!(chain[0], lang.successor(7));
-        for pair in chain.windows(2) {
-            assert_eq!(pair[1], lang.successor(pair[0]));
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! continuation receives the highest score — the standard likelihood-ranking protocol used
 //! for HellaSwag.
 
-use crate::corpus::successor_chain;
+use crate::continuation;
 use crate::metrics::{self, Metric};
 use crate::task::Task;
 use rand::Rng;
@@ -27,16 +27,19 @@ struct Example {
 #[derive(Debug, Clone)]
 pub struct HellaswagTask {
     examples: Vec<Example>,
-    name: String,
 }
+
+/// The task's name in reports.
+pub const NAME: &str = "hellaswag-synthetic";
 
 impl HellaswagTask {
     /// Builds `num_examples` examples with `num_choices` candidates of `continuation_len`
-    /// tokens each.
+    /// tokens each. The prompt and the true continuation come from the continuation tasks'
+    /// builder; the distractors are drawn after them from the same stream.
     ///
     /// # Panics
     ///
-    /// Panics if `num_examples` is zero, `num_choices < 2` or `continuation_len` is zero.
+    /// Panics if `num_examples` is zero, `num_choices < 2` or a length is zero.
     pub fn new(
         language: &SyntheticLanguage,
         num_examples: usize,
@@ -50,19 +53,13 @@ impl HellaswagTask {
             num_choices >= 2,
             "multiple choice needs at least two candidates"
         );
-        assert!(
-            prompt_len > 0 && continuation_len > 0,
-            "sizes must be non-zero"
-        );
         let mut rng_ = rng::seeded(rng::derive_seed(seed, 0x8E11A));
         let vocab = language.vocab_size() as u32;
         let examples = (0..num_examples)
             .map(|_| {
-                let start = rng_.gen_range(0..vocab);
-                let mut prompt = vec![start];
-                prompt.extend(successor_chain(language, start, prompt_len - 1));
-                let last = *prompt.last().expect("prompt is non-empty");
-                let mut candidates = vec![successor_chain(language, last, continuation_len)];
+                let (prompt, truth) =
+                    continuation::example(language, &mut rng_, prompt_len, continuation_len);
+                let mut candidates = vec![truth];
                 for _ in 1..num_choices {
                     candidates.push(
                         (0..continuation_len)
@@ -73,30 +70,12 @@ impl HellaswagTask {
                 Example { prompt, candidates }
             })
             .collect();
-        Self {
-            examples,
-            name: "hellaswag-synthetic".to_string(),
-        }
+        Self { examples }
     }
 
     /// A small instance for unit tests.
     pub fn quick(language: &SyntheticLanguage, seed: u64) -> Self {
         Self::new(language, 8, 4, 5, 4, seed)
-    }
-
-    /// A standard-sized instance for benchmark harnesses.
-    pub fn standard(language: &SyntheticLanguage, seed: u64) -> Self {
-        Self::new(language, 20, 4, 8, 6, seed)
-    }
-
-    /// Number of examples.
-    pub fn len(&self) -> usize {
-        self.examples.len()
-    }
-
-    /// Returns `true` if the task has no examples (never the case for constructed tasks).
-    pub fn is_empty(&self) -> bool {
-        self.examples.is_empty()
     }
 
     fn candidate_log_likelihood(
@@ -121,7 +100,7 @@ impl HellaswagTask {
 
 impl Task for HellaswagTask {
     fn name(&self) -> &str {
-        &self.name
+        NAME
     }
 
     fn metric(&self) -> Metric {
@@ -163,7 +142,7 @@ mod tests {
             accuracy >= 62.5,
             "clean accuracy {accuracy} barely beats chance"
         );
-        assert_eq!(task.len(), 8);
+        assert_eq!(task.examples.len(), 8);
     }
 
     #[test]

@@ -5,15 +5,18 @@
 //!
 //! The paper evaluates error impact on LAMBADA (accuracy), WikiText-2 (perplexity), X-Sum
 //! (ROUGE-1), GSM8K (accuracy) and HellaSwag (accuracy). Those datasets need pretrained
-//! models to be meaningful; this reproduction instead defines one synthetic task per metric
-//! family over the model's own [`realm_llm::weights::SyntheticLanguage`]:
+//! models to be meaningful; this reproduction instead defines one synthetic task per
+//! protocol over the model's own [`realm_llm::weights::SyntheticLanguage`]. LAMBADA, GSM8K
+//! and X-Sum share one: generate the successor chain that continues a prompt. So one type,
+//! [`continuation::ContinuationTask`], serves all three, each with its own name, seed and
+//! scoring:
 //!
 //! | Paper benchmark | Here | Metric |
 //! |---|---|---|
 //! | WikiText-2 language modelling | [`wikitext::WikitextTask`] — perplexity over corpora sampled from the synthetic language | perplexity (↓) |
-//! | LAMBADA last-word prediction | [`lambada::LambadaTask`] — predict the final token of a successor chain | accuracy (↑) |
-//! | X-Sum summarization | [`xsum::XsumTask`] — generate the continuation chain, scored with a ROUGE-1 analogue | ROUGE-1 (↑) |
-//! | GSM8K arithmetic reasoning | [`gsm8k::Gsm8kTask`] — exact-match of a multi-step chain (all steps must be right) | accuracy (↑) |
+//! | LAMBADA last-word prediction | [`continuation::LAMBADA`] — generate the one-token continuation, exact match | accuracy (↑) |
+//! | GSM8K arithmetic reasoning | [`continuation::GSM8K`] — generate a multi-step chain, exact match (all steps must be right) | accuracy (↑) |
+//! | X-Sum summarization | [`continuation::XSUM`] — generate a summary-length chain, scored with a ROUGE-1 analogue | ROUGE-1 (↑) |
 //! | HellaSwag completion choice | [`hellaswag::HellaswagTask`] — pick the true continuation among distractors by likelihood | accuracy (↑) |
 //!
 //! Every task consumes the same interface the real benchmarks would (prefill logits,
@@ -38,14 +41,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod continuation;
 pub mod corpus;
-pub mod gsm8k;
 pub mod hellaswag;
-pub mod lambada;
 pub mod metrics;
 pub mod task;
 pub mod wikitext;
-pub mod xsum;
 
 pub use metrics::Metric;
 pub use task::Task;

@@ -10,15 +10,16 @@ use realm_llm::{GemmHook, Model, Result};
 #[derive(Debug, Clone)]
 pub struct WikitextTask {
     corpus: Corpus,
-    name: String,
 }
+
+/// The task's name in reports.
+pub const NAME: &str = "wikitext-synthetic";
 
 impl WikitextTask {
     /// Builds the task from an explicit corpus specification.
     pub fn new(language: &SyntheticLanguage, spec: &CorpusSpec, seed: u64) -> Self {
         Self {
             corpus: Corpus::sample(language, spec, seed),
-            name: "wikitext-synthetic".to_string(),
         }
     }
 
@@ -27,20 +28,15 @@ impl WikitextTask {
         Self::new(language, &CorpusSpec::quick(), seed)
     }
 
-    /// A standard-sized instance for benchmark harnesses.
+    /// A larger instance, the quickstart's.
     pub fn standard(language: &SyntheticLanguage, seed: u64) -> Self {
         Self::new(language, &CorpusSpec::standard(), seed)
-    }
-
-    /// The evaluation corpus.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
     }
 }
 
 impl Task for WikitextTask {
     fn name(&self) -> &str {
-        &self.name
+        NAME
     }
 
     fn metric(&self) -> Metric {

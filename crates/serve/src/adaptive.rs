@@ -31,7 +31,7 @@
 //!
 //! **Protection-first load shedding.** When the queue's token-age approaches the 429 SLO,
 //! the controller sheds *protection* before traffic: the resilient components are overlaid
-//! down to [`AdaptiveConfig::shed_floor`], buying back the checksum bandwidth, and the
+//! down to [`SHED_FLOOR`], buying back the checksum bandwidth, and the
 //! overlay is lifted the moment pressure clears. The sensitive set and the resilient set
 //! are disjoint, so an escalation overlay and a shed overlay compose without conflict —
 //! under simultaneous burst and overload the engine still runs classical detection exactly
@@ -41,6 +41,13 @@ use realm_core::protection::RegionAssignment;
 use realm_llm::Component;
 use realm_systolic::ProtectionScheme;
 use std::collections::VecDeque;
+
+/// The scheme escalation raises protection to (sequence scheme and sensitive-component
+/// overlay alike): classical ABFT, full checksum comparison and recovery on any mismatch.
+pub const ESCALATION_SCHEME: ProtectionScheme = ProtectionScheme::ClassicalAbft;
+
+/// The scheme resilient components are overlaid down to while shedding is active.
+pub const SHED_FLOOR: ProtectionScheme = ProtectionScheme::None;
 
 /// Configuration of the [`AdaptiveController`].
 ///
@@ -61,18 +68,12 @@ pub struct AdaptiveConfig {
     pub clean_window_steps: u64,
     /// Minimum steps between two transitions of the same slot (the first is free).
     pub hysteresis_steps: u64,
-    /// The scheme escalation raises protection to (sequence scheme and sensitive-component
-    /// overlay alike). Classical ABFT by default: full checksum comparison, recovery on
-    /// any mismatch.
-    pub escalation_scheme: ProtectionScheme,
     /// Queue token-age at which protection shedding arms; `0` disables shedding.
     ///
     /// A front end sheds *traffic* (429) at its own SLO; setting this below that SLO
     /// sheds resilient-component *protection* first, so checksum bandwidth is given back
     /// before any request is refused.
     pub shed_pressure_tokens: u64,
-    /// The scheme resilient components are overlaid down to while shedding is active.
-    pub shed_floor: ProtectionScheme,
 }
 
 impl Default for AdaptiveConfig {
@@ -84,9 +85,7 @@ impl Default for AdaptiveConfig {
             escalate_detections: 8,
             clean_window_steps: 16,
             hysteresis_steps: 8,
-            escalation_scheme: ProtectionScheme::ClassicalAbft,
             shed_pressure_tokens: 0,
-            shed_floor: ProtectionScheme::None,
         }
     }
 }
@@ -101,10 +100,9 @@ impl AdaptiveConfig {
     }
 
     /// Arms protection-first load shedding: once the queue's token-age reaches
-    /// `pressure_tokens`, resilient components drop to `floor` until pressure clears.
-    pub fn with_shed(mut self, pressure_tokens: u64, floor: ProtectionScheme) -> Self {
+    /// `pressure_tokens`, resilient components drop to [`SHED_FLOOR`] until pressure clears.
+    pub fn with_shed(mut self, pressure_tokens: u64) -> Self {
         self.shed_pressure_tokens = pressure_tokens;
-        self.shed_floor = floor;
         self
     }
 }
@@ -297,8 +295,8 @@ impl AdaptiveController {
         }
         match self.slots.get(slot).map(|s| s.stage) {
             Some(ProtectionStage::Escalated) => {
-                if self.config.escalation_scheme.strictness() > requested.strictness() {
-                    self.config.escalation_scheme
+                if ESCALATION_SCHEME.strictness() > requested.strictness() {
+                    ESCALATION_SCHEME
                 } else {
                     requested
                 }
@@ -323,9 +321,8 @@ impl AdaptiveController {
         } else {
             &[]
         };
-        let (escalation, floor) = (self.config.escalation_scheme, self.config.shed_floor);
-        let sensitive = sensitive.iter().map(move |&c| (c, escalation));
-        sensitive.chain(resilient.iter().map(move |&c| (c, floor)))
+        let sensitive = sensitive.iter().map(|&c| (c, ESCALATION_SCHEME));
+        sensitive.chain(resilient.iter().map(|&c| (c, SHED_FLOOR)))
     }
 
     /// Retires `slot`'s occupant: returns the escalations charged to it (for its
@@ -516,7 +513,7 @@ mod tests {
 
     #[test]
     fn shed_overlay_drops_resilient_components_under_queue_pressure() {
-        let config = AdaptiveConfig::enabled().with_shed(100, ProtectionScheme::None);
+        let config = AdaptiveConfig::enabled().with_shed(100);
         let mut c = controller(config);
         assert!(!c.observe_step(1, &[0, 0], &[true, true], Some(99)));
         assert!(!c.shed_active(), "below the pressure threshold");

@@ -386,7 +386,7 @@ fn protection_sheds_under_queue_pressure_and_restores() {
 
     // One slot and a tight token budget: the queued requests' token-age crosses the shed
     // pressure threshold while they wait, and clears once the queue drains.
-    let adaptive = AdaptiveConfig::enabled().with_shed(8, realm::systolic::ProtectionScheme::None);
+    let adaptive = AdaptiveConfig::enabled().with_shed(8);
     let config = ServeConfig::with_slots(1)
         .with_step_token_budget(4)
         .with_adaptive(adaptive);

@@ -5,7 +5,8 @@ use realm::core::characterize::{componentwise_study, stagewise_study, StudyConfi
 use realm::core::pipeline::{PipelineConfig, ProtectedPipeline};
 use realm::core::protection::SchemeProtector;
 use realm::core::sweep::{component_sweet_spots, voltage_sweep};
-use realm::eval::{lambada::LambadaTask, wikitext::WikitextTask};
+use realm::eval::continuation::{ContinuationTask, LAMBADA};
+use realm::eval::wikitext::WikitextTask;
 use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector};
 use realm::llm::{config::ModelConfig, model::Model, Component, NoopHook, Stage};
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
@@ -114,7 +115,7 @@ fn sensitivity_ordering_matches_the_paper() {
 #[test]
 fn prefill_stage_is_no_less_sensitive_than_decode_stage() {
     let model = Model::new(&ModelConfig::tiny_llama(), 53).unwrap();
-    let task = LambadaTask::quick(model.language(), 53);
+    let task = ContinuationTask::new(LAMBADA, model.language(), 12, 8, 1, 53);
     let config = StudyConfig {
         trials: 6,
         seed: 53,
@@ -122,7 +123,7 @@ fn prefill_stage_is_no_less_sensitive_than_decode_stage() {
     };
     let series = stagewise_study(&model, &task, &[5e-3], &config).unwrap();
     let accuracy = |label: &str| series.iter().find(|s| s.label == label).unwrap().points[0].value;
-    // LAMBADA evaluation only runs prefill, so decode-targeted errors cannot hurt it; the
+    // A one-token continuation runs only prefill, so decode-targeted errors cannot hurt it; the
     // meaningful check is that prefill-targeted degradation is at least as bad as decode.
     assert!(accuracy("prefill_stage") <= accuracy("decode_stage") + 1e-9);
     assert!(accuracy("two_stage") <= accuracy("decode_stage") + 1e-9);

@@ -450,7 +450,7 @@ fn adaptive_scheme_refresh_allocates_nothing() {
     use realm::serve::{AdaptiveConfig, AdaptiveController, ProtectionStage};
     // An enabled controller driven into both overlays at once: slot 0's detections elevate
     // it (the first transition is free), and the backlog crosses the shed threshold.
-    let config = AdaptiveConfig::enabled().with_shed(8, ProtectionScheme::None);
+    let config = AdaptiveConfig::enabled().with_shed(8);
     let mut controller = AdaptiveController::new(2, config, &RegionAssignment::new());
     assert!(controller.observe_step(1, &[8, 0], &[true, true], Some(8)));
     assert_eq!(controller.stage(0), ProtectionStage::Elevated);
