@@ -15,7 +15,6 @@
 //! All checksum arithmetic is carried out in `i64`: operands are INT8 and accumulators INT32,
 //! so exact sums fit comfortably and cannot themselves overflow.
 
-use realm_tensor::partition::shard_range;
 use realm_tensor::{engine, MatI32, MatI8, PackedMatI8, RowPartition};
 
 /// Expected output column checksum `(eᵀ·W)·X`, one entry per output column.
@@ -177,27 +176,6 @@ pub fn deviating_groups_into(
     }
 }
 
-/// Indices of the `degree` column stripes ([`realm_tensor::partition::shard_range`]) of a
-/// GEMM that carry a non-zero column deviation — the shard fault domains a detection traces
-/// back to. Walks the stripes in place: nothing is allocated once `out` has room.
-///
-/// Checks every column, not just the shard sums, so two errors that cancel in a shard's
-/// MSD but sit in different columns still implicate the shard.
-///
-/// # Panics
-///
-/// Panics if `degree` is zero.
-pub fn deviating_shards_into(deviations: &[i64], degree: usize, out: &mut Vec<usize>) {
-    assert!(degree >= 1, "shard attribution needs at least one shard");
-    out.clear();
-    let cols = deviations.len();
-    out.extend((0..degree).filter(|&s| {
-        deviations[shard_range(cols, degree, s)]
-            .iter()
-            .any(|&d| d != 0)
-    }));
-}
-
 /// Per-column deviations of a packed weight replica against its pack-time checksums.
 ///
 /// [`PackedMatI8`] snapshots `eᵀ·W` when the weight matrix is packed at model load. Re-reducing
@@ -313,30 +291,6 @@ mod tests {
         let parts = RowPartition::from_lens(&[4, 4]);
         deviating_groups_into(&w, &x, &acc, &parts, &mut etw, &mut flat, &mut deviating);
         assert!(deviating.is_empty());
-    }
-
-    #[test]
-    fn shard_attribution_slices_the_deviation_vector_at_stripe_boundaries() {
-        // 10 columns over 4 shards: stripes 0..3, 3..6, 6..8, 8..10 (ragged).
-        let mut dev = vec![0i64; 10];
-        dev[4] = 1 << 14; // shard 1
-        dev[8] = -(1 << 9); // shard 3
-        dev[9] = 1 << 9; // shard 3 — cancels shard 3's MSD but not its columns
-        let mut shards = Vec::new();
-        deviating_shards_into(&dev, 4, &mut shards);
-        assert_eq!(
-            shards,
-            vec![1, 3],
-            "cancelling errors within a stripe still implicate the shard"
-        );
-        deviating_shards_into(&[0i64; 10], 4, &mut shards);
-        assert!(shards.is_empty());
-
-        // An actual corruption of a column owned by shard 2 of 3 (stripes 0..4, 4..8, 8..12).
-        let (w, x, mut acc) = random_operands(12, 4, 8, 12);
-        acc[(1, 9)] = acc[(1, 9)].wrapping_add(1 << 20);
-        deviating_shards_into(&column_deviations(&w, &x, &acc), 3, &mut shards);
-        assert_eq!(shards, vec![2]);
     }
 
     #[test]

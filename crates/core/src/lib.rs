@@ -49,7 +49,7 @@ mod error;
 
 pub use error::CoreError;
 pub use pipeline::{BatchedGenerationOutcome, PipelineConfig, PipelineOutcome, ProtectedPipeline};
-pub use protection::{ProtectionPolicy, SchemeProtector, SequenceAttribution, ShardAttribution};
+pub use protection::{ProtectionPolicy, SchemeProtector, SequenceAttribution};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

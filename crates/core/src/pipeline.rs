@@ -10,7 +10,7 @@
 //! * the task evaluation itself,
 //! * the systolic-array area/power model and the energy model for the final accounting.
 
-use crate::protection::{RegionAssignment, SchemeProtector, SequenceAttribution, ShardAttribution};
+use crate::protection::{RegionAssignment, SchemeProtector, SequenceAttribution};
 use crate::{CoreError, Result};
 use realm_eval::task::Task;
 use realm_inject::{
@@ -124,10 +124,6 @@ pub struct BatchedGenerationOutcome {
     pub errors_injected: u64,
     /// Detection/recovery attribution per batch sequence index (dense, one per sequence).
     pub per_sequence: Vec<SequenceAttribution>,
-    /// Detection/recovery attribution per shard (dense, one per column stripe of the
-    /// model's `tp_degree`; empty at degree 1). The stripes never change a verdict — this
-    /// only localizes them to fault domains.
-    pub per_shard: Vec<ShardAttribution>,
 }
 
 /// A reusable protected-inference pipeline bound to one model.
@@ -189,13 +185,12 @@ impl<'m> ProtectedPipeline<'m> {
             target,
             seed,
         );
-        let mut protector = SchemeProtector::with_engine(
+        let protector = SchemeProtector::with_engine(
             scheme,
             self.config.array,
             &self.regions,
             self.config.engine.build(),
         );
-        protector.set_shard_attribution(self.model.config().tp_degree);
         Ok((ber, injector, protector))
     }
 
@@ -286,7 +281,7 @@ impl<'m> ProtectedPipeline<'m> {
                 .generate_batch(&requests, &mut hooks)
                 .map_err(CoreError::from)?
         };
-        // Dense attribution: one entry per sequence / shard, zeroed where nothing fired.
+        // Dense attribution: one entry per sequence, zeroed where nothing fired.
         let mut per_sequence = protector.sequence_attribution().to_vec();
         per_sequence.resize(prompts.len(), SequenceAttribution::default());
         Ok(BatchedGenerationOutcome {
@@ -298,7 +293,6 @@ impl<'m> ProtectedPipeline<'m> {
             recoveries: protector.stats().recoveries_triggered,
             errors_injected: injector.stats().errors_injected,
             per_sequence,
-            per_shard: protector.shard_attribution().to_vec(),
         })
     }
 
@@ -463,35 +457,6 @@ mod tests {
         assert!(pipeline
             .run_generation_batch(&[], 4, ProtectionScheme::None, 0.9, 1)
             .is_err());
-    }
-
-    #[test]
-    fn sharded_pipeline_reports_per_shard_attribution() {
-        let mut config = ModelConfig::tiny_opt();
-        config.tp_degree = 2;
-        let model = Model::new(&config, 3).unwrap();
-        let pipeline = ProtectedPipeline::new(&model, small_config());
-        let prompts: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![4, 5]];
-        let outcome = pipeline
-            .run_generation_batch(&prompts, 4, ProtectionScheme::ClassicalAbft, 0.60, 7)
-            .unwrap();
-        assert_eq!(outcome.per_shard.len(), 2, "dense, one entry per shard");
-        assert!(outcome.recoveries > 0);
-        let attributed: u64 = outcome.per_shard.iter().map(|a| a.detections).sum();
-        assert!(
-            attributed > 0,
-            "low-voltage faults must localize to shard stripes"
-        );
-
-        // A one-stripe model reports no shard axis at all — and, the stripes being
-        // bookkeeping only, produces the same tokens under the same faults.
-        let unsharded = Model::new(&ModelConfig::tiny_opt(), 3).unwrap();
-        let pipeline = ProtectedPipeline::new(&unsharded, small_config());
-        let baseline = pipeline
-            .run_generation_batch(&prompts, 4, ProtectionScheme::ClassicalAbft, 0.60, 7)
-            .unwrap();
-        assert!(baseline.per_shard.is_empty());
-        assert_eq!(baseline.outputs, outcome.outputs);
     }
 
     #[test]

@@ -17,40 +17,26 @@ use realm_systolic::{ProtectionScheme, SystolicArray};
 use realm_tensor::{engine, ChecksummedGemm, GemmEngine, MatI32, MatI8, RowPartition};
 use std::sync::Arc;
 
-/// Detections and recoveries a [`SchemeProtector`] charged to one fault domain: a batch
-/// sequence ([`SequenceAttribution`]) or a column-stripe shard ([`ShardAttribution`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Attribution {
-    /// Inspections in which this domain's rows (or column stripe) carried a non-zero
-    /// deviation.
-    pub detections: u64,
-    /// Detections on this domain that triggered a recovery.
-    pub recoveries: u64,
-}
-
-impl std::ops::AddAssign for Attribution {
-    fn add_assign(&mut self, other: Self) {
-        self.detections += other.detections;
-        self.recoveries += other.recoveries;
-    }
-}
-
-/// Per-batch-sequence attribution.
+/// Detections and recoveries a [`SchemeProtector`] charged to one batch sequence.
 ///
 /// In a batched forward pass one inspected GEMM carries the rows of every sequence; when
 /// the detector flags it, the protector re-reduces the checksums over each sequence's row
 /// range (see [`realm_abft::checksum::deviating_groups_into`]) and charges the detection —
 /// and any recovery — to the sequences whose rows actually deviated.
-pub type SequenceAttribution = Attribution;
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SequenceAttribution {
+    /// Inspections in which this sequence's rows carried a non-zero deviation.
+    pub detections: u64,
+    /// Detections on this sequence that triggered a recovery.
+    pub recoveries: u64,
+}
 
-/// Per-shard attribution.
-///
-/// A shard is a column stripe of every static-weight GEMM
-/// ([`realm_tensor::partition::shard_range`]), the fault domain whole-shard faults hit.
-/// Every checksum deviation localizes to the stripes whose columns deviated (see
-/// [`realm_abft::checksum::deviating_shards_into`]); the protector charges detections and
-/// recoveries to those shards. Enabled by [`SchemeProtector::set_shard_attribution`].
-pub type ShardAttribution = Attribution;
+impl std::ops::AddAssign for SequenceAttribution {
+    fn add_assign(&mut self, other: Self) {
+        self.detections += other.detections;
+        self.recoveries += other.recoveries;
+    }
+}
 
 /// Per-request protection policy: which ABFT scheme a request's GEMMs should run under.
 ///
@@ -174,15 +160,14 @@ impl RegionAssignment {
 
 /// Reusable buffers for the protector's per-inspection work: the deviation vector every
 /// detector evaluates, the per-group re-reduction buffers of batched attribution, and the
-/// affected-sequence and affected-shard lists. Owned by the protector so the detection
-/// path of the decode hot loop never touches the allocator.
+/// affected-sequence list. Owned by the protector so the detection path of the decode hot
+/// loop never touches the allocator.
 #[derive(Debug, Default)]
 struct DetectionScratch {
     deviations: Vec<i64>,
     group_etw: Vec<i64>,
     group_dev: Vec<i64>,
     affected: Vec<usize>,
-    shards: Vec<usize>,
 }
 
 impl DetectionScratch {
@@ -260,8 +245,6 @@ pub struct SchemeProtector {
     /// Charges per batch sequence not yet taken, indexed by sequence (cache slot); grows
     /// to the highest sequence charged.
     per_sequence: Vec<SequenceAttribution>,
-    /// Charges per shard stripe, one entry per shard while shard attribution is on.
-    per_shard: Vec<ShardAttribution>,
     sequence_schemes: Vec<ProtectionScheme>,
     batched_scheme: ProtectionScheme,
     /// The spatial overlay, indexed by [`Component::index`].
@@ -302,7 +285,6 @@ impl SchemeProtector {
             engine,
             partition: None,
             per_sequence: Vec::new(),
-            per_shard: Vec::new(),
             sequence_schemes: Vec::new(),
             batched_scheme: scheme,
             component_schemes: [None; Component::ALL.len()],
@@ -359,25 +341,6 @@ impl SchemeProtector {
             .get_mut(seq)
             .map(std::mem::take)
             .unwrap_or_default()
-    }
-
-    /// Attributes detections to `degree` column stripes; degrees `0` and `1` disable
-    /// per-shard attribution (one stripe is the whole GEMM). Resets the shard ledger.
-    ///
-    /// The serving and pipeline layers set this from the model's
-    /// `ModelConfig::tp_degree`; it never changes detection verdicts or recovery
-    /// behaviour, only the bookkeeping surfaced by [`SchemeProtector::shard_attribution`].
-    pub fn set_shard_attribution(&mut self, degree: usize) {
-        self.per_shard.clear();
-        if degree > 1 {
-            self.per_shard.resize(degree, ShardAttribution::default());
-        }
-    }
-
-    /// Per-shard detection/recovery attribution, indexed by shard: one entry per shard
-    /// while [`SchemeProtector::set_shard_attribution`] enables it, empty otherwise.
-    pub fn shard_attribution(&self) -> &[ShardAttribution] {
-        &self.per_shard
     }
 
     /// Installs per-batch-sequence protection schemes (one entry per batch slot).
@@ -475,13 +438,8 @@ impl SchemeProtector {
         // Attribution must read the accumulator before recovery rewrites it; the per-group
         // re-reduction runs only on flagged GEMMs, so the fault-free fast path stays fast.
         scratch.affected.clear();
-        scratch.shards.clear();
         if detection.errors_detected {
             scratch.affected_sequences(ctx.origin, self.partition.as_ref(), w, x, result.acc());
-            if !self.per_shard.is_empty() {
-                let degree = self.per_shard.len();
-                checksum::deviating_shards_into(&scratch.deviations, degree, &mut scratch.shards);
-            }
         }
 
         let schedule = self.array.schedule_gemm(w.rows(), w.cols(), x.cols());
@@ -496,8 +454,16 @@ impl SchemeProtector {
         // A scheme that has a detector never pairs with `RecoveryPolicy::None`, so a
         // triggered recovery always rewrites the accumulator.
         let recover = detection.trigger_recovery;
-        attribute(&mut self.per_sequence, &scratch.affected, recover);
-        attribute(&mut self.per_shard, &scratch.shards, recover);
+        for &seq in &scratch.affected {
+            if seq >= self.per_sequence.len() {
+                self.per_sequence
+                    .resize(seq + 1, SequenceAttribution::default());
+            }
+            self.per_sequence[seq] += SequenceAttribution {
+                detections: 1,
+                recoveries: u64::from(recover),
+            };
+        }
 
         if recover {
             // Operands are fault-free (ECC-protected memory), so re-executing the GEMM at a
@@ -507,20 +473,6 @@ impl SchemeProtector {
                 .gemm_i8_checksummed_into(w, x, result, &mut scratch.group_etw)
                 .expect("operand shapes were already validated");
         }
-    }
-}
-
-/// Charges a detection (and, when `recovered`, a recovery) to each affected fault domain,
-/// growing the ledger to the highest index charged.
-fn attribute(ledger: &mut Vec<Attribution>, affected: &[usize], recovered: bool) {
-    for &index in affected {
-        if index >= ledger.len() {
-            ledger.resize(index + 1, Attribution::default());
-        }
-        ledger[index] += Attribution {
-            detections: 1,
-            recoveries: u64::from(recovered),
-        };
     }
 }
 
@@ -753,14 +705,17 @@ mod tests {
 
         // Taking the charges hands them over once and zeroes the slot.
         assert_eq!(protector.take_sequence_attribution(0), charged);
-        assert_eq!(protector.sequence_attribution(), [Attribution::default()]);
+        assert_eq!(
+            protector.sequence_attribution(),
+            [SequenceAttribution::default()]
+        );
         assert_eq!(
             protector.take_sequence_attribution(0),
-            Attribution::default()
+            SequenceAttribution::default()
         );
         assert_eq!(
             protector.take_sequence_attribution(7),
-            Attribution::default()
+            SequenceAttribution::default()
         );
     }
 
@@ -976,63 +931,6 @@ mod tests {
             0,
             "no sequence of an all-None list is inspected, in range or not"
         );
-    }
-
-    #[test]
-    fn fused_detections_attribute_to_the_corrupted_shard() {
-        let model = Model::new(&ModelConfig::tiny_opt(), 2).unwrap();
-        let clean = model.generate(&[1, 2, 3], 6, &mut NoopHook).unwrap();
-
-        // Arm a garble on shard 1 only: the classical protector must detect every one,
-        // localize it to that shard's stripe and repair the run bit-exactly.
-        let mut injector = ErrorInjector::new(
-            realm_inject::BitFlipModel::uniform(0.0),
-            realm_inject::Target::new().shard(1),
-            9,
-        );
-        injector.arm_shard_faults(3, realm_inject::ShardFault::Garble { seed: 21 }, 2);
-        let mut protector =
-            SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        protector.set_shard_attribution(3);
-        let mut hooks = (&mut injector, &mut protector);
-        let out = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
-        assert_eq!(out, clean, "the protector recovers the garble");
-        let charged = Attribution {
-            detections: 2,
-            recoveries: 2,
-        };
-        assert_eq!(
-            protector.shard_attribution(),
-            [Attribution::default(), charged, Attribution::default()]
-        );
-
-        // Bit flips anywhere in the accumulator localize to the stripes the deviating
-        // columns fall in.
-        let mut protector =
-            SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        protector.set_shard_attribution(3);
-        let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
-        let mut hooks = (&mut injector, &mut protector);
-        let repaired = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
-        assert_eq!(repaired, clean);
-        let attribution = protector.shard_attribution();
-        assert_eq!(attribution.len(), 3, "one entry per shard stripe");
-        let (detections, recoveries) = attribution
-            .iter()
-            .fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
-        assert!(
-            detections >= recoveries && recoveries > 0,
-            "accumulator corruptions localize to shard stripes"
-        );
-
-        // Attribution is pure bookkeeping: a protector without it repairs the same run.
-        let mut protector =
-            SchemeProtector::with_default_regions(ProtectionScheme::ClassicalAbft, array());
-        let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.2), 9);
-        let mut hooks = (&mut injector, &mut protector);
-        let repaired = model.generate(&[1, 2, 3], 6, &mut hooks).unwrap();
-        assert_eq!(repaired, clean);
-        assert!(protector.shard_attribution().is_empty());
     }
 
     #[test]

@@ -100,16 +100,6 @@ impl Corpus {
     pub fn sequences(&self) -> &[Vec<u32>] {
         &self.sequences
     }
-
-    /// Number of sequences.
-    pub fn len(&self) -> usize {
-        self.sequences.len()
-    }
-
-    /// Returns `true` if the corpus holds no sequences.
-    pub fn is_empty(&self) -> bool {
-        self.sequences.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -132,8 +122,7 @@ mod tests {
             assert_eq!(seq.len(), spec.seq_len);
             assert!(seq.iter().all(|&t| (t as usize) < lang.vocab_size()));
         }
-        assert_eq!(a.len(), spec.num_sequences);
-        assert!(!a.is_empty());
+        assert_eq!(a.sequences.len(), spec.num_sequences);
     }
 
     /// Fraction of the corpus's transitions that follow the successor map.

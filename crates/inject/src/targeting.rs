@@ -29,7 +29,6 @@ pub struct Target {
     components: Option<BTreeSet<Component>>,
     layers: Option<BTreeSet<usize>>,
     stages: Option<BTreeSet<Stage>>,
-    shards: Option<BTreeSet<usize>>,
 }
 
 impl Target {
@@ -76,21 +75,6 @@ impl Target {
         self.stages([stage])
     }
 
-    /// Restricts the target to the given shard indices: the column stripes
-    /// `ErrorInjector::arm_shard_faults` arms its whole-shard faults on.
-    ///
-    /// The shard axis selects fault domains, not individual GEMMs, so [`Target::matches`]
-    /// — which filters per-GEMM contexts for the error model — is unaffected by it.
-    pub fn shards(mut self, shards: impl IntoIterator<Item = usize>) -> Self {
-        self.shards = Some(shards.into_iter().collect());
-        self
-    }
-
-    /// Restricts the target to a single shard (convenience wrapper).
-    pub fn shard(self, shard: usize) -> Self {
-        self.shards([shard])
-    }
-
     /// Returns `true` if the GEMM described by `ctx` is selected by this target.
     pub fn matches(&self, ctx: &GemmContext) -> bool {
         self.components
@@ -98,11 +82,6 @@ impl Target {
             .is_none_or(|s| s.contains(&ctx.component))
             && self.layers.as_ref().is_none_or(|s| s.contains(&ctx.layer))
             && self.stages.as_ref().is_none_or(|s| s.contains(&ctx.stage))
-    }
-
-    /// Returns the configured shard filter, if any.
-    pub fn shard_filter(&self) -> Option<&BTreeSet<usize>> {
-        self.shards.as_ref()
     }
 }
 
@@ -149,15 +128,5 @@ mod tests {
             Target::new().stage(Stage::Prefill),
             Target::new().stages([Stage::Prefill])
         );
-    }
-
-    #[test]
-    fn shard_filter_selects_fault_domains_not_gemms() {
-        let t = Target::new().shard(2);
-        assert_eq!(t.shard_filter().unwrap().len(), 1);
-        // The shard axis never restricts per-GEMM matching: it picks the stripes shard
-        // faults are armed on, not the GEMMs the error model corrupts.
-        assert!(t.matches(&ctx(Component::Q, 0, Stage::Prefill)));
-        assert_eq!(Target::new().shard(1), Target::new().shards([1]));
     }
 }

@@ -55,11 +55,8 @@ pub struct ModelConfig {
     /// bit-exact (see `realm_tensor::engine`), so this only changes wall-clock speed; the
     /// presets default to [`EngineKind::auto`] (the SIMD parallel backend).
     pub engine: EngineKind,
-    /// The number of shard fault domains: the column stripes
-    /// (`realm_tensor::partition::shard_cols`) of every static-weight GEMM that whole-shard
-    /// faults hit (`realm_inject`'s `ErrorInjector::arm_shard_faults`) and protectors
-    /// attribute detections to. It never changes how a GEMM runs; `1` (the presets'
-    /// default) is one domain, which disables shard attribution.
+    /// Unused: nothing in the workspace reads it. It stays only because the benchmark
+    /// harness still sets it; the presets set `1`.
     pub tp_degree: usize,
 }
 
@@ -101,11 +98,6 @@ impl ModelConfig {
         if self.outlier_gain < 1.0 {
             return Err(LlmError::InvalidConfig {
                 detail: format!("outlier_gain {} must be >= 1", self.outlier_gain),
-            });
-        }
-        if self.tp_degree == 0 {
-            return Err(LlmError::InvalidConfig {
-                detail: "tp_degree must be >= 1 (1 is one shard fault domain)".into(),
             });
         }
         Ok(())
@@ -275,16 +267,6 @@ mod tests {
         let mut cfg = ModelConfig::tiny_opt();
         cfg.outlier_gain = 0.5;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn zero_tp_degree_is_rejected() {
-        let mut cfg = ModelConfig::tiny_opt();
-        assert_eq!(cfg.tp_degree, 1, "presets default to one fault domain");
-        cfg.tp_degree = 0;
-        assert!(cfg.validate().is_err());
-        cfg.tp_degree = 4;
-        cfg.validate().unwrap();
     }
 
     #[test]

@@ -105,9 +105,6 @@ pub enum OutputMode {
 /// hit the packed kernels without touching the allocator. The pack keeps the row-major
 /// weights too ([`PackedMatI8::unpacked`]): hooks observe them, and the engines that don't
 /// override the packed entry points multiply with them.
-///
-/// A layer knows nothing of shards: a shard is a column stripe of its output, which only
-/// the hooks see (`realm_inject`'s shard faults, a protector's shard attribution).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
     weight: PackedMatI8,

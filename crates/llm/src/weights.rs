@@ -204,20 +204,14 @@ fn embedding(config: &ModelConfig, rng_: &mut SeededRng) -> Embedding {
     }
 }
 
-/// Generates a projection weight matrix of shape `(in_features, out_features)`.
+/// Generates a projection weight matrix of shape `(in_features, out_features)`: every
+/// entry is drawn from N(0, 0.02²) ([`PROJECTION_STD`]) at any width.
 ///
 /// The scale is kept small relative to the embeddings so that the residual stream carries the
 /// token identity through the network (real pretrained transformers behave the same way:
 /// block outputs are small updates to the residual stream).
 fn projection(rng_: &mut SeededRng, in_features: usize, out_features: usize) -> MatF32 {
-    let scale = PROJECTION_STD / (in_features as f32).sqrt().max(1.0);
-    rng::gaussian_matrix(
-        rng_,
-        in_features,
-        out_features,
-        0.0,
-        scale * (in_features as f32).sqrt(),
-    )
+    rng::gaussian_matrix(rng_, in_features, out_features, 0.0, PROJECTION_STD)
 }
 
 /// Builds the language-model head of shape `(hidden, vocab)` that predicts each token's

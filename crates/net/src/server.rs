@@ -601,7 +601,7 @@ fn stats_json(s: &EngineStats, c: &Counters, draining: bool) -> String {
             "\"steps_at_scheme\":[{},{},{},{},{},{},{}],",
             "\"tokens_per_second\":{:.1},\"decode_p50_us\":{:.1},\"decode_p99_us\":{:.1},",
             "\"decode_stall_p99_us\":{:.1},\"step_budget_utilization\":{:.3},",
-            "\"tp_degree\":{},\"server\":{{\"connections\":{},\"http_requests\":{},",
+            "\"server\":{{\"connections\":{},\"http_requests\":{},",
             "\"streams_completed\":{},\"disconnects\":{},\"draining\":{}}}}}\n"
         ),
         s.queue_depth,
@@ -635,7 +635,6 @@ fn stats_json(s: &EngineStats, c: &Counters, draining: bool) -> String {
         s.decode_p99_us,
         s.decode_stall_p99_us,
         s.step_budget_utilization,
-        s.tp_degree,
         c.connections.load(Ordering::Relaxed),
         c.http_requests.load(Ordering::Relaxed),
         c.streams_completed.load(Ordering::Relaxed),

@@ -182,16 +182,6 @@ pub struct EngineStats {
     /// steady-state memory footprint of the allocation-free decode loop. Stabilises after
     /// warmup; growth here indicates a scratch leak.
     pub workspace_high_water_bytes: usize,
-    /// Shard fault domains of the served model (`ModelConfig::tp_degree`): the column
-    /// stripes the decode protector attributes detections to.
-    pub tp_degree: usize,
-    /// Detections the protector charged to shard stripes, summed over the shards (a
-    /// detection that spans stripes counts once per stripe). 0 at degree 1.
-    pub shard_detections: u64,
-    /// Recoveries the protector charged to shard stripes, summed like
-    /// [`EngineStats::shard_detections`]. Killed shards are not here: the fault hook
-    /// rebuilds their stripes in the same call, and counts them itself.
-    pub shard_recoveries: u64,
     /// Adaptive-controller stage-up transitions (Calm → Elevated, Elevated → Escalated)
     /// across all slots. 0 while adaptation is disabled.
     pub policy_escalations: u64,
@@ -346,16 +336,12 @@ impl<'m> ServeEngine<'m> {
         // Built unprotected: `refresh_schemes` installs one scheme per slot (a free slot's is
         // `None`) at every admission, before any GEMM runs, so the construction scheme never
         // decides one.
-        let mut protector = SchemeProtector::with_engine(
+        let protector = SchemeProtector::with_engine(
             ProtectionScheme::None,
             config.array,
             &RegionAssignment::new(),
             model.config().engine.build(),
         );
-        // With more than one shard fault domain the shared decode protector also localises
-        // checksum deviations to shard column stripes, so operator telemetry can name the
-        // suspect fault domain.
-        protector.set_shard_attribution(model.config().tp_degree);
         Self {
             model,
             config,
@@ -797,9 +783,6 @@ impl<'m> ServeEngine<'m> {
         sorted_us.sort_unstable();
         let mut sorted_stall_us = self.stall_us.clone();
         sorted_stall_us.sort_unstable();
-        let shards = self.protector.shard_attribution().iter();
-        let (shard_detections, shard_recoveries) =
-            shards.fold((0, 0), |(d, r), a| (d + a.detections, r + a.recoveries));
         EngineStats {
             queue_depth: self.queue.len(),
             active_slots: self.slots.iter().filter(|s| s.is_some()).count(),
@@ -832,9 +815,6 @@ impl<'m> ServeEngine<'m> {
             decode_p50_us: percentile_us(&sorted_us, 0.50),
             decode_p99_us: percentile_us(&sorted_us, 0.99),
             workspace_high_water_bytes: self.ws.high_water_mark_bytes(),
-            tp_degree: self.model.config().tp_degree,
-            shard_detections,
-            shard_recoveries,
             policy_escalations: self.adaptive.escalations(),
             policy_deescalations: self.adaptive.deescalations(),
             protection_shed_steps: self.adaptive.shed_steps(),
@@ -978,10 +958,7 @@ impl std::fmt::Debug for ServeEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use realm_inject::{BitFlipModel, ShardFault, Target};
     use realm_llm::config::ModelConfig;
-
-    type Injector = realm_inject::ErrorInjector<BitFlipModel>;
 
     fn engine(model: &Model, slots: usize) -> ServeEngine<'_> {
         ServeEngine::new(model, ServeConfig::with_slots(slots))
@@ -1246,70 +1223,5 @@ mod tests {
         assert_eq!(engine.oldest_token_age(), None);
         assert_eq!(engine.stats().queue_oldest_age_tokens, 0);
         assert_eq!(engine.stats().requests_completed, 2);
-    }
-
-    /// Serves the same four classical-ABFT requests, with `hook` (if any) as the fault
-    /// hook, and returns their token streams plus final stats.
-    fn serve_four(model: &Model, hook: Option<&mut Injector>) -> (Vec<Vec<u32>>, EngineStats) {
-        let mut engine = engine(model, 2);
-        if let Some(hook) = hook {
-            engine = engine.with_fault_hook(Box::new(hook));
-        }
-        let mut receivers = Vec::new();
-        for i in 0..4u32 {
-            let request = ServeRequest::new(vec![1 + i, 2, 7], 6)
-                .with_policy(crate::ProtectionPolicy::classical());
-            receivers.push(engine.submit(request).unwrap().1);
-        }
-        engine.run_until_idle().unwrap();
-        let stats = engine.stats();
-        let tokens = receivers
-            .iter()
-            .map(|rx| collect_done(rx).unwrap().tokens)
-            .collect();
-        (tokens, stats)
-    }
-
-    /// A model of `tp_degree` shard fault domains and an injector whose error model is
-    /// silent, with `fault` armed on shard 1 for `steps` static-weight GEMMs.
-    fn striped(tp_degree: usize, fault: ShardFault, steps: usize) -> (Model, Injector) {
-        let mut config = ModelConfig::tiny_opt();
-        config.tp_degree = tp_degree;
-        let model = Model::new(&config, 23).unwrap();
-        let mut injector = Injector::new(BitFlipModel::uniform(0.0), Target::new().shard(1), 5);
-        assert_eq!(injector.arm_shard_faults(tp_degree, fault, steps), 1);
-        (model, injector)
-    }
-
-    #[test]
-    fn killed_shard_keeps_the_engine_serving_bit_exact() {
-        let (expected, plain) =
-            serve_four(&Model::new(&ModelConfig::tiny_opt(), 23).unwrap(), None);
-        assert_eq!(plain.tp_degree, 1);
-
-        // Shard 1 of 2 dies for 3 static-weight GEMMs mid-service; the device reports it,
-        // so the injector rebuilds the stripe in the same call and serving goes on.
-        let (model, mut injector) = striped(2, ShardFault::Kill, 3);
-        let (got, stats) = serve_four(&model, Some(&mut injector));
-        assert_eq!(got, expected, "a rebuilt stripe preserves bit-exact output");
-        assert_eq!(stats.tp_degree, 2);
-        let per_shard = &injector.stats().per_shard;
-        assert_eq!(per_shard[1].kills, 3, "kills are charged to the dead shard");
-        assert_eq!(per_shard[0].kills, 0);
-        assert_eq!(
-            (stats.shard_detections, stats.shard_recoveries),
-            (0, 0),
-            "a kill never reaches the protector"
-        );
-    }
-
-    #[test]
-    fn garbled_shard_is_detected_attributed_and_recovered_by_the_protector() {
-        let (expected, _) = serve_four(&Model::new(&ModelConfig::tiny_opt(), 23).unwrap(), None);
-        let (model, mut injector) = striped(3, ShardFault::Garble { seed: 0xBEEF }, 4);
-        let (got, stats) = serve_four(&model, Some(&mut injector));
-        assert_eq!(got, expected, "classical ABFT repairs every garble");
-        assert_eq!(injector.stats().per_shard[1].corruptions, 4);
-        assert_eq!((stats.shard_detections, stats.shard_recoveries), (4, 4));
     }
 }

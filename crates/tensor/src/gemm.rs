@@ -8,7 +8,6 @@
 //! quantization-accuracy tests.
 
 use crate::{MatF32, MatI32, MatI8, Result, TensorError};
-use std::ops::Range;
 
 pub(crate) fn check_compatible(
     op: &'static str,
@@ -58,42 +57,16 @@ pub fn gemm_i8(a: &MatI8, b: &MatI8) -> Result<MatI32> {
 /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()`.
 pub fn gemm_i8_into(a: &MatI8, b: &MatI8, out: &mut MatI32) -> Result<()> {
     check_compatible("gemm_i8", a.shape(), b.shape())?;
-    out.resize_overwrite(a.rows(), b.cols());
-    gemm_i8_cols_into(a, b, 0..b.cols(), out)
-}
-
-/// Recomputes the columns `cols` of `out = a · b` in place, leaving every other column as
-/// it is: the stripe of one shard, rebuilt from the operands after its rank died. Its
-/// whole-width call is [`gemm_i8_into`], so a rebuilt stripe is bit for bit what every
-/// engine delivers.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != b.rows()` or `out` is not
-/// `(a.rows(), b.cols())`.
-///
-/// # Panics
-///
-/// Panics if `cols` reaches past `b.cols()`.
-pub fn gemm_i8_cols_into(a: &MatI8, b: &MatI8, cols: Range<usize>, out: &mut MatI32) -> Result<()> {
-    check_compatible("gemm_i8_cols_into", a.shape(), b.shape())?;
-    if out.shape() != (a.rows(), b.cols()) {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_i8_cols_into",
-            lhs: (a.rows(), b.cols()),
-            rhs: out.shape(),
-        });
-    }
+    out.resize_reset(a.rows(), b.cols());
     // Transpose-free inner loop ordering (i, p, j) keeps the access to `b` row-contiguous.
     for i in 0..a.rows() {
-        let out_stripe = &mut out.row_mut(i)[cols.clone()];
-        out_stripe.fill(0);
+        let out_row = out.row_mut(i);
         for (p, &a_ip) in a.row(i).iter().enumerate() {
             let a_ip = a_ip as i32;
             if a_ip == 0 {
                 continue;
             }
-            for (o, &b_pj) in out_stripe.iter_mut().zip(&b.row(p)[cols.clone()]) {
+            for (o, &b_pj) in out_row.iter_mut().zip(b.row(p)) {
                 *o += a_ip * b_pj as i32;
             }
         }
@@ -170,23 +143,6 @@ mod tests {
         let b = MatI8::filled(128, 1, 127);
         let y = gemm_i8(&a, &b).unwrap();
         assert_eq!(y[(0, 0)], 127 * 127 * 128);
-    }
-
-    #[test]
-    fn column_range_recompute_rebuilds_only_its_stripe() {
-        let a = MatI8::from_fn(3, 7, |r, c| (r as i8 * 5) - (c as i8 * 3));
-        let b = MatI8::from_fn(7, 10, |r, c| ((r * 10 + c) % 17) as i8 - 8);
-        let want = gemm_i8(&a, &b).unwrap();
-        for cols in [0..0, 0..3, 3..6, 8..10, 0..10] {
-            let mut out = MatI32::filled(3, 10, -1);
-            gemm_i8_cols_into(&a, &b, cols.clone(), &mut out).unwrap();
-            for (i, j) in (0..3).flat_map(|i| (0..10).map(move |j| (i, j))) {
-                let expect = if cols.contains(&j) { want[(i, j)] } else { -1 };
-                assert_eq!(out[(i, j)], expect, "{cols:?} ({i}, {j})");
-            }
-        }
-        let mut wrong = MatI32::zeros(3, 9);
-        assert!(gemm_i8_cols_into(&a, &b, 0..3, &mut wrong).is_err());
     }
 
     #[test]

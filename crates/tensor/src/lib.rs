@@ -25,8 +25,7 @@
 //!   [`GemmEngine::gemm_i8_packed_into`].
 //! * [`partition`] — [`RowPartition`], the row-range → sequence map that batched inference
 //!   uses to stack many sequences into one GEMM while keeping quantization scales and ABFT
-//!   attribution per-sequence, and [`partition::shard_cols`], the column stripes that are
-//!   the fault domains of whole-shard faults.
+//!   attribution per-sequence.
 //! * [`quant`] — symmetric quantization between `f32` and `i8`, including the re-quantization
 //!   of INT32 accumulator outputs back to INT8 that gives rise to the bit-position
 //!   saturation effect studied in the paper (Q1.2).

@@ -13,16 +13,6 @@
 //! cargo run --release --example serve_demo
 //! ```
 //!
-//! Shard faults are env-driven so CI can exercise them without a separate binary:
-//! `REALM_TP_DEGREE=4` cuts every weight GEMM into 4 column-stripe fault domains, and
-//! `REALM_SHARD_KILL=<shard>[:<steps>]` has the injector kill one of them for its next
-//! `steps` static-weight GEMMs (default 16), rebuilding each dead stripe in place, so the
-//! engine serves on bit-exactly mid-service:
-//!
-//! ```text
-//! REALM_TP_DEGREE=4 REALM_SHARD_KILL=2:24 cargo run --release --example serve_demo
-//! ```
-//!
 //! With `REALM_LISTEN=<addr>` the demo becomes a network server instead: the same
 //! engine (same injector) serves `POST /generate` over HTTP/1.1 with chunked token
 //! streaming until `POST /admin/drain` gracefully drains it:
@@ -35,40 +25,14 @@
 //! ```
 
 use realm::core::ProtectionPolicy;
-use realm::inject::{
-    error_model::FixedBitModel, injector::ErrorInjector, targeting::Target, ShardFault,
-};
+use realm::inject::{error_model::FixedBitModel, injector::ErrorInjector};
 use realm::llm::{config::ModelConfig, model::Model};
 use realm::net::{NetConfig, NetServer};
 use realm::serve::{AdaptiveConfig, ServeConfig, ServeEngine, ServeRequest, TokenEvent};
 use realm::systolic::ProtectionScheme;
 
-/// Parses `REALM_SHARD_KILL=<shard>[:<steps>]` (steps defaults to 16 static-weight GEMMs).
-fn shard_kill_from_env() -> Option<(usize, usize)> {
-    let spec = std::env::var("REALM_SHARD_KILL").ok()?;
-    let (shard, steps) = match spec.split_once(':') {
-        Some((shard, steps)) => (
-            shard.parse().expect("REALM_SHARD_KILL shard index"),
-            steps.parse().expect("REALM_SHARD_KILL step count"),
-        ),
-        None => (spec.parse().expect("REALM_SHARD_KILL shard index"), 16),
-    };
-    Some((shard, steps))
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let tp_degree: usize = std::env::var("REALM_TP_DEGREE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&d| d > 0)
-        .unwrap_or(1);
-    let model = Model::new(
-        &ModelConfig {
-            tp_degree,
-            ..ModelConfig::tiny_opt()
-        },
-        2025,
-    )?;
+    let model = Model::new(&ModelConfig::tiny_opt(), 2025)?;
     let config = ServeConfig {
         slots: 4,
         aging_steps: 8,
@@ -89,30 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Name the GEMM backend the default dispatch picked: throughput numbers from this
     // demo are uninterpretable without knowing which kernel actually ran.
     println!(
-        "gemm backend: {} (simd dispatch: {})",
+        "gemm backend: {} (simd dispatch: {})\n",
         model.engine().name(),
         realm::tensor::simd::simd_dispatch_label()
     );
-    println!("shard fault domains: {tp_degree}\n");
 
     // A faulty datapath: transient bit-30 flips on ~0.5% of GEMMs. Protected requests
     // detect and repair these; the unprotected request takes its chances.
-    let shard_kill = shard_kill_from_env();
-    let target = match shard_kill {
-        Some((shard, _)) => Target::new().shard(shard),
-        None => Target::everything(),
-    };
-    let mut injector = ErrorInjector::new(FixedBitModel::bit30(0.005), target, 7);
-    // Optionally kill a whole shard mid-service: its stripe of the next `steps`
-    // static-weight GEMMs is lost, and the injector rebuilds each from the operands.
-    if let Some((shard, steps)) = shard_kill {
-        assert!(shard < tp_degree, "REALM_SHARD_KILL shard out of range");
-        let armed = injector.arm_shard_faults(tp_degree, ShardFault::Kill, steps);
-        println!(
-            "armed shard-kill: shard {shard} for {steps} static-weight GEMMs \
-             ({armed} shard(s) armed)\n"
-        );
-    }
+    let mut injector = ErrorInjector::everywhere(FixedBitModel::bit30(0.005), 7);
     // Network mode: hand the same engine configuration to the HTTP front end and serve
     // until an operator drains it (`POST /admin/drain`).
     if let Ok(listen) = std::env::var("REALM_LISTEN") {
@@ -249,26 +197,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.step_budget_utilization,
         stats.decode_stall_p99_us
     );
-    drop(engine);
-    if stats.tp_degree > 1 {
-        println!(
-            "shard stripes: {} protector detections, {} recoveries",
-            stats.shard_detections, stats.shard_recoveries
-        );
-        let per_shard = &injector.stats().per_shard;
-        for (shard, s) in per_shard.iter().enumerate() {
-            println!(
-                "  shard {shard}: kills {:>3} (each rebuilt in place)  corruptions {:>3}",
-                s.kills, s.corruptions
-            );
-        }
-        if let Some((shard, steps)) = shard_kill {
-            assert_eq!(
-                per_shard[shard].kills, steps as u64,
-                "every armed kill fired, and each dead stripe was rebuilt"
-            );
-        }
-    }
     println!();
 
     println!(
